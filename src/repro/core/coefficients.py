@@ -22,9 +22,11 @@ a decompose/recompose round trip is lossless to floating-point rounding.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .grid import LevelOps, TensorHierarchy
+from .grid import LevelOps, TensorHierarchy, along, axis_weights
 
 __all__ = [
     "prolong",
@@ -36,34 +38,60 @@ __all__ = [
 ]
 
 
+def _fill_details(out: np.ndarray, rows: list, ops: LevelOps, axis: int) -> None:
+    """Interpolate the detail nodes along ``axis`` from their coarse neighbours, in place.
+
+    ``rows`` restricts every other axis (a list of slices, entry ``axis``
+    ignored).  Each detail node ``d`` receives
+    ``w_left * out[d-1] + w_right * out[d+1]``, summed in the product dtype
+    (float64 weights) and rounded once into ``out``.
+    """
+    nd = ops.m_detail
+
+    def at(sl: slice) -> np.ndarray:
+        index = list(rows)
+        index[axis] = sl
+        return out[tuple(index)]
+
+    detail = at(slice(1, 2 * nd, 2))
+    wide = np.result_type(out.dtype, ops.w_left.dtype)
+    # when out already has the product dtype the detail view holds the left term
+    left = detail if out.dtype == wide else np.empty(detail.shape, dtype=wide)
+    right = np.empty(detail.shape, dtype=wide)
+    np.multiply(axis_weights(ops.w_left[:nd], out.ndim, axis), at(slice(0, 2 * nd, 2)), out=left)
+    np.multiply(axis_weights(ops.w_right[:nd], out.ndim, axis), at(slice(2, 2 * nd + 2, 2)), out=right)
+    np.add(left, right, out=detail)
+
+
 def prolong(vc: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
     """Piecewise-linear prolongation from the coarse to the fine grid.
 
     The coarse values are copied to their fine positions; each detail
     position receives the linear interpolation of its interval endpoints.
     """
-    vc = np.moveaxis(vc, axis, -1)
-    if vc.shape[-1] != ops.m_coarse:
-        raise ValueError(f"axis length {vc.shape[-1]} does not match m_coarse={ops.m_coarse}")
-    out = np.empty(vc.shape[:-1] + (ops.m_fine,), dtype=vc.dtype)
-    out[..., ops.coarse_pos] = vc
-    if ops.m_detail:
-        interp = ops.w_left * vc[..., :-1] + ops.w_right * vc[..., 1:]
-        out[..., ops.interval_detail[ops.has_detail]] = interp[..., ops.has_detail]
-    return np.moveaxis(out, -1, axis)
+    axis %= vc.ndim
+    if vc.shape[axis] != ops.m_coarse:
+        raise ValueError(f"axis length {vc.shape[axis]} does not match m_coarse={ops.m_coarse}")
+    shape = list(vc.shape)
+    shape[axis] = ops.m_fine
+    out = np.empty(shape, dtype=vc.dtype)
+    out[along(axis, slice(0, None, 2))] = vc[along(axis, slice(0, ops.n_even))]
+    out[along(axis, -1)] = vc[along(axis, -1)]  # the tail node of an even-length level
+    _fill_details(out, [slice(None)] * out.ndim, ops, axis)
+    return out
 
 
 def restrict_nodes(v: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
-    """Gather the coarse-node values (injection ``N_{l-1} ⊂ N_l``)."""
-    v = np.moveaxis(v, axis, -1)
-    if v.shape[-1] != ops.m_fine:
-        raise ValueError(f"axis length {v.shape[-1]} does not match m_fine={ops.m_fine}")
-    return np.moveaxis(v[..., ops.coarse_pos], -1, axis)
-
-
-def _step_ops(hier: TensorHierarchy, l: int) -> list[tuple[int, LevelOps]]:
-    """(axis, ops) pairs for every dimension that coarsens at step ``l``."""
-    return [(k, hier.level_ops(l, k)) for k in hier.coarsening_dims(l)]
+    """Gather the coarse-node values (injection ``N_{l-1} ⊂ N_l``) into a new array."""
+    axis %= v.ndim
+    if v.shape[axis] != ops.m_fine:
+        raise ValueError(f"axis length {v.shape[axis]} does not match m_fine={ops.m_fine}")
+    shape = list(v.shape)
+    shape[axis] = ops.m_coarse
+    out = np.empty(shape, dtype=v.dtype)
+    out[along(axis, slice(0, ops.n_even))] = v[along(axis, slice(0, None, 2))]
+    out[along(axis, -1)] = v[along(axis, -1)]  # the tail node of an even-length level
+    return out
 
 
 def interpolate_coarse(vc: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndarray:
@@ -72,10 +100,24 @@ def interpolate_coarse(vc: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndar
     ``vc`` must have the packed shape of level ``l-1``; the result has the
     packed shape of level ``l``.  Dimensions that do not coarsen at this
     step pass through unchanged.
+
+    The coarse values are scattered into the result once, then every
+    coarsening axis in turn fills its detail nodes in place — on the rows
+    that are still coarse in the axes not yet prolonged (the ``[0::2]``
+    progression plus, for an even-length axis, its tail node).  Same
+    arithmetic as chaining :func:`prolong` per axis, without the
+    intermediate arrays.
     """
-    out = vc
-    for axis, ops in _step_ops(hier, l):
-        out = prolong(out, ops, axis=axis)
+    out = np.empty(hier.level_shape(l), dtype=vc.dtype)
+    out[hier.coarse_selector(l)] = vc
+    dims = hier.coarsening_dims(l)
+    for n, axis in enumerate(dims):
+        ops, later = hier.level_ops(l, axis), dims[n + 1:]
+        for pieces in itertools.product(*(hier.level_ops(l, k).coarse_slices for k in later)):
+            rows = [slice(None)] * out.ndim
+            for k, piece in zip(later, pieces):
+                rows[k] = piece
+            _fill_details(out, rows, ops, axis)
     return out
 
 
@@ -90,11 +132,8 @@ def compute_coefficients(v: np.ndarray, hier: TensorHierarchy, l: int) -> np.nda
     """
     if v.shape != hier.level_shape(l):
         raise ValueError(f"expected level-{l} shape {hier.level_shape(l)}, got {v.shape}")
-    vc = v
-    for axis, ops in _step_ops(hier, l):
-        vc = restrict_nodes(vc, ops, axis=axis)
-    c = v - interpolate_coarse(vc, hier, l)
-    return c
+    interp = interpolate_coarse(v[hier.coarse_selector(l)], hier, l)
+    return np.subtract(v, interp, out=interp)
 
 
 def restore_from_coefficients(
@@ -111,30 +150,16 @@ def restore_from_coefficients(
         raise ValueError(
             f"expected level-{l - 1} shape {hier.level_shape(l - 1)}, got {vc.shape}"
         )
-    v = c + interpolate_coarse(vc, hier, l)
+    interp = interpolate_coarse(vc, hier, l)
+    v = np.add(c, interp, out=interp if np.can_cast(c.dtype, interp.dtype) else None)
     # Re-inject the coarse values exactly: c may carry noise at coarse
     # positions (e.g. quantization artefacts) that must not leak into the
     # nodal values.
-    v[_coarse_open_mesh(hier, l)] = vc
+    v[hier.coarse_selector(l)] = vc
     return v
-
-
-def _coarse_open_mesh(hier: TensorHierarchy, l: int) -> tuple[np.ndarray, ...]:
-    """Open-mesh (``np.ix_``) indexer selecting the coarse positions of level ``l``.
-
-    Non-coarsening dimensions contribute their full index range so the
-    selection always has the packed shape of level ``l - 1``.
-    """
-    per_dim = []
-    for k, n in enumerate(hier.level_shape(l)):
-        if hier.coarsens(l, k):
-            per_dim.append(hier.level_ops(l, k).coarse_pos)
-        else:
-            per_dim.append(np.arange(n, dtype=np.intp))
-    return np.ix_(*per_dim)
 
 
 def zero_coarse_entries(c: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndarray:
     """Zero the coarse-position entries of a level-``l`` array in place."""
-    c[_coarse_open_mesh(hier, l)] = 0.0
+    c[hier.coarse_selector(l)] = 0.0
     return c

@@ -37,11 +37,12 @@ __all__ = ["decompose", "recompose", "restrict_all"]
 
 
 def restrict_all(v: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndarray:
-    """Gather level-``l-1`` nodal values out of a packed level-``l`` array."""
-    out = v
-    for axis in hier.coarsening_dims(l):
-        out = _coef.restrict_nodes(out, hier.level_ops(l, axis), axis=axis)
-    return out
+    """Level-``l-1`` nodal values of a packed level-``l`` array.
+
+    A strided view when every coarsening dimension has odd length, a
+    gathered copy otherwise.
+    """
+    return v[hier.coarse_selector(l)]
 
 
 def decompose(
@@ -65,15 +66,15 @@ def decompose(
         out = engine.copy(data, reason="output", level=hier.L)
         if hier.L == 0:
             return out
-        v = engine.pack(out, hier.level_indices(hier.L), reason="pack-finest", level=hier.L)
+        v = engine.pack(out, hier.level_selector(hier.L), reason="pack-finest", level=hier.L)
         for l in range(hier.L, 0, -1):
             c = engine.compute_coefficients(v, hier, l)
             # Persist this level's coefficients; the coarse-position zeros
             # are overwritten by the coarser levels' scatters below.
-            engine.unpack(c, out, hier.level_indices(l), reason="store-coefficients", level=l)
+            engine.unpack(c, out, hier.level_selector(l), reason="store-coefficients", level=l)
             z = compute_correction(c, hier, l, engine)
             v = engine.add_correction(v, z, hier, l)
-        engine.unpack(v, out, hier.level_indices(0), reason="store-coarsest", level=0)
+        engine.unpack(v, out, hier.level_selector(0), reason="store-coarsest", level=0)
         return out
     finally:
         engine.end("decompose")
@@ -95,10 +96,10 @@ def recompose(
         out = engine.copy(refactored, reason="output", level=hier.L)
         if hier.L == 0:
             return out
-        v = engine.pack(refactored, hier.level_indices(0), reason="pack-coarsest", level=0)
+        v = engine.pack(refactored, hier.level_selector(0), reason="pack-coarsest", level=0)
         for l in range(1, hier.L + 1):
             c = engine.pack(
-                refactored, hier.level_indices(l), reason="pack-coefficients", level=l
+                refactored, hier.level_selector(l), reason="pack-coefficients", level=l
             )
             # Coarse positions of this packed read carry the payloads of
             # coarser levels (already consumed); the coefficient array used
@@ -108,7 +109,7 @@ def recompose(
             z = compute_correction(c, hier, l, engine)
             vc = engine.subtract_correction(v, z, hier, l)
             v = engine.restore_from_coefficients(c, vc, hier, l)
-        engine.unpack(v, out, hier.level_indices(hier.L), reason="store-restored", level=hier.L)
+        engine.unpack(v, out, hier.level_selector(hier.L), reason="store-restored", level=hier.L)
         return out
     finally:
         engine.end("recompose")

@@ -5,7 +5,9 @@ written once against this small interface and can then run on different
 *engines*:
 
 * :class:`NumpyEngine` — the pure vectorized host implementation (no
-  performance accounting); the correctness reference.
+  performance accounting), the engine production runs: every op works
+  along its native axis on C-contiguous arrays with basic slices and
+  returns a C-contiguous array.
 * :class:`repro.kernels.cpu.CpuRefEngine` — same arithmetic, plus a cost
   model of the serial CPU MGARD implementation (the paper's baseline).
 * :class:`repro.kernels.gpu_engine.GpuSimEngine` — kernels structured
@@ -89,19 +91,24 @@ class Engine(abc.ABC):
     def pack(
         self,
         full: np.ndarray,
-        level_indices: tuple[np.ndarray, ...],
+        selector: tuple,
         *,
         reason: str = "pack",
         level: int = -1,
     ) -> np.ndarray:
-        """Gather the nodes of a level into a contiguous working array (``PN``)."""
+        """Gather the nodes of a level into a contiguous working array (``PN``).
+
+        ``selector`` is :meth:`TensorHierarchy.level_selector` of the level.
+        The result is always a copy: callers overwrite it (and ``full``)
+        independently.
+        """
 
     @abc.abstractmethod
     def unpack(
         self,
         packed: np.ndarray,
         full: np.ndarray,
-        level_indices: tuple[np.ndarray, ...],
+        selector: tuple,
         *,
         reason: str = "unpack",
         level: int = -1,
@@ -113,9 +120,7 @@ class Engine(abc.ABC):
         self, v: np.ndarray, z: np.ndarray, hier: TensorHierarchy, l: int
     ) -> np.ndarray:
         """Coarse nodal values ``restrict(v) + z`` of the decomposition step."""
-        from .decompose import restrict_all  # local import to avoid a cycle
-
-        return restrict_all(v, hier, l) + z
+        return v[hier.coarse_selector(l)] + z
 
     def subtract_correction(
         self, v: np.ndarray, z: np.ndarray, hier: TensorHierarchy, l: int
@@ -152,8 +157,8 @@ class NumpyEngine(Engine):
     def copy(self, arr, *, reason="copy", level=-1):
         return arr.copy()
 
-    def pack(self, full, level_indices, *, reason="pack", level=-1):
-        return full[np.ix_(*level_indices)]
+    def pack(self, full, selector, *, reason="pack", level=-1):
+        return full[selector].copy()  # a slice selector yields a view of ``full``
 
-    def unpack(self, packed, full, level_indices, *, reason="unpack", level=-1):
-        full[np.ix_(*level_indices)] = packed
+    def unpack(self, packed, full, selector, *, reason="unpack", level=-1):
+        full[selector] = packed

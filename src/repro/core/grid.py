@@ -24,7 +24,7 @@ Two classes are exported:
     The per-dimension hierarchy: level sizes, per-level index sets (as
     indices into the finest array), per-level coordinates, and the
     precomputed :class:`LevelOps` operator data (interpolation weights,
-    mass-matrix spacings, banded factorizations) used by every kernel.
+    mass-matrix spacings, Thomas elimination factors) used by every kernel.
 
 ``TensorHierarchy``
     A d-dimensional bundle of ``Hierarchy1D`` with a single *global* level
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky_banded
 
 __all__ = [
     "LevelOps",
@@ -119,11 +118,20 @@ class LevelOps:
         Spacings of the coarse grid, shape ``(m_coarse - 1,)``.
     mass_bands_coarse:
         The coarse mass matrix in LAPACK upper-banded form (shape
-        ``(2, m_coarse)``) ready for ``scipy.linalg.cholesky_banded`` /
-        ``cho_solve_banded``.
-    chol_coarse:
-        Cholesky factor of ``mass_bands_coarse`` (upper banded form),
-        precomputed once because the matrix depends only on coordinates.
+        ``(2, m_coarse)``): row 0 the off-diagonal shifted right by one
+        (so ``mass_bands_coarse[0, 1:]`` is the Thomas ``lower``), row 1
+        the main diagonal.
+    thomas_cp / thomas_denom:
+        Thomas forward-elimination factors of ``mass_bands_coarse``
+        (modified superdiagonal and pivots, both of length ``m_coarse``),
+        precomputed once because the matrix depends only on coordinates;
+        the ``O(m)`` pivot buffer is the solver kernel's only extra
+        memory footprint.
+
+    The coarse set of the packed fine array is always the basic slice
+    ``[0::2]`` plus, when ``m_fine`` is even, the trailing *tail node*
+    ``m_fine - 1``; the detail set is ``[1:m_fine-1:2]``.  Every kernel
+    in :mod:`repro.core` addresses the two sets through those slices.
     """
 
     x_fine: np.ndarray
@@ -137,7 +145,8 @@ class LevelOps:
     h_fine: np.ndarray
     h_coarse: np.ndarray
     mass_bands_coarse: np.ndarray
-    chol_coarse: np.ndarray
+    thomas_cp: np.ndarray
+    thomas_denom: np.ndarray
 
     @property
     def m_fine(self) -> int:
@@ -150,6 +159,27 @@ class LevelOps:
     @property
     def m_detail(self) -> int:
         return int(self.detail_pos.shape[0])
+
+    @property
+    def n_even(self) -> int:
+        """Coarse nodes on the ``[0::2]`` progression (all but an even level's tail)."""
+        return (self.m_fine + 1) // 2
+
+    @property
+    def coarse_slices(self) -> tuple[slice, ...]:
+        """The coarse set as basic slices of the packed fine axis."""
+        even = (slice(0, None, 2),)
+        return even if self.m_fine % 2 else even + (slice(self.m_fine - 1, self.m_fine),)
+
+
+def along(axis: int, sl) -> tuple:
+    """Index tuple applying ``sl`` along ``axis`` (every other axis whole)."""
+    return (slice(None),) * axis + (sl,)
+
+
+def axis_weights(w: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    """View of a 1D weight vector that broadcasts along ``axis`` of an ``ndim`` array."""
+    return w.reshape((-1,) + (1,) * (ndim - 1 - axis))
 
 
 def _coarse_positions(m_fine: int) -> np.ndarray:
@@ -189,6 +219,25 @@ def _mass_bands(x: np.ndarray) -> np.ndarray:
     return bands
 
 
+def _thomas_factor(bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thomas forward-elimination factors ``(cp, denom)`` of a banded SPD matrix.
+
+    ``cp[i]`` is the modified superdiagonal and ``denom[i]`` the modified
+    pivot; the recurrence is sequential, so it runs once per level here
+    rather than once per solve.
+    """
+    off = bands[0, 1:].tolist()  # symmetric: sub- equals super-diagonal
+    diag = bands[1].tolist()
+    m = len(diag)
+    cp = [0.0] * m
+    denom = [0.0] * m
+    denom[0] = diag[0]
+    for i in range(1, m):
+        cp[i - 1] = off[i - 1] / denom[i - 1]
+        denom[i] = diag[i] - off[i - 1] * cp[i - 1]
+    return np.asarray(cp), np.asarray(denom)
+
+
 def _build_level_ops(x_fine: np.ndarray) -> LevelOps:
     """Construct :class:`LevelOps` for one coarsening step of coordinates."""
     m_fine = x_fine.shape[0]
@@ -217,7 +266,7 @@ def _build_level_ops(x_fine: np.ndarray) -> LevelOps:
         w_right[j] = (xd - xl) / denom
 
     bands = _mass_bands(x_coarse)
-    chol = cholesky_banded(bands, lower=False) if x_coarse.shape[0] > 1 else bands.copy()
+    cp, denom = _thomas_factor(bands)
     h_fine = np.diff(x_fine).astype(np.float64) if m_fine > 1 else np.zeros(0)
     h_coarse = np.diff(x_coarse).astype(np.float64) if x_coarse.shape[0] > 1 else np.zeros(0)
     return LevelOps(
@@ -232,8 +281,27 @@ def _build_level_ops(x_fine: np.ndarray) -> LevelOps:
         h_fine=h_fine,
         h_coarse=h_coarse,
         mass_bands_coarse=bands,
-        chol_coarse=chol,
+        thomas_cp=cp,
+        thomas_denom=denom,
     )
+
+
+def _mesh_selector(per_dim: tuple[np.ndarray, ...]) -> tuple:
+    """Indexer for the open mesh of per-dimension index arrays.
+
+    Arithmetic progressions become basic slices (a strided view, no
+    gather).  The index set of a non-dyadic dimension ends in a tail node
+    off the progression; one such dimension keeps its index array among
+    the slices, two or more fall back to the ``np.ix_`` open mesh.
+    """
+    sel: list = []
+    for idx in per_dim:
+        step = int(idx[1] - idx[0]) if idx.shape[0] > 1 else 1
+        regular = np.array_equal(idx, idx[0] + step * np.arange(idx.shape[0]))
+        sel.append(slice(int(idx[0]), int(idx[-1]) + 1, step) if regular else idx)
+    if sum(not isinstance(s, slice) for s in sel) > 1:
+        return np.ix_(*per_dim)
+    return tuple(sel)
 
 
 class Hierarchy1D:
@@ -320,7 +388,7 @@ class TensorHierarchy:
     """
 
     dims: tuple[Hierarchy1D, ...]
-    _shape_cache: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    _memo: dict[tuple[str, int], object] = field(default_factory=dict, repr=False)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -374,15 +442,57 @@ class TensorHierarchy:
 
     def level_shape(self, l: int) -> tuple[int, ...]:
         """Packed grid shape at global level ``l``."""
-        if l not in self._shape_cache:
-            self._shape_cache[l] = tuple(
-                d.size(self.dim_level(l, k)) for k, d in enumerate(self.dims)
-            )
-        return self._shape_cache[l]
+        return self._memoized(("shape", l), lambda: tuple(
+            d.size(self.dim_level(l, k)) for k, d in enumerate(self.dims)
+        ))
 
     def level_indices(self, l: int) -> tuple[np.ndarray, ...]:
         """Finest-grid index arrays (one per dim) of the level-``l`` node set."""
         return tuple(d.index(self.dim_level(l, k)) for k, d in enumerate(self.dims))
+
+    def _memoized(self, key: tuple[str, int], build):
+        """Per-level derived data; values are immutable, so two threads racing
+        to build the same entry is harmless."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def level_selector(self, l: int) -> tuple:
+        """Indexer of the level-``l`` node set in a finest-grid array.
+
+        ``full[hier.level_selector(l)]`` has the packed level-``l`` shape: a
+        strided *view* for dyadic sizes (all slices), a gathered copy
+        otherwise (see :func:`_mesh_selector`).
+        """
+        return self._memoized(("level", l), lambda: _mesh_selector(self.level_indices(l)))
+
+    def coarse_selector(self, l: int) -> tuple:
+        """Indexer of the coarse positions ``N_{l-1}`` in a packed level-``l`` array.
+
+        Non-coarsening dimensions contribute their full range, so the
+        selection always has the packed shape of level ``l - 1``.
+        """
+        return self._memoized(("coarse", l), lambda: _mesh_selector(tuple(
+            self.level_ops(l, k).coarse_pos if self.coarsens(l, k) else np.arange(n)
+            for k, n in enumerate(self.level_shape(l))
+        )))
+
+    def detail_mask(self, l: int) -> np.ndarray:
+        """Read-only boolean mask over the packed level-``l`` grid, True at detail nodes.
+
+        A node is a detail node of step ``l`` when at least one coarsening
+        dimension places it at an odd (dropped) position.
+        """
+        if not 1 <= l <= self.L:
+            raise ValueError(f"detail masks exist for levels 1..{self.L}, got {l}")
+
+        def build() -> np.ndarray:
+            mask = np.ones(self.level_shape(l), dtype=bool)
+            mask[self.coarse_selector(l)] = False
+            mask.flags.writeable = False
+            return mask
+
+        return self._memoized(("detail", l), build)
 
     def level_ops(self, l: int, k: int) -> LevelOps:
         """Operator data for dimension ``k`` at the step ``l -> l-1``.
@@ -441,7 +551,7 @@ class TensorHierarchy:
 # shared hierarchy cache
 #
 # Building a TensorHierarchy precomputes every level's interpolation
-# weights, banded mass matrices, and Cholesky factors — work that
+# weights, banded mass matrices, and Thomas factors — work that
 # depends only on (shape, coordinates).  Streaming and multi-field
 # workloads compress thousands of same-shape arrays, so the hierarchy is
 # memoized here and shared by Refactorer, the compression plans, and the

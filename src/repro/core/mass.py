@@ -21,47 +21,52 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import along, axis_weights
+
 __all__ = ["mass_apply", "mass_apply_coarse", "dense_mass_matrix"]
 
 
-def _apply_tridiagonal_weights(v: np.ndarray, h: np.ndarray, axis: int) -> np.ndarray:
-    """Core stencil shared by fine- and coarse-grid mass application."""
-    v = np.moveaxis(v, axis, -1)
-    m = v.shape[-1]
+def mass_apply(v: np.ndarray, h: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Apply the mass matrix of the grid with spacings ``h`` along ``axis``.
+
+    ``h`` is ``LevelOps.h_fine`` (length ``m_fine - 1``) for the level-``l``
+    matrix, ``LevelOps.h_coarse`` for the level-``l-1`` one
+    (:func:`mass_apply_coarse` is the same function); the length of
+    ``axis`` must be ``len(h) + 1``.
+
+    Works along ``axis`` in the array's own layout (no axis move): each
+    term of the interior row is one ufunc over a basic slice, accumulated
+    through ``out=`` so the only temporary is one product buffer.  Operand
+    order is ``(hl*u[i-1] + 2(hl+hr)*u[i]) + hr*u[i+1]``, then ``/ 6`` —
+    fixed, because every engine must agree on it bit for bit.
+    """
+    axis %= v.ndim
+    m = v.shape[axis]
     if m == 1:
         # Degenerate single-node axis: the 1x1 "mass" is the identity.
-        return np.moveaxis(v.copy(), -1, axis)
+        return v.copy()
     if h.shape[0] != m - 1:
         raise ValueError(f"spacing array of length {h.shape[0]} does not match axis size {m}")
-    out = np.empty_like(v)
-    hl = h[:-1]  # h_i      for interior node i = 1..m-2
-    hr = h[1:]  # h_{i+1}
-    out[..., 1:-1] = (
-        hl * v[..., :-2] + 2.0 * (hl + hr) * v[..., 1:-1] + hr * v[..., 2:]
-    ) / 6.0
-    out[..., 0] = (2.0 * h[0] * v[..., 0] + h[0] * v[..., 1]) / 6.0
-    out[..., -1] = (h[-1] * v[..., -2] + 2.0 * h[-1] * v[..., -1]) / 6.0
-    return np.moveaxis(out, -1, axis)
+    out = np.empty(v.shape, dtype=v.dtype)
+    hl = axis_weights(h[:-1], v.ndim, axis)  # h_i      for interior node i = 1..m-2
+    hr = axis_weights(h[1:], v.ndim, axis)  # h_{i+1}
+    lo, mid, hi = (v[along(axis, sl)] for sl in (slice(0, -2), slice(1, -1), slice(2, None)))
+    interior = out[along(axis, slice(1, -1))]
+    # accumulate in the product dtype (float64 weights), round once on the divide
+    wide = np.result_type(v.dtype, h.dtype)
+    acc = interior if out.dtype == wide else np.empty(interior.shape, dtype=wide)
+    tmp = np.empty(interior.shape, dtype=wide)
+    np.multiply(hl, lo, out=acc)
+    acc += np.multiply(2.0 * (hl + hr), mid, out=tmp)
+    acc += np.multiply(hr, hi, out=tmp)
+    np.divide(acc, 6.0, out=interior)
+    first, second, penult, last = (v[along(axis, i)] for i in (0, 1, -2, -1))
+    out[along(axis, 0)] = (2.0 * h[0] * first + h[0] * second) / 6.0
+    out[along(axis, -1)] = (h[-1] * penult + 2.0 * h[-1] * last) / 6.0
+    return out
 
 
-def mass_apply(v: np.ndarray, h_fine: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Apply the level-``l`` (fine) mass matrix along ``axis``.
-
-    Parameters
-    ----------
-    v:
-        Packed level-``l`` data; the length of ``axis`` must be ``m_fine``.
-    h_fine:
-        Fine-grid spacings ``LevelOps.h_fine`` (length ``m_fine - 1``).
-    axis:
-        Axis along which the operator acts.
-    """
-    return _apply_tridiagonal_weights(v, h_fine, axis)
-
-
-def mass_apply_coarse(v: np.ndarray, h_coarse: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Apply the level-``l-1`` (coarse) mass matrix along ``axis``."""
-    return _apply_tridiagonal_weights(v, h_coarse, axis)
+mass_apply_coarse = mass_apply
 
 
 def dense_mass_matrix(x: np.ndarray) -> np.ndarray:

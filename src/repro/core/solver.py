@@ -2,90 +2,92 @@
 
 The global correction ``z_{l-1}`` satisfies ``M_{l-1} z = f`` with the
 coarse mass matrix ``M_{l-1}`` (symmetric positive definite, tridiagonal).
-The paper solves with a Thomas-style forward/backward substitution; we
-provide
+The paper solves with a Thomas forward/backward substitution whose
+along-axis recurrence is sequential and whose parallelism is the batch of
+vectors; this module is that kernel on the host:
 
-``solve_correction``
-    Batched solve along an arbitrary axis using a precomputed banded
-    Cholesky factorization (LAPACK ``pbtrs`` via SciPy), the fast path.
+``thomas_solve`` (alias ``solve_correction``)
+    Batched Thomas solve along an arbitrary axis.  The solve axis is
+    moved to the front of a contiguous float64 working copy, so each of
+    the ``m`` forward and ``m`` backward steps is one ufunc over a
+    contiguous slab holding every vector of the batch.  The elimination
+    factors come precomputed from :class:`~repro.core.grid.LevelOps`.
 
-``thomas_solve``
-    A literal Thomas-algorithm implementation used by the simulated-GPU
-    linear-processing kernels and as an independent cross-check of the
-    SciPy path.  It mirrors the sequential data dependence the paper's
-    kernel must respect and the ``O(m)`` extra diagonal buffer the paper
-    reports as its only extra memory footprint.
+It is the one solver arithmetic in the tree: it *is* the launcher's
+``reference`` ``solve`` op, and the numba ``_solve_kernel`` and the
+literal segmented walk of :mod:`repro.kernels.linear_processing` perform
+the same operations in the same order and agree with it bit for bit
+(tested).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
 
-from .grid import LevelOps
+from .grid import LevelOps, along
 
-__all__ = ["solve_correction", "thomas_solve", "thomas_factor"]
-
-
-def solve_correction(f: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
-    """Solve ``M_{l-1} z = f`` along ``axis`` (batched over other axes)."""
-    f = np.moveaxis(f, axis, -1)
-    m = f.shape[-1]
-    if m != ops.m_coarse:
-        raise ValueError(f"axis length {m} does not match m_coarse={ops.m_coarse}")
-    if m == 1:
-        return np.moveaxis(f / ops.mass_bands_coarse[1, 0], -1, axis)
-    batch_shape = f.shape[:-1]
-    rhs = f.reshape(-1, m).T  # (m, nrhs) as LAPACK expects
-    z = cho_solve_banded((ops.chol_coarse, False), np.ascontiguousarray(rhs))
-    z = z.T.reshape(*batch_shape, m)
-    return np.moveaxis(z, -1, axis)
+__all__ = ["solve_correction", "thomas_solve", "thomas_sweep", "thomas_factor"]
 
 
 def thomas_factor(ops: LevelOps) -> tuple[np.ndarray, np.ndarray]:
-    """Precompute the Thomas forward-elimination coefficients.
+    """The Thomas forward-elimination factors ``(cp, denom)`` of ``ops``.
 
-    Returns ``(cp, denom)`` where ``cp[i]`` is the modified superdiagonal
-    and ``denom[i]`` the modified pivot, both of length ``m_coarse``.
-    These depend only on the grid coordinates, so the paper precomputes
-    (or streams) them; the ``O(m)`` pivot buffer is exactly the "extra
-    memory footprint" the paper quantifies for this kernel.
+    ``cp[i]`` is the modified superdiagonal and ``denom[i]`` the modified
+    pivot, both of length ``m_coarse``.  They depend only on the grid
+    coordinates, so :class:`~repro.core.grid.LevelOps` precomputes them;
+    the ``O(m)`` pivot buffer is exactly the "extra memory footprint" the
+    paper quantifies for this kernel.
     """
-    bands = ops.mass_bands_coarse
-    m = bands.shape[1]
-    lower = bands[0, 1:]  # symmetric: sub-diagonal equals super-diagonal
-    diag = bands[1]
-    upper = bands[0, 1:]
-    cp = np.zeros(m, dtype=np.float64)
-    denom = np.zeros(m, dtype=np.float64)
-    denom[0] = diag[0]
-    if m > 1:
-        cp[0] = upper[0] / diag[0]
-        for i in range(1, m):
-            denom[i] = diag[i] - lower[i - 1] * cp[i - 1]
-            if i < m - 1:
-                cp[i] = upper[i] / denom[i]
-    return cp, denom
+    return ops.thomas_cp, ops.thomas_denom
+
+
+def thomas_sweep(
+    f: np.ndarray, lower: np.ndarray, cp: np.ndarray, denom: np.ndarray, axis: int = -1
+) -> np.ndarray:
+    """Forward elimination and back substitution along ``axis`` with given factors.
+
+    Every step is vectorized over the whole batch; returns a new
+    C-contiguous float64 array.  (The launcher's ``reference`` ``solve`` op.)
+    """
+    m = f.shape[axis]
+    # solve axis first: each row of z is then one contiguous slab of the batch
+    moved = np.moveaxis(f, axis, 0)
+    z = moved.astype(np.float64, order="C").reshape(m, -1)
+    # row views and Python-float factors, fetched once: a 2D solve is bound
+    # by per-step call overhead, not by arithmetic
+    rows = list(z)
+    lower, cp, denom = lower.tolist(), cp.tolist(), denom.tolist()
+    tmp = np.empty(z.shape[1])
+    prev = rows[0]
+    np.divide(prev, denom[0], out=prev)
+    for i in range(1, m):
+        cur = rows[i]
+        np.multiply(prev, lower[i - 1], out=tmp)
+        np.subtract(cur, tmp, out=cur)
+        np.divide(cur, denom[i], out=cur)
+        prev = cur
+    for i in range(m - 2, -1, -1):
+        cur = rows[i]
+        np.multiply(prev, cp[i], out=tmp)
+        np.subtract(cur, tmp, out=cur)
+        prev = cur
+    return np.ascontiguousarray(np.moveaxis(z.reshape(moved.shape), 0, axis))
 
 
 def thomas_solve(f: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
-    """Batched Thomas solve of ``M_{l-1} z = f`` along ``axis``.
+    """Solve ``M_{l-1} z = f`` along ``axis`` (batched over the other axes).
 
-    A straightforward forward-elimination / back-substitution with the
-    sequential dependence along the solve axis vectorized over the batch,
-    matching the structure of the paper's linear-processing solver kernel.
+    Raises ``ValueError`` on non-finite input, so corrupt data fails fast
+    instead of silently producing a poisoned refactoring.
     """
-    f = np.moveaxis(f, axis, -1).astype(np.float64, copy=True)
-    m = f.shape[-1]
-    if m != ops.m_coarse:
-        raise ValueError(f"axis length {m} does not match m_coarse={ops.m_coarse}")
-    if m == 1:
-        return np.moveaxis(f / ops.mass_bands_coarse[1, 0], -1, axis)
-    lower = ops.mass_bands_coarse[0, 1:]
-    cp, denom = thomas_factor(ops)
-    f[..., 0] /= denom[0]
-    for i in range(1, m):
-        f[..., i] = (f[..., i] - lower[i - 1] * f[..., i - 1]) / denom[i]
-    for i in range(m - 2, -1, -1):
-        f[..., i] -= cp[i] * f[..., i + 1]
-    return np.moveaxis(f, -1, axis)
+    if f.shape[axis] != ops.m_coarse:
+        raise ValueError(f"axis length {f.shape[axis]} does not match m_coarse={ops.m_coarse}")
+    z = thomas_sweep(f, ops.mass_bands_coarse[0, 1:], ops.thomas_cp, ops.thomas_denom, axis)
+    # the two sweeps carry a NaN or inf anywhere in a vector to its first
+    # entry, so one slab tells for the whole batch
+    if not np.isfinite(z[along(axis % z.ndim, 0)]).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return z
+
+
+solve_correction = thomas_solve

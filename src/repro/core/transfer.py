@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import LevelOps
+from .coefficients import restrict_nodes
+from .grid import LevelOps, along, axis_weights
 
 __all__ = ["transfer_apply", "dense_transfer_matrix"]
 
@@ -42,17 +43,21 @@ def transfer_apply(f: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
         Axis along which the restriction acts.  The returned array has
         length ``ops.m_coarse`` along that axis.
     """
-    f = np.moveaxis(f, axis, -1)
-    if f.shape[-1] != ops.m_fine:
-        raise ValueError(f"axis length {f.shape[-1]} does not match m_fine={ops.m_fine}")
-    out = f[..., ops.coarse_pos].copy()
-    if ops.m_detail:
-        # Gather detail contributions per interval; intervals without a
-        # detail node have zero weights so the clipped gather is harmless.
-        detail_vals = f[..., ops.interval_detail]
-        out[..., :-1] += ops.w_left * detail_vals
-        out[..., 1:] += ops.w_right * detail_vals
-    return np.moveaxis(out, -1, axis)
+    out = restrict_nodes(f, ops, axis=axis)  # own fine value of every coarse node
+    nd = ops.m_detail
+    if nd:
+        # every detail node feeds its interval's left coarse node, then the
+        # right one; the tail interval of an even-length level holds none
+        axis %= f.ndim
+        detail = f[along(axis, slice(1, ops.m_fine - 1, 2))]
+        tmp = np.empty(detail.shape, dtype=np.result_type(f.dtype, ops.w_left.dtype))
+        out[along(axis, slice(0, nd))] += np.multiply(
+            axis_weights(ops.w_left[:nd], f.ndim, axis), detail, out=tmp
+        )
+        out[along(axis, slice(1, nd + 1))] += np.multiply(
+            axis_weights(ops.w_right[:nd], f.ndim, axis), detail, out=tmp
+        )
+    return out
 
 
 def dense_transfer_matrix(ops: LevelOps) -> np.ndarray:

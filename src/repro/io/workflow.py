@@ -496,7 +496,7 @@ def run_streaming_pipeline(
 
     try:
         # untimed warm-up: one full step through a throwaway stream, so
-        # process-wide one-time costs (the cached hierarchy's Cholesky
+        # process-wide one-time costs (the cached hierarchy's Thomas
         # factors, NumPy init) land in neither timed run — the serial
         # run is a *calibration*, not a cache-warming lap for the
         # pipelined one

@@ -124,7 +124,8 @@ class SlicedLinearProcessor:
         )
 
     def solve(self, f: np.ndarray, axis: int) -> np.ndarray:
-        """Coarse-mass solve along ``axis`` of a 3D array, slice-wise."""
+        """Coarse-mass solve along ``axis`` of a 3D array, slice-wise (float64 out)."""
+        f = f.astype(np.float64, copy=False)  # the solve kernel's output dtype
         return self._walk(f, axis, "solve", self.kernel2d.solve, self.ops.m_coarse)
 
     # ------------------------------------------------------------------

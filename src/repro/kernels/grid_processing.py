@@ -241,7 +241,7 @@ class GridProcessingKernel:
         coefficients — the exact inverse of :meth:`compute`.
         """
         base = np.zeros(self.shape, dtype=np.result_type(c.dtype, vc.dtype))
-        mesh = self._coarse_mesh()
+        mesh = self.hier.coarse_selector(self.l)
         base[mesh] = vc
         out = np.zeros_like(base)
         for origin in self.tile_origins():
@@ -252,15 +252,6 @@ class GridProcessingKernel:
             self._writeback(out, tile_c + interp, sls)
         out[mesh] = vc  # coarse nodes carry exact values, not c + interp noise
         return out
-
-    def _coarse_mesh(self):
-        per_dim = []
-        for k, n in enumerate(self.shape):
-            if k in self.axes:
-                per_dim.append(self._ops[k].coarse_pos)
-            else:
-                per_dim.append(np.arange(n, dtype=np.intp))
-        return np.ix_(*per_dim)
 
     def _writeback(self, out: np.ndarray, tile: np.ndarray, sls: tuple[slice, ...]) -> None:
         """Store a tile, overwriting the halo consistently.

@@ -42,6 +42,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.mass import mass_apply
+from ..core.solver import thomas_sweep
 from .jit import HAVE_NUMBA
 
 __all__ = [
@@ -83,10 +85,11 @@ def signature_of(*args) -> Signature:
 # ----------------------------------------------------------------------
 # op specs: reference implementations + synthetic input builders
 #
-# The reference callables below are whole-axis NumPy twins of the
-# production paths (same per-element arithmetic and operand order, so
-# bit-identical); the input builders synthesize representative operands
-# for autotune measurement, backend warm-up, and the benchmark sweep.
+# The reference callables below are the production paths themselves
+# (mass, solve) or whole-axis NumPy twins of them (same per-element
+# arithmetic and operand order, so bit-identical); the input builders
+# synthesize representative operands for autotune measurement, backend
+# warm-up, and the benchmark sweep.
 
 
 def _batch_shape(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -101,15 +104,7 @@ def _batch_shape(shape: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _ref_mass(v2, h):
-    out = np.empty_like(v2)
-    out[:, 1:-1] = (
-        h[:-1] * v2[:, :-2]
-        + 2.0 * (h[:-1] + h[1:]) * v2[:, 1:-1]
-        + h[1:] * v2[:, 2:]
-    ) / 6.0
-    out[:, 0] = (2.0 * h[0] * v2[:, 0] + h[0] * v2[:, 1]) / 6.0
-    out[:, -1] = (h[-1] * v2[:, -2] + 2.0 * h[-1] * v2[:, -1]) / 6.0
-    return out
+    return mass_apply(v2, h, axis=1)
 
 
 def _make_mass(shape, dtype, rng):
@@ -141,14 +136,7 @@ def _make_transfer(shape, dtype, rng):
 
 
 def _ref_solve(f2, lower, cp, denom):
-    z = f2.astype(np.float64)
-    mc = z.shape[1]
-    z[:, 0] = z[:, 0] / denom[0]
-    for i in range(1, mc):
-        z[:, i] = (z[:, i] - lower[i - 1] * z[:, i - 1]) / denom[i]
-    for i in range(mc - 2, -1, -1):
-        z[:, i] = z[:, i] - cp[i] * z[:, i + 1]
-    return z
+    return thomas_sweep(f2, lower, cp, denom, axis=1)
 
 
 def _make_solve(shape, dtype, rng):

@@ -27,10 +27,9 @@ one kernel whose along-axis recurrence is sequential by construction
 vectorization is over the batch and the walk is a single fused
 recurrence without per-segment carry copies.
 
-The original per-element implementations are retained as
-``*_scalar`` methods — the cross-check references the fast paths are
-tested against, mirroring how the entropy stage keeps its scalar
-encoder.
+The original per-element walks (explicit ghost carries, one output per
+thread) live on as test oracles in ``tests/scalar_walks.py``; the fast
+paths are tested bit for bit against them.
 
 All three fast methods dispatch through the kernel-launcher seam
 (:mod:`repro.kernels.launcher`) first: when the backend policy resolves
@@ -44,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.grid import LevelOps
-from ..core.solver import thomas_factor
+from ..core.solver import thomas_factor, thomas_sweep
 from .launcher import maybe_launch
 
 __all__ = ["LinearProcessingKernel"]
@@ -123,59 +122,6 @@ class LinearProcessingKernel:
                 ) / 6.0
         return out
 
-    def mass_multiply_scalar(self, v: np.ndarray) -> np.ndarray:
-        """Per-element reference walk (ghost carries in "registers")."""
-        m = v.shape[-1]
-        if m != self.ops.m_fine:
-            raise ValueError(f"axis length {m} != m_fine {self.ops.m_fine}")
-        if m == 1:
-            return v.copy()
-        h = self.ops.h_fine
-        out = v.copy()
-        seg = self.segment
-        # ghost1: original value of the element just before the segment
-        # (kept in "registers" because `out` may already be updated there)
-        for start in range(0, m, seg):
-            stop = min(start + seg, m)
-            main = v[..., start:stop]  # staged original values ("shared mem")
-            ghost1 = v[..., start - 1] if start > 0 else None
-            ghost2 = v[..., stop] if stop < m else None  # first unread value
-            out[..., start:stop] = self._mass_segment(main, ghost1, ghost2, start, stop, h)
-        return out
-
-    def _mass_segment(self, main, ghost1, ghost2, start, stop, h):
-        """Device function of Algorithm 2 on one staged segment.
-
-        Computes ``t = (h1*u[y-1] + 2*(h1+h2)*u[y] + h2*u[y+1]) / 6``
-        for interior rows and the one-sided boundary rows, reading
-        neighbours from the ghost regions at segment edges.
-        """
-        m = self.ops.m_fine
-        width = stop - start
-        t = np.empty_like(main)
-        for y_local in range(width):
-            y = start + y_local
-            left = (
-                main[..., y_local - 1]
-                if y_local > 0
-                else (ghost1 if ghost1 is not None else None)
-            )
-            right = (
-                main[..., y_local + 1]
-                if y_local + 1 < width
-                else (ghost2 if ghost2 is not None else None)
-            )
-            if y == 0:
-                t[..., y_local] = (2.0 * h[0] * main[..., y_local] + h[0] * right) / 6.0
-            elif y == m - 1:
-                t[..., y_local] = (h[-1] * left + 2.0 * h[-1] * main[..., y_local]) / 6.0
-            else:
-                h1, h2 = h[y - 1], h[y]
-                t[..., y_local] = (
-                    h1 * left + 2.0 * (h1 + h2) * main[..., y_local] + h2 * right
-                ) / 6.0
-        return t
-
     # ------------------------------------------------------------------
     # transfer-matrix multiplication (restriction)
     # ------------------------------------------------------------------
@@ -227,30 +173,6 @@ class LinearProcessingKernel:
             out[..., start:stop] = acc
         return out
 
-    def transfer_multiply_scalar(self, f: np.ndarray) -> np.ndarray:
-        """Per-output reference walk (one coarse output per thread)."""
-        m = f.shape[-1]
-        if m != self.ops.m_fine:
-            raise ValueError(f"axis length {m} != m_fine {self.ops.m_fine}")
-        ops = self.ops
-        mc = ops.m_coarse
-        out = np.empty(f.shape[:-1] + (mc,), dtype=f.dtype)
-        seg = self.segment
-        for start in range(0, mc, seg):
-            stop = min(start + seg, mc)
-            for j in range(start, stop):  # one coarse output per thread
-                p = ops.coarse_pos[j]
-                acc = f[..., p].copy()
-                # accumulate own-interval (left-weight) before the
-                # previous interval's right-weight contribution, matching
-                # the vectorized path's operation order bit-for-bit
-                if j < mc - 1 and ops.has_detail[j]:
-                    acc += ops.w_left[j] * f[..., ops.interval_detail[j]]
-                if j > 0 and ops.has_detail[j - 1]:
-                    acc += ops.w_right[j - 1] * f[..., ops.interval_detail[j - 1]]
-                out[..., j] = acc
-        return out
-
     # ------------------------------------------------------------------
     # correction solver (two dependent segment walks)
     # ------------------------------------------------------------------
@@ -261,8 +183,8 @@ class LinearProcessingKernel:
         paper's kernel walks it the same way — so the fast path fuses
         the two segment walks into single forward/backward recurrences
         (no per-segment carry copies) with every step vectorized over
-        the batch, exactly matching
-        :func:`repro.core.solver.thomas_solve` operation for operation.
+        the batch: :func:`repro.core.solver.thomas_sweep`, the one
+        solver arithmetic.
         """
         mc = f.shape[-1]
         if mc != self.ops.m_coarse:
@@ -281,54 +203,4 @@ class LinearProcessingKernel:
             denom,
             policy=self.backend,
         )
-        if ran:
-            return res.reshape(f.shape)
-        z = f.astype(np.float64, copy=True)
-        z[..., 0] = z[..., 0] / denom[0]
-        for i in range(1, mc):
-            z[..., i] = (z[..., i] - lower[i - 1] * z[..., i - 1]) / denom[i]
-        for i in range(mc - 2, -1, -1):
-            z[..., i] = z[..., i] - cp[i] * z[..., i + 1]
-        return z
-
-    def solve_scalar(self, f: np.ndarray) -> np.ndarray:
-        """Segmented reference walk with explicit ghost carries.
-
-        The forward sweep walks segments left to right carrying the last
-        eliminated value in "registers" (ghost 1); the backward sweep
-        walks right to left carrying the last solved value.  Uses the
-        precomputed pivots of :func:`repro.core.solver.thomas_factor` —
-        the ``O(m)`` extra buffer the paper charges this kernel.
-        """
-        mc = f.shape[-1]
-        if mc != self.ops.m_coarse:
-            raise ValueError(f"axis length {mc} != m_coarse {self.ops.m_coarse}")
-        if mc == 1:
-            return f / self.ops.mass_bands_coarse[1, 0]
-        lower = self.ops.mass_bands_coarse[0, 1:]
-        cp, denom = thomas_factor(self.ops)
-        z = f.astype(np.float64, copy=True)
-        seg = self.segment
-        # forward elimination
-        carry = None  # ghost 1: z[i-1] of the previous segment
-        for start in range(0, mc, seg):
-            stop = min(start + seg, mc)
-            for i in range(start, stop):
-                if i == 0:
-                    z[..., 0] = z[..., 0] / denom[0]
-                else:
-                    prev = carry if i == start else z[..., i - 1]
-                    z[..., i] = (z[..., i] - lower[i - 1] * prev) / denom[i]
-            carry = z[..., stop - 1].copy()
-        # backward substitution
-        carry = None  # ghost 1 of the reverse walk: z[i+1]
-        starts = list(range(0, mc, seg))
-        for start in reversed(starts):
-            stop = min(start + seg, mc)
-            for i in range(stop - 1, start - 1, -1):
-                if i == mc - 1:
-                    continue
-                nxt = carry if i == stop - 1 else z[..., i + 1]
-                z[..., i] = z[..., i] - cp[i] * nxt
-            carry = z[..., start].copy()
-        return z
+        return res.reshape(f.shape) if ran else thomas_sweep(f, lower, cp, denom)

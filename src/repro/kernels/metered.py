@@ -129,8 +129,8 @@ class MeteredEngine(NumpyEngine):
         self._emit(L.copy_launch(arr.shape, stride=1, level=level, reason=reason))
         return out
 
-    def pack(self, full, level_indices, *, reason="pack", level=-1):
-        out = super().pack(full, level_indices)
+    def pack(self, full, selector, *, reason="pack", level=-1):
+        out = super().pack(full, selector)
         if not self.opts.pack_nodes and reason in ("pack-finest", "pack-coarsest"):
             # The unpacked designs operate on the strided data in place;
             # the driver's initial gather is a host-side convenience of
@@ -143,8 +143,8 @@ class MeteredEngine(NumpyEngine):
         )
         return out
 
-    def unpack(self, packed, full, level_indices, *, reason="unpack", level=-1):
-        super().unpack(packed, full, level_indices)
+    def unpack(self, packed, full, selector, *, reason="unpack", level=-1):
+        super().unpack(packed, full, selector)
         stride = self._stride(self._hier, level) if self._hier is not None else 1
         self._emit(
             L.copy_launch(

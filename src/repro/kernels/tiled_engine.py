@@ -12,11 +12,11 @@ the *literal* framework implementations —
   Fig. 5/6 + Algorithm 2), routed slice-by-slice on 3D data exactly as
   §III-D prescribes (:class:`~repro.kernels.batch3d.SlicedLinearProcessor`)
 
-— and produces results identical to the vectorized reference engine
-(bit-for-bit for the grid/mass/transfer kernels, to solver tolerance
-for the correction).  ``TiledEngine`` is slow (Python tile loops) and
-exists for validation and for studying the frameworks; production runs
-use the vectorized engines.
+— and produces results identical, bit for bit on every op (the
+correction solve included: both run the same Thomas recurrence), to the
+vectorized production engine.  ``TiledEngine`` is slow (Python tile
+loops) and exists for validation and for studying the frameworks;
+production runs use the vectorized engines.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class TiledEngine(NumpyEngine):
         kernel = LinearProcessingKernel(ops, segment=self.segment,
                                         backend=self.kernel_backend)
         moved = np.moveaxis(data, axis, -1)
-        out = getattr(kernel, _METHOD_2D[op])(np.ascontiguousarray(moved))
+        out = getattr(kernel, op)(np.ascontiguousarray(moved))
         return np.moveaxis(out, -1, axis)
 
     def mass_apply(self, v, ops, axis, *, hier=None, l=None):
@@ -98,10 +98,3 @@ class TiledEngine(NumpyEngine):
 
     def solve_correction(self, f, ops, axis, *, hier=None, l=None):
         return self._linear(f, ops, axis, "solve")
-
-
-_METHOD_2D = {
-    "mass_multiply": "mass_multiply",
-    "transfer_multiply": "transfer_multiply",
-    "solve": "solve",
-}

@@ -1,6 +1,6 @@
 """``import-boundary``: the layering contracts of the package graph.
 
-Three boundaries, each introduced by an earlier PR and otherwise
+Five boundaries, each introduced by an earlier PR and otherwise
 enforced only by convention:
 
 * **numba** is imported exclusively through ``repro/kernels/jit.py``
@@ -13,6 +13,10 @@ enforced only by convention:
   service is a library layer, experiments are its consumers.
 * ``tools`` must not import ``repro`` — the linter analyzes the tree
   statically and has to keep working when the library is broken.
+* ``repro`` must not import ``scipy`` — the correction solve is the
+  batch-vectorized Thomas sweep of ``repro/core/solver.py``; SciPy is a
+  test/benchmark dependency only, and a per-right-hand-side LAPACK solve
+  must not grow back into the refactoring path.
 
 Relative imports are resolved against the importing module's package
 before matching.
@@ -42,6 +46,12 @@ FORBIDDEN = (
         "repro",
         "the linter must analyze the tree without importing it",
     ),
+    (
+        "repro",
+        "scipy",
+        "the library is NumPy-only (SciPy is a test extra); solve with "
+        "repro.core.solver.thomas_solve, not per-RHS LAPACK",
+    ),
 )
 
 _JIT_GUARD = "repro.kernels.jit"
@@ -70,7 +80,8 @@ class ImportBoundaryRule(Rule):
     name = "import-boundary"
     summary = (
         "numba only via repro.kernels.jit; no compress->io or "
-        "service->experiments edges; tools never imports repro"
+        "service->experiments edges; tools never imports repro; "
+        "repro never imports scipy"
     )
     paths = ("src/*", "src/*/*", "src/*/*/*")
 

@@ -10,6 +10,7 @@ from repro.core.transfer import transfer_apply
 from repro.kernels.linear_processing import LinearProcessingKernel
 
 from conftest import nonuniform_coords
+import scalar_walks
 
 
 def _ops(n, rng=None):
@@ -38,7 +39,7 @@ class TestSegmentedEqualsVectorized:
         k = LinearProcessingKernel(ops, segment=segment)
         g = rng.standard_normal((4, ops.m_coarse))
         np.testing.assert_array_equal(k.solve(g), thomas_solve(g, ops))
-        np.testing.assert_allclose(k.solve(g), solve_correction(g, ops), atol=1e-9)
+        np.testing.assert_array_equal(k.solve(g), solve_correction(g, ops))
 
 
 class TestSegmentIndependence:
@@ -55,27 +56,29 @@ class TestSegmentIndependence:
 @pytest.mark.parametrize("n", [5, 9, 17, 33, 16, 7, 100])
 @pytest.mark.parametrize("segment", [2, 3, 8, 64])
 class TestScalarReferencesMatchVectorized:
-    """The retained per-element walks cross-check the fast paths."""
+    """The per-element walks (``tests/scalar_walks.py``) cross-check the fast paths."""
 
     def test_mass(self, n, segment, rng):
         ops = _ops(n, rng)
         k = LinearProcessingKernel(ops, segment=segment)
         v = rng.standard_normal((4, n))
-        np.testing.assert_array_equal(k.mass_multiply(v), k.mass_multiply_scalar(v))
+        np.testing.assert_array_equal(
+            k.mass_multiply(v), scalar_walks.mass_multiply_scalar(ops, segment, v)
+        )
 
     def test_transfer(self, n, segment, rng):
         ops = _ops(n, rng)
         k = LinearProcessingKernel(ops, segment=segment)
         f = rng.standard_normal((4, n))
         np.testing.assert_array_equal(
-            k.transfer_multiply(f), k.transfer_multiply_scalar(f)
+            k.transfer_multiply(f), scalar_walks.transfer_multiply_scalar(ops, segment, f)
         )
 
     def test_solve(self, n, segment, rng):
         ops = _ops(n, rng)
         k = LinearProcessingKernel(ops, segment=segment)
         g = rng.standard_normal((4, ops.m_coarse))
-        np.testing.assert_array_equal(k.solve(g), k.solve_scalar(g))
+        np.testing.assert_array_equal(k.solve(g), scalar_walks.solve_scalar(ops, segment, g))
 
 
 class TestValidation:

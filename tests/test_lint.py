@@ -478,6 +478,19 @@ class TestImportBoundaryRule:
         assert code == 1
         assert len(doc["findings"]) == 2
 
+    def test_scipy_under_repro_flagged(self, tmp_path, capsys):
+        make_tree(tmp_path, {
+            "src/repro/core/solver.py": "from scipy.linalg import cho_solve_banded\n",
+            "src/repro/core/grid.py": "import scipy.linalg\n",
+            "src/tools/helper.py": "import scipy\n",  # only the library is NumPy-only
+        })
+        code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
+        assert code == 1
+        assert sorted(f["path"] for f in doc["findings"]) == [
+            "src/repro/core/grid.py", "src/repro/core/solver.py",
+        ]
+        assert "thomas_solve" in doc["findings"][0]["message"]
+
     def test_allowed_directions_pass(self, tmp_path, capsys):
         make_tree(tmp_path, {
             # io -> compress is the sanctioned direction

@@ -10,6 +10,7 @@ from repro.core.solver import solve_correction, thomas_factor, thomas_solve
 from repro.core.transfer import dense_transfer_matrix, transfer_apply
 
 from conftest import nonuniform_coords
+from scalar_walks import cholesky_solve, thomas_factor_loop
 
 
 def _ops(n, rng=None):
@@ -138,9 +139,10 @@ class TestSolver:
     def test_thomas_matches_scipy(self, n, rng):
         ops = _ops(n, rng)
         g = rng.standard_normal((3, ops.m_coarse))
-        np.testing.assert_allclose(
-            thomas_solve(g, ops), solve_correction(g, ops), rtol=1e-9, atol=1e-12
-        )
+        z = solve_correction(g, ops)
+        np.testing.assert_array_equal(thomas_solve(g, ops), z)  # one arithmetic
+        ref = cholesky_solve(g, ops)  # LAPACK pbtrs, the solver before the Thomas sweep
+        np.testing.assert_allclose(z, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_solve_then_apply_is_identity(self, rng):
         ops = _ops(33)
@@ -153,13 +155,17 @@ class TestSolver:
         g = rng.standard_normal((ops.m_coarse, 6))
         out = solve_correction(g, ops, axis=0)
         for j in range(6):
-            np.testing.assert_allclose(out[:, j], solve_correction(g[:, j], ops))
+            np.testing.assert_array_equal(out[:, j], solve_correction(g[:, j], ops))
 
     def test_thomas_factor_shapes(self):
         ops = _ops(17)
         cp, denom = thomas_factor(ops)
         assert cp.shape == denom.shape == (ops.m_coarse,)
         assert np.all(denom > 0)  # SPD matrix pivots stay positive
+        assert cp is ops.thomas_cp and denom is ops.thomas_denom  # stored, not recomputed
+        ref_cp, ref_denom = thomas_factor_loop(ops)
+        np.testing.assert_array_equal(cp, ref_cp)
+        np.testing.assert_array_equal(denom, ref_denom)
 
     def test_wrong_length(self, rng):
         ops = _ops(9)
