@@ -154,38 +154,28 @@ def _entropy() -> str:
 
     import numpy as np
 
-    from repro.compress.huffman import (
-        huffman_decode,
-        huffman_decode_scalar,
-        huffman_encode,
-        huffman_encode_scalar,
-    )
-
+    from repro.compress.huffman import huffman_decode, huffman_encode
     from repro.workloads.synthetic import skewed_bins
 
     n = 1 << 16 if os.environ.get("REPRO_BENCH_SCALE") == "ci" else 1 << 20
     vals = skewed_bins(n)
-    t0 = time.perf_counter()
-    payload, header = huffman_encode(vals)
-    t1 = time.perf_counter()
-    out = huffman_decode(payload, header)
-    t2 = time.perf_counter()
+    enc = dec = float("inf")
+    for _ in range(3):  # best of 3: the first pass pays the page faults
+        t0 = time.perf_counter()
+        payload, header = huffman_encode(vals)
+        t1 = time.perf_counter()
+        out = huffman_decode(payload, header)
+        t2 = time.perf_counter()
+        enc, dec = min(enc, t1 - t0), min(dec, t2 - t1)
     assert np.array_equal(out, vals)
-    t3 = time.perf_counter()
-    payload_s, header_s = huffman_encode_scalar(vals)
-    t4 = time.perf_counter()
-    huffman_decode_scalar(payload_s, header_s)
-    t5 = time.perf_counter()
-    assert payload_s == payload and header_s == header
-    enc, dec = t1 - t0, t2 - t1
-    enc_s, dec_s = t4 - t3, t5 - t4
+    mb = vals.nbytes / 1e6
     return "\n".join(
         [
             f"entropy stage on {n} skewed int64 symbols ({header['bits']} payload bits):",
-            f"  vectorized encode {enc * 1e3:8.1f} ms   decode {dec * 1e3:8.1f} ms",
-            f"  scalar     encode {enc_s * 1e3:8.1f} ms   decode {dec_s * 1e3:8.1f} ms",
-            f"  speedup    encode {enc_s / enc:8.1f} x    decode {dec_s / dec:8.1f} x"
-            f"    combined {(enc_s + dec_s) / (enc + dec):5.1f} x",
+            f"  encode {enc * 1e3:8.1f} ms ({mb / enc:7.1f} MB/s)"
+            f"   decode {dec * 1e3:8.1f} ms ({mb / dec:7.1f} MB/s)",
+            "  in a stream: python3 benchmarks/e2e/run.py --workload stream_huffman"
+            " --trace 1 (compress.entropy_encode_s / compress.entropy_decode_s)",
         ]
     )
 
@@ -315,7 +305,7 @@ EXPERIMENTS = {
     ),
     "fig11": (_fig11, "MGARD compression stage breakdown"),
     "offload": (_offload, "CPU-app offload break-even analysis (paper §I)"),
-    "entropy": (_entropy, "entropy-stage fast path vs scalar reference"),
+    "entropy": (_entropy, "entropy-stage (Huffman) encode/decode throughput"),
     "parallel": (_parallel, "parallel class encoding + cross-step code-book reuse"),
     "chaos": (
         _chaos,

@@ -16,9 +16,7 @@ from .huffman import (
     build_code,
     code_from_table,
     huffman_decode,
-    huffman_decode_scalar,
     huffman_encode,
-    huffman_encode_scalar,
     table_delta,
     table_from_code,
 )
@@ -74,9 +72,7 @@ __all__ = [
     "encode_classes",
     "get_executor",
     "huffman_decode",
-    "huffman_decode_scalar",
     "huffman_encode",
-    "huffman_encode_scalar",
     "load_compressed",
     "materialize_classes_header",
     "plan_cache_stats",

@@ -2,21 +2,33 @@
 
 MGARD's entropy stage Huffman-codes the quantizer output (most bins are
 at or near zero for smooth data, so the distribution is highly skewed
-and Huffman does well) before a final lossless pass.  This is a clean,
-self-contained canonical-Huffman implementation:
+and Huffman does well) before a final lossless pass.  This is a
+self-contained canonical-Huffman implementation that is array-native
+end to end:
 
-* symbols are the distinct int64 bin values, with a configurable escape
-  mechanism for rare outliers (values outside the dense symbol table
-  are emitted as an ESCAPE code followed by 64 raw bits);
-* code assignment is canonical (sorted by (length, symbol)), so the
-  decoder only needs the (symbol, length) pairs;
-* the default :func:`huffman_encode` / :func:`huffman_decode` pair is a
-  fully vectorized fast path — array-mapped codeword lookup plus bulk
-  bit packing on encode, and a per-length first-code canonical decode
-  driven by pointer doubling on decode;
+* a code book (:class:`HuffmanCode`) *is* arrays — the sorted distinct
+  int64 symbols, their code lengths and canonical codes, plus an
+  optional escape code for rare outliers (values outside the table are
+  emitted as the ESCAPE code followed by 64 raw bits).  Lengths come
+  from a two-queue merge over the stably sorted ``np.unique`` counts
+  (ties: smaller symbol first, ESCAPE last, leaves before merged nodes
+  — the order a ``(count, id)`` heap pops them in); code assignment is
+  canonical (sorted by (length, symbol)), so the decoder only needs the
+  (symbol, length) pairs;
+* :func:`huffman_encode` maps symbols to book indices through a dense
+  offset table cached on the book when the book's symbol span is small
+  next to the segment (``searchsorted`` otherwise), decides a reuse
+  guard from that one mapping pass, and packs with a word-aligned
+  scatter-OR;
+* :func:`huffman_decode` picks by segment size: few payload bits take a
+  whole-stream classification resolved by pointer doubling, wide
+  segments run one cursor per sync block in vectorized lockstep,
+  classifying through a prefix table (≤ 2**16 entries, built lazily
+  from the first-code arrays) and decoding several symbols per 64-bit
+  window fetch;
 * both directions are *block-schedulable*: pass an executor (see
-  :mod:`repro.compress.executor`) and the encoder splits the symbol
-  stream into sync-aligned blocks whose chunkify/pack phases run as
+  :mod:`repro.parallel.executors`) and the encoder splits the symbol
+  stream into sync-aligned blocks whose map/pack phases run as
   independent work units (the MSB-first concatenation is associative,
   so the merged payload is bit-identical to the serial one), while the
   decoder partitions the sync blocks across workers; under the
@@ -28,21 +40,15 @@ self-contained canonical-Huffman implementation:
   data, which is how slowly-varying streams amortize entropy setup
   across time steps; :func:`table_delta` / :func:`apply_table_delta`
   express one book as a compact edit script against another so reused
-  books cost almost no header bytes;
-* :func:`huffman_encode_scalar` / :func:`huffman_decode_scalar` retain
-  the original per-element/per-bit loops as cross-check references; the
-  two encoders share the code-book construction and emit bit-identical
-  payloads.
+  books cost almost no header bytes.
 
 The coder is exact: ``decode(encode(x)) == x`` for any int64 array.
-The vectorized decoder allocates a few machine words per *payload bit*
-(not per symbol), so its memory footprint is proportional to the
-compressed bit count.
+The per-element/per-bit reference coders and the heap construction the
+builder must agree with live in ``tests/huffman_oracle.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 
 import numpy as np
@@ -53,8 +59,6 @@ __all__ = [
     "HuffmanCode",
     "huffman_encode",
     "huffman_decode",
-    "huffman_encode_scalar",
-    "huffman_decode_scalar",
     "build_code",
     "decode_tables",
     "table_from_code",
@@ -62,8 +66,6 @@ __all__ = [
     "table_delta",
     "apply_table_delta",
 ]
-
-_ESCAPE = object()  # sentinel symbol for out-of-table values
 
 # Both encoders record the bit offset of every _SYNC_BLOCK-th symbol in
 # the header ("sync").  The offsets let the decoder run one cursor per
@@ -75,75 +77,171 @@ _SYNC_BLOCK = 512
 # its (fixed-count) lockstep loop than it gains from concurrency
 _MIN_DECODE_BLOCKS_PER_WORKER = 256
 
+# the dense value -> index table is built (once, cached on the book)
+# when the book's symbol span is at most this multiple of the segment
+# being mapped: filling it costs one store per span entry, which a
+# single saved O(n log m) ``searchsorted`` pass repays only while the
+# span stays within a few times n.  Fine classes span a few thousand
+# bins; a coarse class of 8 symbols spread over millions keeps
+# ``searchsorted``.
+_DENSE_SPAN_FACTOR = 4
+
+# width cap of the decoder's prefix table: 2**16 entries of (length,
+# symbol) stay cache-resident, and at 16 bits per lookup a 64-bit
+# window holds four symbols; longer codes are rare by construction
+# (a symbol of probability p gets ~-log2 p bits) and classify through
+# the first-code search instead
+_LUT_BITS = 16
+
+# payloads of at most this many bits decode by whole-stream
+# classification + pointer doubling, whose cost is proportional to the
+# bit count; above it the lockstep loop wins — its _SYNC_BLOCK
+# iterations are call-overhead bound whatever the segment size
+_CHAIN_MAX_BITS = 1 << 16
+
+# prefix-table length entry of a slot no table-resident code owns; real
+# entries are 1.._LUT_BITS, or at most 64 + _LUT_BITS for a resident ESCAPE
+_LUT_MISS = 255
+
+
+def _canonical(all_lens: np.ndarray):
+    """Canonical code assignment for per-entry lengths (ESCAPE last).
+
+    Returns ``(order, lens, first, count, base)``: ``order`` lists the
+    entries in canonical (length, position) order, and per distinct
+    length ``lens[k]`` the codes are the contiguous range ``[first[k],
+    first[k] + count[k])`` occupying canonical ranks ``base[k]...``.
+    """
+    if all_lens.size == 0:
+        raise ValueError("corrupt Huffman header: empty code table")
+    if all_lens.min() < 1 or all_lens.max() > 64:
+        raise ValueError("corrupt Huffman header: code length outside 1..64")
+    per_len = np.bincount(all_lens, minlength=65)
+    lens = np.flatnonzero(per_len)
+    count = per_len[lens]
+    first = []
+    code = prev = 0
+    for ln, c in zip(lens.tolist(), count.tolist()):
+        code <<= ln - prev
+        first.append(code)
+        code += c
+        prev = ln
+        if code > 1 << ln:
+            raise ValueError(
+                "corrupt Huffman header: code lengths oversubscribe the code space"
+            )
+    order = np.argsort(all_lens, kind="stable")
+    return order, lens, np.array(first, dtype=np.uint64), count, np.cumsum(count) - count
+
 
 class HuffmanCode:
-    """A canonical Huffman code book: symbol -> (code, length)."""
+    """A canonical Huffman code book held as arrays.
 
-    def __init__(self, lengths: dict, codes: dict):
-        self.lengths = lengths
-        self.codes = codes
+    ``symbols`` are the distinct in-table int64 values in ascending
+    order, ``lengths`` / ``codes`` their code lengths and canonical
+    codes (uint64, right-aligned).  ``esc_len`` / ``esc_code`` describe
+    the ESCAPE code, ``None`` when the book has none.  Canonical order
+    is (length, symbol) with ESCAPE after every symbol of its length,
+    so the lengths alone determine the codes.
+    """
+
+    def __init__(self, symbols, lengths, esc_len: int | None = None):
+        symbols = np.asarray(symbols, dtype=np.int64).ravel()
+        lengths = np.asarray(lengths, dtype=np.int64).ravel()
+        if symbols.size != lengths.size:
+            raise ValueError("corrupt Huffman header: symbols and lengths differ in size")
+        if symbols.size > 1 and not np.all(symbols[1:] > symbols[:-1]):
+            raise ValueError(
+                "corrupt Huffman header: code-book symbols must be distinct and ascending"
+            )
+        all_lens = lengths if esc_len is None else np.append(lengths, int(esc_len))
+        self._canon = _canonical(all_lens)
+        order, _, first, count, base = self._canon
+        # one slot past the symbols: the ESCAPE entry, where out-of-book
+        # values map (length 0 in a book that has no escape)
+        codes = np.zeros(symbols.size + 1, dtype=np.uint64)
+        rank = np.arange(all_lens.size) - np.repeat(base, count)
+        codes[order] = np.repeat(first, count) + rank.astype(np.uint64)
+        self._slot_codes = codes
+        self._slot_lens = np.append(lengths, 0 if esc_len is None else int(esc_len))
+        self.symbols = symbols
+        self.lengths = self._slot_lens[:-1]
+        self.codes = codes[:-1]
+        self.esc_len = None if esc_len is None else int(esc_len)
+        self.esc_code = None if esc_len is None else int(codes[-1])
+        self._lut: np.ndarray | None = None  # dense value -> slot map
+        self._table: list | None = None
+        self._table_json: str | None = None
 
     @classmethod
-    def from_frequencies(cls, freqs: dict) -> "HuffmanCode":
-        """Build a canonical code from symbol frequencies."""
-        if not freqs:
+    def from_counts(cls, symbols, counts, esc_count: int = 0) -> "HuffmanCode":
+        """Build the book of ascending ``symbols`` occurring ``counts`` times.
+
+        ``esc_count > 0`` adds an ESCAPE leaf of that weight.  Two-queue
+        Huffman merge: leaves stably sorted by count in one queue,
+        merged nodes (created in non-decreasing weight) in the other;
+        taking the leaf on equal weight reproduces, merge for merge,
+        a heap keyed ``(weight, id)`` whose leaf ids follow symbol order
+        (ESCAPE last) and precede every merged node's.
+        """
+        counts = np.asarray(counts, dtype=np.int64).ravel()
+        if esc_count > 0:
+            counts = np.append(counts, int(esc_count))
+        n = counts.size
+        if n == 0:
             raise ValueError("cannot build a Huffman code from no symbols")
-        if len(freqs) == 1:
-            sym = next(iter(freqs))
-            return cls(lengths={sym: 1}, codes={sym: 0})
-        # standard Huffman tree -> code lengths
-        heap = [(f, i, sym) for i, (sym, f) in enumerate(freqs.items())]
-        heapq.heapify(heap)
-        parent: dict[int, int] = {}
-        nodes: list = [sym for _, _, sym in sorted(heap, key=lambda t: t[1])]
-        # rebuild heap with node ids
-        heap = [(f, i) for i, (f, _, _) in enumerate(sorted(heap, key=lambda t: t[1]))]
-        heapq.heapify(heap)
-        next_id = len(nodes)
-        while len(heap) > 1:
-            fa, a = heapq.heappop(heap)
-            fb, b = heapq.heappop(heap)
-            parent[a] = next_id
-            parent[b] = next_id
-            nodes.append(None)
-            heapq.heappush(heap, (fa + fb, next_id))
-            next_id += 1
-        lengths = {}
-        for i, sym in enumerate(nodes):
-            if sym is None:
-                continue
-            depth = 0
-            j = i
-            while j in parent:
-                depth += 1
-                j = parent[j]
-            lengths[sym] = max(depth, 1)
-        return cls.from_lengths(lengths)
+        if n == 1:
+            depth = np.ones(1, dtype=np.int64)
+        else:
+            order = np.argsort(counts, kind="stable")
+            leaf = counts[order].tolist()
+            node = [0] * (n - 1)  # merged-node weights, in creation order
+            leaf_parent = [0] * n
+            node_parent = [0] * (n - 1)
+            i = j = 0
+            for k in range(n - 1):
+                w = 0
+                for _ in range(2):
+                    if i < n and (j == k or leaf[i] <= node[j]):
+                        w += leaf[i]
+                        leaf_parent[i] = k
+                        i += 1
+                    else:
+                        w += node[j]
+                        node_parent[j] = k
+                        j += 1
+                node[k] = w
+            # the root is the last merged node; parents are created
+            # after their children, so one reverse pass sets every depth
+            node_depth = [0] * (n - 1)
+            for j in range(n - 3, -1, -1):
+                node_depth[j] = node_depth[node_parent[j]] + 1
+            depth = np.empty(n, dtype=np.int64)
+            depth[order] = np.asarray(node_depth, dtype=np.int64)[leaf_parent] + 1
+        if esc_count > 0:
+            return cls(symbols, depth[:-1], int(depth[-1]))
+        return cls(symbols, depth)
 
-    @classmethod
-    def from_lengths(cls, lengths: dict) -> "HuffmanCode":
-        """Assign canonical codes given per-symbol lengths."""
-        def keyfn(item):
-            sym, ln = item
-            # order: length, then escape last, then symbol value
-            return (ln, 1 if sym is _ESCAPE else 0, sym if sym is not _ESCAPE else 0)
+    @property
+    def table(self) -> list:
+        """Header-form ``[symbol, length]`` table, ``["ESC", length]``
+        last; built once per book and shared by every header that ships
+        it, so treat it as read-only."""
+        if self._table is None:
+            table = [list(e) for e in zip(self.symbols.tolist(), self.lengths.tolist())]
+            if self.esc_len is not None:
+                table.append(["ESC", self.esc_len])
+            self._table = table
+        return self._table
 
-        code = 0
-        prev_len = 0
-        codes = {}
-        for sym, ln in sorted(lengths.items(), key=keyfn):
-            code <<= ln - prev_len
-            codes[sym] = code
-            code += 1
-            prev_len = ln
-        return cls(lengths=dict(lengths), codes=codes)
-
-    def decoding_table(self):
-        """(sorted list of (code, length, symbol)) for the decoder."""
-        return sorted(
-            ((self.codes[s], self.lengths[s], s) for s in self.codes),
-            key=lambda t: (t[1], t[0]),
-        )
+    @property
+    def table_json(self) -> str:
+        """JSON of :attr:`table`, serialized once per book (the reuse
+        policy weighs deltas against its length, the process fan-outs
+        key their worker-side caches by it)."""
+        if self._table_json is None:
+            self._table_json = json.dumps(self.table)
+        return self._table_json
 
 
 # "auto" escape reservation kicks in at this alphabet size: one
@@ -163,24 +261,17 @@ def _build_code(
     if reserve_escape == "auto":
         reserve_escape = syms.size >= _RESERVE_ESCAPE_MIN_SYMS
     if syms.size == 0:
-        return HuffmanCode.from_frequencies({0: 1})
+        return HuffmanCode.from_counts([0], [1])
     if syms.size <= max_table - (1 if reserve_escape else 0):
-        freqs = {int(s): int(c) for s, c in zip(syms, counts)}
         # a reserved (never-yet-used) escape lets this book absorb
         # symbols that only appear in *later* data when it is reused
-        if reserve_escape:
-            freqs[_ESCAPE] = 1
-        return HuffmanCode.from_frequencies(freqs)
+        return HuffmanCode.from_counts(syms, counts, 1 if reserve_escape else 0)
     # keep the most frequent symbols; the tail goes through ESCAPE
     order = np.argsort(-counts, kind="stable")  # ties: smaller symbol first
     keep = np.sort(order[: max_table - 1])
+    # every dropped symbol occurred at least once, so the escape weight is >= 1
     escaped = int(counts.sum() - counts[keep].sum())
-    freqs = {int(syms[i]): int(counts[i]) for i in keep}
-    # every dropped symbol occurred at least once, so `escaped >= 1` here;
-    # guard anyway so a zero-frequency ESCAPE can never skew code lengths
-    if escaped > 0 or reserve_escape:
-        freqs[_ESCAPE] = max(escaped, 1)
-    return HuffmanCode.from_frequencies(freqs)
+    return HuffmanCode.from_counts(syms[keep], counts[keep], max(escaped, 1))
 
 
 def build_code(
@@ -200,24 +291,15 @@ def build_code(
     return _build_code(values, max_table, reserve_escape=reserve_escape)
 
 
-def _header(code: HuffmanCode, n: int, total_bits: int, sync=None) -> dict:
-    header = {
-        "n": int(n),
-        "bits": int(total_bits),
-        "table": [
-            ("ESC" if s is _ESCAPE else int(s), int(ln))
-            for s, ln in code.lengths.items()
-        ],
-    }
+def _header(table: list | None, n: int, total_bits: int, sync=None) -> dict:
+    """Segment header; ``table`` is the header-form book, or ``None``
+    when the caller ships a reference to a cached book instead."""
+    header = {"n": int(n), "bits": int(total_bits)}
+    if table is not None:
+        header["table"] = table
     if sync is not None and len(sync):
-        header["sync"] = [int(o) for o in sync]
+        header["sync"] = sync.tolist()
     return header
-
-
-def _lengths_from_header(header: dict) -> dict:
-    return {
-        (_ESCAPE if s == "ESC" else int(s)): int(ln) for s, ln in header["table"]
-    }
 
 
 # ----------------------------------------------------------------------
@@ -226,15 +308,22 @@ def _lengths_from_header(header: dict) -> dict:
 
 def table_from_code(code: HuffmanCode) -> list:
     """The header-form symbol/length table of a code book."""
-    return [
-        ["ESC" if s is _ESCAPE else int(s), int(ln)]
-        for s, ln in code.lengths.items()
-    ]
+    return code.table
 
 
 def code_from_table(table: list) -> HuffmanCode:
     """Rebuild the canonical code book from a header-form table."""
-    return HuffmanCode.from_lengths(_lengths_from_header({"table": table}))
+    esc_len = None
+    try:
+        esc = [i for i, e in enumerate(table) if e[0] == "ESC"]
+        if esc:
+            esc_len = int(table[esc[-1]][1])
+            table = [e for e in table if e[0] != "ESC"]
+        pairs = np.array(table, dtype=np.int64).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError, IndexError) as exc:
+        raise ValueError(f"corrupt Huffman header: bad code table ({exc})") from None
+    order = np.argsort(pairs[:, 0], kind="stable")
+    return HuffmanCode(pairs[order, 0], pairs[order, 1], esc_len)
 
 
 def _table_dict(table: list) -> dict:
@@ -271,59 +360,82 @@ def apply_table_delta(ref_table: list, delta: dict) -> list:
 # vectorized fast path
 
 
-def _code_arrays(code: HuffmanCode):
-    """Dense sorted symbol -> (code, length) arrays for vectorized lookup.
+def _map_symbols(values: np.ndarray, code: HuffmanCode) -> np.ndarray:
+    """Slot of every value in the book: its index in ``code.symbols``,
+    or ``code.symbols.size`` — the ESCAPE slot — where the book has none.
 
-    Memoized on the code book, so a book reused across stream steps
-    pays the table sort exactly once.
+    A book whose symbol span is at most :data:`_DENSE_SPAN_FACTOR`
+    times the segment maps through one gather from a dense offset table
+    (built once, cached on the book); wider books binary-search.  Both
+    give the same slots, so the choice never shows in the payload.
     """
-    cached = getattr(code, "_arrays", None)
-    if cached is not None:
-        return cached
-    syms = sorted(s for s in code.codes if s is not _ESCAPE)
-    sym_arr = np.asarray(syms, dtype=np.int64)
-    code_arr = np.asarray([code.codes[s] for s in syms], dtype=np.uint64)
-    len_arr = np.asarray([code.lengths[s] for s in syms], dtype=np.int64)
-    code._arrays = (sym_arr, code_arr, len_arr)
-    return code._arrays
+    syms = code.symbols
+    n_syms = syms.size
+    if n_syms == 0:
+        return np.zeros(values.size, dtype=np.intp)
+    lo, hi = int(syms[0]), int(syms[-1])
+    lut = code._lut
+    if lut is None and hi - lo < _DENSE_SPAN_FACTOR * values.size:
+        lut = np.full(hi - lo + 1, n_syms, dtype=np.intp)
+        lut[syms - lo] = np.arange(n_syms)
+        code._lut = lut
+    if lut is None:
+        pos = np.minimum(np.searchsorted(syms, values), n_syms - 1)
+        return np.where(syms[pos] == values, pos, n_syms)
+    if values.min() >= lo and values.max() <= hi:
+        return lut[values - lo]
+    slots = np.full(values.size, n_syms, dtype=np.intp)
+    inside = (values >= lo) & (values <= hi)
+    slots[inside] = lut[values[inside] - lo]
+    return slots
+
+
+_NO_ESCAPE = (
+    "value outside the code book and the book has no escape code; "
+    "rebuild the book (or build it with reserve_escape=True)"
+)
+
+
+def _chunks(slots: np.ndarray, code: HuffmanCode):
+    """Per-element codes, code lengths and bit positions of mapped symbols.
+
+    Returns ``(c_codes, c_lens, offsets, esc)``: ``offsets`` (size
+    ``n + 1``) is the bit position of every element in the range and
+    its total; ``esc`` lists the escaped elements, each of which
+    occupies its ESCAPE code plus 64 raw bits.
+    """
+    esc = np.flatnonzero(slots == code.symbols.size)
+    if esc.size and code.esc_len is None:
+        raise ValueError(_NO_ESCAPE)
+    c_codes = code._slot_codes[slots]
+    c_lens = code._slot_lens[slots]
+    step = c_lens
+    if esc.size:
+        step = c_lens.copy()
+        step[esc] += 64
+    offsets = np.zeros(slots.size + 1, dtype=np.int64)
+    np.cumsum(step, out=offsets[1:])
+    return c_codes, c_lens, offsets, esc
 
 
 def _chunkify(values: np.ndarray, code: HuffmanCode):
-    """Map symbols to (code, length) chunk arrays for packing.
+    """Map + :func:`_chunks`: the per-block work unit of the parallel encode."""
+    return _chunks(_map_symbols(values, code), code)
 
-    Returns ``(c_codes, c_lens, elem_chunk, n_escaped)`` where
-    ``elem_chunk`` is the chunk index of each element's first chunk
-    (``None`` when no element escaped, i.e. chunks == elements).  This
-    is the per-block work unit of the parallel encode path.
+
+def _pack_words(values, c_codes, c_lens, offsets, esc) -> np.ndarray:
+    """Word buffer of one chunkified range (``offsets`` may start mid-word).
+
+    The codes — ESCAPE codes included — pack at their positions; the
+    raw 64 bits of the escaped values pack right behind their ESCAPE
+    codes in a second pass and OR in, the bit ranges being disjoint.
     """
-    sym_arr, code_arr, len_arr = _code_arrays(code)
-    idx = np.minimum(np.searchsorted(sym_arr, values), sym_arr.size - 1)
-    in_table = sym_arr[idx] == values
-    esc_len = code.lengths.get(_ESCAPE)
-    n_escaped = int(values.size - np.count_nonzero(in_table))
-    if n_escaped == 0:
-        return code_arr[idx], len_arr[idx], None, 0
-    if esc_len is None:
-        raise ValueError(
-            "value outside the code book and the book has no escape code; "
-            "rebuild the book (or build it with reserve_escape=True)"
-        )
-    # escapes contribute two chunks: the ESCAPE code + 64 raw bits
-    per = np.where(in_table, 1, 2).astype(np.int64)
-    starts = np.zeros(values.size, dtype=np.int64)
-    np.cumsum(per[:-1], out=starts[1:])
-    n_chunks = int(starts[-1] + per[-1])
-    c_codes = np.empty(n_chunks, dtype=np.uint64)
-    c_lens = np.empty(n_chunks, dtype=np.int64)
-    it = starts[in_table]
-    c_codes[it] = code_arr[idx[in_table]]
-    c_lens[it] = len_arr[idx[in_table]]
-    ep = starts[~in_table]
-    c_codes[ep] = np.uint64(code.codes[_ESCAPE])
-    c_lens[ep] = esc_len
-    c_codes[ep + 1] = values[~in_table].astype(np.uint64)  # two's complement
-    c_lens[ep + 1] = 64
-    return c_codes, c_lens, starts, n_escaped
+    buf = _pack_chunks_words(c_codes, c_lens, offsets)
+    if esc.size:
+        raw_at = np.append(offsets[esc] + c_lens[esc], offsets[-1])
+        raw = values[esc].astype(np.uint64)  # two's complement
+        buf |= _pack_chunks_words(raw, np.full(esc.size, 64), raw_at)
+    return buf
 
 
 def _pack_chunks_words(
@@ -350,53 +462,61 @@ def _pack_chunks_words_numpy(
 ) -> np.ndarray:
     """MSB-first scatter of (code, length) chunks into 64-bit words.
 
-    Word-aligned: every chunk (≤ 64 bits) lands in at most two
-    big-endian 64-bit words, so the whole pack is a handful of vector
-    ops over the chunk arrays plus one ``bitwise_or.reduceat`` per
-    landing word — no per-bit expansion.  ``offsets`` is the chunk
-    bit-position prefix sum (size ``n_chunks + 1``; callers already
-    have it); ``offsets[0]`` (< 64) offsets the first chunk inside
-    word 0, which is how a block whose global bit position is mid-word
-    packs locally and still merges into the stream with a plain OR.
+    Word-aligned: every chunk (1..64 bits) lands in at most two
+    big-endian 64-bit words.  Each code is left-justified once; the
+    part in its first word is that shifted right by the chunk's bit
+    offset ``r`` in the word, the spill into the next word the same
+    left-justified code shifted left by ``64 - r`` (as ``63 - r`` then
+    1, so ``r = 0`` spills nothing without a 64-bit shift) — plus one
+    ``bitwise_or.reduceat`` per landing word, no per-bit expansion.
+    ``offsets`` is the chunk bit-position prefix sum (size ``n_chunks +
+    1``; callers already have it); ``offsets[0]`` (< 64) offsets the
+    first chunk inside word 0, which is how a block whose global bit
+    position is mid-word packs locally and still merges into the stream
+    with a plain OR.
     """
-    total_end = int(offsets[-1])
-    n_words = (total_end + 63) >> 6
+    n_words = (int(offsets[-1]) + 63) >> 6
     buf = np.zeros(n_words + 1, dtype=np.uint64)  # +1 spill word
-
+    if c_codes.size == 0:
+        return buf
     w0 = offsets[:-1] >> 6
-    r = offsets[:-1] & 63
-    s = r + c_lens  # end bit of the chunk within its two-word window
-    shl = np.clip(64 - s, 0, 63).astype(np.uint64)
-    shr = np.clip(s - 64, 0, 63).astype(np.uint64)
-    part0 = np.where(s <= 64, c_codes << shl, c_codes >> shr)
-    sh1 = np.clip(128 - s, 0, 63).astype(np.uint64)
-    part1 = np.where(s > 64, c_codes << sh1, np.uint64(0))
+    r = (offsets[:-1] & 63).astype(np.uint64)
+    justified = c_codes << (64 - c_lens).astype(np.uint64)
+    part0 = justified >> r
+    np.subtract(np.uint64(63), r, out=r)
+    part1 = (justified << r) << np.uint64(1)
 
     # offsets are monotone, so chunks hitting the same word are contiguous
-    starts = np.flatnonzero(np.r_[True, w0[1:] != w0[:-1]])
+    new_word = np.empty(w0.size, dtype=bool)
+    new_word[0] = True
+    np.not_equal(w0[1:], w0[:-1], out=new_word[1:])
+    starts = np.flatnonzero(new_word)
     idx = w0[starts]
-    buf[idx] |= np.bitwise_or.reduceat(part0, starts)
+    buf[idx] = np.bitwise_or.reduceat(part0, starts)
     buf[idx + 1] |= np.bitwise_or.reduceat(part1, starts)
     return buf
 
 
-def _pack_chunks(
-    c_codes: np.ndarray, c_lens: np.ndarray
-) -> tuple[bytes, int, np.ndarray]:
-    """Pack chunks into payload bytes; returns (payload, bits, offsets)."""
-    offsets = np.zeros(c_codes.size + 1, dtype=np.int64)
-    np.cumsum(c_lens, out=offsets[1:])
-    total_bits = int(offsets[-1])
-    buf = _pack_chunks_words(c_codes, c_lens, offsets)
+def _payload_bytes(words: np.ndarray, total_bits: int) -> bytes:
+    """Big-endian bytes of a word buffer, cut to the payload's bit count."""
     n_words = (total_bits + 63) >> 6
-    payload = buf[:n_words].astype(">u8").tobytes()[: (total_bits + 7) >> 3]
-    return payload, total_bits, offsets[:-1]
+    return words[:n_words].astype(">u8").tobytes()[: (total_bits + 7) >> 3]
 
 
 # symbols per schedulable encode block (a multiple of _SYNC_BLOCK, so
 # block boundaries coincide with sync points and the merged header's
 # sync offsets match the serial encoder's exactly)
 _BLOCK_SYMBOLS = 64 * _SYNC_BLOCK
+
+
+# what the encode paths return when a reuse guard rejects the book
+_GUARD_TRIPPED = (None, None, None)
+
+
+def _note_stats(stats: dict | None, n: int, n_escaped: int) -> None:
+    if stats is not None:
+        stats["n_symbols"] = int(n)
+        stats["n_escaped"] = int(n_escaped)
 
 
 def _guard_exceeded(guard: dict, n: int, total_bits: int) -> bool:
@@ -449,16 +569,12 @@ def _encode_range(values: np.ndarray, code: "HuffmanCode", max_bps=None):
     the odd locally-skewed range inline if the stream as a whole
     passes.
     """
-    c_codes, c_lens, elem_chunk, n_escaped = _chunkify(values, code)
-    offsets = np.zeros(c_codes.size + 1, dtype=np.int64)
-    np.cumsum(c_lens, out=offsets[1:])
+    c_codes, c_lens, offsets, esc = _chunkify(values, code)
     nbits = int(offsets[-1])
-    elem_bits = offsets[:-1] if elem_chunk is None else offsets[elem_chunk]
-    lsync = elem_bits[::_SYNC_BLOCK].copy()
+    lsync = offsets[:-1:_SYNC_BLOCK].copy()
     if max_bps is not None and nbits > max_bps * values.size + 1e-9:
-        return None, nbits, lsync, n_escaped
-    words = _pack_chunks_words(c_codes, c_lens, offsets)
-    return words, nbits, lsync, n_escaped
+        return None, nbits, lsync, esc.size
+    return _pack_words(values, c_codes, c_lens, offsets, esc), nbits, lsync, esc.size
 
 
 def _encode_range_worker(ref, start: int, stop: int, table_json: str, max_bps=None):
@@ -521,7 +637,7 @@ def _encode_blocks_process(values, code, executor, stats=None, guard=None):
         # _SYNC_BLOCK) and the local sync offsets splice exactly
         cuts = (np.linspace(0, n_blocks, k + 1).astype(int) * _BLOCK_SYMBOLS)
         cuts[-1] = n
-        table_json = json.dumps(table_from_code(code))
+        table_json = code.table_json
         max_bps = guard.get("max_bits_per_symbol") if guard is not None else None
         rows = [
             (ref, int(a), int(b), table_json, max_bps)
@@ -536,11 +652,9 @@ def _encode_blocks_process(values, code, executor, stats=None, guard=None):
         bits[i + 1] = nbits
     starts = np.cumsum(bits)
     total_bits = int(starts[-1])
-    if stats is not None:
-        stats["n_symbols"] = int(n)
-        stats["n_escaped"] = int(sum(p[3] for p in parts))
+    _note_stats(stats, n, sum(p[3] for p in parts))
     if guard is not None and _guard_exceeded(guard, n, total_bits):
-        return None, None
+        return _GUARD_TRIPPED
     for i, (words, nbits, lsync, nesc) in enumerate(parts):
         if words is None:  # local hint tripped, stream passed: pack now
             a, b = int(cuts[i]), int(cuts[i + 1])
@@ -557,8 +671,7 @@ def _encode_blocks_process(values, code, executor, stats=None, guard=None):
         shifted = _shift_words(words, s & 63)
         w0 = s >> 6
         out[w0 : w0 + shifted.size] |= shifted
-    payload = out[:n_words].astype(">u8").tobytes()[: (total_bits + 7) >> 3]
-    return payload, _header(code, n, total_bits, sync)
+    return _payload_bytes(out, total_bits), total_bits, sync
 
 
 def _encode_blocks(values, code, executor, stats=None, guard=None):
@@ -583,34 +696,24 @@ def _encode_blocks(values, code, executor, stats=None, guard=None):
     bounds = list(range(0, n, _BLOCK_SYMBOLS)) + [n]
     blocks = [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     chunked = executor.map(lambda v: _chunkify(v, code), blocks)
-    if stats is not None:
-        stats["n_symbols"] = int(n)
-        stats["n_escaped"] = int(sum(c[3] for c in chunked))
+    _note_stats(stats, n, sum(c[3].size for c in chunked))
 
     # global bit position of every block and of every element
-    block_bits = np.zeros(len(blocks) + 1, dtype=np.int64)
-    elem_bits_local = []
-    block_offs = []
-    for i, (c_codes, c_lens, elem_chunk, _) in enumerate(chunked):
-        offs = np.zeros(c_lens.size + 1, dtype=np.int64)
-        np.cumsum(c_lens, out=offs[1:])
-        elem_bits_local.append(offs[:-1] if elem_chunk is None else offs[elem_chunk])
-        block_offs.append(offs)
-        block_bits[i + 1] = offs[-1]
+    block_bits = np.array([0] + [int(c[2][-1]) for c in chunked], dtype=np.int64)
     block_start = np.cumsum(block_bits)[:-1]
     total_bits = int(block_start[-1] + block_bits[-1])
     if guard is not None and _guard_exceeded(guard, n, total_bits):
-        return None, None
+        return _GUARD_TRIPPED
     elem_bits = np.concatenate(
-        [loc + start for loc, start in zip(elem_bits_local, block_start)]
+        [c[2][:-1] + start for c, start in zip(chunked, block_start)]
     )
     sync = elem_bits[_SYNC_BLOCK::_SYNC_BLOCK]
 
     def pack_one(i: int):
-        c_codes, c_lens, _, _ = chunked[i]
+        c_codes, c_lens, offsets, esc = chunked[i]
         start = int(block_start[i])
-        return start >> 6, _pack_chunks_words(
-            c_codes, c_lens, block_offs[i] + (start & 63)
+        return start >> 6, _pack_words(
+            blocks[i], c_codes, c_lens, offsets + (start & 63), esc
         )
 
     packed = executor.map(pack_one, range(len(blocks)))
@@ -618,8 +721,46 @@ def _encode_blocks(values, code, executor, stats=None, guard=None):
     out = np.zeros(n_words + 1, dtype=np.uint64)
     for w0, buf in packed:
         out[w0 : w0 + buf.size] |= buf
-    payload = out[:n_words].astype(">u8").tobytes()[: (total_bits + 7) >> 3]
-    return payload, _header(code, n, total_bits, sync)
+    return _payload_bytes(out, total_bits), total_bits, sync
+
+
+def _encode_payload(values, code, executor=None, stats=None, guard=None):
+    """Encode with a given book; returns ``(payload, total_bits, sync)``.
+
+    The header-less core of :func:`huffman_encode` (same ``executor`` /
+    ``stats`` / ``guard``), for callers that ship a reference to a
+    cached book instead of its table.  A tripped guard — or, under a
+    guard, a new symbol the book has no escape for — returns
+    :data:`_GUARD_TRIPPED`.
+    """
+    n = values.size
+    if (
+        executor is not None
+        and getattr(executor, "max_workers", 1) > 1
+        and n >= 2 * _BLOCK_SYMBOLS
+    ):
+        try:
+            return _encode_blocks(values, code, executor, stats, guard)
+        except ValueError:
+            if guard is not None:
+                return _GUARD_TRIPPED  # a new symbol and no escape for it
+            raise
+    slots = _map_symbols(values, code)
+    if guard is not None:
+        # decided from the mapping pass alone: no chunk is gathered, let
+        # alone packed, for a book about to be replaced
+        used = np.bincount(slots, minlength=code._slot_lens.size)
+        n_esc = int(used[-1])
+        if n_esc and code.esc_len is None:
+            return _GUARD_TRIPPED
+        if _guard_exceeded(guard, n, int(used @ code._slot_lens) + 64 * n_esc):
+            _note_stats(stats, n, n_esc)
+            return _GUARD_TRIPPED
+    c_codes, c_lens, offsets, esc = _chunks(slots, code)
+    _note_stats(stats, n, esc.size)
+    total_bits = int(offsets[-1])
+    payload = _payload_bytes(_pack_words(values, c_codes, c_lens, offsets, esc), total_bits)
+    return payload, total_bits, offsets[_SYNC_BLOCK:-1:_SYNC_BLOCK]
 
 
 def huffman_encode(
@@ -635,9 +776,7 @@ def huffman_encode(
 
     The header carries the canonical code book as plain Python data
     (symbol/length pairs) plus the element count; it is what a container
-    format would serialize alongside the payload.  This is the
-    vectorized fast path; it emits payloads bit-identical to
-    :func:`huffman_encode_scalar`.
+    format would serialize alongside the payload.
 
     Parameters
     ----------
@@ -647,17 +786,17 @@ def huffman_encode(
         The book needs an escape code to cover symbols it has not seen.
     executor:
         Schedule sync-aligned symbol blocks through this executor (see
-        :mod:`repro.compress.executor`); the payload is bit-identical
+        :mod:`repro.parallel.executors`); the payload is bit-identical
         to the serial path.
     stats:
         Optional dict that receives ``n_symbols`` / ``n_escaped`` — the
         signal reuse policies watch to decide when a stale book must be
         rebuilt.
     guard:
-        Optional reuse guard ``{"max_bits_per_symbol": b}``.  Checked
-        right after the (cheap) symbol-mapping phase, *before* any bits
-        are packed; when the would-be payload exceeds the bound (or the
-        book lacks an escape for a new symbol) the call returns
+        Optional reuse guard ``{"max_bits_per_symbol": b}``.  Decided
+        from the symbol-mapping pass alone, *before* any chunk is
+        gathered or packed; when the would-be payload exceeds the bound
+        (or the book lacks an escape for a new symbol) the call returns
         ``(None, None)`` so the caller can rebuild the book without
         having paid for a wasted encode.
     """
@@ -666,29 +805,10 @@ def huffman_encode(
         return b"", {"n": 0, "bits": 0, "table": []}
     if code is None:
         code = _build_code(values, max_table)
-    try:
-        if (
-            executor is not None
-            and getattr(executor, "max_workers", 1) > 1
-            and values.size >= 2 * _BLOCK_SYMBOLS
-        ):
-            return _encode_blocks(values, code, executor, stats, guard)
-        c_codes, c_lens, elem_chunk, n_escaped = _chunkify(values, code)
-    except ValueError:
-        if guard is not None:
-            # out-of-table symbol and the book has no escape: under a
-            # reuse guard that simply means "rebuild the book"
-            return None, None
-        raise
-    if stats is not None:
-        stats["n_symbols"] = int(values.size)
-        stats["n_escaped"] = n_escaped
-    if guard is not None and _guard_exceeded(guard, values.size, int(c_lens.sum())):
+    payload, total_bits, sync = _encode_payload(values, code, executor, stats, guard)
+    if payload is None:
         return None, None
-    payload, total_bits, offsets = _pack_chunks(c_codes, c_lens)
-    elem_bits = offsets if elem_chunk is None else offsets[elem_chunk]
-    sync = elem_bits[_SYNC_BLOCK::_SYNC_BLOCK]
-    return payload, _header(code, values.size, total_bits, sync)
+    return payload, _header(code.table, values.size, total_bits, sync)
 
 
 class _DecodeTables:
@@ -703,57 +823,41 @@ class _DecodeTables:
     window.  The last limit may be ``2**64`` (Kraft-complete code), so
     it is excluded from the search table and covered by the
     ``rank < count`` check instead.
+
+    The arrays are exactly the operands of the launcher's
+    ``huff_decode`` op; ``code`` is the source book when there is one
+    (the process fan-out rebuilds these tables from its table JSON).
     """
 
-    def __init__(self, code: HuffmanCode):
-        order = sorted(code.codes, key=lambda s: (code.lengths[s], code.codes[s]))
-        lens_present = sorted({ln for ln in code.lengths.values()})
-        self._code = code
-        self._table: list | None = None
-        self._table_json: str | None = None
-        self.flat_syms = np.empty(len(order), dtype=np.int64)
-        first: dict[int, int] = {}
-        count: dict[int, int] = {}
-        base: dict[int, int] = {}
-        self.esc_len = code.lengths.get(_ESCAPE)
-        self.esc_flat = -1
-        for i, s in enumerate(order):
-            ln = code.lengths[s]
-            if ln not in first:
-                first[ln] = code.codes[s]
-                base[ln] = i
-                count[ln] = 0
-            count[ln] += 1
-            if s is _ESCAPE:
-                self.esc_flat = i
-                self.flat_syms[i] = 0
-            else:
-                self.flat_syms[i] = s
-        self.lens_arr = np.asarray(lens_present, dtype=np.int64)
-        self.first_arr = np.asarray([first[L] for L in lens_present], dtype=np.uint64)
-        self.count_arr = np.asarray([count[L] for L in lens_present], dtype=np.uint64)
-        self.base_arr = np.asarray([base[L] for L in lens_present], dtype=np.int64)
-        self.limits = np.asarray(
-            [(first[L] + count[L]) << (64 - L) for L in lens_present[:-1]],
-            dtype=np.uint64,
+    def __init__(
+        self, lens_arr, first_arr, count_arr, base_arr, limits, flat_syms,
+        esc_flat: int, esc_len: int | None, code: HuffmanCode | None = None,
+    ):
+        self.lens_arr = lens_arr
+        self.first_arr = first_arr
+        self.count_arr = count_arr
+        self.base_arr = base_arr
+        self.limits = limits
+        self.flat_syms = flat_syms
+        self.esc_flat = int(esc_flat)
+        self.esc_len = esc_len
+        self.code = code
+        self._prefix = None
+
+    @classmethod
+    def from_code(cls, code: HuffmanCode) -> "_DecodeTables":
+        order, lens, first, count, base = code._canon
+        n_syms = code.symbols.size
+        if code.esc_len is None:
+            flat_syms, esc_flat = code.symbols[order], -1
+        else:
+            flat_syms = np.append(code.symbols, 0)[order]
+            esc_flat = int(np.flatnonzero(order == n_syms)[0])
+        ucount = count.astype(np.uint64)
+        limits = (first[:-1] + ucount[:-1]) << (64 - lens[:-1]).astype(np.uint64)
+        return cls(
+            lens, first, ucount, base, limits, flat_syms, esc_flat, code.esc_len, code
         )
-
-    @property
-    def table(self) -> list:
-        """Header-form table of the source book (lazy: only the
-        process fan-out, which must rebuild these tables in another
-        address space, ever pays for it)."""
-        if self._table is None:
-            self._table = table_from_code(self._code)
-        return self._table
-
-    @property
-    def table_json(self) -> str:
-        """JSON form of :attr:`table`, cached so a code book reused
-        across stream steps serializes once, not once per decode."""
-        if self._table_json is None:
-            self._table_json = json.dumps(self.table)
-        return self._table_json
 
     def classify(self, win: np.ndarray):
         """Left-justified windows -> (length, flat symbol rank, valid)."""
@@ -762,6 +866,33 @@ class _DecodeTables:
         rank = (win >> (64 - L).astype(np.uint64)) - self.first_arr[li]
         valid = rank < self.count_arr[li]
         return L, self.base_arr[li] + rank.astype(np.int64), valid
+
+    def prefix_lut(self):
+        """``(K, length, symbol)`` tables indexed by a window's top K bits.
+
+        ``K = min(longest code, _LUT_BITS)``.  Canonical order is
+        ascending length, so the codes of at most K bits are a prefix
+        of the flat order and their left-justified ranges tile the
+        table from 0.  A resident ESCAPE's length entry counts its 64
+        raw bits too (the only lengths above 64); every other slot — a
+        longer code's prefix, a prefix no code owns — holds
+        :data:`_LUT_MISS` and classifies through :meth:`classify`.
+        Built on first use: only the lockstep decode asks for it.
+        """
+        if self._prefix is None:
+            K = int(min(self.lens_arr[-1], _LUT_BITS))
+            short = self.lens_arr <= K
+            flat_len = np.repeat(self.lens_arr[short], self.count_arr[short].astype(np.int64))
+            span = np.left_shift(1, K - flat_len)
+            filled = int(span.sum())
+            lut_sym = np.zeros(1 << K, dtype=np.int64)
+            lut_sym[:filled] = np.repeat(self.flat_syms[: flat_len.size], span)
+            if 0 <= self.esc_flat < flat_len.size:
+                flat_len[self.esc_flat] += 64
+            lut_len = np.full(1 << K, _LUT_MISS, dtype=np.uint8)
+            lut_len[:filled] = np.repeat(flat_len, span)
+            self._prefix = (K, lut_len, lut_sym)
+        return self._prefix
 
 
 def _payload_words(payload: bytes, total: int, spill: int = 2) -> np.ndarray:
@@ -787,24 +918,26 @@ def decode_tables(code: HuffmanCode) -> "_DecodeTables":
     the per-call table construction — how a stream decoder amortizes a
     code book reused across steps.
     """
-    return _DecodeTables(code)
+    return _DecodeTables.from_code(code)
 
 
 def huffman_decode(
     payload: bytes, header: dict, *, executor=None, tables=None
 ) -> np.ndarray:
-    """Invert :func:`huffman_encode` (vectorized fast path).
+    """Invert :func:`huffman_encode`.
 
-    Canonical decoding normally walks the bit stream serially.  When the
-    header carries sync offsets (one per :data:`_SYNC_BLOCK` symbols —
-    any payload our encoders emit), the fast path runs one cursor per
-    block in vectorized lockstep; an ``executor`` partitions the blocks
-    into contiguous runs decoded as independent work units (the output
-    is identical either way).  Headers without sync fall back to a
-    whole-stream classification: "if a codeword started at bit ``p``,
-    which (length, symbol) would it be?", with the actual codeword-start
-    chain ``p -> p + len(p)`` resolved by pointer doubling — still pure
-    NumPy array operations.
+    Canonical decoding normally walks the bit stream serially.  Small
+    payloads (at most :data:`_CHAIN_MAX_BITS` bits) and headers without
+    sync offsets take a whole-stream classification: "if a codeword
+    started at bit ``p``, which (length, symbol) would it be?", with the
+    actual codeword-start chain ``p -> p + len(p)`` resolved by pointer
+    doubling — work proportional to the bit count.  Wider payloads use
+    the header's sync offsets (one per :data:`_SYNC_BLOCK` symbols —
+    any payload our encoders emit) to run one cursor per block in
+    vectorized lockstep; an ``executor`` partitions the blocks into
+    contiguous runs decoded as independent work units.  The output, and
+    every corruption check (no codeword matches, truncated payload,
+    sync mismatch), is the same either way.
     """
     n = int(header["n"])
     if n < 0:
@@ -814,15 +947,29 @@ def huffman_decode(
     total = int(header["bits"])
     if total < 0:
         raise ValueError(f"corrupt Huffman header: negative bit count {total}")
+    if n > total:
+        # every symbol costs at least one bit; checked before anything
+        # is sized from the (untrusted) element count
+        raise ValueError(
+            f"corrupt Huffman header: {n} symbols cannot fit in {total} bits"
+        )
     if len(payload) < (total + 7) >> 3:
         raise ValueError("truncated Huffman payload")
-    if tables is None:
-        code = HuffmanCode.from_lengths(_lengths_from_header(header))
-        tables = _DecodeTables(code)
     sync = header.get("sync")
-    if sync and len(sync) + 1 == -(-n // _SYNC_BLOCK):
-        return _decode_sync(payload, n, total, tables, sync, executor)
-    return _decode_chain(payload, n, total, tables)
+    if sync is not None:
+        try:
+            sync = np.asarray(sync, dtype=np.int64).reshape(-1)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("corrupt Huffman header: bad sync offsets") from None
+        if sync.size + 1 != -(-n // _SYNC_BLOCK):
+            raise ValueError(
+                f"corrupt Huffman header: {sync.size} sync offsets for {n} symbols"
+            )
+    if tables is None:
+        tables = _DecodeTables.from_code(code_from_table(header["table"]))
+    if sync is None or total <= _CHAIN_MAX_BITS:
+        return _decode_chain(payload, n, total, tables, sync)
+    return _decode_sync(payload, n, total, tables, sync, executor)
 
 
 def _decode_sync(
@@ -854,7 +1001,7 @@ def _decode_sync(
             (starts[a:b], ends[a:b], rem if b == n_blocks else _SYNC_BLOCK)
             for a, b in zip(cuts[:-1], cuts[1:])
         ]
-        if getattr(executor, "kind", None) == "process":
+        if getattr(executor, "kind", None) == "process" and tables.code is not None:
             # this loop is the GIL-bound hot spot threads cannot split;
             # ship the payload words through shared memory instead
             out = _decode_sync_process(words, total, tables, ranges, executor)
@@ -886,7 +1033,7 @@ def _decode_sync_process(
     except _shm.ShmUnavailable:
         return None
     try:
-        table_key = tables.table_json
+        table_key = tables.code.table_json
         rows = [(ref, s, e, r, total, table_key) for s, e, r in ranges]
         parts = executor.map(_decode_sync_range_worker, *zip(*rows))
         return np.concatenate(parts)
@@ -906,7 +1053,7 @@ def _decode_sync_range_worker(ref, starts, ends, rem, total, table_json):
     if tables is None:
         if len(_WORKER_TABLE_CACHE) >= 8:
             _WORKER_TABLE_CACHE.clear()
-        tables = _DecodeTables(code_from_table(json.loads(table_json)))
+        tables = _DecodeTables.from_code(code_from_table(json.loads(table_json)))
         _WORKER_TABLE_CACHE[table_json] = tables
     lease = ref.open()
     try:
@@ -925,7 +1072,7 @@ def _decode_sync_range(
     The compiled backend walks each block to completion independently
     (blocks parallelize); the NumPy path advances all block cursors in
     vectorized lockstep.  Same tables, same windows, same outputs —
-    and the same ``ValueError`` messages on corrupt payloads.
+    and a ``ValueError`` on every corrupt payload.
     """
     ran, out = maybe_launch(
         "huff_decode",
@@ -951,43 +1098,82 @@ def _decode_sync_range(
     return _decode_sync_range_numpy(words, starts, ends, rem, total, tables)
 
 
+_TRUNCATED = "truncated Huffman payload"
+_NO_MATCH = "corrupt Huffman payload: no codeword matches"
+
+
 def _decode_sync_range_numpy(
     words, starts, ends, rem, total, tables: _DecodeTables
 ) -> np.ndarray:
     """Lockstep-decode one contiguous run of sync blocks.
 
     Every block holds :data:`_SYNC_BLOCK` symbols except the last of
-    the run, which holds ``rem``.
+    the run, which holds ``rem``.  One 64-bit window per cursor is
+    fetched per round and ``64 // max_len`` symbols are decoded out of
+    it — so every sub-step still sees a whole codeword — each by a
+    single gather from the K-bit prefix tables and a shift.  Cursors
+    whose prefix is not table-resident (a longer code, no code at all)
+    classify their window by the first-code search; an ESCAPE's 64 raw
+    bits are fetched separately and end the round, since they spend the
+    window.  Symbols are written slot-major, ``(_SYNC_BLOCK,
+    n_blocks)``, and transposed once.
     """
     n_blocks = len(starts)
-    out = np.empty((n_blocks, _SYNC_BLOCK), dtype=np.int64)
-    pos = starts.copy()
+    K, lut_len, lut_sym = tables.prefix_lut()
+    top = np.uint64(64 - K)
+    per_fetch = max(64 // int(tables.lens_arr[-1]), 1)
     esc_flat, esc_len = tables.esc_flat, tables.esc_len
-    for t in range(_SYNC_BLOCK):
-        m = n_blocks if t < rem else n_blocks - 1
+    out = np.empty((_SYNC_BLOCK, n_blocks), dtype=np.int64)
+    pos = np.array(starts, dtype=np.int64)
+    t = 0
+    while t < _SYNC_BLOCK:
+        # slots below rem exist in every block, the rest in all but the last
+        m, stop = (n_blocks, rem) if t < rem else (n_blocks - 1, _SYNC_BLOCK)
+        if m == 0:
+            break
         p = pos[:m]
+        if p.max() > total:
+            raise ValueError(_TRUNCATED)
         win = _windows_at(words, p)
-        L, flat, valid = tables.classify(win)
-        if not valid.all():
-            raise ValueError("corrupt Huffman payload: no codeword matches")
-        sym = tables.flat_syms[flat]
-        if esc_flat >= 0:
-            em = flat == esc_flat
-            if em.any():
-                raw = _windows_at(words, p[em] + esc_len)
-                sym[em] = raw.astype(np.int64)  # two's complement
-                L = L + np.where(em, 64, 0)
-        out[:m, t] = sym
-        p += L
-        if p.max(initial=0) > total:
-            raise ValueError("truncated Huffman payload")
+        for t in range(t, min(t + per_fetch, stop)):
+            key = win >> top
+            L = lut_len[key]
+            out[t, :m] = lut_sym[key]
+            escaped = False
+            if L.max() > K:  # rare: patch L and out for the cursors the table cannot serve
+                miss = np.flatnonzero(L == _LUT_MISS)
+                if miss.size:
+                    Lm, flat, valid = tables.classify(win[miss])
+                    if not valid.all():
+                        raise ValueError(_NO_MATCH)
+                    out[t, miss] = tables.flat_syms[flat]
+                    L[miss] = Lm + np.where(flat == esc_flat, 64, 0)
+                esc = np.flatnonzero(L > 64)  # only ESCAPE + raw bits is that long
+                if esc.size:
+                    raw_at = p[esc] + esc_len
+                    if raw_at.max() + 64 > total:
+                        raise ValueError(_TRUNCATED)
+                    # two's complement reinterpretation of the raw bits
+                    out[t, esc] = _windows_at(words, raw_at).astype(np.int64)
+                    escaped = True
+            p += L
+            if escaped:
+                break
+            np.left_shift(win, L, out=win)
+        t += 1
+    if pos.max() > total:
+        raise ValueError(_TRUNCATED)
     if not np.array_equal(pos, ends):
         raise ValueError("corrupt Huffman payload: sync mismatch")
-    return np.concatenate([out[:-1].reshape(-1), out[-1, :rem]])
+    return out.T.reshape(-1)[: (n_blocks - 1) * _SYNC_BLOCK + rem]
 
 
-def _decode_chain(payload, n, total, tables: _DecodeTables) -> np.ndarray:
-    """Whole-stream classification + pointer-doubling chain resolution."""
+def _decode_chain(payload, n, total, tables: _DecodeTables, sync=None) -> np.ndarray:
+    """Whole-stream classification + pointer-doubling chain resolution.
+
+    Allocates a few machine words per payload *bit*; ``sync``, when the
+    header has it, is checked against the resolved codeword starts.
+    """
     words = _payload_words(payload, total, spill=1)
     win = _windows_at(words, np.arange(total, dtype=np.int64))
     L_at, flat_at, valid = tables.classify(win)
@@ -1018,12 +1204,17 @@ def _decode_chain(payload, n, total, tables: _DecodeTables) -> np.ndarray:
     if overrun.size:
         k = int(overrun[0])
         if k > 0 and len_at[pos[k - 1]] == 0:
-            raise ValueError("corrupt Huffman payload: no codeword matches")
-        raise ValueError("truncated Huffman payload")
+            raise ValueError(_NO_MATCH)
+        raise ValueError(_TRUNCATED)
     if len_at[pos[-1]] == 0:
-        raise ValueError("corrupt Huffman payload: no codeword matches")
+        raise ValueError(_NO_MATCH)
     if int(pos[-1] + step[pos[-1]]) > total:
-        raise ValueError("truncated Huffman payload")
+        raise ValueError(_TRUNCATED)
+    if sync is not None and not (
+        np.array_equal(pos[_SYNC_BLOCK::_SYNC_BLOCK], sync)
+        and int(pos[-1] + step[pos[-1]]) == total  # the last block ends the stream
+    ):
+        raise ValueError("corrupt Huffman payload: sync mismatch")
 
     ranks = flat_at[pos]
     out = tables.flat_syms[ranks]
@@ -1032,94 +1223,4 @@ def _decode_chain(payload, n, total, tables: _DecodeTables) -> np.ndarray:
         if np.any(em):
             pe = pos[em] + esc_len  # start of the 64 raw bits
             out[em] = win[pe].astype(np.int64)  # two's complement
-    return out
-
-
-# ----------------------------------------------------------------------
-# scalar reference implementations (cross-checks for the fast path)
-
-
-def huffman_encode_scalar(values: np.ndarray, max_table: int = 4096) -> tuple[bytes, dict]:
-    """Per-element/per-bit reference encoder (bit-identical payloads)."""
-    values = np.ascontiguousarray(values, dtype=np.int64).ravel()
-    if values.size == 0:
-        return b"", {"n": 0, "bits": 0, "table": []}
-    code = _build_code(values, max_table)
-    esc_len = code.lengths.get(_ESCAPE)
-    # emit (code, length) per element, tracking sync-block bit offsets
-    bit_chunks: list[tuple[int, int]] = []
-    sync: list[int] = []
-    cum_bits = 0
-    table_codes = code.codes
-    table_lengths = code.lengths
-    for i, v in enumerate(values.tolist()):
-        if i and i % _SYNC_BLOCK == 0:
-            sync.append(cum_bits)
-        if v in table_codes:
-            bit_chunks.append((table_codes[v], table_lengths[v]))
-            cum_bits += table_lengths[v]
-        else:
-            if esc_len is None:
-                raise AssertionError("value outside table but no escape code")
-            bit_chunks.append((table_codes[_ESCAPE], esc_len))
-            bit_chunks.append((v & ((1 << 64) - 1), 64))
-            cum_bits += esc_len + 64
-    # pack MSB-first
-    total_bits = sum(ln for _, ln in bit_chunks)
-    buf = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
-    pos = 0
-    for val, ln in bit_chunks:
-        for shift in range(ln - 1, -1, -1):
-            if (val >> shift) & 1:
-                buf[pos >> 3] |= 0x80 >> (pos & 7)
-            pos += 1
-    return buf.tobytes(), _header(code, values.size, total_bits, sync)
-
-
-def huffman_decode_scalar(payload: bytes, header: dict) -> np.ndarray:
-    """Per-bit reference decoder matching :func:`huffman_encode_scalar`."""
-    if int(header["n"]) == 0:
-        return np.empty(0, dtype=np.int64)
-    code = HuffmanCode.from_lengths(_lengths_from_header(header))
-    # first-code/first-symbol tables per length for canonical decoding
-    by_len: dict[int, dict[int, object]] = {}
-    for sym, c in code.codes.items():
-        by_len.setdefault(code.lengths[sym], {})[c] = sym
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[: header["bits"]]
-    out = np.empty(header["n"], dtype=np.int64)
-    pos = 0
-    acc = 0
-    acc_len = 0
-    i = 0
-    n_bits = bits.shape[0]
-    max_len = max(by_len) if by_len else 1
-    while i < header["n"]:
-        sym = None
-        while sym is None:
-            if pos >= n_bits:
-                raise ValueError("truncated Huffman payload")
-            acc = (acc << 1) | int(bits[pos])
-            acc_len += 1
-            pos += 1
-            if acc_len > max_len and acc_len > 64:
-                raise ValueError("corrupt Huffman payload: code too long")
-            table = by_len.get(acc_len)
-            if table is not None and acc in table:
-                sym = table[acc]
-        acc = 0
-        acc_len = 0
-        if sym is _ESCAPE:
-            if pos + 64 > n_bits:
-                raise ValueError("truncated escape payload")
-            raw = 0
-            for _ in range(64):
-                raw = (raw << 1) | int(bits[pos])
-                pos += 1
-            # interpret as signed 64-bit
-            if raw >= 1 << 63:
-                raw -= 1 << 64
-            out[i] = raw
-        else:
-            out[i] = sym
-        i += 1
     return out

@@ -41,6 +41,8 @@ from .huffman import (
     _MIN_DECODE_BLOCKS_PER_WORKER,
     _SYNC_BLOCK,
     _build_code,
+    _encode_payload,
+    _header,
     apply_table_delta,
     code_from_table,
     decode_tables,
@@ -268,25 +270,29 @@ def _encode_segment_huffman(
     key = (context, class_idx)
     entry = books.get(key)
     if entry is not None and not refresh:
-        payload, hh = huffman_encode(
+        payload, bits, sync = _encode_payload(
             seg,
-            code=entry["code"],
-            executor=executor,
+            entry["code"],
+            executor,
             guard={"max_bits_per_symbol": _REBUILD_BPS_RATIO * entry["bps"]},
         )
         if payload is not None:
-            hh = {k: v for k, v in hh.items() if k != "table"}
+            hh = _header(None, seg.size, bits, sync)
             hh["table_ref"] = entry["id"]
             return payload, hh
         # the stream drifted away from the cached book: fall through and
-        # rebuild (only the cheap symbol-mapping probe was wasted)
+        # rebuild (only the symbol-mapping probe was wasted)
     code = _build_code(seg, 4096, reserve_escape="auto")
-    payload, hh = huffman_encode(seg, code=code, executor=executor)
-    table = hh["table"]
+    payload, bits, sync = _encode_payload(seg, code, executor)
+    # the header-form table and its JSON are built once per book and
+    # stay on it: the next rebuild diffs against the table, reuse never
+    # touches either
+    table = code.table
+    hh = _header(table, seg.size, bits, sync)
     if entry is not None and not refresh:
-        delta = table_delta(entry["table"], table)
-        if len(json.dumps(delta)) < len(json.dumps(table)):
-            hh = {k: v for k, v in hh.items() if k != "table"}
+        delta = table_delta(entry["code"].table, table)
+        if len(json.dumps(delta)) < len(code.table_json):
+            hh = _header(None, seg.size, bits, sync)
             hh["table_ref"] = entry["id"]
             hh["table_delta"] = delta
     with _scratch_lock(scratch):
@@ -294,9 +300,8 @@ def _encode_segment_huffman(
         hh["table_id"] = new_id
         books[key] = {
             "id": new_id,
-            "table": table,
             "code": code,
-            "bps": hh["bits"] / max(seg.size, 1),
+            "bps": bits / max(seg.size, 1),
         }
         archive = scratch.setdefault("encode_tables_by_id", {})
         archive[(class_idx, new_id)] = table

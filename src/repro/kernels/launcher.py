@@ -30,7 +30,7 @@ Selection policy (``REPRO_KERNEL_BACKEND`` / ``--kernel-backend`` /
 Every op's ABI is plain arrays (plus ints), so backends are trivially
 interchangeable and the identity contract — compiled output equals
 reference output bit for bit — is assertable array-by-array, exactly
-as the scalar Huffman encoders cross-check the vectorized ones.
+as the scalar Huffman oracle in ``tests/`` cross-checks the array coder.
 """
 
 from __future__ import annotations
@@ -204,15 +204,10 @@ def _ref_huff_decode(
 ):
     from ..compress import huffman as _H
 
-    t = _H._DecodeTables.__new__(_H._DecodeTables)
-    t.lens_arr = lens_arr
-    t.first_arr = first_arr
-    t.count_arr = count_arr
-    t.base_arr = base_arr
-    t.limits = limits
-    t.flat_syms = flat_syms
-    t.esc_flat = int(esc_flat)
-    t.esc_len = int(esc_len) if esc_len else None
+    t = _H._DecodeTables(
+        lens_arr, first_arr, count_arr, base_arr, limits, flat_syms,
+        esc_flat, int(esc_len) if esc_len else None,
+    )
     return _H._decode_sync_range_numpy(words, starts, ends, rem, total, t)
 
 
@@ -222,8 +217,7 @@ def _make_huff_decode(shape, dtype, rng):
     n = max(int(np.prod(shape)) if shape else 1, 16)
     values = np.rint(rng.standard_normal(n) * 3.0).astype(np.int64)
     payload, header = _H.huffman_encode(values)
-    code = _H.HuffmanCode.from_lengths(_H._lengths_from_header(header))
-    t = _H._DecodeTables(code)
+    t = _H.decode_tables(_H.code_from_table(header["table"]))
     total = int(header["bits"])
     sync = header.get("sync", [])
     starts = np.concatenate([[0], sync]).astype(np.int64)

@@ -1,0 +1,160 @@
+"""Heap-built, dict-held canonical Huffman oracle for ``repro.compress.huffman``.
+
+The production coder holds a code book as arrays and builds it with a
+two-queue merge; this module is the construction it must agree with,
+written the slow obvious way: a ``heapq`` tree over ``(count, id)``
+with leaf ids in symbol order (ESCAPE last) below every merged node's,
+a per-leaf walk to the root for the depths, canonical codes assigned by
+a sort, and per-element / per-bit encode and decode loops.  Test-only:
+production is compared against it byte for byte (payloads, headers) and
+symbol for symbol (decodes).
+"""
+
+import heapq
+
+import numpy as np
+
+from repro.compress.huffman import _RESERVE_ESCAPE_MIN_SYMS, _SYNC_BLOCK
+
+ESCAPE = "ESC"  # the header-form name of the escape entry; never an int symbol
+
+
+def heap_lengths(freqs: dict) -> dict:
+    """Code length per symbol of ``freqs`` (insertion-ordered) by a heap."""
+    if not freqs:
+        raise ValueError("cannot build a Huffman code from no symbols")
+    syms = list(freqs)
+    if len(syms) == 1:
+        return {syms[0]: 1}
+    heap = [(freqs[s], i) for i, s in enumerate(syms)]
+    heapq.heapify(heap)
+    parent: dict[int, int] = {}
+    next_id = len(syms)
+    while len(heap) > 1:
+        fa, a = heapq.heappop(heap)
+        fb, b = heapq.heappop(heap)
+        parent[a] = parent[b] = next_id
+        heapq.heappush(heap, (fa + fb, next_id))
+        next_id += 1
+    lengths = {}
+    for i, sym in enumerate(syms):
+        depth = 0
+        while i in parent:
+            depth += 1
+            i = parent[i]
+        lengths[sym] = depth
+    return lengths
+
+
+def canonical_codes(lengths: dict) -> dict:
+    """Canonical code per symbol: (length, symbol) order, ESCAPE last."""
+    def keyfn(item):
+        sym, ln = item
+        return (ln, 1, 0) if sym == ESCAPE else (ln, 0, sym)
+
+    code = prev = 0
+    codes = {}
+    for sym, ln in sorted(lengths.items(), key=keyfn):
+        code <<= ln - prev
+        codes[sym] = code
+        code += 1
+        prev = ln
+    return codes
+
+
+def book_lengths(values, max_table: int = 4096, reserve_escape=False) -> dict:
+    """The book ``build_code`` must produce for ``values``, as lengths."""
+    values = np.asarray(values, dtype=np.int64).ravel()
+    syms, counts = np.unique(values, return_counts=True)
+    if reserve_escape == "auto":
+        reserve_escape = syms.size >= _RESERVE_ESCAPE_MIN_SYMS
+    if syms.size == 0:
+        return {0: 1}
+    if syms.size <= max_table - (1 if reserve_escape else 0):
+        freqs = {int(s): int(c) for s, c in zip(syms, counts)}
+        if reserve_escape:
+            freqs[ESCAPE] = 1
+        return heap_lengths(freqs)
+    # keep the max_table - 1 most frequent symbols (ties: smaller first)
+    ranked = sorted(range(syms.size), key=lambda i: (-int(counts[i]), i))
+    keep = sorted(ranked[: max_table - 1])
+    freqs = {int(syms[i]): int(counts[i]) for i in keep}
+    freqs[ESCAPE] = int(counts.sum()) - sum(freqs.values())
+    return heap_lengths(freqs)
+
+
+def header_table(lengths: dict) -> list:
+    """Header-form table of a lengths dict (symbols ascending, ESC last)."""
+    return [[s, ln] for s, ln in lengths.items()]
+
+
+def lengths_from_table(table: list) -> dict:
+    """Inverse of :func:`header_table`."""
+    return {(ESCAPE if s == ESCAPE else int(s)): int(ln) for s, ln in table}
+
+
+def encode_with_book(values, lengths: dict):
+    """Per-element, per-bit encode; returns ``(payload, bits, sync)``."""
+    codes = canonical_codes(lengths)
+    bits: list[int] = []
+    sync: list[int] = []
+
+    def emit(val: int, ln: int) -> None:
+        bits.extend((val >> shift) & 1 for shift in range(ln - 1, -1, -1))
+
+    for i, v in enumerate(np.asarray(values, dtype=np.int64).ravel().tolist()):
+        if i and i % _SYNC_BLOCK == 0:
+            sync.append(len(bits))
+        if v in codes:
+            emit(codes[v], lengths[v])
+        else:
+            assert ESCAPE in codes, "value outside table but no escape code"
+            emit(codes[ESCAPE], lengths[ESCAPE])
+            emit(v & ((1 << 64) - 1), 64)
+    payload = np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+    return payload, len(bits), sync
+
+
+def huffman_encode_scalar(values, max_table: int = 4096):
+    """Reference for ``huffman_encode(values, max_table)``: (payload, header)."""
+    values = np.asarray(values, dtype=np.int64).ravel()
+    if values.size == 0:
+        return b"", {"n": 0, "bits": 0, "table": []}
+    lengths = book_lengths(values, max_table)
+    payload, bits, sync = encode_with_book(values, lengths)
+    header = {"n": int(values.size), "bits": bits, "table": header_table(lengths)}
+    if sync:
+        header["sync"] = sync
+    return payload, header
+
+
+def huffman_decode_scalar(payload: bytes, header: dict) -> np.ndarray:
+    """Per-bit reference decoder (ignores ``sync``)."""
+    n = int(header["n"])
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    lengths = lengths_from_table(header["table"])
+    by_code = {(lengths[s], c): s for s, c in canonical_codes(lengths).items()}
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[: header["bits"]].tolist()
+    max_len = max(lengths.values())
+    out = np.empty(n, dtype=np.int64)
+    pos = 0
+    for i in range(n):
+        acc = acc_len = 0
+        while (acc_len, acc) not in by_code:
+            if pos >= len(bits):
+                raise ValueError("truncated Huffman payload")
+            if acc_len >= max_len:
+                raise ValueError("corrupt Huffman payload: no codeword matches")
+            acc = (acc << 1) | bits[pos]
+            acc_len += 1
+            pos += 1
+        sym = by_code[(acc_len, acc)]
+        if sym == ESCAPE:
+            if pos + 64 > len(bits):
+                raise ValueError("truncated Huffman payload")
+            raw = int("".join(map(str, bits[pos : pos + 64])), 2)
+            pos += 64
+            sym = raw - (1 << 64) if raw >= 1 << 63 else raw
+        out[i] = sym
+    return out

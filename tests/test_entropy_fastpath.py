@@ -1,4 +1,4 @@
-"""Vectorized entropy/quantize fast path vs the retained scalar reference.
+"""Vectorized entropy/quantize fast path vs the scalar oracle in ``tests/``.
 
 The fast path must be *bit-identical* on encode (same payload bytes and
 header) and *exact* on decode for adversarial inputs: single-symbol
@@ -11,14 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import ROUNDTRIP_SHAPES
+from huffman_oracle import huffman_decode_scalar, huffman_encode_scalar
 
-from repro.compress.huffman import (
-    _SYNC_BLOCK,
-    huffman_decode,
-    huffman_decode_scalar,
-    huffman_encode,
-    huffman_encode_scalar,
-)
+from repro.compress.huffman import _SYNC_BLOCK, huffman_decode, huffman_encode
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.compress.plan import compression_plan, refactor_plan
@@ -106,6 +101,23 @@ class TestExactDecode:
         bad["sync"] = [o + 1 for o in header["sync"]]
         with pytest.raises(ValueError):
             huffman_decode(payload, bad)
+
+    @pytest.mark.parametrize("n", [241, 10**7, 10**10])
+    def test_more_symbols_than_bits_rejected_before_allocation(self, n):
+        """Every symbol costs >= 1 bit: ``n > bits`` is refused up front
+        (the chain path used to grow its position array to ``n`` first —
+        seconds and 10**7-element arrays for a 240-bit payload)."""
+        payload, header = huffman_encode(np.arange(80, dtype=np.int64) % 8)
+        assert header["bits"] == 240 and "sync" not in header
+        with pytest.raises(ValueError, match="corrupt Huffman header"):
+            huffman_decode(payload, {**header, "n": n})
+
+    def test_sync_length_disagreeing_with_n_rejected(self, rng):
+        arr = rng.integers(-5, 5, 3 * _SYNC_BLOCK).astype(np.int64)
+        payload, header = huffman_encode(arr)
+        for sync in (header["sync"][:-1], header["sync"] + [header["bits"]], []):
+            with pytest.raises(ValueError, match="corrupt Huffman header"):
+                huffman_decode(payload, {**header, "sync": sync})
 
 
 class TestBatchedClasses:

@@ -1,0 +1,419 @@
+"""The array-native Huffman stage against the heap/scalar oracle.
+
+``tests/huffman_oracle.py`` builds books with a ``heapq`` tree and codes
+per element and per bit.  Production must give the same code lengths
+and canonical codes from its two-queue merge, the same payload bytes and
+headers from its mapped/packed encode whichever symbol mapping it
+picks, and the same symbols from either decode selection — including a
+``ValueError`` from both on every corrupt payload.
+"""
+
+import numpy as np
+import pytest
+
+import huffman_oracle as O
+import repro.compress.huffman as H
+from repro.compress import lossless
+from repro.compress.lossless import decode_classes, encode_classes
+
+SYNC = H._SYNC_BLOCK
+
+
+def _fib(n):
+    out = [1, 1]
+    while len(out) < n:
+        out.append(out[-1] + out[-2])
+    return out[:n]
+
+
+# Fibonacci counts give the maximum-depth tree (n symbols -> codes up to
+# n - 1 bits); every profile past 17 of them holds codes longer than the
+# decoder's prefix table is wide
+COUNT_PROFILES = {
+    "one": [7],
+    "two": [3, 3],
+    "two-skewed": [1, 1000],
+    "all-equal-3": [5] * 3,
+    "all-equal-64": [5] * 64,
+    "all-equal-100": [1] * 100,
+    "powers-of-two": [1 << k for k in range(24)],
+    "powers-of-two-doubled": [1 << (k // 2) for k in range(30)],
+    "fibonacci-24": _fib(24),
+    "fibonacci-40": _fib(40),
+    "ties": [1, 1, 2, 2, 4, 4, 8, 8, 3, 3, 6, 6, 12, 12, 1, 1],
+    "random": np.random.default_rng(5).integers(1, 50, 300).tolist(),
+}
+
+
+def _symbols_for(counts, rng):
+    """Distinct ascending symbols, negatives included, gaps irregular."""
+    return np.cumsum(rng.integers(1, 9, len(counts))) - 4 * len(counts)
+
+
+def _data_for(counts, rng):
+    vals = np.repeat(_symbols_for(counts, rng), counts).astype(np.int64)
+    rng.shuffle(vals)
+    return vals
+
+
+def _assert_book_is(code: H.HuffmanCode, lengths: dict):
+    """``code`` holds exactly the oracle book ``lengths`` (ESC included)."""
+    assert H.table_from_code(code) == O.header_table(lengths)
+    codes = O.canonical_codes(lengths)
+    assert code.codes.tolist() == [codes[s] for s in code.symbols.tolist()]
+    assert code.esc_len == lengths.get(O.ESCAPE)
+    assert code.esc_code == codes.get(O.ESCAPE)
+
+
+class TestBookBuilder:
+    @pytest.mark.parametrize("esc_count", [0, 1, 5])
+    @pytest.mark.parametrize("profile", COUNT_PROFILES)
+    def test_two_queue_merge_equals_heap(self, rng, profile, esc_count):
+        counts = COUNT_PROFILES[profile]
+        symbols = _symbols_for(counts, rng)
+        freqs = dict(zip(symbols.tolist(), counts))
+        if esc_count:
+            freqs[O.ESCAPE] = esc_count
+        code = H.HuffmanCode.from_counts(symbols, counts, esc_count)
+        _assert_book_is(code, O.heap_lengths(freqs))
+
+    def test_fibonacci_book_outgrows_the_decode_table(self):
+        code = H.HuffmanCode.from_counts(np.arange(40), _fib(40))
+        assert code.lengths.max() == 39 > H._LUT_BITS
+
+    @pytest.mark.parametrize("reserve", [False, True, "auto"])
+    @pytest.mark.parametrize("max_table", [2, 16, 4096])
+    def test_build_code_equals_oracle_book(self, rng, max_table, reserve):
+        """Full tables, the escape tail past ``max_table``, and reserved
+        escapes (``auto`` flips at 64 symbols: 63 and 64 are both here)."""
+        for profile in ("one", "two", "all-equal-64", "powers-of-two-doubled",
+                        "fibonacci-24", "ties", "random"):
+            vals = _data_for(COUNT_PROFILES[profile], rng)
+            code = H.build_code(vals, max_table, reserve_escape=reserve)
+            _assert_book_is(code, O.book_lengths(vals, max_table, reserve))
+        vals = _data_for([2] * 63, rng)
+        _assert_book_is(
+            H.build_code(vals, max_table, reserve_escape=reserve),
+            O.book_lengths(vals, max_table, reserve),
+        )
+
+    def test_table_round_trips_in_any_order(self, rng):
+        code = H.build_code(_data_for(COUNT_PROFILES["random"], rng), 64, True)
+        table = H.table_from_code(code)
+        back = H.code_from_table([table[i] for i in rng.permutation(len(table))])
+        assert H.table_from_code(back) == table
+        np.testing.assert_array_equal(back.codes, code.codes)
+        assert back.esc_code == code.esc_code
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[1, 2], [1, 3]],  # duplicate symbol
+            [[1, 1], [2, 1], [3, 1]],  # oversubscribed
+            [[1, 0]],
+            [[1, 65]],
+            [[1, "x"]],
+            [["ESC", 1], [0, 1], [1, 1]],
+        ],
+    )
+    def test_corrupt_tables_rejected(self, table):
+        with pytest.raises(ValueError, match="corrupt Huffman header"):
+            H.code_from_table(table)
+
+
+class TestSymbolMapping:
+    def _book(self):
+        # three symbols spanning 4000: dense iff the segment has > 1000 values
+        return H.HuffmanCode.from_counts([0, 5, 4000], [5, 3, 1], esc_count=1)
+
+    @pytest.mark.parametrize("n, dense", [(1000, False), (1001, True)])
+    def test_dense_table_boundary(self, rng, n, dense):
+        assert H._DENSE_SPAN_FACTOR == 4
+        code = self._book()
+        vals = rng.choice([0, 5, 4000, -1, 3, 4001, 2**62, -(2**63)], n).astype(np.int64)
+        slots = H._map_symbols(vals, code)
+        assert (code._lut is not None) == dense
+        index = {0: 0, 5: 1, 4000: 2}
+        assert slots.tolist() == [index.get(v, 3) for v in vals.tolist()]
+
+    def test_mapping_choice_never_shows_in_the_bytes(self, rng):
+        vals = rng.choice([0, 5, 4000, 7, -9], 3000).astype(np.int64)
+        dense, sparse = self._book(), self._book()
+        H._map_symbols(vals[:10], sparse)  # a short segment: stays searchsorted
+        sparse_out = H.huffman_encode(vals[:1000], code=sparse)
+        dense_out = H.huffman_encode(vals, code=dense)
+        assert sparse._lut is None and dense._lut is not None
+        # the cached table now serves a segment that would not have built it
+        assert H.huffman_encode(vals[:1000], code=dense) == sparse_out
+        lengths = O.lengths_from_table(H.table_from_code(dense))
+        payload, bits, sync = O.encode_with_book(vals, lengths)
+        assert dense_out[0] == payload
+        assert (dense_out[1]["bits"], dense_out[1]["sync"]) == (bits, sync)
+
+    def test_guard_decided_from_the_mapping_pass(self, rng, monkeypatch):
+        """Accept/reject equals the packed size, and rejecting packs nothing."""
+        code = self._book()
+        vals = rng.choice([0, 5, 4000, 7], 2000, p=[0.6, 0.2, 0.1, 0.1]).astype(np.int64)
+        _, header = H.huffman_encode(vals, code=code)
+        bps = header["bits"] / vals.size
+        assert H.huffman_encode(vals, code=code, guard={"max_bits_per_symbol": bps})[0]
+        monkeypatch.setattr(H, "_pack_words", lambda *a: pytest.fail("packed"))
+        tight = {"max_bits_per_symbol": bps - 1e-6}
+        assert H.huffman_encode(vals, code=code, guard=tight) == (None, None)
+        bare = H.HuffmanCode.from_counts([0, 5, 4000], [5, 3, 1])
+        assert H.huffman_encode(vals, code=bare, guard={"max_bits_per_symbol": 99}) == (
+            None,
+            None,
+        )
+
+
+@pytest.fixture(params=["chain", "lockstep"])
+def decode(request, monkeypatch):
+    """``huffman_decode`` pinned to one selection for headers with sync.
+
+    Asserts the pinned path ran, so a selection-rule change cannot
+    quietly turn the lockstep cases into second chain runs.
+    """
+    chain = request.param == "chain"
+    taken = []
+    for name in ("_decode_chain", "_decode_sync"):
+        def spy(*a, _orig=getattr(H, name), _name=name, **k):
+            taken.append(_name)
+            return _orig(*a, **k)
+
+        monkeypatch.setattr(H, name, spy)
+    monkeypatch.setattr(H, "_CHAIN_MAX_BITS", 1 << 62 if chain else 0)
+
+    def run(payload, header, **kw):
+        del taken[:]
+        try:
+            return H.huffman_decode(payload, header, **kw)
+        finally:
+            if taken and "sync" in header:
+                assert taken == ["_decode_chain" if chain else "_decode_sync"]
+
+    return run
+
+
+class TestDecodeSelections:
+    @pytest.mark.parametrize("max_table", [4096, 16, 2])
+    @pytest.mark.parametrize(
+        "profile",
+        ["one", "two", "all-equal-64", "powers-of-two-doubled", "fibonacci-24", "random"],
+    )
+    def test_both_selections_equal_scalar(self, rng, decode, profile, max_table):
+        vals = _data_for(COUNT_PROFILES[profile], rng)[: 6 * SYNC + 77]
+        if vals.size < SYNC:  # reach the sync-carrying header form
+            vals = np.resize(vals, 2 * SYNC + 5)
+        payload, header = H.huffman_encode(vals, max_table=max_table)
+        assert (payload, header) == O.huffman_encode_scalar(vals, max_table)
+        np.testing.assert_array_equal(decode(payload, header), vals)
+        np.testing.assert_array_equal(O.huffman_decode_scalar(payload, header), vals)
+
+    def test_codes_longer_than_the_prefix_table(self, rng, decode):
+        """Uniform draws over a 40-symbol Fibonacci book: most symbols
+        miss the 16-bit table and classify through the first-code search."""
+        code = H.HuffmanCode.from_counts(np.arange(40) * 3, _fib(40), esc_count=1)
+        vals = rng.choice(np.arange(41) * 3, 3 * SYNC + 200).astype(np.int64)  # 120: escaped
+        payload, header = H.huffman_encode(vals, code=code)
+        lengths = O.lengths_from_table(header["table"])
+        assert max(lengths.values()) > H._LUT_BITS
+        assert payload == O.encode_with_book(vals, lengths)[0]
+        np.testing.assert_array_equal(decode(payload, header), vals)
+        np.testing.assert_array_equal(O.huffman_decode_scalar(payload, header), vals)
+
+    def test_escapes_on_sync_boundaries_and_in_the_last_partial_block(self, rng, decode):
+        code = H.build_code(rng.integers(-3, 4, 500), reserve_escape=True)
+        vals = rng.integers(-3, 4, 2 * SYNC + 100).astype(np.int64)
+        aliens = [2**63 - 1, -(2**63), 99, -99, 2**40, -1 - 2**40, 12345, 7]
+        at = [SYNC - 1, SYNC, 2 * SYNC - 1, 2 * SYNC, 2 * SYNC + 1, vals.size - 2,
+              vals.size - 1, 0]
+        vals[at] = aliens
+        payload, header = H.huffman_encode(vals, code=code)
+        lengths = O.lengths_from_table(header["table"])
+        ref_payload, bits, sync = O.encode_with_book(vals, lengths)
+        assert (payload, header["bits"], header["sync"]) == (ref_payload, bits, sync)
+        np.testing.assert_array_equal(decode(payload, header), vals)
+        np.testing.assert_array_equal(O.huffman_decode_scalar(payload, header), vals)
+
+    def test_escape_resident_in_the_prefix_table_and_not(self, rng, decode):
+        """ESCAPE shorter than the table width is served by the table
+        (length entry above 64); a longer one by the first-code search."""
+        for counts, esc in (([4, 4], 8), (_fib(32)[2:], 1)):
+            code = H.HuffmanCode.from_counts(np.arange(len(counts)), counts, esc)
+            assert (code.esc_len <= H._LUT_BITS) == (esc == 8)
+            vals = rng.integers(-2, len(counts), 3 * SYNC + 9).astype(np.int64)
+            payload, header = H.huffman_encode(vals, code=code)
+            np.testing.assert_array_equal(decode(payload, header), vals)
+
+    def test_selection_follows_payload_size(self, rng, monkeypatch):
+        taken = []
+        for name in ("_decode_chain", "_decode_sync"):
+            def spy(*a, _orig=getattr(H, name), _name=name, **k):
+                taken.append(_name)
+                return _orig(*a, **k)
+
+            monkeypatch.setattr(H, name, spy)
+        small = rng.integers(-4, 4, 4 * SYNC).astype(np.int64)  # ~3 bits each
+        big = rng.integers(-4, 4, 64 * SYNC).astype(np.int64)
+        for vals in (small, big):
+            payload, header = H.huffman_encode(vals)
+            np.testing.assert_array_equal(H.huffman_decode(payload, header), vals)
+            no_sync = {k: v for k, v in header.items() if k != "sync"}
+            np.testing.assert_array_equal(H.huffman_decode(payload, no_sync), vals)
+        assert header["bits"] > H._CHAIN_MAX_BITS
+        assert taken == ["_decode_chain", "_decode_chain", "_decode_sync", "_decode_chain"]
+
+
+class TestCorruptPayloads:
+    """Every corruption raises ``ValueError`` from both decode selections."""
+
+    def _encoded(self, rng):
+        vals = rng.integers(-5, 5, 3 * SYNC + 40).astype(np.int64)
+        return vals, *H.huffman_encode(vals)
+
+    def test_truncated_payload(self, rng, decode):
+        _, payload, header = self._encoded(rng)
+        with pytest.raises(ValueError, match="truncated"):
+            decode(payload[: len(payload) // 2], header)
+
+    def test_bit_count_past_the_stream(self, rng, decode):
+        vals, payload, header = self._encoded(rng)
+        with pytest.raises(ValueError):
+            decode(payload + bytes(8), {**header, "bits": header["bits"] + 24})
+        with pytest.raises(ValueError):
+            decode(payload, {**header, "bits": header["bits"] - 9})
+
+    def test_shifted_sync_offsets(self, rng, decode):
+        _, payload, header = self._encoded(rng)
+        for bad in ([o + 1 for o in header["sync"]], header["sync"][::-1],
+                    [header["bits"] + 1] * 3, [-1, 5, 9]):
+            with pytest.raises(ValueError):
+                decode(payload, {**header, "sync": bad})
+
+    def test_wrong_symbol_count(self, rng, decode):
+        _, payload, header = self._encoded(rng)
+        for n in (header["n"] - 1, header["n"] + 1):
+            with pytest.raises(ValueError):
+                decode(payload, {**header, "n": n})
+
+    def test_no_codeword_matches(self, rng, decode):
+        # an incomplete code: 0, 10 — every window starting 11 matches nothing
+        code = H.code_from_table([[0, 1], [1, 2]])
+        vals = rng.integers(0, 2, 3 * SYNC).astype(np.int64)
+        payload, header = H.huffman_encode(vals, code=code)
+        start = header["sync"][1] // 8 + 1
+        bad = payload[:start] + b"\xff\xff" + payload[start + 2 :]
+        with pytest.raises(ValueError, match="no codeword matches|sync mismatch"):
+            decode(bad, header)
+        with pytest.raises(ValueError, match="no codeword matches"):
+            decode(b"\xff" * len(payload), header)
+
+    def test_escape_raw_bits_cut_off(self, rng, decode):
+        code = H.build_code(np.arange(8), reserve_escape=True)
+        vals = np.resize(np.arange(8), 2 * SYNC + 3).astype(np.int64)
+        vals[-1] = 10**12
+        payload, header = H.huffman_encode(vals, code=code)
+        cut = {**header, "bits": header["bits"] - 30}
+        with pytest.raises(ValueError, match="truncated"):
+            decode(payload, cut)
+
+    def test_bad_sync_entries(self, rng, decode):
+        _, payload, header = self._encoded(rng)
+        with pytest.raises(ValueError, match="corrupt Huffman header"):
+            decode(payload, {**header, "sync": ["a", None, 3]})
+
+
+def _segment(payload, sh):
+    return payload[sh["offset"] : sh["offset"] + sh["nbytes"]]
+
+
+class TestEncodeClassesAgainstOracle:
+    def test_without_scratch_every_segment_is_the_scalar_encode(self, rng):
+        sizes = [9, 100, 0, 1, 700, 3000]
+        bins = np.concatenate(
+            [rng.integers(-(3 + 40 * i), 4 + 40 * i, s) for i, s in enumerate(sizes)]
+        ).astype(np.int64)
+        payload, header = encode_classes(bins, sizes, backend="huffman")
+        bounds = np.cumsum([0] + sizes)
+        for i, sh in enumerate(header["segments"]):
+            ref_payload, ref_header = O.huffman_encode_scalar(bins[bounds[i] : bounds[i + 1]])
+            assert _segment(payload, sh) == ref_payload, i
+            assert sh == {"offset": sh["offset"], "nbytes": len(ref_payload), **ref_header}, i
+
+    def test_scratch_chain_ships_the_oracle_books(self, rng, monkeypatch):
+        """Five steps: build, reuse, drift rebuild as a delta, reuse, refresh.
+
+        Every rebuilt book is the heap oracle's for that segment
+        (``max_table`` 4096, automatic escape), every payload the scalar
+        encode with the book its header resolves to, and the header-form
+        table is built once per book — never on a reuse.
+        """
+        sizes = [40, 6000]
+        base = [rng.integers(-2, 3, sizes[0]), rng.integers(-60, 61, sizes[1])]
+        drifted = [base[0], rng.integers(-45, 76, sizes[1])]
+        steps = []
+        for t, src in enumerate((base, base, drifted, drifted, drifted)):
+            step = np.concatenate(src).astype(np.int64)
+            step[rng.integers(0, step.size, 3)] += t  # a few moved symbols
+            steps.append(step)
+        steps[1][sizes[0] + 5] = 10**9  # absorbed by the reserved escape
+
+        built = []
+        real_table = H.HuffmanCode.table.fget
+        monkeypatch.setattr(
+            H.HuffmanCode, "table", property(lambda c: (built.append(c), real_table(c))[1])
+        )
+
+        scratch: dict = {}
+        tables: dict = {}
+        forms = []
+        bounds = np.cumsum([0] + sizes)
+        for t, step in enumerate(steps):
+            n_before = len({id(c) for c in built})
+            payload, header = encode_classes(
+                step, sizes, backend="huffman", scratch=scratch, refresh=(t == 4)
+            )
+            rebuilt = 0
+            for i, sh in enumerate(header["segments"]):
+                seg = step[bounds[i] : bounds[i + 1]]
+                if "table" in sh:
+                    table, form = sh["table"], "full"
+                elif "table_delta" in sh:
+                    base_table = tables[i, sh["table_ref"]]
+                    table, form = H.apply_table_delta(base_table, sh["table_delta"]), "delta"
+                else:
+                    table, form = tables[i, sh["table_ref"]], "ref"
+                forms.append(form)
+                lengths = O.lengths_from_table(table)
+                if form != "ref":
+                    rebuilt += 1
+                    assert lengths == O.book_lengths(seg, 4096, "auto"), (t, i)
+                    tables[i, sh["table_id"]] = table
+                ref_payload, bits, sync = O.encode_with_book(seg, lengths)
+                assert _segment(payload, sh) == ref_payload, (t, i)
+                assert (sh["n"], sh["bits"], sh.get("sync", [])) == (seg.size, bits, sync)
+            assert len({id(c) for c in built}) - n_before == rebuilt, t
+        assert {"full", "delta", "ref"} <= set(forms)
+        assert forms[:4] == ["full", "full", "ref", "ref"] and forms[-2:] == ["full", "full"]
+
+        # the same chain decodes, in order, from a fresh decode-side scratch
+        enc, dec = {}, {}
+        for t, step in enumerate(steps):
+            payload, header = encode_classes(
+                step, sizes, backend="huffman", scratch=enc, refresh=(t == 4)
+            )
+            flat, _ = decode_classes(payload, header, scratch=dec)
+            np.testing.assert_array_equal(flat, step)
+
+    def test_drift_rebuild_keeps_only_the_shorter_header_form(self, rng):
+        sizes = [5000]
+        scratch: dict = {}
+        a = rng.integers(-50, 51, sizes[0]).astype(np.int64)
+        b = rng.integers(10**6, 10**6 + 101, sizes[0]).astype(np.int64)  # disjoint alphabet
+        encode_classes(a, sizes, backend="huffman", scratch=scratch)
+        _, header = encode_classes(b, sizes, backend="huffman", scratch=scratch)
+        sh = header["segments"][0]
+        # dropping 101 symbols and setting 101 costs more than the table itself
+        assert "table" in sh and "table_delta" not in sh and "table_ref" not in sh
+        assert lossless._books(scratch)["default", 0]["code"].table is sh["table"]

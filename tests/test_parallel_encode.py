@@ -202,6 +202,12 @@ class TestExecutorSelection:
         assert p1.scratch_area("stream-x") is p2.scratch_area("stream-x")
 
 
+def _assert_same_book(a, b):
+    for field in ("symbols", "lengths", "codes"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), field)
+    assert (a.esc_len, a.esc_code) == (b.esc_len, b.esc_code)
+
+
 class TestCodeBookDeltas:
     def test_delta_roundtrip_three_steps(self, rng):
         """Tables drift over >= 3 steps; deltas reproduce each exactly."""
@@ -212,14 +218,12 @@ class TestCodeBookDeltas:
         for a, b in zip(tables[:-1], tables[1:]):
             delta = table_delta(a, b)
             rebuilt = apply_table_delta(a, delta)
-            ca, cb = code_from_table(rebuilt), code_from_table(b)
-            assert ca.lengths == cb.lengths and ca.codes == cb.codes
+            _assert_same_book(code_from_table(rebuilt), code_from_table(b))
         # chain: apply all deltas from the first table
         cur = tables[0]
         for nxt in tables[1:]:
             cur = apply_table_delta(cur, table_delta(cur, nxt))
-        c_end, c_ref = code_from_table(cur), code_from_table(tables[-1])
-        assert c_end.lengths == c_ref.lengths
+        _assert_same_book(code_from_table(cur), code_from_table(tables[-1]))
 
     def test_stream_reuses_and_deltas_codebooks(self, rng):
         """A slowly-varying 3+ step stream emits refs, decodes exactly."""

@@ -308,9 +308,7 @@ class TestProcessHuffmanEncode:
         """Packing at bit offset s == packing at 0 then shifting by s."""
         vals = skewed_bins(2048)
         code = H.build_code(vals)
-        c_codes, c_lens, _, _ = H._chunkify(vals, code)
-        offsets = np.zeros(c_codes.size + 1, dtype=np.int64)
-        np.cumsum(c_lens, out=offsets[1:])
+        c_codes, c_lens, offsets, _ = H._chunkify(vals, code)
         at_zero = H._pack_chunks_words(c_codes, c_lens, offsets)
         for s in (0, 1, 17, 63):
             direct = H._pack_chunks_words(c_codes, c_lens, offsets + s)
