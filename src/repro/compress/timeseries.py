@@ -199,8 +199,9 @@ class TimeSeriesCompressor:
             self._rebase_delta = False
         prepared = self._spatial.prepare(np.ascontiguousarray(target))
         recon_target = self._spatial.reconstruct_prepared(prepared)
+        # recon_target is fresh: close the loop in it, not in a third frame-sized array
         self._prev_recon = (
-            recon_target if is_key else self._prev_recon + recon_target
+            recon_target if is_key else np.add(self._prev_recon, recon_target, out=recon_target)
         )
         plan = ResidualPlan(
             index=self._t,
@@ -255,7 +256,7 @@ class TimeSeriesCompressor:
         scratch: dict = {}  # rebuilt code-book chain, local to this pass
         for blob, is_key in zip(series.frames, series.is_key):
             delta = self._spatial.decompress(blob, scratch=scratch)
-            frame = delta if is_key else prev + delta
+            frame = delta if is_key else np.add(prev, delta, out=delta)
             out.append(frame)
             prev = frame
         return out

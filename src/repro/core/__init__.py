@@ -41,7 +41,7 @@ from .qoi import QoIAnalyzer, mean_functional, region_average
 from .refactor import Refactorer
 from .snorm import class_snorm, classes_for_tolerance, truncation_estimate
 from .solver import solve_correction, thomas_factor, thomas_solve
-from .transfer import dense_transfer_matrix, transfer_apply
+from .transfer import dense_transfer_matrix, mass_transfer_apply, transfer_apply
 
 __all__ = [
     "CoefficientClasses",
@@ -73,6 +73,7 @@ __all__ = [
     "linf",
     "mass_apply",
     "mass_apply_coarse",
+    "mass_transfer_apply",
     "mean_functional",
     "num_classes",
     "num_levels_for_size",

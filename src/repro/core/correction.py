@@ -12,6 +12,13 @@ the fine mass matrix, restrict the load vector, and solve with the coarse
 mass matrix.  This is exactly the order of operations in the paper's
 Algorithm 3 (first dimension, then second, then third), and it is why the
 paper can reuse its three 2D linear-processing kernels for 3D data.
+
+The first two of the three are one engine call,
+:meth:`~repro.core.engine.Engine.mass_transfer_apply`: ``R_l M_l`` is a
+pentadiagonal stencil at the coarse nodes, so the host engines evaluate
+it there and never form the fine-sized ``M_l c`` (the literal
+:class:`~repro.kernels.tiled_engine.TiledEngine` still runs the paper's
+two kernels back to back behind the same call).
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ def compute_correction(
     f = c
     for axis in hier.coarsening_dims(l):
         ops = hier.level_ops(l, axis)
-        f = engine.mass_apply(f, ops, axis, hier=hier, l=l)
-        f = engine.transfer_apply(f, ops, axis, hier=hier, l=l)
+        f = engine.mass_transfer_apply(f, ops, axis, hier=hier, l=l)
         f = engine.solve_correction(f, ops, axis, hier=hier, l=l)
     return f

@@ -19,9 +19,16 @@ subtracts it to recover the coarse values as they were *before* the
 correction, and restores the fine nodal values from the coefficients.
 With all coefficients intact the round trip is bit-tight (≤ a few ulps).
 
-The drivers never mutate their input; they allocate one output array and
-one working buffer exactly like the paper's design ("the size of working
-memory space is equal to the original input size").
+The drivers never mutate their input and never return memory shared
+with it.  On the host they also never move data whose contents are dead:
+``decompose`` reads the input as its level-``L`` working array and adopts
+the level-``L`` coefficient array as the output, ``recompose`` returns the
+restored level-``L`` array.  The paper's device design keeps a separate
+output array and working buffer ("the size of working memory space is
+equal to the original input size") and pays a copy, a pack and a
+full-size store for it; the drivers report those three movements to the
+engine (:meth:`~repro.core.engine.Engine.elided`) so metered engines
+still account for Algorithm 3 as published.
 """
 
 from __future__ import annotations
@@ -63,15 +70,21 @@ def decompose(
     data = hier.validate_array(data)
     engine.begin("decompose", hier)
     try:
-        out = engine.copy(data, reason="output", level=hier.L)
         if hier.L == 0:
-            return out
-        v = engine.pack(out, hier.level_selector(hier.L), reason="pack-finest", level=hier.L)
+            return engine.copy(data, reason="output", level=hier.L)
+        engine.elided("copy", hier.shape, reason="output", level=hier.L)
+        engine.elided("pack", hier.shape, reason="pack-finest", level=hier.L)
+        v = data  # read only: every step below returns a new array
+        out = None
         for l in range(hier.L, 0, -1):
             c = engine.compute_coefficients(v, hier, l)
             # Persist this level's coefficients; the coarse-position zeros
             # are overwritten by the coarser levels' scatters below.
-            engine.unpack(c, out, hier.level_selector(l), reason="store-coefficients", level=l)
+            if l == hier.L:
+                out = c  # dead after this level's correction: adopt it, don't copy it
+                engine.elided("unpack", hier.shape, reason="store-coefficients", level=l)
+            else:
+                engine.unpack(c, out, hier.level_selector(l), reason="store-coefficients", level=l)
             z = compute_correction(c, hier, l, engine)
             v = engine.add_correction(v, z, hier, l)
         engine.unpack(v, out, hier.level_selector(0), reason="store-coarsest", level=0)
@@ -93,9 +106,9 @@ def recompose(
     refactored = hier.validate_array(refactored)
     engine.begin("recompose", hier)
     try:
-        out = engine.copy(refactored, reason="output", level=hier.L)
         if hier.L == 0:
-            return out
+            return engine.copy(refactored, reason="output", level=hier.L)
+        engine.elided("copy", hier.shape, reason="output", level=hier.L)
         v = engine.pack(refactored, hier.level_selector(0), reason="pack-coarsest", level=0)
         for l in range(1, hier.L + 1):
             c = engine.pack(
@@ -109,7 +122,8 @@ def recompose(
             z = compute_correction(c, hier, l, engine)
             vc = engine.subtract_correction(v, z, hier, l)
             v = engine.restore_from_coefficients(c, vc, hier, l)
-        engine.unpack(v, out, hier.level_selector(hier.L), reason="store-restored", level=hier.L)
-        return out
+        engine.elided("unpack", hier.shape, reason="store-restored", level=hier.L)
+        # the restored level-L array is the result, in the input's precision
+        return v.astype(refactored.dtype, copy=False)
     finally:
         engine.end("recompose")

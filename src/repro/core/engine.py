@@ -17,6 +17,10 @@ written once against this small interface and can then run on different
 Every data-touching step of Algorithm 3 goes through an engine method so
 that engines can meter the memory-copy (``MC``) and node-packing (``PN``)
 traffic the paper's Table IV reports, not only the four math kernels.
+Where the host driver can reuse an array instead of moving it (the paper's
+device design cannot: its output lives in a buffer of its own), it tells
+the engine through :meth:`Engine.elided`, so the metered record stream
+stays that of Algorithm 3.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import abc
 import numpy as np
 
 from . import coefficients as _coef
-from . import mass as _mass
 from . import solver as _solver
 from . import transfer as _transfer
 from .grid import LevelOps, TensorHierarchy
@@ -37,8 +40,10 @@ __all__ = ["Engine", "NumpyEngine"]
 class Engine(abc.ABC):
     """Interface the refactoring driver programs against.
 
-    Methods mirror the paper's five kernels plus the two data-movement
-    operations of Algorithm 3 (working-buffer copies and node packing).
+    Methods mirror the paper's kernels (mass multiplication and load-vector
+    restriction as the one product the correction needs) plus the two
+    data-movement operations of Algorithm 3 (working-buffer copies and node
+    packing).
     Implementations must be *functionally exact*: engines differ in how
     the work is scheduled and metered, never in the arithmetic result.
     """
@@ -62,18 +67,12 @@ class Engine(abc.ABC):
     # naive GPU design would pay.  Pure engines ignore them.
 
     @abc.abstractmethod
-    def mass_apply(
-        self, v: np.ndarray, ops: LevelOps, axis: int,
-        *, hier: TensorHierarchy | None = None, l: int | None = None,
-    ) -> np.ndarray:
-        """Fine mass-matrix application along ``axis``."""
-
-    @abc.abstractmethod
-    def transfer_apply(
+    def mass_transfer_apply(
         self, f: np.ndarray, ops: LevelOps, axis: int,
         *, hier: TensorHierarchy | None = None, l: int | None = None,
     ) -> np.ndarray:
-        """Load-vector restriction along ``axis``."""
+        """Coarse load vector ``R_l M_l f`` along ``axis``: the fine mass
+        matrix, then the restriction, as one float64 result."""
 
     @abc.abstractmethod
     def solve_correction(
@@ -115,6 +114,12 @@ class Engine(abc.ABC):
     ) -> None:
         """Scatter a packed level array back into the full-resolution array."""
 
+    def elided(self, op: str, shape: tuple[int, ...], *, reason: str, level: int) -> None:
+        """Algorithm 3 moves ``shape`` elements here (``op`` is ``"copy"``,
+        ``"pack"`` or ``"unpack"``, ``reason``/``level`` as that method would
+        get them); the driver reuses the array instead.  Cost-modeling
+        engines record the movement, pure engines do nothing."""
+
     # -- correction application (fused with packing in the paper's Alg. 3) ----
     def add_correction(
         self, v: np.ndarray, z: np.ndarray, hier: TensorHierarchy, l: int
@@ -145,11 +150,8 @@ class NumpyEngine(Engine):
     def restore_from_coefficients(self, c, vc, hier, l):
         return _coef.restore_from_coefficients(c, vc, hier, l)
 
-    def mass_apply(self, v, ops, axis, *, hier=None, l=None):
-        return _mass.mass_apply(v, ops.h_fine, axis=axis)
-
-    def transfer_apply(self, f, ops, axis, *, hier=None, l=None):
-        return _transfer.transfer_apply(f, ops, axis=axis)
+    def mass_transfer_apply(self, f, ops, axis, *, hier=None, l=None):
+        return _transfer.mass_transfer_apply(f, ops, axis=axis)
 
     def solve_correction(self, f, ops, axis, *, hier=None, l=None):
         return _solver.solve_correction(f, ops, axis=axis)

@@ -24,7 +24,8 @@ Two classes are exported:
     The per-dimension hierarchy: level sizes, per-level index sets (as
     indices into the finest array), per-level coordinates, and the
     precomputed :class:`LevelOps` operator data (interpolation weights,
-    mass-matrix spacings, Thomas elimination factors) used by every kernel.
+    mass-matrix spacings, Thomas elimination factors, the fused
+    mass·transfer band) used by every kernel.
 
 ``TensorHierarchy``
     A d-dimensional bundle of ``Hierarchy1D`` with a single *global* level
@@ -127,6 +128,12 @@ class LevelOps:
         precomputed once because the matrix depends only on coordinates;
         the ``O(m)`` pivot buffer is the solver kernel's only extra
         memory footprint.
+    mass_transfer_bands:
+        The pentadiagonal band of ``R_l M_l`` at the coarse nodes, shape
+        ``(5, m_coarse)``: ``mass_transfer_bands[k, j]`` multiplies the fine
+        value at ``coarse_pos[j] + k - 2`` (zero where that position is off
+        the grid).  Read by
+        :func:`repro.core.transfer.mass_transfer_apply`.
 
     The coarse set of the packed fine array is always the basic slice
     ``[0::2]`` plus, when ``m_fine`` is even, the trailing *tail node*
@@ -147,6 +154,7 @@ class LevelOps:
     mass_bands_coarse: np.ndarray
     thomas_cp: np.ndarray
     thomas_denom: np.ndarray
+    mass_transfer_bands: np.ndarray
 
     @property
     def m_fine(self) -> int:
@@ -238,6 +246,42 @@ def _thomas_factor(bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(cp), np.asarray(denom)
 
 
+def _mass_transfer_bands(
+    h_fine: np.ndarray, coarse_pos: np.ndarray, w_left: np.ndarray, w_right: np.ndarray
+) -> np.ndarray:
+    """Band of ``R_l M_l`` at the coarse nodes, in closed form.
+
+    Row ``j`` of ``R_l`` is the coarse node's own fine value plus ``a`` times
+    the detail node on its left and ``b`` times the one on its right
+    (``a = w_right[j-1]``, ``b = w_left[j]``, zero where the neighbour is
+    not a detail node); ``M_l`` is tridiagonal with diagonal ``d`` and
+    off-diagonal ``o``, so at fine position ``p`` the product row is::
+
+        a*o[p-2],  a*d[p-1] + o[p-1],  (a*o[p-1] + d[p]) + b*o[p],
+        o[p] + b*d[p+1],  b*o[p+1]
+    """
+    m = h_fine.shape[0] + 1
+    bands = np.zeros((5, coarse_pos.shape[0]), dtype=np.float64)
+    if m == 1:
+        bands[2, 0] = 1.0  # the degenerate 1x1 "mass" is the identity
+        return bands
+    # d and o padded by two zeros on either side, so p + k - 2 never leaves them
+    d = np.zeros(m + 4)
+    d[2:m + 1] += h_fine / 3.0
+    d[3:m + 2] += h_fine / 3.0
+    o = np.zeros(m + 4)
+    o[2:m + 1] = h_fine / 6.0  # o[i + 2] couples fine nodes i and i + 1
+    a = np.concatenate([[0.0], w_right])
+    b = np.concatenate([w_left, [0.0]])
+    p = coarse_pos + 2
+    bands[0] = a * o[p - 2]
+    bands[1] = a * d[p - 1] + o[p - 1]
+    bands[2] = (a * o[p - 1] + d[p]) + b * o[p]
+    bands[3] = o[p] + b * d[p + 1]
+    bands[4] = b * o[p + 1]
+    return bands
+
+
 def _build_level_ops(x_fine: np.ndarray) -> LevelOps:
     """Construct :class:`LevelOps` for one coarsening step of coordinates."""
     m_fine = x_fine.shape[0]
@@ -283,6 +327,7 @@ def _build_level_ops(x_fine: np.ndarray) -> LevelOps:
         mass_bands_coarse=bands,
         thomas_cp=cp,
         thomas_denom=denom,
+        mass_transfer_bands=_mass_transfer_bands(h_fine, coarse_pos, w_left, w_right),
     )
 
 

@@ -17,6 +17,12 @@ interpolation weights of :class:`repro.core.grid.LevelOps`.
 The inverse-direction operator (prolongation) lives in
 :mod:`repro.core.coefficients` since it is also the interpolation used
 to compute detail coefficients.
+
+:func:`transfer_apply` is the dense-tested definition of ``R_l``.  The
+correction path does not run it: the load vector only ever needs
+``R_l M_l c``, and :func:`mass_transfer_apply` evaluates that product
+directly at the coarse nodes, so the fine-sized ``M_l c`` that the
+restriction would throw half away of is never formed.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from .coefficients import restrict_nodes
 from .grid import LevelOps, along, axis_weights
 
-__all__ = ["transfer_apply", "dense_transfer_matrix"]
+__all__ = ["transfer_apply", "mass_transfer_apply", "dense_transfer_matrix"]
 
 
 def transfer_apply(f: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
@@ -57,6 +63,57 @@ def transfer_apply(f: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
         out[along(axis, slice(1, nd + 1))] += np.multiply(
             axis_weights(ops.w_right[:nd], f.ndim, axis), detail, out=tmp
         )
+    return out
+
+
+def mass_transfer_apply(f: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndarray:
+    """The load vector ``R_l M_l f`` along ``axis``, without forming ``M_l f``.
+
+    ``R_l M_l`` is pentadiagonal at the coarse nodes
+    (``ops.mass_transfer_bands``), so coarse node ``j`` at fine position
+    ``p`` is five multiply-accumulates over basic slices of the ``[0::2]``
+    and ``[1::2]`` progressions of ``f`` — every temporary is coarse-sized.
+    Operand order is fixed: ``b2*f[p]``, then ``+ b1*f[p-1]``,
+    ``+ b3*f[p+1]``, ``+ b0*f[p-2]``, ``+ b4*f[p+2]``; the tail node of an
+    even-length level is one more slab, ``b2*f[p] + b1*f[p-1]``.
+
+    Accumulates in and returns float64 (C-contiguous) whatever the input
+    dtype, like the solve that consumes it.  Equal to
+    ``transfer_apply(mass_apply(f, ops.h_fine, axis), ops, axis)`` up to
+    rounding (a few ulp of ``max|f|`` times the weights; tested), not bit
+    for bit.
+    """
+    axis %= f.ndim
+    m = ops.m_fine
+    if f.shape[axis] != m:
+        raise ValueError(f"axis length {f.shape[axis]} does not match m_fine={m}")
+    n_even = ops.n_even
+    bands = ops.mass_transfer_bands
+    shape = list(f.shape)
+    shape[axis] = ops.m_coarse
+    out = np.empty(shape, dtype=np.float64)
+    shape[axis] = n_even
+    tmp = np.empty(shape, dtype=np.float64)
+    even = f[along(axis, slice(0, None, 2))]
+    odd = f[along(axis, slice(1, None, 2))]
+    np.multiply(
+        axis_weights(bands[2, :n_even], f.ndim, axis), even, out=out[along(axis, slice(0, n_even))]
+    )
+    for k, first, src in (
+        (1, 1, odd[along(axis, slice(0, n_even - 1))]),
+        (3, 0, odd),
+        (0, 1, even[along(axis, slice(0, n_even - 1))]),
+        (4, 0, even[along(axis, slice(1, None))]),
+    ):
+        n = src.shape[axis]
+        acc = out[along(axis, slice(first, first + n))]
+        term = tmp[along(axis, slice(0, n))]
+        np.multiply(axis_weights(bands[k, first:first + n], f.ndim, axis), src, out=term)
+        np.add(acc, term, out=acc)
+    if m % 2 == 0:
+        tail = out[along(axis, slice(n_even, None))]
+        np.multiply(bands[2, -1], f[along(axis, slice(m - 1, m))], out=tail)
+        tail += bands[1, -1] * f[along(axis, slice(m - 2, m - 1))]
     return out
 
 

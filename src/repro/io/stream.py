@@ -1117,7 +1117,8 @@ class StepStreamReader:
                 self.shape, float(blob.tol), mode=blob.mode
             )
         delta = self._spatial.decompress(blob, scratch=self._scratch)
-        self._prev = delta if meta.get("is_key") else self._prev + delta
+        # delta is freshly decoded: accumulate the chain into it, not into a third array
+        self._prev = delta if meta.get("is_key") else np.add(self._prev, delta, out=delta)
         self._pos = s
 
     def _meta(self, step: int) -> dict:

@@ -222,7 +222,7 @@ class GridProcessingKernel:
         """Tiled computation of detail coefficients (decomposition)."""
         if v.shape != self.shape:
             raise ValueError(f"expected shape {self.shape}, got {v.shape}")
-        out = np.zeros_like(v)
+        out = np.zeros(v.shape, dtype=v.dtype)  # packed (C order) whatever the layout of v
         for origin in self.tile_origins():
             sls = self._tile_node_slices(origin)
             tile = np.ascontiguousarray(v[sls])  # stage through "shared memory"

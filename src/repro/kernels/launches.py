@@ -403,9 +403,10 @@ def iter_decompose_launches(
     """Yield every launch of one decomposition/recomposition pass.
 
     Mirrors :func:`repro.core.decompose.decompose` /
-    :func:`~repro.core.decompose.recompose` exactly, but over shapes
-    only.  The metered engines emit the same records (asserted by
-    tests), so analytic sweeps and functional runs agree by
+    :func:`~repro.core.decompose.recompose` exactly — including the
+    copies and packs the host driver elides and reports — but over
+    shapes only.  The metered engines emit the same records (asserted
+    by tests), so analytic sweeps and functional runs agree by
     construction.
     """
     if operation not in ("decompose", "recompose"):

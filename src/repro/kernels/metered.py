@@ -15,7 +15,11 @@ it to modeled seconds with the appropriate hardware model:
 Records produced by a metered engine during one decomposition /
 recomposition are identical to the shape-only walk of
 :func:`repro.kernels.launches.iter_decompose_launches` (tested), so
-functional runs and analytic sweeps report the same numbers.
+functional runs and analytic sweeps report the same numbers.  What is
+metered is the paper's Algorithm 3, not the host's shortcuts: the fused
+``mass_transfer_apply`` emits a ``mass`` and a ``transfer`` launch, and
+the data movements the host driver skips by reusing arrays
+(:meth:`~repro.core.engine.Engine.elided`) are recorded as if performed.
 """
 
 from __future__ import annotations
@@ -100,20 +104,13 @@ class MeteredEngine(NumpyEngine):
         )
         return out
 
-    def mass_apply(self, v, ops, axis, *, hier=None, l=None):
-        out = super().mass_apply(v, ops, axis)
+    def mass_transfer_apply(self, f, ops, axis, *, hier=None, l=None):
+        out = super().mass_transfer_apply(f, ops, axis)
+        # the paper's two kernels, whatever the host arithmetic fuses
+        stride = self._stride(hier, l)
+        self._emit(L.mass_launch(f.shape, axis, opts=self.opts, level=l, stride=stride))
         self._emit(
-            L.mass_launch(v.shape, axis, opts=self.opts, level=l, stride=self._stride(hier, l))
-        )
-        return out
-
-    def transfer_apply(self, f, ops, axis, *, hier=None, l=None):
-        out = super().transfer_apply(f, ops, axis)
-        self._emit(
-            L.transfer_launch(
-                f.shape, axis, ops.m_coarse,
-                opts=self.opts, level=l, stride=self._stride(hier, l),
-            )
+            L.transfer_launch(f.shape, axis, ops.m_coarse, opts=self.opts, level=l, stride=stride)
         )
         return out
 
@@ -126,31 +123,40 @@ class MeteredEngine(NumpyEngine):
 
     def copy(self, arr, *, reason="copy", level=-1):
         out = super().copy(arr)
-        self._emit(L.copy_launch(arr.shape, stride=1, level=level, reason=reason))
+        self._record_move("copy", arr.shape, reason, level)
         return out
 
     def pack(self, full, selector, *, reason="pack", level=-1):
         out = super().pack(full, selector)
-        if not self.opts.pack_nodes and reason in ("pack-finest", "pack-coarsest"):
-            # The unpacked designs operate on the strided data in place;
-            # the driver's initial gather is a host-side convenience of
-            # the functional implementation, not a metered device op
-            # (the stride cost is charged to every kernel instead).
-            return out
-        stride = self._stride(self._hier, level) if self._hier is not None else 1
-        self._emit(
-            L.pack_launch(out.shape, stride=stride, level=level, reason=reason, opts=self.opts)
-        )
+        self._record_move("pack", out.shape, reason, level)
         return out
 
     def unpack(self, packed, full, selector, *, reason="unpack", level=-1):
         super().unpack(packed, full, selector)
+        self._record_move("unpack", packed.shape, reason, level)
+
+    def elided(self, op, shape, *, reason, level):
+        self._record_move(op, shape, reason, level)
+
+    def _record_move(self, op: str, shape: tuple[int, ...], reason: str, level: int) -> None:
+        """Emit the record of one data movement — records are shape-only, so
+        a movement the driver performed and one it elided meter the same."""
+        if op == "copy":
+            self._emit(L.copy_launch(shape, stride=1, level=level, reason=reason))
+            return
+        if op == "pack" and not self.opts.pack_nodes and reason in ("pack-finest", "pack-coarsest"):
+            # The unpacked designs operate on the strided data in place;
+            # the driver's initial gather is a host-side convenience of
+            # the functional implementation, not a metered device op
+            # (the stride cost is charged to every kernel instead).
+            return
         stride = self._stride(self._hier, level) if self._hier is not None else 1
-        self._emit(
-            L.copy_launch(
-                packed.shape, stride=stride, level=level, name="unpack_store", reason=reason
+        if op == "pack":
+            self._emit(L.pack_launch(shape, stride=stride, level=level, reason=reason, opts=self.opts))
+        else:
+            self._emit(
+                L.copy_launch(shape, stride=stride, level=level, name="unpack_store", reason=reason)
             )
-        )
 
     def add_correction(self, v, z, hier, l):
         fine_shape = v.shape

@@ -12,9 +12,13 @@ the *literal* framework implementations —
   Fig. 5/6 + Algorithm 2), routed slice-by-slice on 3D data exactly as
   §III-D prescribes (:class:`~repro.kernels.batch3d.SlicedLinearProcessor`)
 
-— and produces results identical, bit for bit on every op (the
-correction solve included: both run the same Thomas recurrence), to the
-vectorized production engine.  ``TiledEngine`` is slow (Python tile
+— and produces results identical, bit for bit, to the vectorized
+production engine on every op (the correction solve included: both run
+the same Thomas recurrence) except the load vector: ``mass_transfer_apply``
+runs the paper's mass and transfer kernels back to back where production
+evaluates their product as one stencil at the coarse nodes, so the two
+agree to ``8 * eps * max|z|`` there and whole refactorings to rounding
+(``tests/test_engine_seam.py``).  ``TiledEngine`` is slow (Python tile
 loops) and exists for validation and for studying the frameworks;
 production runs use the vectorized engines.
 """
@@ -90,11 +94,12 @@ class TiledEngine(NumpyEngine):
         out = getattr(kernel, op)(np.ascontiguousarray(moved))
         return np.moveaxis(out, -1, axis)
 
-    def mass_apply(self, v, ops, axis, *, hier=None, l=None):
-        return self._linear(v, ops, axis, "mass_multiply")
-
-    def transfer_apply(self, f, ops, axis, *, hier=None, l=None):
-        return self._linear(f, ops, axis, "transfer_multiply")
+    def mass_transfer_apply(self, f, ops, axis, *, hier=None, l=None):
+        """The paper's two kernels back to back, rounded to float64 like the
+        production stencil — equal to it to a few ulp, not bit for bit."""
+        load = self._linear(f, ops, axis, "mass_multiply")
+        load = self._linear(load, ops, axis, "transfer_multiply")
+        return np.ascontiguousarray(load, dtype=np.float64)
 
     def solve_correction(self, f, ops, axis, *, hier=None, l=None):
         return self._linear(f, ops, axis, "solve")

@@ -44,3 +44,11 @@ def nonuniform_coords(shape: tuple[int, ...], rng: np.random.Generator):
         x = np.concatenate([[0.0], np.cumsum(steps)])
         coords.append(x / x[-1])
     return tuple(coords)
+
+
+def assert_rounding_close(got, ref, scale_of, dtype=np.float64):
+    """``|got - ref| <= 8 * eps(dtype) * max|scale_of|`` — the bound on the one
+    op (and so on whole pipelines) where the literal kernels and the fused
+    production stencil round differently."""
+    tol = 8 * np.finfo(dtype).eps * max(float(np.abs(scale_of).max()), np.finfo(dtype).tiny)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=tol)

@@ -78,7 +78,9 @@ class TestLaunchAccounting:
 
     def test_full_correction_pipeline_slicewise(self, rng):
         """The complete per-dimension correction (mass→transfer→solve)
-        computed slice-wise equals the vectorized 3D pipeline."""
+        computed slice-wise equals the vectorized 3D pipeline to rounding:
+        that one evaluates mass·transfer as a single stencil, and each of the
+        three solves may amplify the last-bit difference by cond(M)."""
         from repro.core.coefficients import compute_coefficients
         from repro.core.correction import compute_correction
 
@@ -94,4 +96,4 @@ class TestLaunchAccounting:
             f = proc.transfer_multiply(f, axis)
             f = proc.solve(f, axis)
         ref = compute_correction(c, hier, l)
-        np.testing.assert_array_equal(f, ref)
+        np.testing.assert_allclose(f, ref, rtol=0, atol=1e-13 * np.abs(ref).max())

@@ -98,3 +98,74 @@ class TestSemantics:
         for engine in (GpuSimEngine(), CpuRefEngine()):
             np.testing.assert_array_equal(decompose(data, h, engine), base)
             np.testing.assert_array_equal(recompose(base, h, engine), recompose(base, h))
+
+
+def _input_layouts(x):
+    """The same values as a C-ordered, F-ordered, strided-view and read-only array."""
+    wide = np.zeros(tuple(2 * n for n in x.shape), dtype=x.dtype)
+    view = wide[tuple(slice(None, None, 2) for _ in x.shape)]
+    view[...] = x
+    frozen = x.copy()
+    frozen.flags.writeable = False
+    return {"C": x.copy(), "F": np.asfortranarray(x), "strided": view, "readonly": frozen}
+
+
+def _engines():
+    from repro.kernels.metered import GpuSimEngine
+    from repro.kernels.tiled_engine import TiledEngine
+
+    return [None, GpuSimEngine(), TiledEngine(b=2, segment=5)]
+
+
+class TestDriverContract:
+    """The drivers adopt intermediate arrays instead of copying, so pin what
+    callers rely on: inputs are never written, results never alias them."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("shape", [(17,), (16, 7), (9, 9, 9), (2, 2)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_inputs_untouched_and_results_unshared(self, shape, dtype, rng):
+        h = TensorHierarchy.from_shape(shape)  # (2, 2) has L == 0
+        x = rng.standard_normal(shape).astype(dtype)
+        ref = decompose(x.copy(), h)
+        back = recompose(ref.copy(), h)
+        assert ref.dtype == dtype and back.dtype == dtype
+        for engine in _engines():
+            for name, data in _input_layouts(x).items():
+                out = decompose(data, h, engine)
+                np.testing.assert_array_equal(data, x, err_msg=name)
+                assert not np.shares_memory(out, data), name
+                assert out.dtype == dtype and out.flags.c_contiguous and out.flags.writeable, name
+                if engine is None:  # layout never changes the bits
+                    np.testing.assert_array_equal(out, ref, err_msg=name)
+            for name, data in _input_layouts(ref).items():
+                out = recompose(data, h, engine)
+                np.testing.assert_array_equal(data, ref, err_msg=name)
+                assert not np.shares_memory(out, data), name
+                assert out.dtype == dtype and out.flags.c_contiguous and out.flags.writeable, name
+                if engine is None:
+                    np.testing.assert_array_equal(out, back, err_msg=name)
+
+    def test_integer_input_is_refactored_as_float64(self, rng):
+        h = TensorHierarchy.from_shape((9, 5))
+        ints = rng.integers(-50, 50, size=(9, 5))
+        before = ints.copy()
+        out = decompose(ints, h)
+        np.testing.assert_array_equal(ints, before)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, decompose(ints.astype(np.float64), h))
+        np.testing.assert_allclose(recompose(out, h), ints, rtol=0, atol=1e-12)
+        # L == 0: the float conversion must not be what gets returned twice
+        tiny = np.arange(4).reshape(2, 2)
+        got = decompose(tiny)
+        assert got.dtype == np.float64 and not np.shares_memory(got, tiny)
+        np.testing.assert_array_equal(recompose(got), tiny)
+
+    def test_results_do_not_share_memory_with_each_other(self, rng):
+        """Two calls on one input hand back independent arrays."""
+        h = TensorHierarchy.from_shape((17, 9))
+        x = rng.standard_normal((17, 9))
+        a, b = decompose(x, h), decompose(x, h)
+        assert not np.shares_memory(a, b)
+        a[...] = 0.0
+        np.testing.assert_array_equal(b, decompose(x, h))

@@ -3,7 +3,10 @@
 The production :class:`NumpyEngine` (slice kernels + batch-vectorized
 Thomas sweep) must return, call for call, exactly what the literal paper
 kernels (:class:`TiledEngine` on the ``reference`` backend) return, as
-C-contiguous arrays, with ``pack`` handing out copies.
+C-contiguous arrays, with ``pack`` handing out copies.  The one exception
+is ``mass_transfer_apply``: production evaluates the ``R·M`` stencil at the
+coarse nodes, the literal engine runs the mass and transfer kernels back
+to back, and the two agree to rounding, not bit for bit.
 """
 
 import numpy as np
@@ -14,11 +17,11 @@ from repro.core.engine import NumpyEngine
 from repro.core.grid import TensorHierarchy
 from repro.kernels.tiled_engine import TiledEngine
 
-from conftest import nonuniform_coords
+from conftest import assert_rounding_close, nonuniform_coords
 from scalar_walks import cholesky_solve
 
 SEAM_OPS = (
-    "compute_coefficients", "restore_from_coefficients", "mass_apply", "transfer_apply",
+    "compute_coefficients", "restore_from_coefficients", "mass_transfer_apply",
     "solve_correction", "copy", "pack", "add_correction", "subtract_correction",
 )
 
@@ -28,7 +31,10 @@ SHAPES = [(17,), (16,), (2,), (17, 13), (16, 7), (9, 16), (33, 1), (2, 9), (9, 9
 
 
 def _recording(base):
-    """``base`` with every seam return value appended to ``.calls``."""
+    """``base`` with every seam call appended to ``.calls`` as ``(name, args,
+    kwargs, result, result_is_c_contiguous)``.  Arrays are snapshots: the
+    driver adopts the finest coefficient array as its output and overwrites
+    it under later levels."""
 
     class Recording(base):
         def __init__(self, *args, **kwargs):
@@ -37,8 +43,9 @@ def _recording(base):
 
     def wrap(name):
         def method(self, *args, **kwargs):
+            seen = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
             out = getattr(base, name)(self, *args, **kwargs)
-            self.calls.append((name, out))
+            self.calls.append((name, seen, kwargs, out.copy(), out.flags.c_contiguous))
             return out
 
         return method
@@ -52,18 +59,29 @@ def _recording(base):
 @pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_numpy_engine_equals_literal_kernels_call_for_call(shape, nonuniform, dtype, rng):
+    """Fed what the production engine was fed, every literal kernel returns
+    the same bits — except the fused ``mass_transfer_apply``, compared at
+    ``<= 8 * eps(input dtype) * max|z|`` because the literal engine rounds the
+    fine-sized mass product the stencil never forms.  The two whole
+    pipelines walk the same call sequence and agree to the same rounding."""
     h = TensorHierarchy.from_shape(shape, nonuniform_coords(shape, rng) if nonuniform else None)
     data = rng.standard_normal(shape).astype(dtype)
     fast = _recording(NumpyEngine)()
     literal = _recording(TiledEngine)(b=2, segment=5, kernel_backend="reference")
     refactored = decompose(data, h, fast)
-    np.testing.assert_array_equal(decompose(data, h, literal), refactored)
-    np.testing.assert_array_equal(recompose(refactored, h, literal), recompose(refactored, h, fast))
-    assert [name for name, _ in fast.calls] == [name for name, _ in literal.calls]
-    for (name, a), (_, b) in zip(fast.calls, literal.calls):
+    restored = recompose(refactored, h, fast)
+    assert_rounding_close(decompose(data, h, literal), refactored, data, dtype)
+    assert_rounding_close(recompose(refactored, h, literal), restored, data, dtype)
+    assert [call[0] for call in fast.calls] == [call[0] for call in literal.calls]
+    replay = TiledEngine(b=2, segment=5, kernel_backend="reference")
+    for name, args, kwargs, a, contiguous in fast.calls:
+        b = getattr(replay, name)(*args, **kwargs)
         assert a.dtype == b.dtype and a.shape == b.shape, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
-        assert a.flags.c_contiguous, f"{name} returned a non-contiguous array"
+        assert contiguous, f"{name} returned a non-contiguous array"
+        if name == "mass_transfer_apply":
+            assert_rounding_close(b, a, a, args[0].dtype)
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 @pytest.mark.parametrize("shape", [(17, 9), (16, 10), (12, 5, 6)], ids=lambda s: "x".join(map(str, s)))

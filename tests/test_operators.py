@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solve as dense_solve
 
-from repro.core.grid import TensorHierarchy
+from repro.core.grid import TensorHierarchy, _build_level_ops
 from repro.core.mass import dense_mass_matrix, mass_apply, mass_apply_coarse
 from repro.core.solver import solve_correction, thomas_factor, thomas_solve
-from repro.core.transfer import dense_transfer_matrix, transfer_apply
+from repro.core.transfer import dense_transfer_matrix, mass_transfer_apply, transfer_apply
 
 from conftest import nonuniform_coords
 from scalar_walks import cholesky_solve, thomas_factor_loop
@@ -123,6 +123,76 @@ class TestTransfer:
         lhs = transfer_apply(mass_apply(np.ones(17), ops.h_fine), ops)
         rhs = mass_apply_coarse(np.ones(ops.m_coarse), ops.h_coarse)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def _level_ops(m, nonuniform, rng):
+    """LevelOps of an ``m``-node fine grid, built directly so the sizes 1 and 2
+    that a hierarchy never coarsens are covered too."""
+    if nonuniform:
+        return _build_level_ops(nonuniform_coords((m,), rng)[0])
+    return _build_level_ops(np.linspace(0.0, 1.0, m) if m > 1 else np.zeros(1))
+
+
+@pytest.mark.parametrize("nonuniform", [False, True], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("m", range(1, 13))
+class TestMassTransfer:
+    """The fused ``R_l M_l`` stencil against the two operators it replaces,
+    for odd levels, even levels (tail node) and the degenerate sizes."""
+
+    def test_bands_are_the_band_of_the_dense_product(self, m, nonuniform, rng):
+        ops = _level_ops(m, nonuniform, rng)
+        RM = dense_transfer_matrix(ops) @ dense_mass_matrix(ops.x_fine)
+        band = np.zeros((5, ops.m_coarse))
+        for j, p in enumerate(ops.coarse_pos):
+            for k in range(5):
+                if 0 <= p + k - 2 < m:
+                    band[k, j] = RM[j, p + k - 2]
+                    RM[j, p + k - 2] = 0.0
+        assert not RM.any()  # nothing outside the five diagonals
+        got = ops.mass_transfer_bands
+        assert got.shape == (5, ops.m_coarse)
+        # one- and two-term entries repeat the dense arithmetic exactly; the
+        # three-term centre may sum in another order
+        np.testing.assert_array_equal(got[band == 0.0], 0.0)
+        np.testing.assert_array_equal(got[[0, 4]], band[[0, 4]])
+        assert np.all(np.abs(got - band) <= 2 * np.spacing(band))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+    def test_apply_matches_transfer_of_mass_on_every_axis(self, m, nonuniform, ndim, dtype, rng):
+        ops = _level_ops(m, nonuniform, rng)
+        for axis in range(ndim):
+            shape = [3, 2, 4, 2][:ndim]
+            shape[axis] = m
+            f = rng.standard_normal(shape).astype(dtype)
+            before = f.copy()
+            got = mass_transfer_apply(f, ops, axis)
+            np.testing.assert_array_equal(f, before)
+            ref = transfer_apply(mass_apply(f.astype(np.float64), ops.h_fine, axis), ops, axis)
+            assert got.dtype == np.float64 and got.shape == ref.shape and got.flags.c_contiguous
+            tol = 8 * np.finfo(np.float64).eps * np.abs(f).max()
+            np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
+            assert mass_transfer_apply(f, ops, axis - ndim).tobytes() == got.tobytes()
+
+    def test_wrong_length(self, m, nonuniform, rng):
+        ops = _level_ops(m, nonuniform, rng)
+        with pytest.raises(ValueError):
+            mass_transfer_apply(np.zeros(m + 1), ops)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [9, 12])
+def test_nonfinite_load_still_reaches_the_solver_check(n, bad, rng):
+    """Every stencil weight on the grid is positive, so a NaN/inf anywhere in
+    ``f`` is non-finite in the load vector and ``thomas_solve`` rejects it."""
+    ops = _ops(n, rng)
+    for pos in range(n):
+        f = rng.standard_normal((n, 3))
+        f[pos, 1] = bad
+        load = mass_transfer_apply(f, ops, 0)
+        assert not np.isfinite(load[:, 1]).all() and np.isfinite(load[:, [0, 2]]).all()
+        with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
+            thomas_solve(load, ops, 0)
 
 
 class TestSolver:

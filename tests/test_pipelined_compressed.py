@@ -109,6 +109,38 @@ class TestPredictionSplit:
             assert blob_f.payloads == blob_a.payloads
             assert json.dumps(blob_f.headers) == json.dumps(blob_a.headers)
 
+    def test_chain_accumulated_in_place_keeps_the_bits(self, rng, tmp_path):
+        """Compressor loop, series decode and stream reader sum the chain into
+        the freshly decoded array; the frames must equal ``prev + delta``
+        written out, and no frame handed out may be overwritten by a later one."""
+        frames, base = drifting_frames(rng, n=7)
+        tol = 1e-3 * float(np.abs(base).max())
+        hier = hierarchy_for(base.shape)
+        tsc = TimeSeriesCompressor(hier, tol, key_interval=3)
+        spatial = MgardCompressor.for_shape(base.shape, tol)
+        w = StepStreamWriter(tmp_path, base.shape, tol=tol, key_interval=3)
+        blobs, keys, loop_states = [], [], []
+        for frame in frames:
+            blob, is_key = tsc.encode_residual(tsc.predict_residual(frame))
+            blobs.append(blob)
+            keys.append(is_key)
+            loop_states.append(tsc._prev_recon)
+            w.append(frame)
+        want, prev = [], None
+        for blob, is_key in zip(blobs, keys):
+            delta = spatial.decompress(blob)
+            prev = delta if is_key else prev + delta
+            want.append(prev)
+        assert keys.count(False) >= 4
+        series = tsc.compress(frames)
+        got = tsc.decompress(series)
+        reader = StepStreamReader(tmp_path)
+        for t, frame in enumerate(want):
+            assert np.array_equal(loop_states[t], frame)
+            assert np.array_equal(got[t], frame)
+            assert np.array_equal(reader.read_step(t), frame)
+            assert np.abs(frame - frames[t]).max() <= tol
+
 
 # ----------------------------------------------------------------------
 # pipelined compressed streams: bit identity + live reader

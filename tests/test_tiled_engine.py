@@ -1,4 +1,10 @@
-"""Tests for TiledEngine: Algorithm 3 through the literal paper kernels."""
+"""Tests for TiledEngine: Algorithm 3 through the literal paper kernels.
+
+Whole pipelines agree with the production engine to rounding, not bit for
+bit: the literal engine runs the mass and transfer kernels back to back
+where production evaluates their product as one stencil
+(``tests/test_engine_seam.py`` pins every other op to exact equality).
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +12,8 @@ import pytest
 from repro.core.decompose import decompose, recompose
 from repro.core.grid import TensorHierarchy
 from repro.kernels.tiled_engine import TiledEngine
+
+from conftest import assert_rounding_close
 
 
 @pytest.mark.parametrize(
@@ -17,10 +25,8 @@ def test_full_pipeline_matches_reference(shape, rng):
     data = rng.standard_normal(shape)
     ref = decompose(data, h)
     eng = TiledEngine(b=2, segment=5)
-    np.testing.assert_array_equal(decompose(data, h, eng), ref)
-    np.testing.assert_array_equal(
-        recompose(ref, h, TiledEngine(b=2, segment=5)), recompose(ref, h)
-    )
+    assert_rounding_close(decompose(data, h, eng), ref, data)
+    assert_rounding_close(recompose(ref, h, TiledEngine(b=2, segment=5)), recompose(ref, h), data)
 
 
 def test_3d_goes_through_slice_walks(rng):
@@ -43,7 +49,8 @@ def test_tile_and_segment_sizes_are_free_parameters(b, segment, rng):
     data = rng.standard_normal((17, 13))
     ref = decompose(data, h)
     out = decompose(data, h, TiledEngine(b=b, segment=segment))
-    np.testing.assert_array_equal(out, ref)
+    assert_rounding_close(out, ref, data)
+    np.testing.assert_array_equal(out, decompose(data, h, TiledEngine()))
 
 
 def test_nonuniform_grid(rng):
@@ -53,4 +60,4 @@ def test_nonuniform_grid(rng):
     h = TensorHierarchy.from_shape(shape, nonuniform_coords(shape, rng))
     data = rng.standard_normal(shape)
     out = decompose(data, h, TiledEngine(b=2, segment=4))
-    np.testing.assert_array_equal(out, decompose(data, h))
+    assert_rounding_close(out, decompose(data, h), data)
