@@ -1,33 +1,6 @@
 """Ablation benches: what each of the paper's design choices is worth."""
 
-import pytest
-
 from repro.experiments import ablation_sweep, format_ablations
-from repro.core.decompose import decompose
-from repro.core.grid import hierarchy_for
-from repro.kernels.launches import EngineOptions
-from repro.kernels.metered import GpuSimEngine
-
-
-@pytest.mark.parametrize(
-    "name,opts",
-    [
-        ("full", EngineOptions()),
-        ("no_packing", EngineOptions(pack_nodes=False)),
-        ("divergent", EngineOptions(divergence_free=False)),
-        ("naive", EngineOptions(framework="naive", pack_nodes=False)),
-    ],
-)
-def test_engine_variants_functional(benchmark, name, opts, rng):
-    data = rng.standard_normal((513, 513))
-    h = hierarchy_for((513, 513))
-
-    def run():
-        eng = GpuSimEngine(opts=opts)
-        decompose(data, h, eng)
-        return eng.clock
-
-    assert benchmark(run) > 0
 
 
 def test_ablation_tables(benchmark, report):

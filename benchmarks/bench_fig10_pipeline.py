@@ -36,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.compress.executor import default_spec
+from repro.parallel.executors import default_spec
 from repro.experiments import fig10_measured_pipeline
 from repro.parallel import available_workers
 

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.compress.executor import available_workers, get_executor
+from repro.parallel.executors import available_workers, get_executor
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.quantizer import Quantizer
 from repro.compress.timeseries import TimeSeriesCompressor

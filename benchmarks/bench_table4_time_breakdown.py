@@ -1,8 +1,7 @@
 """Table IV: end-to-end time breakdown of decomposition/recomposition.
 
-Functional part: times full decompositions and recompositions through
-the metered GPU-sim engine (real arithmetic + modeled accounting).
-Modeled part: the paper-scale Table IV (2D 8193², 3D 513³).
+Functional part: times full decompositions and recompositions on the
+host.  Modeled part: the paper-scale Table IV (2D 8193², 3D 513³).
 """
 
 import numpy as np
@@ -11,19 +10,12 @@ import pytest
 from repro.core.decompose import decompose, recompose
 from repro.core.grid import hierarchy_for
 from repro.experiments import bench_scale, format_table4, table4_breakdown
-from repro.kernels.metered import GpuSimEngine
 
 
 @pytest.fixture(scope="module")
 def data_2d(rng):
     side = min(bench_scale().side_2d, 2049)
     return rng.standard_normal((side, side))
-
-
-@pytest.fixture(scope="module")
-def data_3d(rng):
-    side = min(bench_scale().side_3d, 129)
-    return rng.standard_normal((side, side, side))
 
 
 def test_decompose_2d(benchmark, data_2d):
@@ -37,18 +29,6 @@ def test_recompose_2d(benchmark, data_2d):
     ref = decompose(data_2d, h)
     out = benchmark(recompose, ref, h)
     np.testing.assert_allclose(out, data_2d, atol=1e-8)
-
-
-def test_decompose_3d_metered(benchmark, data_3d):
-    h = hierarchy_for(data_3d.shape)
-
-    def run():
-        eng = GpuSimEngine()
-        decompose(data_3d, h, eng)
-        return eng.clock
-
-    modeled = benchmark(run)
-    assert modeled > 0
 
 
 def test_table4(benchmark, report):

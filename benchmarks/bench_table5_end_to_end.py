@@ -1,43 +1,10 @@
 """Table V: one GPU vs one CPU core across grid sizes + extra memory.
 
-Functional part: times end-to-end refactoring through both metered
-engines at a mid-size grid and checks the modeled speedup is in the
-paper's band.  Modeled part: the full Table V sweep.
+The full modeled Table V sweep; at paper scale the speedups must land in
+the paper's band.
 """
 
-import pytest
-
-from repro.core.decompose import decompose
-from repro.core.grid import hierarchy_for
 from repro.experiments import bench_scale, format_table5, table5_end_to_end
-from repro.kernels.metered import CpuRefEngine, GpuSimEngine
-
-
-@pytest.fixture(scope="module")
-def mid_grid(rng):
-    return rng.standard_normal((513, 513))
-
-
-def test_gpu_engine_end_to_end(benchmark, mid_grid):
-    h = hierarchy_for(mid_grid.shape)
-
-    def run():
-        eng = GpuSimEngine()
-        decompose(mid_grid, h, eng)
-        return eng.clock
-
-    assert benchmark(run) > 0
-
-
-def test_cpu_engine_end_to_end(benchmark, mid_grid):
-    h = hierarchy_for(mid_grid.shape)
-
-    def run():
-        eng = CpuRefEngine()
-        decompose(mid_grid, h, eng)
-        return eng.clock
-
-    assert benchmark(run) > 0
 
 
 def test_table5(benchmark, report):

@@ -16,7 +16,7 @@ Run:  python examples/multi_gpu_scaling.py
 import numpy as np
 
 from repro.cluster.scaling import shape_for_bytes_2d, weak_scaling
-from repro.cluster.simmpi import run_spmd
+from repro.cluster.fabric import run_spmd
 from repro.core.refactor import Refactorer
 from repro.experiments import fig9_weak_scaling, format_fig9
 

@@ -4,8 +4,8 @@
 Recreates the paper's first showcase end to end, at laptop scale:
 
 * a Gray–Scott reaction–diffusion simulation produces a 3D field;
-* the producer refactors it (simulated-GPU engine) and writes the
-  coefficient classes to a self-describing container file;
+* the producer refactors it (printing the modeled V100 time of that
+  pass) and writes the coefficient classes to a self-describing container file;
 * a consumer reads only a *prefix* of classes, recomposes, and extracts
   an iso-surface, reporting the feature accuracy (the paper reaches
   ~95 % with 3 of 10 classes);
@@ -24,8 +24,9 @@ from repro.analysis.isosurface import feature_accuracy, isosurface_area
 from repro.core.classes import reconstruct_from_classes
 from repro.core.refactor import Refactorer
 from repro.experiments import fig10_workflow, format_fig10
+from repro.gpu.analytic import model_pass
+from repro.gpu.device import V100
 from repro.io.container import RefactoredFileReader, write_refactored
-from repro.kernels.metered import GpuSimEngine
 from repro.workloads.grayscott import simulate
 
 
@@ -38,12 +39,12 @@ def main() -> None:
     exact_area = isosurface_area(field, iso)
     print(f"reference iso-surface area at iso={iso:.4f}: {exact_area:.2f}")
 
-    engine = GpuSimEngine()
-    refactorer = Refactorer(shape, engine=engine)
+    refactorer = Refactorer(shape)
     cc = refactorer.refactor(field)
+    modeled = model_pass(refactorer.hier, V100).total_seconds
     print(
         f"refactored into {cc.n_classes} classes "
-        f"(modeled V100 time: {engine.clock * 1e3:.2f} ms)"
+        f"(modeled V100 time: {modeled * 1e3:.2f} ms)"
     )
 
     with tempfile.TemporaryDirectory() as tmp:

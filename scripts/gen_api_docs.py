@@ -18,25 +18,14 @@ MODULES = [
 # hand-written context emitted after a module's docstring line
 NOTES = {
     "repro.core": """\
-The engine seam (`Engine`): what `decompose` / `recompose` /
-`compute_correction` call, and nothing else.  `NumpyEngine` runs the
-functions named; `MeteredEngine` (`GpuSimEngine`, `CpuRefEngine`) inherits
-that arithmetic and records the paper's launches; `TiledEngine` runs the
-literal kernels.
-
-| method | `NumpyEngine` runs | metered record(s) |
-|---|---|---|
-| `compute_coefficients(v, hier, l)` | `coefficients.compute_coefficients` | `compute_coefficients` (CC) |
-| `restore_from_coefficients(c, vc, hier, l)` | `coefficients.restore_from_coefficients` | `restore_from_coefficients` (CC) |
-| `mass_transfer_apply(f, ops, axis)` | `transfer.mass_transfer_apply` — the `R·M` stencil at the coarse nodes, float64 | `mass` (MM) then `transfer` (TM) |
-| `solve_correction(f, ops, axis)` | `solver.thomas_solve` | `solve` (SC) |
-| `copy` / `pack` / `unpack` | `ndarray.copy`, gather through a level selector, scatter | `copy` (MC) / `pack` (PN) / `unpack_store` (MC) |
-| `elided(op, shape, reason=, level=)` | nothing: the driver reused an array where Algorithm 3 moves one | the record `op` would have emitted |
-| `add_correction` / `subtract_correction` | `v[coarse] + z`, `v - z` | `correction_update` (PN) |
-
-`mass_apply` and `transfer_apply` remain as the dense-tested definitions
-of `M` and `R` (used by `adjoint`, the launcher's `reference` ops and the
-stencil's tests); the production engines never call them.
+`decompose` / `recompose` / `compute_correction` are plain functions over
+`coefficients.compute_coefficients`, `coefficients.restore_from_coefficients`,
+`transfer.mass_transfer_apply` (the `R·M` stencil at the coarse nodes,
+float64) and `solver.thomas_solve`; modeled times come from
+`repro.gpu.model_pass`, never from the functional run.  `mass_apply` and
+`transfer_apply` remain as the dense-tested definitions of `M` and `R`
+(used by `adjoint`, the launcher's `reference` ops and the stencil's
+tests); the drivers never call them.
 """,
     "repro.parallel": """\
 Backend selection (`get_executor(spec)` / `REPRO_EXECUTOR` /

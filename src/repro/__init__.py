@@ -20,9 +20,7 @@ Quick start::
 
 from .core import (
     CoefficientClasses,
-    Engine,
     Hierarchy1D,
-    NumpyEngine,
     Refactorer,
     TensorHierarchy,
     decompose,
@@ -34,9 +32,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CoefficientClasses",
-    "Engine",
     "Hierarchy1D",
-    "NumpyEngine",
     "Refactorer",
     "TensorHierarchy",
     "decompose",

@@ -78,7 +78,7 @@ def _pipeline(
     shards: int | None = None,
 ) -> str:
     """The measured streaming pipeline; optionally emit its JSON record."""
-    from repro.compress.executor import default_spec
+    from repro.parallel.executors import default_spec
 
     sharded = shards is not None and shards > 1
     codec = default_spec() if (mode == "compressed" or sharded) else None
@@ -105,7 +105,7 @@ def _shards() -> str:
     import numpy as np
 
     from repro.cluster.sharded import ShardedCompressor, encode_shards
-    from repro.compress.executor import available_workers
+    from repro.parallel.executors import available_workers
     from repro.workloads.grayscott import simulate
 
     side = 17 if os.environ.get("REPRO_BENCH_SCALE") == "ci" else 33
@@ -186,7 +186,7 @@ def _parallel() -> str:
 
     import numpy as np
 
-    from repro.compress.executor import available_workers, get_executor
+    from repro.parallel.executors import available_workers, get_executor
     from repro.compress.lossless import decode_classes, encode_classes
     from repro.compress.mgard import MgardCompressor
     from repro.compress.timeseries import TimeSeriesCompressor
@@ -382,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
 
         set_kernel_backend(args.kernel_backend)
     if args.executor is not None:
-        from repro.compress.executor import set_default_executor
+        from repro.parallel.executors import set_default_executor
 
         try:
             set_default_executor(args.executor)

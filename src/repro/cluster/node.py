@@ -74,8 +74,7 @@ def node_speedup(
     side additionally pays the socket's memory-bandwidth contention
     through ``CpuSpec.parallel_efficiency``.
     """
-    from ..kernels.launches import EngineOptions
-    from ..kernels.metered import CPU_BASELINE_OPTIONS
+    from ..kernels.launches import CPU_BASELINE_OPTIONS, EngineOptions
 
     if gpu_opts is None:
         gpu_opts = EngineOptions(n_streams=8 if len(shape) >= 3 else 1)

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..core.classes import CoefficientClasses, extract_classes
 from ..core.decompose import decompose, recompose
-from ..core.engine import Engine, NumpyEngine
 from ..core.grid import hierarchy_for
 from ..gpu.memory import refactoring_footprint
 
@@ -55,8 +54,8 @@ def plan_blocks(
 ) -> BlockPlan:
     """Split ``shape`` along axis 0 so each block's footprint fits.
 
-    Uses the same footprint model as the engines (data + working buffer
-    + solver vectors).  The row budget is snapped down to the nearest
+    Uses the footprint model of :mod:`repro.gpu.memory` (data + working
+    buffer + solver vectors).  The row budget is snapped down to the nearest
     ``2^k + 1`` when that costs less than 25 % of it, so most blocks get
     multigrid-friendly row counts; correctness never depends on the
     snap.  No block has fewer than 2 rows unless that is arithmetically
@@ -108,19 +107,10 @@ class BlockRefactorer:
         Full grid shape.
     memory_bytes:
         Per-block memory budget (e.g. ``device.memory_gb * 1e9``).
-    engine:
-        Execution engine used for every block (a metered engine
-        accumulates modeled time across blocks).
     """
 
-    def __init__(
-        self,
-        shape: tuple[int, ...],
-        memory_bytes: float,
-        engine: Engine | None = None,
-    ):
+    def __init__(self, shape: tuple[int, ...], memory_bytes: float):
         self.plan = plan_blocks(shape, memory_bytes)
-        self.engine = engine if engine is not None else NumpyEngine()
         self.hiers = [
             hierarchy_for(self.plan.block_shape(i))
             for i in range(self.plan.n_blocks)
@@ -137,7 +127,7 @@ class BlockRefactorer:
         out = np.empty_like(data, dtype=np.float64)
         for i, hier in enumerate(self.hiers):
             sl = self.plan.slices(i)
-            out[sl] = decompose(np.ascontiguousarray(data[sl]), hier, self.engine)
+            out[sl] = decompose(np.ascontiguousarray(data[sl]), hier)
         return out
 
     def recompose(self, refactored: np.ndarray) -> np.ndarray:
@@ -149,7 +139,7 @@ class BlockRefactorer:
         out = np.empty_like(refactored, dtype=np.float64)
         for i, hier in enumerate(self.hiers):
             sl = self.plan.slices(i)
-            out[sl] = recompose(np.ascontiguousarray(refactored[sl]), hier, self.engine)
+            out[sl] = recompose(np.ascontiguousarray(refactored[sl]), hier)
         return out
 
     def refactor(self, data: np.ndarray) -> list[CoefficientClasses]:

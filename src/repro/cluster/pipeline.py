@@ -18,7 +18,7 @@ the workflow streams.
 
 :func:`run_pipeline` *executes* such a chain for real: arbitrary stage
 callables over a step sequence, scheduled through the same executor
-layer as the encode path (:mod:`repro.compress.executor`).  Each stage
+layer as the encode path (:mod:`repro.parallel.executors`).  Each stage
 is serialized by its own lock — the software analogue of one device per
 stage — so with a parallel executor, step ``t`` can write while step
 ``t+1`` refactors, exactly the overlap the makespan formula models;
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compress.executor import get_executor
+from ..parallel.executors import get_executor
 from ..core.grid import hierarchy_for
 from ..gpu.analytic import model_pass
 from ..gpu.device import DeviceSpec, V100

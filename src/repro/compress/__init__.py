@@ -1,7 +1,6 @@
 """MGARD-style error-bounded lossy compression (paper Showcase V-B)."""
 
-from .executor import (
-    ParallelExecutor,
+from ..parallel.executors import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -49,7 +48,6 @@ __all__ = [
     "CompressionPlan",
     "HuffmanCode",
     "MgardCompressor",
-    "ParallelExecutor",
     "PreparedFrame",
     "QuantizedClasses",
     "RDPoint",

@@ -10,7 +10,7 @@ reference backend.
 Batched class payloads use a *segmented* container (``format: 2``): one
 payload, one header, but the header records per-segment offsets so the
 per-class segments are independent, schedulable work units — encoded
-and decoded through an executor (see :mod:`repro.compress.executor`)
+and decoded through an executor (see :mod:`repro.parallel.executors`)
 with byte-identical output to the serial path.  Segments whose class
 dominates the payload additionally parallelize *inside* the segment:
 the Huffman backend via its sync-aligned block encoder, the zlib

@@ -11,9 +11,10 @@ Pipeline (matching the MGARD software the paper accelerates):
    the paper; kept on the CPU).
 
 :class:`MgardCompressor` is functional end to end (compress →
-decompress honours the L∞ error bound) and, when built with a metered
-engine, reports the per-stage *modeled* times that reproduce the
-paper's Fig. 11 breakdown, plus real wall-clock times of every stage.
+decompress honours the L∞ error bound) and reports real wall-clock
+times of every stage; the *modeled* hardware times of the paper's
+Fig. 11 breakdown are computed from shapes alone by
+:func:`repro.experiments.showcases.fig11_mgard`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from ..core.classes import CoefficientClasses, class_sizes, extract_classes
 from ..core.decompose import decompose, recompose
 from ..core.classes import assemble_from_classes
-from ..core.engine import Engine, NumpyEngine
 from ..core.grid import TensorHierarchy
 from .lossless import decode_bins, decode_classes, encode_bins, encode_classes
 from .quantizer import Quantizer
@@ -42,9 +42,6 @@ class StageTimes:
     refactor_wall: float = 0.0
     quantize_wall: float = 0.0
     entropy_wall: float = 0.0
-    refactor_modeled: float | None = None
-    quantize_modeled: float | None = None
-    transfer_modeled: float | None = None
 
     @property
     def total_wall(self) -> float:
@@ -73,7 +70,6 @@ reconstruct_prepared` inverts the quantization without ever touching
     shape: tuple[int, ...]
     tol: float
     mode: str
-    nbytes_in: int
     times: StageTimes = field(default_factory=StageTimes)
 
 
@@ -115,12 +111,6 @@ class MgardCompressor:
     backend:
         Lossless backend (``"zlib"`` — the paper's choice — or
         ``"huffman"``).
-    engine:
-        Refactoring engine; pass a metered engine to obtain modeled
-        GPU/CPU stage times (Fig. 11).
-    quantize_on_gpu:
-        Whether the quantization stage runs on the device in the modeled
-        breakdown (the paper offloads it together with refactoring).
     batch_classes:
         Encode all coefficient classes into one payload with a single
         shared header (the batched fast path) instead of one
@@ -145,13 +135,11 @@ class MgardCompressor:
         tol: float,
         mode: str = "level",
         backend: str = "zlib",
-        engine: Engine | None = None,
-        quantize_on_gpu: bool = True,
         batch_classes: bool = True,
         plan=None,
         executor=None,
     ):
-        from .executor import get_executor
+        from ..parallel.executors import get_executor
 
         self.hier = hier
         self.plan = plan
@@ -167,8 +155,6 @@ class MgardCompressor:
             self.executor = get_executor(executor)
         else:
             self.executor = executor
-        self.engine = engine if engine is not None else NumpyEngine()
-        self.quantize_on_gpu = quantize_on_gpu
         self.batch_classes = batch_classes
 
     @classmethod
@@ -228,7 +214,7 @@ class MgardCompressor:
 
         times = StageTimes()
         t0 = time.perf_counter()
-        refactored = decompose(data, self.hier, self.engine)
+        refactored = decompose(data, self.hier)
         cc = CoefficientClasses(self.hier, extract_classes(refactored, self.hier))
         times.refactor_wall = time.perf_counter() - t0
 
@@ -245,7 +231,6 @@ class MgardCompressor:
             headers.append(h)
         times.entropy_wall = time.perf_counter() - t0
 
-        self._attach_modeled_times(times, data.nbytes)
         return CompressedData(
             payloads=payloads,
             headers=headers,
@@ -269,7 +254,7 @@ class MgardCompressor:
         """
         times = StageTimes()
         t0 = time.perf_counter()
-        refactored = decompose(data, self.hier, self.engine)
+        refactored = decompose(data, self.hier)
         cc = CoefficientClasses(self.hier, extract_classes(refactored, self.hier))
         times.refactor_wall = time.perf_counter() - t0
 
@@ -283,7 +268,6 @@ class MgardCompressor:
             shape=self.hier.shape,
             tol=self.quantizer.tol,
             mode=self.quantizer.mode,
-            nbytes_in=int(data.nbytes),
             times=times,
         )
 
@@ -298,7 +282,7 @@ class MgardCompressor:
         """
         classes = Quantizer.dequantize_flat(prep.bins, prep.sizes, prep.steps)
         refactored = assemble_from_classes(classes, self.hier)
-        return recompose(refactored, self.hier, self.engine)
+        return recompose(refactored, self.hier)
 
     def encode_prepared(
         self,
@@ -347,7 +331,6 @@ class MgardCompressor:
         )
         times.entropy_wall = time.perf_counter() - t0
 
-        self._attach_modeled_times(times, prep.nbytes_in)
         return CompressedData(
             payloads=[payload],
             headers=[header],
@@ -406,35 +389,8 @@ class MgardCompressor:
 
         t0 = time.perf_counter()
         refactored = assemble_from_classes(classes, self.hier)
-        out = recompose(refactored, self.hier, self.engine)
+        out = recompose(refactored, self.hier)
         times.refactor_wall = time.perf_counter() - t0
 
-        self._attach_modeled_times(times, out.nbytes)
         blob.times = times
         return out
-
-    # ------------------------------------------------------------------
-    def _attach_modeled_times(self, times: StageTimes, nbytes: int) -> None:
-        """Pull modeled stage times off a metered engine, if present."""
-        clock = getattr(self.engine, "clock", None)
-        if clock is None:
-            return
-        times.refactor_modeled = clock
-        device = getattr(self.engine, "device", None)
-        if device is not None:
-            # quantization offloaded to the device: one streaming pass
-            # (read doubles, write ints) at sustained bandwidth
-            if self.quantize_on_gpu:
-                times.quantize_modeled = 1.5 * nbytes / device.effective_bandwidth
-                # ship the (narrowed) bins to the host for entropy coding
-                times.transfer_modeled = 0.5 * nbytes / (device.pcie_bandwidth_gbps * 1e9)
-            else:
-                times.transfer_modeled = nbytes / (device.pcie_bandwidth_gbps * 1e9)
-        cpu = getattr(self.engine, "cpu", None)
-        if cpu is not None:
-            # host-side scalar quantization loop
-            times.quantize_modeled = (nbytes / 8) * cpu.element_ns * 0.5e-9
-        # fresh clock per call
-        reset = getattr(self.engine, "reset", None)
-        if reset is not None:
-            reset()

@@ -103,7 +103,7 @@ class CompressionPlan:
 
     def get_executor(self):
         """The (shared) executor instance this plan's spec resolves to."""
-        from .executor import get_executor
+        from ..parallel.executors import get_executor
 
         return get_executor(self.executor)
 
@@ -120,7 +120,7 @@ class CompressionPlan:
         """
         return self.scratch.setdefault(tag, {})
 
-    def compressor(self, engine=None, **kwargs):
+    def compressor(self, **kwargs):
         """A ready-to-launch :class:`~repro.compress.mgard.MgardCompressor`."""
         from .mgard import MgardCompressor
 
@@ -129,7 +129,6 @@ class CompressionPlan:
             self.tol,
             mode=self.mode,
             backend=self.backend,
-            engine=engine,
             plan=self,
             **kwargs,
         )
@@ -174,7 +173,7 @@ def compression_plan(
     :func:`repro.parallel.set_default_executor`) at plan-build time.
     """
     if executor is None:
-        from .executor import default_spec
+        from ..parallel.executors import default_spec
 
         executor = default_spec()
     base_key = (

@@ -23,7 +23,6 @@ from .coefficients import (
 )
 from .correction import compute_correction
 from .decompose import decompose, recompose, restrict_all
-from .engine import Engine, NumpyEngine
 from .errors import class_decay, l2, linf, psnr, rel_l2, rel_linf
 from .grid import (
     Hierarchy1D,
@@ -45,10 +44,8 @@ from .transfer import dense_transfer_matrix, mass_transfer_apply, transfer_apply
 
 __all__ = [
     "CoefficientClasses",
-    "Engine",
     "Hierarchy1D",
     "LevelOps",
-    "NumpyEngine",
     "QoIAnalyzer",
     "Refactorer",
     "TensorHierarchy",

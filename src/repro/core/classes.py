@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import recompose
-from .engine import Engine
 from .grid import TensorHierarchy
 
 __all__ = [
@@ -113,13 +112,9 @@ def assemble_from_classes(
     return full
 
 
-def reconstruct_from_classes(
-    classes: list[np.ndarray],
-    hier: TensorHierarchy,
-    engine: Engine | None = None,
-) -> np.ndarray:
+def reconstruct_from_classes(classes: list[np.ndarray], hier: TensorHierarchy) -> np.ndarray:
     """Recompose an approximation from a prefix of coefficient classes."""
-    return recompose(assemble_from_classes(classes, hier), hier, engine)
+    return recompose(assemble_from_classes(classes, hier), hier)
 
 
 @dataclass
@@ -161,10 +156,10 @@ class CoefficientClasses:
             out.append(acc)
         return out
 
-    def reconstruct(self, k: int | None = None, engine: Engine | None = None) -> np.ndarray:
+    def reconstruct(self, k: int | None = None) -> np.ndarray:
         """Approximation from the first ``k`` classes (all when ``None``)."""
         if k is None:
             k = self.n_classes
         if not 1 <= k <= self.n_classes:
             raise ValueError(f"k must be in [1, {self.n_classes}], got {k}")
-        return reconstruct_from_classes(list(self.classes[:k]), self.hier, engine)
+        return reconstruct_from_classes(list(self.classes[:k]), self.hier)

@@ -13,30 +13,25 @@ mass matrix.  This is exactly the order of operations in the paper's
 Algorithm 3 (first dimension, then second, then third), and it is why the
 paper can reuse its three 2D linear-processing kernels for 3D data.
 
-The first two of the three are one engine call,
-:meth:`~repro.core.engine.Engine.mass_transfer_apply`: ``R_l M_l`` is a
-pentadiagonal stencil at the coarse nodes, so the host engines evaluate
-it there and never form the fine-sized ``M_l c`` (the literal
-:class:`~repro.kernels.tiled_engine.TiledEngine` still runs the paper's
-two kernels back to back behind the same call).
+The first two of the three are one call,
+:func:`~repro.core.transfer.mass_transfer_apply`: ``R_l M_l`` is a
+pentadiagonal stencil at the coarse nodes, so it is evaluated there and
+the fine-sized ``M_l c`` is never formed (``tests/literal_pipeline.py``
+runs the paper's two kernels back to back as the reference).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import Engine, NumpyEngine
 from .grid import TensorHierarchy
+from .solver import solve_correction
+from .transfer import mass_transfer_apply
 
 __all__ = ["compute_correction"]
 
 
-def compute_correction(
-    c: np.ndarray,
-    hier: TensorHierarchy,
-    l: int,
-    engine: Engine | None = None,
-) -> np.ndarray:
+def compute_correction(c: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndarray:
     """Compute the correction ``z_{l-1}`` from level-``l`` coefficients.
 
     Parameters
@@ -47,15 +42,11 @@ def compute_correction(
         The tensor hierarchy.
     l:
         Global level of the step ``l -> l-1`` (``1 <= l <= hier.L``).
-    engine:
-        Execution engine; defaults to the pure NumPy reference.
 
     Returns
     -------
     Correction with the packed shape of level ``l-1``.
     """
-    if engine is None:
-        engine = NumpyEngine()
     if not 1 <= l <= hier.L:
         raise ValueError(f"correction defined for levels 1..{hier.L}, got {l}")
     if c.shape != hier.level_shape(l):
@@ -63,6 +54,6 @@ def compute_correction(
     f = c
     for axis in hier.coarsening_dims(l):
         ops = hier.level_ops(l, axis)
-        f = engine.mass_transfer_apply(f, ops, axis, hier=hier, l=l)
-        f = engine.solve_correction(f, ops, axis, hier=hier, l=l)
+        f = mass_transfer_apply(f, ops, axis)
+        f = solve_correction(f, ops, axis)
     return f

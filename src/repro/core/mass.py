@@ -38,7 +38,7 @@ def mass_apply(v: np.ndarray, h: np.ndarray, axis: int = -1) -> np.ndarray:
     term of the interior row is one ufunc over a basic slice, accumulated
     through ``out=`` so the only temporary is one product buffer.  Operand
     order is ``(hl*u[i-1] + 2(hl+hr)*u[i]) + hr*u[i+1]``, then ``/ 6`` —
-    fixed, because every engine must agree on it bit for bit.
+    fixed, because every kernel backend must agree on it bit for bit.
     """
     axis %= v.ndim
     m = v.shape[axis]

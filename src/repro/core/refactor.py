@@ -1,8 +1,8 @@
 """Public high-level API: the :class:`Refactorer`.
 
 A ``Refactorer`` binds a grid shape (and optional non-uniform
-coordinates) to a hierarchy and an execution engine and exposes the three
-operations downstream users need:
+coordinates) to a hierarchy and exposes the three operations
+downstream users need:
 
 >>> import numpy as np
 >>> from repro import Refactorer
@@ -24,7 +24,6 @@ import numpy as np
 
 from .classes import CoefficientClasses, extract_classes, num_classes
 from .decompose import decompose, recompose
-from .engine import Engine, NumpyEngine
 from .grid import TensorHierarchy, hierarchy_for
 
 __all__ = ["Refactorer"]
@@ -41,10 +40,6 @@ class Refactorer:
     coords:
         Optional per-dimension strictly-increasing coordinate arrays for
         non-uniformly spaced grids (``None`` entries mean uniform).
-    engine:
-        Execution engine; defaults to the pure NumPy reference.  Pass a
-        :class:`repro.kernels.gpu_engine.GpuSimEngine` to meter the
-        simulated-GPU cost of every operation.
 
     Hierarchies are resolved through the shared cache
     (:func:`repro.core.grid.hierarchy_for`), so constructing many
@@ -56,10 +51,8 @@ class Refactorer:
         self,
         shape: tuple[int, ...],
         coords: tuple[np.ndarray | None, ...] | None = None,
-        engine: Engine | None = None,
     ):
         self.hier = hierarchy_for(tuple(shape), coords)
-        self.engine = engine if engine is not None else NumpyEngine()
 
     # ------------------------------------------------------------------
     @property
@@ -79,11 +72,11 @@ class Refactorer:
     # ------------------------------------------------------------------
     def decompose(self, data: np.ndarray) -> np.ndarray:
         """Refactor ``data`` in the in-place multilevel layout."""
-        return decompose(data, self.hier, self.engine)
+        return decompose(data, self.hier)
 
     def recompose(self, refactored: np.ndarray) -> np.ndarray:
         """Invert :meth:`decompose` (lossless to fp rounding)."""
-        return recompose(refactored, self.hier, self.engine)
+        return recompose(refactored, self.hier)
 
     def refactor(self, data: np.ndarray) -> CoefficientClasses:
         """Decompose and split into coefficient classes in one call."""
@@ -96,7 +89,7 @@ class Refactorer:
         """Approximation from the first ``k`` classes of ``cc``."""
         if cc.hier is not self.hier and cc.hier.shape != self.hier.shape:
             raise ValueError("coefficient classes belong to a different grid")
-        return cc.reconstruct(k, self.engine)
+        return cc.reconstruct(k)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Refactorer(shape={self.shape}, levels={self.levels})"

@@ -36,8 +36,7 @@ def table4_breakdown(
     cpu: CpuSpec = POWER9_CORE,
 ) -> list[BreakdownRow]:
     """All eight rows of Table IV (2D/3D × decomp/recomp × CPU/GPU)."""
-    from ..kernels.launches import EngineOptions
-    from ..kernels.metered import CPU_BASELINE_OPTIONS
+    from ..kernels.launches import CPU_BASELINE_OPTIONS, EngineOptions
 
     rows = []
     for shape in (shape_2d, shape_3d):

@@ -37,8 +37,7 @@ class Table5Row:
 
 
 def _speedup(shape, node: NodeSpec, operation: str) -> float:
-    from ..kernels.launches import EngineOptions
-    from ..kernels.metered import CPU_BASELINE_OPTIONS
+    from ..kernels.launches import CPU_BASELINE_OPTIONS, EngineOptions
 
     opts = EngineOptions(n_streams=8 if len(shape) >= 3 else 1)
     t_gpu = model_pass_shape(shape, node.gpu, opts, operation).total_seconds

@@ -49,7 +49,7 @@ def _gpu(shape, op="decompose", streams=1):
 
 
 def _cpu(shape, op="decompose", core=POWER9_CORE):
-    from ..kernels.metered import CPU_BASELINE_OPTIONS
+    from ..kernels.launches import CPU_BASELINE_OPTIONS
 
     return model_pass_shape(shape, core, CPU_BASELINE_OPTIONS, op).total_seconds
 
@@ -58,8 +58,7 @@ def _table5(shape, node="summit", op="decompose"):
     streams = 8 if len(shape) >= 3 else 1
     if node == "summit":
         return _cpu(shape, op) / _gpu(shape, op, streams)
-    from ..kernels.launches import EngineOptions
-    from ..kernels.metered import CPU_BASELINE_OPTIONS
+    from ..kernels.launches import CPU_BASELINE_OPTIONS, EngineOptions
 
     t_c = model_pass_shape(shape, I7_9700K_CORE, CPU_BASELINE_OPTIONS, op).total_seconds
     t_g = model_pass_shape(

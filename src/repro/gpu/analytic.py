@@ -2,8 +2,8 @@
 
 Walks Algorithm 3 through :func:`repro.kernels.launches.iter_decompose_launches`
 without touching any data, so paper-scale configurations (8193² grids,
-4 TB datasets, 4096 GPUs) evaluate in microseconds.  The records are the
-same ones the metered engines emit, so the two views agree exactly.
+4 TB datasets, 4096 GPUs) evaluate in microseconds.  Every modeled
+refactoring time in the package comes from :func:`model_pass`.
 """
 
 from __future__ import annotations

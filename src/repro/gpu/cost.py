@@ -1,6 +1,6 @@
 """First-order kernel time model for the simulated GPU and CPU baseline.
 
-Every operation an engine executes is summarized as a
+Every operation of a refactoring pass is summarized as a
 :class:`KernelLaunch` record; :func:`gpu_kernel_time` and
 :func:`cpu_kernel_time` convert a record plus a hardware spec into
 modeled seconds.  The model is deliberately first-order — the paper's
@@ -50,7 +50,7 @@ __all__ = ["KernelLaunch", "gpu_kernel_time", "cpu_kernel_time"]
 
 @dataclass
 class KernelLaunch:
-    """One metered operation (a kernel launch, or a batch of per-slice launches).
+    """One modeled operation (a kernel launch, or a batch of per-slice launches).
 
     Attributes
     ----------

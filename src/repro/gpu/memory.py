@@ -1,6 +1,6 @@
 """Device-memory accounting for the simulated GPU.
 
-Tracks named allocations so engines can report the *extra memory
+Tracks named allocations to report the *extra memory
 footprint* of the GPU design relative to the CPU baseline, the metric of
 the paper's Table V.  Both designs use an input/output buffer plus a
 working buffer of the same size ("the size of working memory space is

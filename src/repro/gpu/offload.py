@@ -61,8 +61,7 @@ def offload_analysis(
     produced and consumed on the host); ``False`` charges H2D only
     (e.g. the refactored payload leaves via GPUDirect, §I).
     """
-    from ..kernels.launches import EngineOptions
-    from ..kernels.metered import CPU_BASELINE_OPTIONS
+    from ..kernels.launches import CPU_BASELINE_OPTIONS, EngineOptions
 
     link_bw = device.pcie_bandwidth_gbps * 1e9
     out = []

@@ -1,6 +1,8 @@
 """Kernel-timeline tracing for the simulated GPU.
 
-Turns a metered engine's launch records into an inspectable timeline:
+Turns the launch records of one pass
+(``list(iter_decompose_launches(hier, opts, operation))``, see
+:mod:`repro.kernels.launches`) into an inspectable timeline:
 per-slice launches are scheduled onto their streams with
 :class:`~repro.gpu.streams.StreamScheduler`, single launches run
 back-to-back, and the result can be exported as Chrome ``chrome://tracing``
@@ -39,7 +41,7 @@ class TraceEvent:
 def build_timeline(
     records: list[KernelLaunch], device: DeviceSpec = V100
 ) -> list[TraceEvent]:
-    """Schedule metered records into a per-stream timeline.
+    """Schedule launch records into a per-stream timeline.
 
     Records with ``n_launches > 1`` expand into that many per-slice
     events distributed round-robin over ``min(n_streams, device cap)``

@@ -118,8 +118,7 @@ def model_workflow(
     configuration is the default: 4 TB split across 4096 writers
     (1 GB ≈ 513³ doubles each) and 512 readers.
     """
-    from ..kernels.launches import EngineOptions
-    from ..kernels.metered import CPU_BASELINE_OPTIONS
+    from ..kernels.launches import CPU_BASELINE_OPTIONS, EngineOptions
 
     if operation not in ("write", "read"):
         raise ValueError("operation must be 'write' or 'read'")
@@ -281,7 +280,7 @@ class MeasuredPipeline:
         the calibrated per-stage seconds, and measured-vs-modeled
         walls/gains.
         """
-        from ..compress.executor import available_workers
+        from ..parallel.executors import available_workers
 
         return {
             "mode": self.mode,
@@ -472,7 +471,7 @@ def run_streaming_pipeline(
         # timed run.  codec_executor=None resolves the ambient spec
         # (REPRO_EXECUTOR), which is exactly the executor the writer
         # will use, so it needs priming just the same.
-        from ..compress.executor import get_executor
+        from ..parallel.executors import get_executor
 
         ce = (
             codec_executor

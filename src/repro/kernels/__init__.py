@@ -1,13 +1,15 @@
-"""Kernel frameworks and metered execution engines.
+"""Kernel frameworks and the launch model.
 
 Embodies the paper's §III: the grid-processing and linear-processing
 kernel frameworks (literal tiled implementations for validation), the
-launch-record builders, and the metered engines that attach the
-simulated-GPU / CPU-baseline cost models to the functional pipeline.
+kernel launcher with its compiled backends, and the launch-record
+builders whose Algorithm-3 walk the simulated-GPU / CPU-baseline cost
+models price (:func:`repro.gpu.analytic.model_pass`).
 """
 
 from .launches import (
     CATEGORY,
+    CPU_BASELINE_OPTIONS,
     EngineOptions,
     category_of,
     iter_decompose_launches,
@@ -30,8 +32,6 @@ from .launcher import (
     set_kernel_backend,
 )
 from .linear_processing import LinearProcessingKernel
-from .metered import CPU_BASELINE_OPTIONS, CpuRefEngine, GpuSimEngine, MeteredEngine
-from .tiled_engine import TiledEngine
 
 __all__ = [
     "CATEGORY",
@@ -43,11 +43,7 @@ __all__ = [
     "SliceLaunch",
     "TuneResult",
     "SlicedLinearProcessor",
-    "CpuRefEngine",
     "EngineOptions",
-    "GpuSimEngine",
-    "MeteredEngine",
-    "TiledEngine",
     "autotune",
     "autotune_backend",
     "available_backends",

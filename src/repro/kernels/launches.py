@@ -2,17 +2,11 @@
 
 Exactly one place in the codebase decides how many bytes, elements,
 threads, and launches each operation of the refactoring pipeline costs:
-the builder functions below.  They are shared by
-
-* the *metered engines* (:mod:`repro.kernels.metered`), which execute
-  functionally and emit a record per call, and
-* the *analytic model* (:func:`iter_decompose_launches`), which walks
-  Algorithm 3 over shapes only — no data — so that paper-scale
-  configurations (4 TB datasets, 4096 GPUs) can be modeled instantly.
-
-Because both paths call the same builders, the functional engines and
-the analytic model cannot drift apart; a unit test asserts record-level
-equality between them.
+the builder functions below, composed by :func:`iter_decompose_launches`
+into one pass of Algorithm 3 over shapes only — no data — so that
+paper-scale configurations (4 TB datasets, 4096 GPUs) can be modeled
+instantly.  :func:`repro.gpu.analytic.model_pass` turns the records into
+modeled seconds.
 
 Design-option knobs (the paper's optimizations) live in
 :class:`EngineOptions`; flipping them off yields the ablation baselines
@@ -30,6 +24,7 @@ from ..gpu.cost import KernelLaunch
 
 __all__ = [
     "EngineOptions",
+    "CPU_BASELINE_OPTIONS",
     "CATEGORY",
     "category_of",
     "coefficients_launch",
@@ -87,6 +82,10 @@ class EngineOptions:
         if self.n_streams < 1:
             raise ValueError("n_streams must be >= 1")
 
+
+#: How the original CPU implementation behaves in the launch model:
+#: vector-wise processing on unpacked (strided) data, one "stream".
+CPU_BASELINE_OPTIONS = EngineOptions(framework="naive", pack_nodes=False)
 
 #: Map from kernel-record names to the paper's Table IV row categories.
 CATEGORY = {
@@ -402,12 +401,23 @@ def iter_decompose_launches(
 ) -> Iterator[KernelLaunch]:
     """Yield every launch of one decomposition/recomposition pass.
 
-    Mirrors :func:`repro.core.decompose.decompose` /
-    :func:`~repro.core.decompose.recompose` exactly — including the
-    copies and packs the host driver elides and reports — but over
-    shapes only.  The metered engines emit the same records (asserted
-    by tests), so analytic sweeps and functional runs agree by
-    construction.
+    The level walk is that of :func:`repro.core.decompose.decompose` /
+    :func:`~repro.core.decompose.recompose`, over shapes only, and what is
+    modeled is the paper's Algorithm 3, not the host's shortcuts:
+
+    * the host evaluates ``R_l M_l`` as one stencil
+      (:func:`~repro.core.transfer.mass_transfer_apply`); the paper runs
+      a ``mass`` and a ``transfer`` kernel, so both are yielded;
+    * the paper's device design keeps a separate output array and working
+      buffer ("the size of working memory space is equal to the original
+      input size") and pays an output copy, a finest-level pack and a
+      full-size coefficient store that the host drivers skip by adopting
+      arrays — they are yielded (``MC``/``PN``) as if performed;
+    * applying/undoing the correction is fused with node (un)packing
+      there, hence a ``correction_update`` (``PN``) per level;
+    * designs without node packing operate on the strided data in place:
+      with ``pack_nodes`` off the initial gathers are not launches, the
+      level stride is charged to every kernel instead.
     """
     if operation not in ("decompose", "recompose"):
         raise ValueError(f"operation must be decompose|recompose, got {operation!r}")

@@ -1,15 +1,13 @@
 """Process/thread/serial concurrency substrate for the codec pipeline.
 
-Extracted from ``compress/executor.py`` (which remains as a re-export
-shim) so every layer — entropy segments, zlib sub-blocks, Huffman sync
-ranges, streaming pipelines — schedules through one interface.  See
+Every layer — entropy segments, zlib sub-blocks, Huffman sync ranges,
+streaming pipelines — schedules through this one interface.  See
 :mod:`repro.parallel.executors` for the backends and
 :mod:`repro.parallel.shm` for the shared-memory transport the process
 backend ships heavy operands through.
 """
 
 from .executors import (
-    ParallelExecutor,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -32,7 +30,6 @@ from .shm import (
 __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
-    "ParallelExecutor",
     "ProcessExecutor",
     "get_executor",
     "set_default_executor",

@@ -15,7 +15,6 @@ which backend runs the units never changes the bytes they emit:
     A shared :class:`concurrent.futures.ThreadPoolExecutor`.  Threads
     suit the encode path: the heavy kernels (``zlib.compress``, bulk
     NumPy ops) release the GIL, so work units genuinely overlap.
-    (``ParallelExecutor`` is the pre-refactor alias.)
 
 ``ProcessExecutor``
     A :class:`concurrent.futures.ProcessPoolExecutor`-backed pool for
@@ -50,7 +49,6 @@ from .. import faults
 __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
-    "ParallelExecutor",
     "ProcessExecutor",
     "get_executor",
     "set_default_executor",
@@ -153,11 +151,6 @@ class ThreadExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadExecutor(max_workers={self.max_workers})"
-
-
-#: Pre-refactor name of the thread backend, kept importable forever —
-#: plans and scripts written against ``compress/executor.py`` use it.
-ParallelExecutor = ThreadExecutor
 
 
 def _picklable(fn) -> bool:

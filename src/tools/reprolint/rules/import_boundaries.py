@@ -1,6 +1,6 @@
 """``import-boundary``: the layering contracts of the package graph.
 
-Five boundaries, each introduced by an earlier PR and otherwise
+Seven boundaries, each introduced by an earlier PR and otherwise
 enforced only by convention:
 
 * **numba** is imported exclusively through ``repro/kernels/jit.py``
@@ -17,6 +17,12 @@ enforced only by convention:
   batch-vectorized Thomas sweep of ``repro/core/solver.py``; SciPy is a
   test/benchmark dependency only, and a per-right-hand-side LAPACK solve
   must not grow back into the refactoring path.
+* ``repro.core`` must not import ``repro.kernels`` or ``repro.gpu`` —
+  the arithmetic knows nothing of launch records or cost models; they
+  walk its shapes (``iter_decompose_launches``), it never calls them.
+* ``repro.compress.executor`` and ``repro.cluster.simmpi`` are gone
+  (re-export shims of ``repro.parallel.executors`` /
+  ``repro.cluster.fabric``) and must not be imported back into being.
 
 Relative imports are resolved against the importing module's package
 before matching.
@@ -52,6 +58,28 @@ FORBIDDEN = (
         "the library is NumPy-only (SciPy is a test extra); solve with "
         "repro.core.solver.thomas_solve, not per-RHS LAPACK",
     ),
+    (
+        "repro.core",
+        "repro.kernels",
+        "the arithmetic is below the kernel frameworks and the launch "
+        "model; they import repro.core, never the reverse",
+    ),
+    (
+        "repro.core",
+        "repro.gpu",
+        "cost modelling walks shapes (repro.kernels.launches -> "
+        "repro.gpu.analytic.model_pass); the arithmetic never calls it",
+    ),
+    (
+        "repro",
+        "repro.compress.executor",
+        "the shim is deleted; import repro.parallel.executors",
+    ),
+    (
+        "repro",
+        "repro.cluster.simmpi",
+        "the shim is deleted; import repro.cluster.fabric",
+    ),
 )
 
 _JIT_GUARD = "repro.kernels.jit"
@@ -81,7 +109,8 @@ class ImportBoundaryRule(Rule):
     summary = (
         "numba only via repro.kernels.jit; no compress->io or "
         "service->experiments edges; tools never imports repro; "
-        "repro never imports scipy"
+        "repro never imports scipy; core never imports kernels/gpu; "
+        "the deleted executor/simmpi shims stay deleted"
     )
     paths = ("src/*", "src/*/*", "src/*/*/*")
 

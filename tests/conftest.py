@@ -46,6 +46,27 @@ def nonuniform_coords(shape: tuple[int, ...], rng: np.random.Generator):
     return tuple(coords)
 
 
+def record_kernel_calls(monkeypatch):
+    """Record every call the drivers make to the four math kernels as ``(name,
+    args, result, result_is_c_contiguous)``, through the module bindings they
+    call.  Arrays are snapshots: ``decompose`` adopts the finest coefficient
+    array as its output and overwrites it under later levels."""
+    from repro.core import coefficients, correction
+
+    calls = []
+    for module, name in ((coefficients, "compute_coefficients"),
+                         (coefficients, "restore_from_coefficients"),
+                         (correction, "mass_transfer_apply"), (correction, "solve_correction")):
+        def recorded(*args, _name=name, _fn=getattr(module, name)):
+            seen = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+            out = _fn(*args)
+            calls.append((_name, seen, out.copy(), out.flags.c_contiguous))
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def assert_rounding_close(got, ref, scale_of, dtype=np.float64):
     """``|got - ref| <= 8 * eps(dtype) * max|scale_of|`` — the bound on the one
     op (and so on whole pipelines) where the literal kernels and the fused

@@ -4,7 +4,7 @@ The literal walks of the framework — segments staged through "shared
 memory", ghost values carried in "registers", one output per thread —
 and two independent solver oracles: the Thomas factor recurrence written
 out with NumPy scalars, and a banded Cholesky solve (LAPACK ``pbtrs`` via
-SciPy, the solver the production engine used before the batch-vectorized
+SciPy, the solver production used before the batch-vectorized
 Thomas sweep).  Test-only: the production paths in ``repro.core`` and
 ``repro.kernels`` are compared against these, bit for bit where the
 arithmetic is the same and to 1e-12 where it is not.

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.cluster.fabric import SimComm, SpmdError, run_spmd
 from repro.cluster.node import DESKTOP, SUMMIT_NODE, node_speedup, partition_shape
 from repro.cluster.scaling import (
     shape_for_bytes_2d,
     shape_for_bytes_3d,
     weak_scaling,
 )
-from repro.cluster.simmpi import SimComm, SpmdError, run_spmd
 
 
 class TestSimComm:

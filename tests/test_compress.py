@@ -193,17 +193,13 @@ class TestMgard:
         back = comp.decompress(comp.compress(data))
         assert np.abs(back - data).max() <= 1e-3
 
-    def test_metered_engines_populate_times(self, rng):
-        from repro.kernels.metered import CpuRefEngine, GpuSimEngine
+    def test_metered_engines_populate_times(self):
+        from repro.experiments.showcases import fig11_mgard
 
-        shape = (257, 257)
-        hier = TensorHierarchy.from_shape(shape)
-        data = smooth(shape)
-        gpu_blob = MgardCompressor(hier, 1e-3, engine=GpuSimEngine()).compress(data)
-        assert gpu_blob.times.refactor_modeled is not None
-        assert gpu_blob.times.quantize_modeled is not None
-        assert gpu_blob.times.transfer_modeled is not None
-        cpu_blob = MgardCompressor(hier, 1e-3, engine=CpuRefEngine()).compress(data)
-        assert cpu_blob.times.refactor_modeled is not None
+        rows = {(r.config, r.operation): r for r in fig11_mgard(shape=(257, 257), steps=40)}
+        for row in rows.values():
+            assert row.refactor_s > 0 and row.quantize_s > 0 and row.entropy_s > 0
+        assert rows["GPU-offload", "compress"].transfer_s > 0 == rows["CPU", "compress"].transfer_s
         # at 257^2 the modeled GPU refactor is several times faster (Table V)
-        assert cpu_blob.times.refactor_modeled > 3 * gpu_blob.times.refactor_modeled
+        for op in ("compress", "decompress"):
+            assert rows["CPU", op].refactor_s > 3 * rows["GPU-offload", op].refactor_s

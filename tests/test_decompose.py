@@ -89,16 +89,6 @@ class TestSemantics:
         small = np.abs(ref) < 1e-2 * np.abs(ref).max()
         assert small.mean() > 0.5
 
-    def test_engine_parity_gpu_vs_numpy(self, rng):
-        from repro.kernels.metered import CpuRefEngine, GpuSimEngine
-
-        h = TensorHierarchy.from_shape((17, 9))
-        data = rng.standard_normal((17, 9))
-        base = decompose(data, h)
-        for engine in (GpuSimEngine(), CpuRefEngine()):
-            np.testing.assert_array_equal(decompose(data, h, engine), base)
-            np.testing.assert_array_equal(recompose(base, h, engine), recompose(base, h))
-
 
 def _input_layouts(x):
     """The same values as a C-ordered, F-ordered, strided-view and read-only array."""
@@ -108,13 +98,6 @@ def _input_layouts(x):
     frozen = x.copy()
     frozen.flags.writeable = False
     return {"C": x.copy(), "F": np.asfortranarray(x), "strided": view, "readonly": frozen}
-
-
-def _engines():
-    from repro.kernels.metered import GpuSimEngine
-    from repro.kernels.tiled_engine import TiledEngine
-
-    return [None, GpuSimEngine(), TiledEngine(b=2, segment=5)]
 
 
 class TestDriverContract:
@@ -130,21 +113,18 @@ class TestDriverContract:
         ref = decompose(x.copy(), h)
         back = recompose(ref.copy(), h)
         assert ref.dtype == dtype and back.dtype == dtype
-        for engine in _engines():
-            for name, data in _input_layouts(x).items():
-                out = decompose(data, h, engine)
-                np.testing.assert_array_equal(data, x, err_msg=name)
-                assert not np.shares_memory(out, data), name
-                assert out.dtype == dtype and out.flags.c_contiguous and out.flags.writeable, name
-                if engine is None:  # layout never changes the bits
-                    np.testing.assert_array_equal(out, ref, err_msg=name)
-            for name, data in _input_layouts(ref).items():
-                out = recompose(data, h, engine)
-                np.testing.assert_array_equal(data, ref, err_msg=name)
-                assert not np.shares_memory(out, data), name
-                assert out.dtype == dtype and out.flags.c_contiguous and out.flags.writeable, name
-                if engine is None:
-                    np.testing.assert_array_equal(out, back, err_msg=name)
+        for name, data in _input_layouts(x).items():
+            out = decompose(data, h)
+            np.testing.assert_array_equal(data, x, err_msg=name)
+            assert not np.shares_memory(out, data), name
+            assert out.dtype == dtype and out.flags.c_contiguous and out.flags.writeable, name
+            np.testing.assert_array_equal(out, ref, err_msg=name)  # layout never changes the bits
+        for name, data in _input_layouts(ref).items():
+            out = recompose(data, h)
+            np.testing.assert_array_equal(data, ref, err_msg=name)
+            assert not np.shares_memory(out, data), name
+            assert out.dtype == dtype and out.flags.c_contiguous and out.flags.writeable, name
+            np.testing.assert_array_equal(out, back, err_msg=name)
 
     def test_integer_input_is_refactored_as_float64(self, rng):
         h = TensorHierarchy.from_shape((9, 5))

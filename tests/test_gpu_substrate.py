@@ -1,16 +1,19 @@
 """Tests for memory accounting, the analytic model, and stream scheduling."""
 
-import numpy as np
 import pytest
 
-from repro.core.decompose import decompose, recompose
 from repro.core.grid import TensorHierarchy
 from repro.gpu.analytic import model_pass, model_pass_shape
+from repro.gpu.cost import cpu_kernel_time, gpu_kernel_time
 from repro.gpu.device import POWER9_CORE, V100
 from repro.gpu.memory import MemoryTracker, refactoring_footprint
 from repro.gpu.streams import StreamScheduler, stream_sweep
-from repro.kernels.launches import EngineOptions
-from repro.kernels.metered import CPU_BASELINE_OPTIONS, CpuRefEngine, GpuSimEngine
+from repro.kernels.launches import (
+    CPU_BASELINE_OPTIONS,
+    EngineOptions,
+    category_of,
+    iter_decompose_launches,
+)
 
 
 class TestMemoryTracker:
@@ -76,27 +79,24 @@ class TestFootprint:
 class TestAnalyticModel:
     @pytest.mark.parametrize("shape", [(33, 17), (9, 9, 9), (65,)])
     @pytest.mark.parametrize("operation", ["decompose", "recompose"])
-    def test_matches_metered_gpu_clock(self, shape, operation, rng):
+    def test_matches_metered_gpu_clock(self, shape, operation):
+        """``model_pass`` is the walk metered record by record: the total is
+        the sum of the records' modeled times, per Table IV category too."""
         h = TensorHierarchy.from_shape(shape)
-        eng = GpuSimEngine()
-        data = rng.standard_normal(shape)
-        ref = decompose(data, h)
-        eng.reset()
-        if operation == "decompose":
-            decompose(data, h, eng)
-        else:
-            recompose(ref, h, eng)
-        mp = model_pass(h, V100, eng.opts, operation)
-        assert mp.total_seconds == pytest.approx(eng.clock, rel=1e-12)
-        for cat, t in mp.category_seconds.items():
-            assert t == pytest.approx(eng.category_seconds[cat], rel=1e-12)
+        walk = list(iter_decompose_launches(h, EngineOptions(), operation))
+        times = [gpu_kernel_time(rec, V100) for rec in walk]
+        mp = model_pass(h, V100, EngineOptions(), operation)
+        assert mp.total_seconds == pytest.approx(sum(times), rel=1e-12)
+        for cat, seconds in mp.category_seconds.items():
+            metered = sum(t for rec, t in zip(walk, times) if category_of(rec) == cat)
+            assert seconds == pytest.approx(metered, rel=1e-12)
 
-    def test_matches_metered_cpu_clock(self, rng):
+    def test_matches_metered_cpu_clock(self):
         h = TensorHierarchy.from_shape((33, 17))
-        eng = CpuRefEngine()
-        decompose(rng.standard_normal((33, 17)), h, eng)
+        walk = list(iter_decompose_launches(h, CPU_BASELINE_OPTIONS, "decompose"))
         mp = model_pass(h, POWER9_CORE, CPU_BASELINE_OPTIONS, "decompose")
-        assert mp.total_seconds == pytest.approx(eng.clock, rel=1e-12)
+        metered = sum(cpu_kernel_time(rec, POWER9_CORE) for rec in walk)
+        assert mp.n_launches == len(walk) and mp.total_seconds == pytest.approx(metered, rel=1e-12)
 
     def test_throughput_property(self):
         mp = model_pass_shape((1025, 1025), V100)

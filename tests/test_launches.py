@@ -1,12 +1,12 @@
 """Tests for launch-record builders and the Algorithm-3 walk."""
 
-import numpy as np
 import pytest
 
 from repro.core.decompose import decompose, recompose
 from repro.core.grid import TensorHierarchy
 from repro.kernels import launches as L
-from repro.kernels.metered import CPU_BASELINE_OPTIONS, CpuRefEngine, GpuSimEngine
+
+from conftest import record_kernel_calls
 
 
 class TestEngineOptions:
@@ -79,29 +79,47 @@ class TestBuilders:
         assert cats == {"CC", "MM", "TM", "SC", "MC", "PN"}
 
 
+def _assert_driver_kernels_equal_walk(h, opts, operation, rng, monkeypatch):
+    """The kernel calls of one driver pass, turned into launch records with
+    the builders above, are the walk's CC/MM/TM/SC records in order (the fused
+    ``mass_transfer_apply`` is the paper's ``mass`` + ``transfer`` pair)."""
+    calls = record_kernel_calls(monkeypatch)
+    (decompose if operation == "decompose" else recompose)(rng.standard_normal(h.shape), h)
+    monkeypatch.undo()
+    records = []
+    for name, args, _, _ in calls:
+        shape, axis, l = args[0].shape, args[-1], args[-1]  # (v|c, ..., hier, l) or (f, ops, axis)
+        if name in ("mass_transfer_apply", "solve_correction"):
+            l = next(l for l in range(1, h.L + 1)
+                     if h.coarsens(l, axis) and h.level_ops(l, axis) is args[1])
+        common = dict(opts=opts, level=l, stride=h.level_stride(l, h.ndim - 1))
+        if name == "solve_correction":
+            records.append(L.solve_launch(shape, axis, **common))
+        elif name == "mass_transfer_apply":
+            records.append(L.mass_launch(shape, axis, **common))
+            records.append(L.transfer_launch(shape, axis, args[1].m_coarse, **common))
+        else:
+            restore = name == "restore_from_coefficients"
+            records.append(L.coefficients_launch(shape, restore=restore, **common))
+    walk = [r for r in L.iter_decompose_launches(h, opts, operation)
+            if L.category_of(r) in ("CC", "MM", "TM", "SC")]
+    assert records and walk == records
+
+
 class TestWalkMatchesEngines:
+    """The walk against the one driver (once: against metered engines threaded
+    through it).  ``MC``/``PN`` records have no functional counterpart — the
+    host driver elides those movements — so the walk alone owns them."""
+
     @pytest.mark.parametrize("shape", [(33, 17), (9, 9, 9), (65,), (16, 7)])
     @pytest.mark.parametrize("operation", ["decompose", "recompose"])
-    def test_gpu_engine_records_equal_walk(self, shape, operation, rng):
+    def test_gpu_engine_records_equal_walk(self, shape, operation, rng, monkeypatch):
         h = TensorHierarchy.from_shape(shape)
-        eng = GpuSimEngine()
-        data = rng.standard_normal(shape)
-        if operation == "decompose":
-            decompose(data, h, eng)
-        else:
-            recompose(decompose(data, h), h, eng)
-            # drop the decompose records: re-run cleanly
-            eng.reset()
-            recompose(decompose(data, h), h, eng)
-        walk = list(L.iter_decompose_launches(h, eng.opts, operation))
-        assert walk == eng.records
+        _assert_driver_kernels_equal_walk(h, L.EngineOptions(), operation, rng, monkeypatch)
 
-    def test_cpu_engine_records_equal_walk(self, rng):
+    def test_cpu_engine_records_equal_walk(self, rng, monkeypatch):
         h = TensorHierarchy.from_shape((33, 17))
-        eng = CpuRefEngine()
-        decompose(rng.standard_normal((33, 17)), h, eng)
-        walk = list(L.iter_decompose_launches(h, CPU_BASELINE_OPTIONS, "decompose"))
-        assert walk == eng.records
+        _assert_driver_kernels_equal_walk(h, L.CPU_BASELINE_OPTIONS, "decompose", rng, monkeypatch)
 
     def test_walk_rejects_unknown_operation(self):
         h = TensorHierarchy.from_shape((9,))
@@ -115,36 +133,11 @@ class TestWalkMatchesEngines:
 
 
 class TestMeteredEngineBookkeeping:
-    def test_clock_accumulates_and_resets(self, rng):
-        eng = GpuSimEngine()
-        decompose(rng.standard_normal((33, 33)), engine=eng)
-        assert eng.clock > 0
-        assert abs(sum(eng.record_times) - eng.clock) < 1e-12
-        report = eng.report()
-        assert abs(report["total"] - eng.clock) < 1e-12
-        eng.reset()
-        assert eng.clock == 0 and not eng.records
+    def test_cpu_report_folds_pn_into_mc(self):
+        """The CPU baseline packs nothing: its ``PN`` traffic is booked as ``MC``."""
+        from repro.gpu.analytic import model_pass_shape
+        from repro.gpu.device import POWER9_CORE, V100
 
-    def test_cpu_report_folds_pn_into_mc(self, rng):
-        eng = CpuRefEngine()
-        decompose(rng.standard_normal((33, 33)), engine=eng)
-        report = eng.report()
-        assert "PN" not in report
-        assert report["MC"] > 0
-
-    def test_gpu_oom_guard(self):
-        from repro.gpu.device import V100
-
-        eng = GpuSimEngine(V100)
-        big = TensorHierarchy.from_shape((50000, 50000))  # 20 GB > 16 GB
-        with pytest.raises(MemoryError):
-            eng.begin("decompose", big)
-
-    def test_footprint_accessor(self, rng):
-        eng = GpuSimEngine()
-        decompose(rng.standard_normal((33, 33)), engine=eng)
-        fp = eng.footprint()
-        assert fp.solver_bytes == 2 * (33 + 33) * 8
-        eng2 = GpuSimEngine()
-        with pytest.raises(ValueError):
-            eng2.footprint()
+        cpu = model_pass_shape((33, 33), POWER9_CORE, L.CPU_BASELINE_OPTIONS).category_seconds
+        assert "PN" not in cpu and cpu["MC"] > 0
+        assert model_pass_shape((33, 33), V100).category_seconds["PN"] > 0

@@ -491,6 +491,22 @@ class TestImportBoundaryRule:
         ]
         assert "thomas_solve" in doc["findings"][0]["message"]
 
+    def test_core_stays_below_kernels_and_deleted_shims_stay_deleted(self, tmp_path, capsys):
+        make_tree(tmp_path, {
+            "src/repro/core/decompose.py": "from ..kernels.launches import copy_launch\n",
+            "src/repro/core/refactor.py": "import repro.gpu.analytic\n",
+            "src/repro/kernels/launches.py": "from ..core.grid import TensorHierarchy\n",
+            "src/repro/compress/plan.py": "from .executor import get_executor\n",
+            "src/repro/cli.py": "import repro.cluster.simmpi\n",
+            "src/repro/io/workflow.py": "from ..parallel.executors import get_executor\n",
+        })
+        code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
+        assert code == 1
+        assert sorted(f["path"] for f in doc["findings"]) == [
+            "src/repro/cli.py", "src/repro/compress/plan.py",
+            "src/repro/core/decompose.py", "src/repro/core/refactor.py",
+        ]
+
     def test_allowed_directions_pass(self, tmp_path, capsys):
         make_tree(tmp_path, {
             # io -> compress is the sanctioned direction

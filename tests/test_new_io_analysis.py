@@ -7,9 +7,13 @@ import pytest
 
 from repro.analysis.spectrum import class_band_energy, radial_power_spectrum
 from repro.compress.rate import bd_rate_gain, rate_distortion_curve
+from repro.core.grid import hierarchy_for
 from repro.core.refactor import Refactorer
+from repro.gpu.analytic import model_pass_shape
+from repro.gpu.device import V100
 from repro.gpu.tracing import build_timeline, to_chrome_trace
 from repro.io.stream import StepStreamReader, StepStreamWriter, StreamError
+from repro.kernels.launches import EngineOptions, iter_decompose_launches
 from repro.workloads.synthetic import multiscale, smooth
 
 
@@ -126,25 +130,19 @@ class TestStepStream:
 
 
 class TestTracing:
-    def _records(self, rng, shape=(17, 9, 9), n_streams=2):
-        from repro.core.decompose import decompose
-        from repro.kernels.launches import EngineOptions
-        from repro.kernels.metered import GpuSimEngine
+    def _records(self, n_streams=2):
+        opts = EngineOptions(n_streams=n_streams)
+        return list(iter_decompose_launches(hierarchy_for((17, 9, 9)), opts, "decompose"))
 
-        eng = GpuSimEngine(opts=EngineOptions(n_streams=n_streams))
-        decompose(rng.standard_normal(shape), engine=eng)
-        return eng
-
-    def test_timeline_covers_clock(self, rng):
-        eng = self._records(rng)
-        events = build_timeline(eng.records, eng.device)
+    def test_timeline_covers_clock(self):
+        events = build_timeline(self._records(), V100)
         assert events
         end = max(e.end_s for e in events)
-        assert end == pytest.approx(eng.clock, rel=0.05)
+        clock = model_pass_shape((17, 9, 9), V100, EngineOptions(n_streams=2)).total_seconds
+        assert end == pytest.approx(clock, rel=0.05)
 
-    def test_events_non_overlapping_per_stream(self, rng):
-        eng = self._records(rng, n_streams=4)
-        events = build_timeline(eng.records, eng.device)
+    def test_events_non_overlapping_per_stream(self):
+        events = build_timeline(self._records(n_streams=4))
         by_stream: dict[int, list] = {}
         for e in events:
             by_stream.setdefault(e.stream, []).append(e)
@@ -153,9 +151,8 @@ class TestTracing:
             for a, b in zip(evs[:-1], evs[1:]):
                 assert b.start_s >= a.end_s - 1e-12
 
-    def test_chrome_trace_is_valid_json(self, rng):
-        eng = self._records(rng)
-        blob = to_chrome_trace(build_timeline(eng.records, eng.device))
+    def test_chrome_trace_is_valid_json(self):
+        blob = to_chrome_trace(build_timeline(self._records()))
         parsed = json.loads(blob)
         assert parsed["traceEvents"]
         assert all(ev["ph"] == "X" for ev in parsed["traceEvents"])

@@ -24,15 +24,15 @@ def test_2d_8193_roundtrip():
 
 
 def test_3d_257_roundtrip_with_metered_engine():
-    """A large 3D configuration through the metered GPU engine."""
+    """A large 3D configuration, functionally and through the cost model."""
+    from repro.gpu.analytic import model_pass
+    from repro.gpu.device import V100
     from repro.kernels.launches import EngineOptions
-    from repro.kernels.metered import GpuSimEngine
 
     shape = (257, 257, 257)
     h = TensorHierarchy.from_shape(shape)
     rng = np.random.default_rng(1)
     data = rng.standard_normal(shape)
-    eng = GpuSimEngine(opts=EngineOptions(n_streams=8))
-    rt = recompose(decompose(data, h, eng), h, eng)
+    rt = recompose(decompose(data, h), h)
     assert np.abs(rt - data).max() < 1e-8
-    assert eng.clock > 0
+    assert model_pass(h, V100, EngineOptions(n_streams=8)).total_seconds > 0

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.pipeline import run_pipeline
-from repro.compress.executor import (
-    ParallelExecutor,
+from repro.parallel.executors import (
     SerialExecutor,
+    ThreadExecutor,
     get_executor,
     set_default_executor,
 )
@@ -47,7 +47,7 @@ from repro.io.stream import StepStreamReader, StepStreamWriter, StreamError
 
 
 def _par(n=4):
-    return ParallelExecutor(n)
+    return ThreadExecutor(n)
 
 
 def _adversarial_class_mixes(rng):
@@ -171,7 +171,7 @@ class TestExecutorSelection:
     def test_specs(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
         par = get_executor("parallel:5")
-        assert isinstance(par, ParallelExecutor) and par.max_workers == 5
+        assert isinstance(par, ThreadExecutor) and par.max_workers == 5
         assert get_executor("parallel:5") is par  # shared instance
         with pytest.raises(ValueError):
             get_executor("bogus")
@@ -182,7 +182,7 @@ class TestExecutorSelection:
         set_default_executor("parallel:2")
         try:
             ex = get_executor()
-            assert isinstance(ex, ParallelExecutor) and ex.max_workers == 2
+            assert isinstance(ex, ThreadExecutor) and ex.max_workers == 2
         finally:
             set_default_executor(None)
         assert isinstance(get_executor("serial"), SerialExecutor)
@@ -194,7 +194,7 @@ class TestExecutorSelection:
         p2 = compression_plan((17, 17), 1e-3, executor="parallel:2")
         assert p1 is not p2
         assert isinstance(p1.get_executor(), SerialExecutor)
-        assert isinstance(p2.get_executor(), ParallelExecutor)
+        assert isinstance(p2.get_executor(), ThreadExecutor)
         # scheduling never changes emitted bytes, so the code-book
         # scratch must survive the ambient executor spec changing
         # (e.g. a stream writer reopened under a different knob)

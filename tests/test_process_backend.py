@@ -24,7 +24,6 @@ import pytest
 import repro.compress.huffman as H
 import repro.compress.lossless as L
 from repro.cluster.pipeline import run_pipeline
-from repro.compress.executor import ParallelExecutor  # legacy import path
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.io.stream import PreparedStep, StepStreamReader, StepStreamWriter, StreamError
@@ -54,8 +53,7 @@ class TestExecutorSpecs:
         assert isinstance(get_executor("serial"), SerialExecutor)
         th = get_executor("thread:5")
         assert isinstance(th, ThreadExecutor) and th.max_workers == 5
-        assert get_executor("parallel:5") is th  # pre-refactor alias
-        assert ParallelExecutor is ThreadExecutor
+        assert get_executor("parallel:5") is th  # pre-refactor spec alias
         pr = get_executor("process:2")
         assert isinstance(pr, ProcessExecutor) and pr.max_workers == 2
         assert get_executor("process:2") is pr  # shared instance

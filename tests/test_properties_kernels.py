@@ -1,8 +1,8 @@
-"""Property-based tests of the kernel frameworks and engine options.
+"""Property-based tests of the kernel frameworks.
 
 Hypothesis drives random shapes/levels through the literal tiled
-implementations and the full engine-option matrix, asserting functional
-equivalence with the reference paths everywhere — the "tiled equals
+implementations, asserting functional equivalence with the reference
+paths everywhere — the "tiled equals
 vectorized bit-for-bit" invariant of DESIGN.md §6 under much broader
 sampling than the example-based tests.
 """
@@ -12,15 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coefficients import compute_coefficients
-from repro.core.decompose import decompose, recompose, restrict_all
+from repro.core.decompose import restrict_all
 from repro.core.grid import TensorHierarchy
 from repro.core.mass import mass_apply
 from repro.core.solver import thomas_solve
 from repro.core.transfer import transfer_apply
 from repro.kernels.grid_processing import GridProcessingKernel
-from repro.kernels.launches import EngineOptions
 from repro.kernels.linear_processing import LinearProcessingKernel
-from repro.kernels.metered import GpuSimEngine
 
 
 @st.composite
@@ -60,36 +58,6 @@ def test_segmented_kernels_equal_vectorized(n, segment, batch, seed):
     np.testing.assert_array_equal(k.transfer_multiply(v), transfer_apply(v, ops))
     g = rng.standard_normal((batch, ops.m_coarse))
     np.testing.assert_array_equal(k.solve(g), thomas_solve(g, ops))
-
-
-#: every EngineOptions combination exercised functionally
-_OPTION_MATRIX = [
-    EngineOptions(),
-    EngineOptions(pack_nodes=False),
-    EngineOptions(divergence_free=False),
-    EngineOptions(framework="naive", pack_nodes=False),
-    EngineOptions(framework="elementwise"),
-    EngineOptions(n_streams=8),
-    EngineOptions(framework="naive", pack_nodes=False, divergence_free=False, n_streams=4),
-]
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(0, len(_OPTION_MATRIX) - 1),
-    st.tuples(st.integers(3, 20), st.integers(3, 20)),
-    st.integers(0, 2**31 - 1),
-)
-def test_engine_options_never_change_results(opt_idx, shape, seed):
-    """Options tune the *model*, never the arithmetic: every metered
-    configuration round-trips bit-identically to the reference engine."""
-    data = np.random.default_rng(seed).standard_normal(shape)
-    h = TensorHierarchy.from_shape(shape)
-    ref = decompose(data, h)
-    eng = GpuSimEngine(opts=_OPTION_MATRIX[opt_idx])
-    np.testing.assert_array_equal(decompose(data, h, eng), ref)
-    np.testing.assert_array_equal(recompose(ref, h, eng), recompose(ref, h))
-    assert eng.clock > 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,10 +17,8 @@ from repro import faults
 from repro.cluster import (
     RemoteRankError,
     ShardCodec,
-    SimComm,
     SpmdError,
     SpmdTimeout,
-    ThreadComm,
     encode_shards,
     encode_shards_spmd,
     last_run_report,
@@ -251,21 +249,6 @@ def test_sharded_fanout_byte_identical_across_fabrics(tol):
         )
         assert [bytes(p) for p in payloads] == [bytes(p) for p in reference], fabric
     assert _no_leftover_segments()
-
-
-# ----------------------------------------------------------------------
-# surface compatibility
-
-
-def test_simmpi_shim_still_exports_the_thread_surface():
-    from repro.cluster.simmpi import SimComm as ShimComm
-    from repro.cluster.simmpi import SpmdError as ShimError
-    from repro.cluster.simmpi import run_spmd as shim_run
-
-    assert ShimComm is SimComm is ThreadComm
-    assert ShimError is SpmdError
-    results = shim_run(lambda comm: comm.allreduce(1), 3)
-    assert results == [3, 3, 3]
 
 
 def test_spmd_error_accepts_plain_message():
