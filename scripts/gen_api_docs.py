@@ -38,6 +38,11 @@ containers:
 | `thread[:N]` (alias `parallel`) | `ThreadExecutor` | shared thread pool; overlaps GIL-releasing kernels |
 | `process[:N]` | `ProcessExecutor` | process pool; shared-memory staging unlocks GIL-bound decode |
 | `auto` | thread when >1 core, else serial | — |
+
+Every backend has the same two fan-out methods: `map(fn, *iterables)`
+and `map_shared(fn, operand, *iterables)` — `fn(view_of_operand, *args)`
+once per job, in order; only `ProcessExecutor.map_shared` stages the
+operand in shared memory, and no call site asks which backend it holds.
 """,
     "tools.reprolint": """\
 The `repro-lint` console script (`tools.reprolint.cli:main`).  Seven

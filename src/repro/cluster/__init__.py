@@ -19,7 +19,6 @@ from .sharded import (
     ShardedFrame,
     decode_shard,
     encode_shards,
-    encode_shards_spmd,
     plan_shards,
     shard_tolerance,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "WeakScalingPoint",
     "decode_shard",
     "encode_shards",
-    "encode_shards_spmd",
     "last_run_report",
     "node_speedup",
     "partition_shape",

@@ -135,7 +135,7 @@ def run_pipeline(
         )
     if len(stage_names) != len(stages):
         raise ValueError("one name per stage required")
-    ex = get_executor(executor) if executor is None or isinstance(executor, str) else executor
+    ex = get_executor(executor)
     workers = min(getattr(ex, "max_workers", 1), len(stages) + 1)
 
     failed = threading.Event()

@@ -8,22 +8,12 @@ refactor-only helper into a full compress→decompress path over such
 partitions: a frame is split along axis 0 into *shards*, each shard
 runs its own :class:`~repro.compress.mgard.MgardCompressor` (sharing
 the global :mod:`~repro.compress.plan` cache, so equal-shape shards pay
-setup once), and the shard fan-out is scheduled through the executor
-backends of :mod:`repro.parallel`:
-
-``serial``
-    The byte-for-byte reference — shards encode inline, in order.
-
-``thread``
-    Shards encode on the shared thread pool (the heavy kernels release
-    the GIL).
-
-``process``
-    The frame is staged **once** in shared memory
-    (:func:`repro.parallel.shm.share_array`); workers receive only a
-    picklable ref plus their row range, attach, and return their
-    shard's container bytes.  Falls back to inline encoding when shared
-    memory is unavailable.
+setup once), and the shard fan-out is one
+``executor.map_shared(_encode_shard, frame, row ranges…)`` over the
+backends of :mod:`repro.parallel`: serial is the byte-for-byte
+reference, threads overlap the GIL-releasing kernels, and the process
+backend hands its workers the frame through shared memory — which of
+the three runs is the executor's concern, not this module's.
 
 All three backends emit **byte-identical** shard containers: a shard's
 bytes depend only on (shard data, tolerance, mode, backend), never on
@@ -46,6 +36,7 @@ decode any subset — the basis of
 from __future__ import annotations
 
 import io
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +44,6 @@ import numpy as np
 from .. import faults
 from ..errors import ContainerError
 from ..parallel import get_executor
-from ..parallel.shm import ArrayRef, ShmUnavailable, share_array
 from .partition import BlockPlan
 
 __all__ = [
@@ -62,7 +52,6 @@ __all__ = [
     "ShardedFrame",
     "decode_shard",
     "encode_shards",
-    "encode_shards_spmd",
     "plan_shards",
     "shard_tolerance",
 ]
@@ -130,46 +119,54 @@ class ShardCodec:
         return "refactored" if self.tol is None else "compressed"
 
 
-def _encode_shard_array(shard: np.ndarray, codec: ShardCodec) -> bytes:
-    """Encode one contiguous shard into self-contained container bytes.
+def _draw_faults(n: int) -> list[tuple[float, bool]]:
+    """Per-shard ``(delay seconds, fail)`` for one fan-out of ``n`` shards.
 
     ``sharded.encode.shard`` is a fault-injection site: armed ``error``
     faults fail individual shard encodes (a sick worker), ``delay``
-    faults model stragglers in the fan-out.
+    faults model stragglers in the fan-out.  Drawn *here*, in the
+    coordinator, one draw per shard in submission order, and shipped
+    with the job (the ``kill_indices`` pattern): a pool worker's fault
+    table is whatever it was when the pool forked, and its counters are
+    its own.
     """
+    inj = faults.active()
+    if inj is None:
+        return [(0.0, False)] * n
+    drawn = []
+    for _ in range(n):
+        delay = inj.fire("sharded.encode.shard", ("delay",))
+        fail = inj.fire("sharded.encode.shard", ("error",)) is not None
+        drawn.append((0.0 if delay is None else delay.argument(), fail))
+    return drawn
+
+
+def _encode_shard(
+    frame: np.ndarray, start: int, stop: int, codec: ShardCodec, fault: tuple[float, bool]
+) -> bytes:
+    """Encode rows ``[start, stop)`` of ``frame`` into self-contained
+    container bytes (the work unit of :func:`encode_shards`)."""
     from ..compress.fileio import save_compressed
     from ..compress.mgard import MgardCompressor
     from ..core.refactor import Refactorer
     from ..io.container import write_refactored_stream
 
-    faults.delay_point("sharded.encode.shard")
-    faults.error_point("sharded.encode.shard")
+    delay, fail = fault
+    if delay:
+        time.sleep(delay)
+    if fail:
+        raise faults.InjectedFault("injected fault at sharded.encode.shard")
+    shard = np.ascontiguousarray(frame[start:stop], dtype=np.float64)
     buf = io.BytesIO()
     if codec.tol is None:
-        cc = Refactorer(shard.shape).refactor(np.asarray(shard, dtype=np.float64))
-        write_refactored_stream(buf, cc)
+        write_refactored_stream(buf, Refactorer(shard.shape).refactor(shard))
     else:
         comp = MgardCompressor.for_shape(
             shard.shape, codec.tol, mode=codec.mode, backend=codec.backend,
             executor="serial",
         )
-        save_compressed(buf, comp.compress(np.asarray(shard, dtype=np.float64)))
+        save_compressed(buf, comp.compress(shard))
     return buf.getvalue()
-
-
-def _encode_shard_worker(
-    ref: ArrayRef, start: int, stop: int, codec: ShardCodec
-) -> bytes:
-    """Process-pool work unit: attach the staged frame, encode one shard."""
-    lease = ref.open()
-    try:
-        # a real copy, not ascontiguousarray: the slice is already
-        # contiguous, so the latter would return a view pinning the
-        # segment past lease.close()
-        shard = lease.view[start:stop].copy()
-    finally:
-        lease.close()
-    return _encode_shard_array(shard, codec)
 
 
 def encode_shards(
@@ -178,101 +175,15 @@ def encode_shards(
     """Encode every shard of ``field``; returns one container per shard.
 
     ``executor`` (spec string, instance, or ``None`` for the ambient
-    default) schedules the fan-out.  With the process backend the frame
-    is staged once in shared memory and workers ship back only bytes;
-    every backend returns byte-identical payloads.
+    default) schedules the fan-out; every backend returns
+    byte-identical payloads.
     """
     if tuple(field.shape) != plan.shape:
         raise ValueError(f"expected shape {plan.shape}, got {field.shape}")
-    ex = (
-        get_executor(executor)
-        if executor is None or isinstance(executor, str)
-        else executor
+    n = plan.n_blocks
+    return get_executor(executor).map_shared(
+        _encode_shard, field, plan.starts, plan.stops, [codec] * n, _draw_faults(n)
     )
-    bounds = list(zip(plan.starts, plan.stops))
-    if getattr(ex, "kind", None) == "process" and len(bounds) > 1:
-        try:
-            ref, block = share_array(field)
-        except ShmUnavailable:
-            pass  # no shared memory: encode in-process below
-        else:
-            try:
-                n = len(bounds)
-                return ex.map(
-                    _encode_shard_worker,
-                    [ref] * n,
-                    [a for a, _ in bounds],
-                    [b for _, b in bounds],
-                    [codec] * n,
-                )
-            finally:
-                block.destroy()
-    return ex.map(
-        lambda a, b: _encode_shard_array(
-            np.ascontiguousarray(field[a:b]), codec
-        ),
-        [a for a, _ in bounds],
-        [b for _, b in bounds],
-    )
-
-
-def encode_shards_spmd(
-    field: np.ndarray,
-    plan: BlockPlan,
-    codec: ShardCodec,
-    *,
-    fabric: str | None = None,
-    n_ranks: int = 4,
-    recv_timeout: float = 60.0,
-    shm_threshold: int | None = None,
-) -> list[bytes]:
-    """Encode every shard across SPMD ranks; one container per shard.
-
-    The rank-shaped counterpart of :func:`encode_shards`: rank 0 owns
-    the frame and ships each shard's slice to its owner rank
-    (round-robin) as a bare ndarray — on the process fabric a large
-    slice rides the zero-copy shared-memory data plane — then gathers
-    the encoded containers back in shard order.  Byte-identical to
-    :func:`encode_shards` on every fabric.
-    """
-    if tuple(field.shape) != plan.shape:
-        raise ValueError(f"expected shape {plan.shape}, got {field.shape}")
-    from .fabric import run_spmd
-
-    bounds = list(zip(plan.starts, plan.stops))
-    n_ranks = max(1, min(int(n_ranks), len(bounds)))
-
-    def rank_fn(comm):
-        if comm.rank == 0:
-            for i, (start, stop) in enumerate(bounds):
-                dst = i % comm.size
-                if dst != 0:
-                    comm.send(np.ascontiguousarray(field[start:stop]), dst, tag=i)
-        encoded = []
-        for i in range(comm.rank, len(bounds), comm.size):
-            if comm.rank == 0:
-                start, stop = bounds[i]
-                shard = np.ascontiguousarray(field[start:stop])
-            else:
-                shard = comm.recv(0, tag=i)
-            encoded.append((i, _encode_shard_array(shard, codec)))
-        gathered = comm.gather(encoded, root=0)
-        if comm.rank != 0:
-            return None
-        out: list[bytes | None] = [None] * len(bounds)
-        for pairs in gathered:
-            for i, blob in pairs:
-                out[i] = blob
-        return out
-
-    results = run_spmd(
-        rank_fn,
-        n_ranks,
-        fabric=fabric,
-        recv_timeout=recv_timeout,
-        shm_threshold=shm_threshold,
-    )
-    return results[0]
 
 
 def decode_shard(payload: bytes, payload_mode: str) -> np.ndarray:

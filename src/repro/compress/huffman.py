@@ -27,15 +27,15 @@ end to end:
   from the first-code arrays) and decoding several symbols per 64-bit
   window fetch;
 * both directions are *block-schedulable*: pass an executor (see
-  :mod:`repro.parallel.executors`) and the encoder splits the symbol
-  stream into sync-aligned blocks whose map/pack phases run as
-  independent work units (the MSB-first concatenation is associative,
-  so the merged payload is bit-identical to the serial one), while the
-  decoder partitions the sync blocks across workers; under the
-  ``process`` backend both directions ship their heavy operand through
-  shared memory — the decoder its payload words, the encoder its
-  symbol ranges, whose returned pack-at-0 word buffers the coordinator
-  realigns (:func:`_shift_words`) and OR-merges;
+  :mod:`repro.parallel.executors`) and the encoder cuts the symbol
+  stream into one sync-aligned range per worker, each packed at local
+  bit 0 and realigned (:func:`_shift_words`) and OR-merged by the
+  coordinator (the MSB-first concatenation is associative, so the
+  merged payload is bit-identical to the serial one), while the
+  decoder partitions the sync blocks across workers; both fan out
+  through ``executor.map_shared`` over one operand — the symbol array,
+  the payload words — and code books pickle as their table JSON, so
+  nothing here knows whether a worker shares this address space;
 * a code book can be supplied (``code=``) instead of rebuilt from the
   data, which is how slowly-varying streams amortize entropy setup
   across time steps; :func:`table_delta` / :func:`apply_table_delta`
@@ -49,6 +49,7 @@ builder must agree with live in ``tests/huffman_oracle.py``.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -237,11 +238,14 @@ class HuffmanCode:
     @property
     def table_json(self) -> str:
         """JSON of :attr:`table`, serialized once per book (the reuse
-        policy weighs deltas against its length, the process fan-outs
-        key their worker-side caches by it)."""
+        policy weighs deltas against its length, and it is the form a
+        book is pickled in)."""
         if self._table_json is None:
             self._table_json = json.dumps(self.table)
         return self._table_json
+
+    def __reduce__(self):
+        return _code_from_json, (self.table_json,)
 
 
 # "auto" escape reservation kicks in at this alphabet size: one
@@ -503,9 +507,9 @@ def _payload_bytes(words: np.ndarray, total_bits: int) -> bytes:
     return words[:n_words].astype(">u8").tobytes()[: (total_bits + 7) >> 3]
 
 
-# symbols per schedulable encode block (a multiple of _SYNC_BLOCK, so
-# block boundaries coincide with sync points and the merged header's
-# sync offsets match the serial encoder's exactly)
+# granularity of the encode ranges (a multiple of _SYNC_BLOCK, so range
+# boundaries coincide with sync points and the merged header's sync
+# offsets match the serial encoder's exactly)
 _BLOCK_SYMBOLS = 64 * _SYNC_BLOCK
 
 
@@ -544,15 +548,10 @@ def _shift_words(buf: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-# worker-resident *encode* code books, keyed by the header-form table
-# JSON — the encode-side mirror of _WORKER_TABLE_CACHE: a book reused
-# across stream steps (or across the ranges of one payload) rebuilds
-# its canonical code and memoized lookup arrays once per worker process
-_WORKER_CODE_CACHE: dict[str, "HuffmanCode"] = {}
-
-
-def _encode_range(values: np.ndarray, code: "HuffmanCode", max_bps=None):
-    """Chunkify + pack one symbol range at local bit offset 0.
+def _encode_range(
+    values: np.ndarray, start: int, stop: int, code: "HuffmanCode", max_bps=None
+):
+    """Chunkify + pack ``values[start:stop]`` at local bit offset 0.
 
     Returns ``(words, nbits, sync_local, n_escaped)`` where ``words``
     is the pack-at-0 word buffer (realigned and OR-merged by the
@@ -565,10 +564,11 @@ def _encode_range(values: np.ndarray, code: "HuffmanCode", max_bps=None):
     when this range alone exceeds it, the (expensive) pack is skipped
     and ``words`` comes back ``None`` — the bit count, sync offsets,
     and escape count are still returned, so the coordinator can make
-    the real (global, backend-independent) guard decision and re-pack
+    the real (global, executor-independent) guard decision and re-pack
     the odd locally-skewed range inline if the stream as a whole
     passes.
     """
+    values = values[start:stop]
     c_codes, c_lens, offsets, esc = _chunkify(values, code)
     nbits = int(offsets[-1])
     lsync = offsets[:-1:_SYNC_BLOCK].copy()
@@ -577,39 +577,16 @@ def _encode_range(values: np.ndarray, code: "HuffmanCode", max_bps=None):
     return _pack_words(values, c_codes, c_lens, offsets, esc), nbits, lsync, esc.size
 
 
-def _encode_range_worker(ref, start: int, stop: int, table_json: str, max_bps=None):
-    """Process-pool work unit: encode one symbol range from shm."""
-    code = _WORKER_CODE_CACHE.get(table_json)
-    if code is None:
-        if len(_WORKER_CODE_CACHE) >= 8:
-            _WORKER_CODE_CACHE.clear()
-        code = code_from_table(json.loads(table_json))
-        _WORKER_CODE_CACHE[table_json] = code
-    lease = ref.open()
-    try:
-        # copy the range out of the segment before touching the code
-        # book: _chunkify raises on out-of-book symbols, and an
-        # exception's traceback would pin a live slice view past
-        # lease.close() (BufferError).  One extra memcpy of the range
-        # is noise next to the chunkify/pack passes that follow.
-        values = np.array(lease.view[start:stop])
-    finally:
-        lease.close()
-    return _encode_range(values, code, max_bps)
+def _encode_blocks(values, code, executor, stats=None, guard=None):
+    """Block-parallel encode: one sync-aligned symbol range per worker.
 
-
-def _encode_blocks_process(values, code, executor, stats=None, guard=None):
-    """Sync-aligned block encode fanned out across *processes*.
-
-    The encode-side completion of the shared-memory story: the symbol
-    array is staged once in shm, each worker receives only (segment
-    ref, its range bounds, the header-form code table) and returns its
-    range packed at local bit offset 0; the coordinator prefix-sums the
-    per-range bit counts into global positions and OR-merges the
-    returned word packs after :func:`_shift_words` realignment, so the
-    payload is bit-identical to the serial path.  Returns ``None`` when
-    shared memory is unavailable or the fan-out is too narrow, so the
-    caller falls back to the in-process block path.
+    Every worker packs its range at local bit offset 0
+    (:func:`_encode_range` — it cannot know its global position yet);
+    the coordinator prefix-sums the per-range bit counts into global
+    positions and OR-merges the returned word packs after
+    :func:`_shift_words` realignment.  MSB-first concatenation is
+    associative, so the payload is bit-identical to the single-shot
+    path for any executor.
 
     A reuse ``guard`` keeps its documented before-any-bits-are-packed
     economics: workers skip their pack when their own range exceeds the
@@ -617,110 +594,39 @@ def _encode_blocks_process(values, code, executor, stats=None, guard=None):
     stream-wide), while the *decision* itself is made here from the
     summed bit counts, so accept/reject is exactly the serial path's.
     A range skipped locally on a stream that globally passes (escapes
-    concentrated in one range) is re-packed inline from the parent's
-    own copy of the values.
+    concentrated in one range) is re-packed inline.
     """
-    from ..parallel import shm as _shm
-
     n = values.size
     n_blocks = -(-n // _BLOCK_SYMBOLS)
-    k = min(getattr(executor, "max_workers", 1), n_blocks)
-    if k < 2:
-        return None
-    try:
-        ref, block = _shm.share_array(values)
-    except _shm.ShmUnavailable:
-        return None
-    try:
-        # contiguous runs of whole blocks per worker, so every range
-        # starts on a sync boundary (_BLOCK_SYMBOLS is a multiple of
-        # _SYNC_BLOCK) and the local sync offsets splice exactly
-        cuts = (np.linspace(0, n_blocks, k + 1).astype(int) * _BLOCK_SYMBOLS)
-        cuts[-1] = n
-        table_json = code.table_json
-        max_bps = guard.get("max_bits_per_symbol") if guard is not None else None
-        rows = [
-            (ref, int(a), int(b), table_json, max_bps)
-            for a, b in zip(cuts[:-1], cuts[1:])
-        ]
-        parts = executor.map(_encode_range_worker, *zip(*rows))
-    finally:
-        block.destroy()
+    k = min(executor.max_workers, n_blocks)
+    # contiguous runs of whole blocks per worker, so every range starts
+    # on a sync boundary (_BLOCK_SYMBOLS is a multiple of _SYNC_BLOCK)
+    # and the local sync offsets splice exactly
+    cuts = (np.linspace(0, n_blocks, k + 1).astype(int) * _BLOCK_SYMBOLS).tolist()
+    cuts[-1] = n
+    max_bps = guard.get("max_bits_per_symbol") if guard is not None else None
+    parts = executor.map_shared(
+        _encode_range, values, cuts[:-1], cuts[1:], [code] * k, [max_bps] * k
+    )
 
-    bits = np.zeros(k + 1, dtype=np.int64)
-    for i, (_, nbits, _, _) in enumerate(parts):
-        bits[i + 1] = nbits
-    starts = np.cumsum(bits)
+    starts = np.cumsum([0] + [nbits for _, nbits, _, _ in parts])
     total_bits = int(starts[-1])
     _note_stats(stats, n, sum(p[3] for p in parts))
     if guard is not None and _guard_exceeded(guard, n, total_bits):
         return _GUARD_TRIPPED
-    for i, (words, nbits, lsync, nesc) in enumerate(parts):
-        if words is None:  # local hint tripped, stream passed: pack now
-            a, b = int(cuts[i]), int(cuts[i + 1])
-            words = _encode_range(values[a:b], code)[0]
-            parts[i] = (words, nbits, lsync, nesc)
     sync = np.concatenate(
-        [lsync + start for (_, _, lsync, _), start in zip(parts, starts[:-1])]
+        [lsync + start for (_, _, lsync, _), start in zip(parts, starts)]
     )[1:]  # drop the stream start (bit 0 is not a sync entry)
 
     n_words = (total_bits + 63) >> 6
     out = np.zeros(n_words + 3, dtype=np.uint64)  # shift + spill slack
-    for (words, _, _, _), start in zip(parts, starts[:-1]):
-        s = int(start)
+    for i, (words, _, _, _) in enumerate(parts):
+        if words is None:  # local hint tripped, stream passed: pack now
+            words = _encode_range(values, cuts[i], cuts[i + 1], code)[0]
+        s = int(starts[i])
         shifted = _shift_words(words, s & 63)
         w0 = s >> 6
         out[w0 : w0 + shifted.size] |= shifted
-    return _payload_bytes(out, total_bits), total_bits, sync
-
-
-def _encode_blocks(values, code, executor, stats=None, guard=None):
-    """Block-parallel encode: chunkify and pack sync-aligned blocks.
-
-    Fan-out/merge structure: (1) map ``_chunkify`` over symbol blocks,
-    (2) a serial prefix sum turns per-block bit counts into global bit
-    positions, (3) map the word-aligned pack over blocks at their
-    (mod-64) start shift, (4) OR the word buffers together.  MSB-first
-    concatenation is associative, so the result is bit-identical to the
-    single-shot path for any executor.  Under the process backend the
-    whole structure runs across address spaces instead
-    (:func:`_encode_blocks_process`): symbol ranges ship through shared
-    memory and the returned pack-at-0 word buffers are realigned with
-    :func:`_shift_words` before the OR-merge.
-    """
-    if getattr(executor, "kind", None) == "process":
-        out = _encode_blocks_process(values, code, executor, stats, guard)
-        if out is not None:
-            return out
-    n = values.size
-    bounds = list(range(0, n, _BLOCK_SYMBOLS)) + [n]
-    blocks = [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    chunked = executor.map(lambda v: _chunkify(v, code), blocks)
-    _note_stats(stats, n, sum(c[3].size for c in chunked))
-
-    # global bit position of every block and of every element
-    block_bits = np.array([0] + [int(c[2][-1]) for c in chunked], dtype=np.int64)
-    block_start = np.cumsum(block_bits)[:-1]
-    total_bits = int(block_start[-1] + block_bits[-1])
-    if guard is not None and _guard_exceeded(guard, n, total_bits):
-        return _GUARD_TRIPPED
-    elem_bits = np.concatenate(
-        [c[2][:-1] + start for c, start in zip(chunked, block_start)]
-    )
-    sync = elem_bits[_SYNC_BLOCK::_SYNC_BLOCK]
-
-    def pack_one(i: int):
-        c_codes, c_lens, offsets, esc = chunked[i]
-        start = int(block_start[i])
-        return start >> 6, _pack_words(
-            blocks[i], c_codes, c_lens, offsets + (start & 63), esc
-        )
-
-    packed = executor.map(pack_one, range(len(blocks)))
-    n_words = (total_bits + 63) >> 6
-    out = np.zeros(n_words + 1, dtype=np.uint64)
-    for w0, buf in packed:
-        out[w0 : w0 + buf.size] |= buf
     return _payload_bytes(out, total_bits), total_bits, sync
 
 
@@ -825,8 +731,8 @@ class _DecodeTables:
     ``rank < count`` check instead.
 
     The arrays are exactly the operands of the launcher's
-    ``huff_decode`` op; ``code`` is the source book when there is one
-    (the process fan-out rebuilds these tables from its table JSON).
+    ``huff_decode`` op; ``code`` is the source book when there is one,
+    and tables pickle as that book's table JSON.
     """
 
     def __init__(
@@ -858,6 +764,9 @@ class _DecodeTables:
         return cls(
             lens, first, ucount, base, limits, flat_syms, esc_flat, code.esc_len, code
         )
+
+    def __reduce__(self):
+        return _tables_from_json, (self.code.table_json,)
 
     def classify(self, win: np.ndarray):
         """Left-justified windows -> (length, flat symbol rank, valid)."""
@@ -919,6 +828,17 @@ def decode_tables(code: HuffmanCode) -> "_DecodeTables":
     code book reused across steps.
     """
     return _DecodeTables.from_code(code)
+
+
+@functools.lru_cache(maxsize=8)
+def _tables_from_json(table_json: str) -> _DecodeTables:
+    """Unpickle hook of books and tables: a pool worker rebuilds each
+    distinct book once, however many jobs or stream steps reuse it."""
+    return _DecodeTables.from_code(code_from_table(json.loads(table_json)))
+
+
+def _code_from_json(table_json: str) -> HuffmanCode:
+    return _tables_from_json(table_json).code
 
 
 def huffman_decode(
@@ -993,75 +913,19 @@ def _decode_sync(
     workers = min(workers, n_blocks // _MIN_DECODE_BLOCKS_PER_WORKER)
     words = _payload_words(payload, total)
     if workers > 1:
-        # one contiguous sync-block run per worker; the process and
-        # thread paths decode exactly these ranges, so the partition
-        # rule lives in one place
+        # one contiguous sync-block run per worker
         cuts = np.linspace(0, n_blocks, workers + 1).astype(int)
-        ranges = [
-            (starts[a:b], ends[a:b], rem if b == n_blocks else _SYNC_BLOCK)
-            for a, b in zip(cuts[:-1], cuts[1:])
-        ]
-        if getattr(executor, "kind", None) == "process" and tables.code is not None:
-            # this loop is the GIL-bound hot spot threads cannot split;
-            # ship the payload words through shared memory instead
-            out = _decode_sync_process(words, total, tables, ranges, executor)
-            if out is not None:
-                return out
-        parts = executor.map(
-            lambda s, e, r: _decode_sync_range(words, s, e, r, total, tables),
-            *zip(*ranges),
+        parts = executor.map_shared(
+            _decode_sync_range,
+            words,
+            [starts[a:b] for a, b in zip(cuts[:-1], cuts[1:])],
+            [ends[a:b] for a, b in zip(cuts[:-1], cuts[1:])],
+            [_SYNC_BLOCK] * (workers - 1) + [rem],
+            [total] * workers,
+            [tables] * workers,
         )
         return np.concatenate(parts)
     return _decode_sync_range(words, starts, ends, rem, total, tables)
-
-
-def _decode_sync_process(
-    words, total, tables: _DecodeTables, ranges, executor
-) -> np.ndarray | None:
-    """Sync-range decode fanned out across *processes*.
-
-    The payload words are staged once in shared memory; each worker
-    receives only (segment ref, its range bounds, the header-form code
-    table) and returns its freshly-decoded symbols.  Returns ``None``
-    when shared memory is unavailable so the caller can fall back to
-    the in-process path (reusing the same ``words`` and ``ranges``).
-    """
-    from ..parallel import shm as _shm
-
-    try:
-        ref, block = _shm.share_array(words)
-    except _shm.ShmUnavailable:
-        return None
-    try:
-        table_key = tables.code.table_json
-        rows = [(ref, s, e, r, total, table_key) for s, e, r in ranges]
-        parts = executor.map(_decode_sync_range_worker, *zip(*rows))
-        return np.concatenate(parts)
-    finally:
-        block.destroy()
-
-
-# worker-resident decode tables, keyed by the header-form table JSON —
-# a code book reused across stream steps (or across the ranges of one
-# payload) pays its table construction once per worker process
-_WORKER_TABLE_CACHE: dict[str, "_DecodeTables"] = {}
-
-
-def _decode_sync_range_worker(ref, starts, ends, rem, total, table_json):
-    """Process-pool work unit: decode one run of sync blocks from shm."""
-    tables = _WORKER_TABLE_CACHE.get(table_json)
-    if tables is None:
-        if len(_WORKER_TABLE_CACHE) >= 8:
-            _WORKER_TABLE_CACHE.clear()
-        tables = _DecodeTables.from_code(code_from_table(json.loads(table_json)))
-        _WORKER_TABLE_CACHE[table_json] = tables
-    lease = ref.open()
-    try:
-        # _decode_sync_range only reads the words through fancy indexing
-        # (copies), so nothing it returns aliases the shared segment
-        return _decode_sync_range(lease.view, starts, ends, rem, total, tables)
-    finally:
-        lease.close()
 
 
 def _decode_sync_range(

@@ -15,10 +15,14 @@ with byte-identical output to the serial path.  Segments whose class
 dominates the payload additionally parallelize *inside* the segment:
 the Huffman backend via its sync-aligned block encoder, the zlib
 backend by deflating fixed-size sub-blocks independently (the header's
-per-segment ``blocks`` list records their compressed extents).  Headers
-without ``segments`` are the pre-segmentation layout, and zlib segments
-without ``blocks`` are single-unit deflate streams; both still decode
-(backward compatibility).
+per-segment ``blocks`` list records their compressed extents).  The
+zlib fan-outs are ``executor.map_shared`` over one buffer — every
+class's narrowed raw stream back to back on encode, one segment's
+deflated bytes on decode — with ``(offset, length)`` jobs, so how a
+worker reaches the buffer is the executor's concern.  Headers without
+``segments`` are the pre-segmentation layout, and zlib segments without
+``blocks`` are single-unit deflate streams; both still decode (backward
+compatibility).
 
 For slowly-varying streams, pass a ``scratch`` dict (conventionally
 ``CompressionPlan.scratch``) and the Huffman backend reuses each
@@ -37,6 +41,7 @@ import zlib
 
 import numpy as np
 
+from ..parallel.executors import SerialExecutor
 from .huffman import (
     _MIN_DECODE_BLOCKS_PER_WORKER,
     _SYNC_BLOCK,
@@ -84,6 +89,9 @@ _BIG_DECODE_SEGMENT = 2 * _MIN_DECODE_BLOCKS_PER_WORKER * _SYNC_BLOCK
 # dictionary per block is noise.
 _ZLIB_BLOCK_BYTES = 1 << 18
 
+# what ``executor=None`` means to the batched coders: run inline
+_INLINE = SerialExecutor()
+
 # rebuild a reused code book when the achieved bits/symbol degrade past
 # this factor of the rate the book delivered on the data it was built
 # from; escapes inflate the bit count directly (64 raw bits each), so
@@ -123,96 +131,27 @@ def encode_bins(values: np.ndarray, backend: str = "zlib", level: int = 6) -> tu
 # zlib sub-blocks (the deflate mirror of the Huffman sync blocks)
 
 
-def _zlib_chunks(raw: bytes) -> list[bytes]:
-    """Deterministic sub-block split of one narrowed raw stream.
+def _zlib_extents(offset: int, nbytes: int) -> list[tuple[int, int]]:
+    """Deterministic ``(offset, length)`` sub-block split of one narrowed
+    raw stream of ``nbytes`` bytes starting at ``offset``.
 
     Purely a function of the raw length, never of the executor, so the
     emitted container bytes are identical for every backend.
     """
-    if len(raw) < 2 * _ZLIB_BLOCK_BYTES:
-        return [raw]
+    if nbytes < 2 * _ZLIB_BLOCK_BYTES:
+        return [(offset, nbytes)]
     return [
-        raw[a : a + _ZLIB_BLOCK_BYTES]
-        for a in range(0, len(raw), _ZLIB_BLOCK_BYTES)
+        (offset + a, min(_ZLIB_BLOCK_BYTES, nbytes - a))
+        for a in range(0, nbytes, _ZLIB_BLOCK_BYTES)
     ]
 
 
-def _deflate_chunks(chunks: list[bytes], level: int, executor) -> list[bytes]:
-    """Deflate a flat chunk list through the executor (order-preserving)."""
-    if executor is not None and len(chunks) > 1:
-        if getattr(executor, "kind", None) == "process":
-            out = _deflate_chunks_process(chunks, level, executor)
-            if out is not None:
-                return out
-        return executor.map(lambda c: zlib.compress(c, level), chunks)
-    return [zlib.compress(c, level) for c in chunks]
+def _deflate_unit(raw, offset: int, length: int, level: int) -> bytes:
+    return zlib.compress(raw[offset : offset + length], level)
 
 
-def _deflate_chunks_process(chunks, level, executor) -> list[bytes] | None:
-    """Deflate fan-out across processes: raws staged once in shm."""
-    from ..parallel import shm as _shm
-
-    try:
-        ref, block, offsets = _shm.share_chunks(chunks)
-    except _shm.ShmUnavailable:
-        return None
-    try:
-        n = len(chunks)
-        return executor.map(
-            _deflate_worker,
-            [ref] * n,
-            offsets,
-            [len(c) for c in chunks],
-            [level] * n,
-        )
-    finally:
-        block.destroy()
-
-
-def _deflate_worker(ref, offset: int, length: int, level: int) -> bytes:
-    """Process-pool work unit: deflate one raw sub-block from shm."""
-    lease = ref.open()
-    try:
-        return zlib.compress(lease.view[offset : offset + length], level)
-    finally:
-        lease.close()
-
-
-def _inflate_chunks(parts: list[bytes], executor) -> list[bytes]:
-    """Inflate the sub-blocks of one segment through the executor."""
-    if executor is not None and len(parts) > 1:
-        if getattr(executor, "kind", None) == "process":
-            out = _inflate_chunks_process(parts, executor)
-            if out is not None:
-                return out
-        return executor.map(zlib.decompress, parts)
-    return [zlib.decompress(p) for p in parts]
-
-
-def _inflate_chunks_process(parts, executor) -> list[bytes] | None:
-    """Inflate fan-out across processes: deflated bytes staged in shm."""
-    from ..parallel import shm as _shm
-
-    try:
-        ref, block, offsets = _shm.share_chunks(parts)
-    except _shm.ShmUnavailable:
-        return None
-    try:
-        n = len(parts)
-        return executor.map(
-            _inflate_worker, [ref] * n, offsets, [len(p) for p in parts]
-        )
-    finally:
-        block.destroy()
-
-
-def _inflate_worker(ref, offset: int, length: int) -> bytes:
-    """Process-pool work unit: inflate one deflated sub-block from shm."""
-    lease = ref.open()
-    try:
-        return zlib.decompress(lease.view[offset : offset + length])
-    finally:
-        lease.close()
+def _inflate_unit(deflated, offset: int, length: int) -> bytes:
+    return zlib.decompress(deflated[offset : offset + length])
 
 
 # ----------------------------------------------------------------------
@@ -337,59 +276,52 @@ def encode_classes(
         raise ValueError(f"flat payload has {bins.size} values, expected {sum(sizes)}")
     if backend not in BACKENDS:
         raise ValueError(f"unknown lossless backend {backend!r}; choose from {BACKENDS}")
+    executor = executor or _INLINE
     bounds = np.cumsum([0] + sizes)
     segments = [bins[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     if backend == "zlib":
-        # every class narrows to its own dtype; large classes split into
-        # fixed-size sub-blocks so the deflate work units of a dominant
-        # class parallelize just like Huffman sync blocks do.  The chunk
-        # boundaries depend only on the data, so all executors emit the
-        # same bytes.
-        dtypes = []
-        chunk_lists: list[list[bytes]] = []
-        for seg in segments:
-            dt = _narrow_dtype(seg)
-            dtypes.append(dt.str)
-            chunk_lists.append(_zlib_chunks(seg.astype(dt).tobytes()))
-        deflated = _deflate_chunks(
-            [c for chunks in chunk_lists for c in chunks], level, executor
+        # every class narrows to its own dtype, straight into its
+        # (8-byte aligned) stretch of one buffer; large classes split
+        # into fixed-size sub-blocks so the deflate work units of a
+        # dominant class parallelize just like Huffman sync blocks do.
+        # The extents depend only on the data, so all executors emit
+        # the same bytes.
+        dtypes = [_narrow_dtype(seg) for seg in segments]
+        nbytes = [seg.size * dt.itemsize for seg, dt in zip(segments, dtypes)]
+        starts = np.cumsum([0] + [-(-nb // 8) * 8 for nb in nbytes]).tolist()
+        raw = np.empty(starts[-1], dtype=np.uint8)
+        extents = []
+        for seg, dt, a, nb in zip(segments, dtypes, starts, nbytes):
+            raw[a : a + nb].view(dt)[...] = seg
+            extents.append(_zlib_extents(a, nb))
+        flat = [e for ext in extents for e in ext]
+        deflated = executor.map_shared(
+            _deflate_unit, raw, *zip(*flat), [level] * len(flat)
         )
         payloads = []
         seg_headers = []
         pos = 0
-        for dt, chunks in zip(dtypes, chunk_lists):
-            parts = deflated[pos : pos + len(chunks)]
-            pos += len(chunks)
+        for dt, ext in zip(dtypes, extents):
+            parts = deflated[pos : pos + len(ext)]
+            pos += len(ext)
             payloads.append(b"".join(parts))
-            sh: dict = {"dtype": dt}
+            sh: dict = {"dtype": dt.str}
             if len(parts) > 1:
                 sh["blocks"] = [len(p) for p in parts]
             seg_headers.append(sh)
     else:
-        results: dict[int, tuple[bytes, dict]] = {}
-        small = []
-        for i, seg in enumerate(segments):
-            if seg.size >= _BIG_SEGMENT:
-                # dominant class: parallelize inside the segment
-                results[i] = _encode_segment_huffman(
-                    seg, i, executor, scratch, refresh, context
-                )
-            else:
-                small.append(i)
-        if executor is not None and len(small) > 1:
-            encoded = executor.map(
-                lambda i: _encode_segment_huffman(
-                    segments[i], i, None, scratch, refresh, context
-                ),
-                small,
+        def encode_one(i: int, inner=None) -> tuple[bytes, dict]:
+            return _encode_segment_huffman(
+                segments[i], i, inner, scratch, refresh, context
             )
-            results.update(zip(small, encoded))
-        else:
-            for i in small:
-                results[i] = _encode_segment_huffman(
-                    segments[i], i, None, scratch, refresh, context
-                )
+
+        # a dominant class parallelizes inside the segment; the rest
+        # ride the across-segment fan-out
+        big = [i for i, seg in enumerate(segments) if seg.size >= _BIG_SEGMENT]
+        small = [i for i, seg in enumerate(segments) if seg.size < _BIG_SEGMENT]
+        results = {i: encode_one(i, inner=executor) for i in big}
+        results.update(zip(small, executor.map(encode_one, small)))
         payloads = [results[i][0] for i in range(len(segments))]
         seg_headers = [results[i][1] for i in range(len(segments))]
 
@@ -521,6 +453,7 @@ def _decode_segmented(
             f"header has {len(segs)} segments for {len(sizes)} classes"
         )
     backend = header.get("backend")
+    executor = executor or _INLINE
     end = segs[-1]["offset"] + segs[-1]["nbytes"] if segs else 0
     if end > len(payload):
         raise ValueError("truncated segmented payload")
@@ -562,9 +495,8 @@ def _decode_segmented(
                     raise ValueError(
                         f"segment {i}: sub-blocks do not sum to its extent"
                     )
-                bounds = np.cumsum([0] + list(blocks))
-                parts = [sub[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-                raw = b"".join(_inflate_chunks(parts, inner))
+                offsets = np.cumsum([0] + list(blocks[:-1])).tolist()
+                raw = b"".join(inner.map_shared(_inflate_unit, sub, offsets, blocks))
             else:
                 raw = zlib.decompress(sub)
             vals = np.frombuffer(raw, dtype=np.dtype(sh["dtype"])).astype(np.int64)
@@ -585,11 +517,7 @@ def _decode_segmented(
     small = [i for i in range(len(segs)) if not big_enough(i)]
     for i in big:
         decode_one(i, inner=executor)
-    if executor is not None and len(small) > 1:
-        executor.map(decode_one, small)
-    else:
-        for i in small:
-            decode_one(i)
+    executor.map(decode_one, small)
     return out, sizes
 
 

@@ -29,7 +29,7 @@ from ..core.classes import CoefficientClasses, class_sizes, extract_classes
 from ..core.decompose import decompose, recompose
 from ..core.classes import assemble_from_classes
 from ..core.grid import TensorHierarchy
-from .lossless import decode_bins, decode_classes, encode_bins, encode_classes
+from .lossless import decode_bins, decode_classes, encode_classes
 from .quantizer import Quantizer
 
 __all__ = ["CompressedData", "MgardCompressor", "PreparedFrame", "StageTimes"]
@@ -111,11 +111,6 @@ class MgardCompressor:
     backend:
         Lossless backend (``"zlib"`` — the paper's choice — or
         ``"huffman"``).
-    batch_classes:
-        Encode all coefficient classes into one payload with a single
-        shared header (the batched fast path) instead of one
-        payload/header per class.  Decompression auto-detects either
-        layout.
     plan:
         Optional :class:`~repro.compress.plan.CompressionPlan`; when
         given, the quantizer step budget comes pre-resolved from the
@@ -124,9 +119,12 @@ class MgardCompressor:
         Executor (instance or spec string — ``serial``, ``thread[:N]``,
         ``process[:N]``, ``auto``; see :mod:`repro.parallel`) scheduling
         the entropy stage's per-class segments, Huffman sync blocks,
-        and zlib sub-blocks; defaults to the plan's executor, else the
-        ambient default.  The emitted bytes do not depend on this
-        choice.
+        and zlib sub-blocks; defaults to the ambient one.  The emitted
+        bytes do not depend on this choice.
+
+    All coefficient classes are encoded into one payload with a single
+    shared header; :meth:`decompress` also reads the older layout of
+    one payload and header per class.
     """
 
     def __init__(
@@ -135,7 +133,6 @@ class MgardCompressor:
         tol: float,
         mode: str = "level",
         backend: str = "zlib",
-        batch_classes: bool = True,
         plan=None,
         executor=None,
     ):
@@ -149,13 +146,7 @@ class MgardCompressor:
         else:
             self.quantizer = Quantizer(tol, mode=mode)
             self.backend = backend
-        if executor is None:
-            self.executor = plan.get_executor() if plan is not None else get_executor()
-        elif isinstance(executor, str):
-            self.executor = get_executor(executor)
-        else:
-            self.executor = executor
-        self.batch_classes = batch_classes
+        self.executor = get_executor(executor)
 
     @classmethod
     def for_shape(
@@ -165,24 +156,21 @@ class MgardCompressor:
         mode: str = "level",
         backend: str = "zlib",
         coords=None,
-        executor: str | None = None,
-        **kwargs,
+        executor=None,
     ) -> "MgardCompressor":
         """A compressor built from the shared plan cache.
 
         Repeated calls with the same (shape, coords, tol, mode, backend)
         reuse the cached hierarchy (Thomas factors and all) and the
         cached quantizer budget, so per-call setup is O(1).  ``executor``
-        is the plan's executor spec (``"serial"``, ``"thread"``,
-        ``"process"``, …).
+        is pure scheduling: it goes to the constructor, not into the
+        cache key.
         """
         from .plan import compression_plan
 
-        plan = compression_plan(
-            shape, tol, mode=mode, backend=backend, coords=coords, executor=executor
-        )
+        plan = compression_plan(shape, tol, mode=mode, backend=backend, coords=coords)
         return cls(
-            plan.hier, tol, mode=mode, backend=backend, plan=plan, **kwargs
+            plan.hier, tol, mode=mode, backend=backend, plan=plan, executor=executor
         )
 
     # ------------------------------------------------------------------
@@ -202,49 +190,19 @@ class MgardCompressor:
         ``refresh_codebooks=True`` forces a full-table rebuild (key
         frames), and ``codebook_context`` separates reuse chains whose
         statistics differ by construction (key frames vs temporal
-        residuals).  All three require ``batch_classes``.
+        residuals).
         """
-        if self.batch_classes:
-            return self.encode_prepared(
-                self.prepare(data),
-                scratch=scratch,
-                refresh_codebooks=refresh_codebooks,
-                codebook_context=codebook_context,
-            )
-
-        times = StageTimes()
-        t0 = time.perf_counter()
-        refactored = decompose(data, self.hier)
-        cc = CoefficientClasses(self.hier, extract_classes(refactored, self.hier))
-        times.refactor_wall = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        qc = self.quantizer.quantize(cc)
-        steps = qc.steps
-        times.quantize_wall = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        payloads, headers = [], []
-        for b in qc.bins:
-            p, h = encode_bins(b, backend=self.backend)
-            payloads.append(p)
-            headers.append(h)
-        times.entropy_wall = time.perf_counter() - t0
-
-        return CompressedData(
-            payloads=payloads,
-            headers=headers,
-            steps=list(steps),
-            shape=self.hier.shape,
-            tol=self.quantizer.tol,
-            mode=self.quantizer.mode,
-            times=times,
+        return self.encode_prepared(
+            self.prepare(data),
+            scratch=scratch,
+            refresh_codebooks=refresh_codebooks,
+            codebook_context=codebook_context,
         )
 
     def prepare(self, data: np.ndarray) -> PreparedFrame:
         """Refactor and quantize ``data`` without entropy-coding it.
 
-        The in-order half of :meth:`compress` (batched layout): multigrid
+        The in-order half of :meth:`compress`: multigrid
         decomposition into coefficient classes plus the fused flat
         quantization.  The returned :class:`PreparedFrame` fully
         determines both the final container

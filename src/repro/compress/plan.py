@@ -68,13 +68,15 @@ class CompressionPlan:
     """Everything shape/tolerance-dependent in one compress call.
 
     Holds the refactor plan plus the quantizer (with its per-class step
-    budget resolved once), the entropy backend, and the executor spec
-    that schedules the encode stage's work units, so
-    :meth:`compressor` instances share all setup.  ``scratch`` is a
-    plan-lifetime dictionary the pipeline stages may use for reusable
-    buffers (e.g. Huffman code books for slowly-varying streams);
-    consumers carve private namespaces out of it with
-    :meth:`scratch_area` so same-geometry streams never collide.
+    budget resolved once) and the entropy backend, so
+    :meth:`compressor` instances share all setup.  Which executor
+    schedules the encode stage is no part of it — scheduling never
+    changes emitted bytes — so that is a compressor argument.
+    ``scratch`` is a plan-lifetime dictionary the pipeline stages may
+    use for reusable buffers (e.g. Huffman code books for
+    slowly-varying streams); consumers carve private namespaces out of
+    it with :meth:`scratch_area` so same-geometry streams never
+    collide.
     """
 
     refactor: RefactorPlan
@@ -82,7 +84,6 @@ class CompressionPlan:
     mode: str
     backend: str
     steps: tuple[float, ...]
-    executor: str = "serial"
     scratch: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -101,22 +102,14 @@ class CompressionPlan:
         q.seed_steps(self.refactor.n_classes, self.steps)
         return q
 
-    def get_executor(self):
-        """The (shared) executor instance this plan's spec resolves to."""
-        from ..parallel.executors import get_executor
-
-        return get_executor(self.executor)
-
     def scratch_area(self, tag: str) -> dict:
         """A private sub-dictionary of ``scratch`` for one consumer.
 
-        ``scratch`` is shared by every plan of one (geometry, tol,
-        mode, backend) — the executor spec deliberately plays no part,
-        since scheduling never changes emitted bytes — and outlives any
-        one compressor: a stream writer that tags its area with its
-        output path can resume its code-book chain after being
-        reopened, while two concurrent same-geometry streams
-        (different tags) stay isolated.
+        ``scratch`` outlives any one compressor: a stream writer that
+        tags its area with its output path can resume its code-book
+        chain after being reopened (under whatever executor), while two
+        concurrent same-geometry streams (different tags) stay
+        isolated.
         """
         return self.scratch.setdefault(tag, {})
 
@@ -135,12 +128,6 @@ class CompressionPlan:
 
 
 _PLAN_CACHE = _LruCache(max_entries=128)
-
-# scratch dictionaries are keyed by everything in the plan identity
-# EXCEPT the executor spec: the executor is pure runtime scheduling
-# (emitted bytes never depend on it), so a stream's code-book chain
-# must survive the ambient executor changing between reopens
-_SCRATCH_CACHE = _LruCache(max_entries=128)
 
 
 def refactor_plan(
@@ -162,21 +149,9 @@ def compression_plan(
     mode: str = "level",
     backend: str = "zlib",
     coords: tuple[np.ndarray | None, ...] | None = None,
-    executor: str | None = None,
 ) -> CompressionPlan:
-    """Cached :class:`CompressionPlan` for one (geometry, tol, mode, backend).
-
-    ``executor`` is the codec executor spec (``"serial"``,
-    ``"thread[:N]"`` — alias ``"parallel"`` —, ``"process[:N]"``,
-    ``"auto"``; see :mod:`repro.parallel`); ``None`` resolves the
-    ambient default (``REPRO_EXECUTOR`` /
-    :func:`repro.parallel.set_default_executor`) at plan-build time.
-    """
-    if executor is None:
-        from ..parallel.executors import default_spec
-
-        executor = default_spec()
-    base_key = (
+    """Cached :class:`CompressionPlan` for one (geometry, tol, mode, backend)."""
+    key = (
         "compress",
         tuple(int(s) for s in shape),
         _coords_key(coords),
@@ -184,20 +159,15 @@ def compression_plan(
         str(mode),
         str(backend),
     )
-    key = base_key + (str(executor),)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
         from .quantizer import Quantizer
 
-        scratch = _SCRATCH_CACHE.get(base_key)
-        if scratch is None:
-            scratch = {}
-            _SCRATCH_CACHE.put(base_key, scratch)
         rplan = refactor_plan(shape, coords)
         steps = tuple(Quantizer(tol, mode=mode).steps_for(rplan.n_classes))
         plan = CompressionPlan(
             refactor=rplan, tol=float(tol), mode=str(mode), backend=str(backend),
-            steps=steps, executor=str(executor), scratch=scratch,
+            steps=steps,
         )
         _PLAN_CACHE.put(key, plan)
     return plan
@@ -206,7 +176,6 @@ def compression_plan(
 def clear_plan_cache() -> None:
     """Drop all cached plans and scratch (and reset the counters)."""
     _PLAN_CACHE.clear()
-    _SCRATCH_CACHE.clear()
 
 
 def plan_cache_stats() -> dict:

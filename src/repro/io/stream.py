@@ -417,9 +417,9 @@ class StepStreamWriter:
         """Encode a sharded step's shards and serialize its container.
 
         The per-shard refactor/compress fan-out runs through the
-        writer's executor (:func:`repro.cluster.sharded.encode_shards`
-        — shared-memory staging for process workers); the shard
-        containers are byte-identical across serial/thread/process.
+        writer's executor (:func:`repro.cluster.sharded.encode_shards`);
+        the shard containers are byte-identical across
+        serial/thread/process.
         Stateless across steps, so a pipeline overlaps it freely.
         """
         if self._shard_plan is None:

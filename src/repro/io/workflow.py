@@ -473,14 +473,7 @@ def run_streaming_pipeline(
         # will use, so it needs priming just the same.
         from ..parallel.executors import get_executor
 
-        ce = (
-            codec_executor
-            if codec_executor is not None and not isinstance(codec_executor, str)
-            else get_executor(codec_executor)
-        )
-        prime = getattr(ce, "prime", None)
-        if prime is not None:
-            prime()
+        get_executor(codec_executor).prime()
     tmp_ctx = None
     if workdir is None:
         tmp_ctx = tempfile.TemporaryDirectory()

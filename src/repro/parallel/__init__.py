@@ -1,10 +1,10 @@
 """Process/thread/serial concurrency substrate for the codec pipeline.
 
 Every layer — entropy segments, zlib sub-blocks, Huffman sync ranges,
-streaming pipelines — schedules through this one interface.  See
-:mod:`repro.parallel.executors` for the backends and
+shards, streaming pipelines — schedules through this one interface.
+See :mod:`repro.parallel.executors` for the backends and
 :mod:`repro.parallel.shm` for the shared-memory transport the process
-backend ships heavy operands through.
+backend's ``map_shared`` ships heavy operands through.
 """
 
 from .executors import (
@@ -23,7 +23,6 @@ from .shm import (
     ShmUnavailable,
     share_array,
     share_bytes,
-    share_chunks,
     unlink_segment,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "BytesRef",
     "share_array",
     "share_bytes",
-    "share_chunks",
     "unlink_segment",
 ]

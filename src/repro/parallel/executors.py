@@ -3,9 +3,11 @@
 The paper hides the refactoring cost behind concurrency (CUDA streams
 on the device, pipelined I/O across the workflow); this package applies
 the same treatment to every host-side fan-out — per-class entropy
-segments, zlib sub-blocks, Huffman sync-block ranges, pipeline stages.
-A fan-out point takes an *executor* and schedules through ``map``;
-which backend runs the units never changes the bytes they emit:
+segments, zlib sub-blocks, Huffman sync-block ranges, shards, pipeline
+stages.  A fan-out point takes an *executor* and schedules through
+``map`` (independent calls) or ``map_shared`` (calls that all read one
+heavy operand); which backend runs the units never changes the bytes
+they emit, and no call site asks which backend it was handed:
 
 ``SerialExecutor``
     Runs work inline on the calling thread.  The default, and the
@@ -19,32 +21,37 @@ which backend runs the units never changes the bytes they emit:
 ``ProcessExecutor``
     A :class:`concurrent.futures.ProcessPoolExecutor`-backed pool for
     the work the GIL never releases — the lockstep Huffman decode's
-    small-vector loop above all.  Heavy operands (payload words,
-    symbol ranges for the block encode, zlib sub-blocks) travel
-    through ``multiprocessing.shared_memory`` (see
-    :mod:`repro.parallel.shm`); only small descriptors are pickled.
-    ``map`` transparently degrades: work that cannot cross a process
-    boundary (closures, unpicklable state) runs inline instead, so the
-    backend is always *safe* to select ambiently and accelerates the
-    call sites that ship process-ready work units.
+    small-vector loop above all.  It alone knows its workers live in
+    another address space: ``map_shared`` stages the operand once in
+    ``multiprocessing.shared_memory`` (:mod:`repro.parallel.shm`) and
+    pickles only a descriptor per job.  Both methods degrade
+    transparently: work that cannot cross a process boundary
+    (closures, unpicklable state, no usable shared memory) runs inline
+    instead, so the backend is always *safe* to select ambiently and
+    accelerates the call sites that ship module-level work units.
 
-Selection is explicit (pass an executor), planned
-(``CompressionPlan.executor``), or ambient: :func:`get_executor`
-resolves ``None`` through :func:`set_default_executor` and the
-``REPRO_EXECUTOR`` environment variable.  Specs: ``serial``,
-``thread[:N]`` (alias ``parallel``), ``process[:N]``, ``auto``.
+Selection is explicit (pass an executor or a spec) or ambient:
+:func:`get_executor` resolves ``None`` through
+:func:`set_default_executor` and the ``REPRO_EXECUTOR`` environment
+variable.  Specs: ``serial``, ``thread[:N]`` (alias ``parallel``),
+``process[:N]``, ``auto``.
 """
 
 from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import functools
 import os
 import pickle
 import threading
 import time
+import traceback
+
+import numpy as np
 
 from .. import faults
+from . import shm as _shm
 
 __all__ = [
     "SerialExecutor",
@@ -72,11 +79,22 @@ def available_workers() -> int:
 class SerialExecutor:
     """Inline executor: ``map`` runs on the calling thread, in order."""
 
-    kind = "serial"
     max_workers = 1
 
     def map(self, fn, *iterables) -> list:
         return [fn(*args) for args in zip(*iterables)]
+
+    def map_shared(self, fn, operand, *iterables) -> list:
+        """``fn(operand, *args)`` once per job, in order.
+
+        The fan-out for units that all read one heavy operand (an
+        ndarray or a bytes-like).  ``fn`` treats ``operand`` as
+        read-only and returns nothing aliasing it; how the operand
+        reaches a unit is the executor's business — by reference here
+        and on threads, through shared memory under
+        :class:`ProcessExecutor` (which needs a module-level ``fn``).
+        """
+        return [fn(operand, *args) for args in zip(*iterables)]
 
     def submit(self, fn, *args) -> concurrent.futures.Future:
         """Run ``fn`` inline; returns an already-resolved future.
@@ -108,8 +126,6 @@ class ThreadExecutor:
     it reassembles deterministically regardless of completion order.
     """
 
-    kind = "thread"
-
     def __init__(self, max_workers: int | None = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -129,6 +145,11 @@ class ThreadExecutor:
 
     def map(self, fn, *iterables) -> list:
         return list(self._ensure_pool().map(fn, *iterables))
+
+    def map_shared(self, fn, operand, *iterables) -> list:
+        """:meth:`SerialExecutor.map_shared` on the pool (threads share
+        the address space, so the operand is passed by reference)."""
+        return self.map(functools.partial(fn, operand), *iterables)
 
     def submit(self, fn, *args) -> concurrent.futures.Future:
         """Schedule one call on the pool; returns its future.
@@ -180,15 +201,32 @@ class _KillMarked:
         return self.fn(*args)
 
 
+def _call_shared(ref, fn, *args):
+    """Pool-side half of :meth:`ProcessExecutor.map_shared`: attach the
+    staged operand, run one unit on it, detach."""
+    lease = ref.open()
+    try:
+        return fn(lease.view, *args)
+    except BaseException as exc:
+        # the unwound frames still hold whatever slices of the view the
+        # unit had bound, and the mapping cannot close under them — it
+        # would raise BufferError over the unit's own exception
+        while exc is not None:
+            traceback.clear_frames(exc.__traceback__)
+            exc = exc.__cause__ or exc.__context__
+        raise
+    finally:
+        lease.close()
+
+
 class ProcessExecutor:
     """Process-pool executor for GIL-bound work units.
 
     Work functions must be picklable (module-level functions with
-    descriptor-sized arguments — the shm-staged fan-outs in
-    :mod:`repro.compress`); anything else runs inline, preserving
-    correctness at zero concurrency.  ``map`` preserves submission
-    order.  The pool forks lazily on first real use (spawn where fork
-    is unavailable) and is shared by every call.
+    descriptor-sized arguments); anything else runs inline, preserving
+    correctness at zero concurrency.  ``map`` and ``map_shared``
+    preserve submission order.  The pool forks lazily on first real use
+    (spawn where fork is unavailable) and is shared by every call.
 
     **Recovery policy:** a broken pool (a worker killed under it — OOM
     killer, segfault, injected fault) fails the whole in-flight batch
@@ -203,8 +241,6 @@ class ProcessExecutor:
     ``rebuilds``, and ``inline_fallbacks`` so chaos benchmarks (and
     operators) can see the policy working.
     """
-
-    kind = "process"
 
     def __init__(
         self,
@@ -301,6 +337,33 @@ class ProcessExecutor:
                 # re-raises here
                 return [fn(*args) for args in jobs]
 
+    def map_shared(self, fn, operand, *iterables) -> list:
+        """:meth:`SerialExecutor.map_shared` across address spaces.
+
+        The operand is staged once in a shared-memory segment and every
+        job ships ``(ref, fn, *args)`` to :func:`_call_shared` through
+        :meth:`map` — so kill marks and the broken-pool policy apply —
+        which hands ``fn`` a read-only view.  A single job, an
+        unpicklable ``fn`` or a platform without usable shared memory
+        runs inline on the operand itself.
+        """
+        jobs = list(zip(*iterables))
+        if len(jobs) > 1 and _picklable(fn):
+            try:
+                if isinstance(operand, np.ndarray):
+                    ref, block = _shm.share_array(operand)
+                else:
+                    ref, block = _shm.share_bytes(operand)
+            except _shm.ShmUnavailable:
+                pass
+            else:
+                try:
+                    n = len(jobs)
+                    return self.map(_call_shared, [ref] * n, [fn] * n, *zip(*jobs))
+                finally:
+                    block.destroy()
+        return [fn(operand, *args) for args in jobs]
+
     def submit(self, fn, *args) -> concurrent.futures.Future:
         """Schedule one call on the pool (inline future when ``fn``
         cannot cross a process boundary — same degradation as ``map``)."""
@@ -390,16 +453,19 @@ def default_spec() -> str:
     return os.environ.get(_ENV_KNOB, "serial")
 
 
-def get_executor(spec: str | None = None):
+def get_executor(spec=None):
     """Resolve an executor spec to a (shared) executor instance.
 
     ``None`` falls through :func:`set_default_executor`, then the
     ``REPRO_EXECUTOR`` environment variable, then ``serial``.  Instances
     are cached per normalized (kind, worker count), so repeated
-    resolution reuses one pool.
+    resolution reuses one pool.  An executor instance is returned as
+    is, so every ``executor=`` argument takes a spec or an instance.
     """
     if spec is None:
         spec = default_spec()
+    elif not isinstance(spec, str):
+        return spec
     kind, workers = _parse_spec(spec)
     key = "serial" if kind == "serial" else f"{kind}:{workers or 0}"
     with _instances_lock:

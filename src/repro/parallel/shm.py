@@ -1,18 +1,16 @@
-"""Shared-memory transport for the process executor's work units.
+"""Shared-memory transport for operands that cross a process boundary.
 
-A :class:`ProcessExecutor` worker lives in another address space, so the
-encode/decode fan-outs cannot hand it live NumPy arrays or payload
-buffers by reference the way the thread pool does.  Instead, the parent
-*stages* the heavy operand once in a ``multiprocessing.shared_memory``
-segment and ships each worker a tiny picklable **ref** (segment name,
-shape, dtype); workers attach, compute, and return only their (fresh)
-results.  Pickling traffic is therefore proportional to the number of
-work units, not to the operand size.  Three fan-outs ride this today:
-the lockstep Huffman *decode* (payload words staged, ranges of sync
-blocks per worker), the block-parallel Huffman *encode* (the int64
-symbol array staged, contiguous sync-aligned ranges per worker, word
-packs OR-merged back on the coordinator), and the zlib sub-block
-deflate/inflate (chunk extents per worker).
+A :class:`ProcessExecutor` worker lives in another address space, so a
+fan-out cannot hand it a live NumPy array or payload buffer by
+reference the way the thread pool does.  Instead
+:meth:`ProcessExecutor.map_shared` *stages* the operand once in a
+``multiprocessing.shared_memory`` segment and ships each job a tiny
+picklable **ref** (segment name, shape, dtype); the worker attaches,
+computes, and returns only its (fresh) result.  Pickling traffic is
+therefore proportional to the number of work units, not to the operand
+size.  That method is the only staging site of the codec stack — the
+entropy coders and the shard fan-out never import this module; the
+SPMD fabric's data plane is the other client.
 
 Two staging helpers:
 
@@ -25,8 +23,7 @@ Both return ``(ref, block)``; the parent must keep ``block`` alive for
 the duration of the fan-out and call :meth:`SharedBlock.destroy` in a
 ``finally`` once every worker has returned.  When the platform has no
 usable shared memory (no ``/dev/shm``, exhausted segments), staging
-raises :class:`ShmUnavailable` and callers fall back to their
-in-process path.
+raises :class:`ShmUnavailable` and the caller runs in-process.
 
 CPython < 3.13 registers *attached* segments with the resource tracker
 as if the worker owned them (gh-82300), which makes the tracker unlink
@@ -50,7 +47,6 @@ __all__ = [
     "BytesRef",
     "share_array",
     "share_bytes",
-    "share_chunks",
     "attach",
     "unlink_segment",
 ]
@@ -275,22 +271,3 @@ def share_bytes(payload) -> tuple[BytesRef, SharedBlock]:
     payload.release()
     return ref, SharedBlock(shm)
 
-
-def share_chunks(chunks) -> tuple[BytesRef, SharedBlock, list[int]]:
-    """Stage a chunk list contiguously; returns (ref, handle, offsets).
-
-    Equivalent to ``share_bytes(b"".join(chunks))`` but copies each
-    chunk straight into the segment — no intermediate joined copy, so
-    staging a multi-GB payload transiently holds one extra copy, not
-    two.  ``offsets[i]`` is chunk ``i``'s byte offset in the segment.
-    """
-    total = sum(len(c) for c in chunks)
-    shm = _create(total)
-    offsets = []
-    pos = 0
-    for c in chunks:
-        offsets.append(pos)
-        end = pos + len(c)
-        shm.buf[pos:end] = c
-        pos = end
-    return BytesRef(shm.name, total), SharedBlock(shm), offsets

@@ -8,7 +8,9 @@ no-ops.  This rule closes the loop statically:
 
 1. every site literal passed to ``crash_point``/``error_point``/
    ``delay_point``/``corrupt_bytes``/``corrupt_file``/``kill_indices``
-   must appear in the canonical registry ``repro.faults.SITES``
+   — or straight to ``FaultInjector.fire`` by a coordinator drawing on
+   its workers' behalf — must appear in the canonical registry
+   ``repro.faults.SITES``
    (a dict literal parsed from the AST — the linter never imports the
    library);
 2. a *dynamic* site argument (f-string, variable) must carry a
@@ -48,6 +50,7 @@ SITE_HELPERS = (
     "corrupt_bytes",
     "corrupt_file",
     "kill_indices",
+    "fire",
 )
 
 #: fallback fault kinds; overridden by faults.py's KINDS when parseable

@@ -1,6 +1,6 @@
 """``import-boundary``: the layering contracts of the package graph.
 
-Seven boundaries, each introduced by an earlier PR and otherwise
+Eight boundaries, each introduced by an earlier PR and otherwise
 enforced only by convention:
 
 * **numba** is imported exclusively through ``repro/kernels/jit.py``
@@ -24,8 +24,14 @@ enforced only by convention:
   (re-export shims of ``repro.parallel.executors`` /
   ``repro.cluster.fabric``) and must not be imported back into being.
 
+* ``repro.compress`` and ``repro.cluster.sharded`` must not import
+  ``repro.parallel.shm`` — staging an operand for another address
+  space is ``ProcessExecutor.map_shared``'s job; a fan-out that stages
+  for itself has started asking which executor it was handed.
+
 Relative imports are resolved against the importing module's package
-before matching.
+before matching, and ``from pkg import name`` also counts as an import
+of ``pkg.name``.
 """
 
 from __future__ import annotations
@@ -80,6 +86,16 @@ FORBIDDEN = (
         "repro.cluster.simmpi",
         "the shim is deleted; import repro.cluster.fabric",
     ),
+    (
+        "repro.compress",
+        "repro.parallel.shm",
+        "staging is the executor's job; fan out through executor.map_shared",
+    ),
+    (
+        "repro.cluster.sharded",
+        "repro.parallel.shm",
+        "staging is the executor's job; fan out through executor.map_shared",
+    ),
 )
 
 _JIT_GUARD = "repro.kernels.jit"
@@ -110,22 +126,25 @@ class ImportBoundaryRule(Rule):
         "numba only via repro.kernels.jit; no compress->io or "
         "service->experiments edges; tools never imports repro; "
         "repro never imports scipy; core never imports kernels/gpu; "
-        "the deleted executor/simmpi shims stay deleted"
+        "the deleted executor/simmpi shims stay deleted; only "
+        "repro.parallel stages codec operands in shared memory"
     )
     paths = ("src/*", "src/*/*", "src/*/*/*")
 
     def check_module(self, mod: ModuleInfo, project: Project):
         for node in ast.walk(mod.tree):
+            # each entry: (the module names one imported thing may be, stmt)
             if isinstance(node, ast.Import):
-                targets = [(a.name, node) for a in node.names]
+                targets = [((a.name,), node) for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                targets = [(_resolve(mod, node), node)]
+                base = _resolve(mod, node)
+                if not base:
+                    continue
+                targets = [((base, *(f"{base}.{a.name}" for a in node.names)), node)]
             else:
                 continue
-            for target, stmt in targets:
-                if not target:
-                    continue
-                if _under(target, "numba") and mod.modname != _JIT_GUARD:
+            for names, stmt in targets:
+                if any(_under(t, "numba") for t in names) and mod.modname != _JIT_GUARD:
                     yield Finding(
                         rule=self.name,
                         relpath=mod.relpath,
@@ -139,9 +158,8 @@ class ImportBoundaryRule(Rule):
                     )
                     continue
                 for src_prefix, dst_prefix, why in FORBIDDEN:
-                    if _under(mod.modname, src_prefix) and _under(
-                        target, dst_prefix
-                    ):
+                    hit = next((t for t in names if _under(t, dst_prefix)), None)
+                    if hit is not None and _under(mod.modname, src_prefix):
                         yield Finding(
                             rule=self.name,
                             relpath=mod.relpath,
@@ -149,6 +167,6 @@ class ImportBoundaryRule(Rule):
                             col=stmt.col_offset,
                             message=(
                                 f"forbidden import edge {mod.modname} -> "
-                                f"{target}: {why}"
+                                f"{hit}: {why}"
                             ),
                         )

@@ -8,7 +8,7 @@ closed that leak for the SPMD data plane with an ownership-transfer
 protocol plus a host-side sweep; this rule keeps every *other* staging
 site honest.
 
-A call to ``share_array``/``share_bytes``/``share_chunks`` (or a raw
+A call to ``share_array``/``share_bytes`` (or a raw
 ``SharedMemory(create=True)``) passes when a ``try``/``finally`` whose
 ``finally`` block calls one of ``destroy``/``release``/``close``/
 ``unlink``/``unlink_segment`` covers it — either the call sits inside
@@ -27,7 +27,7 @@ import ast
 
 from ..core import Finding, ModuleInfo, Project, Rule, ancestors, enclosing_function
 
-_STAGING = ("share_array", "share_bytes", "share_chunks")
+_STAGING = ("share_array", "share_bytes")
 _RELEASERS = ("destroy", "release", "close", "unlink", "unlink_segment", "shutdown")
 
 

@@ -14,8 +14,8 @@ from conftest import ROUNDTRIP_SHAPES
 from huffman_oracle import huffman_decode_scalar, huffman_encode_scalar
 
 from repro.compress.huffman import _SYNC_BLOCK, huffman_decode, huffman_encode
-from repro.compress.lossless import decode_classes, encode_classes
-from repro.compress.mgard import MgardCompressor
+from repro.compress.lossless import decode_classes, encode_bins, encode_classes
+from repro.compress.mgard import CompressedData, MgardCompressor
 from repro.compress.plan import compression_plan, refactor_plan
 from repro.compress.quantizer import Quantizer
 from repro.core.grid import hierarchy_for
@@ -155,16 +155,24 @@ class TestBatchedClasses:
         shape = (65, 65)
         data = multiscale(shape)
         hier = hierarchy_for(shape)
-        batched = MgardCompressor(hier, 1e-3, backend=backend, batch_classes=True)
-        legacy = MgardCompressor(hier, 1e-3, backend=backend, batch_classes=False)
-        blob_b = batched.compress(data)
-        blob_l = legacy.compress(data)
+        comp = MgardCompressor(hier, 1e-3, backend=backend)
+        blob_b = comp.compress(data)
+        # the per-class layout no writer emits any more, only decoders read
+        qc = Quantizer(1e-3).quantize(Refactorer(shape).refactor(data))
+        encoded = [encode_bins(b, backend=backend) for b in qc.bins]
+        blob_l = CompressedData(
+            payloads=[p for p, _ in encoded],
+            headers=[h for _, h in encoded],
+            steps=list(qc.steps),
+            shape=shape,
+            tol=1e-3,
+            mode="level",
+        )
         assert len(blob_b.payloads) == 1 and "class_sizes" in blob_b.headers[0]
         assert len(blob_l.payloads) > 1
-        # either compressor decompresses either layout within the bound
-        for comp in (batched, legacy):
-            for blob in (blob_b, blob_l):
-                assert np.abs(comp.decompress(blob) - data).max() <= 1e-3
+        # both layouts decompress within the bound
+        for blob in (blob_b, blob_l):
+            assert np.abs(comp.decompress(blob) - data).max() <= 1e-3
 
 
 class TestPlanCache:

@@ -694,12 +694,9 @@ def test_payload_read_bitflip_detected(tmp_path):
     assert float(np.abs(reader.read_step(1) - _frames(2)[1]).max()) <= 1e-3
 
 
-def test_shard_encode_error_surfaces_and_writer_recovers(tmp_path):
-    """A sick shard encode (``sharded.encode.shard``) fails the append
-    without committing anything; the disarmed retry commits cleanly."""
-    root = tmp_path / "s"
+def _sick_shard_append(root, executor=None):
     frame = _frames(1)[0]
-    writer = StepStreamWriter(root, SHAPE, tol=1e-3, shards=2)
+    writer = StepStreamWriter(root, SHAPE, tol=1e-3, shards=2, executor=executor)
     with faults.inject("error@sharded.encode.shard:count=1"):
         with pytest.raises(faults.InjectedFault):
             writer.append(frame)
@@ -709,6 +706,23 @@ def test_shard_encode_error_surfaces_and_writer_recovers(tmp_path):
     reader = StepStreamReader(root)
     assert float(np.abs(reader.read_region(0) - frame).max()) <= 1e-3
     assert scrub_stream(root).clean
+
+
+def test_shard_encode_error_surfaces_and_writer_recovers(tmp_path):
+    """A sick shard encode (``sharded.encode.shard``) fails the append
+    without committing anything; the disarmed retry commits cleanly."""
+    _sick_shard_append(tmp_path / "s")
+
+
+def test_shard_encode_error_reaches_a_preforked_pool(tmp_path):
+    """Workers forked before the fault was armed never see the parent's
+    injector: the coordinator draws and ships the action with the job."""
+    pool = ProcessExecutor(2)
+    try:
+        pool.map(abs, range(2))  # the workers exist before the fault is armed
+        _sick_shard_append(tmp_path / "s", executor=pool)
+    finally:
+        pool.shutdown()
 
 
 def test_env_spec_drives_reader_recovery(tmp_path, monkeypatch):

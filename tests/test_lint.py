@@ -507,6 +507,24 @@ class TestImportBoundaryRule:
             "src/repro/core/decompose.py", "src/repro/core/refactor.py",
         ]
 
+    def test_only_the_executor_stages_shared_memory(self, tmp_path, capsys):
+        make_tree(tmp_path, {
+            "src/repro/compress/huffman.py": "from ..parallel import shm as _shm\n",
+            "src/repro/compress/lossless.py": "from ..parallel.shm import share_bytes\n",
+            "src/repro/cluster/sharded.py": "import repro.parallel.shm\n",
+            # the executors and the SPMD data plane are the two clients
+            "src/repro/parallel/executors.py": "from . import shm as _shm\n",
+            "src/repro/cluster/fabric.py": "from ..parallel import shm\n",
+            "src/repro/compress/mgard.py": "from ..parallel.executors import get_executor\n",
+        })
+        code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
+        assert code == 1
+        assert sorted(f["path"] for f in doc["findings"]) == [
+            "src/repro/cluster/sharded.py", "src/repro/compress/huffman.py",
+            "src/repro/compress/lossless.py",
+        ]
+        assert all("map_shared" in f["message"] for f in doc["findings"])
+
     def test_allowed_directions_pass(self, tmp_path, capsys):
         make_tree(tmp_path, {
             # io -> compress is the sanctioned direction

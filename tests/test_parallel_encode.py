@@ -188,13 +188,14 @@ class TestExecutorSelection:
         assert isinstance(get_executor("serial"), SerialExecutor)
 
     def test_plan_carries_executor_spec(self):
-        from repro.compress.plan import compression_plan
-
-        p1 = compression_plan((17, 17), 1e-3, executor="serial")
-        p2 = compression_plan((17, 17), 1e-3, executor="parallel:2")
-        assert p1 is not p2
-        assert isinstance(p1.get_executor(), SerialExecutor)
-        assert isinstance(p2.get_executor(), ThreadExecutor)
+        # the spec is the compressor's, not the plan's: scheduling is
+        # no part of the plan identity
+        c1 = MgardCompressor.for_shape((17, 17), 1e-3, executor="serial")
+        c2 = MgardCompressor.for_shape((17, 17), 1e-3, executor="parallel:2")
+        assert isinstance(c1.executor, SerialExecutor)
+        assert isinstance(c2.executor, ThreadExecutor)
+        assert get_executor(c2.executor) is c2.executor  # instances pass through
+        p1, p2 = c1.plan, c2.plan
         # scheduling never changes emitted bytes, so the code-book
         # scratch must survive the ambient executor spec changing
         # (e.g. a stream writer reopened under a different knob)

@@ -17,6 +17,7 @@ Contracts:
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -109,6 +110,108 @@ class TestSharedMemoryTransport:
             block.destroy()
 
 
+def _spy_staging(monkeypatch) -> list:
+    """Record which shm staging helper every ``map_shared`` call uses."""
+    import repro.parallel.shm as S
+
+    staged = []
+    for name in ("share_array", "share_bytes"):
+        def spy(operand, _orig=getattr(S, name), _name=name):
+            staged.append(_name)
+            return _orig(operand)
+
+        monkeypatch.setattr(S, name, spy)
+    return staged
+
+
+def _refuse_shm(monkeypatch):
+    import repro.parallel.shm as S
+
+    def refuse(size, name=None, track=True):
+        raise S.ShmUnavailable("test")
+
+    monkeypatch.setattr(S, "_create", refuse)
+
+
+def _psm_segments() -> set:
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except FileNotFoundError:
+        return set()
+
+
+def _window_sum(view, start, stop):
+    window = view[start:stop]
+    return os.getpid(), int(np.frombuffer(window, dtype=np.uint8).sum(dtype=np.int64))
+
+
+def _window_raises(view, start, stop):
+    window = view[start:stop]  # still bound when the unit raises
+    raise KeyError(len(window))
+
+
+class TestMapSharedSeam:
+    """``map_shared`` itself, once, instead of per call site."""
+
+    OPERANDS = {
+        "ndarray": lambda: np.arange(4096, dtype=np.uint8),
+        "bytes": lambda: bytes(range(256)) * 16,
+    }
+    BOUNDS = [(0, 1000), (1000, 1001), (1001, 4096), (4096, 4096)]
+
+    @pytest.mark.parametrize("operand", sorted(OPERANDS))
+    @pytest.mark.parametrize(
+        "spec", ["serial", "thread:2", "process:2", "process:2-no-shm"]
+    )
+    def test_equal_ordered_results(self, spec, operand, monkeypatch):
+        if spec.endswith("-no-shm"):
+            _refuse_shm(monkeypatch)
+        ex = get_executor(spec.removesuffix("-no-shm"))
+        data = self.OPERANDS[operand]()
+        got = ex.map_shared(_window_sum, data, *zip(*self.BOUNDS))
+        want = [int(np.frombuffer(data, np.uint8)[a:b].sum()) for a, b in self.BOUNDS]
+        assert [total for _, total in got] == want
+        in_pool = any(pid != os.getpid() for pid, _ in got)
+        assert in_pool == (spec == "process:2")
+
+    @pytest.mark.parametrize("operand", sorted(OPERANDS))
+    def test_single_job_never_stages(self, operand, monkeypatch):
+        staged = _spy_staging(monkeypatch)
+        data = self.OPERANDS[operand]()
+        ex = get_executor("process:2")
+        assert ex.map_shared(_window_sum, data, [0], [10]) == [(os.getpid(), 45)]
+        assert ex.map_shared(_window_sum, data) == []
+        assert ex.map_shared(lambda v, a, b: a + b, data, [1, 2], [3, 4]) == [4, 6]
+        assert staged == []
+
+    @pytest.mark.parametrize("operand", sorted(OPERANDS))
+    def test_unit_raising_on_a_live_slice_surfaces_itself(self, operand):
+        """The unwound unit still pins a slice of the view; the lease
+        must close anyway — no BufferError, no leaked segment."""
+        before = _psm_segments()
+        data = self.OPERANDS[operand]()
+        with pytest.raises(KeyError):
+            get_executor("process:2").map_shared(
+                _window_raises, data, *zip(*self.BOUNDS)
+            )
+        assert _psm_segments() == before
+
+    def test_worker_killed_mid_batch_still_yields(self):
+        from repro import faults
+
+        ex = ProcessExecutor(2, backoff_s=0.0)
+        data = self.OPERANDS["ndarray"]()
+        before = _psm_segments()
+        try:
+            with faults.inject("kill@executor.process.map:count=1", seed=2):
+                got = ex.map_shared(_window_sum, data, *zip(*self.BOUNDS))
+        finally:
+            ex.shutdown()
+        assert [t for _, t in got] == [int(data[a:b].sum()) for a, b in self.BOUNDS]
+        assert ex.stats["broken_pools"] == 1 and ex.stats["rebuilds"] == 1
+        assert _psm_segments() == before
+
+
 def _adversarial_mixes(rng):
     """(name, bins, sizes) cases spanning both backends' corner cases."""
     big_huff = 2 * H._BLOCK_SYMBOLS + 321
@@ -196,30 +299,16 @@ class TestHuffmanProcessDecode:
         vals = (rng.geometric(0.4, n).astype(np.int64) - 1) * rng.choice([-1, 1], n)
         vals[:: n // 64] = rng.integers(-(2**60), 2**60, vals[:: n // 64].size)
         payload, header = H.huffman_encode(vals)
-        calls = []
-        orig = H._decode_sync_process
-
-        def spy(*args, **kwargs):
-            out = orig(*args, **kwargs)
-            calls.append(out is not None)
-            return out
-
-        monkeypatch.setattr(H, "_decode_sync_process", spy)
+        staged = _spy_staging(monkeypatch)
         out = H.huffman_decode(payload, header, executor=get_executor("process:2"))
         np.testing.assert_array_equal(out, vals)
-        assert calls == [True], "process shm decode path did not engage"
+        assert staged == ["share_array"], "process shm decode path did not engage"
 
     def test_shm_unavailable_falls_back(self, rng, monkeypatch):
-        import repro.parallel.shm as S
-
         n = 2 * H._MIN_DECODE_BLOCKS_PER_WORKER * H._SYNC_BLOCK + 5
         vals = rng.integers(-6, 7, n).astype(np.int64)
         payload, header = H.huffman_encode(vals)
-
-        def refuse(size, name=None, track=True):
-            raise S.ShmUnavailable("test")
-
-        monkeypatch.setattr(S, "_create", refuse)
+        _refuse_shm(monkeypatch)
         out = H.huffman_decode(payload, header, executor=get_executor("process:2"))
         np.testing.assert_array_equal(out, vals)
 

@@ -20,7 +20,6 @@ from repro.cluster import (
     SpmdError,
     SpmdTimeout,
     encode_shards,
-    encode_shards_spmd,
     last_run_report,
     plan_shards,
     run_spmd,
@@ -236,17 +235,36 @@ def test_clean_runs_sweep_nothing():
 # sharded compress fan-out parity
 
 
+def _encode_own_shards(comm, field, bounds, codec):
+    """Rank 0 owns the frame and ships each shard's rows to its owner
+    rank (round-robin) as a bare ndarray; every rank encodes what it
+    holds; rank 0 gathers the containers back in shard order."""
+    if comm.rank == 0:
+        for i, (start, stop) in enumerate(bounds):
+            if i % comm.size:
+                comm.send(np.ascontiguousarray(field[start:stop]), i % comm.size, tag=i)
+    encoded = []
+    for i in range(comm.rank, len(bounds), comm.size):
+        shard = field[slice(*bounds[i])] if comm.rank == 0 else comm.recv(0, tag=i)
+        whole = plan_shards(shard.shape, 1)
+        encoded.append((i, encode_shards(shard, whole, codec, executor="serial")[0]))
+    gathered = comm.gather(encoded, root=0)
+    if comm.rank == 0:
+        return [blob for _, blob in sorted(p for pairs in gathered for p in pairs)]
+
+
 @pytest.mark.parametrize("tol", [None, 1e-3])
 def test_sharded_fanout_byte_identical_across_fabrics(tol):
     rng = np.random.default_rng(7)
     field = rng.random((48, 33))
     plan = plan_shards(field.shape, 3)
+    bounds = list(zip(plan.starts, plan.stops))
     codec = ShardCodec(tol=tol, mode="level", backend="huffman")
     reference = encode_shards(field, plan, codec, executor="serial")
     for fabric in FABRICS:
-        payloads = encode_shards_spmd(
-            field, plan, codec, fabric=fabric, n_ranks=3, shm_threshold=4096
-        )
+        payloads = run_spmd(
+            _encode_own_shards, 3, field, bounds, codec, fabric=fabric, shm_threshold=4096
+        )[0]
         assert [bytes(p) for p in payloads] == [bytes(p) for p in reference], fabric
     assert _no_leftover_segments()
 
