@@ -11,7 +11,8 @@ MODULES = [
     "repro.gpu", "repro.cluster", "repro.cluster.fabric",
     "repro.compress", "repro.parallel", "repro.io", "repro.io.scrub",
     "repro.service",
-    "repro.faults", "repro.workloads", "repro.analysis", "repro.experiments",
+    "repro.faults", "repro.frame", "repro.workloads", "repro.analysis",
+    "repro.experiments",
     "tools.reprolint",
 ]
 
@@ -43,6 +44,13 @@ Every backend has the same two fan-out methods: `map(fn, *iterables)`
 and `map_shared(fn, operand, *iterables)` — `fn(view_of_operand, *args)`
 once per job, in order; only `ProcessExecutor.map_shared` stages the
 operand in shared memory, and no call site asks which backend it holds.
+""",
+    "repro.frame": """\
+`magic (6 B) | header length (<Q) | JSON header | extents` — the frame
+of all three container formats; `TABLES` maps each magic to (header key
+of its extent table, what a row is called): `RPRC` → `classes`/`class`,
+`RPSH` → `shards`/`shard`, `RPMG` → `extents`/`payload`.  See "On-disk
+formats" in DESIGN.md.
 """,
     "tools.reprolint": """\
 The `repro-lint` console script (`tools.reprolint.cli:main`).  Seven

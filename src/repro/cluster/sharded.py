@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import faults
-from ..errors import ContainerError
 from ..parallel import get_executor
 from .partition import BlockPlan
 
@@ -189,35 +188,16 @@ def encode_shards(
 def decode_shard(payload: bytes, payload_mode: str) -> np.ndarray:
     """Decode one shard container back to its (full-rank) field block.
 
-    Every way a corrupt shard can fail to decode surfaces as
-    :class:`~repro.errors.ContainerError` (the parse layers raise it
-    directly; schema-level junk that slips past them — valid JSON with
-    wrong fields — is mapped here), so a region read can treat "this
-    shard is poison" as one condition.
+    The one step decoder's job (``repro.io.container._decode``, shared
+    with the stream reader): every way a corrupt shard fails to decode
+    is a :class:`~repro.errors.ContainerError`, and the payload's own
+    magic says which layout it holds — ``payload_mode`` is only validated.
     """
-    from ..compress.fileio import load_compressed
-    from ..compress.mgard import MgardCompressor
-    from ..core.classes import reconstruct_from_classes
-    from ..core.grid import hierarchy_for
-    from ..io.container import read_refactored_stream
+    from ..io.container import _decode
 
     if payload_mode not in ("refactored", "compressed"):
         raise ValueError(f"unknown shard payload mode {payload_mode!r}")
-    try:
-        if payload_mode == "refactored":
-            header, classes = read_refactored_stream(payload)
-            return reconstruct_from_classes(
-                classes, hierarchy_for(tuple(header["shape"]))
-            )
-        blob, hier = load_compressed(payload)
-        comp = MgardCompressor.for_shape(
-            hier.shape, float(blob.tol), mode=blob.mode, executor="serial"
-        )
-        return comp.decompress(blob)
-    except ContainerError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise ContainerError(f"shard payload undecodable ({payload_mode}): {e}") from e
+    return _decode(payload, executor="serial")
 
 
 @dataclass

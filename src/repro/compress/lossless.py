@@ -19,10 +19,9 @@ per-segment ``blocks`` list records their compressed extents).  The
 zlib fan-outs are ``executor.map_shared`` over one buffer — every
 class's narrowed raw stream back to back on encode, one segment's
 deflated bytes on decode — with ``(offset, length)`` jobs, so how a
-worker reaches the buffer is the executor's concern.  Headers without
-``segments`` are the pre-segmentation layout, and zlib segments without
-``blocks`` are single-unit deflate streams; both still decode (backward
-compatibility).
+worker reaches the buffer is the executor's concern.  zlib segments
+without ``blocks`` are single-unit deflate streams (what every class
+below the sub-block threshold gets).
 
 For slowly-varying streams, pass a ``scratch`` dict (conventionally
 ``CompressionPlan.scratch``) and the Huffman backend reuses each
@@ -443,9 +442,14 @@ def materialize_classes_header(header: dict, scratch: dict | None = None) -> dic
     return {**header, "segments": segs}
 
 
-def _decode_segmented(
+def decode_classes(
     payload: bytes, header: dict, executor=None, scratch: dict | None = None
 ) -> tuple[np.ndarray, list[int]]:
+    """Invert :func:`encode_classes`; returns (flat int64 bins, sizes)."""
+    if "class_sizes" not in header or "segments" not in header:
+        raise ValueError(
+            "header carries no class_sizes/segments; not a batched payload"
+        )
     sizes = [int(s) for s in header["class_sizes"]]
     segs = header["segments"]
     if len(segs) != len(sizes):
@@ -519,47 +523,6 @@ def _decode_segmented(
         decode_one(i, inner=executor)
     executor.map(decode_one, small)
     return out, sizes
-
-
-def decode_classes(
-    payload: bytes, header: dict, executor=None, scratch: dict | None = None
-) -> tuple[np.ndarray, list[int]]:
-    """Invert :func:`encode_classes`; returns (flat int64 bins, sizes).
-
-    Accepts both the segmented layout (``format: 2``) and the original
-    single-stream layout, so blobs written before the segmentation
-    refactor still decode.
-    """
-    sizes = header.get("class_sizes")
-    if sizes is None:
-        raise ValueError("header carries no class_sizes; not a batched payload")
-    if "segments" in header:
-        return _decode_segmented(payload, header, executor=executor, scratch=scratch)
-    sizes = [int(s) for s in sizes]
-    backend = header.get("backend")
-    if backend == "zlib":
-        raw = zlib.decompress(payload)
-        out = np.empty(sum(sizes), dtype=np.int64)
-        offset = 0
-        pos = 0
-        for size, dt in zip(sizes, header["dtypes"]):
-            dt = np.dtype(dt)
-            nbytes = size * dt.itemsize
-            seg = np.frombuffer(raw[offset : offset + nbytes], dtype=dt)
-            if seg.size != size:
-                raise ValueError(f"decoded {seg.size} values, expected {size}")
-            out[pos : pos + size] = seg
-            offset += nbytes
-            pos += size
-        if offset != len(raw):
-            raise ValueError(f"batched payload has {len(raw) - offset} trailing bytes")
-        return out, sizes
-    if backend == "huffman":
-        out = huffman_decode(payload, header, executor=executor)
-        if out.size != sum(sizes):
-            raise ValueError(f"decoded {out.size} values, expected {sum(sizes)}")
-        return out, sizes
-    raise ValueError(f"unknown lossless backend {backend!r}")
 
 
 def decode_bins(payload: bytes, header: dict) -> np.ndarray:

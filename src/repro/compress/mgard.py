@@ -29,7 +29,7 @@ from ..core.classes import CoefficientClasses, class_sizes, extract_classes
 from ..core.decompose import decompose, recompose
 from ..core.classes import assemble_from_classes
 from ..core.grid import TensorHierarchy
-from .lossless import decode_bins, decode_classes, encode_classes
+from .lossless import decode_classes, encode_classes
 from .quantizer import Quantizer
 
 __all__ = ["CompressedData", "MgardCompressor", "PreparedFrame", "StageTimes"]
@@ -122,9 +122,8 @@ class MgardCompressor:
         and zlib sub-blocks; defaults to the ambient one.  The emitted
         bytes do not depend on this choice.
 
-    All coefficient classes are encoded into one payload with a single
-    shared header; :meth:`decompress` also reads the older layout of
-    one payload and header per class.
+    All coefficient classes are encoded into one segmented payload with
+    a single shared header.
     """
 
     def __init__(
@@ -304,46 +303,30 @@ class MgardCompressor:
     ) -> np.ndarray:
         """Invert :meth:`compress` (up to the error bound).
 
-        Accepts both payload layouts: one payload per class, or the
-        batched single payload whose header carries ``class_sizes``
-        (segmented or pre-segmentation).  ``scratch`` resolves code-book
-        references of blobs encoded with cross-call reuse; such blobs
-        must be decoded in stream order from their last key frame.
+        ``scratch`` resolves code-book references of blobs encoded with
+        cross-call reuse; such blobs must be decoded in stream order
+        from their last key frame.
         """
         if blob.shape != self.hier.shape:
             raise ValueError(
                 f"blob was compressed for shape {blob.shape}, not {self.hier.shape}"
             )
         sizes = class_sizes(self.hier)
-        batched = len(blob.payloads) == 1 and "class_sizes" in blob.headers[0]
         times = StageTimes()
-        if batched:
-            t0 = time.perf_counter()
-            flat, got_sizes = decode_classes(
-                blob.payloads[0],
-                blob.headers[0],
-                executor=self.executor,
-                scratch=scratch,
-            )
-            times.entropy_wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        flat, got_sizes = decode_classes(
+            blob.payloads[0],
+            blob.headers[0],
+            executor=self.executor,
+            scratch=scratch,
+        )
+        times.entropy_wall = time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            if got_sizes != sizes:
-                raise ValueError("decoded class sizes do not match the hierarchy")
-            classes = Quantizer.dequantize_flat(flat, sizes, blob.steps)
-            times.quantize_wall = time.perf_counter() - t0  # de-quantization
-        else:
-            t0 = time.perf_counter()
-            bins = [decode_bins(p, h) for p, h in zip(blob.payloads, blob.headers)]
-            times.entropy_wall = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            if [b.size for b in bins] != sizes:
-                raise ValueError("decoded class sizes do not match the hierarchy")
-            classes = [
-                b.astype(np.float64) * step for b, step in zip(bins, blob.steps)
-            ]
-            times.quantize_wall = time.perf_counter() - t0  # de-quantization
+        t0 = time.perf_counter()
+        if got_sizes != sizes:
+            raise ValueError("decoded class sizes do not match the hierarchy")
+        classes = Quantizer.dequantize_flat(flat, sizes, blob.steps)
+        times.quantize_wall = time.perf_counter() - t0  # de-quantization
 
         t0 = time.perf_counter()
         refactored = assemble_from_classes(classes, self.hier)

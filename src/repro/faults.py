@@ -133,6 +133,9 @@ SITES = {
     "spmd.rank.run": "error at SPMD rank entry (both fabrics)",
     "spmd.rank.shm": "kill a process rank inside shm staging",
     "storage.tier.put": "error/delay one tier-backend object put",
+    "storage.tier.pre_tmp": "crash before a tier object/index tmp exists",
+    "storage.tier.post_tmp": "crash after a tier tmp write, pre rename",
+    "storage.tier.file": "corrupt a published tier object or index",
 }
 
 

@@ -1,31 +1,39 @@
-"""Self-describing container for refactored data (the ADIOS stand-in).
+"""Refactored-data containers (the ADIOS stand-in) and the step decoder.
 
 The paper stores refactored data through ADIOS so consumers can read a
-*prefix* of coefficient classes.  This module provides an equivalent
-single-file container:
+*prefix* of coefficient classes.  The two single-file equivalents here
+are instances of the one frame of :mod:`repro.frame` (DESIGN.md,
+"On-disk formats"), which owns framing, bounds and per-extent CRC32s:
 
-* a JSON header (shape, coordinates digest, dtype, per-class offsets);
-* one binary extent per coefficient class, laid out coarse-to-fine so a
-  prefix read is a single contiguous range.
+``RPRC`` — one extent per coefficient class, coarse-to-fine, so
+    ``RefactoredFileReader.read_classes(k)`` reads only the first ``k``
+    — the partial-read capability the whole showcase is about.
 
-``read_classes(k)`` reads only the first ``k`` classes — the partial-
-read capability the whole showcase is about.  Integrity is protected by
-per-class CRC32 checksums.
+``RPSH`` — a sharded step: one extent per axis-0 shard, each itself an
+    ``RPRC`` or ``RPMG`` container, so a region read touches only the
+    shards covering it.
+
+What the extents *mean* lives here: ``_decode`` is the one function
+that turns container bytes into a field (the stream reader and
+:func:`repro.cluster.sharded.decode_shard` both call it), ``_verify``
+its decode-free twin for ``repro-verify``; both go by the embedded magic.
 """
 
 from __future__ import annotations
 
 import io
-import json
-import struct
-import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .. import faults
-from ..core.classes import CoefficientClasses, class_sizes
+from .. import frame
+from ..compress.fileio import load_compressed
+from ..compress.mgard import MgardCompressor
+from ..core.classes import (
+    CoefficientClasses,
+    class_sizes,
+    reconstruct_from_classes,
+)
 from ..core.grid import TensorHierarchy, hierarchy_for
 from ..errors import ContainerError
 from .publish import atomic_publish
@@ -42,78 +50,76 @@ __all__ = [
     "ContainerError",
 ]
 
-_MAGIC = b"RPRC\x01\x00"
-_SHARD_MAGIC = b"RPSH\x01\x00"
-
 # ContainerError itself lives in repro.errors (re-exported here) so
 # repro.compress.fileio can subclass it without an import cycle.
 
 
-def _read_header(path: Path, magic: bytes) -> tuple[dict, int]:
-    """Parse a container file's (JSON header, payload offset).
+def _class(fr: frame.Frame, l: int, verify: bool = True) -> np.ndarray:
+    """Class ``l`` of a parsed ``RPRC`` frame.
 
-    Every way a truncated or overwritten file can fail here — short
-    magic, short length word, short or unparseable JSON — maps to
-    :class:`ContainerError` with path + offset context; raw
-    ``struct``/``json`` internals never escape.
+    Reading a class out of a *file* is the ``container.read.class <l>``
+    fault site; classes of an in-memory container are not.
     """
-    with open(path, "rb") as f:
-        if f.read(len(magic)) != magic:
-            raise ContainerError(f"bad magic in {path}")
-        raw = f.read(8)
-        if len(raw) != 8:
-            raise ContainerError(
-                f"truncated header length in {path} "
-                f"(offset {len(magic)}: got {len(raw)} of 8 bytes)"
-            )
-        (hlen,) = struct.unpack("<Q", raw)
-        raw = f.read(hlen)
-        if len(raw) != hlen:
-            raise ContainerError(
-                f"truncated header in {path} "
-                f"(offset {len(magic) + 8}: got {len(raw)} of {hlen} bytes)"
-            )
-        try:
-            header = json.loads(raw.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ContainerError(f"corrupt header in {path}") from e
-        if not isinstance(header, dict):
-            raise ContainerError(f"corrupt header in {path}: not a JSON object")
-    return header, len(magic) + 8 + hlen
+    site = None if fr.path is None else f"container.read.class {l}"
+    raw = fr.extent(l, verify, site)
+    if len(raw) % 8:
+        raise ContainerError(
+            f"class {l} in {fr.name} is {len(raw)} bytes, not whole float64s"
+        )
+    return np.frombuffer(raw, dtype=np.float64).copy()
 
 
-def _ranged_read(path: Path, offset: int, nbytes: int, crc32: int | None, what: str) -> bytes:
-    """One extent of a container file, length- and checksum-verified.
+def _classes(fr: frame.Frame, k: int | None = None, verify: bool = True) -> list[np.ndarray]:
+    """The first ``k`` classes (all when ``None``) of an ``RPRC`` frame."""
+    n = len(fr.rows)
+    k = n if k is None else k
+    if not 1 <= k <= n:
+        raise ContainerError(f"k must be in [1, {n}], got {k}")
+    return [_class(fr, l, verify) for l in range(k)]
 
-    ``container.read.<what>`` is a fault-injection site: armed
-    ``truncate``/``bitflip`` faults corrupt the bytes *after* the read
-    (corruption on the wire / in the page cache), which the length and
-    CRC checks then catch; ``delay`` faults model a slow device.
+
+def _decode(source, k: int | None = None, scratch: dict | None = None, executor=None) -> np.ndarray:
+    """Container bytes (path, stream, bytes-like) → the field they hold.
+
+    An ``RPRC`` container reconstructs from its first ``k`` classes, an
+    ``RPMG`` blob decompresses (``scratch`` replays a stream's code-book
+    chain).  Bytes that pass the frame checks can still be junk to the
+    codecs — a flipped header field reaches ``zlib``, ``np.dtype`` or a
+    dict lookup — and whatever they throw is re-raised as a chained
+    :class:`ContainerError`: "this step is poison" is one condition to
+    every recovery path.  ``OSError`` (the file is gone), ``MemoryError``
+    and every ``BaseException`` pass through.
     """
-    with open(path, "rb") as f:
-        f.seek(offset)
-        raw = f.read(nbytes)
-    site = f"container.read.{what}"
-    faults.delay_point(site)  # reprolint: site container.read.*
-    raw = faults.corrupt_bytes(site, raw)  # reprolint: site container.read.*
-    if len(raw) != nbytes:
+    fr = frame.parse(source)
+    try:
+        if fr.magic == frame.RPMG:
+            blob, hier = load_compressed(fr)
+            comp = MgardCompressor(hier, blob.tol, mode=blob.mode, executor=executor)
+            return comp.decompress(blob, scratch=scratch)
+        if fr.magic == frame.RPRC:
+            hier = hierarchy_for(tuple(fr.header["shape"]))
+            return reconstruct_from_classes(_classes(fr, k), hier)
+        raise ContainerError(f"{fr.name} is a sharded step; decode its shards")
+    except (ContainerError, OSError, MemoryError):
+        raise
+    except Exception as e:
         raise ContainerError(
-            f"truncated {what} in {path} "
-            f"(offset {offset}: got {len(raw)} of {nbytes} bytes)"
-        )
-    if crc32 is not None and zlib.crc32(raw) != crc32:
-        raise ContainerError(
-            f"checksum mismatch for {what} in {path} (offset {offset}, {nbytes} bytes)"
-        )
-    return raw
+            f"{fr.name} undecodable ({type(e).__name__}: {e})"
+        ) from e
 
 
-@dataclass
-class _ClassExtent:
-    offset: int
-    nbytes: int
-    crc32: int
-    count: int
+def _verify(source) -> frame.Frame:
+    """Read every extent of a container against its CRC, header schema
+    included, recursing into the containers a sharded step embeds."""
+    fr = frame.parse(source)
+    if fr.magic == frame.RPSH:
+        for i in range(len(fr.rows)):
+            _verify(fr.extent(i))
+    elif fr.magic == frame.RPMG:
+        load_compressed(fr)
+    else:
+        _classes(fr)
+    return fr
 
 
 class RefactoredFileWriter:
@@ -147,36 +153,18 @@ def write_refactored_stream(f, cc: CoefficientClasses, attrs: dict | None = None
     The streaming form lets a pipeline *encode* a step into memory
     (``io.BytesIO``) while a later stage owns the actual disk write.
     """
-    extents = []
-    blobs = []
-    offset = 0
-    for values in cc.classes:
-        raw = np.ascontiguousarray(values, dtype=np.float64).tobytes()
-        extents.append(
-            _ClassExtent(
-                offset=offset, nbytes=len(raw),
-                crc32=zlib.crc32(raw), count=int(values.size),
-            )
-        )
-        blobs.append(raw)
-        offset += len(raw)
+    blobs = [np.ascontiguousarray(v, dtype=np.float64).tobytes() for v in cc.classes]
     header = {
         "shape": list(cc.hier.shape),
         "dtype": "<f8",
         "n_classes": cc.n_classes,
         "classes": [
-            {"offset": e.offset, "nbytes": e.nbytes, "crc32": e.crc32, "count": e.count}
-            for e in extents
+            {**row, "count": int(v.size)}
+            for row, v in zip(frame.table(blobs), cc.classes)
         ],
         "attrs": attrs or {},
     }
-    hbytes = json.dumps(header).encode()
-    f.write(_MAGIC)
-    f.write(struct.pack("<Q", len(hbytes)))
-    f.write(hbytes)
-    for raw in blobs:
-        f.write(raw)
-    return len(_MAGIC) + 8 + len(hbytes) + offset
+    return frame.emit(f, frame.RPRC, header, blobs)
 
 
 class RefactoredFileReader:
@@ -184,9 +172,8 @@ class RefactoredFileReader:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.header, self._payload_start = _read_header(self.path, _MAGIC)
-        if not isinstance(self.header.get("classes"), list):
-            raise ContainerError(f"header in {self.path} missing its class table")
+        self._frame = frame.parse(self.path, want=frame.RPRC)
+        self.header = self._frame.header
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -194,35 +181,22 @@ class RefactoredFileReader:
 
     @property
     def n_classes(self) -> int:
-        return int(self.header["n_classes"])
+        return len(self._frame.rows)
 
     @property
     def attrs(self) -> dict:
         return dict(self.header["attrs"])
 
     def class_nbytes(self) -> list[int]:
-        return [int(c["nbytes"]) for c in self.header["classes"]]
+        return [int(c["nbytes"]) for c in self._frame.rows]
 
     def read_class(self, l: int, verify: bool = True) -> np.ndarray:
         """Read a single coefficient class."""
-        if not 0 <= l < self.n_classes:
-            raise ContainerError(f"class {l} out of range [0, {self.n_classes})")
-        meta = self.header["classes"][l]
-        raw = _ranged_read(
-            self.path,
-            self._payload_start + meta["offset"],
-            meta["nbytes"],
-            meta["crc32"] if verify else None,
-            f"class {l}",
-        )
-        return np.frombuffer(raw, dtype=np.float64).copy()
+        return _class(self._frame, l, verify)
 
     def read_classes(self, k: int | None = None, verify: bool = True) -> list[np.ndarray]:
         """Read the first ``k`` classes (all when ``None``) — a prefix read."""
-        k = self.n_classes if k is None else k
-        if not 1 <= k <= self.n_classes:
-            raise ContainerError(f"k must be in [1, {self.n_classes}], got {k}")
-        return [self.read_class(l, verify=verify) for l in range(k)]
+        return _classes(self._frame, k, verify)
 
     def to_coefficient_classes(
         self, hier: TensorHierarchy | None = None
@@ -250,53 +224,11 @@ def read_refactored_stream(data, verify: bool = True) -> tuple[dict, list[np.nda
 
     The bytes-level counterpart of :class:`RefactoredFileReader` for
     containers that live inside another file — a sharded step's shard
-    segments above all — where re-opening a path per class makes no
-    sense.  All classes are materialized (a shard is the granularity of
-    a region read; prefix reads stay a whole-file concern).
+    segments above all.  All classes are materialized (a shard is the
+    granularity of a region read; prefix reads are a whole-file concern).
     """
-    view = memoryview(data)
-    start = len(_MAGIC) + 8
-    if len(view) < start:
-        raise ContainerError(
-            f"truncated refactored payload ({len(view)} bytes, "
-            f"header length needs {start})"
-        )
-    if bytes(view[: len(_MAGIC)]) != _MAGIC:
-        raise ContainerError("bad magic in refactored payload")
-    (hlen,) = struct.unpack_from("<Q", view, len(_MAGIC))
-    if len(view) < start + hlen:
-        raise ContainerError(
-            f"truncated header in refactored payload "
-            f"(offset {start}: got {len(view) - start} of {hlen} bytes)"
-        )
-    try:
-        header = json.loads(bytes(view[start : start + hlen]).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ContainerError("corrupt header in refactored payload") from e
-    if not isinstance(header, dict) or not isinstance(header.get("classes"), list):
-        raise ContainerError("refactored payload header missing class table")
-    payload_start = start + hlen
-    classes = []
-    for l, meta in enumerate(header["classes"]):
-        try:
-            m_offset, m_nbytes, m_crc = meta["offset"], meta["nbytes"], meta["crc32"]
-        except (KeyError, TypeError) as e:
-            raise ContainerError(
-                f"malformed class-table entry {l} in refactored payload"
-            ) from e
-        lo = payload_start + m_offset
-        raw = view[lo : lo + m_nbytes]
-        if raw.nbytes != m_nbytes:
-            raise ContainerError(
-                f"truncated class {l} in refactored payload "
-                f"(offset {lo}: got {raw.nbytes} of {m_nbytes} bytes)"
-            )
-        if verify and zlib.crc32(raw) != m_crc:
-            raise ContainerError(
-                f"checksum mismatch for class {l} (offset {lo}, {m_nbytes} bytes)"
-            )
-        classes.append(np.frombuffer(raw, dtype=np.float64).copy())
-    return header, classes
+    fr = frame.parse(data, want=frame.RPRC)
+    return fr.header, _classes(fr, verify=verify)
 
 
 def container_extents(payload) -> tuple[int, list[dict]]:
@@ -315,41 +247,23 @@ def container_extents(payload) -> tuple[int, list[dict]]:
     opaque blobs).
     """
     view = memoryview(payload)
-    for magic, table, label in (
-        (_SHARD_MAGIC, "shards", "shard"),
-        (_MAGIC, "classes", "class"),
-    ):
-        start = len(magic) + 8
-        if len(view) < start or bytes(view[: len(magic)]) != magic:
-            continue
-        (hlen,) = struct.unpack_from("<Q", view, len(magic))
-        if len(view) < start + hlen:
-            raise ContainerError(
-                f"truncated header in container payload "
-                f"(offset {start}: got {len(view) - start} of {hlen} bytes)"
-            )
-        try:
-            header = json.loads(bytes(view[start : start + hlen]).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ContainerError("corrupt header in container payload") from e
-        if not isinstance(header, dict) or not isinstance(header.get(table), list):
-            raise ContainerError(f"container header missing its {label} table")
-        payload_start = start + hlen
-        extents = []
-        for i, meta in enumerate(header[table]):
-            try:
-                offset, nbytes = int(meta["offset"]), int(meta["nbytes"])
-            except (KeyError, TypeError) as e:
-                raise ContainerError(f"malformed {label}-table entry {i}") from e
-            extents.append({"name": f"{label} {i}", "offset": offset, "nbytes": nbytes})
-        covered = sum(e["nbytes"] for e in extents)
-        if payload_start + covered != len(view):
-            raise ContainerError(
-                f"container extents cover {covered} payload bytes, "
-                f"file has {len(view) - payload_start}"
-            )
-        return payload_start, extents
-    return 0, [{"name": "payload", "offset": 0, "nbytes": len(view)}]
+    if bytes(view[: len(frame.RPRC)]) not in (frame.RPSH, frame.RPRC):
+        return 0, [{"name": "payload", "offset": 0, "nbytes": len(view)}]
+    fr = frame.parse(view)
+    extents = []
+    covered = 0
+    for i in range(len(fr.rows)):
+        offset, nbytes, _ = fr.row(i)
+        if offset != covered:
+            break
+        extents.append({"name": f"{fr.label} {i}", "offset": offset, "nbytes": nbytes})
+        covered += nbytes
+    if len(extents) != len(fr.rows) or fr.payload_start + covered != fr.size:
+        raise ContainerError(
+            f"container extents tile {covered} payload bytes in order, "
+            f"file has {fr.size - fr.payload_start}"
+        )
+    return fr.payload_start, extents
 
 
 # ----------------------------------------------------------------------
@@ -375,33 +289,17 @@ def write_sharded_stream(
     """
     if len(bounds) != len(payloads):
         raise ValueError("one payload per shard bound required")
-    shards = []
-    offset = 0
-    for (start, stop), payload in zip(bounds, payloads):
-        shards.append(
-            {
-                "start": int(start),
-                "stop": int(stop),
-                "offset": offset,
-                "nbytes": len(payload),
-                "crc32": zlib.crc32(payload),
-            }
-        )
-        offset += len(payload)
     header = {
         "shape": list(shape),
         "axis": 0,
         "mode": payload_mode,
-        "shards": shards,
+        "shards": [
+            {"start": int(start), "stop": int(stop), **row}
+            for (start, stop), row in zip(bounds, frame.table(payloads))
+        ],
         "attrs": attrs or {},
     }
-    hbytes = json.dumps(header).encode()
-    f.write(_SHARD_MAGIC)
-    f.write(struct.pack("<Q", len(hbytes)))
-    f.write(hbytes)
-    for payload in payloads:
-        f.write(payload)
-    return len(_SHARD_MAGIC) + 8 + len(hbytes) + offset
+    return frame.emit(f, frame.RPSH, header, payloads)
 
 
 class ShardedFileReader:
@@ -409,9 +307,8 @@ class ShardedFileReader:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.header, self._payload_start = _read_header(self.path, _SHARD_MAGIC)
-        if not isinstance(self.header.get("shards"), list):
-            raise ContainerError(f"header in {self.path} missing its shard table")
+        self._frame = frame.parse(self.path, want=frame.RPSH)
+        self.header = self._frame.header
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -423,7 +320,7 @@ class ShardedFileReader:
 
     @property
     def n_shards(self) -> int:
-        return len(self.header["shards"])
+        return len(self._frame.rows)
 
     @property
     def attrs(self) -> dict:
@@ -431,7 +328,13 @@ class ShardedFileReader:
 
     def shard_bounds(self) -> list[tuple[int, int]]:
         """Per-shard ``(start, stop)`` row ranges along axis 0."""
-        return [(int(s["start"]), int(s["stop"])) for s in self.header["shards"]]
+        try:
+            bounds = [(s["start"], s["stop"]) for s in self._frame.rows]
+        except (KeyError, TypeError) as e:
+            raise ContainerError(f"malformed shard table in {self.path}") from e
+        if any(type(v) is not int for ab in bounds for v in ab):
+            raise ContainerError(f"malformed shard table in {self.path}: {bounds}")
+        return bounds
 
     def shards_covering(self, row_start: int, row_stop: int) -> list[int]:
         """Indices of the shards intersecting rows ``[row_start, row_stop)``."""
@@ -443,13 +346,4 @@ class ShardedFileReader:
 
     def read_shard(self, i: int, verify: bool = True) -> bytes:
         """One shard's self-contained container bytes (a ranged read)."""
-        if not 0 <= i < self.n_shards:
-            raise ContainerError(f"shard {i} out of range [0, {self.n_shards})")
-        meta = self.header["shards"][i]
-        return _ranged_read(
-            self.path,
-            self._payload_start + meta["offset"],
-            meta["nbytes"],
-            meta["crc32"] if verify else None,
-            f"shard {i}",
-        )
+        return self._frame.extent(i, verify, f"container.read.shard {i}")

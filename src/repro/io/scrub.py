@@ -8,20 +8,12 @@ counterpart: walk a stream once, verify every container end to end
 *and* each embedded shard container), and report exactly what a reader
 would have to recover from — before anyone depends on the data.
 
-Checks per step, by container type:
-
-``.rprc``
-    Full :func:`~repro.io.container.read_refactored_stream` parse with
-    CRC verification of every class payload.
-
-``.mgz``
-    Full :func:`~repro.compress.fileio.load_compressed` parse — header
-    schema plus every extent CRC.
-
-``.rpsh``
-    Shard-table schema, per-shard CRC
-    (:meth:`~repro.io.container.ShardedFileReader.read_shard`), and a
-    parse of each *embedded* shard container (their inner CRCs too).
+Every step file is one container frame (:mod:`repro.frame`), so one
+recursive check (``repro.io.container._verify``, by the embedded magic)
+covers all three types: every extent against its table row and CRC32,
+an ``RPMG`` header against its schema, each shard a sharded step embeds
+the same way.  File size and shard count are checked against the
+manifest entry.
 
 Beyond the steps themselves the scrub flags stale ``*.tmp`` files (a
 writer died mid-publish) and orphan step files the manifest never
@@ -44,14 +36,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ContainerError
+from .container import _verify
+from .stream import StreamError, load_manifest
 
 __all__ = ["ScrubReport", "scrub_stream", "main"]
 
-_MANIFEST = "manifest.json"
 _STEP_SUFFIXES = (".rprc", ".mgz", ".rpsh")
-
-#: everything a corrupt container can raise during a full parse
-_SCRUB_ERRORS = (ContainerError, OSError, KeyError, TypeError, ValueError)
 
 
 @dataclass
@@ -96,52 +86,21 @@ class ScrubReport:
         }
 
 
-def _verify_rprc(path: Path) -> None:
-    from .container import read_refactored_stream
-
-    read_refactored_stream(path.read_bytes(), verify=True)
-
-
-def _verify_mgz(path: Path) -> None:
-    from ..compress.fileio import load_compressed
-
-    load_compressed(path)
-
-
-def _verify_rpsh(path: Path, entry: dict) -> None:
-    from ..compress.fileio import load_compressed
-    from .container import ShardedFileReader, read_refactored_stream
-
-    reader = ShardedFileReader(path)
-    want = entry.get("shards")
-    if isinstance(want, list) and len(want) != reader.n_shards:
-        raise ContainerError(
-            f"shard table lists {reader.n_shards} shards, "
-            f"manifest promises {len(want)}"
-        )
-    for i in range(reader.n_shards):
-        payload = reader.read_shard(i, verify=True)
-        if reader.payload_mode == "refactored":
-            read_refactored_stream(payload, verify=True)
-        else:
-            load_compressed(payload)
-
-
 def _verify_step(path: Path, entry: dict) -> None:
-    """Fully verify one step file; raises on any defect."""
+    """Fully verify one step file (read once, whole); raises on any defect."""
+    data = path.read_bytes()
     nbytes = entry.get("nbytes")
-    if isinstance(nbytes, int) and path.stat().st_size != nbytes:
+    if isinstance(nbytes, int) and len(data) != nbytes:
         raise ContainerError(
-            f"file is {path.stat().st_size} bytes, manifest recorded {nbytes}"
+            f"file is {len(data)} bytes, manifest recorded {nbytes}"
         )
-    if path.suffix == ".rprc":
-        _verify_rprc(path)
-    elif path.suffix == ".mgz":
-        _verify_mgz(path)
-    elif path.suffix == ".rpsh":
-        _verify_rpsh(path, entry)
-    else:
-        raise ContainerError(f"unknown step container type {path.suffix!r}")
+    fr = _verify(data)
+    want = entry.get("shards")
+    if isinstance(want, list) and len(want) != len(fr.rows):
+        raise ContainerError(
+            f"{fr.label} table lists {len(fr.rows)} {fr.label}s, "
+            f"manifest promises {len(want)} shards"
+        )
 
 
 def scrub_stream(root: str | Path, quarantine: bool = False) -> ScrubReport:
@@ -155,32 +114,24 @@ def scrub_stream(root: str | Path, quarantine: bool = False) -> ScrubReport:
     """
     root = Path(root)
     report = ScrubReport(root=str(root))
-    manifest_path = root / _MANIFEST
     try:
-        manifest = json.loads(manifest_path.read_text())
-        steps = manifest["steps"]
-        if not isinstance(steps, list):
-            raise TypeError("manifest 'steps' is not a list")
-    except _SCRUB_ERRORS + (json.JSONDecodeError,) as e:
+        manifest = load_manifest(root)
+    except (StreamError, OSError, json.JSONDecodeError) as e:
         report.manifest_error = f"{type(e).__name__}: {e}"
         return report
-    report.mode = manifest.get("mode", "refactored")
+    steps = manifest["steps"]
+    report.mode = manifest["mode"]
     report.n_steps = len(steps)
 
     referenced = set()
     for idx, entry in enumerate(steps):
-        name = entry.get("file") if isinstance(entry, dict) else None
-        if not isinstance(name, str):
-            report.corrupt[idx] = "manifest entry has no file name"
-            continue
+        name = entry["file"]
         referenced.add(name)
-        path = root / name
-        if not path.exists():
-            report.corrupt[idx] = f"missing file {name}"
-            continue
         try:
-            _verify_step(path, entry)
-        except _SCRUB_ERRORS as e:
+            _verify_step(root / name, entry)
+        except FileNotFoundError:
+            report.corrupt[idx] = f"missing file {name}"
+        except (ContainerError, OSError) as e:
             report.corrupt[idx] = f"{name}: {e}"
         else:
             report.ok.append(idx)
@@ -195,10 +146,9 @@ def scrub_stream(root: str | Path, quarantine: bool = False) -> ScrubReport:
     if quarantine:
         qdir = root / "quarantine"
         doomed = [
-            name
-            for idx, reason in sorted(report.corrupt.items())
-            for name in [steps[idx].get("file")]
-            if isinstance(name, str) and (root / name).exists()
+            steps[idx]["file"]
+            for idx in sorted(report.corrupt)
+            if (root / steps[idx]["file"]).exists()
         ]
         doomed += report.stale_tmps + report.orphans
         for name in doomed:

@@ -15,10 +15,12 @@ Two halves share the one placement policy:
   nothing moves;
 * the **executed** half (:class:`LocalTierStore`) is a
   directory-per-tier local-disk object store that moves real bytes:
-  per-tier byte budgets, atomic CRC-verified puts with spill-to-next-
-  tier on a full budget, a crash-safe JSON index, and container-aware
-  placement (:meth:`LocalTierStore.place_container` splits an ``RPSH``
-  / ``RPRC`` container into its shard/class extents, places each per
+  per-tier byte budgets, CRC-verified puts with spill-to-next-tier on a
+  full budget, a JSON index (objects and index both published through
+  :func:`repro.io.publish.atomic_publish`: a put killed anywhere is
+  invisible), and container-aware placement
+  (:meth:`LocalTierStore.place_container` splits an ``RPSH`` / ``RPRC``
+  container along its frame's extent table, places each extent per
   the policy, and :meth:`LocalTierStore.read_container` reassembles the
   original bytes exactly).
 """
@@ -26,13 +28,12 @@ Two halves share the one placement policy:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from .. import faults
+from .publish import atomic_publish
 
 __all__ = [
     "StorageTier",
@@ -184,13 +185,13 @@ class LocalTierStore:
     ``tier_budget_bytes[i]`` caps tier ``i``'s stored bytes; a put that
     would exceed it spills to the next tier (mirroring how
     :meth:`TieredStorage.place_classes` spills by capacity), and only a
-    full *last* tier raises :class:`StorageError`.  Every object is
-    written to a unique temp file and published with ``os.replace``,
+    full *last* tier raises :class:`StorageError`.  Every object (and
+    the index) lands through :func:`~repro.io.publish.atomic_publish`,
     its CRC32 recorded in the index and verified on :meth:`get` — an
-    interrupted put is invisible, never a torn object.
-
-    ``storage.tier.put`` is a fault-injection site (``error`` fails a
-    put, ``delay`` models a slow device).
+    interrupted put is invisible (at worst an inert ``*.tmp``), never a
+    torn object.  Fault sites: ``storage.tier.put`` (``error`` fails a
+    put, ``delay`` models a slow device) and the primitive's
+    ``storage.tier.{pre_tmp,post_tmp,file}``.
     """
 
     _INDEX = "index.json"
@@ -233,17 +234,9 @@ class LocalTierStore:
 
     def _flush_index(self) -> None:
         doc = {"objects": self._objects, "containers": self._containers}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(json.dumps(doc, indent=1))
-            os.replace(tmp, self._index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_publish(
+            self._index_path, json.dumps(doc, indent=1).encode(), "rename", "storage.tier"
+        )
 
     def _object_path(self, key: str, tier: int) -> Path:
         p = (self._dirs[tier] / key).resolve()
@@ -295,17 +288,7 @@ class LocalTierStore:
             placed += 1
         path = self._object_path(key, placed)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_publish(path, data, "rename", "storage.tier")
         self._objects[key] = {
             "tier": placed,
             "nbytes": len(data),

@@ -62,17 +62,18 @@ from pathlib import Path
 import numpy as np
 
 from .. import faults
-from ..compress.fileio import load_compressed, save_compressed
+from ..compress.fileio import save_compressed
 from ..errors import ContainerError
 from ..compress.timeseries import TimeSeriesCompressor
-from ..core.classes import CoefficientClasses, reconstruct_from_classes
-from ..core.grid import TensorHierarchy, hierarchy_for
+from ..core.classes import CoefficientClasses
+from ..core.grid import hierarchy_for
 from ..core.refactor import Refactorer
 from ..core.snorm import truncation_estimate
 from ..service.cache import LRUCache
 from .container import (
     RefactoredFileReader,
     ShardedFileReader,
+    _decode,
     write_refactored_stream,
     write_sharded_stream,
 )
@@ -97,17 +98,71 @@ _MAX_TORN_REFRESHES = 10
 
 _DURABILITY_LEVELS = ("rename", "fsync")
 
+
 class StreamError(RuntimeError):
     """Malformed or inconsistent stream directory."""
 
 
-# what a per-step decode may legitimately raise on a corrupt/vanished
-# step file: container parse errors (the unified ContainerError family
-# covers compressed .mgz files too), missing/unreadable files, and
-# headers that parse but describe the wrong stream (surfaced as
-# StreamError by the shape checks).  Anything else is a bug, not
+# what a per-step decode raises on a corrupt/vanished step file: every
+# way bytes fail to decode is a ContainerError (io.container._decode
+# maps whatever the codecs throw), a missing/unreadable file is an
+# OSError, and a container that decodes but describes the wrong stream
+# is a StreamError from the shape checks.  Anything else is a bug, not
 # corruption.
-_DECODE_ERRORS = (ContainerError, StreamError, OSError, KeyError, ValueError)
+_DECODE_ERRORS = (ContainerError, StreamError, OSError)
+
+
+def load_manifest(root: str | Path) -> dict:
+    """Parse and validate ``<root>/manifest.json`` — the one loader.
+
+    Returns the manifest with ``mode`` defaulted.  ``OSError`` and
+    ``json.JSONDecodeError`` pass through: to a follower's ``refresh``
+    they are a torn read that heals on the next poll.  JSON that parses
+    but is no stream manifest (shape, mode, a shard layout tiling axis
+    0, steps naming their files) is corruption: :class:`StreamError`.
+    """
+    root = Path(root)
+    # undecodable bytes become U+FFFD: junk JSON, not a third error type
+    doc = json.loads((root / _MANIFEST).read_text(errors="replace"))
+
+    def ints(seq) -> bool:
+        return isinstance(seq, list) and all(type(n) is int for n in seq)
+
+    def malformed(problem: str) -> StreamError:
+        return StreamError(f"malformed stream manifest at {root}: {problem}")
+
+    if not isinstance(doc, dict):
+        raise malformed("not a JSON object")
+    shape = doc.get("shape")
+    if not (ints(shape) and shape and min(shape) > 0):
+        raise malformed(f"shape {shape!r}")
+    if doc.setdefault("mode", "refactored") not in ("refactored", "compressed"):
+        raise malformed(f"mode {doc['mode']!r}")
+    shards = doc.get("shards")
+    if shards is not None and not (
+        isinstance(shards, list)
+        and all(ints(ab) and len(ab) == 2 and ab[0] < ab[1] for ab in shards)
+        # the shards tile axis 0: a region read leaves no row unwritten
+        and [a for a, _ in shards] == [0] + [b for _, b in shards[:-1]]
+        and shards[-1][1] == shape[0]
+    ):
+        raise malformed(f"shards {shards!r}")
+    steps = doc.get("steps")
+    if not (
+        isinstance(steps, list)
+        and all(isinstance(e, dict) and isinstance(e.get("file"), str) for e in steps)
+    ):
+        raise malformed("steps is not a list of entries naming their file")
+    return doc
+
+
+def _open_manifest(root: Path) -> dict:
+    """:func:`load_manifest` for opening a stream, where there is no
+    last good snapshot to keep: unparseable JSON is corruption too."""
+    try:
+        return load_manifest(root)
+    except json.JSONDecodeError as e:
+        raise StreamError(f"unparseable stream manifest at {root}: {e}") from e
 
 
 @dataclass
@@ -305,53 +360,31 @@ class StepStreamWriter:
                 stream_tag=str(self.root.resolve()),
             )
         self._manifest_path = self.root / _MANIFEST
+        self._steps: list = []
         if self._manifest_path.exists():
-            manifest = json.loads(self._manifest_path.read_text())
-            if tuple(manifest["shape"]) != tuple(shape):
-                raise StreamError(
-                    f"stream at {root} has shape {manifest['shape']}, not {shape}"
-                )
-            existing_mode = manifest.get("mode", "refactored")
-            if existing_mode != self.stream_mode:
-                raise StreamError(
-                    f"stream at {root} is {existing_mode!r}, writer asked for "
-                    f"{self.stream_mode!r}"
-                )
-            existing_shards = manifest.get("shards")
-            want_shards = (
-                None
-                if self._shard_plan is None
-                else [[int(a), int(b)] for a, b in
-                      zip(self._shard_plan.starts, self._shard_plan.stops)]
-            )
-            if existing_shards != want_shards:
-                raise StreamError(
-                    f"stream at {root} was written with shards={existing_shards!r}, "
-                    f"writer asked for {want_shards!r}"
-                )
-            if self.stream_mode == "compressed":
-                # steps already on disk were encoded under these
-                # settings; silently rewriting them in the manifest
-                # would misdescribe every earlier step
-                checks = [("tol", self._tol), ("backend", backend)]
-                if self._compressor is not None:
-                    checks.append(("key_interval", self._compressor.key_interval))
-                for key, got in checks:
-                    want = manifest.get(key)
-                    if want is not None and want != got:
-                        raise StreamError(
-                            f"stream at {root} was written with {key}={want!r}, "
-                            f"writer asked for {got!r}"
-                        )
+            # steps already on disk were encoded under the manifest's
+            # settings; rewriting those would misdescribe every one
+            manifest, mine = _open_manifest(self.root), self._manifest_doc()
+            for key in ("shape", "mode", "shards", "tol", "backend", "key_interval"):
+                have, want = manifest.get(key), mine.get(key)
+                # a manifest that never recorded a codec setting leaves it free
+                if have != want and (have is not None or key == "shards"):
+                    raise StreamError(
+                        f"stream at {root} was written with {key}={have!r}, "
+                        f"writer asked for {want!r}"
+                    )
             self._steps = manifest["steps"]
         else:
-            self._steps = []
-            self._flush_manifest(shape)
+            self._flush_manifest()
         self._next_index = len(self._steps)
 
-    def _flush_manifest(self, shape) -> None:
-        faults.crash_point("stream.manifest.pre_flush")
-        doc = {"shape": list(shape), "mode": self.stream_mode, "steps": self._steps}
+    def _manifest_doc(self) -> dict:
+        """The manifest this writer's settings and steps make."""
+        doc = {
+            "shape": list(self.refactorer.shape),
+            "mode": self.stream_mode,
+            "steps": self._steps,
+        }
         if self._shard_plan is not None:
             doc["shards"] = [
                 [int(a), int(b)]
@@ -362,7 +395,11 @@ class StepStreamWriter:
             doc["backend"] = self._backend
             if self._compressor is not None:
                 doc["key_interval"] = self._compressor.key_interval
-        payload = json.dumps(doc, indent=1)
+        return doc
+
+    def _flush_manifest(self) -> None:
+        faults.crash_point("stream.manifest.pre_flush")
+        payload = json.dumps(self._manifest_doc(), indent=1)
         _atomic_publish(
             self._manifest_path, payload.encode(), self.durability, "stream.manifest"
         )
@@ -597,7 +634,7 @@ class StepStreamWriter:
                 "extents": [[e["name"], e["tier"]] for e in record["extents"]],
             }
         self._steps.append(entry)
-        self._flush_manifest(self.refactorer.shape)
+        self._flush_manifest()
         return prep.index
 
 
@@ -625,12 +662,11 @@ class StepStreamReader:
 
     def __init__(self, root: str | Path, *, cache_steps: int = 4):
         self.root = Path(root)
-        path = self.root / _MANIFEST
-        if not path.exists():
+        if not (self.root / _MANIFEST).exists():
             raise StreamError(f"no stream manifest at {self.root}")
-        manifest = json.loads(path.read_text())
+        manifest = _open_manifest(self.root)
         self.shape = tuple(manifest["shape"])
-        self.stream_mode = manifest.get("mode", "refactored")
+        self.stream_mode = manifest["mode"]
         self.tol = manifest.get("tol")
         shards = manifest.get("shards")
         self.shard_bounds = (
@@ -641,7 +677,6 @@ class StepStreamReader:
         self.steps = manifest["steps"]
         self.hier = hierarchy_for(self.shape)
         # compressed-mode incremental decode state
-        self._spatial = None
         self._pos: int | None = None
         self._prev: np.ndarray | None = None
         self._scratch: dict = {}
@@ -660,8 +695,18 @@ class StepStreamReader:
         #: chain cannot cross them) but retried on direct access, so a
         #: repaired file heals without reopening the reader.
         self.quarantined: dict[int, str] = {}
-        #: recovery report of the most recent read (None = clean/exact)
-        self.last_recovery: RecoveryReport | None = None
+        self._recovery = threading.local()
+
+    @property
+    def last_recovery(self) -> RecoveryReport | None:
+        """Recovery report of the calling thread's most recent read
+        (``None`` = clean/exact) — per thread, so no other thread's read
+        can reset it between a read and the caller's look at it."""
+        return getattr(self._recovery, "report", None)
+
+    @last_recovery.setter
+    def last_recovery(self, report: RecoveryReport | None) -> None:
+        self._recovery.report = report
 
     @property
     def n_steps(self) -> int:
@@ -741,9 +786,8 @@ class StepStreamReader:
         poll ago.  Returns the current step count.  Already-decoded
         state is kept — existing steps are immutable.
         """
-        path = self.root / _MANIFEST
         try:
-            manifest = json.loads(path.read_text())
+            manifest = load_manifest(self.root)
         except (OSError, json.JSONDecodeError) as e:
             # torn read from a live producer; keep the previous
             # snapshot.  A *persistently* unreadable manifest (stream
@@ -757,17 +801,10 @@ class StepStreamReader:
                     f"{self._refresh_failures} consecutive refreshes"
                 ) from e
             return len(self.steps)
-        try:
-            steps = manifest["steps"]
-            shape = tuple(manifest["shape"])
-        except (KeyError, TypeError) as e:
-            # parsed cleanly but wrong schema: that is corruption (or
-            # the wrong file), not a torn read — stalling silently here
-            # would poll forever
-            raise StreamError(
-                f"malformed stream manifest at {self.root}"
-            ) from e
-        if shape != self.shape:
+        # (wrong-schema JSON is corruption, not a torn read: load_manifest
+        # raised StreamError rather than let this poll stall on it forever)
+        steps = manifest["steps"]
+        if tuple(manifest["shape"]) != self.shape:
             raise StreamError(f"stream at {self.root} changed shape underneath us")
         if len(steps) < len(self.steps):
             # a manifest can never lose steps (the producer only appends
@@ -836,10 +873,7 @@ class StepStreamReader:
             meta = self._meta(step)
         if tol is not None:
             k = self.classes_needed(step, tol)
-        reader = RefactoredFileReader(self.root / meta["file"])
-        classes = reader.read_classes(k)
-        field = reconstruct_from_classes(classes, self.hier)
-        return field, sum(meta["class_bytes"][:k])
+        return self._decode_step(step, meta, k=k), sum(meta["class_bytes"][:k])
 
     def read_full(self, step: int) -> CoefficientClasses:
         """All classes of a step, as a :class:`CoefficientClasses`."""
@@ -890,24 +924,27 @@ class StepStreamReader:
             raise ValueError(f"on_error must be 'recover' or 'raise', got {on_error!r}")
         meta = self._meta(step)
         region = self._normalize_region(region)
-        if self.shard_bounds is None:
-            if self.stream_mode == "compressed":
-                return self.read_step(step, on_error=on_error)[region].copy()
-            field, _ = self.read(step, k=len(meta["class_bytes"]))
-            return field[region].copy()
+        if self.shard_bounds is None and self.stream_mode == "compressed":
+            return self.read_step(step, on_error=on_error)[region].copy()
         lo, hi, _ = region[0].indices(self.shape[0])
         self.last_recovery = None
         try:
+            if self.shard_bounds is None:
+                # a refactored step has no chain to roll back along and
+                # no shards to lose one of: it decodes or it does not
+                return self._decode_step(step, meta)[region].copy()
             reader = ShardedFileReader(self.root / meta["file"])
-            covering = reader.shards_covering(lo, hi)
-            bounds = reader.shard_bounds()
+            rows = reader.shard_bounds()
+            if len(rows) != len(self.shard_bounds):
+                raise ContainerError(
+                    f"shard table lists {len(rows)} shards, the manifest "
+                    f"{len(self.shard_bounds)}"
+                )
         except _DECODE_ERRORS as e:
             if on_error == "raise":
                 raise
             self.quarantined.setdefault(step, str(e))
-            raise StreamError(
-                f"step {step}: sharded container unreadable ({e})"
-            ) from e
+            raise StreamError(f"step {step}: container unreadable ({e})") from e
         out = np.empty(
             (hi - lo,) + tuple(
                 len(range(*sl.indices(n)))
@@ -917,12 +954,28 @@ class StepStreamReader:
         )
         rest = tuple(region[1:])
         failed: list[tuple[int, int]] = []
+        # rows are placed by the manifest's layout (validated to tile the
+        # domain, so every row of ``out`` is written); a shard whose own
+        # table row or decoded shape disagrees with it is a failed shard
+        covering = [
+            i for i, (a, b) in enumerate(self.shard_bounds) if a < hi and b > lo
+        ]
         for i in covering:
-            a, b = bounds[i]
+            a, b = self.shard_bounds[i]
             cut_lo, cut_hi = max(lo, a), min(hi, b)
             try:
+                if rows[i] != (a, b):
+                    raise ContainerError(
+                        f"step {step}: shard {i}'s table row covers rows "
+                        f"{rows[i]}, the stream's layout [{a}, {b})"
+                    )
                 block = self._decode_shard(reader, i)
-            except _DECODE_ERRORS as e:
+                if block.shape != (b - a,) + self.shape[1:]:
+                    raise ContainerError(
+                        f"step {step}: shard {i} decoded to shape {block.shape} "
+                        f"for rows [{a}, {b})"
+                    )
+            except _DECODE_ERRORS:
                 if on_error == "raise":
                     raise
                 out[cut_lo - lo : cut_hi - lo] = np.nan
@@ -950,9 +1003,15 @@ class StepStreamReader:
     def _decode_shard(self, reader: ShardedFileReader, i: int) -> np.ndarray:
         """Decode one shard segment to its field block (the region-read
         work unit — tests spy on it to assert read selectivity)."""
-        from ..cluster.sharded import decode_shard
+        return _decode(reader.read_shard(i), executor="serial")
 
-        return decode_shard(reader.read_shard(i), reader.payload_mode)
+    def _decode_step(self, step: int, meta: dict, **kw) -> np.ndarray:
+        """One unsharded step file through the one decoder, checked
+        against the stream's shape."""
+        out = _decode(self.root / meta["file"], **kw)
+        if out.shape != self.shape:
+            raise StreamError(f"step {step} holds a field of shape {out.shape}")
+        return out
 
     def _normalize_region(self, region) -> tuple[slice, ...]:
         if region is None:
@@ -1107,16 +1166,7 @@ class StepStreamReader:
 
     def _decode_forward(self, s: int) -> None:
         meta = self.steps[s]
-        blob, hier = load_compressed(self.root / meta["file"])
-        if hier.shape != self.shape:
-            raise StreamError(f"step {s} was compressed for shape {hier.shape}")
-        if self._spatial is None:
-            from ..compress.mgard import MgardCompressor
-
-            self._spatial = MgardCompressor.for_shape(
-                self.shape, float(blob.tol), mode=blob.mode
-            )
-        delta = self._spatial.decompress(blob, scratch=self._scratch)
+        delta = self._decode_step(s, meta, scratch=self._scratch)
         # delta is freshly decoded: accumulate the chain into it, not into a third array
         self._prev = delta if meta.get("is_key") else np.add(self._prev, delta, out=delta)
         self._pos = s

@@ -319,6 +319,8 @@ class CompressionService:
             clean = True
         else:
             field = r.read_step(step)
+            # the report is this thread's own: a sibling decode thread's
+            # read cannot reset it between the read and this check
             clean = r.last_recovery is None
         field.setflags(write=False)
         if clean:

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
+from . import frame
 from .compress.fileio import load_compressed, save_compressed
 from .compress.mgard import MgardCompressor
 from .core.classes import reconstruct_from_classes
 from .core.grid import hierarchy_for
 from .core.refactor import Refactorer
 from .core.snorm import classes_for_tolerance
+from .errors import ContainerError
 from .io.container import RefactoredFileReader, write_refactored
 
 __all__ = ["main"]
@@ -97,25 +98,28 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    path = Path(args.input)
-    head = path.open("rb").read(6)
-    if head == b"RPRC\x01\x00":
-        reader = RefactoredFileReader(path)
-        print(f"refactored container: shape {reader.shape}, {reader.n_classes} classes")
-        for l, nb in enumerate(reader.class_nbytes()):
-            print(f"  class {l}: {nb} bytes")
-        if reader.attrs:
-            print(f"  attrs: {reader.attrs}")
-    elif head == b"RPMG\x01\x00":
-        blob, _ = load_compressed(path)
-        print(
-            f"compressed data: shape {blob.shape}, tol {blob.tol:g}, "
-            f"mode {blob.mode}, ratio {blob.compression_ratio():.1f}x"
-        )
-        for l, p in enumerate(blob.payloads):
-            print(f"  class {l}: {len(p)} bytes ({blob.headers[l]['backend']})")
-    else:
-        raise SystemExit(f"{path}: not a repro container or compressed file")
+    try:
+        fr = frame.parse(args.input)
+        sizes = [fr.row(i)[1] for i in range(len(fr.rows))]
+    except ContainerError as e:
+        raise SystemExit(f"{args.input}: not a repro container ({e})") from None
+    head = fr.header
+    shape = tuple(head.get("shape", ()))
+    print(
+        f"{fr.magic[:4].decode()} container: shape {shape}, {len(sizes)} "
+        f"{frame.TABLES[fr.magic][0]}, {fr.size} bytes, "
+        f"ratio {8 * np.prod(shape) / fr.size:.1f}x"
+        + "".join(f", {k} {head[k]}" for k in ("tol", "mode") if k in head)
+    )
+    for i, (row, nbytes) in enumerate(zip(fr.rows, sizes)):
+        rows = f" rows [{row['start']}, {row['stop']})" if "start" in row else ""
+        print(f"  {fr.label} {i}:{rows} {nbytes} bytes")
+    # an entropy-coded payload batches every class as one segment of it
+    for h in head.get("headers", ()):
+        for l, seg in enumerate(h.get("segments", ())):
+            print(f"    segment {l}: {seg['nbytes']} bytes ({h['backend']})")
+    if head.get("attrs"):
+        print(f"  attrs: {head['attrs']}")
     return 0
 
 

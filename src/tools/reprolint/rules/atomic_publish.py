@@ -1,18 +1,19 @@
 """``atomic-publish``: no torn files in the stream/storage layer.
 
 PR 6 closed the torn-manifest window by funnelling every stream-layer
-publish through ``_atomic_publish`` (unique temp + ``os.replace``); the
-storage tier writes with the same temp-then-rename idiom.  One raw
-``open(path, "wb")`` in ``repro/io/`` reopens that window: a crash mid
-``write()`` leaves a half-file under the *final* name, which readers
-then have to treat as corruption rather than absence.
+publish through ``atomic_publish`` (unique temp + ``os.replace``, crash
+points, corruption site), and the storage tier now publishes through it
+too.  One raw ``open(path, "wb")`` in ``repro/io/`` reopens that
+window: a crash mid ``write()`` leaves a half-file under the *final*
+name, which readers then have to treat as corruption rather than
+absence.
 
 Inside ``src/repro/io/`` every file-creating write — ``open`` with a
 ``w``/``a``/``x``/``+`` mode, ``os.fdopen`` likewise, or
-``Path.write_bytes``/``write_text`` — must sit in a function that
-either *is* the publish primitive or completes the idiom with an
-``os.replace``/``os.rename`` (write-to-temp, rename-to-publish).
-Read-only opens are exempt.
+``Path.write_bytes``/``write_text`` — must sit in the publish primitive
+itself.  A private temp-write + ``os.replace`` copy is flagged like any
+other write: it has no crash points and no stale-temp discipline, which
+is how the tier store's two copies drifted.  Read-only opens are exempt.
 """
 
 from __future__ import annotations
@@ -58,21 +59,11 @@ def _writing_call(node: ast.Call) -> str | None:
     return None
 
 
-def _has_rename(func: ast.AST) -> bool:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in ("replace", "rename"):
-                v = node.func.value
-                if isinstance(v, ast.Name) and v.id == "os":
-                    return True
-    return False
-
-
 class AtomicPublishRule(Rule):
     name = "atomic-publish"
     summary = (
         "file-creating writes under repro/io/ must go through "
-        "_atomic_publish or complete a temp-write + os.replace idiom"
+        "atomic_publish, the one temp-write + os.replace primitive"
     )
     paths = ("src/repro/io/*",)
 
@@ -86,16 +77,14 @@ class AtomicPublishRule(Rule):
             func = enclosing_function(node)
             if func is not None and func.name in _PUBLISH_FUNCS:
                 continue
-            if func is not None and _has_rename(func):
-                continue
             yield Finding(
                 rule=self.name,
                 relpath=mod.relpath,
                 line=node.lineno,
                 col=node.col_offset,
                 message=(
-                    f"{label} publishes under the final name — a crash "
-                    "mid-write leaves a torn file; route through "
-                    "_atomic_publish or write to a temp and os.replace it"
+                    f"{label} writes outside the publish primitive — a "
+                    "crash mid-write leaves a torn file (or an untracked "
+                    "temp); route through repro.io.publish.atomic_publish"
                 ),
             )

@@ -1,6 +1,6 @@
 """``import-boundary``: the layering contracts of the package graph.
 
-Eight boundaries, each introduced by an earlier PR and otherwise
+Nine boundaries, each introduced by an earlier PR and otherwise
 enforced only by convention:
 
 * **numba** is imported exclusively through ``repro/kernels/jit.py``
@@ -28,6 +28,11 @@ enforced only by convention:
   ``repro.parallel.shm`` — staging an operand for another address
   space is ``ProcessExecutor.map_shared``'s job; a fan-out that stages
   for itself has started asking which executor it was handed.
+
+* ``repro.io`` and ``repro.compress`` must not import :mod:`struct` —
+  the container frame (magic, length word, JSON header, extent table)
+  is packed and parsed by ``repro/frame.py`` alone; a second parser
+  growing back in either package is how four of them drifted apart.
 
 Relative imports are resolved against the importing module's package
 before matching, and ``from pkg import name`` also counts as an import
@@ -96,6 +101,11 @@ FORBIDDEN = (
         "repro.parallel.shm",
         "staging is the executor's job; fan out through executor.map_shared",
     ),
+    *(
+        (pkg, "struct", "repro.frame is the one container-frame "
+         "packer/parser; emit and parse through it")
+        for pkg in ("repro.io", "repro.compress")
+    ),
 )
 
 _JIT_GUARD = "repro.kernels.jit"
@@ -127,7 +137,9 @@ class ImportBoundaryRule(Rule):
         "service->experiments edges; tools never imports repro; "
         "repro never imports scipy; core never imports kernels/gpu; "
         "the deleted executor/simmpi shims stay deleted; only "
-        "repro.parallel stages codec operands in shared memory"
+        "repro.parallel stages codec operands in shared memory; only "
+        "repro.frame packs or parses container frames (no struct under "
+        "repro.io / repro.compress)"
     )
     paths = ("src/*", "src/*/*", "src/*/*/*")
 

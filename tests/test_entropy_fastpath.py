@@ -15,7 +15,7 @@ from huffman_oracle import huffman_decode_scalar, huffman_encode_scalar
 
 from repro.compress.huffman import _SYNC_BLOCK, huffman_decode, huffman_encode
 from repro.compress.lossless import decode_classes, encode_bins, encode_classes
-from repro.compress.mgard import CompressedData, MgardCompressor
+from repro.compress.mgard import MgardCompressor
 from repro.compress.plan import compression_plan, refactor_plan
 from repro.compress.quantizer import Quantizer
 from repro.core.grid import hierarchy_for
@@ -150,29 +150,16 @@ class TestBatchedClasses:
         for flat_cls, b, step in zip(back, qc.bins, qc.steps):
             np.testing.assert_allclose(flat_cls, b.astype(np.float64) * step)
 
-    @pytest.mark.parametrize("backend", ["zlib", "huffman"])
-    def test_batched_and_per_class_blobs_interchange(self, backend):
-        shape = (65, 65)
-        data = multiscale(shape)
-        hier = hierarchy_for(shape)
-        comp = MgardCompressor(hier, 1e-3, backend=backend)
-        blob_b = comp.compress(data)
-        # the per-class layout no writer emits any more, only decoders read
-        qc = Quantizer(1e-3).quantize(Refactorer(shape).refactor(data))
-        encoded = [encode_bins(b, backend=backend) for b in qc.bins]
-        blob_l = CompressedData(
-            payloads=[p for p, _ in encoded],
-            headers=[h for _, h in encoded],
-            steps=list(qc.steps),
-            shape=shape,
-            tol=1e-3,
-            mode="level",
-        )
-        assert len(blob_b.payloads) == 1 and "class_sizes" in blob_b.headers[0]
-        assert len(blob_l.payloads) > 1
-        # both layouts decompress within the bound
-        for blob in (blob_b, blob_l):
-            assert np.abs(comp.decompress(blob) - data).max() <= 1e-3
+    def test_per_class_blob_layout_is_refused(self):
+        """One payload and header per class (pre-batching) has no decoder
+        any more: its first header is no batched header."""
+        shape = (17, 17)
+        comp = MgardCompressor(hierarchy_for(shape), 1e-3)
+        blob = comp.compress(multiscale(shape))
+        qc = Quantizer(1e-3).quantize(Refactorer(shape).refactor(multiscale(shape)))
+        blob.payloads, blob.headers = map(list, zip(*(encode_bins(b) for b in qc.bins)))
+        with pytest.raises(ValueError, match="not a batched payload"):
+            comp.decompress(blob)
 
 
 class TestPlanCache:

@@ -662,6 +662,33 @@ class TestContainerWriteCrash:
             RefactoredFileReader(path).read_classes()
 
 
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[]",
+    '{"shape": [9, 9]}',
+    '{"shape": [9, 9], "steps": 3}',
+    "not json",
+    '{"shape": "x", "steps": []}',
+    '{"shape": [17, 17], "steps": [{"time": 0.0}]}',
+    '{"shape": [17, 17], "steps": [], "mode": "postcard"}',
+    '{"shape": [17, 17], "steps": [], "shards": [[0, 9], [10, 17]]}',
+    '{"shape": [17, 0], "steps": []}',
+    b'{"shape": [17, 17], "steps": [], "tol": \xff}',
+])
+def test_malformed_manifest_is_stream_error(tmp_path, text):
+    """One loader, one behaviour: opening a reader or a writer on any
+    manifest that is not one raises StreamError (the parent raised
+    KeyError, TypeError, JSONDecodeError, ValueError — or nothing)."""
+    if isinstance(text, str):
+        text = text.encode()
+    (tmp_path / "manifest.json").write_bytes(text)
+    with pytest.raises(StreamError, match="manifest"):
+        StepStreamReader(tmp_path)
+    with pytest.raises(StreamError, match="manifest"):
+        StepStreamWriter(tmp_path, SHAPE)
+    assert scrub_stream(tmp_path).manifest_error is not None
+
+
 def test_corrupt_manifest_follower_keeps_snapshot(tmp_path):
     """A manifest that commits corrupt (``stream.manifest.file``) is a
     torn read to a follower — it keeps its last good snapshot — and the

@@ -380,10 +380,12 @@ class TestAtomicPublishRule:
         assert [f["path"] for f in doc["findings"]] == ["src/repro/io/bad.py"]
 
     def test_temp_then_replace_idiom_passes(self, tmp_path, capsys):
-        make_tree(tmp_path, {
-            "src/repro/io/good.py": """
+        """...in the publish primitive, and only there: a private copy of
+        the idiom (the tier store carried two) is a finding like any
+        other write."""
+        idiom = """
                 import os
-                def publish(path, payload):
+                def {name}(path, payload):
                     tmp = path.with_suffix(".tmp")
                     with open(tmp, "wb") as f:
                         f.write(payload)
@@ -392,10 +394,14 @@ class TestAtomicPublishRule:
                 def read(path):
                     with open(path, "rb") as f:
                         return f.read()
-            """,
+            """
+        make_tree(tmp_path, {
+            "src/repro/io/publish.py": idiom.format(name="atomic_publish"),
+            "src/repro/io/storage.py": idiom.format(name="put"),
         })
         code, doc = lint_json(tmp_path, "--rules", "atomic-publish", capsys=capsys)
-        assert code == 0 and not doc["findings"]
+        assert code == 1
+        assert [f["path"] for f in doc["findings"]] == ["src/repro/io/storage.py"]
 
 
 class TestShmLifetimeRule:
@@ -524,6 +530,21 @@ class TestImportBoundaryRule:
             "src/repro/compress/lossless.py",
         ]
         assert all("map_shared" in f["message"] for f in doc["findings"])
+
+    def test_only_frame_packs_container_frames(self, tmp_path, capsys):
+        make_tree(tmp_path, {
+            "src/repro/io/container.py": "import struct\n",
+            "src/repro/compress/fileio.py": "from struct import pack\n",
+            # the frame itself, and the wire protocol's own trust boundary
+            "src/repro/frame.py": "import struct\n",
+            "src/repro/service/protocol.py": "import struct\n",
+        })
+        code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
+        assert code == 1
+        assert sorted(f["path"] for f in doc["findings"]) == [
+            "src/repro/compress/fileio.py", "src/repro/io/container.py",
+        ]
+        assert all("repro.frame" in f["message"] for f in doc["findings"])
 
     def test_allowed_directions_pass(self, tmp_path, capsys):
         make_tree(tmp_path, {

@@ -1,18 +1,14 @@
 """Parallel encode executor + cross-step code-book reuse.
 
-Four contracts:
+Three contracts:
 
 * the parallel encode/decode paths are *bit-identical* to the serial
   ones (payloads, headers, and the code-book chains of reusing
   streams), on adversarial class mixes;
 * code books delta-encode across stream steps and round-trip exactly;
 * a :class:`StepStreamReader` can follow a producer that is still
-  appending;
-* blobs written by the pre-segmentation container layout still decode.
+  appending.
 """
-
-import json
-import zlib
 
 import numpy as np
 import pytest
@@ -35,7 +31,6 @@ from repro.compress.huffman import (
     table_from_code,
 )
 from repro.compress.lossless import (
-    _narrow_dtype,
     decode_classes,
     encode_classes,
     materialize_classes_header,
@@ -468,58 +463,17 @@ class TestStreamBehindProducer:
             assert np.abs(reader.read_step(t) - frames[t]).max() <= tol
 
 
-class TestBackwardCompatibility:
-    """Blobs in the pre-segmentation layout must still decode."""
+class TestSingleGeneration:
+    """The pre-``format: 2`` single-stream layout is gone with its
+    decoder: a header without ``segments`` is refused, not guessed at."""
 
-    def _legacy_encode_classes(self, bins, sizes, backend):
-        """The container layout exactly as written before this refactor."""
-        bins = np.ascontiguousarray(bins, dtype=np.int64).ravel()
-        if backend == "zlib":
-            bounds = np.cumsum([0] + sizes)
-            parts, dtypes = [], []
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                seg = bins[a:b]
-                dt = _narrow_dtype(seg)
-                parts.append(seg.astype(dt).tobytes())
-                dtypes.append(dt.str)
-            payload = zlib.compress(b"".join(parts), 6)
-            header = {
-                "backend": "zlib",
-                "dtypes": dtypes,
-                "n": int(bins.size),
-                "class_sizes": sizes,
-            }
-            return payload, header
-        payload, header = huffman_encode(bins)
-        header["backend"] = "huffman"
-        header["class_sizes"] = sizes
-        return payload, header
-
-    @pytest.mark.parametrize("backend", ["zlib", "huffman"])
-    def test_legacy_blob_fixture_decodes(self, rng, backend):
-        sizes = [9, 100, 0, 1, 2048]
+    def test_header_without_segments_is_refused(self, rng):
+        sizes = [9, 100]
         bins = rng.integers(-300, 300, sum(sizes)).astype(np.int64)
-        payload, header = self._legacy_encode_classes(bins, sizes, backend)
-        assert "segments" not in header  # genuinely the old layout
-        # survive a JSON round trip, like a blob loaded from disk
-        header = json.loads(json.dumps(header))
-        flat, got = decode_classes(payload, header)
-        assert got == sizes
-        np.testing.assert_array_equal(flat, bins)
-
-    def test_legacy_blob_through_compressor(self, rng):
-        """A CompressedData carrying a legacy header decompresses."""
-        shape = (17, 17)
-        data = rng.standard_normal(shape).cumsum(0).cumsum(1)
-        comp = MgardCompressor.for_shape(shape, 1e-3, backend="zlib")
-        blob = comp.compress(data)
-        bins, got = decode_classes(blob.payloads[0], blob.headers[0])
-        legacy_payload, legacy_header = self._legacy_encode_classes(
-            bins, got, "zlib"
-        )
-        blob.payloads = [legacy_payload]
-        blob.headers = [json.loads(json.dumps(legacy_header))]
-        assert np.abs(comp.decompress(blob) - data).max() <= 1e-3
+        payload, header = encode_classes(bins, sizes, backend="zlib")
+        del header["segments"]
+        with pytest.raises(ValueError, match="segments"):
+            decode_classes(payload, header)
 
 
 class TestRunPipeline:

@@ -444,6 +444,45 @@ class TestReaderThreadSafety:
         assert r.n_steps == 10
 
 
+class TestDegradedReadNeverCached:
+    def test_sibling_clean_read_between_read_and_check(self, tmp_path):
+        """The recovery report travels with the read: a sibling decode
+        thread's clean read landing between a rolled-back read's return
+        and the service's look at ``last_recovery`` must not get the
+        degraded field cached under the requested step's key — there it
+        would outlive the repair of the file."""
+        from repro.service.server import CompressionService
+
+        shape = (17, 16)
+        root = tmp_path / "s"
+        w = StepStreamWriter(root, shape, tol=1e-3, key_interval=4)
+        for f in _frames(shape, 3):
+            w.append(f)
+        step = root / "step_000002.mgz"
+        step.write_bytes(step.read_bytes()[:-7])
+        r = StepStreamReader(root)
+        real = r.read_step
+
+        def read_then_sibling(s, on_error="recover"):
+            out = real(s, on_error)
+            sibling = threading.Thread(target=real, args=(0,))
+            sibling.start()
+            sibling.join(10)
+            assert not sibling.is_alive()
+            return out
+
+        r.read_step = read_then_sibling
+        svc = CompressionService(ServiceConfig(root=root))
+        try:
+            field = svc._decode_step_sync(r, 2, None, ("get", 2))
+            assert svc.cache.get(("get", 2)) is None
+            report = r.last_recovery
+            assert report is not None and report.degraded and report.served == 1
+            assert np.array_equal(field, real(1))
+        finally:
+            svc.close()
+
+
 # ----------------------------------------------------------------------
 # server end-to-end
 

@@ -103,6 +103,36 @@ def test_put_fault_site(store):
     store.put("k", b"x")  # plan exhausted: next put succeeds
 
 
+@pytest.mark.parametrize("site", ["storage.tier.pre_tmp", "storage.tier.post_tmp"])
+def test_put_crash_matrix(store, tmp_path, site):
+    """A put killed at either crash point of the publish primitive is
+    invisible — to this store and to one reopened on the directory —
+    leaves at worst one inert temp file, and lands when retried."""
+    store.put("kept", b"old" * 100)
+    with faults.inject(f"crash@{site}:count=1"):
+        with pytest.raises(faults.InjectedCrash):
+            store.put("a/new", b"new" * 100)
+    reopened = LocalTierStore(
+        tmp_path / "tiers",
+        tiers=[NVME_TIER, ALPINE_PFS, ARCHIVE_TIER],
+        tier_budget_bytes=[8192, 100_000, None],
+    )
+    for s in (store, reopened):
+        assert s.get("kept") == b"old" * 100
+        assert s.keys() == ["kept"]
+    debris = [p.name for p in store.root.rglob("*.tmp")]
+    assert len(debris) == (site == "storage.tier.post_tmp"), debris
+    assert reopened.put("a/new", b"new" * 100) == 0
+    assert reopened.get("a/new") == b"new" * 100
+
+
+def test_corrupt_published_object_detected(store):
+    with faults.inject("truncate@storage.tier.file:frac=0.5:count=1"):
+        store.put("k", b"payload" * 50)
+    with pytest.raises(StorageError, match="corrupt"):
+        store.get("k")
+
+
 # ----------------------------------------------------------------------
 # container dissection
 

@@ -122,6 +122,32 @@ class TestReproTool:
         assert tool_main(["info", str(mgz)]) == 0
         assert "ratio" in capsys.readouterr().out
 
+    def test_info_lists_segments_and_sharded_steps(self, npy_field, tmp_path, capsys):
+        """A batched blob is one payload of per-class segments, not a
+        "class 0"; a sharded step (.rpsh) is a container like the others;
+        and the file is closed again."""
+        import warnings
+
+        from repro.io.stream import StepStreamWriter
+
+        path, data = npy_field
+        mgz = tmp_path / "f.mgz"
+        tool_main(["compress", str(path), str(mgz), "--tol", "1e-3", "--backend", "huffman"])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert tool_main(["info", str(mgz)]) == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        out = capsys.readouterr().out
+        assert "payload 0" in out and "class 0:" not in out
+        n_classes = len(load_compressed(mgz)[0].headers[0]["segments"])
+        assert out.count("(huffman)") == n_classes > 1
+
+        StepStreamWriter(tmp_path / "s", data.shape, tol=1e-3, shards=3).append(data)
+        assert tool_main(["info", str(tmp_path / "s" / "step_000000.rpsh")]) == 0
+        out = capsys.readouterr().out
+        assert "RPSH" in out and "3 shards" in out and "shard 2: rows [" in out
+
     def test_info_rejects_unknown(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"\x00" * 32)
