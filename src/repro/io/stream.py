@@ -643,7 +643,8 @@ class StepStreamReader:
 
     ``cache_steps`` bounds a decoded-step LRU cache (entries; ``0``
     disables it): repeated random access into a compressed stream no
-    longer re-rolls the key-frame chain for steps decoded recently.
+    longer re-rolls the key-frame chain for steps decoded recently
+    (sharded steps are not held here — see :meth:`read_step`).
     Entries are keyed by ``(step, generation)`` where :attr:`generation`
     bumps — invalidating every cached decode — whenever
     :meth:`refresh` adopts a manifest whose already-known entries
@@ -653,11 +654,15 @@ class StepStreamReader:
     are cached (never degraded/recovered ones, so a repaired file still
     heals on retry).
 
-    The reader is **thread-safe**: :meth:`read_step`,
-    :meth:`read_region`, :meth:`read`, :meth:`read_full`, and
+    The reader is **thread-safe**: reads of an unsharded stream and
     :meth:`refresh` serialize on an internal lock (the compressed-mode
     chain replay is stateful), so concurrent callers — a server's
     decode pool, follower threads — compose without torn chain state.
+    A sharded stream has no chain: :meth:`read_shard`, and the
+    :meth:`read_region` / :meth:`read_step` composed from it, take the
+    lock only to snapshot the manifest entry and to touch
+    ``quarantined`` — never across file I/O or a decode — so they
+    overlap each other and :meth:`refresh`.
     """
 
     def __init__(self, root: str | Path, *, cache_steps: int = 4):
@@ -893,11 +898,6 @@ class StepStreamReader:
     # sharded-mode region decode
 
     def read_region(self, step: int, region=None, on_error: str = "recover") -> np.ndarray:
-        """Reconstruct a sub-volume of one step (thread-safe wrapper)."""
-        with self._lock:
-            return self._read_region_impl(step, region, on_error)
-
-    def _read_region_impl(self, step: int, region=None, on_error: str = "recover") -> np.ndarray:
         """Reconstruct a sub-volume of one step, decoding only its shards.
 
         ``region`` is a tuple of slices into the full step grid (fewer
@@ -912,93 +912,123 @@ class StepStreamReader:
         a whole-step decode and slice.
 
         Shards are independent failure domains, and ``on_error``
-        (default ``"recover"``) exploits that: a shard whose bytes fail
-        their CRC or parse is *skipped* — its rows come back NaN-filled
-        and ``self.last_recovery`` records the lost axis-0 extents —
-        while every surviving shard is served exactly.  Only when **no**
-        covering shard decodes (or the step's shard table itself is
-        unreadable) does the read raise :class:`StreamError`.
+        (default ``"recover"``) exploits that: see :meth:`shard_pieces`.
         ``on_error="raise"`` restores fail-stop behaviour.
         """
         if on_error not in ("recover", "raise"):
             raise ValueError(f"on_error must be 'recover' or 'raise', got {on_error!r}")
-        meta = self._meta(step)
-        region = self._normalize_region(region)
-        if self.shard_bounds is None and self.stream_mode == "compressed":
-            return self.read_step(step, on_error=on_error)[region].copy()
-        lo, hi, _ = region[0].indices(self.shape[0])
-        self.last_recovery = None
-        try:
-            if self.shard_bounds is None:
+        if self.shard_bounds is not None:
+            region = self._normalize_region(region)
+            out = np.empty(tuple(sl.stop - sl.start for sl in region))
+            row = 0  # one shard's block alive at a time, as it is copied in
+            for piece in self.shard_pieces(
+                step, region, lambda i: self.read_shard(step, i), on_error
+            ):
+                out[row : row + len(piece)] = piece
+                row += len(piece)
+            return out
+        with self._lock:
+            meta = self._meta(step)
+            region = self._normalize_region(region)
+            if self.stream_mode == "compressed":
+                return self.read_step(step, on_error=on_error)[region].copy()
+            self.last_recovery = None
+            try:
                 # a refactored step has no chain to roll back along and
                 # no shards to lose one of: it decodes or it does not
                 return self._decode_step(step, meta)[region].copy()
-            reader = ShardedFileReader(self.root / meta["file"])
-            rows = reader.shard_bounds()
-            if len(rows) != len(self.shard_bounds):
-                raise ContainerError(
-                    f"shard table lists {len(rows)} shards, the manifest "
-                    f"{len(self.shard_bounds)}"
-                )
-        except _DECODE_ERRORS as e:
-            if on_error == "raise":
-                raise
-            self.quarantined.setdefault(step, str(e))
-            raise StreamError(f"step {step}: container unreadable ({e})") from e
-        out = np.empty(
-            (hi - lo,) + tuple(
-                len(range(*sl.indices(n)))
-                for sl, n in zip(region[1:], self.shape[1:])
-            ),
-            dtype=np.float64,
-        )
-        rest = tuple(region[1:])
-        failed: list[tuple[int, int]] = []
-        # rows are placed by the manifest's layout (validated to tile the
-        # domain, so every row of ``out`` is written); a shard whose own
-        # table row or decoded shape disagrees with it is a failed shard
-        covering = [
-            i for i, (a, b) in enumerate(self.shard_bounds) if a < hi and b > lo
+            except _DECODE_ERRORS as e:
+                if on_error == "raise":
+                    raise
+                self.quarantined.setdefault(step, str(e))
+                raise StreamError(f"step {step}: container unreadable ({e})") from e
+
+    def shards_covering(self, region=None) -> list[int]:
+        """Indices of the shards (manifest layout) ``region``'s rows touch."""
+        rows = self._normalize_region(region)[0]
+        return [
+            i for i, (a, b) in enumerate(self.shard_bounds)
+            if a < rows.stop and b > rows.start
         ]
+
+    def read_shard(self, step: int, i: int) -> np.ndarray:
+        """Decode shard ``i`` of a sharded step — the unit a sharded read
+        decodes (and the service caches and coalesces on).
+
+        Stateless: sharded steps carry no chain, so the lock is held only
+        to snapshot the manifest entry, never across file I/O or decode.
+        A table row or decoded shape that disagrees with the manifest's
+        layout fails the shard like a bad CRC does (``_DECODE_ERRORS``);
+        what a failure *means* is :meth:`shard_pieces`' business.
+        """
+        with self._lock:
+            meta = self._meta(step)
+        a, b = self.shard_bounds[i]
+        reader = ShardedFileReader(self.root / meta["file"])
+        rows = reader.shard_bounds()
+        if len(rows) != len(self.shard_bounds) or rows[i] != (a, b):
+            raise ContainerError(
+                f"step {step}: the shard table's rows {rows} disagree with "
+                f"the stream's layout at shard {i}, [{a}, {b})"
+            )
+        block = self._decode_shard(reader, i)
+        if block.shape != (b - a,) + self.shape[1:]:
+            raise ContainerError(
+                f"step {step}: shard {i} decoded to shape {block.shape} "
+                f"for rows [{a}, {b})"
+            )
+        return block
+
+    def shard_pieces(self, step: int, region, load, on_error: str = "recover"):
+        """Yield ``region`` of a sharded step as one array per covering
+        shard, in row order (their concatenation is the region).
+
+        ``load(i)`` returns shard ``i``'s decoded block or raises as
+        :meth:`read_shard` does; what a failed shard means is decided
+        here alone, for the local read and the service alike.  Rows are
+        placed by the manifest's layout (validated to tile the domain).
+        A failed shard is *skipped*: its rows come back NaN-filled and
+        ``self.last_recovery`` records the lost axis-0 extents, while
+        every surviving shard is served exactly.  Only when **no**
+        covering shard decodes is the step quarantined and
+        :class:`StreamError` raised; ``on_error="raise"`` lets the first
+        failure through instead.
+        """
+        with self._lock:
+            self._meta(step)  # range check
+        region = self._normalize_region(region)
+        lo, hi = region[0].start, region[0].stop
+        rest = region[1:]
+        covering = self.shards_covering(region)
+        failed: list[tuple[int, int]] = []
+        self.last_recovery = None
         for i in covering:
             a, b = self.shard_bounds[i]
             cut_lo, cut_hi = max(lo, a), min(hi, b)
             try:
-                if rows[i] != (a, b):
-                    raise ContainerError(
-                        f"step {step}: shard {i}'s table row covers rows "
-                        f"{rows[i]}, the stream's layout [{a}, {b})"
-                    )
-                block = self._decode_shard(reader, i)
-                if block.shape != (b - a,) + self.shape[1:]:
-                    raise ContainerError(
-                        f"step {step}: shard {i} decoded to shape {block.shape} "
-                        f"for rows [{a}, {b})"
-                    )
+                piece = load(i)[(slice(cut_lo - a, cut_hi - a),) + rest]
             except _DECODE_ERRORS:
                 if on_error == "raise":
                     raise
-                out[cut_lo - lo : cut_hi - lo] = np.nan
                 failed.append((cut_lo, cut_hi))
-                continue
-            out[cut_lo - lo : cut_hi - lo] = block[
-                (slice(cut_lo - a, cut_hi - a),) + rest
-            ]
+                shape = (cut_hi - cut_lo,) + tuple(sl.stop - sl.start for sl in rest)
+                piece = np.full(shape, np.nan)
+            yield piece
         if failed:
-            if len(failed) == len(covering):
-                self.quarantined.setdefault(step, "every covering shard corrupt")
-                raise StreamError(
-                    f"step {step}: all {len(covering)} shards covering rows "
-                    f"[{lo}, {hi}) failed to decode"
+            with self._lock:  # ``quarantined`` is shared between threads
+                if len(failed) == len(covering):
+                    self.quarantined.setdefault(step, "every covering shard corrupt")
+                    raise StreamError(
+                        f"step {step}: all {len(covering)} shards covering rows "
+                        f"[{lo}, {hi}) failed to decode"
+                    )
+                self.last_recovery = RecoveryReport(
+                    requested=step,
+                    served=step,
+                    quarantined=sorted(self.quarantined),
+                    degraded=True,
+                    failed_extents=failed,
                 )
-            self.last_recovery = RecoveryReport(
-                requested=step,
-                served=step,
-                quarantined=sorted(self.quarantined),
-                degraded=True,
-                failed_extents=failed,
-            )
-        return out
 
     def _decode_shard(self, reader: ShardedFileReader, i: int) -> np.ndarray:
         """Decode one shard segment to its field block (the region-read
@@ -1048,9 +1078,15 @@ class StepStreamReader:
         re-rolling the key-frame chain; a hit costs one ``memcpy``.
         Degraded (recovered) reads are never cached — a repaired file
         heals on the next direct access, exactly as without the cache.
+
+        A sharded step (independent partitions: no chain, no lock) is
+        the all-shards :meth:`read_region` and is not cached here — the
+        unit worth caching is the shard, and the service holds those.
         """
         if on_error not in ("recover", "raise"):
             raise ValueError(f"on_error must be 'recover' or 'raise', got {on_error!r}")
+        if self.shard_bounds is not None:
+            return self.read_region(step, on_error=on_error)
         with self._lock:
             key = (step, self.generation)
             cached = self._step_cache.get(key)
@@ -1065,14 +1101,12 @@ class StepStreamReader:
             return out
 
     def _read_step_impl(self, step: int, on_error: str = "recover") -> np.ndarray:
-        """Reconstruct one full step of a compressed or sharded stream.
+        """Reconstruct one full step of an unsharded compressed stream.
 
         Compressed streams honour ``tol``; sequential reads cost one
         blob decode each and random access rolls forward from the
         nearest key frame at or before ``step``, replaying the
-        code-book chain along the way.  Sharded streams (either payload
-        mode) decode all shards of ``step`` directly — independent
-        partitions need no chain replay.
+        code-book chain along the way.
 
         With ``on_error="recover"`` (the default) a step whose file
         fails its CRC or parse is **quarantined** instead of poisoning
@@ -1085,12 +1119,6 @@ class StepStreamReader:
         ``on_error="raise"`` restores fail-stop behaviour (the first
         corrupt file in the replay chain raises).
         """
-        if on_error not in ("recover", "raise"):
-            raise ValueError(f"on_error must be 'recover' or 'raise', got {on_error!r}")
-        if self.shard_bounds is not None:
-            # sharded steps are independent (no temporal chain) in both
-            # payload modes: a full read is the all-shards region read
-            return self.read_region(step, on_error=on_error)
         if self.stream_mode != "compressed":
             raise StreamError(
                 f"read_step needs a 'compressed' stream; this one is "

@@ -1,13 +1,15 @@
-"""Bytes-bounded LRU cache for decoded steps and prefix reconstructions.
+"""Bytes-bounded LRU cache for decoded shards, steps and class prefixes.
 
 Random access into a compressed stream re-rolls the whole key-frame
 chain on every request (`StepStreamReader.read_step` replays from the
 nearest key frame); a server doing that once per *request* would spend
 its tail latency re-decoding identical data.  :class:`LRUCache` is the
-shared fix: the service keeps decoded ``(generation, step, level)``
-arrays in one bytes-bounded pool, and
+shared fix: the service keeps decoded ``(generation, step, level,
+shard)`` arrays — one shard of a sharded step each, a whole step
+otherwise — in one bytes-bounded pool, and
 :class:`~repro.io.stream.StepStreamReader` uses a small instance of the
-same class for its own decoded-step cache.
+same class for its own decoded-step cache (unsharded streams only: a
+sharded stream's shards are cached once per process, by the service).
 
 Deliberately dependency-free (importable from ``repro.io`` without
 touching the rest of the service package) and thread-safe — the asyncio

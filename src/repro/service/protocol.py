@@ -9,12 +9,12 @@ One frame carries one request or one response::
     body    blen bytes of raw payload (ndarray bytes, or empty)
 
 The split keeps the hot path **zero-copy**: a response's body is written
-to the transport as a :class:`memoryview` of the decoded (often cached)
-array — the 20-byte prefix and the JSON header are the only bytes ever
-assembled per frame, and nothing is joined into an intermediate
-``bytes`` blob.  On the sync client the body is received straight into
-one pre-sized ``bytearray`` (``recv_into``), which
-:func:`numpy.frombuffer` then wraps without another copy.
+to the transport as one :class:`memoryview` per decoded (often cached)
+array, a step's shards back to back — the 20-byte prefix and the JSON
+header are the only bytes ever assembled per frame, and nothing is joined
+into an intermediate ``bytes`` blob.  On the sync client the body is
+received straight into one pre-sized ``bytearray`` (``recv_into``),
+which :func:`numpy.frombuffer` then wraps without another copy.
 
 Malformed input maps to :class:`ProtocolError` — bad magic, oversized
 header/body (both bounded, so a hostile or corrupt peer cannot make the
@@ -161,11 +161,13 @@ async def send_frame(
     writer: asyncio.StreamWriter, header: dict, body=b"",
 ) -> None:
     """Write one frame; ``body`` may be any bytes-like (``memoryview`` of
-    a cached array included) and is handed to the transport as-is."""
-    mv = _as_byte_view(body)
-    writer.write(frame_prefix(header, mv.nbytes))
-    if mv.nbytes:
-        writer.write(mv)
+    a cached array included) or a sequence of them — a step's cached
+    shards — handed to the transport as they are, back to back."""
+    views = [_as_byte_view(b) for b in (body if isinstance(body, (list, tuple)) else (body,))]
+    writer.write(frame_prefix(header, sum(mv.nbytes for mv in views)))
+    for mv in views:
+        if mv.nbytes:
+            writer.write(mv)
     await writer.drain()
 
 

@@ -13,19 +13,25 @@ JSON+binary protocol of :mod:`repro.service.protocol`:
     compressed mode's prediction loop is stateful in stream order).
 
 ``get_step`` / ``get_region``
-    Retrieval, engineered for tail latency:
+    Retrieval, engineered for tail latency.  The unit of work is what
+    decodes alone — one **shard** of a sharded step (a request touches
+    only the shards its rows cover), else the whole step:
 
     * an :class:`~repro.service.cache.LRUCache` keyed by
-      ``(generation, step, level)`` holds decoded steps, so random
-      access stops re-rolling the key-frame chain per request;
+      ``(generation, step, level, shard)`` holds decoded units, so random
+      access stops re-decoding (or re-rolling the key-frame chain);
     * an adaptive :class:`~repro.service.batcher.MicroBatcher`
       coalesces concurrent requests for the same key into **one**
       decode broadcast to all of them;
     * responses are assembled **zero-copy**: the body written to the
-      transport is a ``memoryview`` of the (cached) array — no
-      intermediate ``bytes`` joins on the hot path;
-    * decodes run on a thread pool (NumPy releases the GIL), keeping
-      the event loop free to accept, shed, and reply.
+      transport is one ``memoryview`` per (cached) unit, back to back —
+      no intermediate ``bytes`` joins on the hot path;
+    * decodes run on a thread pool (NumPy releases the GIL; sharded
+      decodes hold no reader lock, so a request's missing shards decode
+      together), keeping the event loop free to accept, shed, and reply;
+    * a recovered read (a failed shard's rows NaN, a chain rolled back)
+      says so in the reply header — ``degraded`` / ``served`` /
+      ``failed_extents`` — and is never cached.
 
 ``get_region(level=k)``
     Progressive-precision retrieval — the paper's accuracy-driven
@@ -246,8 +252,8 @@ class CompressionService:
 
     def _open_reader(self) -> StepStreamReader | None:
         if self._reader is None and (self.config.root / "manifest.json").exists():
-            # cache_steps=0: the service-level LRU owns caching (keyed
-            # by level too); double-storing decodes would halve capacity
+            # cache_steps=0: the service-level LRU owns caching (keyed by
+            # level and shard too); double-storing would halve capacity
             self._reader = StepStreamReader(self.config.root, cache_steps=0)
         return self._reader
 
@@ -295,37 +301,39 @@ class CompressionService:
             interval = min(interval * 2, 0.25)
 
     # ------------------------------------------------------------------
-    # the decode path: cache → batcher → thread pool
+    # the decode path: cache → batcher → thread pool, one unit at a time
 
-    async def _decoded_step(self, r: StepStreamReader, step: int, level: int | None):
-        key = (r.generation, step, level)
+    async def _unit(self, r: StepStreamReader, step: int, level: int | None, shard: int | None):
+        """One decoded unit — shard ``shard`` of a sharded step, the whole
+        step of an unsharded one — as ``(array, recovery report)``."""
+        key = (r.generation, step, level, shard)
         hit = self.cache.get(key)
         if hit is not None:
-            return hit
+            return hit, None
 
         async def supplier():
-            return await self._offload(self._decode_step_sync, r, step, level, key)
+            return await self._offload(self._decode_unit_sync, r, step, level, shard, key)
 
         if self.config.batching:
             return await self.batcher.run(key, supplier)
         return await supplier()
 
-    def _decode_step_sync(self, r: StepStreamReader, step, level, key):
-        if level is not None:
-            field, _ = r.read(step, k=level)
-            clean = True
-        elif r.stream_mode == "refactored" and r.shard_bounds is None:
-            field, _ = r.read(step, k=len(r.steps[step]["class_bytes"]))
-            clean = True
+    def _decode_unit_sync(self, r: StepStreamReader, step, level, shard, key):
+        report = None
+        if shard is not None:
+            field = r.read_shard(step, shard)
+        elif level is not None or r.stream_mode == "refactored":
+            k = len(r.steps[step]["class_bytes"]) if level is None else level
+            field, _ = r.read(step, k=k)
         else:
             field = r.read_step(step)
             # the report is this thread's own: a sibling decode thread's
             # read cannot reset it between the read and this check
-            clean = r.last_recovery is None
+            report = r.last_recovery
         field.setflags(write=False)
-        if clean:
+        if report is None:
             self.cache.put(key, field)
-        return field
+        return field, report
 
     def _resolve_level(self, r: StepStreamReader, step: int, level):
         """Validate a progressive-precision level request.
@@ -423,19 +431,36 @@ class CompressionService:
                     f"no such step {step} (stream has {r.n_steps} steps)"
                 )
         lv = self._resolve_level(r, step, h.get("level"))
-        field = await self._decoded_step(r, step, None if lv is None else lv[0])
-        region = h.get("region")
-        if region is None:
-            out = field
+        region = self._region_slices(r, h.get("region") or ())  # none: the full step
+        if r.shard_bounds is None:
+            field, report = await self._unit(r, step, None if lv is None else lv[0], None)
+            pieces = [field[region]]
         else:
-            out = field[self._region_slices(r, region)]
-            if not out.flags.c_contiguous:
-                out = np.ascontiguousarray(out)
-        resp = {"dtype": out.dtype.str, "shape": list(out.shape), "step": step}
+            # only the shards the region covers, the missing ones decoded
+            # together; which failures the reply survives is the reader's call
+            units = r.shards_covering(region)
+            got = dict(zip(units, await asyncio.gather(
+                *(self._unit(r, step, None, i) for i in units), return_exceptions=True
+            )))
+
+            def load(i):
+                if isinstance(got[i], BaseException):
+                    raise got[i]
+                return got[i][0]
+
+            pieces = list(r.shard_pieces(step, region, load))
+            report = r.last_recovery
+        shape = [sum(len(p) for p in pieces), *pieces[0].shape[1:]]
+        resp = {"dtype": pieces[0].dtype.str, "shape": shape, "step": step}
         if lv is not None:
             level, n, bound, final = lv
             resp.update(level=level, n_levels=n, error_bound=bound, final=final)
-        return resp, out.data.cast("B")
+        if report is not None:  # absent on clean reads: those replies keep their bytes
+            resp.update(degraded=report.degraded, served=report.served,
+                        failed_extents=report.failed_extents)
+        # row-adjacent pieces back to back are the region's bytes; a piece
+        # that is a contiguous view of a cached array is sent as it lies
+        return resp, [np.ascontiguousarray(p).data.cast("B") for p in pieces]
 
     async def _op_wait_step(self, h, body):
         r = self._require_reader()

@@ -74,6 +74,29 @@ class TestProtocolFraming:
             np.frombuffer(got, dtype=np.float64).reshape(3, 20), body
         )
 
+    def test_sequence_body_is_the_buffers_back_to_back(self):
+        """A body given as a sequence of buffers (a step's cached shards)
+        puts the same bytes on the wire as their concatenation."""
+        parts = [np.arange(6, dtype="<f8").reshape(2, 3), np.arange(6, 9, dtype="<f8")]
+
+        class _Writer:
+            def __init__(self):
+                self.chunks = []
+
+            def write(self, data):
+                self.chunks.append(data)
+
+            async def drain(self):
+                pass
+
+        joined, split = _Writer(), _Writer()
+        header = {"id": 1, "status": "ok"}
+        asyncio.run(protocol.send_frame(joined, header, b"".join(p.tobytes() for p in parts)))
+        asyncio.run(protocol.send_frame(split, header, [p.data for p in parts]))
+        assert b"".join(bytes(c) for c in split.chunks) == b"".join(joined.chunks)
+        # handed over as they are: views of the arrays, not copies
+        assert [np.shares_memory(np.frombuffer(c, "B"), p) for c, p in zip(split.chunks[1:], parts)] == [True, True]
+
     def test_clean_eof_between_frames_is_none(self):
         async def run():
             return await protocol.read_frame(_feed())
@@ -444,6 +467,129 @@ class TestReaderThreadSafety:
         assert r.n_steps == 10
 
 
+    def test_sharded_concurrent_read_step_read_region_refresh(self, tmp_path):
+        """The sharded twin: reads that take the lock only for the
+        manifest snapshot, against a live writer and ``refresh()``."""
+        shape, tol = (20, 8, 7), 1e-3
+        frames = _frames(shape, 10)
+        w = StepStreamWriter(tmp_path / "s", shape, tol=tol, shards=4)
+        for f in frames[:6]:
+            w.append(f)
+        r = StepStreamReader(tmp_path / "s")
+        failures: list[str] = []
+        stop = threading.Event()
+
+        def hammer(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                while not stop.is_set():
+                    step = int(rng.integers(r.n_steps))
+                    kind = rng.integers(3)
+                    if kind == 0:
+                        got, want = r.read_step(step), frames[step]
+                    elif kind == 1:
+                        lo = int(rng.integers(0, shape[0] - 1))
+                        hi = int(rng.integers(lo + 1, shape[0] + 1))
+                        got = r.read_region(step, (slice(lo, hi), slice(1, 6)))
+                        want = frames[step][lo:hi, 1:6]
+                    else:
+                        r.refresh()
+                        continue
+                    if got.shape != want.shape or float(np.max(np.abs(got - want))) > tol * 1.05:
+                        failures.append(f"step {step}: {got.shape} vs {want.shape}")
+                    if r.last_recovery is not None:
+                        failures.append(f"step {step}: {r.last_recovery}")
+            except Exception as e:  # noqa: BLE001 - report, don't deadlock
+                failures.append(f"{type(e).__name__}: {e}")
+
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for f in frames[6:]:
+            w.append(f)
+            time.sleep(0.05)
+        time.sleep(0.3)
+        stop.set()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert not failures, failures[:5]
+        r.refresh()
+        assert r.n_steps == 10 and not r.quarantined
+
+    def test_sharded_decodes_overlap_and_refresh_is_not_blocked(self, tmp_path, monkeypatch):
+        """Two reads of different shards are inside the decode at once,
+        and ``refresh()`` returns while they are: the reader lock is not
+        held across a sharded decode."""
+        shape = (20, 8, 7)
+        frames = _frames(shape, 2)
+        w = StepStreamWriter(tmp_path / "s", shape, tol=1e-3, shards=4)
+        w.append(frames[0])
+        r = StepStreamReader(tmp_path / "s")
+        release = threading.Event()
+        inside = {0: threading.Event(), 2: threading.Event()}
+        orig = StepStreamReader._decode_shard
+
+        def blocking_decode(self, rd, i):
+            inside[i].set()
+            assert release.wait(30)
+            return orig(self, rd, i)
+
+        monkeypatch.setattr(StepStreamReader, "_decode_shard", blocking_decode)
+        out: dict[int, np.ndarray] = {}
+
+        def read(i, rows):
+            out[i] = r.read_region(0, (rows,))
+
+        readers = [
+            threading.Thread(target=read, args=(0, slice(1, 4))),
+            threading.Thread(target=read, args=(2, slice(11, 14))),
+        ]
+        w.append(frames[1])
+        refreshed: list[int] = []
+        refresher = threading.Thread(target=lambda: refreshed.append(r.refresh()))
+        try:
+            for t in readers:
+                t.start()
+            assert inside[0].wait(10) and inside[2].wait(10)  # both decoding at once
+            refresher.start()
+            refresher.join(10)
+            assert refreshed == [2]  # the lock was free
+        finally:
+            release.set()
+            for t in readers:
+                t.join(10)
+        assert not any(t.is_alive() for t in readers)
+        assert float(np.abs(out[0] - frames[0][1:4]).max()) <= 1e-3
+        assert float(np.abs(out[2] - frames[0][11:14]).max()) <= 1e-3
+
+    def test_sharded_read_step_is_not_cached_in_the_reader(self, tmp_path):
+        """One cache per process for sharded streams: the shard is the
+        unit worth caching and the service owns that cache, so the
+        reader keeps no whole-step copies of a sharded stream."""
+        shape = (20, 8, 7)
+        w = StepStreamWriter(tmp_path / "s", shape, tol=1e-3, shards=4)
+        w.append(_frames(shape, 1)[0])
+        r = StepStreamReader(tmp_path / "s")
+        assert r.read_step(0).tobytes() == r.read_step(0).tobytes()
+        info = r.cache_info()
+        assert info["entries"] == 0 and info["hits"] == 0 and info["bytes"] == 0
+
+
+def _corrupt_shard(path, i):
+    """Flip a byte in the middle of shard ``i``'s extent; returns the
+    file's original bytes (write them back to repair it)."""
+    from repro import frame
+
+    raw = path.read_bytes()
+    fr = frame.parse(raw)
+    offset, nbytes, _ = fr.row(i)
+    bad = bytearray(raw)
+    bad[fr.payload_start + offset + nbytes // 2] ^= 0xFF
+    path.write_bytes(bytes(bad))
+    return raw
+
+
 class TestDegradedReadNeverCached:
     def test_sibling_clean_read_between_read_and_check(self, tmp_path):
         """The recovery report travels with the read: a sibling decode
@@ -474,13 +620,48 @@ class TestDegradedReadNeverCached:
         r.read_step = read_then_sibling
         svc = CompressionService(ServiceConfig(root=root))
         try:
-            field = svc._decode_step_sync(r, 2, None, ("get", 2))
+            field, report = svc._decode_unit_sync(r, 2, None, None, ("get", 2))
             assert svc.cache.get(("get", 2)) is None
-            report = r.last_recovery
             assert report is not None and report.degraded and report.served == 1
             assert np.array_equal(field, real(1))
         finally:
             svc.close()
+
+    def test_sharded_sibling_clean_read_between_pieces_and_check(self, tmp_path):
+        """The sharded twin, through the wire: a sibling thread's clean
+        read lands between the failure policy's verdict and the
+        service's look at ``last_recovery``.  The reply must still say
+        it is degraded, and the bad shard must not be cached."""
+        shape = (20, 8, 7)
+        root = tmp_path / "s"
+        w = StepStreamWriter(root, shape, tol=1e-3, shards=4)
+        for f in _frames(shape, 2):
+            w.append(f)
+        _corrupt_shard(root / "step_000000.rpsh", 1)
+        server = _serve(root)
+        try:
+            r = server.svc._reader
+            real = r.shard_pieces
+
+            def pieces_then_sibling(*args, **kw):
+                out = real(*args, **kw)
+                if threading.current_thread().name != "repro-service":
+                    return out  # the sibling's own read
+                sibling = threading.Thread(target=r.read_region, args=(1,))
+                sibling.start()
+                sibling.join(10)
+                assert not sibling.is_alive()
+                return out
+
+            r.shard_pieces = pieces_then_sibling
+            with ServiceClient(port=server.port) as c:
+                got, meta = c.get_step(0, with_meta=True)
+            assert meta["degraded"] is True and meta["failed_extents"] == [[5, 10]]
+            assert np.isnan(got[5:10]).all() and not np.isnan(got[:5]).any()
+            cached = {key[3] for key in server.svc.cache._data}
+            assert cached == {0, 2, 3}
+        finally:
+            server.stop()
 
 
 # ----------------------------------------------------------------------
@@ -702,6 +883,194 @@ class TestServerEndToEnd:
                 s.sendall(protocol.frame_prefix({"op": "put_step"}, 1 << 20))
                 header, _ = protocol.recv_frame_into(s)
                 assert header["status"] == "error"
+        finally:
+            server.stop()
+
+
+class TestDegradedReplySaysSo:
+    def test_rolled_back_chain_read_is_flagged(self, tmp_path):
+        """A truncated ``.mgz`` step is served as the nearest decodable
+        earlier step — and the reply says which, on both clients."""
+        shape = (17, 16)
+        root = tmp_path / "s"
+        w = StepStreamWriter(root, shape, tol=1e-3, key_interval=4)
+        for f in _frames(shape, 3):
+            w.append(f)
+        step = root / "step_000002.mgz"
+        step.write_bytes(step.read_bytes()[:-7])
+        server = _serve(root)
+        try:
+            with ServiceClient(port=server.port) as c:
+                clean, clean_meta = c.get_step(1, with_meta=True)
+                assert not {"degraded", "served", "failed_extents"} & set(clean_meta)
+                got, meta = c.get_step(2, with_meta=True)
+                assert meta["status"] == "ok" and meta["step"] == 2
+                assert meta["degraded"] is True and meta["served"] == 1
+                assert meta["failed_extents"] == []
+                assert got.tobytes() == clean.tobytes()
+
+            async def run():
+                async with AsyncServiceClient(port=server.port) as a:
+                    return await a.get_region(2, [[3, 9]], with_meta=True)
+
+            got, meta = asyncio.run(run())
+            assert meta["degraded"] is True and meta["served"] == 1
+            assert got.tobytes() == clean[3:9].tobytes()
+            # never cached under the requested step: a repaired file heals
+            assert all(key[1] != 2 for key in server.svc.cache._data)
+        finally:
+            server.stop()
+
+
+_SHARDED_MODES = {
+    "zlib": {"tol": 1e-3, "backend": "zlib"},
+    "huffman": {"tol": 1e-3, "backend": "huffman"},
+    "refactored": {},
+}
+
+
+class TestShardIsTheUnitThroughTheWire:
+    SHAPE = (20, 10, 9)
+    SHARD_BYTES = 5 * 10 * 9 * 8  # 4 shards of 5 rows
+
+    def _stream(self, root, mode, n=2):
+        frames = _frames(self.SHAPE, n)
+        w = StepStreamWriter(root, self.SHAPE, shards=4, **_SHARDED_MODES[mode])
+        for f in frames:
+            w.append(f)
+        return frames
+
+    @pytest.mark.parametrize("mode", list(_SHARDED_MODES))
+    def test_selectivity(self, tmp_path, monkeypatch, mode):
+        """A get decodes the covering shards it is missing and no other;
+        every reply is the direct read's bytes."""
+        self._stream(tmp_path / "s", mode)
+        direct = StepStreamReader(tmp_path / "s", cache_steps=0)
+        decoded: list[int] = []
+        orig = StepStreamReader._decode_shard
+        monkeypatch.setattr(
+            StepStreamReader,
+            "_decode_shard",
+            lambda self, rd, i: decoded.append(i) or orig(self, rd, i),
+        )
+        server = _serve(tmp_path / "s")
+        try:
+            with ServiceClient(port=server.port) as c:
+
+                def get(step, region):
+                    decoded.clear()
+                    got, meta = c.get_region(step, region, with_meta=True)
+                    seen = sorted(decoded)
+                    want = direct.read_region(
+                        step, tuple(slice(*(p or (None,))) for p in region or ())
+                    )
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    assert list(meta) == ["dtype", "shape", "step", "status", "id"]
+                    return seen
+
+                assert get(1, [[6, 9], [2, 7]]) == [1]  # inside shard 1 (rows 5:10)
+                assert c.stats()["cache"]["bytes"] == self.SHARD_BYTES  # a shard, not a step
+                assert get(1, [[5, 8]]) == []  # elsewhere in shard 1: a hit
+                assert get(1, None) == [0, 2, 3]  # the full step: the missing three only
+                assert get(1, None) == []
+                assert get(0, [[8, 12], None, [0, 4]]) == [1, 2]  # straddles two shards
+                assert c.stats()["cache"]["bytes"] == 6 * self.SHARD_BYTES
+        finally:
+            server.stop()
+
+    def test_two_misses_on_one_shard_decode_it_once(self, tmp_path, monkeypatch):
+        """Single-flight is per shard: different regions of one shard,
+        missed by two connections at once, share one decode."""
+        self._stream(tmp_path / "s", "zlib")
+        decoded: list[int] = []
+        entered, release = threading.Event(), threading.Event()
+        orig = StepStreamReader._decode_shard
+
+        def slow_decode(self, rd, i):
+            decoded.append(i)
+            entered.set()
+            assert release.wait(30)
+            return orig(self, rd, i)
+
+        monkeypatch.setattr(StepStreamReader, "_decode_shard", slow_decode)
+        server = _serve(tmp_path / "s")
+        try:
+
+            async def run():
+                async with AsyncServiceClient(port=server.port) as a, \
+                        AsyncServiceClient(port=server.port) as b:
+                    first = asyncio.ensure_future(a.get_region(0, [[5, 7]]))
+                    await asyncio.to_thread(entered.wait, 10)
+                    second = asyncio.ensure_future(b.get_region(0, [[8, 10], [0, 3]]))
+                    await asyncio.sleep(0.1)  # the second request is parked on the first's decode
+                    release.set()
+                    return await asyncio.gather(first, second), await a.stats()
+
+            (one, two), stats = asyncio.run(run())
+            assert decoded == [1]
+            assert stats["batcher"]["joined"] == 1
+            assert one.shape == (2, 10, 9) and two.shape == (2, 3, 9)
+        finally:
+            release.set()
+            server.stop()
+
+    def test_failure_domains(self, tmp_path):
+        """One corrupt shard costs its own rows, says so, and heals."""
+        self._stream(tmp_path / "s", "zlib")
+        path = tmp_path / "s" / "step_000000.rpsh"
+        server = _serve(tmp_path / "s")
+        try:
+            svc = server.svc
+            with ServiceClient(port=server.port) as c:
+                clean = c.get_step(1)
+                assert not np.isnan(clean).any()
+                original = _corrupt_shard(path, 1)
+                # a region inside the bad shard has nothing left to serve
+                with pytest.raises(RemoteError, match="StreamError.*shards covering"):
+                    c.get_region(0, [[6, 9]])
+                assert 0 in svc._reader.quarantined
+                # the full step: that shard's rows NaN, the rest exact
+                got, meta = c.get_step(0, with_meta=True)
+                assert meta["degraded"] is True and meta["served"] == 0
+                assert meta["failed_extents"] == [[5, 10]]
+                assert np.isnan(got[5:10]).all()
+                path.write_bytes(original)
+                healed, healed_meta = c.get_step(0, with_meta=True)
+                assert "degraded" not in healed_meta and not np.isnan(healed).any()
+                keep = np.r_[0:5, 10:20]
+                assert got[keep].tobytes() == healed[keep].tobytes()
+                # the good shards were cached while the bad one was not:
+                # the repaired read decoded exactly one shard
+                direct = StepStreamReader(tmp_path / "s", cache_steps=0)
+                assert healed.tobytes() == direct.read_step(0).tobytes()
+                assert svc.batcher.stats()["errors"] == 2  # shard 1, twice; never since
+
+                async def both_halves():
+                    async with AsyncServiceClient(port=server.port) as a:
+                        return await a.get_region(1, [[3, 12]], with_meta=True)
+
+                _corrupt_shard(tmp_path / "s" / "step_000001.rpsh", 1)
+                svc.cache.clear()  # as if evicted
+                got, meta = asyncio.run(both_halves())
+                assert meta["degraded"] is True and meta["failed_extents"] == [[5, 10]]
+                assert got[:2].tobytes() == clean[3:5].tobytes()
+                assert got[7:].tobytes() == clean[10:12].tobytes()
+                assert np.isnan(got[2:7]).all()
+        finally:
+            server.stop()
+
+    def test_every_covering_shard_corrupt_is_an_error_and_quarantines(self, tmp_path):
+        self._stream(tmp_path / "s", "refactored")
+        for i in range(4):
+            _corrupt_shard(tmp_path / "s" / "step_000001.rpsh", i)
+        server = _serve(tmp_path / "s")
+        try:
+            with ServiceClient(port=server.port) as c:
+                with pytest.raises(RemoteError, match="StreamError"):
+                    c.get_step(1)
+                assert 1 in server.svc._reader.quarantined
+                assert c.stats()["cache"]["entries"] == 0
+                assert not np.isnan(c.get_step(0)).any()  # the stream still serves
         finally:
             server.stop()
 
