@@ -1002,7 +1002,10 @@ class TestShardIsTheUnitThroughTheWire:
                     first = asyncio.ensure_future(a.get_region(0, [[5, 7]]))
                     await asyncio.to_thread(entered.wait, 10)
                     second = asyncio.ensure_future(b.get_region(0, [[8, 10], [0, 3]]))
-                    await asyncio.sleep(0.1)  # the second request is parked on the first's decode
+                    for _ in range(500):  # until the second request is parked on the first's decode
+                        if (await a.stats())["batcher"]["joined"]:
+                            break
+                        await asyncio.sleep(0.01)
                     release.set()
                     return await asyncio.gather(first, second), await a.stats()
 
