@@ -1,15 +1,16 @@
 #!/usr/bin/env python
-"""Fig. 9 weak scaling: measured SPMD fabrics next to the analytic model.
+"""Fig. 9 weak scaling: measured executors next to the analytic model.
 
-Each rank refactors (decompose + recompose) its own fixed-size
-partition — the paper's per-GPU independent-partition workload — so
-total work grows with the rank count while per-rank work stays
-constant.  The sweep runs the same rank function on both fabrics:
+Each partition is refactored (decompose + recompose) independently —
+the paper's per-GPU workload: equal partitions, no halo exchange — so
+total work grows with the partition count while per-partition work
+stays constant.  The sweep pushes the same partition function through
+``get_executor(spec).map`` on both pooled executors:
 
-* ``thread`` — the deterministic reference; Python-level refactor
-  loops serialize on the GIL, so aggregate throughput plateaus;
-* ``process`` — forked OS ranks over the UNIX-socket + shared-memory
-  fabric; aggregate throughput scales with cores.
+* ``thread`` — one address space; Python-level refactor loops
+  serialize on the GIL, so aggregate throughput plateaus;
+* ``process`` — the worker pool shard encode and Huffman decode run
+  on; aggregate throughput scales with cores.
 
 Results land in ``benchmarks/results/BENCH_weak_scaling.json`` with
 ``cpu_count`` stamped (a 1-core host honestly records ~1x); the
@@ -21,10 +22,10 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/bench_fig9_weak_scaling.py
 
 ``REPRO_BENCH_SCALE=ci`` (or ``--smoke``) shrinks partitions and the
-rank sweep.  ``--fabric process --ranks 8 --assert-speedup`` is the CI
-gate: it fails (exit 1) unless the process fabric clears 2x aggregate
-refactor throughput over the thread fabric at 8 ranks on a >= 4-core
-host (relaxed to 1.2x on 2-3 cores, skipped with a notice on 1).
+sweep.  ``--executor process --ranks 8 --assert-speedup`` is the CI
+gate: it fails (exit 1) unless the process executor clears 2x aggregate
+refactor throughput over the thread executor at 8 partitions on a
+>= 4-core host (relaxed to 1.2x on 2-3 cores, skipped with a notice on 1).
 """
 
 from __future__ import annotations
@@ -38,49 +39,44 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster import last_run_report, run_spmd
+from repro.core.refactor import Refactorer
 from repro.experiments import fig9_weak_scaling, format_fig9
-from repro.parallel import available_workers
+from repro.parallel import available_workers, get_executor
 
 RESULTS = Path(__file__).parent / "results"
 
 CI_SCALE = os.environ.get("REPRO_BENCH_SCALE") == "ci"
 
 
-def _rank_refactor(comm, side: int, iters: int):
-    """Refactor one per-rank partition; returns (max error, busy seconds)."""
-    from repro.core.refactor import Refactorer
-
-    rng = np.random.default_rng(1000 + comm.rank)
-    chunk = rng.standard_normal((side, side))
+def refactor_partition(index: int, side: int, iters: int):
+    """Refactor partition ``index`` (seeded by it, so every executor sees
+    the same data); returns (max round-trip error, busy seconds)."""
+    chunk = np.random.default_rng(1000 + index).standard_normal((side, side))
     r = Refactorer(chunk.shape)
-    comm.barrier()  # no rank starts until every rank is set up
     t0 = time.perf_counter()
     err = 0.0
     for _ in range(iters):
         err = max(err, float(np.abs(r.recompose(r.decompose(chunk)) - chunk).max()))
-    busy = time.perf_counter() - t0
-    # one collective over the result keeps the run honest end-to-end
-    return comm.allreduce(err, op=max), busy
+    return err, time.perf_counter() - t0
 
 
-def measure_point(fabric: str, n_ranks: int, side: int, iters: int, repeats: int) -> dict:
-    """Best-of-``repeats`` weak-scaling point for one (fabric, n_ranks)."""
+def measure_point(spec: str, n_ranks: int, side: int, iters: int, repeats: int) -> dict:
+    """Best-of-``repeats`` weak-scaling point for one (executor, n_ranks)."""
     per_rank_bytes = side * side * 8 * iters
+    executor = get_executor(spec)
     best = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        results = run_spmd(
-            _rank_refactor, n_ranks, side, iters, fabric=fabric, recv_timeout=120.0
+        results = executor.map(
+            refactor_partition, range(n_ranks), [side] * n_ranks, [iters] * n_ranks
         )
         wall = time.perf_counter() - t0
         errs = [e for e, _ in results]
         assert max(errs) < 1e-9, f"refactor round-trip broke: {max(errs)}"
         point = {
-            "fabric": fabric,
+            "executor": spec,
             "n_ranks": n_ranks,
             "wall_s": wall,
-            "spmd_wall_s": last_run_report().wall_s,
             "rank_busy_s": max(b for _, b in results),
             "aggregate_bytes_per_s": n_ranks * per_rank_bytes / wall,
         }
@@ -93,16 +89,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=str(RESULTS / "BENCH_weak_scaling.json"))
     parser.add_argument(
-        "--fabric",
+        "--executor",
         choices=("both", "process", "thread"),
         default="both",
-        help="measured fabric(s); 'process' still measures the thread "
+        help="measured executor(s); 'process' still measures the thread "
         "baseline at each rank count for the speedup ratio",
     )
     parser.add_argument(
         "--ranks",
         default=None,
-        help="comma-separated rank counts (default 8,16,32,64; ci/smoke 4,8)",
+        help="comma-separated partition counts (default 8,16,32,64; ci/smoke 4,8)",
     )
     parser.add_argument("--smoke", action="store_true", help="tiny run (CI smoke)")
     parser.add_argument(
@@ -128,25 +124,30 @@ def main(argv=None) -> int:
     repeats = 1 if small else 2
     cpu_count = available_workers()
 
-    fabrics = ["thread", "process"] if args.fabric in ("both", "process") else ["thread"]
-    if args.fabric == "process" and args.assert_speedup is None:
-        fabrics = ["thread", "process"]  # baseline needed either way
+    specs = ["thread"] if args.executor == "thread" else ["thread", "process"]
+
+    # steady state is what scales: one round trip fills the plan caches
+    # the workers then fork with, and the pools are up before anything
+    # is timed — as they are when production work arrives
+    refactor_partition(0, side, 1)
+    for spec in specs:
+        get_executor(spec).prime()
 
     measured = []
     for n in rank_counts:
-        for fabric in fabrics:
-            point = measure_point(fabric, n, side, iters, repeats)
+        for spec in specs:
+            point = measure_point(spec, n, side, iters, repeats)
             measured.append(point)
             print(
-                f"  {fabric:8s} {n:3d} ranks: wall {point['wall_s'] * 1e3:8.1f} ms  "
+                f"  {spec:8s} {n:3d} ranks: wall {point['wall_s'] * 1e3:8.1f} ms  "
                 f"aggregate {point['aggregate_bytes_per_s'] / 1e6:8.1f} MB/s"
             )
 
     speedups = {}
-    if {"thread", "process"} <= set(fabrics):
+    if "process" in specs:
         for n in rank_counts:
-            t = next(p for p in measured if p["fabric"] == "thread" and p["n_ranks"] == n)
-            p = next(p for p in measured if p["fabric"] == "process" and p["n_ranks"] == n)
+            t = next(p for p in measured if p["executor"] == "thread" and p["n_ranks"] == n)
+            p = next(p for p in measured if p["executor"] == "process" and p["n_ranks"] == n)
             speedups[str(n)] = p["aggregate_bytes_per_s"] / t["aggregate_bytes_per_s"]
             print(f"  process/thread at {n:3d} ranks: {speedups[str(n)]:.2f}x")
 
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
         if cpu_count < 2:
             print(
                 f"speedup gate skipped: host has {cpu_count} core(s); the "
-                "process fabric cannot beat the thread fabric without "
+                "process executor cannot beat the thread executor without "
                 "parallel hardware (cpu_count is recorded in the JSON)"
             )
             return 0
@@ -187,7 +188,7 @@ def main(argv=None) -> int:
         got = speedups.get(n0, 0.0)
         if got < factor:
             print(
-                f"process-fabric aggregate throughput {got:.2f}x thread at "
+                f"process-executor aggregate throughput {got:.2f}x thread at "
                 f"{n0} ranks, below the {factor}x bar "
                 f"(host has {cpu_count} cores)",
                 file=sys.stderr,

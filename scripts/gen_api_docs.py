@@ -8,7 +8,7 @@ import pathlib
 
 MODULES = [
     "repro", "repro.core", "repro.kernels", "repro.kernels.launcher",
-    "repro.gpu", "repro.cluster", "repro.cluster.fabric",
+    "repro.gpu", "repro.cluster",
     "repro.compress", "repro.parallel", "repro.io", "repro.io.scrub",
     "repro.service",
     "repro.faults", "repro.frame", "repro.workloads", "repro.analysis",

@@ -1,16 +1,9 @@
-"""Cluster substrate: SPMD fabrics, node models, weak-scaling model."""
+"""Partitioned domains: shard codecs, block plans, node and scaling models.
 
-from .fabric import (
-    ProcessComm,
-    RemoteRankError,
-    SimComm,
-    SpmdError,
-    SpmdRunReport,
-    SpmdTimeout,
-    ThreadComm,
-    last_run_report,
-    run_spmd,
-)
+Partitions are independent (the paper exchanges no halo), so running
+them in parallel is an ``executor.map`` — see :mod:`repro.parallel`.
+"""
+
 from .pipeline import PipelineModel, workflow_pipeline
 from .partition import BlockPlan, BlockRefactorer, plan_blocks
 from .sharded import (
@@ -36,26 +29,17 @@ __all__ = [
     "DESKTOP",
     "NodeSpec",
     "PipelineModel",
-    "ProcessComm",
-    "RemoteRankError",
     "SUMMIT_NODE",
     "ShardCodec",
     "ShardedCompressor",
     "ShardedFrame",
-    "SimComm",
-    "SpmdError",
-    "SpmdRunReport",
-    "SpmdTimeout",
-    "ThreadComm",
     "WeakScalingPoint",
     "decode_shard",
     "encode_shards",
-    "last_run_report",
     "node_speedup",
     "partition_shape",
     "plan_blocks",
     "plan_shards",
-    "run_spmd",
     "shard_tolerance",
     "shape_for_bytes_2d",
     "shape_for_bytes_3d",

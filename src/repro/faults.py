@@ -130,8 +130,6 @@ SITES = {
     "fileio.read.payload": "corrupt a compressed-payload read",
     "sharded.encode.shard": "error/delay inside one shard encode",
     "executor.process.map": "kill pool workers mid-batch",
-    "spmd.rank.run": "error at SPMD rank entry (both fabrics)",
-    "spmd.rank.shm": "kill a process rank inside shm staging",
     "storage.tier.put": "error/delay one tier-backend object put",
     "storage.tier.pre_tmp": "crash before a tier object/index tmp exists",
     "storage.tier.post_tmp": "crash after a tier tmp write, pre rename",

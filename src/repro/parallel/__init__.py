@@ -1,10 +1,13 @@
-"""Process/thread/serial concurrency substrate for the codec pipeline.
+"""The one concurrency substrate: serial, thread and process executors.
 
-Every layer — entropy segments, zlib sub-blocks, Huffman sync ranges,
-shards, streaming pipelines — schedules through this one interface.
-See :mod:`repro.parallel.executors` for the backends and
-:mod:`repro.parallel.shm` for the shared-memory transport the process
-backend's ``map_shared`` ships heavy operands through.
+Every fan-out — entropy segments, zlib sub-blocks, Huffman sync ranges,
+shards, independent partitions — schedules through this one interface,
+and this is the only package that imports ``multiprocessing`` or creates
+a shared-memory segment (``cluster.pipeline.run_pipeline`` sizes itself
+from an executor but keeps its stateful in-order stages on a dedicated
+thread pool).  See :mod:`repro.parallel.executors` for the
+backends and :mod:`repro.parallel.shm` for the shared-memory transport
+the process backend's ``map_shared`` ships heavy operands through.
 """
 
 from .executors import (
@@ -23,7 +26,6 @@ from .shm import (
     ShmUnavailable,
     share_array,
     share_bytes,
-    unlink_segment,
 )
 
 __all__ = [
@@ -40,5 +42,4 @@ __all__ = [
     "BytesRef",
     "share_array",
     "share_bytes",
-    "unlink_segment",
 ]

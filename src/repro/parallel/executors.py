@@ -201,6 +201,24 @@ class _KillMarked:
         return self.fn(*args)
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: die when the parent does.
+
+    A parent that is SIGKILLed runs no ``atexit`` hook and sends no
+    shutdown message, and a pool worker blocks on its call queue for
+    ever — with the pool primed at start-up, every killed service would
+    leave its workers behind.  ``parent_process().sentinel`` becomes
+    ready when the parent is gone, under every start method.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(
+        target=lambda: (wait([sentinel]), os._exit(1)), daemon=True
+    ).start()
+
+
 def _call_shared(ref, fn, *args):
     """Pool-side half of :meth:`ProcessExecutor.map_shared`: attach the
     staged operand, run one unit on it, detach."""
@@ -259,6 +277,7 @@ class ProcessExecutor:
         self.stats = {"broken_pools": 0, "rebuilds": 0, "inline_fallbacks": 0}
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
+        self._atexit_registered = False
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:
@@ -275,9 +294,10 @@ class ProcessExecutor:
                     # REPL/stdin scripts work; otherwise fall back to
                     # fork-from-a-clean-server (or spawn).  The
                     # single-threaded check is only sound on >= 3.11,
-                    # where a fork-context pool spawns all its workers
-                    # eagerly (gh-90622); 3.10 forks them lazily on
-                    # later submits, when threads may exist.
+                    # where a fork-context pool starts all its workers
+                    # at its first submit (gh-90622) — which follows
+                    # at once in map/submit/prime; 3.10 forks them one
+                    # by one on later submits, when threads may exist.
                     import sys
 
                     methods = multiprocessing.get_all_start_methods()
@@ -293,12 +313,18 @@ class ProcessExecutor:
                                 break
                     ctx = multiprocessing.get_context(method)
                     self._pool = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=self.max_workers, mp_context=ctx
+                        max_workers=self.max_workers,
+                        mp_context=ctx,
+                        initializer=_exit_with_parent,
                     )
                     # join the workers before interpreter teardown; a
                     # pool reaped during module clearing spews weakref
-                    # callbacks into a half-dismantled runtime
-                    atexit.register(self.shutdown)
+                    # callbacks into a half-dismantled runtime.  One
+                    # hook serves every pool this executor builds; one
+                    # per rebuild would grow with a service's uptime.
+                    if not self._atexit_registered:
+                        atexit.register(self.shutdown)
+                        self._atexit_registered = True
         return self._pool
 
     def map(self, fn, *iterables) -> list:
@@ -386,8 +412,14 @@ class ProcessExecutor:
         Priming from the main thread — before any stage threads exist —
         keeps the fast fork and moves the pool start-up cost out of the
         measurement entirely.
+
+        Building the pool starts no process (the workers come up at its
+        first submit), so one trivial job per worker is submitted and
+        awaited: the workers exist when this returns.
         """
-        self._ensure_pool()
+        pool = self._ensure_pool()
+        for fut in [pool.submit(os.getpid) for _ in range(self.max_workers)]:
+            fut.result()
 
     def shutdown(self) -> None:
         with self._lock:

@@ -8,9 +8,10 @@ reference the way the thread pool does.  Instead
 picklable **ref** (segment name, shape, dtype); the worker attaches,
 computes, and returns only its (fresh) result.  Pickling traffic is
 therefore proportional to the number of work units, not to the operand
-size.  That method is the only staging site of the codec stack — the
-entropy coders and the shard fan-out never import this module; the
-SPMD fabric's data plane is the other client.
+size.  That method is this module's one client and the only staging
+site in the tree: every segment is created and destroyed inside its
+``try``/``finally``, and the entropy coders and the shard fan-out never
+import this module.
 
 Two staging helpers:
 
@@ -48,7 +49,6 @@ __all__ = [
     "share_array",
     "share_bytes",
     "attach",
-    "unlink_segment",
 ]
 
 
@@ -108,16 +108,6 @@ class SharedBlock:
         finally:
             self._shm.unlink()
 
-    def release(self) -> None:
-        """Release the mapping *without* unlinking the segment.
-
-        Ownership-transfer protocol of the SPMD data plane: the sender
-        releases its mapping and the segment's lifetime travels with the
-        in-flight message — the receiver (or, if a rank dies abnormally,
-        the host's run finalizer sweep) unlinks it.
-        """
-        self._shm.close()
-
 
 class Lease:
     """Worker-side attachment of one staged segment.
@@ -173,87 +163,17 @@ class BytesRef:
         return Lease(shm, shm.buf[: self.nbytes])
 
 
-def _create(size: int, name: str | None = None, track: bool = True):
-    shared_memory = _shared_memory()
-
-    def make():
-        return shared_memory.SharedMemory(name=name, create=True, size=max(int(size), 1))
-
+def _create(size: int):
     try:
-        if track:
-            return make()
-        # untracked creation (the SPMD data plane): the segment's
-        # lifetime transfers to the receiving rank / the host sweep, so
-        # this process's resource tracker must not claim it — it would
-        # try to unlink an already-consumed segment at exit (gh-82300
-        # family).  Same suppression trick as :func:`attach`.
-        try:
-            from multiprocessing import resource_tracker
-        except ImportError:  # pragma: no cover - non-CPython
-            return make()
-        with _attach_lock:
-            orig = resource_tracker.register
-            resource_tracker.register = lambda *a, **k: None
-            try:
-                return make()
-            finally:
-                resource_tracker.register = orig
-    except FileExistsError:
-        # an explicitly named segment collided with a stale one; let the
-        # caller pick another name rather than masking it as unavailable
-        raise
+        return _shared_memory().SharedMemory(create=True, size=max(int(size), 1))
     except (OSError, ValueError, ImportError) as e:
         raise ShmUnavailable(f"cannot allocate shared memory: {e}") from e
 
 
-def unlink_segment(name: str) -> bool:
-    """Unlink a segment by name; True if it existed and was removed.
-
-    The sweep half of the SPMD ownership-transfer protocol: the host
-    finalizer calls this for every segment a run created that no
-    receiver consumed (abnormal rank death, unreceived messages).
-    """
-    try:
-        seg = attach(name)
-    except FileNotFoundError:
-        return False
-    except OSError:  # pragma: no cover - racing unlink
-        return False
-    try:
-        seg.close()
-        # this process never registered the segment (attach suppresses
-        # registration), so the unlink must not emit an UNREGISTER the
-        # tracker has no matching entry for
-        try:
-            from multiprocessing import resource_tracker
-        except ImportError:  # pragma: no cover - non-CPython
-            seg.unlink()
-            return True
-        with _attach_lock:
-            orig = resource_tracker.unregister
-            resource_tracker.unregister = lambda *a, **k: None
-            try:
-                seg.unlink()
-            finally:
-                resource_tracker.unregister = orig
-    except FileNotFoundError:  # pragma: no cover - racing unlink
-        return False
-    return True
-
-
-def share_array(
-    arr: np.ndarray, name: str | None = None, track: bool = True
-) -> tuple[ArrayRef, SharedBlock]:
-    """Stage an array in shared memory; returns (worker ref, owner handle).
-
-    ``name`` pins the segment name (the SPMD fabric uses run-prefixed
-    names so orphans are sweepable); raises ``FileExistsError`` on
-    collision so the caller can retry with a fresh name.  ``track=False``
-    skips resource-tracker registration for segments whose ownership
-    leaves this process (the fabric's transfer protocol).
-    """
+def share_array(arr: np.ndarray) -> tuple[ArrayRef, SharedBlock]:
+    """Stage an array in shared memory; returns (worker ref, owner handle)."""
     arr = np.ascontiguousarray(arr)
-    shm = _create(arr.nbytes, name=name, track=track)
+    shm = _create(arr.nbytes)
     if arr.nbytes:
         dst = np.frombuffer(shm.buf, dtype=arr.dtype, count=arr.size).reshape(arr.shape)
         np.copyto(dst, arr)

@@ -17,7 +17,7 @@ A broad handler passes when it provably propagates the exception:
   a simulated kill.
 
 Handlers that intentionally *record* the exception for a supervising
-host (SPMD rank runners) must carry a justification suppression.
+host must carry a justification suppression.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def _propagates(handler: ast.ExceptHandler) -> bool:
 class CrashSwallowRule(Rule):
     name = "crash-swallow"
     summary = (
-        "no 'except BaseException'/bare 'except' may absorb InjectedCrash or "
-        "SpmdTimeout without re-raising, mirroring to a future, or dying"
+        "no 'except BaseException'/bare 'except' may absorb InjectedCrash "
+        "without re-raising, mirroring to a future, or dying"
     )
 
     def check_module(self, mod: ModuleInfo, project: Project):

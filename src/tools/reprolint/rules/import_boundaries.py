@@ -20,13 +20,15 @@ enforced only by convention:
 * ``repro.core`` must not import ``repro.kernels`` or ``repro.gpu`` —
   the arithmetic knows nothing of launch records or cost models; they
   walk its shapes (``iter_decompose_launches``), it never calls them.
-* ``repro.compress.executor`` and ``repro.cluster.simmpi`` are gone
-  (re-export shims of ``repro.parallel.executors`` /
-  ``repro.cluster.fabric``) and must not be imported back into being.
+* ``repro.compress.executor``, ``repro.cluster.simmpi`` (re-export
+  shims) and ``repro.cluster.fabric`` (the SPMD fabric: a second
+  process substrate with no production caller) are gone and must not
+  be imported back into being.
 
-* ``repro.compress`` and ``repro.cluster.sharded`` must not import
-  ``repro.parallel.shm`` — staging an operand for another address
-  space is ``ProcessExecutor.map_shared``'s job; a fan-out that stages
+* Nothing under ``repro`` outside ``repro.parallel`` imports
+  ``repro.parallel.shm`` or :mod:`multiprocessing` — there is one
+  process substrate.  Staging an operand for another address space is
+  ``ProcessExecutor.map_shared``'s job; a fan-out that stages or forks
   for itself has started asking which executor it was handed.
 
 * ``repro.io`` and ``repro.compress`` must not import :mod:`struct` —
@@ -45,7 +47,8 @@ import ast
 
 from ..core import Finding, ModuleInfo, Project, Rule
 
-#: (importer prefix, forbidden import prefix, why)
+#: (importer prefix, forbidden import prefix, why[, the one package under
+#: the importer prefix that is exempt — the owner of what the row fences])
 FORBIDDEN = (
     (
         "repro.compress",
@@ -86,20 +89,15 @@ FORBIDDEN = (
         "repro.compress.executor",
         "the shim is deleted; import repro.parallel.executors",
     ),
-    (
-        "repro",
-        "repro.cluster.simmpi",
-        "the shim is deleted; import repro.cluster.fabric",
+    *(
+        ("repro", gone, "the SPMD fabric and its shim are deleted; partitions "
+         "are executor jobs (repro.parallel.get_executor(...).map)")
+        for gone in ("repro.cluster.simmpi", "repro.cluster.fabric")
     ),
-    (
-        "repro.compress",
-        "repro.parallel.shm",
-        "staging is the executor's job; fan out through executor.map_shared",
-    ),
-    (
-        "repro.cluster.sharded",
-        "repro.parallel.shm",
-        "staging is the executor's job; fan out through executor.map_shared",
+    *(
+        ("repro", target, "repro.parallel is the one process substrate; fan "
+         "out through executor.map / executor.map_shared", "repro.parallel")
+        for target in ("repro.parallel.shm", "multiprocessing")
     ),
     *(
         (pkg, "struct", "repro.frame is the one container-frame "
@@ -136,10 +134,10 @@ class ImportBoundaryRule(Rule):
         "numba only via repro.kernels.jit; no compress->io or "
         "service->experiments edges; tools never imports repro; "
         "repro never imports scipy; core never imports kernels/gpu; "
-        "the deleted executor/simmpi shims stay deleted; only "
-        "repro.parallel stages codec operands in shared memory; only "
-        "repro.frame packs or parses container frames (no struct under "
-        "repro.io / repro.compress)"
+        "the deleted executor/simmpi shims and the SPMD fabric stay "
+        "deleted; only repro.parallel imports multiprocessing or stages "
+        "operands in shared memory; only repro.frame packs or parses "
+        "container frames (no struct under repro.io / repro.compress)"
     )
     paths = ("src/*", "src/*/*", "src/*/*/*")
 
@@ -169,7 +167,9 @@ class ImportBoundaryRule(Rule):
                         ),
                     )
                     continue
-                for src_prefix, dst_prefix, why in FORBIDDEN:
+                for src_prefix, dst_prefix, why, *owner in FORBIDDEN:
+                    if owner and _under(mod.modname, owner[0]):
+                        continue
                     hit = next((t for t in names if _under(t, dst_prefix)), None)
                     if hit is not None and _under(mod.modname, src_prefix):
                         yield Finding(

@@ -1,8 +1,8 @@
 """``lock-order``: a static acquisition graph over the stack's locks.
 
 The repo holds ~20 ``threading.Lock``/``RLock`` (plus asyncio lock)
-attributes — fabric transports, the service cache, the stream reader,
-executor registries.  Deadlock needs only two of them acquired in
+attributes — the service cache, the stream reader, executor
+registries.  Deadlock needs only two of them acquired in
 opposite orders on two threads, and nothing today would notice the
 inversion until a chaos run hangs.
 

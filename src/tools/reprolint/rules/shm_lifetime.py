@@ -3,20 +3,17 @@ release on all paths.
 
 A ``SharedMemory`` segment is a named kernel object: if the staging
 process raises between creation and ``close``/``unlink``, the segment
-outlives the process and ``/dev/shm`` fills up run over run.  PR 9
-closed that leak for the SPMD data plane with an ownership-transfer
-protocol plus a host-side sweep; this rule keeps every *other* staging
-site honest.
+outlives the process and ``/dev/shm`` fills up run over run.  No
+staging site may outlive its function: the one production site,
+``ProcessExecutor.map_shared``, creates and destroys its segment inside
+one ``try``/``finally``, and this rule holds any new site to the same.
 
 A call to ``share_array``/``share_bytes`` (or a raw
 ``SharedMemory(create=True)``) passes when a ``try``/``finally`` whose
-``finally`` block calls one of ``destroy``/``release``/``close``/
-``unlink``/``unlink_segment`` covers it — either the call sits inside
-the ``try`` body, or the cleanup's ``try`` starts on a later line of
-the same function (the ``stage; try: ... finally: block.destroy()``
-idiom).  Staging whose ownership deliberately leaves the function
-(the fabric's transfer protocol) must carry a justification
-suppression naming the sweep that guarantees reclamation.
+``finally`` block calls one of ``destroy``/``close``/``unlink``/
+``shutdown`` covers it — either the call sits inside the ``try`` body,
+or the cleanup's ``try`` starts on a later line of the same function
+(the ``stage; try: ... finally: block.destroy()`` idiom).
 
 ``repro/parallel/shm.py`` itself (the primitive layer) is exempt.
 """
@@ -28,7 +25,7 @@ import ast
 from ..core import Finding, ModuleInfo, Project, Rule, ancestors, enclosing_function
 
 _STAGING = ("share_array", "share_bytes")
-_RELEASERS = ("destroy", "release", "close", "unlink", "unlink_segment", "shutdown")
+_RELEASERS = ("destroy", "close", "unlink", "shutdown")
 
 
 def _staging_label(call: ast.Call) -> str | None:
@@ -87,7 +84,7 @@ class ShmLifetimeRule(Rule):
     name = "shm-lifetime"
     summary = (
         "every SharedMemory(create=True)/share_* staging reaches a "
-        "close/unlink in a finally, or documents its ownership transfer"
+        "close/unlink in a finally of the function that staged it"
     )
     exclude = ("src/repro/parallel/shm.py",)
 
@@ -110,7 +107,6 @@ class ShmLifetimeRule(Rule):
                     f"{label} stages a shared-memory segment with no "
                     "covering finally that releases it — an exception here "
                     "leaks the segment (/dev/shm fills up); add "
-                    "try/finally destroy()/release(), or justify the "
-                    "ownership transfer and its sweep"
+                    "try/finally block.destroy()"
                 ),
             )

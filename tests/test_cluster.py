@@ -1,142 +1,41 @@
-"""Tests for the cluster substrate: SimComm, node models, weak scaling."""
+"""Tests for the cluster substrate: independent partitions, node models,
+weak scaling."""
 
-import numpy as np
+import pathlib
+import sys
+
 import pytest
 
-from repro.cluster.fabric import SimComm, SpmdError, run_spmd
+# appended, not prepended: pool workers import by path too, and
+# ``conftest`` must keep resolving to tests/conftest.py
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from bench_fig9_weak_scaling import refactor_partition  # noqa: E402
+
 from repro.cluster.node import DESKTOP, SUMMIT_NODE, node_speedup, partition_shape
 from repro.cluster.scaling import (
     shape_for_bytes_2d,
     shape_for_bytes_3d,
     weak_scaling,
 )
+from repro.parallel import get_executor
 
 
-class TestSimComm:
-    def test_point_to_point(self):
-        def worker(comm):
-            if comm.rank == 0:
-                comm.send({"x": 1}, dest=1)
-                return comm.recv(source=1)
-            msg = comm.recv(source=0)
-            comm.send(msg["x"] + 1, dest=0)
-            return None
-
-        results = run_spmd(worker, 2)
-        assert results[0] == 2
-
-    def test_arrays_shipped_by_copy(self):
-        def worker(comm):
-            if comm.rank == 0:
-                a = np.ones(4)
-                comm.send(a, dest=1)
-                a[:] = -1  # must not affect what rank 1 sees
-                comm.barrier()
-                return None
-            got = comm.recv(source=0)
-            comm.barrier()
-            return got.sum()
-
-        assert run_spmd(worker, 2)[1] == 4.0
-
-    def test_bcast(self):
-        def worker(comm):
-            val = comm.bcast("payload" if comm.rank == 0 else None)
-            return val
-
-        assert run_spmd(worker, 4) == ["payload"] * 4
-
-    def test_scatter_gather(self):
-        def worker(comm):
-            chunks = [i * 10 for i in range(comm.size)] if comm.rank == 0 else None
-            mine = comm.scatter(chunks)
-            return comm.gather(mine)
-
-        res = run_spmd(worker, 3)
-        assert res[0] == [0, 10, 20]
-        assert res[1] is None and res[2] is None
-
-    def test_allreduce_custom_op(self):
-        def worker(comm):
-            return comm.allreduce(comm.rank + 1, op=lambda a, b: a * b)
-
-        assert run_spmd(worker, 4) == [24] * 4
-
-    def test_allgather(self):
-        def worker(comm):
-            return comm.allgather(comm.rank**2)
-
-        assert run_spmd(worker, 4) == [[0, 1, 4, 9]] * 4
-
-    def test_barrier_synchronizes(self):
-        order = []
-
-        def worker(comm):
-            if comm.rank == 0:
-                order.append("pre")
-            comm.barrier()
-            if comm.rank == 1:
-                order.append("post")
-            comm.barrier()
-            return None
-
-        run_spmd(worker, 2)
-        assert order == ["pre", "post"]
-
-    def test_rank_validation(self):
-        def worker(comm):
-            with pytest.raises(ValueError):
-                comm.send(1, dest=99)
-            return True
-
-        assert all(run_spmd(worker, 2))
-
-    def test_scatter_requires_exact_chunks(self):
-        def worker(comm):
-            if comm.rank == 0:
-                comm.scatter([1])  # wrong length -> raises on root
-            else:
-                comm.recv(source=0, tag=-2, timeout=0.5)
-            return None
-
-        with pytest.raises(SpmdError):
-            run_spmd(worker, 2)
-
-    def test_spmd_error_reports_failing_ranks(self):
-        def worker(comm):
-            if comm.rank == 1:
-                raise RuntimeError("boom")
-            return "ok"
-
-        with pytest.raises(SpmdError) as e:
-            run_spmd(worker, 3)
-        assert 1 in e.value.failures
-
-    def test_needs_at_least_one_rank(self):
-        with pytest.raises(ValueError):
-            run_spmd(lambda c: None, 0)
-
-    def test_distributed_refactoring_partitions(self, rng):
-        """Each rank refactors its slab independently; the gathered
-        round trip equals the full data (the paper's parallelization)."""
-        from repro.core.refactor import Refactorer
-
-        data = rng.standard_normal((32, 17))
-
-        def worker(comm):
-            chunks = None
-            if comm.rank == 0:
-                chunks = [data[i * 8 : (i + 1) * 8] for i in range(comm.size)]
-            mine = comm.scatter(chunks)
-            r = Refactorer(mine.shape)
-            rt = r.recompose(r.decompose(mine))
-            gathered = comm.gather(rt)
-            if comm.rank == 0:
-                return np.concatenate(gathered, axis=0)
-            return None
-
-        out = run_spmd(worker, 4)[0]
-        np.testing.assert_allclose(out, data, atol=1e-9)
+class TestIndependentPartitions:
+    def test_partitions_roundtrip_on_every_executor(self):
+        """The paper's parallelization: each partition is refactored on
+        its own, no exchange — so which executor runs them cannot show.
+        Per-partition errors are bit-equal across executors, and their
+        maximum is the L∞ error of the concatenated round trip against
+        the concatenated source."""
+        n, side = 4, 17
+        errs = [
+            [e for e, _ in get_executor(spec).map(
+                refactor_partition, range(n), [side] * n, [2] * n)]
+            for spec in ("serial", "thread:2", "process:2")
+        ]
+        assert errs[0] == errs[1] == errs[2]
+        assert max(errs[0]) <= 1e-9
 
 
 class TestNodeModels:

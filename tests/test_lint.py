@@ -412,10 +412,18 @@ class TestShmLifetimeRule:
                 def stage(arr):
                     ref, block = share_array(arr)
                     return ref
+
+                def hand_over(arr):
+                    ref, block = share_array(arr)
+                    try:
+                        return ref
+                    finally:
+                        block.release()  # unmapped, never unlinked
             """,
         })
         code, doc = lint_json(tmp_path, "--rules", "shm-lifetime", capsys=capsys)
         assert code == 1 and rules_of(doc) == {"shm-lifetime"}
+        assert len(doc["findings"]) == 2
 
     def test_raw_shared_memory_create_flagged(self, tmp_path, capsys):
         make_tree(tmp_path, {
@@ -445,7 +453,7 @@ class TestShmLifetimeRule:
                     try:
                         use(ref)
                     finally:
-                        block.release()
+                        block.destroy()
 
                 def attach_only(name):
                     from multiprocessing.shared_memory import SharedMemory
@@ -504,32 +512,43 @@ class TestImportBoundaryRule:
             "src/repro/kernels/launches.py": "from ..core.grid import TensorHierarchy\n",
             "src/repro/compress/plan.py": "from .executor import get_executor\n",
             "src/repro/cli.py": "import repro.cluster.simmpi\n",
+            "src/repro/cluster/__init__.py": "from .fabric import run_spmd\n",
             "src/repro/io/workflow.py": "from ..parallel.executors import get_executor\n",
         })
         code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
         assert code == 1
         assert sorted(f["path"] for f in doc["findings"]) == [
-            "src/repro/cli.py", "src/repro/compress/plan.py",
+            "src/repro/cli.py", "src/repro/cluster/__init__.py",
+            "src/repro/compress/plan.py",
             "src/repro/core/decompose.py", "src/repro/core/refactor.py",
         ]
 
     def test_only_the_executor_stages_shared_memory(self, tmp_path, capsys):
         make_tree(tmp_path, {
             "src/repro/compress/huffman.py": "from ..parallel import shm as _shm\n",
-            "src/repro/compress/lossless.py": "from ..parallel.shm import share_bytes\n",
             "src/repro/cluster/sharded.py": "import repro.parallel.shm\n",
-            # the executors and the SPMD data plane are the two clients
-            "src/repro/parallel/executors.py": "from . import shm as _shm\n",
-            "src/repro/cluster/fabric.py": "from ..parallel import shm\n",
+            "src/repro/cluster/ranks.py": "import multiprocessing\n",
+            "src/repro/service/server.py": """
+                def start():
+                    from multiprocessing import shared_memory
+            """,
+            # repro.parallel owns both; everyone else schedules through it
+            "src/repro/parallel/__init__.py": "from .shm import share_array\n",
+            "src/repro/parallel/executors.py": """
+                from . import shm as _shm
+                def pool():
+                    import multiprocessing
+            """,
             "src/repro/compress/mgard.py": "from ..parallel.executors import get_executor\n",
+            "src/repro/experiments/service_exp.py": "import subprocess\n",
         })
         code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
         assert code == 1
         assert sorted(f["path"] for f in doc["findings"]) == [
-            "src/repro/cluster/sharded.py", "src/repro/compress/huffman.py",
-            "src/repro/compress/lossless.py",
+            "src/repro/cluster/ranks.py", "src/repro/cluster/sharded.py",
+            "src/repro/compress/huffman.py", "src/repro/service/server.py",
         ]
-        assert all("map_shared" in f["message"] for f in doc["findings"])
+        assert all("executor.map" in f["message"] for f in doc["findings"])
 
     def test_only_frame_packs_container_frames(self, tmp_path, capsys):
         make_tree(tmp_path, {

@@ -16,12 +16,20 @@ Contracts:
   live stream writer with measured overlap compared to the model.
 """
 
+import atexit
 import json
+import multiprocessing
 import os
+import pathlib
+import signal
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import repro
 import repro.compress.huffman as H
 import repro.compress.lossless as L
 from repro.cluster.pipeline import run_pipeline
@@ -80,6 +88,68 @@ def _worker_pid(_):
     import os
 
     return os.getpid()
+
+
+class TestProcessPoolLifecycle:
+    def test_prime_starts_every_worker(self):
+        # prime() exists so the pool forks while the process is still
+        # single-threaded: a first map issued with a sibling thread
+        # alive must find every worker already up
+        ex = ProcessExecutor(2)
+        before = set(multiprocessing.active_children())
+        stop = threading.Event()
+        sibling = threading.Thread(target=stop.wait)
+        try:
+            ex.prime()
+            workers = set(multiprocessing.active_children()) - before
+            assert len(workers) == ex.max_workers
+            sibling.start()
+            pids = ex.map(_worker_pid, range(4))
+            assert set(pids) <= {w.pid for w in workers}
+            assert set(multiprocessing.active_children()) - before == workers
+        finally:
+            stop.set()
+            if sibling.ident is not None:
+                sibling.join(timeout=5)
+            ex.shutdown()
+
+    def test_workers_die_with_a_killed_parent(self):
+        # a SIGKILLed parent runs no atexit hook; its primed workers must
+        # still go down.  Every process of the tree holds the script's
+        # stdout, so EOF on it means none of them is left.
+        script = (
+            "import multiprocessing, os, signal\n"
+            "from repro.parallel import ProcessExecutor\n"
+            "if __name__ == '__main__':\n"
+            "    ex = ProcessExecutor(2)\n"
+            "    ex.prime()\n"
+            "    assert ex.map(abs, [-1, -2, -3]) == [1, 2, 3]\n"
+            "    print(len(multiprocessing.active_children()), flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            start_new_session=True,
+        )
+        try:
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)  # whatever outlived it
+            except ProcessLookupError:
+                pass
+        assert proc.returncode == -signal.SIGKILL and out.split() == [b"2"]
+
+    def test_one_atexit_hook_per_executor(self):
+        ex = ProcessExecutor(2)
+        hooks = atexit._ncallbacks()
+        for _ in range(3):  # what broken-pool rebuilds and reuse after shutdown do
+            assert len(ex.map(_worker_pid, range(2))) == 2
+            ex.shutdown()
+        assert atexit._ncallbacks() == hooks + 1
 
 
 class TestSharedMemoryTransport:
