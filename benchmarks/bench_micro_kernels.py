@@ -1,23 +1,24 @@
 #!/usr/bin/env python
-"""Kernel-backend sweep: reference vs compiled across the launcher ops.
+"""Kernel-backend sweep: the NumPy bodies against the C backend.
 
-Times every op registered behind the kernel-launcher seam
-(:mod:`repro.kernels.launcher`) on every backend available on this
-host, at paper-scale shapes (65^3 linear-framework batches, 2^20-symbol
-entropy streams), asserts bit identity between backends on every op
-*and* byte identity of end-to-end compressed containers, and writes the
-numbers to ``benchmarks/results/BENCH_kernels.json`` so the perf
-trajectory of the compiled backend is machine-readable.
+Times whole ``decompose`` / ``recompose`` at the end-to-end benchmark's
+two shapes (129^3, 1025^2) and every op of the launcher's table
+(:mod:`repro.kernels.launcher`) on every backend available on this host,
+asserts bit identity between backends on every row *and* byte identity
+of an end-to-end compressed container, measures what two threads make of
+four 129^3 frames on each backend (``ctypes`` calls drop the GIL; NumPy's
+short ufunc calls mostly do not overlap), and writes the numbers to
+``benchmarks/results/BENCH_kernels.json``.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_micro_kernels.py
 
 ``REPRO_BENCH_SCALE=ci`` shrinks the workload for smoke runs.  Pass
-``--assert-speedup`` to fail (exit 1) unless, with numba installed, at
-least one hot op (mass at the 65^3 batch shape or the 1M-symbol Huffman
-pack) clears the 3x acceptance bar; without numba the gate is skipped
-(there is nothing to gate) and the sweep records reference times only.
+``--assert-speedup`` to fail (exit 1) unless the native backend runs the
+129^3 ``decompose`` at least 1.5x as fast as the reference; without a C
+compiler the gate is skipped (there is nothing to gate) and the sweep
+records reference times only.
 """
 
 from __future__ import annotations
@@ -27,51 +28,32 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from repro.compress.mgard import MgardCompressor
-from repro.kernels.autotune import KERNEL_TUNE_SCHEMA
-from repro.kernels.jit import HAVE_NUMBA
-from repro.kernels.launcher import (
-    OP_SPECS,
-    available_backends,
-    run_op,
-    set_kernel_backend,
-)
+from repro.core import native
+from repro.core.decompose import decompose, recompose
+from repro.core.grid import hierarchy_for
+from repro.kernels.autotune import measure_backend_times
+from repro.kernels.launcher import OP_SPECS, available_backends, run_op, set_kernel_backend
 from repro.workloads.synthetic import multiscale
 
 RESULTS = Path(__file__).parent / "results"
 
 CI_SCALE = os.environ.get("REPRO_BENCH_SCALE") == "ci"
 
-# paper-scale operand shapes per op: the linear-framework ops see a
-# 65^3 volume as a (65*65, 65) batch of vectors, the entropy ops a
-# ~1M-symbol class stream
-SHAPES = {
-    "mass": (65 * 65, 65),
-    "transfer": (65 * 65, 65),
-    "solve": (65 * 65, 65),
-    "quantize": (1 << 20,),
-    "dequantize": (1 << 20,),
-    "huff_pack": (1 << 20,),
-    "huff_decode": (1 << 20,),
-}
-CI_SHAPES = {
-    "mass": (17 * 17, 17),
-    "transfer": (17 * 17, 17),
-    "solve": (17 * 17, 17),
-    "quantize": (1 << 14,),
-    "dequantize": (1 << 14,),
-    "huff_pack": (1 << 14,),
-    "huff_decode": (1 << 14,),
+#: the end-to-end ``refactor`` workload's ladder; the gate reads the first
+DRIVER_SHAPES = [(33, 33, 33), (129, 129)] if CI_SCALE else [(129, 129, 129), (1025, 1025)]
+OP_SHAPES = {
+    **{op: (17, 17, 17) if CI_SCALE else (65, 65, 65)
+       for op in ("coefficients", "restore", "mass_transfer", "solve")},
+    **{op: (1 << 14,) if CI_SCALE else (1 << 20,) for op in ("quantize", "dequantize")},
 }
 
-# ops the >=3x acceptance gate may be satisfied on (the ISSUE's "65^3
-# mass or 1M-symbol Huffman pack" hot ops)
-GATE_OPS = ("mass", "huff_pack")
-GATE_SPEEDUP = 3.0
+GATE_SPEEDUP = 1.5
 
 
 def _best_of(fn, repeats: int) -> tuple[float, object]:
@@ -84,29 +66,64 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
 
 
 def _identical(a, b) -> bool:
-    """Bitwise equality of two op results (arrays compare by buffer)."""
+    """Bitwise equality of two results (arrays compare by buffer)."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def sweep_op(op: str, shape: tuple[int, ...], repeats: int) -> dict:
-    """Time one op on every available backend; assert bit identity."""
-    rng = np.random.default_rng(0xBEEF)
-    args = OP_SPECS[op].make_inputs(shape, np.dtype(np.float64), rng)
-    backends = {}
-    reference_out = None
-    for name in available_backends():
-        run_op(name, op, *args)  # warm: JIT compile, caches
-        seconds, out = _best_of(lambda: run_op(name, op, *args), repeats)
-        backends[name] = seconds
-        if name == "reference":
-            reference_out = out
-        elif not _identical(out, reference_out):
-            raise AssertionError(f"backend {name!r} diverges from reference on {op}")
-    row = {"op": op, "shape": list(shape), "dtype": "float64", "backends": backends}
-    if "numba" in backends:
-        row["speedup"] = backends["reference"] / backends["numba"]
+def _speedup(row: dict) -> dict:
+    if "native" in row["backends"]:
+        row["speedup"] = row["backends"]["reference"] / row["backends"]["native"]
     return row
+
+
+def sweep_driver(shape: tuple[int, ...], repeats: int) -> list[dict]:
+    """Whole ``decompose`` and ``recompose`` of one frame per backend."""
+    x = np.random.default_rng(0xBEEF).standard_normal(shape)
+    hier = hierarchy_for(shape)
+    rows = {name: {"op": name, "shape": list(shape), "dtype": "float64", "backends": {}}
+            for name in ("decompose", "recompose")}
+    outputs = {}
+    for backend in available_backends():
+        with native.forced(backend):
+            coeffs = decompose(x, hier)  # warm: hierarchy operators, the library
+            rows["decompose"]["backends"][backend], coeffs = _best_of(lambda: decompose(x, hier), repeats)
+            rows["recompose"]["backends"][backend], back = _best_of(lambda: recompose(coeffs, hier), repeats)
+        outputs[backend] = (coeffs, back)
+    for coeffs, back in outputs.values():
+        if not (_identical(coeffs, outputs["reference"][0]) and _identical(back, outputs["reference"][1])):
+            raise AssertionError(f"backends diverge on decompose/recompose at {shape}")
+    return [_speedup(row) for row in rows.values()]
+
+
+def sweep_op(op: str, shape: tuple[int, ...], repeats: int) -> dict:
+    """One op of the launcher's table per backend; assert bit identity."""
+    args = OP_SPECS[op].make_inputs(shape, np.dtype(np.float64), np.random.default_rng(0xC0FFEE))
+    reference = run_op("reference", op, *args)
+    for name in available_backends():
+        if not _identical(run_op(name, op, *args), reference):
+            raise AssertionError(f"backend {name!r} diverges from reference on {op}")
+    return _speedup({"op": op, "shape": list(shape), "dtype": "float64",
+                     "backends": measure_backend_times(op, shape, np.float64, repeats)})
+
+
+def thread_scaling(shape: tuple[int, ...], repeats: int) -> dict:
+    """Four frames decomposed serially and on two threads, per backend."""
+    frames = [np.random.default_rng(i).standard_normal(shape) for i in range(4)]
+    hier = hierarchy_for(shape)
+
+    def one(backend, frame):
+        with native.forced(backend):
+            return decompose(frame, hier)
+
+    out = {"shape": list(shape), "frames": len(frames), "threads": 2, "backends": {}}
+    with ThreadPoolExecutor(2) as pool:
+        for backend in available_backends():
+            serial, _ = _best_of(lambda: [one(backend, f) for f in frames], repeats)
+            threaded, _ = _best_of(lambda: list(pool.map(lambda f: one(backend, f), frames)), repeats)
+            out["backends"][backend] = {"serial_s": serial, "two_threads_s": threaded,
+                                        "speedup_over_serial": serial / threaded}
+    return out
 
 
 def container_identity() -> dict:
@@ -118,7 +135,7 @@ def container_identity() -> dict:
     payloads = {}
     try:
         for name in available_backends():
-            set_kernel_backend(name if name != "reference" else "reference")
+            set_kernel_backend(name)
             comp = MgardCompressor.for_shape(shape, tol, backend="huffman")
             frame = comp.compress(data)
             payloads[name] = (b"".join(frame.payloads), json.dumps(frame.headers))
@@ -144,28 +161,29 @@ def main(argv=None) -> int:
         help="output JSON path",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3 if CI_SCALE else 5, help="best-of repeats"
+        "--repeats", type=int, default=3 if CI_SCALE else 7, help="best-of repeats"
     )
     parser.add_argument(
         "--assert-speedup",
         action="store_true",
-        help=f"fail unless a hot op ({', '.join(GATE_OPS)}) clears "
-        f"{GATE_SPEEDUP}x with numba installed",
+        help=f"fail unless native runs the {'x'.join(map(str, DRIVER_SHAPES[0]))} decompose "
+        f">= {GATE_SPEEDUP}x as fast as reference (skipped with no C compiler)",
     )
     args = parser.parse_args(argv)
 
-    shapes = CI_SHAPES if CI_SCALE else SHAPES
-    rows = [sweep_op(op, shapes[op], args.repeats) for op in OP_SPECS]
+    rows = [row for shape in DRIVER_SHAPES for row in sweep_driver(shape, args.repeats)]
+    rows += [sweep_op(op, OP_SHAPES[op], args.repeats) for op in OP_SPECS]
+    scaling = thread_scaling(DRIVER_SHAPES[0], max(args.repeats // 2, 2))
     container = container_identity()
 
     record = {
         "benchmark": "kernel_backends",
-        "schema": KERNEL_TUNE_SCHEMA,
         "cpu_count": os.cpu_count(),
-        "numba_available": HAVE_NUMBA,
+        "native_available": native.available(),
         "scale": "ci" if CI_SCALE else "full",
         "repeats": args.repeats,
         "ops": rows,
+        "thread_scaling": scaling,
         "container_identity": container,
     }
     out = Path(args.out)
@@ -174,10 +192,13 @@ def main(argv=None) -> int:
 
     for row in rows:
         per = "   ".join(
-            f"{n} {s * 1e3:8.3f} ms" for n, s in sorted(row["backends"].items())
+            f"{n} {s * 1e3:8.3f} ms" for n, s in sorted(row["backends"].items(), reverse=True)
         )
         gain = f"   ({row['speedup']:.2f}x)" if "speedup" in row else ""
-        print(f"{row['op']:12s} {str(tuple(row['shape'])):16s} {per}{gain}")
+        print(f"{row['op']:14s} {str(tuple(row['shape'])):16s} {per}{gain}")
+    for name, t in scaling["backends"].items():
+        print(f"4 x {tuple(scaling['shape'])} decompose, {name}: serial {t['serial_s'] * 1e3:.1f} ms, "
+              f"two threads {t['two_threads_s'] * 1e3:.1f} ms ({t['speedup_over_serial']:.2f}x)")
     print(
         f"container identity across {container['backends']}: "
         f"{container['byte_identical']} ({container['container_bytes']} bytes)"
@@ -185,20 +206,17 @@ def main(argv=None) -> int:
     print(f"[json record written to {out}]")
 
     if args.assert_speedup:
-        if not HAVE_NUMBA:
-            print("numba not installed; speedup gate skipped")
+        if not native.available():
+            print("no C compiler: native backend unavailable; speedup gate skipped")
             return 0
-        best = max(
-            (row.get("speedup", 0.0) for row in rows if row["op"] in GATE_OPS),
-            default=0.0,
-        )
-        if best < GATE_SPEEDUP:
+        gain = rows[0]["speedup"]
+        if gain < GATE_SPEEDUP:
             print(
-                f"FAIL: best hot-op speedup {best:.2f}x < {GATE_SPEEDUP}x",
+                f"FAIL: native decompose speedup {gain:.2f}x < {GATE_SPEEDUP}x",
                 file=sys.stderr,
             )
             return 1
-        print(f"speedup gate passed: {best:.2f}x >= {GATE_SPEEDUP}x")
+        print(f"speedup gate passed: {gain:.2f}x >= {GATE_SPEEDUP}x")
     return 0
 
 

@@ -7,7 +7,7 @@ import io
 import pathlib
 
 MODULES = [
-    "repro", "repro.core", "repro.kernels", "repro.kernels.launcher",
+    "repro", "repro.core", "repro.core.native", "repro.kernels", "repro.kernels.launcher",
     "repro.gpu", "repro.cluster",
     "repro.compress", "repro.parallel", "repro.io", "repro.io.scrub",
     "repro.service",
@@ -25,8 +25,10 @@ NOTES = {
 float64) and `solver.thomas_solve`; modeled times come from
 `repro.gpu.model_pass`, never from the functional run.  `mass_apply` and
 `transfer_apply` remain as the dense-tested definitions of `M` and `R`
-(used by `adjoint`, the launcher's `reference` ops and the stencil's
-tests); the drivers never call them.
+(used by `adjoint` and the stencil's tests); the drivers never call them.
+The leaf loops (detail fill, stencil, Thomas sweep) run in C when
+`repro.core.native` has its library loaded (`REPRO_KERNEL_BACKEND =
+reference | native | auto`); the results are bit-identical.
 """,
     "repro.parallel": """\
 Backend selection (`get_executor(spec)` / `REPRO_EXECUTOR` /

@@ -345,11 +345,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--kernel-backend",
         default=None,
-        choices=("reference", "numba", "auto"),
-        help="kernel backend policy: reference (NumPy), numba (compiled, "
-        "falls back with a warning when not installed), or auto "
-        "(measured per-shape selection); also settable via "
-        "REPRO_KERNEL_BACKEND",
+        choices=("reference", "native", "auto"),
+        help="kernel backend policy: reference (NumPy), native (C through "
+        "cc + ctypes; falls back with a warning when there is no "
+        "compiler), or auto (native whenever available, the default); "
+        "also settable via REPRO_KERNEL_BACKEND",
     )
     parser.add_argument(
         "--mode",

@@ -54,8 +54,6 @@ import json
 
 import numpy as np
 
-from ..kernels.launcher import maybe_launch
-
 __all__ = [
     "HuffmanCode",
     "huffman_encode",
@@ -445,25 +443,6 @@ def _pack_words(values, c_codes, c_lens, offsets, esc) -> np.ndarray:
 def _pack_chunks_words(
     c_codes: np.ndarray, c_lens: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
-    """MSB-first pack dispatched through the kernel-launcher seam.
-
-    The compiled backend fuses the pack into one sequential scatter-OR
-    loop; the NumPy path below resolves the word-overlap dependence
-    with ``bitwise_or.reduceat``.  Both produce the same word buffer
-    bit for bit (the pack is pure integer arithmetic).
-    """
-    if c_codes.size:
-        ran, buf = maybe_launch(
-            "huff_pack", (int(c_codes.size),), np.uint64, c_codes, c_lens, offsets
-        )
-        if ran:
-            return buf
-    return _pack_chunks_words_numpy(c_codes, c_lens, offsets)
-
-
-def _pack_chunks_words_numpy(
-    c_codes: np.ndarray, c_lens: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
     """MSB-first scatter of (code, length) chunks into 64-bit words.
 
     Word-aligned: every chunk (1..64 bits) lands in at most two
@@ -730,9 +709,8 @@ class _DecodeTables:
     it is excluded from the search table and covered by the
     ``rank < count`` check instead.
 
-    The arrays are exactly the operands of the launcher's
-    ``huff_decode`` op; ``code`` is the source book when there is one,
-    and tables pickle as that book's table JSON.
+    ``code`` is the source book when there is one, and tables pickle as
+    that book's table JSON.
     """
 
     def __init__(
@@ -928,45 +906,11 @@ def _decode_sync(
     return _decode_sync_range(words, starts, ends, rem, total, tables)
 
 
-def _decode_sync_range(
-    words, starts, ends, rem, total, tables: _DecodeTables
-) -> np.ndarray:
-    """Decode one run of sync blocks, dispatched through the launcher.
-
-    The compiled backend walks each block to completion independently
-    (blocks parallelize); the NumPy path advances all block cursors in
-    vectorized lockstep.  Same tables, same windows, same outputs —
-    and a ``ValueError`` on every corrupt payload.
-    """
-    ran, out = maybe_launch(
-        "huff_decode",
-        (int(total),),
-        np.int64,
-        np.asarray(words, dtype=np.uint64),
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(ends, dtype=np.int64),
-        int(rem),
-        int(total),
-        tables.lens_arr,
-        tables.first_arr,
-        tables.count_arr,
-        tables.base_arr,
-        tables.limits,
-        tables.flat_syms,
-        int(tables.esc_flat),
-        int(tables.esc_len or 0),
-        _SYNC_BLOCK,
-    )
-    if ran:
-        return out
-    return _decode_sync_range_numpy(words, starts, ends, rem, total, tables)
-
-
 _TRUNCATED = "truncated Huffman payload"
 _NO_MATCH = "corrupt Huffman payload: no codeword matches"
 
 
-def _decode_sync_range_numpy(
+def _decode_sync_range(
     words, starts, ends, rem, total, tables: _DecodeTables
 ) -> np.ndarray:
     """Lockstep-decode one contiguous run of sync blocks.

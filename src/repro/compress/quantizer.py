@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import native
 from ..core.classes import CoefficientClasses
-from ..kernels.launcher import maybe_launch
 
 __all__ = ["QuantizedClasses", "Quantizer"]
 
@@ -132,12 +132,7 @@ class Quantizer:
         sizes = [int(c.size) for c in cc.classes]
         flat = np.concatenate([np.ravel(c) for c in cc.classes])
         inv = np.repeat(1.0 / np.asarray(steps, dtype=np.float64), sizes)
-        # np.rint on the compiled path == np.round here (decimals=0,
-        # both round half to even), so the backends stay bit-identical
-        ran, bins = maybe_launch("quantize", flat.shape, flat.dtype, flat, inv)
-        if not ran:
-            bins = np.round(flat * inv).astype(np.int64)
-        return bins, sizes, steps
+        return native.quantize(flat, inv), sizes, steps
 
     @staticmethod
     def dequantize_flat(
@@ -149,10 +144,7 @@ class Quantizer:
                 f"flat payload has {bins.size} values, expected {sum(sizes)}"
             )
         scale = np.repeat(np.asarray(steps, dtype=np.float64), sizes)
-        ran, flat = maybe_launch("dequantize", bins.shape, bins.dtype, bins, scale)
-        if not ran:
-            flat = bins.astype(np.float64) * scale
-        return np.split(flat, np.cumsum(sizes)[:-1])
+        return np.split(native.dequantize(bins, scale), np.cumsum(sizes)[:-1])
 
     def dequantize(self, qc: QuantizedClasses, cc_template: CoefficientClasses) -> CoefficientClasses:
         """Rebuild (perturbed) coefficient classes from integer bins."""

@@ -26,6 +26,7 @@ import itertools
 
 import numpy as np
 
+from . import native
 from .grid import LevelOps, TensorHierarchy, along, axis_weights
 
 __all__ = [
@@ -53,6 +54,8 @@ def _fill_details(out: np.ndarray, rows: list, ops: LevelOps, axis: int) -> None
         index[axis] = sl
         return out[tuple(index)]
 
+    if native.fill_details(at(slice(None)), axis, nd, ops.w_left, ops.w_right):
+        return
     detail = at(slice(1, 2 * nd, 2))
     wide = np.result_type(out.dtype, ops.w_left.dtype)
     # when out already has the product dtype the detail view holds the left term

@@ -1,0 +1,234 @@
+/* The refactoring leaf loops in C, loaded through ctypes by native.py.
+ *
+ * Every kernel performs, per element, exactly the floating-point
+ * operations of the NumPy body it stands in for, in the same order: a
+ * product is rounded before it is added (build with -ffp-contract=off),
+ * divides are divides, nothing is reassociated (no -ffast-math), f32
+ * operands are widened to double where NumPy's promotion widens them and
+ * rounded back once where NumPy rounds.  Results therefore equal the
+ * reference's bit for bit, and native.py checks that on load.
+ *
+ * Operands are strided views described by one int64 array `g`:
+ *
+ *   g[0] nouter   g[1] m (nodes along the axis)   g[2] ninner
+ *   g[3] a's stride along the axis   g[4] a's inner stride
+ *   g[5] b's stride along the axis   g[6] b's inner stride
+ *   g[7...] shape[nouter], a's outer strides[nouter], b's outer strides[nouter]
+ *
+ * Strides are in elements.  `a` is the first array argument and `b` the
+ * second; Python validates shapes, dtypes and alignment before it passes a
+ * pointer.  The batch index (inner) is the fastest loop, the axis loop is
+ * outside it, and the batch is walked in blocks so that one block of every
+ * node along the axis stays in cache between the solver's two sweeps.
+ *
+ * No OpenMP: libgomp's thread pool does not survive the fork() the process
+ * executor uses, and ctypes drops the GIL, so the thread executor supplies
+ * the parallelism.
+ */
+#include <stdint.h>
+
+typedef int64_t i64;
+
+enum { MAXD = 16, BLOCK = 128 };
+
+typedef struct {
+    i64 n, shape[MAXD], sa[MAXD], sb[MAXD], idx[MAXD];
+    i64 a, b; /* element offsets of the current outer index */
+} Odometer;
+
+static void odo_init(Odometer *o, const i64 *g)
+{
+    o->n = g[0];
+    o->a = o->b = 0;
+    for (i64 d = 0; d < o->n; d++) {
+        o->shape[d] = g[7 + d];
+        o->sa[d] = g[7 + o->n + d];
+        o->sb[d] = g[7 + 2 * o->n + d];
+        o->idx[d] = 0;
+    }
+}
+
+static int odo_next(Odometer *o)
+{
+    for (i64 d = o->n - 1; d >= 0; d--) {
+        o->a += o->sa[d];
+        o->b += o->sb[d];
+        if (++o->idx[d] < o->shape[d])
+            return 1;
+        o->a -= o->sa[d] * o->shape[d];
+        o->b -= o->sb[d] * o->shape[d];
+        o->idx[d] = 0;
+    }
+    return 0;
+}
+
+#define INLINE static inline __attribute__((always_inline))
+#define BLOCKS(j0, jn, n) \
+    for (i64 j0 = 0, jn; jn = (n) - j0 < BLOCK ? (n) - j0 : BLOCK, j0 < (n); j0 += BLOCK)
+
+/* round half to even, as np.round / np.rint: below 2^52 adding and
+ * subtracting 2^52 rounds to an integer in the default rounding mode; from
+ * 2^52 up every double is one.  (The sign of a zero result is lost, and the
+ * int64 cast that follows cannot see it.) */
+INLINE double round_even(double x)
+{
+    const double two52 = 4503599627370496.0;
+    if (x > -two52 && x < two52) {
+        double c = x < 0.0 ? -two52 : two52;
+        return (x + c) - c;
+    }
+    return x;
+}
+
+#define KERNELS(T, S)                                                                      \
+                                                                                           \
+/* detail node 2i+1 <- wl[i]*node 2i + wr[i]*node 2i+2, summed in double */                \
+INLINE void fill_rows_##S(T *restrict p, i64 nd, i64 n, i64 sm, i64 si,                    \
+                          const double *wl, const double *wr)                              \
+{                                                                                          \
+    for (i64 i = 0; i < nd; i++) {                                                         \
+        T *d = p + (2 * i + 1) * sm;                                                       \
+        const double l = wl[i], r = wr[i];                                                 \
+        for (i64 j = 0; j < n; j++)                                                        \
+            d[j * si] = (T)(l * (double)d[j * si - sm] + r * (double)d[j * si + sm]);      \
+    }                                                                                      \
+}                                                                                          \
+                                                                                           \
+void fill_##S(T *a, const i64 *g, const double *wl, const double *wr)                      \
+{                                                                                          \
+    const i64 nd = g[1], n = g[2], sm = g[3], si = g[4];                                   \
+    Odometer o;                                                                            \
+    odo_init(&o, g);                                                                       \
+    do {                                                                                   \
+        BLOCKS(j0, jn, n) {                                                                \
+            T *p = a + o.a + j0 * si;                                                      \
+            if (si == 1)                                                                   \
+                fill_rows_##S(p, nd, jn, sm, 1, wl, wr);                                   \
+            else                                                                           \
+                fill_rows_##S(p, nd, jn, sm, si, wl, wr);                                  \
+        }                                                                                  \
+    } while (odo_next(&o));                                                                \
+}                                                                                          \
+                                                                                           \
+/* coarse node j at fine position p = 2j:                                                  \
+ * b2*f[p] + b1*f[p-1] + b3*f[p+1] + b0*f[p-2] + b4*f[p+2], in that order, a               \
+ * term dropped (not multiplied by zero) where its position is off the grid;               \
+ * the tail node of an even-length level is b2*f[m-1] + b1*f[m-2] */                       \
+INLINE void mass_transfer_rows_##S(const T *restrict f, double *restrict out, i64 m,       \
+                                   i64 mc, i64 n, i64 fm, i64 fi, i64 om, i64 oi,          \
+                                   const double *bands)                                    \
+{                                                                                          \
+    const i64 n_even = (m + 1) / 2;                                                        \
+    const double *b0 = bands, *b1 = bands + mc, *b2 = bands + 2 * mc, *b3 = bands + 3 * mc,\
+                 *b4 = bands + 4 * mc;                                                     \
+    for (i64 c = 0; c < n_even; c++) {                                                     \
+        const T *p = f + 2 * c * fm;                                                       \
+        double *q = out + c * om;                                                          \
+        const int left = c >= 1, right = 2 * c + 1 < m, right2 = c + 1 < n_even;           \
+        const double w0 = b0[c], w1 = b1[c], w2 = b2[c], w3 = b3[c], w4 = b4[c];           \
+        if (left && right2) { /* every row but the first and last: no branch inside */     \
+            for (i64 j = 0; j < n; j++) {                                                  \
+                const T *x = p + j * fi;                                                   \
+                double acc = w2 * (double)x[0];                                            \
+                acc = acc + w1 * (double)x[-fm];                                           \
+                acc = acc + w3 * (double)x[fm];                                            \
+                acc = acc + w0 * (double)x[-2 * fm];                                       \
+                acc = acc + w4 * (double)x[2 * fm];                                        \
+                q[j * oi] = acc;                                                           \
+            }                                                                              \
+            continue;                                                                      \
+        }                                                                                  \
+        for (i64 j = 0; j < n; j++) {                                                      \
+            const T *x = p + j * fi;                                                       \
+            double acc = w2 * (double)x[0];                                                \
+            if (left) acc = acc + w1 * (double)x[-fm];                                     \
+            if (right) acc = acc + w3 * (double)x[fm];                                     \
+            if (left) acc = acc + w0 * (double)x[-2 * fm];                                 \
+            if (right2) acc = acc + w4 * (double)x[2 * fm];                                \
+            q[j * oi] = acc;                                                               \
+        }                                                                                  \
+    }                                                                                      \
+    if (m % 2 == 0) {                                                                      \
+        const T *p = f + (m - 1) * fm;                                                     \
+        double *q = out + n_even * om;                                                     \
+        const double w2 = b2[mc - 1], w1 = b1[mc - 1];                                     \
+        for (i64 j = 0; j < n; j++)                                                        \
+            q[j * oi] = w2 * (double)p[j * fi] + w1 * (double)p[j * fi - fm];              \
+    }                                                                                      \
+}                                                                                          \
+                                                                                           \
+void mass_transfer_##S(const T *a, double *b, const i64 *g, i64 mc, const double *bands)   \
+{                                                                                          \
+    const i64 m = g[1], n = g[2], fm = g[3], fi = g[4], om = g[5], oi = g[6];              \
+    Odometer o;                                                                            \
+    odo_init(&o, g);                                                                       \
+    do {                                                                                   \
+        BLOCKS(j0, jn, n) {                                                                \
+            const T *f = a + o.a + j0 * fi;                                                \
+            double *out = b + o.b + j0 * oi;                                               \
+            if (fi == 1 && oi == 1)                                                        \
+                mass_transfer_rows_##S(f, out, m, mc, jn, fm, 1, om, 1, bands);            \
+            else                                                                           \
+                mass_transfer_rows_##S(f, out, m, mc, jn, fm, fi, om, oi, bands);          \
+        }                                                                                  \
+    } while (odo_next(&o));                                                                \
+}                                                                                          \
+                                                                                           \
+/* Thomas forward elimination and back substitution with given factors */                 \
+INLINE void thomas_rows_##S(const T *restrict f, double *restrict z, i64 m, i64 n, i64 fm, \
+                            i64 fi, i64 zm, i64 zi, const double *lower, const double *cp, \
+                            const double *denom)                                           \
+{                                                                                          \
+    for (i64 j = 0; j < n; j++)                                                            \
+        z[j * zi] = (double)f[j * fi] / denom[0];                                          \
+    for (i64 i = 1; i < m; i++) {                                                          \
+        const T *fr = f + i * fm;                                                          \
+        double *cur = z + i * zm;                                                          \
+        const double *prev = cur - zm;                                                     \
+        const double lo = lower[i - 1], de = denom[i];                                     \
+        for (i64 j = 0; j < n; j++)                                                        \
+            cur[j * zi] = ((double)fr[j * fi] - prev[j * zi] * lo) / de;                   \
+    }                                                                                      \
+    for (i64 i = m - 2; i >= 0; i--) {                                                     \
+        double *cur = z + i * zm;                                                          \
+        const double *prev = cur + zm;                                                     \
+        const double c = cp[i];                                                            \
+        for (i64 j = 0; j < n; j++)                                                        \
+            cur[j * zi] = cur[j * zi] - prev[j * zi] * c;                                  \
+    }                                                                                      \
+}                                                                                          \
+                                                                                           \
+void thomas_##S(const T *a, double *b, const i64 *g, const double *lower, const double *cp,\
+                const double *denom)                                                       \
+{                                                                                          \
+    const i64 m = g[1], n = g[2], fm = g[3], fi = g[4], zm = g[5], zi = g[6];              \
+    Odometer o;                                                                            \
+    odo_init(&o, g);                                                                       \
+    do {                                                                                   \
+        BLOCKS(j0, jn, n) {                                                                \
+            const T *f = a + o.a + j0 * fi;                                                \
+            double *z = b + o.b + j0 * zi;                                                 \
+            if (fi == 1 && zi == 1)                                                        \
+                thomas_rows_##S(f, z, m, jn, fm, 1, zm, 1, lower, cp, denom);              \
+            else                                                                           \
+                thomas_rows_##S(f, z, m, jn, fm, fi, zm, zi, lower, cp, denom);            \
+        }                                                                                  \
+    } while (odo_next(&o));                                                                \
+}                                                                                          \
+                                                                                           \
+/* np.round(x * inv).astype(int64); the cast is the platform's, as NumPy's is */           \
+void quantize_##S(const T *x, const double *inv, i64 *out, i64 n)                          \
+{                                                                                          \
+    for (i64 i = 0; i < n; i++)                                                            \
+        out[i] = (i64)round_even((double)x[i] * inv[i]);                                   \
+}
+
+KERNELS(double, f64)
+KERNELS(float, f32)
+
+/* bins.astype(float64) * scale */
+void dequantize(const i64 *bins, const double *scale, double *out, i64 n)
+{
+    for (i64 i = 0; i < n; i++)
+        out[i] = (double)bins[i] * scale[i];
+}

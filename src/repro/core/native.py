@@ -1,0 +1,448 @@
+"""The compiled kernel backend: policy, loader and the C calls (``native.c``).
+
+The paper's contribution is hand-optimized kernels for the three
+refactoring operations; on the host they are the leaf loops of
+:mod:`repro.core` — detail fill (:mod:`~repro.core.coefficients`), the
+``R·M`` stencil (:mod:`~repro.core.transfer`) and the Thomas sweep
+(:mod:`~repro.core.solver`).  Each of those functions asks this module
+first: when the policy allows it, the library is loaded and the operand
+is a native-endian, aligned float32/float64 array, the loop runs in C;
+otherwise (float16, longdouble, byte-swapped input, no compiler) the
+function's own NumPy body runs.  Both give the same bits: the C performs
+the same operations in the same order, with contraction off.
+
+Policy (``REPRO_KERNEL_BACKEND`` / ``--kernel-backend`` /
+:func:`set_kernel_backend`): ``reference`` — NumPy bodies only;
+``native`` — C, with one ``RuntimeWarning`` per process and the NumPy
+bodies when the library cannot be had; ``auto`` (default) — C whenever
+available, silently NumPy otherwise.
+
+``native.c`` ships as package data and is compiled once per
+``sha256(source, flags, cc --version, machine)`` with ``cc -O3
+-ffp-contract=off -shared`` into a private directory: beside the file
+``$REPRO_TUNE_CACHE`` names when it is set, else under the user cache
+directory.  The directory is created mode 0700 and must belong to the
+caller before anything in it is ``dlopen``-ed; a build goes to a unique
+temporary name, is sealed with a digest of its own bytes (checked before
+``dlopen``, which faults on a truncated file) and is published with
+``os.replace``.  A freshly loaded library is checked against the NumPy
+bodies on 5- and 6-point operands before it is used.  Nothing here raises out of a leaf: every failure
+resolves to the NumPy bodies.
+
+This is the only module that imports :mod:`ctypes`.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import threading
+import warnings
+from contextlib import contextmanager, suppress
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+__all__ = [
+    "VALID_POLICIES",
+    "active",
+    "available",
+    "dequantize",
+    "forced",
+    "kernel_backend_policy",
+    "library_path",
+    "quantize",
+    "set_kernel_backend",
+    "supports",
+]
+
+VALID_POLICIES = ("reference", "native", "auto")
+
+#: no reassociation, no reciprocal, no contraction: the bit-identity argument
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_COMPILERS = ("cc", "gcc", "clang")
+_MAX_OUTER = 16  # native.c's MAXD
+
+_SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
+
+
+# ----------------------------------------------------------------------
+# policy
+
+_override: str | None = None
+_local = threading.local()  # .policy: forced() on this thread; .candidate: a library under test
+
+
+def set_kernel_backend(policy: str | None) -> None:
+    """Set the process-wide backend policy (``None`` = back to env/auto)."""
+    global _override
+    if policy is not None and policy not in VALID_POLICIES:
+        raise ValueError(f"kernel backend must be one of {VALID_POLICIES}, got {policy!r}")
+    _override = policy
+
+
+def kernel_backend_policy() -> str:
+    """Active policy: :func:`forced` > override > ``REPRO_KERNEL_BACKEND`` > ``auto``."""
+    forced_policy = getattr(_local, "policy", None)
+    if forced_policy is not None:
+        return forced_policy
+    if _override is not None:
+        return _override
+    env = os.environ.get("REPRO_KERNEL_BACKEND", "auto")
+    if env not in VALID_POLICIES:
+        raise ValueError(f"REPRO_KERNEL_BACKEND must be one of {VALID_POLICIES}, got {env!r}")
+    return env
+
+
+@contextmanager
+def forced(policy: str):
+    """Run the leaves called from this thread under ``policy`` (the launcher's
+    per-backend handles, the loader's self-check)."""
+    if policy not in VALID_POLICIES:
+        raise ValueError(f"kernel backend must be one of {VALID_POLICIES}, got {policy!r}")
+    previous = getattr(_local, "policy", None)
+    _local.policy = policy
+    try:
+        yield
+    finally:
+        _local.policy = previous
+
+
+# ----------------------------------------------------------------------
+# loader
+
+
+class _Unavailable(Exception):
+    """Why there is no library; becomes the warning's text."""
+
+
+_lock = threading.Lock()
+_lib: ctypes.CDLL | None = None
+_path: Path | None = None
+_tried = False
+_reason = ""
+_warned = False
+
+
+def _reset() -> None:
+    """Forget the loaded library and the warning latch (tests)."""
+    global _lib, _path, _tried, _reason, _warned
+    with _lock:
+        _lib, _path, _tried, _reason, _warned = None, None, False, "", False
+
+
+def source() -> bytes:
+    """The C source, as shipped in the package."""
+    return resources.files(__package__).joinpath("native.c").read_bytes()
+
+
+def _compiler() -> tuple[str, bytes]:
+    for name in _COMPILERS:
+        cc = shutil.which(name)
+        if cc is None:
+            continue
+        try:
+            probe = subprocess.run([cc, "--version"], capture_output=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            raise _Unavailable(f"{cc} --version failed: {exc}") from None
+        if probe.returncode != 0:
+            raise _Unavailable(f"{cc} --version exited with status {probe.returncode}")
+        return cc, probe.stdout
+    raise _Unavailable(f"no C compiler on PATH (looked for {', '.join(_COMPILERS)})")
+
+
+def build_key(src: bytes, version: bytes) -> str:
+    """Name of the build: everything that decides the library's bytes."""
+    h = hashlib.sha256()
+    for part in (src, " ".join(CFLAGS).encode(), version, platform.machine().encode()):
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()[:32]
+
+
+def _private_dir() -> Path:
+    """The cache directory — ``repro-native/`` beside ``$REPRO_TUNE_CACHE``, else
+    in the user cache — created 0700 and verified to be the caller's alone."""
+    env = os.environ.get("REPRO_TUNE_CACHE")
+    base = Path(env).parent if env else Path(
+        os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"))
+    path = base / "repro-native"
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError as exc:
+        raise _Unavailable(f"cache directory {path}: {exc}") from None
+    if st.st_uid != os.geteuid() or st.st_mode & 0o022:
+        raise _Unavailable(f"cache directory {path} is not private to uid {os.geteuid()}")
+    return path
+
+
+def _build(cc: str, src: bytes, target: Path) -> None:
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem + ".", suffix=".part")
+    except OSError as exc:
+        raise _Unavailable(f"cache directory {target.parent}: {exc}") from None
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *CFLAGS, "-x", "c", "-", "-o", tmp], input=src,
+                              capture_output=True, timeout=300)
+        if proc.returncode != 0:
+            tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
+            raise _Unavailable(f"{cc} exited with status {proc.returncode}: {' '.join(tail)}")
+        with open(tmp, "rb+") as f:  # seal: a digest of the library after its last byte
+            f.write(hashlib.sha256(f.read()).digest())
+        os.replace(tmp, target)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        raise _Unavailable(f"building {target.name}: {exc}") from None
+    finally:
+        with suppress(FileNotFoundError):  # published, or never written
+            os.unlink(tmp)
+
+
+_P, _N = ctypes.c_void_p, ctypes.c_int64
+_PROTOTYPES = {
+    **{f"fill_{s}": (_P, _P, _P, _P) for s in _SUFFIX.values()},
+    **{f"mass_transfer_{s}": (_P, _P, _P, _N, _P) for s in _SUFFIX.values()},
+    **{f"thomas_{s}": (_P, _P, _P, _P, _P, _P) for s in _SUFFIX.values()},
+    **{f"quantize_{s}": (_P, _P, _P, _N) for s in _SUFFIX.values()},
+    "dequantize": (_P, _P, _P, _N),
+}
+
+
+def _sealed(path: Path) -> bool:
+    """Whether ``path`` is a whole library as :func:`_build` published it.
+    Checked before every ``dlopen``, which does not fail on a truncated
+    file: it faults."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return False
+    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    try:
+        lib = ctypes.CDLL(str(path))
+        for name, argtypes in _PROTOTYPES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, None
+    except (OSError, AttributeError) as exc:
+        raise _Unavailable(f"loading {path}: {exc}") from None
+    if not _self_check(lib):
+        raise _Unavailable(f"{path} disagrees with the NumPy bodies")
+    return lib
+
+
+def _self_check(lib: ctypes.CDLL) -> bool:
+    """Every entry of ``lib`` against the NumPy bodies, on 5- and 6-point
+    operands (odd, and even with its tail node), both dtypes, both axes."""
+    from . import coefficients, solver, transfer  # the leaves: they import this module
+    from .grid import _build_level_ops
+
+    def agree(fn, *args) -> bool:
+        with forced("reference"):
+            want = fn(*args)
+        _local.candidate = lib
+        try:
+            with forced("native"):
+                got = fn(*args)
+        finally:
+            _local.candidate = None
+        return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+    x = np.array([0.0, 0.11, 0.37, 0.52, 0.81, 1.0])
+    values = np.sin(np.arange(1.0, 19.0)).reshape(6, 3) * 3.7
+    for m in (5, 6):
+        ops = _build_level_ops(x[:m])
+        lower = ops.mass_bands_coarse[0, 1:]
+        for dtype in _SUFFIX:
+            v = values[:m].astype(dtype)
+            for a, axis in ((v, 0), (np.ascontiguousarray(v.T), 1)):
+                vc = coefficients.restrict_nodes(a, ops, axis)
+                if not (agree(coefficients.prolong, vc, ops, axis)
+                        and agree(transfer.mass_transfer_apply, a, ops, axis)
+                        and agree(solver.thomas_sweep, vc, lower, ops.thomas_cp,
+                                  ops.thomas_denom, axis)):
+                    return False
+            flat = v.ravel() * 1e3
+            if not (agree(quantize, flat, np.linspace(0.5, 2.5, flat.size))
+                    and agree(dequantize, np.arange(-9, 9), np.linspace(0.5, 2.5, 18))):
+                return False
+    return True
+
+
+def _load() -> tuple[ctypes.CDLL, Path]:
+    src = source()
+    directory = _private_dir()
+    cc, version = _compiler()
+    path = directory / f"native-{build_key(src, version)}.so"
+    if not _sealed(path):  # absent, truncated or corrupt
+        _build(cc, src, path)
+    return _open(path), path
+
+
+def _library() -> ctypes.CDLL | None:
+    """The verified library, or ``None``; loads on first use, never raises."""
+    global _lib, _path, _tried, _reason
+    candidate = getattr(_local, "candidate", None)
+    if candidate is not None:
+        return candidate
+    if _tried:
+        return _lib
+    with _lock:
+        if not _tried:
+            try:
+                _lib, _path = _load()
+            except _Unavailable as exc:
+                _reason = str(exc)
+            _tried = True
+    return _lib
+
+
+def available() -> bool:
+    """Whether the compiled library can be used on this host (loads it)."""
+    return _library() is not None
+
+
+def library_path() -> Path | None:
+    """The loaded library's file, ``None`` when there is none."""
+    return _path if available() else None
+
+
+def supports(dtype) -> bool:
+    """Whether arrays of ``dtype`` take the C route (native-endian f32/f64)."""
+    return np.dtype(dtype) in _SUFFIX
+
+
+def active() -> bool:
+    """Whether the leaves take the C route under the active policy.  Warns,
+    once per process, when ``native`` was asked for by name and cannot be had."""
+    global _warned
+    policy = kernel_backend_policy()
+    if policy == "reference":
+        return False
+    if _library() is not None:
+        return True
+    if policy == "native" and not _warned:
+        _warned = True
+        warnings.warn(
+            f"REPRO_KERNEL_BACKEND=native but the compiled kernels are unavailable "
+            f"({_reason}); falling back to the reference backend",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return False
+
+
+def _library_for(*arrays: np.ndarray) -> ctypes.CDLL | None:
+    """The library when the policy and these operands take the C route."""
+    if not active():
+        return None
+    for a in arrays:
+        if not a.flags.aligned or a.size == 0 or any(s % a.itemsize for s in a.strides):
+            return None
+    return _library()
+
+
+# ----------------------------------------------------------------------
+# the calls
+
+
+def _geometry(m: int, axis: int, a: np.ndarray, b: np.ndarray | None = None):
+    """``native.c``'s view descriptor of ``a`` (and ``b``) along ``axis``;
+    ``None`` when there are more outer dimensions than it iterates."""
+    nd = a.ndim
+    inner = nd - 1 if axis != nd - 1 else nd - 2  # -1: a 1D operand has no batch
+    outer = [d for d in range(nd) if d != axis and d != inner]
+    if len(outer) > _MAX_OUTER:
+        return None
+    sa = [s // a.itemsize for s in a.strides]
+    sb = [s // b.itemsize for s in b.strides] if b is not None else sa
+    g = [len(outer), m, a.shape[inner] if inner >= 0 else 1,
+         sa[axis], sa[inner] if inner >= 0 else 1, sb[axis], sb[inner] if inner >= 0 else 1]
+    g += [a.shape[d] for d in outer] + [sa[d] for d in outer] + [sb[d] for d in outer]
+    return (_N * len(g))(*g)
+
+
+def fill_details(out: np.ndarray, axis: int, nd: int, wl: np.ndarray, wr: np.ndarray) -> bool:
+    """``coefficients._fill_details`` on the view ``out``, in place; false
+    when the NumPy body must run instead."""
+    suffix = _SUFFIX.get(out.dtype)
+    lib = _library_for(out) if suffix and nd and out.flags.writeable else None
+    g = _geometry(nd, axis, out) if lib else None
+    if g is None:
+        return False
+    getattr(lib, "fill_" + suffix)(out.ctypes.data, g, wl.ctypes.data, wr.ctypes.data)
+    return True
+
+
+def mass_transfer(f: np.ndarray, axis: int, m_coarse: int, bands: np.ndarray) -> np.ndarray | None:
+    """``transfer.mass_transfer_apply``'s result, or ``None`` for the NumPy body."""
+    suffix = _SUFFIX.get(f.dtype)
+    lib = _library_for(f) if suffix else None
+    if lib is None:
+        return None
+    shape = list(f.shape)
+    shape[axis] = m_coarse
+    out = np.empty(shape, dtype=_F64)
+    g = _geometry(f.shape[axis], axis, f, out)
+    if g is None:
+        return None
+    getattr(lib, "mass_transfer_" + suffix)(f.ctypes.data, out.ctypes.data, g, m_coarse,
+                                            bands.ctypes.data)
+    return out
+
+
+def thomas(f: np.ndarray, lower, cp, denom, axis: int) -> np.ndarray | None:
+    """``solver.thomas_sweep``'s result, or ``None`` for the NumPy body."""
+    suffix = _SUFFIX.get(f.dtype)
+    lib = _library_for(f) if suffix and f.ndim else None
+    if lib is None:
+        return None
+    m = f.shape[axis]
+    factors = [np.ascontiguousarray(w, dtype=_F64) for w in (lower, cp, denom)]
+    if any(w.ndim != 1 or w.size < n for w, n in zip(factors, (m - 1, m - 1, m))):
+        return None  # the NumPy body raises for these
+    out = np.empty(f.shape, dtype=_F64)
+    g = _geometry(m, axis % f.ndim, f, out)
+    if g is None:
+        return None
+    getattr(lib, "thomas_" + suffix)(f.ctypes.data, out.ctypes.data, g,
+                                     *(w.ctypes.data for w in factors))
+    return out
+
+
+def _flat_pair(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two contiguous 1D operands of one length, the second float64."""
+    return (a.ndim == 1 and a.shape == b.shape and b.dtype == _F64
+            and a.flags.c_contiguous and b.flags.c_contiguous)
+
+
+def quantize(flat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """``np.round(flat * inv).astype(int64)`` (round half to even), one C pass
+    where the library takes ``flat``."""
+    suffix = _SUFFIX.get(flat.dtype)
+    lib = _library_for(flat, inv) if suffix and _flat_pair(flat, inv) else None
+    if lib is None:
+        return np.round(flat * inv).astype(np.int64)
+    out = np.empty(flat.shape, dtype=_I64)
+    getattr(lib, "quantize_" + suffix)(flat.ctypes.data, inv.ctypes.data, out.ctypes.data, flat.size)
+    return out
+
+
+def dequantize(bins: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``bins.astype(float64) * scale``, one C pass where the library takes ``bins``."""
+    lib = _library_for(bins, scale) if bins.dtype == _I64 and _flat_pair(bins, scale) else None
+    if lib is None:
+        return bins.astype(np.float64) * scale
+    out = np.empty(bins.shape, dtype=_F64)
+    lib.dequantize(bins.ctypes.data, scale.ctypes.data, out.ctypes.data, bins.size)
+    return out

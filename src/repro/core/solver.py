@@ -7,23 +7,28 @@ along-axis recurrence is sequential and whose parallelism is the batch of
 vectors; this module is that kernel on the host:
 
 ``thomas_solve`` (alias ``solve_correction``)
-    Batched Thomas solve along an arbitrary axis.  The solve axis is
-    moved to the front of a contiguous float64 working copy, so each of
-    the ``m`` forward and ``m`` backward steps is one ufunc over a
-    contiguous slab holding every vector of the batch.  The elimination
+    Batched Thomas solve along an arbitrary axis.  The elimination
     factors come precomputed from :class:`~repro.core.grid.LevelOps`.
 
-It is the one solver arithmetic in the tree: it *is* the launcher's
-``reference`` ``solve`` op, and the numba ``_solve_kernel`` and the
-literal segmented walk of :mod:`repro.kernels.linear_processing` perform
-the same operations in the same order and agree with it bit for bit
-(tested).
+``thomas_sweep``
+    The sweep itself, the launcher's ``solve`` op.  On float32/float64
+    input it runs in C (:mod:`repro.core.native`: the batch index is the
+    inner loop, walked in blocks so a block of every node stays in cache
+    between the two sweeps, in the operand's own layout).  Its NumPy
+    body moves the solve axis to the front of a contiguous float64
+    working copy, so each of the ``m`` forward and ``m`` backward steps
+    is one ufunc over a contiguous slab holding every vector of the
+    batch.  Same operations, same order, same bits.
+
+It is the one solver arithmetic in the tree: the literal segmented walk
+of :mod:`repro.kernels.linear_processing` calls its NumPy body.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import native
 from .grid import LevelOps, along
 
 __all__ = ["solve_correction", "thomas_solve", "thomas_sweep", "thomas_factor"]
@@ -47,8 +52,11 @@ def thomas_sweep(
     """Forward elimination and back substitution along ``axis`` with given factors.
 
     Every step is vectorized over the whole batch; returns a new
-    C-contiguous float64 array.  (The launcher's ``reference`` ``solve`` op.)
+    C-contiguous float64 array.
     """
+    z = native.thomas(f, lower, cp, denom, axis)
+    if z is not None:
+        return z
     m = f.shape[axis]
     # solve axis first: each row of z is then one contiguous slab of the batch
     moved = np.moveaxis(f, axis, 0)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import native
 from .coefficients import restrict_nodes
 from .grid import LevelOps, along, axis_weights
 
@@ -89,6 +90,9 @@ def mass_transfer_apply(f: np.ndarray, ops: LevelOps, axis: int = -1) -> np.ndar
         raise ValueError(f"axis length {f.shape[axis]} does not match m_fine={m}")
     n_even = ops.n_even
     bands = ops.mass_transfer_bands
+    out = native.mass_transfer(f, axis, ops.m_coarse, bands)
+    if out is not None:
+        return out
     shape = list(f.shape)
     shape[axis] = ops.m_coarse
     out = np.empty(shape, dtype=np.float64)

@@ -2,7 +2,7 @@
 
 Embodies the paper's §III: the grid-processing and linear-processing
 kernel frameworks (literal tiled implementations for validation), the
-kernel launcher with its compiled backends, and the launch-record
+kernel launcher over the NumPy and C backends, and the launch-record
 builders whose Algorithm-3 walk the simulated-GPU / CPU-baseline cost
 models price (:func:`repro.gpu.analytic.model_pass`).
 """
@@ -14,13 +14,7 @@ from .launches import (
     category_of,
     iter_decompose_launches,
 )
-from .autotune import (
-    KERNEL_TUNE_SCHEMA,
-    TuneResult,
-    autotune,
-    autotune_backend,
-    select_backend,
-)
+from .autotune import TuneResult, autotune
 from .batch3d import SliceLaunch, SlicedLinearProcessor
 from .grid_processing import GridProcessingKernel, interpolation_thread_assignment
 from .launcher import (
@@ -37,7 +31,6 @@ __all__ = [
     "CATEGORY",
     "CPU_BASELINE_OPTIONS",
     "GridProcessingKernel",
-    "KERNEL_TUNE_SCHEMA",
     "KernelLauncher",
     "LinearProcessingKernel",
     "SliceLaunch",
@@ -45,7 +38,6 @@ __all__ = [
     "SlicedLinearProcessor",
     "EngineOptions",
     "autotune",
-    "autotune_backend",
     "available_backends",
     "category_of",
     "get_launcher",
@@ -53,6 +45,5 @@ __all__ = [
     "iter_decompose_launches",
     "kernel_backend_policy",
     "run_op",
-    "select_backend",
     "set_kernel_backend",
 ]

@@ -1,4 +1,4 @@
-"""Configuration tuning: modeled launch sweeps + measured backend picks.
+"""Configuration tuning: the modeled launch sweep, and measured op times.
 
 The paper tunes its launch configurations by hand ("Although choosing
 large block sizes can reduce thread divergence, it may cause the total
@@ -11,27 +11,21 @@ time for a given (shape, device, operation).
 
 This is the simulated-substrate analogue of the autotuning literature
 the paper cites ([14], Basu et al.), applied to *its* design space.
-Since the launcher seam added real alternative kernel *backends*
-(:mod:`repro.kernels.launcher`), the second half of that literature
-applies too: :func:`select_backend` picks the backend per
-(op, shape, dtype) from **measured** warm-cache times — each candidate
-is compiled/warmed first, then timed best-of-``repeats`` — instead of
-the static cost model, and persists the verdicts in an on-disk table
-(``benchmarks/results/kernel_tuning.json`` or ``$REPRO_TUNE_CACHE``)
-keyed by a schema version so stale tables from older layouts are
-invalidated wholesale rather than trusted.  Every :class:`TuneResult`
-now records *which backend won and why* (``modeled`` static sweep vs
-``measured`` timing), so the two tuning regimes cannot be confused.
+
+The host's two kernel backends need no tuner: the C route of
+:mod:`repro.core.native` is faster than the NumPy bodies at every size
+measured (5² to 129³), so ``auto`` means "native whenever available" and
+there is no size threshold and no persisted timing table.
+:func:`measure_backend_times` remains as the one way to time an op of
+the launcher's table on every available backend (the micro-benchmark's
+rows).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,32 +34,17 @@ from ..gpu.analytic import model_pass
 from ..gpu.device import DeviceSpec, V100
 from .launches import EngineOptions
 
-__all__ = [
-    "KERNEL_TUNE_SCHEMA",
-    "TuneResult",
-    "autotune",
-    "autotune_backend",
-    "clear_backend_cache",
-    "measure_backend_times",
-    "select_backend",
-    "tune_table_path",
-]
-
-#: Version key of the persisted timing table.  Bump whenever the op
-#: ABI, the measurement protocol, or the entry layout changes; tables
-#: written under any other schema are discarded, not reinterpreted.
-KERNEL_TUNE_SCHEMA = 1
+__all__ = ["TuneResult", "autotune", "measure_backend_times"]
 
 
 @dataclass
 class TuneResult:
     """Outcome of one autotuning sweep.
 
-    ``backend`` names the kernel backend the sweep selected and ``why``
-    records the evidence class: ``"modeled"`` when the static cost
-    model ranked the candidates (the launch-configuration sweeps, which
-    never leave the reference backend), ``"measured"`` when real
-    warm-cache timings did (the backend sweeps).
+    ``why`` records the evidence class — ``"modeled"``: the static cost
+    model ranked the candidates — and ``backend`` the kernel backend the
+    sweep ran on (the launch-configuration sweep never leaves
+    ``reference``).
     """
 
     best: EngineOptions
@@ -116,122 +95,25 @@ def autotune(
     )
 
 
-# ----------------------------------------------------------------------
-# Measured per-(op, shape, dtype) backend selection
-# ----------------------------------------------------------------------
-
-#: Cap on synthesized operand size for one measurement, so a miss on a
-#: paper-scale shape costs milliseconds, not a full-scale run.
-_MEASURE_CAP = 1 << 21
-
-#: Hysteresis: the compiled backend must beat reference by this factor
-#: before ``auto`` switches away from the (always-correct) default.
-_SWITCH_MARGIN = 0.95
-
-_SELECT_CACHE: dict[str, str] = {}
-_TABLE_CACHE: dict[str, dict] | None = None
-
-
-def tune_table_path() -> Path:
-    """Where the measured timing table is persisted.
-
-    ``$REPRO_TUNE_CACHE`` wins; the default sits next to the committed
-    benchmark artifacts under ``benchmarks/results/``.
-    """
-    env = os.environ.get("REPRO_TUNE_CACHE")
-    if env:
-        return Path(env)
-    return Path("benchmarks") / "results" / "kernel_tuning.json"
-
-
-def _load_table() -> dict[str, dict]:
-    """Persisted entries, or ``{}`` on any schema mismatch / corruption."""
-    global _TABLE_CACHE
-    if _TABLE_CACHE is not None:
-        return _TABLE_CACHE
-    path = tune_table_path()
-    entries: dict[str, dict] = {}
-    try:
-        doc = json.loads(path.read_text())
-        if doc.get("schema") == KERNEL_TUNE_SCHEMA:
-            entries = dict(doc.get("entries", {}))
-        # any other schema: a stale table from an older op ABI — ignore
-    except (OSError, ValueError):
-        pass
-    _TABLE_CACHE = entries
-    return entries
-
-
-def _save_table(entries: dict[str, dict]) -> None:
-    """Atomically persist the timing table (best-effort)."""
-    path = tune_table_path()
-    doc = {
-        "schema": KERNEL_TUNE_SCHEMA,
-        "cpu_count": os.cpu_count(),
-        "entries": entries,
-    }
-    try:
-        if not path.parent.is_dir():
-            if "REPRO_TUNE_CACHE" not in os.environ:
-                return  # don't litter arbitrary cwds with benchmarks/ dirs
-            path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except OSError:
-        pass  # persistence is an optimization, never a failure mode
-
-
-def clear_backend_cache() -> None:
-    """Drop the in-memory selection/table caches (tests, path changes)."""
-    global _TABLE_CACHE
-    _SELECT_CACHE.clear()
-    _TABLE_CACHE = None
-
-
-def _bucket_key(op: str, shape: tuple[int, ...], dtype) -> str:
-    """Table key: shapes bucket by log2(total elements), not exact size."""
-    n = 1
-    for s in shape:
-        n *= max(int(s), 1)
-    log2n = max(n - 1, 0).bit_length()
-    return f"{op}|{np.dtype(dtype)}|{len(shape)}|{log2n}"
-
-
-def _measure_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The shape actually synthesized for timing (capped batch)."""
-    n = math.prod(shape) if shape else 1
-    if n <= _MEASURE_CAP:
-        return tuple(int(s) for s in shape) or (1,)
-    if len(shape) >= 2:
-        m = int(shape[-1])
-        return (max(1, _MEASURE_CAP // max(m, 1)), m)
-    return (_MEASURE_CAP,)
-
-
 def measure_backend_times(
     op: str, shape: tuple[int, ...], dtype, repeats: int = 3
 ) -> dict[str, float]:
-    """Warm-cache seconds per available backend for one op instance.
+    """Warm best-of-``repeats`` seconds of one launcher op per available backend.
 
-    Each backend is compiled (JIT included) and run once before timing,
-    so the numbers are steady-state launch costs — the quantity backend
-    selection should rank — not first-call compile costs.
+    Operands come from the op's ``make_inputs``; each backend runs once
+    before it is timed, so the numbers are steady-state launch costs, not
+    the first call's library load.
     """
     from . import launcher as L
 
     spec = L.OP_SPECS[op]
-    mshape = _measure_shape(shape)
-    rng = np.random.default_rng(0xC0FFEE)
-    args = spec.make_inputs(mshape, np.dtype(dtype), rng)
-    sig = L.Signature(str(np.dtype(dtype)), len(mshape))
+    args = spec.make_inputs(tuple(shape), np.dtype(dtype), np.random.default_rng(0xC0FFEE))
+    sig = L.signature_of(*args)
     times: dict[str, float] = {}
-    for name in ("reference", "numba"):
+    for name in L.available_backends():
         lau = L.get_launcher(name)
-        if not lau.available():
-            continue
         handle = lau.compiled(op, sig)
-        lau.launch(handle, *args)  # warm: JIT specialization, caches
+        lau.launch(handle, *args)
         best = math.inf
         for _ in range(max(repeats, 1)):
             t0 = time.perf_counter()
@@ -239,63 +121,3 @@ def measure_backend_times(
             best = min(best, time.perf_counter() - t0)
         times[name] = best
     return times
-
-
-def select_backend(op: str, shape: tuple[int, ...], dtype) -> str:
-    """Measured per-(op, shape, dtype) backend choice for ``auto``.
-
-    Consults the in-memory cache, then the persisted table, and only
-    then measures — so steady-state cost is a dict lookup.  The numba
-    backend is chosen only when its measured time beats reference by
-    :data:`_SWITCH_MARGIN`; with numba unavailable this returns
-    ``reference`` without measuring anything.
-    """
-    from . import launcher as L
-
-    if not L.get_launcher("numba").available():
-        return "reference"
-    key = _bucket_key(op, shape, dtype)
-    cached = _SELECT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    entries = _load_table()
-    entry = entries.get(key)
-    if entry is None:
-        times = measure_backend_times(op, shape, dtype)
-        winner = "reference"
-        if "numba" in times and times["numba"] < times["reference"] * _SWITCH_MARGIN:
-            winner = "numba"
-        entry = {
-            "backend": winner,
-            "times": times,
-            "why": "measured",
-            "cpu_count": os.cpu_count(),
-        }
-        entries[key] = entry
-        _save_table(entries)
-    choice = entry.get("backend", "reference")
-    if choice not in ("reference", "numba"):
-        choice = "reference"
-    _SELECT_CACHE[key] = choice
-    return choice
-
-
-def autotune_backend(op: str, shape: tuple[int, ...], dtype=np.float64) -> TuneResult:
-    """Measured backend sweep for one op — the empirical twin of
-    :func:`autotune`, with ``why="measured"`` and the winning backend
-    recorded on the result."""
-    times = measure_backend_times(op, shape, dtype)
-    baseline = times["reference"]
-    ranked = sorted(times.items(), key=lambda kv: (kv[1], kv[0] != "reference"))
-    winner, best = ranked[0]
-    if winner != "reference" and best >= baseline * _SWITCH_MARGIN:
-        winner, best = "reference", baseline
-    return TuneResult(
-        best=EngineOptions(),
-        best_seconds=best,
-        baseline_seconds=baseline,
-        evaluated=len(times),
-        table=ranked,
-        backend=winner,
-        why="measured",
-    )

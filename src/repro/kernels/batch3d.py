@@ -67,9 +67,6 @@ class SlicedLinearProcessor:
         Simulated CUDA streams for round-robin launch assignment.
     segment:
         Segment length of the underlying 2D kernels.
-    backend:
-        Kernel-backend policy forwarded to the underlying 2D kernels
-        (``None`` defers to the process-wide policy).
     """
 
     def __init__(
@@ -77,10 +74,9 @@ class SlicedLinearProcessor:
         ops: LevelOps,
         n_streams: int = 1,
         segment: int = 32,
-        backend: str | None = None,
     ):
         self.ops = ops
-        self.kernel2d = LinearProcessingKernel(ops, segment=segment, backend=backend)
+        self.kernel2d = LinearProcessingKernel(ops, segment=segment)
         self.scheduler = StreamScheduler(n_streams)
         self.n_streams = n_streams
         self.launches: list[SliceLaunch] = []

@@ -1,39 +1,24 @@
-"""The one place in the package that imports :mod:`numba`.
+"""Whether :mod:`numba` is importable — read by ``benchmarks/e2e/run.py`` only.
 
-Every other module that wants JIT compilation imports ``HAVE_NUMBA``,
-``njit`` and ``prange`` from here.  When numba is not installed (it is
-an optional extra: ``pip install repro[jit]``) — or when it is masked
-with ``REPRO_NO_NUMBA=1``, which CI uses to exercise the fallback on
-hosts that *do* have it — the decorators degrade to no-ops and
-``HAVE_NUMBA`` is ``False``, so the package imports and the tier-1
-suite runs identically without the dependency.
+The numba backend is gone (the compiled backend is
+:mod:`repro.core.native`); nothing under ``src/`` imports this module.
+It stays until the frozen end-to-end benchmark stops stamping
+``numba_available`` into its records (ROADMAP item 2 drops both).
+``REPRO_NO_NUMBA=1`` masks an installed numba.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["HAVE_NUMBA", "njit", "prange"]
+__all__ = ["HAVE_NUMBA"]
 
 HAVE_NUMBA = False
 
 if not os.environ.get("REPRO_NO_NUMBA"):
     try:  # pragma: no cover - exercised only where numba is installed
-        from numba import njit, prange  # noqa: F401
+        import numba  # noqa: F401
 
         HAVE_NUMBA = True
     except Exception:  # ImportError, or a broken numba install
         HAVE_NUMBA = False
-
-if not HAVE_NUMBA:
-
-    def njit(*args, **kwargs):  # noqa: D103 - no-op stand-in
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
-
-    prange = range

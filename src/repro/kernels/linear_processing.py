@@ -30,21 +30,15 @@ recurrence without per-segment carry copies.
 The original per-element walks (explicit ghost carries, one output per
 thread) live on as test oracles in ``tests/scalar_walks.py``; the fast
 paths are tested bit for bit against them.
-
-All three fast methods dispatch through the kernel-launcher seam
-(:mod:`repro.kernels.launcher`) first: when the backend policy resolves
-to a compiled backend the whole batch runs through one JIT kernel
-(bit-identical by contract), and when it resolves to ``reference`` the
-segmented NumPy walk below runs untouched.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core import native
 from ..core.grid import LevelOps
 from ..core.solver import thomas_factor, thomas_sweep
-from .launcher import maybe_launch
 
 __all__ = ["LinearProcessingKernel"]
 
@@ -64,18 +58,13 @@ class LinearProcessingKernel:
         Per-(dimension, level) operator data.
     segment:
         Main-region length in elements (the shared-memory tile width).
-    backend:
-        Kernel-backend policy for this kernel instance
-        (``"reference"`` / ``"numba"`` / ``"auto"``); ``None`` defers
-        to the process-wide policy (``REPRO_KERNEL_BACKEND``).
     """
 
-    def __init__(self, ops: LevelOps, segment: int = 8, backend: str | None = None):
+    def __init__(self, ops: LevelOps, segment: int = 8):
         if segment < 2:
             raise ValueError("segment length must be >= 2")
         self.ops = ops
         self.segment = segment
-        self.backend = backend
 
     # ------------------------------------------------------------------
     # mass-matrix multiplication (Algorithm 2)
@@ -95,11 +84,6 @@ class LinearProcessingKernel:
         if m == 1:
             return v.copy()
         h = self.ops.h_fine
-        ran, res = maybe_launch(
-            "mass", v.shape, v.dtype, v.reshape(-1, m), h, policy=self.backend
-        )
-        if ran:
-            return res.reshape(v.shape)
         out = v.copy()
         seg = self.segment
         for start in range(0, m, seg):
@@ -140,20 +124,6 @@ class LinearProcessingKernel:
             raise ValueError(f"axis length {m} != m_fine {self.ops.m_fine}")
         ops = self.ops
         mc = ops.m_coarse
-        ran, res = maybe_launch(
-            "transfer",
-            f.shape,
-            f.dtype,
-            f.reshape(-1, m),
-            ops.coarse_pos,
-            ops.interval_detail,
-            ops.w_left,
-            ops.w_right,
-            ops.m_detail,
-            policy=self.backend,
-        )
-        if ran:
-            return res.reshape(f.shape[:-1] + (mc,))
         out = np.empty(f.shape[:-1] + (mc,), dtype=f.dtype)
         seg = self.segment
         for start in range(0, mc, seg):
@@ -193,14 +163,5 @@ class LinearProcessingKernel:
             return f / self.ops.mass_bands_coarse[1, 0]
         lower = self.ops.mass_bands_coarse[0, 1:]
         cp, denom = thomas_factor(self.ops)
-        ran, res = maybe_launch(
-            "solve",
-            f.shape,
-            f.dtype,
-            f.reshape(-1, mc),
-            lower,
-            cp,
-            denom,
-            policy=self.backend,
-        )
-        return res.reshape(f.shape) if ran else thomas_sweep(f, lower, cp, denom)
+        with native.forced("reference"):  # the literal kernels are NumPy walks: the oracle
+            return thomas_sweep(f, lower, cp, denom)

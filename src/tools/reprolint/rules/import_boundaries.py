@@ -1,11 +1,12 @@
 """``import-boundary``: the layering contracts of the package graph.
 
-Nine boundaries, each introduced by an earlier PR and otherwise
+Ten boundaries, each introduced by an earlier PR and otherwise
 enforced only by convention:
 
 * **numba** is imported exclusively through ``repro/kernels/jit.py``
-  (PR 7's guard: no-op ``njit`` fallback, ``REPRO_NO_NUMBA`` masking).
-  A stray ``import numba`` anywhere else breaks numba-less installs.
+  (what is left of PR 7's guard: the ``HAVE_NUMBA`` probe the frozen
+  end-to-end benchmark reads).  A stray ``import numba`` anywhere else
+  breaks numba-less installs.
 * ``repro.compress`` must not import ``repro.io`` — PR 6 broke the
   io↔compress cycle by hoisting the shared error root to
   ``repro/errors.py``; a new back-edge would silently reintroduce it.
@@ -35,6 +36,11 @@ enforced only by convention:
   the container frame (magic, length word, JSON header, extent table)
   is packed and parsed by ``repro/frame.py`` alone; a second parser
   growing back in either package is how four of them drifted apart.
+
+* Only ``repro.core.native`` imports :mod:`ctypes` — the compiled
+  kernels have one loader (cache directory, ownership check, seal,
+  self-check) and one place where pointers are handed to C; a second
+  ``CDLL`` elsewhere would skip all of it.
 
 Relative imports are resolved against the importing module's package
 before matching, and ``from pkg import name`` also counts as an import
@@ -104,6 +110,11 @@ FORBIDDEN = (
          "packer/parser; emit and parse through it")
         for pkg in ("repro.io", "repro.compress")
     ),
+    *(
+        ("repro", target, "repro.core.native is the one loader of compiled "
+         "code; call its wrappers", "repro.core.native")
+        for target in ("ctypes", "_ctypes")
+    ),
 )
 
 _JIT_GUARD = "repro.kernels.jit"
@@ -137,7 +148,8 @@ class ImportBoundaryRule(Rule):
         "the deleted executor/simmpi shims and the SPMD fabric stay "
         "deleted; only repro.parallel imports multiprocessing or stages "
         "operands in shared memory; only repro.frame packs or parses "
-        "container frames (no struct under repro.io / repro.compress)"
+        "container frames (no struct under repro.io / repro.compress); "
+        "only repro.core.native imports ctypes"
     )
     paths = ("src/*", "src/*/*", "src/*/*/*")
 
@@ -162,8 +174,8 @@ class ImportBoundaryRule(Rule):
                         col=stmt.col_offset,
                         message=(
                             "numba must be imported only through "
-                            "repro.kernels.jit (the no-numba fallback guard); "
-                            "import njit/prange from there"
+                            "repro.kernels.jit (the HAVE_NUMBA probe); the "
+                            "compiled backend is repro.core.native"
                         ),
                     )
                     continue

@@ -2,8 +2,21 @@
 
 from __future__ import annotations
 
+import atexit
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+
+# One compiled-kernel cache per test session (built by the first decompose,
+# shared with every server and pool worker the tests start), not one in the
+# home directory of whoever runs the suite.
+if "REPRO_TUNE_CACHE" not in os.environ:
+    _cache = tempfile.mkdtemp(prefix="repro-tune-")
+    os.environ["REPRO_TUNE_CACHE"] = os.path.join(_cache, "kernel_tuning.json")
+    atexit.register(shutil.rmtree, _cache, ignore_errors=True)
 
 
 @pytest.fixture

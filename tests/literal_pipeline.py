@@ -29,13 +29,12 @@ from repro.kernels.linear_processing import LinearProcessingKernel
 class LiteralPipeline:
     """``b``: grid-processing tile exponent; ``segment``: linear-processing
     main-region length; ``n_streams``: simulated streams of the 3D slice
-    walks; ``kernel_backend``: backend policy of the linear kernels."""
+    walks."""
 
-    def __init__(self, b=3, segment=16, n_streams=8, kernel_backend=None):
+    def __init__(self, b=3, segment=16, n_streams=8):
         self.b = b
         self.segment = segment
         self.n_streams = n_streams
-        self.kernel_backend = kernel_backend
         self.slice_launches = 0  # §III-D accounting
 
     def compute_coefficients(self, v, hier: TensorHierarchy, l: int):
@@ -46,12 +45,11 @@ class LiteralPipeline:
 
     def _linear(self, data, ops: LevelOps, axis: int, op: str):
         if data.ndim == 3:
-            proc = SlicedLinearProcessor(ops, n_streams=self.n_streams, segment=self.segment,
-                                         backend=self.kernel_backend)
+            proc = SlicedLinearProcessor(ops, n_streams=self.n_streams, segment=self.segment)
             out = getattr(proc, op)(data, axis)
             self.slice_launches += len(proc.launches)
             return out
-        kernel = LinearProcessingKernel(ops, segment=self.segment, backend=self.kernel_backend)
+        kernel = LinearProcessingKernel(ops, segment=self.segment)
         out = getattr(kernel, op)(np.ascontiguousarray(np.moveaxis(data, axis, -1)))
         return np.moveaxis(out, -1, axis)
 

@@ -42,7 +42,7 @@ def test_numpy_engine_equals_literal_kernels_call_for_call(shape, nonuniform, dt
     restored = recompose(refactored, h)
     monkeypatch.undo()
     assert len({call[0] for call in calls}) == (4 if h.L else 0)
-    literal = LiteralPipeline(b=2, segment=5, kernel_backend="reference")
+    literal = LiteralPipeline(b=2, segment=5)
     assert_rounding_close(literal.decompose(data, h), refactored, data, dtype)
     assert_rounding_close(literal.recompose(refactored, h), restored, data, dtype)
     for name, args, a, contiguous in calls:

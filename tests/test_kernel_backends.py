@@ -1,63 +1,94 @@
-"""Kernel-launcher seam: backend registry, policy, and bit identity.
+"""Kernel-launcher seam: backend registry, policy, and the loader's failure paths.
 
-The contract under test: every backend behind
-:mod:`repro.kernels.launcher` produces *bit-identical* results on every
-op, the selection policy (``REPRO_KERNEL_BACKEND`` / override / auto)
-resolves as documented, compiled handles are cached per
-(op, signature), and a host without numba degrades to the reference
-backend — silently under ``auto``, with exactly one warning under a
-direct ``numba`` request.
-
-The reference-vs-numba comparisons skip when numba is not installed;
-CI's jit job runs them with the compiled backend live and, separately,
-with ``REPRO_NO_NUMBA=1`` to exercise the masked fallback on a host
-that *does* have numba.
+The contract under test: the selection policy (``REPRO_KERNEL_BACKEND``
+/ override / auto) resolves as documented, compiled handles are cached
+per (op, signature), and a host whose compiled library cannot be had —
+no compiler, a compiler that fails, a cache directory that cannot be
+written or is not the caller's, a corrupt cached file — degrades to the
+reference backend: silently under ``auto``, with exactly one warning per
+process under a direct ``native`` request, and never with an exception
+out of ``decompose``.  That the two backends give the same bits is
+``tests/test_native_identity.py``'s.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import stat
 import subprocess
 import sys
 import warnings
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.compress.huffman import huffman_decode, huffman_encode
+from repro.core import native
+from repro.core.decompose import decompose
 from repro.core.grid import hierarchy_for
+from repro.core.mass import mass_apply
+from repro.core.transfer import transfer_apply
 from repro.kernels import launcher as L
-from repro.kernels.autotune import (
-    KERNEL_TUNE_SCHEMA,
-    autotune,
-    autotune_backend,
-    clear_backend_cache,
-    measure_backend_times,
-    select_backend,
-)
-from repro.kernels.jit import HAVE_NUMBA
+from repro.kernels.autotune import autotune, measure_backend_times
 from repro.kernels.linear_processing import LinearProcessingKernel
 
-# the package re-exports the autotune *function*, which shadows the
-# submodule attribute; fetch the module itself for its private helpers
-_autotune_mod = sys.modules["repro.kernels.autotune"]
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
 ALL_OPS = sorted(L.OP_SPECS)
+ROOT = Path(__file__).resolve().parents[1]
 
-# adversarial op shapes: tiny, 2^k + 1 (the hierarchy's natural sizes),
-# and wide batches
-ADVERSARIAL_SHAPES = [(1, 2), (2, 3), (3, 5), (7, 17), (33, 65)]
-FLAT_SHAPES = [(1,), (7,), (257,), (4097,)]
+needs_cc = pytest.mark.skipif(not native.available(), reason="no C compiler on this host")
 
 
 @pytest.fixture(autouse=True)
 def _reset_policy():
-    """Leave no policy override or warning latch behind."""
+    """Leave no policy override behind."""
     yield
     L.set_kernel_backend(None)
-    L._WARNED_NO_NUMBA = False
+
+
+@pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    """A loader that has not looked for its library yet, pointed at an empty
+    cache directory; the session's library is loaded again afterwards."""
+    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "cache" / "kernel_tuning.json"))
+    native._reset()
+    yield tmp_path / "cache" / "repro-native"
+    native._reset()  # the next leaf call loads from the session's directory again
+
+
+def _plant(directory: Path, damage: str) -> Path:
+    """Put a damaged file where the loader will look for its library — before
+    this process has opened that path (``dlopen`` answers a path it has already
+    loaded from memory, without looking at the file again)."""
+    cc, version = native._compiler()
+    path = native._private_dir() / f"native-{native.build_key(native.source(), version)}.so"
+    assert path.parent == directory and not path.exists()
+    if damage == "wrong_answers":  # loads, but is a stale build of other source
+        native._build(cc, native.source().replace(b"acc = acc + w1", b"acc = acc - w1"), path)
+    elif damage == "truncated":
+        native._build(cc, native.source(), path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
+    else:
+        path.write_bytes({"garbage": b"\x00not an ELF file" * 64,
+                          "header_only": b"\x7fELF" + b"\x00" * 100}[damage])
+    return path
+
+
+def _decompose_falls_back(policy: str) -> list[warnings.WarningMessage]:
+    """Two decomposes under ``policy`` on a host with no usable library:
+    both must give the reference's bits; returns the warnings raised."""
+    x = np.random.default_rng(3).standard_normal((9, 6))
+    with native.forced("reference"):
+        want = decompose(x)
+    L.set_kernel_backend(policy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            assert np.array_equal(decompose(x), want)
+    assert L.available_backends() == ["reference"]
+    assert L.resolve("solve", (4, 5), np.float64).name == "reference"
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ----------------------------------------------------------------------
@@ -83,6 +114,8 @@ def test_override_beats_env(monkeypatch):
 def test_invalid_policy_rejected(monkeypatch):
     with pytest.raises(ValueError, match="kernel backend"):
         L.set_kernel_backend("cuda")
+    with pytest.raises(ValueError, match="kernel backend"):
+        L.set_kernel_backend("numba")  # the deleted backend is not a policy
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cuda")
     with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
         L.kernel_backend_policy()
@@ -100,59 +133,255 @@ def test_reference_always_available():
     assert L.get_launcher("reference").available()
 
 
+@needs_cc
 def test_reference_policy_never_dispatches(monkeypatch):
+    """Under ``reference`` no C entry is called, by any leaf."""
+    called = []
+    real = native._library
+
+    def spy():
+        called.append(1)
+        return real()
+
+    monkeypatch.setattr(native, "_library", spy)
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-    ran, out = L.maybe_launch("quantize", (4,), np.float64,
-                              np.ones(4), np.ones(4))
-    assert ran is False and out is None
+    x = np.random.default_rng(0).standard_normal((9, 9))
+    decompose(x)
+    native.quantize(x.ravel(), np.full(x.size, 3.0))
+    assert L.resolve("quantize", (4,), np.float64).name == "reference"
+    assert not called
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
+    decompose(x)
+    assert called
+
+
+@needs_cc
+def test_resolve_names_what_runs():
+    for policy in ("auto", "native"):
+        for op in ALL_OPS:
+            assert L.resolve(op, (8, 9), np.int64 if op == "dequantize" else np.float32,
+                             policy).name == "native"
+    # a property of the input, not a switch: these take the NumPy bodies
+    for dtype in (np.float16, np.longdouble, ">f8"):
+        assert L.resolve("solve", (8, 9), dtype, "native").name == "reference"
+    assert L.resolve("solve", (8, 9), np.float64, "reference").name == "reference"
+
+
+def test_forced_policy_is_per_thread_and_restored():
+    import threading
+
+    seen = {}
+    ambient = L.kernel_backend_policy()
+    with native.forced("reference"):
+        assert L.kernel_backend_policy() == "reference"
+        t = threading.Thread(target=lambda: seen.setdefault("other", L.kernel_backend_policy()))
+        t.start()
+        t.join(10)
+        with native.forced("native"):
+            assert L.kernel_backend_policy() == "native"
+        assert L.kernel_backend_policy() == "reference"
+    assert seen["other"] == ambient and L.kernel_backend_policy() == ambient
 
 
 # ----------------------------------------------------------------------
-# graceful no-numba fallback
+# fallback and failure paths: typed, quiet, never out of decompose
 
 
-@pytest.mark.skipif(HAVE_NUMBA, reason="exercises the numba-less host")
-def test_numba_request_warns_once_then_falls_back():
-    L._WARNED_NO_NUMBA = False
-    L.set_kernel_backend("numba")
-    with pytest.warns(RuntimeWarning, match="numba is not installed"):
-        lau = L.resolve("mass", (4, 5), np.float64)
-    assert lau.name == "reference"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second resolve must stay silent
-        assert L.resolve("mass", (4, 5), np.float64).name == "reference"
+def test_native_request_warns_once_then_falls_back(fresh_loader, monkeypatch):
+    monkeypatch.setenv("PATH", "")  # no compiler
+    (warning,) = _decompose_falls_back("native")
+    assert "no C compiler on PATH" in str(warning.message)
+    assert not fresh_loader.exists() or not list(fresh_loader.iterdir())
 
 
-@pytest.mark.skipif(HAVE_NUMBA, reason="exercises the numba-less host")
-def test_auto_resolves_to_reference_silently():
-    L.set_kernel_backend("auto")
+def test_auto_resolves_to_reference_silently(fresh_loader, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    assert _decompose_falls_back("auto") == []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for op in ALL_OPS:
             assert L.resolve(op, (8, 9), np.float64).name == "reference"
 
 
-def test_masked_numba_import_falls_back():
-    """REPRO_NO_NUMBA=1 masks numba even where installed (CI fallback)."""
-    env = dict(os.environ, REPRO_NO_NUMBA="1")
-    env["PYTHONPATH"] = "src"
+def test_no_compiler_is_reference_and_diskless(fresh_loader, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    assert not native.available()
+    assert native.library_path() is None
+    assert not list(fresh_loader.parent.rglob("*.so")) and not list(fresh_loader.parent.rglob("*.part"))
+
+
+def test_failing_compiler_falls_back(fresh_loader, tmp_path, monkeypatch):
+    shim = tmp_path / "bin" / "cc"
+    shim.parent.mkdir()
+    shim.write_text('#!/bin/sh\n[ "$1" = --version ] && { echo shim 1.0; exit 0; }\n'
+                    'echo "shim: cannot compile" >&2\nexit 1\n')
+    shim.chmod(0o755)
+    monkeypatch.setenv("PATH", str(shim.parent))
+    (warning,) = _decompose_falls_back("native")
+    assert "exited with status 1" in str(warning.message) and "cannot compile" in str(warning.message)
+    assert list(fresh_loader.iterdir()) == []  # the temporary is gone
+
+
+def test_compiler_that_cannot_say_its_version_falls_back(fresh_loader, tmp_path, monkeypatch):
+    shim = tmp_path / "bin" / "cc"
+    shim.parent.mkdir()
+    shim.write_text("#!/bin/sh\nexit 1\n")
+    shim.chmod(0o755)
+    monkeypatch.setenv("PATH", str(shim.parent))
+    (warning,) = _decompose_falls_back("native")
+    assert "--version exited with status 1" in str(warning.message)
+
+
+@needs_cc
+def test_unwritable_cache_directory_falls_back(fresh_loader, monkeypatch):
+    fresh_loader.parent.mkdir()
+    fresh_loader.write_text("a file where the directory should be")
+    (warning,) = _decompose_falls_back("native")
+    assert "cache directory" in str(warning.message)
+    native._reset()
+    assert _decompose_falls_back("auto") == []
+
+
+@needs_cc
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes into read-only directories")
+def test_read_only_cache_directory_falls_back(fresh_loader):
+    fresh_loader.mkdir(parents=True, mode=0o500)
+    try:
+        (warning,) = _decompose_falls_back("native")
+        assert "cache directory" in str(warning.message)
+    finally:
+        fresh_loader.chmod(0o700)
+
+
+@needs_cc
+def test_cache_directory_of_another_owner_is_not_loaded_from(fresh_loader, monkeypatch):
+    assert native.available()  # builds into the directory
+    native._reset()
+    monkeypatch.setattr(os, "geteuid", lambda: os.getuid() + 1)
+    (warning,) = _decompose_falls_back("native")
+    assert "not private" in str(warning.message)
+
+
+@needs_cc
+def test_group_writable_cache_directory_is_not_loaded_from(fresh_loader):
+    fresh_loader.mkdir(parents=True)
+    fresh_loader.chmod(0o770)
+    (warning,) = _decompose_falls_back("native")
+    assert "not private" in str(warning.message)
+
+
+@needs_cc
+def test_cache_directory_is_private_and_holds_one_file(fresh_loader):
+    assert native.available()
+    assert stat.S_IMODE(fresh_loader.stat().st_mode) == 0o700
+    assert [p.name for p in fresh_loader.iterdir()] == [native.library_path().name]
+
+
+@needs_cc
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "header_only"])
+def test_corrupt_cached_library_is_rebuilt(fresh_loader, damage):
+    path = _plant(fresh_loader, damage)
+    damaged = path.read_bytes()
+    x = np.random.default_rng(5).standard_normal((17, 9))
+    with native.forced("reference"):
+        want = decompose(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with native.forced("native"):
+            assert np.array_equal(decompose(x), want)
+    assert native.library_path() == path and path.read_bytes() != damaged
+    assert [p.name for p in fresh_loader.iterdir()] == [path.name]
+
+
+@needs_cc
+def test_library_that_disagrees_with_numpy_is_not_used(fresh_loader):
+    """A sealed library under the right key that computes something else (a
+    miscompile: rebuilding would give the same file) fails the load-time check."""
+    path = _plant(fresh_loader, "wrong_answers")
+    stale = path.read_bytes()
+    (warning,) = _decompose_falls_back("native")
+    assert "disagrees with the NumPy bodies" in str(warning.message)
+    assert path.read_bytes() == stale
+
+
+@needs_cc
+def test_corrupt_cached_library_that_cannot_be_rebuilt_falls_back(fresh_loader, monkeypatch):
+    _plant(fresh_loader, "truncated")
+
+    def no_build(cc, src, target):
+        raise native._Unavailable("no build today")
+
+    monkeypatch.setattr(native, "_build", no_build)
+    (warning,) = _decompose_falls_back("native")
+    assert "no build today" in str(warning.message)
+
+
+_COLD_START = """
+import sys, hashlib, warnings, numpy as np
+warnings.simplefilter("error", RuntimeWarning)
+from repro.core import native
+from repro.core.decompose import decompose
+native.set_kernel_backend("native")
+x = np.random.default_rng(11).standard_normal((33, 17))
+out = decompose(x)
+print(native.available(), hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+@needs_cc
+def test_four_process_cold_start_publishes_one_library(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               REPRO_TUNE_CACHE=str(tmp_path / "kernel_tuning.json"))
+    procs = [subprocess.Popen([sys.executable, "-c", _COLD_START], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) for _ in range(4)]
+    outs = [p.communicate(timeout=300) for p in procs]
+    assert all(p.returncode == 0 for p in procs), [err for _, err in outs]
+    with native.forced("reference"):
+        want = decompose(np.random.default_rng(11).standard_normal((33, 17)))
+    assert {out.strip() for out, _ in outs} == {f"True {hashlib.sha256(want.tobytes()).hexdigest()}"}
+    files = list((tmp_path / "repro-native").iterdir())
+    assert len(files) == 1 and files[0].suffix == ".so", files
+
+
+def test_masked_numba_import_falls_back(tmp_path):
+    """With compilers masked from ``PATH`` (and numba masked by
+    ``REPRO_NO_NUMBA=1``) the package runs on the NumPy bodies alone."""
+    env = dict(os.environ, REPRO_NO_NUMBA="1", PATH="", PYTHONPATH=str(ROOT / "src"),
+               REPRO_TUNE_CACHE=str(tmp_path / "kernel_tuning.json"))
+    env.pop("REPRO_KERNEL_BACKEND", None)
     code = (
+        "import warnings; warnings.simplefilter('error', RuntimeWarning)\n"
+        "import numpy as np\n"
+        "from repro import Refactorer\n"
         "from repro.kernels.jit import HAVE_NUMBA\n"
         "from repro.kernels.launcher import available_backends, resolve\n"
         "assert not HAVE_NUMBA\n"
         "assert available_backends() == ['reference']\n"
-        "assert resolve('mass', (4, 5), 'float64').name == 'reference'\n"
+        "assert resolve('solve', (4, 5), 'float64').name == 'reference'\n"
+        "r = Refactorer((9, 9)); x = np.arange(81.0).reshape(9, 9)\n"
+        "assert np.allclose(r.recompose(r.decompose(x)), x)\n"
         "print('ok')\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         cwd=ROOT)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+# ----------------------------------------------------------------------
+# packaging
+
+
+def test_source_ships_as_package_data_and_the_key_covers_it():
+    shipped = resources.files("repro.core").joinpath("native.c").read_bytes()
+    assert shipped == native.source() == (ROOT / "src/repro/core/native.c").read_bytes()
+    key = native.build_key(shipped, b"cc 1.0")
+    assert key == native.build_key(shipped, b"cc 1.0")
+    assert key != native.build_key(shipped + b" ", b"cc 1.0")  # any byte of the source
+    assert key != native.build_key(shipped, b"cc 1.1")  # the compiler
+    if native.available():
+        _, version = native._compiler()
+        assert native.library_path().name == f"native-{native.build_key(shipped, version)}.so"
 
 
 # ----------------------------------------------------------------------
@@ -162,11 +391,11 @@ def test_masked_numba_import_falls_back():
 def test_compile_cache_hits_are_counted():
     lau = L.ReferenceLauncher()
     sig = L.Signature("float64", 2)
-    h1 = lau.compiled("mass", sig)
-    h2 = lau.compiled("mass", sig)
+    h1 = lau.compiled("solve", sig)
+    h2 = lau.compiled("solve", sig)
     assert h1 is h2
     assert lau.cache_info() == {"entries": 1, "compiles": 1, "cache_hits": 1}
-    lau.compiled("mass", L.Signature("float32", 2))  # new signature compiles
+    lau.compiled("solve", L.Signature("float32", 2))  # new signature compiles
     info = lau.cache_info()
     assert info["entries"] == 2 and info["compiles"] == 2
 
@@ -177,11 +406,7 @@ def test_signature_of_uses_first_array():
 
 
 # ----------------------------------------------------------------------
-# reference twins match the production (segmented) kernels bit for bit
-#
-# The numba kernels mirror the launcher's whole-axis reference twins,
-# so these identities are what anchors the compiled backend to the
-# production arithmetic even on hosts without numba.
+# the reference ops are the production arithmetic the literal kernels agree with
 
 
 @pytest.mark.parametrize("m", [5, 17, 65])
@@ -189,26 +414,17 @@ def test_signature_of_uses_first_array():
 def test_reference_twins_match_segmented_kernels(m, dtype, rng):
     hier = hierarchy_for((m, m))
     ops = hier.level_ops(hier.L, 0)
-    k = LinearProcessingKernel(ops, segment=5, backend="reference")
+    k = LinearProcessingKernel(ops, segment=5)
     v = rng.standard_normal((8, m)).astype(dtype)
 
-    got = L.run_op("reference", "mass", v, ops.h_fine)
-    assert got.tobytes() == k.mass_multiply(v).tobytes()
+    assert mass_apply(v, ops.h_fine, axis=1).tobytes() == k.mass_multiply(v).tobytes()
+    assert transfer_apply(v, ops, axis=1).tobytes() == k.transfer_multiply(v).tobytes()
 
-    got = L.run_op(
-        "reference", "transfer", v, ops.coarse_pos, ops.interval_detail,
-        ops.w_left, ops.w_right, ops.m_detail,
-    )
-    assert got.tobytes() == k.transfer_multiply(v).tobytes()
-
-    from repro.core.solver import thomas_factor
-
-    cp, denom = thomas_factor(ops)
     vc = rng.standard_normal((8, ops.m_coarse)).astype(dtype)
-    got = L.run_op(
-        "reference", "solve", vc, ops.mass_bands_coarse[0, 1:], cp, denom
-    )
-    assert got.tobytes() == k.solve(vc).tobytes()
+    for backend in L.available_backends():
+        got = L.run_op(backend, "solve", vc, ops.mass_bands_coarse[0, 1:], ops.thomas_cp,
+                       ops.thomas_denom)
+        assert got.tobytes() == k.solve(vc).tobytes()
 
 
 def test_reference_quantize_twin_matches_numpy(rng):
@@ -221,159 +437,29 @@ def test_reference_quantize_twin_matches_numpy(rng):
 
 
 def test_empty_arrays_roundtrip():
-    got = L.run_op("reference", "quantize", np.empty(0), np.empty(0))
-    assert got.size == 0 and got.dtype == np.int64
-    got = L.run_op("reference", "dequantize", np.empty(0, np.int64), np.empty(0))
-    assert got.size == 0 and got.dtype == np.float64
+    for backend in L.available_backends():
+        got = L.run_op(backend, "quantize", np.empty(0), np.empty(0))
+        assert got.size == 0 and got.dtype == np.int64
+        got = L.run_op(backend, "dequantize", np.empty(0, np.int64), np.empty(0))
+        assert got.size == 0 and got.dtype == np.float64
+
+
+def test_run_op_rejects_an_unavailable_backend(fresh_loader, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    with pytest.raises(ValueError, match="not available"):
+        L.run_op("native", "quantize", np.ones(4), np.ones(4))
 
 
 # ----------------------------------------------------------------------
-# reference-vs-numba bit identity (CI jit job)
+# tuning
 
 
-def _op_args(op, shape, dtype, rng):
-    return L.OP_SPECS[op].make_inputs(shape, np.dtype(dtype), rng)
-
-
-@needs_numba
-@pytest.mark.parametrize("op", ALL_OPS)
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_numba_matches_reference_bitwise(op, dtype, rng):
-    shapes = ADVERSARIAL_SHAPES if op in ("mass", "transfer", "solve") else FLAT_SHAPES
-    for shape in shapes:
-        args = _op_args(op, shape, dtype, rng)
-        ref = L.run_op("reference", op, *args)
-        jit = L.run_op("numba", op, *args)
-        a, b = np.asarray(ref), np.asarray(jit)
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes(), f"{op} diverges at {shape} {dtype}"
-
-
-@needs_numba
-@pytest.mark.parametrize("op", ["mass", "transfer", "solve"])
-def test_numba_matches_reference_noncontiguous(op, rng):
-    args = list(_op_args(op, (64, 33), np.float64, rng))
-    args[0] = args[0][::2]  # strided batch view
-    ref = L.run_op("reference", op, *args)
-    jit = L.run_op("numba", op, *args)
-    assert np.asarray(ref).tobytes() == np.asarray(jit).tobytes()
-
-
-@needs_numba
-def test_numba_empty_quantize(rng):
-    ref = L.run_op("reference", "quantize", np.empty(0), np.empty(0))
-    jit = L.run_op("numba", "quantize", np.empty(0), np.empty(0))
-    assert np.array_equal(ref, jit) and jit.dtype == np.int64
-
-
-@needs_numba
-def test_huffman_container_identical_across_backends(rng):
-    values = np.rint(rng.standard_normal(20000) * 4.0).astype(np.int64)
-    values[::4097] = 1 << 40  # force escapes through the packed path
-    L.set_kernel_backend("reference")
-    p_ref, h_ref = huffman_encode(values)
-    L.set_kernel_backend("numba")
-    p_jit, h_jit = huffman_encode(values)
-    assert p_ref == p_jit and h_ref == h_jit
-    assert np.array_equal(huffman_decode(p_jit, h_jit), values)
-    L.set_kernel_backend("reference")
-    assert np.array_equal(huffman_decode(p_jit, h_jit), values)
-
-
-# ----------------------------------------------------------------------
-# measured backend autotuning
-
-
-def test_measure_backend_times_reports_available_backends(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune.json"))
-    clear_backend_cache()
-    times = measure_backend_times("mass", (8, 9), np.float64, repeats=1)
-    assert "reference" in times and times["reference"] > 0
-    assert set(times) <= {"reference", "numba"}
-
-
-def test_select_backend_without_numba_is_reference_and_diskless(
-    tmp_path, monkeypatch
-):
-    if HAVE_NUMBA:
-        pytest.skip("exercises the numba-less host")
-    cache = tmp_path / "tune.json"
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache))
-    clear_backend_cache()
-    assert select_backend("mass", (64, 65), np.float64) == "reference"
-    assert not cache.exists()  # nothing measured, nothing persisted
-
-
-@needs_numba
-def test_select_backend_persists_and_caches(tmp_path, monkeypatch):
-    import json
-
-    cache = tmp_path / "tune.json"
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache))
-    clear_backend_cache()
-    first = select_backend("quantize", (4096,), np.float64)
-    assert first in ("reference", "numba")
-    doc = json.loads(cache.read_text())
-    assert doc["schema"] == KERNEL_TUNE_SCHEMA
-    assert len(doc["entries"]) == 1
-    (entry,) = doc["entries"].values()
-    assert entry["why"] == "measured" and entry["backend"] == first
-    # second call must come from the in-memory cache, not re-measure
-    assert select_backend("quantize", (4096,), np.float64) == first
-    clear_backend_cache()
-
-
-def test_stale_schema_table_is_discarded(tmp_path, monkeypatch):
-    import json
-
-    cache = tmp_path / "tune.json"
-    cache.write_text(json.dumps({
-        "schema": KERNEL_TUNE_SCHEMA + 1,
-        "entries": {"mass|float64|2|13": {"backend": "numba"}},
-    }))
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache))
-    clear_backend_cache()
-    assert _autotune_mod._load_table() == {}
-    clear_backend_cache()
-
-
-def test_corrupt_table_is_discarded(tmp_path, monkeypatch):
-    cache = tmp_path / "tune.json"
-    cache.write_text("{not json")
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache))
-    clear_backend_cache()
-    assert _autotune_mod._load_table() == {}
-    clear_backend_cache()
-
-
-def test_autotune_backend_records_measured_verdict(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune.json"))
-    clear_backend_cache()
-    res = autotune_backend("dequantize", (2048,))
-    assert res.why == "measured"
-    assert res.backend in ("reference", "numba")
-    assert res.best_seconds > 0 and res.baseline_seconds > 0
-    clear_backend_cache()
+def test_measure_backend_times_reports_available_backends():
+    times = measure_backend_times("mass_transfer", (8, 9), np.float64, repeats=1)
+    assert set(times) == set(L.available_backends())
+    assert all(t > 0 for t in times.values())
 
 
 def test_modeled_autotune_records_modeled_verdict():
     res = autotune((65, 65))
     assert res.why == "modeled" and res.backend == "reference"
-
-
-# ----------------------------------------------------------------------
-# dispatch sites honour per-instance backend overrides
-
-
-def test_kernel_backend_param_forces_reference(rng, monkeypatch):
-    # even under a (bogus-on-this-host) numba policy, an explicit
-    # per-kernel backend="reference" must keep the NumPy path silent
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-    hier = hierarchy_for((17, 17))
-    ops = hier.level_ops(hier.L, 0)
-    k = LinearProcessingKernel(ops, segment=5, backend="reference")
-    v = rng.standard_normal((4, 17))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = k.mass_multiply(v)
-    assert out.shape == v.shape

@@ -474,6 +474,18 @@ class TestImportBoundaryRule:
         assert code == 1
         assert [f["path"] for f in doc["findings"]] == ["src/repro/kernels/fast.py"]
 
+    def test_ctypes_outside_the_loader_flagged(self, tmp_path, capsys):
+        make_tree(tmp_path, {
+            "src/repro/compress/fast.py": "import ctypes\n",
+            "src/repro/kernels/launcher.py": "from ctypes import CDLL\n",
+            "src/repro/core/native.py": "import ctypes\n",  # the one loader
+            "src/tools/helper.py": "import ctypes\n",  # only the library is fenced
+        })
+        code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
+        assert code == 1
+        assert sorted(f["path"] for f in doc["findings"]) == [
+            "src/repro/compress/fast.py", "src/repro/kernels/launcher.py"]
+
     def test_compress_to_io_edge_flagged(self, tmp_path, capsys):
         make_tree(tmp_path, {
             "src/repro/compress/enc.py": "from ..io import container\n",
