@@ -37,8 +37,8 @@ from repro.compress.mgard import MgardCompressor
 from repro.core import native
 from repro.core.decompose import decompose, recompose
 from repro.core.grid import hierarchy_for
-from repro.kernels.autotune import measure_backend_times
-from repro.kernels.launcher import OP_SPECS, available_backends, run_op, set_kernel_backend
+from repro.kernels.launcher import (OP_SPECS, available_backends, measure_backend_times, run_op,
+                                    set_kernel_backend)
 from repro.workloads.synthetic import multiscale
 
 RESULTS = Path(__file__).parent / "results"

@@ -7,10 +7,6 @@ consumer — possibly lagging, possibly coarse — reads only the class
 prefixes its accuracy requires, using the s-norm hints the producer
 recorded in the manifest (never touching payload it doesn't need).
 
-Also prints the spectral-band view of the classes: each class carries
-roughly one octave of frequency content, which is *why* prefixes act as
-controlled low-pass approximations.
-
 Run:  python examples/streaming_coupling.py
 """
 
@@ -18,8 +14,6 @@ import tempfile
 
 import numpy as np
 
-from repro.analysis.spectrum import class_band_energy
-from repro.core.refactor import Refactorer
 from repro.io.stream import StepStreamReader, StepStreamWriter
 from repro.workloads.grayscott import simulate
 
@@ -46,16 +40,6 @@ def main() -> None:
             field, nbytes = reader.read(step, k=k)
             err = float(np.abs(field - exact).max())
             print(f"{tol:>12.0e} {k:>8} {nbytes:>11} {err:>12.3e}")
-
-    # -- why prefixes are low-pass approximations -------------------------
-    cc = Refactorer(shape).refactor(snapshots[-1])
-    print("\nspectral centroid of each class's contribution (cycles/domain):")
-    for band in class_band_energy(cc):
-        if band["energy"] > 1e-12:
-            print(
-                f"  class {band['class']}: centroid {band['centroid']:6.2f}  "
-                f"energy {band['energy']:.3e}"
-            )
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ MODULES = [
     "repro.gpu", "repro.cluster",
     "repro.compress", "repro.parallel", "repro.io", "repro.io.scrub",
     "repro.service",
-    "repro.faults", "repro.frame", "repro.workloads", "repro.analysis",
+    "repro.cache", "repro.faults", "repro.frame", "repro.workloads", "repro.analysis",
     "repro.experiments",
     "tools.reprolint",
 ]
@@ -25,7 +25,7 @@ NOTES = {
 float64) and `solver.thomas_solve`; modeled times come from
 `repro.gpu.model_pass`, never from the functional run.  `mass_apply` and
 `transfer_apply` remain as the dense-tested definitions of `M` and `R`
-(used by `adjoint` and the stencil's tests); the drivers never call them.
+(the oracle of the stencil's tests); the drivers never call them.
 The leaf loops (detail fill, stencil, Thomas sweep) run in C when
 `repro.core.native` has its library loaded (`REPRO_KERNEL_BACKEND =
 reference | native | auto`); the results are bit-identical.

@@ -1,24 +1,9 @@
 """Analysis routines for the showcase consumers (iso-surfaces, metrics)."""
 
-from .features import (
-    extrema_preservation,
-    feature_report,
-    gradient_energy_ratio,
-    histogram_similarity,
-    mass_conservation,
-)
 from .isosurface import contour_length, feature_accuracy, isosurface_area
-from .spectrum import class_band_energy, radial_power_spectrum
 
 __all__ = [
-    "class_band_energy",
     "contour_length",
-    "extrema_preservation",
-    "feature_report",
     "feature_accuracy",
-    "gradient_energy_ratio",
-    "histogram_similarity",
     "isosurface_area",
-    "mass_conservation",
-    "radial_power_spectrum",
 ]

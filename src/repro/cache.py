@@ -1,20 +1,21 @@
-"""Bytes-bounded LRU cache for decoded shards, steps and class prefixes.
+"""The package's one LRU: bounded by bytes and by entry count, thread-safe.
 
 Random access into a compressed stream re-rolls the whole key-frame
 chain on every request (`StepStreamReader.read_step` replays from the
 nearest key frame); a server doing that once per *request* would spend
-its tail latency re-decoding identical data.  :class:`LRUCache` is the
-shared fix: the service keeps decoded ``(generation, step, level,
-shard)`` arrays — one shard of a sharded step each, a whole step
-otherwise — in one bytes-bounded pool, and
-:class:`~repro.io.stream.StepStreamReader` uses a small instance of the
-same class for its own decoded-step cache (unsharded streams only: a
-sharded stream's shards are cached once per process, by the service).
+its tail latency re-decoding identical data.  The service keeps decoded
+``(generation, step, level, shard)`` arrays — one shard of a sharded
+step each, a whole step otherwise — in one bytes-bounded
+:class:`LRUCache`; :class:`~repro.io.stream.StepStreamReader` uses a
+small instance for its own decoded-step cache (unsharded streams only: a
+sharded stream's shards are cached once per process, by the service);
+the hierarchy memo of :mod:`repro.core.grid` and the plan memo of
+:mod:`repro.compress.plan` are entry-bounded instances.
 
-Deliberately dependency-free (importable from ``repro.io`` without
-touching the rest of the service package) and thread-safe — the asyncio
-event loop, its decode thread pool, and library callers may all touch
-one instance.
+A leaf module (stdlib only, like ``frame.py`` and ``errors.py``) — the
+asyncio event loop, its decode thread pool, and library callers may all
+touch one instance.  Concurrent misses may both build a value; the last
+writer wins, which is harmless for immutable entries.
 """
 
 from __future__ import annotations
@@ -111,26 +112,28 @@ class LRUCache:
             return True
 
     def clear(self) -> None:
+        """Drop every entry and reset the hit / miss / eviction counters."""
         with self._lock:
             self._data.clear()
             self._sizes.clear()
-            self._bytes = 0
+            self._bytes = self._hits = self._misses = self._evictions = 0
 
     @property
     def hit_rate(self) -> float:
-        asked = self._hits + self._misses
-        return self._hits / asked if asked else 0.0
+        return self.stats()["hit_rate"]
 
     def stats(self) -> dict:
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": self._evictions,
-            "entries": len(self._data),
-            "bytes": self._bytes,
-            "max_bytes": self.max_bytes,
-            "hit_rate": self.hit_rate,
-        }
+        with self._lock:
+            asked = self._hits + self._misses
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+                "entries": len(self._data),
+                "bytes": self._bytes,
+                "max_bytes": self.max_bytes,
+                "hit_rate": self._hits / asked if asked else 0.0,
+            }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -97,148 +97,12 @@ def _pipeline(
     return text
 
 
-def _shards() -> str:
-    """Shard-parallel compression across executor backends (byte-identical)."""
-    import os
-    import time
-
-    import numpy as np
-
-    from repro.cluster.sharded import ShardedCompressor, encode_shards
-    from repro.parallel.executors import available_workers
-    from repro.workloads.grayscott import simulate
-
-    side = 17 if os.environ.get("REPRO_BENCH_SCALE") == "ci" else 33
-    shape = (side, side, side)
-    data = simulate(shape, steps=40, params="spots")
-    tol = 1e-3 * float(data.max() - data.min())
-    n_shards = 4
-    sc = ShardedCompressor(shape, tol, n_shards=n_shards, backend="huffman")
-    lines = [
-        f"shard-parallel compression on {side}^3 ({n_shards} shards along "
-        f"axis 0, {available_workers()} workers):"
-    ]
-    reference = None
-    for spec in ("serial", "thread", "process:2"):
-        t0 = time.perf_counter()
-        payloads = encode_shards(data, sc.plan, sc.codec, spec)
-        dt = time.perf_counter() - t0
-        if reference is None:
-            reference = payloads
-        identical = payloads == reference
-        lines.append(
-            f"  {spec:10s} encode {dt * 1e3:8.1f} ms   "
-            f"{sum(len(p) for p in payloads):8d} bytes   "
-            f"bit-identical: {identical}"
-        )
-        assert identical, "shard containers must not depend on the executor"
-    frame = sc.compress(data)
-    err = float(np.abs(sc.decompress(frame) - data).max())
-    lines.append(
-        f"  round-trip L-inf error {err:.3e} <= tol {tol:.3e}: {err <= tol}"
-    )
-    return "\n".join(lines)
-
-
 def _fig11() -> str:
     return E.format_fig11(E.fig11_mgard(shape=(65, 65, 65)))
 
 
 def _offload() -> str:
     return E.format_offload(E.offload_experiment())
-
-
-def _entropy() -> str:
-    import os
-    import time
-
-    import numpy as np
-
-    from repro.compress.huffman import huffman_decode, huffman_encode
-    from repro.workloads.synthetic import skewed_bins
-
-    n = 1 << 16 if os.environ.get("REPRO_BENCH_SCALE") == "ci" else 1 << 20
-    vals = skewed_bins(n)
-    enc = dec = float("inf")
-    for _ in range(3):  # best of 3: the first pass pays the page faults
-        t0 = time.perf_counter()
-        payload, header = huffman_encode(vals)
-        t1 = time.perf_counter()
-        out = huffman_decode(payload, header)
-        t2 = time.perf_counter()
-        enc, dec = min(enc, t1 - t0), min(dec, t2 - t1)
-    assert np.array_equal(out, vals)
-    mb = vals.nbytes / 1e6
-    return "\n".join(
-        [
-            f"entropy stage on {n} skewed int64 symbols ({header['bits']} payload bits):",
-            f"  encode {enc * 1e3:8.1f} ms ({mb / enc:7.1f} MB/s)"
-            f"   decode {dec * 1e3:8.1f} ms ({mb / dec:7.1f} MB/s)",
-            "  in a stream: python3 benchmarks/e2e/run.py --workload stream_huffman"
-            " --trace 1 (compress.entropy_encode_s / compress.entropy_decode_s)",
-        ]
-    )
-
-
-def _parallel() -> str:
-    import os
-    import time
-
-    import numpy as np
-
-    from repro.parallel.executors import available_workers, get_executor
-    from repro.compress.lossless import decode_classes, encode_classes
-    from repro.compress.mgard import MgardCompressor
-    from repro.compress.timeseries import TimeSeriesCompressor
-    from repro.core.grid import hierarchy_for
-    from repro.core.refactor import Refactorer
-    from repro.workloads.grayscott import simulate
-
-    side = 33 if os.environ.get("REPRO_BENCH_SCALE") == "ci" else 65
-    shape = (side, side, side)
-    data = simulate(shape, steps=40, params="spots")
-    tol = 1e-3 * float(data.max() - data.min())
-    comp = MgardCompressor.for_shape(shape, tol, backend="huffman")
-    cc = Refactorer(shape).refactor(data)
-    bins, sizes, _ = comp.quantizer.quantize_flat(cc)
-    serial = get_executor("serial")
-    par = get_executor("parallel")
-    t0 = time.perf_counter()
-    p_s, h_s = encode_classes(bins, sizes, backend="huffman", executor=serial)
-    t_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    p_p, h_p = encode_classes(bins, sizes, backend="huffman", executor=par)
-    t_p = time.perf_counter() - t0
-    assert p_s == p_p and h_s == h_p, "parallel encode must be bit-identical"
-    flat, _ = decode_classes(p_p, h_p, executor=par)
-    assert np.array_equal(flat, bins)
-
-    drift = np.roll(data, 1, axis=0) * 0.01  # slowly-varying additive drift
-    frames = [data + t * drift for t in range(8)]
-    hier = hierarchy_for(shape)
-    t0 = time.perf_counter()
-    reused = TimeSeriesCompressor(
-        hier, tol, backend="huffman", reuse_codebooks=True
-    ).compress(frames)
-    t_reuse = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rebuilt = TimeSeriesCompressor(
-        hier, tol, backend="huffman", reuse_codebooks=False
-    ).compress(frames)
-    t_cold = time.perf_counter() - t0
-    return "\n".join(
-        [
-            f"parallel encode executor on {side}^3 ({available_workers()} workers, "
-            f"{len(sizes)} class segments):",
-            f"  serial   encode {t_s * 1e3:8.1f} ms",
-            f"  parallel encode {t_p * 1e3:8.1f} ms   ({t_s / t_p:4.2f}x, bit-identical)",
-            f"code-book reuse over {len(frames)} slowly-varying steps:",
-            f"  per-step rebuild {t_cold * 1e3:8.1f} ms   {rebuilt.nbytes:9d} bytes",
-            f"  reused books     {t_reuse * 1e3:8.1f} ms   {reused.nbytes:9d} bytes"
-            f"   ({t_cold / t_reuse:4.2f}x faster, "
-            f"{(1 - reused.nbytes / rebuilt.nbytes) * 100:4.1f}% smaller)",
-        ]
-    )
 
 
 def _lifecycle() -> str:
@@ -298,15 +162,8 @@ EXPERIMENTS = {
         "measured streaming-write pipeline vs modeled makespan "
         "(--mode refactored|compressed, --shards N, --json PATH)",
     ),
-    "shards": (
-        _shards,
-        "shard-parallel compression across executor backends "
-        "(byte-identical containers)",
-    ),
     "fig11": (_fig11, "MGARD compression stage breakdown"),
     "offload": (_offload, "CPU-app offload break-even analysis (paper §I)"),
-    "entropy": (_entropy, "entropy-stage (Huffman) encode/decode throughput"),
-    "parallel": (_parallel, "parallel class encoding + cross-step code-book reuse"),
     "chaos": (
         _chaos,
         "fault-injection chaos matrix: writer-crash recovery rate, "

@@ -37,7 +37,6 @@ from .plan import (
     refactor_plan,
 )
 from .quantizer import QuantizedClasses, Quantizer
-from .rate import RDPoint, bd_rate_gain, rate_distortion_curve
 from .timeseries import CompressedSeries, ResidualPlan, TimeSeriesCompressor
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "MgardCompressor",
     "PreparedFrame",
     "QuantizedClasses",
-    "RDPoint",
     "Quantizer",
     "RefactorPlan",
     "ResidualPlan",
@@ -59,7 +57,6 @@ __all__ = [
     "TimeSeriesCompressor",
     "apply_table_delta",
     "available_workers",
-    "bd_rate_gain",
     "build_code",
     "clear_plan_cache",
     "code_from_table",
@@ -74,7 +71,6 @@ __all__ = [
     "load_compressed",
     "materialize_classes_header",
     "plan_cache_stats",
-    "rate_distortion_curve",
     "refactor_plan",
     "save_compressed",
     "set_default_executor",

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.classes import class_sizes, num_classes
-from ..core.grid import TensorHierarchy, _coords_key, _LruCache, hierarchy_for
+from ..cache import LRUCache
+from ..core.grid import TensorHierarchy, coords_key, hierarchy_for
 
 __all__ = [
     "RefactorPlan",
@@ -127,7 +128,7 @@ class CompressionPlan:
         )
 
 
-_PLAN_CACHE = _LruCache(max_entries=128)
+_PLAN_CACHE = LRUCache(max_entries=128)
 
 
 def refactor_plan(
@@ -135,7 +136,7 @@ def refactor_plan(
     coords: tuple[np.ndarray | None, ...] | None = None,
 ) -> RefactorPlan:
     """Cached :class:`RefactorPlan` for one grid geometry."""
-    key = ("refactor", tuple(int(s) for s in shape), _coords_key(coords))
+    key = ("refactor", tuple(int(s) for s in shape), coords_key(coords))
     plan = _PLAN_CACHE.get(key)
     if plan is None:
         plan = RefactorPlan.for_hierarchy(hierarchy_for(shape, coords))
@@ -154,7 +155,7 @@ def compression_plan(
     key = (
         "compress",
         tuple(int(s) for s in shape),
-        _coords_key(coords),
+        coords_key(coords),
         float(tol),
         str(mode),
         str(backend),

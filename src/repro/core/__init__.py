@@ -35,8 +35,6 @@ from .grid import (
     num_levels_for_size,
 )
 from .mass import dense_mass_matrix, mass_apply, mass_apply_coarse
-from .adjoint import qoi_sensitivities, recompose_adjoint
-from .qoi import QoIAnalyzer, mean_functional, region_average
 from .refactor import Refactorer
 from .snorm import class_snorm, classes_for_tolerance, truncation_estimate
 from .solver import solve_correction, thomas_factor, thomas_solve
@@ -46,7 +44,6 @@ __all__ = [
     "CoefficientClasses",
     "Hierarchy1D",
     "LevelOps",
-    "QoIAnalyzer",
     "Refactorer",
     "TensorHierarchy",
     "assemble_from_classes",
@@ -71,15 +68,11 @@ __all__ = [
     "mass_apply",
     "mass_apply_coarse",
     "mass_transfer_apply",
-    "mean_functional",
     "num_classes",
     "num_levels_for_size",
     "prolong",
     "psnr",
-    "qoi_sensitivities",
     "recompose",
-    "recompose_adjoint",
-    "region_average",
     "reconstruct_from_classes",
     "rel_l2",
     "rel_linf",

@@ -36,12 +36,12 @@ Two classes are exported:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from ..cache import LRUCache
 
 __all__ = [
     "LevelOps",
@@ -603,54 +603,11 @@ class TensorHierarchy:
 # file/stream readers.
 
 
-class _LruCache:
-    """Thread-safe LRU memo with hit/miss counters.
-
-    Shared by the hierarchy cache here and the plan cache in
-    :mod:`repro.compress.plan`.  Concurrent misses may both build a
-    value; last writer wins, which is harmless for immutable entries.
-    """
-
-    def __init__(self, max_entries: int):
-        self._data: OrderedDict = OrderedDict()
-        self._max = int(max_entries)
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    def get(self, key):
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-                self._hits += 1
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._misses += 1
-            self._data[key] = value
-            while len(self._data) > self._max:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self._hits = self._misses = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._data),
-                "hits": self._hits,
-                "misses": self._misses,
-            }
+_HIER_CACHE = LRUCache(max_entries=128)
 
 
-_HIER_CACHE = _LruCache(max_entries=128)
-
-
-def _coords_key(coords) -> tuple | None:
+def coords_key(coords) -> tuple | None:
+    """Hashable form of per-axis coordinates, for the hierarchy and plan memos."""
     if coords is None:
         return None
     return tuple(
@@ -670,7 +627,7 @@ def hierarchy_for(
     compress/decompress of same-shape fields skips all per-geometry
     setup.  Callers must treat the returned hierarchy as immutable.
     """
-    key = (tuple(int(s) for s in shape), _coords_key(coords))
+    key = (tuple(int(s) for s in shape), coords_key(coords))
     hier = _HIER_CACHE.get(key)
     if hier is None:
         hier = TensorHierarchy.from_shape(tuple(shape), coords)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compress.mgard import MgardCompressor
+from ..core.errors import linf
 from ..core.grid import hierarchy_for
 from ..gpu.device import CpuSpec, DeviceSpec, POWER9_CORE, V100
 from ..io.workflow import (
@@ -241,7 +242,7 @@ def fig11_mgard(
     entropy_s = {"compress": blob.times.entropy_wall}
     back = comp.decompress(blob)
     entropy_s["decompress"] = blob.times.entropy_wall
-    err = float(np.max(np.abs(back - data)))
+    err = linf(back, data)
     if err > tol:
         raise AssertionError(f"error bound violated: {err} > {tol}")
     nbytes = {"compress": data.nbytes, "decompress": back.nbytes}

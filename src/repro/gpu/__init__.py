@@ -11,7 +11,6 @@ from .cost import KernelLaunch, cpu_kernel_time, gpu_kernel_time
 from .device import CpuSpec, DeviceSpec, I7_9700K_CORE, POWER9_CORE, RTX2080TI, V100
 from .memory import FootprintReport, MemoryTracker, refactoring_footprint
 from .offload import OffloadPoint, offload_analysis, offload_breakeven
-from .tracing import TraceEvent, build_timeline, to_chrome_trace
 
 __all__ = [
     "CpuSpec",
@@ -24,7 +23,6 @@ __all__ = [
     "OffloadPoint",
     "POWER9_CORE",
     "RTX2080TI",
-    "TraceEvent",
     "V100",
     "cpu_kernel_time",
     "gpu_kernel_time",
@@ -33,6 +31,4 @@ __all__ = [
     "offload_analysis",
     "offload_breakeven",
     "refactoring_footprint",
-    "build_timeline",
-    "to_chrome_trace",
 ]

@@ -62,6 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import faults
+from ..cache import LRUCache
 from ..compress.fileio import save_compressed
 from ..errors import ContainerError
 from ..compress.timeseries import TimeSeriesCompressor
@@ -69,7 +70,6 @@ from ..core.classes import CoefficientClasses
 from ..core.grid import hierarchy_for
 from ..core.refactor import Refactorer
 from ..core.snorm import truncation_estimate
-from ..service.cache import LRUCache
 from .container import (
     RefactoredFileReader,
     ShardedFileReader,

@@ -303,78 +303,32 @@ class MeasuredPipeline:
         }
 
 
-def _refactored_stages(writer: StepStreamWriter):
-    """refactor → encode → write over a raw refactored stream."""
+def _stages(writer: StepStreamWriter):
+    """``(stage names, [first, second, write])`` of a live writer's chain.
 
-    def refactor(frame):
-        return writer.refactorer.refactor(frame)
-
-    def encode(cc):
-        return writer.encode_refactored(cc)
-
-    def write(prep):
-        writer.commit_step(prep)
-        return prep.nbytes
-
-    return [refactor, encode, write]
-
-
-def _compressed_stages(writer: StepStreamWriter):
-    """predict → encode → write over a compressed (error-bounded) stream.
-
-    The predict stage owns the closed prediction loop (temporal
-    residual, refactor, quantize); encode is the entropy stage plus
-    container serialization.  Both are stateful across steps (the
-    prediction feedback and the code-book chain), which the pipeline's
-    per-stage in-order gates make safe.
+    All chains are three one-argument callables — the spine below neither
+    knows nor cares which mode it is running.  ``refactored``: refactor →
+    encode (container serialization) → write.  ``compressed``: predict
+    owns the closed prediction loop (temporal residual, refactor,
+    quantize), encode is the entropy stage plus serialization; both are
+    stateful across steps, which the pipeline's per-stage in-order gates
+    make safe.  A sharded writer (either payload mode): shard owns only
+    the in-order step-index claim, encode runs the per-shard fan-out
+    through the writer's executor and is stateless across steps — sharded
+    steps are independent partitions — so it overlaps freely.
     """
-
-    def predict(frame):
-        return writer.predict_step(frame)
-
-    def encode(pred):
-        return writer.encode_predicted(pred)
-
-    def write(prep):
-        writer.commit_step(prep)
-        return prep.nbytes
-
-    return [predict, encode, write]
-
-
-def _sharded_stages(writer: StepStreamWriter):
-    """shard → encode → write over a sharded stream (either payload mode).
-
-    The shard stage owns only the in-order step-index claim (cheap by
-    design); encode runs the per-shard refactor/compress fan-out
-    through the writer's executor and is stateless across steps —
-    sharded steps are independent partitions — so it overlaps freely.
-    """
-
-    def shard(frame):
-        return writer.shard_step(frame)
-
-    def encode(ss):
-        return writer.encode_sharded(ss)
+    if writer._shard_plan is not None:
+        name, first, second = "shard", writer.shard_step, writer.encode_sharded
+    elif writer.stream_mode == "compressed":
+        name, first, second = "predict", writer.predict_step, writer.encode_predicted
+    else:
+        name, first, second = "refactor", writer.refactorer.refactor, writer.encode_refactored
 
     def write(prep):
         writer.commit_step(prep)
         return prep.nbytes
 
-    return [shard, encode, write]
-
-
-#: The stream modes as configurations of one pipeline spine:
-#: (stage names, stage builder).  All chains are three one-argument
-#: callables over a live writer — the spine below neither knows nor
-#: cares which mode it is running.  ``shards > 1`` swaps in the sharded
-#: chain for either payload mode.
-_PIPELINE_MODES = {
-    "refactored": (("refactor", "encode", "write"), _refactored_stages),
-    "compressed": (("predict", "encode", "write"), _compressed_stages),
-}
-
-_SHARDED_STAGES = (("shard", "encode", "write"), _sharded_stages)
+    return (name, "encode", "write"), [first, second, write]
 
 
 def run_streaming_pipeline(
@@ -441,18 +395,15 @@ def run_streaming_pipeline(
     # import would re-enter this package mid-initialization
     from ..cluster.pipeline import PipelineModel, run_pipeline
 
-    if mode not in _PIPELINE_MODES:
+    if mode not in ("refactored", "compressed"):
         raise ValueError(
-            f"unknown pipeline mode {mode!r}; choose from {sorted(_PIPELINE_MODES)}"
+            f"unknown pipeline mode {mode!r}; choose from ['compressed', 'refactored']"
         )
     frames = list(frames)
     if not frames:
         raise ValueError("need at least one frame")
     shape = frames[0].shape
     sharded = shards is not None and int(shards) > 1
-    stage_names, make_stages = (
-        _SHARDED_STAGES if sharded else _PIPELINE_MODES[mode]
-    )
     writer_kwargs: dict = {}
     if mode == "compressed":
         if tol is None:
@@ -494,14 +445,12 @@ def run_streaming_pipeline(
         # pipelined one
         warmup = new_writer("warmup")
         warmup.commit_step(warmup.encode_step(frames[0]))
+        stage_names, stages = _stages(new_writer("serial"))
         serial_run = run_pipeline(
-            make_stages(new_writer("serial")),
-            frames,
-            executor="serial",
-            stage_names=stage_names,
+            stages, frames, executor="serial", stage_names=stage_names
         )
         pipelined_run = run_pipeline(
-            make_stages(new_writer("pipelined")),
+            _stages(new_writer("pipelined"))[1],
             frames,
             executor=executor,
             stage_names=stage_names,

@@ -2,7 +2,7 @@
 
 Embodies the paper's §III: the grid-processing and linear-processing
 kernel frameworks (literal tiled implementations for validation), the
-kernel launcher over the NumPy and C backends, and the launch-record
+backend registry over the NumPy and C kernels, and the launch-record
 builders whose Algorithm-3 walk the simulated-GPU / CPU-baseline cost
 models price (:func:`repro.gpu.analytic.model_pass`).
 """
@@ -14,13 +14,10 @@ from .launches import (
     category_of,
     iter_decompose_launches,
 )
-from .autotune import TuneResult, autotune
 from .batch3d import SliceLaunch, SlicedLinearProcessor
 from .grid_processing import GridProcessingKernel, interpolation_thread_assignment
 from .launcher import (
-    KernelLauncher,
     available_backends,
-    get_launcher,
     kernel_backend_policy,
     run_op,
     set_kernel_backend,
@@ -31,16 +28,12 @@ __all__ = [
     "CATEGORY",
     "CPU_BASELINE_OPTIONS",
     "GridProcessingKernel",
-    "KernelLauncher",
     "LinearProcessingKernel",
     "SliceLaunch",
-    "TuneResult",
     "SlicedLinearProcessor",
     "EngineOptions",
-    "autotune",
     "available_backends",
     "category_of",
-    "get_launcher",
     "interpolation_thread_assignment",
     "iter_decompose_launches",
     "kernel_backend_policy",

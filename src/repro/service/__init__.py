@@ -5,8 +5,8 @@ concurrent consumers with accuracy-driven retrieval — served over TCP:
 
 * :mod:`repro.service.protocol` — length-prefixed JSON+binary framing
   with zero-copy body writes and bounded, truncation-safe reads;
-* :mod:`repro.service.cache` — the bytes-bounded LRU over decoded
-  steps / prefix reconstructions;
+* :class:`repro.cache.LRUCache` — the bytes-bounded LRU over decoded
+  steps / prefix reconstructions (re-exported here);
 * :mod:`repro.service.batcher` — adaptive micro-batching: concurrent
   requests for the same ``(step, level)`` coalesce into one decode;
 * :mod:`repro.service.server` — :class:`CompressionService`: ingest
@@ -17,15 +17,16 @@ concurrent consumers with accuracy-driven retrieval — served over TCP:
 * :mod:`repro.service.client` — blocking :class:`ServiceClient` (with
   reconnect) and pipelining :class:`AsyncServiceClient`.
 
-``server``/``client`` import the streaming stack, which itself uses
-:mod:`repro.service.cache`; they are loaded lazily here so that
-``repro.io`` → ``repro.service.cache`` never cycles through them.
+``server``/``client`` import the streaming stack and ``server`` is also
+run as ``python -m repro.service.server``; they are loaded lazily here
+so that importing the package does not import the module about to run
+as ``__main__``.
 """
 
 from __future__ import annotations
 
+from ..cache import LRUCache
 from .batcher import MicroBatcher
-from .cache import LRUCache
 from .protocol import BusyError, ProtocolError, RemoteError, ServiceError
 
 __all__ = [

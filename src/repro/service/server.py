@@ -17,7 +17,7 @@ JSON+binary protocol of :mod:`repro.service.protocol`:
     decodes alone — one **shard** of a sharded step (a request touches
     only the shards its rows cover), else the whole step:
 
-    * an :class:`~repro.service.cache.LRUCache` keyed by
+    * an :class:`~repro.cache.LRUCache` keyed by
       ``(generation, step, level, shard)`` holds decoded units, so random
       access stops re-decoding (or re-rolling the key-frame chain);
     * an adaptive :class:`~repro.service.batcher.MicroBatcher`
@@ -64,11 +64,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ..cache import LRUCache
 from ..io.stream import StepStreamReader, StepStreamWriter, StreamError
 from ..parallel.executors import ThreadExecutor, available_workers, get_executor
 from . import protocol
 from .batcher import MicroBatcher
-from .cache import LRUCache
 from .protocol import ProtocolError, ServiceError
 
 __all__ = ["ServiceConfig", "CompressionService", "serve", "main"]

@@ -24,6 +24,7 @@ from . import frame
 from .compress.fileio import load_compressed, save_compressed
 from .compress.mgard import MgardCompressor
 from .core.classes import reconstruct_from_classes
+from .core.errors import linf
 from .core.grid import hierarchy_for
 from .core.refactor import Refactorer
 from .core.snorm import classes_for_tolerance
@@ -77,7 +78,7 @@ def _cmd_compress(args) -> int:
     blob = comp.compress(data)
     if args.verify:
         back = comp.decompress(blob)
-        err = float(np.abs(back - data).max())
+        err = linf(back, data)
         if err > tol:
             raise SystemExit(f"BUG: bound violated ({err} > {tol})")
     nbytes = save_compressed(args.output, blob)

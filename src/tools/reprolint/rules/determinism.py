@@ -15,8 +15,8 @@ byte-identity packages (``repro/compress/``, ``repro/kernels/``):
   (``for``-loops and comprehensions) — hash-order-dependent output.
 
 ``perf_counter``/``monotonic`` stay legal: *duration* measurement is a
-sanctioned idiom throughout (``StageTimes``, autotune, metered
-launchers) and the backends it arbitrates between are proven
+sanctioned idiom throughout (``StageTimes``, ``measure_backend_times``,
+the pipeline's stage clocks) and the backends it arbitrates between are proven
 bit-identical, so elapsed time never reaches encoded bytes.
 """
 

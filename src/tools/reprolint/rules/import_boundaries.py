@@ -1,6 +1,6 @@
 """``import-boundary``: the layering contracts of the package graph.
 
-Ten boundaries, each introduced by an earlier PR and otherwise
+Eleven boundaries, each introduced by an earlier PR and otherwise
 enforced only by convention:
 
 * **numba** is imported exclusively through ``repro/kernels/jit.py``
@@ -12,6 +12,9 @@ enforced only by convention:
   ``repro/errors.py``; a new back-edge would silently reintroduce it.
 * ``repro.service`` must not import ``repro.experiments`` — the
   service is a library layer, experiments are its consumers.
+* ``repro.core``, ``repro.compress`` and ``repro.io`` must not import
+  ``repro.service`` — the service serves the stack, the stack does not
+  reach up into it; what both need (the LRU) lives in ``repro/cache.py``.
 * ``tools`` must not import ``repro`` — the linter analyzes the tree
   statically and has to keep working when the library is broken.
 * ``repro`` must not import ``scipy`` — the correction solve is the
@@ -66,6 +69,11 @@ FORBIDDEN = (
         "repro.service",
         "repro.experiments",
         "the service layer is imported by experiments, never the reverse",
+    ),
+    *(
+        (pkg, "repro.service", "the service is the top layer; share code "
+         "through a leaf module (repro.cache, repro.errors, repro.frame)")
+        for pkg in ("repro.core", "repro.compress", "repro.io")
     ),
     (
         "tools",
@@ -143,7 +151,8 @@ class ImportBoundaryRule(Rule):
     name = "import-boundary"
     summary = (
         "numba only via repro.kernels.jit; no compress->io or "
-        "service->experiments edges; tools never imports repro; "
+        "service->experiments edges; core/compress/io never import "
+        "service; tools never imports repro; "
         "repro never imports scipy; core never imports kernels/gpu; "
         "the deleted executor/simmpi shims and the SPMD fabric stay "
         "deleted; only repro.parallel imports multiprocessing or stages "

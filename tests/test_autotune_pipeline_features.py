@@ -1,46 +1,8 @@
-"""Tests for the autotuner, the pipeline model, and feature metrics."""
+"""Tests for the analytic pipeline model."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.features import (
-    extrema_preservation,
-    feature_report,
-    gradient_energy_ratio,
-    histogram_similarity,
-    mass_conservation,
-)
 from repro.cluster.pipeline import PipelineModel, workflow_pipeline
-from repro.core.refactor import Refactorer
-from repro.kernels.autotune import autotune
-from repro.workloads.synthetic import multiscale
-
-
-class TestAutotune:
-    def test_3d_prefers_streams(self):
-        res = autotune((129, 129, 129))
-        assert res.best.n_streams > 1
-        assert res.best_seconds <= res.baseline_seconds
-        assert res.gain >= 1.0
-        assert res.evaluated == 20
-
-    def test_2d_streams_irrelevant(self):
-        res = autotune((1025, 1025))
-        # 2D has a single launch per kernel: stream count cannot help
-        by_streams = {}
-        for opts, t in res.table:
-            by_streams.setdefault(opts.lpf_threads_per_vector, set()).add(round(t, 12))
-        assert all(len(v) == 1 for v in by_streams.values())
-
-    def test_table_sorted(self):
-        res = autotune((65, 65, 65))
-        times = [t for _, t in res.table]
-        assert times == sorted(times)
-
-    def test_small_grid_prefers_fewer_threads_or_ties(self):
-        # on tiny grids occupancy is launch-bound; tuning must not lose
-        res = autotune((33, 33))
-        assert res.gain >= 1.0
 
 
 class TestPipelineModel:
@@ -84,60 +46,3 @@ class TestPipelineModel:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             workflow_pipeline(k_classes=99)
-
-
-class TestFeatureMetrics:
-    @pytest.fixture(scope="class")
-    def fields(self):
-        exact = multiscale((65, 65))
-        cc = Refactorer((65, 65)).refactor(exact)
-        coarse = cc.reconstruct(3)
-        fine = cc.reconstruct(cc.n_classes)
-        return exact, coarse, fine
-
-    def test_perfect_on_identity(self, fields):
-        exact, _, fine = fields
-        rep = feature_report(fine, exact)
-        assert all(v > 0.999 for v in rep.values()), rep
-
-    def test_scores_in_unit_interval(self, fields):
-        exact, coarse, _ = fields
-        rep = feature_report(coarse, exact)
-        assert all(0.0 <= v <= 1.0 for v in rep.values())
-
-    def test_scores_improve_with_classes(self, fields):
-        exact, coarse, _ = fields
-        cc = Refactorer((65, 65)).refactor(exact)
-        mid = cc.reconstruct(cc.n_classes - 1)
-        for name, score_fn in (
-            ("gradient", gradient_energy_ratio),
-            ("hist", histogram_similarity),
-        ):
-            assert score_fn(mid, exact) >= score_fn(coarse, exact) - 0.02, name
-
-    def test_gradient_energy_hardest_for_prefixes(self, fields):
-        exact, coarse, _ = fields
-        rep = feature_report(coarse, exact)
-        # smooth features (mass) survive a coarse prefix far better than
-        # gradient energy, which lives in the fine classes
-        assert rep["mass"] > rep["gradient_energy"]
-
-    def test_mass_conservation_is_tight_for_refactoring(self, rng):
-        # on a field with substantial mean (the relative metric is
-        # ill-conditioned near zero mean), L2-projected coarsening nearly
-        # conserves the integral even from a strict prefix
-        exact = multiscale((65, 65)) + 3.0
-        cc = Refactorer((65, 65)).refactor(exact)
-        assert mass_conservation(cc.reconstruct(cc.n_classes - 2), exact) > 0.95
-
-    def test_extrema_detect_clipping(self, rng):
-        exact = rng.standard_normal((32, 32))
-        clipped = np.clip(exact, -0.5, 0.5)
-        assert extrema_preservation(clipped, exact) < 0.9
-
-    def test_degenerate_constant_fields(self):
-        c = np.full((8, 8), 2.0)
-        assert histogram_similarity(c, c) == 1.0
-        assert extrema_preservation(c, c) == 1.0
-        assert mass_conservation(c, c) == 1.0
-        assert gradient_energy_ratio(c, c) == 1.0

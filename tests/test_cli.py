@@ -33,6 +33,5 @@ def test_experiment_registry_complete():
     assert set(EXPERIMENTS) == {
         "fig7", "table2", "table3", "table4", "table5", "table6",
         "fig8", "fig9", "fig10", "fig11", "offload", "validate", "lifecycle",
-        "ablations", "entropy", "parallel", "pipeline", "shards", "chaos",
-        "service",
+        "ablations", "pipeline", "chaos", "service",
     }

@@ -36,7 +36,7 @@ def test_example_runs(name):
 
 def test_all_examples_exist_and_have_docstrings():
     scripts = sorted(EXAMPLES.glob("*.py"))
-    assert len(scripts) >= 8
+    assert len(scripts) >= 7
     for script in scripts:
         text = script.read_text()
         assert text.startswith("#!/usr/bin/env python"), script.name

@@ -1,14 +1,13 @@
-"""Kernel-launcher seam: backend registry, policy, and the loader's failure paths.
+"""Kernel backend registry, policy, and the loader's failure paths.
 
 The contract under test: the selection policy (``REPRO_KERNEL_BACKEND``
-/ override / auto) resolves as documented, compiled handles are cached
-per (op, signature), and a host whose compiled library cannot be had —
-no compiler, a compiler that fails, a cache directory that cannot be
-written or is not the caller's, a corrupt cached file — degrades to the
-reference backend: silently under ``auto``, with exactly one warning per
-process under a direct ``native`` request, and never with an exception
-out of ``decompose``.  That the two backends give the same bits is
-``tests/test_native_identity.py``'s.
+/ override / auto) resolves as documented, and a host whose compiled
+library cannot be had — no compiler, a compiler that fails, a cache
+directory that cannot be written or is not the caller's, a corrupt
+cached file — degrades to the reference backend: silently under
+``auto``, with exactly one warning per process under a direct ``native``
+request, and never with an exception out of ``decompose``.  That the two
+backends give the same bits is ``tests/test_native_identity.py``'s.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.core.grid import hierarchy_for
 from repro.core.mass import mass_apply
 from repro.core.transfer import transfer_apply
 from repro.kernels import launcher as L
-from repro.kernels.autotune import autotune, measure_backend_times
 from repro.kernels.linear_processing import LinearProcessingKernel
 
 ALL_OPS = sorted(L.OP_SPECS)
@@ -123,14 +121,19 @@ def test_invalid_policy_rejected(monkeypatch):
 
 def test_unknown_backend_and_op_rejected():
     with pytest.raises(ValueError, match="unknown kernel backend"):
-        L.get_launcher("cuda")
+        L.run_op("cuda", "quantize", np.ones(4), np.ones(4))
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        L.run_op("auto", "quantize", np.ones(4), np.ones(4))  # a policy, not a backend
+    with pytest.raises(ValueError, match="unknown kernel op"):
+        L.run_op("reference", "fft", np.ones(4))
     with pytest.raises(ValueError, match="unknown kernel op"):
         L.resolve("fft", (8,), np.float64)
+    with pytest.raises(ValueError, match="kernel backend"):
+        L.resolve("solve", (8,), np.float64, "cuda")
 
 
 def test_reference_always_available():
     assert "reference" in L.available_backends()
-    assert L.get_launcher("reference").available()
 
 
 @needs_cc
@@ -385,27 +388,6 @@ def test_source_ships_as_package_data_and_the_key_covers_it():
 
 
 # ----------------------------------------------------------------------
-# compile cache accounting
-
-
-def test_compile_cache_hits_are_counted():
-    lau = L.ReferenceLauncher()
-    sig = L.Signature("float64", 2)
-    h1 = lau.compiled("solve", sig)
-    h2 = lau.compiled("solve", sig)
-    assert h1 is h2
-    assert lau.cache_info() == {"entries": 1, "compiles": 1, "cache_hits": 1}
-    lau.compiled("solve", L.Signature("float32", 2))  # new signature compiles
-    info = lau.cache_info()
-    assert info["entries"] == 2 and info["compiles"] == 2
-
-
-def test_signature_of_uses_first_array():
-    sig = L.signature_of(3, np.zeros((4, 5), dtype=np.float32), np.zeros(2))
-    assert sig == L.Signature("float32", 2)
-
-
-# ----------------------------------------------------------------------
 # the reference ops are the production arithmetic the literal kernels agree with
 
 
@@ -451,15 +433,16 @@ def test_run_op_rejects_an_unavailable_backend(fresh_loader, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# tuning
+# every op of the table, on every backend this host has
 
 
 def test_measure_backend_times_reports_available_backends():
-    times = measure_backend_times("mass_transfer", (8, 9), np.float64, repeats=1)
-    assert set(times) == set(L.available_backends())
-    assert all(t > 0 for t in times.values())
-
-
-def test_modeled_autotune_records_modeled_verdict():
-    res = autotune((65, 65))
-    assert res.why == "modeled" and res.backend == "reference"
+    for op in ALL_OPS:
+        times = L.measure_backend_times(op, (8, 9), np.float64, repeats=1)
+        assert set(times) == set(L.available_backends())
+        assert all(t > 0 for t in times.values())
+        args = L.OP_SPECS[op].make_inputs((8, 9), np.dtype(np.float64), np.random.default_rng(7))
+        want = L.run_op("reference", op, *args)
+        for backend in L.available_backends():
+            got = L.run_op(backend, op, *args)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (op, backend)

@@ -499,10 +499,13 @@ class TestImportBoundaryRule:
         make_tree(tmp_path, {
             "src/repro/service/api.py": "import repro.experiments.bench\n",
             "src/tools/helper.py": "from repro import faults\n",
+            # the stack never reaches up into the service
+            "src/repro/io/stream.py": "from ..service.cache import LRUCache\n",
+            "src/repro/core/grid.py": "import repro.service\n",
         })
         code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
         assert code == 1
-        assert len(doc["findings"]) == 2
+        assert len(doc["findings"]) == 4
 
     def test_scipy_under_repro_flagged(self, tmp_path, capsys):
         make_tree(tmp_path, {
@@ -582,6 +585,9 @@ class TestImportBoundaryRule:
             # io -> compress is the sanctioned direction
             "src/repro/io/fileio_user.py": "from ..compress import fileio\n",
             "src/repro/experiments/exp.py": "from repro.service import client\n",
+            # what io and the service share lives in a leaf module
+            "src/repro/io/stream.py": "from ..cache import LRUCache\n",
+            "src/repro/service/server.py": "from ..cache import LRUCache\n",
         })
         code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
         assert code == 0 and not doc["findings"]

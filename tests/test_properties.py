@@ -147,21 +147,6 @@ def test_progressive_full_reconstruction(data):
     assert np.abs(cc.reconstruct() - data).max() < 1e-8 * max(1.0, np.abs(data).max())
 
 
-@settings(max_examples=25, deadline=None)
-@given(shapes(), st.integers(0, 2**31 - 1))
-def test_adjoint_identity_property(shape, seed):
-    """<w, R x> == <R^T w, x> for random shapes and data."""
-    from repro.core.adjoint import recompose_adjoint
-
-    rng = np.random.default_rng(seed)
-    h = TensorHierarchy.from_shape(shape)
-    x = rng.standard_normal(shape)
-    w = rng.standard_normal(shape)
-    lhs = float(np.sum(w * recompose(x, h)))
-    rhs = float(np.sum(recompose_adjoint(w, h) * x))
-    assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
-
-
 @settings(max_examples=20, deadline=None)
 @given(data=shaped_data())
 def test_container_roundtrip_property(tmp_path_factory, data):

@@ -377,14 +377,6 @@ class TestShardedPipeline:
 
 
 class TestShardsCli:
-    def test_shards_experiment(self, monkeypatch, capsys):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "ci")
-        assert main(["shards"]) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical: True" in out
-
     def test_pipeline_shards_flag(self, monkeypatch, capsys, tmp_path):
         from repro.cli import main
 
