@@ -28,7 +28,9 @@ float64) and `solver.thomas_solve`; modeled times come from
 (the oracle of the stencil's tests); the drivers never call them.
 The leaf loops (detail fill, stencil, Thomas sweep) run in C when
 `repro.core.native` has its library loaded (`REPRO_KERNEL_BACKEND =
-reference | native | auto`); the results are bit-identical.
+reference | native | auto`); the results are bit-identical.  The same
+library holds the entropy stage's three integer loops (`huff_decode`,
+`huff_pack`, `huff_lengths`), taken from inside `repro.compress.huffman_*`.
 """,
     "repro.parallel": """\
 Backend selection (`get_executor(spec)` / `REPRO_EXECUTOR` /

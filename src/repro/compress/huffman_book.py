@@ -1,0 +1,295 @@
+"""The canonical Huffman code book: construction, header form, deltas.
+
+A code book (:class:`HuffmanCode`) *is* arrays — the sorted distinct
+int64 symbols, their code lengths and canonical codes, plus an optional
+escape code for rare outliers (values outside the table are emitted as
+the ESCAPE code followed by 64 raw bits).  Lengths come from a two-queue
+merge over the stably sorted ``np.unique`` counts (:func:`_code_lengths`;
+the merge loop runs in C under the ``native`` kernel backend, in Python
+otherwise — integer compares either way, so the same lengths); code
+assignment is canonical (sorted by (length, symbol)), so the decoder only
+needs the (symbol, length) pairs.  :func:`table_delta` /
+:func:`apply_table_delta` express one book as a compact edit script
+against another so reused books cost almost no header bytes.
+
+The heap construction the builder must agree with lives in
+``tests/huffman_oracle.py``.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+
+import numpy as np
+
+from ..core import native
+
+
+def _canonical(all_lens: np.ndarray):
+    """Canonical code assignment for per-entry lengths (ESCAPE last).
+
+    Returns ``(order, lens, first, count, base)``: ``order`` lists the
+    entries in canonical (length, position) order, and per distinct
+    length ``lens[k]`` the codes are the contiguous range ``[first[k],
+    first[k] + count[k])`` occupying canonical ranks ``base[k]...``.
+    """
+    if all_lens.size == 0:
+        raise ValueError("corrupt Huffman header: empty code table")
+    if all_lens.min() < 1 or all_lens.max() > 64:
+        raise ValueError("corrupt Huffman header: code length outside 1..64")
+    per_len = np.bincount(all_lens, minlength=65)
+    lens = np.flatnonzero(per_len)
+    count = per_len[lens]
+    first = []
+    code = prev = 0
+    for ln, c in zip(lens.tolist(), count.tolist()):
+        code <<= ln - prev
+        first.append(code)
+        code += c
+        prev = ln
+        if code > 1 << ln:
+            raise ValueError(
+                "corrupt Huffman header: code lengths oversubscribe the code space"
+            )
+    order = np.argsort(all_lens, kind="stable")
+    return order, lens, np.array(first, dtype=np.uint64), count, np.cumsum(count) - count
+
+
+def _code_lengths(counts: np.ndarray) -> np.ndarray:
+    """Huffman code length of every leaf weight in ``counts`` (int64).
+
+    Two-queue merge: leaves stably sorted by count in one queue, merged
+    nodes (created in non-decreasing weight) in the other; taking the
+    leaf on equal weight reproduces, merge for merge, a heap keyed
+    ``(weight, id)`` whose leaf ids follow position order and precede
+    every merged node's.
+    """
+    n = counts.size
+    if n == 1:
+        return np.ones(1, dtype=np.int64)
+    order = np.argsort(counts, kind="stable")
+    leaf = counts[order]
+    sorted_depth = native.huff_lengths(leaf)
+    if sorted_depth is None:
+        leaf = leaf.tolist()
+        node = [0] * (n - 1)  # merged-node weights, in creation order
+        leaf_parent = [0] * n
+        node_parent = [0] * (n - 1)
+        i = j = 0
+        for k in range(n - 1):
+            w = 0
+            for _ in range(2):
+                if i < n and (j == k or leaf[i] <= node[j]):
+                    w += leaf[i]
+                    leaf_parent[i] = k
+                    i += 1
+                else:
+                    w += node[j]
+                    node_parent[j] = k
+                    j += 1
+            node[k] = w
+        # the root is the last merged node; parents are created
+        # after their children, so one reverse pass sets every depth
+        node_depth = [0] * (n - 1)
+        for j in range(n - 3, -1, -1):
+            node_depth[j] = node_depth[node_parent[j]] + 1
+        sorted_depth = np.asarray(node_depth, dtype=np.int64)[leaf_parent] + 1
+    depth = np.empty(n, dtype=np.int64)
+    depth[order] = sorted_depth
+    return depth
+
+
+class HuffmanCode:
+    """A canonical Huffman code book held as arrays.
+
+    ``symbols`` are the distinct in-table int64 values in ascending
+    order, ``lengths`` / ``codes`` their code lengths and canonical
+    codes (uint64, right-aligned).  ``esc_len`` / ``esc_code`` describe
+    the ESCAPE code, ``None`` when the book has none.  Canonical order
+    is (length, symbol) with ESCAPE after every symbol of its length,
+    so the lengths alone determine the codes.
+    """
+
+    def __init__(self, symbols, lengths, esc_len: int | None = None):
+        symbols = np.asarray(symbols, dtype=np.int64).ravel()
+        lengths = np.asarray(lengths, dtype=np.int64).ravel()
+        if symbols.size != lengths.size:
+            raise ValueError("corrupt Huffman header: symbols and lengths differ in size")
+        if symbols.size > 1 and not np.all(symbols[1:] > symbols[:-1]):
+            raise ValueError(
+                "corrupt Huffman header: code-book symbols must be distinct and ascending"
+            )
+        all_lens = lengths if esc_len is None else np.append(lengths, int(esc_len))
+        self._canon = _canonical(all_lens)
+        order, _, first, count, base = self._canon
+        # one slot past the symbols: the ESCAPE entry, where out-of-book
+        # values map (length 0 in a book that has no escape)
+        codes = np.zeros(symbols.size + 1, dtype=np.uint64)
+        rank = np.arange(all_lens.size) - np.repeat(base, count)
+        codes[order] = np.repeat(first, count) + rank.astype(np.uint64)
+        self._slot_codes = codes
+        self._slot_lens = np.append(lengths, 0 if esc_len is None else int(esc_len))
+        self.symbols = symbols
+        self.lengths = self._slot_lens[:-1]
+        self.codes = codes[:-1]
+        self.esc_len = None if esc_len is None else int(esc_len)
+        self.esc_code = None if esc_len is None else int(codes[-1])
+        self._lut: np.ndarray | None = None  # dense value -> slot map
+        self._table: list | None = None
+        self._table_json: str | None = None
+
+    @classmethod
+    def from_counts(cls, symbols, counts, esc_count: int = 0) -> "HuffmanCode":
+        """Build the book of ascending ``symbols`` occurring ``counts`` times.
+
+        ``esc_count > 0`` adds an ESCAPE leaf of that weight, after every
+        symbol in :func:`_code_lengths`' tie order.
+        """
+        counts = np.asarray(counts, dtype=np.int64).ravel()
+        if esc_count > 0:
+            counts = np.append(counts, int(esc_count))
+        if counts.size == 0:
+            raise ValueError("cannot build a Huffman code from no symbols")
+        depth = _code_lengths(counts)
+        if esc_count > 0:
+            return cls(symbols, depth[:-1], int(depth[-1]))
+        return cls(symbols, depth)
+
+    @property
+    def table(self) -> list:
+        """Header-form ``[symbol, length]`` table, ``["ESC", length]``
+        last; built once per book and shared by every header that ships
+        it, so treat it as read-only."""
+        if self._table is None:
+            table = np.stack([self.symbols, self.lengths], axis=1).tolist()
+            if self.esc_len is not None:
+                table.append(["ESC", self.esc_len])
+            self._table = table
+        return self._table
+
+    @property
+    def table_json(self) -> str:
+        """JSON of :attr:`table`, serialized once per book (the reuse
+        policy weighs deltas against its length, and it is the form a
+        book is pickled in)."""
+        if self._table_json is None:
+            self._table_json = json.dumps(self.table)
+        return self._table_json
+
+    def __reduce__(self):
+        return _code_from_json, (self.table_json,)
+
+
+# "auto" escape reservation kicks in at this alphabet size: one
+# frequency-1 symbol among >= this many is rate noise (it displaces
+# only the rarest real symbol by one bit), while for tiny alphabets it
+# would visibly lengthen every code — there, rebuilding on the first
+# genuinely new symbol is cheaper than carrying the escape
+_RESERVE_ESCAPE_MIN_SYMS = 64
+
+
+def _build_code(
+    values: np.ndarray, max_table: int, reserve_escape: bool | str = False
+) -> HuffmanCode:
+    if max_table < 2:
+        raise ValueError(f"max_table must be at least 2, got {max_table}")
+    syms, counts = np.unique(values, return_counts=True)
+    if reserve_escape == "auto":
+        reserve_escape = syms.size >= _RESERVE_ESCAPE_MIN_SYMS
+    if syms.size == 0:
+        return HuffmanCode.from_counts([0], [1])
+    if syms.size <= max_table - (1 if reserve_escape else 0):
+        # a reserved (never-yet-used) escape lets this book absorb
+        # symbols that only appear in *later* data when it is reused
+        return HuffmanCode.from_counts(syms, counts, 1 if reserve_escape else 0)
+    # keep the most frequent symbols; the tail goes through ESCAPE
+    order = np.argsort(-counts, kind="stable")  # ties: smaller symbol first
+    keep = np.sort(order[: max_table - 1])
+    # every dropped symbol occurred at least once, so the escape weight is >= 1
+    escaped = int(counts.sum() - counts[keep].sum())
+    return HuffmanCode.from_counts(syms[keep], counts[keep], max(escaped, 1))
+
+
+def build_code(
+    values: np.ndarray, max_table: int = 4096, reserve_escape: bool | str = False
+) -> HuffmanCode:
+    """Build a canonical code book from data without encoding it.
+
+    With ``reserve_escape=True`` the book always contains an ESCAPE
+    code even when every distinct symbol fits the table, so the book
+    can later encode arrays containing symbols it has never seen — the
+    property cross-step code-book reuse relies on.  ``"auto"`` reserves
+    only for alphabets big enough that the extra symbol is rate noise;
+    reusers of escape-less books simply rebuild when a new symbol shows
+    up.
+    """
+    values = np.ascontiguousarray(values, dtype=np.int64).ravel()
+    return _build_code(values, max_table, reserve_escape=reserve_escape)
+
+
+# ----------------------------------------------------------------------
+# code-book (de)serialization and cross-step deltas
+
+
+def table_from_code(code: HuffmanCode) -> list:
+    """The header-form symbol/length table of a code book."""
+    return code.table
+
+
+def code_from_table(table: list) -> HuffmanCode:
+    """Rebuild the canonical code book from a header-form table."""
+    try:
+        esc_len, body = None, table
+        if len(table) and table[-1][0] == "ESC":  # where the emitter puts it
+            esc_len, body = int(table[-1][1]), table[:-1]
+        try:
+            pairs = np.array(body, dtype=np.int64).reshape(-1, 2)
+        except ValueError:
+            # a foreign table: ESC anywhere, any number of times, the last counts
+            esc = [e for e in table if e[0] == "ESC"]
+            if not esc:
+                raise
+            esc_len = int(esc[-1][1])
+            pairs = np.array([e for e in table if e[0] != "ESC"], dtype=np.int64).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError, IndexError) as exc:
+        raise ValueError(f"corrupt Huffman header: bad code table ({exc})") from None
+    order = np.argsort(pairs[:, 0], kind="stable")
+    return HuffmanCode(pairs[order, 0], pairs[order, 1], esc_len)
+
+
+@functools.lru_cache(maxsize=8)
+def _code_from_json(table_json: str) -> HuffmanCode:
+    """Unpickle hook of books: a pool worker rebuilds each distinct book
+    once, however many jobs or stream steps reuse it."""
+    return code_from_table(json.loads(table_json))
+
+
+def _table_dict(table: list) -> dict:
+    return {("ESC" if s == "ESC" else int(s)): int(ln) for s, ln in table}
+
+
+def table_delta(ref_table: list, new_table: list) -> dict:
+    """Edit script turning ``ref_table`` into ``new_table``.
+
+    Returns ``{"set": [[sym, len], ...], "drop": [sym, ...]}`` — only
+    the symbols whose code length changed, appeared, or vanished.  For
+    slowly-varying streams this is a small fraction of the full table,
+    so rebuilt books cost few header bytes when expressed as deltas.
+    """
+    ref = _table_dict(ref_table)
+    new = _table_dict(new_table)
+    return {
+        "set": [[s, ln] for s, ln in new.items() if ref.get(s) != ln],
+        "drop": [s for s in ref if s not in new],
+    }
+
+
+def apply_table_delta(ref_table: list, delta: dict) -> list:
+    """Invert :func:`table_delta`: apply an edit script to a base table."""
+    d = _table_dict(ref_table)
+    for s in delta.get("drop", ()):
+        d.pop("ESC" if s == "ESC" else int(s), None)
+    for s, ln in delta.get("set", ()):
+        d[("ESC" if s == "ESC" else int(s))] = int(ln)
+    return [[s, ln] for s, ln in d.items()]

@@ -1,4 +1,5 @@
-/* The refactoring leaf loops in C, loaded through ctypes by native.py.
+/* The refactoring leaf loops, and the entropy stage's integer loops, in C,
+ * loaded through ctypes by native.py.
  *
  * Every kernel performs, per element, exactly the floating-point
  * operations of the NumPy body it stands in for, in the same order: a
@@ -28,6 +29,7 @@
 #include <stdint.h>
 
 typedef int64_t i64;
+typedef uint64_t u64;
 
 enum { MAXD = 16, BLOCK = 128 };
 
@@ -231,4 +233,148 @@ void dequantize(const i64 *bins, const double *scale, double *out, i64 n)
 {
     for (i64 i = 0; i < n; i++)
         out[i] = (double)bins[i] * scale[i];
+}
+
+/* ---------------------------------------------------------------------
+ * The entropy stage (compress/huffman_*.py).  Integer loops only: the
+ * results equal the NumPy bodies' because there is nothing to round.
+ */
+
+enum { HUFF_OK = 0, HUFF_TRUNCATED = 1, HUFF_NO_MATCH = 2, HUFF_BAD_CHUNK = 3,
+       LUT_MISS = 255 /* huffman_unpack._LUT_MISS */ };
+
+/* the 64 stream bits from bit p of MSB-first words; callers hold p < total,
+ * so w[wi + 1] is at most the spill word behind the payload's last */
+INLINE u64 window(const u64 *w, i64 p)
+{
+    const i64 wi = p >> 6;
+    const unsigned r = (unsigned)(p & 63);
+    return r ? (w[wi] << r) | (w[wi + 1] >> (64 - r)) : w[wi];
+}
+
+/* The first-code tables of a book, as huffman_unpack._DecodeTables holds them:
+ * a window's top K bits index (lut_len, lut_sym); a LUT_MISS slot classifies by
+ * the search over the nlens distinct lengths (limits: the left-justified end of
+ * each length's code range but the last); a length above 64 is ESCAPE plus the
+ * 64 raw bits behind it. */
+typedef struct {
+    i64 K, nlens, esc_flat;
+    const uint8_t *lut_len;
+    const i64 *lut_sym, *lens, *base, *flat_syms;
+    const u64 *first, *count, *limits;
+} Book;
+
+/* Decode the symbol at bit *p of a total-bit payload and advance *p.  The
+ * cursor is compared to total before its window is fetched, an escape's raw
+ * bits before theirs, so nothing past words[(total - 1) / 64 + 1] is read
+ * whatever the payload holds. */
+INLINE i64 huff_step(const u64 *words, i64 total, const Book *k, i64 *p, i64 *sym)
+{
+    if (*p >= total) /* every symbol is at least one bit */
+        return HUFF_TRUNCATED;
+    const u64 win = window(words, *p);
+    i64 L = k->lut_len[win >> (64 - k->K)];
+    *sym = k->lut_sym[win >> (64 - k->K)];
+    if (L > k->K) {
+        if (L == LUT_MISS) {
+            i64 li = 0;
+            while (li < k->nlens - 1 && k->limits[li] <= win)
+                li++;
+            L = k->lens[li];
+            const u64 rank = (win >> (64 - L)) - k->first[li];
+            if (rank >= k->count[li])
+                return HUFF_NO_MATCH;
+            const i64 flat = k->base[li] + (i64)rank;
+            *sym = k->flat_syms[flat];
+            if (flat == k->esc_flat)
+                L += 64;
+        }
+        if (L > 64) {
+            if (*p + L > total)
+                return HUFF_TRUNCATED;
+            *sym = (i64)window(words, *p + L - 64); /* two's complement */
+        }
+    }
+    *p += L;
+    return *p > total ? HUFF_TRUNCATED : HUFF_OK;
+}
+
+/* One cursor per block, walked to completion: pos[b] is block b's first bit on
+ * entry and the bit behind its last symbol on return.  Every block holds
+ * `block` symbols, the last `rem`; symbols land block-major in out.  A symbol's
+ * length is known only once it is classified, so one cursor is one dependency
+ * chain: whole blocks advance LANES at a time, one symbol each in turn, which
+ * lets the chains overlap in the pipeline. */
+enum { LANES = 4 };
+
+i64 huff_decode(const u64 *words, i64 total, i64 *pos, i64 nblocks, i64 block, i64 rem,
+                i64 *out, i64 K, const uint8_t *lut_len, const i64 *lut_sym, i64 nlens,
+                const i64 *lens, const u64 *first, const u64 *count, const i64 *base,
+                const u64 *limits, const i64 *flat_syms, i64 esc_flat)
+{
+    const Book k = {K, nlens, esc_flat, lut_len, lut_sym, lens, base, flat_syms,
+                    first, count, limits};
+    i64 b = 0, status;
+    for (; b + LANES < nblocks; b += LANES) { /* never the last block: it may be short */
+        i64 *p = pos + b, *o = out + b * block;
+        for (i64 t = 0; t < block; t++)
+            for (int lane = 0; lane < LANES; lane++)
+                if ((status = huff_step(words, total, &k, p + lane, o + lane * block + t)))
+                    return status;
+    }
+    for (; b < nblocks; b++) {
+        const i64 n = b == nblocks - 1 ? rem : block;
+        for (i64 t = 0; t < n; t++)
+            if ((status = huff_step(words, total, &k, pos + b, out + b * block + t)))
+                return status;
+    }
+    return HUFF_OK;
+}
+
+/* MSB-first scatter of n (code, length) chunks at bit offsets[i] into the
+ * zeroed words of buf, which holds offsets[n] bits and one spill word */
+i64 huff_pack(const u64 *codes, const i64 *lens, const i64 *offsets, i64 n, u64 *buf)
+{
+    const i64 total = offsets[n];
+    for (i64 i = 0; i < n; i++) {
+        const i64 off = offsets[i], len = lens[i];
+        if (len < 1 || len > 64 || off < 0 || off > total - len)
+            return HUFF_BAD_CHUNK;
+        const u64 justified = codes[i] << (64 - len);
+        const unsigned r = (unsigned)(off & 63);
+        buf[off >> 6] |= justified >> r;
+        if (r)
+            buf[(off >> 6) + 1] |= justified << (64 - r);
+    }
+    return HUFF_OK;
+}
+
+/* Huffman code lengths of n >= 2 ascending leaf weights by the two-queue merge:
+ * leaves in one queue, merged nodes (created in non-decreasing weight) in the
+ * other, the leaf taken on equal weight.  scratch holds 3n words. */
+i64 huff_lengths(const i64 *leaf, i64 n, i64 *depth, i64 *scratch)
+{
+    i64 *node = scratch, *leaf_parent = scratch + n, *node_parent = scratch + 2 * n;
+    i64 i = 0, j = 0;
+    for (i64 k = 0; k < n - 1; k++) {
+        i64 w = 0;
+        for (int pick = 0; pick < 2; pick++) {
+            if (i < n && (j == k || leaf[i] <= node[j])) {
+                w += leaf[i];
+                leaf_parent[i++] = k;
+            } else {
+                w += node[j];
+                node_parent[j++] = k;
+            }
+        }
+        node[k] = w;
+    }
+    /* the root is the last merged node and parents follow their children, so
+     * one reverse pass turns node[] from weights into depths */
+    node[n - 2] = 0;
+    for (j = n - 3; j >= 0; j--)
+        node[j] = node[node_parent[j]] + 1;
+    for (i = 0; i < n; i++)
+        depth[i] = node[leaf_parent[i]] + 1;
+    return HUFF_OK;
 }

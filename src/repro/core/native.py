@@ -11,6 +11,14 @@ otherwise (float16, longdouble, byte-swapped input, no compiler) the
 function's own NumPy body runs.  Both give the same bits: the C performs
 the same operations in the same order, with contraction off.
 
+Once those are fast the entropy stage is what is left, so its three
+integer loops take the same route from inside :mod:`repro.compress`:
+the Huffman decode walk (:func:`huff_decode`), the word pack
+(:func:`huff_pack`) and the code-length merge (:func:`huff_lengths`).
+There is nothing to round in them, so equal results need no argument
+beyond equal loops; what they need is bounds, and every pointer handed
+over here is sized and range-checked first.
+
 Policy (``REPRO_KERNEL_BACKEND`` / ``--kernel-backend`` /
 :func:`set_kernel_backend`): ``reference`` — NumPy bodies only;
 ``native`` — C, with one ``RuntimeWarning`` per process and the NumPy
@@ -26,8 +34,9 @@ caller before anything in it is ``dlopen``-ed; a build goes to a unique
 temporary name, is sealed with a digest of its own bytes (checked before
 ``dlopen``, which faults on a truncated file) and is published with
 ``os.replace``.  A freshly loaded library is checked against the NumPy
-bodies on 5- and 6-point operands before it is used.  Nothing here raises out of a leaf: every failure
-resolves to the NumPy bodies.
+bodies on 5- and 6-point operands, and its Huffman entries against an
+eleven-symbol stream, before it is used.  Nothing here raises out of a
+leaf: every failure resolves to the NumPy bodies.
 
 This is the only module that imports :mod:`ctypes`.
 """
@@ -55,6 +64,9 @@ __all__ = [
     "available",
     "dequantize",
     "forced",
+    "huff_decode",
+    "huff_lengths",
+    "huff_pack",
     "kernel_backend_policy",
     "library_path",
     "quantize",
@@ -72,6 +84,10 @@ _MAX_OUTER = 16  # native.c's MAXD
 _SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
+_U64 = np.dtype(np.uint64)
+
+#: :func:`huff_decode`'s status words (``native.c``'s ``HUFF_*``)
+HUFF_TRUNCATED, HUFF_NO_MATCH = 1, 2
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +230,9 @@ _PROTOTYPES = {
     **{f"thomas_{s}": (_P, _P, _P, _P, _P, _P) for s in _SUFFIX.values()},
     **{f"quantize_{s}": (_P, _P, _P, _N) for s in _SUFFIX.values()},
     "dequantize": (_P, _P, _P, _N),
+    "huff_decode": (_P, _N, _P, _N, _N, _N, _P, _N, _P, _P, _N, _P, _P, _P, _P, _P, _P, _N),
+    "huff_pack": (_P, _P, _P, _N, _P),
+    "huff_lengths": (_P, _N, _P, _P),
 }
 
 
@@ -233,12 +252,24 @@ def _open(path: Path) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
         for name, argtypes in _PROTOTYPES.items():
             fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, None
+            # the float kernels return nothing; every huff_* entry a status word
+            fn.argtypes, fn.restype = argtypes, _N if name.startswith("huff_") else None
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"loading {path}: {exc}") from None
     if not _self_check(lib):
         raise _Unavailable(f"{path} disagrees with the NumPy bodies")
     return lib
+
+
+@contextmanager
+def _under_test(lib: ctypes.CDLL):
+    """The leaves called from this thread take the C route into ``lib``."""
+    _local.candidate = lib
+    try:
+        with forced("native"):
+            yield
+    finally:
+        _local.candidate = None
 
 
 def _self_check(lib: ctypes.CDLL) -> bool:
@@ -250,12 +281,8 @@ def _self_check(lib: ctypes.CDLL) -> bool:
     def agree(fn, *args) -> bool:
         with forced("reference"):
             want = fn(*args)
-        _local.candidate = lib
-        try:
-            with forced("native"):
-                got = fn(*args)
-        finally:
-            _local.candidate = None
+        with _under_test(lib):
+            got = fn(*args)
         return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 
     x = np.array([0.0, 0.11, 0.37, 0.52, 0.81, 1.0])
@@ -276,7 +303,47 @@ def _self_check(lib: ctypes.CDLL) -> bool:
             if not (agree(quantize, flat, np.linspace(0.5, 2.5, flat.size))
                     and agree(dequantize, np.arange(-9, 9), np.linspace(0.5, 2.5, 18))):
                 return False
-    return True
+    with _under_test(lib):
+        return _huffman_self_check()
+
+
+def _huffman_self_check() -> bool:
+    """The three Huffman entries on the book of twenty Fibonacci weights — code
+    lengths 1..19, the length-``L`` symbol ``L`` coded ``2**L - 2``, ESCAPE the
+    second 19-bit code — against Python's integers: eleven symbols in six blocks
+    of two (four abreast, one more, a short tail) behind a 4-bit prefix table
+    (hits, misses resolved by the first-code search, an escape found only there)."""
+    fib = [1, 1]
+    while len(fib) < 20:
+        fib.append(fib[-1] + fib[-2])
+    if not np.array_equal(huff_lengths(np.array(fib)), [19, *range(19, 0, -1)]):
+        return False
+    stream = [1, 19, -7, 4, 18, 2, 1, 1, 3, 2**62 + 1, 5]  # -7 and 2**62 + 1 escape
+    chunks = []
+    for v in stream:
+        chunks += [(2**v - 2, v)] if 1 <= v <= 19 else [(2**19 - 1, 19), (v % 2**64, 64)]
+    codes, lens = (np.array(c, dtype=t) for c, t in zip(zip(*chunks), (_U64, _I64)))
+    offsets = np.concatenate([[0], np.cumsum(lens)])
+    total, bits = int(offsets[-1]), 0
+    for c, ln in chunks:
+        bits = bits << ln | c
+    n_words = (total + 63) >> 6
+    bits <<= 64 * n_words - total
+    want = [bits >> 64 * (n_words - 1 - i) & 2**64 - 1 for i in range(n_words)] + [0]
+    words = huff_pack(codes, lens, offsets)
+    if words is None or words.tolist() != want:
+        return False
+    at = offsets[np.flatnonzero(lens < 64)]  # where each symbol starts
+    L = np.arange(1, 20)
+    first = (np.uint64(1) << L.astype(_U64)) - np.uint64(2)
+    count = np.array([1] * 18 + [2], dtype=_U64)
+    search = (L, first, count, L - 1, ((first + count) << (64 - L).astype(_U64))[:-1])
+    prefix = (4, np.array([1] * 8 + [2] * 4 + [3, 3, 4, 255], dtype=np.uint8),
+              np.array([1] * 8 + [2] * 4 + [3, 3, 4, 0]))
+    tables = (prefix, search, np.append(L, 0), 19)
+    status, out, ends = huff_decode(words, at[::2], 2, 1, total, *tables)
+    return (status == 0 and out.tolist() == stream and ends.tolist() == [*at[2::2], total]
+            and huff_decode(words, at[::2], 2, 1, total - 1, *tables)[0] == HUFF_TRUNCATED)
 
 
 def _load() -> tuple[ctypes.CDLL, Path]:
@@ -420,10 +487,14 @@ def thomas(f: np.ndarray, lower, cp, denom, axis: int) -> np.ndarray | None:
     return out
 
 
+def _flat(a: np.ndarray, dtype: np.dtype) -> bool:
+    """A contiguous 1D operand of ``dtype``."""
+    return a.dtype == dtype and a.ndim == 1 and a.flags.c_contiguous
+
+
 def _flat_pair(a: np.ndarray, b: np.ndarray) -> bool:
     """Two contiguous 1D operands of one length, the second float64."""
-    return (a.ndim == 1 and a.shape == b.shape and b.dtype == _F64
-            and a.flags.c_contiguous and b.flags.c_contiguous)
+    return _flat(a, a.dtype) and _flat(b, _F64) and a.shape == b.shape
 
 
 def quantize(flat: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -446,3 +517,76 @@ def dequantize(bins: np.ndarray, scale: np.ndarray) -> np.ndarray:
     out = np.empty(bins.shape, dtype=_F64)
     lib.dequantize(bins.ctypes.data, scale.ctypes.data, out.ctypes.data, bins.size)
     return out
+
+
+# ----------------------------------------------------------------------
+# the entropy stage's integer loops (repro.compress.huffman_*)
+
+
+def huff_decode(words, starts, block, rem, total, prefix, search, flat_syms, esc_flat):
+    """Walk one cursor per block of ``block`` symbols (the last: ``rem``)
+    through the MSB-first payload ``words`` of ``total`` bits.
+
+    ``prefix`` is ``(K, lengths, symbols)`` indexed by a window's top K
+    bits, ``search`` the first-code tables ``(lens, first, count, base,
+    limits)`` a table miss classifies through.  Returns ``None`` for the
+    NumPy body, else ``(status, symbols, cursors)``: status 0, or
+    :data:`HUFF_TRUNCATED` / :data:`HUFF_NO_MATCH` with the other two
+    undefined; ``cursors`` is the bit behind each block's last symbol.
+    The C reads ``words`` only below bit ``total`` plus one spill word,
+    which is why the starts and the buffer's size are checked here.
+    """
+    K, lut_len, lut_sym = prefix
+    lens, first, count, base, limits = search
+    n_blocks = len(starts)
+    lib = _library_for(words, lut_len, flat_syms)
+    if lib is None or not (
+        n_blocks > 0 and 1 <= rem <= block and 1 <= K <= 16
+        and _flat(words, _U64) and words.size > (total + 63) >> 6
+        and _flat(lut_len, np.dtype(np.uint8)) and _flat(lut_sym, _I64)
+        and lut_len.size == lut_sym.size == 1 << K
+        and _flat(lens, _I64) and lens.size > 0 and 1 <= lens.min() and lens.max() <= 64
+        and _flat(first, _U64) and _flat(count, _U64) and _flat(base, _I64) and _flat(limits, _U64)
+        and first.size == count.size == base.size == limits.size + 1 == lens.size
+        and _flat(flat_syms, _I64) and flat_syms.size == int(base[-1]) + int(count[-1])
+    ):
+        return None
+    pos = np.array(starts, dtype=_I64)
+    if int(pos.min()) < 0 or int(pos.max()) > total:
+        return None  # the NumPy body names the error
+    out = np.empty((n_blocks - 1) * block + rem, dtype=_I64)
+    status = lib.huff_decode(
+        words.ctypes.data, total, pos.ctypes.data, n_blocks, block, rem, out.ctypes.data, K,
+        lut_len.ctypes.data, lut_sym.ctypes.data, lens.size,
+        *(a.ctypes.data for a in search), flat_syms.ctypes.data, esc_flat)
+    return status, out, pos
+
+
+def huff_pack(codes: np.ndarray, lens: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
+    """``huffman_pack._pack_chunks_words``'s word buffer, or ``None`` for the
+    NumPy body (which also takes any chunk outside ``offsets[-1]`` bits)."""
+    ok = (_flat(codes, _U64) and _flat(lens, _I64) and _flat(offsets, _I64)
+          and codes.size == lens.size == offsets.size - 1)
+    lib = _library_for(codes, lens, offsets) if ok else None
+    if lib is None or offsets[-1] < 0:
+        return None
+    buf = np.zeros(((int(offsets[-1]) + 63) >> 6) + 1, dtype=_U64)
+    if lib.huff_pack(codes.ctypes.data, lens.ctypes.data, offsets.ctypes.data, codes.size,
+                     buf.ctypes.data):
+        return None
+    return buf
+
+
+def huff_lengths(leaf: np.ndarray) -> np.ndarray | None:
+    """Huffman code lengths of the ascending leaf weights ``leaf`` (two or
+    more, ties broken as ``huffman_book._code_lengths`` documents), or ``None``
+    for the Python merge — which also takes weights whose sum could leave
+    int64, where Python's integers grow."""
+    ok = _flat(leaf, _I64) and leaf.size >= 2 and leaf[0] >= 0 and float(leaf.sum(dtype=_F64)) < 2.0**62
+    lib = _library_for(leaf) if ok else None
+    if lib is None:
+        return None
+    depth = np.empty(leaf.size, dtype=_I64)
+    scratch = np.empty(3 * leaf.size, dtype=_I64)
+    lib.huff_lengths(leaf.ctypes.data, leaf.size, depth.ctypes.data, scratch.ctypes.data)
+    return depth

@@ -4,7 +4,10 @@ The paper's premise is hand-tuned kernels selected per configuration
 (§III-A); this module makes the backend a *configuration axis* for
 tests, benchmarks and the record a benchmark stamps.  An op **is** the
 production leaf (:data:`OP_SPECS`): the functions of :mod:`repro.core`
-that ``decompose``/``recompose`` call, and the quantizer's two passes.
+that ``decompose``/``recompose`` call, the quantizer's two passes, and
+the entropy stage's three integer loops (``huff_lengths`` /
+``huff_pack`` / ``huff_decode``: the code-length merge, the word pack
+and the sync-block decode walk of :mod:`repro.compress.huffman`).
 Each leaf holds its NumPy body and takes the C route of
 :mod:`repro.core.native` itself, so the two backends are the same
 function run under a forced policy (:func:`run_op`): ``reference`` (the
@@ -23,6 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ..compress import huffman_book, huffman_pack, huffman_unpack
 from ..core import native
 from ..core.coefficients import compute_coefficients, restore_from_coefficients
 from ..core.decompose import restrict_all
@@ -87,6 +91,29 @@ def _make_dequantize(shape, dtype, rng):
     return rng.integers(-2000, 2000, n, dtype=np.int64), _steps(n, rng)
 
 
+def _bins(shape, rng):  # a high-entropy segment: a few hundred distinct symbols
+    return np.round(rng.standard_normal(max(int(np.prod(shape)), 1)) * 40.0).astype(np.int64)
+
+
+def _make_huff_lengths(shape, dtype, rng):
+    return (np.unique(_bins(shape, rng), return_counts=True)[1],)
+
+
+def _make_huff_pack(shape, dtype, rng):
+    bins = _bins(shape, rng)
+    return huffman_pack._chunkify(bins, huffman_book.build_code(bins))[:3]
+
+
+def _make_huff_decode(shape, dtype, rng):
+    bins = _bins(shape, rng)
+    code = huffman_book.build_code(bins)
+    words, total, sync = huffman_pack._encode_range(bins, 0, bins.size, code)[:3]
+    words = np.append(words, np.uint64(0))  # the decoder's second spill word
+    starts, ends = huffman_unpack._block_bounds(sync[1:], total)
+    rem = bins.size - (starts.size - 1) * huffman_pack._SYNC_BLOCK
+    return words, starts, ends, rem, total, huffman_unpack.decode_tables(code)
+
+
 class OpSpec(NamedTuple):
     """One dispatchable op: the leaf both backends run + an operand builder."""
 
@@ -105,6 +132,9 @@ OP_SPECS: dict[str, OpSpec] = {
         OpSpec("solve", thomas_sweep, _make_solve),
         OpSpec("quantize", native.quantize, _make_quantize),
         OpSpec("dequantize", native.dequantize, _make_dequantize),
+        OpSpec("huff_lengths", huffman_book._code_lengths, _make_huff_lengths),
+        OpSpec("huff_pack", huffman_pack._pack_chunks_words, _make_huff_pack),
+        OpSpec("huff_decode", huffman_unpack._decode_sync_range, _make_huff_decode),
     )
 }
 
@@ -130,14 +160,16 @@ def resolve(op: str, shape: tuple[int, ...], dtype, policy: str | None = None) -
 
     ``native`` where the policy is ``native`` or ``auto``, the library is
     available and ``dtype`` takes the C route (native-endian float32 /
-    float64; int64 bins for ``dequantize``); ``reference`` otherwise —
+    float64; int64 bins for ``dequantize``; the ``huff_*`` ops are integer
+    loops whatever field they serve); ``reference`` otherwise —
     after one ``RuntimeWarning`` per process when ``native`` was asked for
     by name and cannot be had.  ``shape`` does not enter: the C route is
     faster at every size.
     """
     _check_op(op)
     dtype = np.dtype(dtype)
-    takes_c = dtype == np.int64 if op == "dequantize" else native.supports(dtype)
+    takes_c = op.startswith("huff_") or (
+        dtype == np.int64 if op == "dequantize" else native.supports(dtype))
     with native.forced(policy if policy is not None else kernel_backend_policy()):
         return Resolved("native" if takes_c and native.active() else "reference")
 

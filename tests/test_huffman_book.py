@@ -4,8 +4,9 @@
 per element and per bit.  Production must give the same code lengths
 and canonical codes from its two-queue merge, the same payload bytes and
 headers from its mapped/packed encode whichever symbol mapping it
-picks, and the same symbols from either decode selection — including a
-``ValueError`` from both on every corrupt payload.
+picks, and the same symbols from either decode selection under either
+kernel backend — including a ``ValueError`` from all four on every
+corrupt payload.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import huffman_oracle as O
 import repro.compress.huffman as H
 from repro.compress import lossless
 from repro.compress.lossless import decode_classes, encode_classes
+from repro.core import native
 
 SYNC = H._SYNC_BLOCK
 
@@ -167,14 +169,20 @@ class TestSymbolMapping:
         )
 
 
-@pytest.fixture(params=["chain", "lockstep"])
+@pytest.fixture(params=["chain", "lockstep", "chain-native", "lockstep-native"])
 def decode(request, monkeypatch):
-    """``huffman_decode`` pinned to one selection for headers with sync.
+    """``huffman_decode`` pinned to one selection for headers with sync,
+    under one kernel backend: the bare ids run the NumPy bodies (the
+    ``reference`` backend), ``-native`` the C walk each selection hands
+    its blocks to.
 
     Asserts the pinned path ran, so a selection-rule change cannot
     quietly turn the lockstep cases into second chain runs.
     """
-    chain = request.param == "chain"
+    selection, _, backend = request.param.partition("-")
+    if backend and not native.available():
+        pytest.skip("no C compiler on this host")
+    chain = selection == "chain"
     taken = []
     for name in ("_decode_chain", "_decode_sync"):
         def spy(*a, _orig=getattr(H, name), _name=name, **k):
@@ -187,7 +195,8 @@ def decode(request, monkeypatch):
     def run(payload, header, **kw):
         del taken[:]
         try:
-            return H.huffman_decode(payload, header, **kw)
+            with native.forced(backend or "reference"):
+                return H.huffman_decode(payload, header, **kw)
         finally:
             if taken and "sync" in header:
                 assert taken == ["_decode_chain" if chain else "_decode_sync"]

@@ -55,6 +55,13 @@ def fresh_loader(tmp_path, monkeypatch):
     native._reset()  # the next leaf call loads from the session's directory again
 
 
+_MISCOMPILES = {
+    "wrong_answers": (b"acc = acc + w1", b"acc = acc - w1"),
+    "wrong_huffman_walk": (b"limits[li] <= win", b"limits[li] < win"),
+    "wrong_huffman_lanes": (b"o + lane * block + t", b"o + lane * block"),
+}
+
+
 def _plant(directory: Path, damage: str) -> Path:
     """Put a damaged file where the loader will look for its library — before
     this process has opened that path (``dlopen`` answers a path it has already
@@ -62,8 +69,8 @@ def _plant(directory: Path, damage: str) -> Path:
     cc, version = native._compiler()
     path = native._private_dir() / f"native-{native.build_key(native.source(), version)}.so"
     assert path.parent == directory and not path.exists()
-    if damage == "wrong_answers":  # loads, but is a stale build of other source
-        native._build(cc, native.source().replace(b"acc = acc + w1", b"acc = acc - w1"), path)
+    if damage in _MISCOMPILES:  # loads, but is a stale build of other source
+        native._build(cc, native.source().replace(*_MISCOMPILES[damage]), path)
     elif damage == "truncated":
         native._build(cc, native.source(), path)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
@@ -305,6 +312,17 @@ def test_library_that_disagrees_with_numpy_is_not_used(fresh_loader):
     (warning,) = _decompose_falls_back("native")
     assert "disagrees with the NumPy bodies" in str(warning.message)
     assert path.read_bytes() == stale
+
+
+@needs_cc
+@pytest.mark.parametrize("damage", sorted(set(_MISCOMPILES) - {"wrong_answers"}))
+def test_library_whose_huffman_entries_disagree_is_not_used(fresh_loader, damage):
+    """The load-time check reaches the first-code search behind the prefix
+    table and the four-abreast walk."""
+    assert native.source().count(_MISCOMPILES[damage][0]) == 1
+    _plant(fresh_loader, damage)
+    (warning,) = _decompose_falls_back("native")
+    assert "disagrees with the NumPy bodies" in str(warning.message)
 
 
 @needs_cc

@@ -6,7 +6,11 @@ non-uniform coordinates, the C-route dtypes (float32/float64) and the
 NumPy-body ones (float16, longdouble, byte-swapped, integer), C-, F-
 ordered, strided and read-only inputs.  ``decompose``, ``recompose`` and
 ``Refactorer.reconstruct`` must agree bit for bit, never alias or mutate
-the input, and reject a NaN/Inf input alike.  On top of it, stream
+the input, and reject a NaN/Inf input alike.  The entropy stage's integer
+loops get the same treatment — payload bytes, headers, code lengths and
+decoded symbols per backend against each other and the heap/scalar
+oracle — plus a mutation run that must end every damaged segment in a
+``ValueError`` or an array, never a signal.  On top of it, stream
 directories written under either backend by any executor hash the same.
 """
 
@@ -23,9 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import huffman_oracle as O
+import repro.compress.huffman as H
 from repro.core import native
 from repro.core.decompose import decompose, recompose
 from repro.core.refactor import Refactorer
+from repro.parallel import get_executor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -182,13 +189,174 @@ def test_dequantize_agrees_including_extremes(rng):
 
 
 # ----------------------------------------------------------------------
+# the entropy stage: code lengths, payload bytes, headers, decoded symbols
+
+SYNC = H._SYNC_BLOCK
+_FIB = [1, 1]
+while len(_FIB) < 40:
+    _FIB.append(_FIB[-1] + _FIB[-2])
+
+
+def _huffman_outcome(vals, max_table, book_counts, executor):
+    """Everything one backend makes of a segment.  The policy is set process
+    wide, not ``forced``: an executor's worker threads have to follow it."""
+    code = None
+    if book_counts is not None:  # a supplied book: codes up to 39 bits, and an escape
+        code = H.HuffmanCode.from_counts(np.arange(len(book_counts)) * 3, book_counts, 1)
+    payload, header = H.huffman_encode(vals, max_table, code=code, executor=executor)
+    return payload, header, H.huffman_decode(payload, header, executor=executor)
+
+
+@st.composite
+def segments(draw):
+    kind = draw(st.sampled_from(["one", "few", "long-codes", "wide"]))
+    n = draw(st.sampled_from([0, 1, SYNC - 1, SYNC, SYNC + 1, 3 * SYNC + 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    max_table, book_counts = draw(st.sampled_from([2, 16, 4096])), None
+    if kind == "one":
+        vals = np.full(n, draw(st.integers(-(2**63), 2**63 - 1)), dtype=np.int64)
+    elif kind == "few":
+        vals = rng.integers(-20, 20, n)
+    elif kind == "long-codes":  # uniform draws over a Fibonacci book and one alien, which escapes
+        book_counts = _FIB[: draw(st.sampled_from([18, 40]))]
+        vals = rng.integers(0, len(book_counts) + 1, n) * 3
+    else:  # more distinct symbols than the largest table: truncation + ESCAPE
+        n, max_table = 9 * SYNC + 7, 4096
+        vals = rng.integers(-(2**62), 2**62, n)
+        assert np.unique(vals).size > max_table
+    return vals.astype(np.int64), max_table, book_counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments())
+def test_huffman_backends_agree_with_each_other_and_the_oracle(segment):
+    vals, max_table, book_counts = segment
+    got = {}
+    try:
+        for backend in ("reference", "native"):
+            native.set_kernel_backend(backend)
+            payload, header, out = _huffman_outcome(vals, max_table, book_counts, None)
+            bare = {k: v for k, v in header.items() if k != "sync"}  # one block, any length
+            got[backend] = (payload, header)
+            for decoded in (out, H.huffman_decode(payload, bare)):
+                assert decoded.dtype == np.int64 and np.array_equal(decoded, vals)
+    finally:
+        native.set_kernel_backend(None)
+    assert got["native"] == got["reference"]
+    if book_counts is None:
+        assert (payload, header) == O.huffman_encode_scalar(vals, max_table)
+    else:
+        freqs = dict(zip((np.arange(len(book_counts)) * 3).tolist(), book_counts), ESC=1)
+        assert O.lengths_from_table(header.get("table", [])) == (O.heap_lengths(freqs) if vals.size else {})
+        assert payload == (O.encode_with_book(vals, O.heap_lengths(freqs))[0] if vals.size else b"")
+
+
+@pytest.mark.parametrize("book", [False, True], ids=["built", "long-codes"])
+def test_huffman_backends_agree_under_an_engaged_executor(book, rng, monkeypatch):
+    """Two sync-aligned encode ranges and two decode ranges on two threads."""
+    monkeypatch.setattr(H, "_MIN_DECODE_BLOCKS_PER_WORKER", 1)
+    n = 2 * H._BLOCK_SYMBOLS + 3 * SYNC + 40
+    if book:
+        vals = (rng.integers(0, 41, n) * 3).astype(np.int64)
+    else:
+        vals = np.round(rng.standard_normal(n) * 300).astype(np.int64)
+        vals[:: n // 9] = rng.integers(-(2**62), 2**62, vals[:: n // 9].size)
+    ranges = []
+    real = H._decode_sync_range
+    monkeypatch.setattr(H, "_decode_sync_range", lambda *a: (ranges.append(len(a[1])), real(*a))[1])
+    got = {}
+    try:
+        for backend in ("reference", "native"):
+            native.set_kernel_backend(backend)
+            for spec in ("serial", "thread:2"):
+                got[backend, spec] = _huffman_outcome(vals, 256, _FIB if book else None,
+                                                      get_executor(spec))
+    finally:
+        native.set_kernel_backend(None)
+    assert sorted(ranges)[0] < len(got["native", "serial"][1]["sync"]) // 2 + 2  # split engaged
+    want = got["reference", "serial"]
+    for payload, header, decoded in got.values():
+        assert (payload, header) == want[:2] and np.array_equal(decoded, vals)
+
+
+_MUTATE = '''
+import sys
+import numpy as np
+import repro.compress.huffman as H
+from repro.core import native
+
+native.set_kernel_backend("native")
+assert native.available()
+rng = np.random.default_rng(int(sys.argv[1]))
+book = H.HuffmanCode.from_counts(np.arange(30), [2 ** (k // 2) for k in range(30)], 1)
+cases = [
+    (rng.integers(-5, 5, 3 * 512 + 40), None),                   # chain selection
+    (np.round(rng.standard_normal(20000) * 40), None),           # lockstep selection
+    (rng.integers(-2, 31, 2 * 512 + 3), book),                   # long codes and escapes
+    (rng.integers(-2 ** 40, 2 ** 40, 700), "truncate"),          # table cut to 16 + ESCAPE
+]
+raised = decoded = 0
+for vals, book in cases:
+    vals = vals.astype(np.int64)
+    if book == "truncate":
+        payload, header = H.huffman_encode(vals, 16)
+    else:
+        payload, header = H.huffman_encode(vals, code=book)
+    assert np.array_equal(H.huffman_decode(payload, header), vals)
+    bits, n, sync = header["bits"], header["n"], header["sync"]
+    for _ in range(int(sys.argv[2])):
+        data, h = bytearray(payload), dict(header)
+        kind = rng.integers(8)
+        if kind == 0:
+            for at in rng.integers(0, 8 * len(data), rng.integers(1, 4)):
+                data[at >> 3] ^= 1 << (at & 7)
+        elif kind == 1:
+            data = data[: rng.integers(0, len(data))]
+        elif kind == 2:
+            h["sync"] = [int(o + rng.integers(-70, 70)) for o in sync]
+        elif kind == 3:
+            h["sync"] = [int(x) for x in rng.choice([-1, -2 ** 62, 2 ** 62, bits, bits + 1, 0], len(sync))]
+        elif kind == 4:
+            h["sync"] = sync[: rng.integers(0, len(sync))] if rng.integers(2) else None
+            if h["sync"] is None:
+                del h["sync"]
+        elif kind == 5:
+            h["bits"] = int(bits + rng.choice([-65, -64, -9, -1, 1, 7, 8, 63, 64, 2 ** 40, -bits, -bits - 1]))
+        elif kind == 6:
+            h["n"] = int(n + rng.choice([-513, -512, -1, 1, 511, 512, 2 ** 40, -n - 1]))
+        else:
+            h["bits"], data = bits + 64, data + bytes(8)
+        try:
+            out = H.huffman_decode(bytes(data), h)
+        except ValueError:
+            raised += 1
+        else:
+            assert out.dtype == np.int64 and out.shape == (h["n"],), (kind, out.shape, h["n"])
+            decoded += 1
+print("ok", raised, decoded)
+'''
+
+
+def test_mutated_segments_end_in_valueerror_or_an_array_never_a_signal(tmp_path):
+    """Bit flips, truncations, shifted / negative / oversized ``sync``, ``bits``
+    and ``n`` under ``native``, in a process of their own: a wild read in the C
+    walk would end it with a signal, not an exception."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _MUTATE, "17", "150"], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
+    status, raised, decoded = out.stdout.split()
+    assert status == "ok" and int(raised) > 300 and int(raised) + int(decoded) == 600
+
+
+# ----------------------------------------------------------------------
 # whole stream directories: backend x executor
 
 _WRITE_STREAMS = '''
 import hashlib, sys
 from pathlib import Path
 import numpy as np
-from repro.io.stream import StepStreamWriter
+from repro.io.stream import StepStreamReader, StepStreamWriter
 from repro.parallel import get_executor
 
 def main(root):
@@ -196,19 +364,28 @@ def main(root):
     rng = np.random.default_rng(21)
     base = np.cumsum(rng.standard_normal(shape), axis=0)
     frames = [base + 0.05 * t * np.sin(np.arange(shape[2]) + t) for t in range(4)]
+    # the end-to-end stream_huffman workload's shape: float32 steps under noise at
+    # a tolerance far below it, so most symbols miss the 4096-entry table and escape
+    noisy = [(f + 1e-3 * rng.standard_normal(shape)).astype(np.float32) for f in frames]
     kinds = {"refactored": {}, "zlib": {"tol": 1e-3, "backend": "zlib"},
              "huffman": {"tol": 1e-4, "backend": "huffman"},
+             "huffman-noisy": {"tol": 1e-5, "backend": "huffman", "key_interval": 8},
              "sharded": {"tol": 1e-3, "backend": "zlib", "shards": 4}}
     for spec in ("serial", "thread:2", "process:2"):
         executor = get_executor(spec)
         for kind, options in kinds.items():
             out = Path(root) / f"{kind}-{spec.replace(':', '')}"
-            writer = StepStreamWriter(out, shape, key_interval=2, executor=executor, **options)
-            for t, frame in enumerate(frames):
+            writer = StepStreamWriter(out, shape, executor=executor,
+                                      **{"key_interval": 2, **options})
+            for t, frame in enumerate(noisy if kind == "huffman-noisy" else frames):
                 writer.append(frame, time=float(t))
             digest = hashlib.sha256()
             for path in sorted(out.iterdir()):
                 digest.update(path.name.encode() + b"\\0" + path.read_bytes())
+            if kind == "huffman-noisy":  # and what the entropy decode makes of them
+                reader = StepStreamReader(out)
+                for t in range(len(frames)):
+                    digest.update(np.ascontiguousarray(reader.read_step(t)).tobytes())
             print(kind, spec, digest.hexdigest())
 
 if __name__ == "__main__":
@@ -229,6 +406,7 @@ def test_stream_directories_hash_the_same_across_backends_and_executors(tmp_path
         for line in out.stdout.splitlines():
             kind, spec, digest = line.split()
             digests[backend, kind, spec] = digest
-    assert len(digests) == 2 * 4 * 3
-    for kind in ("refactored", "zlib", "huffman", "sharded"):
+    kinds = {kind for _, kind, _ in digests}
+    assert len(digests) == 2 * 5 * 3 and len(kinds) == 5
+    for kind in kinds:
         assert len({d for (_, k, _), d in digests.items() if k == kind}) == 1, kind
