@@ -7,8 +7,8 @@ trajectory stays machine-readable:
 
 1. **parallel vs serial encode** — the segmented entropy stage on a
    65^3 multi-class workload, scheduled through the serial executor and
-   a thread-pool executor (class segments fan out; the dominant class
-   additionally splits into sync-aligned blocks).  The two payloads are
+   a thread-pool executor (class segments, and the zlib sub-blocks of
+   a large class, are the jobs of one fan-out).  The two payloads are
    asserted byte-identical.  The speedup scales with physical cores:
    zlib/NumPy release the GIL, so on a single-core host the parallel
    path measures only its (small) scheduling overhead — ``cpu_count``

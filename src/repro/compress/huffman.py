@@ -24,13 +24,11 @@ The stage's three integer loops — the code-length merge, the word pack,
 the decode walk — run in C under the ``native`` kernel backend
 (:mod:`repro.core.native`, the default where a compiler is) and in the
 NumPy/Python bodies beside them otherwise; payload bytes, headers, books
-and decoded symbols are the same either way.  Both directions are
-*block-schedulable*: given an executor (:mod:`repro.parallel.executors`)
-the encoder packs one sync-aligned symbol range per worker and OR-merges
-them, the decoder partitions the sync blocks; both fan out through
-``executor.map_shared`` over one operand and code books pickle as their
-table JSON, so nothing here knows whether a worker shares this address
-space.
+and decoded symbols are the same either way.  A segment is coded in one
+pass in each direction: the entropy stage's unit of parallel work is
+the class segment (:mod:`.lossless`), and code books and decode tables
+pickle as their table JSON so a segment job can cross a process
+boundary.
 
 The coder is exact: ``decode(encode(x)) == x`` for any int64 array.
 The per-element/per-bit reference coders and the heap construction the
@@ -54,20 +52,16 @@ from .huffman_book import (  # noqa: F401
     table_from_code,
 )
 from .huffman_pack import (  # noqa: F401
-    _BLOCK_SYMBOLS,
     _DENSE_SPAN_FACTOR,
     _GUARD_TRIPPED,
     _SYNC_BLOCK,
-    _chunkify,
     _chunks,
-    _encode_blocks,
     _guard_exceeded,
     _map_symbols,
     _note_stats,
     _pack_chunks_words,
     _pack_words,
     _payload_bytes,
-    _shift_words,
 )
 from .huffman_unpack import (  # noqa: F401
     _LUT_BITS,
@@ -92,10 +86,6 @@ __all__ = [
 ]
 
 
-# a parallel decode range below this many sync blocks spends more on
-# its (fixed-count) lockstep loop than it gains from concurrency
-_MIN_DECODE_BLOCKS_PER_WORKER = 256
-
 # payloads of at most this many bits decode by whole-stream
 # classification + pointer doubling, whose cost is proportional to the
 # bit count; above it the lockstep loop wins — its _SYNC_BLOCK
@@ -114,27 +104,15 @@ def _header(table: list | None, n: int, total_bits: int, sync=None) -> dict:
     return header
 
 
-def _encode_payload(values, code, executor=None, stats=None, guard=None):
+def _encode_payload(values, code, stats=None, guard=None):
     """Encode with a given book; returns ``(payload, total_bits, sync)``.
 
-    The header-less core of :func:`huffman_encode` (same ``executor`` /
-    ``stats`` / ``guard``), for callers that ship a reference to a
-    cached book instead of its table.  A tripped guard — or, under a
-    guard, a new symbol the book has no escape for — returns
-    :data:`_GUARD_TRIPPED`.
+    The header-less core of :func:`huffman_encode` (same ``stats`` /
+    ``guard``), for callers that ship a reference to a cached book
+    instead of its table.  A tripped guard — or, under a guard, a new
+    symbol the book has no escape for — returns :data:`_GUARD_TRIPPED`.
     """
     n = values.size
-    if (
-        executor is not None
-        and getattr(executor, "max_workers", 1) > 1
-        and n >= 2 * _BLOCK_SYMBOLS
-    ):
-        try:
-            return _encode_blocks(values, code, executor, stats, guard)
-        except ValueError:
-            if guard is not None:
-                return _GUARD_TRIPPED  # a new symbol and no escape for it
-            raise
     slots = _map_symbols(values, code)
     if guard is not None:
         # decided from the mapping pass alone: no chunk is gathered, let
@@ -158,7 +136,6 @@ def huffman_encode(
     max_table: int = 4096,
     *,
     code: HuffmanCode | None = None,
-    executor=None,
     stats: dict | None = None,
     guard: dict | None = None,
 ):
@@ -174,10 +151,6 @@ def huffman_encode(
         Encode with this (externally built, e.g. cached from a previous
         stream step) code book instead of building one from the data.
         The book needs an escape code to cover symbols it has not seen.
-    executor:
-        Schedule sync-aligned symbol blocks through this executor (see
-        :mod:`repro.parallel.executors`); the payload is bit-identical
-        to the serial path.
     stats:
         Optional dict that receives ``n_symbols`` / ``n_escaped`` — the
         signal reuse policies watch to decide when a stale book must be
@@ -195,15 +168,13 @@ def huffman_encode(
         return b"", {"n": 0, "bits": 0, "table": []}
     if code is None:
         code = _build_code(values, max_table)
-    payload, total_bits, sync = _encode_payload(values, code, executor, stats, guard)
+    payload, total_bits, sync = _encode_payload(values, code, stats, guard)
     if payload is None:
         return None, None
     return payload, _header(code.table, values.size, total_bits, sync)
 
 
-def huffman_decode(
-    payload: bytes, header: dict, *, executor=None, tables=None
-) -> np.ndarray:
+def huffman_decode(payload: bytes, header: dict, *, tables=None) -> np.ndarray:
     """Invert :func:`huffman_encode`.
 
     Canonical decoding normally walks the bit stream serially.  Small
@@ -213,13 +184,14 @@ def huffman_decode(
     actual codeword-start chain ``p -> p + len(p)`` resolved by pointer
     doubling — work proportional to the bit count.  Wider payloads use
     the header's sync offsets (one per :data:`_SYNC_BLOCK` symbols —
-    any payload our encoders emit) to run one cursor per block in
-    vectorized lockstep; an ``executor`` partitions the blocks into
-    contiguous runs decoded as independent work units.  Under the
-    ``native`` kernel backend both selections hand their blocks to one C
-    walk instead (:mod:`.huffman_unpack`).  The output, and every
-    corruption check (no codeword matches, truncated payload, sync
-    mismatch), is the same whichever runs.
+    any payload our encoder emits) to run one cursor per block in
+    vectorized lockstep.  Under the ``native`` kernel backend both
+    selections hand their blocks to one C walk instead
+    (:mod:`.huffman_unpack`).  The output, and every corruption check
+    (no codeword matches, truncated payload, sync mismatch), is the same
+    whichever runs.  One call decodes one segment on the calling thread:
+    the entropy stage has one fan-out per direction, over class segments
+    (:func:`repro.compress.lossless.decode_classes`).
     """
     n = int(header["n"])
     if n < 0:
@@ -251,34 +223,12 @@ def huffman_decode(
         tables = _DecodeTables.from_code(code_from_table(header["table"]))
     if sync is None or total <= _CHAIN_MAX_BITS:
         return _decode_chain(payload, n, total, tables, sync)
-    return _decode_sync(payload, n, total, tables, sync, executor)
+    return _decode_sync(payload, n, total, tables, sync)
 
 
-def _decode_sync(
-    payload, n, total, tables: _DecodeTables, sync, executor=None
-) -> np.ndarray:
+def _decode_sync(payload, n, total, tables: _DecodeTables, sync) -> np.ndarray:
     """Lockstep decode: one cursor per sync block, advanced together."""
     starts, ends = _block_bounds(sync, total)
-    n_blocks = len(starts)
-    rem = n - (n_blocks - 1) * _SYNC_BLOCK  # symbols in the last block
-    workers = getattr(executor, "max_workers", 1) if executor is not None else 1
-    # every range pays the full _SYNC_BLOCK-iteration lockstep loop, so
-    # splitting only pays off when each worker keeps wide vectors; keep
-    # at least _MIN_DECODE_BLOCKS_PER_WORKER blocks per range
-    workers = min(workers, n_blocks // _MIN_DECODE_BLOCKS_PER_WORKER)
+    rem = n - (len(starts) - 1) * _SYNC_BLOCK  # symbols in the last block
     words = _payload_words(payload, total)
-    if workers > 1:
-        # one contiguous sync-block run per worker
-        cuts = np.linspace(0, n_blocks, workers + 1).astype(int)
-        parts = executor.map_shared(
-            _decode_sync_range,
-            words,
-            [starts[a:b] for a, b in zip(cuts[:-1], cuts[1:])],
-            [ends[a:b] for a, b in zip(cuts[:-1], cuts[1:])],
-            [_SYNC_BLOCK] * (workers - 1) + [rem],
-            [total] * workers,
-            [tables] * workers,
-        )
-        return np.concatenate(parts)
     return _decode_sync_range(words, starts, ends, rem, total, tables)
-

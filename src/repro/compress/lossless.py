@@ -9,19 +9,18 @@ reference backend.
 
 Batched class payloads use a *segmented* container (``format: 2``): one
 payload, one header, but the header records per-segment offsets so the
-per-class segments are independent, schedulable work units — encoded
-and decoded through an executor (see :mod:`repro.parallel.executors`)
-with byte-identical output to the serial path.  Segments whose class
-dominates the payload additionally parallelize *inside* the segment:
-the Huffman backend via its sync-aligned block encoder, the zlib
-backend by deflating fixed-size sub-blocks independently (the header's
-per-segment ``blocks`` list records their compressed extents).  The
-zlib fan-outs are ``executor.map_shared`` over one buffer — every
-class's narrowed raw stream back to back on encode, one segment's
-deflated bytes on decode — with ``(offset, length)`` jobs, so how a
-worker reaches the buffer is the executor's concern.  zlib segments
-without ``blocks`` are single-unit deflate streams (what every class
-below the sub-block threshold gets).
+per-class segments are independent work units.  The entropy stage has
+one fan-out per direction — segments (and zlib sub-blocks) are the
+jobs — and the bytes out do not depend on the executor (see
+:mod:`repro.parallel.executors`).  The Huffman backend codes each
+segment in one pass, so it maps over segments.  The zlib backend
+deflates a class whose narrowed raw stream reaches two fixed-size
+sub-blocks as independent sub-block streams (the header's per-segment
+``blocks`` list records their compressed extents), and both of its
+directions are one ``executor.map_shared`` over one buffer — every
+class's narrowed raw stream back to back on encode, the whole payload on
+decode — with ``(offset, length)`` jobs, so how a worker reaches the
+buffer is the executor's concern.
 
 For slowly-varying streams, pass a ``scratch`` dict (conventionally
 ``CompressionPlan.scratch``) and the Huffman backend reuses each
@@ -42,8 +41,6 @@ import numpy as np
 
 from ..parallel.executors import SerialExecutor
 from .huffman import (
-    _MIN_DECODE_BLOCKS_PER_WORKER,
-    _SYNC_BLOCK,
     _build_code,
     _encode_payload,
     _header,
@@ -66,24 +63,10 @@ __all__ = [
 
 BACKENDS = ("zlib", "huffman")
 
-# an encode segment at least this many elements long parallelizes
-# internally (Huffman block encode) instead of riding the across-segment
-# fan-out — the two levels are never nested, so thread pools cannot
-# deadlock on their own subtasks
-_BIG_SEGMENT = 1 << 16
-
-# the decode-side equivalent: the sync-partitioned Huffman decode only
-# engages once at least two workers get _MIN_DECODE_BLOCKS_PER_WORKER
-# sync blocks each; anything smaller (and every single-unit zlib
-# segment — one-shot decompress, no internal parallelism) decodes
-# faster on the across-segment fan-out
-_BIG_DECODE_SEGMENT = 2 * _MIN_DECODE_BLOCKS_PER_WORKER * _SYNC_BLOCK
-
 # zlib sub-block size (bytes of the narrowed raw stream, a multiple of
 # 8 so int64 element boundaries align).  A class whose raw bytes reach
-# two blocks deflates as independently-schedulable sub-blocks — the
-# zlib mirror of the Huffman sync-block design, so both entropy
-# backends parallelize inside a dominant class.  Deflate's 32 KiB
+# two blocks deflates as independently-schedulable sub-blocks, so a
+# dominant class is more than one deflate job.  Deflate's 32 KiB
 # window is tiny against this, so the ratio cost of restarting the
 # dictionary per block is noise.
 _ZLIB_BLOCK_BYTES = 1 << 18
@@ -127,7 +110,7 @@ def encode_bins(values: np.ndarray, backend: str = "zlib", level: int = 6) -> tu
 
 
 # ----------------------------------------------------------------------
-# zlib sub-blocks (the deflate mirror of the Huffman sync blocks)
+# zlib sub-blocks
 
 
 def _zlib_extents(offset: int, nbytes: int) -> list[tuple[int, int]]:
@@ -186,7 +169,6 @@ def _next_table_id(scratch: dict, class_idx: int) -> int:
 def _encode_segment_huffman(
     seg: np.ndarray,
     class_idx: int,
-    executor,
     scratch: dict | None,
     refresh: bool,
     context: str = "default",
@@ -203,7 +185,7 @@ def _encode_segment_huffman(
     decoder needs no context at all.
     """
     if scratch is None or seg.size == 0:
-        return huffman_encode(seg, executor=executor)
+        return huffman_encode(seg)
     books = _books(scratch)
     key = (context, class_idx)
     entry = books.get(key)
@@ -211,7 +193,6 @@ def _encode_segment_huffman(
         payload, bits, sync = _encode_payload(
             seg,
             entry["code"],
-            executor,
             guard={"max_bits_per_symbol": _REBUILD_BPS_RATIO * entry["bps"]},
         )
         if payload is not None:
@@ -221,7 +202,7 @@ def _encode_segment_huffman(
         # the stream drifted away from the cached book: fall through and
         # rebuild (only the symbol-mapping probe was wasted)
     code = _build_code(seg, 4096, reserve_escape="auto")
-    payload, bits, sync = _encode_payload(seg, code, executor)
+    payload, bits, sync = _encode_payload(seg, code)
     # the header-form table and its JSON are built once per book and
     # stay on it: the next rebuild diffs against the table, reuse never
     # touches either
@@ -263,11 +244,11 @@ def encode_classes(
     and ``sizes`` the per-class element counts.  Each class becomes an
     independent segment — narrowed to its own smallest dtype and
     deflated (zlib) or Huffman-coded with its own code book — and the
-    header records per-segment offsets, so encode and decode fan out
-    over an ``executor`` and large single-class payloads additionally
-    parallelize block-wise.  The emitted bytes do not depend on the
-    executor.  ``scratch``/``refresh`` drive cross-call code-book reuse
-    (Huffman only; see module docstring).
+    header records per-segment offsets, so encode and decode are each
+    one fan-out over an ``executor`` whose jobs are the segments (and
+    the zlib sub-blocks of a large class).  The emitted bytes do not
+    depend on the executor.  ``scratch``/``refresh`` drive cross-call
+    code-book reuse (Huffman only; see module docstring).
     """
     bins = np.ascontiguousarray(bins, dtype=np.int64).ravel()
     sizes = [int(s) for s in sizes]
@@ -282,10 +263,9 @@ def encode_classes(
     if backend == "zlib":
         # every class narrows to its own dtype, straight into its
         # (8-byte aligned) stretch of one buffer; large classes split
-        # into fixed-size sub-blocks so the deflate work units of a
-        # dominant class parallelize just like Huffman sync blocks do.
-        # The extents depend only on the data, so all executors emit
-        # the same bytes.
+        # into fixed-size sub-blocks, so a dominant class is several
+        # deflate jobs.  The extents depend only on the data, so all
+        # executors emit the same bytes.
         dtypes = [_narrow_dtype(seg) for seg in segments]
         nbytes = [seg.size * dt.itemsize for seg, dt in zip(segments, dtypes)]
         starts = np.cumsum([0] + [-(-nb // 8) * 8 for nb in nbytes]).tolist()
@@ -310,19 +290,12 @@ def encode_classes(
                 sh["blocks"] = [len(p) for p in parts]
             seg_headers.append(sh)
     else:
-        def encode_one(i: int, inner=None) -> tuple[bytes, dict]:
-            return _encode_segment_huffman(
-                segments[i], i, inner, scratch, refresh, context
-            )
+        def encode_one(i: int) -> tuple[bytes, dict]:
+            return _encode_segment_huffman(segments[i], i, scratch, refresh, context)
 
-        # a dominant class parallelizes inside the segment; the rest
-        # ride the across-segment fan-out
-        big = [i for i, seg in enumerate(segments) if seg.size >= _BIG_SEGMENT]
-        small = [i for i, seg in enumerate(segments) if seg.size < _BIG_SEGMENT]
-        results = {i: encode_one(i, inner=executor) for i in big}
-        results.update(zip(small, executor.map(encode_one, small)))
-        payloads = [results[i][0] for i in range(len(segments))]
-        seg_headers = [results[i][1] for i in range(len(segments))]
+        results = executor.map(encode_one, range(len(segments)))
+        payloads = [p for p, _ in results]
+        seg_headers = [sh for _, sh in results]
 
     seg_meta = []
     offset = 0
@@ -442,10 +415,49 @@ def materialize_classes_header(header: dict, scratch: dict | None = None) -> dic
     return {**header, "segments": segs}
 
 
+def _segment_extents(segs: list, payload_len: int) -> list[tuple[int, int]]:
+    """The ``(offset, nbytes)`` of every segment, checked to tile the
+    payload from byte 0 in order — no overlap, no gap, none negative,
+    every end inside the payload — before anything is decoded."""
+    extents = []
+    end = 0
+    for i, sh in enumerate(segs):
+        offset, nbytes = sh["offset"], sh["nbytes"]
+        if not isinstance(nbytes, int) or nbytes < 0 or offset != end:
+            raise ValueError(
+                f"corrupt segment table: segment {i} extent ({offset!r}, "
+                f"{nbytes!r}) does not start at the previous one's end {end}"
+            )
+        extents.append((end, nbytes))
+        end += nbytes
+        if end > payload_len:
+            raise ValueError(
+                f"corrupt segment table: segment {i} ends at byte {end}, "
+                f"past the {payload_len}-byte payload"
+            )
+    return extents
+
+
+def _inflate_units(i: int, sh: dict, offset: int, nbytes: int) -> list[tuple[int, int]]:
+    """``(offset, length)`` of each deflate stream of one zlib segment."""
+    blocks = sh.get("blocks")
+    if not blocks:
+        return [(offset, nbytes)]
+    if sum(blocks) != nbytes or min(blocks) < 0:
+        raise ValueError(f"segment {i}: sub-blocks do not tile its extent")
+    starts = np.cumsum([offset] + list(blocks[:-1])).tolist()
+    return list(zip(starts, blocks))
+
+
 def decode_classes(
     payload: bytes, header: dict, executor=None, scratch: dict | None = None
 ) -> tuple[np.ndarray, list[int]]:
-    """Invert :func:`encode_classes`; returns (flat int64 bins, sizes)."""
+    """Invert :func:`encode_classes`; returns (flat int64 bins, sizes).
+
+    One fan-out: a zlib payload is one ``map_shared`` over the inflate
+    units of every segment, a Huffman payload one ``map`` over its
+    segments.
+    """
     if "class_sizes" not in header or "segments" not in header:
         raise ValueError(
             "header carries no class_sizes/segments; not a batched payload"
@@ -458,17 +470,34 @@ def decode_classes(
         )
     backend = header.get("backend")
     executor = executor or _INLINE
-    end = segs[-1]["offset"] + segs[-1]["nbytes"] if segs else 0
-    if end > len(payload):
-        raise ValueError("truncated segmented payload")
+    extents = _segment_extents(segs, len(payload))
+    out = np.empty(sum(sizes), dtype=np.int64)
+    starts = np.cumsum([0] + sizes)
+
+    def place(i: int, vals: np.ndarray) -> None:
+        if vals.size != sizes[i]:
+            raise ValueError(f"segment {i} decoded {vals.size} values, expected {sizes[i]}")
+        out[starts[i] : starts[i + 1]] = vals
+
+    if backend == "zlib":
+        units = [_inflate_units(i, sh, *ext) for i, (sh, ext) in enumerate(zip(segs, extents))]
+        flat = [u for us in units for u in us]
+        raws = executor.map_shared(_inflate_unit, payload, *zip(*flat))
+        pos = 0
+        for i, (sh, us) in enumerate(zip(segs, units)):
+            raw = b"".join(raws[pos : pos + len(us)])
+            pos += len(us)
+            place(i, np.frombuffer(raw, dtype=np.dtype(sh["dtype"])))
+        return out, sizes
+
     # resolve code-book references serially (cheap, order-dependent) so
-    # the parallel phase below is embarrassingly independent; decode
-    # tables of chained books are cached so a reused book pays its
-    # table construction once per stream, not once per step
+    # the fan-out below is embarrassingly independent; decode tables of
+    # chained books are cached so a reused book pays its table
+    # construction once per stream, not once per step
     effective: list[dict] = []
     dtabs: list = []
     for i, sh in enumerate(segs):
-        if backend == "huffman" and int(sh["n"]) > 0:
+        if int(sh["n"]) > 0:
             table = _resolve_table(sh, i, scratch)
             effective.append({**sh, "table": table})
             tid = sh.get("table_id", sh.get("table_ref"))
@@ -486,42 +515,12 @@ def decode_classes(
             effective.append(sh)
             dtabs.append(None)
 
-    out = np.empty(sum(sizes), dtype=np.int64)
-    starts = np.cumsum([0] + sizes)
+    def decode_one(i: int) -> None:
+        offset, nbytes = extents[i]
+        sub = payload[offset : offset + nbytes]
+        place(i, huffman_decode(sub, effective[i], tables=dtabs[i]))
 
-    def decode_one(i: int, inner=None) -> None:
-        sh = effective[i]
-        sub = payload[sh["offset"] : sh["offset"] + sh["nbytes"]]
-        if backend == "zlib":
-            blocks = sh.get("blocks")
-            if blocks:
-                if sum(blocks) != sh["nbytes"]:
-                    raise ValueError(
-                        f"segment {i}: sub-blocks do not sum to its extent"
-                    )
-                offsets = np.cumsum([0] + list(blocks[:-1])).tolist()
-                raw = b"".join(inner.map_shared(_inflate_unit, sub, offsets, blocks))
-            else:
-                raw = zlib.decompress(sub)
-            vals = np.frombuffer(raw, dtype=np.dtype(sh["dtype"])).astype(np.int64)
-        else:
-            vals = huffman_decode(sub, sh, executor=inner, tables=dtabs[i])
-        if vals.size != sizes[i]:
-            raise ValueError(f"segment {i} decoded {vals.size} values, expected {sizes[i]}")
-        out[starts[i] : starts[i + 1]] = vals
-
-    def big_enough(i: int) -> bool:
-        # a segment with internal parallelism decodes through the inner
-        # executor; everything else rides the across-segment fan-out
-        if backend == "huffman":
-            return sizes[i] >= _BIG_DECODE_SEGMENT
-        return "blocks" in segs[i]
-
-    big = [i for i in range(len(segs)) if big_enough(i)]
-    small = [i for i in range(len(segs)) if not big_enough(i)]
-    for i in big:
-        decode_one(i, inner=executor)
-    executor.map(decode_one, small)
+    executor.map(decode_one, range(len(segs)))
     return out, sizes
 
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..compress import huffman_book, huffman_pack, huffman_unpack
+from ..compress import huffman, huffman_book, huffman_pack, huffman_unpack
 from ..core import native
 from ..core.coefficients import compute_coefficients, restore_from_coefficients
 from ..core.decompose import restrict_all
@@ -101,15 +101,16 @@ def _make_huff_lengths(shape, dtype, rng):
 
 def _make_huff_pack(shape, dtype, rng):
     bins = _bins(shape, rng)
-    return huffman_pack._chunkify(bins, huffman_book.build_code(bins))[:3]
+    code = huffman_book.build_code(bins)
+    return huffman_pack._chunks(huffman_pack._map_symbols(bins, code), code)[:3]
 
 
 def _make_huff_decode(shape, dtype, rng):
     bins = _bins(shape, rng)
     code = huffman_book.build_code(bins)
-    words, total, sync = huffman_pack._encode_range(bins, 0, bins.size, code)[:3]
-    words = np.append(words, np.uint64(0))  # the decoder's second spill word
-    starts, ends = huffman_unpack._block_bounds(sync[1:], total)
+    payload, total, sync = huffman._encode_payload(bins, code)
+    words = huffman_unpack._payload_words(payload, total)
+    starts, ends = huffman_unpack._block_bounds(sync, total)
     rem = bins.size - (starts.size - 1) * huffman_pack._SYNC_BLOCK
     return words, starts, ends, rem, total, huffman_unpack.decode_tables(code)
 

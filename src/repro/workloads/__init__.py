@@ -7,7 +7,6 @@ from .synthetic import (
     mesh,
     multilinear,
     multiscale,
-    skewed_bins,
     smooth,
     turbulence,
     white_noise,
@@ -23,7 +22,6 @@ __all__ = [
     "multiscale",
     "paper_grid",
     "simulate",
-    "skewed_bins",
     "smooth",
     "turbulence",
     "white_noise",

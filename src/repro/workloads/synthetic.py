@@ -19,20 +19,7 @@ __all__ = [
     "discontinuous",
     "white_noise",
     "anisotropic",
-    "skewed_bins",
 ]
-
-
-def skewed_bins(n: int, seed: int = 2021, p: float = 0.3) -> np.ndarray:
-    """Skewed signed int64 symbol stream mimicking quantizer output.
-
-    Geometric magnitudes (most symbols at or near zero) with random
-    signs — the distribution MGARD's entropy stage sees on smooth data.
-    The canonical workload for the entropy tests and benchmarks, kept here
-    so they all measure the same stream.
-    """
-    rng = np.random.default_rng(seed)
-    return (rng.geometric(p, n).astype(np.int64) - 1) * rng.choice([-1, 1], n)
 
 
 def mesh(shape: tuple[int, ...]) -> list[np.ndarray]:

@@ -156,7 +156,9 @@ class TestSymbolMapping:
         """Accept/reject equals the packed size, and rejecting packs nothing."""
         code = self._book()
         vals = rng.choice([0, 5, 4000, 7], 2000, p=[0.6, 0.2, 0.1, 0.1]).astype(np.int64)
-        _, header = H.huffman_encode(vals, code=code)
+        stats = {}
+        _, header = H.huffman_encode(vals, code=code, stats=stats)
+        assert stats == {"n_symbols": 2000, "n_escaped": int((vals == 7).sum())}
         bps = header["bits"] / vals.size
         assert H.huffman_encode(vals, code=code, guard={"max_bits_per_symbol": bps})[0]
         monkeypatch.setattr(H, "_pack_words", lambda *a: pytest.fail("packed"))
@@ -167,6 +169,9 @@ class TestSymbolMapping:
             None,
             None,
         )
+        # unguarded, a new symbol and no escape for it is an error
+        with pytest.raises(ValueError, match="escape"):
+            H.huffman_encode(vals, code=bare)
 
 
 @pytest.fixture(params=["chain", "lockstep", "chain-native", "lockstep-native"])

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import huffman_oracle as O
@@ -197,14 +197,13 @@ while len(_FIB) < 40:
     _FIB.append(_FIB[-1] + _FIB[-2])
 
 
-def _huffman_outcome(vals, max_table, book_counts, executor):
-    """Everything one backend makes of a segment.  The policy is set process
-    wide, not ``forced``: an executor's worker threads have to follow it."""
+def _huffman_outcome(vals, max_table, book_counts):
+    """Everything one backend makes of a segment."""
     code = None
     if book_counts is not None:  # a supplied book: codes up to 39 bits, and an escape
         code = H.HuffmanCode.from_counts(np.arange(len(book_counts)) * 3, book_counts, 1)
-    payload, header = H.huffman_encode(vals, max_table, code=code, executor=executor)
-    return payload, header, H.huffman_decode(payload, header, executor=executor)
+    payload, header = H.huffman_encode(vals, max_table, code=code)
+    return payload, header, H.huffman_decode(payload, header)
 
 
 @st.composite
@@ -227,15 +226,24 @@ def segments(draw):
     return vals.astype(np.int64), max_table, book_counts
 
 
+# wide segments (> 2**16 payload bits: the lockstep selection) with long
+# codes and escapes, pinned beside the drawn ones
+_WIDE = np.random.default_rng(5).integers(0, 41, 8 * SYNC + 40) * 3
+_WIDE_BUILT = np.round(np.random.default_rng(6).standard_normal(8 * SYNC + 40) * 300)
+_WIDE_BUILT[::461] = np.random.default_rng(7).integers(-(2**62), 2**62, _WIDE_BUILT[::461].size)
+
+
 @settings(max_examples=60, deadline=None)
 @given(segments())
+@example((_WIDE.astype(np.int64), 256, _FIB))
+@example((_WIDE_BUILT.astype(np.int64), 256, None))
 def test_huffman_backends_agree_with_each_other_and_the_oracle(segment):
     vals, max_table, book_counts = segment
     got = {}
     try:
         for backend in ("reference", "native"):
             native.set_kernel_backend(backend)
-            payload, header, out = _huffman_outcome(vals, max_table, book_counts, None)
+            payload, header, out = _huffman_outcome(vals, max_table, book_counts)
             bare = {k: v for k, v in header.items() if k != "sync"}  # one block, any length
             got[backend] = (payload, header)
             for decoded in (out, H.huffman_decode(payload, bare)):
@@ -252,31 +260,30 @@ def test_huffman_backends_agree_with_each_other_and_the_oracle(segment):
 
 
 @pytest.mark.parametrize("book", [False, True], ids=["built", "long-codes"])
-def test_huffman_backends_agree_under_an_engaged_executor(book, rng, monkeypatch):
-    """Two sync-aligned encode ranges and two decode ranges on two threads."""
-    monkeypatch.setattr(H, "_MIN_DECODE_BLOCKS_PER_WORKER", 1)
-    n = 2 * H._BLOCK_SYMBOLS + 3 * SYNC + 40
+def test_huffman_backends_agree_under_an_engaged_executor(book, rng):
+    """Wide segments as concurrent jobs on two threads: every kernel
+    backend emits the serial reference bytes and decodes them exactly."""
+    n = 3 * SYNC + 40
     if book:
-        vals = (rng.integers(0, 41, n) * 3).astype(np.int64)
+        segs = [(rng.integers(0, 41, n + k) * 3).astype(np.int64) for k in range(3)]
     else:
-        vals = np.round(rng.standard_normal(n) * 300).astype(np.int64)
-        vals[:: n // 9] = rng.integers(-(2**62), 2**62, vals[:: n // 9].size)
-    ranges = []
-    real = H._decode_sync_range
-    monkeypatch.setattr(H, "_decode_sync_range", lambda *a: (ranges.append(len(a[1])), real(*a))[1])
+        segs = [np.round(rng.standard_normal(n + k) * 300).astype(np.int64) for k in range(3)]
+        for vals in segs:
+            vals[:: n // 9] = rng.integers(-(2**62), 2**62, vals[:: n // 9].size)
     got = {}
     try:
         for backend in ("reference", "native"):
             native.set_kernel_backend(backend)
             for spec in ("serial", "thread:2"):
-                got[backend, spec] = _huffman_outcome(vals, 256, _FIB if book else None,
-                                                      get_executor(spec))
+                got[backend, spec] = get_executor(spec).map(
+                    lambda v: _huffman_outcome(v, 256, _FIB if book else None), segs
+                )
     finally:
         native.set_kernel_backend(None)
-    assert sorted(ranges)[0] < len(got["native", "serial"][1]["sync"]) // 2 + 2  # split engaged
     want = got["reference", "serial"]
-    for payload, header, decoded in got.values():
-        assert (payload, header) == want[:2] and np.array_equal(decoded, vals)
+    for outcomes in got.values():
+        for (payload, header, decoded), w, vals in zip(outcomes, want, segs):
+            assert (payload, header) == w[:2] and np.array_equal(decoded, vals)
 
 
 _MUTATE = '''
@@ -360,7 +367,8 @@ from repro.io.stream import StepStreamReader, StepStreamWriter
 from repro.parallel import get_executor
 
 def main(root):
-    shape = (48, 40, 40)  # 76 800 symbols: above the codecs' fan-out thresholds
+    shape = (48, 40, 40)  # finest class 65 775 symbols: a wide Huffman segment,
+    # and at tol 1e-8 (int64 bins) a zlib segment of three sub-blocks
     rng = np.random.default_rng(21)
     base = np.cumsum(rng.standard_normal(shape), axis=0)
     frames = [base + 0.05 * t * np.sin(np.arange(shape[2]) + t) for t in range(4)]
@@ -368,6 +376,7 @@ def main(root):
     # a tolerance far below it, so most symbols miss the 4096-entry table and escape
     noisy = [(f + 1e-3 * rng.standard_normal(shape)).astype(np.float32) for f in frames]
     kinds = {"refactored": {}, "zlib": {"tol": 1e-3, "backend": "zlib"},
+             "zlib-fine": {"tol": 1e-8, "backend": "zlib"},
              "huffman": {"tol": 1e-4, "backend": "huffman"},
              "huffman-noisy": {"tol": 1e-5, "backend": "huffman", "key_interval": 8},
              "sharded": {"tol": 1e-3, "backend": "zlib", "shards": 4}}
@@ -382,7 +391,7 @@ def main(root):
             digest = hashlib.sha256()
             for path in sorted(out.iterdir()):
                 digest.update(path.name.encode() + b"\\0" + path.read_bytes())
-            if kind == "huffman-noisy":  # and what the entropy decode makes of them
+            if kind in ("huffman-noisy", "zlib-fine"):  # and what the decode makes of them
                 reader = StepStreamReader(out)
                 for t in range(len(frames)):
                     digest.update(np.ascontiguousarray(reader.read_step(t)).tobytes())
@@ -407,6 +416,6 @@ def test_stream_directories_hash_the_same_across_backends_and_executors(tmp_path
             kind, spec, digest = line.split()
             digests[backend, kind, spec] = digest
     kinds = {kind for _, kind, _ in digests}
-    assert len(digests) == 2 * 5 * 3 and len(kinds) == 5
+    assert len(digests) == 2 * 6 * 3 and len(kinds) == 6
     for kind in kinds:
         assert len({d for (_, k, _), d in digests.items() if k == kind}) == 1, kind

@@ -10,6 +10,8 @@ Three contracts:
   appending.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,9 @@ from repro.parallel.executors import (
     set_default_executor,
 )
 from repro.compress.huffman import (
-    _BLOCK_SYMBOLS,
     apply_table_delta,
     build_code,
     code_from_table,
-    huffman_decode,
-    huffman_encode,
     table_delta,
     table_from_code,
 )
@@ -47,7 +46,7 @@ def _par(n=4):
 
 def _adversarial_class_mixes(rng):
     """(name, bins, sizes) cases stressing the segmented container."""
-    big = 2 * _BLOCK_SYMBOLS + 321  # exercises the block-parallel path
+    big = (1 << 16) + 321  # a class well past one sync block's 512 symbols
     yield "empty-classes", np.zeros(0, dtype=np.int64), [0, 0, 0]
     yield (
         "single-values",
@@ -56,6 +55,11 @@ def _adversarial_class_mixes(rng):
     )
     skew = (rng.geometric(0.3, big).astype(np.int64) - 1) * rng.choice([-1, 1], big)
     yield "one-dominant-class", np.concatenate(
+        [rng.integers(-4, 5, 100).astype(np.int64), skew]
+    ), [100, big]
+    skew = skew.copy()  # > 4096 distinct outliers: past the table, so escaped
+    skew[::13] = rng.integers(-(2**60), 2**60, skew[::13].size)
+    yield "dominant-class-with-escapes", np.concatenate(
         [rng.integers(-4, 5, 100).astype(np.int64), skew]
     ), [100, big]
     esc = rng.integers(-(2**60), 2**60, 5000).astype(np.int64)
@@ -87,46 +91,6 @@ class TestParallelSerialBitIdentity:
             assert got_s == got_p == [int(s) for s in sizes]
             np.testing.assert_array_equal(flat_s, bins, err_msg=name)
             np.testing.assert_array_equal(flat_p, bins, err_msg=name)
-
-    def test_block_parallel_huffman_encode_decode(self, rng):
-        n = 3 * _BLOCK_SYMBOLS + 777
-        vals = (rng.geometric(0.4, n).astype(np.int64) - 1) * rng.choice([-1, 1], n)
-        par = _par(3)
-        p_s, h_s = huffman_encode(vals)
-        p_p, h_p = huffman_encode(vals, executor=par)
-        assert p_s == p_p and h_s == h_p
-        np.testing.assert_array_equal(huffman_decode(p_p, h_p, executor=par), vals)
-
-    def test_multiworker_sync_decode_engages_and_is_exact(self, rng, monkeypatch):
-        """Drive the decode range split for real (assert it engaged)."""
-        import repro.compress.huffman as H
-
-        n = 2 * H._MIN_DECODE_BLOCKS_PER_WORKER * H._SYNC_BLOCK + 12345
-        vals = (rng.geometric(0.4, n).astype(np.int64) - 1) * rng.choice([-1, 1], n)
-        vals[:: n // 50] = rng.integers(-(2**60), 2**60, vals[:: n // 50].size)
-        p, h = huffman_encode(vals)
-        calls = []
-        orig = H._decode_sync_range
-
-        def spy(words, starts, ends, rem, total, tables):
-            calls.append(len(starts))
-            return orig(words, starts, ends, rem, total, tables)
-
-        monkeypatch.setattr(H, "_decode_sync_range", spy)
-        out = huffman_decode(p, h, executor=_par(2))
-        np.testing.assert_array_equal(out, vals)
-        assert len(calls) >= 2, "parallel range split did not engage"
-        # and the segmented container routes such a class to the
-        # inner-executor path with identical results
-        calls.clear()
-        sizes = [100, n]
-        bins = np.concatenate([rng.integers(-4, 5, 100).astype(np.int64), vals])
-        ps, hs = encode_classes(bins, sizes, backend="huffman")
-        pp, hp = encode_classes(bins, sizes, backend="huffman", executor=_par(2))
-        assert ps == pp and hs == hp
-        flat, _ = decode_classes(pp, hp, executor=_par(2))
-        np.testing.assert_array_equal(flat, bins)
-        assert len(calls) >= 2, "segmented decode did not use the inner split"
 
     def test_reusing_chains_are_executor_independent(self, rng):
         """Serial and parallel scratch chains evolve identically."""
@@ -473,6 +437,44 @@ class TestSingleGeneration:
         payload, header = encode_classes(bins, sizes, backend="zlib")
         del header["segments"]
         with pytest.raises(ValueError, match="segments"):
+            decode_classes(payload, header)
+
+
+def _overlap(payload, segs):
+    segs[1].update(offset=segs[0]["offset"], nbytes=segs[0]["nbytes"])
+    return payload
+
+
+def _gap(payload, segs):
+    cut = segs[1]["offset"]
+    segs[1]["offset"] += 5
+    return payload[:cut] + bytes(5) + payload[cut:]
+
+
+def _negative_offset(payload, segs):
+    segs[0]["offset"] = -len(payload)  # slices the same bytes as 0 would
+    return payload
+
+
+def _overrun(payload, segs):
+    segs[0]["nbytes"] = len(payload) + 10  # deflate ignores the trailing bytes
+    return payload
+
+
+class TestSegmentTable:
+    """The segment table rides inside the container's one checksummed
+    extent, so the decoder checks it: segments tile the payload from
+    byte 0, back to back, inside it — or nothing is decoded."""
+
+    @pytest.mark.parametrize("backend", ["zlib", "huffman"])
+    @pytest.mark.parametrize("damage", [_overlap, _gap, _negative_offset, _overrun])
+    def test_malformed_tables_are_refused(self, rng, backend, damage):
+        sizes = [400, 400]  # equal sizes: an overlap would decode class 0 twice
+        bins = rng.integers(-300, 300, sum(sizes)).astype(np.int64)
+        payload, header = encode_classes(bins, sizes, backend=backend)
+        header = json.loads(json.dumps(header))
+        payload = damage(payload, header["segments"])
+        with pytest.raises(ValueError, match="corrupt segment table"):
             decode_classes(payload, header)
 
 

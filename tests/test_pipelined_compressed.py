@@ -11,15 +11,17 @@ Contracts:
   :func:`run_pipeline`'s in-order stage gates) emits byte-identical
   step files for every executor backend, including ≥3-step code-book
   delta chains, and stays readable by a live-following consumer;
-* the process backend's Huffman block *encode* (shm-staged symbol
-  ranges, coordinator prefix sum, offset-shift word-pack merge) is
-  bit-identical to serial;
+* Huffman class segments encoded as process-pool jobs (escape-reserving
+  books, odd lengths, stats, guards, no shared memory) are bit-identical
+  to serial;
 * :meth:`StepStreamReader.refresh` rejects shrunken (torn mid-replace)
   manifest snapshots, so compressed-mode random access keeps rolling
   forward from the nearest key frame.
 """
 
+import functools
 import json
+import pickle
 import threading
 
 import numpy as np
@@ -27,13 +29,13 @@ import pytest
 
 import repro.compress.huffman as H
 from repro.cluster.pipeline import run_pipeline
+from repro.compress.lossless import encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.compress.timeseries import TimeSeriesCompressor
 from repro.core.grid import hierarchy_for
 from repro.io.stream import StepStreamReader, StepStreamWriter, StreamError
 from repro.io.workflow import run_streaming_pipeline
 from repro.parallel import get_executor
-from repro.workloads.synthetic import skewed_bins
 
 BACKEND_SPECS = ("serial", "thread:4", "process:2")
 
@@ -267,87 +269,64 @@ class TestPipelinedCompressedStream:
 
 
 # ----------------------------------------------------------------------
-# process-parallel Huffman encode
+# Huffman segments encoded as process-pool jobs
+
+
+def _skewed(rng, n):
+    """Geometric magnitudes with random signs, like quantizer output."""
+    return (rng.geometric(0.3, n).astype(np.int64) - 1) * rng.choice([-1, 1], n)
+
+
+def _escaping_segments(rng, n):
+    """One escape-reserving book and three odd-length segments of it,
+    dotted with symbols the book only reaches through its escape."""
+    code = H.build_code(_skewed(rng, n // 2), reserve_escape=True)
+    segs = []
+    for k in range(3):
+        vals = _skewed(rng, n + k)
+        vals[:: n // 64] = rng.integers(2**50, 2**60, vals[:: n // 64].size)
+        segs.append(vals)
+    return code, segs
 
 
 class TestProcessHuffmanEncode:
     def test_bit_identical_odd_length_with_escapes(self, rng):
-        n = 3 * H._BLOCK_SYMBOLS + 1234  # not block- or sync-aligned
-        vals = skewed_bins(n)
-        book_src = skewed_bins(n // 2)
-        code = H.build_code(book_src, reserve_escape=True)
-        vals[:: n // 64] = rng.integers(2**50, 2**60, vals[:: n // 64].size)
-        proc = get_executor("process:2")
-        ps, hs = H.huffman_encode(vals, code=code)
-        pp, hp = H.huffman_encode(vals, code=code, executor=proc)
-        assert ps == pp
-        assert json.dumps(hs) == json.dumps(hp)
-        np.testing.assert_array_equal(H.huffman_decode(pp, hp), vals)
+        code, segs = _escaping_segments(rng, (1 << 16) + 1234)  # wide, not sync-aligned
+        encode = functools.partial(H.huffman_encode, code=code)
+        pickle.dumps(encode)  # crosses the process boundary, not inline
+        serial = [encode(v) for v in segs]
+        pooled = get_executor("process:2").map(encode, segs)
+        for (ps, hs), (pp, hp), vals in zip(serial, pooled, segs):
+            assert ps == pp
+            assert json.dumps(hs) == json.dumps(hp)
+            np.testing.assert_array_equal(H.huffman_decode(pp, hp), vals)
 
     def test_stats_and_guard_parity(self, rng):
-        n = 4 * H._BLOCK_SYMBOLS
-        base = skewed_bins(n)
-        code = H.build_code(base, reserve_escape=True)
-        data = base.copy()
-        data[::53] = rng.integers(2**40, 2**50, data[::53].size)
-        proc = get_executor("process:2")
-        ss, sp = {}, {}
-        p1, h1 = H.huffman_encode(data, code=code, stats=ss)
-        p2, h2 = H.huffman_encode(data, code=code, stats=sp, executor=proc)
-        assert p1 == p2 and h1 == h2
-        assert ss == sp and sp["n_escaped"] > 0
-        tight = {"max_bits_per_symbol": 0.01}
-        assert H.huffman_encode(data, code=code, executor=proc, guard=tight) == (
-            None,
-            None,
+        code, segs = _escaping_segments(rng, 1 << 16)
+        serial_stats = [{} for _ in segs]
+        pooled_stats = [{} for _ in segs]
+        serial = [H.huffman_encode(v, code=code, stats=s) for v, s in zip(segs, serial_stats)]
+        pooled = get_executor("thread:2").map(
+            lambda v, s: H.huffman_encode(v, code=code, stats=s), segs, pooled_stats
         )
-
-    def test_local_guard_skip_with_global_pass_repacks(self, rng):
-        """Escapes concentrated in one worker's range trip its local
-        pack-skip hint while the stream globally passes the guard; the
-        coordinator must re-pack that range and still emit serial
-        bytes."""
-        n = 4 * H._BLOCK_SYMBOLS
-        base = skewed_bins(n)
-        code = H.build_code(base, reserve_escape=True)
-        data = base.copy()
-        tail = slice(3 * n // 4, None)  # all escapes land in range 2 of 2
-        data[tail] = rng.integers(2**40, 2**50, n - 3 * n // 4)
-        proc = get_executor("process:2")
-        # pick a bound between the global rate and the hot range's rate
-        _, href = H.huffman_encode(data, code=code)
-        global_bps = href["bits"] / n
-        guard = {"max_bits_per_symbol": global_bps * 1.2}
-        ps, hs = H.huffman_encode(data, code=code, guard=guard)
-        assert ps is not None  # global pass
-        pp, hp = H.huffman_encode(data, code=code, guard=guard, executor=proc)
-        assert ps == pp and hs == hp
+        assert serial == pooled
+        assert serial_stats == pooled_stats and all(s["n_escaped"] > 0 for s in pooled_stats)
+        tight = functools.partial(
+            H.huffman_encode, code=code, guard={"max_bits_per_symbol": 0.01}
+        )
+        assert get_executor("process:2").map(tight, segs) == [(None, None)] * len(segs)
 
     def test_escapeless_book_raises_through_pool(self):
         code = H.build_code(np.arange(8, dtype=np.int64))
-        alien = np.full(3 * H._BLOCK_SYMBOLS, 99, dtype=np.int64)
+        alien = [np.full(2 * H._SYNC_BLOCK + k, 99, dtype=np.int64) for k in range(2)]
+        proc = get_executor("process:2")
         with pytest.raises(ValueError, match="escape"):
-            H.huffman_encode(alien, code=code, executor=get_executor("process:2"))
+            proc.map(functools.partial(H.huffman_encode, code=code), alien)
         # ... and the guard turns the same condition into a rebuild signal
-        assert H.huffman_encode(
-            alien,
-            code=code,
-            executor=get_executor("process:2"),
-            guard={"max_bits_per_symbol": 64},
-        ) == (None, None)
-
-    def test_shift_words_is_pack_at_offset(self, rng):
-        """Packing at bit offset s == packing at 0 then shifting by s."""
-        vals = skewed_bins(2048)
-        code = H.build_code(vals)
-        c_codes, c_lens, offsets, _ = H._chunkify(vals, code)
-        at_zero = H._pack_chunks_words(c_codes, c_lens, offsets)
-        for s in (0, 1, 17, 63):
-            direct = H._pack_chunks_words(c_codes, c_lens, offsets + s)
-            shifted = H._shift_words(at_zero, s)
-            m = min(direct.size, shifted.size)
-            np.testing.assert_array_equal(shifted[:m], direct[:m])
-            assert not np.any(shifted[m:]) and not np.any(direct[m:])
+        guarded = functools.partial(
+            H.huffman_encode, code=code, guard={"max_bits_per_symbol": 64}
+        )
+        assert proc.map(guarded, alien) == [(None, None)] * len(alien)
 
     def test_shm_unavailable_falls_back(self, rng, monkeypatch):
         from repro.parallel import shm
@@ -356,10 +335,14 @@ class TestProcessHuffmanEncode:
             raise shm.ShmUnavailable("nope")
 
         monkeypatch.setattr(shm, "share_array", boom)
-        vals = skewed_bins(3 * H._BLOCK_SYMBOLS)
-        ps, hs = H.huffman_encode(vals)
-        pp, hp = H.huffman_encode(vals, executor=get_executor("process:2"))
-        assert ps == pp and hs == hp
+        monkeypatch.setattr(shm, "share_bytes", boom)
+        sizes = [H._SYNC_BLOCK + 7, 3 * H._SYNC_BLOCK + 1, 5]
+        bins = _skewed(rng, sum(sizes))
+        for backend in ("huffman", "zlib"):
+            want = encode_classes(bins, sizes, backend=backend)
+            assert encode_classes(
+                bins, sizes, backend=backend, executor=get_executor("process:2")
+            ) == want
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Contracts:
 
-* all three executor backends (serial / thread / process) produce
-  byte-identical containers, on adversarial class mixes and across
-  code-book-reusing stream chains;
+* all three executor backends (serial / thread / process), under both
+  kernel backends, produce byte-identical containers, on adversarial
+  class mixes and across code-book-reusing stream chains;
 * the zlib backend's sub-block segmentation round-trips, parallelizes
   through every backend, and keeps decoding legacy single-unit blobs;
 * the process backend degrades safely (closures run inline, broken
@@ -35,6 +35,7 @@ import repro.compress.lossless as L
 from repro.cluster.pipeline import run_pipeline
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
+from repro.core import native
 from repro.io.stream import PreparedStep, StepStreamReader, StepStreamWriter, StreamError
 from repro.io.workflow import run_streaming_pipeline
 from repro.parallel import (
@@ -284,7 +285,7 @@ class TestMapSharedSeam:
 
 def _adversarial_mixes(rng):
     """(name, bins, sizes) cases spanning both backends' corner cases."""
-    big_huff = 2 * H._BLOCK_SYMBOLS + 321
+    big_huff = (1 << 16) + 321
     big_zlib = (2 * L._ZLIB_BLOCK_BYTES) // 8 + 13  # int64 raw >= 2 blocks
     yield "empty", np.zeros(0, dtype=np.int64), [0, 0]
     yield "tiny", np.array([5, -5, 0], dtype=np.int64), [1, 0, 2]
@@ -307,18 +308,28 @@ def _adversarial_mixes(rng):
 class TestThreeBackendBitIdentity:
     @pytest.mark.parametrize("backend", ["zlib", "huffman"])
     def test_adversarial_mixes(self, rng, backend):
+        """Every executor under every kernel backend emits the same bytes.
+        The kernel policy is set process wide: thread workers follow it,
+        pool workers run their own (identical bytes either way)."""
+        kernels = ["reference"] + (["native"] if native.available() else [])
         for name, bins, sizes in _adversarial_mixes(rng):
-            blobs = {
-                tag: encode_classes(bins, sizes, backend=backend, executor=ex)
-                for tag, ex in _executors().items()
-            }
-            assert blobs["serial"] == blobs["thread"], (name, backend)
-            assert blobs["serial"] == blobs["process"], (name, backend)
-            payload, header = blobs["serial"]
-            for tag, ex in _executors().items():
-                flat, got = decode_classes(payload, header, executor=ex)
-                assert got == [int(s) for s in sizes], (name, backend, tag)
-                np.testing.assert_array_equal(flat, bins, err_msg=f"{name}/{tag}")
+            blobs = {}
+            try:
+                for kernel in kernels:
+                    native.set_kernel_backend(kernel)
+                    for tag, ex in _executors().items():
+                        blobs[kernel, tag] = encode_classes(
+                            bins, sizes, backend=backend, executor=ex
+                        )
+                        flat, got = decode_classes(*blobs[kernel, tag], executor=ex)
+                        assert got == [int(s) for s in sizes], (name, backend, tag)
+                        np.testing.assert_array_equal(
+                            flat, bins, err_msg=f"{name}/{kernel}/{tag}"
+                        )
+            finally:
+                native.set_kernel_backend(None)
+            want = blobs["reference", "serial"]
+            assert all(b == want for b in blobs.values()), (name, backend)
 
     def test_codebook_chains_are_backend_independent(self, rng):
         """Reusing streams emit identical ref/delta chains everywhere."""
@@ -364,23 +375,23 @@ class TestThreeBackendBitIdentity:
 
 
 class TestHuffmanProcessDecode:
-    def test_shm_fanout_engages_and_is_exact(self, rng, monkeypatch):
-        n = 2 * H._MIN_DECODE_BLOCKS_PER_WORKER * H._SYNC_BLOCK + 9876
-        vals = (rng.geometric(0.4, n).astype(np.int64) - 1) * rng.choice([-1, 1], n)
-        vals[:: n // 64] = rng.integers(-(2**60), 2**60, vals[:: n // 64].size)
-        payload, header = H.huffman_encode(vals)
-        staged = _spy_staging(monkeypatch)
-        out = H.huffman_decode(payload, header, executor=get_executor("process:2"))
-        np.testing.assert_array_equal(out, vals)
-        assert staged == ["share_array"], "process shm decode path did not engage"
-
     def test_shm_unavailable_falls_back(self, rng, monkeypatch):
-        n = 2 * H._MIN_DECODE_BLOCKS_PER_WORKER * H._SYNC_BLOCK + 5
-        vals = rng.integers(-6, 7, n).astype(np.int64)
-        payload, header = H.huffman_encode(vals)
+        """Huffman segments decode as pool jobs, and as ``decode_classes``'
+        fan-out, exactly even where no shared memory can be staged."""
+        sizes = [(1 << 16) + 5, 3 * H._SYNC_BLOCK + 1, 0, 7]
+        bins = rng.integers(-6, 7, sum(sizes)).astype(np.int64)
+        bins[:: 997] = rng.integers(-(2**60), 2**60, bins[:: 997].size)
+        bounds = np.cumsum([0] + sizes)
+        segs = [bins[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        encoded = [H.huffman_encode(v) for v in segs]
+        payload, header = encode_classes(bins, sizes, backend="huffman")
         _refuse_shm(monkeypatch)
-        out = H.huffman_decode(payload, header, executor=get_executor("process:2"))
-        np.testing.assert_array_equal(out, vals)
+        proc = get_executor("process:2")
+        for out, vals in zip(proc.map(H.huffman_decode, *zip(*encoded)), segs):
+            np.testing.assert_array_equal(out, vals)
+        flat, got = decode_classes(payload, header, executor=proc)
+        assert got == sizes
+        np.testing.assert_array_equal(flat, bins)
 
 
 class TestZlibSubBlocks:
@@ -415,6 +426,9 @@ class TestZlibSubBlocks:
         for tag, ex in _executors().items():
             flat, _ = decode_classes(payload, header, executor=ex)
             np.testing.assert_array_equal(flat, bins, err_msg=tag)
+        _refuse_shm(monkeypatch)  # no shared memory: the pool runs inline
+        flat, _ = decode_classes(payload, header, executor=get_executor("process:2"))
+        np.testing.assert_array_equal(flat, bins, err_msg="process without shm")
 
     def test_legacy_single_unit_zlib_segments_decode(self, rng, monkeypatch):
         """Blobs written before sub-block segmentation still decode."""
