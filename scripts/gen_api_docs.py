@@ -29,8 +29,10 @@ float64) and `solver.thomas_solve`; modeled times come from
 The leaf loops (detail fill, stencil, Thomas sweep) run in C when
 `repro.core.native` has its library loaded (`REPRO_KERNEL_BACKEND =
 reference | native | auto`); the results are bit-identical.  The same
-library holds the entropy stage's three integer loops (`huff_decode`,
-`huff_pack`, `huff_lengths`), taken from inside `repro.compress.huffman_*`.
+library holds the entropy stage's integer loops — the decode walk
+(`huff_decode`), the segment encode's two passes (`huff_map`, then
+`huff_encode` once the reuse guard has passed) and the code-length merge
+(`huff_lengths`) — taken from inside `repro.compress.huffman_*`.
 """,
     "repro.parallel": """\
 Backend selection (`get_executor(spec)` / `REPRO_EXECUTOR` /

@@ -13,15 +13,14 @@ parts:
   A book can be supplied (``code=``) instead of rebuilt from the data,
   which is how slowly-varying streams amortize entropy setup across time
   steps, and shipped as a delta against another (:func:`table_delta`);
-* :mod:`.huffman_pack` — :func:`huffman_encode` maps symbols to book
-  slots, decides a reuse guard from that one mapping pass, and packs
-  (code, length, bit offset) chunks into 64-bit words;
+* :mod:`.huffman_pack` — :func:`huffman_encode` maps and counts symbols,
+  reads a reuse guard off the histogram, then packs (two passes);
 * :mod:`.huffman_unpack` — :func:`huffman_decode` picks by segment size:
   few payload bits (and headers without sync offsets) take the codeword
   chain whole, wide segments one cursor per sync block.
 
-The stage's three integer loops — the code-length merge, the word pack,
-the decode walk — run in C under the ``native`` kernel backend
+The stage's integer loops — the code-length merge, the encode's two
+passes, the decode walk — run in C under the ``native`` kernel backend
 (:mod:`repro.core.native`, the default where a compiler is) and in the
 NumPy/Python bodies beside them otherwise; payload bytes, headers, books
 and decoded symbols are the same either way.  A segment is coded in one
@@ -42,27 +41,18 @@ import numpy as np
 # the book / pack / unpack modules' names that lossless.py, the tests and
 # tests/huffman_oracle.py reach through this module
 from .huffman_book import (  # noqa: F401
+    _DENSE_SPAN_FACTOR,
     _RESERVE_ESCAPE_MIN_SYMS,
     HuffmanCode,
     _build_code,
+    _delta,
     apply_table_delta,
     build_code,
     code_from_table,
     table_delta,
     table_from_code,
 )
-from .huffman_pack import (  # noqa: F401
-    _DENSE_SPAN_FACTOR,
-    _GUARD_TRIPPED,
-    _SYNC_BLOCK,
-    _chunks,
-    _guard_exceeded,
-    _map_symbols,
-    _note_stats,
-    _pack_chunks_words,
-    _pack_words,
-    _payload_bytes,
-)
+from .huffman_pack import _SYNC_BLOCK, _map_slots, _map_symbols, _pack_slots  # noqa: F401
 from .huffman_unpack import (  # noqa: F401
     _LUT_BITS,
     _block_bounds,
@@ -104,31 +94,32 @@ def _header(table: list | None, n: int, total_bits: int, sync=None) -> dict:
     return header
 
 
-def _encode_payload(values, code, stats=None, guard=None):
+# what the encode path returns when a reuse guard rejects the book
+_GUARD_TRIPPED = (None, None, None)
+
+
+def _encode_payload(values, code, guard=None):
     """Encode with a given book; returns ``(payload, total_bits, sync)``.
 
-    The header-less core of :func:`huffman_encode` (same ``stats`` /
-    ``guard``), for callers that ship a reference to a cached book
-    instead of its table.  A tripped guard — or, under a guard, a new
-    symbol the book has no escape for — returns :data:`_GUARD_TRIPPED`.
+    The header-less core of :func:`huffman_encode` (same ``guard``), for
+    callers that ship a reference to a cached book instead of its table.
+    A tripped guard — or, under a guard, a new symbol the book has no
+    escape for — returns :data:`_GUARD_TRIPPED`.
     """
-    n = values.size
-    slots = _map_symbols(values, code)
-    if guard is not None:
-        # decided from the mapping pass alone: no chunk is gathered, let
-        # alone packed, for a book about to be replaced
-        used = np.bincount(slots, minlength=code._slot_lens.size)
-        n_esc = int(used[-1])
-        if n_esc and code.esc_len is None:
-            return _GUARD_TRIPPED
-        if _guard_exceeded(guard, n, int(used @ code._slot_lens) + 64 * n_esc):
-            _note_stats(stats, n, n_esc)
-            return _GUARD_TRIPPED
-    c_codes, c_lens, offsets, esc = _chunks(slots, code)
-    _note_stats(stats, n, esc.size)
-    total_bits = int(offsets[-1])
-    payload = _payload_bytes(_pack_words(values, c_codes, c_lens, offsets, esc), total_bits)
-    return payload, total_bits, offsets[_SYNC_BLOCK:-1:_SYNC_BLOCK]
+    slots, used = _map_slots(values, code)
+    # decided from the mapping pass's histogram alone: nothing is packed
+    # for a book about to be replaced, or one that cannot code a value
+    n_esc = int(used[-1])
+    total_bits = int(used @ code._slot_lens) + 64 * n_esc
+    max_bps = (guard or {}).get("max_bits_per_symbol")
+    if (n_esc and code.esc_len is None) or (
+            max_bps is not None and total_bits > max_bps * values.size + 1e-9):
+        if guard is None:
+            raise ValueError("value outside the code book and the book has no escape code; "
+                             "rebuild the book (or build it with reserve_escape=True)")
+        return _GUARD_TRIPPED
+    payload, sync = _pack_slots(values, slots, code, total_bits)
+    return payload, total_bits, sync
 
 
 def huffman_encode(
@@ -136,7 +127,6 @@ def huffman_encode(
     max_table: int = 4096,
     *,
     code: HuffmanCode | None = None,
-    stats: dict | None = None,
     guard: dict | None = None,
 ):
     """Encode an int64 array; returns (payload, header).
@@ -151,14 +141,10 @@ def huffman_encode(
         Encode with this (externally built, e.g. cached from a previous
         stream step) code book instead of building one from the data.
         The book needs an escape code to cover symbols it has not seen.
-    stats:
-        Optional dict that receives ``n_symbols`` / ``n_escaped`` — the
-        signal reuse policies watch to decide when a stale book must be
-        rebuilt.
     guard:
         Optional reuse guard ``{"max_bits_per_symbol": b}``.  Decided
-        from the symbol-mapping pass alone, *before* any chunk is
-        gathered or packed; when the would-be payload exceeds the bound
+        from the symbol-mapping pass's slot histogram alone, *before*
+        anything is packed; when the would-be payload exceeds the bound
         (or the book lacks an escape for a new symbol) the call returns
         ``(None, None)`` so the caller can rebuild the book without
         having paid for a wasted encode.
@@ -168,7 +154,7 @@ def huffman_encode(
         return b"", {"n": 0, "bits": 0, "table": []}
     if code is None:
         code = _build_code(values, max_table)
-    payload, total_bits, sync = _encode_payload(values, code, stats, guard)
+    payload, total_bits, sync = _encode_payload(values, code, guard)
     if payload is None:
         return None, None
     return payload, _header(code.table, values.size, total_bits, sync)

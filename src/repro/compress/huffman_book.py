@@ -4,16 +4,18 @@ A code book (:class:`HuffmanCode`) *is* arrays — the sorted distinct
 int64 symbols, their code lengths and canonical codes, plus an optional
 escape code for rare outliers (values outside the table are emitted as
 the ESCAPE code followed by 64 raw bits).  Lengths come from a two-queue
-merge over the stably sorted ``np.unique`` counts (:func:`_code_lengths`;
-the merge loop runs in C under the ``native`` kernel backend, in Python
-otherwise — integer compares either way, so the same lengths); code
-assignment is canonical (sorted by (length, symbol)), so the decoder only
-needs the (symbol, length) pairs.  :func:`table_delta` /
-:func:`apply_table_delta` express one book as a compact edit script
-against another so reused books cost almost no header bytes.
+merge over the stably sorted symbol counts (:func:`_histogram`;
+:func:`_code_lengths`, whose merge loop runs in C under the ``native``
+kernel backend, in Python otherwise — integer compares either way, so
+the same lengths); code assignment is canonical (sorted by (length,
+symbol)), so the decoder only needs the (symbol, length) pairs.
+:func:`table_delta` / :func:`apply_table_delta` express one book as a
+compact edit script against another so reused books cost almost no
+header bytes; :func:`_delta` weighs it against the full table on the
+books' arrays.
 
-The heap construction the builder must agree with lives in
-``tests/huffman_oracle.py``.
+The heap construction and the dict-built delta the builder must agree
+with live in ``tests/huffman_oracle.py``.
 """
 
 from __future__ import annotations
@@ -170,9 +172,8 @@ class HuffmanCode:
 
     @property
     def table_json(self) -> str:
-        """JSON of :attr:`table`, serialized once per book (the reuse
-        policy weighs deltas against its length, and it is the form a
-        book is pickled in)."""
+        """JSON of :attr:`table`, serialized once per book: the form a
+        book (and its decode tables) is pickled in."""
         if self._table_json is None:
             self._table_json = json.dumps(self.table)
         return self._table_json
@@ -188,13 +189,33 @@ class HuffmanCode:
 # genuinely new symbol is cheaper than carrying the escape
 _RESERVE_ESCAPE_MIN_SYMS = 64
 
+# A value range of at most this multiple of the segment length is counted
+# (here) and mapped to book slots (``huffman_pack._dense_lut``) through
+# dense tables over the range instead of a sort or a binary search: one
+# store per range entry, which a saved O(n log m) pass repays only while
+# the range stays within a few times n.  Fine classes span a few thousand
+# bins; a coarse class of 8 symbols spread over millions keeps the sort.
+_DENSE_SPAN_FACTOR = 4
+
+
+def _histogram(values: np.ndarray):
+    """``np.unique(values, return_counts=True)``, by ``bincount`` over a
+    ``[min, max]`` of at most :data:`_DENSE_SPAN_FACTOR` times the values."""
+    if values.size:
+        lo, hi = int(values.min()), int(values.max())  # Python ints: no int64 wrap
+        if hi - lo < _DENSE_SPAN_FACTOR * values.size:
+            counts = np.bincount(values - lo)
+            syms = np.flatnonzero(counts)
+            return syms + lo, counts[syms]
+    return np.unique(values, return_counts=True)
+
 
 def _build_code(
     values: np.ndarray, max_table: int, reserve_escape: bool | str = False
 ) -> HuffmanCode:
     if max_table < 2:
         raise ValueError(f"max_table must be at least 2, got {max_table}")
-    syms, counts = np.unique(values, return_counts=True)
+    syms, counts = _histogram(values)
     if reserve_escape == "auto":
         reserve_escape = syms.size >= _RESERVE_ESCAPE_MIN_SYMS
     if syms.size == 0:
@@ -273,16 +294,54 @@ def table_delta(ref_table: list, new_table: list) -> dict:
     """Edit script turning ``ref_table`` into ``new_table``.
 
     Returns ``{"set": [[sym, len], ...], "drop": [sym, ...]}`` — only
-    the symbols whose code length changed, appeared, or vanished.  For
-    slowly-varying streams this is a small fraction of the full table,
-    so rebuilt books cost few header bytes when expressed as deltas.
+    the symbols whose code length changed, appeared, or vanished, in
+    table order (ascending, ``"ESC"`` last).  For slowly-varying streams
+    this is a small fraction of the full table, so rebuilt books cost
+    few header bytes when expressed as deltas.
     """
-    ref = _table_dict(ref_table)
-    new = _table_dict(new_table)
-    return {
-        "set": [[s, ln] for s, ln in new.items() if ref.get(s) != ln],
-        "drop": [s for s in ref if s not in new],
-    }
+    return _delta(code_from_table(ref_table), code_from_table(new_table))
+
+
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _json_len(x: np.ndarray) -> np.ndarray:
+    """``len(json.dumps(int(v)))`` of every int64 ``v``: digits and sign."""
+    neg = x < 0
+    magnitude = np.where(neg, ~x, x).astype(np.uint64) + neg  # ~v = -v - 1: no overflow
+    return np.searchsorted(_POW10, magnitude, side="right") + 1 + neg
+
+
+def _list_len(item_chars: np.ndarray, tail: list) -> int:
+    """``len(json.dumps(items + tail))``, ``item_chars`` the items' lengths."""
+    return int(item_chars.sum()) + sum(len(json.dumps(t)) for t in tail) + 2 * max(
+        item_chars.size + len(tail), 1)
+
+
+def _delta(ref: HuffmanCode, new: HuffmanCode, only_if_smaller: bool = False) -> dict | None:
+    """:func:`table_delta` from one ``searchsorted`` of the sorted symbol
+    arrays — ``set`` rows of ``new.table``, ``drop`` symbols of ``ref``.
+    With ``only_if_smaller``, ``None`` unless its JSON is shorter than the
+    table's: both lengths counted from the arrays (``[sym, len]`` is the
+    two integers plus four characters), the lists built only if it wins."""
+    pos = np.searchsorted(ref.symbols, new.symbols)
+    found = pos < ref.symbols.size
+    found[found] = ref.symbols[pos[found]] == new.symbols[found]
+    set_ = ~found  # absent from ref, or coded at another length
+    set_[found] = ref.lengths[pos[found]] != new.lengths[found]
+    drop = np.ones(ref.symbols.size, dtype=bool)
+    drop[pos[found]] = False
+    set_esc = [["ESC", new.esc_len]] if new.esc_len not in (None, ref.esc_len) else []
+    drop_esc = ["ESC"] if new.esc_len is None and ref.esc_len is not None else []
+    if only_if_smaller:
+        item = _json_len(new.symbols) + _json_len(new.lengths) + 4
+        full = _list_len(item, [] if new.esc_len is None else [["ESC", new.esc_len]])
+        if full <= (len('{"set": , "drop": }') + _list_len(item[set_], set_esc)
+                    + _list_len(_json_len(ref.symbols[drop]), drop_esc)):
+            return None
+    rows = new.table
+    return {"set": [rows[i] for i in np.flatnonzero(set_).tolist()] + set_esc,
+            "drop": ref.symbols[drop].tolist() + drop_esc}
 
 
 def apply_table_delta(ref_table: list, delta: dict) -> list:

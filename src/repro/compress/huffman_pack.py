@@ -1,12 +1,14 @@
-"""The Huffman encode side: symbol mapping, chunking, the word pack.
+"""The Huffman encode side, in two passes over a segment.
 
-:func:`_map_symbols` maps symbols to book slots through a dense offset
-table cached on the book when the book's symbol span is small next to
-the segment (``searchsorted`` otherwise); :func:`_chunks` turns slots
-into (code, length, bit offset) chunks; :func:`_pack_chunks_words`
-scatters them MSB-first into 64-bit words — one C loop under the
-``native`` kernel backend, a word-aligned scatter-OR in NumPy otherwise,
-the same words either way.  A segment encodes in one pass; the entropy
+Pass 1, :func:`_map_slots`, maps every value to its book slot — through
+a dense table cached on the book when its symbol span is small next to
+the segment, by binary search otherwise — and counts the slots; the
+reuse guard and the bit count are read off that histogram.  Pass 2,
+:func:`_pack_slots`, writes the codes, the 64 raw bits behind each
+ESCAPE and every :data:`_SYNC_BLOCK`-th bit offset.  Each pass is one C
+loop (``huff_encode``) under the ``native`` kernel backend;
+:func:`_map_symbols`, :func:`_chunks` and :func:`_pack_words` are the
+NumPy ``reference`` and oracle — the same bytes either way.  The entropy
 stage's parallel work unit is the class segment
 (:func:`repro.compress.lossless.encode_classes`).
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import native
-from .huffman_book import HuffmanCode
+from .huffman_book import _DENSE_SPAN_FACTOR, HuffmanCode
 
 # The encoder records the bit offset of every _SYNC_BLOCK-th symbol in
 # the header ("sync").  The offsets let the decoder run one cursor per
@@ -24,50 +26,58 @@ from .huffman_book import HuffmanCode
 # chain; real parallel entropy decoders use the same device.
 _SYNC_BLOCK = 512
 
-# the dense value -> index table is built (once, cached on the book)
-# when the book's symbol span is at most this multiple of the segment
-# being mapped: filling it costs one store per span entry, which a
-# single saved O(n log m) ``searchsorted`` pass repays only while the
-# span stays within a few times n.  Fine classes span a few thousand
-# bins; a coarse class of 8 symbols spread over millions keeps
-# ``searchsorted``.
-_DENSE_SPAN_FACTOR = 4
+
+def _dense_lut(code: HuffmanCode, n: int) -> np.ndarray | None:
+    """The book's value -> slot table ``lut[value - symbols[0]]``, built
+    (once, cached on the book) when its symbol span is at most
+    :data:`_DENSE_SPAN_FACTOR` times the ``n``-value segment mapped."""
+    syms, lut = code.symbols, code._lut
+    if lut is None and syms.size and int(syms[-1]) - int(syms[0]) < _DENSE_SPAN_FACTOR * n:
+        lut = np.full(int(syms[-1]) - int(syms[0]) + 1, syms.size, dtype=np.intp)
+        lut[syms - syms[0]] = np.arange(syms.size)
+        code._lut = lut  # whole before it is shared: segments of one book may run concurrently
+    return lut
 
 
 def _map_symbols(values: np.ndarray, code: HuffmanCode) -> np.ndarray:
     """Slot of every value in the book: its index in ``code.symbols``,
-    or ``code.symbols.size`` — the ESCAPE slot — where the book has none.
-
-    A book whose symbol span is at most :data:`_DENSE_SPAN_FACTOR`
-    times the segment maps through one gather from a dense offset table
-    (built once, cached on the book); wider books binary-search.  Both
-    give the same slots, so the choice never shows in the payload.
-    """
+    or ``code.symbols.size`` — the ESCAPE slot — where the book has none;
+    through the :func:`_dense_lut` table where there is one, else by
+    ``searchsorted`` (the same slots: the choice never shows)."""
     syms = code.symbols
     n_syms = syms.size
     if n_syms == 0:
         return np.zeros(values.size, dtype=np.intp)
-    lo, hi = int(syms[0]), int(syms[-1])
-    lut = code._lut
-    if lut is None and hi - lo < _DENSE_SPAN_FACTOR * values.size:
-        lut = np.full(hi - lo + 1, n_syms, dtype=np.intp)
-        lut[syms - lo] = np.arange(n_syms)
-        code._lut = lut
+    lut = _dense_lut(code, values.size)
     if lut is None:
         pos = np.minimum(np.searchsorted(syms, values), n_syms - 1)
         return np.where(syms[pos] == values, pos, n_syms)
-    if values.min() >= lo and values.max() <= hi:
-        return lut[values - lo]
-    slots = np.full(values.size, n_syms, dtype=np.intp)
-    inside = (values >= lo) & (values <= hi)
-    slots[inside] = lut[values[inside] - lo]
-    return slots
+    at = values.astype(np.uint64) - syms[:1].astype(np.uint64)  # below the span wraps past it
+    return np.where(at < lut.size, lut[np.minimum(at, lut.size - 1)], n_syms)
 
 
-_NO_ESCAPE = (
-    "value outside the code book and the book has no escape code; "
-    "rebuild the book (or build it with reserve_escape=True)"
-)
+def _map_slots(values: np.ndarray, code: HuffmanCode):
+    """Pass 1: ``(slots, histogram)``, ESCAPE counted last — one C loop
+    where the kernel backend has it, :func:`_map_symbols` otherwise."""
+    mapped = native.huff_map(values, code.symbols, _dense_lut(code, values.size))
+    if mapped is not None:
+        return mapped
+    slots = _map_symbols(values, code)
+    return slots, np.bincount(slots, minlength=code.symbols.size + 1)
+
+
+def _pack_slots(values: np.ndarray, slots: np.ndarray, code: HuffmanCode, total_bits: int):
+    """Pass 2: ``(payload, sync)`` of mapped values whose codes add up to
+    ``total_bits`` — one C loop where the kernel backend has it,
+    :func:`_chunks` and :func:`_pack_words` otherwise."""
+    packed = native.huff_encode(values, slots, code._slot_codes, code._slot_lens, total_bits,
+                                _SYNC_BLOCK)
+    if packed is not None:
+        return packed
+    c_codes, c_lens, offsets, esc = _chunks(slots, code)
+    words = _pack_words(values, c_codes, c_lens, offsets, esc)[: (total_bits + 63) >> 6]
+    payload = words.astype(">u8").tobytes()[: (total_bits + 7) >> 3]
+    return payload, offsets[_SYNC_BLOCK:-1:_SYNC_BLOCK]
 
 
 def _chunks(slots: np.ndarray, code: HuffmanCode):
@@ -79,8 +89,6 @@ def _chunks(slots: np.ndarray, code: HuffmanCode):
     occupies its ESCAPE code plus 64 raw bits.
     """
     esc = np.flatnonzero(slots == code.symbols.size)
-    if esc.size and code.esc_len is None:
-        raise ValueError(_NO_ESCAPE)
     c_codes = code._slot_codes[slots]
     c_lens = code._slot_lens[slots]
     step = c_lens
@@ -93,12 +101,9 @@ def _chunks(slots: np.ndarray, code: HuffmanCode):
 
 
 def _pack_words(values, c_codes, c_lens, offsets, esc) -> np.ndarray:
-    """Word buffer of one chunkified range (``offsets`` may start mid-word).
-
-    The codes — ESCAPE codes included — pack at their positions; the
-    raw 64 bits of the escaped values pack right behind their ESCAPE
-    codes in a second pass and OR in, the bit ranges being disjoint.
-    """
+    """Word buffer of a chunkified segment: the codes — ESCAPE codes
+    included — at their positions, then the raw 64 bits of the escaped
+    values right behind their ESCAPE codes, ORed in (disjoint ranges)."""
     buf = _pack_chunks_words(c_codes, c_lens, offsets)
     if esc.size:
         raw_at = np.append(offsets[esc] + c_lens[esc], offsets[-1])
@@ -110,23 +115,12 @@ def _pack_words(values, c_codes, c_lens, offsets, esc) -> np.ndarray:
 def _pack_chunks_words(
     c_codes: np.ndarray, c_lens: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
-    """MSB-first scatter of (code, length) chunks into 64-bit words: one C
-    loop where the kernel backend has it, the scatter-OR below otherwise.
-
-    Word-aligned: every chunk (1..64 bits) lands in at most two
-    big-endian 64-bit words.  Each code is left-justified once; the
-    part in its first word is that shifted right by the chunk's bit
-    offset ``r`` in the word, the spill into the next word the same
-    left-justified code shifted left by ``64 - r`` (as ``63 - r`` then
-    1, so ``r = 0`` spills nothing without a 64-bit shift) — plus one
-    ``bitwise_or.reduceat`` per landing word, no per-bit expansion.
-    ``offsets`` is the chunk bit-position prefix sum (size ``n_chunks +
-    1``; callers already have it); ``offsets[0]`` (< 64) offsets the
-    first chunk inside word 0.
-    """
-    words = native.huff_pack(c_codes, c_lens, offsets)
-    if words is not None:
-        return words
+    """MSB-first scatter of (code, length) chunks at bit ``offsets`` (one
+    more than chunks: the last is the end) into 64-bit words, plus a
+    spill word.  A chunk (1..64 bits) lands in at most two words: the
+    left-justified code shifted right by its offset ``r`` in the first,
+    left by ``64 - r`` (as ``63 - r`` then 1: ``r = 0`` spills nothing)
+    into the next — one ``bitwise_or.reduceat`` per landing word."""
     n_words = (int(offsets[-1]) + 63) >> 6
     buf = np.zeros(n_words + 1, dtype=np.uint64)  # +1 spill word
     if c_codes.size == 0:
@@ -147,24 +141,3 @@ def _pack_chunks_words(
     buf[idx] = np.bitwise_or.reduceat(part0, starts)
     buf[idx + 1] |= np.bitwise_or.reduceat(part1, starts)
     return buf
-
-
-def _payload_bytes(words: np.ndarray, total_bits: int) -> bytes:
-    """Big-endian bytes of a word buffer, cut to the payload's bit count."""
-    n_words = (total_bits + 63) >> 6
-    return words[:n_words].astype(">u8").tobytes()[: (total_bits + 7) >> 3]
-
-
-# what the encode path returns when a reuse guard rejects the book
-_GUARD_TRIPPED = (None, None, None)
-
-
-def _note_stats(stats: dict | None, n: int, n_escaped: int) -> None:
-    if stats is not None:
-        stats["n_symbols"] = int(n)
-        stats["n_escaped"] = int(n_escaped)
-
-
-def _guard_exceeded(guard: dict, n: int, total_bits: int) -> bool:
-    max_bps = guard.get("max_bits_per_symbol")
-    return max_bps is not None and total_bits > max_bps * n + 1e-9

@@ -33,7 +33,6 @@ the chain.  The decoder replays the same chain from its own scratch.
 
 from __future__ import annotations
 
-import json
 import threading
 import zlib
 
@@ -42,6 +41,7 @@ import numpy as np
 from ..parallel.executors import SerialExecutor
 from .huffman import (
     _build_code,
+    _delta,
     _encode_payload,
     _header,
     apply_table_delta,
@@ -49,7 +49,6 @@ from .huffman import (
     decode_tables,
     huffman_decode,
     huffman_encode,
-    table_delta,
 )
 
 __all__ = [
@@ -203,17 +202,16 @@ def _encode_segment_huffman(
         # rebuild (only the symbol-mapping probe was wasted)
     code = _build_code(seg, 4096, reserve_escape="auto")
     payload, bits, sync = _encode_payload(seg, code)
-    # the header-form table and its JSON are built once per book and
-    # stay on it: the next rebuild diffs against the table, reuse never
-    # touches either
+    # the header-form table is built once per book and stays on it (the
+    # archive below holds it); the delta is weighed on the books' arrays
     table = code.table
-    hh = _header(table, seg.size, bits, sync)
-    if entry is not None and not refresh:
-        delta = table_delta(entry["code"].table, table)
-        if len(json.dumps(delta)) < len(code.table_json):
-            hh = _header(None, seg.size, bits, sync)
-            hh["table_ref"] = entry["id"]
-            hh["table_delta"] = delta
+    delta = None if entry is None or refresh else _delta(entry["code"], code, only_if_smaller=True)
+    if delta is None:
+        hh = _header(table, seg.size, bits, sync)
+    else:
+        hh = _header(None, seg.size, bits, sync)
+        hh["table_ref"] = entry["id"]
+        hh["table_delta"] = delta
     with _scratch_lock(scratch):
         new_id = _next_table_id(scratch, class_idx)
         hh["table_id"] = new_id

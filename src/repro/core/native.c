@@ -331,22 +331,82 @@ i64 huff_decode(const u64 *words, i64 total, i64 *pos, i64 nblocks, i64 block, i
     return HUFF_OK;
 }
 
-/* MSB-first scatter of n (code, length) chunks at bit offsets[i] into the
- * zeroed words of buf, which holds offsets[n] bits and one spill word */
-i64 huff_pack(const u64 *codes, const i64 *lens, const i64 *offsets, i64 n, u64 *buf)
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#define BE64(x) __builtin_bswap64(x) /* a word as the payload stores it */
+#else
+#define BE64(x) (x)
+#endif
+
+/* The encode pass's bit writer: words[0..w) are complete, the fill (0..63)
+ * bits of word w wait left-justified in acc, nothing goes to words[cap]. */
+typedef struct { u64 acc, *words; i64 fill, w, cap; } Bits;
+
+/* append the low len (1..64) bits of code, which has no others set */
+INLINE int put(Bits *b, u64 code, i64 len)
 {
-    const i64 total = offsets[n];
-    for (i64 i = 0; i < n; i++) {
-        const i64 off = offsets[i], len = lens[i];
-        if (len < 1 || len > 64 || off < 0 || off > total - len)
-            return HUFF_BAD_CHUNK;
-        const u64 justified = codes[i] << (64 - len);
-        const unsigned r = (unsigned)(off & 63);
-        buf[off >> 6] |= justified >> r;
-        if (r)
-            buf[(off >> 6) + 1] |= justified << (64 - r);
+    const i64 room = 64 - b->fill;
+    if (len < room) {
+        b->acc |= code << (room - len);
+        b->fill += len;
+        return 1;
     }
-    return HUFF_OK;
+    const i64 rest = len - room; /* 0..63 bits carried into the next word */
+    if (b->w >= b->cap)
+        return 0;
+    b->words[b->w++] = BE64(b->acc | code >> rest);
+    b->acc = rest ? code << (64 - rest) : 0;
+    b->fill = rest;
+    return 1;
+}
+
+/* The Huffman encode of n values with a book of nsyms ascending symbols, in two
+ * calls; slot nsyms is ESCAPE, where out-of-book values map.  Pass 1 (words ==
+ * NULL): each value's slot — lut[value - syms[0]] when a dense table of lut_size
+ * entries is given, else a jump-free binary search — into slots, and the slot
+ * histogram into the nsyms + 1 zeroed counters of hist.  Pass 2: every slot's
+ * code (codes / lens), and behind each ESCAPE the value's 64 raw bits, MSB-first
+ * into the total bits of words; the bit offset of every block-th value into
+ * sync.  A slot, length or total that does not add up is HUFF_BAD_CHUNK. */
+i64 huff_encode(const i64 *values, i64 n, int32_t *slots, const i64 *syms, i64 nsyms,
+                const i64 *lut, i64 lut_size, i64 *hist, const u64 *codes, const i64 *lens,
+                i64 total, i64 block, u64 *words, i64 *sync)
+{
+    for (i64 i = 0; !words && i < n; i++) {
+        const i64 v = values[i];
+        i64 s;
+        if (lut) {
+            const u64 d = (u64)v - (u64)syms[0]; /* below syms[0] wraps past lut_size */
+            if ((u64)(s = d < (u64)lut_size ? lut[d] : nsyms) > (u64)nsyms)
+                return HUFF_BAD_CHUNK;
+        } else {
+            const i64 *p = syms; /* the first symbol >= v */
+            for (i64 len = nsyms; len > 1; len -= len / 2)
+                p = p[len / 2] < v ? p + len / 2 : p;
+            s = (p - syms) + (*p < v);
+            s = s < nsyms && syms[s] == v ? s : nsyms;
+        }
+        slots[i] = (int32_t)s;
+        hist[s]++;
+    }
+    if (!words)
+        return HUFF_OK;
+    Bits b = {0, words, 0, 0, (total + 63) >> 6};
+    for (i64 b0 = 0; b0 < n; b0 += block) {
+        if (b0)
+            sync[b0 / block - 1] = 64 * b.w + b.fill;
+        for (i64 i = b0; i < b0 + block && i < n; i++) {
+            const i64 s = slots[i];
+            if ((u64)s > (u64)nsyms)
+                return HUFF_BAD_CHUNK;
+            const i64 len = lens[s];
+            if (len < 1 || len > 64 || !put(&b, codes[s], len)
+                || (s == nsyms && !put(&b, (u64)values[i], 64)))
+                return HUFF_BAD_CHUNK;
+        }
+    }
+    if (b.fill && b.w < b.cap) /* the last, partial word: where total says it is */
+        b.words[b.w] = BE64(b.acc);
+    return 64 * b.w + b.fill == total ? HUFF_OK : HUFF_BAD_CHUNK;
 }
 
 /* Huffman code lengths of n >= 2 ascending leaf weights by the two-queue merge:

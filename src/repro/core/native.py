@@ -11,10 +11,11 @@ otherwise (float16, longdouble, byte-swapped input, no compiler) the
 function's own NumPy body runs.  Both give the same bits: the C performs
 the same operations in the same order, with contraction off.
 
-Once those are fast the entropy stage is what is left, so its three
-integer loops take the same route from inside :mod:`repro.compress`:
-the Huffman decode walk (:func:`huff_decode`), the word pack
-(:func:`huff_pack`) and the code-length merge (:func:`huff_lengths`).
+Once those are fast the entropy stage is what is left, so its integer
+loops take the same route from inside :mod:`repro.compress`: the Huffman
+decode walk (:func:`huff_decode`), the segment encode — one C entry,
+called to map and count (:func:`huff_map`) and then to pack
+(:func:`huff_encode`) — and the code-length merge (:func:`huff_lengths`).
 There is nothing to round in them, so equal results need no argument
 beyond equal loops; what they need is bounds, and every pointer handed
 over here is sized and range-checked first.
@@ -65,8 +66,9 @@ __all__ = [
     "dequantize",
     "forced",
     "huff_decode",
+    "huff_encode",
     "huff_lengths",
-    "huff_pack",
+    "huff_map",
     "kernel_backend_policy",
     "library_path",
     "quantize",
@@ -231,7 +233,7 @@ _PROTOTYPES = {
     **{f"quantize_{s}": (_P, _P, _P, _N) for s in _SUFFIX.values()},
     "dequantize": (_P, _P, _P, _N),
     "huff_decode": (_P, _N, _P, _N, _N, _N, _P, _N, _P, _P, _N, _P, _P, _P, _P, _P, _P, _N),
-    "huff_pack": (_P, _P, _P, _N, _P),
+    "huff_encode": (_P, _N, _P, _P, _N, _P, _N, _P, _P, _P, _N, _N, _P, _P),
     "huff_lengths": (_P, _N, _P, _P),
 }
 
@@ -310,32 +312,36 @@ def _self_check(lib: ctypes.CDLL) -> bool:
 def _huffman_self_check() -> bool:
     """The three Huffman entries on the book of twenty Fibonacci weights — code
     lengths 1..19, the length-``L`` symbol ``L`` coded ``2**L - 2``, ESCAPE the
-    second 19-bit code — against Python's integers: eleven symbols in six blocks
-    of two (four abreast, one more, a short tail) behind a 4-bit prefix table
-    (hits, misses resolved by the first-code search, an escape found only there)."""
+    second 19-bit code — against Python's integers: eleven symbols, two escaped,
+    mapped by table and by search, encoded and decoded in six blocks of two (four
+    abreast, one more, a short tail) behind a 4-bit prefix table (hits, misses
+    resolved by the first-code search, an escape found only there)."""
     fib = [1, 1]
     while len(fib) < 20:
         fib.append(fib[-1] + fib[-2])
     if not np.array_equal(huff_lengths(np.array(fib)), [19, *range(19, 0, -1)]):
         return False
     stream = [1, 19, -7, 4, 18, 2, 1, 1, 3, 2**62 + 1, 5]  # -7 and 2**62 + 1 escape
-    chunks = []
-    for v in stream:
-        chunks += [(2**v - 2, v)] if 1 <= v <= 19 else [(2**19 - 1, 19), (v % 2**64, 64)]
-    codes, lens = (np.array(c, dtype=t) for c, t in zip(zip(*chunks), (_U64, _I64)))
-    offsets = np.concatenate([[0], np.cumsum(lens)])
-    total, bits = int(offsets[-1]), 0
-    for c, ln in chunks:
-        bits = bits << ln | c
-    n_words = (total + 63) >> 6
-    bits <<= 64 * n_words - total
-    want = [bits >> 64 * (n_words - 1 - i) & 2**64 - 1 for i in range(n_words)] + [0]
-    words = huff_pack(codes, lens, offsets)
-    if words is None or words.tolist() != want:
-        return False
-    at = offsets[np.flatnonzero(lens < 64)]  # where each symbol starts
+    values = np.array(stream, dtype=_I64)
     L = np.arange(1, 20)
     first = (np.uint64(1) << L.astype(_U64)) - np.uint64(2)
+    slots = [v - 1 if 1 <= v <= 19 else 19 for v in stream]  # symbol L in slot L - 1, ESCAPE 19
+    for lut in (np.arange(19), None):  # the dense table over 1..19, the binary search
+        mapped = huff_map(values, L, lut)
+        if mapped is None or [m.tolist() for m in mapped] != [slots, np.bincount(slots).tolist()]:
+            return False
+    at, bits, total = [], 0, 0  # where each symbol starts; the stream as one integer
+    for v in stream:
+        at.append(total)
+        for c, ln in [(2**v - 2, v)] if 1 <= v <= 19 else [(2**19 - 1, 19), (v % 2**64, 64)]:
+            bits, total = bits << ln | c, total + ln
+    n_words = (total + 63) >> 6
+    whole = (bits << 64 * n_words - total).to_bytes(8 * n_words, "big")
+    encoded = huff_encode(values, mapped[0], np.append(first, np.uint64(2**19 - 1)),
+                          np.append(L, 19), total, 2)
+    if encoded is None or [encoded[0], encoded[1].tolist()] != [whole[: (total + 7) >> 3], at[2::2]]:
+        return False
+    words = np.frombuffer(whole + bytes(8), dtype=">u8").astype(_U64)  # and the spill word
     count = np.array([1] * 18 + [2], dtype=_U64)
     search = (L, first, count, L - 1, ((first + count) << (64 - L).astype(_U64))[:-1])
     prefix = (4, np.array([1] * 8 + [2] * 4 + [3, 3, 4, 255], dtype=np.uint8),
@@ -562,19 +568,50 @@ def huff_decode(words, starts, block, rem, total, prefix, search, flat_syms, esc
     return status, out, pos
 
 
-def huff_pack(codes: np.ndarray, lens: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
-    """``huffman_pack._pack_chunks_words``'s word buffer, or ``None`` for the
-    NumPy body (which also takes any chunk outside ``offsets[-1]`` bits)."""
-    ok = (_flat(codes, _U64) and _flat(lens, _I64) and _flat(offsets, _I64)
-          and codes.size == lens.size == offsets.size - 1)
-    lib = _library_for(codes, lens, offsets) if ok else None
-    if lib is None or offsets[-1] < 0:
+def huff_map(values: np.ndarray, symbols: np.ndarray, lut: np.ndarray | None):
+    """Pass 1 of the C ``huff_encode``: each value's book slot, and their histogram.
+
+    ``(int32 slots, histogram)`` in a book of the ascending ``symbols``
+    (slot ``symbols.size``, ESCAPE, for a value it has not), through
+    ``lut`` — its dense table over ``symbols[0]..symbols[-1]`` — when
+    given; ``None`` for the NumPy body."""
+    ok = (_flat(values, _I64) and _flat(symbols, _I64) and 0 < symbols.size < 2**31
+          and (lut is None or _flat(lut, _I64)
+               and lut.size == int(symbols[-1]) - int(symbols[0]) + 1))
+    lib = _library_for(values, symbols, *([] if lut is None else [lut])) if ok else None
+    if lib is None:
         return None
-    buf = np.zeros(((int(offsets[-1]) + 63) >> 6) + 1, dtype=_U64)
-    if lib.huff_pack(codes.ctypes.data, lens.ctypes.data, offsets.ctypes.data, codes.size,
-                     buf.ctypes.data):
+    slots = np.empty(values.size, dtype=np.int32)
+    hist = np.zeros(symbols.size + 1, dtype=_I64)
+    if lib.huff_encode(values.ctypes.data, values.size, slots.ctypes.data, symbols.ctypes.data,
+                       symbols.size, None if lut is None else lut.ctypes.data,
+                       0 if lut is None else lut.size, hist.ctypes.data, None, None, 0, 0, None,
+                       None):
         return None
-    return buf
+    return slots, hist
+
+
+def huff_encode(values: np.ndarray, slots: np.ndarray, codes: np.ndarray, lens: np.ndarray,
+                total: int, block: int):
+    """Pass 2 of the C ``huff_encode``: the payload and sync offsets of mapped values.
+
+    ``(payload, sync)`` of the ``values`` whose :func:`huff_map` slots are
+    ``slots`` (``codes`` / ``lens`` per slot), ``total`` bits, a sync
+    offset every ``block`` values; ``None`` for the NumPy body — also
+    when a slot, length or the total does not add up."""
+    ok = (_flat(values, _I64) and _flat(slots, np.dtype(np.int32)) and slots.size == values.size
+          and _flat(codes, _U64) and _flat(lens, _I64) and 0 < codes.size == lens.size
+          and total > 0 and block > 0)
+    lib = _library_for(values, slots, codes, lens) if ok else None
+    if lib is None:
+        return None
+    words = np.empty((total + 63) >> 6, dtype=_U64)
+    sync = np.empty(max(-(-values.size // block) - 1, 0), dtype=_I64)
+    if lib.huff_encode(values.ctypes.data, values.size, slots.ctypes.data, None, codes.size - 1,
+                       None, 0, None, codes.ctypes.data, lens.ctypes.data, total, block,
+                       words.ctypes.data, sync.ctypes.data):
+        return None
+    return words.view(np.uint8)[: (total + 7) >> 3].tobytes(), sync
 
 
 def huff_lengths(leaf: np.ndarray) -> np.ndarray | None:

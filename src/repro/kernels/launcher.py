@@ -5,9 +5,10 @@ The paper's premise is hand-tuned kernels selected per configuration
 tests, benchmarks and the record a benchmark stamps.  An op **is** the
 production leaf (:data:`OP_SPECS`): the functions of :mod:`repro.core`
 that ``decompose``/``recompose`` call, the quantizer's two passes, and
-the entropy stage's three integer loops (``huff_lengths`` /
-``huff_pack`` / ``huff_decode``: the code-length merge, the word pack
-and the sync-block decode walk of :mod:`repro.compress.huffman`).
+the entropy stage's three integer entries (``huff_lengths`` /
+``huff_encode`` / ``huff_decode``: the code-length merge, the segment
+encode — map, guard, pack — and the sync-block decode walk of
+:mod:`repro.compress.huffman`).
 Each leaf holds its NumPy body and takes the C route of
 :mod:`repro.core.native` itself, so the two backends are the same
 function run under a forced policy (:func:`run_op`): ``reference`` (the
@@ -99,10 +100,9 @@ def _make_huff_lengths(shape, dtype, rng):
     return (np.unique(_bins(shape, rng), return_counts=True)[1],)
 
 
-def _make_huff_pack(shape, dtype, rng):
+def _make_huff_encode(shape, dtype, rng):
     bins = _bins(shape, rng)
-    code = huffman_book.build_code(bins)
-    return huffman_pack._chunks(huffman_pack._map_symbols(bins, code), code)[:3]
+    return bins, huffman_book.build_code(bins)
 
 
 def _make_huff_decode(shape, dtype, rng):
@@ -134,7 +134,7 @@ OP_SPECS: dict[str, OpSpec] = {
         OpSpec("quantize", native.quantize, _make_quantize),
         OpSpec("dequantize", native.dequantize, _make_dequantize),
         OpSpec("huff_lengths", huffman_book._code_lengths, _make_huff_lengths),
-        OpSpec("huff_pack", huffman_pack._pack_chunks_words, _make_huff_pack),
+        OpSpec("huff_encode", huffman._encode_payload, _make_huff_encode),
         OpSpec("huff_decode", huffman_unpack._decode_sync_range, _make_huff_decode),
     )
 }

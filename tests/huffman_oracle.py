@@ -5,12 +5,14 @@ two-queue merge; this module is the construction it must agree with,
 written the slow obvious way: a ``heapq`` tree over ``(count, id)``
 with leaf ids in symbol order (ESCAPE last) below every merged node's,
 a per-leaf walk to the root for the depths, canonical codes assigned by
-a sort, and per-element / per-bit encode and decode loops.  Test-only:
-production is compared against it byte for byte (payloads, headers) and
-symbol for symbol (decodes).
+a sort, per-element / per-bit encode and decode loops, and the code-book
+delta as two dicts weighed by ``json.dumps``.  Test-only: production is
+compared against it byte for byte (payloads, headers) and symbol for
+symbol (decodes).
 """
 
 import heapq
+import json
 
 import numpy as np
 
@@ -91,6 +93,25 @@ def header_table(lengths: dict) -> list:
 def lengths_from_table(table: list) -> dict:
     """Inverse of :func:`header_table`."""
     return {(ESCAPE if s == ESCAPE else int(s)): int(ln) for s, ln in table}
+
+
+def table_delta(ref_table: list, new_table: list) -> dict:
+    """The edit script from one table to another, by dicts: ``set`` in the
+    new table's order, ``drop`` in the reference's."""
+    ref, new = lengths_from_table(ref_table), lengths_from_table(new_table)
+    return {
+        "set": [[s, ln] for s, ln in new.items() if ref.get(s) != ln],
+        "drop": [s for s in ref if s not in new],
+    }
+
+
+def rebuild_form(ref_table: list, new_table: list) -> dict:
+    """What a drift rebuild ships: ``{"table_delta": ...}`` when the delta's
+    JSON is shorter than the new table's, else ``{"table": new_table}``."""
+    delta = table_delta(ref_table, new_table)
+    if len(json.dumps(delta)) < len(json.dumps(new_table)):
+        return {"table_delta": delta}
+    return {"table": new_table}
 
 
 def encode_with_book(values, lengths: dict):

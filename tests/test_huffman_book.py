@@ -9,11 +9,16 @@ kernel backend — including a ``ValueError`` from all four on every
 corrupt payload.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import huffman_oracle as O
 import repro.compress.huffman as H
+import repro.compress.huffman_book as B
 from repro.compress import lossless
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.core import native
@@ -122,6 +127,82 @@ class TestBookBuilder:
         with pytest.raises(ValueError, match="corrupt Huffman header"):
             H.code_from_table(table)
 
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_histogram_is_np_unique_on_both_sides_of_the_dense_span(self, rng, n):
+        """``bincount`` over ``[min, max]`` while that span is at most
+        ``_DENSE_SPAN_FACTOR`` times the segment, the sort past it, and
+        int64 extremes — where an int64 ``max - min`` would wrap."""
+        span = H._DENSE_SPAN_FACTOR * n
+        lo = int(rng.integers(-(2**40), 2**40))
+        cases = [np.full(n, lo), [-(2**63)] * n, [2**63 - 1] * n,
+                 [-(2**63), 2**63 - 1] * n, [0, -(2**63) + 1, 2**63 - 2]]
+        for hi in (lo + span - 1, lo + span):  # span entries: dense; one more: sorted
+            cases.append(np.append(rng.integers(lo, hi + 1, n - 1), [lo, hi][: n]))
+        for vals in cases:
+            vals = np.asarray(vals, dtype=np.int64)
+            got, want = B._histogram(vals), np.unique(vals, return_counts=True)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+_DIGITS = [0, 9, 10, 99, 100, -1, -9, -10, -99, -100, 2**63 - 1, -(2**63), 10**18, -(10**18)]
+
+
+@st.composite
+def book_pairs(draw):
+    """A reference book and the book of a rebuild: the same data, a drift of
+    it, or a disjoint alphabet; with and without ESCAPE, truncated tables,
+    symbols at every decimal width including the int64 extremes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["narrow", "wide", "digits"]))
+    if kind == "narrow":
+        vals = rng.integers(-30, 30, n)
+    elif kind == "wide":
+        vals = rng.integers(-(10**12), 10**12, n)
+    else:
+        vals = rng.choice(_DIGITS, n)
+    change = draw(st.sampled_from(["same", "drift", "disjoint"]))
+    new_vals = vals.copy()
+    if change == "drift":
+        at = rng.integers(0, n, max(n // 10, 1))
+        new_vals[at] = rng.choice(np.append(_DIGITS, vals[:5] // 2 + 1), at.size)
+    elif change == "disjoint":
+        new_vals = rng.integers(10**15, 10**15 + 100, n)
+
+    def book(v):
+        return H.build_code(v.astype(np.int64), draw(st.sampled_from([2, 16, 4096])),
+                            draw(st.sampled_from([False, True, "auto"])))
+
+    return book(vals), book(new_vals)
+
+
+class TestBookDeltas:
+    def test_counted_json_lengths_are_json_dumps(self, rng):
+        """Digits and sign of every width, and lists with and without an
+        ``"ESC"`` tail, measured as ``json.dumps`` writes them."""
+        ints = np.array(_DIGITS + [-(2**63) + 1, 2**63 - 2, 1, -2] + [10**k for k in range(19)]
+                        + [-(10**k) for k in range(19)] + [10**k - 1 for k in range(1, 19)]
+                        + rng.integers(-(2**63), 2**63 - 1, 500).tolist(), dtype=np.int64)
+        assert B._json_len(ints).tolist() == [len(json.dumps(v)) for v in ints.tolist()]
+        pairs = np.stack([ints, rng.integers(1, 65, ints.size)], axis=1)
+        for k in (0, 1, 2, ints.size):
+            for tail in ([], [["ESC", 7]], ["ESC"], [["ESC", 64]]):
+                chars = B._json_len(pairs[:k, 0]) + B._json_len(pairs[:k, 1]) + 4
+                assert B._list_len(chars, tail) == len(json.dumps(pairs[:k].tolist() + tail))
+
+    @settings(max_examples=150, deadline=None)
+    @given(book_pairs())
+    def test_array_delta_and_decision_equal_the_dict_oracle(self, pair):
+        """The edit script and the delta-or-table choice, weighed by counted
+        JSON lengths, are what two dicts and ``json.dumps`` make of it."""
+        ref, new = pair
+        want = O.table_delta(ref.table, new.table)
+        assert H._delta(ref, new) == want == H.table_delta(ref.table, new.table)
+        form = O.rebuild_form(ref.table, new.table)
+        assert H._delta(ref, new, only_if_smaller=True) == form.get("table_delta")
+        assert H.code_from_table(H.apply_table_delta(ref.table, want)).table == new.table
+
 
 class TestSymbolMapping:
     def _book(self):
@@ -156,12 +237,14 @@ class TestSymbolMapping:
         """Accept/reject equals the packed size, and rejecting packs nothing."""
         code = self._book()
         vals = rng.choice([0, 5, 4000, 7], 2000, p=[0.6, 0.2, 0.1, 0.1]).astype(np.int64)
-        stats = {}
-        _, header = H.huffman_encode(vals, code=code, stats=stats)
-        assert stats == {"n_symbols": 2000, "n_escaped": int((vals == 7).sum())}
+        _, header = H.huffman_encode(vals, code=code)
+        # every 7 escapes: its ESCAPE code and 64 raw bits
+        in_book = vals != 7
+        coded = code.lengths[np.searchsorted(code.symbols, vals[in_book])].sum()
+        assert header["bits"] == coded + (~in_book).sum() * (code.esc_len + 64)
         bps = header["bits"] / vals.size
         assert H.huffman_encode(vals, code=code, guard={"max_bits_per_symbol": bps})[0]
-        monkeypatch.setattr(H, "_pack_words", lambda *a: pytest.fail("packed"))
+        monkeypatch.setattr(H, "_pack_slots", lambda *a: pytest.fail("packed"))
         tight = {"max_bits_per_symbol": bps - 1e-6}
         assert H.huffman_encode(vals, code=code, guard=tight) == (None, None)
         bare = H.HuffmanCode.from_counts([0, 5, 4000], [5, 3, 1])

@@ -59,6 +59,8 @@ _MISCOMPILES = {
     "wrong_answers": (b"acc = acc + w1", b"acc = acc - w1"),
     "wrong_huffman_walk": (b"limits[li] <= win", b"limits[li] < win"),
     "wrong_huffman_lanes": (b"o + lane * block + t", b"o + lane * block"),
+    "wrong_huffman_search": (b"(*p < v)", b"(*p <= v)"),
+    "wrong_huffman_sync": (b"= 64 * b.w + b.fill;", b"= 64 * b.w;"),
 }
 
 
@@ -318,7 +320,8 @@ def test_library_that_disagrees_with_numpy_is_not_used(fresh_loader):
 @pytest.mark.parametrize("damage", sorted(set(_MISCOMPILES) - {"wrong_answers"}))
 def test_library_whose_huffman_entries_disagree_is_not_used(fresh_loader, damage):
     """The load-time check reaches the first-code search behind the prefix
-    table and the four-abreast walk."""
+    table, the four-abreast walk, and the encode's binary search and sync
+    offsets."""
     assert native.source().count(_MISCOMPILES[damage][0]) == 1
     _plant(fresh_loader, damage)
     (warning,) = _decompose_falls_back("native")
@@ -454,6 +457,15 @@ def test_run_op_rejects_an_unavailable_backend(fresh_loader, monkeypatch):
 # every op of the table, on every backend this host has
 
 
+def _same(got, want) -> bool:
+    """Equal bits: arrays by dtype and buffer, tuples item by item."""
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and len(got) == len(want) and all(map(_same, got, want))
+    if not isinstance(want, np.ndarray):
+        return type(got) is type(want) and got == want
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_measure_backend_times_reports_available_backends():
     for op in ALL_OPS:
         times = L.measure_backend_times(op, (8, 9), np.float64, repeats=1)
@@ -462,5 +474,4 @@ def test_measure_backend_times_reports_available_backends():
         args = L.OP_SPECS[op].make_inputs((8, 9), np.dtype(np.float64), np.random.default_rng(7))
         want = L.run_op("reference", op, *args)
         for backend in L.available_backends():
-            got = L.run_op(backend, op, *args)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (op, backend)
+            assert _same(L.run_op(backend, op, *args), want), (op, backend)

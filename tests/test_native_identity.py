@@ -9,13 +9,17 @@ ordered, strided and read-only inputs.  ``decompose``, ``recompose`` and
 the input, and reject a NaN/Inf input alike.  The entropy stage's integer
 loops get the same treatment — payload bytes, headers, code lengths and
 decoded symbols per backend against each other and the heap/scalar
-oracle — plus a mutation run that must end every damaged segment in a
-``ValueError`` or an array, never a signal.  On top of it, stream
-directories written under either backend by any executor hash the same.
+oracle, foreign books with 39- and 64-bit codes and int64-extreme values,
+and drawn chains of ``encode_classes`` steps whose rebuilt books must ship
+the dict oracle's choice of delta or table — plus a mutation run that
+must end every damaged segment in a ``ValueError`` or an array, never a
+signal.  On top of it, stream directories written under either backend
+by any executor hash the same.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +33,7 @@ from hypothesis import strategies as st
 
 import huffman_oracle as O
 import repro.compress.huffman as H
+from repro.compress.lossless import decode_classes, encode_classes
 from repro.core import native
 from repro.core.decompose import decompose, recompose
 from repro.core.refactor import Refactorer
@@ -284,6 +289,169 @@ def test_huffman_backends_agree_under_an_engaged_executor(book, rng):
     for outcomes in got.values():
         for (payload, header, decoded), w, vals in zip(outcomes, want, segs):
             assert (payload, header) == w[:2] and np.array_equal(decoded, vals)
+
+
+def _per_backend(fn):
+    """``fn()`` under each kernel backend, process-wide (as an executor's
+    workers would see it)."""
+    got = {}
+    try:
+        for backend in ("reference", "native"):
+            native.set_kernel_backend(backend)
+            got[backend] = fn()
+    finally:
+        native.set_kernel_backend(None)
+    return got
+
+
+def _complete_book(longest: int) -> H.HuffmanCode:
+    """A foreign book: symbols 0, 3, 6, ... coded in 1, 2, 3, ... bits up to
+    ``longest``, which the last symbol and ESCAPE share (an escaped value
+    costs ``longest + 64`` bits)."""
+    table = [[3 * k, min(k + 1, longest)] for k in range(longest)]
+    return H.code_from_table(table + [["ESC", longest]])
+
+
+@pytest.mark.parametrize("n", [0, 1, SYNC - 1, SYNC, SYNC + 1])
+@pytest.mark.parametrize("longest", [39, 64])
+def test_encode_entry_with_foreign_books_and_int64_extremes(longest, n, rng):
+    """Values at both int64 extremes, below and above the book's span, beside
+    its longest codes: the same payload and header under both backends,
+    the oracle's bytes, the values back.  Long segments map through the
+    book's dense table, short ones by the binary search."""
+    symbols = _complete_book(longest).symbols
+    pool = np.append(symbols, [-(2**63), 2**63 - 1, symbols[0] - 1, symbols[-1] + 1])
+    vals = rng.choice(pool, n).astype(np.int64)
+    vals[: min(n, 4)] = pool[-4:][: min(n, 4)]
+
+    def encode():
+        code = _complete_book(longest)  # fresh: this segment decides its dense table
+        return (*H.huffman_encode(vals, code=code), code._lut is not None)
+
+    got = _per_backend(encode)
+    assert got["native"] == got["reference"]
+    payload, header, dense = got["native"]
+    assert dense == (int(symbols[-1]) - int(symbols[0]) < H._DENSE_SPAN_FACTOR * n)
+    if n:
+        lengths = O.lengths_from_table(header["table"])
+        assert max(lengths.values()) == longest
+        ref_payload, bits, sync = O.encode_with_book(vals, lengths)
+        assert (payload, header["bits"], header.get("sync", [])) == (ref_payload, bits, sync)
+    np.testing.assert_array_equal(H.huffman_decode(payload, header), vals)
+
+
+def test_escapeless_book_refuses_an_alien_alike_and_packs_nothing(rng, monkeypatch):
+    vals = rng.choice([0, 5, 4000], 3 * SYNC).astype(np.int64)
+    vals[SYNC + 7] = -(2**63)
+    monkeypatch.setattr(H, "_pack_slots", lambda *a: pytest.fail("packed"))
+
+    def refused():
+        with pytest.raises(ValueError, match="escape") as err:
+            H.huffman_encode(vals, code=H.HuffmanCode.from_counts([0, 5, 4000], [5, 3, 1]))
+        return str(err.value)
+
+    got = _per_backend(refused)
+    assert got["native"] == got["reference"]
+
+
+# ----------------------------------------------------------------------
+# code-book chains: encode_classes with a scratch, step after step
+
+
+def _class_bins(kind: str, rng) -> np.ndarray:
+    if kind == "empty":
+        return np.empty(0, dtype=np.int64)
+    if kind == "one":  # one value, or one symbol
+        return np.full(int(rng.choice([1, 5])), rng.integers(-(2**63), 2**63 - 1))
+    if kind == "narrow":  # < 64 symbols: an escape-less book; a dense span
+        return rng.integers(-4, 5, 700)
+    if kind == "mid":  # >= 64 symbols: an escape reserved; a dense span; two sync blocks
+        return np.round(rng.standard_normal(SYNC + 300) * 40)
+    if kind == "wide":  # a span past _DENSE_SPAN_FACTOR * n: np.unique, the binary search
+        return rng.choice(rng.integers(-(10**9), 10**9, 30), 900)
+    return rng.choice([-(2**63), 2**63 - 1, 0, 1], 50)  # int64 extremes
+
+
+def _chain_steps(seed: int, kinds: list[str], moves: list[str]):
+    """``(bins, sizes, refresh)`` per step.  ``key`` draws afresh and re-bases;
+    ``same`` repeats the last step (exact reuse); ``drift`` moves a tenth of
+    the values by one (a rebuild, shipped as a delta or a table); ``jump``
+    shifts every class to a new alphabet (a rebuild whose table wins); ``alien``
+    plants one value no book has (an escape, or a rebuild of an escape-less
+    book)."""
+    rng = np.random.default_rng(seed)
+    segs = [_class_bins(k, rng).astype(np.int64) for k in kinds]
+    steps = []
+    for t, move in enumerate(moves):
+        segs = [s.copy() for s in segs]
+        if move == "key" and t:
+            segs = [_class_bins(k, rng).astype(np.int64) for k in kinds]
+        for s in segs:
+            if s.size and move == "drift":
+                at = rng.integers(0, s.size, max(s.size // 10, 1))
+                s[at] += rng.choice([-1, 1], at.size)
+            elif s.size and move == "jump":
+                s += 10**6
+            elif s.size and move == "alien":
+                s[rng.integers(s.size)] = 2**62 + 12345
+        steps.append((np.concatenate(segs), [s.size for s in segs], move == "key" or t == 0))
+    return steps
+
+
+def _check_chain(steps) -> set[str]:
+    """Run one chain under both backends: identical payloads, headers, encoder
+    archives and decodes; every drift rebuild ships the oracle's choice of
+    delta or table.  Returns the header forms seen."""
+    def run():
+        enc, dec, out = {}, {}, []
+        for bins, sizes, refresh in steps:
+            payload, header = encode_classes(bins, sizes, backend="huffman", scratch=enc,
+                                             refresh=refresh)
+            flat, _ = decode_classes(payload, header, scratch=dec)
+            np.testing.assert_array_equal(flat, bins)
+            out.append((payload, json.dumps(header)))
+        return out, json.dumps(sorted(enc.get("encode_tables_by_id", {}).items()))
+
+    got = _per_backend(run)
+    assert got["native"] == got["reference"]
+    seen, book = set(), {}
+    archive = dict((tuple(k), v) for k, v in json.loads(got["native"][1]))
+    for (bins, sizes, refresh), (_, header) in zip(steps, got["native"][0]):
+        for i, sh in enumerate(json.loads(header)["segments"]):
+            if not sh["n"]:
+                seen.add("empty")
+                continue
+            if "table_id" not in sh:
+                seen.add("ref")
+            elif refresh or i not in book:
+                assert sh["table"] == archive[i, sh["table_id"]]
+                seen.add("full")
+            else:
+                form = O.rebuild_form(book[i][1], archive[i, sh["table_id"]])
+                assert {k: sh.get(k) for k in form} == form
+                assert sh.get("table_ref", book[i][0]) == book[i][0]
+                seen.add("delta" if "table_delta" in form else "rebuilt-full")
+            if "table_id" in sh:
+                book[i] = sh["table_id"], archive[i, sh["table_id"]]
+            in_book = {s for s, _ in book[i][1]}
+            if not in_book.issuperset(bins[sum(sizes[:i]):][: sizes[i]].tolist()):
+                seen.add("escape")
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["empty", "one", "narrow", "mid", "wide", "extreme"]),
+                min_size=1, max_size=5),
+       st.lists(st.sampled_from(["key", "same", "drift", "jump", "alien"]), min_size=2, max_size=6))
+def test_code_book_chains_agree_across_backends(seed, kinds, moves):
+    _check_chain(_chain_steps(seed, kinds, moves))
+
+
+def test_a_chain_reaches_every_header_form():
+    kinds = ["empty", "one", "narrow", "mid", "wide", "extreme"]
+    seen = _check_chain(_chain_steps(3, kinds, ["key", "same", "drift", "alien", "jump", "key"]))
+    assert seen == {"empty", "full", "ref", "delta", "rebuilt-full", "escape"}
 
 
 _MUTATE = '''

@@ -301,16 +301,17 @@ class TestProcessHuffmanEncode:
             assert json.dumps(hs) == json.dumps(hp)
             np.testing.assert_array_equal(H.huffman_decode(pp, hp), vals)
 
-    def test_stats_and_guard_parity(self, rng):
+    def test_escapes_and_guard_parity(self, rng):
         code, segs = _escaping_segments(rng, 1 << 16)
-        serial_stats = [{} for _ in segs]
-        pooled_stats = [{} for _ in segs]
-        serial = [H.huffman_encode(v, code=code, stats=s) for v, s in zip(segs, serial_stats)]
-        pooled = get_executor("thread:2").map(
-            lambda v, s: H.huffman_encode(v, code=code, stats=s), segs, pooled_stats
-        )
+        serial = [H.huffman_encode(v, code=code) for v in segs]
+        pooled = get_executor("thread:2").map(lambda v: H.huffman_encode(v, code=code), segs)
         assert serial == pooled
-        assert serial_stats == pooled_stats and all(s["n_escaped"] > 0 for s in pooled_stats)
+        for (payload, header), vals in zip(pooled, segs):
+            # the escapes are in the bit count: 64 raw bits behind each ESCAPE code
+            in_book = np.isin(vals, code.symbols)
+            coded = code.lengths[np.searchsorted(code.symbols, vals[in_book])].sum()
+            n_esc = (~in_book).sum()
+            assert n_esc > 0 and header["bits"] == coded + n_esc * (code.esc_len + 64)
         tight = functools.partial(
             H.huffman_encode, code=code, guard={"max_bits_per_symbol": 0.01}
         )
