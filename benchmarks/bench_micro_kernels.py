@@ -16,8 +16,9 @@ Run from the repo root::
 
 ``REPRO_BENCH_SCALE=ci`` shrinks the workload for smoke runs.  Pass
 ``--assert-speedup`` to fail (exit 1) unless the native backend runs the
-129^3 ``decompose`` at least 1.5x as fast as the reference and the
-Huffman encode and decode of a 65^3 high-entropy segment at least 3x; without
+129^3 ``decompose`` at least 1.5x as fast as the reference, the assembly
+of its classes into the refactored layout and the Huffman encode and
+decode of a 65^3 high-entropy segment at least 3x; without
 a C compiler the gate is skipped (there is nothing to gate) and the
 sweep records reference times only.
 """
@@ -52,13 +53,15 @@ OP_SHAPES = {
     **{op: (17, 17, 17) if CI_SCALE else (65, 65, 65)
        for op in ("coefficients", "restore", "mass_transfer", "solve")},
     **{op: (1 << 14,) if CI_SCALE else (1 << 20,) for op in ("quantize", "dequantize")},
+    # the end-to-end ``refactor`` workload's access: a 129^3 frame's classes
+    **{op: (33, 33, 33) if CI_SCALE else (129, 129, 129) for op in ("extract", "assemble")},
     # the end-to-end ``stream_huffman`` workload's step: one 65^3 segment
     **{op: (33, 33, 33) if CI_SCALE else (65, 65, 65)
        for op in ("huff_lengths", "huff_encode", "huff_decode")},
 }
 
 #: minimum native-over-reference ratio per gated row
-GATES = {"decompose": 1.5, "huff_encode": 3.0, "huff_decode": 3.0}
+GATES = {"decompose": 1.5, "assemble": 3.0, "huff_encode": 3.0, "huff_decode": 3.0}
 
 
 def _best_of(fn, repeats: int) -> tuple[float, object]:
@@ -71,10 +74,11 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
 
 
 def _identical(a, b) -> bool:
-    """Bitwise equality of two results (arrays compare by buffer, tuples
-    item by item — the segment encode's ``(payload, bits, sync)``)."""
-    if isinstance(a, tuple):
-        return isinstance(b, tuple) and len(a) == len(b) and all(map(_identical, a, b))
+    """Bitwise equality of two results (arrays compare by buffer, tuples and
+    lists item by item — the segment encode's ``(payload, bits, sync)``, the
+    class split's classes)."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_identical, a, b))
     if isinstance(a, (bytes, int)):
         return type(a) is type(b) and a == b
     a, b = np.asarray(a), np.asarray(b)
@@ -177,8 +181,9 @@ def main(argv=None) -> int:
         "--assert-speedup",
         action="store_true",
         help=f"fail unless native runs the {'x'.join(map(str, DRIVER_SHAPES[0]))} decompose "
-        f">= {GATES['decompose']}x, the Huffman encode >= {GATES['huff_encode']}x and decode "
-        f">= {GATES['huff_decode']}x as fast as reference (skipped with no C compiler)",
+        f">= {GATES['decompose']}x, the class assembly >= {GATES['assemble']}x, the Huffman "
+        f"encode >= {GATES['huff_encode']}x and decode >= {GATES['huff_decode']}x as fast as "
+        f"reference (skipped with no C compiler)",
     )
     args = parser.parse_args(argv)
 

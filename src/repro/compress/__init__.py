@@ -36,7 +36,7 @@ from .plan import (
     plan_cache_stats,
     refactor_plan,
 )
-from .quantizer import QuantizedClasses, Quantizer
+from .quantizer import Quantizer
 from .timeseries import CompressedSeries, ResidualPlan, TimeSeriesCompressor
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "HuffmanCode",
     "MgardCompressor",
     "PreparedFrame",
-    "QuantizedClasses",
     "Quantizer",
     "RefactorPlan",
     "ResidualPlan",

@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.classes import CoefficientClasses, class_sizes, extract_classes
 from ..core.decompose import decompose, recompose
-from ..core.classes import assemble_from_classes
 from ..core.grid import TensorHierarchy
 from .lossless import decode_classes, encode_classes
 from .quantizer import Quantizer
@@ -118,8 +116,8 @@ class MgardCompressor:
     executor:
         Executor (instance or spec string — ``serial``, ``thread[:N]``,
         ``process[:N]``, ``auto``; see :mod:`repro.parallel`) scheduling
-        the entropy stage's per-class segments, Huffman sync blocks,
-        and zlib sub-blocks; defaults to the ambient one.  The emitted
+        the entropy stage's work units — the class segments, and the zlib
+        sub-blocks of a large one; defaults to the ambient one.  The emitted
         bytes do not depend on this choice.
 
     All coefficient classes are encoded into one segmented payload with
@@ -202,9 +200,9 @@ class MgardCompressor:
         """Refactor and quantize ``data`` without entropy-coding it.
 
         The in-order half of :meth:`compress`: multigrid
-        decomposition into coefficient classes plus the fused flat
-        quantization.  The returned :class:`PreparedFrame` fully
-        determines both the final container
+        decomposition, then the class split fused with the quantizer
+        (:meth:`Quantizer.quantize_refactored`).  The returned
+        :class:`PreparedFrame` fully determines both the final container
         (:meth:`encode_prepared`) and the decoded reconstruction
         (:meth:`reconstruct_prepared`), so closed-loop prediction can
         advance to the next frame while the entropy stage still runs.
@@ -212,11 +210,10 @@ class MgardCompressor:
         times = StageTimes()
         t0 = time.perf_counter()
         refactored = decompose(data, self.hier)
-        cc = CoefficientClasses(self.hier, extract_classes(refactored, self.hier))
         times.refactor_wall = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        bins, sizes, steps = self.quantizer.quantize_flat(cc)
+        t0 = time.perf_counter()  # the class split and the quantizer: one pass
+        bins, sizes, steps = self.quantizer.quantize_refactored(refactored, self.hier)
         times.quantize_wall = time.perf_counter() - t0
         return PreparedFrame(
             bins=bins,
@@ -237,8 +234,7 @@ class MgardCompressor:
         the pipelined time-series compressor: the prediction loop needs
         each frame's *reconstruction*, not its bytes.
         """
-        classes = Quantizer.dequantize_flat(prep.bins, prep.sizes, prep.steps)
-        refactored = assemble_from_classes(classes, self.hier)
+        refactored = Quantizer.dequantize_refactored(prep.bins, prep.sizes, prep.steps, self.hier)
         return recompose(refactored, self.hier)
 
     def encode_prepared(
@@ -311,10 +307,9 @@ class MgardCompressor:
             raise ValueError(
                 f"blob was compressed for shape {blob.shape}, not {self.hier.shape}"
             )
-        sizes = class_sizes(self.hier)
         times = StageTimes()
         t0 = time.perf_counter()
-        flat, got_sizes = decode_classes(
+        flat, sizes = decode_classes(
             blob.payloads[0],
             blob.headers[0],
             executor=self.executor,
@@ -323,13 +318,10 @@ class MgardCompressor:
         times.entropy_wall = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        if got_sizes != sizes:
-            raise ValueError("decoded class sizes do not match the hierarchy")
-        classes = Quantizer.dequantize_flat(flat, sizes, blob.steps)
-        times.quantize_wall = time.perf_counter() - t0  # de-quantization
+        refactored = Quantizer.dequantize_refactored(flat, sizes, blob.steps, self.hier)
+        times.quantize_wall = time.perf_counter() - t0  # de-quantization and the class scatter
 
         t0 = time.perf_counter()
-        refactored = assemble_from_classes(classes, self.hier)
         out = recompose(refactored, self.hier)
         times.refactor_wall = time.perf_counter() - t0
 

@@ -21,37 +21,23 @@ Two budgeting modes:
 
 Property tests verify the achieved error honours ``tol`` on assorted
 fields; :class:`Quantizer` is exactly invertible metadata-wise
-(dequantize(quantize(x)) lands within half a bin).
+(de-quantized bins land within half a bin).
+
+The compressor quantizes the refactored array itself
+(:meth:`Quantizer.quantize_refactored`): the class split fused with the
+flat pass, one C walk per class where the compiled kernels take it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import native
-from ..core.classes import CoefficientClasses
+from ..core.classes import (CoefficientClasses, assemble_from_classes, class_sizes,
+                            extract_classes, num_classes)
+from ..core.grid import TensorHierarchy
 
-__all__ = ["QuantizedClasses", "Quantizer"]
-
-
-@dataclass
-class QuantizedClasses:
-    """Integer coefficient classes plus the metadata to invert them."""
-
-    bins: list[np.ndarray]  # int64 per class
-    steps: list[float]  # quantization step per class
-    tol: float
-    mode: str
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.bins)
-
-    def nbytes_raw(self) -> int:
-        """Size of the raw (unencoded) integer payload."""
-        return sum(b.nbytes for b in self.bins)
+__all__ = ["Quantizer"]
 
 
 class Quantizer:
@@ -110,15 +96,6 @@ class Quantizer:
         self._steps_cache[n_classes] = steps
         return list(steps)
 
-    def quantize(self, cc: CoefficientClasses) -> QuantizedClasses:
-        """Quantize every class to integer bins."""
-        steps = self.steps_for(cc.n_classes)
-        bins = []
-        for values, step in zip(cc.classes, steps):
-            q = np.round(values / step).astype(np.int64)
-            bins.append(q)
-        return QuantizedClasses(bins=bins, steps=steps, tol=self.tol, mode=self.mode)
-
     def quantize_flat(
         self, cc: CoefficientClasses
     ) -> tuple[np.ndarray, list[int], list[float]]:
@@ -146,13 +123,31 @@ class Quantizer:
         scale = np.repeat(np.asarray(steps, dtype=np.float64), sizes)
         return np.split(native.dequantize(bins, scale), np.cumsum(sizes)[:-1])
 
-    def dequantize(self, qc: QuantizedClasses, cc_template: CoefficientClasses) -> CoefficientClasses:
-        """Rebuild (perturbed) coefficient classes from integer bins."""
-        if qc.n_classes != cc_template.n_classes:
-            raise ValueError("class count mismatch between payload and template hierarchy")
-        classes = []
-        for b, step, ref in zip(qc.bins, qc.steps, cc_template.classes):
-            if b.size != ref.size:
-                raise ValueError("class size mismatch between payload and template hierarchy")
-            classes.append(b.astype(np.float64) * step)
-        return CoefficientClasses(cc_template.hier, classes)
+    def quantize_refactored(
+        self, refactored: np.ndarray, hier: TensorHierarchy
+    ) -> tuple[np.ndarray, list[int], list[float]]:
+        """:meth:`quantize_flat` of ``refactored``'s classes, split and
+        quantized in one C walk per class where the library takes it."""
+        steps = self.steps_for(num_classes(hier))
+        sizes = class_sizes(hier)
+        bins = np.empty(sum(sizes), dtype=np.int64)
+        inv = 1.0 / np.asarray(steps, dtype=np.float64)
+        if native.class_walk("quantize", refactored, np.split(bins, np.cumsum(sizes)[:-1]), hier, inv):
+            return bins, sizes, steps
+        return self.quantize_flat(CoefficientClasses(hier, extract_classes(refactored, hier)))
+
+    @staticmethod
+    def dequantize_refactored(
+        bins: np.ndarray, sizes: list[int], steps: list[float], hier: TensorHierarchy
+    ) -> np.ndarray:
+        """:func:`~repro.core.classes.assemble_from_classes` of
+        :meth:`dequantize_flat` (every class of ``hier``), one C walk per class
+        where the library takes ``bins``."""
+        if list(sizes) != class_sizes(hier):
+            raise ValueError(f"payload has class sizes {list(sizes)}, not {class_sizes(hier)}")
+        if bins.size == sum(sizes) and len(steps) == len(sizes):
+            out = np.empty(hier.shape)  # every node is in one class
+            scale = np.asarray(steps, dtype=np.float64)
+            if native.class_walk("dequantize", out, np.split(bins, np.cumsum(sizes)[:-1]), hier, scale):
+                return out
+        return assemble_from_classes(Quantizer.dequantize_flat(bins, sizes, steps), hier)

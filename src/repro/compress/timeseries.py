@@ -97,8 +97,8 @@ class TimeSeriesCompressor:
     mode / backend:
         Passed through to the spatial :class:`MgardCompressor`.
     executor:
-        Executor (spec string or instance) for the entropy stage's
-        per-class/per-block fan-out.
+        Executor (spec string or instance) for the entropy stage's one
+        fan-out over class segments (and the zlib sub-blocks of a large one).
     reuse_codebooks:
         Reuse Huffman code books across steps (ignored for zlib, which
         has no per-stream setup to amortize).

@@ -539,6 +539,23 @@ class TensorHierarchy:
 
         return self._memoized(("detail", l), build)
 
+    def class_walk(self, l: int) -> tuple[bytes, int, int]:
+        """``native.c``'s walk over class ``l`` of a C-contiguous array — level ``l``'s
+        node counts, element offsets and coarse flags per axis (what :meth:`level_selector`
+        and :meth:`detail_mask` select) — with the class size and largest offset."""
+
+        def build() -> tuple[bytes, int, int]:
+            strides = np.cumprod((self.shape + (1,))[:0:-1])[::-1]
+            offsets = [i.astype(np.int64) * s for i, s in zip(self.level_indices(l), strides)]
+            flags = [np.zeros(n, dtype=np.int64) for n in self.level_shape(l)]
+            for k, f in enumerate(flags if l else ()):  # a non-coarsening axis is all coarse
+                f[self.level_ops(l, k).coarse_pos if self.coarsens(l, k) else slice(None)] = 1
+            words = np.concatenate([[self.ndim, *self.level_shape(l)], *offsets, *flags]).tobytes()
+            size = self.num_nodes(0) if l == 0 else self.detail_count(l)
+            return words, size, int(sum(o[-1] for o in offsets))
+
+        return self._memoized(("walk", l), build)
+
     def level_ops(self, l: int, k: int) -> LevelOps:
         """Operator data for dimension ``k`` at the step ``l -> l-1``.
 

@@ -1,5 +1,5 @@
-/* The refactoring leaf loops, and the entropy stage's integer loops, in C,
- * loaded through ctypes by native.py.
+/* The refactoring leaf loops, the coefficient class walks, and the entropy
+ * stage's integer loops, in C, loaded through ctypes by native.py.
  *
  * Every kernel performs, per element, exactly the floating-point
  * operations of the NumPy body it stands in for, in the same order: a
@@ -234,6 +234,60 @@ void dequantize(const i64 *bins, const double *scale, double *out, i64 n)
     for (i64 i = 0; i < n; i++)
         out[i] = (double)bins[i] * scale[i];
 }
+
+/* The coefficient class walks.  w is grid.py's TensorHierarchy.class_walk: nd,
+ * the level's node counts n[d], per axis its nodes' element offsets, per axis
+ * their coarse flags.  The class, every node not coarse on every axis in C order,
+ * has prod n[d] - prod (coarse nodes of d) members; a flat side of any other
+ * size (cap) is refused unmoved.  s is the flat kernels' factor of the class. */
+#define CLASS_WALK(NAME, FIELD, FLAT, MOVE)                                                \
+i64 NAME(FIELD *field, FLAT *flat, const i64 *w, i64 cap, double s)                        \
+{                                                                                          \
+    const i64 nd = w[0], *n = w + 1, *off[MAXD], *flag[MAXD], *p = w + 1 + nd;             \
+    i64 idx[MAXD] = {0}, all = 1, coarse = 1, k = 0;                                       \
+    if (nd < 1 || nd > MAXD)                                                               \
+        return -1;                                                                         \
+    for (i64 d = 0; d < nd; p += n[d++])                                                   \
+        off[d] = p;                                                                        \
+    for (i64 d = 0; d < nd; p += n[d++]) {                                                 \
+        i64 c = 0;                                                                         \
+        for (i64 i = 0; i < n[d]; i++)                                                     \
+            c += p[i] != 0;                                                                \
+        flag[d] = p, all *= n[d], coarse *= c;                                             \
+    }                                                                                      \
+    if (all - coarse != cap)                                                               \
+        return all - coarse;                                                               \
+    const i64 m = n[nd - 1], *io = off[nd - 1], *ic = flag[nd - 1];                        \
+    for (i64 d = 0; d >= 0;) {                                                             \
+        i64 base = 0, row_coarse = 1;                                                      \
+        for (d = 0; d < nd - 1; d++)                                                       \
+            base += off[d][idx[d]], row_coarse &= flag[d][idx[d]] != 0;                    \
+        if (row_coarse) /* a row of coarse nodes: its detail nodes only */                 \
+            for (i64 i = 0; i < m; i++) {                                                  \
+                const i64 o = base + io[i];                                                \
+                if (!ic[i])                                                                \
+                    MOVE, k++;                                                             \
+            }                                                                              \
+        else                                                                               \
+            for (i64 i = 0; i < m; i++, k++) {                                             \
+                const i64 o = base + io[i];                                                \
+                MOVE;                                                                      \
+            }                                                                              \
+        for (d = nd - 2; d >= 0 && ++idx[d] == n[d]; d--) /* the next row, or -1 */        \
+            idx[d] = 0;                                                                    \
+    }                                                                                      \
+    return k;                                                                              \
+}
+
+#define CLASS_WALKS(T, S)                                                                  \
+CLASS_WALK(gather_##S, const T, T, flat[k] = field[o])                                     \
+CLASS_WALK(scatter_##S, double, const T, field[o] = (double)flat[k])                       \
+CLASS_WALK(quantize_gather_##S, const T, i64,                                              \
+           flat[k] = (i64)round_even((double)field[o] * s))
+
+CLASS_WALKS(double, f64)
+CLASS_WALKS(float, f32)
+CLASS_WALK(dequantize_scatter_f64, double, const i64, field[o] = (double)flat[k] * s)
 
 /* ---------------------------------------------------------------------
  * The entropy stage (compress/huffman_*.py).  Integer loops only: the

@@ -3,8 +3,9 @@
 The paper's contribution is hand-optimized kernels for the three
 refactoring operations; on the host they are the leaf loops of
 :mod:`repro.core` — detail fill (:mod:`~repro.core.coefficients`), the
-``R·M`` stencil (:mod:`~repro.core.transfer`) and the Thomas sweep
-(:mod:`~repro.core.solver`).  Each of those functions asks this module
+``R·M`` stencil (:mod:`~repro.core.transfer`), the Thomas sweep
+(:mod:`~repro.core.solver`) and the class walks (:func:`class_walk`, with
+the quantizer fused in).  Each of those functions asks this module
 first: when the policy allows it, the library is loaded and the operand
 is a native-endian, aligned float32/float64 array, the loop runs in C;
 otherwise (float16, longdouble, byte-swapped input, no compiler) the
@@ -35,9 +36,10 @@ caller before anything in it is ``dlopen``-ed; a build goes to a unique
 temporary name, is sealed with a digest of its own bytes (checked before
 ``dlopen``, which faults on a truncated file) and is published with
 ``os.replace``.  A freshly loaded library is checked against the NumPy
-bodies on 5- and 6-point operands, and its Huffman entries against an
-eleven-symbol stream, before it is used.  Nothing here raises out of a
-leaf: every failure resolves to the NumPy bodies.
+bodies on 5- and 6-point operands ((5, 6) and (3, 5, 6) grids for the
+walks), its Huffman entries against an eleven-symbol stream, before it is
+used.  Nothing here raises out of a leaf: every failure resolves to the
+NumPy bodies.
 
 This is the only module that imports :mod:`ctypes`.
 """
@@ -63,6 +65,7 @@ __all__ = [
     "VALID_POLICIES",
     "active",
     "available",
+    "class_walk",
     "dequantize",
     "forced",
     "huff_decode",
@@ -226,12 +229,15 @@ def _build(cc: str, src: bytes, target: Path) -> None:
 
 
 _P, _N = ctypes.c_void_p, ctypes.c_int64
+_WALK = (_P, _P, _P, _N, ctypes.c_double)
 _PROTOTYPES = {
     **{f"fill_{s}": (_P, _P, _P, _P) for s in _SUFFIX.values()},
     **{f"mass_transfer_{s}": (_P, _P, _P, _N, _P) for s in _SUFFIX.values()},
     **{f"thomas_{s}": (_P, _P, _P, _P, _P, _P) for s in _SUFFIX.values()},
     **{f"quantize_{s}": (_P, _P, _P, _N) for s in _SUFFIX.values()},
     "dequantize": (_P, _P, _P, _N),
+    **{f"{w}_{s}": _WALK for w in ("gather", "scatter", "quantize_gather") for s in _SUFFIX.values()},
+    "dequantize_scatter_f64": _WALK,
     "huff_decode": (_P, _N, _P, _N, _N, _N, _P, _N, _P, _P, _N, _P, _P, _P, _P, _P, _P, _N),
     "huff_encode": (_P, _N, _P, _P, _N, _P, _N, _P, _P, _P, _N, _N, _P, _P),
     "huff_lengths": (_P, _N, _P, _P),
@@ -254,8 +260,8 @@ def _open(path: Path) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
         for name, argtypes in _PROTOTYPES.items():
             fn = getattr(lib, name)
-            # the float kernels return nothing; every huff_* entry a status word
-            fn.argtypes, fn.restype = argtypes, _N if name.startswith("huff_") else None
+            # the float kernels return nothing; a huff_* entry a status word, a walk its count
+            fn.argtypes, fn.restype = argtypes, _N if name.startswith("huff_") or argtypes is _WALK else None
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"loading {path}: {exc}") from None
     if not _self_check(lib):
@@ -306,7 +312,35 @@ def _self_check(lib: ctypes.CDLL) -> bool:
                     and agree(dequantize, np.arange(-9, 9), np.linspace(0.5, 2.5, 18))):
                 return False
     with _under_test(lib):
-        return _huffman_self_check()
+        return _walks_self_check() and _huffman_self_check()
+
+
+def _walks_self_check() -> bool:
+    """The four class walks — each must be taken — on a (5, 6) and a (3, 5, 6)
+    hierarchy (a tail node, rows of coarse nodes), both dtypes, against the
+    NumPy bodies."""
+    from .classes import assemble_from_classes, extract_classes
+    from .grid import TensorHierarchy
+
+    for shape in ((5, 6), (3, 5, 6)):
+        hier = TensorHierarchy.from_shape(shape)
+        factors = np.linspace(0.5, 2.5, hier.L + 1)
+        for dtype in _SUFFIX:
+            field = (np.sin(np.arange(1.0, 1.0 + np.prod(shape))) * 37.0).reshape(shape).astype(dtype)
+            with forced("reference"):
+                classes = extract_classes(field, hier)
+                bins = [quantize(c, np.full(c.size, f)) for c, f in zip(classes, factors)]
+                deq = [dequantize(b, np.full(b.size, f)) for b, f in zip(bins, factors)]
+                want = [*classes, *bins, assemble_from_classes(classes, hier),
+                        assemble_from_classes(deq, hier)]
+            got, n = [np.empty_like(a) for a in want], len(classes)
+            if not (class_walk("gather", field, got[:n], hier)
+                    and class_walk("quantize", field, got[n:-2], hier, factors)
+                    and class_walk("scatter", got[-2], classes, hier)
+                    and class_walk("dequantize", got[-1], bins, hier, factors)
+                    and all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))):
+                return False
+    return True
 
 
 def _huffman_self_check() -> bool:
@@ -523,6 +557,42 @@ def dequantize(bins: np.ndarray, scale: np.ndarray) -> np.ndarray:
     out = np.empty(bins.shape, dtype=_F64)
     lib.dequantize(bins.ctypes.data, scale.ctypes.data, out.ctypes.data, bins.size)
     return out
+
+
+# ----------------------------------------------------------------------
+# the coefficient class walks (repro.core.classes, repro.compress.quantizer)
+
+#: per walk: its C entry, less the float side's suffix, and whether it writes ``field``
+_WALKS = {"gather": ("gather_", False), "scatter": ("scatter_", True),
+          "quantize": ("quantize_gather_", False), "dequantize": ("dequantize_scatter_", True)}
+
+
+def class_walk(kind: str, field: np.ndarray, flats: list, hier, factors=None) -> bool:
+    """Move classes between ``field``, the refactored layout of ``hier``, and
+    ``flats`` (class ``l`` or ``None``), one C walk each: ``gather`` (flat ←
+    field), ``scatter`` (float64 field ← flat), ``quantize`` (int64 flat ←
+    round-half-even(field · factors[l])), ``dequantize`` (float64 field ←
+    flat · factors[l]).  False, the written side undefined (and the NumPy
+    bodies write all of it), when the NumPy body must run."""
+    entry, writes = _WALKS[kind]
+    if not (0 < len(flats) <= hier.L + 1 and field.ndim <= _MAX_OUTER and field.shape == hier.shape
+            and field.flags.c_contiguous and field.flags.aligned
+            and (not writes or field.dtype == _F64 and field.flags.writeable) and active()):
+        return False
+    lib, at = _library(), field.ctypes.data
+    for l, flat in reversed(list(enumerate(flats))):  # finest first: it leaves the lines cached
+        if flat is None:
+            continue
+        words, size, last = hier.class_walk(l)
+        floats = flat if kind == "scatter" else field  # names the variant
+        flat_dtype = field.dtype if kind == "gather" else flat.dtype if kind == "scatter" else _I64
+        if not (floats.dtype in _SUFFIX and _flat(flat, flat_dtype) and flat.flags.aligned
+                and (writes or flat.flags.writeable) and flat.size == size and last < field.size
+                and getattr(lib, entry + _SUFFIX[floats.dtype])(
+                    at, flat.ctypes.data, words, size,
+                    0.0 if factors is None else factors[l]) == size):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

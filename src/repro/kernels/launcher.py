@@ -4,8 +4,9 @@ The paper's premise is hand-tuned kernels selected per configuration
 (§III-A); this module makes the backend a *configuration axis* for
 tests, benchmarks and the record a benchmark stamps.  An op **is** the
 production leaf (:data:`OP_SPECS`): the functions of :mod:`repro.core`
-that ``decompose``/``recompose`` call, the quantizer's two passes, and
-the entropy stage's three integer entries (``huff_lengths`` /
+that ``decompose``/``recompose`` call, the quantizer's two passes, the
+class split and assembly (``extract`` / ``assemble``), and the entropy
+stage's three integer entries (``huff_lengths`` /
 ``huff_encode`` / ``huff_decode``: the code-length merge, the segment
 encode — map, guard, pack — and the sync-block decode walk of
 :mod:`repro.compress.huffman`).
@@ -29,6 +30,7 @@ import numpy as np
 
 from ..compress import huffman, huffman_book, huffman_pack, huffman_unpack
 from ..core import native
+from ..core.classes import assemble_from_classes, extract_classes
 from ..core.coefficients import compute_coefficients, restore_from_coefficients
 from ..core.decompose import restrict_all
 from ..core.grid import hierarchy_for
@@ -76,6 +78,11 @@ def _make_solve(shape, dtype, rng):
     ops = hier.level_ops(hier.L, v.ndim - 1)
     f = restrict_all(v, hier, hier.L).copy()
     return f, ops.mass_bands_coarse[0, 1:], ops.thomas_cp, ops.thomas_denom, v.ndim - 1
+
+
+def _make_assemble(shape, dtype, rng):
+    v, hier = _field(shape, dtype, rng)
+    return extract_classes(v, hier), hier
 
 
 def _steps(n, rng):  # four quantizer steps, each over a quarter of the operand
@@ -133,6 +140,8 @@ OP_SPECS: dict[str, OpSpec] = {
         OpSpec("solve", thomas_sweep, _make_solve),
         OpSpec("quantize", native.quantize, _make_quantize),
         OpSpec("dequantize", native.dequantize, _make_dequantize),
+        OpSpec("extract", extract_classes, _field),
+        OpSpec("assemble", assemble_from_classes, _make_assemble),
         OpSpec("huff_lengths", huffman_book._code_lengths, _make_huff_lengths),
         OpSpec("huff_encode", huffman._encode_payload, _make_huff_encode),
         OpSpec("huff_decode", huffman_unpack._decode_sync_range, _make_huff_decode),

@@ -7,6 +7,7 @@ from repro.compress.huffman import huffman_decode, huffman_encode
 from repro.compress.lossless import decode_bins, encode_bins
 from repro.compress.mgard import MgardCompressor
 from repro.compress.quantizer import Quantizer
+from repro.core.classes import extract_classes
 from repro.core.grid import TensorHierarchy
 from repro.core.refactor import Refactorer
 from repro.workloads.synthetic import discontinuous, multiscale, smooth, white_noise
@@ -34,11 +35,11 @@ class TestQuantizer:
 
     def test_quantize_dequantize_within_half_bin(self, rng):
         r = Refactorer((33, 33))
-        cc = r.refactor(rng.standard_normal((33, 33)))
-        q = Quantizer(1e-2)
-        qc = q.quantize(cc)
-        back = q.dequantize(qc, cc)
-        for orig, deq, step in zip(cc.classes, back.classes, qc.steps):
+        refactored = r.decompose(rng.standard_normal((33, 33)))
+        bins, sizes, steps = Quantizer(1e-2).quantize_refactored(refactored, r.hier)
+        back = Quantizer.dequantize_refactored(bins, sizes, steps, r.hier)
+        for orig, deq, step in zip(extract_classes(refactored, r.hier),
+                                   extract_classes(back, r.hier), steps):
             assert np.abs(orig - deq).max() <= step / 2 + 1e-15
 
     @pytest.mark.parametrize("field", [smooth, multiscale, discontinuous, white_noise])
@@ -48,20 +49,18 @@ class TestQuantizer:
         shape = (65, 65)
         data = field(shape)
         r = Refactorer(shape)
-        cc = r.refactor(data)
         q = Quantizer(tol, mode=mode)
-        back = q.dequantize(q.quantize(cc), cc)
-        approx = back.reconstruct()
+        back = Quantizer.dequantize_refactored(*q.quantize_refactored(r.decompose(data), r.hier), r.hier)
+        approx = r.recompose(back)
         assert np.abs(approx - data).max() <= tol
 
     def test_class_count_mismatch(self, rng):
         r9 = Refactorer((9, 9))
         r17 = Refactorer((17, 17))
-        cc9 = r9.refactor(rng.standard_normal((9, 9)))
-        cc17 = r17.refactor(rng.standard_normal((17, 17)))
         q = Quantizer(1e-3)
+        bins, sizes, steps = q.quantize_refactored(r9.decompose(rng.standard_normal((9, 9))), r9.hier)
         with pytest.raises(ValueError):
-            q.dequantize(q.quantize(cc9), cc17)
+            Quantizer.dequantize_refactored(bins, sizes, steps, r17.hier)
 
 
 class TestHuffman:

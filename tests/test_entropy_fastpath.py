@@ -18,6 +18,8 @@ from repro.compress.lossless import decode_classes, encode_bins, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.compress.plan import compression_plan, refactor_plan
 from repro.compress.quantizer import Quantizer
+from repro.core.classes import CoefficientClasses, assemble_from_classes, extract_classes
+from repro.core.decompose import decompose
 from repro.core.grid import hierarchy_for
 from repro.core.refactor import Refactorer
 from repro.workloads.synthetic import multiscale
@@ -138,26 +140,32 @@ class TestBatchedClasses:
         with pytest.raises(ValueError):
             decode_classes(payload, header)
 
-    def test_quantize_flat_matches_per_class(self, rng):
-        cc = Refactorer((33, 17)).refactor(rng.standard_normal((33, 17)))
+    def test_quantize_refactored_matches_flat_over_extracted_classes(self, rng):
+        hier = hierarchy_for((33, 17))
+        refactored = decompose(rng.standard_normal((33, 17)), hier)
         q = Quantizer(1e-3)
-        qc = q.quantize(cc)
-        bins, sizes, steps = q.quantize_flat(cc)
-        assert steps == qc.steps
-        assert sizes == [b.size for b in qc.bins]
-        np.testing.assert_array_equal(bins, np.concatenate(qc.bins))
-        back = Quantizer.dequantize_flat(bins, sizes, steps)
-        for flat_cls, b, step in zip(back, qc.bins, qc.steps):
+        classes = extract_classes(refactored, hier)
+        flat_bins, flat_sizes, flat_steps = q.quantize_flat(CoefficientClasses(hier, classes))
+        bins, sizes, steps = q.quantize_refactored(refactored, hier)
+        assert steps == flat_steps
+        assert sizes == flat_sizes == [c.size for c in classes]
+        np.testing.assert_array_equal(bins, flat_bins)
+        back = Quantizer.dequantize_refactored(bins, sizes, steps, hier)
+        per_class = Quantizer.dequantize_flat(bins, sizes, steps)
+        np.testing.assert_array_equal(back, assemble_from_classes(per_class, hier))
+        for flat_cls, b, step in zip(per_class, np.split(bins, np.cumsum(sizes)[:-1]), steps):
             np.testing.assert_allclose(flat_cls, b.astype(np.float64) * step)
 
     def test_per_class_blob_layout_is_refused(self):
         """One payload and header per class (pre-batching) has no decoder
         any more: its first header is no batched header."""
         shape = (17, 17)
-        comp = MgardCompressor(hierarchy_for(shape), 1e-3)
+        hier = hierarchy_for(shape)
+        comp = MgardCompressor(hier, 1e-3)
         blob = comp.compress(multiscale(shape))
-        qc = Quantizer(1e-3).quantize(Refactorer(shape).refactor(multiscale(shape)))
-        blob.payloads, blob.headers = map(list, zip(*(encode_bins(b) for b in qc.bins)))
+        bins, sizes, _ = Quantizer(1e-3).quantize_refactored(decompose(multiscale(shape), hier), hier)
+        per_class = np.split(bins, np.cumsum(sizes)[:-1])
+        blob.payloads, blob.headers = map(list, zip(*(encode_bins(b) for b in per_class)))
         with pytest.raises(ValueError, match="not a batched payload"):
             comp.decompress(blob)
 

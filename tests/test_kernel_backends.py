@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import native
+from repro.core.classes import class_sizes
 from repro.core.decompose import decompose
 from repro.core.grid import hierarchy_for
 from repro.core.mass import mass_apply
@@ -61,6 +62,8 @@ _MISCOMPILES = {
     "wrong_huffman_lanes": (b"o + lane * block + t", b"o + lane * block"),
     "wrong_huffman_search": (b"(*p < v)", b"(*p <= v)"),
     "wrong_huffman_sync": (b"= 64 * b.w + b.fill;", b"= 64 * b.w;"),
+    # a row of coarse nodes keeps the mirror image of its detail nodes: as many
+    "wrong_class_walk": (b"if (!ic[i])", b"if (!ic[m - 1 - i])"),
 }
 
 
@@ -317,7 +320,7 @@ def test_library_that_disagrees_with_numpy_is_not_used(fresh_loader):
 
 
 @needs_cc
-@pytest.mark.parametrize("damage", sorted(set(_MISCOMPILES) - {"wrong_answers"}))
+@pytest.mark.parametrize("damage", sorted(d for d in _MISCOMPILES if d.startswith("wrong_huffman")))
 def test_library_whose_huffman_entries_disagree_is_not_used(fresh_loader, damage):
     """The load-time check reaches the first-code search behind the prefix
     table, the four-abreast walk, and the encode's binary search and sync
@@ -326,6 +329,20 @@ def test_library_whose_huffman_entries_disagree_is_not_used(fresh_loader, damage
     _plant(fresh_loader, damage)
     (warning,) = _decompose_falls_back("native")
     assert "disagrees with the NumPy bodies" in str(warning.message)
+
+
+@needs_cc
+def test_library_whose_class_walk_skips_the_wrong_nodes_is_not_used(fresh_loader):
+    """A coarse skip that moves as many values as the class has, but not its
+    own, passes every count check; the load-time walks on a 6-point axis catch
+    it, and the split falls back to the NumPy body."""
+    assert native.source().count(_MISCOMPILES["wrong_class_walk"][0]) == 1
+    _plant(fresh_loader, "wrong_class_walk")
+    (warning,) = _decompose_falls_back("native")
+    assert "disagrees with the NumPy bodies" in str(warning.message)
+    hier = hierarchy_for((5, 6))
+    x = np.random.default_rng(2).standard_normal((5, 6))
+    assert not native.class_walk("gather", x, [np.empty(n) for n in class_sizes(hier)], hier)
 
 
 @needs_cc
@@ -344,6 +361,7 @@ _COLD_START = """
 import sys, hashlib, warnings, numpy as np
 warnings.simplefilter("error", RuntimeWarning)
 from repro.core import native
+from repro.core.classes import class_sizes
 from repro.core.decompose import decompose
 native.set_kernel_backend("native")
 x = np.random.default_rng(11).standard_normal((33, 17))
@@ -458,9 +476,9 @@ def test_run_op_rejects_an_unavailable_backend(fresh_loader, monkeypatch):
 
 
 def _same(got, want) -> bool:
-    """Equal bits: arrays by dtype and buffer, tuples item by item."""
-    if isinstance(want, tuple):
-        return isinstance(got, tuple) and len(got) == len(want) and all(map(_same, got, want))
+    """Equal bits: arrays by dtype and buffer, tuples and lists item by item."""
+    if isinstance(want, (tuple, list)):
+        return type(got) is type(want) and len(got) == len(want) and all(map(_same, got, want))
     if not isinstance(want, np.ndarray):
         return type(got) is type(want) and got == want
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -34,8 +34,11 @@ from hypothesis import strategies as st
 import huffman_oracle as O
 import repro.compress.huffman as H
 from repro.compress.lossless import decode_classes, encode_classes
+from repro.compress.quantizer import Quantizer
 from repro.core import native
+from repro.core.classes import assemble_from_classes, extract_classes
 from repro.core.decompose import decompose, recompose
+from repro.core.grid import hierarchy_for
 from repro.core.refactor import Refactorer
 from repro.parallel import get_executor
 
@@ -149,6 +152,8 @@ def test_backends_agree_on_fixed_shapes(shape, dtype):
 def test_more_outer_dimensions_than_the_library_iterates_take_numpy():
     shape = (1,) * 17 + (3, 5)
     check_case(shape, "f8", "C", False, 0)
+    x = np.random.default_rng(0).standard_normal(shape)
+    _refused_every_walk(check_walks(x, x, hierarchy_for(shape)))
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +196,110 @@ def test_dequantize_agrees_including_extremes(rng):
         assert same_bits(ref, nat)
     ref, nat = _both(native.dequantize, bins.astype(np.int32), np.ones(bins.size))
     assert same_bits(ref, nat)
+
+
+# ----------------------------------------------------------------------
+# the coefficient class walks: split, assembly, and the fused quantizer
+
+
+def _walk_outcomes(x, hier, tol, classes=None, bins=None):
+    """The four entry points on one refactored array ``x``: its classes, the
+    array assembled from all of them, from a prefix and from every other one,
+    the fused quantizer's bins and their de-quantized array.  ``classes`` /
+    ``bins`` stand in for the extracted classes / the bins as the scatters'
+    inputs (other layouts of the same values)."""
+    q = Quantizer(tol)
+    got = extract_classes(x, hier)
+    classes = got if classes is None else classes
+    bins_got, sizes, steps = q.quantize_refactored(x, hier)
+    bins = bins_got if bins is None else bins
+    return [*got, assemble_from_classes(classes, hier),
+            assemble_from_classes(classes[: max(len(classes) - 2, 1)], hier),
+            assemble_from_classes([None if l % 2 else c for l, c in enumerate(classes)], hier),
+            bins_got, np.array(sizes), np.array(steps),
+            Quantizer.dequantize_refactored(bins, sizes, steps, hier)]
+
+
+def check_walks(x, x_ref, hier, tol=1e-3, classes=None, bins=None) -> list[tuple[str, bool]]:
+    """``x`` under ``native`` gives the bits ``x_ref`` gives under ``reference``;
+    returns every ``native.class_walk`` call under ``native``: its kind and its
+    answer (False: the NumPy body ran)."""
+    with native.forced("reference"):
+        want = _walk_outcomes(x_ref, hier, tol)
+    taken, walk = [], native.class_walk
+    with native.forced("native"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "class_walk",
+                   lambda kind, *a: taken.append((kind, walk(kind, *a))) or taken[-1][1])
+        got = _walk_outcomes(x, hier, tol, classes, bins)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+    return taken
+
+
+def _refused_every_walk(taken):
+    """Every entry point refused its input; the last walk is the de-quantizer's
+    NumPy body assembling its own freshly de-quantized classes."""
+    assert [kind for kind, _ in taken[-2:]] == ["dequantize", "scatter"]
+    assert not any(ok for _, ok in taken[:-1])
+
+
+@st.composite
+def walk_cases(draw):
+    ndim = draw(st.integers(1, 4))
+    cap = {1: 70, 2: 34, 3: 13, 4: 7}[ndim]
+    shape = tuple(draw(st.integers(1, cap)) for _ in range(ndim))
+    return (shape, draw(st.sampled_from(["f8", "f4"])), draw(st.sampled_from([1e-1, 1e-4, 1e-9])),
+            draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_cases())
+@example(((30, 17, 66), "f8", 1e-4, 0))
+@example(((30, 17, 66), "f4", 1e-1, 1))
+@example(((2, 3, 9), "f8", 1e-9, 2))
+@example(((2, 3, 9), "f4", 1e-4, 3))
+@example(((1,), "f8", 1e-4, 4))
+@example(((2, 1, 2, 2), "f4", 1e-4, 5))
+@example(((65, 65), "f8", 1e-4, 6))
+def test_class_walks_agree_with_the_numpy_bodies(case):
+    """Every walk is taken for a C-contiguous float32/float64 array and gives
+    the reference's arrays and dtypes: full classes, prefixes, ``None`` classes."""
+    shape, dtype, tol, seed = case
+    hier = hierarchy_for(shape)
+    x = decompose(np.random.default_rng(seed).standard_normal(shape).astype(dtype), hier)
+    taken = check_walks(x, x, hier, tol)
+    assert len(taken) == 6 and all(ok for _, ok in taken)
+
+
+def _unaligned(a: np.ndarray) -> np.ndarray:
+    buf = np.zeros(a.nbytes + 1, dtype=np.uint8)[1:]
+    out = buf.view(a.dtype).reshape(a.shape)
+    out[...] = a
+    assert not out.flags.aligned
+    return out
+
+
+@pytest.mark.parametrize("layout", ["F", "strided", "unaligned"])
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+def test_class_walks_on_other_layouts_take_numpy(layout, dtype):
+    """A non-contiguous or unaligned refactored array, class or bin array is
+    refused by every walk and gives the NumPy bodies' bits."""
+    shape = (17, 6, 9)
+    hier = hierarchy_for(shape)
+    x = decompose(np.random.default_rng(1).standard_normal(shape).astype(dtype), hier)
+    with native.forced("reference"):
+        classes = extract_classes(x, hier)
+        bins = Quantizer(1e-3).quantize_refactored(x, hier)[0]
+    if layout == "unaligned":
+        moved = _unaligned(x)
+        classes, bins = [_unaligned(c) for c in classes], _unaligned(bins)
+    else:
+        moved = laid_out(x, dtype, layout)
+        classes = [np.repeat(c, 2)[::2] for c in classes]
+        bins = np.repeat(bins, 2)[::2]
+    taken = check_walks(moved, x, hier, classes=classes, bins=bins)
+    _refused_every_walk(taken)
 
 
 # ----------------------------------------------------------------------

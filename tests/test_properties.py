@@ -122,10 +122,9 @@ def test_quantizer_honours_any_tolerance(data, tol):
     if data.ndim > 2 or data.size > 600:
         data = data.ravel()  # keep runtime bounded: quantize as 1D
     r = Refactorer(data.shape)
-    cc = r.refactor(data)
     q = Quantizer(tol)
-    back = q.dequantize(q.quantize(cc), cc)
-    assert np.abs(back.reconstruct() - data).max() <= tol
+    back = Quantizer.dequantize_refactored(*q.quantize_refactored(r.decompose(data), r.hier), r.hier)
+    assert np.abs(r.recompose(back) - data).max() <= tol
 
 
 @settings(max_examples=40, deadline=None)
