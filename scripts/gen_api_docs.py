@@ -19,16 +19,18 @@ MODULES = [
 # hand-written context emitted after a module's docstring line
 NOTES = {
     "repro.core": """\
-`decompose` / `recompose` / `compute_correction` are plain functions over
-`coefficients.compute_coefficients`, `coefficients.restore_from_coefficients`,
-`transfer.mass_transfer_apply` (the `R·M` stencil at the coarse nodes,
-float64) and `solver.thomas_solve`; modeled times come from
-`repro.gpu.model_pass`, never from the functional run.  `mass_apply` and
-`transfer_apply` remain as the dense-tested definitions of `M` and `R`
-(the oracle of the stencil's tests); the drivers never call them.
-The leaf loops (detail fill, stencil, Thomas sweep) run in C when
-`repro.core.native` has its library loaded (`REPRO_KERNEL_BACKEND =
-reference | native | auto`); the results are bit-identical.  The same
+`decompose` / `recompose` are plain functions over two level steps each
+way: `coefficients.compute_coefficients` / `restore_from_coefficients`
+and `correction.restrict_and_correct` / `subtract_correction` (the coarse
+values plus, or minus, `compute_correction` — `transfer.mass_transfer_apply`,
+the `R·M` stencil at the coarse nodes, float64, and `solver.thomas_solve`
+per coarsening axis); modeled times come from `repro.gpu.model_pass`, never
+from the functional run.  `mass_apply` and `transfer_apply` remain as the
+dense-tested definitions of `M` and `R` (the oracle of the stencil's
+tests); the drivers never call them.  Each level step runs in C, plane by
+plane along the level's first coarsening axis, when `repro.core.native`
+has its library loaded (`REPRO_KERNEL_BACKEND = reference | native |
+auto`); the results are bit-identical.  The same
 library holds the entropy stage's integer loops — the decode walk
 (`huff_decode`), the segment encode's two passes (`huff_map`, then
 `huff_encode` once the reuse guard has passed) and the code-length merge

@@ -21,7 +21,7 @@ from .coefficients import (
     restore_from_coefficients,
     restrict_nodes,
 )
-from .correction import compute_correction
+from .correction import compute_correction, restrict_and_correct, subtract_correction
 from .decompose import decompose, recompose, restrict_all
 from .errors import class_decay, l2, linf, psnr, rel_l2, rel_linf
 from .grid import (
@@ -78,8 +78,10 @@ __all__ = [
     "rel_linf",
     "restore_from_coefficients",
     "restrict_all",
+    "restrict_and_correct",
     "restrict_nodes",
     "solve_correction",
+    "subtract_correction",
     "thomas_factor",
     "thomas_solve",
     "transfer_apply",

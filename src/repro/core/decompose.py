@@ -19,11 +19,23 @@ subtracts it to recover the coarse values as they were *before* the
 correction, and restores the fine nodal values from the coefficients.
 With all coefficients intact the round trip is bit-tight (≤ a few ulps).
 
+Each step is two calls per direction — the coefficients
+(``compute_coefficients`` / ``restore_from_coefficients``) and the fused
+correction (``restrict_and_correct`` / ``subtract_correction``) — and on
+float32/float64 data each is one C walk over the planes of the level's
+first coarsening axis (:mod:`repro.core.native`), with the NumPy bodies as
+the bit-identical reference.
+
 The drivers never mutate their input and never return memory shared
 with it.  On the host they also never move data whose contents are dead:
-``decompose`` reads the input as its level-``L`` working array and adopts
-the level-``L`` coefficient array as the output, ``recompose`` returns the
-restored level-``L`` array.  What the paper's device design moves in
+``decompose`` reads the input as its level-``L`` working array, adopts
+the level-``L`` coefficient array as the output and writes each coarser
+level's coefficients straight into it where its nodes are a float64 view;
+``recompose`` reads each level of the refactored array in place (its
+coarse positions are ignored, not zeroed in a copy) and writes the
+restored level-``L`` array, in the input's precision, as the result.  The
+coarse values of every level and the C passes' scratch come from one
+allocation per call (``_Workspace``).  What the paper's device design moves in
 addition (and what that costs) is modeled over shapes alone by
 :func:`repro.kernels.launches.iter_decompose_launches`.
 """
@@ -33,7 +45,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import coefficients as _coef
-from .correction import compute_correction
+from . import native
+from .correction import restrict_and_correct, subtract_correction
 from .grid import TensorHierarchy
 
 __all__ = ["decompose", "recompose", "restrict_all"]
@@ -48,6 +61,31 @@ def restrict_all(v: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndarray:
     return v[hier.coarse_selector(l)]
 
 
+class _Workspace:
+    """The one allocation of a ``decompose`` / ``recompose`` call, reused down
+    the levels: ``slots`` float64 arrays of up to the level-``L-1`` size and
+    the C passes' scratch.  No slots (``None``: each step allocates its own
+    result) where the levels are not computed in float64 — longdouble input."""
+
+    def __init__(self, hier: TensorHierarchy, slots: int, dtype: np.dtype):
+        self.size = hier.num_nodes(hier.L - 1)
+        self.slots = slots if np.result_type(dtype, np.float64) == np.float64 else 0
+        self.buf = np.empty(self.slots * self.size + native.level_scratch(hier))
+        self.scratch = self.buf[self.slots * self.size:]
+
+    def array(self, slot: int, shape: tuple[int, ...]) -> np.ndarray | None:
+        start = slot * self.size
+        return self.buf[start:start + int(np.prod(shape))].reshape(shape) if self.slots else None
+
+
+def _view(out: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndarray | None:
+    """``out``'s level-``l`` nodes as a float64 view, where they are one."""
+    sel = hier.level_selector(l)
+    if out.dtype == np.float64 and all(isinstance(s, slice) for s in sel):
+        return out[sel]
+    return None
+
+
 def decompose(data: np.ndarray, hier: TensorHierarchy | None = None) -> np.ndarray:
     """Refactor ``data`` into its multilevel coefficient representation.
 
@@ -60,17 +98,25 @@ def decompose(data: np.ndarray, hier: TensorHierarchy | None = None) -> np.ndarr
     data = hier.validate_array(data)
     if hier.L == 0:
         return data.copy()
-    v = data  # read only: every step below returns a new array
-    out = None
+    out = np.empty(data.shape, data.dtype)  # level L's coefficients, adopted as the output
+    work = _Workspace(hier, 3, data.dtype)
+    v = data  # read only: every step below writes elsewhere
     for l in range(hier.L, 0, -1):
-        c = _coef.compute_coefficients(v, hier, l)
-        # Persist this level's coefficients; the coarse-position zeros
-        # are overwritten by the coarser levels' scatters below.
         if l == hier.L:
-            out = c  # dead after this level's correction: adopt it, don't copy it
+            c = _coef.compute_coefficients(v, hier, l, out=out, scratch=work.scratch)
         else:
-            out[hier.level_selector(l)] = c
-        v = restrict_all(v, hier, l) + compute_correction(c, hier, l)
+            # straight into the output's level-l nodes where they are a float64
+            # view; else a float64 array the correction reads, then scattered
+            view = _view(out, hier, l)
+            c = _coef.compute_coefficients(
+                v, hier, l, out=view if view is not None else work.array(2, hier.level_shape(l)),
+                scratch=work.scratch)
+            if view is None:
+                out[hier.level_selector(l)] = c
+        # the coarse values alternate between two slots: one is read, one written
+        slot = (hier.L - l) % 2
+        v = restrict_and_correct(v, c, hier, l, out=work.array(slot, hier.level_shape(l - 1)),
+                                 scratch=work.scratch)
     out[hier.level_selector(0)] = v
     return out
 
@@ -82,15 +128,17 @@ def recompose(refactored: np.ndarray, hier: TensorHierarchy | None = None) -> np
     refactored = hier.validate_array(refactored)
     if hier.L == 0:
         return refactored.copy()
+    result = np.empty(hier.shape, refactored.dtype)  # the restored level L, in the input's precision
+    work = _Workspace(hier, 2, refactored.dtype)
     v = refactored[hier.level_selector(0)]
     for l in range(1, hier.L + 1):
-        # Coarse positions of this packed read carry the payloads of
-        # coarser levels (already consumed); the coefficient array used
-        # for the correction must be zero there (paper: C_l has zeros
-        # at N_{l-1}).  Copy first: a slice selector yields a view of
-        # ``refactored``, which is never written.
-        c = _coef.zero_coarse_entries(refactored[hier.level_selector(l)].copy(), hier, l)
-        vc = v - compute_correction(c, hier, l)
-        v = _coef.restore_from_coefficients(c, vc, hier, l)
-    # the restored level-L array is the result, in the input's precision
-    return v.astype(refactored.dtype, copy=False)
+        # This packed read is a view of ``refactored`` for slice selectors and
+        # is never written: its coarse positions carry the payloads of coarser
+        # levels (already consumed), which the correction takes as zero (paper:
+        # C_l has zeros at N_{l-1}) and the restore replaces by the coarse values.
+        c = refactored[hier.level_selector(l)]
+        vc = subtract_correction(v, c, hier, l, out=work.array(0, hier.level_shape(l - 1)),
+                                 scratch=work.scratch)
+        out = result if l == hier.L else work.array(1, hier.level_shape(l))
+        v = _coef.restore_from_coefficients(c, vc, hier, l, out=out, scratch=work.scratch)
+    return v

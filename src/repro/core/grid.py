@@ -556,6 +556,30 @@ class TensorHierarchy:
 
         return self._memoized(("walk", l), build)
 
+    def level_walk(self, l: int) -> tuple[bytes, np.ndarray]:
+        """``native.c``'s description of the step ``l -> l-1``: the words ``nd``, the
+        level's node counts and per axis the offset of its operators in the float64
+        array (``-1`` where the axis does not coarsen) — per coarsening axis
+        ``w_left``, ``w_right``, ``mass_transfer_bands``, the Thomas ``lower``,
+        ``thomas_cp`` and ``thomas_denom`` — and that array."""
+
+        def build() -> tuple[bytes, np.ndarray]:
+            at, offsets, parts = 0, [], []
+            for k in range(self.ndim):
+                if not self.coarsens(l, k):
+                    offsets.append(-1)
+                    continue
+                o = self.level_ops(l, k)
+                axis = [o.w_left, o.w_right, o.mass_transfer_bands.ravel(),
+                        o.mass_bands_coarse[0, 1:], o.thomas_cp, o.thomas_denom]
+                offsets.append(at)
+                parts += axis
+                at += sum(a.size for a in axis)
+            words = np.array([self.ndim, *self.level_shape(l), *offsets], dtype=np.int64)
+            return words.tobytes(), np.ascontiguousarray(np.concatenate(parts), dtype=np.float64)
+
+        return self._memoized(("level_walk", l), build)
+
     def level_ops(self, l: int, k: int) -> LevelOps:
         """Operator data for dimension ``k`` at the step ``l -> l-1``.
 

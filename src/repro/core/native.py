@@ -1,13 +1,16 @@
 """The compiled kernel backend: policy, loader and the C calls (``native.c``).
 
 The paper's contribution is hand-optimized kernels for the three
-refactoring operations; on the host they are the leaf loops of
-:mod:`repro.core` — detail fill (:mod:`~repro.core.coefficients`), the
-``R·M`` stencil (:mod:`~repro.core.transfer`), the Thomas sweep
-(:mod:`~repro.core.solver`) and the class walks (:func:`class_walk`, with
+refactoring operations; on the host they are the level steps of
+:mod:`repro.core` — two C entries per direction, each walking the level
+plane by plane along its first coarsening axis: the coefficients
+(:func:`level_coefficients`, :func:`level_restore`, taken inside
+``compute_coefficients`` / ``restore_from_coefficients``) and the fused
+correction (:func:`level_correct`, taken inside ``restrict_and_correct`` /
+``subtract_correction``) — and the class walks (:func:`class_walk`, with
 the quantizer fused in).  Each of those functions asks this module
-first: when the policy allows it, the library is loaded and the operand
-is a native-endian, aligned float32/float64 array, the loop runs in C;
+first: when the policy allows it, the library is loaded and the operands
+are native-endian, aligned float32/float64 arrays, the loop runs in C;
 otherwise (float16, longdouble, byte-swapped input, no compiler) the
 function's own NumPy body runs.  Both give the same bits: the C performs
 the same operations in the same order, with contraction off.
@@ -36,10 +39,11 @@ caller before anything in it is ``dlopen``-ed; a build goes to a unique
 temporary name, is sealed with a digest of its own bytes (checked before
 ``dlopen``, which faults on a truncated file) and is published with
 ``os.replace``.  A freshly loaded library is checked against the NumPy
-bodies on 5- and 6-point operands ((5, 6) and (3, 5, 6) grids for the
-walks), its Huffman entries against an eleven-symbol stream, before it is
-used.  Nothing here raises out of a leaf: every failure resolves to the
-NumPy bodies.
+bodies — decompositions and recompositions and the class walks on (5, 6)
+and (3, 5, 6) grids, its Huffman entries against an eleven-symbol stream —
+before it is used.  Nothing here raises out of a leaf except the
+correction's ``ValueError`` on non-finite input, which the NumPy body
+raises too; every failure resolves to the NumPy bodies.
 
 This is the only module that imports :mod:`ctypes`.
 """
@@ -231,9 +235,10 @@ def _build(cc: str, src: bytes, target: Path) -> None:
 _P, _N = ctypes.c_void_p, ctypes.c_int64
 _WALK = (_P, _P, _P, _N, ctypes.c_double)
 _PROTOTYPES = {
-    **{f"fill_{s}": (_P, _P, _P, _P) for s in _SUFFIX.values()},
-    **{f"mass_transfer_{s}": (_P, _P, _P, _N, _P) for s in _SUFFIX.values()},
-    **{f"thomas_{s}": (_P, _P, _P, _P, _P, _P) for s in _SUFFIX.values()},
+    "level_scratch": (_P,),
+    **{f"coefficients_{s}": (_P, _P, _P, _P, _P, _P, _P, _N) for s in _SUFFIX.values()},
+    **{f"restore_{s}": (_P, _P, _P, _P, _P, _P, _P, _P, _N, _P, _N) for s in _SUFFIX.values()},
+    **{f"correct_{s}": (_P, _P, _N, _P, _P, _P, _P, _P, _P, _P, _N) for s in _SUFFIX.values()},
     **{f"quantize_{s}": (_P, _P, _P, _N) for s in _SUFFIX.values()},
     "dequantize": (_P, _P, _P, _N),
     **{f"{w}_{s}": _WALK for w in ("gather", "scatter", "quantize_gather") for s in _SUFFIX.values()},
@@ -260,8 +265,8 @@ def _open(path: Path) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
         for name, argtypes in _PROTOTYPES.items():
             fn = getattr(lib, name)
-            # the float kernels return nothing; a huff_* entry a status word, a walk its count
-            fn.argtypes, fn.restype = argtypes, _N if name.startswith("huff_") or argtypes is _WALK else None
+            # the quantizer's passes return nothing; every other entry a status word or a count
+            fn.argtypes, fn.restype = argtypes, None if "quantize" in name and argtypes is not _WALK else _N
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"loading {path}: {exc}") from None
     if not _self_check(lib):
@@ -281,10 +286,14 @@ def _under_test(lib: ctypes.CDLL):
 
 
 def _self_check(lib: ctypes.CDLL) -> bool:
-    """Every entry of ``lib`` against the NumPy bodies, on 5- and 6-point
-    operands (odd, and even with its tail node), both dtypes, both axes."""
-    from . import coefficients, solver, transfer  # the leaves: they import this module
-    from .grid import _build_level_ops
+    """Every entry of ``lib`` against the NumPy bodies: float32 decompositions
+    and float32 and float64 recompositions on a (5, 6) and a (3, 5, 6)
+    non-uniform grid (odd and even axes, a tail node, axes that stop
+    coarsening, a batch before the first coarsening axis) — every level entry
+    of both dtypes, both directions; the quantizer's passes; the class walks;
+    the Huffman entries."""
+    from .decompose import decompose, recompose  # they import this module
+    from .grid import TensorHierarchy
 
     def agree(fn, *args) -> bool:
         with forced("reference"):
@@ -294,36 +303,31 @@ def _self_check(lib: ctypes.CDLL) -> bool:
         return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 
     x = np.array([0.0, 0.11, 0.37, 0.52, 0.81, 1.0])
-    values = np.sin(np.arange(1.0, 19.0)).reshape(6, 3) * 3.7
-    for m in (5, 6):
-        ops = _build_level_ops(x[:m])
-        lower = ops.mass_bands_coarse[0, 1:]
+    hiers = [TensorHierarchy.from_shape(shape, tuple(x[:n] for n in shape))
+             for shape in ((5, 6), (3, 5, 6))]
+    for hier in hiers:
+        values = np.sin(np.arange(1.0, 1.0 + np.prod(hier.shape))).reshape(hier.shape) * 3.7
         for dtype in _SUFFIX:
-            v = values[:m].astype(dtype)
-            for a, axis in ((v, 0), (np.ascontiguousarray(v.T), 1)):
-                vc = coefficients.restrict_nodes(a, ops, axis)
-                if not (agree(coefficients.prolong, vc, ops, axis)
-                        and agree(transfer.mass_transfer_apply, a, ops, axis)
-                        and agree(solver.thomas_sweep, vc, lower, ops.thomas_cp,
-                                  ops.thomas_denom, axis)):
-                    return False
+            v = values.astype(dtype)
+            # a float32 decomposition runs the float64 entries below its finest level
+            if not ((dtype == _F64 or agree(decompose, v, hier)) and agree(recompose, v, hier)):
+                return False
             flat = v.ravel() * 1e3
             if not (agree(quantize, flat, np.linspace(0.5, 2.5, flat.size))
                     and agree(dequantize, np.arange(-9, 9), np.linspace(0.5, 2.5, 18))):
                 return False
     with _under_test(lib):
-        return _walks_self_check() and _huffman_self_check()
+        return _walks_self_check(hiers) and _huffman_self_check()
 
 
-def _walks_self_check() -> bool:
-    """The four class walks — each must be taken — on a (5, 6) and a (3, 5, 6)
-    hierarchy (a tail node, rows of coarse nodes), both dtypes, against the
+def _walks_self_check(hiers) -> bool:
+    """The four class walks — each must be taken — on the (5, 6) and (3, 5, 6)
+    hierarchies (a tail node, rows of coarse nodes), both dtypes, against the
     NumPy bodies."""
     from .classes import assemble_from_classes, extract_classes
-    from .grid import TensorHierarchy
 
-    for shape in ((5, 6), (3, 5, 6)):
-        hier = TensorHierarchy.from_shape(shape)
+    for hier in hiers:
+        shape = hier.shape
         factors = np.linspace(0.5, 2.5, hier.L + 1)
         for dtype in _SUFFIX:
             field = (np.sin(np.arange(1.0, 1.0 + np.prod(shape))) * 37.0).reshape(shape).astype(dtype)
@@ -453,78 +457,113 @@ def _library_for(*arrays: np.ndarray) -> ctypes.CDLL | None:
     """The library when the policy and these operands take the C route."""
     if not active():
         return None
-    for a in arrays:
-        if not a.flags.aligned or a.size == 0 or any(s % a.itemsize for s in a.strides):
-            return None
-    return _library()
+    return _library() if all(map(_usable, arrays)) else None
 
 
 # ----------------------------------------------------------------------
 # the calls
 
 
-def _geometry(m: int, axis: int, a: np.ndarray, b: np.ndarray | None = None):
-    """``native.c``'s view descriptor of ``a`` (and ``b``) along ``axis``;
-    ``None`` when there are more outer dimensions than it iterates."""
-    nd = a.ndim
-    inner = nd - 1 if axis != nd - 1 else nd - 2  # -1: a 1D operand has no batch
-    outer = [d for d in range(nd) if d != axis and d != inner]
-    if len(outer) > _MAX_OUTER:
+def _usable(a: np.ndarray) -> bool:
+    """An operand the C can address: aligned, non-empty, strides in whole elements."""
+    return a.flags.aligned and a.size > 0 and not any(s % a.itemsize for s in a.strides)
+
+
+def _strides(a: np.ndarray):
+    return (_N * a.ndim)(*(s // a.itemsize for s in a.strides))
+
+
+def _output(out, shape, dtypes, *inputs) -> np.ndarray | None:
+    """``out`` when the C may write it (``None`` when not), or a new array of
+    ``shape`` and ``dtypes[0]``."""
+    if out is None:
+        return np.empty(shape, dtype=dtypes[0])
+    ok = (out.shape == tuple(shape) and out.dtype in dtypes and out.flags.writeable and _usable(out)
+          and not any(np.may_share_memory(out, a) for a in inputs))
+    return out if ok else None
+
+
+def _scratch(lib, words: bytes, scratch, *operands) -> np.ndarray | None:
+    """``scratch`` when it holds what the level needs and overlaps no operand, else a new one."""
+    need = lib.level_scratch(words)
+    if need < 0:
         return None
-    sa = [s // a.itemsize for s in a.strides]
-    sb = [s // b.itemsize for s in b.strides] if b is not None else sa
-    g = [len(outer), m, a.shape[inner] if inner >= 0 else 1,
-         sa[axis], sa[inner] if inner >= 0 else 1, sb[axis], sb[inner] if inner >= 0 else 1]
-    g += [a.shape[d] for d in outer] + [sa[d] for d in outer] + [sb[d] for d in outer]
-    return (_N * len(g))(*g)
+    if (scratch is None or scratch.dtype != _F64 or not scratch.flags.c_contiguous
+            or scratch.size < need or any(np.may_share_memory(scratch, a) for a in operands)):
+        return np.empty(max(need, 1), dtype=_F64)
+    return scratch
 
 
-def fill_details(out: np.ndarray, axis: int, nd: int, wl: np.ndarray, wr: np.ndarray) -> bool:
-    """``coefficients._fill_details`` on the view ``out``, in place; false
-    when the NumPy body must run instead."""
-    suffix = _SUFFIX.get(out.dtype)
-    lib = _library_for(out) if suffix and nd and out.flags.writeable else None
-    g = _geometry(nd, axis, out) if lib else None
-    if g is None:
-        return False
-    getattr(lib, "fill_" + suffix)(out.ctypes.data, g, wl.ctypes.data, wr.ctypes.data)
-    return True
+def level_scratch(hier) -> int:
+    """Doubles of scratch the level entries need on the levels of ``hier``; 0 when
+    the C route is off (the policy, no library, more axes than it walks)."""
+    if not hier.L or hier.ndim > _MAX_OUTER or not active():
+        return 0
+    lib = _library()
+    return max(max(lib.level_scratch(hier.level_walk(l)[0]), 0) for l in range(1, hier.L + 1))
 
 
-def mass_transfer(f: np.ndarray, axis: int, m_coarse: int, bands: np.ndarray) -> np.ndarray | None:
-    """``transfer.mass_transfer_apply``'s result, or ``None`` for the NumPy body."""
-    suffix = _SUFFIX.get(f.dtype)
-    lib = _library_for(f) if suffix else None
+def level_coefficients(v: np.ndarray, hier, l: int, out=None, scratch=None) -> np.ndarray | None:
+    """``coefficients.compute_coefficients(v, hier, l)`` in one C walk over the
+    planes of the level — into ``out`` (of ``v``'s dtype) when given; ``None``
+    for the NumPy body."""
+    suffix = _SUFFIX.get(v.dtype)
+    lib = _library_for(v) if suffix and hier.ndim <= _MAX_OUTER else None
     if lib is None:
         return None
-    shape = list(f.shape)
-    shape[axis] = m_coarse
-    out = np.empty(shape, dtype=_F64)
-    g = _geometry(f.shape[axis], axis, f, out)
-    if g is None:
+    out = _output(out, v.shape, (v.dtype,), v)
+    words, ops = hier.level_walk(l)
+    scratch = _scratch(lib, words, scratch, v, out) if out is not None else None
+    if scratch is None or getattr(lib, "coefficients_" + suffix)(
+            words, ops.ctypes.data, v.ctypes.data, _strides(v), out.ctypes.data, _strides(out),
+            scratch.ctypes.data, scratch.size):
         return None
-    getattr(lib, "mass_transfer_" + suffix)(f.ctypes.data, out.ctypes.data, g, m_coarse,
-                                            bands.ctypes.data)
     return out
 
 
-def thomas(f: np.ndarray, lower, cp, denom, axis: int) -> np.ndarray | None:
-    """``solver.thomas_sweep``'s result, or ``None`` for the NumPy body."""
-    suffix = _SUFFIX.get(f.dtype)
-    lib = _library_for(f) if suffix and f.ndim else None
-    if lib is None:
+def level_restore(c: np.ndarray, vc: np.ndarray, hier, l: int, out=None, scratch=None):
+    """``coefficients.restore_from_coefficients(c, vc, hier, l)`` — ``c`` read at
+    its detail nodes only — into ``out`` (float64, or ``c``'s dtype) when given;
+    ``None`` for the NumPy body."""
+    suffix = _SUFFIX.get(c.dtype)
+    ok = suffix and vc.dtype == _F64 and hier.ndim <= _MAX_OUTER
+    lib = _library_for(c, vc) if ok else None
+    out = _output(out, c.shape, (_F64, c.dtype), c, vc) if lib else None
+    if out is None:
         return None
-    m = f.shape[axis]
-    factors = [np.ascontiguousarray(w, dtype=_F64) for w in (lower, cp, denom)]
-    if any(w.ndim != 1 or w.size < n for w, n in zip(factors, (m - 1, m - 1, m))):
-        return None  # the NumPy body raises for these
-    out = np.empty(f.shape, dtype=_F64)
-    g = _geometry(m, axis % f.ndim, f, out)
-    if g is None:
+    words, ops = hier.level_walk(l)
+    scratch = _scratch(lib, words, scratch, c, vc, out)
+    if scratch is None or getattr(lib, "restore_" + suffix)(
+            words, ops.ctypes.data, c.ctypes.data, _strides(c), vc.ctypes.data, _strides(vc),
+            out.ctypes.data, _strides(out), out.dtype != _F64, scratch.ctypes.data, scratch.size):
         return None
-    getattr(lib, "thomas_" + suffix)(f.ctypes.data, out.ctypes.data, g,
-                                     *(w.ctypes.data for w in factors))
     return out
+
+
+def level_correct(direction: int, v: np.ndarray, c: np.ndarray, hier, l: int, out=None,
+                  scratch=None) -> np.ndarray | None:
+    """The fused correction of the step ``l -> l-1`` in two C passes, into
+    ``out`` (float64, the coarse level's shape) when given.  ``direction``
+    ``+1``: ``v[coarse] + compute_correction(c)``, ``v`` of ``c``'s dtype;
+    ``-1``: ``v - compute_correction(c)`` with ``c``'s coarse nodes taken as
+    zero, ``v`` the coarse level's values.  ``None`` for the NumPy body;
+    raises ``thomas_solve``'s ``ValueError`` where it would."""
+    suffix = _SUFFIX.get(c.dtype)
+    if suffix and direction < 0 and v.dtype != _F64 and v.dtype in _SUFFIX:
+        v = v.astype(_F64)  # the coarsest level's few nodes, as NumPy promotes them
+    ok = suffix and (v.dtype == c.dtype if direction > 0 else v.dtype == _F64)
+    lib = _library_for(c, v) if ok and hier.ndim <= _MAX_OUTER else None
+    out = _output(out, hier.level_shape(l - 1), (_F64,), c, v) if lib else None
+    if out is None:
+        return None
+    words, ops = hier.level_walk(l)
+    scratch = _scratch(lib, words, scratch, c, v, out)
+    status = -1 if scratch is None else getattr(lib, "correct_" + suffix)(
+        words, ops.ctypes.data, direction, c.ctypes.data, _strides(c), v.ctypes.data,
+        _strides(v), out.ctypes.data, _strides(out), scratch.ctypes.data, scratch.size)
+    if status == 1:
+        raise ValueError("array must not contain infs or NaNs")
+    return out if status == 0 else None
 
 
 def _flat(a: np.ndarray, dtype: np.dtype) -> bool:

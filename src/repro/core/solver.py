@@ -11,24 +11,23 @@ vectors; this module is that kernel on the host:
     factors come precomputed from :class:`~repro.core.grid.LevelOps`.
 
 ``thomas_sweep``
-    The sweep itself, the launcher's ``solve`` op.  On float32/float64
-    input it runs in C (:mod:`repro.core.native`: the batch index is the
-    inner loop, walked in blocks so a block of every node stays in cache
-    between the two sweeps, in the operand's own layout).  Its NumPy
-    body moves the solve axis to the front of a contiguous float64
-    working copy, so each of the ``m`` forward and ``m`` backward steps
-    is one ufunc over a contiguous slab holding every vector of the
-    batch.  Same operations, same order, same bits.
+    The sweep itself.  It moves the solve axis to the front of a
+    contiguous float64 working copy, so each of the ``m`` forward and
+    ``m`` backward steps is one ufunc over a contiguous slab holding every
+    vector of the batch.  It is the ``reference`` body of the solve; on
+    float32/float64 input ``decompose`` / ``recompose`` run the same
+    operations in the same order inside the C correction passes
+    (:func:`repro.core.native.level_correct`), a block of vectors at a
+    time.
 
 It is the one solver arithmetic in the tree: the literal segmented walk
-of :mod:`repro.kernels.linear_processing` calls its NumPy body.
+of :mod:`repro.kernels.linear_processing` calls it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import native
 from .grid import LevelOps, along
 
 __all__ = ["solve_correction", "thomas_solve", "thomas_sweep", "thomas_factor"]
@@ -54,9 +53,6 @@ def thomas_sweep(
     Every step is vectorized over the whole batch; returns a new
     C-contiguous float64 array.
     """
-    z = native.thomas(f, lower, cp, denom, axis)
-    if z is not None:
-        return z
     m = f.shape[axis]
     # solve axis first: each row of z is then one contiguous slab of the batch
     moved = np.moveaxis(f, axis, 0)

@@ -4,8 +4,10 @@ The paper's premise is hand-tuned kernels selected per configuration
 (§III-A); this module makes the backend a *configuration axis* for
 tests, benchmarks and the record a benchmark stamps.  An op **is** the
 production leaf (:data:`OP_SPECS`): the functions of :mod:`repro.core`
-that ``decompose``/``recompose`` call, the quantizer's two passes, the
-class split and assembly (``extract`` / ``assemble``), and the entropy
+that ``decompose``/``recompose`` call — the two level entries each way,
+``coefficients`` / ``restore`` and ``correct`` / ``uncorrect`` (the fused
+restrict-and-add of the correction, and its inverse) —, the quantizer's
+two passes, the class split and assembly (``extract`` / ``assemble``), and the entropy
 stage's three integer entries (``huff_lengths`` /
 ``huff_encode`` / ``huff_decode``: the code-length merge, the segment
 encode — map, guard, pack — and the sync-block decode walk of
@@ -32,11 +34,10 @@ from ..compress import huffman, huffman_book, huffman_pack, huffman_unpack
 from ..core import native
 from ..core.classes import assemble_from_classes, extract_classes
 from ..core.coefficients import compute_coefficients, restore_from_coefficients
+from ..core.correction import restrict_and_correct, subtract_correction
 from ..core.decompose import restrict_all
 from ..core.grid import hierarchy_for
 from ..core.native import kernel_backend_policy, set_kernel_backend
-from ..core.solver import thomas_sweep
-from ..core.transfer import mass_transfer_apply
 
 __all__ = [
     "OpSpec",
@@ -68,16 +69,14 @@ def _make_restore(shape, dtype, rng):
     return compute_coefficients(v, hier, hier.L), restrict_all(v, hier, hier.L).copy(), hier, hier.L
 
 
-def _make_mass_transfer(shape, dtype, rng):
+def _make_correct(shape, dtype, rng):
     v, hier = _field(shape, dtype, rng)
-    return v, hier.level_ops(hier.L, v.ndim - 1), v.ndim - 1
+    return v, compute_coefficients(v, hier, hier.L), hier, hier.L
 
 
-def _make_solve(shape, dtype, rng):
+def _make_uncorrect(shape, dtype, rng):  # c straight from a refactored array: coarse nodes not zero
     v, hier = _field(shape, dtype, rng)
-    ops = hier.level_ops(hier.L, v.ndim - 1)
-    f = restrict_all(v, hier, hier.L).copy()
-    return f, ops.mass_bands_coarse[0, 1:], ops.thomas_cp, ops.thomas_denom, v.ndim - 1
+    return restrict_all(v, hier, hier.L).astype(np.float64), v, hier, hier.L
 
 
 def _make_assemble(shape, dtype, rng):
@@ -136,8 +135,8 @@ OP_SPECS: dict[str, OpSpec] = {
     for spec in (
         OpSpec("coefficients", compute_coefficients, _make_coefficients),
         OpSpec("restore", restore_from_coefficients, _make_restore),
-        OpSpec("mass_transfer", mass_transfer_apply, _make_mass_transfer),
-        OpSpec("solve", thomas_sweep, _make_solve),
+        OpSpec("correct", restrict_and_correct, _make_correct),
+        OpSpec("uncorrect", subtract_correction, _make_uncorrect),
         OpSpec("quantize", native.quantize, _make_quantize),
         OpSpec("dequantize", native.dequantize, _make_dequantize),
         OpSpec("extract", extract_classes, _field),

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import native
 from ..core.grid import LevelOps
 from ..core.solver import thomas_factor, thomas_sweep
 
@@ -163,5 +162,4 @@ class LinearProcessingKernel:
             return f / self.ops.mass_bands_coarse[1, 0]
         lower = self.ops.mass_bands_coarse[0, 1:]
         cp, denom = thomas_factor(self.ops)
-        with native.forced("reference"):  # the literal kernels are NumPy walks: the oracle
-            return thomas_sweep(f, lower, cp, denom)
+        return thomas_sweep(f, lower, cp, denom)

@@ -60,20 +60,24 @@ def nonuniform_coords(shape: tuple[int, ...], rng: np.random.Generator):
 
 
 def record_kernel_calls(monkeypatch):
-    """Record every call the drivers make to the four math kernels as ``(name,
-    args, result, result_is_c_contiguous)``, through the module bindings they
-    call.  Arrays are snapshots: ``decompose`` adopts the finest coefficient
-    array as its output and overwrites it under later levels."""
-    from repro.core import coefficients, correction
+    """Record every call the drivers' NumPy bodies make to the four math kernels
+    as ``(name, args, result, result_is_c_contiguous)``, through the module
+    bindings they call; the ``reference`` policy is pinned, since the C level
+    entries fuse the correction's two kernels.  Arrays are snapshots:
+    ``decompose`` adopts the finest coefficient array as its output and
+    overwrites it under later levels.  A result written into a given ``out``
+    counts as contiguous: its layout is the caller's."""
+    from repro.core import coefficients, correction, native
 
+    monkeypatch.setattr(native._local, "policy", "reference", raising=False)
     calls = []
     for module, name in ((coefficients, "compute_coefficients"),
                          (coefficients, "restore_from_coefficients"),
                          (correction, "mass_transfer_apply"), (correction, "solve_correction")):
-        def recorded(*args, _name=name, _fn=getattr(module, name)):
+        def recorded(*args, _name=name, _fn=getattr(module, name), **kwargs):
             seen = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
-            out = _fn(*args)
-            calls.append((_name, seen, out.copy(), out.flags.c_contiguous))
+            out = _fn(*args, **kwargs)
+            calls.append((_name, seen, out.copy(), out.flags.c_contiguous or "out" in kwargs))
             return out
 
         monkeypatch.setattr(module, name, recorded)

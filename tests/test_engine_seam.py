@@ -47,6 +47,8 @@ def test_numpy_engine_equals_literal_kernels_call_for_call(shape, nonuniform, dt
     assert_rounding_close(literal.recompose(refactored, h), restored, data, dtype)
     for name, args, a, contiguous in calls:
         b = getattr(literal, name)(*args)
+        if name == "restore_from_coefficients":  # the last level rounds into the input's dtype
+            b = b.astype(a.dtype, copy=False)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert contiguous, f"{name} returned a non-contiguous array"
         if name == "mass_transfer_apply":

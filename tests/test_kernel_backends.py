@@ -29,6 +29,7 @@ from repro.core.classes import class_sizes
 from repro.core.decompose import decompose
 from repro.core.grid import hierarchy_for
 from repro.core.mass import mass_apply
+from repro.core.solver import thomas_sweep
 from repro.core.transfer import transfer_apply
 from repro.kernels import launcher as L
 from repro.kernels.linear_processing import LinearProcessingKernel
@@ -58,6 +59,9 @@ def fresh_loader(tmp_path, monkeypatch):
 
 _MISCOMPILES = {
     "wrong_answers": (b"acc = acc + w1", b"acc = acc - w1"),
+    # the level entries: pass A's forward sweep, the interpolation along the first axis
+    "wrong_level_sweep": (b"z[i] = (acc - zp[i] * lo) / de;", b"z[i] = (acc + zp[i] * lo) / de;"),
+    "wrong_level_interp": (b"wl * (double)u0[y] + wr", b"wr * (double)u0[y] + wl"),
     "wrong_huffman_walk": (b"limits[li] <= win", b"limits[li] < win"),
     "wrong_huffman_lanes": (b"o + lane * block + t", b"o + lane * block"),
     "wrong_huffman_search": (b"(*p < v)", b"(*p <= v)"),
@@ -97,7 +101,7 @@ def _decompose_falls_back(policy: str) -> list[warnings.WarningMessage]:
         for _ in range(2):
             assert np.array_equal(decompose(x), want)
     assert L.available_backends() == ["reference"]
-    assert L.resolve("solve", (4, 5), np.float64).name == "reference"
+    assert L.resolve("correct", (4, 5), np.float64).name == "reference"
     return [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -141,7 +145,7 @@ def test_unknown_backend_and_op_rejected():
     with pytest.raises(ValueError, match="unknown kernel op"):
         L.resolve("fft", (8,), np.float64)
     with pytest.raises(ValueError, match="kernel backend"):
-        L.resolve("solve", (8,), np.float64, "cuda")
+        L.resolve("correct", (8,), np.float64, "cuda")
 
 
 def test_reference_always_available():
@@ -178,8 +182,8 @@ def test_resolve_names_what_runs():
                              policy).name == "native"
     # a property of the input, not a switch: these take the NumPy bodies
     for dtype in (np.float16, np.longdouble, ">f8"):
-        assert L.resolve("solve", (8, 9), dtype, "native").name == "reference"
-    assert L.resolve("solve", (8, 9), np.float64, "reference").name == "reference"
+        assert L.resolve("correct", (8, 9), dtype, "native").name == "reference"
+    assert L.resolve("correct", (8, 9), np.float64, "reference").name == "reference"
 
 
 def test_forced_policy_is_per_thread_and_restored():
@@ -320,6 +324,17 @@ def test_library_that_disagrees_with_numpy_is_not_used(fresh_loader):
 
 
 @needs_cc
+@pytest.mark.parametrize("damage", ["wrong_level_sweep", "wrong_level_interp"])
+def test_library_whose_level_entries_disagree_is_not_used(fresh_loader, damage):
+    """The load-time decompositions and recompositions reach pass A of the
+    correction and the interpolation along the first coarsening axis."""
+    assert native.source().count(_MISCOMPILES[damage][0]) == 1
+    _plant(fresh_loader, damage)
+    (warning,) = _decompose_falls_back("native")
+    assert "disagrees with the NumPy bodies" in str(warning.message)
+
+
+@needs_cc
 @pytest.mark.parametrize("damage", sorted(d for d in _MISCOMPILES if d.startswith("wrong_huffman")))
 def test_library_whose_huffman_entries_disagree_is_not_used(fresh_loader, damage):
     """The load-time check reaches the first-code search behind the prefix
@@ -399,7 +414,7 @@ def test_masked_numba_import_falls_back(tmp_path):
         "from repro.kernels.launcher import available_backends, resolve\n"
         "assert not HAVE_NUMBA\n"
         "assert available_backends() == ['reference']\n"
-        "assert resolve('solve', (4, 5), 'float64').name == 'reference'\n"
+        "assert resolve('correct', (4, 5), 'float64').name == 'reference'\n"
         "r = Refactorer((9, 9)); x = np.arange(81.0).reshape(9, 9)\n"
         "assert np.allclose(r.recompose(r.decompose(x)), x)\n"
         "print('ok')\n"
@@ -442,10 +457,8 @@ def test_reference_twins_match_segmented_kernels(m, dtype, rng):
     assert transfer_apply(v, ops, axis=1).tobytes() == k.transfer_multiply(v).tobytes()
 
     vc = rng.standard_normal((8, ops.m_coarse)).astype(dtype)
-    for backend in L.available_backends():
-        got = L.run_op(backend, "solve", vc, ops.mass_bands_coarse[0, 1:], ops.thomas_cp,
-                       ops.thomas_denom)
-        assert got.tobytes() == k.solve(vc).tobytes()
+    got = thomas_sweep(vc, ops.mass_bands_coarse[0, 1:], ops.thomas_cp, ops.thomas_denom)
+    assert got.tobytes() == k.solve(vc).tobytes()
 
 
 def test_reference_quantize_twin_matches_numpy(rng):

@@ -4,9 +4,12 @@ One differential matrix over the two kernel backends: shapes 1D–4D
 (even lengths with their tail node, size-1/2/3 axes), uniform and
 non-uniform coordinates, the C-route dtypes (float32/float64) and the
 NumPy-body ones (float16, longdouble, byte-swapped, integer), C-, F-
-ordered, strided and read-only inputs.  ``decompose``, ``recompose`` and
-``Refactorer.reconstruct`` must agree bit for bit, never alias or mutate
-the input, and reject a NaN/Inf input alike.  The entropy stage's integer
+ordered, strided and read-only inputs; anisotropic grids whose axes stop
+coarsening.  ``decompose``, ``recompose`` and ``Refactorer.reconstruct``
+must agree bit for bit, never alias or mutate the input, and meet a
+NaN/Inf input alike (first or last plane, coarse or detail node); the level
+entries must ignore what a refactored array holds at coarse positions, and
+recompositions of de-quantized and truncated arrays must agree too.  The entropy stage's integer
 loops get the same treatment — payload bytes, headers, code lengths and
 decoded symbols per backend against each other and the heap/scalar
 oracle, foreign books with 39- and 64-bit codes and int64-extreme values,
@@ -37,6 +40,8 @@ from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.quantizer import Quantizer
 from repro.core import native
 from repro.core.classes import assemble_from_classes, extract_classes
+from repro.core.coefficients import compute_coefficients, restore_from_coefficients
+from repro.core.correction import restrict_and_correct, subtract_correction
 from repro.core.decompose import decompose, recompose
 from repro.core.grid import hierarchy_for
 from repro.core.refactor import Refactorer
@@ -147,6 +152,107 @@ def test_backends_reject_non_finite_input_alike(case, poison):
 def test_backends_agree_on_fixed_shapes(shape, dtype):
     for layout in LAYOUTS:
         check_case(shape, dtype, layout, nonuniform=layout == "F", seed=len(shape))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(5, 129), (129, 5), (32, 65, 65), (3, 40), (2, 2, 33), (6, 1, 20, 3),
+                        (64, 9), (9, 64), (1, 2, 17), (31, 7, 4, 2)]),
+       st.sampled_from(["f8", "f4"]), st.sampled_from(LAYOUTS), st.booleans(),
+       st.integers(0, 2**31 - 1))
+def test_backends_agree_where_axes_stop_coarsening(shape, dtype, layout, nonuniform, seed):
+    """Anisotropic grids: shallow axes stop coarsening, and below that level the
+    plane walks run with a batch of one or two nodes before their first
+    coarsening axis, or with planes of one node."""
+    check_case(shape, dtype, layout, nonuniform, seed)
+
+
+def _level_steps(hier, c, vc, v, out_dtype, scratch):
+    """Every level entry of one step on the given operands, under the ambient policy."""
+    L = hier.L
+    return [compute_coefficients(v, hier, L), restrict_and_correct(v, c, hier, L, scratch=scratch),
+            subtract_correction(vc, c, hier, L, scratch=scratch),
+            restore_from_coefficients(c, vc, hier, L, scratch=scratch),
+            restore_from_coefficients(c, vc, hier, L, out=np.empty(c.shape, out_dtype))]
+
+
+@pytest.mark.parametrize("shape", [(17, 9), (16, 10), (9, 8, 6), (33,), (5, 6, 7, 4)],
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+def test_coarse_position_noise_does_not_leak(shape, dtype, rng):
+    """What a refactored array holds at a level's coarse positions — coarser
+    payloads, quantization noise — changes neither the correction nor the
+    restore, under either backend: the NumPy bodies zero or overwrite it, the C
+    walks never read it.  The entries take a borrowed scratch or none."""
+    hier = hierarchy_for(shape)
+    c = rng.standard_normal(shape).astype(dtype)
+    c[hier.coarse_selector(hier.L)] = 0.0
+    noisy = c.copy()
+    noisy[hier.coarse_selector(hier.L)] = rng.standard_normal(hier.level_shape(hier.L - 1)) * 1e3
+    vc = rng.standard_normal(hier.level_shape(hier.L - 1))
+    got = {}
+    for backend in ("reference", "native"):
+        with native.forced(backend):
+            for name, cc in (("zero", c), ("noisy", noisy)):
+                got[backend, name] = _level_steps(hier, cc, vc, c, dtype, np.empty(3))
+    for name in ("zero", "noisy"):
+        for a, b in zip(got["reference", name], got["native", name]):
+            assert same_bits(a, b), name
+    # the coefficients and the fused correction read all of c; the others must not see the noise
+    for a, b in zip(got["native", "noisy"][2:], got["native", "zero"][2:]):
+        assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("shape", [(33, 17), (16, 9, 6)], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+def test_recompose_from_quantized_and_truncated_classes_agrees(shape, dtype, rng):
+    """The reconstructions a reader makes — de-quantized bins, the first k
+    classes — give the same bits under both backends."""
+    hier = hierarchy_for(shape)
+    x = rng.standard_normal(shape).astype(dtype)
+    outs = {}
+    for backend in ("reference", "native"):
+        with native.forced(backend):
+            y = decompose(x, hier)
+            q = Quantizer(1e-3)
+            bins, sizes, steps = q.quantize_refactored(y, hier)
+            deq = Quantizer.dequantize_refactored(bins, sizes, steps, hier).astype(dtype)
+            classes = extract_classes(y, hier)
+            outs[backend] = [recompose(deq, hier)] + [
+                recompose(assemble_from_classes(classes[:k], hier).astype(dtype), hier)
+                for k in range(1, len(classes) + 1)]
+    for a, b in zip(outs["reference"], outs["native"]):
+        assert same_bits(a, b)
+
+
+def _poisoned(shape, dtype, plane, node, poison):
+    """A field with one non-finite value in the first or last plane of axis 0,
+    at a node coarse on every axis or at a detail node of the last axis."""
+    x = np.random.default_rng(len(shape)).standard_normal(shape).astype(dtype)
+    at = [0 if plane == "first" else n - 1 for n in shape]
+    if node == "detail":
+        at[-1] = 1
+    x[tuple(at)] = poison
+    return x
+
+
+@pytest.mark.parametrize("shape", [(17, 9), (16, 9, 6), (33,)], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("plane", ["first", "last"])
+@pytest.mark.parametrize("node", ["coarse", "detail"])
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+def test_non_finite_input_meets_the_same_fate(shape, plane, node, poison, dtype):
+    """``decompose`` raises thomas_solve's ``ValueError`` under both backends;
+    ``recompose`` of a poisoned refactored array raises it or returns the
+    same bits under both, depending on the level the node belongs to."""
+    hier = hierarchy_for(shape)
+    x = _poisoned(shape, dtype, plane, node, poison)
+    seen = {}
+    for backend in ("reference", "native"):
+        with native.forced(backend), np.errstate(all="ignore"):
+            seen[backend] = (outcome(decompose, x, hier), outcome(recompose, x, hier))
+    assert seen["reference"][0] == seen["native"][0] == "array must not contain infs or NaNs"
+    ref, nat = seen["reference"][1], seen["native"][1]
+    assert ref == nat if isinstance(ref, str) else same_bits(ref, nat)
 
 
 def test_more_outer_dimensions_than_the_library_iterates_take_numpy():
