@@ -53,6 +53,8 @@ OP_SHAPES = {
     **{op: (17, 17, 17) if CI_SCALE else (65, 65, 65)
        for op in ("coefficients", "restore", "correct", "uncorrect")},
     **{op: (1 << 14,) if CI_SCALE else (1 << 20,) for op in ("quantize", "dequantize")},
+    # the end-to-end ``stream_huffman`` workload's closed loop: one 65^3 step into its sum
+    "dequantize_add": (17, 17, 17) if CI_SCALE else (65, 65, 65),
     # the end-to-end ``refactor`` workload's access: a 129^3 frame's classes
     **{op: (33, 33, 33) if CI_SCALE else (129, 129, 129) for op in ("extract", "assemble")},
     # the end-to-end ``stream_huffman`` workload's step: one 65^3 segment

@@ -50,16 +50,16 @@ class StageTimes:
 class PreparedFrame:
     """Refactored + quantized (but not yet entropy-coded) data.
 
-    The output of :meth:`MgardCompressor.prepare` and the input of
+    The output of :meth:`MgardCompressor.prepare` /
+    :meth:`~MgardCompressor.prepare_refactored` and the input of
     :meth:`MgardCompressor.encode_prepared` — the seam that splits one
     ``compress`` call into its in-order half (refactor + quantize,
     which closed-loop temporal prediction must run serially because
-    the *reconstruction* feeds the next frame's residual) and its
+    the decoded coefficients feed the next frame's residual) and its
     stateless half (entropy coding, which a pipeline overlaps across
-    steps).  Entropy coding is lossless, so the reconstruction is
-    already fully determined here: :meth:`MgardCompressor.\
-reconstruct_prepared` inverts the quantization without ever touching
-    the encoder.
+    steps).  Entropy coding is lossless, so the decoded coefficients are
+    already fully determined here: :meth:`Quantizer.dequantize_refactored`
+    of ``bins`` inverts the quantization without ever touching the encoder.
     """
 
     bins: np.ndarray = field(repr=False)  # int64 concatenation of classes
@@ -199,22 +199,28 @@ class MgardCompressor:
     def prepare(self, data: np.ndarray) -> PreparedFrame:
         """Refactor and quantize ``data`` without entropy-coding it.
 
-        The in-order half of :meth:`compress`: multigrid
-        decomposition, then the class split fused with the quantizer
-        (:meth:`Quantizer.quantize_refactored`).  The returned
-        :class:`PreparedFrame` fully determines both the final container
-        (:meth:`encode_prepared`) and the decoded reconstruction
-        (:meth:`reconstruct_prepared`), so closed-loop prediction can
-        advance to the next frame while the entropy stage still runs.
+        The in-order half of :meth:`compress`: multigrid decomposition,
+        then :meth:`prepare_refactored`.
         """
-        times = StageTimes()
         t0 = time.perf_counter()
         refactored = decompose(data, self.hier)
-        times.refactor_wall = time.perf_counter() - t0
+        return self.prepare_refactored(refactored, refactor_wall=time.perf_counter() - t0)
 
-        t0 = time.perf_counter()  # the class split and the quantizer: one pass
+    def prepare_refactored(self, refactored: np.ndarray, refactor_wall: float = 0.0) -> PreparedFrame:
+        """Quantize an already refactored array (the layout :func:`decompose`
+        returns) without entropy-coding it: the class split fused with the
+        quantizer (:meth:`Quantizer.quantize_refactored`).  ``refactor_wall``
+        is the decomposition's time, recorded in the frame's :class:`StageTimes`.
+
+        The returned :class:`PreparedFrame` fully determines both the final
+        container (:meth:`encode_prepared`) and the decoded coefficients
+        (:meth:`Quantizer.dequantize_refactored` of its bins), so closed-loop
+        prediction can advance to the next frame while the entropy stage
+        still runs.
+        """
+        t0 = time.perf_counter()
         bins, sizes, steps = self.quantizer.quantize_refactored(refactored, self.hier)
-        times.quantize_wall = time.perf_counter() - t0
+        times = StageTimes(refactor_wall=refactor_wall, quantize_wall=time.perf_counter() - t0)
         return PreparedFrame(
             bins=bins,
             sizes=sizes,
@@ -224,18 +230,6 @@ class MgardCompressor:
             mode=self.quantizer.mode,
             times=times,
         )
-
-    def reconstruct_prepared(self, prep: PreparedFrame) -> np.ndarray:
-        """The decoded field a :class:`PreparedFrame` will round-trip to.
-
-        Entropy coding is lossless, so this equals
-        ``decompress(encode_prepared(prep))`` bit for bit — without
-        running the encoder.  It is the closed-loop feedback path of
-        the pipelined time-series compressor: the prediction loop needs
-        each frame's *reconstruction*, not its bytes.
-        """
-        refactored = Quantizer.dequantize_refactored(prep.bins, prep.sizes, prep.steps, self.hier)
-        return recompose(refactored, self.hier)
 
     def encode_prepared(
         self,

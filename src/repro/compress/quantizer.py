@@ -138,16 +138,21 @@ class Quantizer:
 
     @staticmethod
     def dequantize_refactored(
-        bins: np.ndarray, sizes: list[int], steps: list[float], hier: TensorHierarchy
+        bins: np.ndarray, sizes: list[int], steps: list[float], hier: TensorHierarchy,
+        add_to: np.ndarray | None = None,
     ) -> np.ndarray:
         """:func:`~repro.core.classes.assemble_from_classes` of
         :meth:`dequantize_flat` (every class of ``hier``), one C walk per class
-        where the library takes ``bins``."""
+        where the library takes ``bins`` — added in place into the float64
+        array ``add_to`` of ``hier.shape`` and returned as it, when given."""
         if list(sizes) != class_sizes(hier):
             raise ValueError(f"payload has class sizes {list(sizes)}, not {class_sizes(hier)}")
         if bins.size == sum(sizes) and len(steps) == len(sizes):
-            out = np.empty(hier.shape)  # every node is in one class
+            out = np.empty(hier.shape) if add_to is None else add_to  # every node is in one class
             scale = np.asarray(steps, dtype=np.float64)
-            if native.class_walk("dequantize", out, np.split(bins, np.cumsum(sizes)[:-1]), hier, scale):
+            # the classes are slices of one array: the add walk refuses the first or none
+            if native.class_walk("dequantize" if add_to is None else "dequantize_add", out,
+                                 np.split(bins, np.cumsum(sizes)[:-1]), hier, scale):
                 return out
-        return assemble_from_classes(Quantizer.dequantize_flat(bins, sizes, steps), hier)
+        values = assemble_from_classes(Quantizer.dequantize_flat(bins, sizes, steps), hier)
+        return values if add_to is None else np.add(add_to, values, out=add_to)

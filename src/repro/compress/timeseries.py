@@ -9,7 +9,16 @@ composes the spatial compressor with a temporal predictor:
 * frame 0 is compressed directly (a *key frame*);
 * each subsequent frame is predicted by the previous *reconstructed*
   frame (closed-loop prediction, so the error bound never drifts) and
-  only the residual is refactored/quantized/encoded.
+  only the residual is quantized/encoded.
+
+The loop runs on coefficients.  Refactoring is linear, so the residual's
+coefficients are the frame's coefficients less the sum of every
+de-quantized step since the key frame; the compressor keeps that sum in
+the refactored layout and pays one ``decompose`` and no ``recompose``
+per step.  A step's coefficient error is then exactly its quantization
+error — the bound holds at every step, with no drift.  The decoder
+recomposes each step and sums in space; the two sums differ by
+recomposition roundoff only, which the quantizer's safety factor absorbs.
 
 For slowly-varying fields the residuals are small and quantize to
 near-zero bins, so the stream compresses far better than independent
@@ -27,12 +36,15 @@ replays the chain, so frames decode in stream order from any key frame.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.decompose import decompose
 from ..core.grid import TensorHierarchy
 from .mgard import CompressedData, MgardCompressor, PreparedFrame
+from .quantizer import Quantizer
 
 __all__ = ["CompressedSeries", "ResidualPlan", "TimeSeriesCompressor"]
 
@@ -140,7 +152,9 @@ class TimeSeriesCompressor:
             self._scratch = plan.scratch_area(stream_tag)
         else:
             self._scratch = {}
-        self._prev_recon: np.ndarray | None = None
+        # the loop state: float64 sum, in the refactored layout, of the
+        # de-quantized coefficients of every step since the key frame
+        self._coeff_sum: np.ndarray | None = None
         self._t = 0
         self._rebase_delta = False
 
@@ -152,7 +166,7 @@ class TimeSeriesCompressor:
 
     def reset(self) -> None:
         """Restart the prediction loop (the next frame is a key frame)."""
-        self._prev_recon = None
+        self._coeff_sum = None
         self._t = 0
         self._rebase_delta = False
 
@@ -168,24 +182,35 @@ class TimeSeriesCompressor:
         return self.encode_residual(self.predict_residual(frame))
 
     def predict_residual(self, frame: np.ndarray) -> ResidualPlan:
-        """Predict + refactor + quantize one step; advance the loop.
+        """Refactor + predict + quantize one step; advance the loop.
 
-        The in-order half of :meth:`append`: computes the temporal
-        target (the frame itself at key frames, the residual against
-        the previous *reconstruction* otherwise), refactors and
-        quantizes it, and — because entropy coding is lossless — closes
-        the prediction loop from the quantized bins alone
-        (:meth:`MgardCompressor.reconstruct_prepared`), without waiting
-        for any bytes.  Calls must arrive in stream order; the returned
-        plan may be entropy-coded later (and overlapped with the next
-        frame's prediction) via :meth:`encode_residual`.
+        The in-order half of :meth:`append`: refactors the frame — in its
+        own dtype at key frames, in float64 otherwise — subtracts the
+        loop state (the running sum of de-quantized coefficients) from
+        the coefficients of a non-key frame, and quantizes the result.
+        Entropy coding is lossless, so the loop closes from the bins
+        alone: their de-quantized coefficients start the sum at a key
+        frame and are added into it otherwise, without waiting for any
+        bytes or recomposing anything.  The bins equal those of refactoring
+        the spatial residual against the previous reconstruction but for
+        values within roundoff of a bin edge.  Calls must arrive in stream
+        order; the returned plan may be entropy-coded later (and overlapped
+        with the next frame's prediction) via :meth:`encode_residual`.
         """
         if frame.shape != self.hier.shape:
             raise ValueError(
                 f"frame {self._t} has shape {frame.shape}, expected {self.hier.shape}"
             )
-        is_key = self._prev_recon is None or self._t % self.key_interval == 0
-        target = frame if is_key else frame - self._prev_recon
+        is_key = self._coeff_sum is None or self._t % self.key_interval == 0
+        t0 = time.perf_counter()
+        coeffs = decompose(np.ascontiguousarray(frame, dtype=None if is_key else np.float64),
+                           self.hier)
+        if not is_key:
+            np.subtract(coeffs, self._coeff_sum, out=coeffs)  # coeffs is fresh
+        prepared = self._spatial.prepare_refactored(coeffs, refactor_wall=time.perf_counter() - t0)
+        self._coeff_sum = Quantizer.dequantize_refactored(
+            prepared.bins, prepared.sizes, prepared.steps, self.hier,
+            add_to=None if is_key else self._coeff_sum)
         # key frames and temporal residuals have very different bin
         # statistics, so each keeps its own code-book chain; both chains
         # re-base (full tables) once per key interval, which also keeps
@@ -197,12 +222,6 @@ class TimeSeriesCompressor:
         else:
             context, refresh = "delta", self._rebase_delta
             self._rebase_delta = False
-        prepared = self._spatial.prepare(np.ascontiguousarray(target))
-        recon_target = self._spatial.reconstruct_prepared(prepared)
-        # recon_target is fresh: close the loop in it, not in a third frame-sized array
-        self._prev_recon = (
-            recon_target if is_key else np.add(self._prev_recon, recon_target, out=recon_target)
-        )
         plan = ResidualPlan(
             index=self._t,
             is_key=is_key,

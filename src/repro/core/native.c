@@ -733,6 +733,7 @@ CLASS_WALK(quantize_gather_##S, const T, i64,                                   
 CLASS_WALKS(double, f64)
 CLASS_WALKS(float, f32)
 CLASS_WALK(dequantize_scatter_f64, double, const i64, field[o] = (double)flat[k] * s)
+CLASS_WALK(dequantize_add_f64, double, const i64, field[o] += (double)flat[k] * s)
 
 /* ---------------------------------------------------------------------
  * The entropy stage (compress/huffman_*.py).  Integer loops only: the

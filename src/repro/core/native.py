@@ -8,9 +8,11 @@ plane by plane along its first coarsening axis: the coefficients
 ``compute_coefficients`` / ``restore_from_coefficients``) and the fused
 correction (:func:`level_correct`, taken inside ``restrict_and_correct`` /
 ``subtract_correction``) — and the class walks (:func:`class_walk`, with
-the quantizer fused in).  Each of those functions asks this module
-first: when the policy allows it, the library is loaded and the operands
-are native-endian, aligned float32/float64 arrays, the loop runs in C;
+the quantizer fused in, and the de-quantizer fused into a scatter or into
+the stream writer's running sum of coefficients).  Each of those
+functions asks this module first: when the policy allows it, the library
+is loaded and the operands are native-endian, aligned float32/float64
+arrays, the loop runs in C;
 otherwise (float16, longdouble, byte-swapped input, no compiler) the
 function's own NumPy body runs.  Both give the same bits: the C performs
 the same operations in the same order, with contraction off.
@@ -243,6 +245,7 @@ _PROTOTYPES = {
     "dequantize": (_P, _P, _P, _N),
     **{f"{w}_{s}": _WALK for w in ("gather", "scatter", "quantize_gather") for s in _SUFFIX.values()},
     "dequantize_scatter_f64": _WALK,
+    "dequantize_add_f64": _WALK,
     "huff_decode": (_P, _N, _P, _N, _N, _N, _P, _N, _P, _P, _N, _P, _P, _P, _P, _P, _P, _N),
     "huff_encode": (_P, _N, _P, _P, _N, _P, _N, _P, _P, _P, _N, _N, _P, _P),
     "huff_lengths": (_P, _N, _P, _P),
@@ -321,7 +324,7 @@ def _self_check(lib: ctypes.CDLL) -> bool:
 
 
 def _walks_self_check(hiers) -> bool:
-    """The four class walks — each must be taken — on the (5, 6) and (3, 5, 6)
+    """The five class walks — each must be taken — on the (5, 6) and (3, 5, 6)
     hierarchies (a tail node, rows of coarse nodes), both dtypes, against the
     NumPy bodies."""
     from .classes import assemble_from_classes, extract_classes
@@ -335,13 +338,15 @@ def _walks_self_check(hiers) -> bool:
                 classes = extract_classes(field, hier)
                 bins = [quantize(c, np.full(c.size, f)) for c, f in zip(classes, factors)]
                 deq = [dequantize(b, np.full(b.size, f)) for b, f in zip(bins, factors)]
-                want = [*classes, *bins, assemble_from_classes(classes, hier),
-                        assemble_from_classes(deq, hier)]
+                scattered, dequantized = (assemble_from_classes(c, hier) for c in (classes, deq))
+                want = [*classes, *bins, scattered, dequantized, scattered + dequantized]
             got, n = [np.empty_like(a) for a in want], len(classes)
+            got[-1][...] = scattered
             if not (class_walk("gather", field, got[:n], hier)
-                    and class_walk("quantize", field, got[n:-2], hier, factors)
-                    and class_walk("scatter", got[-2], classes, hier)
-                    and class_walk("dequantize", got[-1], bins, hier, factors)
+                    and class_walk("quantize", field, got[n:-3], hier, factors)
+                    and class_walk("scatter", got[-3], classes, hier)
+                    and class_walk("dequantize", got[-2], bins, hier, factors)
+                    and class_walk("dequantize_add", got[-1], bins, hier, factors)
                     and all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))):
                 return False
     return True
@@ -603,7 +608,8 @@ def dequantize(bins: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 #: per walk: its C entry, less the float side's suffix, and whether it writes ``field``
 _WALKS = {"gather": ("gather_", False), "scatter": ("scatter_", True),
-          "quantize": ("quantize_gather_", False), "dequantize": ("dequantize_scatter_", True)}
+          "quantize": ("quantize_gather_", False), "dequantize": ("dequantize_scatter_", True),
+          "dequantize_add": ("dequantize_add_", True)}
 
 
 def class_walk(kind: str, field: np.ndarray, flats: list, hier, factors=None) -> bool:
@@ -611,8 +617,9 @@ def class_walk(kind: str, field: np.ndarray, flats: list, hier, factors=None) ->
     ``flats`` (class ``l`` or ``None``), one C walk each: ``gather`` (flat ←
     field), ``scatter`` (float64 field ← flat), ``quantize`` (int64 flat ←
     round-half-even(field · factors[l])), ``dequantize`` (float64 field ←
-    flat · factors[l]).  False, the written side undefined (and the NumPy
-    bodies write all of it), when the NumPy body must run."""
+    flat · factors[l]), ``dequantize_add`` (float64 field += flat ·
+    factors[l]).  False, the written side undefined (and the NumPy bodies
+    write all of it), when the NumPy body must run."""
     entry, writes = _WALKS[kind]
     if not (0 < len(flats) <= hier.L + 1 and field.ndim <= _MAX_OUTER and field.shape == hier.shape
             and field.flags.c_contiguous and field.flags.aligned

@@ -7,7 +7,9 @@ production leaf (:data:`OP_SPECS`): the functions of :mod:`repro.core`
 that ``decompose``/``recompose`` call — the two level entries each way,
 ``coefficients`` / ``restore`` and ``correct`` / ``uncorrect`` (the fused
 restrict-and-add of the correction, and its inverse) —, the quantizer's
-two passes, the class split and assembly (``extract`` / ``assemble``), and the entropy
+two passes, the de-quantizer added into a running sum of coefficients
+(``dequantize_add``, the stream writer's closed loop), the class split and
+assembly (``extract`` / ``assemble``), and the entropy
 stage's three integer entries (``huff_lengths`` /
 ``huff_encode`` / ``huff_decode``: the code-length merge, the segment
 encode — map, guard, pack — and the sync-block decode walk of
@@ -31,6 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..compress import huffman, huffman_book, huffman_pack, huffman_unpack
+from ..compress.quantizer import Quantizer
 from ..core import native
 from ..core.classes import assemble_from_classes, extract_classes
 from ..core.coefficients import compute_coefficients, restore_from_coefficients
@@ -98,6 +101,15 @@ def _make_dequantize(shape, dtype, rng):
     return rng.integers(-2000, 2000, n, dtype=np.int64), _steps(n, rng)
 
 
+def _make_dequantize_add(shape, dtype, rng):  # a float64 refactored array and its bins
+    v, hier = _field(shape, np.float64, rng)
+    return v, *Quantizer(1e-3).quantize_refactored(v, hier), hier
+
+
+def _dequantize_add(total, bins, sizes, steps, hier):  # into a copy: every run sees the same sum
+    return Quantizer.dequantize_refactored(bins, sizes, steps, hier, add_to=total.copy())
+
+
 def _bins(shape, rng):  # a high-entropy segment: a few hundred distinct symbols
     return np.round(rng.standard_normal(max(int(np.prod(shape)), 1)) * 40.0).astype(np.int64)
 
@@ -139,6 +151,7 @@ OP_SPECS: dict[str, OpSpec] = {
         OpSpec("uncorrect", subtract_correction, _make_uncorrect),
         OpSpec("quantize", native.quantize, _make_quantize),
         OpSpec("dequantize", native.dequantize, _make_dequantize),
+        OpSpec("dequantize_add", _dequantize_add, _make_dequantize_add),
         OpSpec("extract", extract_classes, _field),
         OpSpec("assemble", assemble_from_classes, _make_assemble),
         OpSpec("huff_lengths", huffman_book._code_lengths, _make_huff_lengths),
@@ -169,8 +182,8 @@ def resolve(op: str, shape: tuple[int, ...], dtype, policy: str | None = None) -
 
     ``native`` where the policy is ``native`` or ``auto``, the library is
     available and ``dtype`` takes the C route (native-endian float32 /
-    float64; int64 bins for ``dequantize``; the ``huff_*`` ops are integer
-    loops whatever field they serve); ``reference`` otherwise —
+    float64; int64 bins for the two ``dequantize*`` ops; the ``huff_*`` ops
+    are integer loops whatever field they serve); ``reference`` otherwise —
     after one ``RuntimeWarning`` per process when ``native`` was asked for
     by name and cannot be had.  ``shape`` does not enter: the C route is
     faster at every size.
@@ -178,7 +191,7 @@ def resolve(op: str, shape: tuple[int, ...], dtype, policy: str | None = None) -
     _check_op(op)
     dtype = np.dtype(dtype)
     takes_c = op.startswith("huff_") or (
-        dtype == np.int64 if op == "dequantize" else native.supports(dtype))
+        dtype == np.int64 if op.startswith("dequantize") else native.supports(dtype))
     with native.forced(policy if policy is not None else kernel_backend_policy()):
         return Resolved("native" if takes_c and native.active() else "reference")
 

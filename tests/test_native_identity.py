@@ -22,6 +22,7 @@ by any executor hash the same.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -308,25 +309,28 @@ def test_dequantize_agrees_including_extremes(rng):
 # the coefficient class walks: split, assembly, and the fused quantizer
 
 
-def _walk_outcomes(x, hier, tol, classes=None, bins=None):
-    """The four entry points on one refactored array ``x``: its classes, the
+def _walk_outcomes(x, hier, tol, classes=None, bins=None, lay=np.copy):
+    """The five entry points on one refactored array ``x``: its classes, the
     array assembled from all of them, from a prefix and from every other one,
-    the fused quantizer's bins and their de-quantized array.  ``classes`` /
-    ``bins`` stand in for the extracted classes / the bins as the scatters'
-    inputs (other layouts of the same values)."""
+    the fused quantizer's bins, their de-quantized array, and that added into
+    ``lay`` of the first assembled array (a running sum).  ``classes`` /
+    ``bins`` / ``lay`` stand in for the extracted classes / the bins / the
+    sum as the scatters' inputs (other layouts of the same values)."""
     q = Quantizer(tol)
     got = extract_classes(x, hier)
     classes = got if classes is None else classes
     bins_got, sizes, steps = q.quantize_refactored(x, hier)
     bins = bins_got if bins is None else bins
-    return [*got, assemble_from_classes(classes, hier),
+    assembled = assemble_from_classes(classes, hier)
+    return [*got, assembled,
             assemble_from_classes(classes[: max(len(classes) - 2, 1)], hier),
             assemble_from_classes([None if l % 2 else c for l, c in enumerate(classes)], hier),
             bins_got, np.array(sizes), np.array(steps),
-            Quantizer.dequantize_refactored(bins, sizes, steps, hier)]
+            Quantizer.dequantize_refactored(bins, sizes, steps, hier),
+            Quantizer.dequantize_refactored(bins, sizes, steps, hier, add_to=lay(assembled))]
 
 
-def check_walks(x, x_ref, hier, tol=1e-3, classes=None, bins=None) -> list[tuple[str, bool]]:
+def check_walks(x, x_ref, hier, tol=1e-3, classes=None, bins=None, lay=np.copy) -> list[tuple[str, bool]]:
     """``x`` under ``native`` gives the bits ``x_ref`` gives under ``reference``;
     returns every ``native.class_walk`` call under ``native``: its kind and its
     answer (False: the NumPy body ran)."""
@@ -336,7 +340,7 @@ def check_walks(x, x_ref, hier, tol=1e-3, classes=None, bins=None) -> list[tuple
     with native.forced("native"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(native, "class_walk",
                    lambda kind, *a: taken.append((kind, walk(kind, *a))) or taken[-1][1])
-        got = _walk_outcomes(x, hier, tol, classes, bins)
+        got = _walk_outcomes(x, hier, tol, classes, bins, lay)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert same_bits(g, w)
@@ -344,10 +348,10 @@ def check_walks(x, x_ref, hier, tol=1e-3, classes=None, bins=None) -> list[tuple
 
 
 def _refused_every_walk(taken):
-    """Every entry point refused its input; the last walk is the de-quantizer's
-    NumPy body assembling its own freshly de-quantized classes."""
-    assert [kind for kind, _ in taken[-2:]] == ["dequantize", "scatter"]
-    assert not any(ok for _, ok in taken[:-1])
+    """Every entry point refused its input; the walks after each de-quantizer
+    are its NumPy body assembling its own freshly de-quantized classes."""
+    assert [kind for kind, _ in taken[-4:]] == ["dequantize", "scatter", "dequantize_add", "scatter"]
+    assert not any(ok for _, ok in taken[:-4] + taken[-4::2])
 
 
 @st.composite
@@ -375,7 +379,7 @@ def test_class_walks_agree_with_the_numpy_bodies(case):
     hier = hierarchy_for(shape)
     x = decompose(np.random.default_rng(seed).standard_normal(shape).astype(dtype), hier)
     taken = check_walks(x, x, hier, tol)
-    assert len(taken) == 6 and all(ok for _, ok in taken)
+    assert len(taken) == 7 and all(ok for _, ok in taken)
 
 
 def _unaligned(a: np.ndarray) -> np.ndarray:
@@ -389,8 +393,8 @@ def _unaligned(a: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("layout", ["F", "strided", "unaligned"])
 @pytest.mark.parametrize("dtype", ["f8", "f4"])
 def test_class_walks_on_other_layouts_take_numpy(layout, dtype):
-    """A non-contiguous or unaligned refactored array, class or bin array is
-    refused by every walk and gives the NumPy bodies' bits."""
+    """A non-contiguous or unaligned refactored array, class, bin array or
+    running sum is refused by every walk and gives the NumPy bodies' bits."""
     shape = (17, 6, 9)
     hier = hierarchy_for(shape)
     x = decompose(np.random.default_rng(1).standard_normal(shape).astype(dtype), hier)
@@ -398,14 +402,28 @@ def test_class_walks_on_other_layouts_take_numpy(layout, dtype):
         classes = extract_classes(x, hier)
         bins = Quantizer(1e-3).quantize_refactored(x, hier)[0]
     if layout == "unaligned":
-        moved = _unaligned(x)
+        moved, lay = _unaligned(x), _unaligned
         classes, bins = [_unaligned(c) for c in classes], _unaligned(bins)
     else:
         moved = laid_out(x, dtype, layout)
+        lay = functools.partial(laid_out, dtype="f8", layout=layout)
         classes = [np.repeat(c, 2)[::2] for c in classes]
         bins = np.repeat(bins, 2)[::2]
-    taken = check_walks(moved, x, hier, classes=classes, bins=bins)
+    taken = check_walks(moved, x, hier, classes=classes, bins=bins, lay=lay)
     _refused_every_walk(taken)
+
+
+def test_a_read_only_running_sum_is_refused_alike_and_left_as_it_was():
+    shape = (17, 6, 9)
+    hier = hierarchy_for(shape)
+    x = decompose(np.random.default_rng(2).standard_normal(shape), hier)
+    q = Quantizer(1e-3)
+    bins, sizes, steps = q.quantize_refactored(x, hier)
+    for backend in ("reference", "native"):
+        total = laid_out(x, "f8", "readonly")
+        with native.forced(backend), pytest.raises(ValueError, match="read-only"):
+            Quantizer.dequantize_refactored(bins, sizes, steps, hier, add_to=total)
+        assert same_bits(total, x)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,9 @@ Contracts:
   the time-series compressor, ``predict_step``/``encode_predicted`` on
   the stream writer) is *bit-identical* to the fused ``append`` path —
   containers, headers, and reconstructions;
+* the loop, run on coefficients, writes the bytes the spatial loop
+  (refactor ``frame - prev``, recompose every step) wrote, and every step of
+  a 64-step chain reads back within ``tol``, under both kernel backends;
 * a pipelined compressed stream (predict → encode → write through
   :func:`run_pipeline`'s in-order stage gates) emits byte-identical
   step files for every executor backend, including ≥3-step code-book
@@ -20,6 +23,7 @@ Contracts:
 """
 
 import functools
+import io
 import json
 import pickle
 import threading
@@ -29,9 +33,13 @@ import pytest
 
 import repro.compress.huffman as H
 from repro.cluster.pipeline import run_pipeline
-from repro.compress.lossless import encode_classes
+from repro.compress.fileio import save_compressed
+from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
+from repro.compress.quantizer import Quantizer
 from repro.compress.timeseries import TimeSeriesCompressor
+from repro.core import native
+from repro.core.decompose import recompose
 from repro.core.grid import hierarchy_for
 from repro.io.stream import StepStreamReader, StepStreamWriter, StreamError
 from repro.io.workflow import run_streaming_pipeline
@@ -61,16 +69,16 @@ class TestPredictionSplit:
         assert json.dumps(fused.headers) == json.dumps(split.headers)
         assert fused.steps == split.steps
 
-    def test_reconstruct_prepared_matches_decompress(self, rng):
+    def test_key_step_loop_state_recomposes_to_decompress(self, rng):
         data = rng.standard_normal((9, 9, 9)).cumsum(0)
         tol = 1e-2 * float(np.abs(data).max())
-        comp = MgardCompressor.for_shape(data.shape, tol)
-        prep = comp.prepare(data)
-        recon = comp.reconstruct_prepared(prep)
-        blob = comp.encode_prepared(prep)
-        # entropy coding is lossless, so the feedback path must equal
-        # the full round trip *bit for bit*, not just within tol
-        np.testing.assert_array_equal(recon, comp.decompress(blob))
+        tsc = TimeSeriesCompressor(hierarchy_for(data.shape), tol)
+        blob, is_key = tsc.append(data)
+        recon = recompose(tsc._coeff_sum, tsc.hier)
+        # entropy coding is lossless, so the loop state of a key step must
+        # recompose to the full round trip *bit for bit*, not just within tol
+        assert is_key
+        np.testing.assert_array_equal(recon, MgardCompressor.for_shape(data.shape, tol).decompress(blob))
         assert np.abs(recon - data).max() <= tol
 
     def test_prepare_rejects_wrong_shape_on_encode(self, rng):
@@ -112,22 +120,28 @@ class TestPredictionSplit:
             assert json.dumps(blob_f.headers) == json.dumps(blob_a.headers)
 
     def test_chain_accumulated_in_place_keeps_the_bits(self, rng, tmp_path):
-        """Compressor loop, series decode and stream reader sum the chain into
-        the freshly decoded array; the frames must equal ``prev + delta``
-        written out, and no frame handed out may be overwritten by a later one."""
+        """The compressor's loop state is the running sum of the blobs'
+        de-quantized coefficients; series decode and stream reader sum the
+        chain into the freshly decoded array — the frames must equal ``prev +
+        delta`` written out, and no frame handed out may be overwritten by a
+        later one."""
         frames, base = drifting_frames(rng, n=7)
         tol = 1e-3 * float(np.abs(base).max())
         hier = hierarchy_for(base.shape)
         tsc = TimeSeriesCompressor(hier, tol, key_interval=3)
         spatial = MgardCompressor.for_shape(base.shape, tol)
         w = StepStreamWriter(tmp_path, base.shape, tol=tol, key_interval=3)
-        blobs, keys, loop_states = [], [], []
+        blobs, keys = [], []
+        coeff_sum = None
         for frame in frames:
             blob, is_key = tsc.encode_residual(tsc.predict_residual(frame))
             blobs.append(blob)
             keys.append(is_key)
-            loop_states.append(tsc._prev_recon)
             w.append(frame)
+            deq = Quantizer.dequantize_refactored(
+                *decode_classes(blob.payloads[0], blob.headers[0]), blob.steps, hier)
+            coeff_sum = deq if is_key else coeff_sum + deq
+            assert np.array_equal(tsc._coeff_sum, coeff_sum)
         want, prev = [], None
         for blob, is_key in zip(blobs, keys):
             delta = spatial.decompress(blob)
@@ -137,11 +151,76 @@ class TestPredictionSplit:
         series = tsc.compress(frames)
         got = tsc.decompress(series)
         reader = StepStreamReader(tmp_path)
+        read = [reader.read_step(t) for t in range(len(frames))]
         for t, frame in enumerate(want):
-            assert np.array_equal(loop_states[t], frame)
             assert np.array_equal(got[t], frame)
-            assert np.array_equal(reader.read_step(t), frame)
+            assert np.array_equal(read[t], frame)
             assert np.abs(frame - frames[t]).max() <= tol
+
+
+def _spatial_loop(frames, hier, tol, key_interval, backend):
+    """The closed loop as it ran in space: refactor ``frame - prev`` and
+    recompose each step's de-quantized coefficients into ``prev``."""
+    spatial = MgardCompressor(hier, tol, backend=backend)
+    scratch, prev, rebase, blobs = {} if backend == "huffman" else None, None, False, []
+    for t, frame in enumerate(frames):
+        is_key = t % key_interval == 0
+        prep = spatial.prepare(np.ascontiguousarray(frame if is_key else frame - prev))
+        recon = recompose(Quantizer.dequantize_refactored(prep.bins, prep.sizes, prep.steps, hier), hier)
+        prev = recon if is_key else prev + recon
+        blobs.append(spatial.encode_prepared(prep, scratch=scratch, refresh_codebooks=is_key or rebase,
+                                             codebook_context="key" if is_key else "delta"))
+        rebase = is_key
+    return blobs
+
+
+def _noisy_f32_frames(rng, shape=(9, 9, 9), n=64):
+    frames, base = drifting_frames(rng, shape, n=n)
+    return [(f + 1e-3 * rng.standard_normal(shape)).astype(np.float32) for f in frames], base
+
+
+@pytest.fixture(params=["reference", "native"])
+def kernel_backend(request):
+    """Every leaf of the process (the thread executor's workers too) under one backend."""
+    if request.param == "native" and not native.available():
+        pytest.skip("no C compiler on this host")
+    native.set_kernel_backend(request.param)
+    yield request.param
+    native.set_kernel_backend(None)
+
+
+class TestCoefficientLoop:
+    """The loop on coefficients against the spatial loop it replaced: the same
+    bytes, and every step of a 64-step chain within ``tol``."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-10])
+    @pytest.mark.parametrize("frames_kind", ["f64", "f32"])
+    @pytest.mark.parametrize("backend", ["zlib", "huffman"])
+    @pytest.mark.parametrize("key_interval", [4, 64])
+    def test_bytes_equal_the_spatial_loop_and_the_chain_keeps_the_bound(
+            self, tmp_path, kernel_backend, frames_kind, rel_tol, backend, key_interval):
+        rng = np.random.default_rng([29, key_interval])
+        n = 64 if key_interval == 64 else 16  # one 64-step chain; four short ones
+        if frames_kind == "f64":
+            frames, base = drifting_frames(rng, (9, 9, 9), n=n)
+        else:
+            frames, base = _noisy_f32_frames(rng, n=n)
+        tol = rel_tol * float(base.max() - base.min())
+        # a float32 key frame is refactored in float32, whose rounding alone is
+        # ~1e-7 of the range: below that no loop, in space or on coefficients,
+        # can keep the bound, so there the bytes are all that is compared
+        bounded = frames_kind == "f64" or rel_tol >= 1e-6
+        hier = hierarchy_for(base.shape)
+        w = StepStreamWriter(tmp_path, base.shape, tol=tol, backend=backend, key_interval=key_interval)
+        for frame in frames:
+            w.append(frame)
+        reader = StepStreamReader(tmp_path)
+        for t, (frame, blob) in enumerate(zip(frames, _spatial_loop(frames, hier, tol, key_interval,
+                                                                    backend))):
+            buf = io.BytesIO()
+            save_compressed(buf, blob, materialize=False)
+            assert (tmp_path / f"step_{t:06d}.mgz").read_bytes() == buf.getvalue(), t
+            assert not bounded or np.abs(reader.read_step(t) - frame).max() <= tol, t
 
 
 # ----------------------------------------------------------------------
