@@ -4,7 +4,7 @@
 PR 5's sharded path splits a frame along axis 0 into independent
 partitions (the paper's per-GPU decomposition model) and fans the
 per-shard refactor→quantize→encode out through the executor backends,
-staging the frame once in shared memory for process workers.  This
+each job carrying only its own shard's rows.  This
 benchmark measures that fan-out and writes
 ``benchmarks/results/BENCH_shards.json`` so the perf trajectory stays
 machine-readable:

@@ -45,13 +45,13 @@ containers:
 |---|---|---|
 | `serial` | `SerialExecutor` | none — the byte-for-byte reference |
 | `thread[:N]` (alias `parallel`) | `ThreadExecutor` | shared thread pool; overlaps GIL-releasing kernels |
-| `process[:N]` | `ProcessExecutor` | process pool; shared-memory staging unlocks GIL-bound decode |
+| `process[:N]` | `ProcessExecutor` | process pool; each job pickles only its own slice; unlocks GIL-bound work |
 | `auto` | thread when >1 core, else serial | — |
 
-Every backend has the same two fan-out methods: `map(fn, *iterables)`
-and `map_shared(fn, operand, *iterables)` — `fn(view_of_operand, *args)`
-once per job, in order; only `ProcessExecutor.map_shared` stages the
-operand in shared memory, and no call site asks which backend it holds.
+Every backend has the same one fan-out method, `map(fn, *iterables)` —
+`fn(*args)` once per job, in order.  A job that works on part of a
+buffer is handed its own slice as an ndarray view, and no call site
+asks which backend it holds.
 """,
     "repro.frame": """\
 `magic (6 B) | header length (<Q) | JSON header | extents` — the frame
@@ -61,8 +61,8 @@ of its extent table, what a row is called): `RPRC` → `classes`/`class`,
 formats" in DESIGN.md.
 """,
     "tools.reprolint": """\
-The `repro-lint` console script (`tools.reprolint.cli:main`).  Seven
-rules: `fault-site`, `crash-swallow`, `atomic-publish`, `shm-lifetime`,
+The `repro-lint` console script (`tools.reprolint.cli:main`).  Six
+rules: `fault-site`, `crash-swallow`, `atomic-publish`,
 `import-boundary`, `lock-order`, `determinism` — see the "Static
 invariants" section of DESIGN.md.  Stdlib-only; never imports `repro`.
 """,

@@ -9,11 +9,11 @@ partitions: a frame is split along axis 0 into *shards*, each shard
 runs its own :class:`~repro.compress.mgard.MgardCompressor` (sharing
 the global :mod:`~repro.compress.plan` cache, so equal-shape shards pay
 setup once), and the shard fan-out is one
-``executor.map_shared(_encode_shard, frame, row ranges…)`` over the
-backends of :mod:`repro.parallel`: serial is the byte-for-byte
-reference, threads overlap the GIL-releasing kernels, and the process
-backend hands its workers the frame through shared memory — which of
-the three runs is the executor's concern, not this module's.
+``executor.map(_encode_shard, [frame[a:b] …], …)`` over the backends
+of :mod:`repro.parallel`, every job carrying its own rows: serial is
+the byte-for-byte reference, threads overlap the GIL-releasing
+kernels, and the process backend pickles each worker just its shard —
+which of the three runs is the executor's concern, not this module's.
 
 All three backends emit **byte-identical** shard containers: a shard's
 bytes depend only on (shard data, tolerance, mode, backend), never on
@@ -140,11 +140,9 @@ def _draw_faults(n: int) -> list[tuple[float, bool]]:
     return drawn
 
 
-def _encode_shard(
-    frame: np.ndarray, start: int, stop: int, codec: ShardCodec, fault: tuple[float, bool]
-) -> bytes:
-    """Encode rows ``[start, stop)`` of ``frame`` into self-contained
-    container bytes (the work unit of :func:`encode_shards`)."""
+def _encode_shard(block: np.ndarray, codec: ShardCodec, fault: tuple[float, bool]) -> bytes:
+    """Encode one shard's rows into self-contained container bytes (the
+    work unit of :func:`encode_shards`)."""
     from ..compress.fileio import save_compressed
     from ..compress.mgard import MgardCompressor
     from ..core.refactor import Refactorer
@@ -155,7 +153,7 @@ def _encode_shard(
         time.sleep(delay)
     if fail:
         raise faults.InjectedFault("injected fault at sharded.encode.shard")
-    shard = np.ascontiguousarray(frame[start:stop], dtype=np.float64)
+    shard = np.ascontiguousarray(block, dtype=np.float64)
     buf = io.BytesIO()
     if codec.tol is None:
         write_refactored_stream(buf, Refactorer(shard.shape).refactor(shard))
@@ -180,9 +178,8 @@ def encode_shards(
     if tuple(field.shape) != plan.shape:
         raise ValueError(f"expected shape {plan.shape}, got {field.shape}")
     n = plan.n_blocks
-    return get_executor(executor).map_shared(
-        _encode_shard, field, plan.starts, plan.stops, [codec] * n, _draw_faults(n)
-    )
+    blocks = [field[a:b] for a, b in zip(plan.starts, plan.stops)]
+    return get_executor(executor).map(_encode_shard, blocks, [codec] * n, _draw_faults(n))
 
 
 def decode_shard(payload: bytes, payload_mode: str) -> np.ndarray:

@@ -17,10 +17,10 @@ segment in one pass, so it maps over segments.  The zlib backend
 deflates a class whose narrowed raw stream reaches two fixed-size
 sub-blocks as independent sub-block streams (the header's per-segment
 ``blocks`` list records their compressed extents), and both of its
-directions are one ``executor.map_shared`` over one buffer — every
+directions are one ``executor.map`` of :func:`zlib.compress` /
+:func:`zlib.decompress` over ndarray slices of one buffer — every
 class's narrowed raw stream back to back on encode, the whole payload on
-decode — with ``(offset, length)`` jobs, so how a worker reaches the
-buffer is the executor's concern.
+decode — so every job carries its own sub-block and nothing else.
 
 For slowly-varying streams, pass a ``scratch`` dict (conventionally
 ``CompressionPlan.scratch``) and the Huffman backend reuses each
@@ -125,14 +125,6 @@ def _zlib_extents(offset: int, nbytes: int) -> list[tuple[int, int]]:
         (offset + a, min(_ZLIB_BLOCK_BYTES, nbytes - a))
         for a in range(0, nbytes, _ZLIB_BLOCK_BYTES)
     ]
-
-
-def _deflate_unit(raw, offset: int, length: int, level: int) -> bytes:
-    return zlib.compress(raw[offset : offset + length], level)
-
-
-def _inflate_unit(deflated, offset: int, length: int) -> bytes:
-    return zlib.decompress(deflated[offset : offset + length])
 
 
 # ----------------------------------------------------------------------
@@ -272,10 +264,8 @@ def encode_classes(
         for seg, dt, a, nb in zip(segments, dtypes, starts, nbytes):
             raw[a : a + nb].view(dt)[...] = seg
             extents.append(_zlib_extents(a, nb))
-        flat = [e for ext in extents for e in ext]
-        deflated = executor.map_shared(
-            _deflate_unit, raw, *zip(*flat), [level] * len(flat)
-        )
+        blocks = [raw[a : a + n] for ext in extents for a, n in ext]
+        deflated = executor.map(zlib.compress, blocks, [level] * len(blocks))
         payloads = []
         seg_headers = []
         pos = 0
@@ -436,7 +426,7 @@ def _segment_extents(segs: list, payload_len: int) -> list[tuple[int, int]]:
     return extents
 
 
-def _inflate_units(i: int, sh: dict, offset: int, nbytes: int) -> list[tuple[int, int]]:
+def _inflate_extents(i: int, sh: dict, offset: int, nbytes: int) -> list[tuple[int, int]]:
     """``(offset, length)`` of each deflate stream of one zlib segment."""
     blocks = sh.get("blocks")
     if not blocks:
@@ -452,9 +442,8 @@ def decode_classes(
 ) -> tuple[np.ndarray, list[int]]:
     """Invert :func:`encode_classes`; returns (flat int64 bins, sizes).
 
-    One fan-out: a zlib payload is one ``map_shared`` over the inflate
-    units of every segment, a Huffman payload one ``map`` over its
-    segments.
+    One fan-out: a zlib payload is one ``map`` over the inflate units
+    of every segment, a Huffman payload one over its segments.
     """
     if "class_sizes" not in header or "segments" not in header:
         raise ValueError(
@@ -478,9 +467,9 @@ def decode_classes(
         out[starts[i] : starts[i + 1]] = vals
 
     if backend == "zlib":
-        units = [_inflate_units(i, sh, *ext) for i, (sh, ext) in enumerate(zip(segs, extents))]
-        flat = [u for us in units for u in us]
-        raws = executor.map_shared(_inflate_unit, payload, *zip(*flat))
+        units = [_inflate_extents(i, sh, *ext) for i, (sh, ext) in enumerate(zip(segs, extents))]
+        buf = np.frombuffer(payload, np.uint8)
+        raws = executor.map(zlib.decompress, [buf[a : a + n] for us in units for a, n in us])
         pos = 0
         for i, (sh, us) in enumerate(zip(segs, units)):
             raw = b"".join(raws[pos : pos + len(us)])

@@ -4,10 +4,12 @@ The paper hides the refactoring cost behind concurrency (CUDA streams
 on the device, pipelined I/O across the workflow); this package applies
 the same treatment to every host-side fan-out — per-class entropy
 segments, zlib sub-blocks, Huffman sync-block ranges, shards, pipeline
-stages.  A fan-out point takes an *executor* and schedules through
-``map`` (independent calls) or ``map_shared`` (calls that all read one
-heavy operand); which backend runs the units never changes the bytes
-they emit, and no call site asks which backend it was handed:
+stages.  A fan-out point takes an *executor* and schedules through its
+one primitive, ``map``, handing every job its own slice of the data as
+an ndarray view (zero-copy inline and on threads, pickled as a copy of
+just that slice across a process boundary); which backend runs the
+units never changes the bytes they emit, and no call site asks which
+backend it was handed:
 
 ``SerialExecutor``
     Runs work inline on the calling thread.  The default, and the
@@ -21,14 +23,13 @@ they emit, and no call site asks which backend it was handed:
 ``ProcessExecutor``
     A :class:`concurrent.futures.ProcessPoolExecutor`-backed pool for
     the work the GIL never releases — the lockstep Huffman decode's
-    small-vector loop above all.  It alone knows its workers live in
-    another address space: ``map_shared`` stages the operand once in
-    ``multiprocessing.shared_memory`` (:mod:`repro.parallel.shm`) and
-    pickles only a descriptor per job.  Both methods degrade
-    transparently: work that cannot cross a process boundary
-    (closures, unpicklable state, no usable shared memory) runs inline
-    instead, so the backend is always *safe* to select ambiently and
-    accelerates the call sites that ship module-level work units.
+    small-vector loop above all.  Its workers live in another address
+    space, so every job's arguments are pickled: a job carries its own
+    slice, never the whole operand.  ``map`` degrades transparently:
+    work that cannot cross a process boundary (closures, unpicklable
+    state) runs inline instead, so the backend is always *safe* to
+    select ambiently and accelerates the call sites that ship
+    module-level work units.
 
 Selection is explicit (pass an executor or a spec) or ambient:
 :func:`get_executor` resolves ``None`` through
@@ -41,17 +42,12 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
-import functools
 import os
 import pickle
 import threading
 import time
-import traceback
-
-import numpy as np
 
 from .. import faults
-from . import shm as _shm
 
 __all__ = [
     "SerialExecutor",
@@ -83,18 +79,6 @@ class SerialExecutor:
 
     def map(self, fn, *iterables) -> list:
         return [fn(*args) for args in zip(*iterables)]
-
-    def map_shared(self, fn, operand, *iterables) -> list:
-        """``fn(operand, *args)`` once per job, in order.
-
-        The fan-out for units that all read one heavy operand (an
-        ndarray or a bytes-like).  ``fn`` treats ``operand`` as
-        read-only and returns nothing aliasing it; how the operand
-        reaches a unit is the executor's business — by reference here
-        and on threads, through shared memory under
-        :class:`ProcessExecutor` (which needs a module-level ``fn``).
-        """
-        return [fn(operand, *args) for args in zip(*iterables)]
 
     def submit(self, fn, *args) -> concurrent.futures.Future:
         """Run ``fn`` inline; returns an already-resolved future.
@@ -145,11 +129,6 @@ class ThreadExecutor:
 
     def map(self, fn, *iterables) -> list:
         return list(self._ensure_pool().map(fn, *iterables))
-
-    def map_shared(self, fn, operand, *iterables) -> list:
-        """:meth:`SerialExecutor.map_shared` on the pool (threads share
-        the address space, so the operand is passed by reference)."""
-        return self.map(functools.partial(fn, operand), *iterables)
 
     def submit(self, fn, *args) -> concurrent.futures.Future:
         """Schedule one call on the pool; returns its future.
@@ -219,31 +198,13 @@ def _exit_with_parent() -> None:
     ).start()
 
 
-def _call_shared(ref, fn, *args):
-    """Pool-side half of :meth:`ProcessExecutor.map_shared`: attach the
-    staged operand, run one unit on it, detach."""
-    lease = ref.open()
-    try:
-        return fn(lease.view, *args)
-    except BaseException as exc:
-        # the unwound frames still hold whatever slices of the view the
-        # unit had bound, and the mapping cannot close under them — it
-        # would raise BufferError over the unit's own exception
-        while exc is not None:
-            traceback.clear_frames(exc.__traceback__)
-            exc = exc.__cause__ or exc.__context__
-        raise
-    finally:
-        lease.close()
-
-
 class ProcessExecutor:
     """Process-pool executor for GIL-bound work units.
 
-    Work functions must be picklable (module-level functions with
-    descriptor-sized arguments); anything else runs inline, preserving
-    correctness at zero concurrency.  ``map`` and ``map_shared``
-    preserve submission order.  The pool forks lazily on first real use
+    Work functions must be picklable (module-level functions whose
+    arguments are each job's own slice); anything else runs inline,
+    preserving correctness at zero concurrency.  ``map`` preserves
+    submission order.  The pool forks lazily on first real use
     (spawn where fork is unavailable) and is shared by every call.
 
     **Recovery policy:** a broken pool (a worker killed under it — OOM
@@ -362,33 +323,6 @@ class ProcessExecutor:
                 # pure, so rerun inline — a genuine RuntimeError from fn
                 # re-raises here
                 return [fn(*args) for args in jobs]
-
-    def map_shared(self, fn, operand, *iterables) -> list:
-        """:meth:`SerialExecutor.map_shared` across address spaces.
-
-        The operand is staged once in a shared-memory segment and every
-        job ships ``(ref, fn, *args)`` to :func:`_call_shared` through
-        :meth:`map` — so kill marks and the broken-pool policy apply —
-        which hands ``fn`` a read-only view.  A single job, an
-        unpicklable ``fn`` or a platform without usable shared memory
-        runs inline on the operand itself.
-        """
-        jobs = list(zip(*iterables))
-        if len(jobs) > 1 and _picklable(fn):
-            try:
-                if isinstance(operand, np.ndarray):
-                    ref, block = _shm.share_array(operand)
-                else:
-                    ref, block = _shm.share_bytes(operand)
-            except _shm.ShmUnavailable:
-                pass
-            else:
-                try:
-                    n = len(jobs)
-                    return self.map(_call_shared, [ref] * n, [fn] * n, *zip(*jobs))
-                finally:
-                    block.destroy()
-        return [fn(operand, *args) for args in jobs]
 
     def submit(self, fn, *args) -> concurrent.futures.Future:
         """Schedule one call on the pool (inline future when ``fn``

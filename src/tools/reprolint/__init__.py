@@ -1,11 +1,11 @@
 """``repro-lint``: whole-program static checks for the repo's contracts.
 
 PRs 6–9 built the stack's reliability story on *conventions* — named
-fault sites, ``_atomic_publish``-only stream writes, shm ownership
-transfer with host-side sweeps, the ``kernels/jit.py`` numba guard,
-``InjectedCrash`` escaping ``except Exception``.  This package proves
-those conventions statically, on every push: a small AST-based analysis
-framework (:mod:`tools.reprolint.core`) plus seven repo-specific rules
+fault sites, ``_atomic_publish``-only stream writes, the
+``kernels/jit.py`` numba guard, ``InjectedCrash`` escaping
+``except Exception``.  This package proves those conventions
+statically, on every push: a small AST-based analysis framework
+(:mod:`tools.reprolint.core`) plus six repo-specific rules
 (:mod:`tools.reprolint.rules`), wired into CI as the ``lint`` job and
 installed as the ``repro-lint`` console script.
 

@@ -2,8 +2,8 @@
 
 The linter is a small whole-program static-analysis pass over the
 repository's Python tree.  Everything the chaos suite checks
-*dynamically* — named fault sites, ``_atomic_publish``-only writes, shm
-ownership, ``InjectedCrash`` escaping broad handlers — has a static
+*dynamically* — named fault sites, ``_atomic_publish``-only writes,
+``InjectedCrash`` escaping broad handlers — has a static
 counterpart rule here, so a regression is caught at lint time instead
 of (or in addition to) at chaos-test time.
 

@@ -15,7 +15,6 @@ from .determinism import DeterminismRule
 from .fault_sites import FaultSiteRule
 from .import_boundaries import ImportBoundaryRule
 from .lock_order import LockOrderRule
-from .shm_lifetime import ShmLifetimeRule
 
 __all__ = ["ALL_RULES", "make_rules", "rule_names"]
 
@@ -23,7 +22,6 @@ ALL_RULES = (
     FaultSiteRule,
     CrashSwallowRule,
     AtomicPublishRule,
-    ShmLifetimeRule,
     ImportBoundaryRule,
     LockOrderRule,
     DeterminismRule,

@@ -25,15 +25,17 @@ enforced only by convention:
   the arithmetic knows nothing of launch records or cost models; they
   walk its shapes (``iter_decompose_launches``), it never calls them.
 * ``repro.compress.executor``, ``repro.cluster.simmpi`` (re-export
-  shims) and ``repro.cluster.fabric`` (the SPMD fabric: a second
-  process substrate with no production caller) are gone and must not
-  be imported back into being.
+  shims), ``repro.cluster.fabric`` (the SPMD fabric: a second
+  process substrate with no production caller), ``repro.parallel.shm``
+  and :mod:`multiprocessing.shared_memory` (staging a whole operand for
+  the process pool, when every job reads only its own slice) are gone
+  and must not be imported back into being — not even by
+  ``repro.parallel``.
 
 * Nothing under ``repro`` outside ``repro.parallel`` imports
-  ``repro.parallel.shm`` or :mod:`multiprocessing` — there is one
-  process substrate.  Staging an operand for another address space is
-  ``ProcessExecutor.map_shared``'s job; a fan-out that stages or forks
-  for itself has started asking which executor it was handed.
+  :mod:`multiprocessing` — there is one process substrate, and a
+  fan-out that forks for itself has started asking which executor it
+  was handed.
 
 * ``repro.io`` and ``repro.compress`` must not import :mod:`struct` —
   the container frame (magic, length word, JSON header, extent table)
@@ -109,9 +111,16 @@ FORBIDDEN = (
         for gone in ("repro.cluster.simmpi", "repro.cluster.fabric")
     ),
     *(
-        ("repro", target, "repro.parallel is the one process substrate; fan "
-         "out through executor.map / executor.map_shared", "repro.parallel")
-        for target in ("repro.parallel.shm", "multiprocessing")
+        ("repro", gone, "the shared-memory staging is deleted; jobs take "
+         "their own slices: fan out through executor.map")
+        for gone in ("repro.parallel.shm", "multiprocessing.shared_memory")
+    ),
+    (
+        "repro",
+        "multiprocessing",
+        "repro.parallel is the one process substrate; fan out through "
+        "executor.map",
+        "repro.parallel",
     ),
     *(
         (pkg, "struct", "repro.frame is the one container-frame "
@@ -154,9 +163,9 @@ class ImportBoundaryRule(Rule):
         "service->experiments edges; core/compress/io never import "
         "service; tools never imports repro; "
         "repro never imports scipy; core never imports kernels/gpu; "
-        "the deleted executor/simmpi shims and the SPMD fabric stay "
-        "deleted; only repro.parallel imports multiprocessing or stages "
-        "operands in shared memory; only repro.frame packs or parses "
+        "the deleted executor/simmpi shims, the SPMD fabric and the "
+        "shared-memory staging stay deleted; only repro.parallel imports "
+        "multiprocessing; only repro.frame packs or parses "
         "container frames (no struct under repro.io / repro.compress); "
         "only repro.core.native imports ctypes"
     )
@@ -203,3 +212,4 @@ class ImportBoundaryRule(Rule):
                                 f"{hit}: {why}"
                             ),
                         )
+                        break  # one finding per import, the first row's

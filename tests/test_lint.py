@@ -164,7 +164,7 @@ class TestFramework:
         out = capsys.readouterr().out
         for name in rule_names():
             assert name in out
-        assert len(ALL_RULES) == 7
+        assert len(ALL_RULES) == 6
 
     def test_unknown_rule_and_path_are_usage_errors(self, tmp_path):
         make_tree(tmp_path, {"src/repro/mod.py": "x = 1\n"})
@@ -404,66 +404,6 @@ class TestAtomicPublishRule:
         assert [f["path"] for f in doc["findings"]] == ["src/repro/io/storage.py"]
 
 
-class TestShmLifetimeRule:
-    def test_uncovered_staging_flagged(self, tmp_path, capsys):
-        make_tree(tmp_path, {
-            "src/repro/mod.py": """
-                from repro.parallel.shm import share_array
-                def stage(arr):
-                    ref, block = share_array(arr)
-                    return ref
-
-                def hand_over(arr):
-                    ref, block = share_array(arr)
-                    try:
-                        return ref
-                    finally:
-                        block.release()  # unmapped, never unlinked
-            """,
-        })
-        code, doc = lint_json(tmp_path, "--rules", "shm-lifetime", capsys=capsys)
-        assert code == 1 and rules_of(doc) == {"shm-lifetime"}
-        assert len(doc["findings"]) == 2
-
-    def test_raw_shared_memory_create_flagged(self, tmp_path, capsys):
-        make_tree(tmp_path, {
-            "src/repro/mod.py": """
-                from multiprocessing.shared_memory import SharedMemory
-                def stage(n):
-                    shm = SharedMemory(create=True, size=n)
-                    return shm.name
-            """,
-        })
-        code, _ = lint_json(tmp_path, "--rules", "shm-lifetime", capsys=capsys)
-        assert code == 1
-
-    def test_try_finally_coverage_passes(self, tmp_path, capsys):
-        make_tree(tmp_path, {
-            "src/repro/mod.py": """
-                from repro.parallel.shm import share_array
-                def inside_try(arr):
-                    try:
-                        ref, block = share_array(arr)
-                        use(ref)
-                    finally:
-                        block.destroy()
-
-                def stage_then_try(arr):
-                    ref, block = share_array(arr)
-                    try:
-                        use(ref)
-                    finally:
-                        block.destroy()
-
-                def attach_only(name):
-                    from multiprocessing.shared_memory import SharedMemory
-                    return SharedMemory(name=name)  # no create: not staging
-            """,
-        })
-        code, doc = lint_json(tmp_path, "--rules", "shm-lifetime", capsys=capsys)
-        assert code == 0 and not doc["findings"]
-
-
 class TestImportBoundaryRule:
     def test_numba_outside_jit_flagged(self, tmp_path, capsys):
         make_tree(tmp_path, {
@@ -538,19 +478,15 @@ class TestImportBoundaryRule:
             "src/repro/core/decompose.py", "src/repro/core/refactor.py",
         ]
 
-    def test_only_the_executor_stages_shared_memory(self, tmp_path, capsys):
+    def test_only_the_executor_imports_multiprocessing(self, tmp_path, capsys):
         make_tree(tmp_path, {
-            "src/repro/compress/huffman.py": "from ..parallel import shm as _shm\n",
-            "src/repro/cluster/sharded.py": "import repro.parallel.shm\n",
             "src/repro/cluster/ranks.py": "import multiprocessing\n",
             "src/repro/service/server.py": """
                 def start():
-                    from multiprocessing import shared_memory
+                    from multiprocessing import Pool
             """,
-            # repro.parallel owns both; everyone else schedules through it
-            "src/repro/parallel/__init__.py": "from .shm import share_array\n",
+            # repro.parallel owns it; everyone else schedules through it
             "src/repro/parallel/executors.py": """
-                from . import shm as _shm
                 def pool():
                     import multiprocessing
             """,
@@ -560,10 +496,33 @@ class TestImportBoundaryRule:
         code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
         assert code == 1
         assert sorted(f["path"] for f in doc["findings"]) == [
-            "src/repro/cluster/ranks.py", "src/repro/cluster/sharded.py",
-            "src/repro/compress/huffman.py", "src/repro/service/server.py",
+            "src/repro/cluster/ranks.py", "src/repro/service/server.py",
         ]
-        assert all("executor.map" in f["message"] for f in doc["findings"])
+        assert all("fan out through executor.map" in f["message"] for f in doc["findings"])
+
+    def test_shared_memory_staging_stays_deleted(self, tmp_path, capsys):
+        make_tree(tmp_path, {
+            "src/repro/cluster/sharded.py": "import repro.parallel.shm\n",
+            "src/repro/service/server.py": """
+                def start():
+                    from multiprocessing import shared_memory
+            """,
+            # no exemption: not even the executors bring it back
+            "src/repro/parallel/__init__.py": "from .shm import share_array\n",
+            "src/repro/parallel/executors.py": """
+                from multiprocessing.shared_memory import SharedMemory
+                def pool():
+                    import multiprocessing
+            """,
+        })
+        code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
+        assert code == 1
+        assert sorted(f["path"] for f in doc["findings"]) == [
+            "src/repro/cluster/sharded.py", "src/repro/parallel/__init__.py",
+            "src/repro/parallel/executors.py", "src/repro/service/server.py",
+        ]
+        assert all("staging is deleted" in f["message"] for f in doc["findings"])
+        assert all("fan out through executor.map" in f["message"] for f in doc["findings"])
 
     def test_only_frame_packs_container_frames(self, tmp_path, capsys):
         make_tree(tmp_path, {

@@ -15,8 +15,7 @@ Contracts:
   step files for every executor backend, including ≥3-step code-book
   delta chains, and stays readable by a live-following consumer;
 * Huffman class segments encoded as process-pool jobs (escape-reserving
-  books, odd lengths, stats, guards, no shared memory) are bit-identical
-  to serial;
+  books, odd lengths, stats, guards) are bit-identical to serial;
 * :meth:`StepStreamReader.refresh` rejects shrunken (torn mid-replace)
   manifest snapshots, so compressed-mode random access keeps rolling
   forward from the nearest key frame.
@@ -408,14 +407,7 @@ class TestProcessHuffmanEncode:
         )
         assert proc.map(guarded, alien) == [(None, None)] * len(alien)
 
-    def test_shm_unavailable_falls_back(self, rng, monkeypatch):
-        from repro.parallel import shm
-
-        def boom(*a, **k):
-            raise shm.ShmUnavailable("nope")
-
-        monkeypatch.setattr(shm, "share_array", boom)
-        monkeypatch.setattr(shm, "share_bytes", boom)
+    def test_process_encode_equals_serial(self, rng):
         sizes = [H._SYNC_BLOCK + 7, 3 * H._SYNC_BLOCK + 1, 5]
         bins = _skewed(rng, sum(sizes))
         for backend in ("huffman", "zlib"):

@@ -7,9 +7,8 @@ Contracts:
   class mixes and across code-book-reusing stream chains;
 * the zlib backend's sub-block segmentation round-trips, parallelizes
   through every backend, and keeps decoding legacy single-unit blobs;
-* the process backend degrades safely (closures run inline, broken
-  shared memory falls back) and actually engages its shared-memory
-  fan-outs where designed;
+* the process backend degrades safely (closures run inline) and
+  actually ships the jobs of its slice fan-outs to the pool;
 * :meth:`StepStreamReader.refresh` tolerates torn manifest reads from
   a live producer;
 * the Fig. 10 workflow showcase executes refactor→encode→write over a
@@ -17,6 +16,7 @@ Contracts:
 """
 
 import atexit
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -25,6 +25,7 @@ import signal
 import subprocess
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -32,20 +33,15 @@ import pytest
 import repro
 import repro.compress.huffman as H
 import repro.compress.lossless as L
+from repro.cluster import sharded
 from repro.cluster.pipeline import run_pipeline
+from repro.cluster.sharded import ShardCodec, encode_shards, plan_shards
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.core import native
 from repro.io.stream import PreparedStep, StepStreamReader, StepStreamWriter, StreamError
 from repro.io.workflow import run_streaming_pipeline
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-    share_array,
-    share_bytes,
-)
+from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor, get_executor
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
@@ -153,134 +149,125 @@ class TestProcessPoolLifecycle:
         assert atexit._ncallbacks() == hooks + 1
 
 
-class TestSharedMemoryTransport:
-    def test_array_roundtrip(self):
-        arr = np.arange(1000, dtype=np.uint64)
-        ref, block = share_array(arr)
-        try:
-            lease = ref.open()
-            try:
-                np.testing.assert_array_equal(np.asarray(lease.view), arr)
-                with pytest.raises((ValueError, AttributeError)):
-                    lease.view[0] = 1  # read-only
-            finally:
-                lease.close()
-        finally:
-            block.destroy()
+def _spy_pool_map(monkeypatch) -> list:
+    """Record ``(fn, job count)`` of every batch handed to a process pool."""
+    calls = []
+    orig = concurrent.futures.ProcessPoolExecutor.map
 
-    def test_bytes_roundtrip(self):
-        payload = bytes(range(256)) * 7
-        ref, block = share_bytes(payload)
-        try:
-            lease = ref.open()
-            try:
-                assert bytes(lease.view) == payload
-            finally:
-                lease.close()
-        finally:
-            block.destroy()
+    def spy(pool, fn, *iterables, **kwargs):
+        iterables = [list(it) for it in iterables]
+        calls.append((fn, len(iterables[0])))
+        return orig(pool, fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", spy)
+    return calls
 
 
-def _spy_staging(monkeypatch) -> list:
-    """Record which shm staging helper every ``map_shared`` call uses."""
-    import repro.parallel.shm as S
-
-    staged = []
-    for name in ("share_array", "share_bytes"):
-        def spy(operand, _orig=getattr(S, name), _name=name):
-            staged.append(_name)
-            return _orig(operand)
-
-        monkeypatch.setattr(S, name, spy)
-    return staged
-
-
-def _refuse_shm(monkeypatch):
-    import repro.parallel.shm as S
-
-    def refuse(size, name=None, track=True):
-        raise S.ShmUnavailable("test")
-
-    monkeypatch.setattr(S, "_create", refuse)
-
-
-def _psm_segments() -> set:
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:
-        return set()
+def _slice_fan_outs(rng):
+    """name -> (pool work function, job count, run(executor) -> bytes)
+    for the three fan-outs whose jobs each take their own slice."""
+    sizes = [700, 90, 0, 2500]
+    bins = np.concatenate(
+        [rng.integers(-(2**20), 2**20, s).astype(np.int64) for s in sizes]
+    )
+    payload, header = encode_classes(bins, sizes, backend="zlib")
+    field = rng.standard_normal((20, 9, 9)).cumsum(0)
+    plan = plan_shards(field.shape, 4)
+    codec = ShardCodec(tol=1e-3, backend="huffman")
+    return {
+        "shard-encode": (
+            sharded._encode_shard, 4,
+            lambda ex: b"".join(encode_shards(field, plan, codec, ex)),
+        ),
+        "zlib-encode": (
+            zlib.compress, len(sizes),
+            lambda ex: encode_classes(bins, sizes, backend="zlib", executor=ex)[0],
+        ),
+        "zlib-decode": (
+            zlib.decompress, len(sizes),
+            lambda ex: decode_classes(payload, header, executor=ex)[0].tobytes(),
+        ),
+    }
 
 
-def _window_sum(view, start, stop):
-    window = view[start:stop]
-    return os.getpid(), int(np.frombuffer(window, dtype=np.uint8).sum(dtype=np.int64))
+def _slice_sum(window):
+    return os.getpid(), int(window.sum(dtype=np.int64))
 
 
-def _window_raises(view, start, stop):
-    window = view[start:stop]  # still bound when the unit raises
+def _slice_raises(window):
     raise KeyError(len(window))
 
 
-class TestMapSharedSeam:
-    """``map_shared`` itself, once, instead of per call site."""
+class TestMapOverSlices:
+    """``map`` itself, once, with every job taking its own ndarray view
+    of a shared operand — the pattern each slice fan-out follows."""
 
     OPERANDS = {
         "ndarray": lambda: np.arange(4096, dtype=np.uint8),
         "bytes": lambda: bytes(range(256)) * 16,
+        "bytearray": lambda: bytearray(range(256)) * 16,
+        "memoryview": lambda: memoryview(bytes(range(256)) * 16),
     }
     BOUNDS = [(0, 1000), (1000, 1001), (1001, 4096), (4096, 4096)]
 
+    def _slices(self, operand):
+        buf = np.frombuffer(self.OPERANDS[operand](), np.uint8)
+        return buf, [buf[a:b] for a, b in self.BOUNDS]
+
     @pytest.mark.parametrize("operand", sorted(OPERANDS))
-    @pytest.mark.parametrize(
-        "spec", ["serial", "thread:2", "process:2", "process:2-no-shm"]
-    )
-    def test_equal_ordered_results(self, spec, operand, monkeypatch):
-        if spec.endswith("-no-shm"):
-            _refuse_shm(monkeypatch)
-        ex = get_executor(spec.removesuffix("-no-shm"))
-        data = self.OPERANDS[operand]()
-        got = ex.map_shared(_window_sum, data, *zip(*self.BOUNDS))
-        want = [int(np.frombuffer(data, np.uint8)[a:b].sum()) for a, b in self.BOUNDS]
+    @pytest.mark.parametrize("spec", ["serial", "thread:2", "process:2"])
+    def test_equal_ordered_results(self, spec, operand):
+        buf, slices = self._slices(operand)
+        got = get_executor(spec).map(_slice_sum, slices)
+        want = [int(buf[a:b].sum()) for a, b in self.BOUNDS]
         assert [total for _, total in got] == want
         in_pool = any(pid != os.getpid() for pid, _ in got)
         assert in_pool == (spec == "process:2")
 
     @pytest.mark.parametrize("operand", sorted(OPERANDS))
-    def test_single_job_never_stages(self, operand, monkeypatch):
-        staged = _spy_staging(monkeypatch)
-        data = self.OPERANDS[operand]()
+    def test_single_job_and_closures_stay_inline(self, operand, monkeypatch):
+        calls = _spy_pool_map(monkeypatch)
+        _, slices = self._slices(operand)
         ex = get_executor("process:2")
-        assert ex.map_shared(_window_sum, data, [0], [10]) == [(os.getpid(), 45)]
-        assert ex.map_shared(_window_sum, data) == []
-        assert ex.map_shared(lambda v, a, b: a + b, data, [1, 2], [3, 4]) == [4, 6]
-        assert staged == []
+        assert ex.map(_slice_sum, slices[:1]) == [(os.getpid(), int(slices[0].sum()))]
+        assert ex.map(_slice_sum, []) == []
+        assert ex.map(lambda w: len(w), slices) == [len(s) for s in slices]
+        assert calls == []
 
-    @pytest.mark.parametrize("operand", sorted(OPERANDS))
-    def test_unit_raising_on_a_live_slice_surfaces_itself(self, operand):
-        """The unwound unit still pins a slice of the view; the lease
-        must close anyway — no BufferError, no leaked segment."""
-        before = _psm_segments()
-        data = self.OPERANDS[operand]()
+    @pytest.mark.parametrize("spec", ["serial", "thread:2", "process:2"])
+    def test_unit_raising_surfaces_itself(self, spec):
+        _, slices = self._slices("ndarray")
         with pytest.raises(KeyError):
-            get_executor("process:2").map_shared(
-                _window_raises, data, *zip(*self.BOUNDS)
-            )
-        assert _psm_segments() == before
+            get_executor(spec).map(_slice_raises, slices)
+
+
+class TestSliceFanOutsUseThePool:
+    """``map`` over per-job slices is the only fan-out primitive; under
+    ``process:2`` each fan-out must really ship its jobs to the pool
+    (a closure or an unpicklable argument would run them inline, or
+    fail) and still return the serial bytes."""
+
+    @pytest.mark.parametrize("name", ["shard-encode", "zlib-encode", "zlib-decode"])
+    def test_jobs_reach_the_pool_with_serial_bytes(self, rng, name, monkeypatch):
+        fn, n_jobs, run = _slice_fan_outs(rng)[name]
+        want = run(get_executor("serial"))
+        calls = _spy_pool_map(monkeypatch)
+        assert run(get_executor("process:2")) == want
+        assert calls == [(fn, n_jobs)]
 
     def test_worker_killed_mid_batch_still_yields(self):
         from repro import faults
 
         ex = ProcessExecutor(2, backoff_s=0.0)
-        data = self.OPERANDS["ndarray"]()
-        before = _psm_segments()
+        data = np.arange(4096, dtype=np.uint8)
+        slices = [data[a:b] for a, b in [(0, 1000), (1000, 1001), (1001, 4096), (4096, 4096)]]
         try:
             with faults.inject("kill@executor.process.map:count=1", seed=2):
-                got = ex.map_shared(_window_sum, data, *zip(*self.BOUNDS))
+                got = ex.map(zlib.crc32, slices)
         finally:
             ex.shutdown()
-        assert [t for _, t in got] == [int(data[a:b].sum()) for a, b in self.BOUNDS]
+        assert got == [zlib.crc32(s) for s in slices]
         assert ex.stats["broken_pools"] == 1 and ex.stats["rebuilds"] == 1
-        assert _psm_segments() == before
 
 
 def _adversarial_mixes(rng):
@@ -375,9 +362,9 @@ class TestThreeBackendBitIdentity:
 
 
 class TestHuffmanProcessDecode:
-    def test_shm_unavailable_falls_back(self, rng, monkeypatch):
+    def test_segments_decode_exactly_through_the_pool(self, rng):
         """Huffman segments decode as pool jobs, and as ``decode_classes``'
-        fan-out, exactly even where no shared memory can be staged."""
+        fan-out, exactly."""
         sizes = [(1 << 16) + 5, 3 * H._SYNC_BLOCK + 1, 0, 7]
         bins = rng.integers(-6, 7, sum(sizes)).astype(np.int64)
         bins[:: 997] = rng.integers(-(2**60), 2**60, bins[:: 997].size)
@@ -385,7 +372,6 @@ class TestHuffmanProcessDecode:
         segs = [bins[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         encoded = [H.huffman_encode(v) for v in segs]
         payload, header = encode_classes(bins, sizes, backend="huffman")
-        _refuse_shm(monkeypatch)
         proc = get_executor("process:2")
         for out, vals in zip(proc.map(H.huffman_decode, *zip(*encoded)), segs):
             np.testing.assert_array_equal(out, vals)
@@ -407,8 +393,11 @@ class TestZlibSubBlocks:
         flat, _ = decode_classes(payload, header)
         np.testing.assert_array_equal(flat, bins)
 
-    def test_subblock_roundtrip_small_threshold(self, rng, monkeypatch):
-        """Cheap coverage of many blocks via a shrunken block size."""
+    @pytest.mark.parametrize("payload_type", [bytes, bytearray, memoryview])
+    def test_subblock_roundtrip_small_threshold(self, rng, monkeypatch, payload_type):
+        """Cheap coverage of many blocks via a shrunken block size; every
+        bytes-like payload decodes alike on every executor (memoryview
+        slices would not pickle; the decoder slices an ndarray view)."""
         monkeypatch.setattr(L, "_ZLIB_BLOCK_BYTES", 1 << 10)
         sizes = [700, 90, 0, 2500]
         bins = np.concatenate(
@@ -423,12 +412,10 @@ class TestZlibSubBlocks:
         assert sum("blocks" in s for s in header["segments"]) >= 2
         # headers survive JSON (what the on-disk container stores)
         header = json.loads(json.dumps(header))
-        for tag, ex in _executors().items():
-            flat, _ = decode_classes(payload, header, executor=ex)
-            np.testing.assert_array_equal(flat, bins, err_msg=tag)
-        _refuse_shm(monkeypatch)  # no shared memory: the pool runs inline
-        flat, _ = decode_classes(payload, header, executor=get_executor("process:2"))
-        np.testing.assert_array_equal(flat, bins, err_msg="process without shm")
+        payload = payload_type(payload)
+        for spec in ("serial", "thread:2", "process:2"):
+            flat, _ = decode_classes(payload, header, executor=get_executor(spec))
+            np.testing.assert_array_equal(flat, bins, err_msg=spec)
 
     def test_legacy_single_unit_zlib_segments_decode(self, rng, monkeypatch):
         """Blobs written before sub-block segmentation still decode."""
