@@ -126,7 +126,7 @@ def main(argv=None) -> int:
 
     specs = ["thread"] if args.executor == "thread" else ["thread", "process"]
 
-    # steady state is what scales: one round trip fills the plan caches
+    # steady state is what scales: one round trip fills the hierarchy cache
     # the workers then fork with, and the pools are up before anything
     # is timed — as they are when production work arrives
     refactor_partition(0, side, 1)

@@ -153,7 +153,7 @@ def container_identity() -> dict:
     try:
         for name in available_backends():
             set_kernel_backend(name)
-            comp = MgardCompressor.for_shape(shape, tol, backend="huffman")
+            comp = MgardCompressor(hierarchy_for(shape), tol, backend="huffman")
             frame = comp.compress(data)
             payloads[name] = (b"".join(frame.payloads), json.dumps(frame.headers))
     finally:

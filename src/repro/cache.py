@@ -9,8 +9,7 @@ step each, a whole step otherwise — in one bytes-bounded
 :class:`LRUCache`; :class:`~repro.io.stream.StepStreamReader` uses a
 small instance for its own decoded-step cache (unsharded streams only: a
 sharded stream's shards are cached once per process, by the service);
-the hierarchy memo of :mod:`repro.core.grid` and the plan memo of
-:mod:`repro.compress.plan` are entry-bounded instances.
+the hierarchy memo of :mod:`repro.core.grid` is an entry-bounded one.
 
 A leaf module (stdlib only, like ``frame.py`` and ``errors.py``) — the
 asyncio event loop, its decode thread pool, and library callers may all

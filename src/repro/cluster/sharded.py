@@ -6,9 +6,9 @@ halo exchange, each partition with its own hierarchy.  This module
 promotes :class:`~repro.cluster.partition.BlockRefactorer` from a
 refactor-only helper into a full compress→decompress path over such
 partitions: a frame is split along axis 0 into *shards*, each shard
-runs its own :class:`~repro.compress.mgard.MgardCompressor` (sharing
-the global :mod:`~repro.compress.plan` cache, so equal-shape shards pay
-setup once), and the shard fan-out is one
+runs its own :class:`~repro.compress.mgard.MgardCompressor` (on the
+memoized :func:`~repro.core.grid.hierarchy_for`, so equal-shape shards
+pay setup once), and the shard fan-out is one
 ``executor.map(_encode_shard, [frame[a:b] …], …)`` over the backends
 of :mod:`repro.parallel`, every job carrying its own rows: serial is
 the byte-for-byte reference, threads overlap the GIL-releasing
@@ -145,6 +145,7 @@ def _encode_shard(block: np.ndarray, codec: ShardCodec, fault: tuple[float, bool
     work unit of :func:`encode_shards`)."""
     from ..compress.fileio import save_compressed
     from ..compress.mgard import MgardCompressor
+    from ..core.grid import hierarchy_for
     from ..core.refactor import Refactorer
     from ..io.container import write_refactored_stream
 
@@ -158,9 +159,9 @@ def _encode_shard(block: np.ndarray, codec: ShardCodec, fault: tuple[float, bool
     if codec.tol is None:
         write_refactored_stream(buf, Refactorer(shard.shape).refactor(shard))
     else:
-        comp = MgardCompressor.for_shape(
-            shard.shape, codec.tol, mode=codec.mode, backend=codec.backend,
-            executor="serial",
+        comp = MgardCompressor(
+            hierarchy_for(shard.shape), codec.tol, mode=codec.mode,
+            backend=codec.backend, executor="serial",
         )
         save_compressed(buf, comp.compress(shard))
     return buf.getvalue()

@@ -28,14 +28,6 @@ from .lossless import (
     materialize_classes_header,
 )
 from .mgard import CompressedData, MgardCompressor, PreparedFrame, StageTimes
-from .plan import (
-    CompressionPlan,
-    RefactorPlan,
-    clear_plan_cache,
-    compression_plan,
-    plan_cache_stats,
-    refactor_plan,
-)
 from .quantizer import Quantizer
 from .timeseries import CompressedSeries, ResidualPlan, TimeSeriesCompressor
 
@@ -44,12 +36,10 @@ __all__ = [
     "CompressedData",
     "CompressedFileError",
     "CompressedSeries",
-    "CompressionPlan",
     "HuffmanCode",
     "MgardCompressor",
     "PreparedFrame",
     "Quantizer",
-    "RefactorPlan",
     "ResidualPlan",
     "SerialExecutor",
     "StageTimes",
@@ -57,9 +47,7 @@ __all__ = [
     "apply_table_delta",
     "available_workers",
     "build_code",
-    "clear_plan_cache",
     "code_from_table",
-    "compression_plan",
     "decode_bins",
     "decode_classes",
     "encode_bins",
@@ -69,8 +57,6 @@ __all__ = [
     "huffman_encode",
     "load_compressed",
     "materialize_classes_header",
-    "plan_cache_stats",
-    "refactor_plan",
     "save_compressed",
     "set_default_executor",
     "table_delta",

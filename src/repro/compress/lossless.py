@@ -22,8 +22,8 @@ directions are one ``executor.map`` of :func:`zlib.compress` /
 class's narrowed raw stream back to back on encode, the whole payload on
 decode — so every job carries its own sub-block and nothing else.
 
-For slowly-varying streams, pass a ``scratch`` dict (conventionally
-``CompressionPlan.scratch``) and the Huffman backend reuses each
+For slowly-varying streams, pass a ``scratch`` dict (one per stream,
+kept by the caller) and the Huffman backend reuses each
 class's code book across calls: exact reuse costs a single integer
 header field (``table_ref``), drift beyond an escape-rate threshold
 triggers a rebuild shipped as a compact ``table_delta``, and

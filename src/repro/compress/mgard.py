@@ -109,10 +109,6 @@ class MgardCompressor:
     backend:
         Lossless backend (``"zlib"`` — the paper's choice — or
         ``"huffman"``).
-    plan:
-        Optional :class:`~repro.compress.plan.CompressionPlan`; when
-        given, the quantizer step budget comes pre-resolved from the
-        plan cache.  Prefer :meth:`for_shape` which wires this up.
     executor:
         Executor (instance or spec string — ``serial``, ``thread[:N]``,
         ``process[:N]``, ``auto``; see :mod:`repro.parallel`) scheduling
@@ -130,45 +126,14 @@ class MgardCompressor:
         tol: float,
         mode: str = "level",
         backend: str = "zlib",
-        plan=None,
         executor=None,
     ):
         from ..parallel.executors import get_executor
 
         self.hier = hier
-        self.plan = plan
-        if plan is not None:
-            self.quantizer = plan.quantizer()
-            self.backend = plan.backend
-        else:
-            self.quantizer = Quantizer(tol, mode=mode)
-            self.backend = backend
+        self.quantizer = Quantizer(tol, mode=mode)
+        self.backend = backend
         self.executor = get_executor(executor)
-
-    @classmethod
-    def for_shape(
-        cls,
-        shape: tuple[int, ...],
-        tol: float,
-        mode: str = "level",
-        backend: str = "zlib",
-        coords=None,
-        executor=None,
-    ) -> "MgardCompressor":
-        """A compressor built from the shared plan cache.
-
-        Repeated calls with the same (shape, coords, tol, mode, backend)
-        reuse the cached hierarchy (Thomas factors and all) and the
-        cached quantizer budget, so per-call setup is O(1).  ``executor``
-        is pure scheduling: it goes to the constructor, not into the
-        cache key.
-        """
-        from .plan import compression_plan
-
-        plan = compression_plan(shape, tol, mode=mode, backend=backend, coords=coords)
-        return cls(
-            plan.hier, tol, mode=mode, backend=backend, plan=plan, executor=executor
-        )
 
     # ------------------------------------------------------------------
     def compress(
@@ -181,9 +146,8 @@ class MgardCompressor:
     ) -> CompressedData:
         """Compress ``data`` with the configured error bound.
 
-        ``scratch`` (conventionally a
-        :meth:`CompressionPlan.scratch_area`) enables cross-call
-        Huffman code-book reuse in the entropy stage;
+        ``scratch`` (a dict the caller keeps across calls) enables
+        cross-call Huffman code-book reuse in the entropy stage;
         ``refresh_codebooks=True`` forces a full-table rebuild (key
         frames), and ``codebook_context`` separates reuse chains whose
         statistics differ by construction (key frames vs temporal

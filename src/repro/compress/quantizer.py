@@ -39,6 +39,10 @@ from ..core.grid import TensorHierarchy
 
 __all__ = ["Quantizer"]
 
+# the share of ``tol`` the per-class budgets spend; the rest absorbs the
+# (bounded) cross-level amplification of the recomposition
+_SAFETY = 0.5
+
 
 class Quantizer:
     """Uniform scalar quantizer with per-class error budgeting.
@@ -49,52 +53,28 @@ class Quantizer:
         Absolute L∞ error tolerance for the reconstructed field.
     mode:
         ``"uniform"`` or ``"level"`` budgeting (see module docstring).
-    safety:
-        Multiplicative safety factor < 1 applied to the budget to absorb
-        the (bounded) cross-level amplification of the recomposition.
     """
 
-    def __init__(self, tol: float, mode: str = "level", safety: float = 0.5):
+    def __init__(self, tol: float, mode: str = "level"):
         if tol <= 0:
             raise ValueError("tolerance must be positive")
         if mode not in ("uniform", "level"):
             raise ValueError(f"unknown budgeting mode {mode!r}")
-        if not 0 < safety <= 1:
-            raise ValueError("safety factor must be in (0, 1]")
         self.tol = float(tol)
         self.mode = mode
-        self.safety = float(safety)
-        self._steps_cache: dict[int, list[float]] = {}
 
     # ------------------------------------------------------------------
-    def seed_steps(self, n_classes: int, steps) -> None:
-        """Pre-populate the per-class step budget (from a cached plan)."""
-        if len(steps) != n_classes:
-            raise ValueError(f"expected {n_classes} steps, got {len(steps)}")
-        self._steps_cache[int(n_classes)] = [float(s) for s in steps]
-
     def steps_for(self, n_classes: int) -> list[float]:
-        """Quantization step (bin width) per class, coarse-to-fine.
-
-        The budget depends only on the class count, so it is resolved
-        once per count and memoized on the quantizer.
-        """
-        cached = self._steps_cache.get(n_classes)
-        if cached is not None:
-            return list(cached)
-        budget = self.tol * self.safety
+        """Quantization step (bin width) per class, coarse-to-fine."""
+        budget = self.tol * _SAFETY
         if self.mode == "uniform":
-            per = budget / n_classes
-            steps = [2.0 * per] * n_classes
-        else:
-            # "level": allocate a geometric series of the budget, smallest
-            # share to the coarsest class (whose perturbations traverse the
-            # most recomposition stages).
-            weights = np.asarray([2.0 ** (l - n_classes + 1) for l in range(n_classes)])
-            weights /= weights.sum()
-            steps = [2.0 * budget * float(w) for w in weights]
-        self._steps_cache[n_classes] = steps
-        return list(steps)
+            return [2.0 * (budget / n_classes)] * n_classes
+        # "level": allocate a geometric series of the budget, smallest
+        # share to the coarsest class (whose perturbations traverse the
+        # most recomposition stages).
+        weights = np.asarray([2.0 ** (l - n_classes + 1) for l in range(n_classes)])
+        weights /= weights.sum()
+        return [2.0 * budget * float(w) for w in weights]
 
     def quantize_flat(
         self, cc: CoefficientClasses

@@ -27,10 +27,10 @@ re-inserted periodically to bound random-access cost.
 
 Entropy setup is amortized the same way the signal is: with the
 ``huffman`` backend the compressor keeps each class's code book in a
-:meth:`~repro.compress.plan.CompressionPlan.scratch_area` and *reuses*
-it across steps (non-key steps ship a one-integer ``table_ref`` — or a
-compact ``table_delta`` when the stream drifts — instead of a full
-table), with a full-table refresh keyed to key frames.  The decoder
+scratch dict of its own and *reuses* it across steps (non-key steps
+ship a one-integer ``table_ref`` — or a compact ``table_delta`` when
+the stream drifts — instead of a full table), with a full-table
+refresh keyed to key frames.  The decoder
 replays the chain, so frames decode in stream order from any key frame.
 """
 
@@ -113,14 +113,8 @@ class TimeSeriesCompressor:
         fan-out over class segments (and the zlib sub-blocks of a large one).
     reuse_codebooks:
         Reuse Huffman code books across steps (ignored for zlib, which
-        has no per-stream setup to amortize).
-    stream_tag:
-        Key of this stream's :meth:`CompressionPlan.scratch_area`
-        inside the (globally cached) plan — a writer that tags the
-        area with its output path can resume its code-book chain after
-        being reopened in the same process.  Untagged compressors keep
-        a private per-instance scratch instead, so anonymous streams
-        neither accumulate in the plan cache nor alias each other.
+        has no per-stream setup to amortize).  Each compressor owns its
+        code-book chain, so two streams never alias each other.
     """
 
     def __init__(
@@ -132,7 +126,6 @@ class TimeSeriesCompressor:
         backend: str = "zlib",
         executor=None,
         reuse_codebooks: bool = True,
-        stream_tag: str | None = None,
     ):
         if key_interval < 1:
             raise ValueError("key_interval must be >= 1")
@@ -143,15 +136,7 @@ class TimeSeriesCompressor:
             hier, tol, mode=mode, backend=backend, executor=executor
         )
         self.reuse_codebooks = bool(reuse_codebooks) and backend == "huffman"
-        if not self.reuse_codebooks:
-            self._scratch = None
-        elif stream_tag is not None:
-            from .plan import compression_plan
-
-            plan = compression_plan(hier.shape, tol, mode=mode, backend=backend)
-            self._scratch = plan.scratch_area(stream_tag)
-        else:
-            self._scratch = {}
+        self._scratch = {} if self.reuse_codebooks else None
         # the loop state: float64 sum, in the refactored layout, of the
         # de-quantized coefficients of every step since the key frame
         self._coeff_sum: np.ndarray | None = None

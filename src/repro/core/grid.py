@@ -640,15 +640,15 @@ class TensorHierarchy:
 # weights, banded mass matrices, and Thomas factors — work that
 # depends only on (shape, coordinates).  Streaming and multi-field
 # workloads compress thousands of same-shape arrays, so the hierarchy is
-# memoized here and shared by Refactorer, the compression plans, and the
+# memoized here and shared by Refactorer, the compressors, and the
 # file/stream readers.
 
 
 _HIER_CACHE = LRUCache(max_entries=128)
 
 
-def coords_key(coords) -> tuple | None:
-    """Hashable form of per-axis coordinates, for the hierarchy and plan memos."""
+def _coords_key(coords) -> tuple | None:
+    """Hashable form of per-axis coordinates, for the hierarchy memo."""
     if coords is None:
         return None
     return tuple(
@@ -668,7 +668,7 @@ def hierarchy_for(
     compress/decompress of same-shape fields skips all per-geometry
     setup.  Callers must treat the returned hierarchy as immutable.
     """
-    key = (tuple(int(s) for s in shape), coords_key(coords))
+    key = (tuple(int(s) for s in shape), _coords_key(coords))
     hier = _HIER_CACHE.get(key)
     if hier is None:
         hier = TensorHierarchy.from_shape(tuple(shape), coords)

@@ -33,7 +33,7 @@ Two stream modes share the directory layout:
     Steps go through the error-bounded time-series compressor:
     closed-loop temporal prediction, key frames every ``key_interval``
     steps, and — with the ``huffman`` backend — cross-step code-book
-    reuse through the shared compression plan's scratch (non-key steps
+    reuse through the writer's own code-book scratch (non-key steps
     reference the books shipped at the last key frame instead of
     re-serializing them).  Step files keep those references *on disk*;
     the reader replays the chain from the nearest key frame, which is
@@ -77,8 +77,7 @@ from .container import (
     write_refactored_stream,
     write_sharded_stream,
 )
-# _unique_tmp keeps its old home importable (tests patch/use it here)
-from .publish import atomic_publish as _atomic_publish, unique_tmp as _unique_tmp
+from .publish import atomic_publish as _atomic_publish
 
 __all__ = [
     "StepStreamWriter",
@@ -357,7 +356,6 @@ class StepStreamWriter:
                 backend=backend,
                 executor=executor,
                 reuse_codebooks=reuse_codebooks,
-                stream_tag=str(self.root.resolve()),
             )
         self._manifest_path = self.root / _MANIFEST
         self._steps: list = []

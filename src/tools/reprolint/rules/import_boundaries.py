@@ -28,8 +28,9 @@ enforced only by convention:
   shims), ``repro.cluster.fabric`` (the SPMD fabric: a second
   process substrate with no production caller), ``repro.parallel.shm``
   and :mod:`multiprocessing.shared_memory` (staging a whole operand for
-  the process pool, when every job reads only its own slice) are gone
-  and must not be imported back into being — not even by
+  the process pool, when every job reads only its own slice), and
+  ``repro.compress.plan`` (a second setup cache over ``hierarchy_for``)
+  are gone and must not be imported back into being — not even by
   ``repro.parallel``.
 
 * Nothing under ``repro`` outside ``repro.parallel`` imports
@@ -104,6 +105,11 @@ FORBIDDEN = (
         "repro",
         "repro.compress.executor",
         "the shim is deleted; import repro.parallel.executors",
+    ),
+    (
+        "repro",
+        "repro.compress.plan",
+        "the plan cache is deleted; hierarchy_for is the one setup cache",
     ),
     *(
         ("repro", gone, "the SPMD fabric and its shim are deleted; partitions "

@@ -19,11 +19,9 @@ class TestQuantizer:
             Quantizer(0.0)
         with pytest.raises(ValueError):
             Quantizer(1.0, mode="quadratic")
-        with pytest.raises(ValueError):
-            Quantizer(1.0, safety=0.0)
 
     def test_steps_budget(self):
-        q = Quantizer(1.0, mode="uniform", safety=0.5)
+        q = Quantizer(1.0, mode="uniform")
         steps = q.steps_for(5)
         assert len(steps) == 5
         # half-bin errors across classes sum to the (safety-scaled) budget

@@ -16,7 +16,6 @@ from huffman_oracle import huffman_decode_scalar, huffman_encode_scalar
 from repro.compress.huffman import _SYNC_BLOCK, huffman_decode, huffman_encode
 from repro.compress.lossless import decode_classes, encode_bins, encode_classes
 from repro.compress.mgard import MgardCompressor
-from repro.compress.plan import compression_plan, refactor_plan
 from repro.compress.quantizer import Quantizer
 from repro.core.classes import CoefficientClasses, assemble_from_classes, extract_classes
 from repro.core.decompose import decompose
@@ -183,19 +182,11 @@ class TestPlanCache:
     def test_refactorers_share_cached_hierarchy(self):
         assert Refactorer((33, 33)).hier is Refactorer((33, 33)).hier
 
-    def test_compression_plan_cached_and_seeded(self):
-        plan = compression_plan((33, 33), tol=1e-2)
-        assert plan is compression_plan((33, 33), tol=1e-2)
-        assert plan is not compression_plan((33, 33), tol=1e-3)
-        assert plan.refactor is refactor_plan((33, 33))
-        assert list(plan.steps) == Quantizer(1e-2).steps_for(plan.refactor.n_classes)
-
-    def test_for_shape_roundtrip(self):
+    def test_same_shape_compressors_share_hierarchy(self):
         shape = (33, 33)
         data = multiscale(shape)
-        comp = MgardCompressor.for_shape(shape, 1e-3)
-        again = MgardCompressor.for_shape(shape, 1e-3)
+        comp = MgardCompressor(hierarchy_for(shape), 1e-3)
+        again = MgardCompressor(hierarchy_for(shape), 1e-3)
         assert comp.hier is again.hier
-        assert comp.plan is again.plan
         blob = comp.compress(data)
         assert np.abs(again.decompress(blob) - data).max() <= 1e-3

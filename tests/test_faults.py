@@ -274,10 +274,10 @@ def test_crash_matrix(tmp_path, mode, site):
 def test_unique_tmp_names_and_sweep(tmp_path):
     """Concurrent publishes never collide on temp names, and a crashed
     predecessor's temp files are swept on writer open."""
-    from repro.io.stream import _unique_tmp
+    from repro.io.publish import unique_tmp
 
     dst = tmp_path / "step_000000.rprc"
-    names = {_unique_tmp(dst).name for _ in range(32)}
+    names = {unique_tmp(dst).name for _ in range(32)}
     assert len(names) == 32
     assert all(n.endswith(".tmp") and n.startswith(dst.name) for n in names)
 

@@ -524,6 +524,25 @@ class TestImportBoundaryRule:
         assert all("staging is deleted" in f["message"] for f in doc["findings"])
         assert all("fan out through executor.map" in f["message"] for f in doc["findings"])
 
+    def test_plan_cache_stays_deleted(self, tmp_path, capsys):
+        make_tree(tmp_path, {
+            "src/repro/cluster/sharded.py": "import repro.compress.plan\n",
+            "src/repro/io/stream.py": """
+                def open_writer():
+                    from repro.compress.plan import compression_plan
+            """,
+            # no exemption: not even the compress package brings it back
+            "src/repro/compress/timeseries.py": "from .plan import compression_plan\n",
+        })
+        code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
+        assert code == 1
+        assert sorted(f["path"] for f in doc["findings"]) == [
+            "src/repro/cluster/sharded.py", "src/repro/compress/timeseries.py",
+            "src/repro/io/stream.py",
+        ]
+        assert all("hierarchy_for is the one setup cache" in f["message"]
+                   for f in doc["findings"])
+
     def test_only_frame_packs_container_frames(self, tmp_path, capsys):
         make_tree(tmp_path, {
             "src/repro/io/container.py": "import struct\n",

@@ -113,14 +113,14 @@ class TestParallelSerialBitIdentity:
             )
             assert p_s == p_p and h_s == h_p, t
 
-    def test_compressor_roundtrip_with_parallel_plan(self, rng):
+    def test_compressor_roundtrip_with_parallel_executor(self, rng):
         shape = (33, 33)
         data = rng.standard_normal(shape).cumsum(0).cumsum(1)
-        comp = MgardCompressor.for_shape(shape, 1e-3, backend="huffman",
-                                         executor="parallel:3")
+        comp = MgardCompressor(hierarchy_for(shape), 1e-3, backend="huffman",
+                               executor="parallel:3")
         blob = comp.compress(data)
         assert np.abs(comp.decompress(blob) - data).max() <= 1e-3
-        serial = MgardCompressor.for_shape(shape, 1e-3, backend="huffman")
+        serial = MgardCompressor(hierarchy_for(shape), 1e-3, backend="huffman")
         blob_s = serial.compress(data)
         assert blob.payloads == blob_s.payloads
         assert blob.headers == blob_s.headers
@@ -146,20 +146,12 @@ class TestExecutorSelection:
             set_default_executor(None)
         assert isinstance(get_executor("serial"), SerialExecutor)
 
-    def test_plan_carries_executor_spec(self):
-        # the spec is the compressor's, not the plan's: scheduling is
-        # no part of the plan identity
-        c1 = MgardCompressor.for_shape((17, 17), 1e-3, executor="serial")
-        c2 = MgardCompressor.for_shape((17, 17), 1e-3, executor="parallel:2")
+    def test_compressor_carries_executor_spec(self):
+        c1 = MgardCompressor(hierarchy_for((17, 17)), 1e-3, executor="serial")
+        c2 = MgardCompressor(hierarchy_for((17, 17)), 1e-3, executor="parallel:2")
         assert isinstance(c1.executor, SerialExecutor)
         assert isinstance(c2.executor, ThreadExecutor)
         assert get_executor(c2.executor) is c2.executor  # instances pass through
-        p1, p2 = c1.plan, c2.plan
-        # scheduling never changes emitted bytes, so the code-book
-        # scratch must survive the ambient executor spec changing
-        # (e.g. a stream writer reopened under a different knob)
-        assert p1.scratch is p2.scratch
-        assert p1.scratch_area("stream-x") is p2.scratch_area("stream-x")
 
 
 def _assert_same_book(a, b):
@@ -240,7 +232,7 @@ class TestCodeBookDeltas:
 
         shape = (17, 17)
         data = rng.standard_normal(shape).cumsum(0).cumsum(1)
-        comp = MgardCompressor.for_shape(shape, 1e-3, backend="huffman")
+        comp = MgardCompressor(hierarchy_for(shape), 1e-3, backend="huffman")
         scratch = {}
         comp.compress(data, scratch=scratch, refresh_codebooks=True)
         blob = comp.compress(data, scratch=scratch)
@@ -259,7 +251,7 @@ class TestCodeBookDeltas:
 
         shape = (17, 17)
         base = rng.standard_normal(shape).cumsum(0).cumsum(1)
-        comp = MgardCompressor.for_shape(shape, 1e-4, backend="huffman")
+        comp = MgardCompressor(hierarchy_for(shape), 1e-4, backend="huffman")
         scratch = {}
         blobs = []
         frames = []
@@ -300,16 +292,11 @@ class TestCodeBookDeltas:
         assert len(dec.get("decode_tables", {})) <= _TABLE_CHAIN_WINDOW
         assert len(dec.get("decode_table_objs", {})) <= _TABLE_CHAIN_WINDOW
 
-    def test_untagged_compressors_do_not_share_plan_scratch(self, rng):
-        from repro.compress.plan import compression_plan
-
+    def test_compressors_do_not_share_scratch(self, rng):
         hier = hierarchy_for((17, 17))
-        before = dict(compression_plan((17, 17), 1e-3, backend="huffman").scratch)
         a = TimeSeriesCompressor(hier, 1e-3, backend="huffman")
         b = TimeSeriesCompressor(hier, 1e-3, backend="huffman")
         assert a._scratch is not b._scratch
-        plan = compression_plan((17, 17), 1e-3, backend="huffman")
-        assert dict(plan.scratch) == before  # nothing leaked into the plan
 
     def test_timeseries_reuse_beats_rebuild_on_bytes(self, rng):
         shape = (33, 33)
@@ -425,6 +412,34 @@ class TestStreamBehindProducer:
         reader = StepStreamReader(tmp_path)
         for t in range(3):
             assert np.abs(reader.read_step(t) - frames[t]).max() <= tol
+
+    def test_writer_reopen_in_process_restarts_huffman_chain(self, rng, tmp_path):
+        """A writer reopened in the same process starts a fresh code-book
+        chain at a key step, its table ids from 0 again; a follower that
+        kept its decode scratch across the reopen reads what a fresh
+        reader does."""
+        frames, base = self._frames(rng, 12)
+        tol = 1e-3 * float(np.abs(base).max())
+        w1 = StepStreamWriter(tmp_path, base.shape, tol=tol, key_interval=4,
+                              backend="huffman")
+        for t in range(6):
+            w1.append(frames[t], time=float(t))
+        follower = StepStreamReader(tmp_path)
+        seen = [follower.read_step(t) for t in range(6)]
+        w2 = StepStreamWriter(tmp_path, base.shape, tol=tol, key_interval=4,
+                              backend="huffman")
+        for t in range(6, 12):
+            w2.append(frames[t], time=float(t))
+            assert follower.refresh() == t + 1
+            seen.append(follower.read_step(t))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["steps"][6]["is_key"]
+        fresh = StepStreamReader(tmp_path, cache_steps=0)
+        for t in range(12):
+            np.testing.assert_array_equal(fresh.read_step(t), seen[t], err_msg=str(t))
+            assert np.abs(seen[t] - frames[t]).max() <= tol, t
+        for t in (11, 7, 9, 6, 3):
+            np.testing.assert_array_equal(fresh.read_step(t), seen[t], err_msg=str(t))
 
 
 class TestSingleGeneration:

@@ -61,7 +61,7 @@ class TestPredictionSplit:
     def test_prepare_encode_equals_compress(self, rng):
         data = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
         tol = 1e-3 * float(np.abs(data).max())
-        comp = MgardCompressor.for_shape(data.shape, tol, backend="huffman")
+        comp = MgardCompressor(hierarchy_for(data.shape), tol, backend="huffman")
         fused = comp.compress(data)
         split = comp.encode_prepared(comp.prepare(data))
         assert fused.payloads == split.payloads
@@ -77,12 +77,12 @@ class TestPredictionSplit:
         # entropy coding is lossless, so the loop state of a key step must
         # recompose to the full round trip *bit for bit*, not just within tol
         assert is_key
-        np.testing.assert_array_equal(recon, MgardCompressor.for_shape(data.shape, tol).decompress(blob))
+        np.testing.assert_array_equal(recon, MgardCompressor(tsc.hier, tol).decompress(blob))
         assert np.abs(recon - data).max() <= tol
 
     def test_prepare_rejects_wrong_shape_on_encode(self, rng):
-        a = MgardCompressor.for_shape((17, 17), 1e-3)
-        b = MgardCompressor.for_shape((33, 17), 1e-3)
+        a = MgardCompressor(hierarchy_for((17, 17)), 1e-3)
+        b = MgardCompressor(hierarchy_for((33, 17)), 1e-3)
         prep = a.prepare(rng.standard_normal((17, 17)))
         with pytest.raises(ValueError, match="shape"):
             b.encode_prepared(prep)
@@ -128,7 +128,7 @@ class TestPredictionSplit:
         tol = 1e-3 * float(np.abs(base).max())
         hier = hierarchy_for(base.shape)
         tsc = TimeSeriesCompressor(hier, tol, key_interval=3)
-        spatial = MgardCompressor.for_shape(base.shape, tol)
+        spatial = MgardCompressor(hier, tol)
         w = StepStreamWriter(tmp_path, base.shape, tol=tol, key_interval=3)
         blobs, keys = [], []
         coeff_sum = None

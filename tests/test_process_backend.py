@@ -39,6 +39,7 @@ from repro.cluster.sharded import ShardCodec, encode_shards, plan_shards
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.core import native
+from repro.core.grid import hierarchy_for
 from repro.io.stream import PreparedStep, StepStreamReader, StepStreamWriter, StreamError
 from repro.io.workflow import run_streaming_pipeline
 from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor, get_executor
@@ -350,8 +351,8 @@ class TestThreeBackendBitIdentity:
         data = rng.standard_normal(shape).cumsum(0).cumsum(1)
         blobs = {}
         for spec in ("serial", "thread:3", "process:2"):
-            comp = MgardCompressor.for_shape(
-                shape, 1e-3, backend="huffman", executor=spec
+            comp = MgardCompressor(
+                hierarchy_for(shape), 1e-3, backend="huffman", executor=spec
             )
             blobs[spec] = comp.compress(data)
             assert np.abs(comp.decompress(blobs[spec]) - data).max() <= 1e-3

@@ -213,22 +213,18 @@ class TestLRUCache:
         c.put("k", np.zeros(4))
         c.put("j", np.zeros(4))  # evicts k
         assert c.get("j") is not None and c.get("k") is None
-        c.clear()  # entries and counters: what the hierarchy and plan memos document
+        c.clear()  # entries and counters: what the hierarchy memo documents
         assert c.stats() == {"hits": 0, "misses": 0, "evictions": 0, "entries": 0, "bytes": 0,
                              "max_bytes": c.max_bytes, "hit_rate": 0.0}
         assert c.get("j") is None
 
-    def test_the_hierarchy_and_plan_memos_are_this_cache(self):
-        from repro.compress.plan import clear_plan_cache, compression_plan, plan_cache_stats
+    def test_the_hierarchy_memo_is_this_cache(self):
         from repro.core.grid import clear_hierarchy_cache, hierarchy_cache_stats, hierarchy_for
 
-        clear_plan_cache()
         clear_hierarchy_cache()
         assert hierarchy_for((9, 5)) is hierarchy_for((9, 5))
-        hier_stats = hierarchy_cache_stats()
-        assert compression_plan((9, 5), 1e-3) is compression_plan((9, 5), 1e-3)
-        for stats, misses in ((hier_stats, 1), (plan_cache_stats(), 2)):  # a plan holds its refactor plan
-            assert (stats["entries"], stats["hits"], stats["misses"]) == (misses, 1, misses)
+        stats = hierarchy_cache_stats()
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
 
 
 # ----------------------------------------------------------------------
