@@ -2,13 +2,12 @@
 
 The paper's large-scale runs "assign each GPU an equal sized data
 partition and do decomposition and recomposition independently" — no
-halo exchange, each partition with its own hierarchy.  This module
-promotes :class:`~repro.cluster.partition.BlockRefactorer` from a
-refactor-only helper into a full compress→decompress path over such
-partitions: a frame is split along axis 0 into *shards*, each shard
-runs its own :class:`~repro.compress.mgard.MgardCompressor` (on the
-memoized :func:`~repro.core.grid.hierarchy_for`, so equal-shape shards
-pay setup once), and the shard fan-out is one
+halo exchange, each partition with its own hierarchy.  This module is
+the one partitioned codec: :func:`plan_shards` splits a frame along
+axis 0 into equal *shards*, each shard runs its own
+:class:`~repro.compress.mgard.MgardCompressor` (on the memoized
+:func:`~repro.core.grid.hierarchy_for`, so equal-shape shards pay
+setup once), and the shard fan-out is one
 ``executor.map(_encode_shard, [frame[a:b] …], …)`` over the backends
 of :mod:`repro.parallel`, every job carrying its own rows: serial is
 the byte-for-byte reference, threads overlap the GIL-releasing
@@ -37,18 +36,16 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import faults
 from ..parallel import get_executor
-from .partition import BlockPlan
 
 __all__ = [
+    "BlockPlan",
     "ShardCodec",
-    "ShardedCompressor",
-    "ShardedFrame",
     "decode_shard",
     "encode_shards",
     "plan_shards",
@@ -56,15 +53,26 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class BlockPlan:
+    """How a grid is split along axis 0 (shard ``i`` is rows ``starts[i]:stops[i]``)."""
+
+    shape: tuple[int, ...]
+    starts: tuple[int, ...]
+    stops: tuple[int, ...]
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.starts)
+
+
 def plan_shards(shape: tuple[int, ...], n_shards: int) -> BlockPlan:
     """Split ``shape`` along axis 0 into ``n_shards`` balanced shards.
 
-    The explicit-count counterpart of
-    :func:`~repro.cluster.partition.plan_blocks` (which derives the
-    count from a memory budget): shard sizes differ by at most one row.
-    Shards with a single row are allowed when ``n_shards`` demands them
-    (they round-trip losslessly, they just cannot coarsen along axis
-    0); asking for more shards than rows is an error.
+    Shard sizes differ by at most one row.  Shards with a single row
+    are allowed when ``n_shards`` demands them (they round-trip
+    losslessly, they just cannot coarsen along axis 0); asking for more
+    shards than rows is an error.
     """
     n0 = int(shape[0])
     if n_shards < 1:
@@ -196,113 +204,3 @@ def decode_shard(payload: bytes, payload_mode: str) -> np.ndarray:
     if payload_mode not in ("refactored", "compressed"):
         raise ValueError(f"unknown shard payload mode {payload_mode!r}")
     return _decode(payload, executor="serial")
-
-
-@dataclass
-class ShardedFrame:
-    """One frame compressed shard-by-shard (payloads + partition)."""
-
-    payloads: list[bytes] = field(repr=False)
-    starts: tuple[int, ...]
-    stops: tuple[int, ...]
-    shape: tuple[int, ...]
-    payload_mode: str
-    tol: float | None
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.payloads)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(len(p) for p in self.payloads)
-
-    def compression_ratio(self, itemsize: int = 8) -> float:
-        n = itemsize
-        for s in self.shape:
-            n *= s
-        return n / max(self.nbytes, 1)
-
-
-class ShardedCompressor:
-    """Shard-parallel error-bounded compressor for one grid geometry.
-
-    Parameters
-    ----------
-    shape:
-        Full-frame shape; shards split axis 0.
-    tol:
-        Global absolute L∞ error bound (``None`` keeps shards as raw
-        refactored classes — lossless, partially readable).
-    n_shards / memory_bytes:
-        Exactly one of an explicit shard count
-        (:func:`plan_shards`) or a per-shard memory budget
-        (:func:`~repro.cluster.partition.plan_blocks`).
-    mode / backend:
-        Quantizer budgeting mode and entropy backend of each shard's
-        :class:`~repro.compress.mgard.MgardCompressor`.
-    executor:
-        Executor spec or instance scheduling the shard fan-out; the
-        emitted bytes never depend on it.
-    """
-
-    def __init__(
-        self,
-        shape: tuple[int, ...],
-        tol: float | None,
-        *,
-        n_shards: int | None = None,
-        memory_bytes: float | None = None,
-        mode: str = "level",
-        backend: str = "zlib",
-        executor=None,
-    ):
-        from .partition import plan_blocks
-
-        if (n_shards is None) == (memory_bytes is None):
-            raise ValueError("pass exactly one of n_shards or memory_bytes")
-        if n_shards is not None:
-            self.plan = plan_shards(tuple(shape), n_shards)
-        else:
-            self.plan = plan_blocks(tuple(shape), memory_bytes)
-        self.tol = None if tol is None else float(tol)
-        self.codec = ShardCodec(
-            tol=None if tol is None else shard_tolerance(tol, self.plan.n_blocks),
-            mode=mode,
-            backend=backend,
-        )
-        self.executor = executor
-
-    @property
-    def n_shards(self) -> int:
-        return self.plan.n_blocks
-
-    def compress(self, data: np.ndarray) -> ShardedFrame:
-        """Compress every shard; the global L∞ bound is ``tol``."""
-        payloads = encode_shards(
-            np.ascontiguousarray(data), self.plan, self.codec, self.executor
-        )
-        return ShardedFrame(
-            payloads=payloads,
-            starts=self.plan.starts,
-            stops=self.plan.stops,
-            shape=self.plan.shape,
-            payload_mode=self.codec.payload_mode,
-            tol=self.tol,
-        )
-
-    def decompress(self, frame: ShardedFrame) -> np.ndarray:
-        """Reassemble the full field from a :class:`ShardedFrame`."""
-        if frame.shape != self.plan.shape:
-            raise ValueError(
-                f"frame was sharded for shape {frame.shape}, not {self.plan.shape}"
-            )
-        out = np.empty(self.plan.shape, dtype=np.float64)
-        for payload, a, b in zip(frame.payloads, frame.starts, frame.stops):
-            block = decode_shard(payload, frame.payload_mode)
-            if block.shape != (b - a,) + self.plan.shape[1:]:
-                raise ValueError(
-                    f"shard [{a}:{b}] decoded to shape {block.shape}"
-                )
-            out[a:b] = block
-        return out

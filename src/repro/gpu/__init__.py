@@ -1,4 +1,4 @@
-"""Simulated-GPU substrate: device specs, cost model, memory accounting.
+"""Simulated-GPU substrate: device specs, cost model, memory footprint model.
 
 Stands in for the CUDA devices the paper uses (see DESIGN.md §2 for the
 substitution argument).  Functional execution stays in NumPy; this
@@ -9,7 +9,7 @@ on a described device.
 from .analytic import ModeledPass, model_pass, model_pass_shape
 from .cost import KernelLaunch, cpu_kernel_time, gpu_kernel_time
 from .device import CpuSpec, DeviceSpec, I7_9700K_CORE, POWER9_CORE, RTX2080TI, V100
-from .memory import FootprintReport, MemoryTracker, refactoring_footprint
+from .memory import FootprintReport, refactoring_footprint
 from .offload import OffloadPoint, offload_analysis, offload_breakeven
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "FootprintReport",
     "I7_9700K_CORE",
     "KernelLaunch",
-    "MemoryTracker",
     "ModeledPass",
     "OffloadPoint",
     "POWER9_CORE",

@@ -1,8 +1,7 @@
-"""Device-memory accounting for the simulated GPU.
+"""Device-memory footprint model for the simulated GPU.
 
-Tracks named allocations to report the *extra memory
-footprint* of the GPU design relative to the CPU baseline, the metric of
-the paper's Table V.  Both designs use an input/output buffer plus a
+Models the *extra memory footprint* of the GPU design relative to the
+CPU baseline, the metric of the paper's Table V.  Both designs use an input/output buffer plus a
 working buffer of the same size ("the size of working memory space is
 equal to the original input size"); the GPU design additionally keeps
 the two per-dimension Thomas-factorization vectors (modified pivots and
@@ -18,45 +17,7 @@ import numpy as np
 
 from ..core.grid import TensorHierarchy
 
-__all__ = ["MemoryTracker", "refactoring_footprint", "FootprintReport"]
-
-
-class MemoryTracker:
-    """Simple named-allocation tracker with a running peak."""
-
-    def __init__(self, capacity_bytes: int | None = None):
-        self.capacity_bytes = capacity_bytes
-        self._live: dict[str, int] = {}
-        self.current = 0
-        self.peak = 0
-        self.total_allocated = 0
-
-    def alloc(self, name: str, nbytes: int) -> None:
-        """Record an allocation; raises MemoryError past device capacity."""
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        if name in self._live:
-            raise ValueError(f"allocation {name!r} already live")
-        if self.capacity_bytes is not None and self.current + nbytes > self.capacity_bytes:
-            raise MemoryError(
-                f"device out of memory: {self.current + nbytes} > {self.capacity_bytes} bytes"
-            )
-        self._live[name] = nbytes
-        self.current += nbytes
-        self.total_allocated += nbytes
-        self.peak = max(self.peak, self.current)
-
-    def free(self, name: str) -> None:
-        self.current -= self._live.pop(name)
-
-    def live_allocations(self) -> dict[str, int]:
-        return dict(self._live)
-
-    def reset(self) -> None:
-        self._live.clear()
-        self.current = 0
-        self.peak = 0
-        self.total_allocated = 0
+__all__ = ["refactoring_footprint", "FootprintReport"]
 
 
 @dataclass

@@ -943,11 +943,9 @@ class StepStreamReader:
 
     def shards_covering(self, region=None) -> list[int]:
         """Indices of the shards (manifest layout) ``region``'s rows touch."""
+        bounds = self._sharded("shards_covering")
         rows = self._normalize_region(region)[0]
-        return [
-            i for i, (a, b) in enumerate(self.shard_bounds)
-            if a < rows.stop and b > rows.start
-        ]
+        return [i for i, (a, b) in enumerate(bounds) if a < rows.stop and b > rows.start]
 
     def read_shard(self, step: int, i: int) -> np.ndarray:
         """Decode shard ``i`` of a sharded step — the unit a sharded read
@@ -957,11 +955,16 @@ class StepStreamReader:
         to snapshot the manifest entry, never across file I/O or decode.
         A table row or decoded shape that disagrees with the manifest's
         layout fails the shard like a bad CRC does (``_DECODE_ERRORS``);
-        what a failure *means* is :meth:`shard_pieces`' business.
+        what a failure *means* is :meth:`shard_pieces`' business.  An
+        unsharded stream or an ``i`` outside the layout is the caller's
+        error: :class:`StreamError`, before any file is opened.
         """
+        bounds = self._sharded("read_shard")
+        if not 0 <= i < len(bounds):
+            raise StreamError(f"shard {i} out of range [0, {len(bounds)})")
         with self._lock:
             meta = self._meta(step)
-        a, b = self.shard_bounds[i]
+        a, b = bounds[i]
         reader = ShardedFileReader(self.root / meta["file"])
         rows = reader.shard_bounds()
         if len(rows) != len(self.shard_bounds) or rows[i] != (a, b):
@@ -992,6 +995,7 @@ class StepStreamReader:
         :class:`StreamError` raised; ``on_error="raise"`` lets the first
         failure through instead.
         """
+        self._sharded("shard_pieces")
         with self._lock:
             self._meta(step)  # range check
         region = self._normalize_region(region)
@@ -1027,6 +1031,12 @@ class StepStreamReader:
                     degraded=True,
                     failed_extents=failed,
                 )
+
+    def _sharded(self, what: str) -> list[tuple[int, int]]:
+        """The manifest's shard layout; :class:`StreamError` when there is none."""
+        if self.shard_bounds is None:
+            raise StreamError(f"{what} needs a sharded stream; this one is unsharded")
+        return self.shard_bounds
 
     def _decode_shard(self, reader: ShardedFileReader, i: int) -> np.ndarray:
         """Decode one shard segment to its field block (the region-read

@@ -342,7 +342,6 @@ def run_streaming_pipeline(
     key_interval: int = 16,
     codec_executor=None,
     shards: int | None = None,
-    tier_store=None,
 ) -> MeasuredPipeline:
     """Execute the Fig. 10 streaming write as a real overlapped pipeline.
 
@@ -385,11 +384,6 @@ def run_streaming_pipeline(
     pipelined run's stream directory (``workdir/pipelined``, readable
     with :class:`~repro.io.stream.StepStreamReader`) in place; the
     serial calibration stream is always scratch.
-
-    ``tier_store`` (a :class:`~repro.io.storage.LocalTierStore`) makes
-    the *pipelined* run's writer execute tiered placement on every
-    commit — real bytes through the store's directory tiers; the
-    warm-up and serial calibration streams never touch it.
     """
     # imported here: cluster.pipeline pulls io.storage, so a module-level
     # import would re-enter this package mid-initialization
@@ -432,10 +426,7 @@ def run_streaming_pipeline(
     workdir = Path(workdir)
 
     def new_writer(name: str) -> StepStreamWriter:
-        kwargs = dict(writer_kwargs)
-        if name == "pipelined" and tier_store is not None:
-            kwargs["tier_store"] = tier_store
-        return StepStreamWriter(workdir / name, shape, **kwargs)
+        return StepStreamWriter(workdir / name, shape, **writer_kwargs)
 
     try:
         # untimed warm-up: one full step through a throwaway stream, so

@@ -28,9 +28,10 @@ enforced only by convention:
   shims), ``repro.cluster.fabric`` (the SPMD fabric: a second
   process substrate with no production caller), ``repro.parallel.shm``
   and :mod:`multiprocessing.shared_memory` (staging a whole operand for
-  the process pool, when every job reads only its own slice), and
+  the process pool, when every job reads only its own slice),
   ``repro.compress.plan`` (a second setup cache over ``hierarchy_for``)
-  are gone and must not be imported back into being — not even by
+  and ``repro.cluster.partition`` (a second partitioner, by a modelled
+  memory budget; ``plan_shards`` is the one partitioning) are gone and must not be imported back into being — not even by
   ``repro.parallel``.
 
 * Nothing under ``repro`` outside ``repro.parallel`` imports
@@ -110,6 +111,11 @@ FORBIDDEN = (
         "repro",
         "repro.compress.plan",
         "the plan cache is deleted; hierarchy_for is the one setup cache",
+    ),
+    (
+        "repro",
+        "repro.cluster.partition",
+        "the memory-budget partitioner is deleted; plan_shards is the one partitioning",
     ),
     *(
         ("repro", gone, "the SPMD fabric and its shim are deleted; partitions "

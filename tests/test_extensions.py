@@ -1,9 +1,8 @@
-"""Tests for the extension modules: offload, block partitioning, time series."""
+"""Tests for the extension modules: offload and time series."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.partition import BlockRefactorer, plan_blocks
 from repro.compress.timeseries import TimeSeriesCompressor
 from repro.core.grid import TensorHierarchy
 from repro.gpu.device import RTX2080TI, V100
@@ -39,67 +38,6 @@ class TestOffload:
         nv = offload_analysis([(1025, 1025)], device=V100)[0]
         pcie = offload_analysis([(1025, 1025)], device=RTX2080TI)[0]
         assert nv.transfer_seconds < pcie.transfer_seconds
-
-
-class TestBlockPartitioning:
-    def test_plan_covers_grid(self):
-        plan = plan_blocks((1000, 64), memory_bytes=2 * 100 * 64 * 8)
-        assert plan.starts[0] == 0 and plan.stops[-1] == 1000
-        for a, b in zip(plan.stops[:-1], plan.starts[1:]):
-            assert a == b  # contiguous, non-overlapping
-
-    def test_no_single_row_tail(self):
-        plan = plan_blocks((101, 8), memory_bytes=2 * 50 * 8 * 8)
-        assert all(stop - start >= 2 for start, stop in zip(plan.starts, plan.stops))
-
-    def test_single_block_when_it_fits(self):
-        plan = plan_blocks((64, 64), memory_bytes=10**9)
-        assert plan.n_blocks == 1
-
-    def test_impossible_budget(self):
-        with pytest.raises(MemoryError):
-            plan_blocks((100, 1000), memory_bytes=100)
-        with pytest.raises(ValueError):
-            plan_blocks((100, 10), memory_bytes=0)
-
-    def test_blockwise_roundtrip_lossless(self, rng):
-        shape = (130, 33)
-        data = rng.standard_normal(shape)
-        br = BlockRefactorer(shape, memory_bytes=2 * 40 * 33 * 8)
-        assert br.n_blocks >= 3
-        rt = br.recompose(br.decompose(data))
-        np.testing.assert_allclose(rt, data, atol=1e-9)
-
-    def test_blocks_respect_budget(self):
-        budget = 2 * 40 * 33 * 8 + 4 * (40 + 33) * 8
-        br = BlockRefactorer((130, 33), memory_bytes=budget)
-        assert br.peak_block_footprint() <= budget * 1.1
-
-    def test_per_block_classes(self, rng):
-        shape = (64, 17)
-        data = rng.standard_normal(shape)
-        br = BlockRefactorer(shape, memory_bytes=2 * 20 * 17 * 8)
-        blocks = br.refactor(data)
-        assert len(blocks) == br.n_blocks
-        # reassembling every block's full reconstruction gives the data
-        out = np.empty(shape)
-        for i, cc in enumerate(blocks):
-            out[br.plan.slices(i)] = cc.reconstruct()
-        np.testing.assert_allclose(out, data, atol=1e-9)
-
-    def test_shape_validation(self, rng):
-        br = BlockRefactorer((64, 17), memory_bytes=10**9)
-        with pytest.raises(ValueError):
-            br.decompose(rng.standard_normal((64, 16)))
-
-    def test_metered_engine_accumulates_across_blocks(self):
-        """Modeled time of a blocked refactoring: one ``model_pass`` per block."""
-        from repro.gpu.analytic import model_pass
-
-        br = BlockRefactorer((130, 33), memory_bytes=2 * 40 * 33 * 8)
-        per_block = [model_pass(h, V100) for h in br.hiers]
-        assert br.n_blocks > 1
-        assert all(p.total_seconds > 0 and p.n_launches > 1 for p in per_block)
 
 
 class TestTimeSeries:

@@ -6,7 +6,7 @@ from repro.core.grid import TensorHierarchy
 from repro.gpu.analytic import model_pass, model_pass_shape
 from repro.gpu.cost import cpu_kernel_time, gpu_kernel_time
 from repro.gpu.device import POWER9_CORE, V100
-from repro.gpu.memory import MemoryTracker, refactoring_footprint
+from repro.gpu.memory import refactoring_footprint
 from repro.gpu.streams import StreamScheduler, stream_sweep
 from repro.kernels.launches import (
     CPU_BASELINE_OPTIONS,
@@ -14,40 +14,6 @@ from repro.kernels.launches import (
     category_of,
     iter_decompose_launches,
 )
-
-
-class TestMemoryTracker:
-    def test_alloc_free_peak(self):
-        t = MemoryTracker()
-        t.alloc("a", 100)
-        t.alloc("b", 50)
-        assert t.current == 150 and t.peak == 150
-        t.free("a")
-        t.alloc("c", 10)
-        assert t.current == 60 and t.peak == 150
-        assert t.total_allocated == 160
-
-    def test_capacity_enforced(self):
-        t = MemoryTracker(capacity_bytes=100)
-        t.alloc("a", 90)
-        with pytest.raises(MemoryError):
-            t.alloc("b", 20)
-
-    def test_duplicate_name_rejected(self):
-        t = MemoryTracker()
-        t.alloc("a", 1)
-        with pytest.raises(ValueError):
-            t.alloc("a", 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryTracker().alloc("a", -1)
-
-    def test_reset(self):
-        t = MemoryTracker()
-        t.alloc("a", 10)
-        t.reset()
-        assert t.current == 0 and t.peak == 0 and not t.live_allocations()
 
 
 class TestFootprint:

@@ -543,6 +543,25 @@ class TestImportBoundaryRule:
         assert all("hierarchy_for is the one setup cache" in f["message"]
                    for f in doc["findings"])
 
+    def test_block_partitioner_stays_deleted(self, tmp_path, capsys):
+        make_tree(tmp_path, {
+            "src/repro/io/stream.py": "import repro.cluster.partition\n",
+            "src/repro/io/workflow.py": """
+                def shard_plan():
+                    from repro.cluster.partition import plan_blocks
+            """,
+            # no exemption: not even the cluster package brings it back
+            "src/repro/cluster/sharded.py": "from .partition import BlockPlan\n",
+        })
+        code, doc = lint_json(tmp_path, "--rules", "import-boundary", capsys=capsys)
+        assert code == 1
+        assert sorted(f["path"] for f in doc["findings"]) == [
+            "src/repro/cluster/sharded.py", "src/repro/io/stream.py",
+            "src/repro/io/workflow.py",
+        ]
+        assert all("plan_shards is the one partitioning" in f["message"]
+                   for f in doc["findings"])
+
     def test_only_frame_packs_container_frames(self, tmp_path, capsys):
         make_tree(tmp_path, {
             "src/repro/io/container.py": "import struct\n",

@@ -1,94 +1,39 @@
 """Shard-parallel compression: partition planning, round-trips, streams.
 
-Covers PR 5's tentpole and bugfix satellites:
-
-* ``plan_blocks`` regressions — the self-defeating 1-row guard
-  (``shape=(3,4,4)`` with a 2-row budget used to emit a *leading*
-  1-row block) and the now-implemented ``2^k+1`` row-count preference;
-* :class:`~repro.cluster.sharded.ShardedCompressor` round-trips on
+* ``plan_shards`` balanced splits and the shard tolerance accounting;
+* ``plan_shards`` → ``encode_shards`` → ``decode_shard`` round-trips on
   adversarial inputs (non-``2^k+1`` row counts, shard counts >= 3,
-  float32 frames, tolerances near machine epsilon);
+  1-row shards, float32 frames, tolerances near machine epsilon);
 * byte-identity of shard containers across the serial/thread/process
-  executor backends, shm staging included;
+  executor backends;
 * sharded streams: manifest shard tables, ``read_region`` decoding
-  only the covering shards (decode-call spy), the sharded pipeline
-  chain, and the CLI surface.
+  only the covering shards (decode-call spy), typed errors from the
+  reader's shard methods, the sharded pipeline chain, and the CLI
+  surface.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from repro.cluster.partition import BlockRefactorer, plan_blocks
 from repro.cluster.sharded import (
     ShardCodec,
-    ShardedCompressor,
     decode_shard,
     encode_shards,
     plan_shards,
     shard_tolerance,
 )
+from repro.core.classes import reconstruct_from_classes
+from repro.core.grid import hierarchy_for
+from repro.gpu.analytic import model_pass
+from repro.gpu.device import V100
+from repro.io.container import read_refactored_stream
 from repro.io.stream import StepStreamReader, StepStreamWriter, StreamError
 
 
 def _block_sizes(plan):
     return [b - a for a, b in zip(plan.starts, plan.stops)]
-
-
-class TestPlanBlocksRegressions:
-    def test_no_self_defeating_one_row_guard(self):
-        # (3,4,4) with a 2-row budget: the old guard emitted 0:1, 1:3 —
-        # *creating* a leading 1-row block while avoiding a trailing one
-        plan = plan_blocks((3, 4, 4), memory_bytes=2 * 2 * 16 * 8)
-        assert _block_sizes(plan) == [2, 1]
-        assert plan.starts[0] == 0 and plan.stops[-1] == 3
-
-    def test_unavoidable_one_row_block_roundtrips(self, rng):
-        # n0 odd with a 2-row budget: a 1-row block cannot be avoided,
-        # so it must reconstruct losslessly instead of erroring
-        shape = (3, 4, 4)
-        br = BlockRefactorer(shape, memory_bytes=2 * 2 * 16 * 8)
-        assert min(_block_sizes(br.plan)) == 1
-        data = rng.standard_normal(shape)
-        np.testing.assert_allclose(
-            br.recompose(br.decompose(data)), data, atol=1e-9
-        )
-
-    @pytest.mark.parametrize(
-        "n0,max_rows",
-        [(4, 3), (101, 50), (7, 2), (9, 4), (12, 5), (1000, 100)],
-    )
-    def test_no_avoidable_sub2_blocks(self, n0, max_rows):
-        plan = plan_blocks((n0, 8), memory_bytes=2 * max_rows * 8 * 8)
-        sizes = _block_sizes(plan)
-        assert sum(sizes) == n0
-        assert all(a == b for a, b in zip(plan.stops[:-1], plan.starts[1:]))
-        assert max(sizes) <= max_rows
-        if 2 * math.ceil(n0 / max_rows) <= n0:
-            # a partition with every block >= 2 rows exists: emit one
-            assert min(sizes) >= 2, sizes
-
-    def test_power_of_two_plus_one_preference(self):
-        # budget of 40 rows: 33 = 2^5+1 keeps >75% of it, so blocks snap
-        plan = plan_blocks((200, 8), memory_bytes=2 * 40 * 8 * 8)
-        sizes = _block_sizes(plan)
-        assert sizes.count(33) >= len(sizes) - 1
-        # budget of 50: snapping to 33 would lose >=25%, so no snap
-        plan = plan_blocks((200, 8), memory_bytes=2 * 50 * 8 * 8)
-        assert max(_block_sizes(plan)) == 50
-
-    def test_snap_never_exceeds_budget(self):
-        for max_rows in range(2, 70):
-            plan = plan_blocks((500, 4), memory_bytes=2 * max_rows * 4 * 8)
-            assert max(_block_sizes(plan)) <= max_rows
-
-    def test_no_snap_when_grid_fits_whole(self):
-        # 10 rows in a huge budget must stay one block — snapping to 9
-        # would manufacture a split no footprint requires
-        plan = plan_blocks((10, 4, 4), memory_bytes=1e9)
-        assert _block_sizes(plan) == [10]
 
 
 class TestShardPlanning:
@@ -103,12 +48,49 @@ class TestShardPlanning:
         with pytest.raises(ValueError):
             plan_shards((8, 4), 9)
 
+    @pytest.mark.parametrize(
+        "n0,n_shards",
+        [(4, 3), (101, 50), (7, 2), (9, 4), (12, 5), (1000, 100), (3, 3), (17, 1)],
+    )
+    def test_plan_invariants(self, n0, n_shards):
+        plan = plan_shards((n0, 8), n_shards)
+        sizes = _block_sizes(plan)
+        assert plan.shape == (n0, 8) and plan.n_blocks == n_shards
+        assert plan.starts[0] == 0 and plan.stops[-1] == n0
+        assert all(a == b for a, b in zip(plan.stops[:-1], plan.starts[1:]))
+        # balanced, larger shards first
+        assert max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+        if 2 * n_shards <= n0:
+            # every shard can keep >= 2 rows, so none is left with one
+            assert min(sizes) >= 2, sizes
+
+    def test_single_shard_is_whole_grid(self):
+        plan = plan_shards([10, 4, 4], 1)
+        assert plan.shape == (10, 4, 4)
+        assert (plan.starts, plan.stops) == ((0,), (10,))
+
     def test_shard_tolerance_is_identity_for_linf(self):
         assert shard_tolerance(1e-3, 7) == 1e-3
         with pytest.raises(ValueError):
             shard_tolerance(0.0, 2)
         with pytest.raises(ValueError):
             shard_tolerance(1e-3, 0)
+
+
+def _roundtrip(data, n_shards, tol=None, backend="zlib"):
+    """``plan_shards`` → ``encode_shards`` → ``decode_shard`` per shard,
+    placed by the plan; returns ``(plan, reconstruction)``."""
+    plan = plan_shards(data.shape, n_shards)
+    tol = None if tol is None else shard_tolerance(tol, n_shards)
+    codec = ShardCodec(tol=tol, backend=backend)
+    payloads = encode_shards(data, plan, codec, "serial")
+    out = np.empty(data.shape)
+    for payload, a, b in zip(payloads, plan.starts, plan.stops, strict=True):
+        block = decode_shard(payload, codec.payload_mode)
+        assert block.shape == (b - a,) + data.shape[1:]
+        out[a:b] = block
+    return plan, out
 
 
 class TestShardedRoundTrip:
@@ -119,61 +101,82 @@ class TestShardedRoundTrip:
         shape = (19, 7, 6)
         data = rng.standard_normal(shape)
         tol = 1e-3 * float(data.max() - data.min())
-        sc = ShardedCompressor(shape, tol, n_shards=n_shards, backend=backend)
-        frame = sc.compress(data)
-        assert frame.n_shards == n_shards
-        out = sc.decompress(frame)
+        plan, out = _roundtrip(data, n_shards, tol, backend)
+        assert plan.n_blocks == n_shards
         assert float(np.abs(out - data).max()) <= tol
 
     def test_float32_input(self, rng):
         shape = (12, 9, 9)
         data = rng.standard_normal(shape).astype(np.float32)
         tol = 1e-4 * float(data.max() - data.min())
-        sc = ShardedCompressor(shape, tol, n_shards=3)
-        out = sc.decompress(sc.compress(data))
+        _, out = _roundtrip(data, 3, tol)
         assert float(np.abs(out - data.astype(np.float64)).max()) <= tol
 
     def test_tol_near_machine_epsilon(self, rng):
-        shape = (9, 5, 5)
-        data = rng.standard_normal(shape)
+        data = rng.standard_normal((9, 5, 5))
         tol = 1e-13
-        sc = ShardedCompressor(shape, tol, n_shards=3, backend="huffman")
-        out = sc.decompress(sc.compress(data))
+        _, out = _roundtrip(data, 3, tol, "huffman")
         assert float(np.abs(out - data).max()) <= tol
 
     def test_refactored_shards_lossless(self, rng):
-        shape = (14, 8, 8)
-        data = rng.standard_normal(shape)
-        sc = ShardedCompressor(shape, None, n_shards=4)
-        out = sc.decompress(sc.compress(data))
+        data = rng.standard_normal((14, 8, 8))
+        _, out = _roundtrip(data, 4)
         np.testing.assert_allclose(out, data, atol=1e-9)
 
-    def test_memory_budget_planning(self, rng):
-        shape = (40, 8, 8)
+    @pytest.mark.parametrize("tol,backend", [
+        (None, "zlib"), (1e-3, "zlib"), (1e-3, "huffman"),
+        (1e-13, "zlib"), (1e-13, "huffman"),
+    ])
+    @pytest.mark.parametrize("shape,n_shards", [((3, 4, 4), 3), ((7, 5, 6), 4)])
+    def test_one_row_shards_roundtrip(self, rng, shape, n_shards, tol, backend):
+        # a 1-row shard cannot coarsen along axis 0, but it must still
+        # reconstruct losslessly (refactored) and honour the error bound
         data = rng.standard_normal(shape)
-        sc = ShardedCompressor(shape, None, memory_bytes=2 * 10 * 64 * 8)
-        assert sc.n_shards >= 4
-        np.testing.assert_allclose(
-            sc.decompress(sc.compress(data)), data, atol=1e-9
-        )
+        plan, out = _roundtrip(data, n_shards, tol, backend)
+        assert min(_block_sizes(plan)) == 1
+        if tol is None:
+            np.testing.assert_allclose(out, data, atol=1e-9)
+        else:
+            assert float(np.abs(out - data).max()) <= tol
 
-    def test_exactly_one_partition_spec(self):
-        with pytest.raises(ValueError):
-            ShardedCompressor((8, 8), 1e-3)
-        with pytest.raises(ValueError):
-            ShardedCompressor((8, 8), 1e-3, n_shards=2, memory_bytes=1e9)
+    def test_refactored_shards_hold_their_own_classes(self, rng):
+        # each refactored shard is a full coefficient-class set of its
+        # own hierarchy; recomposing every shard's classes gives the data
+        data = rng.standard_normal((64, 17))
+        plan = plan_shards(data.shape, 3)
+        payloads = encode_shards(data, plan, ShardCodec(tol=None), "serial")
+        out = np.empty(data.shape)
+        for payload, a, b in zip(payloads, plan.starts, plan.stops, strict=True):
+            hier = hierarchy_for((b - a,) + data.shape[1:])
+            _, classes = read_refactored_stream(payload)
+            assert len(classes) == hier.L + 1
+            out[a:b] = reconstruct_from_classes(classes, hier)
+        np.testing.assert_allclose(out, data, atol=1e-9)
+
+    def test_encode_rejects_wrong_shape(self, rng):
+        plan = plan_shards((64, 17), 2)
+        with pytest.raises(ValueError, match="expected shape"):
+            encode_shards(rng.standard_normal((64, 16)), plan, ShardCodec(), "serial")
+
+    def test_modeled_pass_per_shard(self):
+        """Modeled time of a sharded refactoring: one ``model_pass`` per
+        shard hierarchy, each a multi-launch pass."""
+        plan = plan_shards((130, 33), 4)
+        per_shard = [
+            model_pass(hierarchy_for((b - a, 33)), V100)
+            for a, b in zip(plan.starts, plan.stops)
+        ]
+        assert all(p.total_seconds > 0 and p.n_launches > 1 for p in per_shard)
 
     def test_global_bound_tightness_across_shards(self, rng):
         # each shard gets the *full* L-inf budget (disjoint domains):
         # shard errors must not be forced to sum below tol
-        shape = (18, 9, 9)
-        data = rng.standard_normal(shape)
+        data = rng.standard_normal((18, 9, 9))
         tol = 1e-3
-        sc = ShardedCompressor(shape, tol, n_shards=3)
-        out = sc.decompress(sc.compress(data))
+        plan, out = _roundtrip(data, 3, tol)
         per_shard = [
             float(np.abs(out[a:b] - data[a:b]).max())
-            for a, b in zip(sc.plan.starts, sc.plan.stops)
+            for a, b in zip(plan.starts, plan.stops)
         ]
         assert max(per_shard) <= tol
 
@@ -305,6 +308,26 @@ class TestShardedStreams:
         # random access in arbitrary order
         for t in (2, 0, 1):
             assert float(np.abs(reader.read_step(t) - frames[t]).max()) <= bound
+
+    @pytest.mark.parametrize("n_shards,call,match", [
+        (None, lambda r: r.shards_covering(), "needs a sharded stream"),
+        (None, lambda r: r.read_shard(0, 0), "needs a sharded stream"),
+        (None, lambda r: list(r.shard_pieces(0, None, r.read_shard)), "needs a sharded"),
+        (3, lambda r: r.read_shard(0, 3), r"shard 3 out of range \[0, 3\)"),
+        (3, lambda r: r.read_shard(0, -1), r"shard -1 out of range \[0, 3\)"),
+    ], ids=["covering-unsharded", "read-unsharded", "pieces-unsharded",
+            "read-past-end", "read-negative"])
+    def test_shard_methods_raise_typed_errors(self, frames, tmp_path, n_shards, call, match):
+        # a caller's bad argument, not file corruption: raised before any
+        # step file is opened, so deleting them changes nothing
+        root = tmp_path / "stream"
+        writer = StepStreamWriter(root, frames[0].shape, tol=1e-3, shards=n_shards)
+        writer.append(frames[0])
+        reader = StepStreamReader(root)
+        for s in reader.steps:
+            (root / s["file"]).unlink()
+        with pytest.raises(StreamError, match=match):
+            call(reader)
 
     def test_reopen_requires_same_sharding(self, frames, tmp_path):
         root = tmp_path / "stream"
