@@ -23,22 +23,22 @@ def main() -> None:
     cc = Refactorer(shape).refactor(field)
     sizes = [c.nbytes for c in cc.classes]
 
-    storage = TieredStorage([NVME_TIER, ALPINE_PFS, ARCHIVE_TIER])
+    model = TieredStorage([NVME_TIER, ALPINE_PFS, ARCHIVE_TIER])
     # pretend the fast tier only has room for ~2% of the dataset
     budget = int(0.02 * sum(sizes))
-    placement = storage.place_classes(sizes, fast_budget_bytes=budget)
+    placement = model.place_classes(sizes, fast_budget_bytes=budget)
 
     print(f"dataset: {sum(sizes) / 1e3:.1f} KB in {len(sizes)} classes; "
           f"fast-tier budget {budget / 1e3:.1f} KB\n")
     print(f"{'class':>5} {'bytes':>9} {'tier':<16}")
     for l, (nbytes, tier) in enumerate(zip(sizes, placement)):
-        print(f"{l:>5} {nbytes:>9} {storage.tiers[tier].name:<16}")
+        print(f"{l:>5} {nbytes:>9} {model.tiers[tier].name:<16}")
 
     # two consumers with different accuracy needs (the paper's routine 1
     # vs routine 2): the coarse consumer never touches slow tiers
     n_readers = 64
     for k, label in ((3, "routine 1 (coarse)"), (len(sizes), "routine 2 (full)")):
-        t = storage.read_seconds(sizes, placement, n_processes=n_readers, k=k)
+        t = model.read_seconds(sizes, placement, n_processes=n_readers, k=k)
         approx = cc.reconstruct(k)
         err = float(np.abs(approx - field).max())
         print(

@@ -21,9 +21,7 @@ from .huffman import (
 )
 from .lossless import (
     BACKENDS,
-    decode_bins,
     decode_classes,
-    encode_bins,
     encode_classes,
     materialize_classes_header,
 )
@@ -48,9 +46,7 @@ __all__ = [
     "available_workers",
     "build_code",
     "code_from_table",
-    "decode_bins",
     "decode_classes",
-    "encode_bins",
     "encode_classes",
     "get_executor",
     "huffman_decode",

@@ -52,8 +52,6 @@ from .huffman import (
 )
 
 __all__ = [
-    "encode_bins",
-    "decode_bins",
     "encode_classes",
     "decode_classes",
     "materialize_classes_header",
@@ -90,22 +88,6 @@ def _narrow_dtype(values: np.ndarray) -> np.dtype:
         if info.min <= lo and hi <= info.max:
             return np.dtype(dt)
     raise AssertionError("int64 always fits")  # pragma: no cover
-
-
-def encode_bins(values: np.ndarray, backend: str = "zlib", level: int = 6) -> tuple[bytes, dict]:
-    """Losslessly encode an int64 bin array; returns (payload, header)."""
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    if backend == "zlib":
-        dt = _narrow_dtype(values)
-        raw = values.astype(dt).tobytes()
-        payload = zlib.compress(raw, level)
-        header = {"backend": "zlib", "dtype": dt.str, "n": int(values.size)}
-        return payload, header
-    if backend == "huffman":
-        payload, hh = huffman_encode(values)
-        hh["backend"] = "huffman"
-        return payload, hh
-    raise ValueError(f"unknown lossless backend {backend!r}; choose from {BACKENDS}")
 
 
 # ----------------------------------------------------------------------
@@ -456,6 +438,8 @@ def decode_classes(
             f"header has {len(segs)} segments for {len(sizes)} classes"
         )
     backend = header.get("backend")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown lossless backend {backend!r}; choose from {BACKENDS}")
     executor = executor or _INLINE
     extents = _segment_extents(segs, len(payload))
     out = np.empty(sum(sizes), dtype=np.int64)
@@ -510,18 +494,3 @@ def decode_classes(
     executor.map(decode_one, range(len(segs)))
     return out, sizes
 
-
-def decode_bins(payload: bytes, header: dict) -> np.ndarray:
-    """Invert :func:`encode_bins`."""
-    backend = header.get("backend")
-    if backend == "zlib":
-        raw = zlib.decompress(payload)
-        values = np.frombuffer(raw, dtype=np.dtype(header["dtype"]))
-        if values.size != header["n"]:
-            raise ValueError(
-                f"decoded {values.size} values, expected {header['n']}"
-            )
-        return values.astype(np.int64)
-    if backend == "huffman":
-        return huffman_decode(payload, header)
-    raise ValueError(f"unknown lossless backend {backend!r}")

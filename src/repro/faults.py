@@ -130,10 +130,6 @@ SITES = {
     "fileio.read.payload": "corrupt a compressed-payload read",
     "sharded.encode.shard": "error/delay inside one shard encode",
     "executor.process.map": "kill pool workers mid-batch",
-    "storage.tier.put": "error/delay one tier-backend object put",
-    "storage.tier.pre_tmp": "crash before a tier object/index tmp exists",
-    "storage.tier.post_tmp": "crash after a tier tmp write, pre rename",
-    "storage.tier.file": "corrupt a published tier object or index",
 }
 
 

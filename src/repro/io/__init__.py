@@ -5,7 +5,6 @@ from .container import (
     RefactoredFileReader,
     RefactoredFileWriter,
     ShardedFileReader,
-    container_extents,
     read_refactored_stream,
     write_refactored,
     write_sharded_stream,
@@ -24,8 +23,6 @@ from .storage import (
     ALPINE_PFS,
     ARCHIVE_TIER,
     NVME_TIER,
-    LocalTierStore,
-    StorageError,
     StorageTier,
     TieredStorage,
 )
@@ -44,7 +41,6 @@ __all__ = [
     "ARCHIVE_TIER",
     "ContainerError",
     "LifecycleOutcome",
-    "LocalTierStore",
     "DemoResult",
     "MeasuredPipeline",
     "NVME_TIER",
@@ -57,12 +53,10 @@ __all__ = [
     "ShardedStep",
     "StepStreamReader",
     "StepStreamWriter",
-    "StorageError",
     "StorageTier",
     "StreamError",
     "TieredStorage",
     "WorkflowPoint",
-    "container_extents",
     "model_workflow",
     "read_refactored_stream",
     "run_streaming_pipeline",

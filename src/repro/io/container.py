@@ -42,7 +42,6 @@ __all__ = [
     "RefactoredFileWriter",
     "RefactoredFileReader",
     "ShardedFileReader",
-    "container_extents",
     "write_refactored",
     "write_refactored_stream",
     "read_refactored_stream",
@@ -229,41 +228,6 @@ def read_refactored_stream(data, verify: bool = True) -> tuple[dict, list[np.nda
     """
     fr = frame.parse(data, want=frame.RPRC)
     return fr.header, _classes(fr, verify=verify)
-
-
-def container_extents(payload) -> tuple[int, list[dict]]:
-    """Dissect container bytes into (payload offset, extent table).
-
-    The seam tiered placement splits a serialized step along: a sharded
-    ``RPSH`` container yields one extent per shard segment, a
-    refactored ``RPRC`` container one per coefficient class, and any
-    other payload (e.g. an ``.mgz`` compressed blob) a single opaque
-    extent.  Extent offsets are relative to the payload start, cover it
-    exactly and in order, so prepending ``payload[:payload_start]`` to
-    the concatenated extents reproduces the container byte-for-byte.
-
-    Each row is ``{"name", "offset", "nbytes"}``; names follow the
-    header's table (``shard 0`` … / ``class 0`` …, ``payload`` for
-    opaque blobs).
-    """
-    view = memoryview(payload)
-    if bytes(view[: len(frame.RPRC)]) not in (frame.RPSH, frame.RPRC):
-        return 0, [{"name": "payload", "offset": 0, "nbytes": len(view)}]
-    fr = frame.parse(view)
-    extents = []
-    covered = 0
-    for i in range(len(fr.rows)):
-        offset, nbytes, _ = fr.row(i)
-        if offset != covered:
-            break
-        extents.append({"name": f"{fr.label} {i}", "offset": offset, "nbytes": nbytes})
-        covered += nbytes
-    if len(extents) != len(fr.rows) or fr.payload_start + covered != fr.size:
-        raise ContainerError(
-            f"container extents tile {covered} payload bytes in order, "
-            f"file has {fr.size - fr.payload_start}"
-        )
-    return fr.payload_start, extents
 
 
 # ----------------------------------------------------------------------

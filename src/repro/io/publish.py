@@ -1,11 +1,10 @@
 """The one durable-commit primitive of the I/O layer.
 
 Every file this package publishes — stream step containers, the stream
-manifest, standalone refactored containers, the tier store's objects
-and index — lands through :func:`atomic_publish`: a collision-free temp
-write followed by an atomic ``os.replace``, so a concurrent reader (or
-a crash at any instruction) never observes a half-written file under
-the final name.  The ``atomic-publish`` repro-lint rule enforces that
+manifest, standalone refactored containers — lands through
+:func:`atomic_publish`: a collision-free temp write followed by an
+atomic ``os.replace``, so a concurrent reader (or a crash at any
+instruction) never observes a half-written file under the final name.  The ``atomic-publish`` repro-lint rule enforces that
 no other function in ``repro/io`` creates or overwrites a file at all.
 
 Extracted from ``repro.io.stream`` (which re-exports it) so
@@ -54,8 +53,7 @@ def atomic_publish(dst: Path, payload: bytes, durability: str, site: str) -> Non
     """Publish ``payload`` at ``dst`` via unique-temp write + atomic rename.
 
     The one commit primitive of the I/O layer (stream step files, the
-    manifest, standalone containers and tier-store objects all go
-    through it).
+    manifest and standalone containers all go through it).
     ``durability="fsync"`` fsyncs the temp file before the rename and
     the parent directory after it, so a completed publish survives
     power loss; ``"rename"`` (the default) guarantees only atomicity —
@@ -65,7 +63,7 @@ def atomic_publish(dst: Path, payload: bytes, durability: str, site: str) -> Non
     (stale temp left behind).  A fault-injected crash leaves the same
     artifacts a real ``kill -9`` would.
     """
-    # reprolint: site stream.step.pre_tmp stream.manifest.pre_tmp container.write.pre_tmp storage.tier.pre_tmp
+    # reprolint: site stream.step.pre_tmp stream.manifest.pre_tmp container.write.pre_tmp
     faults.crash_point(f"{site}.pre_tmp")
     tmp = unique_tmp(dst)
     with open(tmp, "wb") as f:
@@ -73,10 +71,10 @@ def atomic_publish(dst: Path, payload: bytes, durability: str, site: str) -> Non
         if durability == "fsync":
             f.flush()
             os.fsync(f.fileno())
-    # reprolint: site stream.step.post_tmp stream.manifest.post_tmp container.write.post_tmp storage.tier.post_tmp
+    # reprolint: site stream.step.post_tmp stream.manifest.post_tmp container.write.post_tmp
     faults.crash_point(f"{site}.post_tmp")
     os.replace(tmp, dst)  # atomic on POSIX
     if durability == "fsync":
         fsync_dir(dst.parent)
-    # reprolint: site stream.step.file stream.manifest.file container.write.file storage.tier.file
+    # reprolint: site stream.step.file stream.manifest.file container.write.file
     faults.corrupt_file(f"{site}.file", dst)

@@ -283,15 +283,6 @@ class StepStreamWriter:
         code-book chain — every shard container is self-contained), so
         the per-step L∞ bound still holds and any step decodes without
         replaying a chain.
-    tier_store / tier_fast_budget:
-        A :class:`~repro.io.storage.LocalTierStore` makes every commit
-        *also* place the step's container across the store's directory
-        tiers — shard/class extents routed by the placement policy over
-        ``tier_fast_budget`` bytes of fast tier (``None``: whatever
-        remains of tier 0's budget) — and records the landed tiers in
-        the manifest entry's ``tiers`` field.  The stream directory
-        stays the canonical copy; the tier store is the executed
-        Fig. 1 placement, byte-identical on reassembly.
     """
 
     def __init__(
@@ -304,19 +295,16 @@ class StepStreamWriter:
         key_interval: int = 16,
         mode: str = "level",
         executor=None,
-        reuse_codebooks: bool = True,
         shards: int | None = None,
         durability: str = "rename",
-        tier_store=None,
-        tier_fast_budget: int | None = None,
     ):
         if durability not in _DURABILITY_LEVELS:
             raise ValueError(
                 f"unknown durability {durability!r}; choose from {_DURABILITY_LEVELS}"
             )
+        if shards is not None and shards < 1:
+            raise ValueError(f"shards must be None or >= 1, got {shards}")
         self.durability = durability
-        self._tier_store = tier_store
-        self._tier_fast_budget = tier_fast_budget
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         # sweep a crashed predecessor's half-written temp files: no
@@ -355,7 +343,6 @@ class StepStreamWriter:
                 mode=mode,
                 backend=backend,
                 executor=executor,
-                reuse_codebooks=reuse_codebooks,
             )
         self._manifest_path = self.root / _MANIFEST
         self._steps: list = []
@@ -618,20 +605,7 @@ class StepStreamWriter:
             self.root / prep.name, prep.payload, self.durability, "stream.step"
         )
         faults.crash_point("stream.commit.post_rename")
-        entry = {"file": prep.name, **prep.entry}
-        if self._tier_store is not None:
-            # executed tiered placement: the step's shard/class extents
-            # move through the store's directory tiers per the policy;
-            # the manifest records where each extent landed
-            record = self._tier_store.place_container(
-                f"steps/{prep.name}", prep.payload,
-                fast_budget_bytes=self._tier_fast_budget,
-            )
-            entry["tiers"] = {
-                "header": record["header_tier"],
-                "extents": [[e["name"], e["tier"]] for e in record["extents"]],
-            }
-        self._steps.append(entry)
+        self._steps.append({"file": prep.name, **prep.entry})
         self._flush_manifest()
         return prep.index
 
@@ -876,6 +850,9 @@ class StepStreamReader:
             meta = self._meta(step)
         if tol is not None:
             k = self.classes_needed(step, tol)
+        n = len(meta["class_bytes"])
+        if not 1 <= k <= n:
+            raise StreamError(f"k must be in [1, {n}], got {k}")
         return self._decode_step(step, meta, k=k), sum(meta["class_bytes"][:k])
 
     def read_full(self, step: int) -> CoefficientClasses:

@@ -2,18 +2,17 @@
 
 PR 6 closed the torn-manifest window by funnelling every stream-layer
 publish through ``atomic_publish`` (unique temp + ``os.replace``, crash
-points, corruption site), and the storage tier now publishes through it
-too.  One raw ``open(path, "wb")`` in ``repro/io/`` reopens that
-window: a crash mid ``write()`` leaves a half-file under the *final*
-name, which readers then have to treat as corruption rather than
-absence.
+points, corruption site).  One raw ``open(path, "wb")`` in
+``repro/io/`` reopens that window: a crash mid ``write()`` leaves a
+half-file under the *final* name, which readers then have to treat as
+corruption rather than absence.
 
 Inside ``src/repro/io/`` every file-creating write — ``open`` with a
 ``w``/``a``/``x``/``+`` mode, ``os.fdopen`` likewise, or
 ``Path.write_bytes``/``write_text`` — must sit in the publish primitive
 itself.  A private temp-write + ``os.replace`` copy is flagged like any
-other write: it has no crash points and no stale-temp discipline, which
-is how the tier store's two copies drifted.  Read-only opens are exempt.
+other write: it has no crash points and no stale-temp discipline.
+Read-only opens are exempt.
 """
 
 from __future__ import annotations

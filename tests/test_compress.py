@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compress.huffman import huffman_decode, huffman_encode
-from repro.compress.lossless import decode_bins, encode_bins
+from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.compress.quantizer import Quantizer
 from repro.core.classes import extract_classes
@@ -96,34 +96,52 @@ class TestHuffman:
 
 
 class TestLossless:
+    """One class through the segmented codec every blob uses."""
+
+    @staticmethod
+    def encode(vals, backend="zlib"):
+        return encode_classes(vals, [vals.size], backend=backend)
+
     @pytest.mark.parametrize("backend", ["zlib", "huffman"])
     def test_roundtrip(self, backend, rng):
         vals = rng.integers(-100, 100, 3000).astype(np.int64)
-        p, h = encode_bins(vals, backend=backend)
-        np.testing.assert_array_equal(decode_bins(p, h), vals)
+        p, h = self.encode(vals, backend=backend)
+        np.testing.assert_array_equal(decode_classes(p, h)[0], vals)
 
     def test_zlib_narrows_dtype(self, rng):
         vals = rng.integers(-3, 3, 1000).astype(np.int64)
-        _, h = encode_bins(vals, backend="zlib")
-        assert h["dtype"] == "|i1"
+        _, h = self.encode(vals, backend="zlib")
+        assert h["segments"][0]["dtype"] == "|i1"
 
     def test_zlib_wide_values(self):
         vals = np.array([2**40, -(2**40)], dtype=np.int64)
-        p, h = encode_bins(vals)
-        np.testing.assert_array_equal(decode_bins(p, h), vals)
+        p, h = self.encode(vals)
+        np.testing.assert_array_equal(decode_classes(p, h)[0], vals)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
-            encode_bins(np.zeros(1, dtype=np.int64), backend="lz4")
+            self.encode(np.zeros(1, dtype=np.int64), backend="lz4")
+        p, h = self.encode(np.zeros(1, dtype=np.int64))
         with pytest.raises(ValueError):
-            decode_bins(b"", {"backend": "lz4"})
+            decode_classes(p, {**h, "backend": "lz4"})
+
+    @pytest.mark.parametrize("label", ["lz4", None], ids=["lz4", "missing"])
+    @pytest.mark.parametrize("backend", ["zlib", "huffman"])
+    def test_decode_refuses_unknown_backend(self, backend, label, rng):
+        """A relabelled header is refused before anything is decoded."""
+        p, h = self.encode(rng.integers(-5, 5, 500).astype(np.int64), backend=backend)
+        h = {k: v for k, v in h.items() if k != "backend"}
+        if label is not None:
+            h["backend"] = label
+        with pytest.raises(ValueError, match="unknown lossless backend"):
+            decode_classes(p, h)
 
     def test_count_mismatch_detected(self, rng):
         vals = rng.integers(-3, 3, 100).astype(np.int64)
-        p, h = encode_bins(vals)
-        h["n"] = 99
+        p, h = self.encode(vals)
+        h["class_sizes"] = [99]
         with pytest.raises(ValueError):
-            decode_bins(p, h)
+            decode_classes(p, h)
 
 
 class TestMgard:

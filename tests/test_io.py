@@ -58,6 +58,42 @@ class TestStorageTier:
             TieredStorage([])
 
 
+class TestTierPlacement:
+    """The greedy coarse-to-fine placement and the modeled tier times."""
+
+    def test_class_filling_the_budget_stays_fast(self):
+        ts = TieredStorage([NVME_TIER, ALPINE_PFS])
+        assert ts.place_classes([100, 200], fast_budget_bytes=300) == [0, 0]
+        assert ts.place_classes([100, 200], fast_budget_bytes=299) == [0, 1]
+
+    def test_zero_budget_spills_every_class(self):
+        ts = TieredStorage([NVME_TIER, ALPINE_PFS, ARCHIVE_TIER])
+        assert ts.place_classes([1, 2, 3], fast_budget_bytes=0) == [1, 1, 1]
+
+    def test_single_tier_takes_every_class(self):
+        ts = TieredStorage([ALPINE_PFS])
+        assert ts.place_classes([10**15, 10**15], fast_budget_bytes=0) == [0, 0]
+
+    def test_spilled_tier_budget_is_its_capacity(self):
+        mid = StorageTier("mid", 100.0, 100.0, 1.0, 0.1, capacity_tb=1e-9)  # 1000 B
+        ts = TieredStorage([NVME_TIER, mid, ARCHIVE_TIER])
+        assert ts.place_classes([100, 600, 400, 1], fast_budget_bytes=100) == [0, 1, 1, 2]
+
+    def test_write_time_is_the_slowest_tier(self):
+        ts = TieredStorage([NVME_TIER, ARCHIVE_TIER])
+        sizes = [10**9, 2 * 10**9, 4 * 10**9]
+        placement = [0, 0, 1]
+        expected = max(
+            NVME_TIER.write_seconds(3 * 10**9, 16),
+            ARCHIVE_TIER.write_seconds(4 * 10**9, 16),
+        )
+        assert ts.write_seconds(sizes, placement, n_processes=16) == pytest.approx(expected)
+
+    def test_reading_no_classes_is_free(self):
+        ts = TieredStorage([NVME_TIER, ARCHIVE_TIER])
+        assert ts.read_seconds([10**9, 10**9], [0, 1], n_processes=8, k=0) == 0.0
+
+
 class TestContainer:
     def _cc(self, rng, shape=(33, 17)):
         return Refactorer(shape).refactor(rng.standard_normal(shape))

@@ -381,8 +381,7 @@ class TestAtomicPublishRule:
 
     def test_temp_then_replace_idiom_passes(self, tmp_path, capsys):
         """...in the publish primitive, and only there: a private copy of
-        the idiom (the tier store carried two) is a finding like any
-        other write."""
+        the idiom is a finding like any other write."""
         idiom = """
                 import os
                 def {name}(path, payload):

@@ -1,5 +1,7 @@
 """Tests for streaming I/O (the step stream's refactored mode)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,45 @@ class TestStepStream:
             reader.read(0, k=1, tol=1e-3)
         with pytest.raises(StreamError):
             reader.read(5, k=1)
+
+    @pytest.mark.parametrize("k", [0, -1, 100])
+    def test_read_bad_k_is_a_stream_error(self, tmp_path, rng, k):
+        # a caller's bad argument, not file corruption: refused before
+        # the step file is opened, so deleting it changes nothing
+        writer = StepStreamWriter(tmp_path, (17, 17))
+        writer.append(rng.standard_normal((17, 17)))
+        reader = StepStreamReader(tmp_path)
+        (tmp_path / reader.steps[0]["file"]).unlink()
+        with pytest.raises(StreamError, match=rf"k must be in \[1, 5\], got {k}"):
+            reader.read(0, k=k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_read_k_bounds_accepted(self, tmp_path, rng, k):
+        field = rng.standard_normal((17, 17))
+        writer = StepStreamWriter(tmp_path, (17, 17))
+        writer.append(field)
+        reader = StepStreamReader(tmp_path)
+        out, nbytes = reader.read(0, k=k)
+        assert out.shape == (17, 17)
+        assert nbytes == sum(reader.steps[0]["class_bytes"][:k])
+        if k == 5:
+            np.testing.assert_allclose(out, field, atol=1e-9)
+
+    @pytest.mark.parametrize("tol", [None, 1e-3], ids=["refactored", "compressed"])
+    def test_manifest_steps_record_no_tier_placement(self, tmp_path, rng, tol):
+        writer = StepStreamWriter(tmp_path, (17, 17), tol=tol)
+        for _ in range(2):
+            writer.append(rng.standard_normal((17, 17)))
+        steps = json.loads((tmp_path / "manifest.json").read_text())["steps"]
+        assert len(steps) == 2
+        assert all("tiers" not in s for s in steps)
+        assert [s["file"] for s in steps] == [s["file"] for s in StepStreamReader(tmp_path).steps]
+
+    def test_writer_has_no_reuse_codebooks_option(self, tmp_path):
+        # the writer always reuses code books; the option is gone
+        with pytest.raises(TypeError, match="reuse_codebooks"):
+            StepStreamWriter(tmp_path / "stream", (17, 17), reuse_codebooks=False)
+        assert not (tmp_path / "stream").exists()
 
     def test_reopen_appends(self, tmp_path, rng):
         shape = (17, 17)

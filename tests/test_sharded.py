@@ -329,6 +329,29 @@ class TestShardedStreams:
         with pytest.raises(StreamError, match=match):
             call(reader)
 
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_nonpositive_shards_rejected(self, tmp_path, shards):
+        # None and 1 mean unsharded; anything below 1 is a caller error,
+        # refused before the stream directory exists
+        with pytest.raises(ValueError, match="shards must be None or >= 1"):
+            StepStreamWriter(tmp_path / "stream", (17, 17), shards=shards)
+        assert not (tmp_path / "stream").exists()
+
+    @pytest.mark.parametrize("shards", [None, 1])
+    def test_one_or_no_shards_write_an_unsharded_stream(self, frames, tmp_path, shards):
+        root = tmp_path / "stream"
+        writer = StepStreamWriter(root, frames[0].shape, shards=shards)
+        writer.append(frames[0])
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert "shards" not in manifest
+        assert all("shards" not in s for s in manifest["steps"])
+        reader = StepStreamReader(root)
+        assert reader.shard_bounds is None
+        # the unsharded-only APIs work, so no shard table was written
+        full = reader.read_full(0).reconstruct()
+        assert float(np.abs(full - frames[0]).max()) <= 1e-9
+        assert reader.classes_needed(0, 1e-3) >= 1
+
     def test_reopen_requires_same_sharding(self, frames, tmp_path):
         root = tmp_path / "stream"
         StepStreamWriter(root, frames[0].shape, tol=1e-3, shards=4)
