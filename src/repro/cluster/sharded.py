@@ -99,11 +99,11 @@ def shard_tolerance(tol: float, n_shards: int) -> float:
     visible at the call sites (and because other error norms would need
     a real split here).
     """
+    from ..compress.quantizer import checked_tol
+
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return float(tol)
+    return checked_tol(tol)
 
 
 @dataclass(frozen=True)

@@ -38,16 +38,16 @@ def save_compressed(
     path: str | Path,
     blob: CompressedData,
     coords: tuple[np.ndarray, ...] | None = None,
-    scratch: dict | None = None,
     materialize: bool = True,
 ) -> int:
     """Write a :class:`CompressedData` to disk; returns bytes written.
 
-    Blobs from a code-book-reusing stream reference tables shipped by
-    earlier steps; by default those references are *materialized*
-    (resolved against ``scratch`` — the stream's decode-side chain —
-    and inlined) so the file stays self-contained.  Stream containers
-    that keep their own chain on disk pass ``materialize=False``.
+    By default every segment header is *materialized* — made
+    self-contained — so the file decodes on its own; a blob whose
+    headers reference code books shipped by earlier steps has no chain
+    to resolve them against here, and is refused with ``ValueError``.
+    Stream containers that keep their own chain on disk pass
+    ``materialize=False``.
 
     ``path`` may also be an open binary stream (e.g. ``io.BytesIO``),
     which is how a pipeline's encode stage serializes in memory while a
@@ -55,7 +55,7 @@ def save_compressed(
     """
     headers = blob.headers
     if materialize:
-        headers = [materialize_classes_header(h, scratch) for h in headers]
+        headers = [materialize_classes_header(h) for h in headers]
     header = {
         "shape": list(blob.shape),
         "tol": blob.tol,

@@ -68,6 +68,9 @@ BACKENDS = ("zlib", "huffman")
 # dictionary per block is noise.
 _ZLIB_BLOCK_BYTES = 1 << 18
 
+# the deflate level of every zlib segment (and sub-block)
+_ZLIB_LEVEL = 6
+
 # what ``executor=None`` means to the batched coders: run inline
 _INLINE = SerialExecutor()
 
@@ -121,9 +124,9 @@ def _scratch_lock(scratch: dict) -> threading.Lock:
     """One lock per scratch, guarding its dict *structures*.
 
     Concurrent segment tasks touch disjoint per-class entries, but
-    inserting into a dict while a sibling thread iterates it (the
-    prune scans) is still a structural race — serialized here.  The
-    lock lives in the dict and is never serialized with it.
+    inserting into a dict while a sibling thread iterates it is still
+    a structural race — serialized here.  The lock lives in the dict
+    and is never serialized with it.
     """
     lock = scratch.get("_lock")
     if lock is None:
@@ -176,12 +179,10 @@ def _encode_segment_huffman(
         # rebuild (only the symbol-mapping probe was wasted)
     code = _build_code(seg, 4096, reserve_escape="auto")
     payload, bits, sync = _encode_payload(seg, code)
-    # the header-form table is built once per book and stays on it (the
-    # archive below holds it); the delta is weighed on the books' arrays
-    table = code.table
+    # the delta is weighed on the books' arrays
     delta = None if entry is None or refresh else _delta(entry["code"], code, only_if_smaller=True)
     if delta is None:
-        hh = _header(table, seg.size, bits, sync)
+        hh = _header(code.table, seg.size, bits, sync)
     else:
         hh = _header(None, seg.size, bits, sync)
         hh["table_ref"] = entry["id"]
@@ -194,9 +195,6 @@ def _encode_segment_huffman(
             "code": code,
             "bps": bits / max(seg.size, 1),
         }
-        archive = scratch.setdefault("encode_tables_by_id", {})
-        archive[(class_idx, new_id)] = table
-        _prune_chain(archive, class_idx, new_id)
     return payload, hh
 
 
@@ -204,7 +202,6 @@ def encode_classes(
     bins: np.ndarray,
     sizes: list[int],
     backend: str = "zlib",
-    level: int = 6,
     executor=None,
     scratch: dict | None = None,
     refresh: bool = False,
@@ -247,7 +244,7 @@ def encode_classes(
             raw[a : a + nb].view(dt)[...] = seg
             extents.append(_zlib_extents(a, nb))
         blocks = [raw[a : a + n] for ext in extents for a, n in ext]
-        deflated = executor.map(zlib.compress, blocks, [level] * len(blocks))
+        deflated = executor.map(zlib.compress, blocks, [_ZLIB_LEVEL] * len(blocks))
         payloads = []
         seg_headers = []
         pos = 0
@@ -301,18 +298,6 @@ def _prune_chain(cache: dict, class_idx: int, new_id: int) -> None:
         del cache[k]
 
 
-def _encoder_table(scratch: dict, class_idx: int, ref: int):
-    """Look a reference up in the *encoder's* table archive, if present.
-
-    Lets the scratch that produced a blob also materialize it: every
-    book the encoder ships is archived under its id (windowed like the
-    decode chain), so even a drift-rebuild header — whose ``table_ref``
-    points at the *previous* book — resolves without the caller ever
-    having decoded the stream.
-    """
-    return scratch.get("encode_tables_by_id", {}).get((class_idx, int(ref)))
-
-
 def _resolve_table(seg_header: dict, class_idx: int, scratch: dict | None) -> list:
     """The effective code-book table of one Huffman segment.
 
@@ -333,8 +318,6 @@ def _resolve_table(seg_header: dict, class_idx: int, scratch: dict | None) -> li
                 "given; decode the stream in order from its last key frame"
             )
         base = _tables(scratch).get((class_idx, int(ref)))
-        if base is None:
-            base = _encoder_table(scratch, class_idx, ref)
         if base is None:
             raise ValueError(
                 f"unknown code-book reference {ref} for class {class_idx}; "

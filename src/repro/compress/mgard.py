@@ -41,10 +41,6 @@ class StageTimes:
     quantize_wall: float = 0.0
     entropy_wall: float = 0.0
 
-    @property
-    def total_wall(self) -> float:
-        return self.refactor_wall + self.quantize_wall + self.entropy_wall
-
 
 @dataclass
 class PreparedFrame:
@@ -136,29 +132,10 @@ class MgardCompressor:
         self.executor = get_executor(executor)
 
     # ------------------------------------------------------------------
-    def compress(
-        self,
-        data: np.ndarray,
-        *,
-        scratch: dict | None = None,
-        refresh_codebooks: bool = False,
-        codebook_context: str = "default",
-    ) -> CompressedData:
-        """Compress ``data`` with the configured error bound.
-
-        ``scratch`` (a dict the caller keeps across calls) enables
-        cross-call Huffman code-book reuse in the entropy stage;
-        ``refresh_codebooks=True`` forces a full-table rebuild (key
-        frames), and ``codebook_context`` separates reuse chains whose
-        statistics differ by construction (key frames vs temporal
-        residuals).
-        """
-        return self.encode_prepared(
-            self.prepare(data),
-            scratch=scratch,
-            refresh_codebooks=refresh_codebooks,
-            codebook_context=codebook_context,
-        )
+    def compress(self, data: np.ndarray) -> CompressedData:
+        """Compress ``data`` with the configured error bound: :meth:`prepare`,
+        then :meth:`encode_prepared` with no code-book chain."""
+        return self.encode_prepared(self.prepare(data))
 
     def prepare(self, data: np.ndarray) -> PreparedFrame:
         """Refactor and quantize ``data`` without entropy-coding it.
@@ -200,18 +177,23 @@ class MgardCompressor:
         prep: PreparedFrame,
         *,
         scratch: dict | None = None,
-        refresh_codebooks: bool = False,
-        codebook_context: str = "default",
+        refresh: bool = False,
+        context: str = "default",
     ) -> CompressedData:
         """Entropy-code a :class:`PreparedFrame` into a container.
 
         The stateless half of :meth:`compress`: given the quantized
         bins, the emitted bytes depend only on (``scratch`` chain
-        position, ``refresh_codebooks``, ``codebook_context``) — not on
-        any compressor state — so a pipeline may run it outside the
-        prediction loop.  Calls that share a ``scratch`` (a code-book
-        chain) must still arrive in stream order; an in-order pipeline
-        stage gate provides exactly that.
+        position, ``refresh``, ``context``) — not on any compressor
+        state — so a pipeline may run it outside the prediction loop.
+        ``scratch`` (a dict the caller keeps across calls) enables
+        cross-call Huffman code-book reuse, ``refresh=True`` forces a
+        full-table rebuild (key frames), and ``context`` separates reuse
+        chains whose statistics differ by construction (key frames vs
+        temporal residuals); see :func:`~repro.compress.lossless.encode_classes`.
+        Calls that share a ``scratch`` (a code-book chain) must still
+        arrive in stream order; an in-order pipeline stage gate provides
+        exactly that.
         """
         if prep.shape != self.hier.shape:
             raise ValueError(
@@ -237,8 +219,8 @@ class MgardCompressor:
             backend=self.backend,
             executor=self.executor,
             scratch=scratch,
-            refresh=refresh_codebooks,
-            context=codebook_context,
+            refresh=refresh,
+            context=context,
         )
         times.entropy_wall = time.perf_counter() - t0
 

@@ -37,11 +37,22 @@ from ..core.classes import (CoefficientClasses, assemble_from_classes, class_siz
                             extract_classes, num_classes)
 from ..core.grid import TensorHierarchy
 
-__all__ = ["Quantizer"]
+__all__ = ["Quantizer", "checked_tol"]
 
 # the share of ``tol`` the per-class budgets spend; the rest absorbs the
 # (bounded) cross-level amplification of the recomposition
 _SAFETY = 0.5
+
+
+def checked_tol(tol: float) -> float:
+    """``tol`` as a float; ``ValueError`` unless it is finite and > 0.
+
+    Every constructor that takes an error bound checks it here, before
+    it builds anything (a NaN passes a ``tol <= 0`` test).
+    """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    return float(tol)
 
 
 class Quantizer:
@@ -56,11 +67,9 @@ class Quantizer:
     """
 
     def __init__(self, tol: float, mode: str = "level"):
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
         if mode not in ("uniform", "level"):
             raise ValueError(f"unknown budgeting mode {mode!r}")
-        self.tol = float(tol)
+        self.tol = checked_tol(tol)
         self.mode = mode
 
     # ------------------------------------------------------------------

@@ -106,7 +106,7 @@ class TimeSeriesCompressor:
         just key frames, thanks to closed-loop prediction).
     key_interval:
         A key frame every this many frames (1 = all independent).
-    mode / backend:
+    backend:
         Passed through to the spatial :class:`MgardCompressor`.
     executor:
         Executor (spec string or instance) for the entropy stage's one
@@ -122,7 +122,6 @@ class TimeSeriesCompressor:
         hier: TensorHierarchy,
         tol: float,
         key_interval: int = 16,
-        mode: str = "level",
         backend: str = "zlib",
         executor=None,
         reuse_codebooks: bool = True,
@@ -132,9 +131,7 @@ class TimeSeriesCompressor:
         self.hier = hier
         self.tol = float(tol)
         self.key_interval = key_interval
-        self._spatial = MgardCompressor(
-            hier, tol, mode=mode, backend=backend, executor=executor
-        )
+        self._spatial = MgardCompressor(hier, tol, backend=backend, executor=executor)
         self.reuse_codebooks = bool(reuse_codebooks) and backend == "huffman"
         self._scratch = {} if self.reuse_codebooks else None
         # the loop state: float64 sum, in the refactored layout, of the
@@ -144,11 +141,6 @@ class TimeSeriesCompressor:
         self._rebase_delta = False
 
     # ------------------------------------------------------------------
-    @property
-    def n_appended(self) -> int:
-        """Steps appended since construction / the last :meth:`reset`."""
-        return self._t
-
     def reset(self) -> None:
         """Restart the prediction loop (the next frame is a key frame)."""
         self._coeff_sum = None
@@ -231,8 +223,8 @@ class TimeSeriesCompressor:
         blob = self._spatial.encode_prepared(
             plan.prepared,
             scratch=self._scratch,
-            refresh_codebooks=plan.refresh,
-            codebook_context=plan.context,
+            refresh=plan.refresh,
+            context=plan.context,
         )
         return blob, plan.is_key
 

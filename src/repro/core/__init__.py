@@ -30,7 +30,6 @@ from .grid import (
     TensorHierarchy,
     clear_hierarchy_cache,
     dyadic_size,
-    hierarchy_cache_stats,
     hierarchy_for,
     num_levels_for_size,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "detail_mask",
     "dyadic_size",
     "extract_classes",
-    "hierarchy_cache_stats",
     "hierarchy_for",
     "interpolate_coarse",
     "l2",

@@ -50,7 +50,6 @@ __all__ = [
     "dyadic_size",
     "hierarchy_for",
     "clear_hierarchy_cache",
-    "hierarchy_cache_stats",
     "num_levels_for_size",
 ]
 
@@ -677,10 +676,5 @@ def hierarchy_for(
 
 
 def clear_hierarchy_cache() -> None:
-    """Drop all cached hierarchies (and reset the hit/miss counters)."""
+    """Drop all cached hierarchies."""
     _HIER_CACHE.clear()
-
-
-def hierarchy_cache_stats() -> dict:
-    """Snapshot of the hierarchy cache: entries, hits, misses."""
-    return _HIER_CACHE.stats()

@@ -3,9 +3,7 @@
 from .container import (
     ContainerError,
     RefactoredFileReader,
-    RefactoredFileWriter,
     ShardedFileReader,
-    read_refactored_stream,
     write_refactored,
     write_sharded_stream,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "PreparedStep",
     "RecoveryReport",
     "RefactoredFileReader",
-    "RefactoredFileWriter",
     "ShardedFileReader",
     "ShardedStep",
     "StepStreamReader",
@@ -58,7 +55,6 @@ __all__ = [
     "TieredStorage",
     "WorkflowPoint",
     "model_workflow",
-    "read_refactored_stream",
     "run_streaming_pipeline",
     "run_workflow_demo",
     "simulate_lifecycle",

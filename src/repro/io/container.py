@@ -39,12 +39,10 @@ from ..errors import ContainerError
 from .publish import atomic_publish
 
 __all__ = [
-    "RefactoredFileWriter",
     "RefactoredFileReader",
     "ShardedFileReader",
     "write_refactored",
     "write_refactored_stream",
-    "read_refactored_stream",
     "write_sharded_stream",
     "ContainerError",
 ]
@@ -121,31 +119,6 @@ def _verify(source) -> frame.Frame:
     return fr
 
 
-class RefactoredFileWriter:
-    """Write coefficient classes into a self-describing container file.
-
-    ``durability="fsync"`` additionally fsyncs the published file and
-    its directory, matching the stream layer's levels.
-    """
-
-    def __init__(self, path: str | Path, durability: str = "rename"):
-        self.path = Path(path)
-        self.durability = durability
-
-    def write(self, cc: CoefficientClasses, attrs: dict | None = None) -> int:
-        """Write all classes; returns total bytes written.
-
-        Encodes into memory, then publishes atomically (unique temp +
-        ``os.replace``) so a reader racing the write — or a crash
-        mid-write — never sees a torn container under the final name.
-        Fault sites: ``container.write.{pre_tmp,post_tmp,file}``.
-        """
-        buf = io.BytesIO()
-        nbytes = write_refactored_stream(buf, cc, attrs=attrs)
-        atomic_publish(self.path, buf.getvalue(), self.durability, "container.write")
-        return nbytes
-
-
 def write_refactored_stream(f, cc: CoefficientClasses, attrs: dict | None = None) -> int:
     """Serialize a container into an open binary stream; returns bytes.
 
@@ -194,7 +167,13 @@ class RefactoredFileReader:
         return _class(self._frame, l, verify)
 
     def read_classes(self, k: int | None = None, verify: bool = True) -> list[np.ndarray]:
-        """Read the first ``k`` classes (all when ``None``) — a prefix read."""
+        """Read the first ``k`` classes (all when ``None``) — a prefix read.
+
+        A ``k`` outside ``[1, n_classes]`` is the caller's error
+        (``ValueError``), raised before any extent is read.
+        """
+        if k is not None and not 1 <= k <= self.n_classes:
+            raise ValueError(f"k must be in [1, {self.n_classes}], got {k}")
         return _classes(self._frame, k, verify)
 
     def to_coefficient_classes(
@@ -214,20 +193,17 @@ class RefactoredFileReader:
 
 
 def write_refactored(path: str | Path, cc: CoefficientClasses, attrs: dict | None = None) -> int:
-    """Convenience wrapper around :class:`RefactoredFileWriter`."""
-    return RefactoredFileWriter(path).write(cc, attrs=attrs)
+    """Write all classes into a container file; returns total bytes written.
 
-
-def read_refactored_stream(data, verify: bool = True) -> tuple[dict, list[np.ndarray]]:
-    """Parse an in-memory refactored container; returns (header, classes).
-
-    The bytes-level counterpart of :class:`RefactoredFileReader` for
-    containers that live inside another file — a sharded step's shard
-    segments above all.  All classes are materialized (a shard is the
-    granularity of a region read; prefix reads are a whole-file concern).
+    Encodes into memory, then publishes atomically (unique temp +
+    ``os.replace``) so a reader racing the write — or a crash mid-write
+    — never sees a torn container under the final name.  Fault sites:
+    ``container.write.{pre_tmp,post_tmp,file}``.
     """
-    fr = frame.parse(data, want=frame.RPRC)
-    return fr.header, _classes(fr, verify=verify)
+    buf = io.BytesIO()
+    nbytes = write_refactored_stream(buf, cc, attrs=attrs)
+    atomic_publish(Path(path), buf.getvalue(), "rename", "container.write")
+    return nbytes
 
 
 # ----------------------------------------------------------------------

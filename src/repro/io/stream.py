@@ -64,6 +64,7 @@ import numpy as np
 from .. import faults
 from ..cache import LRUCache
 from ..compress.fileio import save_compressed
+from ..compress.quantizer import checked_tol
 from ..errors import ContainerError
 from ..compress.timeseries import TimeSeriesCompressor
 from ..core.classes import CoefficientClasses
@@ -71,7 +72,6 @@ from ..core.grid import hierarchy_for
 from ..core.refactor import Refactorer
 from ..core.snorm import truncation_estimate
 from .container import (
-    RefactoredFileReader,
     ShardedFileReader,
     _decode,
     write_refactored_stream,
@@ -96,6 +96,12 @@ _MANIFEST = "manifest.json"
 _MAX_TORN_REFRESHES = 10
 
 _DURABILITY_LEVELS = ("rename", "fsync")
+
+# how a follower polls for a step not yet listed: the first pause,
+# doubled per empty poll up to the second (StepStreamReader.wait_for_step
+# and the service's wait both back off this way)
+POLL_INTERVAL_S = 0.005
+MAX_POLL_INTERVAL_S = 0.25
 
 
 class StreamError(RuntimeError):
@@ -255,7 +261,7 @@ class StepStreamWriter:
     tol:
         Selects the ``compressed`` mode: per-step absolute L∞ error
         bound.  ``None`` (default) keeps the raw ``refactored`` mode.
-    backend / key_interval / mode:
+    backend / key_interval:
         Compressed-mode settings, passed to
         :class:`~repro.compress.timeseries.TimeSeriesCompressor`.
     executor:
@@ -293,11 +299,12 @@ class StepStreamWriter:
         tol: float | None = None,
         backend: str = "huffman",
         key_interval: int = 16,
-        mode: str = "level",
         executor=None,
         shards: int | None = None,
         durability: str = "rename",
     ):
+        if tol is not None:
+            tol = checked_tol(tol)
         if durability not in _DURABILITY_LEVELS:
             raise ValueError(
                 f"unknown durability {durability!r}; choose from {_DURABILITY_LEVELS}"
@@ -318,7 +325,7 @@ class StepStreamWriter:
         self.refactorer = Refactorer(tuple(shape))
         self.stream_mode = "refactored" if tol is None else "compressed"
         self._backend = backend
-        self._tol = None if tol is None else float(tol)
+        self._tol = tol
         self._key_interval = int(key_interval)
         self._executor = executor
         self._shard_plan = None
@@ -331,7 +338,6 @@ class StepStreamWriter:
                 tol=None
                 if tol is None
                 else shard_tolerance(tol, self._shard_plan.n_blocks),
-                mode=mode,
                 backend=backend,
             )
         self._compressor: TimeSeriesCompressor | None = None
@@ -340,7 +346,6 @@ class StepStreamWriter:
                 hierarchy_for(tuple(shape)),
                 tol,
                 key_interval=key_interval,
-                mode=mode,
                 backend=backend,
                 executor=executor,
             )
@@ -697,33 +702,21 @@ class StepStreamReader:
         with self._lock:
             return self._refresh_impl()
 
-    def wait_for_step(
-        self,
-        step: int,
-        *,
-        timeout: float | None = None,
-        poll_interval: float = 0.005,
-        max_interval: float = 0.25,
-        backoff: float = 2.0,
-    ) -> bool:
+    def wait_for_step(self, step: int, *, timeout: float | None = None) -> bool:
         """Block until the stream lists a step ``> step``-indexed (i.e.
         ``n_steps > step``), refreshing with exponential backoff.
 
         The follower primitive: instead of busy-polling ``refresh()`` in
-        a tight loop, the poll interval starts at ``poll_interval`` and
-        doubles (``backoff``) up to ``max_interval`` while the producer
+        a tight loop, the poll interval starts at :data:`POLL_INTERVAL_S`
+        and doubles up to :data:`MAX_POLL_INTERVAL_S` while the producer
         is quiet, so an idle follower costs microseconds of CPU per
         second instead of a core.  Returns ``True`` as soon as the step
         is visible, ``False`` on ``timeout`` (``None`` waits forever).
         A dead stream still surfaces as :class:`StreamError` through
         ``refresh``'s torn-manifest cap.
         """
-        if poll_interval <= 0 or max_interval <= 0 or backoff < 1:
-            raise ValueError(
-                "need poll_interval > 0, max_interval > 0, backoff >= 1"
-            )
         deadline = None if timeout is None else time.monotonic() + timeout
-        interval = poll_interval
+        interval = POLL_INTERVAL_S
         while True:
             if self.n_steps > step:
                 return True
@@ -736,11 +729,7 @@ class StepStreamReader:
             if deadline is not None:
                 pause = min(pause, max(deadline - time.monotonic(), 0.0))
             time.sleep(pause)
-            interval = min(interval * backoff, max_interval)
-
-    def cache_info(self) -> dict:
-        """Decoded-step cache counters (hits/misses/evictions/bytes)."""
-        return self._step_cache.stats()
+            interval = min(interval * 2, MAX_POLL_INTERVAL_S)
 
     def _refresh_impl(self) -> int:
         """Re-read the manifest to pick up steps appended since open.
@@ -854,20 +843,6 @@ class StepStreamReader:
         if not 1 <= k <= n:
             raise StreamError(f"k must be in [1, {n}], got {k}")
         return self._decode_step(step, meta, k=k), sum(meta["class_bytes"][:k])
-
-    def read_full(self, step: int) -> CoefficientClasses:
-        """All classes of a step, as a :class:`CoefficientClasses`."""
-        if self.stream_mode != "refactored" or self.shard_bounds is not None:
-            raise StreamError(
-                f"read_full needs an unsharded 'refactored' stream; this one "
-                f"is {self.stream_mode!r}"
-                f"{' (sharded — use read_region)' if self.shard_bounds else ''}"
-            )
-        with self._lock:
-            meta = self._meta(step)
-        return RefactoredFileReader(self.root / meta["file"]).to_coefficient_classes(
-            self.hier
-        )
 
     # ------------------------------------------------------------------
     # sharded-mode region decode
@@ -1107,7 +1082,7 @@ class StepStreamReader:
         if self.stream_mode != "compressed":
             raise StreamError(
                 f"read_step needs a 'compressed' stream; this one is "
-                f"{self.stream_mode!r} (use read/read_full)"
+                f"{self.stream_mode!r} (use read)"
             )
         self._meta(step)  # range check
         self.last_recovery = None

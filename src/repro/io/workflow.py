@@ -50,38 +50,25 @@ __all__ = [
 ]
 
 
-def follow_stream(
-    root: str | Path,
-    *,
-    start: int = 0,
-    stop: int | None = None,
-    timeout: float | None = 30.0,
-    poll_interval: float = 0.005,
-    max_interval: float = 0.25,
-):
-    """Tail a live stream, yielding ``(step, field)`` as steps commit.
+def follow_stream(root: str | Path, *, stop: int | None = None, timeout: float | None = 30.0):
+    """Tail a live stream from step 0, yielding ``(step, field)`` as steps commit.
 
     The consumer half of the streaming workflow: a producer appends
     through :class:`~repro.io.stream.StepStreamWriter` (or
     :func:`run_streaming_pipeline`, or the service's ``put_step``)
     while any number of followers iterate this generator — in-situ
     visualization's read side as a three-line loop.  Waiting uses
-    :meth:`StepStreamReader.wait_for_step`'s exponential backoff
-    (``poll_interval`` → ``max_interval``), not a busy ``refresh()``
-    loop, so an idle follower costs microseconds of CPU per second.
+    :meth:`StepStreamReader.wait_for_step`'s exponential backoff, not a
+    busy ``refresh()`` loop, so an idle follower costs microseconds of
+    CPU per second.
 
     Iteration ends at ``stop`` (exclusive; ``None`` follows forever)
     or when no new step appears within ``timeout`` seconds.
     """
     reader = StepStreamReader(root)
-    step = start
+    step = 0
     while stop is None or step < stop:
-        if not reader.wait_for_step(
-            step,
-            timeout=timeout,
-            poll_interval=poll_interval,
-            max_interval=max_interval,
-        ):
+        if not reader.wait_for_step(step, timeout=timeout):
             return
         yield step, reader.read_region(step)
         step += 1

@@ -8,7 +8,7 @@ fan-in.  :class:`MicroBatcher` collapses them:
 
 * **single-flight** — the first request for a key becomes the *leader*
   and runs the decode; every request arriving while it is in flight
-  *joins* and awaits the same future.  One decode, N responses.
+  *joins* and awaits the same decode.  One decode, N responses.
 * **adaptive hold window** — a leader may briefly park (``window``)
   before decoding so that near-simultaneous requests coalesce even when
   they arrive just *after* the decode would have started.  The window
@@ -19,7 +19,10 @@ fan-in.  :class:`MicroBatcher` collapses them:
 
 Failures propagate to every member of the batch; the key is retired
 before the result is published, so a request arriving *after* a failure
-starts a fresh decode rather than inheriting a stale error.
+starts a fresh decode rather than inheriting a stale error.  The supplier
+runs as the batch's own task, which no member owns: a cancelled member —
+the leader included — stops only its own wait, and the rest of the batch
+still gets the result.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from __future__ import annotations
 import asyncio
 
 __all__ = ["MicroBatcher"]
+
+# the smallest non-zero hold window: the first batch with joiners jumps
+# here from zero, and a window halved below it drops back to zero
+_MIN_WINDOW_S = 0.0001
 
 
 class MicroBatcher:
@@ -37,25 +44,12 @@ class MicroBatcher:
     max_window_s:
         Upper bound of the adaptive hold window.  ``0`` disables the
         window entirely (pure single-flight).
-    min_window_s:
-        Smallest non-zero window; the first batch with joiners jumps
-        here from zero.
-    adaptive:
-        ``False`` pins the window at zero regardless of traffic.
     """
 
-    def __init__(
-        self,
-        *,
-        max_window_s: float = 0.002,
-        min_window_s: float = 0.0001,
-        adaptive: bool = True,
-    ):
-        if max_window_s < 0 or min_window_s < 0:
-            raise ValueError("windows must be >= 0")
+    def __init__(self, *, max_window_s: float = 0.002):
+        if max_window_s < 0:
+            raise ValueError("max_window_s must be >= 0")
         self.max_window_s = float(max_window_s)
-        self.min_window_s = float(min_window_s)
-        self.adaptive = adaptive
         self.window_s = 0.0
         self._inflight: dict = {}
         self._leaders = 0
@@ -67,49 +61,40 @@ class MicroBatcher:
         """Return ``await supplier()`` for ``key``, coalescing duplicates.
 
         ``supplier`` is an argument-less coroutine function; it runs at
-        most once per batch, on the leader's task.
+        most once per batch, on the batch's own task.
         """
-        fut = self._inflight.get(key)
-        if fut is not None:
+        task = self._inflight.get(key)
+        if task is None:
+            self._leaders += 1
+            task = self._inflight[key] = asyncio.ensure_future(self._supply(key, supplier))
+            task.joiners = 0  # set before the task first runs
+            task.add_done_callback(_retrieve)
+        else:
             self._joined += 1
-            fut.joiners += 1
-            return await _wait(fut)
-        loop = asyncio.get_running_loop()
-        fut = loop.create_future()
-        fut.joiners = 0
-        self._inflight[key] = fut
-        self._leaders += 1
+            task.joiners += 1
+        return await asyncio.shield(task)
+
+    async def _supply(self, key, supplier):
         try:
             if self.window_s > 0:
                 await asyncio.sleep(self.window_s)
-            result = await supplier()
-        except BaseException as e:
+            return await supplier()
+        except BaseException:
             self._errors += 1
-            self._inflight.pop(key, None)
-            self._adapt(fut.joiners)
-            if not fut.done():
-                fut.set_exception(e)
-                fut.exception()  # mark retrieved; joiners re-retrieve theirs
             raise
-        else:
-            self._inflight.pop(key, None)
-            self._adapt(fut.joiners)
-            if not fut.done():
-                fut.set_result(result)
-            return result
+        finally:
+            self._adapt(self._inflight.pop(key).joiners)
 
     def _adapt(self, joiners: int) -> None:
         if joiners:
             self._batches_with_joiners += 1
-        if not self.adaptive or self.max_window_s == 0:
+        if self.max_window_s == 0:
             return
         if joiners:
-            self.window_s = min(
-                self.max_window_s, max(self.window_s * 2, self.min_window_s)
-            )
+            self.window_s = min(self.max_window_s, max(self.window_s * 2, _MIN_WINDOW_S))
         else:
             self.window_s = self.window_s / 2
-            if self.window_s < self.min_window_s:
+            if self.window_s < _MIN_WINDOW_S:
                 self.window_s = 0.0
 
     @property
@@ -135,7 +120,8 @@ class MicroBatcher:
         )
 
 
-async def _wait(fut: asyncio.Future):
-    """Await a shared batch future without cancelling it on joiner
-    cancellation (the leader owns its lifecycle)."""
-    return await asyncio.shield(fut)
+def _retrieve(task: asyncio.Task) -> None:
+    """Mark a batch's exception retrieved: every member may have stopped
+    waiting before it finished."""
+    if not task.cancelled():
+        task.exception()

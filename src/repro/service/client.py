@@ -40,6 +40,10 @@ from .protocol import BusyError, ProtocolError, RemoteError, ServiceError
 
 __all__ = ["ServiceClient", "AsyncServiceClient"]
 
+# the sync client's pause after a busy reply, doubled per retry up to the cap
+_BUSY_DELAY_S = 0.002
+_MAX_BUSY_DELAY_S = 0.1
+
 
 def _array_of(resp: dict, body) -> np.ndarray:
     """Wrap a response body as the ndarray its header describes (no copy)."""
@@ -80,14 +84,12 @@ class ServiceClient:
         reconnect: int = 5,
         reconnect_delay: float = 0.05,
         busy_retries: int = 8,
-        busy_delay: float = 0.002,
     ):
         self.host, self.port = host, int(port)
         self.timeout = timeout
         self.reconnect = int(reconnect)
         self.reconnect_delay = float(reconnect_delay)
         self.busy_retries = int(busy_retries)
-        self.busy_delay = float(busy_delay)
         self._sock: socket.socket | None = None
         self._ids = itertools.count(1)
         self.reconnects = 0  # total successful re-establishments
@@ -144,7 +146,7 @@ class ServiceClient:
         self, header: dict, body=b"", *, idempotent: bool = True
     ) -> tuple[dict, bytearray]:
         busy_left = self.busy_retries
-        busy_delay = self.busy_delay
+        pause = _BUSY_DELAY_S
         attempts = self.reconnect + 1
         while True:
             self.connect()
@@ -176,8 +178,8 @@ class ServiceClient:
                         f"server shed the request {self.busy_retries + 1} times"
                     )
                 busy_left -= 1
-                time.sleep(busy_delay)
-                busy_delay = min(busy_delay * 2, 0.1)
+                time.sleep(pause)
+                pause = min(pause * 2, _MAX_BUSY_DELAY_S)
                 continue
             _raise_remote(resp)
             return resp, payload

@@ -65,7 +65,13 @@ from pathlib import Path
 import numpy as np
 
 from ..cache import LRUCache
-from ..io.stream import StepStreamReader, StepStreamWriter, StreamError
+from ..io.stream import (
+    MAX_POLL_INTERVAL_S,
+    POLL_INTERVAL_S,
+    StepStreamReader,
+    StepStreamWriter,
+    StreamError,
+)
 from ..parallel.executors import ThreadExecutor, available_workers, get_executor
 from . import protocol
 from .batcher import MicroBatcher
@@ -90,7 +96,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is ``service.port``
     batching: bool = True
-    max_window_s: float = 0.002
     cache_bytes: int = 256 << 20
     conn_inflight: int = 32
     max_inflight: int = 128
@@ -112,9 +117,7 @@ class CompressionService:
         self.config = config
         self.config.root = Path(config.root)
         self.cache = LRUCache(max_bytes=config.cache_bytes)
-        self.batcher = MicroBatcher(
-            max_window_s=config.max_window_s if config.batching else 0.0
-        )
+        self.batcher = MicroBatcher() if config.batching else MicroBatcher(max_window_s=0.0)
         self._io = ThreadExecutor(config.io_workers or max(2, available_workers()))
         self._codec = get_executor(config.executor)
         self._reader: StepStreamReader | None = None
@@ -286,10 +289,11 @@ class CompressionService:
         return self._writer
 
     async def _await_step(self, r: StepStreamReader, step: int, wait_s: float) -> bool:
-        """Refresh (with exponential backoff) until ``step`` exists."""
+        """Refresh (with :meth:`StepStreamReader.wait_for_step`'s
+        exponential backoff) until ``step`` exists."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + wait_s
-        interval = 0.005
+        interval = POLL_INTERVAL_S
         while True:
             n = await self._offload(r.refresh)
             if n > step:
@@ -298,7 +302,7 @@ class CompressionService:
             if remaining <= 0:
                 return False
             await asyncio.sleep(min(interval, remaining))
-            interval = min(interval * 2, 0.25)
+            interval = min(interval * 2, MAX_POLL_INTERVAL_S)
 
     # ------------------------------------------------------------------
     # the decode path: cache → batcher → thread pool, one unit at a time

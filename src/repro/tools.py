@@ -58,7 +58,11 @@ def _cmd_reconstruct(args) -> int:
         field = cc.reconstruct(k)
     else:
         k = args.k if args.k is not None else reader.n_classes
-        field = reconstruct_from_classes(reader.read_classes(k), hier)
+        try:
+            classes = reader.read_classes(k)
+        except ValueError as e:  # a bad -k: the caller's, not the file's
+            args.usage_error(str(e))
+        field = reconstruct_from_classes(classes, hier)
     np.save(args.output, field)
     print(f"{args.input} -> {args.output}: used {k}/{reader.n_classes} classes")
     return 0
@@ -141,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     group = p.add_mutually_exclusive_group()
     group.add_argument("-k", type=int, help="number of classes to use")
     group.add_argument("--tol", type=float, help="L2 tolerance (s-norm hint picks k)")
-    p.set_defaults(fn=_cmd_reconstruct)
+    p.set_defaults(fn=_cmd_reconstruct, usage_error=p.error)
 
     p = sub.add_parser("compress", help="error-bounded lossy compression")
     p.add_argument("input")

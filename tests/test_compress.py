@@ -8,8 +8,9 @@ from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.compress.quantizer import Quantizer
 from repro.core.classes import extract_classes
-from repro.core.grid import TensorHierarchy
+from repro.core.grid import TensorHierarchy, hierarchy_for
 from repro.core.refactor import Refactorer
+from repro.io.stream import StepStreamWriter
 from repro.workloads.synthetic import discontinuous, multiscale, smooth, white_noise
 
 
@@ -218,3 +219,19 @@ class TestMgard:
         # at 257^2 the modeled GPU refactor is several times faster (Table V)
         for op in ("compress", "decompress"):
             assert rows["CPU", op].refactor_s > 3 * rows["GPU-offload", op].refactor_s
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", ["compressor", "writer", "sharded_writer"])
+def test_non_finite_tol_is_refused_before_anything_is_built(tmp_path, tol, make):
+    """A NaN bound passes every ``tol <= 0`` test and an infinite one only
+    fails at the first compress; both are refused at construction, and a
+    stream writer refuses before it creates its directory."""
+    root = tmp_path / "s"
+    with pytest.raises(ValueError, match="finite and positive"):
+        if make == "compressor":
+            MgardCompressor(hierarchy_for((17, 17)), tol)
+        else:
+            StepStreamWriter(root, (17, 17), tol=tol,
+                             shards=2 if make == "sharded_writer" else None)
+    assert not root.exists()

@@ -9,7 +9,6 @@ from repro.core.refactor import Refactorer
 from repro.io.container import (
     ContainerError,
     RefactoredFileReader,
-    RefactoredFileWriter,
     write_refactored,
 )
 from repro.io.storage import ALPINE_PFS, ARCHIVE_TIER, NVME_TIER, StorageTier, TieredStorage
@@ -159,7 +158,7 @@ class TestContainer:
         reader = RefactoredFileReader(path)
         with pytest.raises(ContainerError):
             reader.read_class(99)
-        with pytest.raises(ContainerError):
+        with pytest.raises(ValueError):  # a bad prefix length is the caller's
             reader.read_classes(0)
 
     def test_hierarchy_shape_mismatch(self, rng, tmp_path):
@@ -173,10 +172,22 @@ class TestContainer:
                 TensorHierarchy.from_shape((9, 9))
             )
 
+    @pytest.mark.parametrize("k", [0, -1, 99])
+    def test_a_bad_prefix_length_is_the_callers_error(self, rng, tmp_path, k):
+        cc = self._cc(rng)
+        path = tmp_path / "d.rprc"
+        write_refactored(path, cc)
+        reader = RefactoredFileReader(path)
+        with pytest.raises(ValueError, match=rf"k must be in \[1, {cc.n_classes}\], got {k}"):
+            reader.read_classes(k)
+        path.write_bytes(path.read_bytes()[:-8])  # a torn file is still the file's
+        with pytest.raises(ContainerError):
+            RefactoredFileReader(path).read_classes(cc.n_classes)
+
     def test_header_is_json(self, rng, tmp_path):
         cc = self._cc(rng)
         path = tmp_path / "d.rprc"
-        RefactoredFileWriter(path).write(cc)
+        write_refactored(path, cc)
         raw = path.read_bytes()
         hlen = int.from_bytes(raw[6:14], "little")
         header = json.loads(raw[14 : 14 + hlen])

@@ -47,14 +47,28 @@ def _reset_policy():
     L.set_kernel_backend(None)
 
 
+# the production flags with -O0 for -O3: a build in a tenth of a second, not
+# five.  The loader tests check that a library is refused, rebuilt or shared,
+# not -O3 code generation (the identity tests do that), and build_key hashes
+# the flags, so an -O0 library never loads under production's.
+_O0_CFLAGS = tuple("-O0" if f == "-O3" else f for f in native.CFLAGS)
+
+
 @pytest.fixture
-def fresh_loader(tmp_path, monkeypatch):
+def production_loader(tmp_path, monkeypatch):
     """A loader that has not looked for its library yet, pointed at an empty
     cache directory; the session's library is loaded again afterwards."""
     monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "cache" / "kernel_tuning.json"))
     native._reset()
     yield tmp_path / "cache" / "repro-native"
     native._reset()  # the next leaf call loads from the session's directory again
+
+
+@pytest.fixture
+def fresh_loader(production_loader, monkeypatch):
+    """:func:`production_loader`, building at ``-O0``."""
+    monkeypatch.setattr(native, "CFLAGS", _O0_CFLAGS)
+    return production_loader
 
 
 _MISCOMPILES = {
@@ -313,10 +327,11 @@ def test_corrupt_cached_library_is_rebuilt(fresh_loader, damage):
 
 
 @needs_cc
-def test_library_that_disagrees_with_numpy_is_not_used(fresh_loader):
+def test_library_that_disagrees_with_numpy_is_not_used(production_loader):
     """A sealed library under the right key that computes something else (a
-    miscompile: rebuilding would give the same file) fails the load-time check."""
-    path = _plant(fresh_loader, "wrong_answers")
+    miscompile: rebuilding would give the same file) fails the load-time check
+    — shown once at the production flags, where it matters."""
+    path = _plant(production_loader, "wrong_answers")
     stale = path.read_bytes()
     (warning,) = _decompose_falls_back("native")
     assert "disagrees with the NumPy bodies" in str(warning.message)
@@ -378,6 +393,7 @@ warnings.simplefilter("error", RuntimeWarning)
 from repro.core import native
 from repro.core.classes import class_sizes
 from repro.core.decompose import decompose
+native.CFLAGS = tuple(sys.argv[1:])
 native.set_kernel_backend("native")
 x = np.random.default_rng(11).standard_normal((33, 17))
 out = decompose(x)
@@ -389,8 +405,9 @@ print(native.available(), hashlib.sha256(out.tobytes()).hexdigest())
 def test_four_process_cold_start_publishes_one_library(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                REPRO_TUNE_CACHE=str(tmp_path / "kernel_tuning.json"))
-    procs = [subprocess.Popen([sys.executable, "-c", _COLD_START], env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True) for _ in range(4)]
+    procs = [subprocess.Popen([sys.executable, "-c", _COLD_START, *_O0_CFLAGS], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for _ in range(4)]
     outs = [p.communicate(timeout=300) for p in procs]
     assert all(p.returncode == 0 for p in procs), [err for _, err in outs]
     with native.forced("reference"):

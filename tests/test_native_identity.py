@@ -632,8 +632,8 @@ def _chain_steps(seed: int, kinds: list[str], moves: list[str]):
 
 
 def _check_chain(steps) -> set[str]:
-    """Run one chain under both backends: identical payloads, headers, encoder
-    archives and decodes; every drift rebuild ships the oracle's choice of
+    """Run one chain under both backends: identical payloads, headers, decoded
+    books and decodes; every drift rebuild ships the oracle's choice of
     delta or table.  Returns the header forms seen."""
     def run():
         enc, dec, out = {}, {}, []
@@ -643,7 +643,11 @@ def _check_chain(steps) -> set[str]:
             flat, _ = decode_classes(payload, header, scratch=dec)
             np.testing.assert_array_equal(flat, bins)
             out.append((payload, json.dumps(header)))
-        return out, json.dumps(sorted(enc.get("encode_tables_by_id", {}).items()))
+        # a book rebuilt from a delta lists its rows in edit order; the
+        # header form is symbols ascending, ESC last
+        books = {k: sorted(r for r in t if r[0] != "ESC") + [r for r in t if r[0] == "ESC"]
+                 for k, t in dec.get("decode_tables", {}).items()}
+        return out, json.dumps(sorted(books.items()))
 
     got = _per_backend(run)
     assert got["native"] == got["reference"]

@@ -19,7 +19,7 @@ class TestStepStream:
         reader = StepStreamReader(tmp_path)
         assert reader.n_steps == 3
         for t, f in enumerate(frames):
-            full = reader.read_full(t).reconstruct()
+            full, _ = reader.read(t, k=len(reader.steps[t]["class_bytes"]))
             np.testing.assert_allclose(full, f, atol=1e-9)
 
     def test_tolerance_driven_read(self, tmp_path):

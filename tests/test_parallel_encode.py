@@ -226,55 +226,6 @@ class TestCodeBookDeltas:
         flat, _ = decode_classes(p, solid)  # decodes without any context
         np.testing.assert_array_equal(flat, bins)
 
-    def test_encoder_scratch_materializes_its_own_blobs(self, rng, tmp_path):
-        """save_compressed resolves refs against the producing scratch."""
-        from repro.compress.fileio import load_compressed, save_compressed
-
-        shape = (17, 17)
-        data = rng.standard_normal(shape).cumsum(0).cumsum(1)
-        comp = MgardCompressor(hierarchy_for(shape), 1e-3, backend="huffman")
-        scratch = {}
-        comp.compress(data, scratch=scratch, refresh_codebooks=True)
-        blob = comp.compress(data, scratch=scratch)
-        assert any(
-            "table_ref" in s for s in blob.headers[0]["segments"]
-        )
-        save_compressed(tmp_path / "b.mgz", blob, scratch=scratch)
-        loaded, hier = load_compressed(tmp_path / "b.mgz")
-        out = MgardCompressor(hier, 1e-3, backend="huffman").decompress(loaded)
-        assert np.abs(out - data).max() <= 1e-3
-
-    def test_compress_only_producer_can_materialize_delta_blobs(self, rng, tmp_path):
-        """A producer that never decodes its own stream still saves
-        self-contained files, even for drift-rebuild (delta) blobs."""
-        from repro.compress.fileio import load_compressed, save_compressed
-
-        shape = (17, 17)
-        base = rng.standard_normal(shape).cumsum(0).cumsum(1)
-        comp = MgardCompressor(hierarchy_for(shape), 1e-4, backend="huffman")
-        scratch = {}
-        blobs = []
-        frames = []
-        for t in range(6):
-            # drift hard enough to force delta rebuilds
-            frame = base + rng.standard_normal(shape).cumsum(0) * 0.05 * t
-            frames.append(frame)
-            blobs.append(
-                comp.compress(frame, scratch=scratch, refresh_codebooks=(t == 0))
-            )
-        kinds = {
-            k
-            for b in blobs
-            for s in b.headers[0]["segments"]
-            for k in (("delta",) if "table_delta" in s
-                      else ("ref",) if "table_ref" in s else ())
-        }
-        for t, b in enumerate(blobs):
-            save_compressed(tmp_path / f"{t}.mgz", b, scratch=scratch)
-            loaded, hier = load_compressed(tmp_path / f"{t}.mgz")
-            out = MgardCompressor(hier, 1e-4, backend="huffman").decompress(loaded)
-            assert np.abs(out - frames[t]).max() <= 1e-4, (t, kinds)
-
     def test_decode_chain_caches_are_pruned(self, rng):
         """Long streams must not grow the decode caches without bound."""
         sizes = [3000]
@@ -359,8 +310,6 @@ class TestStreamBehindProducer:
         reader = StepStreamReader(tmp_path)
         with pytest.raises(StreamError):
             reader.read(0, k=1)
-        with pytest.raises(StreamError):
-            reader.read_full(0)
         with pytest.raises(StreamError):
             StepStreamWriter(tmp_path, base.shape)  # mode mismatch
 

@@ -167,8 +167,8 @@ def _spatial_loop(frames, hier, tol, key_interval, backend):
         prep = spatial.prepare(np.ascontiguousarray(frame if is_key else frame - prev))
         recon = recompose(Quantizer.dequantize_refactored(prep.bins, prep.sizes, prep.steps, hier), hier)
         prev = recon if is_key else prev + recon
-        blobs.append(spatial.encode_prepared(prep, scratch=scratch, refresh_codebooks=is_key or rebase,
-                                             codebook_context="key" if is_key else "delta"))
+        blobs.append(spatial.encode_prepared(prep, scratch=scratch, refresh=is_key or rebase,
+                                             context="key" if is_key else "delta"))
         rebase = is_key
     return blobs
 

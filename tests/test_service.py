@@ -24,7 +24,7 @@ import pytest
 from repro.io.stream import StepStreamReader, StepStreamWriter
 from repro.io.workflow import follow_stream
 from repro.service import protocol
-from repro.service.batcher import MicroBatcher
+from repro.service.batcher import _MIN_WINDOW_S, MicroBatcher
 from repro.cache import LRUCache
 from repro.service.client import AsyncServiceClient, ServiceClient
 from repro.service.protocol import BusyError, ProtocolError, RemoteError
@@ -219,11 +219,11 @@ class TestLRUCache:
         assert c.get("j") is None
 
     def test_the_hierarchy_memo_is_this_cache(self):
-        from repro.core.grid import clear_hierarchy_cache, hierarchy_cache_stats, hierarchy_for
+        from repro.core.grid import _HIER_CACHE, clear_hierarchy_cache, hierarchy_for
 
         clear_hierarchy_cache()
         assert hierarchy_for((9, 5)) is hierarchy_for((9, 5))
-        stats = hierarchy_cache_stats()
+        stats = _HIER_CACHE.stats()
         assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
 
 
@@ -290,7 +290,7 @@ class TestMicroBatcher:
 
     def test_adaptive_window_grows_and_decays(self):
         async def run():
-            b = MicroBatcher(max_window_s=0.002, min_window_s=0.0005)
+            b = MicroBatcher(max_window_s=0.002)
             assert b.window_s == 0.0
 
             async def slow():
@@ -304,8 +304,37 @@ class TestMicroBatcher:
             return grown, b.window_s
 
         grown, decayed = asyncio.run(run())
-        assert grown >= 0.0005
+        assert grown >= _MIN_WINDOW_S
         assert decayed == 0.0
+
+    def test_cancelling_the_leader_stops_only_its_own_wait(self):
+        """A leader whose request goes away (its connection closed) must
+        not take the members that joined its batch down with it."""
+        calls = []
+
+        async def run():
+            b = MicroBatcher()
+
+            async def supplier():
+                calls.append(1)
+                await asyncio.sleep(0.05)
+                return "decoded"
+
+            leader = asyncio.ensure_future(b.run("k", supplier))
+            await asyncio.sleep(0)  # the leader opens the batch
+            joiners = [asyncio.ensure_future(b.run("k", supplier)) for _ in range(3)]
+            await asyncio.sleep(0.01)
+            leader.cancel()
+            outs = await asyncio.gather(*joiners)
+            with pytest.raises(asyncio.CancelledError):
+                await leader
+            assert await b.run("k", supplier) == "decoded"  # the key retired
+            return outs, b.stats()
+
+        outs, stats = asyncio.run(run())
+        assert outs == ["decoded"] * 3
+        assert len(calls) == 2
+        assert stats["joined"] == 3 and stats["errors"] == 0
 
     def test_zero_window_means_pure_single_flight(self):
         async def run():
@@ -346,7 +375,7 @@ class TestReaderStepCache:
         assert np.array_equal(a, b)
         a[0, 0] = 1e9  # returned copies must not poison the cache
         assert r.read_step(3)[0, 0] != 1e9
-        info = r.cache_info()
+        info = r._step_cache.stats()
         assert info["hits"] == 2 and info["misses"] == 1
 
     def test_appends_keep_generation_and_cache(self, tmp_path):
@@ -361,7 +390,7 @@ class TestReaderStepCache:
             w.append(f)
         r.refresh()
         assert r.generation == gen  # append-only growth is not a rewrite
-        assert r.cache_info()["entries"] == 1
+        assert r._step_cache.stats()["entries"] == 1
 
     def test_rewritten_stream_bumps_generation_and_clears(self, tmp_path):
         root = tmp_path / "s"
@@ -380,7 +409,7 @@ class TestReaderStepCache:
             w.append(f)
         r.refresh()
         assert r.generation == gen + 1
-        assert r.cache_info()["entries"] == 0
+        assert r._step_cache.stats()["entries"] == 0
         fresh = r.read_step(0)
         assert not np.array_equal(fresh, stale)
         assert np.max(np.abs(fresh - new_frames[0])) <= 1.1e-3
@@ -392,7 +421,7 @@ class TestReaderStepCache:
         r = StepStreamReader(tmp_path / "s", cache_steps=0)
         r.read_step(1)
         r.read_step(1)
-        assert r.cache_info()["hits"] == 0
+        assert r._step_cache.stats()["hits"] == 0
 
 
 class TestWaitForStep:
@@ -418,16 +447,9 @@ class TestWaitForStep:
         t = threading.Timer(0.08, lambda: w.append(frames[1]))
         t.start()
         try:
-            assert r.wait_for_step(1, timeout=5.0, poll_interval=0.005)
+            assert r.wait_for_step(1, timeout=5.0)
         finally:
             t.join()
-
-    def test_validates_knobs(self, tmp_path):
-        w = StepStreamWriter(tmp_path / "s", (9, 8))
-        w.append(_frames((9, 8), 1)[0])
-        r = StepStreamReader(tmp_path / "s")
-        with pytest.raises(ValueError):
-            r.wait_for_step(0, poll_interval=0.0)
 
 
 class TestReaderThreadSafety:
@@ -584,7 +606,7 @@ class TestReaderThreadSafety:
         w.append(_frames(shape, 1)[0])
         r = StepStreamReader(tmp_path / "s")
         assert r.read_step(0).tobytes() == r.read_step(0).tobytes()
-        info = r.cache_info()
+        info = r._step_cache.stats()
         assert info["entries"] == 0 and info["hits"] == 0 and info["bytes"] == 0
 
 
@@ -827,9 +849,7 @@ class TestServerEndToEnd:
                     # the busy replies are absorbed by the sync client's
                     # backoff loop; the request eventually lands
                     def sync_ping():
-                        with ServiceClient(
-                            port=server.port, busy_retries=50, busy_delay=0.02
-                        ) as c:
+                        with ServiceClient(port=server.port, busy_retries=50) as c:
                             return c.ping()
 
                     ok = await asyncio.to_thread(sync_ping)
@@ -837,6 +857,42 @@ class TestServerEndToEnd:
                     return ok
 
             assert asyncio.run(run())
+        finally:
+            server.stop()
+
+    def test_a_departed_leader_does_not_strand_its_joiners(self, tmp_path):
+        """The batch leader's connection closes mid-decode; a request that
+        joined its batch from another connection still gets its reply."""
+        frame = _frames((33, 33), 1)[0]
+        server = _serve(tmp_path / "s", cache_bytes=0)
+        try:
+            with ServiceClient(port=server.port) as c:
+                c.put_step(frame)
+            decode = server.svc._decode_unit_sync
+
+            def slow_decode(*args):
+                time.sleep(0.5)
+                return decode(*args)
+
+            server.svc._decode_unit_sync = slow_decode
+
+            async def run():
+                leader = socket.create_connection(("127.0.0.1", server.port), 5)
+                try:
+                    protocol.send_frame_sync(leader, {"op": "get_step", "step": 0, "id": 1})
+                    await asyncio.sleep(0.1)  # the leader's decode is under way
+                    async with AsyncServiceClient(port=server.port) as c:
+                        joiner = asyncio.ensure_future(c.get_step(0))
+                        await asyncio.sleep(0.1)  # it joined the leader's batch
+                        leader.close()
+                        return await asyncio.wait_for(joiner, 3.0)
+                finally:
+                    leader.close()
+
+            got = asyncio.run(run())
+            assert got.shape == (33, 33)
+            assert np.allclose(got, frame)
+            assert server.svc.batcher.stats()["joined"] == 1
         finally:
             server.stop()
 

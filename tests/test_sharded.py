@@ -17,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import frame
 from repro.cluster.sharded import (
     ShardCodec,
     decode_shard,
@@ -28,7 +29,7 @@ from repro.core.classes import reconstruct_from_classes
 from repro.core.grid import hierarchy_for
 from repro.gpu.analytic import model_pass
 from repro.gpu.device import V100
-from repro.io.container import read_refactored_stream
+from repro.io.container import _classes
 from repro.io.stream import StepStreamReader, StepStreamWriter, StreamError
 
 
@@ -148,7 +149,7 @@ class TestShardedRoundTrip:
         out = np.empty(data.shape)
         for payload, a, b in zip(payloads, plan.starts, plan.stops, strict=True):
             hier = hierarchy_for((b - a,) + data.shape[1:])
-            _, classes = read_refactored_stream(payload)
+            classes = _classes(frame.parse(payload, want=frame.RPRC))
             assert len(classes) == hier.L + 1
             out[a:b] = reconstruct_from_classes(classes, hier)
         np.testing.assert_allclose(out, data, atol=1e-9)
@@ -291,8 +292,6 @@ class TestShardedStreams:
         with pytest.raises(StreamError):
             reader.read(0, k=1)
         with pytest.raises(StreamError):
-            reader.read_full(0)
-        with pytest.raises(StreamError):
             reader.classes_needed(0, 1e-3)
 
     @pytest.mark.parametrize("tol", [None, 1e-3])
@@ -348,7 +347,7 @@ class TestShardedStreams:
         reader = StepStreamReader(root)
         assert reader.shard_bounds is None
         # the unsharded-only APIs work, so no shard table was written
-        full = reader.read_full(0).reconstruct()
+        full, _ = reader.read(0, k=len(reader.steps[0]["class_bytes"]))
         assert float(np.abs(full - frames[0]).max()) <= 1e-9
         assert reader.classes_needed(0, 1e-3) >= 1
 

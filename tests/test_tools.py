@@ -85,6 +85,17 @@ class TestReproTool:
         assert coarse.shape == data.shape
         assert np.abs(coarse - data).max() > 1e-6  # genuinely approximate
 
+    @pytest.mark.parametrize("k", ["0", "-1", "99"])
+    def test_reconstruct_bad_k_is_a_usage_error(self, npy_field, tmp_path, capsys, k):
+        path, _ = npy_field
+        rprc = tmp_path / "f.rprc"
+        tool_main(["refactor", str(path), str(rprc)])
+        with pytest.raises(SystemExit) as exc:
+            tool_main(["reconstruct", str(rprc), str(tmp_path / "out.npy"), "-k", k])
+        assert exc.value.code == 2
+        assert f"error: k must be in [1, " in capsys.readouterr().err
+        assert not (tmp_path / "out.npy").exists()
+
     def test_reconstruct_tolerance_hint(self, npy_field, tmp_path, capsys):
         path, data = npy_field
         rprc = tmp_path / "f.rprc"
