@@ -9,13 +9,12 @@ from ..parallel.executors import (
     set_default_executor,
 )
 from .fileio import CompressedFileError, load_compressed, save_compressed
-from .huffman import (
+from .huffman import huffman_decode, huffman_encode
+from .huffman_book import (
     HuffmanCode,
     apply_table_delta,
     build_code,
     code_from_table,
-    huffman_decode,
-    huffman_encode,
     table_delta,
     table_from_code,
 )

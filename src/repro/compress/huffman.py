@@ -12,75 +12,38 @@ parts:
   plus 64 raw bits); the decoder only needs the (symbol, length) pairs.
   A book can be supplied (``code=``) instead of rebuilt from the data,
   which is how slowly-varying streams amortize entropy setup across time
-  steps, and shipped as a delta against another (:func:`table_delta`);
-* :mod:`.huffman_pack` — :func:`huffman_encode` maps and counts symbols,
-  reads a reuse guard off the histogram, then packs (two passes);
-* :mod:`.huffman_unpack` — :func:`huffman_decode` picks by segment size:
-  few payload bits (and headers without sync offsets) take the codeword
-  chain whole, wide segments one cursor per sync block.
+  steps, and shipped as a delta against another (``table_delta``);
+* :mod:`.huffman_pack` — the encode's two passes: map and count symbols,
+  then pack; :func:`huffman_encode` reads a reuse guard off the
+  histogram in between;
+* :mod:`.huffman_unpack` — the decode: one cursor per sync block of
+  :data:`_SYNC_BLOCK` symbols, whose offsets :func:`huffman_decode`
+  takes from the header.
 
-The stage's integer loops — the code-length merge, the encode's two
-passes, the decode walk — run in C under the ``native`` kernel backend
-(:mod:`repro.core.native`, the default where a compiler is) and in the
-NumPy/Python bodies beside them otherwise; payload bytes, headers, books
-and decoded symbols are the same either way.  A segment is coded in one
-pass in each direction: the entropy stage's unit of parallel work is
-the class segment (:mod:`.lossless`), and code books and decode tables
-pickle as their table JSON so a segment job can cross a process
-boundary.
+Each of the stage's integer loops — the code-length merge, the encode's
+two passes, the decode walk — has one C entry, taken under the
+``native`` kernel backend (:mod:`repro.core.native`, the default where a
+compiler is), and one NumPy/Python body beside it, which runs otherwise
+and defines the bits: payload bytes, headers, books and decoded symbols
+are the same either way.  A segment is coded in one pass in each
+direction: the entropy stage's unit of parallel work is the class
+segment (:mod:`.lossless`), and code books and decode tables pickle as
+their table JSON so a segment job can cross a process boundary.
 
 The coder is exact: ``decode(encode(x)) == x`` for any int64 array.
-The per-element/per-bit reference coders and the heap construction the
-builder must agree with live in ``tests/huffman_oracle.py``.
+The per-element/per-bit reference coders it must agree with live in
+``tests/huffman_oracle.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# the book / pack / unpack modules' names that lossless.py, the tests and
-# tests/huffman_oracle.py reach through this module
-from .huffman_book import (  # noqa: F401
-    _DENSE_SPAN_FACTOR,
-    _RESERVE_ESCAPE_MIN_SYMS,
-    HuffmanCode,
-    _build_code,
-    _delta,
-    apply_table_delta,
-    build_code,
-    code_from_table,
-    table_delta,
-    table_from_code,
-)
-from .huffman_pack import _SYNC_BLOCK, _map_slots, _map_symbols, _pack_slots  # noqa: F401
-from .huffman_unpack import (  # noqa: F401
-    _LUT_BITS,
-    _block_bounds,
-    _decode_chain,
-    _decode_sync_range,
-    _DecodeTables,
-    _payload_words,
-    decode_tables,
-)
+from .huffman_book import HuffmanCode, _build_code, code_from_table
+from .huffman_pack import _SYNC_BLOCK, _map_slots, _pack_slots
+from .huffman_unpack import _block_bounds, _decode_blocks, _payload_words, decode_tables
 
-__all__ = [
-    "HuffmanCode",
-    "huffman_encode",
-    "huffman_decode",
-    "build_code",
-    "decode_tables",
-    "table_from_code",
-    "code_from_table",
-    "table_delta",
-    "apply_table_delta",
-]
-
-
-# payloads of at most this many bits decode by whole-stream
-# classification + pointer doubling, whose cost is proportional to the
-# bit count; above it the lockstep loop wins — its _SYNC_BLOCK
-# iterations are call-overhead bound whatever the segment size
-_CHAIN_MAX_BITS = 1 << 16
+__all__ = ["huffman_encode", "huffman_decode"]
 
 
 def _header(table: list | None, n: int, total_bits: int, sync=None) -> dict:
@@ -163,28 +126,26 @@ def huffman_encode(
 def huffman_decode(payload: bytes, header: dict, *, tables=None) -> np.ndarray:
     """Invert :func:`huffman_encode`.
 
-    Canonical decoding normally walks the bit stream serially.  Small
-    payloads (at most :data:`_CHAIN_MAX_BITS` bits) and headers without
-    sync offsets take a whole-stream classification: "if a codeword
-    started at bit ``p``, which (length, symbol) would it be?", with the
-    actual codeword-start chain ``p -> p + len(p)`` resolved by pointer
-    doubling — work proportional to the bit count.  Wider payloads use
-    the header's sync offsets (one per :data:`_SYNC_BLOCK` symbols —
-    any payload our encoder emits) to run one cursor per block in
-    vectorized lockstep.  Under the ``native`` kernel backend both
-    selections hand their blocks to one C walk instead
-    (:mod:`.huffman_unpack`).  The output, and every corruption check
-    (no codeword matches, truncated payload, sync mismatch), is the same
-    whichever runs.  One call decodes one segment on the calling thread:
-    the entropy stage has one fan-out per direction, over class segments
+    The header's ``n`` and ``bits`` are integers, and its ``sync`` lists
+    the bit offset of every :data:`_SYNC_BLOCK`-th symbol — one fewer
+    than the segment has blocks, so a missing ``sync`` is a segment of
+    one block.  Each block is walked by a cursor of its own
+    (:func:`~.huffman_unpack._decode_blocks`: one C loop under the
+    ``native`` kernel backend, vectorized lockstep otherwise); every
+    corruption (a header off this grammar, no codeword matches, a
+    truncated payload, a sync mismatch) is a ``ValueError`` either way.
+    One call decodes one segment on the calling thread: the entropy
+    stage has one fan-out per direction, over class segments
     (:func:`repro.compress.lossless.decode_classes`).
     """
-    n = int(header["n"])
+    n, total, sync = header["n"], header["bits"], header.get("sync", [])
+    # JSON integers: a float or bool would be truncated into a count
+    if type(n) is not int or type(total) is not int:
+        raise ValueError(f"corrupt Huffman header: non-integer n {n!r} or bits {total!r}")
     if n < 0:
         raise ValueError(f"corrupt Huffman header: negative element count {n}")
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    total = int(header["bits"])
     if total < 0:
         raise ValueError(f"corrupt Huffman header: negative bit count {total}")
     if n > total:
@@ -195,26 +156,14 @@ def huffman_decode(payload: bytes, header: dict, *, tables=None) -> np.ndarray:
         )
     if len(payload) < (total + 7) >> 3:
         raise ValueError("truncated Huffman payload")
-    sync = header.get("sync")
-    if sync is not None:
-        try:
-            sync = np.asarray(sync, dtype=np.int64).reshape(-1)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("corrupt Huffman header: bad sync offsets") from None
-        if sync.size + 1 != -(-n // _SYNC_BLOCK):
-            raise ValueError(
-                f"corrupt Huffman header: {sync.size} sync offsets for {n} symbols"
-            )
+    # in range before anything is converted to int64
+    if not (isinstance(sync, (list, tuple)) and set(map(type, sync)) <= {int}
+            and (not sync or 0 <= min(sync) and max(sync) <= total)):
+        raise ValueError("corrupt Huffman header: bad sync offsets")
+    if len(sync) + 1 != -(-n // _SYNC_BLOCK):
+        raise ValueError(f"corrupt Huffman header: {len(sync)} sync offsets for {n} symbols")
     if tables is None:
-        tables = _DecodeTables.from_code(code_from_table(header["table"]))
-    if sync is None or total <= _CHAIN_MAX_BITS:
-        return _decode_chain(payload, n, total, tables, sync)
-    return _decode_sync(payload, n, total, tables, sync)
-
-
-def _decode_sync(payload, n, total, tables: _DecodeTables, sync) -> np.ndarray:
-    """Lockstep decode: one cursor per sync block, advanced together."""
+        tables = decode_tables(code_from_table(header["table"]))
     starts, ends = _block_bounds(sync, total)
-    rem = n - (len(starts) - 1) * _SYNC_BLOCK  # symbols in the last block
-    words = _payload_words(payload, total)
-    return _decode_sync_range(words, starts, ends, rem, total, tables)
+    rem = n - len(sync) * _SYNC_BLOCK  # symbols in the last block
+    return _decode_blocks(_payload_words(payload, total), starts, ends, rem, total, tables)

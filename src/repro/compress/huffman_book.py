@@ -3,24 +3,26 @@
 A code book (:class:`HuffmanCode`) *is* arrays — the sorted distinct
 int64 symbols, their code lengths and canonical codes, plus an optional
 escape code for rare outliers (values outside the table are emitted as
-the ESCAPE code followed by 64 raw bits).  Lengths come from a two-queue
-merge over the stably sorted symbol counts (:func:`_histogram`;
-:func:`_code_lengths`, whose merge loop runs in C under the ``native``
-kernel backend, in Python otherwise — integer compares either way, so
-the same lengths); code assignment is canonical (sorted by (length,
-symbol)), so the decoder only needs the (symbol, length) pairs.
+the ESCAPE code followed by 64 raw bits).  Lengths come from the symbol
+counts (:func:`_histogram`) by :func:`_code_lengths`: a two-queue merge
+in C under the ``native`` kernel backend, and otherwise
+:func:`_heap_lengths`, a ``heapq`` tree over ``(count, id)`` that is
+also the tests' oracle — integer compares either way, so the same
+lengths.  Code assignment is canonical (sorted by (length, symbol)), so
+the decoder only needs the (symbol, length) pairs.
 :func:`table_delta` / :func:`apply_table_delta` express one book as a
 compact edit script against another so reused books cost almost no
 header bytes; :func:`_delta` weighs it against the full table on the
 books' arrays.
 
-The heap construction and the dict-built delta the builder must agree
-with live in ``tests/huffman_oracle.py``.
+The dict-built delta the builder must agree with lives in
+``tests/huffman_oracle.py``.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 
 import numpy as np
@@ -59,47 +61,41 @@ def _canonical(all_lens: np.ndarray):
 
 
 def _code_lengths(counts: np.ndarray) -> np.ndarray:
-    """Huffman code length of every leaf weight in ``counts`` (int64).
+    """Huffman code length of every leaf weight in ``counts`` (int64): the
+    C two-queue merge where the kernel backend has it, the heap otherwise.
 
     Two-queue merge: leaves stably sorted by count in one queue, merged
     nodes (created in non-decreasing weight) in the other; taking the
-    leaf on equal weight reproduces, merge for merge, a heap keyed
-    ``(weight, id)`` whose leaf ids follow position order and precede
-    every merged node's.
+    leaf on equal weight reproduces, merge for merge, :func:`_heap_lengths`.
     """
+    order = np.argsort(counts, kind="stable")
+    sorted_depth = native.huff_lengths(counts[order])
+    if sorted_depth is None:
+        return _heap_lengths(counts)
+    depth = np.empty(counts.size, dtype=np.int64)
+    depth[order] = sorted_depth
+    return depth
+
+
+def _heap_lengths(counts: np.ndarray) -> np.ndarray:
+    """Huffman code lengths by a ``heapq`` tree keyed ``(weight, id)``: leaf
+    ids follow position order and precede every merged node's, which are
+    numbered in creation order — so every tie, and every length, is fixed."""
     n = counts.size
     if n == 1:
         return np.ones(1, dtype=np.int64)
-    order = np.argsort(counts, kind="stable")
-    leaf = counts[order]
-    sorted_depth = native.huff_lengths(leaf)
-    if sorted_depth is None:
-        leaf = leaf.tolist()
-        node = [0] * (n - 1)  # merged-node weights, in creation order
-        leaf_parent = [0] * n
-        node_parent = [0] * (n - 1)
-        i = j = 0
-        for k in range(n - 1):
-            w = 0
-            for _ in range(2):
-                if i < n and (j == k or leaf[i] <= node[j]):
-                    w += leaf[i]
-                    leaf_parent[i] = k
-                    i += 1
-                else:
-                    w += node[j]
-                    node_parent[j] = k
-                    j += 1
-            node[k] = w
-        # the root is the last merged node; parents are created
-        # after their children, so one reverse pass sets every depth
-        node_depth = [0] * (n - 1)
-        for j in range(n - 3, -1, -1):
-            node_depth[j] = node_depth[node_parent[j]] + 1
-        sorted_depth = np.asarray(node_depth, dtype=np.int64)[leaf_parent] + 1
-    depth = np.empty(n, dtype=np.int64)
-    depth[order] = sorted_depth
-    return depth
+    heap = list(zip(counts.tolist(), range(n)))
+    heapq.heapify(heap)
+    parent = [0] * (2 * n - 1)
+    for node in range(n, 2 * n - 1):
+        (wa, a), (wb, b) = heapq.heappop(heap), heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (wa + wb, node))
+    # parents are created after their children: one reverse pass from the root
+    depth = [0] * (2 * n - 1)
+    for i in range(2 * n - 3, -1, -1):
+        depth[i] = depth[parent[i]] + 1
+    return np.array(depth[:n], dtype=np.int64)
 
 
 class HuffmanCode:

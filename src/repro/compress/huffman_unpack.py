@@ -1,17 +1,13 @@
-"""The Huffman decode side: canonical tables and the two codeword walks.
+"""The Huffman decode side: canonical tables and the one codeword walk.
 
-Canonical decoding walks the bit stream serially.  Under the ``native``
-kernel backend that walk is one C loop (``native.c:huff_decode``): one
-cursor per sync block walked to completion — a K-bit prefix-table hit,
-the first-code search on a miss, ESCAPE + 64 raw bits — or one block for
-a header without ``sync``; it is taken from inside both functions below,
-whose NumPy bodies are the ``reference`` backend: :func:`_decode_chain`
-(whole-stream classification resolved by pointer doubling, for few
-payload bits) and :func:`_decode_sync_range` (one cursor per sync block
-in vectorized lockstep, classifying through a prefix table of at most
-2**16 entries built lazily from the first-code arrays, several symbols
-per 64-bit window fetch).  Every route returns the same symbols and
-turns every corruption into the same ``ValueError``.
+A segment's header splits its payload into sync blocks of
+:data:`_SYNC_BLOCK` symbols (one block when it has no ``sync``), and
+:func:`_decode_blocks` walks one cursor per block: a K-bit prefix-table
+hit, the first-code search on a miss, ESCAPE + 64 raw bits.  Under the
+``native`` kernel backend that walk is one C loop
+(``native.c:huff_decode``); its NumPy body — the ``reference`` backend,
+the same per-block structure advanced in vectorized lockstep — defines
+the symbols and the ``ValueError`` every corruption ends in.
 """
 
 from __future__ import annotations
@@ -49,39 +45,22 @@ class _DecodeTables:
     it is excluded from the search table and covered by the
     ``rank < count`` check instead.
 
-    ``code`` is the source book when there is one, and tables pickle as
-    that book's table JSON.
+    Tables pickle as their source book's table JSON.
     """
 
-    def __init__(
-        self, lens_arr, first_arr, count_arr, base_arr, limits, flat_syms,
-        esc_flat: int, esc_len: int | None, code: HuffmanCode | None = None,
-    ):
-        self.lens_arr = lens_arr
-        self.first_arr = first_arr
-        self.count_arr = count_arr
-        self.base_arr = base_arr
-        self.limits = limits
-        self.flat_syms = flat_syms
-        self.esc_flat = int(esc_flat)
-        self.esc_len = esc_len
+    def __init__(self, code: HuffmanCode):
+        order, self.lens_arr, self.first_arr, count, self.base_arr = code._canon
+        if code.esc_len is None:
+            self.flat_syms, self.esc_flat = code.symbols[order], -1
+        else:
+            self.flat_syms = np.append(code.symbols, 0)[order]
+            self.esc_flat = int(np.flatnonzero(order == code.symbols.size)[0])
+        self.count_arr = count.astype(np.uint64)
+        ends = self.first_arr[:-1] + self.count_arr[:-1]
+        self.limits = ends << (64 - self.lens_arr[:-1]).astype(np.uint64)
+        self.esc_len = code.esc_len
         self.code = code
         self._prefix = None
-
-    @classmethod
-    def from_code(cls, code: HuffmanCode) -> "_DecodeTables":
-        order, lens, first, count, base = code._canon
-        n_syms = code.symbols.size
-        if code.esc_len is None:
-            flat_syms, esc_flat = code.symbols[order], -1
-        else:
-            flat_syms = np.append(code.symbols, 0)[order]
-            esc_flat = int(np.flatnonzero(order == n_syms)[0])
-        ucount = count.astype(np.uint64)
-        limits = (first[:-1] + ucount[:-1]) << (64 - lens[:-1]).astype(np.uint64)
-        return cls(
-            lens, first, ucount, base, limits, flat_syms, esc_flat, code.esc_len, code
-        )
 
     def __reduce__(self):
         return _tables_from_json, (self.code.table_json,)
@@ -104,7 +83,7 @@ class _DecodeTables:
         raw bits too (the only lengths above 64); every other slot — a
         longer code's prefix, a prefix no code owns — holds
         :data:`_LUT_MISS` and classifies through :meth:`classify`.
-        Built on first use: only the lockstep decode asks for it.
+        Built on first use.
         """
         if self._prefix is None:
             K = int(min(self.lens_arr[-1], _LUT_BITS))
@@ -122,11 +101,13 @@ class _DecodeTables:
         return self._prefix
 
 
-def _payload_words(payload: bytes, total: int, spill: int = 2) -> np.ndarray:
-    """Payload as big-endian 64-bit words, zero padded with spill words."""
+def _payload_words(payload: bytes, total: int) -> np.ndarray:
+    """Payload as big-endian 64-bit words, zero padded with two spill
+    words: a window fetched at bit ``total`` reads up to two words past
+    the payload's."""
     n_bytes = (total + 7) >> 3
     n_words = (total + 63) >> 6
-    byts = np.zeros((n_words + spill) * 8, dtype=np.uint8)
+    byts = np.zeros((n_words + 2) * 8, dtype=np.uint8)
     byts[:n_bytes] = np.frombuffer(payload, dtype=np.uint8, count=n_bytes)
     return byts.view(">u8").astype(np.uint64)
 
@@ -138,35 +119,30 @@ def _windows_at(words: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (words[wi] << r) | ((words[wi + 1] >> (np.uint64(63) - r)) >> np.uint64(1))
 
 
-def decode_tables(code: HuffmanCode) -> "_DecodeTables":
+def decode_tables(code: HuffmanCode) -> _DecodeTables:
     """Precompute the canonical decode tables of one code book.
 
     Pass the result to :func:`huffman_decode` as ``tables=`` to skip
     the per-call table construction — how a stream decoder amortizes a
     code book reused across steps.
     """
-    return _DecodeTables.from_code(code)
+    return _DecodeTables(code)
 
 
 @functools.lru_cache(maxsize=8)
 def _tables_from_json(table_json: str) -> _DecodeTables:
     """Unpickle hook of tables: a pool worker rebuilds each distinct
     book's once, however many jobs or stream steps reuse it."""
-    return _DecodeTables.from_code(_code_from_json(table_json))
+    return _DecodeTables(_code_from_json(table_json))
 
 
-def _block_bounds(sync: np.ndarray, total: int):
+def _block_bounds(sync, total: int):
     """First bit and end bit of every sync block of a ``total``-bit payload;
-    the starts come back inside ``0..total`` and ascending, or not at all."""
-    starts = np.empty(len(sync) + 1, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = sync
-    ends = np.empty(len(sync) + 1, dtype=np.int64)
-    ends[:-1] = sync
-    ends[-1] = total
-    if np.any(starts > total) or np.any(np.diff(starts) < 0):
+    refuses ``sync`` offsets that descend or leave ``0..total``."""
+    bounds = np.array([0, *sync, total], dtype=np.int64)
+    if np.any(bounds[1:] < bounds[:-1]):
         raise ValueError("corrupt Huffman payload: bad sync offsets")
-    return starts, ends
+    return bounds[:-1], bounds[1:]
 
 
 _TRUNCATED = "truncated Huffman payload"
@@ -174,13 +150,12 @@ _NO_MATCH = "corrupt Huffman payload: no codeword matches"
 _SYNC_MISMATCH = "corrupt Huffman payload: sync mismatch"
 
 
-def _walk_blocks(words, starts, ends, block, rem, total, tables: _DecodeTables):
-    """The C walk of the blocks starting at ``starts`` (``block`` symbols
-    each, the last ``rem``), which must stop at ``ends`` where given;
-    ``None`` when the NumPy body has to run."""
+def _walk_blocks(words, starts, ends, rem, total, tables: _DecodeTables):
+    """The C walk of the blocks starting at ``starts``, which must stop at
+    ``ends``; ``None`` when the NumPy body has to run."""
     search = (tables.lens_arr, tables.first_arr, tables.count_arr, tables.base_arr, tables.limits)
     walked = native.huff_decode(
-        words, starts, block, rem, total, tables.prefix_lut(), search, tables.flat_syms,
+        words, starts, _SYNC_BLOCK, rem, total, tables.prefix_lut(), search, tables.flat_syms,
         tables.esc_flat,
     )
     if walked is None:
@@ -188,19 +163,18 @@ def _walk_blocks(words, starts, ends, block, rem, total, tables: _DecodeTables):
     status, out, pos = walked
     if status:
         raise ValueError(_TRUNCATED if status == native.HUFF_TRUNCATED else _NO_MATCH)
-    if ends is not None and not np.array_equal(pos, ends):
+    if not np.array_equal(pos, ends):
         raise ValueError(_SYNC_MISMATCH)
     return out
 
 
-def _decode_sync_range(
-    words, starts, ends, rem, total, tables: _DecodeTables
-) -> np.ndarray:
-    """Decode one contiguous run of sync blocks: the C walk where the
-    kernel backend has it, the vectorized lockstep below otherwise.
+def _decode_blocks(words, starts, ends, rem, total, tables: _DecodeTables) -> np.ndarray:
+    """Decode the sync blocks of one segment: the C walk where the kernel
+    backend has it, the vectorized lockstep below otherwise.
 
-    Every block holds :data:`_SYNC_BLOCK` symbols except the last of
-    the run, which holds ``rem``.  One 64-bit window per cursor is
+    Block ``b`` starts at bit ``starts[b]``, must end at ``ends[b]`` and
+    holds :data:`_SYNC_BLOCK` symbols, except the last, which holds
+    ``rem``.  One cursor per block: one 64-bit window per cursor is
     fetched per round and ``64 // max_len`` symbols are decoded out of
     it — so every sub-step still sees a whole codeword — each by a
     single gather from the K-bit prefix tables and a shift.  Cursors
@@ -210,7 +184,7 @@ def _decode_sync_range(
     window.  Symbols are written slot-major, ``(_SYNC_BLOCK,
     n_blocks)``, and transposed once.
     """
-    out = _walk_blocks(words, starts, ends, _SYNC_BLOCK, rem, total, tables)
+    out = _walk_blocks(words, starts, ends, rem, total, tables)
     if out is not None:
         return out
     n_blocks = len(starts)
@@ -261,74 +235,3 @@ def _decode_sync_range(
     if not np.array_equal(pos, ends):
         raise ValueError(_SYNC_MISMATCH)
     return out.T.reshape(-1)[: (n_blocks - 1) * _SYNC_BLOCK + rem]
-
-
-def _decode_chain(payload, n, total, tables: _DecodeTables, sync=None) -> np.ndarray:
-    """Whole-stream classification + pointer-doubling chain resolution
-    (the ``reference`` body; ``native`` walks the chain in C instead).
-
-    Allocates a few machine words per payload *bit*; ``sync``, when the
-    header has it, is checked against the resolved codeword starts.
-    """
-    words = _payload_words(payload, total, spill=1)
-    if native.active():
-        # the C walks the codeword chain itself: from sync point to sync
-        # point where the header has them, else as one block of n symbols
-        if sync is None:
-            out = _walk_blocks(words, [0], None, n, n, total, tables)
-        else:
-            starts, ends = _block_bounds(sync, total)
-            out = _walk_blocks(
-                words, starts, ends, _SYNC_BLOCK, n - len(sync) * _SYNC_BLOCK, total, tables
-            )
-        if out is not None:
-            return out
-    win = _windows_at(words, np.arange(total, dtype=np.int64))
-    L_at, flat_at, valid = tables.classify(win)
-    len_at = np.where(valid, L_at, 0)
-    step = len_at.copy()
-    esc_flat, esc_len = tables.esc_flat, tables.esc_len
-    if esc_flat >= 0:
-        step[valid & (flat_at == esc_flat)] += 64
-
-    nxt = np.empty(total + 1, dtype=np.int64)
-    np.add(np.arange(total, dtype=np.int64), step, out=nxt[:total])
-    nxt[total] = total  # sentinel self-loop at end-of-stream
-    nxt[:total][~valid] = total  # no codeword starts here; flagged if visited
-    np.minimum(nxt, total, out=nxt)
-
-    # orbit of position 0 under `nxt` by pointer doubling: when `pos`
-    # holds the first m codeword starts and J = nxt^m, J[pos] is the
-    # next m starts.
-    pos = np.zeros(1, dtype=np.int64)
-    J = nxt
-    while pos.size < n:
-        pos = np.concatenate([pos, J[pos]])
-        if pos.size < n:
-            J = J[J]
-    pos = pos[:n]
-
-    overrun = np.flatnonzero(pos >= total)
-    if overrun.size:
-        k = int(overrun[0])
-        if k > 0 and len_at[pos[k - 1]] == 0:
-            raise ValueError(_NO_MATCH)
-        raise ValueError(_TRUNCATED)
-    if len_at[pos[-1]] == 0:
-        raise ValueError(_NO_MATCH)
-    if int(pos[-1] + step[pos[-1]]) > total:
-        raise ValueError(_TRUNCATED)
-    if sync is not None and not (
-        np.array_equal(pos[_SYNC_BLOCK::_SYNC_BLOCK], sync)
-        and int(pos[-1] + step[pos[-1]]) == total  # the last block ends the stream
-    ):
-        raise ValueError(_SYNC_MISMATCH)
-
-    ranks = flat_at[pos]
-    out = tables.flat_syms[ranks]
-    if esc_flat >= 0:
-        em = ranks == esc_flat
-        if np.any(em):
-            pe = pos[em] + esc_len  # start of the 64 raw bits
-            out[em] = win[pe].astype(np.int64)  # two's complement
-    return out

@@ -39,17 +39,9 @@ import zlib
 import numpy as np
 
 from ..parallel.executors import SerialExecutor
-from .huffman import (
-    _build_code,
-    _delta,
-    _encode_payload,
-    _header,
-    apply_table_delta,
-    code_from_table,
-    decode_tables,
-    huffman_decode,
-    huffman_encode,
-)
+from .huffman import _encode_payload, _header, huffman_decode, huffman_encode
+from .huffman_book import _build_code, _delta, apply_table_delta, code_from_table
+from .huffman_unpack import decode_tables
 
 __all__ = [
     "encode_classes",

@@ -733,7 +733,7 @@ def huff_encode(values: np.ndarray, slots: np.ndarray, codes: np.ndarray, lens: 
 def huff_lengths(leaf: np.ndarray) -> np.ndarray | None:
     """Huffman code lengths of the ascending leaf weights ``leaf`` (two or
     more, ties broken as ``huffman_book._code_lengths`` documents), or ``None``
-    for the Python merge — which also takes weights whose sum could leave
+    for the Python heap — which also takes weights whose sum could leave
     int64, where Python's integers grow."""
     ok = _flat(leaf, _I64) and leaf.size >= 2 and leaf[0] >= 0 and float(leaf.sum(dtype=_F64)) < 2.0**62
     lib = _library_for(leaf) if ok else None

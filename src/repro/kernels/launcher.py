@@ -129,7 +129,7 @@ def _make_huff_decode(shape, dtype, rng):
     payload, total, sync = huffman._encode_payload(bins, code)
     words = huffman_unpack._payload_words(payload, total)
     starts, ends = huffman_unpack._block_bounds(sync, total)
-    rem = bins.size - (starts.size - 1) * huffman_pack._SYNC_BLOCK
+    rem = bins.size - sync.size * huffman_pack._SYNC_BLOCK
     return words, starts, ends, rem, total, huffman_unpack.decode_tables(code)
 
 
@@ -156,7 +156,7 @@ OP_SPECS: dict[str, OpSpec] = {
         OpSpec("assemble", assemble_from_classes, _make_assemble),
         OpSpec("huff_lengths", huffman_book._code_lengths, _make_huff_lengths),
         OpSpec("huff_encode", huffman._encode_payload, _make_huff_encode),
-        OpSpec("huff_decode", huffman_unpack._decode_sync_range, _make_huff_decode),
+        OpSpec("huff_decode", huffman_unpack._decode_blocks, _make_huff_decode),
     )
 }
 

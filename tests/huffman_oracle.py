@@ -1,51 +1,28 @@
-"""Heap-built, dict-held canonical Huffman oracle for ``repro.compress.huffman``.
+"""Dict-held, per-bit canonical Huffman oracle for ``repro.compress.huffman``.
 
-The production coder holds a code book as arrays and builds it with a
-two-queue merge; this module is the construction it must agree with,
-written the slow obvious way: a ``heapq`` tree over ``(count, id)``
-with leaf ids in symbol order (ESCAPE last) below every merged node's,
-a per-leaf walk to the root for the depths, canonical codes assigned by
-a sort, per-element / per-bit encode and decode loops, and the code-book
-delta as two dicts weighed by ``json.dumps``.  Test-only: production is
-compared against it byte for byte (payloads, headers) and symbol for
-symbol (decodes).
+The production coder holds a code book as arrays; this module is what
+it must agree with, written the slow obvious way: code lengths from
+``huffman_book._heap_lengths`` (the ``heapq`` tree over ``(count, id)``
+that is also the ``reference`` backend's body, leaf ids in symbol order,
+ESCAPE last), canonical codes assigned by a sort, per-element / per-bit
+encode and decode loops, and the code-book delta as two dicts weighed by
+``json.dumps``.  Test-only: production is compared against it byte for
+byte (payloads, headers) and symbol for symbol (decodes).
 """
 
-import heapq
 import json
 
 import numpy as np
 
-from repro.compress.huffman import _RESERVE_ESCAPE_MIN_SYMS, _SYNC_BLOCK
+from repro.compress.huffman_book import _RESERVE_ESCAPE_MIN_SYMS, _heap_lengths
+from repro.compress.huffman_pack import _SYNC_BLOCK
 
 ESCAPE = "ESC"  # the header-form name of the escape entry; never an int symbol
 
 
-def heap_lengths(freqs: dict) -> dict:
-    """Code length per symbol of ``freqs`` (insertion-ordered) by a heap."""
-    if not freqs:
-        raise ValueError("cannot build a Huffman code from no symbols")
-    syms = list(freqs)
-    if len(syms) == 1:
-        return {syms[0]: 1}
-    heap = [(freqs[s], i) for i, s in enumerate(syms)]
-    heapq.heapify(heap)
-    parent: dict[int, int] = {}
-    next_id = len(syms)
-    while len(heap) > 1:
-        fa, a = heapq.heappop(heap)
-        fb, b = heapq.heappop(heap)
-        parent[a] = parent[b] = next_id
-        heapq.heappush(heap, (fa + fb, next_id))
-        next_id += 1
-    lengths = {}
-    for i, sym in enumerate(syms):
-        depth = 0
-        while i in parent:
-            depth += 1
-            i = parent[i]
-        lengths[sym] = depth
-    return lengths
+def lengths_of(freqs: dict) -> dict:
+    """Code length per symbol of ``freqs`` (insertion-ordered) by the heap."""
+    return dict(zip(freqs, _heap_lengths(np.array(list(freqs.values()), dtype=np.int64)).tolist()))
 
 
 def canonical_codes(lengths: dict) -> dict:
@@ -76,13 +53,13 @@ def book_lengths(values, max_table: int = 4096, reserve_escape=False) -> dict:
         freqs = {int(s): int(c) for s, c in zip(syms, counts)}
         if reserve_escape:
             freqs[ESCAPE] = 1
-        return heap_lengths(freqs)
+        return lengths_of(freqs)
     # keep the max_table - 1 most frequent symbols (ties: smaller first)
     ranked = sorted(range(syms.size), key=lambda i: (-int(counts[i]), i))
     keep = sorted(ranked[: max_table - 1])
     freqs = {int(syms[i]): int(counts[i]) for i in keep}
     freqs[ESCAPE] = int(counts.sum()) - sum(freqs.values())
-    return heap_lengths(freqs)
+    return lengths_of(freqs)
 
 
 def header_table(lengths: dict) -> list:

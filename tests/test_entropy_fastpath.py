@@ -15,7 +15,8 @@ import pytest
 from conftest import ROUNDTRIP_SHAPES
 from huffman_oracle import huffman_decode_scalar, huffman_encode_scalar
 
-from repro.compress.huffman import _SYNC_BLOCK, huffman_decode, huffman_encode
+from repro.compress.huffman import huffman_decode, huffman_encode
+from repro.compress.huffman_pack import _SYNC_BLOCK
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.compress.quantizer import Quantizer
@@ -72,11 +73,15 @@ class TestExactDecode:
             np.testing.assert_array_equal(
                 huffman_decode_scalar(payload, header), arr, err_msg=f"{name} scalar"
             )
-            # chain fallback: same payload, header without sync offsets
+            # header without sync offsets: one block, so at most _SYNC_BLOCK symbols
             no_sync = {k: v for k, v in header.items() if k != "sync"}
-            np.testing.assert_array_equal(
-                huffman_decode(payload, no_sync), arr, err_msg=f"{name} chain"
-            )
+            if arr.size <= _SYNC_BLOCK:
+                np.testing.assert_array_equal(
+                    huffman_decode(payload, no_sync), arr, err_msg=f"{name} no sync"
+                )
+            else:
+                with pytest.raises(ValueError, match="corrupt Huffman header"):
+                    huffman_decode(payload, no_sync)
 
     def test_truncated_payload_detected_by_both_paths(self, rng):
         arr = rng.integers(-5, 5, 3 * _SYNC_BLOCK).astype(np.int64)
@@ -84,9 +89,11 @@ class TestExactDecode:
         assert "sync" in header
         with pytest.raises(ValueError):
             huffman_decode(payload[: len(payload) // 2], header)
-        no_sync = {k: v for k, v in header.items() if k != "sync"}
-        with pytest.raises(ValueError):
-            huffman_decode(payload[: len(payload) // 2], no_sync)
+        # one block: the header carries no sync offsets, only the end bit
+        payload, header = huffman_encode(arr[:_SYNC_BLOCK])
+        assert "sync" not in header
+        with pytest.raises(ValueError, match="truncated"):
+            huffman_decode(payload[: len(payload) // 2], header)
 
     def test_negative_header_counts_rejected(self, rng):
         arr = rng.integers(-5, 5, 100).astype(np.int64)

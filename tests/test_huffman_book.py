@@ -1,12 +1,12 @@
 """The array-native Huffman stage against the heap/scalar oracle.
 
-``tests/huffman_oracle.py`` builds books with a ``heapq`` tree and codes
-per element and per bit.  Production must give the same code lengths
-and canonical codes from its two-queue merge, the same payload bytes and
-headers from its mapped/packed encode whichever symbol mapping it
-picks, and the same symbols from either decode selection under either
-kernel backend — including a ``ValueError`` from all four on every
-corrupt payload.
+``tests/huffman_oracle.py`` builds books with the ``heapq`` tree of
+``huffman_book._heap_lengths`` and codes per element and per bit.
+Production must give the same code lengths and canonical codes from the
+C two-queue merge, the same payload bytes and headers from its
+mapped/packed encode whichever symbol mapping the C picks, and the same
+symbols from the decode under either kernel backend — including a
+``ValueError`` from both on every corrupt payload.
 """
 
 import json
@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 import huffman_oracle as O
 import repro.compress.huffman as H
 import repro.compress.huffman_book as B
+import repro.compress.huffman_pack as P
+import repro.compress.huffman_unpack as U
 from repro.compress import lossless
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.core import native
 
-SYNC = H._SYNC_BLOCK
+SYNC = P._SYNC_BLOCK
 
 
 def _fib(n):
@@ -63,9 +65,9 @@ def _data_for(counts, rng):
     return vals
 
 
-def _assert_book_is(code: H.HuffmanCode, lengths: dict):
+def _assert_book_is(code: B.HuffmanCode, lengths: dict):
     """``code`` holds exactly the oracle book ``lengths`` (ESC included)."""
-    assert H.table_from_code(code) == O.header_table(lengths)
+    assert B.table_from_code(code) == O.header_table(lengths)
     codes = O.canonical_codes(lengths)
     assert code.codes.tolist() == [codes[s] for s in code.symbols.tolist()]
     assert code.esc_len == lengths.get(O.ESCAPE)
@@ -81,12 +83,12 @@ class TestBookBuilder:
         freqs = dict(zip(symbols.tolist(), counts))
         if esc_count:
             freqs[O.ESCAPE] = esc_count
-        code = H.HuffmanCode.from_counts(symbols, counts, esc_count)
-        _assert_book_is(code, O.heap_lengths(freqs))
+        code = B.HuffmanCode.from_counts(symbols, counts, esc_count)
+        _assert_book_is(code, O.lengths_of(freqs))
 
     def test_fibonacci_book_outgrows_the_decode_table(self):
-        code = H.HuffmanCode.from_counts(np.arange(40), _fib(40))
-        assert code.lengths.max() == 39 > H._LUT_BITS
+        code = B.HuffmanCode.from_counts(np.arange(40), _fib(40))
+        assert code.lengths.max() == 39 > U._LUT_BITS
 
     @pytest.mark.parametrize("reserve", [False, True, "auto"])
     @pytest.mark.parametrize("max_table", [2, 16, 4096])
@@ -96,19 +98,19 @@ class TestBookBuilder:
         for profile in ("one", "two", "all-equal-64", "powers-of-two-doubled",
                         "fibonacci-24", "ties", "random"):
             vals = _data_for(COUNT_PROFILES[profile], rng)
-            code = H.build_code(vals, max_table, reserve_escape=reserve)
+            code = B.build_code(vals, max_table, reserve_escape=reserve)
             _assert_book_is(code, O.book_lengths(vals, max_table, reserve))
         vals = _data_for([2] * 63, rng)
         _assert_book_is(
-            H.build_code(vals, max_table, reserve_escape=reserve),
+            B.build_code(vals, max_table, reserve_escape=reserve),
             O.book_lengths(vals, max_table, reserve),
         )
 
     def test_table_round_trips_in_any_order(self, rng):
-        code = H.build_code(_data_for(COUNT_PROFILES["random"], rng), 64, True)
-        table = H.table_from_code(code)
-        back = H.code_from_table([table[i] for i in rng.permutation(len(table))])
-        assert H.table_from_code(back) == table
+        code = B.build_code(_data_for(COUNT_PROFILES["random"], rng), 64, True)
+        table = B.table_from_code(code)
+        back = B.code_from_table([table[i] for i in rng.permutation(len(table))])
+        assert B.table_from_code(back) == table
         np.testing.assert_array_equal(back.codes, code.codes)
         assert back.esc_code == code.esc_code
 
@@ -125,14 +127,14 @@ class TestBookBuilder:
     )
     def test_corrupt_tables_rejected(self, table):
         with pytest.raises(ValueError, match="corrupt Huffman header"):
-            H.code_from_table(table)
+            B.code_from_table(table)
 
     @pytest.mark.parametrize("n", [1, 2, 50])
     def test_histogram_is_np_unique_on_both_sides_of_the_dense_span(self, rng, n):
         """``bincount`` over ``[min, max]`` while that span is at most
         ``_DENSE_SPAN_FACTOR`` times the segment, the sort past it, and
         int64 extremes — where an int64 ``max - min`` would wrap."""
-        span = H._DENSE_SPAN_FACTOR * n
+        span = B._DENSE_SPAN_FACTOR * n
         lo = int(rng.integers(-(2**40), 2**40))
         cases = [np.full(n, lo), [-(2**63)] * n, [2**63 - 1] * n,
                  [-(2**63), 2**63 - 1] * n, [0, -(2**63) + 1, 2**63 - 2]]
@@ -171,7 +173,7 @@ def book_pairs(draw):
         new_vals = rng.integers(10**15, 10**15 + 100, n)
 
     def book(v):
-        return H.build_code(v.astype(np.int64), draw(st.sampled_from([2, 16, 4096])),
+        return B.build_code(v.astype(np.int64), draw(st.sampled_from([2, 16, 4096])),
                             draw(st.sampled_from([False, True, "auto"])))
 
     return book(vals), book(new_vals)
@@ -198,37 +200,41 @@ class TestBookDeltas:
         JSON lengths, are what two dicts and ``json.dumps`` make of it."""
         ref, new = pair
         want = O.table_delta(ref.table, new.table)
-        assert H._delta(ref, new) == want == H.table_delta(ref.table, new.table)
+        assert B._delta(ref, new) == want == B.table_delta(ref.table, new.table)
         form = O.rebuild_form(ref.table, new.table)
-        assert H._delta(ref, new, only_if_smaller=True) == form.get("table_delta")
-        assert H.code_from_table(H.apply_table_delta(ref.table, want)).table == new.table
+        assert B._delta(ref, new, only_if_smaller=True) == form.get("table_delta")
+        assert B.code_from_table(B.apply_table_delta(ref.table, want)).table == new.table
 
 
 class TestSymbolMapping:
     def _book(self):
         # three symbols spanning 4000: dense iff the segment has > 1000 values
-        return H.HuffmanCode.from_counts([0, 5, 4000], [5, 3, 1], esc_count=1)
+        return B.HuffmanCode.from_counts([0, 5, 4000], [5, 3, 1], esc_count=1)
 
     @pytest.mark.parametrize("n, dense", [(1000, False), (1001, True)])
     def test_dense_table_boundary(self, rng, n, dense):
-        assert H._DENSE_SPAN_FACTOR == 4
+        assert B._DENSE_SPAN_FACTOR == 4
         code = self._book()
         vals = rng.choice([0, 5, 4000, -1, 3, 4001, 2**62, -(2**63)], n).astype(np.int64)
-        slots = H._map_symbols(vals, code)
-        assert (code._lut is not None) == dense
+        assert (P._dense_lut(code, n) is not None) == dense
         index = {0: 0, 5: 1, 4000: 2}
-        assert slots.tolist() == [index.get(v, 3) for v in vals.tolist()]
+        want = [index.get(v, 3) for v in vals.tolist()]
+        for backend in ("reference", "native") if native.available() else ("reference",):
+            with native.forced(backend):
+                slots, hist = P._map_slots(vals, code)
+            assert slots.tolist() == want
+            assert hist.tolist() == np.bincount(want, minlength=4).tolist()
 
     def test_mapping_choice_never_shows_in_the_bytes(self, rng):
         vals = rng.choice([0, 5, 4000, 7, -9], 3000).astype(np.int64)
         dense, sparse = self._book(), self._book()
-        H._map_symbols(vals[:10], sparse)  # a short segment: stays searchsorted
         sparse_out = H.huffman_encode(vals[:1000], code=sparse)
         dense_out = H.huffman_encode(vals, code=dense)
-        assert sparse._lut is None and dense._lut is not None
+        assert sparse._lut is None
+        assert (dense._lut is not None) == native.active()  # only the C mapping builds it
         # the cached table now serves a segment that would not have built it
         assert H.huffman_encode(vals[:1000], code=dense) == sparse_out
-        lengths = O.lengths_from_table(H.table_from_code(dense))
+        lengths = O.lengths_from_table(B.table_from_code(dense))
         payload, bits, sync = O.encode_with_book(vals, lengths)
         assert dense_out[0] == payload
         assert (dense_out[1]["bits"], dense_out[1]["sync"]) == (bits, sync)
@@ -247,7 +253,7 @@ class TestSymbolMapping:
         monkeypatch.setattr(H, "_pack_slots", lambda *a: pytest.fail("packed"))
         tight = {"max_bits_per_symbol": bps - 1e-6}
         assert H.huffman_encode(vals, code=code, guard=tight) == (None, None)
-        bare = H.HuffmanCode.from_counts([0, 5, 4000], [5, 3, 1])
+        bare = B.HuffmanCode.from_counts([0, 5, 4000], [5, 3, 1])
         assert H.huffman_encode(vals, code=bare, guard={"max_bits_per_symbol": 99}) == (
             None,
             None,
@@ -257,48 +263,27 @@ class TestSymbolMapping:
             H.huffman_encode(vals, code=bare)
 
 
-@pytest.fixture(params=["chain", "lockstep", "chain-native", "lockstep-native"])
-def decode(request, monkeypatch):
-    """``huffman_decode`` pinned to one selection for headers with sync,
-    under one kernel backend: the bare ids run the NumPy bodies (the
-    ``reference`` backend), ``-native`` the C walk each selection hands
-    its blocks to.
-
-    Asserts the pinned path ran, so a selection-rule change cannot
-    quietly turn the lockstep cases into second chain runs.
-    """
-    selection, _, backend = request.param.partition("-")
-    if backend and not native.available():
+@pytest.fixture(params=["reference", "native"])
+def decode(request):
+    """``huffman_decode`` under one kernel backend: the NumPy lockstep body
+    (``reference``) or the C walk it hands its blocks to (``native``)."""
+    if request.param == "native" and not native.available():
         pytest.skip("no C compiler on this host")
-    chain = selection == "chain"
-    taken = []
-    for name in ("_decode_chain", "_decode_sync"):
-        def spy(*a, _orig=getattr(H, name), _name=name, **k):
-            taken.append(_name)
-            return _orig(*a, **k)
-
-        monkeypatch.setattr(H, name, spy)
-    monkeypatch.setattr(H, "_CHAIN_MAX_BITS", 1 << 62 if chain else 0)
 
     def run(payload, header, **kw):
-        del taken[:]
-        try:
-            with native.forced(backend or "reference"):
-                return H.huffman_decode(payload, header, **kw)
-        finally:
-            if taken and "sync" in header:
-                assert taken == ["_decode_chain" if chain else "_decode_sync"]
+        with native.forced(request.param):
+            return H.huffman_decode(payload, header, **kw)
 
     return run
 
 
-class TestDecodeSelections:
+class TestDecodeBackends:
     @pytest.mark.parametrize("max_table", [4096, 16, 2])
     @pytest.mark.parametrize(
         "profile",
         ["one", "two", "all-equal-64", "powers-of-two-doubled", "fibonacci-24", "random"],
     )
-    def test_both_selections_equal_scalar(self, rng, decode, profile, max_table):
+    def test_both_backends_equal_scalar(self, rng, decode, profile, max_table):
         vals = _data_for(COUNT_PROFILES[profile], rng)[: 6 * SYNC + 77]
         if vals.size < SYNC:  # reach the sync-carrying header form
             vals = np.resize(vals, 2 * SYNC + 5)
@@ -307,20 +292,37 @@ class TestDecodeSelections:
         np.testing.assert_array_equal(decode(payload, header), vals)
         np.testing.assert_array_equal(O.huffman_decode_scalar(payload, header), vals)
 
+    @pytest.mark.parametrize("max_table", [4096, 16])
+    @pytest.mark.parametrize("n", [1, 2, SYNC - 1, SYNC, SYNC + 1, 2 * SYNC, 2 * SYNC + 1, 3000])
+    def test_sync_block_boundaries(self, rng, decode, n, max_table):
+        """``len(sync) == ceil(n / SYNC) - 1``; a header without ``sync`` is
+        one block, so it decodes up to ``SYNC`` symbols and is refused past."""
+        vals = rng.integers(-40, 40, n).astype(np.int64)
+        payload, header = H.huffman_encode(vals, max_table=max_table)
+        assert (payload, header) == O.huffman_encode_scalar(vals, max_table)
+        assert len(header.get("sync", [])) == -(-n // SYNC) - 1
+        np.testing.assert_array_equal(decode(payload, header), vals)
+        bare = {k: v for k, v in header.items() if k != "sync"}
+        if n <= SYNC:
+            np.testing.assert_array_equal(decode(payload, bare), vals)
+        else:
+            with pytest.raises(ValueError, match="sync offsets for"):
+                decode(payload, bare)
+
     def test_codes_longer_than_the_prefix_table(self, rng, decode):
         """Uniform draws over a 40-symbol Fibonacci book: most symbols
         miss the 16-bit table and classify through the first-code search."""
-        code = H.HuffmanCode.from_counts(np.arange(40) * 3, _fib(40), esc_count=1)
+        code = B.HuffmanCode.from_counts(np.arange(40) * 3, _fib(40), esc_count=1)
         vals = rng.choice(np.arange(41) * 3, 3 * SYNC + 200).astype(np.int64)  # 120: escaped
         payload, header = H.huffman_encode(vals, code=code)
         lengths = O.lengths_from_table(header["table"])
-        assert max(lengths.values()) > H._LUT_BITS
+        assert max(lengths.values()) > U._LUT_BITS
         assert payload == O.encode_with_book(vals, lengths)[0]
         np.testing.assert_array_equal(decode(payload, header), vals)
         np.testing.assert_array_equal(O.huffman_decode_scalar(payload, header), vals)
 
     def test_escapes_on_sync_boundaries_and_in_the_last_partial_block(self, rng, decode):
-        code = H.build_code(rng.integers(-3, 4, 500), reserve_escape=True)
+        code = B.build_code(rng.integers(-3, 4, 500), reserve_escape=True)
         vals = rng.integers(-3, 4, 2 * SYNC + 100).astype(np.int64)
         aliens = [2**63 - 1, -(2**63), 99, -99, 2**40, -1 - 2**40, 12345, 7]
         at = [SYNC - 1, SYNC, 2 * SYNC - 1, 2 * SYNC, 2 * SYNC + 1, vals.size - 2,
@@ -337,33 +339,27 @@ class TestDecodeSelections:
         """ESCAPE shorter than the table width is served by the table
         (length entry above 64); a longer one by the first-code search."""
         for counts, esc in (([4, 4], 8), (_fib(32)[2:], 1)):
-            code = H.HuffmanCode.from_counts(np.arange(len(counts)), counts, esc)
-            assert (code.esc_len <= H._LUT_BITS) == (esc == 8)
+            code = B.HuffmanCode.from_counts(np.arange(len(counts)), counts, esc)
+            assert (code.esc_len <= U._LUT_BITS) == (esc == 8)
             vals = rng.integers(-2, len(counts), 3 * SYNC + 9).astype(np.int64)
             payload, header = H.huffman_encode(vals, code=code)
             np.testing.assert_array_equal(decode(payload, header), vals)
 
-    def test_selection_follows_payload_size(self, rng, monkeypatch):
-        taken = []
-        for name in ("_decode_chain", "_decode_sync"):
-            def spy(*a, _orig=getattr(H, name), _name=name, **k):
-                taken.append(_name)
-                return _orig(*a, **k)
 
-            monkeypatch.setattr(H, name, spy)
-        small = rng.integers(-4, 4, 4 * SYNC).astype(np.int64)  # ~3 bits each
-        big = rng.integers(-4, 4, 64 * SYNC).astype(np.int64)
-        for vals in (small, big):
-            payload, header = H.huffman_encode(vals)
-            np.testing.assert_array_equal(H.huffman_decode(payload, header), vals)
-            no_sync = {k: v for k, v in header.items() if k != "sync"}
-            np.testing.assert_array_equal(H.huffman_decode(payload, no_sync), vals)
-        assert header["bits"] > H._CHAIN_MAX_BITS
-        assert taken == ["_decode_chain", "_decode_chain", "_decode_sync", "_decode_chain"]
+_NON_INTEGER = {  # header edits a truncating parse (``int()``, an int64 cast) accepts
+    "bits-half": lambda h: {"bits": h["bits"] + 0.5},
+    "bits-float": lambda h: {"bits": float(h["bits"])},
+    "n-float": lambda h: {"n": float(h["n"])},
+    "sync-quarter": lambda h: {"sync": [h["sync"][0] + 0.25, *h["sync"][1:]]},
+    "sync-floats": lambda h: {"sync": [float(o) for o in h["sync"]]},
+    "sync-bool": lambda h: {"sync": [True, *h["sync"][1:]]},
+    "n-bool": lambda h: {"n": True},
+    "bits-bool": lambda h: {"bits": True},
+}
 
 
 class TestCorruptPayloads:
-    """Every corruption raises ``ValueError`` from both decode selections."""
+    """Every corruption raises ``ValueError`` under both kernel backends."""
 
     def _encoded(self, rng):
         vals = rng.integers(-5, 5, 3 * SYNC + 40).astype(np.int64)
@@ -396,7 +392,7 @@ class TestCorruptPayloads:
 
     def test_no_codeword_matches(self, rng, decode):
         # an incomplete code: 0, 10 — every window starting 11 matches nothing
-        code = H.code_from_table([[0, 1], [1, 2]])
+        code = B.code_from_table([[0, 1], [1, 2]])
         vals = rng.integers(0, 2, 3 * SYNC).astype(np.int64)
         payload, header = H.huffman_encode(vals, code=code)
         start = header["sync"][1] // 8 + 1
@@ -407,7 +403,7 @@ class TestCorruptPayloads:
             decode(b"\xff" * len(payload), header)
 
     def test_escape_raw_bits_cut_off(self, rng, decode):
-        code = H.build_code(np.arange(8), reserve_escape=True)
+        code = B.build_code(np.arange(8), reserve_escape=True)
         vals = np.resize(np.arange(8), 2 * SYNC + 3).astype(np.int64)
         vals[-1] = 10**12
         payload, header = H.huffman_encode(vals, code=code)
@@ -419,6 +415,29 @@ class TestCorruptPayloads:
         _, payload, header = self._encoded(rng)
         with pytest.raises(ValueError, match="corrupt Huffman header"):
             decode(payload, {**header, "sync": ["a", None, 3]})
+
+    @pytest.mark.parametrize("n", [SYNC + 1, 2 * SYNC + 1, 3000])
+    @pytest.mark.parametrize("edit", ["drop-first", "drop-last", "repeat-last", "append-end"])
+    def test_sync_count_off_by_one(self, rng, decode, n, edit):
+        """Offsets that all lie inside the stream, one too few or one too
+        many for ``n``: refused by the count rule, never decoded."""
+        vals = rng.integers(-5, 5, n).astype(np.int64)
+        payload, header = H.huffman_encode(vals)
+        sync = header["sync"]
+        bad = {"drop-first": sync[1:], "drop-last": sync[:-1],
+               "repeat-last": [*sync, sync[-1]], "append-end": [*sync, header["bits"]]}[edit]
+        with pytest.raises(ValueError, match="sync offsets for"):
+            decode(payload, {**header, "sync": bad})
+
+    @pytest.mark.parametrize("field", list(_NON_INTEGER))
+    def test_non_integer_header_fields(self, rng, decode, field):
+        """A float or bool is no count, though truncating it would decode."""
+        if field.endswith("-bool") and not field.startswith("sync"):
+            payload, header = H.huffman_encode(np.array([7]))  # n == bits == 1 == True
+        else:
+            _, payload, header = self._encoded(rng)
+        with pytest.raises(ValueError, match="corrupt Huffman header"):
+            decode(payload, {**header, **_NON_INTEGER[field](header)})
 
 
 def _segment(payload, sh):
@@ -457,9 +476,9 @@ class TestEncodeClassesAgainstOracle:
         steps[1][sizes[0] + 5] = 10**9  # absorbed by the reserved escape
 
         built = []
-        real_table = H.HuffmanCode.table.fget
+        real_table = B.HuffmanCode.table.fget
         monkeypatch.setattr(
-            H.HuffmanCode, "table", property(lambda c: (built.append(c), real_table(c))[1])
+            B.HuffmanCode, "table", property(lambda c: (built.append(c), real_table(c))[1])
         )
 
         scratch: dict = {}
@@ -478,7 +497,7 @@ class TestEncodeClassesAgainstOracle:
                     table, form = sh["table"], "full"
                 elif "table_delta" in sh:
                     base_table = tables[i, sh["table_ref"]]
-                    table, form = H.apply_table_delta(base_table, sh["table_delta"]), "delta"
+                    table, form = B.apply_table_delta(base_table, sh["table_delta"]), "delta"
                 else:
                     table, form = tables[i, sh["table_ref"]], "ref"
                 forms.append(form)

@@ -22,7 +22,7 @@ from repro.parallel.executors import (
     get_executor,
     set_default_executor,
 )
-from repro.compress.huffman import (
+from repro.compress.huffman_book import (
     apply_table_delta,
     build_code,
     code_from_table,
@@ -226,7 +226,7 @@ class TestCodeBookDeltas:
         flat, _ = decode_classes(p, solid)  # decodes without any context
         np.testing.assert_array_equal(flat, bins)
 
-    def test_decode_chain_caches_are_pruned(self, rng):
+    def test_code_book_chain_caches_are_pruned(self, rng):
         """Long streams must not grow the decode caches without bound."""
         sizes = [3000]
         scratch, dec = {}, {}

@@ -33,6 +33,8 @@ import pytest
 import repro.compress.huffman as H
 from repro.cluster.pipeline import run_pipeline
 from repro.compress.fileio import save_compressed
+from repro.compress.huffman_book import build_code
+from repro.compress.huffman_pack import _SYNC_BLOCK
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.compress.quantizer import Quantizer
@@ -358,7 +360,7 @@ def _skewed(rng, n):
 def _escaping_segments(rng, n):
     """One escape-reserving book and three odd-length segments of it,
     dotted with symbols the book only reaches through its escape."""
-    code = H.build_code(_skewed(rng, n // 2), reserve_escape=True)
+    code = build_code(_skewed(rng, n // 2), reserve_escape=True)
     segs = []
     for k in range(3):
         vals = _skewed(rng, n + k)
@@ -396,8 +398,8 @@ class TestProcessHuffmanEncode:
         assert get_executor("process:2").map(tight, segs) == [(None, None)] * len(segs)
 
     def test_escapeless_book_raises_through_pool(self):
-        code = H.build_code(np.arange(8, dtype=np.int64))
-        alien = [np.full(2 * H._SYNC_BLOCK + k, 99, dtype=np.int64) for k in range(2)]
+        code = build_code(np.arange(8, dtype=np.int64))
+        alien = [np.full(2 * _SYNC_BLOCK + k, 99, dtype=np.int64) for k in range(2)]
         proc = get_executor("process:2")
         with pytest.raises(ValueError, match="escape"):
             proc.map(functools.partial(H.huffman_encode, code=code), alien)
@@ -408,7 +410,7 @@ class TestProcessHuffmanEncode:
         assert proc.map(guarded, alien) == [(None, None)] * len(alien)
 
     def test_process_encode_equals_serial(self, rng):
-        sizes = [H._SYNC_BLOCK + 7, 3 * H._SYNC_BLOCK + 1, 5]
+        sizes = [_SYNC_BLOCK + 7, 3 * _SYNC_BLOCK + 1, 5]
         bins = _skewed(rng, sum(sizes))
         for backend in ("huffman", "zlib"):
             want = encode_classes(bins, sizes, backend=backend)

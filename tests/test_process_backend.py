@@ -36,6 +36,7 @@ import repro.compress.lossless as L
 from repro.cluster import sharded
 from repro.cluster.pipeline import run_pipeline
 from repro.cluster.sharded import ShardCodec, encode_shards, plan_shards
+from repro.compress.huffman_pack import _SYNC_BLOCK
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.mgard import MgardCompressor
 from repro.core import native
@@ -366,7 +367,7 @@ class TestHuffmanProcessDecode:
     def test_segments_decode_exactly_through_the_pool(self, rng):
         """Huffman segments decode as pool jobs, and as ``decode_classes``'
         fan-out, exactly."""
-        sizes = [(1 << 16) + 5, 3 * H._SYNC_BLOCK + 1, 0, 7]
+        sizes = [(1 << 16) + 5, 3 * _SYNC_BLOCK + 1, 0, 7]
         bins = rng.integers(-6, 7, sum(sizes)).astype(np.int64)
         bins[:: 997] = rng.integers(-(2**60), 2**60, bins[:: 997].size)
         bounds = np.cumsum([0] + sizes)
