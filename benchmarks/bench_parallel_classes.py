@@ -16,7 +16,7 @@ trajectory stays machine-readable:
 
 2. **cold vs reused code books** — a 16-step slowly-varying stream
    through the time-series compressor with per-step code-book rebuild
-   vs cross-step reuse (``table_ref``/``table_delta`` headers), with
+   vs cross-step reuse (``table_ref`` rows, no book shipped), with
    total bytes, end-to-end wall time, and entropy-stage wall time.
 
 Run from the repo root::

@@ -10,14 +10,7 @@ from ..parallel.executors import (
 )
 from .fileio import CompressedFileError, load_compressed, save_compressed
 from .huffman import huffman_decode, huffman_encode
-from .huffman_book import (
-    HuffmanCode,
-    apply_table_delta,
-    build_code,
-    code_from_table,
-    table_delta,
-    table_from_code,
-)
+from .huffman_book import HuffmanCode, build_code
 from .lossless import (
     BACKENDS,
     decode_classes,
@@ -41,10 +34,8 @@ __all__ = [
     "SerialExecutor",
     "StageTimes",
     "TimeSeriesCompressor",
-    "apply_table_delta",
     "available_workers",
     "build_code",
-    "code_from_table",
     "decode_classes",
     "encode_classes",
     "get_executor",
@@ -54,6 +45,4 @@ __all__ = [
     "materialize_classes_header",
     "save_compressed",
     "set_default_executor",
-    "table_delta",
-    "table_from_code",
 ]

@@ -12,13 +12,18 @@ parts:
   plus 64 raw bits); the decoder only needs the (symbol, length) pairs.
   A book can be supplied (``code=``) instead of rebuilt from the data,
   which is how slowly-varying streams amortize entropy setup across time
-  steps, and shipped as a delta against another (``table_delta``);
+  steps; its one serialized form is the packed :attr:`HuffmanCode.book`;
 * :mod:`.huffman_pack` — the encode's two passes: map and count symbols,
   then pack; :func:`huffman_encode` reads a reuse guard off the
   histogram in between;
 * :mod:`.huffman_unpack` — the decode: one cursor per sync block of
   :data:`_SYNC_BLOCK` symbols, whose offsets :func:`huffman_decode`
-  takes from the header.
+  reads from the segment.
+
+A segment is bytes ``book | sync | bitstream`` — the packed book (absent
+when the caller ships a reference to a cached one), ⌈n/512⌉ − 1
+little-endian u64 sync offsets, the codes — and its header holds
+scalars only: ``n``, ``bits`` and ``book``, the book's byte count.
 
 Each of the stage's integer loops — the code-length merge, the encode's
 two passes, the decode walk — has one C entry, taken under the
@@ -28,7 +33,7 @@ and defines the bits: payload bytes, headers, books and decoded symbols
 are the same either way.  A segment is coded in one pass in each
 direction: the entropy stage's unit of parallel work is the class
 segment (:mod:`.lossless`), and code books and decode tables pickle as
-their table JSON so a segment job can cross a process boundary.
+their packed book so a segment job can cross a process boundary.
 
 The coder is exact: ``decode(encode(x)) == x`` for any int64 array.
 The per-element/per-bit reference coders it must agree with live in
@@ -39,22 +44,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .huffman_book import HuffmanCode, _build_code, code_from_table
+from .huffman_book import HuffmanCode, _build_code
 from .huffman_pack import _SYNC_BLOCK, _map_slots, _pack_slots
-from .huffman_unpack import _block_bounds, _decode_blocks, _payload_words, decode_tables
+from .huffman_unpack import _block_bounds, _decode_blocks, _payload_words, _tables_from_book
 
 __all__ = ["huffman_encode", "huffman_decode"]
 
 
-def _header(table: list | None, n: int, total_bits: int, sync=None) -> dict:
-    """Segment header; ``table`` is the header-form book, or ``None``
-    when the caller ships a reference to a cached book instead."""
-    header = {"n": int(n), "bits": int(total_bits)}
-    if table is not None:
-        header["table"] = table
-    if sync is not None and len(sync):
-        header["sync"] = sync.tolist()
-    return header
+def _segment(code: HuffmanCode | None, n: int, total_bits: int, sync, payload: bytes):
+    """``(segment bytes, header)`` of an encoded segment; ``code`` is the
+    book it ships, or ``None`` when the caller ships a reference instead."""
+    book = b"" if code is None else code.book
+    header = {"n": int(n), "bits": int(total_bits), "book": len(book)}
+    return b"".join((book, np.asarray(sync, dtype="<u8").tobytes(), payload)), header
 
 
 # what the encode path returns when a reuse guard rejects the book
@@ -64,8 +66,8 @@ _GUARD_TRIPPED = (None, None, None)
 def _encode_payload(values, code, guard=None):
     """Encode with a given book; returns ``(payload, total_bits, sync)``.
 
-    The header-less core of :func:`huffman_encode` (same ``guard``), for
-    callers that ship a reference to a cached book instead of its table.
+    The book-less core of :func:`huffman_encode` (same ``guard``), for
+    callers that ship a reference to a cached book instead of the book.
     A tripped guard — or, under a guard, a new symbol the book has no
     escape for — returns :data:`_GUARD_TRIPPED`.
     """
@@ -92,11 +94,11 @@ def huffman_encode(
     code: HuffmanCode | None = None,
     guard: dict | None = None,
 ):
-    """Encode an int64 array; returns (payload, header).
+    """Encode an int64 array; returns (segment, header).
 
-    The header carries the canonical code book as plain Python data
-    (symbol/length pairs) plus the element count; it is what a container
-    format would serialize alongside the payload.
+    The segment is ``book | sync | bitstream`` and the header its scalars
+    ``{"n", "bits", "book"}`` — what a container format serializes
+    alongside it.
 
     Parameters
     ----------
@@ -114,56 +116,60 @@ def huffman_encode(
     """
     values = np.ascontiguousarray(values, dtype=np.int64).ravel()
     if values.size == 0:
-        return b"", {"n": 0, "bits": 0, "table": []}
+        return b"", {"n": 0, "bits": 0, "book": 0}
     if code is None:
         code = _build_code(values, max_table)
     payload, total_bits, sync = _encode_payload(values, code, guard)
     if payload is None:
         return None, None
-    return payload, _header(code.table, values.size, total_bits, sync)
+    return _segment(code, values.size, total_bits, sync, payload)
 
 
-def huffman_decode(payload: bytes, header: dict, *, tables=None) -> np.ndarray:
+def huffman_decode(segment: bytes, header: dict, *, tables=None) -> np.ndarray:
     """Invert :func:`huffman_encode`.
 
-    The header's ``n`` and ``bits`` are integers, and its ``sync`` lists
-    the bit offset of every :data:`_SYNC_BLOCK`-th symbol — one fewer
-    than the segment has blocks, so a missing ``sync`` is a segment of
-    one block.  Each block is walked by a cursor of its own
-    (:func:`~.huffman_unpack._decode_blocks`: one C loop under the
-    ``native`` kernel backend, vectorized lockstep otherwise); every
-    corruption (a header off this grammar, no codeword matches, a
-    truncated payload, a sync mismatch) is a ``ValueError`` either way.
-    One call decodes one segment on the calling thread: the entropy
-    stage has one fan-out per direction, over class segments
-    (:func:`repro.compress.lossless.decode_classes`).
+    The header's ``n``, ``bits`` and ``book`` are integers, and the
+    segment is exactly ``book`` bytes of packed book, ⌈n/512⌉ − 1 u64
+    sync offsets — the bit offset of every :data:`_SYNC_BLOCK`-th symbol
+    — and ⌈bits/8⌉ bytes of codes.  ``tables`` are the decode tables
+    to use instead of the book's (built by the caller, or of a cached
+    book for a segment that ships none).  Each block is walked by a
+    cursor of its own (:func:`~.huffman_unpack._decode_blocks`: one C
+    loop under the ``native`` kernel backend, vectorized lockstep
+    otherwise); every
+    corruption (a header or size off this grammar, a bad book, no
+    codeword matches, a truncated payload, a sync mismatch) is a
+    ``ValueError`` either way.  One call decodes one segment on the
+    calling thread: the entropy stage has one fan-out per direction,
+    over class segments (:func:`repro.compress.lossless.decode_classes`).
     """
-    n, total, sync = header["n"], header["bits"], header.get("sync", [])
+    n, total, book = header["n"], header["bits"], header["book"]
     # JSON integers: a float or bool would be truncated into a count
-    if type(n) is not int or type(total) is not int:
-        raise ValueError(f"corrupt Huffman header: non-integer n {n!r} or bits {total!r}")
-    if n < 0:
-        raise ValueError(f"corrupt Huffman header: negative element count {n}")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if total < 0:
-        raise ValueError(f"corrupt Huffman header: negative bit count {total}")
+    if not {type(n), type(total), type(book)} <= {int}:
+        raise ValueError(f"corrupt Huffman header: non-integer n {n!r}, bits {total!r} "
+                         f"or book {book!r}")
+    if min(n, total, book) < 0:
+        raise ValueError(f"corrupt Huffman header: negative count in {n, total, book}")
     if n > total:
         # every symbol costs at least one bit; checked before anything
         # is sized from the (untrusted) element count
-        raise ValueError(
-            f"corrupt Huffman header: {n} symbols cannot fit in {total} bits"
-        )
-    if len(payload) < (total + 7) >> 3:
+        raise ValueError(f"corrupt Huffman header: {n} symbols cannot fit in {total} bits")
+    if n == 0:
+        if book or total or len(segment):
+            raise ValueError("corrupt Huffman segment: an empty segment holds bytes")
+        return np.empty(0, dtype=np.int64)
+    n_sync = -(-n // _SYNC_BLOCK) - 1
+    start = book + 8 * n_sync
+    size = start + ((total + 7) >> 3)
+    if len(segment) < size:
         raise ValueError("truncated Huffman payload")
-    # in range before anything is converted to int64
-    if not (isinstance(sync, (list, tuple)) and set(map(type, sync)) <= {int}
-            and (not sync or 0 <= min(sync) and max(sync) <= total)):
-        raise ValueError("corrupt Huffman header: bad sync offsets")
-    if len(sync) + 1 != -(-n // _SYNC_BLOCK):
-        raise ValueError(f"corrupt Huffman header: {len(sync)} sync offsets for {n} symbols")
+    if len(segment) > size:
+        raise ValueError(f"corrupt Huffman segment: {len(segment)} bytes, expected {size}")
     if tables is None:
-        tables = decode_tables(code_from_table(header["table"]))
+        if not book:
+            raise ValueError("Huffman segment ships no code book and none was given")
+        tables = _tables_from_book(bytes(segment[:book]))
+    sync = np.frombuffer(segment, "<u8", n_sync, book)
     starts, ends = _block_bounds(sync, total)
-    rem = n - len(sync) * _SYNC_BLOCK  # symbols in the last block
-    return _decode_blocks(_payload_words(payload, total), starts, ends, rem, total, tables)
+    rem = n - n_sync * _SYNC_BLOCK  # symbols in the last block
+    return _decode_blocks(_payload_words(segment, start, total), starts, ends, rem, total, tables)

@@ -1,4 +1,4 @@
-"""The canonical Huffman code book: construction, header form, deltas.
+"""The canonical Huffman code book: construction and its packed bytes.
 
 A code book (:class:`HuffmanCode`) *is* arrays — the sorted distinct
 int64 symbols, their code lengths and canonical codes, plus an optional
@@ -10,20 +10,20 @@ in C under the ``native`` kernel backend, and otherwise
 also the tests' oracle — integer compares either way, so the same
 lengths.  Code assignment is canonical (sorted by (length, symbol)), so
 the decoder only needs the (symbol, length) pairs.
-:func:`table_delta` / :func:`apply_table_delta` express one book as a
-compact edit script against another so reused books cost almost no
-header bytes; :func:`_delta` weighs it against the full table on the
-books' arrays.
 
-The dict-built delta the builder must agree with lives in
-``tests/huffman_oracle.py``.
+A book's one serialized form is :attr:`HuffmanCode.book`: a fixed head
+(first symbol, symbol count, ESCAPE length, gap width), the lengths as
+u8 and the symbol gaps at the narrowest unsigned width, zlib'd.  It is
+what a Huffman segment ships in front of its bitstream and what a book
+(and its decode tables) pickles as; :meth:`HuffmanCode.from_book`
+checks every field of foreign bytes before it believes one.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import json
+import zlib
 
 import numpy as np
 
@@ -39,9 +39,9 @@ def _canonical(all_lens: np.ndarray):
     first[k] + count[k])`` occupying canonical ranks ``base[k]...``.
     """
     if all_lens.size == 0:
-        raise ValueError("corrupt Huffman header: empty code table")
+        raise ValueError("corrupt Huffman book: empty code table")
     if all_lens.min() < 1 or all_lens.max() > 64:
-        raise ValueError("corrupt Huffman header: code length outside 1..64")
+        raise ValueError("corrupt Huffman book: code length outside 1..64")
     per_len = np.bincount(all_lens, minlength=65)
     lens = np.flatnonzero(per_len)
     count = per_len[lens]
@@ -54,7 +54,7 @@ def _canonical(all_lens: np.ndarray):
         prev = ln
         if code > 1 << ln:
             raise ValueError(
-                "corrupt Huffman header: code lengths oversubscribe the code space"
+                "corrupt Huffman book: code lengths oversubscribe the code space"
             )
     order = np.argsort(all_lens, kind="stable")
     return order, lens, np.array(first, dtype=np.uint64), count, np.cumsum(count) - count
@@ -113,10 +113,10 @@ class HuffmanCode:
         symbols = np.asarray(symbols, dtype=np.int64).ravel()
         lengths = np.asarray(lengths, dtype=np.int64).ravel()
         if symbols.size != lengths.size:
-            raise ValueError("corrupt Huffman header: symbols and lengths differ in size")
+            raise ValueError("corrupt Huffman book: symbols and lengths differ in size")
         if symbols.size > 1 and not np.all(symbols[1:] > symbols[:-1]):
             raise ValueError(
-                "corrupt Huffman header: code-book symbols must be distinct and ascending"
+                "corrupt Huffman book: code-book symbols must be distinct and ascending"
             )
         all_lens = lengths if esc_len is None else np.append(lengths, int(esc_len))
         self._canon = _canonical(all_lens)
@@ -134,8 +134,7 @@ class HuffmanCode:
         self.esc_len = None if esc_len is None else int(esc_len)
         self.esc_code = None if esc_len is None else int(codes[-1])
         self._lut: np.ndarray | None = None  # dense value -> slot map
-        self._table: list | None = None
-        self._table_json: str | None = None
+        self._book: bytes | None = None
 
     @classmethod
     def from_counts(cls, symbols, counts, esc_count: int = 0) -> "HuffmanCode":
@@ -155,27 +154,60 @@ class HuffmanCode:
         return cls(symbols, depth)
 
     @property
-    def table(self) -> list:
-        """Header-form ``[symbol, length]`` table, ``["ESC", length]``
-        last; built once per book and shared by every header that ships
-        it, so treat it as read-only."""
-        if self._table is None:
-            table = np.stack([self.symbols, self.lengths], axis=1).tolist()
-            if self.esc_len is not None:
-                table.append(["ESC", self.esc_len])
-            self._table = table
-        return self._table
+    def book(self) -> bytes:
+        """The packed book (:data:`_BOOK_HEAD`, lengths, gaps; zlib'd),
+        built once per book and shared by every segment that ships it."""
+        if self._book is None:
+            syms = self.symbols
+            # ascending, so every gap is 1..2**64 - 1: exact in wrapping uint64
+            gaps = np.diff(syms.view(np.uint64))
+            top = int(gaps.max()) if gaps.size else 0
+            width = next(w for w in (1, 2, 4, 8) if top < 1 << 8 * w)
+            head = np.array((syms[0] if syms.size else 0, syms.size, self.esc_len or 0, width),
+                            dtype=_BOOK_HEAD)
+            self._book = zlib.compress(b"".join((
+                head.tobytes(), self.lengths.astype(np.uint8).tobytes(),
+                gaps.astype(f"<u{width}").tobytes())))
+        return self._book
 
-    @property
-    def table_json(self) -> str:
-        """JSON of :attr:`table`, serialized once per book: the form a
-        book (and its decode tables) is pickled in."""
-        if self._table_json is None:
-            self._table_json = json.dumps(self.table)
-        return self._table_json
+    @classmethod
+    def from_book(cls, book: bytes) -> "HuffmanCode":
+        """Unpack a :attr:`book`.  Every corruption — bad zlib, a size off
+        the head's counts, a gap width, symbols that do not ascend, a
+        length outside 1..64 — is a ``ValueError``."""
+        inflate = zlib.decompressobj()
+        try:
+            raw = inflate.decompress(book)
+        except zlib.error as exc:
+            raise ValueError(f"corrupt Huffman book: {exc}") from None
+        if not inflate.eof or inflate.unused_data or len(raw) < _BOOK_HEAD.itemsize:
+            raise ValueError("corrupt Huffman book: truncated or trailing bytes")
+        first, count, esc_len, width = np.frombuffer(raw, _BOOK_HEAD, 1)[0].item()
+        n_gaps = max(count - 1, 0)
+        if width not in (1, 2, 4, 8) or len(raw) != _BOOK_HEAD.itemsize + count + width * n_gaps:
+            raise ValueError("corrupt Huffman book: size disagrees with its head")
+        lengths = np.frombuffer(raw, np.uint8, count, _BOOK_HEAD.itemsize)
+        gaps = np.frombuffer(raw, f"<u{width}", n_gaps, _BOOK_HEAD.itemsize + count)
+        # a wrap past int64's top lands below its predecessor: the ascending check refuses it
+        symbols = np.concatenate(([np.int64(first).view(np.uint64)], gaps)).cumsum(dtype=np.uint64)
+        code = cls(symbols[:count].view(np.int64), lengths, esc_len or None)
+        code._book = bytes(book)
+        return code
 
     def __reduce__(self):
-        return _code_from_json, (self.table_json,)
+        return _code_from_book, (self.book,)
+
+
+# the fixed head of a packed book: first symbol, symbol count, ESCAPE
+# length (0: none) and the byte width of the symbol gaps behind the lengths
+_BOOK_HEAD = np.dtype([("first", "<i8"), ("count", "<u4"), ("esc_len", "u1"), ("width", "u1")])
+
+
+@functools.lru_cache(maxsize=8)
+def _code_from_book(book: bytes) -> HuffmanCode:
+    """Unpickle hook of books: a pool worker rebuilds each distinct book
+    once, however many jobs or stream steps reuse it."""
+    return HuffmanCode.from_book(book)
 
 
 # "auto" escape reservation kicks in at this alphabet size: one
@@ -243,108 +275,3 @@ def build_code(
     """
     values = np.ascontiguousarray(values, dtype=np.int64).ravel()
     return _build_code(values, max_table, reserve_escape=reserve_escape)
-
-
-# ----------------------------------------------------------------------
-# code-book (de)serialization and cross-step deltas
-
-
-def table_from_code(code: HuffmanCode) -> list:
-    """The header-form symbol/length table of a code book."""
-    return code.table
-
-
-def code_from_table(table: list) -> HuffmanCode:
-    """Rebuild the canonical code book from a header-form table."""
-    try:
-        esc_len, body = None, table
-        if len(table) and table[-1][0] == "ESC":  # where the emitter puts it
-            esc_len, body = int(table[-1][1]), table[:-1]
-        try:
-            pairs = np.array(body, dtype=np.int64).reshape(-1, 2)
-        except ValueError:
-            # a foreign table: ESC anywhere, any number of times, the last counts
-            esc = [e for e in table if e[0] == "ESC"]
-            if not esc:
-                raise
-            esc_len = int(esc[-1][1])
-            pairs = np.array([e for e in table if e[0] != "ESC"], dtype=np.int64).reshape(-1, 2)
-    except (TypeError, ValueError, OverflowError, IndexError) as exc:
-        raise ValueError(f"corrupt Huffman header: bad code table ({exc})") from None
-    order = np.argsort(pairs[:, 0], kind="stable")
-    return HuffmanCode(pairs[order, 0], pairs[order, 1], esc_len)
-
-
-@functools.lru_cache(maxsize=8)
-def _code_from_json(table_json: str) -> HuffmanCode:
-    """Unpickle hook of books: a pool worker rebuilds each distinct book
-    once, however many jobs or stream steps reuse it."""
-    return code_from_table(json.loads(table_json))
-
-
-def _table_dict(table: list) -> dict:
-    return {("ESC" if s == "ESC" else int(s)): int(ln) for s, ln in table}
-
-
-def table_delta(ref_table: list, new_table: list) -> dict:
-    """Edit script turning ``ref_table`` into ``new_table``.
-
-    Returns ``{"set": [[sym, len], ...], "drop": [sym, ...]}`` — only
-    the symbols whose code length changed, appeared, or vanished, in
-    table order (ascending, ``"ESC"`` last).  For slowly-varying streams
-    this is a small fraction of the full table, so rebuilt books cost
-    few header bytes when expressed as deltas.
-    """
-    return _delta(code_from_table(ref_table), code_from_table(new_table))
-
-
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
-
-
-def _json_len(x: np.ndarray) -> np.ndarray:
-    """``len(json.dumps(int(v)))`` of every int64 ``v``: digits and sign."""
-    neg = x < 0
-    magnitude = np.where(neg, ~x, x).astype(np.uint64) + neg  # ~v = -v - 1: no overflow
-    return np.searchsorted(_POW10, magnitude, side="right") + 1 + neg
-
-
-def _list_len(item_chars: np.ndarray, tail: list) -> int:
-    """``len(json.dumps(items + tail))``, ``item_chars`` the items' lengths."""
-    return int(item_chars.sum()) + sum(len(json.dumps(t)) for t in tail) + 2 * max(
-        item_chars.size + len(tail), 1)
-
-
-def _delta(ref: HuffmanCode, new: HuffmanCode, only_if_smaller: bool = False) -> dict | None:
-    """:func:`table_delta` from one ``searchsorted`` of the sorted symbol
-    arrays — ``set`` rows of ``new.table``, ``drop`` symbols of ``ref``.
-    With ``only_if_smaller``, ``None`` unless its JSON is shorter than the
-    table's: both lengths counted from the arrays (``[sym, len]`` is the
-    two integers plus four characters), the lists built only if it wins."""
-    pos = np.searchsorted(ref.symbols, new.symbols)
-    found = pos < ref.symbols.size
-    found[found] = ref.symbols[pos[found]] == new.symbols[found]
-    set_ = ~found  # absent from ref, or coded at another length
-    set_[found] = ref.lengths[pos[found]] != new.lengths[found]
-    drop = np.ones(ref.symbols.size, dtype=bool)
-    drop[pos[found]] = False
-    set_esc = [["ESC", new.esc_len]] if new.esc_len not in (None, ref.esc_len) else []
-    drop_esc = ["ESC"] if new.esc_len is None and ref.esc_len is not None else []
-    if only_if_smaller:
-        item = _json_len(new.symbols) + _json_len(new.lengths) + 4
-        full = _list_len(item, [] if new.esc_len is None else [["ESC", new.esc_len]])
-        if full <= (len('{"set": , "drop": }') + _list_len(item[set_], set_esc)
-                    + _list_len(_json_len(ref.symbols[drop]), drop_esc)):
-            return None
-    rows = new.table
-    return {"set": [rows[i] for i in np.flatnonzero(set_).tolist()] + set_esc,
-            "drop": ref.symbols[drop].tolist() + drop_esc}
-
-
-def apply_table_delta(ref_table: list, delta: dict) -> list:
-    """Invert :func:`table_delta`: apply an edit script to a base table."""
-    d = _table_dict(ref_table)
-    for s in delta.get("drop", ()):
-        d.pop("ESC" if s == "ESC" else int(s), None)
-    for s, ln in delta.get("set", ()):
-        d[("ESC" if s == "ESC" else int(s))] = int(ln)
-    return [[s, ln] for s, ln in d.items()]

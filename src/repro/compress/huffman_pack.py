@@ -20,9 +20,9 @@ from ..core import native
 from .huffman_book import _DENSE_SPAN_FACTOR, HuffmanCode
 
 # The encoder records the bit offset of every _SYNC_BLOCK-th symbol in
-# the header ("sync").  The offsets let the decoder run one cursor per
-# block instead of chasing one serial codeword chain; real parallel
-# entropy decoders use the same device.
+# the segment, after its book ("sync").  The offsets let the decoder run
+# one cursor per block instead of chasing one serial codeword chain;
+# real parallel entropy decoders use the same device.
 _SYNC_BLOCK = 512
 
 

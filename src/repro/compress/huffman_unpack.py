@@ -1,7 +1,7 @@
 """The Huffman decode side: canonical tables and the one codeword walk.
 
-A segment's header splits its payload into sync blocks of
-:data:`_SYNC_BLOCK` symbols (one block when it has no ``sync``), and
+A segment's sync offsets (u64, after its book) split its bitstream
+into blocks of :data:`_SYNC_BLOCK` symbols, and
 :func:`_decode_blocks` walks one cursor per block: a K-bit prefix-table
 hit, the first-code search on a miss, ESCAPE + 64 raw bits.  Under the
 ``native`` kernel backend that walk is one C loop
@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from ..core import native
-from .huffman_book import HuffmanCode, _code_from_json
+from .huffman_book import HuffmanCode, _code_from_book
 from .huffman_pack import _SYNC_BLOCK
 
 # width cap of the decoder's prefix table: 2**16 entries of (length,
@@ -45,7 +45,7 @@ class _DecodeTables:
     it is excluded from the search table and covered by the
     ``rank < count`` check instead.
 
-    Tables pickle as their source book's table JSON.
+    Tables pickle as their source book's packed bytes.
     """
 
     def __init__(self, code: HuffmanCode):
@@ -63,7 +63,7 @@ class _DecodeTables:
         self._prefix = None
 
     def __reduce__(self):
-        return _tables_from_json, (self.code.table_json,)
+        return _tables_from_book, (self.code.book,)
 
     def classify(self, win: np.ndarray):
         """Left-justified windows -> (length, flat symbol rank, valid)."""
@@ -101,14 +101,14 @@ class _DecodeTables:
         return self._prefix
 
 
-def _payload_words(payload: bytes, total: int) -> np.ndarray:
-    """Payload as big-endian 64-bit words, zero padded with two spill
-    words: a window fetched at bit ``total`` reads up to two words past
-    the payload's."""
+def _payload_words(segment: bytes, start: int, total: int) -> np.ndarray:
+    """The bitstream at byte ``start`` of a segment as big-endian 64-bit
+    words, zero padded with two spill words: a window fetched at bit
+    ``total`` reads up to two words past the bitstream's."""
     n_bytes = (total + 7) >> 3
     n_words = (total + 63) >> 6
     byts = np.zeros((n_words + 2) * 8, dtype=np.uint8)
-    byts[:n_bytes] = np.frombuffer(payload, dtype=np.uint8, count=n_bytes)
+    byts[:n_bytes] = np.frombuffer(segment, dtype=np.uint8, count=n_bytes, offset=start)
     return byts.view(">u8").astype(np.uint64)
 
 
@@ -130,16 +130,19 @@ def decode_tables(code: HuffmanCode) -> _DecodeTables:
 
 
 @functools.lru_cache(maxsize=8)
-def _tables_from_json(table_json: str) -> _DecodeTables:
-    """Unpickle hook of tables: a pool worker rebuilds each distinct
-    book's once, however many jobs or stream steps reuse it."""
-    return _DecodeTables(_code_from_json(table_json))
+def _tables_from_book(book: bytes) -> _DecodeTables:
+    """The decode tables of a packed book, rebuilt once per distinct
+    bytes: how a segment's own book is read, and the unpickle hook of
+    tables."""
+    return _DecodeTables(_code_from_book(book))
 
 
-def _block_bounds(sync, total: int):
+def _block_bounds(sync: np.ndarray, total: int):
     """First bit and end bit of every sync block of a ``total``-bit payload;
-    refuses ``sync`` offsets that descend or leave ``0..total``."""
-    bounds = np.array([0, *sync, total], dtype=np.int64)
+    refuses (uint64) ``sync`` offsets that descend or pass ``total``."""
+    if sync.size and int(sync.max()) > total:
+        raise ValueError("corrupt Huffman payload: sync offset past the bitstream")
+    bounds = np.concatenate(([0], sync.astype(np.int64), [total]))
     if np.any(bounds[1:] < bounds[:-1]):
         raise ValueError("corrupt Huffman payload: bad sync offsets")
     return bounds[:-1], bounds[1:]

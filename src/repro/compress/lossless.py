@@ -7,7 +7,7 @@ them into the narrowest dtype before deflate roughly halves the output)
 and exposes the pure-Python canonical Huffman coder as an alternative
 reference backend.
 
-Batched class payloads use a *segmented* container (``format: 2``): one
+Batched class payloads use a *segmented* container (``format: 3``): one
 payload, one header, but the header records per-segment offsets so the
 per-class segments are independent work units.  The entropy stage has
 one fan-out per direction — segments (and zlib sub-blocks) are the
@@ -22,13 +22,19 @@ directions are one ``executor.map`` of :func:`zlib.compress` /
 class's narrowed raw stream back to back on encode, the whole payload on
 decode — so every job carries its own sub-block and nothing else.
 
+A Huffman segment is ``book | sync | bitstream`` (:mod:`.huffman`) and
+its header row holds scalars only: ``offset``, ``nbytes``, ``n``,
+``bits``, ``book`` (the packed book's byte count) and ``table_id`` or
+``table_ref``.  Books and sync offsets are payload bytes, so the
+container's payload CRC covers them.
+
 For slowly-varying streams, pass a ``scratch`` dict (one per stream,
-kept by the caller) and the Huffman backend reuses each
-class's code book across calls: exact reuse costs a single integer
-header field (``table_ref``), drift beyond an escape-rate threshold
-triggers a rebuild shipped as a compact ``table_delta``, and
-``refresh=True`` (key frames) forces a full-table rebuild that re-bases
-the chain.  The decoder replays the same chain from its own scratch.
+kept by the caller) and the Huffman backend reuses each class's code
+book across calls: exact reuse ships no book, only ``table_ref``; drift
+beyond a bits-per-symbol threshold, and ``refresh=True`` (key frames),
+rebuild the book and ship it in full under a new ``table_id``.  The
+decoder caches each shipped book's decode tables under ``(class,
+table_id)`` in its own scratch.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ import zlib
 import numpy as np
 
 from ..parallel.executors import SerialExecutor
-from .huffman import _encode_payload, _header, huffman_decode, huffman_encode
-from .huffman_book import _build_code, _delta, apply_table_delta, code_from_table
-from .huffman_unpack import decode_tables
+from .huffman import _encode_payload, _segment, huffman_decode, huffman_encode
+from .huffman_book import _build_code
+from .huffman_unpack import _tables_from_book
 
 __all__ = [
     "encode_classes",
@@ -105,7 +111,15 @@ def _zlib_extents(offset: int, nbytes: int) -> list[tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# segmented batched container (format 2)
+# segmented batched container (format 3)
+
+_FORMAT = 3
+
+# the keys a segment row must hold, and the keys it may hold besides
+_SEGMENT_KEYS = {
+    "zlib": ({"offset", "nbytes", "dtype"}, {"blocks"}),
+    "huffman": ({"offset", "nbytes", "n", "bits", "book"}, {"table_id", "table_ref"}),
+}
 
 
 def _books(scratch: dict) -> dict:
@@ -144,13 +158,12 @@ def _encode_segment_huffman(
     """One class segment through the Huffman backend.
 
     With ``scratch``, maintains a per-(context, class) code-book chain:
-    reuse → ``table_ref``, drift rebuild → ``table_ref`` +
-    ``table_delta``, refresh → full ``table``; every rebuilt book
-    carries a ``table_id`` the decoder caches under.  ``context``
-    separates chains whose statistics differ by construction (a
-    time-series compressor keeps key frames and temporal residuals
-    apart); table ids stay unique per class across contexts, so the
-    decoder needs no context at all.
+    reuse ships no book and a ``table_ref``; a drift or refresh rebuild
+    ships its book in full under a new ``table_id``, which the decoder
+    caches under.  ``context`` separates chains whose statistics differ
+    by construction (a time-series compressor keeps key frames and
+    temporal residuals apart); table ids stay unique per class across
+    contexts, so the decoder needs no context at all.
     """
     if scratch is None or seg.size == 0:
         return huffman_encode(seg)
@@ -164,21 +177,14 @@ def _encode_segment_huffman(
             guard={"max_bits_per_symbol": _REBUILD_BPS_RATIO * entry["bps"]},
         )
         if payload is not None:
-            hh = _header(None, seg.size, bits, sync)
+            segment, hh = _segment(None, seg.size, bits, sync, payload)
             hh["table_ref"] = entry["id"]
-            return payload, hh
+            return segment, hh
         # the stream drifted away from the cached book: fall through and
         # rebuild (only the symbol-mapping probe was wasted)
     code = _build_code(seg, 4096, reserve_escape="auto")
     payload, bits, sync = _encode_payload(seg, code)
-    # the delta is weighed on the books' arrays
-    delta = None if entry is None or refresh else _delta(entry["code"], code, only_if_smaller=True)
-    if delta is None:
-        hh = _header(code.table, seg.size, bits, sync)
-    else:
-        hh = _header(None, seg.size, bits, sync)
-        hh["table_ref"] = entry["id"]
-        hh["table_delta"] = delta
+    segment, hh = _segment(code, seg.size, bits, sync, payload)
     with _scratch_lock(scratch):
         new_id = _next_table_id(scratch, class_idx)
         hh["table_id"] = new_id
@@ -187,7 +193,7 @@ def _encode_segment_huffman(
             "code": code,
             "bps": bits / max(seg.size, 1),
         }
-    return payload, hh
+    return segment, hh
 
 
 def encode_classes(
@@ -263,7 +269,7 @@ def encode_classes(
         offset += len(p)
     header = {
         "backend": backend,
-        "format": 2,
+        "format": _FORMAT,
         "n": int(bins.size),
         "class_sizes": sizes,
         "segments": seg_meta,
@@ -290,74 +296,46 @@ def _prune_chain(cache: dict, class_idx: int, new_id: int) -> None:
         del cache[k]
 
 
-def _resolve_table(seg_header: dict, class_idx: int, scratch: dict | None) -> list:
-    """The effective code-book table of one Huffman segment.
+def _segment_tables(sh: dict, class_idx: int, book: bytes, scratch: dict | None):
+    """The decode tables of one Huffman segment: of the book it ships —
+    cached under its ``table_id``, over whatever that id held — or of the
+    cached book its ``table_ref`` names.  A missing reference means the
+    caller skipped the step that shipped the book — decode the stream
+    from its last key frame instead."""
+    if book:
+        if "table_ref" in sh:
+            raise ValueError(f"segment {class_idx} ships a book and a table_ref")
+        tables = _tables_from_book(book)
+        if scratch is not None and "table_id" in sh:
+            tid = sh["table_id"]
+            _tables(scratch)[class_idx, tid] = tables
+            _prune_chain(_tables(scratch), class_idx, tid)
+        return tables
+    ref = sh.get("table_ref")
+    if ref is None:
+        raise ValueError(f"segment {class_idx} carries neither a book nor a table_ref")
+    tables = None if scratch is None else _tables(scratch).get((class_idx, ref))
+    if tables is None:
+        raise ValueError(
+            f"unknown code-book reference {ref} for class {class_idx}; "
+            "decode the stream in order from its last key frame"
+        )
+    return tables
 
-    Full tables are cached (under their ``table_id``) for later
-    reference; ``table_ref`` headers look the base table up and apply
-    the delta, extending the chain.  A missing reference means the
-    caller skipped the steps that shipped the book — decode the stream
-    from its last key frame instead.
+
+def materialize_classes_header(header: dict) -> dict:
+    """``header``, once checked to decode without any stream context.
+
+    A segment that references a code book shipped by an earlier step has
+    no chain to resolve against in a standalone file: ``ValueError``.
     """
-    table = seg_header.get("table")
-    if table is None:
-        ref = seg_header.get("table_ref")
-        if ref is None:
-            raise ValueError("segment header carries neither table nor table_ref")
-        if scratch is None:
-            raise ValueError(
-                "segment references a cached code book but no scratch was "
-                "given; decode the stream in order from its last key frame"
-            )
-        base = _tables(scratch).get((class_idx, int(ref)))
-        if base is None:
-            raise ValueError(
-                f"unknown code-book reference {ref} for class {class_idx}; "
-                "decode the stream in order from its last key frame"
-            )
-        delta = seg_header.get("table_delta")
-        table = apply_table_delta(base, delta) if delta is not None else base
-    if scratch is not None and "table_id" in seg_header:
-        cache = _tables(scratch)
-        tid = int(seg_header["table_id"])
-        prev = cache.get((class_idx, tid))
-        cache[(class_idx, tid)] = table
-        if prev is not None and prev != table:
-            # id collision: a restarted producer re-numbers its chain
-            # from 0, so any decode tables cached under the old book
-            # with this id are stale and must not be used again
-            scratch.get("decode_table_objs", {}).pop((class_idx, tid), None)
-        _prune_chain(cache, class_idx, tid)
-    return table
-
-
-def materialize_classes_header(header: dict, scratch: dict | None = None) -> dict:
-    """A self-contained copy of a segmented header.
-
-    Resolves every ``table_ref``/``table_delta`` segment against the
-    (decode-side) ``scratch`` chain and inlines the full table, so the
-    result decodes without any stream context — what a standalone file
-    format wants to persist.  Headers that are already self-contained
-    are returned unchanged.
-    """
-    if "segments" not in header or header.get("backend") != "huffman":
-        return header
-    segs = []
-    changed = False
-    for i, sh in enumerate(header["segments"]):
-        if int(sh.get("n", 0)) > 0 and "table" not in sh:
-            table = _resolve_table(sh, i, scratch)
-            sh = {
-                k: v
-                for k, v in sh.items()
-                if k not in ("table_ref", "table_delta")
-            }
-            sh["table"] = table
-            changed = True
-        segs.append(sh)
-    if not changed:
-        return header
-    return {**header, "segments": segs}
+    if header.get("backend") == "huffman" and any(
+            "table_ref" in sh for sh in header.get("segments", ())):
+        raise ValueError(
+            "segment references a cached code book; a standalone file cannot "
+            "resolve it — decode the stream in order from its last key frame"
+        )
+    return header
 
 
 def _segment_extents(segs: list, payload_len: int) -> list[tuple[int, int]]:
@@ -406,6 +384,11 @@ def decode_classes(
         raise ValueError(
             "header carries no class_sizes/segments; not a batched payload"
         )
+    if header.get("format") != _FORMAT:
+        raise ValueError(
+            f"segmented header format {header.get('format')!r} is not {_FORMAT}; "
+            "no decoder reads it"
+        )
     sizes = [int(s) for s in header["class_sizes"]]
     segs = header["segments"]
     if len(segs) != len(sizes):
@@ -415,6 +398,10 @@ def decode_classes(
     backend = header.get("backend")
     if backend not in BACKENDS:
         raise ValueError(f"unknown lossless backend {backend!r}; choose from {BACKENDS}")
+    need, may = _SEGMENT_KEYS[backend]
+    for i, sh in enumerate(segs):
+        if not isinstance(sh, dict) or not need <= set(sh) <= need | may:
+            raise ValueError(f"segment {i}: not a {backend} segment row of format {_FORMAT}")
     executor = executor or _INLINE
     extents = _segment_extents(segs, len(payload))
     out = np.empty(sum(sizes), dtype=np.int64)
@@ -436,36 +423,22 @@ def decode_classes(
             place(i, np.frombuffer(raw, dtype=np.dtype(sh["dtype"])))
         return out, sizes
 
-    # resolve code-book references serially (cheap, order-dependent) so
-    # the fan-out below is embarrassingly independent; decode tables of
-    # chained books are cached so a reused book pays its table
-    # construction once per stream, not once per step
-    effective: list[dict] = []
-    dtabs: list = []
-    for i, sh in enumerate(segs):
-        if int(sh["n"]) > 0:
-            table = _resolve_table(sh, i, scratch)
-            effective.append({**sh, "table": table})
-            tid = sh.get("table_id", sh.get("table_ref"))
-            if scratch is not None and tid is not None:
-                cache = scratch.setdefault("decode_table_objs", {})
-                obj = cache.get((i, int(tid)))
-                if obj is None:
-                    obj = decode_tables(code_from_table(table))
-                    cache[(i, int(tid))] = obj
-                    _prune_chain(cache, i, int(tid))
-                dtabs.append(obj)
-            else:
-                dtabs.append(None)
-        else:
-            effective.append(sh)
-            dtabs.append(None)
+    # resolve code books serially (order-dependent: a step's books are
+    # cached before a later step references them), so the fan-out below
+    # is embarrassingly independent
+    view = memoryview(payload)
+    tables: list = []
+    for i, (sh, (offset, nbytes)) in enumerate(zip(segs, extents)):
+        if any(type(v) is not int for v in sh.values()):
+            raise ValueError(f"segment {i}: a non-integer field in {sh}")
+        if not 0 <= sh["book"] <= nbytes:
+            raise ValueError(f"segment {i}: a {sh['book']}-byte book in {nbytes} bytes")
+        book = bytes(view[offset : offset + sh["book"]])
+        tables.append(_segment_tables(sh, i, book, scratch) if sh["n"] else None)
 
     def decode_one(i: int) -> None:
         offset, nbytes = extents[i]
-        sub = payload[offset : offset + nbytes]
-        place(i, huffman_decode(sub, effective[i], tables=dtabs[i]))
+        place(i, huffman_decode(view[offset : offset + nbytes], segs[i], tables=tables[i]))
 
     executor.map(decode_one, range(len(segs)))
     return out, sizes
-

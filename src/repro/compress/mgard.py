@@ -188,7 +188,7 @@ class MgardCompressor:
         state — so a pipeline may run it outside the prediction loop.
         ``scratch`` (a dict the caller keeps across calls) enables
         cross-call Huffman code-book reuse, ``refresh=True`` forces a
-        full-table rebuild (key frames), and ``context`` separates reuse
+        full rebuild of every book (key frames), and ``context`` separates reuse
         chains whose statistics differ by construction (key frames vs
         temporal residuals); see :func:`~repro.compress.lossless.encode_classes`.
         Calls that share a ``scratch`` (a code-book chain) must still

@@ -27,11 +27,11 @@ re-inserted periodically to bound random-access cost.
 
 Entropy setup is amortized the same way the signal is: with the
 ``huffman`` backend the compressor keeps each class's code book in a
-scratch dict of its own and *reuses* it across steps (non-key steps
-ship a one-integer ``table_ref`` — or a compact ``table_delta`` when
-the stream drifts — instead of a full table), with a full-table
-refresh keyed to key frames.  The decoder
-replays the chain, so frames decode in stream order from any key frame.
+scratch dict of its own and *reuses* it across steps (a non-key step
+whose data the book still codes well ships a one-integer ``table_ref``
+instead of the book, and skips building one), with a full rebuild at
+key frames.  The decoder caches the books shipped since the key frame,
+so frames decode in stream order from any key frame.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ class TimeSeriesCompressor:
             add_to=None if is_key else self._coeff_sum)
         # key frames and temporal residuals have very different bin
         # statistics, so each keeps its own code-book chain; both chains
-        # re-base (full tables) once per key interval, which also keeps
+        # re-base (full books) once per key interval, which also keeps
         # every table_ref resolvable from the nearest key frame — the
         # random-access granularity closed-loop prediction has anyway
         if is_key:

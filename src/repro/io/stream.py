@@ -33,12 +33,13 @@ Two stream modes share the directory layout:
     Steps go through the error-bounded time-series compressor:
     closed-loop temporal prediction, key frames every ``key_interval``
     steps, and — with the ``huffman`` backend — cross-step code-book
-    reuse through the writer's own code-book scratch (non-key steps
-    reference the books shipped at the last key frame instead of
-    re-serializing them).  Step files keep those references *on disk*;
-    the reader replays the chain from the nearest key frame, which is
-    exactly the random-access granularity closed-loop prediction has
-    anyway.
+    reuse through the writer's own code-book scratch (a step whose data
+    a cached book still codes well ships a ``table_ref`` to it instead of
+    a book; every other Huffman segment carries its packed book and sync
+    offsets as payload bytes, under the step file's CRC).  Step files
+    keep those references *on disk*; the reader caches the books shipped
+    since the nearest key frame as it rolls forward, which is exactly the
+    random-access granularity closed-loop prediction has anyway.
 
 Either mode may additionally be **sharded** (pass ``shards=``): every
 step splits along axis 0 into independent shard segments — the paper's

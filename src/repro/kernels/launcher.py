@@ -127,7 +127,7 @@ def _make_huff_decode(shape, dtype, rng):
     bins = _bins(shape, rng)
     code = huffman_book.build_code(bins)
     payload, total, sync = huffman._encode_payload(bins, code)
-    words = huffman_unpack._payload_words(payload, total)
+    words = huffman_unpack._payload_words(payload, 0, total)
     starts, ends = huffman_unpack._block_bounds(sync, total)
     rem = bins.size - sync.size * huffman_pack._SYNC_BLOCK
     return words, starts, ends, rem, total, huffman_unpack.decode_tables(code)

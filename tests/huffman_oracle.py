@@ -5,19 +5,19 @@ it must agree with, written the slow obvious way: code lengths from
 ``huffman_book._heap_lengths`` (the ``heapq`` tree over ``(count, id)``
 that is also the ``reference`` backend's body, leaf ids in symbol order,
 ESCAPE last), canonical codes assigned by a sort, per-element / per-bit
-encode and decode loops, and the code-book delta as two dicts weighed by
-``json.dumps``.  Test-only: production is compared against it byte for
-byte (payloads, headers) and symbol for symbol (decodes).
+encode and decode loops, and the packed book spelled out field by field
+with ``int.to_bytes``.  Test-only: production is compared against it
+byte for byte (segments, headers) and symbol for symbol (decodes).
 """
 
-import json
+import zlib
 
 import numpy as np
 
 from repro.compress.huffman_book import _RESERVE_ESCAPE_MIN_SYMS, _heap_lengths
 from repro.compress.huffman_pack import _SYNC_BLOCK
 
-ESCAPE = "ESC"  # the header-form name of the escape entry; never an int symbol
+ESCAPE = "ESC"  # the lengths-dict key of the escape entry; never an int symbol
 
 
 def lengths_of(freqs: dict) -> dict:
@@ -62,33 +62,34 @@ def book_lengths(values, max_table: int = 4096, reserve_escape=False) -> dict:
     return lengths_of(freqs)
 
 
-def header_table(lengths: dict) -> list:
-    """Header-form table of a lengths dict (symbols ascending, ESC last)."""
-    return [[s, ln] for s, ln in lengths.items()]
+def book_bytes(lengths: dict) -> bytes:
+    """The packed book of a lengths dict: first symbol (i64), symbol count
+    (u32), ESCAPE length (u8, 0: none), gap width (u8), the lengths (u8
+    each) and the gaps between ascending symbols at the narrowest of 1, 2,
+    4 or 8 bytes — all little-endian, zlib'd."""
+    syms = sorted(s for s in lengths if s != ESCAPE)
+    gaps = [b - a for a, b in zip(syms, syms[1:])]
+    width = next(w for w in (1, 2, 4, 8) if all(g < 1 << 8 * w for g in gaps))
+    raw = ((syms[0] if syms else 0).to_bytes(8, "little", signed=True)
+           + len(syms).to_bytes(4, "little") + bytes([lengths.get(ESCAPE, 0), width])
+           + bytes(lengths[s] for s in syms) + b"".join(g.to_bytes(width, "little") for g in gaps))
+    return zlib.compress(raw)
 
 
-def lengths_from_table(table: list) -> dict:
-    """Inverse of :func:`header_table`."""
-    return {(ESCAPE if s == ESCAPE else int(s)): int(ln) for s, ln in table}
-
-
-def table_delta(ref_table: list, new_table: list) -> dict:
-    """The edit script from one table to another, by dicts: ``set`` in the
-    new table's order, ``drop`` in the reference's."""
-    ref, new = lengths_from_table(ref_table), lengths_from_table(new_table)
-    return {
-        "set": [[s, ln] for s, ln in new.items() if ref.get(s) != ln],
-        "drop": [s for s in ref if s not in new],
-    }
-
-
-def rebuild_form(ref_table: list, new_table: list) -> dict:
-    """What a drift rebuild ships: ``{"table_delta": ...}`` when the delta's
-    JSON is shorter than the new table's, else ``{"table": new_table}``."""
-    delta = table_delta(ref_table, new_table)
-    if len(json.dumps(delta)) < len(json.dumps(new_table)):
-        return {"table_delta": delta}
-    return {"table": new_table}
+def lengths_from_book(book: bytes) -> dict:
+    """Inverse of :func:`book_bytes` (symbols ascending, ESC last)."""
+    raw = zlib.decompress(book)
+    first = int.from_bytes(raw[:8], "little", signed=True)
+    count, esc, width = int.from_bytes(raw[8:12], "little"), raw[12], raw[13]
+    lens = raw[14 : 14 + count]
+    gaps = raw[14 + count :]
+    syms = [first]
+    for k in range(count - 1):
+        syms.append(syms[-1] + int.from_bytes(gaps[k * width : (k + 1) * width], "little"))
+    lengths = dict(zip(syms[:count], lens))
+    if esc:
+        lengths[ESCAPE] = esc
+    return lengths
 
 
 def encode_with_book(values, lengths: dict):
@@ -114,24 +115,32 @@ def encode_with_book(values, lengths: dict):
 
 
 def huffman_encode_scalar(values, max_table: int = 4096):
-    """Reference for ``huffman_encode(values, max_table)``: (payload, header)."""
+    """Reference for ``huffman_encode(values, max_table)``: (segment, header)."""
     values = np.asarray(values, dtype=np.int64).ravel()
     if values.size == 0:
-        return b"", {"n": 0, "bits": 0, "table": []}
+        return b"", {"n": 0, "bits": 0, "book": 0}
     lengths = book_lengths(values, max_table)
     payload, bits, sync = encode_with_book(values, lengths)
-    header = {"n": int(values.size), "bits": bits, "table": header_table(lengths)}
-    if sync:
-        header["sync"] = sync
-    return payload, header
+    book = book_bytes(lengths)
+    segment = book + b"".join(o.to_bytes(8, "little") for o in sync) + payload
+    return segment, {"n": int(values.size), "bits": bits, "book": len(book)}
 
 
-def huffman_decode_scalar(payload: bytes, header: dict) -> np.ndarray:
-    """Per-bit reference decoder (ignores ``sync``)."""
+def split_segment(segment: bytes, header: dict):
+    """``(lengths, sync, bitstream)`` of a segment that ships its book."""
+    book, n = header["book"], header["n"]
+    n_sync = max(-(-n // _SYNC_BLOCK) - 1, 0)
+    sync_bytes = segment[book : book + 8 * n_sync]
+    sync = [int.from_bytes(sync_bytes[k : k + 8], "little") for k in range(0, len(sync_bytes), 8)]
+    return lengths_from_book(segment[:book]), sync, segment[book + 8 * n_sync :]
+
+
+def huffman_decode_scalar(segment: bytes, header: dict) -> np.ndarray:
+    """Per-bit reference decoder (ignores the sync offsets)."""
     n = int(header["n"])
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    lengths = lengths_from_table(header["table"])
+    lengths, _, payload = split_segment(segment, header)
     by_code = {(lengths[s], c): s for s, c in canonical_codes(lengths).items()}
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[: header["bits"]].tolist()
     max_len = max(lengths.values())

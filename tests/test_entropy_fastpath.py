@@ -1,6 +1,6 @@
 """Vectorized entropy/quantize fast path vs the scalar oracle in ``tests/``.
 
-The fast path must be *bit-identical* on encode (same payload bytes and
+The fast path must be *bit-identical* on encode (same segment bytes and
 header) and *exact* on decode for adversarial inputs: single-symbol
 streams, escape-heavy streams (more distinct values than the symbol
 table holds), all-negative bins, and real quantizer output for every
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import ROUNDTRIP_SHAPES
-from huffman_oracle import huffman_decode_scalar, huffman_encode_scalar
+from huffman_oracle import huffman_decode_scalar, huffman_encode_scalar, split_segment
 
 from repro.compress.huffman import huffman_decode, huffman_encode
 from repro.compress.huffman_pack import _SYNC_BLOCK
@@ -73,25 +73,16 @@ class TestExactDecode:
             np.testing.assert_array_equal(
                 huffman_decode_scalar(payload, header), arr, err_msg=f"{name} scalar"
             )
-            # header without sync offsets: one block, so at most _SYNC_BLOCK symbols
-            no_sync = {k: v for k, v in header.items() if k != "sync"}
-            if arr.size <= _SYNC_BLOCK:
-                np.testing.assert_array_equal(
-                    huffman_decode(payload, no_sync), arr, err_msg=f"{name} no sync"
-                )
-            else:
-                with pytest.raises(ValueError, match="corrupt Huffman header"):
-                    huffman_decode(payload, no_sync)
 
     def test_truncated_payload_detected_by_both_paths(self, rng):
         arr = rng.integers(-5, 5, 3 * _SYNC_BLOCK).astype(np.int64)
         payload, header = huffman_encode(arr)
-        assert "sync" in header
+        assert split_segment(payload, header)[1]
         with pytest.raises(ValueError):
             huffman_decode(payload[: len(payload) // 2], header)
-        # one block: the header carries no sync offsets, only the end bit
+        # one block: the segment carries no sync offsets, only the end bit
         payload, header = huffman_encode(arr[:_SYNC_BLOCK])
-        assert "sync" not in header
+        assert not split_segment(payload, header)[1]
         with pytest.raises(ValueError, match="truncated"):
             huffman_decode(payload[: len(payload) // 2], header)
 
@@ -107,10 +98,10 @@ class TestExactDecode:
     def test_corrupt_sync_offsets_detected(self, rng):
         arr = rng.integers(-5, 5, 3 * _SYNC_BLOCK).astype(np.int64)
         payload, header = huffman_encode(arr)
-        bad = dict(header)
-        bad["sync"] = [o + 1 for o in header["sync"]]
+        _, sync, bitstream = split_segment(payload, header)
+        shifted = np.array(sync, dtype="<u8") + 1
         with pytest.raises(ValueError):
-            huffman_decode(payload, bad)
+            huffman_decode(payload[: header["book"]] + shifted.tobytes() + bitstream, header)
 
     @pytest.mark.parametrize("n", [241, 10**7, 10**10])
     def test_more_symbols_than_bits_rejected_before_allocation(self, n):
@@ -118,16 +109,18 @@ class TestExactDecode:
         (the chain path used to grow its position array to ``n`` first —
         seconds and 10**7-element arrays for a 240-bit payload)."""
         payload, header = huffman_encode(np.arange(80, dtype=np.int64) % 8)
-        assert header["bits"] == 240 and "sync" not in header
+        assert header["bits"] == 240 and not split_segment(payload, header)[1]
         with pytest.raises(ValueError, match="corrupt Huffman header"):
             huffman_decode(payload, {**header, "n": n})
 
     def test_sync_length_disagreeing_with_n_rejected(self, rng):
         arr = rng.integers(-5, 5, 3 * _SYNC_BLOCK).astype(np.int64)
         payload, header = huffman_encode(arr)
-        for sync in (header["sync"][:-1], header["sync"] + [header["bits"]], []):
-            with pytest.raises(ValueError, match="corrupt Huffman header"):
-                huffman_decode(payload, {**header, "sync": sync})
+        _, sync, bitstream = split_segment(payload, header)
+        for bad in (sync[:-1], sync + [header["bits"]], []):
+            words = np.array(bad, dtype="<u8").tobytes()
+            with pytest.raises(ValueError, match="truncated|corrupt Huffman segment"):
+                huffman_decode(payload[: header["book"]] + words + bitstream, header)
 
 
 class TestBatchedClasses:

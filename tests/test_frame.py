@@ -9,7 +9,9 @@ Two halves:
   ``on_error="raise"`` may raise only ``ContainerError``/``StreamError``;
   the default ``on_error="recover"`` must serve — the exact field, or a
   degraded one that is honest about what it lost — or raise
-  ``StreamError``; a path, a ``BytesIO`` and a ``bytes`` source parse to
+  ``StreamError``; a read that does neither yet differs from the truth
+  is *silent*, and no kind may have more of those than the parent
+  commit had; a path, a ``BytesIO`` and a ``bytes`` source parse to
   the same outcome; and ``scrub_stream`` (run over the damaged files a
   batch per call, as one badly damaged stream) never raises and calls
   ok whatever read back exactly.  At the parent commit the same sweep
@@ -47,6 +49,10 @@ KINDS = {
 #: uninitialised memory, which the honesty asserts below would refuse;
 #: the one frame may not lose any
 PARENT_DEGRADED = {"sharded-refactored": 385, "sharded-compressed": 384}
+#: silent reads — no typed error, no recovery report, wrong values — the
+#: parent commit let through on the same sweep (damaged JSON headers)
+PARENT_SILENT = {"refactored": 0, "zlib": 230, "huffman": 266,
+                 "sharded-refactored": 0, "sharded-compressed": 0}
 
 
 def _frames():
@@ -88,7 +94,8 @@ def _parse_outcome(source):
 
 
 def _sweep(kind, tmp_path):
-    """Damage step 1 every way; returns (untyped errors, degraded reads)."""
+    """Damage step 1 every way; returns (untyped errors, degraded reads,
+    silent reads)."""
     root = tmp_path / "s"
     writer = StepStreamWriter(root, SHAPE, **KINDS[kind])
     for f in _frames():
@@ -105,14 +112,16 @@ def _sweep(kind, tmp_path):
         return reader.read_region(1, on_error=on_error)
 
     def outcome():
-        """"exact" | "degraded" | "refused", or the untyped error."""
+        """"exact" | "silent" | "degraded" | "refused", or the untyped error;
+        "silent" is a read that neither raised nor reported, yet is wrong."""
         try:
-            read("raise")
-            return "exact"
+            got = read("raise")
         except (ContainerError, StreamError):
             pass
         except Exception as e:
             return f"on_error='raise' let {e!r} through"
+        else:
+            return "exact" if np.array_equal(got, truth[1]) else "silent"
         try:
             served = read("recover")
         except StreamError:
@@ -153,9 +162,9 @@ def _sweep(kind, tmp_path):
     escapes = [
         f"{what}: {o}"
         for (what, _), o in zip(mutations, outcomes)
-        if o not in ("exact", "degraded", "refused")
+        if o not in ("exact", "silent", "degraded", "refused")
     ]
-    return escapes, outcomes.count("degraded")
+    return escapes, outcomes.count("degraded"), outcomes.count("silent")
 
 
 def _scrub_all(scrub_root, root, mutations, outcomes, batch=256):
@@ -185,9 +194,10 @@ def _scrub_all(scrub_root, root, mutations, outcomes, batch=256):
 @pytest.mark.filterwarnings("ignore:Data type alias:DeprecationWarning")
 @pytest.mark.parametrize("kind", KINDS)
 def test_flip_and_truncation_sweep(kind, tmp_path):
-    escapes, degraded = _sweep(kind, tmp_path)
+    escapes, degraded, silent = _sweep(kind, tmp_path)
     assert not escapes, f"{len(escapes)} untyped errors, e.g. {escapes[:5]}"
     assert degraded >= PARENT_DEGRADED.get(kind, 0)
+    assert silent <= PARENT_SILENT[kind]
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """The array-native Huffman stage against the heap/scalar oracle.
 
 ``tests/huffman_oracle.py`` builds books with the ``heapq`` tree of
-``huffman_book._heap_lengths`` and codes per element and per bit.
-Production must give the same code lengths and canonical codes from the
-C two-queue merge, the same payload bytes and headers from its
-mapped/packed encode whichever symbol mapping the C picks, and the same
-symbols from the decode under either kernel backend — including a
-``ValueError`` from both on every corrupt payload.
+``huffman_book._heap_lengths``, packs them field by field and codes per
+element and per bit.  Production must give the same code lengths,
+canonical codes and packed books from the C two-queue merge, the same
+segment bytes and headers from its mapped/packed encode whichever symbol
+mapping the C picks, and the same symbols from the decode under either
+kernel backend — including a ``ValueError`` from both on every corrupt
+segment.
 """
 
-import json
+import pickle
+import zlib
 
 import numpy as np
 import pytest
@@ -67,11 +69,38 @@ def _data_for(counts, rng):
 
 def _assert_book_is(code: B.HuffmanCode, lengths: dict):
     """``code`` holds exactly the oracle book ``lengths`` (ESC included)."""
-    assert B.table_from_code(code) == O.header_table(lengths)
+    assert code.book == O.book_bytes(lengths)
     codes = O.canonical_codes(lengths)
     assert code.codes.tolist() == [codes[s] for s in code.symbols.tolist()]
     assert code.esc_len == lengths.get(O.ESCAPE)
     assert code.esc_code == codes.get(O.ESCAPE)
+
+
+def _raw_book(first, count, esc_len, width, lengths, gaps) -> bytes:
+    """The unzipped bytes of a packed book, any field as given."""
+    return (np.array((first, count, esc_len, width), dtype=B._BOOK_HEAD).tobytes()
+            + bytes(lengths) + b"".join(g.to_bytes(width, "little") for g in gaps))
+
+
+_CORRUPT_BOOKS = {  # unzipped book bytes, each off the format one way
+    "zero-gap": _raw_book(1, 2, 0, 1, [2, 3], [0]),  # a duplicate symbol
+    "oversubscribed": _raw_book(1, 3, 0, 1, [1, 1, 1], [1, 1]),
+    "length-0": _raw_book(1, 1, 0, 1, [0], []),
+    "length-65": _raw_book(1, 1, 0, 1, [65], []),
+    "escape-65": _raw_book(1, 2, 65, 1, [1, 2], [1]),
+    "int64-wrap": _raw_book(2**63 - 2, 3, 0, 1, [1, 2, 2], [1, 1]),
+    "width-3": _raw_book(0, 2, 0, 3, [1, 1], [1]),
+    "trailing-byte": _raw_book(0, 2, 0, 1, [1, 1], [1]) + b"\0",
+    "gap-cut-short": _raw_book(0, 2, 0, 2, [1, 1], [1])[:-1],
+    "no-entry": _raw_book(0, 0, 0, 1, [], []),
+    "short-head": b"\0" * 13,
+}
+
+
+def _assert_same_book(a, b):
+    for field in ("symbols", "lengths", "codes"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), field)
+    assert (a.esc_len, a.esc_code) == (b.esc_len, b.esc_code)
 
 
 class TestBookBuilder:
@@ -106,28 +135,25 @@ class TestBookBuilder:
             O.book_lengths(vals, max_table, reserve),
         )
 
-    def test_table_round_trips_in_any_order(self, rng):
+    def test_book_round_trips_and_pickles_as_its_bytes(self, rng):
         code = B.build_code(_data_for(COUNT_PROFILES["random"], rng), 64, True)
-        table = B.table_from_code(code)
-        back = B.code_from_table([table[i] for i in rng.permutation(len(table))])
-        assert B.table_from_code(back) == table
-        np.testing.assert_array_equal(back.codes, code.codes)
-        assert back.esc_code == code.esc_code
+        for back in (B.HuffmanCode.from_book(code.book), pickle.loads(pickle.dumps(code))):
+            _assert_same_book(back, code)
+            assert back.book == code.book
+        assert pickle.loads(pickle.dumps(code)) is pickle.loads(pickle.dumps(code))  # one rebuild
+        tables = U.decode_tables(code)
+        assert pickle.loads(pickle.dumps(tables)) is U._tables_from_book(code.book)
 
-    @pytest.mark.parametrize(
-        "table",
-        [
-            [[1, 2], [1, 3]],  # duplicate symbol
-            [[1, 1], [2, 1], [3, 1]],  # oversubscribed
-            [[1, 0]],
-            [[1, 65]],
-            [[1, "x"]],
-            [["ESC", 1], [0, 1], [1, 1]],
-        ],
-    )
-    def test_corrupt_tables_rejected(self, table):
-        with pytest.raises(ValueError, match="corrupt Huffman header"):
-            B.code_from_table(table)
+    @pytest.mark.parametrize("case", list(_CORRUPT_BOOKS))
+    def test_corrupt_books_rejected(self, case):
+        with pytest.raises(ValueError, match="corrupt Huffman book"):
+            B.HuffmanCode.from_book(zlib.compress(_CORRUPT_BOOKS[case]))
+
+    def test_book_bytes_off_zlib_rejected(self, rng):
+        book = B.build_code(rng.integers(-9, 9, 300)).book
+        for bad in (book[:-1], book + b"\0", b"\x78" + bytes(len(book) - 1), b""):
+            with pytest.raises(ValueError, match="corrupt Huffman book"):
+                B.HuffmanCode.from_book(bad)
 
     @pytest.mark.parametrize("n", [1, 2, 50])
     def test_histogram_is_np_unique_on_both_sides_of_the_dense_span(self, rng, n):
@@ -147,63 +173,40 @@ class TestBookBuilder:
                 assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-_DIGITS = [0, 9, 10, 99, 100, -1, -9, -10, -99, -100, 2**63 - 1, -(2**63), 10**18, -(10**18)]
+_EXTREMES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
 
 
 @st.composite
-def book_pairs(draw):
-    """A reference book and the book of a rebuild: the same data, a drift of
-    it, or a disjoint alphabet; with and without ESCAPE, truncated tables,
-    symbols at every decimal width including the int64 extremes."""
+def books(draw):
+    """Code books as a stream would build them: one symbol up to 4096,
+    negative and int64-extreme symbols, gaps of every width, with and
+    without ESCAPE."""
+    n = draw(st.sampled_from([1, 2, 3, 64, 4095, 4096]))
+    kind = draw(st.sampled_from(["narrow", "wide", "extremes"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 400))
-    kind = draw(st.sampled_from(["narrow", "wide", "digits"]))
     if kind == "narrow":
-        vals = rng.integers(-30, 30, n)
+        syms = np.unique(rng.integers(-(n + 300), n + 300, n))
     elif kind == "wide":
-        vals = rng.integers(-(10**12), 10**12, n)
+        syms = np.unique(rng.integers(-(2**62), 2**62, n))
     else:
-        vals = rng.choice(_DIGITS, n)
-    change = draw(st.sampled_from(["same", "drift", "disjoint"]))
-    new_vals = vals.copy()
-    if change == "drift":
-        at = rng.integers(0, n, max(n // 10, 1))
-        new_vals[at] = rng.choice(np.append(_DIGITS, vals[:5] // 2 + 1), at.size)
-    elif change == "disjoint":
-        new_vals = rng.integers(10**15, 10**15 + 100, n)
-
-    def book(v):
-        return B.build_code(v.astype(np.int64), draw(st.sampled_from([2, 16, 4096])),
-                            draw(st.sampled_from([False, True, "auto"])))
-
-    return book(vals), book(new_vals)
+        syms = np.unique(np.append(rng.integers(-(2**63), 2**63 - 1, n, endpoint=True),
+                                   _EXTREMES[: draw(st.integers(1, len(_EXTREMES)))]))[:n]
+    counts = rng.integers(1, 1000, syms.size)
+    return B.HuffmanCode.from_counts(syms, counts, draw(st.sampled_from([0, 1, 50])))
 
 
-class TestBookDeltas:
-    def test_counted_json_lengths_are_json_dumps(self, rng):
-        """Digits and sign of every width, and lists with and without an
-        ``"ESC"`` tail, measured as ``json.dumps`` writes them."""
-        ints = np.array(_DIGITS + [-(2**63) + 1, 2**63 - 2, 1, -2] + [10**k for k in range(19)]
-                        + [-(10**k) for k in range(19)] + [10**k - 1 for k in range(1, 19)]
-                        + rng.integers(-(2**63), 2**63 - 1, 500).tolist(), dtype=np.int64)
-        assert B._json_len(ints).tolist() == [len(json.dumps(v)) for v in ints.tolist()]
-        pairs = np.stack([ints, rng.integers(1, 65, ints.size)], axis=1)
-        for k in (0, 1, 2, ints.size):
-            for tail in ([], [["ESC", 7]], ["ESC"], [["ESC", 64]]):
-                chars = B._json_len(pairs[:k, 0]) + B._json_len(pairs[:k, 1]) + 4
-                assert B._list_len(chars, tail) == len(json.dumps(pairs[:k].tolist() + tail))
-
-    @settings(max_examples=150, deadline=None)
-    @given(book_pairs())
-    def test_array_delta_and_decision_equal_the_dict_oracle(self, pair):
-        """The edit script and the delta-or-table choice, weighed by counted
-        JSON lengths, are what two dicts and ``json.dumps`` make of it."""
-        ref, new = pair
-        want = O.table_delta(ref.table, new.table)
-        assert B._delta(ref, new) == want == B.table_delta(ref.table, new.table)
-        form = O.rebuild_form(ref.table, new.table)
-        assert B._delta(ref, new, only_if_smaller=True) == form.get("table_delta")
-        assert B.code_from_table(B.apply_table_delta(ref.table, want)).table == new.table
+class TestBookBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(books())
+    def test_book_round_trips_byte_for_byte_against_the_oracle(self, code):
+        lengths = dict(zip(code.symbols.tolist(), code.lengths.tolist()))
+        if code.esc_len is not None:
+            lengths[O.ESCAPE] = code.esc_len
+        assert code.book == O.book_bytes(lengths)
+        assert O.lengths_from_book(code.book) == lengths
+        back = B.HuffmanCode.from_book(code.book)
+        _assert_same_book(back, code)
+        assert back.book == code.book
 
 
 class TestSymbolMapping:
@@ -234,10 +237,9 @@ class TestSymbolMapping:
         assert (dense._lut is not None) == native.active()  # only the C mapping builds it
         # the cached table now serves a segment that would not have built it
         assert H.huffman_encode(vals[:1000], code=dense) == sparse_out
-        lengths = O.lengths_from_table(B.table_from_code(dense))
+        lengths, got_sync, got_payload = O.split_segment(*dense_out)
         payload, bits, sync = O.encode_with_book(vals, lengths)
-        assert dense_out[0] == payload
-        assert (dense_out[1]["bits"], dense_out[1]["sync"]) == (bits, sync)
+        assert (got_payload, dense_out[1]["bits"], got_sync) == (payload, bits, sync)
 
     def test_guard_decided_from_the_mapping_pass(self, rng, monkeypatch):
         """Accept/reject equals the packed size, and rejecting packs nothing."""
@@ -295,19 +297,17 @@ class TestDecodeBackends:
     @pytest.mark.parametrize("max_table", [4096, 16])
     @pytest.mark.parametrize("n", [1, 2, SYNC - 1, SYNC, SYNC + 1, 2 * SYNC, 2 * SYNC + 1, 3000])
     def test_sync_block_boundaries(self, rng, decode, n, max_table):
-        """``len(sync) == ceil(n / SYNC) - 1``; a header without ``sync`` is
-        one block, so it decodes up to ``SYNC`` symbols and is refused past."""
+        """``ceil(n / SYNC) - 1`` sync offsets follow the book; a segment
+        with one word of them cut out is refused."""
         vals = rng.integers(-40, 40, n).astype(np.int64)
         payload, header = H.huffman_encode(vals, max_table=max_table)
         assert (payload, header) == O.huffman_encode_scalar(vals, max_table)
-        assert len(header.get("sync", [])) == -(-n // SYNC) - 1
+        assert len(O.split_segment(payload, header)[1]) == -(-n // SYNC) - 1
         np.testing.assert_array_equal(decode(payload, header), vals)
-        bare = {k: v for k, v in header.items() if k != "sync"}
-        if n <= SYNC:
-            np.testing.assert_array_equal(decode(payload, bare), vals)
-        else:
-            with pytest.raises(ValueError, match="sync offsets for"):
-                decode(payload, bare)
+        if n > SYNC:
+            book = header["book"]
+            with pytest.raises(ValueError, match="truncated"):
+                decode(payload[:book] + payload[book + 8 :], header)
 
     def test_codes_longer_than_the_prefix_table(self, rng, decode):
         """Uniform draws over a 40-symbol Fibonacci book: most symbols
@@ -315,9 +315,9 @@ class TestDecodeBackends:
         code = B.HuffmanCode.from_counts(np.arange(40) * 3, _fib(40), esc_count=1)
         vals = rng.choice(np.arange(41) * 3, 3 * SYNC + 200).astype(np.int64)  # 120: escaped
         payload, header = H.huffman_encode(vals, code=code)
-        lengths = O.lengths_from_table(header["table"])
+        lengths, _, bitstream = O.split_segment(payload, header)
         assert max(lengths.values()) > U._LUT_BITS
-        assert payload == O.encode_with_book(vals, lengths)[0]
+        assert bitstream == O.encode_with_book(vals, lengths)[0]
         np.testing.assert_array_equal(decode(payload, header), vals)
         np.testing.assert_array_equal(O.huffman_decode_scalar(payload, header), vals)
 
@@ -329,9 +329,8 @@ class TestDecodeBackends:
               vals.size - 1, 0]
         vals[at] = aliens
         payload, header = H.huffman_encode(vals, code=code)
-        lengths = O.lengths_from_table(header["table"])
-        ref_payload, bits, sync = O.encode_with_book(vals, lengths)
-        assert (payload, header["bits"], header["sync"]) == (ref_payload, bits, sync)
+        lengths, sync, bitstream = O.split_segment(payload, header)
+        assert (bitstream, header["bits"], sync) == O.encode_with_book(vals, lengths)
         np.testing.assert_array_equal(decode(payload, header), vals)
         np.testing.assert_array_equal(O.huffman_decode_scalar(payload, header), vals)
 
@@ -350,12 +349,18 @@ _NON_INTEGER = {  # header edits a truncating parse (``int()``, an int64 cast) a
     "bits-half": lambda h: {"bits": h["bits"] + 0.5},
     "bits-float": lambda h: {"bits": float(h["bits"])},
     "n-float": lambda h: {"n": float(h["n"])},
-    "sync-quarter": lambda h: {"sync": [h["sync"][0] + 0.25, *h["sync"][1:]]},
-    "sync-floats": lambda h: {"sync": [float(o) for o in h["sync"]]},
-    "sync-bool": lambda h: {"sync": [True, *h["sync"][1:]]},
+    "book-float": lambda h: {"book": float(h["book"])},
     "n-bool": lambda h: {"n": True},
     "bits-bool": lambda h: {"bits": True},
 }
+
+
+def _with_sync(segment: bytes, header: dict, sync) -> bytes:
+    """``segment`` with its sync offsets replaced by ``sync`` (u64 each)."""
+    _, old, _ = O.split_segment(segment, header)
+    book = header["book"]
+    words = np.array(sync, dtype=np.uint64).astype("<u8").tobytes()
+    return segment[:book] + words + segment[book + 8 * len(old) :]
 
 
 class TestCorruptPayloads:
@@ -379,10 +384,11 @@ class TestCorruptPayloads:
 
     def test_shifted_sync_offsets(self, rng, decode):
         _, payload, header = self._encoded(rng)
-        for bad in ([o + 1 for o in header["sync"]], header["sync"][::-1],
-                    [header["bits"] + 1] * 3, [-1, 5, 9]):
+        sync = O.split_segment(payload, header)[1]
+        for bad in ([o + 1 for o in sync], sync[::-1], [header["bits"] + 1] * 3,
+                    [2**64 - 1, 5, 9], [2**63, 2**63 + 1, 2**63 + 2]):
             with pytest.raises(ValueError):
-                decode(payload, {**header, "sync": bad})
+                decode(_with_sync(payload, header, bad), header)
 
     def test_wrong_symbol_count(self, rng, decode):
         _, payload, header = self._encoded(rng)
@@ -392,15 +398,17 @@ class TestCorruptPayloads:
 
     def test_no_codeword_matches(self, rng, decode):
         # an incomplete code: 0, 10 — every window starting 11 matches nothing
-        code = B.code_from_table([[0, 1], [1, 2]])
+        code = B.HuffmanCode([0, 1], [1, 2])
         vals = rng.integers(0, 2, 3 * SYNC).astype(np.int64)
         payload, header = H.huffman_encode(vals, code=code)
-        start = header["sync"][1] // 8 + 1
-        bad = payload[:start] + b"\xff\xff" + payload[start + 2 :]
+        _, sync, bitstream = O.split_segment(payload, header)
+        head = payload[: len(payload) - len(bitstream)]
+        start = sync[1] // 8 + 1
+        bad = bitstream[:start] + b"\xff\xff" + bitstream[start + 2 :]
         with pytest.raises(ValueError, match="no codeword matches|sync mismatch"):
-            decode(bad, header)
+            decode(head + bad, header)
         with pytest.raises(ValueError, match="no codeword matches"):
-            decode(b"\xff" * len(payload), header)
+            decode(head + b"\xff" * len(bitstream), header)
 
     def test_escape_raw_bits_cut_off(self, rng, decode):
         code = B.build_code(np.arange(8), reserve_escape=True)
@@ -408,31 +416,38 @@ class TestCorruptPayloads:
         vals[-1] = 10**12
         payload, header = H.huffman_encode(vals, code=code)
         cut = {**header, "bits": header["bits"] - 30}
+        bitstream = O.split_segment(payload, header)[2]
+        segment = payload[: len(payload) - len(bitstream) + (cut["bits"] + 7) // 8]
         with pytest.raises(ValueError, match="truncated"):
-            decode(payload, cut)
+            decode(segment, cut)
 
-    def test_bad_sync_entries(self, rng, decode):
+    def test_segment_off_its_size(self, rng, decode):
         _, payload, header = self._encoded(rng)
-        with pytest.raises(ValueError, match="corrupt Huffman header"):
-            decode(payload, {**header, "sync": ["a", None, 3]})
+        with pytest.raises(ValueError, match="corrupt Huffman segment"):
+            decode(payload + b"\0", header)
+        with pytest.raises(ValueError, match="corrupt Huffman segment"):
+            decode(payload, {**header, "n": 0})
+        with pytest.raises(ValueError, match="ships no code book"):
+            decode(payload[header["book"] :], {**header, "book": 0})
 
     @pytest.mark.parametrize("n", [SYNC + 1, 2 * SYNC + 1, 3000])
     @pytest.mark.parametrize("edit", ["drop-first", "drop-last", "repeat-last", "append-end"])
     def test_sync_count_off_by_one(self, rng, decode, n, edit):
         """Offsets that all lie inside the stream, one too few or one too
-        many for ``n``: refused by the count rule, never decoded."""
+        many for ``n``: the segment is off its size, never decoded."""
         vals = rng.integers(-5, 5, n).astype(np.int64)
         payload, header = H.huffman_encode(vals)
-        sync = header["sync"]
+        book, (_, sync, bitstream) = header["book"], O.split_segment(payload, header)
         bad = {"drop-first": sync[1:], "drop-last": sync[:-1],
                "repeat-last": [*sync, sync[-1]], "append-end": [*sync, header["bits"]]}[edit]
-        with pytest.raises(ValueError, match="sync offsets for"):
-            decode(payload, {**header, "sync": bad})
+        words = np.array(bad, dtype="<u8").tobytes()
+        with pytest.raises(ValueError, match="truncated|corrupt Huffman segment"):
+            decode(payload[:book] + words + bitstream, header)
 
     @pytest.mark.parametrize("field", list(_NON_INTEGER))
     def test_non_integer_header_fields(self, rng, decode, field):
         """A float or bool is no count, though truncating it would decode."""
-        if field.endswith("-bool") and not field.startswith("sync"):
+        if field.endswith("-bool"):
             payload, header = H.huffman_encode(np.array([7]))  # n == bits == 1 == True
         else:
             _, payload, header = self._encoded(rng)
@@ -458,12 +473,13 @@ class TestEncodeClassesAgainstOracle:
             assert sh == {"offset": sh["offset"], "nbytes": len(ref_payload), **ref_header}, i
 
     def test_scratch_chain_ships_the_oracle_books(self, rng, monkeypatch):
-        """Five steps: build, reuse, drift rebuild as a delta, reuse, refresh.
+        """Five steps: build, reuse, drift rebuild, reuse, refresh.
 
         Every rebuilt book is the heap oracle's for that segment
-        (``max_table`` 4096, automatic escape), every payload the scalar
-        encode with the book its header resolves to, and the header-form
-        table is built once per book — never on a reuse.
+        (``max_table`` 4096, automatic escape), shipped in full under a new
+        ``table_id``; every bitstream is the scalar encode with the book
+        its header resolves to; and the packed book is built once per
+        book — never on a reuse.
         """
         sizes = [40, 6000]
         base = [rng.integers(-2, 3, sizes[0]), rng.integers(-60, 61, sizes[1])]
@@ -476,13 +492,13 @@ class TestEncodeClassesAgainstOracle:
         steps[1][sizes[0] + 5] = 10**9  # absorbed by the reserved escape
 
         built = []
-        real_table = B.HuffmanCode.table.fget
+        real_book = B.HuffmanCode.book.fget
         monkeypatch.setattr(
-            B.HuffmanCode, "table", property(lambda c: (built.append(c), real_table(c))[1])
+            B.HuffmanCode, "book", property(lambda c: (built.append(c), real_book(c))[1])
         )
 
         scratch: dict = {}
-        tables: dict = {}
+        books: dict = {}
         forms = []
         bounds = np.cumsum([0] + sizes)
         for t, step in enumerate(steps):
@@ -493,25 +509,25 @@ class TestEncodeClassesAgainstOracle:
             rebuilt = 0
             for i, sh in enumerate(header["segments"]):
                 seg = step[bounds[i] : bounds[i + 1]]
-                if "table" in sh:
-                    table, form = sh["table"], "full"
-                elif "table_delta" in sh:
-                    base_table = tables[i, sh["table_ref"]]
-                    table, form = B.apply_table_delta(base_table, sh["table_delta"]), "delta"
-                else:
-                    table, form = tables[i, sh["table_ref"]], "ref"
-                forms.append(form)
-                lengths = O.lengths_from_table(table)
-                if form != "ref":
-                    rebuilt += 1
+                segment = _segment(payload, sh)
+                if sh["book"]:
+                    assert "table_ref" not in sh
+                    lengths = O.lengths_from_book(segment[: sh["book"]])
                     assert lengths == O.book_lengths(seg, 4096, "auto"), (t, i)
-                    tables[i, sh["table_id"]] = table
+                    books[i, sh["table_id"]] = lengths
+                    rebuilt += 1
+                    forms.append("full")
+                else:
+                    assert "table_id" not in sh
+                    lengths = books[i, sh["table_ref"]]
+                    forms.append("ref")
                 ref_payload, bits, sync = O.encode_with_book(seg, lengths)
-                assert _segment(payload, sh) == ref_payload, (t, i)
-                assert (sh["n"], sh["bits"], sh.get("sync", [])) == (seg.size, bits, sync)
+                words = b"".join(o.to_bytes(8, "little") for o in sync)
+                assert segment == segment[: sh["book"]] + words + ref_payload, (t, i)
+                assert (sh["n"], sh["bits"]) == (seg.size, bits)
             assert len({id(c) for c in built}) - n_before == rebuilt, t
-        assert {"full", "delta", "ref"} <= set(forms)
-        assert forms[:4] == ["full", "full", "ref", "ref"] and forms[-2:] == ["full", "full"]
+        assert forms == ["full", "full", "ref", "ref", "ref", "full", "ref", "ref",
+                         "full", "full"]
 
         # the same chain decodes, in order, from a fresh decode-side scratch
         enc, dec = {}, {}
@@ -522,14 +538,14 @@ class TestEncodeClassesAgainstOracle:
             flat, _ = decode_classes(payload, header, scratch=dec)
             np.testing.assert_array_equal(flat, step)
 
-    def test_drift_rebuild_keeps_only_the_shorter_header_form(self, rng):
+    def test_drift_rebuild_ships_the_full_book(self, rng):
         sizes = [5000]
         scratch: dict = {}
         a = rng.integers(-50, 51, sizes[0]).astype(np.int64)
         b = rng.integers(10**6, 10**6 + 101, sizes[0]).astype(np.int64)  # disjoint alphabet
         encode_classes(a, sizes, backend="huffman", scratch=scratch)
-        _, header = encode_classes(b, sizes, backend="huffman", scratch=scratch)
+        payload, header = encode_classes(b, sizes, backend="huffman", scratch=scratch)
         sh = header["segments"][0]
-        # dropping 101 symbols and setting 101 costs more than the table itself
-        assert "table" in sh and "table_delta" not in sh and "table_ref" not in sh
-        assert lossless._books(scratch)["default", 0]["code"].table is sh["table"]
+        assert set(sh) == {"offset", "nbytes", "n", "bits", "book", "table_id"}
+        assert sh["table_id"] == 1
+        assert lossless._books(scratch)["default", 0]["code"].book == payload[: sh["book"]]

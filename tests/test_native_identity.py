@@ -13,10 +13,10 @@ recompositions of de-quantized and truncated arrays must agree too.  The entropy
 loops get the same treatment — payload bytes, headers, code lengths and
 decoded symbols per backend against each other and the heap/scalar
 oracle, foreign books with 39- and 64-bit codes and int64-extreme values,
-and drawn chains of ``encode_classes`` steps whose rebuilt books must ship
-the dict oracle's choice of delta or table — plus a mutation run that
-must end every damaged segment in a ``ValueError`` or an array, never a
-signal.  On top of it, stream directories written under either backend
+and drawn chains of ``encode_classes`` steps whose shipped books must be
+the oracle's book of their segment — plus a mutation run that must end
+every damaged segment (book, sync words, bitstream) in a ``ValueError``
+or an array, never a signal.  On top of it, stream directories written under either backend
 by any executor hash the same.
 """
 
@@ -486,12 +486,6 @@ def test_huffman_backends_agree_with_each_other_and_the_oracle(segment):
             payload, header, out = _huffman_outcome(vals, max_table, book_counts)
             got[backend] = (payload, header)
             assert out.dtype == np.int64 and np.array_equal(out, vals)
-            bare = {k: v for k, v in header.items() if k != "sync"}  # one block of n symbols
-            if vals.size <= SYNC:
-                assert np.array_equal(H.huffman_decode(payload, bare), vals)
-            else:
-                with pytest.raises(ValueError, match="corrupt Huffman header"):
-                    H.huffman_decode(payload, bare)
     finally:
         native.set_kernel_backend(None)
     assert got["native"] == got["reference"]
@@ -499,8 +493,12 @@ def test_huffman_backends_agree_with_each_other_and_the_oracle(segment):
         assert (payload, header) == O.huffman_encode_scalar(vals, max_table)
     else:
         freqs = dict(zip((np.arange(len(book_counts)) * 3).tolist(), book_counts), ESC=1)
-        assert O.lengths_from_table(header.get("table", [])) == (O.lengths_of(freqs) if vals.size else {})
-        assert payload == (O.encode_with_book(vals, O.lengths_of(freqs))[0] if vals.size else b"")
+        if vals.size:
+            lengths, sync, bitstream = O.split_segment(payload, header)
+            assert lengths == O.lengths_of(freqs)
+            assert (bitstream, header["bits"], sync) == O.encode_with_book(vals, lengths)
+        else:
+            assert (payload, header) == (b"", {"n": 0, "bits": 0, "book": 0})
 
 
 @pytest.mark.parametrize("book", [False, True], ids=["built", "long-codes"])
@@ -547,8 +545,8 @@ def _complete_book(longest: int) -> B.HuffmanCode:
     """A foreign book: symbols 0, 3, 6, ... coded in 1, 2, 3, ... bits up to
     ``longest``, which the last symbol and ESCAPE share (an escaped value
     costs ``longest + 64`` bits)."""
-    table = [[3 * k, min(k + 1, longest)] for k in range(longest)]
-    return B.code_from_table(table + [["ESC", longest]])
+    return B.HuffmanCode(np.arange(longest) * 3, [min(k + 1, longest) for k in range(longest)],
+                         longest)
 
 
 @pytest.mark.parametrize("n", [0, 1, SYNC - 1, SYNC, SYNC + 1])
@@ -573,10 +571,9 @@ def test_encode_entry_with_foreign_books_and_int64_extremes(longest, n, rng):
     assert not got["reference"][2]  # only the C mapping reads the dense table
     assert dense == (int(symbols[-1]) - int(symbols[0]) < B._DENSE_SPAN_FACTOR * n)
     if n:
-        lengths = O.lengths_from_table(header["table"])
+        lengths, sync, bitstream = O.split_segment(payload, header)
         assert max(lengths.values()) == longest
-        ref_payload, bits, sync = O.encode_with_book(vals, lengths)
-        assert (payload, header["bits"], header.get("sync", [])) == (ref_payload, bits, sync)
+        assert (bitstream, header["bits"], sync) == O.encode_with_book(vals, lengths)
     np.testing.assert_array_equal(H.huffman_decode(payload, header), vals)
 
 
@@ -615,10 +612,9 @@ def _class_bins(kind: str, rng) -> np.ndarray:
 def _chain_steps(seed: int, kinds: list[str], moves: list[str]):
     """``(bins, sizes, refresh)`` per step.  ``key`` draws afresh and re-bases;
     ``same`` repeats the last step (exact reuse); ``drift`` moves a tenth of
-    the values by one (a rebuild, shipped as a delta or a table); ``jump``
-    shifts every class to a new alphabet (a rebuild whose table wins); ``alien``
-    plants one value no book has (an escape, or a rebuild of an escape-less
-    book)."""
+    the values by one (a reuse within the guard, or a rebuild); ``jump``
+    shifts every class to a new alphabet (a rebuild); ``alien`` plants one
+    value no book has (an escape, or a rebuild of an escape-less book)."""
     rng = np.random.default_rng(seed)
     segs = [_class_bins(k, rng).astype(np.int64) for k in kinds]
     steps = []
@@ -639,9 +635,10 @@ def _chain_steps(seed: int, kinds: list[str], moves: list[str]):
 
 
 def _check_chain(steps) -> set[str]:
-    """Run one chain under both backends: identical payloads, headers, decoded
-    books and decodes; every drift rebuild ships the oracle's choice of
-    delta or table.  Returns the header forms seen."""
+    """Run one chain under both backends: identical segments, headers, cached
+    decode books and decodes; every shipped book is the oracle's book of its
+    segment, every reference names the book its class shipped last.
+    Returns the header forms seen."""
     def run():
         enc, dec, out = {}, {}, []
         for bins, sizes, refresh in steps:
@@ -650,35 +647,27 @@ def _check_chain(steps) -> set[str]:
             flat, _ = decode_classes(payload, header, scratch=dec)
             np.testing.assert_array_equal(flat, bins)
             out.append((payload, json.dumps(header)))
-        # a book rebuilt from a delta lists its rows in edit order; the
-        # header form is symbols ascending, ESC last
-        books = {k: sorted(r for r in t if r[0] != "ESC") + [r for r in t if r[0] == "ESC"]
-                 for k, t in dec.get("decode_tables", {}).items()}
-        return out, json.dumps(sorted(books.items()))
+        return out, sorted((k, t.code.book) for k, t in dec.get("decode_tables", {}).items())
 
     got = _per_backend(run)
     assert got["native"] == got["reference"]
     seen, book = set(), {}
-    archive = dict((tuple(k), v) for k, v in json.loads(got["native"][1]))
-    for (bins, sizes, refresh), (_, header) in zip(steps, got["native"][0]):
+    for (bins, sizes, refresh), (payload, header) in zip(steps, got["native"][0]):
         for i, sh in enumerate(json.loads(header)["segments"]):
+            seg = bins[sum(sizes[:i]):][: sizes[i]]
             if not sh["n"]:
                 seen.add("empty")
                 continue
-            if "table_id" not in sh:
-                seen.add("ref")
-            elif refresh or i not in book:
-                assert sh["table"] == archive[i, sh["table_id"]]
-                seen.add("full")
+            if sh["book"]:
+                assert "table_ref" not in sh
+                lengths = O.lengths_from_book(payload[sh["offset"] :][: sh["book"]])
+                assert lengths == O.book_lengths(seg, 4096, "auto")
+                seen.add("full" if refresh or i not in book else "rebuilt")
+                book[i] = sh["table_id"], lengths
             else:
-                form = O.rebuild_form(book[i][1], archive[i, sh["table_id"]])
-                assert {k: sh.get(k) for k in form} == form
-                assert sh.get("table_ref", book[i][0]) == book[i][0]
-                seen.add("delta" if "table_delta" in form else "rebuilt-full")
-            if "table_id" in sh:
-                book[i] = sh["table_id"], archive[i, sh["table_id"]]
-            in_book = {s for s, _ in book[i][1]}
-            if not in_book.issuperset(bins[sum(sizes[:i]):][: sizes[i]].tolist()):
+                assert sh["table_ref"] == book[i][0] and "table_id" not in sh
+                seen.add("ref")
+            if not set(book[i][1]).issuperset(seg.tolist()):
                 seen.add("escape")
     return seen
 
@@ -695,7 +684,7 @@ def test_code_book_chains_agree_across_backends(seed, kinds, moves):
 def test_a_chain_reaches_every_header_form():
     kinds = ["empty", "one", "narrow", "mid", "wide", "extreme"]
     seen = _check_chain(_chain_steps(3, kinds, ["key", "same", "drift", "alien", "jump", "key"]))
-    assert seen == {"empty", "full", "ref", "delta", "rebuilt-full", "escape"}
+    assert seen == {"empty", "full", "ref", "rebuilt", "escape"}
 
 
 _MUTATE = '''
@@ -723,23 +712,28 @@ for vals, book in cases:
     else:
         payload, header = H.huffman_encode(vals, code=book)
     assert np.array_equal(H.huffman_decode(payload, header), vals)
-    bits, n, sync = header["bits"], header["n"], header["sync"]
+    bits, n, size = header["bits"], header["n"], header["book"]
+    n_sync = -(-n // 512) - 1
+    regions = [(0, size), (size, size + 8 * n_sync), (0, len(payload))]  # book, sync, all
     for _ in range(int(sys.argv[2])):
         data, h = bytearray(payload), dict(header)
+        lo, hi = regions[rng.integers(3)]
         kind = rng.integers(8)
         if kind == 0:
-            for at in rng.integers(0, 8 * len(data), rng.integers(1, 4)):
+            for at in rng.integers(8 * lo, 8 * hi, rng.integers(1, 4)):
                 data[at >> 3] ^= 1 << (at & 7)
         elif kind == 1:
-            data = data[: rng.integers(0, len(data))]
+            data = data[: rng.integers(lo, hi)]
         elif kind == 2:
-            h["sync"] = [int(o + rng.integers(-70, 70)) for o in sync]
+            at = rng.integers(lo, hi)
+            data = data[:at] + data[at + rng.integers(1, 9):]
         elif kind == 3:
-            h["sync"] = [int(x) for x in rng.choice([-1, -2 ** 62, 2 ** 62, bits, bits + 1, 0], len(sync))]
+            offsets = np.frombuffer(payload, "<u8", n_sync, size).astype(np.int64)
+            wild = rng.choice([0, bits, bits + 1, 2 ** 62, -1, -2 ** 62], n_sync)
+            moved = np.where(rng.integers(2, size=n_sync), offsets + rng.integers(-70, 70, n_sync), wild)
+            data[size : size + 8 * n_sync] = moved.astype("<i8").tobytes()
         elif kind == 4:
-            h["sync"] = sync[: rng.integers(0, len(sync))] if rng.integers(2) else None
-            if h["sync"] is None:
-                del h["sync"]
+            h["book"] = int(size + rng.choice([-9, -1, 1, 8, 2 ** 40, -size]))
         elif kind == 5:
             h["bits"] = int(bits + rng.choice([-65, -64, -9, -1, 1, 7, 8, 63, 64, 2 ** 40, -bits, -bits - 1]))
         elif kind == 6:
@@ -758,9 +752,10 @@ print("ok", raised, decoded)
 
 
 def test_mutated_segments_end_in_valueerror_or_an_array_never_a_signal(tmp_path):
-    """Bit flips, truncations, shifted / negative / oversized ``sync``, ``bits``
-    and ``n`` under ``native``, in a process of their own: a wild read in the C
-    walk would end it with a signal, not an exception."""
+    """Bit flips, truncations and cut-out runs inside the book, inside the
+    sync offsets and anywhere; shifted / wild sync words; off ``book``,
+    ``bits`` and ``n`` — under ``native``, in a process of their own: a wild
+    read in the C walk would end it with a signal, not an exception."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", _MUTATE, "17", "150"], env=env,
                          capture_output=True, text=True, timeout=600)

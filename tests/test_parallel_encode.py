@@ -5,7 +5,8 @@ Three contracts:
 * the parallel encode/decode paths are *bit-identical* to the serial
   ones (payloads, headers, and the code-book chains of reusing
   streams), on adversarial class mixes;
-* code books delta-encode across stream steps and round-trip exactly;
+* code books are reused across stream steps (a ``table_ref`` instead of
+  the book) and decode exactly from the reader's own chain;
 * a :class:`StepStreamReader` can follow a producer that is still
   appending.
 """
@@ -21,13 +22,6 @@ from repro.parallel.executors import (
     ThreadExecutor,
     get_executor,
     set_default_executor,
-)
-from repro.compress.huffman_book import (
-    apply_table_delta,
-    build_code,
-    code_from_table,
-    table_delta,
-    table_from_code,
 )
 from repro.compress.lossless import (
     decode_classes,
@@ -154,30 +148,8 @@ class TestExecutorSelection:
         assert get_executor(c2.executor) is c2.executor  # instances pass through
 
 
-def _assert_same_book(a, b):
-    for field in ("symbols", "lengths", "codes"):
-        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), field)
-    assert (a.esc_len, a.esc_code) == (b.esc_len, b.esc_code)
-
-
-class TestCodeBookDeltas:
-    def test_delta_roundtrip_three_steps(self, rng):
-        """Tables drift over >= 3 steps; deltas reproduce each exactly."""
-        tables = []
-        for t in range(4):
-            vals = (rng.geometric(0.3 + 0.1 * t, 6000).astype(np.int64) - 1)
-            tables.append(table_from_code(build_code(vals)))
-        for a, b in zip(tables[:-1], tables[1:]):
-            delta = table_delta(a, b)
-            rebuilt = apply_table_delta(a, delta)
-            _assert_same_book(code_from_table(rebuilt), code_from_table(b))
-        # chain: apply all deltas from the first table
-        cur = tables[0]
-        for nxt in tables[1:]:
-            cur = apply_table_delta(cur, table_delta(cur, nxt))
-        _assert_same_book(code_from_table(cur), code_from_table(tables[-1]))
-
-    def test_stream_reuses_and_deltas_codebooks(self, rng):
+class TestCodeBookReuse:
+    def test_stream_reuses_codebooks(self, rng):
         """A slowly-varying 3+ step stream emits refs, decodes exactly."""
         sizes = [400, 30000]
         base = np.concatenate(
@@ -212,19 +184,17 @@ class TestCodeBookDeltas:
             with pytest.raises(ValueError, match="key frame|table"):
                 decode_classes(p, h)  # no scratch: chain unknown
 
-    def test_materialize_makes_header_standalone(self, rng):
+    def test_materialize_refuses_a_header_with_references(self, rng):
         sizes = [2000]
         bins = rng.integers(-5, 6, 2000).astype(np.int64)
-        scratch, dec = {}, {}
+        scratch = {}
         p0, h0 = encode_classes(bins, sizes, backend="huffman", scratch=scratch,
                                 refresh=True)
-        decode_classes(p0, h0, scratch=dec)
+        assert materialize_classes_header(h0) is h0  # every book shipped: standalone
         p, h = encode_classes(bins, sizes, backend="huffman", scratch=scratch)
         assert any("table_ref" in s for s in h["segments"])
-        solid = materialize_classes_header(h, dec)
-        assert all("table_ref" not in s for s in solid["segments"])
-        flat, _ = decode_classes(p, solid)  # decodes without any context
-        np.testing.assert_array_equal(flat, bins)
+        with pytest.raises(ValueError, match="key frame"):
+            materialize_classes_header(h)
 
     def test_code_book_chain_caches_are_pruned(self, rng):
         """Long streams must not grow the decode caches without bound."""
@@ -241,7 +211,6 @@ class TestCodeBookDeltas:
         from repro.compress.lossless import _TABLE_CHAIN_WINDOW
 
         assert len(dec.get("decode_tables", {})) <= _TABLE_CHAIN_WINDOW
-        assert len(dec.get("decode_table_objs", {})) <= _TABLE_CHAIN_WINDOW
 
     def test_compressors_do_not_share_scratch(self, rng):
         hier = hierarchy_for((17, 17))
@@ -249,23 +218,27 @@ class TestCodeBookDeltas:
         b = TimeSeriesCompressor(hier, 1e-3, backend="huffman")
         assert a._scratch is not b._scratch
 
-    def test_timeseries_reuse_beats_rebuild_on_bytes(self, rng):
+    def test_timeseries_reuse_ships_references_and_keeps_the_bound(self, rng):
+        """With reuse, non-key steps reference the books they reuse
+        instead of shipping them; either way every frame keeps the bound.
+        (A packed book costs tens of bytes, so reuse no longer saves
+        bytes overall: it saves the book builds.)"""
         shape = (33, 33)
         base = rng.standard_normal(shape).cumsum(0).cumsum(1)
         drift = rng.standard_normal(shape).cumsum(1) * 0.01
         frames = [base + t * drift for t in range(8)]
         tol = 1e-3 * float(base.max() - base.min())
         hier = hierarchy_for(shape)
-        reused = TimeSeriesCompressor(
-            hier, tol, backend="huffman", reuse_codebooks=True
-        ).compress(frames)
-        rebuilt = TimeSeriesCompressor(
-            hier, tol, backend="huffman", reuse_codebooks=False
-        ).compress(frames)
-        assert reused.nbytes < rebuilt.nbytes
-        tsd = TimeSeriesCompressor(hier, tol, backend="huffman")
-        for orig, rec in zip(frames, tsd.decompress(reused)):
-            assert np.abs(rec - orig).max() <= tol
+        for reuse in (True, False):
+            series = TimeSeriesCompressor(
+                hier, tol, backend="huffman", reuse_codebooks=reuse
+            ).compress(frames)
+            refs = sum("table_ref" in sh for blob in series.frames
+                       for sh in blob.headers[0]["segments"])
+            assert (refs > 0) == reuse
+            tsd = TimeSeriesCompressor(hier, tol, backend="huffman")
+            for orig, rec in zip(frames, tsd.decompress(series)):
+                assert np.abs(rec - orig).max() <= tol
 
 
 class TestStreamBehindProducer:
@@ -392,8 +365,9 @@ class TestStreamBehindProducer:
 
 
 class TestSingleGeneration:
-    """The pre-``format: 2`` single-stream layout is gone with its
-    decoder: a header without ``segments`` is refused, not guessed at."""
+    """Only ``format: 3`` decodes: the pre-``format: 2`` single-stream
+    layout, and ``format: 2``'s JSON code tables and sync lists, are
+    refused, not guessed at."""
 
     def test_header_without_segments_is_refused(self, rng):
         sizes = [9, 100]
@@ -402,6 +376,50 @@ class TestSingleGeneration:
         del header["segments"]
         with pytest.raises(ValueError, match="segments"):
             decode_classes(payload, header)
+
+    @staticmethod
+    def _format_2(rng):
+        """A Huffman blob as ``format: 2`` wrote it: the book a JSON
+        ``table`` and the sync offsets a JSON ``sync`` list in the
+        segment row, the payload the bare bitstream."""
+        from huffman_oracle import encode_with_book
+
+        vals = rng.integers(0, 2, 3 * 512 + 9).astype(np.int64)
+        bitstream, bits, sync = encode_with_book(vals, {0: 1, 1: 1})
+        segment = {"offset": 0, "nbytes": len(bitstream), "n": int(vals.size), "bits": bits,
+                   "table": [[0, 1], [1, 1]], "sync": sync}
+        header = {"backend": "huffman", "format": 2, "n": int(vals.size),
+                  "class_sizes": [int(vals.size)], "segments": [segment]}
+        return bitstream, header
+
+    def test_format_2_is_refused_never_misread(self, rng):
+        payload, header = self._format_2(rng)
+        with pytest.raises(ValueError, match="format 2 is not 3"):
+            decode_classes(payload, header)
+        # relabelled, its rows still hold keys format 3 has no meaning for
+        with pytest.raises(ValueError, match="not a huffman segment row"):
+            decode_classes(payload, {**header, "format": 3})
+        for extra in ({"table_delta": {}}, {"sync": []}, {"table": []}):
+            good_payload, good = encode_classes(np.arange(600) % 7, [600], backend="huffman")
+            good["segments"][0].update(extra)
+            with pytest.raises(ValueError, match="not a huffman segment row"):
+                decode_classes(good_payload, good)
+
+    def test_stream_quarantines_a_format_2_step(self, rng, tmp_path):
+        frames = [rng.standard_normal((17, 17)).cumsum(0) * (1 + 0.01 * t) for t in range(2)]
+        tol = 1e-3
+        writer = StepStreamWriter(tmp_path, (17, 17), tol=tol, backend="huffman")
+        for f in frames:
+            writer.append(f)
+        path = tmp_path / "step_000001.mgz"
+        data = path.read_bytes()
+        assert data.count(b'"format": 3') == 1
+        path.write_bytes(data.replace(b'"format": 3', b'"format": 2'))
+        reader = StepStreamReader(tmp_path)
+        served = reader.read_step(1)
+        assert reader.last_recovery.degraded and reader.last_recovery.served == 0
+        assert 1 in reader.quarantined and "format 2" in reader.quarantined[1]
+        assert np.abs(served - frames[0]).max() <= tol
 
 
 def _overlap(payload, segs):

@@ -321,13 +321,14 @@ class TestThreeBackendBitIdentity:
             assert all(b == want for b in blobs.values()), (name, backend)
 
     def test_codebook_chains_are_backend_independent(self, rng):
-        """Reusing streams emit identical ref/delta chains everywhere."""
+        """Reusing streams emit identical code-book chains everywhere."""
         sizes = [60, 4000, 30000]
+        # the same alphabet (reuse), then a wider one (a rebuild), reused again
         steps = [
             np.concatenate(
-                [rng.integers(-3 - t, 4 + t, s).astype(np.int64) for s in sizes]
+                [rng.integers(-w, w + 1, s).astype(np.int64) for s in sizes]
             )
-            for t in range(4)
+            for w in (3, 3, 5, 5)
         ]
         scratches = {tag: {} for tag in _executors()}
         decodes = {tag: {} for tag in _executors()}
