@@ -60,41 +60,25 @@ def _fig9() -> str:
 
 
 def _fig10() -> str:
+    from repro.cluster.pipeline import workflow_pipeline
+
     parts = [E.format_fig10(E.fig10_workflow())]
+    pipe, steps = workflow_pipeline(), 100
+    stages = ", ".join(
+        f"{name}={E.format_seconds(sec)}"
+        for name, sec in zip(pipe.stage_names, pipe.stage_seconds)
+    )
+    parts.append(
+        f"streaming write, {steps} steps (modeled): {stages}; overlap gain "
+        f"{pipe.overlap_gain(steps):.2f}x (bottleneck: {pipe.bottleneck})"
+    )
     demo = E.fig10_accuracy_demo(shape=(33, 33, 33), steps=400)
     parts.append("functional accuracy demo (33^3 Gray-Scott, iso-surface area):")
     for r in demo:
         parts.append(
             f"  k={r.k_classes:2d}: bytes={r.bytes_read:8d} accuracy={r.accuracy:.3f}"
         )
-    parts.append("")
-    parts.append(E.format_fig10_pipeline(E.fig10_measured_pipeline()))
     return "\n".join(parts)
-
-
-def _pipeline(
-    mode: str = "refactored",
-    json_out: str | None = None,
-    shards: int | None = None,
-) -> str:
-    """The measured streaming pipeline; optionally emit its JSON record."""
-    from repro.parallel.executors import default_spec
-
-    sharded = shards is not None and shards > 1
-    codec = default_spec() if (mode == "compressed" or sharded) else None
-    m = E.fig10_measured_pipeline(mode=mode, codec_executor=codec, shards=shards)
-    text = E.format_fig10_pipeline(m)
-    if json_out:
-        import json
-        from pathlib import Path
-
-        record = {"benchmark": "fig10_pipeline", **m.record()}
-        record["codec_executor"] = codec
-        path = Path(json_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(record, indent=2) + "\n")
-        text += f"\n[json record written to {path}]"
-    return text
 
 
 def _fig11() -> str:
@@ -156,11 +140,9 @@ EXPERIMENTS = {
     "table6": (_table6, "all GPUs vs all cores, node level"),
     "fig8": (_fig8, "CUDA-stream speedups on 3D data"),
     "fig9": (_fig9, "weak scaling to 4096 GPUs (TB/s)"),
-    "fig10": (_fig10, "visualization-workflow I/O cost + accuracy demo"),
-    "pipeline": (
-        _pipeline,
-        "measured streaming-write pipeline vs modeled makespan "
-        "(--mode refactored|compressed, --shards N, --json PATH)",
+    "fig10": (
+        _fig10,
+        "visualization-workflow I/O cost + modeled streaming overlap + accuracy demo",
     ),
     "fig11": (_fig11, "MGARD compression stage breakdown"),
     "offload": (_offload, "CPU-app offload break-even analysis (paper §I)"),
@@ -208,31 +190,6 @@ def main(argv: list[str] | None = None) -> int:
         "compiler), or auto (native whenever available, the default); "
         "also settable via REPRO_KERNEL_BACKEND",
     )
-    parser.add_argument(
-        "--mode",
-        default="refactored",
-        choices=("refactored", "compressed"),
-        help="stream mode for the 'pipeline' experiment: raw refactored "
-        "containers, or error-bounded compression with closed-loop "
-        "temporal prediction (default: refactored)",
-    )
-    parser.add_argument(
-        "--shards",
-        default=None,
-        type=int,
-        metavar="N",
-        help="for the 'pipeline' experiment: split every step into N "
-        "shard segments along axis 0 (shard→encode→write chain; the "
-        "per-shard fan-out runs on the codec executor)",
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="for the 'pipeline' experiment: also write the measured "
-        "record (mode, backend, shards, cpu_count, stage seconds, "
-        "measured vs modeled walls) as JSON to PATH",
-    )
     args = parser.parse_args(argv)
     if args.kernel_backend is not None:
         from repro.kernels.launcher import set_kernel_backend
@@ -260,9 +217,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
         return 2
     try:
-        if args.experiment == "pipeline":
-            print(_pipeline(mode=args.mode, json_out=args.json, shards=args.shards))
-            return 0
         print(EXPERIMENTS[args.experiment][0]())
     except BrokenPipeError:  # e.g. `repro-bench fig7 | head`
         return 0

@@ -15,31 +15,20 @@ bytes/s, and :func:`workflow_pipeline` builds the stage durations for
 the refactor→transfer→write chain from the same models as Fig. 10 —
 showing how much of the refactoring cost disappears behind I/O once
 the workflow streams.
-
-:func:`run_pipeline` *executes* such a chain for real: arbitrary stage
-callables over a step sequence, scheduled through the same executor
-layer as the encode path (:mod:`repro.parallel.executors`).  Each stage
-is serialized by its own lock — the software analogue of one device per
-stage — so with a parallel executor, step ``t`` can write while step
-``t+1`` refactors, exactly the overlap the makespan formula models;
-with the serial executor it degenerates to the no-overlap baseline.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..parallel.executors import get_executor
 from ..core.grid import hierarchy_for
 from ..gpu.analytic import model_pass
 from ..gpu.device import DeviceSpec, V100
 from ..io.storage import ALPINE_PFS, StorageTier
 
-__all__ = ["PipelineModel", "PipelineRun", "run_pipeline", "workflow_pipeline"]
+__all__ = ["PipelineModel", "workflow_pipeline"]
 
 
 @dataclass
@@ -80,159 +69,6 @@ class PipelineModel:
     def steady_state_throughput(self, bytes_per_step: int) -> float:
         """Sustained bytes/second once the pipe is full."""
         return bytes_per_step / max(self.stage_seconds)
-
-
-@dataclass
-class PipelineRun:
-    """Measured outcome of one :func:`run_pipeline` execution."""
-
-    results: list
-    stage_names: tuple[str, ...]
-    stage_busy_seconds: tuple[float, ...]
-    wall_seconds: float
-
-    @property
-    def bottleneck(self) -> str:
-        return self.stage_names[int(np.argmax(self.stage_busy_seconds))]
-
-    def overlap_gain(self) -> float:
-        """Measured speedup over running every stage back to back."""
-        return sum(self.stage_busy_seconds) / max(self.wall_seconds, 1e-12)
-
-
-def run_pipeline(
-    stages,
-    items,
-    executor=None,
-    stage_names: tuple[str, ...] | None = None,
-) -> PipelineRun:
-    """Push ``items`` through a chain of stage callables, overlapped.
-
-    ``stages`` is a sequence of one-argument callables; item ``i``'s
-    result flows ``stages[0] -> stages[1] -> …``.  ``executor`` (spec
-    string, instance, or ``None`` for the ambient default) sets the
-    concurrency *width only*: serial runs items inline back to back,
-    anything wider runs them on a *dedicated* thread pool — never the
-    shared encode pool (a stage that itself fans out through the
-    ambient executor cannot deadlock the pipeline by queueing its
-    subtasks behind gate-blocked items), and never a process pool
-    (stages are stateful closures — a stream writer, a prediction loop
-    — that must mutate in this address space; a stage may still *use*
-    a :class:`~repro.parallel.ProcessExecutor` internally for its own
-    codec fan-out).  A per-stage gate admits items
-    strictly in order, so distinct steps overlap across stages (the
-    paper's streaming-write pattern) while every stage sees the steps
-    one at a time, in sequence, making stateful stages (a stream
-    writer, a closed prediction loop) safe.  Results keep item order
-    regardless of executor.
-    """
-    stages = list(stages)
-    if not stages:
-        raise ValueError("need at least one stage")
-    if stage_names is None:
-        stage_names = tuple(
-            getattr(fn, "__name__", f"stage{i}") for i, fn in enumerate(stages)
-        )
-    if len(stage_names) != len(stages):
-        raise ValueError("one name per stage required")
-    ex = get_executor(executor)
-    workers = min(getattr(ex, "max_workers", 1), len(stages) + 1)
-
-    failed = threading.Event()
-    root_cause: list[BaseException] = []
-    root_lock = threading.Lock()
-
-    class _PipelineAborted(RuntimeError):
-        """Raised for items cancelled because another item failed."""
-
-    class _Gate:
-        """Admits item indices to one stage strictly in order."""
-
-        def __init__(self):
-            self.cond = threading.Condition()
-            self.next = 0
-
-        def enter(self, i: int) -> None:
-            with self.cond:
-                while self.next != i:
-                    if failed.is_set():
-                        raise _PipelineAborted("pipeline aborted after a stage failure")
-                    self.cond.wait(timeout=0.1)
-                # re-check after winning the turn: another item may
-                # have failed in this very stage while we waited, and a
-                # stateful stage must not see any later item after that
-                # (it would record them at wrong positions)
-                if failed.is_set():
-                    raise _PipelineAborted("pipeline aborted after a stage failure")
-
-        def leave(self, i: int) -> None:
-            with self.cond:
-                self.next = i + 1
-                self.cond.notify_all()
-
-    gates = [_Gate() for _ in stages]
-    busy = [0.0] * len(stages)
-    busy_lock = threading.Lock()
-
-    def work(i, item):
-        x = item
-        try:
-            for s, (fn, gate) in enumerate(zip(stages, gates)):
-                gate.enter(i)
-                try:
-                    t0 = time.perf_counter()
-                    x = fn(x)
-                except BaseException:
-                    # flag the failure *before* the gate opens so the
-                    # next item's enter() sees it and never runs this
-                    # stage out of order
-                    failed.set()
-                    raise
-                finally:
-                    gate.leave(i)
-                with busy_lock:
-                    busy[s] += time.perf_counter() - t0
-        except BaseException as e:
-            # remember the real failure (cancelled items raise the
-            # generic abort and must not mask it), then wake every
-            # waiter so a stage failure cannot strand the thread pool
-            # on gates that will never open
-            if not isinstance(e, _PipelineAborted):
-                with root_lock:
-                    if not root_cause:
-                        root_cause.append(e)
-            failed.set()
-            for g in gates:
-                with g.cond:
-                    g.cond.notify_all()
-            raise
-        return x
-
-    items = list(items)
-    t0 = time.perf_counter()
-    if workers <= 1:
-        results = [work(i, item) for i, item in enumerate(items)]
-    else:
-        import concurrent.futures
-
-        try:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-pipeline"
-            ) as pool:
-                results = list(pool.map(work, range(len(items)), items))
-        except BaseException as e:
-            # pool.map surfaces exceptions in item order, which may be a
-            # cancelled item's generic abort; raise the real failure
-            if root_cause and root_cause[0] is not e:
-                raise root_cause[0] from None
-            raise
-    wall = time.perf_counter() - t0
-    return PipelineRun(
-        results=results,
-        stage_names=tuple(stage_names),
-        stage_busy_seconds=tuple(busy),
-        wall_seconds=wall,
-    )
 
 
 def workflow_pipeline(

@@ -50,8 +50,8 @@ def save_compressed(
     ``materialize=False``.
 
     ``path`` may also be an open binary stream (e.g. ``io.BytesIO``),
-    which is how a pipeline's encode stage serializes in memory while a
-    later stage owns the disk write.
+    which is how the stream writer serializes a step in memory before
+    its commit owns the disk write.
     """
     headers = blob.headers
     if materialize:

@@ -52,8 +52,7 @@ class PreparedFrame:
     ``compress`` call into its in-order half (refactor + quantize,
     which closed-loop temporal prediction must run serially because
     the decoded coefficients feed the next frame's residual) and its
-    stateless half (entropy coding, which a pipeline overlaps across
-    steps).  Entropy coding is lossless, so the decoded coefficients are
+    stateless half (entropy coding).  Entropy coding is lossless, so the decoded coefficients are
     already fully determined here: :meth:`Quantizer.dequantize_refactored`
     of ``bins`` inverts the quantization without ever touching the encoder.
     """
@@ -185,15 +184,14 @@ class MgardCompressor:
         The stateless half of :meth:`compress`: given the quantized
         bins, the emitted bytes depend only on (``scratch`` chain
         position, ``refresh``, ``context``) — not on any compressor
-        state — so a pipeline may run it outside the prediction loop.
+        state — so it may run outside the prediction loop.
         ``scratch`` (a dict the caller keeps across calls) enables
         cross-call Huffman code-book reuse, ``refresh=True`` forces a
         full rebuild of every book (key frames), and ``context`` separates reuse
         chains whose statistics differ by construction (key frames vs
         temporal residuals); see :func:`~repro.compress.lossless.encode_classes`.
         Calls that share a ``scratch`` (a code-book chain) must still
-        arrive in stream order; an in-order pipeline stage gate provides
-        exactly that.
+        arrive in stream order.
         """
         if prep.shape != self.hier.shape:
             raise ValueError(

@@ -153,8 +153,7 @@ class TimeSeriesCompressor:
         This is the producer-side incremental API: a running simulation
         appends steps as they are computed, and the compressor keeps the
         closed prediction loop and the code-book chain across calls.
-        Equivalent to ``encode_residual(predict_residual(frame))`` —
-        the fused form of the split a pipeline overlaps.
+        Equivalent to ``encode_residual(predict_residual(frame))``.
         """
         return self.encode_residual(self.predict_residual(frame))
 
@@ -171,8 +170,8 @@ class TimeSeriesCompressor:
         bytes or recomposing anything.  The bins equal those of refactoring
         the spatial residual against the previous reconstruction but for
         values within roundoff of a bin edge.  Calls must arrive in stream
-        order; the returned plan may be entropy-coded later (and overlapped
-        with the next frame's prediction) via :meth:`encode_residual`.
+        order; the returned plan may be entropy-coded later, after the next
+        frame's prediction, via :meth:`encode_residual`.
         """
         if frame.shape != self.hier.shape:
             raise ValueError(
@@ -215,10 +214,8 @@ class TimeSeriesCompressor:
         Stateless with respect to the prediction loop: the plan carries
         everything the entropy stage needs.  Plans that share this
         compressor's code-book chain (``reuse_codebooks``) must still be
-        encoded in stream order — an in-order pipeline stage gate
-        provides exactly that — but the *prediction* of later frames
-        never waits on this call, which is what lets all three Fig. 10
-        stages overlap for compressed streams.
+        encoded in stream order, but the *prediction* of later frames
+        never waits on this call.
         """
         blob = self._spatial.encode_prepared(
             plan.prepared,

@@ -29,11 +29,9 @@ from .scaling_exp import fig8_streams, fig9_weak_scaling, format_fig8, format_fi
 from .service_exp import format_service, service_experiment
 from .showcases import (
     fig10_accuracy_demo,
-    fig10_measured_pipeline,
     fig10_workflow,
     fig11_mgard,
     format_fig10,
-    format_fig10_pipeline,
     format_fig11,
 )
 
@@ -45,7 +43,6 @@ __all__ = [
     "bench_scale",
     "chaos_experiment",
     "fig10_accuracy_demo",
-    "fig10_measured_pipeline",
     "fig10_workflow",
     "fig11_mgard",
     "fig7_mass_throughput",
@@ -54,7 +51,6 @@ __all__ = [
     "format_ablations",
     "format_chaos",
     "format_fig10",
-    "format_fig10_pipeline",
     "format_fig11",
     "format_fig7",
     "format_fig8",

@@ -3,9 +3,7 @@
 Fig. 10 — scientific-visualization workflow: write/read cost of a 4 TB
 dataset versus the number of coefficient classes kept, with GPU or CPU
 refactoring, plus the functional small-scale accuracy demo (iso-surface
-area versus classes), plus the *measured* streaming-write pipeline
-(refactor→encode→write executed with real overlap and compared against
-the analytic makespan).
+area versus classes).
 
 Fig. 11 — MGARD lossy compression: per-stage time breakdown with the
 refactoring (and quantization) on the CPU versus offloaded to the GPU.
@@ -15,19 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..compress.mgard import MgardCompressor
 from ..core.errors import linf
 from ..core.grid import hierarchy_for
 from ..gpu.device import CpuSpec, DeviceSpec, POWER9_CORE, V100
-from ..io.workflow import (
-    MeasuredPipeline,
-    WorkflowPoint,
-    model_workflow,
-    run_streaming_pipeline,
-    run_workflow_demo,
-)
+from ..io.workflow import WorkflowPoint, model_workflow, run_workflow_demo
 from ..workloads.grayscott import simulate
 from .common import format_seconds, format_table
 
@@ -35,8 +25,6 @@ __all__ = [
     "fig10_workflow",
     "format_fig10",
     "fig10_accuracy_demo",
-    "fig10_measured_pipeline",
-    "format_fig10_pipeline",
     "Fig11Row",
     "fig11_mgard",
     "format_fig11",
@@ -95,101 +83,6 @@ def fig10_accuracy_demo(
     if iso is None:
         iso = float(0.25 * field.max() + 0.75 * field.min())
     return run_workflow_demo(field, iso)
-
-
-def fig10_measured_pipeline(
-    shape: tuple[int, ...] | None = None,
-    n_steps: int | None = None,
-    executor: str | None = None,
-    sim_steps: int | None = None,
-    mode: str = "refactored",
-    backend: str = "huffman",
-    key_interval: int = 4,
-    codec_executor: str | None = None,
-    shards: int | None = None,
-) -> MeasuredPipeline:
-    """The Fig. 10 streaming write, executed with measured overlap.
-
-    A short Gray–Scott sequence flows through the three-stage chain of
-    ``mode`` (``refactored``: refactor→encode→write; ``compressed``:
-    predict→encode→write with closed-loop temporal prediction) over a
-    live :class:`~repro.io.stream.StepStreamWriter`, scheduled through
-    :func:`repro.cluster.pipeline.run_pipeline`; the measured stage
-    overlap is paired with the analytic
-    :meth:`~repro.cluster.pipeline.PipelineModel.makespan` of a model
-    calibrated from the serial run.  ``executor=None`` picks a small
-    thread pool (the pipeline needs one thread per stage to overlap);
-    ``codec_executor`` schedules the compressed mode's entropy-stage
-    fan-out — or, with ``shards > 1``, the sharded chain's per-shard
-    encode fan-out (shard → encode → write over shard-partitioned
-    steps).  ``shape``/``n_steps``/``sim_steps`` default by
-    ``REPRO_BENCH_SCALE`` (``ci``: 17³ × 5 steps; otherwise 33³ × 8) —
-    the single scale knob the CLI, the CI smoke step, and
-    ``benchmarks/bench_fig10_pipeline.py`` all share.
-    """
-    import os
-
-    ci = os.environ.get("REPRO_BENCH_SCALE") == "ci"
-    if shape is None:
-        side = 17 if ci else 33
-        shape = (side, side, side)
-    if n_steps is None:
-        n_steps = 5 if ci else 8
-    if sim_steps is None:
-        sim_steps = 60 if ci else 200
-    base = simulate(shape, steps=sim_steps, params="stripes")
-    drift = np.roll(base, 1, axis=0) * 0.02
-    frames = [base + t * drift for t in range(n_steps)]
-    if executor is None:
-        executor = "thread:4"
-    return run_streaming_pipeline(
-        frames,
-        executor=executor,
-        mode=mode,
-        backend=backend,
-        key_interval=key_interval,
-        codec_executor=codec_executor,
-        shards=shards,
-    )
-
-
-def format_fig10_pipeline(m: MeasuredPipeline) -> str:
-    """Text rendering of the measured-vs-modeled pipeline comparison."""
-    per_stage = ", ".join(
-        f"{name}={format_seconds(sec)}"
-        for name, sec in zip(m.stage_names, m.stage_seconds)
-    )
-    rows = [
-        [
-            "measured",
-            format_seconds(m.serial_wall),
-            format_seconds(m.pipelined_wall),
-            f"{m.measured_overlap_gain:.2f}x",
-        ],
-        [
-            "modeled",
-            format_seconds(m.modeled_sequential),
-            format_seconds(m.modeled_makespan),
-            f"{m.modeled_overlap_gain:.2f}x",
-        ],
-    ]
-    table = format_table(
-        ["", "sequential", "pipelined", "overlap gain"],
-        rows,
-        title=(
-            f"Fig 10 streaming write, executed ({m.mode} mode"
-            + (f", {m.shards} shards/step" if m.shards else "")
-            + f"): {m.n_steps} steps, stages {per_stage} "
-            f"(bottleneck: {m.bottleneck})"
-        ),
-    )
-    return "\n".join(
-        [
-            table,
-            f"executor: {m.executor}; {m.bytes_written} bytes committed "
-            "through the live stream writer",
-        ]
-    )
 
 
 # ----------------------------------------------------------------------

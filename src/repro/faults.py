@@ -272,7 +272,7 @@ class FaultEvent:
 class FaultInjector:
     """Deterministic firing engine over a list of :class:`FaultSpec`.
 
-    Thread-safe: site hits from pipeline stages and pool coordinators
+    Thread-safe: site hits from worker threads and pool coordinators
     serialize on one lock, and every probabilistic decision draws from
     one seeded :class:`random.Random` — the firing *sequence* is a pure
     function of (plan, seed, site-hit order).

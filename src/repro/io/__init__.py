@@ -26,10 +26,8 @@ from .storage import (
 )
 from .workflow import (
     DemoResult,
-    MeasuredPipeline,
     WorkflowPoint,
     model_workflow,
-    run_streaming_pipeline,
     run_workflow_demo,
 )
 
@@ -40,7 +38,6 @@ __all__ = [
     "ContainerError",
     "LifecycleOutcome",
     "DemoResult",
-    "MeasuredPipeline",
     "NVME_TIER",
     "PredictedStep",
     "PreparedStep",
@@ -55,7 +52,6 @@ __all__ = [
     "TieredStorage",
     "WorkflowPoint",
     "model_workflow",
-    "run_streaming_pipeline",
     "run_workflow_demo",
     "simulate_lifecycle",
     "typical_request_trace",

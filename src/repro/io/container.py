@@ -122,8 +122,8 @@ def _verify(source) -> frame.Frame:
 def write_refactored_stream(f, cc: CoefficientClasses, attrs: dict | None = None) -> int:
     """Serialize a container into an open binary stream; returns bytes.
 
-    The streaming form lets a pipeline *encode* a step into memory
-    (``io.BytesIO``) while a later stage owns the actual disk write.
+    The streaming form lets the stream writer *encode* a step into
+    memory (``io.BytesIO``) before its commit owns the disk write.
     """
     blobs = [np.ascontiguousarray(v, dtype=np.float64).tobytes() for v in cc.classes]
     header = {

@@ -8,11 +8,12 @@ directory:
 
 * :class:`StepStreamWriter` — appends steps; each step is one
   refactored-data container plus a manifest entry (atomic rename, so a
-  concurrent reader never sees a half-written step).  ``append`` splits
-  into :meth:`StepStreamWriter.encode_step` (refactor/compress into
-  memory) and :meth:`StepStreamWriter.commit_step` (file + manifest
-  publish), the seam the pipelined Fig. 10 workflow overlaps stages
-  along;
+  concurrent reader never sees a half-written step).  ``append``
+  encodes a step into memory, then :meth:`StepStreamWriter.commit_step`
+  publishes its file and manifest entry; compressed and sharded
+  writers also expose their encode halves (``predict_step`` →
+  ``encode_predicted``, ``shard_step`` → ``encode_sharded``) so each
+  can be timed on its own;
 * :class:`StepStreamReader` — lists/loads steps, reading only the class
   prefix a consumer's accuracy needs (via the s-norm hint recorded by
   the producer), and :meth:`StepStreamReader.refresh`-ing its manifest
@@ -68,7 +69,6 @@ from ..compress.fileio import save_compressed
 from ..compress.quantizer import checked_tol
 from ..errors import ContainerError
 from ..compress.timeseries import TimeSeriesCompressor
-from ..core.classes import CoefficientClasses
 from ..core.grid import hierarchy_for
 from ..core.refactor import Refactorer
 from ..core.snorm import truncation_estimate
@@ -175,11 +175,10 @@ def _open_manifest(root: Path) -> dict:
 class PreparedStep:
     """One fully-encoded step awaiting its directory commit.
 
-    Produced by :meth:`StepStreamWriter.encode_step` (or
-    :meth:`StepStreamWriter.encode_refactored`) and consumed by
-    :meth:`StepStreamWriter.commit_step` — the split that lets a
-    pipeline's *write* stage overlap the next step's refactor/encode
-    while steps still land on disk strictly in order.
+    Produced by :meth:`StepStreamWriter.encode_predicted` or
+    :meth:`StepStreamWriter.encode_sharded` and consumed by
+    :meth:`StepStreamWriter.commit_step`, which lands steps on disk
+    strictly in order.
     """
 
     index: int
@@ -196,14 +195,10 @@ class PreparedStep:
 class PredictedStep:
     """One compressed-mode step through the prediction loop, unencoded.
 
-    Produced by :meth:`StepStreamWriter.predict_step` (the in-order
-    stage that owns closed-loop prediction and the step-index claim)
-    and consumed by :meth:`StepStreamWriter.encode_predicted` (entropy
-    coding + container serialization).  The split mirrors the
-    refactored mode's ``refactor → encode_refactored`` seam, so a
-    pipeline overlaps all three compressed-mode stages: while step
-    ``t`` writes, step ``t+1`` entropy-codes and step ``t+2`` runs the
-    prediction loop.
+    Produced by :meth:`StepStreamWriter.predict_step` (closed-loop
+    prediction and the step-index claim) and consumed by
+    :meth:`StepStreamWriter.encode_predicted` (entropy coding +
+    container serialization).
     """
 
     index: int
@@ -237,14 +232,10 @@ class RecoveryReport:
 class ShardedStep:
     """One sharded-stream step awaiting its shard-parallel encode.
 
-    Produced by :meth:`StepStreamWriter.shard_step` (the in-order stage
-    that owns the step-index claim — deliberately cheap, it only holds
-    a reference to the frame) and consumed by
+    Produced by :meth:`StepStreamWriter.shard_step` (the step-index
+    claim; it only holds a reference to the frame) and consumed by
     :meth:`StepStreamWriter.encode_sharded` (the per-shard
-    refactor/compress fan-out plus container serialization).  Sharded
-    steps carry no cross-step state — every step is self-contained, the
-    paper's independent-partition model — so the encode stage overlaps
-    freely across steps.
+    refactor/compress fan-out plus container serialization).
     """
 
     index: int
@@ -400,40 +391,53 @@ class StepStreamWriter:
         return len(self._steps)
 
     def append(self, field: np.ndarray, time: float | None = None) -> int:
-        """Persist one step (refactor or compress); returns its index."""
-        return self.commit_step(self.encode_step(field, time=time))
+        """Persist one step (refactor or compress); returns its index.
 
-    def encode_step(self, field: np.ndarray, time: float | None = None) -> PreparedStep:
-        """Refactor/compress one step into memory, without committing.
-
-        Steps must be encoded in stream order (the compressed mode's
-        closed prediction loop and code-book chain are stateful); a
-        pipeline's per-stage gate provides exactly that.  The returned
-        :class:`PreparedStep` carries the serialized container bytes
-        plus its manifest entry; hand it to :meth:`commit_step`.  The
-        fused form of the two-stage compressed-mode split
-        (:meth:`predict_step` then :meth:`encode_predicted`), or of the
-        sharded split (:meth:`shard_step` then :meth:`encode_sharded`).
+        A step that fails anywhere — a non-finite frame, a full disk —
+        leaves the writer ready for the next one: its index is released
+        and a compressed writer restarts its prediction loop, so the
+        next step is a key frame that references nothing the failed
+        step shipped.
         """
+        try:
+            return self.commit_step(self._encode_step(field, time))
+        except BaseException:
+            self._release_pending()
+            raise
+
+    def _encode_step(self, field: np.ndarray, time: float | None) -> PreparedStep:
+        """Refactor/compress one step into memory, without committing."""
         if self._shard_plan is not None:
             return self.encode_sharded(self.shard_step(field, time=time))
         if self._compressor is not None:
             return self.encode_predicted(self.predict_step(field, time=time))
-        return self.encode_refactored(self.refactorer.refactor(field), time=time)
+        cc = self.refactorer.refactor(field)
+        idx = self._claim_index()
+        buf = io.BytesIO()
+        write_refactored_stream(buf, cc, attrs={"step": idx, "time": time})
+        hints = [truncation_estimate(cc, k) for k in range(1, cc.n_classes + 1)]
+        return PreparedStep(
+            index=idx,
+            name=f"step_{idx:06d}.rprc",
+            payload=buf.getvalue(),
+            entry={
+                "time": time,
+                "class_bytes": [int(c.nbytes) for c in cc.classes],
+                "truncation_estimates": hints,
+            },
+        )
 
     def shard_step(self, field: np.ndarray, time: float | None = None) -> ShardedStep:
         """Claim the next step index for a sharded stream, unencoded.
 
-        Sharded streams only.  The in-order stage of the pipelined
-        sharded write — deliberately cheap (the index claim plus a
-        shape check; the frame travels by reference), because sharded
-        steps carry no cross-step state and the heavy per-shard encode
-        (:meth:`encode_sharded`) may overlap across steps.
+        Sharded streams only: the index claim plus a shape check (the
+        frame travels by reference).  The per-shard encode is
+        :meth:`encode_sharded`.
         """
         if self._shard_plan is None:
             raise StreamError(
                 "shard_step needs a sharded stream; this writer is "
-                "unsharded (use encode_step)"
+                "unsharded (use append)"
             )
         if tuple(field.shape) != self._shard_plan.shape:
             raise ValueError(
@@ -448,12 +452,11 @@ class StepStreamWriter:
         writer's executor (:func:`repro.cluster.sharded.encode_shards`);
         the shard containers are byte-identical across
         serial/thread/process.
-        Stateless across steps, so a pipeline overlaps it freely.
         """
         if self._shard_plan is None:
             raise StreamError(
                 "encode_sharded needs a sharded stream; this writer is "
-                "unsharded (use encode_step)"
+                "unsharded (use append)"
             )
         from ..cluster.sharded import encode_shards
 
@@ -488,18 +491,16 @@ class StepStreamWriter:
     def predict_step(self, field: np.ndarray, time: float | None = None) -> PredictedStep:
         """Run one step through the closed prediction loop, unencoded.
 
-        Compressed streams only.  The in-order stage of the pipelined
-        compressed write: temporal prediction, refactor, quantization,
-        and the step-index claim all happen here (they are the stateful
-        parts), while the entropy coding of the returned
-        :class:`PredictedStep` — :meth:`encode_predicted` — may overlap
-        the *next* step's prediction.
+        Compressed streams only: temporal prediction, refactor,
+        quantization and the step-index claim (the stateful parts).  The
+        entropy coding of the returned :class:`PredictedStep` is
+        :meth:`encode_predicted`; steps are predicted in stream order.
         """
         if self._compressor is None:
             raise StreamError(
                 "predict_step needs an unsharded 'compressed' stream; use "
-                "shard_step/encode_sharded on sharded streams, or "
-                "refactorer.refactor + encode_refactored on 'refactored' ones"
+                "shard_step/encode_sharded on sharded streams, or append "
+                "on 'refactored' ones"
             )
         plan = self._compressor.predict_residual(field)
         return PredictedStep(index=self._claim_index(), time=time, plan=plan)
@@ -508,14 +509,14 @@ class StepStreamWriter:
         """Entropy-code a predicted step and serialize its container.
 
         Steps sharing the writer's code-book chain must be encoded in
-        stream order (a pipeline's per-stage gate guarantees it); the
-        prediction of later steps never waits on this call.
+        stream order; the prediction of later steps never waits on this
+        call.
         """
         if self._compressor is None:
             raise StreamError(
                 "encode_predicted needs an unsharded 'compressed' stream; "
-                "use encode_sharded on sharded streams, or encode_refactored "
-                "on 'refactored' ones"
+                "use encode_sharded on sharded streams, or append on "
+                "'refactored' ones"
             )
         blob, is_key = self._compressor.encode_residual(pred.plan)
         buf = io.BytesIO()
@@ -533,62 +534,18 @@ class StepStreamWriter:
             },
         )
 
-    def encode_refactored(
-        self, cc: CoefficientClasses, time: float | None = None
-    ) -> PreparedStep:
-        """Serialize already-refactored classes into a prepared step.
-
-        The refactored-mode counterpart of :meth:`encode_step` whose
-        input is the *refactor* stage's output — the seam the pipelined
-        workflow showcase splits its refactor→encode→write chain along.
-        """
-        if self._compressor is not None or self._shard_plan is not None:
-            raise StreamError(
-                "encode_refactored needs an unsharded 'refactored' stream; "
-                "this writer is sharded or 'compressed' (use encode_step)"
-            )
-        idx = self._claim_index()
-        buf = io.BytesIO()
-        write_refactored_stream(buf, cc, attrs={"step": idx, "time": time})
-        hints = [truncation_estimate(cc, k) for k in range(1, cc.n_classes + 1)]
-        return PreparedStep(
-            index=idx,
-            name=f"step_{idx:06d}.rprc",
-            payload=buf.getvalue(),
-            entry={
-                "time": time,
-                "class_bytes": [int(c.nbytes) for c in cc.classes],
-                "truncation_estimates": hints,
-            },
-        )
-
     def _claim_index(self) -> int:
         idx = self._next_index
         self._next_index += 1
         return idx
 
-    def abandon_pending(self) -> int:
-        """Forget predicted/encoded-but-uncommitted steps; returns how many.
-
-        An aborted pipeline can leave steps that were predicted or
-        encoded (their indices claimed) but whose commits were cancelled.  The next
-        encode would claim a yet-higher index and every commit would
-        fail the in-order check, wedging the writer — this resets the
-        claim counter to the committed prefix so appending can resume.
-        Outstanding :class:`PreparedStep` objects from before the reset
-        are invalid and must be dropped.  Compressed-mode writers note:
-        the prediction loop and code-book chain already advanced past
-        the abandoned steps, so the stream resumes from re-encoded
-        data, not from the abandoned frames.
-        """
-        pending = self._next_index - len(self._steps)
+    def _release_pending(self) -> None:
+        """Forget claimed-but-uncommitted indices after a failed append."""
         self._next_index = len(self._steps)
-        if self._compressor is not None and pending:
-            # re-base the temporal chain: the next append is a key frame
-            # and rebuilds its code books, so nothing references state
-            # shipped only by the abandoned steps
+        if self._compressor is not None:
+            # the prediction loop and code-book chain may hold the failed
+            # step: re-base on a key frame that rebuilds its books
             self._compressor.reset()
-        return pending
 
     def commit_step(self, prep: PreparedStep) -> int:
         """Write a prepared step's file and publish its manifest entry.
@@ -604,15 +561,20 @@ class StepStreamWriter:
         if prep.index != len(self._steps):
             raise StreamError(
                 f"step {prep.index} committed out of order; the manifest "
-                f"has {len(self._steps)} steps (after an aborted pipeline, "
-                "call abandon_pending() and re-encode)"
+                f"has {len(self._steps)} steps"
             )
         _atomic_publish(
             self.root / prep.name, prep.payload, self.durability, "stream.step"
         )
         faults.crash_point("stream.commit.post_rename")
         self._steps.append({"file": prep.name, **prep.entry})
-        self._flush_manifest()
+        try:
+            self._flush_manifest()
+        except BaseException:
+            # unpublished: the step file is an orphan the next commit of
+            # this index overwrites
+            self._steps.pop()
+            raise
         return prep.index
 
 

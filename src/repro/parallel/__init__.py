@@ -3,9 +3,7 @@
 Every fan-out — entropy segments, zlib sub-blocks, Huffman sync ranges,
 shards, independent partitions — schedules through this one interface,
 ``map``, each job carrying its own slice of the data, and this is the
-only package that imports ``multiprocessing``
-(``cluster.pipeline.run_pipeline`` sizes itself from an executor but
-keeps its stateful in-order stages on a dedicated thread pool).  See
+only package that imports ``multiprocessing``.  See
 :mod:`repro.parallel.executors` for the backends.
 """
 

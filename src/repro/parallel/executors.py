@@ -3,8 +3,7 @@
 The paper hides the refactoring cost behind concurrency (CUDA streams
 on the device, pipelined I/O across the workflow); this package applies
 the same treatment to every host-side fan-out — per-class entropy
-segments, zlib sub-blocks, Huffman sync-block ranges, shards, pipeline
-stages.  A fan-out point takes an *executor* and schedules through its
+segments, zlib sub-blocks, Huffman sync-block ranges, shards.  A fan-out point takes an *executor* and schedules through its
 one primitive, ``map``, handing every job its own slice of the data as
 an ndarray view (zero-copy inline and on threads, pickled as a copy of
 just that slice across a process boundary); which backend runs the
@@ -248,7 +247,7 @@ class ProcessExecutor:
 
                     # fork() is only safe while this process is still
                     # single-threaded: forking under sibling threads (a
-                    # pipeline stage reaching its first codec fan-out)
+                    # server's worker reaching its first codec fan-out)
                     # snapshots their locks in the locked state and can
                     # deadlock the children.  Single-threaded, fork is
                     # preferred — it needs no __main__ re-import, so
@@ -340,12 +339,12 @@ class ProcessExecutor:
         """Fork/spawn the worker pool *now*.
 
         The lazy first-use fork prefers plain ``fork()`` only while the
-        process is single-threaded; a pipeline whose stages run on a
-        thread pool would therefore pay the slower forkserver/spawn
-        path (plus its import replay) inside the first *timed* encode.
-        Priming from the main thread — before any stage threads exist —
-        keeps the fast fork and moves the pool start-up cost out of the
-        measurement entirely.
+        process is single-threaded; a caller that encodes from worker
+        threads (the service's ``put_step``) would therefore pay the
+        slower forkserver/spawn path (plus its import replay) inside its
+        first request.  Priming from the main thread — before any worker
+        threads exist — keeps the fast fork and moves the pool start-up
+        cost out of every request.
 
         Building the pool starts no process (the workers come up at its
         first submit), so one trivial job per worker is submitted and

@@ -10,10 +10,10 @@ concurrent consumers with accuracy-driven retrieval — served over TCP:
 * :mod:`repro.service.batcher` — adaptive micro-batching: concurrent
   requests for the same ``(step, level)`` coalesce into one decode;
 * :mod:`repro.service.server` — :class:`CompressionService`: ingest
-  (``put_step`` → the existing shard→encode→write pipeline on the
-  executor layer) and retrieval (``get_step`` / ``get_region``, plus
-  progressive-precision ``get_region(level=k)``), with per-connection
-  backpressure and BUSY load-shedding;
+  (``put_step`` → the stream writer's ``append``, its encode fanned
+  out on the executor layer) and retrieval (``get_step`` /
+  ``get_region``, plus progressive-precision ``get_region(level=k)``),
+  with per-connection backpressure and BUSY load-shedding;
 * :mod:`repro.service.client` — blocking :class:`ServiceClient` (with
   reconnect) and pipelining :class:`AsyncServiceClient`.
 

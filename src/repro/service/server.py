@@ -5,12 +5,13 @@
 JSON+binary protocol of :mod:`repro.service.protocol`:
 
 ``put_step``
-    Ingest one frame: the body's ndarray bytes flow into the existing
-    shard→encode→write pipeline of :class:`~repro.io.stream.
-    StepStreamWriter` — the per-shard / per-class fan-out runs on the
-    executor layer (``config.executor``), the commit is the same atomic
-    publish every local writer uses.  Writes are serialized (the
-    compressed mode's prediction loop is stateful in stream order).
+    Ingest one frame: the body's ndarray bytes flow into
+    :meth:`StepStreamWriter.append <repro.io.stream.StepStreamWriter.
+    append>` — the per-shard / per-class fan-out runs on the executor
+    layer (``config.executor``), the commit is the same atomic publish
+    every local writer uses.  Writes are serialized (the compressed
+    mode's prediction loop is stateful in stream order); a failed
+    ``put_step`` leaves the writer ready for the next one.
 
 ``get_step`` / ``get_region``
     Retrieval, engineered for tail latency.  The unit of work is what

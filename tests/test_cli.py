@@ -29,9 +29,17 @@ def test_individual_experiments_run(name, capsys, monkeypatch):
     assert capsys.readouterr().out.strip()
 
 
+def test_fig10_prints_the_modeled_workflow_and_the_demo(capsys):
+    assert main(["fig10"]) == 0
+    out = capsys.readouterr().out
+    assert "I/O cost" in out
+    assert "streaming write, 100 steps (modeled)" in out and "overlap gain" in out
+    assert "accuracy demo" in out
+
+
 def test_experiment_registry_complete():
     assert set(EXPERIMENTS) == {
         "fig7", "table2", "table3", "table4", "table5", "table6",
         "fig8", "fig9", "fig10", "fig11", "offload", "validate", "lifecycle",
-        "ablations", "pipeline", "chaos", "service",
+        "ablations", "chaos", "service",
     }

@@ -728,10 +728,67 @@ def _sick_shard_append(root, executor=None):
         with pytest.raises(faults.InjectedFault):
             writer.append(frame)
     assert writer.n_steps == 0
-    writer.abandon_pending()  # the documented aborted-encode recovery
-    writer.append(frame)
+    writer.append(frame)  # the failed append released its step index
     reader = StepStreamReader(root)
     assert float(np.abs(reader.read_region(0) - frame).max()) <= 1e-3
+    assert scrub_stream(root).clean
+
+
+def test_nan_frame_does_not_wedge_a_sharded_writer(tmp_path):
+    """A frame the codec refuses (one NaN) fails its own append only:
+    the sharded writer takes the next good frame as the next step."""
+    frames = _frames(2)
+    root = tmp_path / "s"
+    writer = StepStreamWriter(root, SHAPE, tol=1e-3, shards=2)
+    writer.append(frames[0])
+    sick = frames[1].copy()
+    sick[3, 3] = np.nan
+    with pytest.raises(ValueError):
+        writer.append(sick)
+    assert writer.append(frames[1]) == 1
+    reader = StepStreamReader(root)
+    for t, frame in enumerate(frames):
+        assert float(np.abs(reader.read_region(t) - frame).max()) <= 1e-3
+    assert scrub_stream(root).clean
+
+
+_WRITER_MODES = {
+    "refactored": {},
+    "compressed": {"tol": 1e-3},
+    "sharded-refactored": {"shards": 2},
+    "sharded-compressed": {"tol": 1e-3, "shards": 2},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_WRITER_MODES))
+def test_nan_frame_fails_only_its_own_append(tmp_path, mode):
+    """In every writer mode a refused frame commits nothing: the next
+    good frames take the next indices, every step reads back within its
+    bound, and the stream scrubs clean."""
+    kw = _WRITER_MODES[mode]
+    frames = _frames(3)
+    root = tmp_path / "s"
+    writer = StepStreamWriter(root, SHAPE, **kw)
+    writer.append(frames[0])
+    sick = frames[1].copy()
+    sick[2, 5] = np.nan
+    with pytest.raises(ValueError):
+        writer.append(sick)
+    assert writer.n_steps == 1
+    assert writer.append(frames[1]) == 1
+    assert writer.append(frames[2]) == 2
+    if mode == "compressed":
+        # the failed step restarted the prediction loop
+        steps = json.loads((root / "manifest.json").read_text())["steps"]
+        assert [s["is_key"] for s in steps] == [True, True, False]
+    reader = StepStreamReader(root)
+    bound = kw.get("tol", 1e-9)
+    for t, frame in enumerate(frames):
+        if mode == "refactored":
+            field, _ = reader.read(t, k=reader.hier.L + 1)
+        else:
+            field = reader.read_step(t)
+        assert float(np.abs(field - frame).max()) <= bound, t
     assert scrub_stream(root).clean
 
 

@@ -16,7 +16,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster.pipeline import run_pipeline
 from repro.parallel.executors import (
     SerialExecutor,
     ThreadExecutor,
@@ -458,82 +457,3 @@ class TestSegmentTable:
         payload = damage(payload, header["segments"])
         with pytest.raises(ValueError, match="corrupt segment table"):
             decode_classes(payload, header)
-
-
-class TestRunPipeline:
-    def test_matches_serial_results(self):
-        stages = [lambda x: x + 1, lambda x: x * 3, lambda x: x - 2]
-        items = list(range(20))
-        serial = run_pipeline(stages, items, executor="serial")
-        parallel = run_pipeline(stages, items, executor=_par(3))
-        expected = [(i + 1) * 3 - 2 for i in items]
-        assert serial.results == expected
-        assert parallel.results == expected
-        assert len(serial.stage_busy_seconds) == 3
-
-    def test_stateful_stage_sees_items_in_order(self):
-        seen = []
-        stages = [lambda x: x * 2, lambda x: (seen.append(x), x)[1]]
-        out = run_pipeline(stages, list(range(30)), executor=_par(4))
-        assert seen == [2 * i for i in range(30)]
-        assert out.results == [2 * i for i in range(30)]
-
-    def test_stage_using_shared_parallel_executor_does_not_deadlock(self, rng):
-        """A stage may itself fan out through the ambient executor."""
-        shared = get_executor("parallel:2")
-        bins = rng.integers(-5, 6, 4000).astype(np.int64)
-
-        def encode_stage(x):
-            p, h = encode_classes(bins, [4000], backend="huffman", executor=shared)
-            return x + len(p)
-
-        out = run_pipeline([encode_stage, lambda x: x], list(range(6)),
-                           executor=shared)
-        assert len(out.results) == 6
-
-    def test_failure_does_not_hang(self):
-        def boom(x):
-            if x == 3:
-                raise RuntimeError("boom")
-            return x
-
-        with pytest.raises(RuntimeError):
-            run_pipeline([boom, lambda x: x], list(range(6)), executor=_par(2))
-
-    def test_root_cause_not_masked_by_cancelled_items(self):
-        """The caller gets the stage's real exception, not the generic
-        abort from items that were merely cancelled behind it."""
-        import time as _time
-
-        def slow_then_fail(x):
-            if x == 3:
-                raise ValueError("the real failure")
-            _time.sleep(0.02)
-            return x
-
-        with pytest.raises(ValueError, match="the real failure"):
-            run_pipeline(
-                [slow_then_fail, lambda x: x], list(range(8)), executor=_par(4)
-            )
-
-    def test_stage_sees_no_later_items_after_failure(self):
-        """A stateful stage must never record items past a failure —
-        otherwise a stream writer would persist frames at wrong steps."""
-        for trial in range(5):  # the race is timing-dependent; hammer it
-            seen = []
-
-            def record(x):
-                if x == 1:
-                    raise RuntimeError("boom")
-                seen.append(x)
-                return x
-
-            with pytest.raises(RuntimeError):
-                run_pipeline(
-                    [lambda x: x, record], list(range(8)), executor=_par(4)
-                )
-            assert seen == [0], (trial, seen)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_pipeline([], [1, 2])

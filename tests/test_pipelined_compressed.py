@@ -1,4 +1,4 @@
-"""Fully-overlapped compressed-mode streaming (PR 4).
+"""Compressed-mode streaming: the prediction split and the coefficient loop.
 
 Contracts:
 
@@ -10,10 +10,11 @@ Contracts:
 * the loop, run on coefficients, writes the bytes the spatial loop
   (refactor ``frame - prev``, recompose every step) wrote, and every step of
   a 64-step chain reads back within ``tol``, under both kernel backends;
-* a pipelined compressed stream (predict → encode → write through
-  :func:`run_pipeline`'s in-order stage gates) emits byte-identical
-  step files for every executor backend, including ≥3-step code-book
-  chains, and stays readable by a live-following consumer;
+* a compressed stream written through the split (every step predicted
+  ahead, then ``encode_predicted`` → ``commit_step`` in order) emits
+  byte-identical step files to ``append`` for every executor backend,
+  including ≥3-step code-book chains, and stays readable by a
+  live-following consumer;
 * Huffman class segments encoded as process-pool jobs (escape-reserving
   books, odd lengths, stats, guards) are bit-identical to serial;
 * :meth:`StepStreamReader.refresh` rejects shrunken (torn mid-replace)
@@ -31,7 +32,6 @@ import numpy as np
 import pytest
 
 import repro.compress.huffman as H
-from repro.cluster.pipeline import run_pipeline
 from repro.compress.fileio import save_compressed
 from repro.compress.huffman_book import build_code
 from repro.compress.huffman_pack import _SYNC_BLOCK
@@ -43,7 +43,6 @@ from repro.core import native
 from repro.core.decompose import recompose
 from repro.core.grid import hierarchy_for
 from repro.io.stream import StepStreamReader, StepStreamWriter, StreamError
-from repro.io.workflow import run_streaming_pipeline
 from repro.parallel import get_executor
 
 BACKEND_SPECS = ("serial", "thread:4", "process:2")
@@ -225,14 +224,14 @@ class TestCoefficientLoop:
 
 
 # ----------------------------------------------------------------------
-# pipelined compressed streams: bit identity + live reader
+# compressed streams through the split: bit identity + live reader
 
 
 class TestPipelinedCompressedStream:
     @pytest.mark.parametrize("spec", BACKEND_SPECS)
     def test_pipelined_equals_fused_per_backend(self, rng, tmp_path, spec):
-        """predict→encode→write through the overlapped pipeline emits
-        the same bytes as fused append, for every codec backend —
+        """Every step predicted ahead, then encode → commit in order,
+        emits the same bytes as fused append, for every codec backend —
         across a key interval long enough for ≥3-step code-book
         chains (key, then 5 chained residual steps)."""
         frames, base = drifting_frames(rng, n=7, amp=0.06)
@@ -245,26 +244,20 @@ class TestPipelinedCompressedStream:
         for f in frames:
             fused.append(f)
 
-        m = run_streaming_pipeline(
-            frames,
-            workdir=tmp_path / f"pipe-{spec.replace(':', '_')}",
-            executor="thread:4",
-            keep_stream=True,
-            mode="compressed",
-            tol=tol,
-            key_interval=6,
-            codec_executor=spec,
+        split_dir = tmp_path / f"split-{spec.replace(':', '_')}"
+        split = StepStreamWriter(
+            split_dir, base.shape, tol=tol, key_interval=6, executor=spec
         )
-        assert m.mode == "compressed" and m.backend == "huffman"
-        assert m.stage_names == ("predict", "encode", "write")
-        pipe_dir = tmp_path / f"pipe-{spec.replace(':', '_')}" / "pipelined"
+        preds = [split.predict_step(f) for f in frames]
+        for pred in preds:
+            split.commit_step(split.encode_predicted(pred))
         for t in range(len(frames)):
             name = f"step_{t:06d}.mgz"
-            assert (pipe_dir / name).read_bytes() == (
+            assert (split_dir / name).read_bytes() == (
                 fused_dir / name
             ).read_bytes(), f"{spec}: step {t} differs"
         # chain actually contains table references (not all full tables)
-        reader = StepStreamReader(pipe_dir)
+        reader = StepStreamReader(split_dir)
         for t in range(len(frames)):
             assert np.abs(reader.read_step(t) - frames[t]).max() <= tol
 
@@ -293,21 +286,12 @@ class TestPipelinedCompressedStream:
         writer = StepStreamWriter(tmp_path, base.shape, tol=tol, key_interval=3)
         started = threading.Event()
 
-        def predict(frame):
+        def produce():
             started.set()
-            return writer.predict_step(frame)
+            for frame in frames:
+                writer.commit_step(writer.encode_predicted(writer.predict_step(frame)))
 
-        def encode(pred):
-            return writer.encode_predicted(pred)
-
-        def write(prep):
-            return writer.commit_step(prep)
-
-        worker = threading.Thread(
-            target=run_pipeline,
-            args=([predict, encode, write], frames),
-            kwargs={"executor": "thread:4"},
-        )
+        worker = threading.Thread(target=produce)
         worker.start()
         try:
             started.wait(timeout=30)
@@ -333,11 +317,6 @@ class TestPipelinedCompressedStream:
             worker.join(timeout=60)
         assert seen == len(frames)
         assert not worker.is_alive()
-
-    def test_unknown_mode_rejected(self, rng):
-        frames, _ = drifting_frames(rng, n=1)
-        with pytest.raises(ValueError, match="mode"):
-            run_streaming_pipeline(frames, mode="zstd")
 
     def test_predict_step_requires_compressed_stream(self, rng, tmp_path):
         base = rng.standard_normal((17, 17))
@@ -484,31 +463,3 @@ class TestReaderShrunkenManifest:
             assert reader.refresh() == len(frames)
             manifest.write_text(full)
             assert reader.refresh() == len(frames)  # healthy poll resets
-
-
-# ----------------------------------------------------------------------
-# CLI
-
-
-class TestPipelineCli:
-    def test_mode_and_json(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "ci")
-        out = tmp_path / "BENCH_pipeline.json"
-        assert main(["pipeline", "--mode", "compressed", "--json", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "compressed mode" in text and "predict" in text
-        doc = json.loads(out.read_text())
-        assert doc["mode"] == "compressed"
-        assert doc["backend"] == "huffman"
-        assert doc["cpu_count"] >= 1
-        assert doc["stage_names"] == ["predict", "encode", "write"]
-        assert doc["modeled_makespan_s"] <= doc["modeled_sequential_s"] + 1e-12
-
-    def test_default_mode_refactored(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "ci")
-        assert main(["pipeline"]) == 0
-        assert "refactored mode" in capsys.readouterr().out

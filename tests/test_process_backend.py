@@ -1,4 +1,4 @@
-"""Process-parallel codec substrate + measured workflow pipeline.
+"""Process-parallel codec substrate and the stream writer's encode/commit split.
 
 Contracts:
 
@@ -11,8 +11,9 @@ Contracts:
   actually ships the jobs of its slice fan-outs to the pool;
 * :meth:`StepStreamReader.refresh` tolerates torn manifest reads from
   a live producer;
-* the Fig. 10 workflow showcase executes refactor→encode→write over a
-  live stream writer with measured overlap compared to the model.
+* the writer's encode/commit split writes what ``append`` writes,
+  commits only in order, and a failed append leaves the writer ready
+  for the next one.
 """
 
 import atexit
@@ -34,7 +35,6 @@ import repro
 import repro.compress.huffman as H
 import repro.compress.lossless as L
 from repro.cluster import sharded
-from repro.cluster.pipeline import run_pipeline
 from repro.cluster.sharded import ShardCodec, encode_shards, plan_shards
 from repro.compress.huffman_pack import _SYNC_BLOCK
 from repro.compress.lossless import decode_classes, encode_classes
@@ -42,7 +42,6 @@ from repro.compress.mgard import MgardCompressor
 from repro.core import native
 from repro.core.grid import hierarchy_for
 from repro.io.stream import PreparedStep, StepStreamReader, StepStreamWriter, StreamError
-from repro.io.workflow import run_streaming_pipeline
 from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor, get_executor
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
@@ -445,16 +444,6 @@ class TestZlibSubBlocks:
             decode_classes(payload, bad)
 
 
-class TestPipelineWithProcessBackend:
-    def test_run_pipeline_accepts_process_executor(self):
-        out = run_pipeline(
-            [lambda x: x + 1, lambda x: x * 2],
-            list(range(12)),
-            executor=get_executor("process:2"),
-        )
-        assert out.results == [(i + 1) * 2 for i in range(12)]
-
-
 class TestTornManifestRefresh:
     def _stream(self, rng, tmp_path, n=3):
         base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
@@ -513,11 +502,11 @@ class TestEncodeCommitSplit:
     def test_split_matches_append(self, rng, tmp_path):
         base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
         frames = [base * (1 + 0.1 * t) for t in range(3)]
-        w_a = StepStreamWriter(tmp_path / "a", base.shape)
-        w_b = StepStreamWriter(tmp_path / "b", base.shape)
+        w_a = StepStreamWriter(tmp_path / "a", base.shape, shards=2)
+        w_b = StepStreamWriter(tmp_path / "b", base.shape, shards=2)
         for t, frame in enumerate(frames):
             w_a.append(frame, time=float(t))
-            prep = w_b.encode_step(frame, time=float(t))
+            prep = w_b.encode_sharded(w_b.shard_step(frame, time=float(t)))
             assert isinstance(prep, PreparedStep)
             w_b.commit_step(prep)
         man_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
@@ -534,82 +523,141 @@ class TestEncodeCommitSplit:
         tol = 1e-3 * float(np.abs(base).max())
         w = StepStreamWriter(tmp_path, base.shape, tol=tol, key_interval=2)
         for t, frame in enumerate(frames):
-            w.commit_step(w.encode_step(frame, time=float(t)))
+            w.commit_step(w.encode_predicted(w.predict_step(frame, time=float(t))))
         reader = StepStreamReader(tmp_path)
         for t, frame in enumerate(frames):
             assert np.abs(reader.read_step(t) - frame).max() <= tol
 
+    @pytest.mark.parametrize("spec", ["serial", "thread:2", "process:2"])
+    def test_sharded_compressed_split_matches_append(self, rng, tmp_path, spec):
+        """shard_step → encode_sharded → commit_step writes the manifest
+        and step files append writes, on every executor backend."""
+        base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
+        frames = [base * (1 + 0.05 * t) for t in range(3)]
+        tol = 1e-3 * float(np.abs(base).max())
+        kw = dict(tol=tol, shards=3, executor=spec)
+        w_a = StepStreamWriter(tmp_path / "a", base.shape, **kw)
+        w_b = StepStreamWriter(tmp_path / "b", base.shape, **kw)
+        for t, frame in enumerate(frames):
+            w_a.append(frame, time=float(t))
+            w_b.commit_step(w_b.encode_sharded(w_b.shard_step(frame, time=float(t))))
+        man_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        man_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert man_a == man_b
+        for step in man_a["steps"]:
+            fa = (tmp_path / "a" / step["file"]).read_bytes()
+            assert fa == (tmp_path / "b" / step["file"]).read_bytes()
+        reader = StepStreamReader(tmp_path / "b")
+        for t, frame in enumerate(frames):
+            assert np.abs(reader.read_step(t) - frame).max() <= tol
+
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    def test_shard_split_requires_sharded_stream(self, rng, tmp_path, tol):
+        base = rng.standard_normal((17, 17))
+        w = StepStreamWriter(tmp_path, base.shape, tol=tol)
+        with pytest.raises(StreamError, match="sharded"):
+            w.shard_step(base)
+        with pytest.raises(StreamError, match="sharded"):
+            w.encode_sharded(None)
+        assert w.append(base) == 0  # the refused calls claimed no index
+
+    def test_shard_step_rejects_wrong_shape(self, rng, tmp_path):
+        base = rng.standard_normal((17, 17))
+        w = StepStreamWriter(tmp_path, base.shape, shards=2)
+        with pytest.raises(ValueError, match="shape"):
+            w.append(base[:16])
+        assert w.n_steps == 0
+        assert w.append(base) == 0
+
     def test_out_of_order_commit_raises(self, rng, tmp_path):
         base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
-        w = StepStreamWriter(tmp_path, base.shape)
-        p0 = w.encode_step(base)
-        p1 = w.encode_step(base * 2)
+        w = StepStreamWriter(tmp_path, base.shape, shards=2)
+        p0 = w.encode_sharded(w.shard_step(base))
+        p1 = w.encode_sharded(w.shard_step(base * 2))
         with pytest.raises(StreamError, match="order"):
             w.commit_step(p1)
         w.commit_step(p0)
         w.commit_step(p1)
         assert w.n_steps == 2
 
-    def test_encode_refactored_rejected_on_compressed_stream(self, rng, tmp_path):
-        base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
-        w = StepStreamWriter(tmp_path, base.shape, tol=1e-3)
-        with pytest.raises(StreamError, match="refactored"):
-            w.encode_refactored(w.refactorer.refactor(base))
+    @staticmethod
+    def _full_disk(monkeypatch, n, site="stream.step"):
+        """The next ``n`` publishes at ``site`` fail as on a full disk."""
+        import errno
 
-    def test_abandon_pending_unwedges_writer(self, rng, tmp_path):
-        """An aborted pipeline leaves claimed-but-uncommitted indices;
-        abandon_pending() lets plain appends resume."""
+        import repro.io.stream as stream
+
+        real, left = stream._atomic_publish, [n]
+
+        def publish(dst, payload, durability, at):
+            if at == site and left[0]:
+                left[0] -= 1
+                raise OSError(errno.ENOSPC, "no space left on device")
+            real(dst, payload, durability, at)
+
+        monkeypatch.setattr(stream, "_atomic_publish", publish)
+
+    def test_failed_append_unwedges_writer(self, rng, tmp_path, monkeypatch):
+        """An append that fails after claiming its index releases it:
+        the next plain append just works."""
         base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
         w = StepStreamWriter(tmp_path, base.shape)
         w.append(base)
-        w.encode_step(base * 2)  # encoded, never committed (abort)
-        w.encode_step(base * 3)
-        with pytest.raises(StreamError, match="abandon_pending"):
-            w.append(base * 4)
-        assert w.abandon_pending() >= 2  # the two orphans + failed append
+        self._full_disk(monkeypatch, 2)
+        for k in (2, 3):  # encoded, never committed
+            with pytest.raises(OSError):
+                w.append(base * k)
         w.append(base * 4)
         assert w.n_steps == 2
         reader = StepStreamReader(tmp_path)
         field, _ = reader.read(1, k=reader.hier.L + 1)
         np.testing.assert_allclose(field, base * 4, atol=1e-9)
 
-    def test_abandon_pending_compressed_rebases_on_key_frame(self, rng, tmp_path):
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    def test_failed_sharded_commit_releases_its_index(self, rng, tmp_path, monkeypatch, tol):
+        """A sharded step encoded but lost to a full disk leaves no gap:
+        the next append takes its index and reads back."""
+        base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
+        w = StepStreamWriter(tmp_path, base.shape, tol=tol, shards=2)
+        w.append(base)
+        self._full_disk(monkeypatch, 1)
+        with pytest.raises(OSError):
+            w.append(base * 2)
+        assert w.n_steps == 1
+        assert w.append(base * 3) == 1
+        bound = 1e-9 if tol is None else tol
+        reader = StepStreamReader(tmp_path)
+        assert np.abs(reader.read_step(1) - base * 3).max() <= bound
+
+    def test_failed_manifest_publish_does_not_count_the_step(self, rng, tmp_path, monkeypatch):
+        """An append whose manifest publish fails is no step: the writer
+        does not count it, and the next append takes its index."""
+        base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
+        w = StepStreamWriter(tmp_path, base.shape)
+        w.append(base)
+        self._full_disk(monkeypatch, 1, site="stream.manifest")
+        with pytest.raises(OSError):
+            w.append(base * 2)
+        assert w.n_steps == 1
+        assert w.append(base * 3) == 1
+        reader = StepStreamReader(tmp_path)
+        field, _ = reader.read(1, k=reader.hier.L + 1)
+        np.testing.assert_allclose(field, base * 3, atol=1e-9)
+
+    def test_failed_append_compressed_rebases_on_key_frame(self, rng, tmp_path, monkeypatch):
         base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
         tol = 1e-3 * float(np.abs(base).max())
         w = StepStreamWriter(tmp_path, base.shape, tol=tol, key_interval=4)
         frames = [base * (1 + 0.02 * t) for t in range(4)]
         w.append(frames[0])
         w.append(frames[1])
-        w.encode_step(frames[2])  # abandoned: prediction loop advanced
-        assert w.abandon_pending() == 1
+        self._full_disk(monkeypatch, 1)
+        with pytest.raises(OSError):
+            w.append(frames[2])  # prediction loop and book chain advanced
         w.append(frames[2])  # re-encoded; lands as a key frame re-base
         w.append(frames[3])
+        steps = json.loads((tmp_path / "manifest.json").read_text())["steps"]
+        assert [s["is_key"] for s in steps] == [True, False, True, False]
         reader = StepStreamReader(tmp_path)
         for t, frame in enumerate(frames):
             assert np.abs(reader.read_step(t) - frame).max() <= tol, t
-
-
-class TestMeasuredWorkflowPipeline:
-    def test_measured_vs_modeled(self, rng, tmp_path):
-        base = rng.standard_normal((17, 17)).cumsum(0).cumsum(1)
-        frames = [base * (1 + 0.05 * t) for t in range(5)]
-        m = run_streaming_pipeline(
-            frames, workdir=tmp_path, executor="thread:3", keep_stream=True
-        )
-        assert m.n_steps == 5
-        assert m.stage_names == ("refactor", "encode", "write")
-        assert m.serial_wall > 0 and m.pipelined_wall > 0
-        assert m.modeled_makespan <= m.modeled_sequential + 1e-12
-        assert m.modeled_overlap_gain >= 1.0
-        assert m.bytes_written > 0
-        # the pipelined stream is a real, readable stream directory
-        reader = StepStreamReader(tmp_path / "pipelined")
-        assert reader.n_steps == 5
-        field, _ = reader.read(4, k=reader.hier.L + 1)
-        np.testing.assert_allclose(field, frames[4], atol=1e-9)
-        # the serial calibration stream is scratch and must be gone
-        assert not (tmp_path / "serial").exists()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_streaming_pipeline([])

@@ -787,6 +787,42 @@ class TestServerEndToEnd:
         finally:
             server.stop()
 
+    def test_failed_put_step_does_not_wedge_a_sharded_stream(self, tmp_path):
+        """A frame the codec refuses (one NaN) fails its own put_step;
+        the next good frame lands as the next step."""
+        frames = _frames((17, 17), 2)
+        tol = 1e-3
+        server = _serve(tmp_path / "s", tol=tol, shards=2)
+        try:
+            with ServiceClient(port=server.port) as c:
+                assert c.put_step(frames[0]) == 0
+                sick = frames[1].copy()
+                sick[3, 3] = np.nan
+                with pytest.raises(RemoteError, match="ValueError"):
+                    c.put_step(sick)
+                assert c.put_step(frames[1]) == 1
+                assert np.max(np.abs(c.get_step(1) - frames[1])) <= tol
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    def test_failed_put_step_does_not_wedge_an_unsharded_stream(self, tmp_path, tol):
+        frames = _frames((17, 17), 2)
+        over = {} if tol is None else {"tol": tol}
+        server = _serve(tmp_path / "s", **over)
+        try:
+            with ServiceClient(port=server.port) as c:
+                assert c.put_step(frames[0]) == 0
+                sick = frames[1].copy()
+                sick[3, 3] = np.nan
+                with pytest.raises(RemoteError, match="ValueError"):
+                    c.put_step(sick)
+                assert c.put_step(frames[1]) == 1
+                bound = 1e-9 if tol is None else tol
+                assert np.max(np.abs(c.get_step(1) - frames[1])) <= bound
+        finally:
+            server.stop()
+
     def test_wait_step_blocks_until_commit(self, tmp_path):
         frames = _frames((9, 8), 2)
         server = _serve(tmp_path / "s")

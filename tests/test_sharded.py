@@ -8,8 +8,8 @@
   executor backends;
 * sharded streams: manifest shard tables, ``read_region`` decoding
   only the covering shards (decode-call spy), typed errors from the
-  reader's shard methods, the sharded pipeline chain, and the CLI
-  surface.
+  reader's shard methods, and the writer's shard → encode → commit
+  split.
 """
 
 import json
@@ -287,7 +287,7 @@ class TestShardedStreams:
         with pytest.raises(StreamError):
             writer.predict_step(frames[0])
         with pytest.raises(StreamError):
-            writer.encode_refactored(None)
+            writer.encode_predicted(None)
         reader = StepStreamReader(root)
         with pytest.raises(StreamError):
             reader.read(0, k=1)
@@ -381,53 +381,24 @@ class TestShardedStreams:
 
 
 class TestShardedPipeline:
-    def test_pipeline_sharded_chain(self, rng, tmp_path):
-        from repro.io.workflow import run_streaming_pipeline
+    @staticmethod
+    def _split(root, frames, **kw):
+        writer = StepStreamWriter(root, frames[0].shape, **kw)
+        for f in frames:
+            writer.commit_step(writer.encode_sharded(writer.shard_step(f)))
+        return StepStreamReader(root)
 
+    def test_pipeline_sharded_chain(self, rng, tmp_path):
         frames = [rng.standard_normal((12, 7, 7)) for _ in range(3)]
-        m = run_streaming_pipeline(
-            frames,
-            workdir=tmp_path,
-            executor="thread:4",
-            mode="compressed",
-            shards=3,
-            keep_stream=True,
-        )
-        assert m.stage_names == ("shard", "encode", "write")
-        assert m.shards == 3
-        assert m.record()["shards"] == 3
-        reader = StepStreamReader(tmp_path / "pipelined")
+        tol = 1e-3 * float(np.ptp(frames[0]))
+        reader = self._split(tmp_path, frames, tol=tol, shards=3)
         assert reader.n_steps == 3
         assert len(reader.shard_bounds) == 3
-        tol = reader.tol
         for t, f in enumerate(frames):
             assert float(np.abs(reader.read_step(t) - f).max()) <= tol
 
     def test_pipeline_sharded_refactored(self, rng, tmp_path):
-        from repro.io.workflow import run_streaming_pipeline
-
         frames = [rng.standard_normal((10, 6, 6)) for _ in range(2)]
-        m = run_streaming_pipeline(
-            frames,
-            workdir=tmp_path,
-            executor="thread:4",
-            mode="refactored",
-            shards=2,
-            keep_stream=True,
-        )
-        assert m.stage_names == ("shard", "encode", "write")
-        reader = StepStreamReader(tmp_path / "pipelined")
+        reader = self._split(tmp_path, frames, shards=2)
         out = reader.read_region(1)
         np.testing.assert_allclose(out, frames[1], atol=1e-9)
-
-
-class TestShardsCli:
-    def test_pipeline_shards_flag(self, monkeypatch, capsys, tmp_path):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "ci")
-        json_path = tmp_path / "rec.json"
-        assert main(["pipeline", "--shards", "2", "--json", str(json_path)]) == 0
-        record = json.loads(json_path.read_text())
-        assert record["shards"] == 2
-        assert record["stage_names"] == ["shard", "encode", "write"]
