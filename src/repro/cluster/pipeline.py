@@ -78,20 +78,11 @@ def workflow_pipeline(
     device: DeviceSpec = V100,
     storage: StorageTier = ALPINE_PFS,
     gpudirect: bool = True,
-    tiered=None,
-    fast_budget_bytes: int | None = None,
 ) -> PipelineModel:
     """Stage durations of the streaming write workflow, per time step.
 
     Stages: GPU refactor, device→host transfer (skipped with
     ``gpudirect=True``, paper §I), PFS write of the class prefix.
-
-    ``tiered`` (a :class:`~repro.io.storage.TieredStorage`) replaces
-    the single-tier write with a placement-aware one: the class prefix
-    is routed by ``place_classes`` over ``fast_budget_bytes`` of the
-    fastest tier (default: a quarter of the prefix per process) and the
-    write stage takes the modeled placement time — tiers overlap, so a
-    hot prefix on NVMe hides the PFS spill.
     """
     from ..core.classes import class_sizes
     from ..kernels.launches import EngineOptions
@@ -105,21 +96,12 @@ def workflow_pipeline(
     opts = EngineOptions(n_streams=8 if len(per_process_shape) >= 3 else 1)
     t_refactor = model_pass(hier, device, opts, "decompose").total_seconds
     prefix_bytes = sum(sizes[:k_classes])
-    if tiered is not None:
-        agg = [s * n_processes for s in sizes[:k_classes]]
-        if fast_budget_bytes is None:
-            fast_budget_bytes = (prefix_bytes * n_processes) // 4
-        placement = tiered.place_classes(agg, int(fast_budget_bytes))
-        t_write = tiered.write_seconds(agg, placement, n_processes)
-        write_name = "write(tiered)"
-    else:
-        t_write = storage.write_seconds(prefix_bytes * n_processes, n_processes)
-        write_name = "write(PFS)"
+    t_write = storage.write_seconds(prefix_bytes * n_processes, n_processes)
     names = ["refactor(GPU)"]
     durations = [t_refactor]
     if not gpudirect:
         names.append("transfer(D2H)")
         durations.append(prefix_bytes / (device.pcie_bandwidth_gbps * 1e9))
-    names.append(write_name)
+    names.append("write(PFS)")
     durations.append(t_write)
     return PipelineModel(stage_names=tuple(names), stage_seconds=tuple(durations))

@@ -1,25 +1,25 @@
 """Lossless entropy backends for the compression pipeline.
 
 The paper's MGARD workflow keeps its entropy stage ("ZLib lossless
-compression") on the CPU; this module wraps :mod:`zlib` with integer
-narrowing (quantized bins are overwhelmingly tiny integers, so packing
-them into the narrowest dtype before deflate roughly halves the output)
-and exposes the pure-Python canonical Huffman coder as an alternative
-reference backend.
+compression") on the CPU; this module wraps :mod:`zlib` — each class
+narrows to the smallest width k that holds its quantized bins and is
+stored as k byte planes, low byte first, whose high planes are long runs
+that ``Z_RLE`` deflate finds without a match search — and offers the
+canonical Huffman coder as the other backend.
 
-Batched class payloads use a *segmented* container (``format: 3``): one
+Batched class payloads use a *segmented* container (``format: 4``): one
 payload, one header, but the header records per-segment offsets so the
 per-class segments are independent work units.  The entropy stage has
 one fan-out per direction — segments (and zlib sub-blocks) are the
 jobs — and the bytes out do not depend on the executor (see
 :mod:`repro.parallel.executors`).  The Huffman backend codes each
 segment in one pass, so it maps over segments.  The zlib backend
-deflates a class whose narrowed raw stream reaches two fixed-size
+deflates a class whose byte planes reach two fixed-size
 sub-blocks as independent sub-block streams (the header's per-segment
 ``blocks`` list records their compressed extents), and both of its
-directions are one ``executor.map`` of :func:`zlib.compress` /
+directions are one ``executor.map`` of :func:`_deflate` /
 :func:`zlib.decompress` over ndarray slices of one buffer — every
-class's narrowed raw stream back to back on encode, the whole payload on
+class's byte planes back to back on encode, the whole payload on
 decode — so every job carries its own sub-block and nothing else.
 
 A Huffman segment is ``book | sync | bitstream`` (:mod:`.huffman`) and
@@ -58,16 +58,15 @@ __all__ = [
 
 BACKENDS = ("zlib", "huffman")
 
-# zlib sub-block size (bytes of the narrowed raw stream, a multiple of
-# 8 so int64 element boundaries align).  A class whose raw bytes reach
-# two blocks deflates as independently-schedulable sub-blocks, so a
-# dominant class is more than one deflate job.  Deflate's 32 KiB
-# window is tiny against this, so the ratio cost of restarting the
-# dictionary per block is noise.
+# zlib sub-block size (bytes of a class's byte planes; a block may
+# straddle two planes).  A class whose planes reach two blocks deflates
+# as independently-schedulable sub-blocks, so a dominant class is more
+# than one deflate job.  Deflate's 32 KiB window is tiny against this,
+# so the ratio cost of restarting the dictionary per block is noise.
 _ZLIB_BLOCK_BYTES = 1 << 18
 
-# the deflate level of every zlib segment (and sub-block)
-_ZLIB_LEVEL = 6
+# the header's names of the narrow widths; the planes have no byte order
+_WIDTHS = ("|i1", "<i2", "<i4", "<i8")
 
 # what ``executor=None`` means to the batched coders: run inline
 _INLINE = SerialExecutor()
@@ -82,22 +81,38 @@ _REBUILD_BPS_RATIO = 1.15
 def _narrow_dtype(values: np.ndarray) -> np.dtype:
     """Smallest signed integer dtype that holds every value."""
     if values.size == 0:
-        return np.dtype(np.int8)
+        return np.dtype(_WIDTHS[0])
     lo, hi = int(values.min()), int(values.max())
-    for dt in (np.int8, np.int16, np.int32, np.int64):
+    for dt in map(np.dtype, _WIDTHS):
         info = np.iinfo(dt)
         if info.min <= lo and hi <= info.max:
-            return np.dtype(dt)
+            return dt
     raise AssertionError("int64 always fits")  # pragma: no cover
 
 
 # ----------------------------------------------------------------------
-# zlib sub-blocks
+# zlib byte planes and sub-blocks
+
+
+def _deflate(block: np.ndarray) -> bytes:
+    """One ``Z_RLE`` deflate stream of ``block`` (zlib ignores the level)."""
+    z = zlib.compressobj(strategy=zlib.Z_RLE)
+    return z.compress(block) + z.flush()
+
+
+def _unplane(raw: bytes, k: int, out: np.ndarray) -> None:
+    """Rebuild int64 ``out`` from its ``k`` byte planes in ``raw``: sign-extend
+    the top plane, then shift in the lower ones — no transposed copy."""
+    planes = np.frombuffer(raw, np.uint8).reshape(k, out.size)
+    out[...] = planes[-1].view(np.int8)
+    for plane in planes[-2::-1]:
+        out <<= 8
+        out |= plane
 
 
 def _zlib_extents(offset: int, nbytes: int) -> list[tuple[int, int]]:
-    """Deterministic ``(offset, length)`` sub-block split of one narrowed
-    raw stream of ``nbytes`` bytes starting at ``offset``.
+    """Deterministic ``(offset, length)`` sub-block split of one class's
+    ``nbytes`` bytes of planes starting at ``offset``.
 
     Purely a function of the raw length, never of the executor, so the
     emitted container bytes are identical for every backend.
@@ -111,9 +126,9 @@ def _zlib_extents(offset: int, nbytes: int) -> list[tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# segmented batched container (format 3)
+# segmented batched container (format 4)
 
-_FORMAT = 3
+_FORMAT = 4
 
 # the keys a segment row must hold, and the keys it may hold besides
 _SEGMENT_KEYS = {
@@ -228,21 +243,22 @@ def encode_classes(
     segments = [bins[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     if backend == "zlib":
-        # every class narrows to its own dtype, straight into its
-        # (8-byte aligned) stretch of one buffer; large classes split
-        # into fixed-size sub-blocks, so a dominant class is several
-        # deflate jobs.  The extents depend only on the data, so all
-        # executors emit the same bytes.
+        # every class narrows to its own width k and lands as k byte
+        # planes, low byte first, in its (8-byte aligned) stretch of one
+        # buffer; large classes split into fixed-size sub-blocks.  The
+        # extents depend only on the data, so all executors emit the
+        # same bytes.
         dtypes = [_narrow_dtype(seg) for seg in segments]
         nbytes = [seg.size * dt.itemsize for seg, dt in zip(segments, dtypes)]
         starts = np.cumsum([0] + [-(-nb // 8) * 8 for nb in nbytes]).tolist()
         raw = np.empty(starts[-1], dtype=np.uint8)
         extents = []
         for seg, dt, a, nb in zip(segments, dtypes, starts, nbytes):
-            raw[a : a + nb].view(dt)[...] = seg
+            le = seg.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+            raw[a : a + nb].reshape(dt.itemsize, -1)[...] = le[:, : dt.itemsize].T
             extents.append(_zlib_extents(a, nb))
         blocks = [raw[a : a + n] for ext in extents for a, n in ext]
-        deflated = executor.map(zlib.compress, blocks, [_ZLIB_LEVEL] * len(blocks))
+        deflated = executor.map(_deflate, blocks)
         payloads = []
         seg_headers = []
         pos = 0
@@ -400,17 +416,13 @@ def decode_classes(
         raise ValueError(f"unknown lossless backend {backend!r}; choose from {BACKENDS}")
     need, may = _SEGMENT_KEYS[backend]
     for i, sh in enumerate(segs):
-        if not isinstance(sh, dict) or not need <= set(sh) <= need | may:
+        if (not isinstance(sh, dict) or not need <= set(sh) <= need | may
+                or backend == "zlib" and sh["dtype"] not in _WIDTHS):
             raise ValueError(f"segment {i}: not a {backend} segment row of format {_FORMAT}")
     executor = executor or _INLINE
     extents = _segment_extents(segs, len(payload))
     out = np.empty(sum(sizes), dtype=np.int64)
     starts = np.cumsum([0] + sizes)
-
-    def place(i: int, vals: np.ndarray) -> None:
-        if vals.size != sizes[i]:
-            raise ValueError(f"segment {i} decoded {vals.size} values, expected {sizes[i]}")
-        out[starts[i] : starts[i + 1]] = vals
 
     if backend == "zlib":
         units = [_inflate_extents(i, sh, *ext) for i, (sh, ext) in enumerate(zip(segs, extents))]
@@ -420,7 +432,10 @@ def decode_classes(
         for i, (sh, us) in enumerate(zip(segs, units)):
             raw = b"".join(raws[pos : pos + len(us)])
             pos += len(us)
-            place(i, np.frombuffer(raw, dtype=np.dtype(sh["dtype"])))
+            k = np.dtype(sh["dtype"]).itemsize
+            if len(raw) != k * sizes[i]:
+                raise ValueError(f"segment {i} inflated to {len(raw)} bytes, not {k} × {sizes[i]}")
+            _unplane(raw, k, out[starts[i] : starts[i + 1]])
         return out, sizes
 
     # resolve code books serially (order-dependent: a step's books are
@@ -438,7 +453,10 @@ def decode_classes(
 
     def decode_one(i: int) -> None:
         offset, nbytes = extents[i]
-        place(i, huffman_decode(view[offset : offset + nbytes], segs[i], tables=tables[i]))
+        vals = huffman_decode(view[offset : offset + nbytes], segs[i], tables=tables[i])
+        if vals.size != sizes[i]:
+            raise ValueError(f"segment {i} decoded {vals.size} values, expected {sizes[i]}")
+        out[starts[i] : starts[i + 1]] = vals
 
     executor.map(decode_one, range(len(segs)))
     return out, sizes

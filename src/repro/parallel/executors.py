@@ -16,7 +16,7 @@ backend it was handed:
 
 ``ThreadExecutor``
     A shared :class:`concurrent.futures.ThreadPoolExecutor`.  Threads
-    suit the encode path: the heavy kernels (``zlib.compress``, bulk
+    suit the encode path: the heavy kernels (zlib deflate, bulk
     NumPy ops) release the GIL, so work units genuinely overlap.
 
 ``ProcessExecutor``

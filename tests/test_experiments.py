@@ -223,7 +223,9 @@ class TestFig10:
 
 class TestFig11:
     def test_offload_shifts_bottleneck_to_entropy(self):
-        rows = fig11_mgard(shape=(65, 65, 65), steps=100)
+        # at 65^3 the modeled V100 pass is mostly launch latency, within
+        # noise of the measured deflate; 97^3 keeps a ~2x margin
+        rows = fig11_mgard(shape=(97, 97, 97), steps=100)
         by = {(r.config, r.operation): r for r in rows}
         cpu = by[("CPU", "compress")]
         gpu = by[("GPU-offload", "compress")]

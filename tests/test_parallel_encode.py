@@ -12,6 +12,7 @@ Three contracts:
 """
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -364,9 +365,9 @@ class TestStreamBehindProducer:
 
 
 class TestSingleGeneration:
-    """Only ``format: 3`` decodes: the pre-``format: 2`` single-stream
-    layout, and ``format: 2``'s JSON code tables and sync lists, are
-    refused, not guessed at."""
+    """Only ``format: 4`` decodes: the pre-``format: 2`` single-stream
+    layout, ``format: 2``'s JSON code tables and sync lists, and
+    ``format: 3``'s interleaved zlib bytes are refused, not guessed at."""
 
     def test_header_without_segments_is_refused(self, rng):
         sizes = [9, 100]
@@ -393,32 +394,52 @@ class TestSingleGeneration:
 
     def test_format_2_is_refused_never_misread(self, rng):
         payload, header = self._format_2(rng)
-        with pytest.raises(ValueError, match="format 2 is not 3"):
+        with pytest.raises(ValueError, match="format 2 is not 4"):
             decode_classes(payload, header)
-        # relabelled, its rows still hold keys format 3 has no meaning for
+        # relabelled, its rows still hold keys format 4 has no meaning for
         with pytest.raises(ValueError, match="not a huffman segment row"):
-            decode_classes(payload, {**header, "format": 3})
+            decode_classes(payload, {**header, "format": 4})
         for extra in ({"table_delta": {}}, {"sync": []}, {"table": []}):
             good_payload, good = encode_classes(np.arange(600) % 7, [600], backend="huffman")
             good["segments"][0].update(extra)
             with pytest.raises(ValueError, match="not a huffman segment row"):
                 decode_classes(good_payload, good)
 
-    def test_stream_quarantines_a_format_2_step(self, rng, tmp_path):
+    def test_format_3_zlib_is_refused_never_misread(self, rng):
+        """``format: 3`` stored each narrowed class value by value; read
+        as planes, those bytes would decode to wrong values silently."""
+        vals = rng.integers(-300, 300, 500).astype(np.int64)
+        payload = zlib.compress(vals.astype("<i2").tobytes())
+        header = {"backend": "zlib", "format": 3, "n": int(vals.size),
+                  "class_sizes": [int(vals.size)],
+                  "segments": [{"offset": 0, "nbytes": len(payload), "dtype": "<i2"}]}
+        with pytest.raises(ValueError, match="format 3 is not 4"):
+            decode_classes(payload, header)
+
+    @staticmethod
+    def _quarantined(rng, tmp_path, backend, old):
+        """Step 1 of a two-step stream relabelled ``format: old`` is
+        quarantined, and its read serves step 0 within ``tol``."""
         frames = [rng.standard_normal((17, 17)).cumsum(0) * (1 + 0.01 * t) for t in range(2)]
         tol = 1e-3
-        writer = StepStreamWriter(tmp_path, (17, 17), tol=tol, backend="huffman")
+        writer = StepStreamWriter(tmp_path, (17, 17), tol=tol, backend=backend)
         for f in frames:
             writer.append(f)
         path = tmp_path / "step_000001.mgz"
         data = path.read_bytes()
-        assert data.count(b'"format": 3') == 1
-        path.write_bytes(data.replace(b'"format": 3', b'"format": 2'))
+        assert data.count(b'"format": 4') == 1
+        path.write_bytes(data.replace(b'"format": 4', b'"format": %d' % old))
         reader = StepStreamReader(tmp_path)
         served = reader.read_step(1)
         assert reader.last_recovery.degraded and reader.last_recovery.served == 0
-        assert 1 in reader.quarantined and "format 2" in reader.quarantined[1]
+        assert 1 in reader.quarantined and f"format {old}" in reader.quarantined[1]
         assert np.abs(served - frames[0]).max() <= tol
+
+    def test_stream_quarantines_a_format_2_step(self, rng, tmp_path):
+        self._quarantined(rng, tmp_path, "huffman", 2)
+
+    def test_stream_quarantines_a_format_3_zlib_step(self, rng, tmp_path):
+        self._quarantined(rng, tmp_path, "zlib", 3)
 
 
 def _overlap(payload, segs):

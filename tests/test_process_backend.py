@@ -7,6 +7,8 @@ Contracts:
   class mixes and across code-book-reusing stream chains;
 * the zlib backend's sub-block segmentation round-trips, parallelizes
   through every backend, and keeps decoding legacy single-unit blobs;
+* every narrow width round-trips through its byte planes, and a class
+  that inflates to the wrong length is refused;
 * the process backend degrades safely (closures run inline) and
   actually ships the jobs of its slice fan-outs to the pool;
 * :meth:`StepStreamReader.refresh` tolerates torn manifest reads from
@@ -181,7 +183,7 @@ def _slice_fan_outs(rng):
             lambda ex: b"".join(encode_shards(field, plan, codec, ex)),
         ),
         "zlib-encode": (
-            zlib.compress, len(sizes),
+            L._deflate, len(sizes),
             lambda ex: encode_classes(bins, sizes, backend="zlib", executor=ex)[0],
         ),
         "zlib-decode": (
@@ -442,6 +444,53 @@ class TestZlibSubBlocks:
         bad["segments"][0]["blocks"][0] += 1
         with pytest.raises(ValueError, match="sub-blocks"):
             decode_classes(payload, bad)
+
+
+class TestZlibBytePlanes:
+    """A class narrowed to k bytes is stored as k byte planes, low byte
+    first, and rebuilt by sign-extending the top plane."""
+
+    def test_every_width_round_trips(self, rng):
+        top = np.iinfo(np.int64).max
+        classes = [
+            np.array([top, -top, 0, -1, 1], np.int64),  # the int64 extremes
+            np.array([], np.int64),
+            rng.integers(-128, 128, 1000),
+            np.array([-(2**15), 2**15 - 1, -129, 128]),
+            np.array([-(2**31), 2**31 - 1, -(2**15) - 1, 2**15]),
+            # int16 and int32 classes whose planes reach two or more sub-blocks
+            rng.integers(-(2**15), 2**15, L._ZLIB_BLOCK_BYTES + 3),
+            rng.integers(-(2**31), 2**31, L._ZLIB_BLOCK_BYTES // 2 + 7),
+        ]
+        sizes = [c.size for c in classes]
+        bins = np.concatenate(classes).astype(np.int64)
+        payload, header = encode_classes(bins, sizes, backend="zlib")
+        segs = header["segments"]
+        assert [s["dtype"] for s in segs] == ["<i8", "|i1", "|i1", "<i2", "<i4", "<i2", "<i4"]
+        assert len(segs[5]["blocks"]) == 3 and len(segs[6]["blocks"]) == 3
+        flat, got = decode_classes(payload, json.loads(json.dumps(header)))
+        assert got == sizes
+        np.testing.assert_array_equal(flat, bins)
+
+    def test_planes_are_low_byte_first(self):
+        payload, header = encode_classes(np.array([0x0102, -2], np.int64), [2], backend="zlib")
+        assert zlib.decompress(payload) == bytes([0x02, 0xFE, 0x01, 0xFF])
+
+    @pytest.mark.parametrize("width", ["|i1", "<i4"])
+    def test_wrong_inflated_length_is_refused(self, rng, width):
+        bins = rng.integers(-(2**12), 2**12, 300).astype(np.int64)
+        payload, header = encode_classes(bins, [bins.size], backend="zlib")
+        header["segments"][0]["dtype"] = width  # the planes are 2 bytes wide
+        with pytest.raises(ValueError, match="inflated to 600 bytes"):
+            decode_classes(payload, header)
+
+    @pytest.mark.parametrize("name", [">i2", "<u2", "<f8", ["<i2"]])
+    def test_unknown_width_is_refused(self, rng, name):
+        bins = rng.integers(-(2**12), 2**12, 300).astype(np.int64)
+        payload, header = encode_classes(bins, [bins.size], backend="zlib")
+        header["segments"][0]["dtype"] = name
+        with pytest.raises(ValueError, match="not a zlib segment row"):
+            decode_classes(payload, header)
 
 
 class TestTornManifestRefresh:
