@@ -54,6 +54,7 @@ keeping every step — and every shard — self-contained.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import threading
@@ -72,6 +73,7 @@ from ..compress.timeseries import TimeSeriesCompressor
 from ..core.grid import hierarchy_for
 from ..core.refactor import Refactorer
 from ..core.snorm import truncation_estimate
+from ..parallel import executors
 from .container import (
     ShardedFileReader,
     _decode,
@@ -599,8 +601,9 @@ class StepStreamReader:
     chain replay is stateful), so concurrent callers — a server's
     decode pool, follower threads — compose without torn chain state.
     A sharded stream has no chain: :meth:`read_shard`, and the
-    :meth:`read_region` / :meth:`read_step` composed from it, take the
-    lock only to snapshot the manifest entry and to touch
+    :meth:`read_region` / :meth:`read_step` that open a step once and
+    decode its covering shards together on the host's thread pool, take
+    the lock only to snapshot the manifest entry and to touch
     ``quarantined`` — never across file I/O or a decode — so they
     overlap each other and :meth:`refresh`.
     """
@@ -824,21 +827,50 @@ class StepStreamReader:
         honour the stream's L∞ bound).  Unsharded streams fall back to
         a whole-step decode and slice.
 
+        The step file is opened, and its shard table parsed, once per
+        read; the covering shards then decode together on the host's
+        shared thread pool (``thread:N``, N its cores), the way the
+        service fans its per-shard units out.  With one covering shard or
+        one core the same loop runs inline.  A shard the pool has not
+        started when the caller needs it runs on the caller's thread, so
+        a read issued from inside one of that pool's own jobs cannot
+        deadlock.
+
         Shards are independent failure domains, and ``on_error``
-        (default ``"recover"``) exploits that: see :meth:`shard_pieces`.
-        ``on_error="raise"`` restores fail-stop behaviour.
+        (default ``"recover"``) exploits that: see :meth:`shard_pieces`,
+        which still decides every shard in row order on the calling
+        thread.  ``on_error="raise"`` restores fail-stop behaviour.
         """
         if on_error not in ("recover", "raise"):
             raise ValueError(f"on_error must be 'recover' or 'raise', got {on_error!r}")
         if self.shard_bounds is not None:
             region = self._normalize_region(region)
+            covering = self.shards_covering(region)
+            cores = executors.available_workers() if len(covering) > 1 else 1
+            pool = executors.get_executor(f"thread:{cores}") if cores > 1 else None
+            jobs: dict[int, tuple] = {}
+
+            def load(i: int) -> np.ndarray:
+                # the first shard asked for opens the step, once per read; a
+                # failed open fails that shard, and the next one retries it
+                if not jobs:
+                    opened = self._open_sharded(step)
+                    for j in covering:
+                        job = functools.partial(self._shard_block, step, opened, j)
+                        jobs[j] = (job, None if pool is None else pool.submit(job))
+                job, fut = jobs[i]
+                return job() if fut is None or fut.cancel() else fut.result()
+
             out = np.empty(tuple(sl.stop - sl.start for sl in region))
-            row = 0  # one shard's block alive at a time, as it is copied in
-            for piece in self.shard_pieces(
-                step, region, lambda i: self.read_shard(step, i), on_error
-            ):
-                out[row : row + len(piece)] = piece
-                row += len(piece)
+            row = 0
+            try:
+                for piece in self.shard_pieces(step, region, load, on_error):
+                    out[row : row + len(piece)] = piece
+                    row += len(piece)
+            finally:
+                for _, fut in jobs.values():
+                    if fut is not None:
+                        fut.cancel()  # a raising read leaves no queued work
             return out
         with self._lock:
             meta = self._meta(step)
@@ -877,11 +909,20 @@ class StepStreamReader:
         bounds = self._sharded("read_shard")
         if not 0 <= i < len(bounds):
             raise StreamError(f"shard {i} out of range [0, {len(bounds)})")
+        return self._shard_block(step, self._open_sharded(step), i)
+
+    def _open_sharded(self, step: int) -> tuple[ShardedFileReader, list[tuple[int, int]]]:
+        """Open a sharded step file: its reader and its shard table's rows."""
         with self._lock:
             meta = self._meta(step)
-        a, b = bounds[i]
         reader = ShardedFileReader(self.root / meta["file"])
-        rows = reader.shard_bounds()
+        return reader, reader.shard_bounds()
+
+    def _shard_block(self, step: int, opened, i: int) -> np.ndarray:
+        """Shard ``i`` of an :meth:`_open_sharded` step, its table row and
+        decoded shape checked against the manifest's layout."""
+        reader, rows = opened
+        a, b = self.shard_bounds[i]
         if len(rows) != len(self.shard_bounds) or rows[i] != (a, b):
             raise ContainerError(
                 f"step {step}: the shard table's rows {rows} disagree with "
@@ -998,9 +1039,12 @@ class StepStreamReader:
 
         Clean decodes land in the reader's decoded-step LRU keyed by
         ``(step, generation)``, so repeated random access stops
-        re-rolling the key-frame chain; a hit costs one ``memcpy``.
-        Degraded (recovered) reads are never cached — a repaired file
-        heals on the next direct access, exactly as without the cache.
+        re-rolling the key-frame chain; a hit costs one ``memcpy``.  The
+        cached snapshot is the chain's own read-only state (never written
+        in place: the next step replaces it), so a miss costs one copy
+        too — the caller's.  Degraded (recovered) reads are never cached
+        — a repaired file heals on the next direct access, exactly as
+        without the cache.
 
         A sharded step (independent partitions: no chain, no lock) is
         the all-shards :meth:`read_region` and is not cached here — the
@@ -1016,12 +1060,10 @@ class StepStreamReader:
             if cached is not None:
                 self.last_recovery = None
                 return cached.copy()
-            out = self._read_step_impl(step, on_error)
+            state = self._read_step_impl(step, on_error)
             if self.last_recovery is None:
-                snap = out.copy()
-                snap.setflags(write=False)
-                self._step_cache.put(key, snap)
-            return out
+                self._step_cache.put(key, state)
+            return state.copy()
 
     def _read_step_impl(self, step: int, on_error: str = "recover") -> np.ndarray:
         """Reconstruct one full step of an unsharded compressed stream.
@@ -1040,7 +1082,8 @@ class StepStreamReader:
         was actually served.  Only when no decodable key-frame chain
         exists at all does the read raise :class:`StreamError`.
         ``on_error="raise"`` restores fail-stop behaviour (the first
-        corrupt file in the replay chain raises).
+        corrupt file in the replay chain raises).  Returns the chain's
+        read-only state; :meth:`read_step` hands the caller a copy.
         """
         if self.stream_mode != "compressed":
             raise StreamError(
@@ -1050,7 +1093,7 @@ class StepStreamReader:
         self._meta(step)  # range check
         self.last_recovery = None
         if self._pos is not None and step == self._pos:
-            return self._prev.copy()
+            return self._prev
         if self._pos is not None and step == self._pos + 1:
             start = step
         else:
@@ -1064,7 +1107,7 @@ class StepStreamReader:
                     raise
                 self.quarantined.setdefault(s, str(e))
                 return self._recover_read(step)
-        return self._prev.copy()
+        return self._prev
 
     def _reset_chain(self) -> None:
         self._pos, self._prev = None, None
@@ -1107,7 +1150,7 @@ class StepStreamReader:
             quarantined=sorted(self.quarantined),
             degraded=self._pos != step,
         )
-        return self._prev.copy()
+        return self._prev
 
     def _latest_key_at_or_before(self, step: int) -> int:
         for s in range(step, -1, -1):
@@ -1120,6 +1163,7 @@ class StepStreamReader:
         delta = self._decode_step(s, meta, scratch=self._scratch)
         # delta is freshly decoded: accumulate the chain into it, not into a third array
         self._prev = delta if meta.get("is_key") else np.add(self._prev, delta, out=delta)
+        self._prev.setflags(write=False)  # read_step caches it as is
         self._pos = s
 
     def _meta(self, step: int) -> dict:

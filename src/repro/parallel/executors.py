@@ -299,10 +299,15 @@ class ProcessExecutor:
             try:
                 pool = self._ensure_pool()
                 if kills:
-                    marks = [i in kills for i in range(len(jobs))]
-                    return list(pool.map(_KillMarked(fn), marks, *zip(*jobs)))
-                return list(pool.map(fn, *zip(*jobs)))
+                    marked = _KillMarked(fn)
+                    futs = [pool.submit(marked, i in kills, *a) for i, a in enumerate(jobs)]
+                else:
+                    futs = [pool.submit(fn, *a) for a in jobs]
+                return [f.result() for f in futs]
             except concurrent.futures.process.BrokenProcessPool:
+                # no future is cancelled (as Executor.map would): the broken
+                # pool's manager thread fails each itself, and dies if one
+                # was cancelled meanwhile; shutdown() joins it
                 self.stats["broken_pools"] += 1
                 self.shutdown()
                 if attempt < self.max_retries:
@@ -365,7 +370,7 @@ class ProcessExecutor:
 
 
 _default_spec: str | None = None
-_instances: dict[str, object] = {}
+_instances: dict[tuple[str, int | None], object] = {}
 _instances_lock = threading.Lock()
 
 _KINDS = {
@@ -423,20 +428,23 @@ def get_executor(spec=None):
 
     ``None`` falls through :func:`set_default_executor`, then the
     ``REPRO_EXECUTOR`` environment variable, then ``serial``.  Instances
-    are cached per normalized (kind, worker count), so repeated
-    resolution reuses one pool.  An executor instance is returned as
-    is, so every ``executor=`` argument takes a spec or an instance.
+    are cached per (kind, resolved worker count), so repeated resolution
+    reuses one pool, and ``auto``, ``thread`` and ``thread:N`` with N =
+    :func:`available_workers` are one instance.  An executor instance is
+    returned as is, so every ``executor=`` argument takes a spec or an
+    instance.
     """
     if spec is None:
         spec = default_spec()
     elif not isinstance(spec, str):
         return spec
     kind, workers = _parse_spec(spec)
-    key = "serial" if kind == "serial" else f"{kind}:{workers or 0}"
+    if kind != "serial":
+        workers = workers or available_workers()
     with _instances_lock:
-        inst = _instances.get(key)
+        inst = _instances.get((kind, workers))
         if inst is None:
             cls = _KINDS[kind]
             inst = cls() if kind == "serial" else cls(workers)
-            _instances[key] = inst
+            _instances[kind, workers] = inst
         return inst

@@ -451,6 +451,8 @@ def _square(x):
     return x * x
 
 
+# a broken pool's manager thread must not die while the pool recovers
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 class TestProcessPoolRecovery:
     def test_kill_then_rebuild_retries_to_success(self):
         ex = ProcessExecutor(max_workers=2, backoff_s=0.01)

@@ -17,6 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.parallel import executors
 from repro.parallel.executors import (
     SerialExecutor,
     ThreadExecutor,
@@ -130,6 +131,16 @@ class TestExecutorSelection:
             get_executor("bogus")
         with pytest.raises(ValueError):
             get_executor("parallel:0")
+
+    def test_one_pool_per_thread_count(self, monkeypatch):
+        # auto and thread resolve to the host's worker count: the pool
+        # thread:N names, not a second one beside it
+        monkeypatch.setattr(executors, "available_workers", lambda: 3)
+        pool = get_executor("thread:3")
+        assert get_executor("thread") is pool
+        assert get_executor("auto") is pool
+        assert get_executor("parallel") is pool
+        assert get_executor("process") is get_executor("process:3")
 
     def test_default_knob(self):
         set_default_executor("parallel:2")

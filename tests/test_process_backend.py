@@ -152,17 +152,20 @@ class TestProcessPoolLifecycle:
         assert atexit._ncallbacks() == hooks + 1
 
 
-def _spy_pool_map(monkeypatch) -> list:
-    """Record ``(fn, job count)`` of every batch handed to a process pool."""
+def _spy_pool_jobs(monkeypatch) -> list:
+    """Record ``(fn, job count)`` of every batch handed to a process pool
+    (a batch: consecutive submits of one function)."""
     calls = []
-    orig = concurrent.futures.ProcessPoolExecutor.map
+    orig = concurrent.futures.ProcessPoolExecutor.submit
 
-    def spy(pool, fn, *iterables, **kwargs):
-        iterables = [list(it) for it in iterables]
-        calls.append((fn, len(iterables[0])))
-        return orig(pool, fn, *iterables, **kwargs)
+    def spy(pool, fn, *args, **kwargs):
+        if calls and calls[-1][0] is fn:
+            calls[-1] = (fn, calls[-1][1] + 1)
+        else:
+            calls.append((fn, 1))
+        return orig(pool, fn, *args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", spy)
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", spy)
     return calls
 
 
@@ -229,7 +232,7 @@ class TestMapOverSlices:
 
     @pytest.mark.parametrize("operand", sorted(OPERANDS))
     def test_single_job_and_closures_stay_inline(self, operand, monkeypatch):
-        calls = _spy_pool_map(monkeypatch)
+        calls = _spy_pool_jobs(monkeypatch)
         _, slices = self._slices(operand)
         ex = get_executor("process:2")
         assert ex.map(_slice_sum, slices[:1]) == [(os.getpid(), int(slices[0].sum()))]
@@ -254,7 +257,7 @@ class TestSliceFanOutsUseThePool:
     def test_jobs_reach_the_pool_with_serial_bytes(self, rng, name, monkeypatch):
         fn, n_jobs, run = _slice_fan_outs(rng)[name]
         want = run(get_executor("serial"))
-        calls = _spy_pool_map(monkeypatch)
+        calls = _spy_pool_jobs(monkeypatch)
         assert run(get_executor("process:2")) == want
         assert calls == [(fn, n_jobs)]
 

@@ -9,10 +9,17 @@
 * sharded streams: manifest shard tables, ``read_region`` decoding
   only the covering shards (decode-call spy), typed errors from the
   reader's shard methods, and the writer's shard → encode → commit
-  split.
+  split;
+* the read's fan-out: one open of the step file per read, covering
+  shards decoded together on the host's shared thread pool with the
+  same bytes and the same failure report as inline, no pool on one
+  core, and no deadlock when the read runs inside one of the pool's jobs.
 """
 
+import concurrent.futures
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,8 +36,10 @@ from repro.core.classes import reconstruct_from_classes
 from repro.core.grid import hierarchy_for
 from repro.gpu.analytic import model_pass
 from repro.gpu.device import V100
-from repro.io.container import _classes
+from repro.errors import ContainerError
+from repro.io.container import ShardedFileReader, _classes
 from repro.io.stream import StepStreamReader, StepStreamWriter, StreamError
+from repro.parallel import executors
 
 
 def _block_sizes(plan):
@@ -255,10 +264,10 @@ class TestShardedStreams:
         assert decoded == [1]
         assert region.shape == (3, 5, 9)
         assert float(np.abs(region - frames[1][6:9, 2:7]).max()) <= 1e-3
-        # rows 4:16 straddle shards 0..3
+        # rows 4:16 straddle shards 0..3 (decoded together: any order)
         decoded.clear()
         reader.read_region(2, (slice(4, 16),))
-        assert decoded == [0, 1, 2, 3]
+        assert sorted(decoded) == [0, 1, 2, 3]
 
     def test_read_region_unsharded_fallback(self, frames, tmp_path):
         root = tmp_path / "mono"
@@ -402,3 +411,154 @@ class TestShardedPipeline:
         reader = self._split(tmp_path, frames, shards=2)
         out = reader.read_region(1)
         np.testing.assert_allclose(out, frames[1], atol=1e-9)
+
+
+def _host(monkeypatch, workers: int) -> list:
+    """Give the host ``workers`` cores; returns the jobs submitted to the
+    shared thread pool from then on."""
+    monkeypatch.setattr(executors, "available_workers", lambda: workers)
+    submitted = []
+    submit = executors.ThreadExecutor.submit
+    monkeypatch.setattr(
+        executors.ThreadExecutor,
+        "submit",
+        lambda self, fn, *args: submitted.append(fn) or submit(self, fn, *args),
+    )
+    return submitted
+
+
+class TestShardFanOut:
+    @pytest.fixture()
+    def frames(self, rng):
+        return [rng.standard_normal((20, 9, 9)) for _ in range(2)]
+
+    # (shards, rows) -> the regions covering one shard, two, and all of them
+    @staticmethod
+    def _regions(bounds):
+        (a0, b0), (a1, b1) = bounds[0], bounds[1]
+        return {1: (slice(a1, b1 - 1),), 2: (slice(b0 - 1, b1), slice(2, 7)), len(bounds): None}
+
+    @pytest.mark.parametrize("n_shards", [2, 3, 4, 5])
+    @pytest.mark.parametrize("tol,backend", [(None, "zlib"), (1e-3, "zlib"), (1e-3, "huffman")],
+                             ids=["refactored", "zlib", "huffman"])
+    def test_fanned_out_bytes_equal_inline(self, frames, tmp_path, monkeypatch,
+                                           n_shards, tol, backend):
+        root = tmp_path / "stream"
+        writer = StepStreamWriter(root, frames[0].shape, tol=tol, backend=backend, shards=n_shards)
+        for f in frames:
+            writer.append(f)
+        reader = StepStreamReader(root)
+        regions = self._regions(reader.shard_bounds)
+        submitted = _host(monkeypatch, 1)
+        inline = {n: reader.read_region(1, r) for n, r in regions.items()}
+        whole = reader.read_step(0)
+        assert submitted == []
+        submitted = _host(monkeypatch, 2)
+        for n, r in regions.items():
+            submitted.clear()
+            got = reader.read_region(1, r)
+            assert got.tobytes() == inline[n].tobytes(), n
+            assert len(submitted) == (n if n > 1 else 0), n
+        assert reader.read_step(0).tobytes() == whole.tobytes()
+        assert reader.last_recovery is None
+
+    def test_one_core_submits_nothing(self, frames, tmp_path, monkeypatch):
+        root = tmp_path / "stream"
+        StepStreamWriter(root, frames[0].shape, tol=1e-3, shards=4).append(frames[0])
+        submitted = _host(monkeypatch, 1)
+        reader = StepStreamReader(root)
+        reader.read_step(0)
+        reader.read_region(0, (slice(3, 12),))
+        assert submitted == []
+
+    def test_step_file_opened_once_per_read(self, frames, tmp_path, monkeypatch):
+        root = tmp_path / "stream"
+        StepStreamWriter(root, frames[0].shape, tol=1e-3, shards=4).append(frames[0])
+        _host(monkeypatch, 2)
+        opened = []
+        init = ShardedFileReader.__init__
+        monkeypatch.setattr(ShardedFileReader, "__init__",
+                            lambda self, path: opened.append(path) or init(self, path))
+        reader = StepStreamReader(root)
+        reader.read_step(0)
+        assert len(opened) == 1
+        reader.read_region(0, (slice(3, 12),))
+        assert len(opened) == 2
+
+    @staticmethod
+    def _corrupt_shard(path, i):
+        fr = frame.parse(path)
+        offset, nbytes, _ = fr.row(i)
+        blob = bytearray(path.read_bytes())
+        blob[fr.payload_start + offset + nbytes // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+
+    def _stream_with_bad_shards(self, frames, tmp_path, bad):
+        root = tmp_path / "stream"
+        StepStreamWriter(root, frames[0].shape, tol=1e-3, shards=4).append(frames[0])
+        reader = StepStreamReader(root)
+        for i in bad:
+            self._corrupt_shard(root / reader.steps[0]["file"], i)
+        return reader
+
+    def test_corrupt_middle_shard_reads_as_inline(self, frames, tmp_path, monkeypatch):
+        reader = self._stream_with_bad_shards(frames, tmp_path, [1])
+        _host(monkeypatch, 1)
+        inline = reader.read_step(0)
+        inline_report = reader.last_recovery
+        submitted = _host(monkeypatch, 2)
+        got = reader.read_step(0)
+        assert len(submitted) == 4
+        assert got.tobytes() == inline.tobytes()
+        assert reader.last_recovery == inline_report
+        lo, hi = reader.shard_bounds[1]
+        assert reader.last_recovery.failed_extents == [(lo, hi)]
+        assert np.isnan(got[lo:hi]).all()
+        rest = np.r_[0:lo, hi:20]
+        assert float(np.abs(got[rest] - frames[0][rest]).max()) <= 1e-3
+
+    def test_raise_is_the_first_bad_shard_in_row_order(self, frames, tmp_path, monkeypatch):
+        reader = self._stream_with_bad_shards(frames, tmp_path, [1, 3])
+        _host(monkeypatch, 2)
+        with pytest.raises(ContainerError, match="shard 1 "):
+            reader.read_step(0, on_error="raise")
+        with pytest.raises(ContainerError, match="shard 3 "):
+            reader.read_region(0, (slice(12, 20),), on_error="raise")
+
+    def test_read_inside_a_pool_job_completes(self, frames, tmp_path, monkeypatch):
+        root = tmp_path / "stream"
+        StepStreamWriter(root, frames[0].shape, tol=1e-3, shards=4).append(frames[0])
+        reader = StepStreamReader(root)
+        _host(monkeypatch, 1)
+        want = reader.read_step(0)
+        _host(monkeypatch, 2)
+        pool = executors.get_executor("thread:2")
+        # every worker of the pool is busy with a read that fans out to it
+        jobs = [pool.submit(reader.read_step, 0) for _ in range(pool.max_workers)]
+        done, late = concurrent.futures.wait(jobs, timeout=60)
+        assert not late, "a read inside the pool it fans out to did not finish"
+        assert all(j.result().tobytes() == want.tobytes() for j in done)
+
+    def test_concurrent_readers_agree(self, frames, tmp_path, monkeypatch):
+        # more readers than the pool has threads, on one reader object,
+        # switching threads often: every read still returns the same bytes
+        root = tmp_path / "stream"
+        StepStreamWriter(root, frames[0].shape, tol=1e-3, shards=4).append(frames[0])
+        reader = StepStreamReader(root)
+        _host(monkeypatch, 1)
+        want = reader.read_step(0).tobytes()
+        _host(monkeypatch, 2)
+        got: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=lambda: got.extend(
+                reader.read_step(0).tobytes() for _ in range(5))) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 30
