@@ -2,7 +2,9 @@
 """Kernel-backend sweep: the NumPy bodies against the C backend.
 
 Times whole ``decompose`` / ``recompose`` at the end-to-end benchmark's
-two shapes (129^3, 1025^2) and every op of the launcher's table
+two shapes (129^3, 1025^2), then at 5^3, 17^3 and a (32, 65, 65)
+``serve_sharded`` shard — where a call's fixed cost (policy, table and
+workspace, the ctypes call) is most of it — and every other op of the launcher's table
 (:mod:`repro.kernels.launcher`) on every backend available on this host,
 asserts bit identity between backends on every row *and* byte identity
 of an end-to-end compressed container, measures what two threads make of
@@ -49,9 +51,9 @@ CI_SCALE = os.environ.get("REPRO_BENCH_SCALE") == "ci"
 
 #: the end-to-end ``refactor`` workload's ladder; the gate reads the first
 DRIVER_SHAPES = [(33, 33, 33), (129, 129)] if CI_SCALE else [(129, 129, 129), (1025, 1025)]
+#: the per-call fixed cost: shapes whose whole walk takes well under a millisecond
+FIXED_COST_SHAPES = [(5, 5, 5), (17, 17, 17), (32, 65, 65)]
 OP_SHAPES = {
-    **{op: (17, 17, 17) if CI_SCALE else (65, 65, 65)
-       for op in ("coefficients", "restore", "correct", "uncorrect")},
     **{op: (1 << 14,) if CI_SCALE else (1 << 20,) for op in ("quantize", "dequantize")},
     # the end-to-end ``stream_huffman`` workload's closed loop: one 65^3 step into its sum
     "dequantize_add": (17, 17, 17) if CI_SCALE else (65, 65, 65),
@@ -191,7 +193,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rows = [row for shape in DRIVER_SHAPES for row in sweep_driver(shape, args.repeats)]
-    rows += [sweep_op(op, OP_SHAPES[op], args.repeats) for op in OP_SPECS]
+    rows += [row for shape in FIXED_COST_SHAPES for row in sweep_driver(shape, 30 * args.repeats)]
+    rows += [sweep_op(op, OP_SHAPES[op], args.repeats) for op in OP_SPECS if op in OP_SHAPES]
     scaling = thread_scaling(DRIVER_SHAPES[0], max(args.repeats // 2, 2))
     container = container_identity()
 

@@ -22,7 +22,7 @@ from .coefficients import (
     restrict_nodes,
 )
 from .correction import compute_correction, restrict_and_correct, subtract_correction
-from .decompose import decompose, recompose, restrict_all
+from .decompose import decompose, recompose
 from .errors import class_decay, l2, linf, psnr, rel_l2, rel_linf
 from .grid import (
     Hierarchy1D,
@@ -75,7 +75,6 @@ __all__ = [
     "rel_l2",
     "rel_linf",
     "restore_from_coefficients",
-    "restrict_all",
     "restrict_and_correct",
     "restrict_nodes",
     "solve_correction",

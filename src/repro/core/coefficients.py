@@ -19,14 +19,10 @@ interpolant is evaluated from the *same* coarse nodal values in both
 directions, and at coarse positions the prolongation is an exact copy, so
 a decompose/recompose round trip is lossless to floating-point rounding.
 
-:func:`compute_coefficients` and :func:`restore_from_coefficients` run in
-C on float32/float64 operands (:mod:`repro.core.native`), one plane of the
-level's first coarsening axis at a time: the plane's coarse nodes (or
-their interpolation from the two neighbouring planes), the fills of the
-other coarsening axes in :func:`interpolate_coarse`'s order, then the
-subtraction (or addition and re-injection) while the plane is in cache.
-Every node gets the NumPy bodies' operations, so the bits are theirs;
-those bodies are the ``reference`` backend.
+These NumPy bodies are the ``reference`` of the C walk
+(:func:`repro.core.native.refactor`), which builds the same interpolant
+one plane of the level's first coarsening axis at a time and gives every
+node the same operations, so the same bits.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ import itertools
 
 import numpy as np
 
-from . import native
 from .grid import LevelOps, TensorHierarchy, along, axis_weights
 
 __all__ = [
@@ -131,59 +126,35 @@ def interpolate_coarse(vc: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndar
     return out
 
 
-def compute_coefficients(
-    v: np.ndarray, hier: TensorHierarchy, l: int,
-    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
-) -> np.ndarray:
+def compute_coefficients(v: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndarray:
     """Detail coefficients of the step ``l -> l-1``.
 
     Returns a full level-``l``-shaped array ``c = v - Π_{l-1} v`` that is
     exactly zero at the coarse positions (the interpolant reproduces the
     coarse values bit-for-bit), matching the paper's coefficient matrix
     ``C_l`` which "consists of computed coefficients at ``N_l \\ N_{l-1}``
-    and zeros at ``N_{l-1}``".  Written into ``out`` (``v``'s dtype, any
-    layout — ``decompose`` passes its output's level-``l`` view) when given;
-    ``scratch`` (float64) lends the C walk its plane buffer.
-
-    On float32/float64 input one C walk over the level's planes computes it
-    (:func:`repro.core.native.level_coefficients`): the interpolant of a
-    plane from its coarse nodes, then the subtraction, while the plane is in
-    cache; the NumPy body below is the reference.
+    and zeros at ``N_{l-1}``".
     """
     if v.shape != hier.level_shape(l):
         raise ValueError(f"expected level-{l} shape {hier.level_shape(l)}, got {v.shape}")
-    got = native.level_coefficients(v, hier, l, out, scratch)
-    if got is not None:
-        return got
     interp = interpolate_coarse(v[hier.coarse_selector(l)], hier, l)
-    return np.subtract(v, interp, out=interp if out is None else out)
+    return np.subtract(v, interp, out=interp)
 
 
-def restore_from_coefficients(
-    c: np.ndarray, vc: np.ndarray, hier: TensorHierarchy, l: int,
-    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
-) -> np.ndarray:
+def restore_from_coefficients(c: np.ndarray, vc: np.ndarray, hier: TensorHierarchy, l: int) -> np.ndarray:
     """Inverse of :func:`compute_coefficients`.
 
     Given the detail coefficients ``c`` (level-``l`` shaped; whatever it
     holds at coarse positions is ignored) and the restored coarse nodal
     values ``vc`` (level-``l-1`` shaped), rebuild the level-``l`` nodal
-    values ``v = c + Π_{l-1} vc``.  Written into ``out`` (float64, or ``c``'s
-    dtype: rounded once, as ``astype`` would) when given.  ``scratch``
-    (float64) lends the C walk its plane buffer
-    (:func:`repro.core.native.level_restore`).
+    values ``v = c + Π_{l-1} vc`` (float64, or wider when an operand is).
     """
     if vc.shape != hier.level_shape(l - 1):
         raise ValueError(
             f"expected level-{l - 1} shape {hier.level_shape(l - 1)}, got {vc.shape}"
         )
-    got = native.level_restore(c, vc, hier, l, out, scratch)
-    if got is not None:
-        return got
     interp = interpolate_coarse(vc, hier, l)
-    if out is None:
-        out = interp if np.can_cast(c.dtype, interp.dtype) else None
-    v = np.add(c, interp, out=out)
+    v = np.add(c, interp, out=interp if np.can_cast(c.dtype, interp.dtype) else None)
     # Re-inject the coarse values exactly: c may carry noise at coarse
     # positions (e.g. quantization artefacts, or a refactored array's
     # coarser payloads) that must not leak into the nodal values.

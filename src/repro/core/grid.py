@@ -555,29 +555,32 @@ class TensorHierarchy:
 
         return self._memoized(("walk", l), build)
 
-    def level_walk(self, l: int) -> tuple[bytes, np.ndarray]:
-        """``native.c``'s description of the step ``l -> l-1``: the words ``nd``, the
-        level's node counts and per axis the offset of its operators in the float64
-        array (``-1`` where the axis does not coarsen) — per coarsening axis
-        ``w_left``, ``w_right``, ``mass_transfer_bands``, the Thomas ``lower``,
-        ``thomas_cp`` and ``thomas_denom`` — and that array."""
+    def refactor_walk(self) -> tuple[bytes, np.ndarray]:
+        """``native.c``'s table of the whole walk, and the float64 array of every level's
+        operators (``w_left``, ``w_right``, ``mass_transfer_bands``, the Thomas ``lower``,
+        ``thomas_cp``, ``thomas_denom``) it points into; per level: ``nd``, its node
+        counts, per axis its operators' offset (``-1``: the axis does not coarsen) and
+        where its nodes lie in the field — ``on`` at ``[0::step]``, then the last node."""
 
         def build() -> tuple[bytes, np.ndarray]:
-            at, offsets, parts = 0, [], []
-            for k in range(self.ndim):
-                if not self.coarsens(l, k):
-                    offsets.append(-1)
-                    continue
-                o = self.level_ops(l, k)
-                axis = [o.w_left, o.w_right, o.mass_transfer_bands.ravel(),
-                        o.mass_bands_coarse[0, 1:], o.thomas_cp, o.thomas_denom]
-                offsets.append(at)
-                parts += axis
-                at += sum(a.size for a in axis)
-            words = np.array([self.ndim, *self.level_shape(l), *offsets], dtype=np.int64)
-            return words.tobytes(), np.ascontiguousarray(np.concatenate(parts), dtype=np.float64)
+            words, parts, at = [self.ndim, self.L, 0, *self.shape], [], 0
+            for l in range(self.L + 1):
+                idx = self.level_indices(l)
+                steps = [int(i[1] - i[0]) if i.size > 1 else 1 for i in idx]
+                on = [i.size - (int(i[-1]) != s * (i.size - 1)) for i, s in zip(idx, steps)]
+                offsets = []
+                for k in range(self.ndim):
+                    o = self.level_ops(l, k) if l and self.coarsens(l, k) else None
+                    axis = [] if o is None else [o.w_left, o.w_right, o.mass_transfer_bands.ravel(),
+                                                 o.mass_bands_coarse[0, 1:], o.thomas_cp, o.thomas_denom]
+                    offsets.append(at if axis else -1)
+                    parts += axis
+                    at += sum(a.size for a in axis)
+                words += [self.ndim, *self.level_shape(l), *offsets, *steps, *on]
+            words[2] = at
+            return np.array(words, dtype=np.int64).tobytes(), np.concatenate([np.zeros(0), *parts])
 
-        return self._memoized(("level_walk", l), build)
+        return self._memoized(("refactor_walk", 0), build)
 
     def level_ops(self, l: int, k: int) -> LevelOps:
         """Operator data for dimension ``k`` at the step ``l -> l-1``.

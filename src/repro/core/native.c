@@ -9,25 +9,21 @@
  * rounded back once where NumPy rounds.  Results therefore equal the
  * reference's bit for bit, and native.py checks that on load.
  *
- * A level step l -> l-1 is two entries per direction.  `coefficients_*`
- * (decompose: c = v - interp) and `restore_*` (recompose: v = c + interp,
- * the coarse values re-injected) build the interpolant plane by plane;
- * `correct_*` is restrict(v) + Q(c) (decompose) or v - Q(c with its coarse
- * nodes taken as zero) (recompose), Q the correction of correction.py, in
- * two passes over the planes of the first coarsening axis a0: pass A runs
- * the R·M stencil along a0 and the Thomas forward sweep, plane by plane,
- * into one scratch; pass B runs the back substitution a block of planes at
- * a time and, while the block is in cache, the remaining axes' stencil and
- * solve on it and the restrict-and-add.  Axes before a0 do not coarsen
- * (they hold one or two nodes) and are a batch.
- *
- * A level is described by grid.py's TensorHierarchy.level_walk: an int64
- * array lv (lv[0] nd, lv[1 + d] the level's node count along d, lv[1 + nd + d]
- * the offset of axis d's operators in the double array ops, -1 where d does
- * not coarsen) and per coarsening axis with mc coarse nodes: w_left[mc - 1],
- * w_right[mc - 1], the R·M bands[5 * mc], the Thomas lower[mc - 1], cp[mc] and
- * denom[mc].  Every array operand comes with its strides, in elements, one
- * per axis; Python validates dtypes, alignment and shapes first.
+ * A decompose or recompose is one entry per direction and dtype that walks
+ * every level (decompose_* / recompose_*, at the end).  A level step l -> l-1
+ * runs two passes per direction: coefficients (c = v - interp) or restore
+ * (v = c + interp, the coarse values re-injected) build the interpolant
+ * plane by plane; correct is restrict(v) + Q(c) or v - Q(c with its coarse
+ * nodes taken as zero), Q the correction of correction.py, in two passes over
+ * the planes of the first coarsening axis a0: pass A runs the R·M stencil
+ * along a0 and the Thomas forward sweep, plane by plane, into one scratch;
+ * pass B runs the back substitution a block of planes at a time and, while
+ * the block is in cache, the remaining axes' stencil and solve on it and the
+ * restrict-and-add.  Axes before a0 do not coarsen (they hold one or two
+ * nodes) and are a batch.  Per axis with mc coarse nodes the operators are
+ * w_left[mc - 1], w_right[mc - 1], the R·M bands[5 * mc], the Thomas
+ * lower[mc - 1], cp[mc] and denom[mc]; the field comes with its strides, in
+ * elements, and Python validates its dtype and alignment first.
  *
  * No static state, no OpenMP, no allocation: libgomp's thread pool does not
  * survive the fork() the process executor uses, ctypes drops the GIL, so
@@ -42,26 +38,8 @@ typedef uint64_t u64;
 
 enum { MAXD = 16, BLOCK = 128, PLANE_BLOCK = 1 << 14 /* doubles per block of planes */ };
 
-typedef struct {
-    i64 n, shape[MAXD], sa[MAXD], sb[MAXD], idx[MAXD];
-    i64 a, b; /* element offsets of the current outer index */
-} Odometer;
-
-static int odo_next(Odometer *o)
-{
-    for (i64 d = o->n - 1; d >= 0; d--) {
-        o->a += o->sa[d];
-        o->b += o->sb[d];
-        if (++o->idx[d] < o->shape[d])
-            return 1;
-        o->a -= o->sa[d] * o->shape[d];
-        o->b -= o->sb[d] * o->shape[d];
-        o->idx[d] = 0;
-    }
-    return 0;
-}
-
 #define INLINE static inline __attribute__((always_inline))
+#define PASS static __attribute__((noinline, noclone)) /* one copy however many walks call it */
 #define BLOCKS(j0, jn, n) \
     for (i64 j0 = 0, jn; jn = (n) - j0 < BLOCK ? (n) - j0 : BLOCK, j0 < (n); j0 += BLOCK)
 
@@ -153,7 +131,7 @@ INLINE void thomas_rows(double *restrict z, i64 m, i64 n, i64 zm, i64 zi, const 
 }
 
 /* ---------------------------------------------------------------------
- * Levels, and the walk over the nodes of a plane.
+ * Levels, operand maps, and the walk over the nodes of a plane.
  */
 
 typedef struct {
@@ -162,7 +140,9 @@ typedef struct {
     const double *wl[MAXD], *wr[MAXD], *bands[MAXD], *lower[MAXD], *cp[MAXD], *denom[MAXD];
 } Level;
 
-static int level_init(Level *L, const i64 *lv, const double *ops)
+/* lv: nd, the level's node counts, per axis the offset of its operators in the
+ * nops doubles of ops (-1 where the axis does not coarsen); null ops: sizes only */
+static int level_init(Level *L, const i64 *lv, const double *ops, i64 nops)
 {
     const i64 nd = lv[0];
     if (nd < 1 || nd > MAXD)
@@ -178,8 +158,10 @@ static int level_init(Level *L, const i64 *lv, const double *ops)
             continue;
         }
         const i64 mc = n / 2 + 1;
+        if (at > nops - (10 * mc - 3)) /* the six arrays below */
+            return 0;
         L->nc[d] = mc, L->ne[d] = (n + 1) / 2, L->st[d] = 2;
-        if (ops) { /* else only the sizes are wanted */
+        if (ops) {
             const double *p = ops + at;
             L->wl[d] = p, L->wr[d] = p + (mc - 1), L->bands[d] = p + 2 * (mc - 1);
             L->lower[d] = L->bands[d] + 5 * mc, L->cp[d] = L->lower[d] + (mc - 1);
@@ -197,6 +179,25 @@ INLINE i64 cpos(const Level *L, i64 d, i64 i)
     return i < L->ne[d] ? L->st[d] * i : L->n[d] - 1;
 }
 
+/* Where an operand holds a level's nodes: node i along d sits i * s[d] elements
+ * in while i < e[d], else at t[d] — the last node of an axis that is not 2^k + 1
+ * long, when the operand is the whole field and the level a coarser one. */
+typedef struct { i64 s[MAXD], e[MAXD], t[MAXD]; } Map;
+
+INLINE i64 place(const Map *m, i64 d, i64 i)
+{
+    return i < m->e[d] ? i * m->s[d] : m->t[d];
+}
+
+/* a C-order array of the given shape; returns its size */
+static i64 packed(Map *m, const i64 *shape, i64 nd)
+{
+    i64 p = 1;
+    for (i64 d = nd - 1; d >= 0; p *= shape[d--])
+        m->s[d] = p, m->e[d] = INT64_MAX, m->t[d] = 0;
+    return p;
+}
+
 /* the last axis after a0 but skip, -1 when there is none: the walks' inner loop */
 INLINE i64 inner_axis(const Level *L, i64 skip)
 {
@@ -204,27 +205,28 @@ INLINE i64 inner_axis(const Level *L, i64 skip)
     return d > L->a0 ? d : -1;
 }
 
-/* C strides of the level's nodes after a0 (its planes), from dim `from` on
+/* the level's nodes after a0 (a plane) as a C-order array, from dim `from` on
  * coarse nodes only; returns the plane's size */
-static i64 plane_strides(const Level *L, i64 *s, i64 from)
+static i64 plane_map(const Level *L, Map *m, i64 from)
 {
-    i64 p = 1;
-    for (i64 d = L->nd - 1; d > L->a0; d--)
-        s[d] = p, p *= d >= from ? L->nc[d] : L->n[d];
-    return p;
+    i64 sh[MAXD];
+    for (i64 d = 0; d < L->nd; d++)
+        sh[d] = d <= L->a0 ? 1 : d >= from ? L->nc[d] : L->n[d];
+    return packed(m, sh, L->nd);
 }
 
 /* Every index of the dims lo <= d < hi but skip and inner, of dim `coarse` and
- * later only the coarse nodes; operand o (strides s[o]) is addressed at those
+ * later only the coarse nodes; operand o (map m[o]) is addressed at those
  * nodes' positions where bit o of `at` is set, else at their coarse indices. */
 typedef struct {
     const Level *L;
-    i64 k, nops, dim[MAXD], cnt[MAXD], idx[MAXD], s[3][MAXD], off[3];
+    const Map *m[3];
+    i64 k, nops, dim[MAXD], cnt[MAXD], idx[MAXD], off[3];
     int pos[3][MAXD];
 } Rows;
 
 static void rows_init(Rows *r, const Level *L, i64 lo, i64 hi, i64 skip, i64 inner, i64 coarse,
-                      i64 nops, const i64 *const *s, int at)
+                      i64 nops, const Map *const *m, int at)
 {
     r->L = L, r->k = 0, r->nops = nops;
     for (i64 d = lo; d < hi; d++) {
@@ -234,10 +236,10 @@ static void rows_init(Rows *r, const Level *L, i64 lo, i64 hi, i64 skip, i64 inn
         const int co = d >= coarse;
         r->dim[j] = d, r->cnt[j] = co ? L->nc[d] : L->n[d], r->idx[j] = 0;
         for (i64 o = 0; o < nops; o++)
-            r->s[o][j] = s[o][d], r->pos[o][j] = co && (at >> o & 1);
+            r->pos[o][j] = co && (at >> o & 1);
     }
     for (i64 o = 0; o < nops; o++)
-        r->off[o] = 0;
+        r->m[o] = m[o], r->off[o] = 0;
 }
 
 static int rows_next(Rows *r)
@@ -247,7 +249,8 @@ static int rows_next(Rows *r)
             for (i64 o = 0; o < r->nops; o++) {
                 i64 off = 0;
                 for (i64 t = 0; t < r->k; t++)
-                    off += (r->pos[o][t] ? cpos(r->L, r->dim[t], r->idx[t]) : r->idx[t]) * r->s[o][t];
+                    off += place(r->m[o], r->dim[t],
+                                 r->pos[o][t] ? cpos(r->L, r->dim[t], r->idx[t]) : r->idx[t]);
                 r->off[o] = off;
             }
             return 1;
@@ -262,54 +265,46 @@ static int rows_next(Rows *r)
  * along e — the slab thomas_solve checks */
 static int block_axis(const Level *L, i64 d, const double *a, double *b, i64 nd, i64 *sh, i64 e)
 {
-    i64 sa[MAXD], sb[MAXD], p = 1, q = 1;
+    Level B = {.nd = nd};
+    Map Ma, Mb;
+    const Map *m2[2] = {&Ma, &Mb};
     const i64 m = sh[e], mc = L->nc[d], in = e != nd - 1 ? nd - 1 : nd - 2;
-    for (i64 k = nd - 1; k >= 0; k--)
-        sa[k] = p, sb[k] = q, p *= sh[k], q *= k == e ? mc : sh[k];
+    packed(&Ma, sh, nd);
     sh[e] = mc;
-    Odometer o = {.n = 0, .a = 0, .b = 0};
+    packed(&Mb, sh, nd);
     for (i64 k = 0; k < nd; k++)
-        if (k != e && k != in)
-            o.shape[o.n] = sh[k], o.sa[o.n] = sa[k], o.sb[o.n] = sb[k], o.idx[o.n++] = 0;
-    const i64 n = in >= 0 ? sh[in] : 1, fi = in >= 0 ? sa[in] : 1, oi = in >= 0 ? sb[in] : 1;
+        B.n[k] = sh[k];
+    Rows o;
+    rows_init(&o, &B, 0, nd, e, in, nd, 2, m2, 0);
+    const i64 n = in >= 0 ? sh[in] : 1, fi = in >= 0 ? Ma.s[in] : 1, oi = in >= 0 ? Mb.s[in] : 1;
+    const i64 sa = Ma.s[e], sb = Mb.s[e];
     int finite = 1;
     do {
         BLOCKS(j0, jn, n) {
-            const double *f = a + o.a + j0 * fi;
-            double *z = b + o.b + j0 * oi;
+            const double *f = a + o.off[0] + j0 * fi;
+            double *z = b + o.off[1] + j0 * oi;
             if (fi == 1 && oi == 1) {
-                mass_transfer_rows(f, z, m, mc, jn, sa[e], 1, sb[e], 1, L->bands[d]);
-                thomas_rows(z, mc, jn, sb[e], 1, L->lower[d], L->cp[d], L->denom[d]);
+                mass_transfer_rows(f, z, m, mc, jn, sa, 1, sb, 1, L->bands[d]);
+                thomas_rows(z, mc, jn, sb, 1, L->lower[d], L->cp[d], L->denom[d]);
             } else {
-                mass_transfer_rows(f, z, m, mc, jn, sa[e], fi, sb[e], oi, L->bands[d]);
-                thomas_rows(z, mc, jn, sb[e], oi, L->lower[d], L->cp[d], L->denom[d]);
+                mass_transfer_rows(f, z, m, mc, jn, sa, fi, sb, oi, L->bands[d]);
+                thomas_rows(z, mc, jn, sb, oi, L->lower[d], L->cp[d], L->denom[d]);
             }
             for (i64 j = 0; j < jn; j++)
                 finite &= isfinite(z[j * oi]) != 0;
         }
-    } while (odo_next(&o));
+    } while (rows_next(&o));
     return finite;
 }
 
 /* rows of pass A / B: a0's coarse nodes, planes of P nodes, K planes a block */
 static void correct_sizes(const Level *L, i64 *P, i64 *K)
 {
-    i64 s[MAXD];
-    *P = plane_strides(L, s, L->nd);
+    Map m;
+    *P = plane_map(L, &m, L->nd);
     *K = *P >= PLANE_BLOCK ? 1 : PLANE_BLOCK / *P;
     if (*K > L->nc[L->a0])
         *K = L->nc[L->a0];
-}
-
-/* doubles of scratch the entries need for level lv; -1 for a descriptor they refuse */
-i64 level_scratch(const i64 *lv)
-{
-    Level L;
-    i64 P, K;
-    if (!level_init(&L, lv, 0))
-        return -1;
-    correct_sizes(&L, &P, &K);
-    return (L.nc[L.a0] + 5 + 4 * K) * P; /* A, the ring, two blocks, two block images */
 }
 
 /* the stencil along a0 of coarse node j and the forward sweep's step: planes
@@ -339,6 +334,67 @@ INLINE void stencil_forward(double *restrict z, const double *zp, i64 P, const d
     }
 }
 
+/* The walk's table, grid.py's TensorHierarchy.refactor_walk: nd, L, the length
+ * of ops, the field's shape; then per level l = 0..L a record: its lv, then per
+ * axis the field's index step between its nodes and how many of them lie on
+ * that progression (the rest, at most one, is the axis' last node). */
+#define RECORD(tab, l) ((tab) + 3 + (tab)[0] + (l) * (1 + 4 * (tab)[0]))
+
+/* the level passes' scratch, the largest coarse level's size into *slot; -1
+ * for a table whose arrays would not fit the field */
+static i64 walk_sizes(const i64 *tab, i64 *slot)
+{
+    const i64 nd = tab[0], nl = tab[1], *n = tab + 3;
+    i64 scratch = 0;
+    if (nd < 1 || nd > MAXD || nl < 1)
+        return -1;
+    *slot = 0;
+    for (i64 l = 0; l <= nl; l++) {
+        const i64 *r = RECORD(tab, l), *step = r + 1 + 2 * nd, *e = step + nd;
+        i64 size = 1, P, K, need;
+        Level L;
+        if (r[0] != nd)
+            return -1;
+        for (i64 d = 0; d < nd; d++) {
+            const i64 m = r[1 + d];
+            if (n[d] < 1 || step[d] < 1 || e[d] < 1 || m < e[d] || m > e[d] + 1
+                || e[d] - 1 > (n[d] - 1) / step[d] || (l == nl && (m != n[d] || step[d] != 1))
+                || (l == 0 && r[1 + nd + d] >= 0))
+                return -1;
+            size *= m;
+        }
+        *slot = l < nl && size > *slot ? size : *slot;
+        if (l == 0)
+            continue;
+        if (!level_init(&L, r, 0, tab[2]))
+            return -1;
+        for (i64 d = 0; d < nd; d++)
+            if (L.nc[d] != RECORD(tab, l - 1)[1 + d])
+                return -1;
+        correct_sizes(&L, &P, &K);
+        need = (L.nc[L.a0] + 5 + 4 * K) * P; /* A, the ring, two blocks, two images */
+        scratch = need > scratch ? need : scratch;
+    }
+    return scratch;
+}
+
+/* the work of a walk with `slots` packed arrays of the largest coarse level */
+i64 walk_doubles(const i64 *tab, i64 slots)
+{
+    i64 slot, scratch = walk_sizes(tab, &slot);
+    return scratch < 0 ? -1 : slots * slot + scratch;
+}
+
+/* level l of the field (strides s), or the field itself at l = L */
+static void level_map(Map *m, const i64 *tab, i64 l, const i64 *s)
+{
+    const i64 nd = tab[0], *n = tab + 3, *step = RECORD(tab, l) + 1 + 2 * nd;
+    for (i64 d = 0; d < nd; d++)
+        m->s[d] = s[d] * step[d], m->e[d] = step[nd + d], m->t[d] = (n[d] - 1) * s[d];
+}
+
+/* The level passes.  Of their operands only c, a level of the field, may hold a
+ * tail node; v, vc, vn and out are the whole field or packed. */
 #define LEVEL_KERNELS(T, S)                                                                \
                                                                                            \
 /* detail node 2i+1 <- wl[i]*node 2i + wr[i]*node 2i+2, summed in double */                \
@@ -369,19 +425,19 @@ static void fill_run_##S(T *p, i64 nd, i64 n, i64 sm, i64 si, const double *wl, 
     }                                                                                      \
 }                                                                                          \
                                                                                            \
-/* interpolate_coarse's fills after a0 on one plane p (strides s) whose coarse             \
+/* interpolate_coarse's fills after a0 on one plane p (map MI) whose coarse                \
  * nodes hold their values: along each coarsening axis k in turn, on the rows              \
  * that are coarse in the later axes */                                                    \
-static void fills_##S(const Level *L, T *p, const i64 *s)                                  \
+static void fills_##S(const Level *L, T *p, const Map *MI)                                 \
 {                                                                                          \
-    const i64 *ss[1] = {s};                                                                \
+    const i64 *s = MI->s;                                                                  \
     for (i64 k = L->a0 + 1; k < L->nd; k++) {                                              \
         if (L->st[k] == 1)                                                                 \
             continue;                                                                      \
         const i64 in = inner_axis(L, k), nd = L->n[k] - L->nc[k];                          \
         const double *wl = L->wl[k], *wr = L->wr[k];                                       \
         Rows r;                                                                            \
-        rows_init(&r, L, L->a0 + 1, L->nd, k, in, k + 1, 1, ss, 1);                        \
+        rows_init(&r, L, L->a0 + 1, L->nd, k, in, k + 1, 1, &MI, 1);                       \
         do {                                                                               \
             T *q = p + r.off[0];                                                           \
             if (in < 0)                                                                    \
@@ -397,16 +453,17 @@ static void fills_##S(const Level *L, T *p, const i64 *s)                       
     }                                                                                      \
 }                                                                                          \
                                                                                            \
-/* interpolate_coarse on the plane I (strides sI): the coarse nodes after a0 take          \
- * u0's values (strides su; at their positions where `pos`, else at coarse indices)        \
+/* interpolate_coarse on the plane I (map MI): the coarse nodes after a0 take              \
+ * u0's values (map Mu; at their positions where `pos`, else at coarse indices)            \
  * or, for a detail plane of a0, wl*u0 + wr*u1; then the other axes' fills */              \
-static void interp_plane_##S(const Level *L, T *I, const i64 *sI, const T *u0, const T *u1,\
-                             const i64 *su, int pos, double wl, double wr)                 \
+static void interp_plane_##S(const Level *L, T *I, const Map *MI, const T *u0, const T *u1,\
+                             const Map *Mu, int pos, double wl, double wr)                 \
 {                                                                                          \
     const i64 in = inner_axis(L, -1), ni = in >= 0 ? L->nc[in] : 1;                        \
-    const i64 Ii = in >= 0 ? sI[in] : 0, ui = in >= 0 ? su[in] : 0, *s2[2] = {sI, su};     \
+    const i64 Ii = in >= 0 ? MI->s[in] : 0, ui = in >= 0 ? Mu->s[in] : 0;                  \
+    const Map *m2[2] = {MI, Mu};                                                           \
     Rows r;                                                                                \
-    rows_init(&r, L, L->a0 + 1, L->nd, -1, in, L->a0 + 1, 2, s2, pos ? 3 : 1);             \
+    rows_init(&r, L, L->a0 + 1, L->nd, -1, in, L->a0 + 1, 2, m2, pos ? 3 : 1);             \
     do {                                                                                   \
         T *Ir = I + r.off[0];                                                              \
         for (i64 i = 0; i < ni; i++) {                                                     \
@@ -414,135 +471,145 @@ static void interp_plane_##S(const Level *L, T *I, const i64 *sI, const T *u0, c
             Ir[x * Ii] = u1 ? (T)(wl * (double)u0[y] + wr * (double)u1[y]) : u0[y];        \
         }                                                                                  \
     } while (rows_next(&r));                                                               \
-    fills_##S(L, I, sI);                                                                   \
+    fills_##S(L, I, MI);                                                                   \
 }                                                                                          \
                                                                                            \
 /* decompose: c = v - interpolate_coarse(v[coarse]) of the level, in T; the                \
  * interpolant is built in scratch, one plane */                                           \
-i64 coefficients_##S(const i64 *lv, const double *ops, const T *v, const i64 *sv, T *c,    \
-                     const i64 *sc, double *scratch, i64 len)                              \
+PASS void coefficients_##S(const Level *L, const T *v, const Map *Mv, T *c,              \
+                             const Map *Mc, double *scratch)                               \
 {                                                                                          \
-    Level L;                                                                               \
-    i64 sI[MAXD];                                                                          \
-    if (!level_init(&L, lv, ops) || len < plane_strides(&L, sI, L.nd))                     \
-        return -1;                                                                         \
-    const i64 a0 = L.a0, nd = L.nd, m0 = L.n[a0], in = inner_axis(&L, -1);                 \
-    const i64 nf = in >= 0 ? L.n[in] : 1, ci = in >= 0 ? sc[in] : 0;                       \
-    const i64 vi = in >= 0 ? sv[in] : 0;                                                   \
-    const i64 *s2[2] = {sc, sv}, *s3[3] = {sc, sv, sI};                                    \
+    Map MI;                                                                                \
+    plane_map(L, &MI, L->nd);                                                              \
+    const i64 a0 = L->a0, nd = L->nd, m0 = L->n[a0], in = inner_axis(L, -1);               \
+    const i64 nf = in >= 0 ? L->n[in] : 1, ci = in >= 0 ? Mc->s[in] : 0;                   \
+    const i64 vi = in >= 0 ? Mv->s[in] : 0, ne = in >= 0 && Mc->e[in] < nf ? Mc->e[in] : nf; \
+    const Map *m2[2] = {Mc, Mv}, *m3[3] = {Mc, Mv, &MI};                                   \
     T *I = (T *)(void *)scratch;                                                           \
     Rows b;                                                                                \
-    rows_init(&b, &L, 0, a0, -1, -1, nd, 2, s2, 0);                                        \
+    rows_init(&b, L, 0, a0, -1, -1, nd, 2, m2, 0);                                         \
     do {                                                                                   \
+        const T *vb = v + b.off[1];                                                        \
         for (i64 p = 0; p < m0; p++) {                                                     \
-            T *cp_ = c + b.off[0] + p * sc[a0];                                            \
-            const T *vp = v + b.off[1] + p * sv[a0];                                       \
+            T *cp_ = c + b.off[0] + place(Mc, a0, p);                                      \
+            const T *vp = vb + place(Mv, a0, p);                                           \
             if (p % 2 && p != m0 - 1)                                                      \
-                interp_plane_##S(&L, I, sI, vp - sv[a0], vp + sv[a0], sv, 1,               \
-                                 L.wl[a0][p / 2], L.wr[a0][p / 2]);                        \
+                interp_plane_##S(L, I, &MI, vb + place(Mv, a0, p - 1),                     \
+                                 vb + place(Mv, a0, p + 1), Mv, 1, L->wl[a0][p / 2],       \
+                                 L->wr[a0][p / 2]);                                        \
             else                                                                           \
-                interp_plane_##S(&L, I, sI, vp, 0, sv, 1, 0.0, 0.0);                       \
+                interp_plane_##S(L, I, &MI, vp, 0, Mv, 1, 0.0, 0.0);                       \
             Rows r;                                                                        \
-            rows_init(&r, &L, a0 + 1, nd, -1, in, nd, 3, s3, 0);                           \
+            rows_init(&r, L, a0 + 1, nd, -1, in, nd, 3, m3, 0);                            \
             do { /* I's inner stride is 1 */                                               \
                 T *cr = cp_ + r.off[0];                                                    \
                 const T *vr = vp + r.off[1], *Ir = I + r.off[2];                           \
-                if (ci == 1 && vi == 1)                                                    \
+                if (ci == 1 && vi == 1 && ne == nf)                                        \
                     for (i64 i = 0; i < nf; i++)                                           \
                         cr[i] = vr[i] - Ir[i];                                             \
-                else                                                                       \
-                    for (i64 i = 0; i < nf; i++)                                           \
+                else {                                                                     \
+                    for (i64 i = 0; i < ne; i++)                                           \
                         cr[i * ci] = vr[i * vi] - Ir[i];                                   \
+                    for (i64 i = ne; i < nf; i++)                                          \
+                        cr[place(Mc, in, i)] = vr[place(Mv, in, i)] - Ir[i];               \
+                }                                                                          \
             } while (rows_next(&r));                                                       \
         }                                                                                  \
     } while (rows_next(&b));                                                               \
-    return 0;                                                                              \
+}                                                                                          \
+                                                                                           \
+INLINE void put_##S(void *out, i64 x, int out_T, double w)                                 \
+{                                                                                          \
+    if (out_T)                                                                             \
+        ((T *)out)[x] = (T)w;                                                              \
+    else                                                                                   \
+        ((double *)out)[x] = w;                                                            \
 }                                                                                          \
                                                                                            \
 /* recompose: out = c + interpolate_coarse(vc), then out[coarse] = vc; out is T            \
  * where out_T, else double; the interpolant is built in scratch, one plane */             \
-i64 restore_##S(const i64 *lv, const double *ops, const T *c, const i64 *sc,               \
-                const double *vc, const i64 *svc, void *out, const i64 *so, i64 out_T,     \
-                double *scratch, i64 len)                                                  \
+PASS void restore_##S(const Level *L, const T *c, const Map *Mc, const double *vc,       \
+                        const Map *Mvc, void *out, const Map *Mo, int out_T,               \
+                        double *scratch)                                                   \
 {                                                                                          \
-    Level L;                                                                               \
-    i64 sI[MAXD];                                                                          \
-    if (!level_init(&L, lv, ops) || len < plane_strides(&L, sI, L.nd))                     \
-        return -1;                                                                         \
-    const i64 a0 = L.a0, nd = L.nd, m0 = L.n[a0], in = inner_axis(&L, -1);                 \
-    const i64 ni = in >= 0 ? L.nc[in] : 1, nf = in >= 0 ? L.n[in] : 1;                     \
-    const i64 ki = in >= 0 ? svc[in] : 0, ci = in >= 0 ? sc[in] : 0;                       \
-    const i64 oi = in >= 0 ? so[in] : 0;                                                   \
-    const i64 *s3[3] = {so, sc, svc}, *sf[3] = {so, sc, sI}, *so2[2] = {so, svc};          \
+    Map MI;                                                                                \
+    plane_map(L, &MI, L->nd);                                                              \
+    const i64 a0 = L->a0, nd = L->nd, m0 = L->n[a0], in = inner_axis(L, -1);               \
+    const i64 ni = in >= 0 ? L->nc[in] : 1, nf = in >= 0 ? L->n[in] : 1;                   \
+    const i64 ci = in >= 0 ? Mc->s[in] : 0, oi = in >= 0 ? Mo->s[in] : 0;                  \
+    const i64 ki = in >= 0 ? Mvc->s[in] : 0, ne = in >= 0 && Mc->e[in] < nf ? Mc->e[in] : nf; \
+    const Map *m3[3] = {Mo, Mc, Mvc}, *mf[3] = {Mo, Mc, &MI}, *mo2[2] = {Mo, Mvc};         \
     T *ot = out;                                                                           \
     double *od = out;                                                                      \
     Rows b;                                                                                \
-    rows_init(&b, &L, 0, a0, -1, -1, nd, 3, s3, 0);                                        \
+    rows_init(&b, L, 0, a0, -1, -1, nd, 3, m3, 0);                                         \
     do {                                                                                   \
+        const double *vb = vc + b.off[2];                                                  \
         for (i64 p = 0; p < m0; p++) {                                                     \
             const int detail = p % 2 && p != m0 - 1;                                       \
-            const i64 j = detail || p % 2 == 0 ? p / 2 : L.nc[a0] - 1;                     \
-            const double *v0 = vc + b.off[2] + j * svc[a0];                                \
-            const i64 po = b.off[0] + p * so[a0];                                          \
-            const T *cp_ = c + b.off[1] + p * sc[a0];                                      \
-            interp_plane_f64(&L, scratch, sI, v0, detail ? v0 + svc[a0] : 0, svc, 0,       \
-                             detail ? L.wl[a0][j] : 0.0, detail ? L.wr[a0][j] : 0.0);      \
+            const i64 j = detail || p % 2 == 0 ? p / 2 : L->nc[a0] - 1;                    \
+            const double *v0 = vb + place(Mvc, a0, j);                                     \
+            const i64 po = b.off[0] + place(Mo, a0, p);                                    \
+            const T *cp_ = c + b.off[1] + place(Mc, a0, p);                                \
+            interp_plane_f64(L, scratch, &MI, v0, detail ? vb + place(Mvc, a0, j + 1) : 0, \
+                             Mvc, 0, detail ? L->wl[a0][j] : 0.0,                          \
+                             detail ? L->wr[a0][j] : 0.0);                                 \
             Rows r;                                                                        \
-            rows_init(&r, &L, a0 + 1, nd, -1, in, nd, 3, sf, 0);                           \
+            rows_init(&r, L, a0 + 1, nd, -1, in, nd, 3, mf, 0);                            \
             do {                                                                           \
                 const T *cr = cp_ + r.off[1];                                              \
                 const double *Ir = scratch + r.off[2];                                     \
                 const i64 at = po + r.off[0];                                              \
                 if (out_T)                                                                 \
-                    for (i64 i = 0; i < nf; i++)                                           \
+                    for (i64 i = 0; i < ne; i++)                                           \
                         ot[at + i * oi] = (T)((double)cr[i * ci] + Ir[i]);                 \
                 else                                                                       \
-                    for (i64 i = 0; i < nf; i++)                                           \
+                    for (i64 i = 0; i < ne; i++)                                           \
                         od[at + i * oi] = (double)cr[i * ci] + Ir[i];                      \
+                for (i64 i = ne; i < nf; i++)                                              \
+                    put_##S(out, at + place(Mo, in, i), out_T, (double)cr[place(Mc, in, i)] + Ir[i]); \
             } while (rows_next(&r));                                                       \
             if (detail)                                                                    \
                 continue;                                                                  \
-            rows_init(&r, &L, a0 + 1, nd, -1, in, a0 + 1, 2, so2, 1);                      \
+            rows_init(&r, L, a0 + 1, nd, -1, in, a0 + 1, 2, mo2, 1);                       \
             do { /* the coarse values, exactly */                                          \
                 const i64 at = po + r.off[0];                                              \
                 const double *u = v0 + r.off[1];                                           \
-                for (i64 i = 0; i < ni; i++) {                                             \
-                    const i64 x = at + (in >= 0 ? cpos(&L, in, i) : 0) * oi;               \
-                    if (out_T)                                                             \
-                        ot[x] = (T)u[i * ki];                                              \
-                    else                                                                   \
-                        od[x] = u[i * ki];                                                 \
-                }                                                                          \
+                for (i64 i = 0; i < ni; i++)                                               \
+                    put_##S(out, at + (in >= 0 ? cpos(L, in, i) : 0) * oi, out_T, u[i * ki]); \
             } while (rows_next(&r));                                                       \
         }                                                                                  \
     } while (rows_next(&b));                                                               \
-    return 0;                                                                              \
 }                                                                                          \
                                                                                            \
-/* node plane q of c along a0 as P contiguous doubles: c's own memory where it             \
- * is that already, else copied into dst, zero at its coarse nodes if asked */             \
-static const double *plane_##S(const Level *L, const T *c, const i64 *sc, const i64 *sI,   \
+/* node plane q of c along a0 as P contiguous doubles (map MI): c's own memory             \
+ * where it is that already, else copied into dst, zero at its coarse nodes if             \
+ * asked */                                                                                \
+static const double *plane_##S(const Level *L, const T *c, const Map *Mc, const Map *MI,   \
                                i64 q, int zero, double *dst)                               \
 {                                                                                          \
     const i64 a0 = L->a0, nd = L->nd, in = inner_axis(L, -1);                              \
-    const T *cq = c + q * sc[a0];                                                          \
+    const T *cq = c + place(Mc, a0, q);                                                    \
     int direct = sizeof(T) == sizeof(double) && !zero;                                     \
     for (i64 d = a0 + 1; d < nd; d++)                                                      \
-        direct &= sc[d] == sI[d];                                                          \
+        direct &= Mc->s[d] == MI->s[d] && Mc->e[d] >= L->n[d];                             \
     if (direct)                                                                            \
         return (const double *)(const void *)cq;                                           \
-    const i64 *s2[2] = {sI, sc}, *s1[1] = {sI};                                            \
-    const i64 nf = in >= 0 ? L->n[in] : 1, ci = in >= 0 ? sc[in] : 0;                      \
+    const Map *m2[2] = {MI, Mc};                                                           \
+    const i64 nf = in >= 0 ? L->n[in] : 1, ci = in >= 0 ? Mc->s[in] : 0;                   \
+    const i64 ne = in >= 0 && Mc->e[in] < nf ? Mc->e[in] : nf;                             \
     Rows r;                                                                                \
-    rows_init(&r, L, a0 + 1, nd, -1, in, nd, 2, s2, 0);                                    \
+    rows_init(&r, L, a0 + 1, nd, -1, in, nd, 2, m2, 0);                                    \
     do {                                                                                   \
         double *o = dst + r.off[0];                                                        \
         const T *x = cq + r.off[1];                                                        \
-        for (i64 i = 0; i < nf; i++)                                                       \
+        for (i64 i = 0; i < ne; i++)                                                       \
             o[i] = (double)x[i * ci];                                                      \
+        for (i64 i = ne; i < nf; i++)                                                      \
+            o[i] = (double)x[place(Mc, in, i)];                                            \
     } while (rows_next(&r));                                                               \
     if (zero) {                                                                            \
-        rows_init(&r, L, a0 + 1, nd, -1, in, a0 + 1, 1, s1, 1);                            \
+        rows_init(&r, L, a0 + 1, nd, -1, in, a0 + 1, 1, &MI, 1);                           \
         do                                                                                 \
             for (i64 i = 0; i < (in >= 0 ? L->nc[in] : 1); i++)                            \
                 dst[r.off[0] + (in >= 0 ? cpos(L, in, i) : 0)] = 0.0;                      \
@@ -554,29 +621,26 @@ static const double *plane_##S(const Level *L, const T *c, const i64 *sc, const 
 /* dir > 0 (decompose): vn = v[coarse] + Q(c), v of type T, the level's shape;             \
  * dir < 0 (recompose): vn = v - Q(c with zeros at the coarse nodes), v of type            \
  * double, the coarse level's shape.  vn has the coarse level's shape.  Returns            \
- * 1 where thomas_solve raises (a slab at node 0 is not finite), 0, or -1. */              \
-i64 correct_##S(const i64 *lv, const double *ops, i64 dir, const T *c, const i64 *sc,      \
-                const void *v, const i64 *sv, double *vn, const i64 *svn, double *scratch, \
-                i64 len)                                                                   \
+ * 1 where thomas_solve raises (a slab at node 0 is not finite), else 0. */                \
+PASS int correct_##S(const Level *L, i64 dir, const T *c, const Map *Mc, const void *v,  \
+                       const Map *Mv, double *vn, const Map *Mvn, double *scratch)         \
 {                                                                                          \
-    Level L;                                                                               \
-    i64 P, K, sI[MAXD], sZ[MAXD];                                                          \
-    if (!level_init(&L, lv, ops) || len < level_scratch(lv))                               \
-        return -1;                                                                         \
-    correct_sizes(&L, &P, &K);                                                             \
-    plane_strides(&L, sI, L.nd);                                                           \
-    const i64 Pc = plane_strides(&L, sZ, L.a0 + 1);                                        \
-    const i64 a0 = L.a0, nd = L.nd, m0 = L.n[a0], mc0 = L.nc[a0], ne0 = L.ne[a0];          \
-    const i64 in = inner_axis(&L, -1), ni = in >= 0 ? L.nc[in] : 1;                        \
-    const i64 vi = in >= 0 ? sv[in] : 0, ni_ = in >= 0 ? svn[in] : 0;                      \
-    const i64 zi = in >= 0 ? sZ[in] : 0;                                                   \
-    const double *bands = L.bands[a0];                                                     \
+    i64 P, K;                                                                              \
+    Map MI, MZ;                                                                            \
+    correct_sizes(L, &P, &K);                                                              \
+    plane_map(L, &MI, L->nd);                                                              \
+    const i64 Pc = plane_map(L, &MZ, L->a0 + 1);                                           \
+    const i64 a0 = L->a0, nd = L->nd, m0 = L->n[a0], mc0 = L->nc[a0], ne0 = L->ne[a0];     \
+    const i64 in = inner_axis(L, -1), ni = in >= 0 ? L->nc[in] : 1;                        \
+    const i64 vi = in >= 0 ? Mv->s[in] : 0, ni_ = in >= 0 ? Mvn->s[in] : 0;                \
+    const i64 zi = in >= 0 ? MZ.s[in] : 0;                                                 \
+    const double *bands = L->bands[a0];                                                    \
     double *A = scratch, *ring = A + mc0 * P, *X[2], *W[2];                                \
     X[0] = ring + 5 * P, X[1] = X[0] + K * P, W[0] = X[1] + K * P, W[1] = W[0] + K * P;    \
-    const i64 *s3[3] = {sc, sv, svn}, *sr[3] = {svn, sZ, sv};                              \
+    const Map *m3[3] = {Mc, Mv, Mvn}, *mr[3] = {Mvn, &MZ, Mv};                             \
     int finite = 1;                                                                        \
     Rows b;                                                                                \
-    rows_init(&b, &L, 0, a0, -1, -1, nd, 3, s3, 0);                                        \
+    rows_init(&b, L, 0, a0, -1, -1, nd, 3, m3, 0);                                         \
     do {                                                                                   \
         const T *cb = c + b.off[0];                                                        \
         i64 held[5] = {-1, -1, -1, -1, -1};                                                \
@@ -595,14 +659,14 @@ i64 correct_##S(const i64 *lv, const double *ops, i64 dir, const T *c, const i64
                     continue;                                                              \
                 if (held[q % 5] != q)                                                      \
                     held[q % 5] = q,                                                       \
-                    slot[q % 5] = plane_##S(&L, cb, sc, sI, q, dir < 0 && (q % 2 == 0      \
+                    slot[q % 5] = plane_##S(L, cb, Mc, &MI, q, dir < 0 && (q % 2 == 0      \
                                             || q == m0 - 1), ring + (q % 5) * P);          \
                 x[k] = slot[q % 5];                                                        \
             }                                                                              \
             for (i64 k = 0; k < 5; k++)                                                    \
                 w[k] = bands[k * mc0 + j];                                                 \
             stencil_forward(A + j * P, j ? A + (j - 1) * P : 0, P, x, w,                   \
-                            j ? L.lower[a0][j - 1] : 0.0, L.denom[a0][j]);                 \
+                            j ? L->lower[a0][j - 1] : 0.0, L->denom[a0][j]);               \
         }                                                                                  \
         /* pass B: back substitution a block at a time, the other axes, the add */         \
         const double *carry = 0;                                                           \
@@ -612,7 +676,7 @@ i64 correct_##S(const i64 *lv, const double *ops, i64 dir, const T *c, const i64
             for (i64 j = j1 - 1; j >= j0; j--) {                                           \
                 double *z = buf + (j - j0) * P;                                            \
                 const double *a = A + j * P;                                               \
-                const double *nx = j + 1 < j1 ? z + P : carry, cj = L.cp[a0][j];           \
+                const double *nx = j + 1 < j1 ? z + P : carry, cj = L->cp[a0][j];          \
                 if (j == mc0 - 1)                                                          \
                     for (i64 i = 0; i < P; i++)                                            \
                         z[i] = a[i];                                                       \
@@ -627,29 +691,29 @@ i64 correct_##S(const i64 *lv, const double *ops, i64 dir, const T *c, const i64
             i64 sh[MAXD], e = 0;                                                           \
             sh[0] = j1 - j0;                                                               \
             for (i64 d = a0 + 1; d < nd; d++)                                              \
-                sh[d - a0] = L.n[d];                                                       \
+                sh[d - a0] = L->n[d];                                                      \
             const double *z = buf;                                                         \
             for (i64 d = a0 + 1; d < nd; d++) {                                            \
-                if (L.st[d] == 1)                                                          \
+                if (L->st[d] == 1)                                                         \
                     continue;                                                              \
-                finite &= block_axis(&L, d, z, W[e], nd - a0, sh, d - a0);                 \
+                finite &= block_axis(L, d, z, W[e], nd - a0, sh, d - a0);                  \
                 z = W[e], e ^= 1;                                                          \
             }                                                                              \
             for (i64 j = j0; j < j1; j++) { /* the restrict-and-add */                     \
-                double *vp = vn + b.off[2] + j * svn[a0];                                  \
+                double *vp = vn + b.off[2] + place(Mvn, a0, j);                            \
                 const double *zp = z + (j - j0) * Pc;                                      \
                 Rows r;                                                                    \
-                rows_init(&r, &L, a0 + 1, nd, -1, in, a0 + 1, 3, sr, dir > 0 ? 4 : 0);     \
+                rows_init(&r, L, a0 + 1, nd, -1, in, a0 + 1, 3, mr, dir > 0 ? 4 : 0);      \
                 if (dir > 0) {                                                             \
-                    const T *vv = (const T *)v + b.off[1] + cpos(&L, a0, j) * sv[a0];      \
+                    const T *vv = (const T *)v + b.off[1] + place(Mv, a0, cpos(L, a0, j)); \
                     do                                                                     \
                         for (i64 i = 0; i < ni; i++)                                       \
                             vp[r.off[0] + i * ni_] = (double)vv[r.off[2]                   \
-                                + (in >= 0 ? cpos(&L, in, i) : 0) * vi]                    \
+                                + (in >= 0 ? cpos(L, in, i) : 0) * vi]                     \
                                 + zp[r.off[1] + i * zi];                                   \
                     while (rows_next(&r));                                                 \
                 } else {                                                                   \
-                    const double *vv = (const double *)v + b.off[1] + j * sv[a0];          \
+                    const double *vv = (const double *)v + b.off[1] + place(Mv, a0, j);    \
                     do                                                                     \
                         for (i64 i = 0; i < ni; i++)                                       \
                             vp[r.off[0] + i * ni_] = vv[r.off[2] + i * vi]                 \
@@ -663,6 +727,102 @@ i64 correct_##S(const i64 *lv, const double *ops, i64 dir, const T *c, const i64
     return !finite;                                                                        \
 }                                                                                          \
                                                                                            \
+/* a level's nodes (shape) between the packed doubles p and a, map Ma: p <- a              \
+ * when gather, else a <- p, rounded to T */                                               \
+PASS void level_copy_##S(const i64 *shape, i64 nd, double *p, T *a, const Map *Ma,       \
+                           int gather)                                                     \
+{                                                                                          \
+    Level sh = {.nd = nd};                                                                 \
+    Map Mp;                                                                                \
+    for (i64 d = 0; d < nd; d++)                                                           \
+        sh.n[d] = shape[d];                                                                \
+    packed(&Mp, shape, nd);                                                                \
+    const Map *m2[2] = {&Mp, Ma};                                                          \
+    Rows r;                                                                                \
+    rows_init(&r, &sh, 0, nd, -1, nd - 1, nd, 2, m2, 0);                                   \
+    do                                                                                     \
+        for (i64 i = 0; i < shape[nd - 1]; i++) {                                          \
+            double *q = p + r.off[0] + i;                                                  \
+            T *x = a + r.off[1] + place(Ma, nd - 1, i);                                    \
+            if (gather)                                                                    \
+                *q = (double)*x;                                                           \
+            else                                                                           \
+                *x = (T)*q;                                                                \
+        }                                                                                  \
+    while (rows_next(&r));                                                                 \
+}                                                                                          \
+                                                                                           \
+/* The walks return 0, the level whose correction met a non-finite slab (where            \
+ * thomas_solve raises), or -1 for a table or work they refuse.  decompose x               \
+ * (strides sx) into the C-order out, each level's coefficients where its nodes            \
+ * are — through a double slot, rounded once, for float — and level 0's values             \
+ * last; work: 2 slots (3 for float) and the scratch. */                                   \
+i64 decompose_##S(const i64 *tab, const double *ops, const T *x, const i64 *sx, T *out,    \
+                  double *work, i64 len)                                                   \
+{                                                                                          \
+    const i64 nd = tab[0], nl = tab[1], narrow = sizeof(T) != sizeof(double);              \
+    i64 slot, need = walk_sizes(tab, &slot);                                               \
+    if (need < 0 || len < need + (2 + narrow) * slot)                                      \
+        return -1;                                                                         \
+    double *s[3] = {work, work + slot, work + 2 * slot}, *scratch = work + (2 + narrow) * slot; \
+    double *v = 0, *c = narrow ? s[2] : (double *)(void *)out;                             \
+    Map Mo, Mx, Mv, Mc, Mn, Mp;                                                            \
+    packed(&Mo, tab + 3, nd);                                                           \
+    level_map(&Mx, tab, nl, sx);                                                           \
+    for (i64 l = nl; l >= 1; l--) { /* levels were checked by walk_sizes */                \
+        const i64 *lv = RECORD(tab, l);                                                    \
+        double *vn = s[(nl - l) % 2];                                                      \
+        Level L;                                                                           \
+        int bad;                                                                           \
+        level_init(&L, lv, ops, tab[2]);                                                   \
+        level_map(&Mc, tab, l, Mo.s);                                                      \
+        packed(&Mn, RECORD(tab, l - 1) + 1, nd);                                           \
+        packed(&Mp, lv + 1, nd);                                                           \
+        if (l == nl) {                                                                     \
+            coefficients_##S(&L, x, &Mx, out, &Mc, scratch);                               \
+            bad = correct_##S(&L, 1, out, &Mc, x, &Mx, vn, &Mn, scratch);                  \
+        } else {                                                                           \
+            coefficients_f64(&L, v, &Mv, c, narrow ? &Mp : &Mc, scratch);                  \
+            bad = correct_f64(&L, 1, c, narrow ? &Mp : &Mc, v, &Mv, vn, &Mn, scratch);     \
+        }                                                                                  \
+        if (bad)                                                                           \
+            return l;                                                                      \
+        if (narrow && l < nl)                                                              \
+            level_copy_##S(lv + 1, nd, c, out, &Mc, 0);                                    \
+        v = vn, Mv = Mn;                                                                   \
+    }                                                                                      \
+    level_map(&Mc, tab, 0, Mo.s);                                                          \
+    level_copy_##S(RECORD(tab, 0) + 1, nd, v, out, &Mc, 0);                                \
+    return 0;                                                                              \
+}                                                                                          \
+                                                                                           \
+/* recompose y (strides sy), each level read where its nodes are, into the C-order         \
+ * out; work: 2 slots and the scratch. */                                                  \
+i64 recompose_##S(const i64 *tab, const double *ops, const T *y, const i64 *sy, T *out,    \
+                  double *work, i64 len)                                                   \
+{                                                                                          \
+    const i64 nd = tab[0], nl = tab[1];                                                    \
+    i64 slot, need = walk_sizes(tab, &slot);                                               \
+    if (need < 0 || len < need + 2 * slot)                                                 \
+        return -1;                                                                         \
+    double *vc = work, *v = work + slot, *scratch = work + 2 * slot;                       \
+    Map Mc, Mv, Mo;                                                                        \
+    level_map(&Mc, tab, 0, sy);                                                            \
+    level_copy_##S(RECORD(tab, 0) + 1, nd, v, (T *)y, &Mc, 1); /* read, never written */   \
+    for (i64 l = 1; l <= nl; l++) {                                                        \
+        const i64 *lv = RECORD(tab, l);                                                    \
+        Level L;                                                                           \
+        level_init(&L, lv, ops, tab[2]);                                                   \
+        level_map(&Mc, tab, l, sy);                                                        \
+        packed(&Mv, RECORD(tab, l - 1) + 1, nd);                                           \
+        if (correct_##S(&L, -1, y, &Mc, v, &Mv, vc, &Mv, scratch))                         \
+            return l;                                                                      \
+        packed(&Mo, lv + 1, nd);                                                           \
+        restore_##S(&L, y, &Mc, vc, &Mv, l == nl ? (void *)out : v, &Mo, l == nl, scratch);\
+    }                                                                                      \
+    return 0;                                                                              \
+}                                                                                          \
+                                                                                           \
 /* np.round(x * inv).astype(int64); the cast is the platform's, as NumPy's is */           \
 void quantize_##S(const T *x, const double *inv, i64 *out, i64 n)                          \
 {                                                                                          \
@@ -672,6 +832,7 @@ void quantize_##S(const T *x, const double *inv, i64 *out, i64 n)               
 
 LEVEL_KERNELS(double, f64)
 LEVEL_KERNELS(float, f32)
+
 
 /* bins.astype(float64) * scale */
 void dequantize(const i64 *bins, const double *scale, double *out, i64 n)

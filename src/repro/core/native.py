@@ -1,21 +1,18 @@
 """The compiled kernel backend: policy, loader and the C calls (``native.c``).
 
 The paper's contribution is hand-optimized kernels for the three
-refactoring operations; on the host they are the level steps of
-:mod:`repro.core` — two C entries per direction, each walking the level
-plane by plane along its first coarsening axis: the coefficients
-(:func:`level_coefficients`, :func:`level_restore`, taken inside
-``compute_coefficients`` / ``restore_from_coefficients``) and the fused
-correction (:func:`level_correct`, taken inside ``restrict_and_correct`` /
-``subtract_correction``) — and the class walks (:func:`class_walk`, with
-the quantizer fused in, and the de-quantizer fused into a scatter or into
-the stream writer's running sum of coefficients).  Each of those
-functions asks this module first: when the policy allows it, the library
-is loaded and the operands are native-endian, aligned float32/float64
-arrays, the loop runs in C;
-otherwise (float16, longdouble, byte-swapped input, no compiler) the
-function's own NumPy body runs.  Both give the same bits: the C performs
-the same operations in the same order, with contraction off.
+refactoring operations, launched back to back with no host round trip
+between levels; on the host that is one C call per field and direction
+(:func:`refactor`, taken inside ``decompose`` / ``recompose``), which walks
+every level of the hierarchy from the table ``TensorHierarchy.refactor_walk``
+builds once.  The class walks (:func:`class_walk`, with the quantizer fused
+in, and the de-quantizer fused into a scatter or into the stream writer's
+running sum of coefficients) take the same route.  Each of those functions
+asks this module first: when the policy allows it, the library is loaded
+and the operands are native-endian, aligned float32/float64 arrays, the
+loop runs in C; otherwise (float16, longdouble, byte-swapped input, no
+compiler) the function's own NumPy body runs.  Both give the same bits:
+the C performs the same operations in the same order, with contraction off.
 
 Once those are fast the entropy stage is what is left, so its integer
 loops take the same route from inside :mod:`repro.compress`: the Huffman
@@ -237,10 +234,9 @@ def _build(cc: str, src: bytes, target: Path) -> None:
 _P, _N = ctypes.c_void_p, ctypes.c_int64
 _WALK = (_P, _P, _P, _N, ctypes.c_double)
 _PROTOTYPES = {
-    "level_scratch": (_P,),
-    **{f"coefficients_{s}": (_P, _P, _P, _P, _P, _P, _P, _N) for s in _SUFFIX.values()},
-    **{f"restore_{s}": (_P, _P, _P, _P, _P, _P, _P, _P, _N, _P, _N) for s in _SUFFIX.values()},
-    **{f"correct_{s}": (_P, _P, _N, _P, _P, _P, _P, _P, _P, _P, _N) for s in _SUFFIX.values()},
+    "walk_doubles": (_P, _N),
+    **{f"{w}_{s}": (_P, _P, _P, _P, _P, _P, _N) for w in ("decompose", "recompose")
+       for s in _SUFFIX.values()},
     **{f"quantize_{s}": (_P, _P, _P, _N) for s in _SUFFIX.values()},
     "dequantize": (_P, _P, _P, _N),
     **{f"{w}_{s}": _WALK for w in ("gather", "scatter", "quantize_gather") for s in _SUFFIX.values()},
@@ -289,21 +285,21 @@ def _under_test(lib: ctypes.CDLL):
 
 
 def _self_check(lib: ctypes.CDLL) -> bool:
-    """Every entry of ``lib`` against the NumPy bodies: float32 decompositions
-    and float32 and float64 recompositions on a (5, 6) and a (3, 5, 6)
-    non-uniform grid (odd and even axes, a tail node, axes that stop
-    coarsening, a batch before the first coarsening axis) — every level entry
-    of both dtypes, both directions; the quantizer's passes; the class walks;
-    the Huffman entries."""
+    """Every entry of ``lib`` against the NumPy bodies: both level walks of
+    both dtypes — each must be taken — on a (5, 6) and a (3, 5, 6) non-uniform
+    grid (odd and even axes, tail nodes, axes that stop coarsening, a batch
+    before the first coarsening axis); the quantizer's passes; the class
+    walks; the Huffman entries."""
     from .decompose import decompose, recompose  # they import this module
     from .grid import TensorHierarchy
 
-    def agree(fn, *args) -> bool:
+    def agree(fn, *args, native_fn=None) -> bool:
         with forced("reference"):
             want = fn(*args)
         with _under_test(lib):
-            got = fn(*args)
-        return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+            got = (native_fn or fn)(*args)
+        return (got is not None and got.dtype == want.dtype and got.shape == want.shape
+                and np.array_equal(got, want))
 
     x = np.array([0.0, 0.11, 0.37, 0.52, 0.81, 1.0])
     hiers = [TensorHierarchy.from_shape(shape, tuple(x[:n] for n in shape))
@@ -312,8 +308,8 @@ def _self_check(lib: ctypes.CDLL) -> bool:
         values = np.sin(np.arange(1.0, 1.0 + np.prod(hier.shape))).reshape(hier.shape) * 3.7
         for dtype in _SUFFIX:
             v = values.astype(dtype)
-            # a float32 decomposition runs the float64 entries below its finest level
-            if not ((dtype == _F64 or agree(decompose, v, hier)) and agree(recompose, v, hier)):
+            if not (agree(decompose, v, hier, native_fn=refactor)  # the walk must be taken
+                    and agree(recompose, v, hier, native_fn=lambda a, h: refactor(a, h, inverse=True))):
                 return False
             flat = v.ravel() * 1e3
             if not (agree(quantize, flat, np.linspace(0.5, 2.5, flat.size))
@@ -474,99 +470,23 @@ def _usable(a: np.ndarray) -> bool:
     return a.flags.aligned and a.size > 0 and not any(s % a.itemsize for s in a.strides)
 
 
-def _strides(a: np.ndarray):
-    return (_N * a.ndim)(*(s // a.itemsize for s in a.strides))
-
-
-def _output(out, shape, dtypes, *inputs) -> np.ndarray | None:
-    """``out`` when the C may write it (``None`` when not), or a new array of
-    ``shape`` and ``dtypes[0]``."""
-    if out is None:
-        return np.empty(shape, dtype=dtypes[0])
-    ok = (out.shape == tuple(shape) and out.dtype in dtypes and out.flags.writeable and _usable(out)
-          and not any(np.may_share_memory(out, a) for a in inputs))
-    return out if ok else None
-
-
-def _scratch(lib, words: bytes, scratch, *operands) -> np.ndarray | None:
-    """``scratch`` when it holds what the level needs and overlaps no operand, else a new one."""
-    need = lib.level_scratch(words)
-    if need < 0:
-        return None
-    if (scratch is None or scratch.dtype != _F64 or not scratch.flags.c_contiguous
-            or scratch.size < need or any(np.may_share_memory(scratch, a) for a in operands)):
-        return np.empty(max(need, 1), dtype=_F64)
-    return scratch
-
-
-def level_scratch(hier) -> int:
-    """Doubles of scratch the level entries need on the levels of ``hier``; 0 when
-    the C route is off (the policy, no library, more axes than it walks)."""
-    if not hier.L or hier.ndim > _MAX_OUTER or not active():
-        return 0
-    lib = _library()
-    return max(max(lib.level_scratch(hier.level_walk(l)[0]), 0) for l in range(1, hier.L + 1))
-
-
-def level_coefficients(v: np.ndarray, hier, l: int, out=None, scratch=None) -> np.ndarray | None:
-    """``coefficients.compute_coefficients(v, hier, l)`` in one C walk over the
-    planes of the level — into ``out`` (of ``v``'s dtype) when given; ``None``
-    for the NumPy body."""
-    suffix = _SUFFIX.get(v.dtype)
-    lib = _library_for(v) if suffix and hier.ndim <= _MAX_OUTER else None
+def refactor(x: np.ndarray, hier, inverse: bool = False) -> np.ndarray | None:
+    """``decompose`` (``recompose`` when ``inverse``) of ``x`` in one C call that
+    walks every level of ``hier``, into a new C-ordered array of ``x``'s dtype;
+    ``None`` for the NumPy driver.  Raises ``thomas_solve``'s ``ValueError``
+    where the NumPy driver would, at the same level."""
+    suffix = _SUFFIX.get(x.dtype)
+    lib = _library_for(x) if suffix and hier.L and hier.ndim <= _MAX_OUTER else None
     if lib is None:
         return None
-    out = _output(out, v.shape, (v.dtype,), v)
-    words, ops = hier.level_walk(l)
-    scratch = _scratch(lib, words, scratch, v, out) if out is not None else None
-    if scratch is None or getattr(lib, "coefficients_" + suffix)(
-            words, ops.ctypes.data, v.ctypes.data, _strides(v), out.ctypes.data, _strides(out),
-            scratch.ctypes.data, scratch.size):
-        return None
-    return out
-
-
-def level_restore(c: np.ndarray, vc: np.ndarray, hier, l: int, out=None, scratch=None):
-    """``coefficients.restore_from_coefficients(c, vc, hier, l)`` — ``c`` read at
-    its detail nodes only — into ``out`` (float64, or ``c``'s dtype) when given;
-    ``None`` for the NumPy body."""
-    suffix = _SUFFIX.get(c.dtype)
-    ok = suffix and vc.dtype == _F64 and hier.ndim <= _MAX_OUTER
-    lib = _library_for(c, vc) if ok else None
-    out = _output(out, c.shape, (_F64, c.dtype), c, vc) if lib else None
-    if out is None:
-        return None
-    words, ops = hier.level_walk(l)
-    scratch = _scratch(lib, words, scratch, c, vc, out)
-    if scratch is None or getattr(lib, "restore_" + suffix)(
-            words, ops.ctypes.data, c.ctypes.data, _strides(c), vc.ctypes.data, _strides(vc),
-            out.ctypes.data, _strides(out), out.dtype != _F64, scratch.ctypes.data, scratch.size):
-        return None
-    return out
-
-
-def level_correct(direction: int, v: np.ndarray, c: np.ndarray, hier, l: int, out=None,
-                  scratch=None) -> np.ndarray | None:
-    """The fused correction of the step ``l -> l-1`` in two C passes, into
-    ``out`` (float64, the coarse level's shape) when given.  ``direction``
-    ``+1``: ``v[coarse] + compute_correction(c)``, ``v`` of ``c``'s dtype;
-    ``-1``: ``v - compute_correction(c)`` with ``c``'s coarse nodes taken as
-    zero, ``v`` the coarse level's values.  ``None`` for the NumPy body;
-    raises ``thomas_solve``'s ``ValueError`` where it would."""
-    suffix = _SUFFIX.get(c.dtype)
-    if suffix and direction < 0 and v.dtype != _F64 and v.dtype in _SUFFIX:
-        v = v.astype(_F64)  # the coarsest level's few nodes, as NumPy promotes them
-    ok = suffix and (v.dtype == c.dtype if direction > 0 else v.dtype == _F64)
-    lib = _library_for(c, v) if ok and hier.ndim <= _MAX_OUTER else None
-    out = _output(out, hier.level_shape(l - 1), (_F64,), c, v) if lib else None
-    if out is None:
-        return None
-    words, ops = hier.level_walk(l)
-    scratch = _scratch(lib, words, scratch, c, v, out)
-    status = -1 if scratch is None else getattr(lib, "correct_" + suffix)(
-        words, ops.ctypes.data, direction, c.ctypes.data, _strides(c), v.ctypes.data,
-        _strides(v), out.ctypes.data, _strides(out), scratch.ctypes.data, scratch.size)
-    if status == 1:
+    words, ops = hier.refactor_walk()
+    slots = 3 if suffix == "f32" and not inverse else 2  # float32 coefficients go through a slot
+    need = hier._memoized(("walk_doubles", slots), lambda: lib.walk_doubles(words, slots))
+    out, work = np.empty(x.shape, x.dtype), np.empty(max(need, 1))
+    status = getattr(lib, ("recompose_" if inverse else "decompose_") + suffix)(
+        words, ops.ctypes.data, x.ctypes.data, (_N * x.ndim)(*(s // x.itemsize for s in x.strides)),
+        out.ctypes.data, work.ctypes.data, need)
+    if status > 0:
         raise ValueError("array must not contain infs or NaNs")
     return out if status == 0 else None
 

@@ -16,9 +16,9 @@ vectors; this module is that kernel on the host:
     ``m`` backward steps is one ufunc over a contiguous slab holding every
     vector of the batch.  It is the ``reference`` body of the solve; on
     float32/float64 input ``decompose`` / ``recompose`` run the same
-    operations in the same order inside the C correction passes
-    (:func:`repro.core.native.level_correct`), a block of vectors at a
-    time.
+    operations in the same order inside the correction passes of their
+    one C walk (:func:`repro.core.native.refactor`), a block of vectors at
+    a time.
 
 It is the one solver arithmetic in the tree: the literal segmented walk
 of :mod:`repro.kernels.linear_processing` calls it.

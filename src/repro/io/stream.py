@@ -824,8 +824,9 @@ class StepStreamReader:
         read capability along *space*, complementing the class-prefix
         partial read along *accuracy*.  Works for both payload modes
         (refactored shards reconstruct losslessly; compressed shards
-        honour the stream's L∞ bound).  Unsharded streams fall back to
-        a whole-step decode and slice.
+        honour the stream's L∞ bound).  Unsharded streams decode the
+        whole step; a compressed one copies only the region out of the
+        chain's cached state.
 
         The step file is opened, and its shard table parsed, once per
         read; the covering shards then decode together on the host's
@@ -876,7 +877,7 @@ class StepStreamReader:
             meta = self._meta(step)
             region = self._normalize_region(region)
             if self.stream_mode == "compressed":
-                return self.read_step(step, on_error=on_error)[region].copy()
+                return self._step_state(step, on_error)[region].copy()
             self.last_recovery = None
             try:
                 # a refactored step has no chain to roll back along and
@@ -1055,15 +1056,19 @@ class StepStreamReader:
         if self.shard_bounds is not None:
             return self.read_region(step, on_error=on_error)
         with self._lock:
-            key = (step, self.generation)
-            cached = self._step_cache.get(key)
-            if cached is not None:
-                self.last_recovery = None
-                return cached.copy()
-            state = self._read_step_impl(step, on_error)
-            if self.last_recovery is None:
-                self._step_cache.put(key, state)
-            return state.copy()
+            return self._step_state(step, on_error).copy()
+
+    def _step_state(self, step: int, on_error: str) -> np.ndarray:
+        """An unsharded compressed step's read-only state via the LRU (lock held)."""
+        key = (step, self.generation)
+        cached = self._step_cache.get(key)
+        if cached is not None:
+            self.last_recovery = None
+            return cached
+        state = self._read_step_impl(step, on_error)
+        if self.last_recovery is None:
+            self._step_cache.put(key, state)
+        return state
 
     def _read_step_impl(self, step: int, on_error: str = "recover") -> np.ndarray:
         """Reconstruct one full step of an unsharded compressed stream.

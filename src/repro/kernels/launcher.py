@@ -3,10 +3,8 @@
 The paper's premise is hand-tuned kernels selected per configuration
 (§III-A); this module makes the backend a *configuration axis* for
 tests, benchmarks and the record a benchmark stamps.  An op **is** the
-production leaf (:data:`OP_SPECS`): the functions of :mod:`repro.core`
-that ``decompose``/``recompose`` call — the two level entries each way,
-``coefficients`` / ``restore`` and ``correct`` / ``uncorrect`` (the fused
-restrict-and-add of the correction, and its inverse) —, the quantizer's
+production leaf (:data:`OP_SPECS`): ``decompose`` / ``recompose`` (one
+C walk over every level each way), the quantizer's
 two passes, the de-quantizer added into a running sum of coefficients
 (``dequantize_add``, the stream writer's closed loop), the class split and
 assembly (``extract`` / ``assemble``), and the entropy
@@ -36,9 +34,7 @@ from ..compress import huffman, huffman_book, huffman_pack, huffman_unpack
 from ..compress.quantizer import Quantizer
 from ..core import native
 from ..core.classes import assemble_from_classes, extract_classes
-from ..core.coefficients import compute_coefficients, restore_from_coefficients
-from ..core.correction import restrict_and_correct, subtract_correction
-from ..core.decompose import restrict_all
+from ..core.decompose import decompose, recompose
 from ..core.grid import hierarchy_for
 from ..core.native import kernel_backend_policy, set_kernel_backend
 
@@ -60,26 +56,6 @@ __all__ = [
 def _field(shape, dtype, rng):
     shape = tuple(max(int(s), 3) for s in shape) or (3,)  # every axis coarsens
     return rng.standard_normal(shape).astype(dtype, copy=False), hierarchy_for(shape)
-
-
-def _make_coefficients(shape, dtype, rng):
-    v, hier = _field(shape, dtype, rng)
-    return v, hier, hier.L
-
-
-def _make_restore(shape, dtype, rng):
-    v, hier = _field(shape, dtype, rng)
-    return compute_coefficients(v, hier, hier.L), restrict_all(v, hier, hier.L).copy(), hier, hier.L
-
-
-def _make_correct(shape, dtype, rng):
-    v, hier = _field(shape, dtype, rng)
-    return v, compute_coefficients(v, hier, hier.L), hier, hier.L
-
-
-def _make_uncorrect(shape, dtype, rng):  # c straight from a refactored array: coarse nodes not zero
-    v, hier = _field(shape, dtype, rng)
-    return restrict_all(v, hier, hier.L).astype(np.float64), v, hier, hier.L
 
 
 def _make_assemble(shape, dtype, rng):
@@ -145,10 +121,8 @@ class OpSpec(NamedTuple):
 OP_SPECS: dict[str, OpSpec] = {
     spec.name: spec
     for spec in (
-        OpSpec("coefficients", compute_coefficients, _make_coefficients),
-        OpSpec("restore", restore_from_coefficients, _make_restore),
-        OpSpec("correct", restrict_and_correct, _make_correct),
-        OpSpec("uncorrect", subtract_correction, _make_uncorrect),
+        OpSpec("decompose", decompose, _field),
+        OpSpec("recompose", recompose, _field),  # any array is some field's refactored one
         OpSpec("quantize", native.quantize, _make_quantize),
         OpSpec("dequantize", native.dequantize, _make_dequantize),
         OpSpec("dequantize_add", _dequantize_add, _make_dequantize_add),

@@ -11,7 +11,6 @@ from repro.core.coefficients import (
     restrict_nodes,
     zero_coarse_entries,
 )
-from repro.core.decompose import restrict_all
 from repro.core.grid import TensorHierarchy
 from repro.workloads.synthetic import multilinear
 
@@ -54,7 +53,7 @@ class TestCoefficients:
             pytest.skip("no levels to decompose")
         v = rng.standard_normal(any_shape)
         c = compute_coefficients(v, h, h.L)
-        coarse = restrict_all(c, h, h.L)
+        coarse = c[h.coarse_selector(h.L)]
         np.testing.assert_array_equal(coarse, np.zeros_like(coarse))
 
     def test_multilinear_has_zero_details(self):
@@ -64,7 +63,7 @@ class TestCoefficients:
         for l in range(h.L, 0, -1):
             c = compute_coefficients(v, h, l)
             assert np.abs(c).max() < 1e-12
-            v = restrict_all(v, h, l)
+            v = v[h.coarse_selector(l)]
 
     def test_restore_inverts_compute(self, rng, any_shape):
         h = TensorHierarchy.from_shape(any_shape)
@@ -72,7 +71,7 @@ class TestCoefficients:
             pytest.skip("no levels")
         v = rng.standard_normal(any_shape)
         c = compute_coefficients(v, h, h.L)
-        vc = restrict_all(v, h, h.L)
+        vc = v[h.coarse_selector(h.L)]
         back = restore_from_coefficients(c, vc, h, h.L)
         # c + interp vs v - interp round-trips to within an ulp
         np.testing.assert_allclose(back, v, rtol=0, atol=1e-12)
@@ -83,7 +82,7 @@ class TestCoefficients:
         h = TensorHierarchy.from_shape((9, 9))
         v = rng.standard_normal((9, 9))
         c = compute_coefficients(v, h, h.L)
-        vc = restrict_all(v, h, h.L)
+        vc = v[h.coarse_selector(h.L)]
         c_noisy = c + 0.0
         mesh = np.ix_(h.level_ops(h.L, 0).coarse_pos, h.level_ops(h.L, 1).coarse_pos)
         c_noisy[mesh] = 99.0
@@ -96,7 +95,7 @@ class TestCoefficients:
         h = TensorHierarchy.from_shape(shape, coords)
         v = rng.standard_normal(shape)
         c = compute_coefficients(v, h, h.L)
-        vc = restrict_all(v, h, h.L)
+        vc = v[h.coarse_selector(h.L)]
         np.testing.assert_allclose(
             restore_from_coefficients(c, vc, h, h.L), v, atol=1e-12
         )
@@ -120,7 +119,7 @@ class TestCoefficients:
         h = TensorHierarchy.from_shape((9, 9))
         c = rng.standard_normal((9, 9))
         zero_coarse_entries(c, h, h.L)
-        coarse = restrict_all(c, h, h.L)
+        coarse = c[h.coarse_selector(h.L)]
         np.testing.assert_array_equal(coarse, np.zeros_like(coarse))
         # detail entries untouched (non-zero with probability 1)
         assert np.count_nonzero(c) == 9 * 9 - 5 * 5
@@ -131,7 +130,7 @@ class TestCoefficients:
         l = h.L  # dim1 local level = 1 here? global L=4, dim1 L=1 -> coarsens only at l=4
         v = rng.standard_normal((17, 3))
         c = compute_coefficients(v, h, l)
-        vc = restrict_all(v, h, l)
+        vc = v[h.coarse_selector(l)]
         np.testing.assert_allclose(restore_from_coefficients(c, vc, h, l), v, atol=1e-12)
         # at level 1, only dim 0 coarsens
         assert h.coarsening_dims(1) == (0,)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.coefficients import compute_coefficients, restore_from_coefficients
-from repro.core.decompose import restrict_all
 from repro.core.grid import TensorHierarchy
 from repro.kernels.grid_processing import (
     GridProcessingKernel,
@@ -76,7 +75,7 @@ class TestTiledEqualsVectorized:
             k = GridProcessingKernel(h, l, b=b)
             v = rng.standard_normal(h.level_shape(l))
             c = compute_coefficients(v, h, l)
-            vc = restrict_all(v, h, l)
+            vc = v[h.coarse_selector(l)]
             ref = restore_from_coefficients(c.copy(), vc, h, l)
             np.testing.assert_array_equal(k.restore(c, vc), ref)
 

@@ -115,7 +115,7 @@ def _decompose_falls_back(policy: str) -> list[warnings.WarningMessage]:
         for _ in range(2):
             assert np.array_equal(decompose(x), want)
     assert L.available_backends() == ["reference"]
-    assert L.resolve("correct", (4, 5), np.float64).name == "reference"
+    assert L.resolve("decompose", (4, 5), np.float64).name == "reference"
     return [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -159,7 +159,7 @@ def test_unknown_backend_and_op_rejected():
     with pytest.raises(ValueError, match="unknown kernel op"):
         L.resolve("fft", (8,), np.float64)
     with pytest.raises(ValueError, match="kernel backend"):
-        L.resolve("correct", (8,), np.float64, "cuda")
+        L.resolve("decompose", (8,), np.float64, "cuda")
 
 
 def test_reference_always_available():
@@ -196,8 +196,8 @@ def test_resolve_names_what_runs():
                              policy).name == "native"
     # a property of the input, not a switch: these take the NumPy bodies
     for dtype in (np.float16, np.longdouble, ">f8"):
-        assert L.resolve("correct", (8, 9), dtype, "native").name == "reference"
-    assert L.resolve("correct", (8, 9), np.float64, "reference").name == "reference"
+        assert L.resolve("decompose", (8, 9), dtype, "native").name == "reference"
+    assert L.resolve("decompose", (8, 9), np.float64, "reference").name == "reference"
 
 
 def test_forced_policy_is_per_thread_and_restored():
@@ -431,7 +431,7 @@ def test_masked_numba_import_falls_back(tmp_path):
         "from repro.kernels.launcher import available_backends, resolve\n"
         "assert not HAVE_NUMBA\n"
         "assert available_backends() == ['reference']\n"
-        "assert resolve('correct', (4, 5), 'float64').name == 'reference'\n"
+        "assert resolve('decompose', (4, 5), 'float64').name == 'reference'\n"
         "r = Refactorer((9, 9)); x = np.arange(81.0).reshape(9, 9)\n"
         "assert np.allclose(r.recompose(r.decompose(x)), x)\n"
         "print('ok')\n"

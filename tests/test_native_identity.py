@@ -7,9 +7,11 @@ NumPy-body ones (float16, longdouble, byte-swapped, integer), C-, F-
 ordered, strided and read-only inputs; anisotropic grids whose axes stop
 coarsening.  ``decompose``, ``recompose`` and ``Refactorer.reconstruct``
 must agree bit for bit, never alias or mutate the input, and meet a
-NaN/Inf input alike (first or last plane, coarse or detail node); the level
-entries must ignore what a refactored array holds at coarse positions, and
-recompositions of de-quantized and truncated arrays must agree too.  The entropy stage's integer
+NaN/Inf input alike (first or last plane, coarse or detail node) — the C walk
+stopping at the level where the NumPy driver raises —; a native call is one
+call into the library per field; the NumPy level bodies must ignore what a
+refactored array holds at coarse positions, and recompositions of
+de-quantized and truncated arrays must agree too.  The entropy stage's integer
 loops get the same treatment — payload bytes, headers, code lengths and
 decoded symbols per backend against each other and the heap/scalar
 oracle, foreign books with 39- and 64-bit codes and int64-extreme values,
@@ -23,6 +25,7 @@ by any executor hash the same.
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import os
 import subprocess
@@ -41,16 +44,17 @@ import repro.compress.huffman_book as B
 import repro.compress.huffman_pack as P
 from repro.compress.lossless import decode_classes, encode_classes
 from repro.compress.quantizer import Quantizer
-from repro.core import native
+from repro.core import coefficients, correction, native
 from repro.core.classes import assemble_from_classes, extract_classes
-from repro.core.coefficients import compute_coefficients, restore_from_coefficients
-from repro.core.correction import restrict_and_correct, subtract_correction
+from repro.core.coefficients import restore_from_coefficients
+from repro.core.correction import subtract_correction
 from repro.core.decompose import decompose, recompose
 from repro.core.grid import hierarchy_for
 from repro.core.refactor import Refactorer
 from repro.parallel import get_executor
 
 ROOT = Path(__file__).resolve().parents[1]
+D = importlib.import_module("repro.core.decompose")  # the package's ``decompose`` is the function
 
 pytestmark = pytest.mark.skipif(not native.available(), reason="no C compiler on this host")
 
@@ -148,8 +152,9 @@ def test_backends_reject_non_finite_input_alike(case, poison):
     check_case(*case, poison=poison)
 
 
-@pytest.mark.parametrize("shape", [(128, 65, 65), (6,), (1,), (2,), (3,), (4, 4), (2, 3, 1, 5),
-                                   (1, 1, 9), (10, 1, 3), (64, 2)],
+@pytest.mark.parametrize("shape", [(128, 65, 65), (32, 65, 65), (5, 6), (3, 5, 6), (6,), (1,), (2,),
+                                   (3,), (4, 4), (2, 3, 1, 5), (6, 5, 4, 9), (1, 1, 9), (10, 1, 3),
+                                   (64, 2), (2, 17, 1)],
                          ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("dtype", ["f8", "f4"])
 def test_backends_agree_on_fixed_shapes(shape, dtype):
@@ -169,40 +174,67 @@ def test_backends_agree_where_axes_stop_coarsening(shape, dtype, layout, nonunif
     check_case(shape, dtype, layout, nonuniform, seed)
 
 
-def _level_steps(hier, c, vc, v, out_dtype, scratch):
-    """Every level entry of one step on the given operands, under the ambient policy."""
-    L = hier.L
-    return [compute_coefficients(v, hier, L), restrict_and_correct(v, c, hier, L, scratch=scratch),
-            subtract_correction(vc, c, hier, L, scratch=scratch),
-            restore_from_coefficients(c, vc, hier, L, scratch=scratch),
-            restore_from_coefficients(c, vc, hier, L, out=np.empty(c.shape, out_dtype))]
-
-
 @pytest.mark.parametrize("shape", [(17, 9), (16, 10), (9, 8, 6), (33,), (5, 6, 7, 4)],
                          ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("dtype", ["f8", "f4"])
 def test_coarse_position_noise_does_not_leak(shape, dtype, rng):
     """What a refactored array holds at a level's coarse positions — coarser
-    payloads, quantization noise — changes neither the correction nor the
-    restore, under either backend: the NumPy bodies zero or overwrite it, the C
-    walks never read it.  The entries take a borrowed scratch or none."""
+    payloads, quantization noise — changes neither the NumPy correction nor the
+    restore of that level: they zero or overwrite it.  The C walk reads each
+    level at its detail nodes only, and agrees with the NumPy driver on every
+    layout."""
     hier = hierarchy_for(shape)
     c = rng.standard_normal(shape).astype(dtype)
     c[hier.coarse_selector(hier.L)] = 0.0
     noisy = c.copy()
     noisy[hier.coarse_selector(hier.L)] = rng.standard_normal(hier.level_shape(hier.L - 1)) * 1e3
     vc = rng.standard_normal(hier.level_shape(hier.L - 1))
-    got = {}
-    for backend in ("reference", "native"):
-        with native.forced(backend):
-            for name, cc in (("zero", c), ("noisy", noisy)):
-                got[backend, name] = _level_steps(hier, cc, vc, c, dtype, np.empty(3))
-    for name in ("zero", "noisy"):
-        for a, b in zip(got["reference", name], got["native", name]):
-            assert same_bits(a, b), name
-    # the coefficients and the fused correction read all of c; the others must not see the noise
-    for a, b in zip(got["native", "noisy"][2:], got["native", "zero"][2:]):
-        assert same_bits(a, b)
+    with native.forced("reference"):
+        for step in (subtract_correction, lambda v, c, h, l: restore_from_coefficients(c, v, h, l)):
+            assert same_bits(step(vc, noisy, hier, hier.L), step(vc, c, hier, hier.L))
+    for layout in LAYOUTS:
+        check_case(shape, dtype, layout, nonuniform=layout == "F", seed=len(shape))
+
+
+_ENTRIES = [f"{walk}_{suffix}" for walk in ("decompose", "recompose") for suffix in ("f64", "f32")]
+
+
+def _spy_walks(monkeypatch) -> list:
+    """Record where each walk ends: the NumPy driver's corrections by their
+    level, the C entries by their status (0, or the level they stopped at)."""
+    seen: list = []
+    for name in ("restrict_and_correct", "subtract_correction"):
+        monkeypatch.setattr(D, name, lambda v, c, hier, l, _fn=getattr(D, name):
+                            seen.append(l) or _fn(v, c, hier, l))
+    lib = native._library()
+    for name in _ENTRIES:
+        monkeypatch.setattr(lib, name, lambda *a, _fn=getattr(lib, name), _name=name:
+                            seen.append((_name, _fn(*a))) or seen[-1][1])
+    return seen
+
+
+@pytest.mark.parametrize("shape", [(32, 65, 65), (5, 6), (3, 5, 6), (17,), (6, 1, 20, 3), (2, 3)],
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+def test_a_native_call_is_one_library_call_per_field(shape, dtype, monkeypatch):
+    """Every level of a ``decompose`` or ``recompose`` runs inside one call of
+    the loaded library: no per-level entry exists, no NumPy level body runs."""
+    lib = native._library()
+    assert not any(hasattr(lib, n) for n in ("coefficients_f64", "restore_f64", "correct_f64",
+                                             "level_scratch"))
+    seen = _spy_walks(monkeypatch)
+    for module, name in ((coefficients, "compute_coefficients"),
+                         (coefficients, "restore_from_coefficients"),
+                         (correction, "compute_correction")):
+        monkeypatch.setattr(module, name, lambda *a, _n=name: pytest.fail(f"{_n} ran"))
+    x = np.random.default_rng(1).standard_normal(shape).astype(dtype)
+    suffix = native._SUFFIX[x.dtype]
+    with native.forced("native"):
+        y = decompose(x, hierarchy_for(shape))
+        assert seen == [(f"decompose_{suffix}", 0)]
+        seen.clear()
+        recompose(y, hierarchy_for(shape))
+        assert seen == [(f"recompose_{suffix}", 0)]
 
 
 @pytest.mark.parametrize("shape", [(33, 17), (16, 9, 6)], ids=lambda s: "x".join(map(str, s)))
@@ -243,19 +275,27 @@ def _poisoned(shape, dtype, plane, node, poison):
 @pytest.mark.parametrize("node", ["coarse", "detail"])
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
 @pytest.mark.parametrize("dtype", ["f8", "f4"])
-def test_non_finite_input_meets_the_same_fate(shape, plane, node, poison, dtype):
+def test_non_finite_input_meets_the_same_fate(shape, plane, node, poison, dtype, monkeypatch):
     """``decompose`` raises thomas_solve's ``ValueError`` under both backends;
     ``recompose`` of a poisoned refactored array raises it or returns the
-    same bits under both, depending on the level the node belongs to."""
+    same bits under both, depending on the level the node belongs to.  The C
+    walk stops at the level whose NumPy correction raises."""
     hier = hierarchy_for(shape)
     x = _poisoned(shape, dtype, plane, node, poison)
+    walks = _spy_walks(monkeypatch)
     seen = {}
     for backend in ("reference", "native"):
         with native.forced(backend), np.errstate(all="ignore"):
-            seen[backend] = (outcome(decompose, x, hier), outcome(recompose, x, hier))
-    assert seen["reference"][0] == seen["native"][0] == "array must not contain infs or NaNs"
-    ref, nat = seen["reference"][1], seen["native"][1]
-    assert ref == nat if isinstance(ref, str) else same_bits(ref, nat)
+            for fn in (decompose, recompose):
+                walks.clear()
+                got = outcome(fn, x, hier)
+                stop = walks[-1][1] if backend == "native" else walks[-1]  # raised there
+                seen[backend, fn] = got, stop if isinstance(got, str) else 0
+    assert seen["reference", decompose][0] == "array must not contain infs or NaNs"
+    for fn in (decompose, recompose):
+        (ref, ref_stop), (nat, nat_stop) = seen["reference", fn], seen["native", fn]
+        assert ref_stop == nat_stop
+        assert ref == nat if isinstance(ref, str) else same_bits(ref, nat)
 
 
 def test_more_outer_dimensions_than_the_library_iterates_take_numpy():

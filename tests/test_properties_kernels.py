@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coefficients import compute_coefficients
-from repro.core.decompose import restrict_all
 from repro.core.grid import TensorHierarchy
 from repro.core.mass import mass_apply
 from repro.core.solver import thomas_solve
@@ -71,5 +70,5 @@ def test_restrict_then_interpolate_projects(hl, seed):
     v = np.random.default_rng(seed).standard_normal(h.level_shape(l))
     c = compute_coefficients(v, h, l)
     np.testing.assert_array_equal(
-        restrict_all(c, h, l), np.zeros(h.level_shape(l - 1))
+        c[h.coarse_selector(l)], np.zeros(h.level_shape(l - 1))
     )

@@ -414,6 +414,22 @@ class TestReaderStepCache:
         assert not np.array_equal(fresh, stale)
         assert np.max(np.abs(fresh - new_frames[0])) <= 1.1e-3
 
+    @pytest.mark.parametrize("cache_steps", [None, 0])
+    def test_unsharded_region_is_a_copy_of_the_region_only(self, tmp_path, cache_steps):
+        """A compressed region read slices the chain's read-only state: the
+        full step's values, in an array of the region's own."""
+        w = StepStreamWriter(tmp_path / "s", (9, 8), tol=1e-3, key_interval=2)
+        for f in _frames((9, 8), 5):
+            w.append(f)
+        r = StepStreamReader(tmp_path / "s", **({} if cache_steps is None else {"cache_steps": 0}))
+        region = (slice(2, 7), slice(1, 5))
+        for step in (3, 1, 4, 4):
+            got = r.read_region(step, region)
+            assert np.array_equal(got, r.read_step(step)[region])
+            assert got.shape == (5, 4) and got.base is None and got.flags.writeable
+            cached = r._step_cache.get((step, r.generation))
+            assert not any(np.shares_memory(got, s) for s in (r._prev, cached) if s is not None)
+
     def test_cache_disabled(self, tmp_path):
         w = StepStreamWriter(tmp_path / "s", (9, 8), tol=1e-3)
         for f in _frames((9, 8), 2):
