@@ -9,8 +9,10 @@ workspace, the ctypes call) is most of it — and every other op of the launcher
 asserts bit identity between backends on every row *and* byte identity
 of an end-to-end compressed container, measures what two threads make of
 four 129^3 frames on each backend (``ctypes`` calls drop the GIL; NumPy's
-short ufunc calls mostly do not overlap), and writes the numbers to
-``benchmarks/results/BENCH_kernels.json``.
+short ufunc calls mostly do not overlap), times each C walk alone on a
+worker of the thread executor against the same walk shared with the
+pool's idle workers (at 129^3, 1025^2, 65^3 and (32, 65, 65)), and writes
+the numbers to ``benchmarks/results/BENCH_kernels.json``.
 
 Run from the repo root::
 
@@ -20,9 +22,10 @@ Run from the repo root::
 ``--assert-speedup`` to fail (exit 1) unless the native backend runs the
 129^3 ``decompose`` and ``recompose`` at least 1.5x as fast as the reference, the assembly
 of its classes into the refactored layout and the Huffman encode and
-decode of a 65^3 high-entropy segment at least 3x; without
-a C compiler the gate is skipped (there is nothing to gate) and the
-sweep records reference times only.
+decode of a 65^3 high-entropy segment at least 3x, and — where
+``available_workers() >= 2`` — the shared 129^3 ``decompose`` at least
+1.3x as fast as the lone one; without a C compiler the gates are skipped
+(there is nothing to gate) and the sweep records reference times only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,7 @@ from repro.core.decompose import decompose, recompose
 from repro.core.grid import hierarchy_for
 from repro.kernels.launcher import (OP_SPECS, available_backends, measure_backend_times, run_op,
                                     set_kernel_backend)
+from repro.parallel import available_workers, get_executor
 from repro.workloads.synthetic import multiscale
 
 RESULTS = Path(__file__).parent / "results"
@@ -67,6 +70,13 @@ OP_SHAPES = {
 #: minimum native-over-reference ratio per gated row
 GATES = {"decompose": 1.5, "recompose": 1.5, "assemble": 3.0, "huff_encode": 3.0,
          "huff_decode": 3.0}
+
+#: the lone and the shared walk: the refactor workload's ladder, the stream
+#: workloads' step, a serve_sharded shard; the gate reads the first
+TEAM_SHAPES = ([(65, 65, 65), (257, 257)] if CI_SCALE
+               else [(129, 129, 129), (1025, 1025), (65, 65, 65), (32, 65, 65)])
+#: minimum shared-over-lone ratio of its decompose, on two or more cores
+TEAM_GATE = 1.3
 
 
 def _best_of(fn, repeats: int) -> tuple[float, object]:
@@ -127,7 +137,9 @@ def sweep_op(op: str, shape: tuple[int, ...], repeats: int) -> dict:
 
 
 def thread_scaling(shape: tuple[int, ...], repeats: int) -> dict:
-    """Four frames decomposed serially and on two threads, per backend."""
+    """Four frames decomposed one after another and on two threads, per
+    backend, every walk alone: on a worker of a pool (the serial side on a
+    one-worker pool)."""
     frames = [np.random.default_rng(i).standard_normal(shape) for i in range(4)]
     hier = hierarchy_for(shape)
 
@@ -136,13 +148,46 @@ def thread_scaling(shape: tuple[int, ...], repeats: int) -> dict:
             return decompose(frame, hier)
 
     out = {"shape": list(shape), "frames": len(frames), "threads": 2, "backends": {}}
-    with ThreadPoolExecutor(2) as pool:
-        for backend in available_backends():
-            serial, _ = _best_of(lambda: [one(backend, f) for f in frames], repeats)
-            threaded, _ = _best_of(lambda: list(pool.map(lambda f: one(backend, f), frames)), repeats)
-            out["backends"][backend] = {"serial_s": serial, "two_threads_s": threaded,
-                                        "speedup_over_serial": serial / threaded}
+    alone, pool = get_executor("thread:1"), get_executor("thread:2")
+    for backend in available_backends():
+        serial, _ = _best_of(lambda: alone.map(lambda f: one(backend, f), frames), repeats)
+        threaded, _ = _best_of(lambda: pool.map(lambda f: one(backend, f), frames), repeats)
+        out["backends"][backend] = {"serial_s": serial, "two_threads_s": threaded,
+                                    "speedup_over_serial": serial / threaded}
     return out
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - t0, out
+
+
+def team_walks(shape: tuple[int, ...], repeats: int) -> list[dict]:
+    """The C walk alone — on a worker of the thread executor — and shared by
+    the calling thread with the pool's idle workers, taking turns; asserts
+    their bit identity."""
+    x = np.random.default_rng(0xBEEF).standard_normal(shape)
+    hier = hierarchy_for(shape)
+    pool = get_executor("thread")
+    rows = []
+    set_kernel_backend("native")  # process-wide: the lone walks run on pool workers
+    try:
+        for name, fn, arg in (("decompose", decompose, x), ("recompose", recompose, decompose(x, hier))):
+            lone = shared = float("inf")
+            for _ in range(repeats):
+                t, alone = pool.submit(_timed, fn, arg, hier).result()
+                lone = min(lone, t)
+                t, team = _timed(fn, arg, hier)
+                shared = min(shared, t)
+                if not _identical(alone, team):
+                    raise AssertionError(f"the shared {name} diverges from the lone one at {shape}")
+            rows.append({"op": name, "shape": list(shape), "dtype": "float64",
+                         "members": available_workers(), "lone_s": lone, "shared_s": shared,
+                         "speedup": lone / shared})
+    finally:
+        set_kernel_backend(None)
+    return rows
 
 
 def container_identity() -> dict:
@@ -188,7 +233,8 @@ def main(argv=None) -> int:
         help=f"fail unless native runs the {'x'.join(map(str, DRIVER_SHAPES[0]))} decompose "
         f">= {GATES['decompose']}x, the recompose >= {GATES['recompose']}x, the class assembly >= {GATES['assemble']}x, the Huffman "
         f"encode >= {GATES['huff_encode']}x and decode >= {GATES['huff_decode']}x as fast as "
-        f"reference (skipped with no C compiler)",
+        f"reference, and the shared {'x'.join(map(str, TEAM_SHAPES[0]))} decompose >= {TEAM_GATE}x "
+        f"the lone one on >= 2 cores (skipped with no C compiler)",
     )
     args = parser.parse_args(argv)
 
@@ -196,6 +242,8 @@ def main(argv=None) -> int:
     rows += [row for shape in FIXED_COST_SHAPES for row in sweep_driver(shape, 30 * args.repeats)]
     rows += [sweep_op(op, OP_SHAPES[op], args.repeats) for op in OP_SPECS if op in OP_SHAPES]
     scaling = thread_scaling(DRIVER_SHAPES[0], max(args.repeats // 2, 2))
+    team = ([row for shape in TEAM_SHAPES for row in team_walks(shape, 3 * args.repeats)]
+            if native.available() else [])
     container = container_identity()
 
     record = {
@@ -206,6 +254,7 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "ops": rows,
         "thread_scaling": scaling,
+        "team_walks": team,
         "container_identity": container,
     }
     out = Path(args.out)
@@ -218,6 +267,9 @@ def main(argv=None) -> int:
         )
         gain = f"   ({row['speedup']:.2f}x)" if "speedup" in row else ""
         print(f"{row['op']:14s} {str(tuple(row['shape'])):16s} {per}{gain}")
+    for row in team:
+        print(f"{row['op']:14s} {str(tuple(row['shape'])):16s} lone {row['lone_s'] * 1e3:8.3f} ms   "
+              f"shared by {row['members']} {row['shared_s'] * 1e3:8.3f} ms   ({row['speedup']:.2f}x)")
     for name, t in scaling["backends"].items():
         print(f"4 x {tuple(scaling['shape'])} decompose, {name}: serial {t['serial_s'] * 1e3:.1f} ms, "
               f"two threads {t['two_threads_s'] * 1e3:.1f} ms ({t['speedup_over_serial']:.2f}x)")
@@ -237,6 +289,15 @@ def main(argv=None) -> int:
                 print(f"FAIL: native {op} speedup {gain:.2f}x < {floor}x", file=sys.stderr)
                 return 1
             print(f"speedup gate passed: {op} {gain:.2f}x >= {floor}x")
+        if available_workers() < 2:
+            print("one core: no helper joins a walk; shared-walk gate skipped")
+            return 0
+        gain = team[0]["speedup"]
+        if gain < TEAM_GATE:
+            print(f"FAIL: shared {team[0]['op']} at {tuple(team[0]['shape'])} {gain:.2f}x "
+                  f"< {TEAM_GATE}x the lone one", file=sys.stderr)
+            return 1
+        print(f"speedup gate passed: shared {team[0]['op']} {gain:.2f}x >= {TEAM_GATE}x the lone one")
     return 0
 
 

@@ -16,21 +16,30 @@
  * plane by plane; correct is restrict(v) + Q(c) or v - Q(c with its coarse
  * nodes taken as zero), Q the correction of correction.py, in two passes over
  * the planes of the first coarsening axis a0: pass A runs the R·M stencil
- * along a0 and the Thomas forward sweep, plane by plane, into one scratch;
- * pass B runs the back substitution a block of planes at a time and, while
- * the block is in cache, the remaining axes' stencil and solve on it and the
+ * along a0, the Thomas forward sweep and the back substitution on a range of
+ * the planes' columns, into one scratch A that holds every plane; pass B runs
+ * the remaining axes' stencil and solve on a block of A's planes and the
  * restrict-and-add.  Axes before a0 do not coarsen (they hold one or two
  * nodes) and are a batch.  Per axis with mc coarse nodes the operators are
  * w_left[mc - 1], w_right[mc - 1], the R·M bands[5 * mc], the Thomas
  * lower[mc - 1], cp[mc] and denom[mc]; the field comes with its strides, in
  * elements, and Python validates its dtype and alignment first.
  *
+ * A walk runs on a team of threads, each calling the same entry with the same
+ * operands and one record the caller zeroed and sized.  A level is a few phases
+ * of independent items (planes, column ranges, blocks) that members claim from
+ * an atomic counter; whoever finishes a phase's last item opens the next.  So
+ * nothing waits for a member that has not started, a late member joins the
+ * open phase, and each node gets the one-thread walk's operations.
+ *
  * No static state, no OpenMP, no allocation: libgomp's thread pool does not
- * survive the fork() the process executor uses, ctypes drops the GIL, so
- * the thread executor supplies the parallelism, and every scratch comes
- * from the caller.
+ * survive the fork() the process executor uses and would nest under the
+ * executors' fan-outs; ctypes drops the GIL, so the members are threads of
+ * repro.parallel's thread executor, and every scratch comes from the caller
+ * (one share per member).
  */
 #include <math.h>
+#include <sched.h>
 #include <stdint.h>
 
 typedef int64_t i64;
@@ -242,22 +251,44 @@ static void rows_init(Rows *r, const Level *L, i64 lo, i64 hi, i64 skip, i64 inn
         r->m[o] = m[o], r->off[o] = 0;
 }
 
+static void rows_offsets(Rows *r)
+{
+    for (i64 o = 0; o < r->nops; o++) {
+        i64 off = 0;
+        for (i64 t = 0; t < r->k; t++)
+            off += place(r->m[o], r->dim[t],
+                         r->pos[o][t] ? cpos(r->L, r->dim[t], r->idx[t]) : r->idx[t]);
+        r->off[o] = off;
+    }
+}
+
 static int rows_next(Rows *r)
 {
     for (i64 j = r->k - 1; j >= 0; j--) {
         if (++r->idx[j] < r->cnt[j]) {
-            for (i64 o = 0; o < r->nops; o++) {
-                i64 off = 0;
-                for (i64 t = 0; t < r->k; t++)
-                    off += place(r->m[o], r->dim[t],
-                                 r->pos[o][t] ? cpos(r->L, r->dim[t], r->idx[t]) : r->idx[t]);
-                r->off[o] = off;
-            }
+            rows_offsets(r);
             return 1;
         }
         r->idx[j] = 0;
     }
     return 0;
+}
+
+/* the walk's i-th index */
+static void rows_at(Rows *r, i64 i)
+{
+    for (i64 j = r->k - 1; j >= 0; j--)
+        r->idx[j] = i % r->cnt[j], i /= r->cnt[j];
+    rows_offsets(r);
+}
+
+/* whether the walk's index is at coarse nodes of every dim it walks */
+static int rows_coarse(const Rows *r)
+{
+    int coarse = 1;
+    for (i64 t = 0; t < r->k; t++)
+        coarse &= r->idx[t] % r->L->st[r->dim[t]] == 0 || r->idx[t] == r->L->n[r->dim[t]] - 1;
+    return coarse;
 }
 
 /* R·M and the solve along axis e of the block a (C order, shape sh; level axis
@@ -297,14 +328,78 @@ static int block_axis(const Level *L, i64 d, const double *a, double *b, i64 nd,
     return finite;
 }
 
-/* rows of pass A / B: a0's coarse nodes, planes of P nodes, K planes a block */
-static void correct_sizes(const Level *L, i64 *P, i64 *K)
+/* A level's passes as items for m members: planes (after a0) of P nodes, a
+ * batch of nb (before a0); G planes an item of the coefficient and restore
+ * passes, C columns one of pass A (four per member, the whole plane for one),
+ * K coarse a0 nodes one of pass B. */
+typedef struct { i64 P, nb, G, C, K; } Split;
+
+static void split(const Level *L, i64 m, Split *s)
 {
-    Map m;
-    *P = plane_map(L, &m, L->nd);
-    *K = *P >= PLANE_BLOCK ? 1 : PLANE_BLOCK / *P;
-    if (*K > L->nc[L->a0])
-        *K = L->nc[L->a0];
+    Map MI;
+    const i64 mc0 = L->nc[L->a0];
+    s->P = plane_map(L, &MI, L->nd);
+    s->nb = 1;
+    for (i64 d = 0; d < L->a0; d++)
+        s->nb *= L->n[d];
+    s->G = (PLANE_BLOCK + s->P - 1) / s->P;
+    const i64 nc = m < 2 ? 1 : 4 * m < (s->P + 255) / 256 ? 4 * m : (s->P + 255) / 256;
+    s->C = ((s->P + nc - 1) / nc + 7) / 8 * 8;
+    s->C = s->C < s->P ? s->C : s->P;
+    s->K = s->P >= PLANE_BLOCK ? 1 : PLANE_BLOCK / s->P;
+    s->K = s->K < mc0 ? s->K : mc0;
+}
+
+/* ---------------------------------------------------------------------
+ * The team record, counters a cache line apart: CLAIM the open phase << 32 | its
+ * next item, DONE its finished items, STATUS the level a non-finite slab stopped.
+ */
+enum { T_SIZE, T_JOINED, T_CLAIM = 8, T_DONE = 16, T_STATUS = 24, TEAM_WORDS = 32,
+       END = INT32_MAX /* the phase of a walk that is over */ };
+
+typedef struct { i64 *rec, k, id; } Team; /* k: the phase this member is at */
+
+/* the next item of phase k's n, or -1 when none is left to claim (or the open
+ * phase is another: a late member skips the phases it missed) */
+static i64 claim(Team *t, i64 n)
+{
+    i64 w = __atomic_load_n(t->rec + T_CLAIM, __ATOMIC_ACQUIRE);
+    while (w >> 32 == t->k && (w & 0xffffffff) < n)
+        if (__atomic_compare_exchange_n(t->rec + T_CLAIM, &w, w + 1, 1, __ATOMIC_ACQUIRE,
+                                        __ATOMIC_ACQUIRE))
+            return w & 0xffffffff;
+    return -1;
+}
+
+/* an item of phase k's n is finished: the last one opens phase k + 1, or ends
+ * the walk when an item stopped it */
+static void done(Team *t, i64 n)
+{
+    if (__atomic_add_fetch(t->rec + T_DONE, 1, __ATOMIC_ACQ_REL) < n)
+        return;
+    __atomic_store_n(t->rec + T_DONE, 0, __ATOMIC_RELAXED);
+    const i64 next = __atomic_load_n(t->rec + T_STATUS, __ATOMIC_RELAXED) ? (i64)END : t->k + 1;
+    __atomic_store_n(t->rec + T_CLAIM, next << 32, __ATOMIC_RELEASE);
+}
+
+/* each item i of the open phase's n: claimed, run, counted */
+#define ITEMS(t, i, n) for (i64 i, n_ = (n); (i = claim(t, n_)) >= 0; done(t, n_))
+
+/* wait for phase k to end; 1 when the walk is over (only a correction's phases end it) */
+static int next_phase(Team *t)
+{
+    i64 k;
+    while ((k = __atomic_load_n(t->rec + T_CLAIM, __ATOMIC_ACQUIRE) >> 32) <= t->k)
+        sched_yield(); /* a member on this core may hold that item */
+    t->k++;
+    return k == END;
+}
+
+/* the walk is over for everyone; its status */
+static i64 leave(Team *t)
+{
+    __atomic_store_n(t->rec + T_CLAIM, (i64)END << 32, __ATOMIC_RELEASE);
+    return __atomic_load_n(t->rec + T_STATUS, __ATOMIC_ACQUIRE);
 }
 
 /* the stencil along a0 of coarse node j and the forward sweep's step: planes
@@ -340,19 +435,21 @@ INLINE void stencil_forward(double *restrict z, const double *zp, i64 P, const d
  * that progression (the rest, at most one, is the axis' last node). */
 #define RECORD(tab, l) ((tab) + 3 + (tab)[0] + (l) * (1 + 4 * (tab)[0]))
 
-/* the level passes' scratch, the largest coarse level's size into *slot; -1
- * for a table whose arrays would not fit the field */
-static i64 walk_sizes(const i64 *tab, i64 *slot)
+/* A walk's work beyond its packed arrays (slots) of the largest coarse level:
+ * pass A's planes of every batch, shared, and a share per member (an interpolant
+ * plane, pass A's five-plane ring, pass B's two blocks); -1 for a table whose
+ * arrays would not fit the field. */
+static int walk_sizes(const i64 *tab, i64 *slot, i64 *shared, i64 *share)
 {
     const i64 nd = tab[0], nl = tab[1], *n = tab + 3;
-    i64 scratch = 0;
     if (nd < 1 || nd > MAXD || nl < 1)
         return -1;
-    *slot = 0;
+    *slot = *shared = *share = 0;
     for (i64 l = 0; l <= nl; l++) {
         const i64 *r = RECORD(tab, l), *step = r + 1 + 2 * nd, *e = step + nd;
-        i64 size = 1, P, K, need;
+        i64 size = 1, a, b;
         Level L;
+        Split s;
         if (r[0] != nd)
             return -1;
         for (i64 d = 0; d < nd; d++) {
@@ -371,18 +468,21 @@ static i64 walk_sizes(const i64 *tab, i64 *slot)
         for (i64 d = 0; d < nd; d++)
             if (L.nc[d] != RECORD(tab, l - 1)[1 + d])
                 return -1;
-        correct_sizes(&L, &P, &K);
-        need = (L.nc[L.a0] + 5 + 4 * K) * P; /* A, the ring, two blocks, two images */
-        scratch = need > scratch ? need : scratch;
+        split(&L, 1, &s);
+        a = s.nb * L.nc[L.a0] * s.P, b = (s.K > 2 ? 2 * s.K : 5) * s.P;
+        *shared = a > *shared ? a : *shared;
+        *share = b > *share ? b : *share;
     }
-    return scratch;
+    return 0;
 }
 
-/* the work of a walk with `slots` packed arrays of the largest coarse level */
-i64 walk_doubles(const i64 *tab, i64 slots)
+/* the work of a walk with `slots` packed arrays on a team of `members` */
+i64 walk_doubles(const i64 *tab, i64 slots, i64 members)
 {
-    i64 slot, scratch = walk_sizes(tab, &slot);
-    return scratch < 0 ? -1 : slots * slot + scratch;
+    i64 slot, shared, share;
+    if (members < 1 || walk_sizes(tab, &slot, &shared, &share) < 0)
+        return -1;
+    return slots * slot + shared + members * share;
 }
 
 /* level l of the field (strides s), or the field itself at l = L */
@@ -456,7 +556,7 @@ static void fills_##S(const Level *L, T *p, const Map *MI)                      
 /* interpolate_coarse on the plane I (map MI): the coarse nodes after a0 take              \
  * u0's values (map Mu; at their positions where `pos`, else at coarse indices)            \
  * or, for a detail plane of a0, wl*u0 + wr*u1; then the other axes' fills */              \
-static void interp_plane_##S(const Level *L, T *I, const Map *MI, const T *u0, const T *u1,\
+static void interp_plane_##S(const Level *L, T *I, const Map *MI, const T *u0, const T *u1, \
                              const Map *Mu, int pos, double wl, double wr)                 \
 {                                                                                          \
     const i64 in = inner_axis(L, -1), ni = in >= 0 ? L->nc[in] : 1;                        \
@@ -474,48 +574,50 @@ static void interp_plane_##S(const Level *L, T *I, const Map *MI, const T *u0, c
     fills_##S(L, I, MI);                                                                   \
 }                                                                                          \
                                                                                            \
-/* decompose: c = v - interpolate_coarse(v[coarse]) of the level, in T; the                \
- * interpolant is built in scratch, one plane */                                           \
-PASS void coefficients_##S(const Level *L, const T *v, const Map *Mv, T *c,              \
+/* decompose: c = v - interpolate_coarse(v[coarse]) of the level, in T, on the             \
+ * team, its items G planes of a0 (counted across the batch); the interpolant              \
+ * is built in scratch, one plane */                                                       \
+PASS void coefficients_##S(Team *t, const Level *L, const T *v, const Map *Mv, T *c,       \
                              const Map *Mc, double *scratch)                               \
 {                                                                                          \
     Map MI;                                                                                \
+    Split s;                                                                               \
     plane_map(L, &MI, L->nd);                                                              \
-    const i64 a0 = L->a0, nd = L->nd, m0 = L->n[a0], in = inner_axis(L, -1);               \
+    split(L, t->rec[T_SIZE], &s);                                                          \
+    const i64 a0 = L->a0, nd = L->nd, m0 = L->n[a0], n = s.nb * m0, in = inner_axis(L, -1); \
     const i64 nf = in >= 0 ? L->n[in] : 1, ci = in >= 0 ? Mc->s[in] : 0;                   \
     const i64 vi = in >= 0 ? Mv->s[in] : 0, ne = in >= 0 && Mc->e[in] < nf ? Mc->e[in] : nf; \
     const Map *m2[2] = {Mc, Mv}, *m3[3] = {Mc, Mv, &MI};                                   \
     T *I = (T *)(void *)scratch;                                                           \
     Rows b;                                                                                \
     rows_init(&b, L, 0, a0, -1, -1, nd, 2, m2, 0);                                         \
-    do {                                                                                   \
-        const T *vb = v + b.off[1];                                                        \
-        for (i64 p = 0; p < m0; p++) {                                                     \
-            T *cp_ = c + b.off[0] + place(Mc, a0, p);                                      \
-            const T *vp = vb + place(Mv, a0, p);                                           \
-            if (p % 2 && p != m0 - 1)                                                      \
-                interp_plane_##S(L, I, &MI, vb + place(Mv, a0, p - 1),                     \
-                                 vb + place(Mv, a0, p + 1), Mv, 1, L->wl[a0][p / 2],       \
-                                 L->wr[a0][p / 2]);                                        \
-            else                                                                           \
-                interp_plane_##S(L, I, &MI, vp, 0, Mv, 1, 0.0, 0.0);                       \
-            Rows r;                                                                        \
-            rows_init(&r, L, a0 + 1, nd, -1, in, nd, 3, m3, 0);                            \
-            do { /* I's inner stride is 1 */                                               \
-                T *cr = cp_ + r.off[0];                                                    \
-                const T *vr = vp + r.off[1], *Ir = I + r.off[2];                           \
-                if (ci == 1 && vi == 1 && ne == nf)                                        \
-                    for (i64 i = 0; i < nf; i++)                                           \
-                        cr[i] = vr[i] - Ir[i];                                             \
-                else {                                                                     \
-                    for (i64 i = 0; i < ne; i++)                                           \
-                        cr[i * ci] = vr[i * vi] - Ir[i];                                   \
-                    for (i64 i = ne; i < nf; i++)                                          \
-                        cr[place(Mc, in, i)] = vr[place(Mv, in, i)] - Ir[i];               \
-                }                                                                          \
-            } while (rows_next(&r));                                                       \
-        }                                                                                  \
-    } while (rows_next(&b));                                                               \
+    ITEMS(t, i, (n + s.G - 1) / s.G)                                                       \
+    for (i64 k = i * s.G, p = k % m0; k < n && k < (i + 1) * s.G; k++, p = k % m0) {       \
+        if (k == i * s.G || p == 0)                                                        \
+            rows_at(&b, k / m0);                                                           \
+        const T *vb = v + b.off[1], *vp = vb + place(Mv, a0, p);                           \
+        T *cp_ = c + b.off[0] + place(Mc, a0, p);                                          \
+        if (p % 2 && p != m0 - 1)                                                          \
+            interp_plane_##S(L, I, &MI, vb + place(Mv, a0, p - 1), vb + place(Mv, a0, p + 1), \
+                             Mv, 1, L->wl[a0][p / 2], L->wr[a0][p / 2]);                   \
+        else                                                                               \
+            interp_plane_##S(L, I, &MI, vp, 0, Mv, 1, 0.0, 0.0);                           \
+        Rows r;                                                                            \
+        rows_init(&r, L, a0 + 1, nd, -1, in, nd, 3, m3, 0);                                \
+        do { /* I's inner stride is 1 */                                                   \
+            T *cr = cp_ + r.off[0];                                                        \
+            const T *vr = vp + r.off[1], *Ir = I + r.off[2];                               \
+            if (ci == 1 && vi == 1 && ne == nf)                                            \
+                for (i64 i = 0; i < nf; i++)                                               \
+                    cr[i] = vr[i] - Ir[i];                                                 \
+            else {                                                                         \
+                for (i64 i = 0; i < ne; i++)                                               \
+                    cr[i * ci] = vr[i * vi] - Ir[i];                                       \
+                for (i64 i = ne; i < nf; i++)                                              \
+                    cr[place(Mc, in, i)] = vr[place(Mv, in, i)] - Ir[i];                   \
+            }                                                                              \
+        } while (rows_next(&r));                                                           \
+    }                                                                                      \
 }                                                                                          \
                                                                                            \
 INLINE void put_##S(void *out, i64 x, int out_T, double w)                                 \
@@ -526,15 +628,17 @@ INLINE void put_##S(void *out, i64 x, int out_T, double w)                      
         ((double *)out)[x] = w;                                                            \
 }                                                                                          \
                                                                                            \
-/* recompose: out = c + interpolate_coarse(vc), then out[coarse] = vc; out is T            \
- * where out_T, else double; the interpolant is built in scratch, one plane */             \
-PASS void restore_##S(const Level *L, const T *c, const Map *Mc, const double *vc,       \
-                        const Map *Mvc, void *out, const Map *Mo, int out_T,               \
-                        double *scratch)                                                   \
+/* recompose: out = c + interpolate_coarse(vc), then out[coarse] = vc, on the              \
+ * team as coefficients_; out is T where out_T, else double; the interpolant is            \
+ * built in scratch, one plane */                                                          \
+PASS void restore_##S(Team *t, const Level *L, const T *c, const Map *Mc, const double *vc, \
+                        const Map *Mvc, void *out, const Map *Mo, int out_T, double *scratch) \
 {                                                                                          \
     Map MI;                                                                                \
+    Split s;                                                                               \
     plane_map(L, &MI, L->nd);                                                              \
-    const i64 a0 = L->a0, nd = L->nd, m0 = L->n[a0], in = inner_axis(L, -1);               \
+    split(L, t->rec[T_SIZE], &s);                                                          \
+    const i64 a0 = L->a0, nd = L->nd, m0 = L->n[a0], n = s.nb * m0, in = inner_axis(L, -1); \
     const i64 ni = in >= 0 ? L->nc[in] : 1, nf = in >= 0 ? L->n[in] : 1;                   \
     const i64 ci = in >= 0 ? Mc->s[in] : 0, oi = in >= 0 ? Mo->s[in] : 0;                  \
     const i64 ki = in >= 0 ? Mvc->s[in] : 0, ne = in >= 0 && Mc->e[in] < nf ? Mc->e[in] : nf; \
@@ -543,50 +647,50 @@ PASS void restore_##S(const Level *L, const T *c, const Map *Mc, const double *v
     double *od = out;                                                                      \
     Rows b;                                                                                \
     rows_init(&b, L, 0, a0, -1, -1, nd, 3, m3, 0);                                         \
-    do {                                                                                   \
+    ITEMS(t, i, (n + s.G - 1) / s.G)                                                       \
+    for (i64 k = i * s.G, p = k % m0; k < n && k < (i + 1) * s.G; k++, p = k % m0) {       \
+        if (k == i * s.G || p == 0)                                                        \
+            rows_at(&b, k / m0);                                                           \
         const double *vb = vc + b.off[2];                                                  \
-        for (i64 p = 0; p < m0; p++) {                                                     \
-            const int detail = p % 2 && p != m0 - 1;                                       \
-            const i64 j = detail || p % 2 == 0 ? p / 2 : L->nc[a0] - 1;                    \
-            const double *v0 = vb + place(Mvc, a0, j);                                     \
-            const i64 po = b.off[0] + place(Mo, a0, p);                                    \
-            const T *cp_ = c + b.off[1] + place(Mc, a0, p);                                \
-            interp_plane_f64(L, scratch, &MI, v0, detail ? vb + place(Mvc, a0, j + 1) : 0, \
-                             Mvc, 0, detail ? L->wl[a0][j] : 0.0,                          \
-                             detail ? L->wr[a0][j] : 0.0);                                 \
-            Rows r;                                                                        \
-            rows_init(&r, L, a0 + 1, nd, -1, in, nd, 3, mf, 0);                            \
-            do {                                                                           \
-                const T *cr = cp_ + r.off[1];                                              \
-                const double *Ir = scratch + r.off[2];                                     \
-                const i64 at = po + r.off[0];                                              \
-                if (out_T)                                                                 \
-                    for (i64 i = 0; i < ne; i++)                                           \
-                        ot[at + i * oi] = (T)((double)cr[i * ci] + Ir[i]);                 \
-                else                                                                       \
-                    for (i64 i = 0; i < ne; i++)                                           \
-                        od[at + i * oi] = (double)cr[i * ci] + Ir[i];                      \
-                for (i64 i = ne; i < nf; i++)                                              \
-                    put_##S(out, at + place(Mo, in, i), out_T, (double)cr[place(Mc, in, i)] + Ir[i]); \
-            } while (rows_next(&r));                                                       \
-            if (detail)                                                                    \
-                continue;                                                                  \
-            rows_init(&r, L, a0 + 1, nd, -1, in, a0 + 1, 2, mo2, 1);                       \
-            do { /* the coarse values, exactly */                                          \
-                const i64 at = po + r.off[0];                                              \
-                const double *u = v0 + r.off[1];                                           \
-                for (i64 i = 0; i < ni; i++)                                               \
-                    put_##S(out, at + (in >= 0 ? cpos(L, in, i) : 0) * oi, out_T, u[i * ki]); \
-            } while (rows_next(&r));                                                       \
-        }                                                                                  \
-    } while (rows_next(&b));                                                               \
+        const int detail = p % 2 && p != m0 - 1;                                           \
+        const i64 j = detail || p % 2 == 0 ? p / 2 : L->nc[a0] - 1;                        \
+        const double *v0 = vb + place(Mvc, a0, j);                                         \
+        const i64 po = b.off[0] + place(Mo, a0, p);                                        \
+        const T *cp_ = c + b.off[1] + place(Mc, a0, p);                                    \
+        interp_plane_f64(L, scratch, &MI, v0, detail ? vb + place(Mvc, a0, j + 1) : 0, Mvc, 0, \
+                         detail ? L->wl[a0][j] : 0.0, detail ? L->wr[a0][j] : 0.0);        \
+        Rows r;                                                                            \
+        rows_init(&r, L, a0 + 1, nd, -1, in, nd, 3, mf, 0);                                \
+        do {                                                                               \
+            const T *cr = cp_ + r.off[1];                                                  \
+            const double *Ir = scratch + r.off[2];                                         \
+            const i64 at = po + r.off[0];                                                  \
+            if (out_T)                                                                     \
+                for (i64 i = 0; i < ne; i++)                                               \
+                    ot[at + i * oi] = (T)((double)cr[i * ci] + Ir[i]);                     \
+            else                                                                           \
+                for (i64 i = 0; i < ne; i++)                                               \
+                    od[at + i * oi] = (double)cr[i * ci] + Ir[i];                          \
+            for (i64 i = ne; i < nf; i++)                                                  \
+                put_##S(out, at + place(Mo, in, i), out_T, (double)cr[place(Mc, in, i)] + Ir[i]); \
+        } while (rows_next(&r));                                                           \
+        if (detail)                                                                        \
+            continue;                                                                      \
+        rows_init(&r, L, a0 + 1, nd, -1, in, a0 + 1, 2, mo2, 1);                           \
+        do { /* the coarse values, exactly */                                              \
+            const i64 at = po + r.off[0];                                                  \
+            const double *u = v0 + r.off[1];                                               \
+            for (i64 i = 0; i < ni; i++)                                                   \
+                put_##S(out, at + (in >= 0 ? cpos(L, in, i) : 0) * oi, out_T, u[i * ki]);  \
+        } while (rows_next(&r));                                                           \
+    }                                                                                      \
 }                                                                                          \
                                                                                            \
-/* node plane q of c along a0 as P contiguous doubles (map MI): c's own memory             \
- * where it is that already, else copied into dst, zero at its coarse nodes if             \
- * asked */                                                                                \
+/* node plane q of c along a0 as contiguous doubles (map MI), of them the                  \
+ * columns lo <= i < hi: c's own memory where it is that already, else copied              \
+ * into dst, zero at its coarse nodes if asked */                                          \
 static const double *plane_##S(const Level *L, const T *c, const Map *Mc, const Map *MI,   \
-                               i64 q, int zero, double *dst)                               \
+                               i64 q, int zero, double *dst, i64 lo, i64 hi)               \
 {                                                                                          \
     const i64 a0 = L->a0, nd = L->nd, in = inner_axis(L, -1);                              \
     const T *cq = c + place(Mc, a0, q);                                                    \
@@ -598,138 +702,137 @@ static const double *plane_##S(const Level *L, const T *c, const Map *Mc, const 
     const Map *m2[2] = {MI, Mc};                                                           \
     const i64 nf = in >= 0 ? L->n[in] : 1, ci = in >= 0 ? Mc->s[in] : 0;                   \
     const i64 ne = in >= 0 && Mc->e[in] < nf ? Mc->e[in] : nf;                             \
+    const i64 st = in >= 0 ? L->st[in] : 1, nc = in >= 0 ? L->nc[in] : 1;                  \
     Rows r;                                                                                \
     rows_init(&r, L, a0 + 1, nd, -1, in, nd, 2, m2, 0);                                    \
+    rows_at(&r, lo / nf); /* the plane's rows lie nf apart in dst */                       \
     do {                                                                                   \
-        double *o = dst + r.off[0];                                                        \
+        const i64 at = r.off[0], i0 = lo > at ? lo - at : 0, i1 = hi - at < nf ? hi - at : nf; \
+        double *o = dst + at;                                                              \
         const T *x = cq + r.off[1];                                                        \
-        for (i64 i = 0; i < ne; i++)                                                       \
+        for (i64 i = i0; i < (i1 < ne ? i1 : ne); i++)                                     \
             o[i] = (double)x[i * ci];                                                      \
-        for (i64 i = ne; i < nf; i++)                                                      \
+        for (i64 i = i0 > ne ? i0 : ne; i < i1; i++)                                       \
             o[i] = (double)x[place(Mc, in, i)];                                            \
-    } while (rows_next(&r));                                                               \
-    if (zero) {                                                                            \
-        rows_init(&r, L, a0 + 1, nd, -1, in, a0 + 1, 1, &MI, 1);                           \
-        do                                                                                 \
-            for (i64 i = 0; i < (in >= 0 ? L->nc[in] : 1); i++)                            \
-                dst[r.off[0] + (in >= 0 ? cpos(L, in, i) : 0)] = 0.0;                      \
-        while (rows_next(&r));                                                             \
-    }                                                                                      \
+        if (zero && rows_coarse(&r))                                                       \
+            for (i64 i = (i0 + st - 1) / st; i < nc && (in >= 0 ? cpos(L, in, i) : 0) < i1; i++) \
+                o[in >= 0 ? cpos(L, in, i) : 0] = 0.0;                                     \
+    } while (r.off[0] + nf < hi && rows_next(&r));                                         \
     return dst;                                                                            \
 }                                                                                          \
                                                                                            \
-/* dir > 0 (decompose): vn = v[coarse] + Q(c), v of type T, the level's shape;             \
- * dir < 0 (recompose): vn = v - Q(c with zeros at the coarse nodes), v of type            \
- * double, the coarse level's shape.  vn has the coarse level's shape.  Returns            \
- * 1 where thomas_solve raises (a slab at node 0 is not finite), else 0. */                \
-PASS int correct_##S(const Level *L, i64 dir, const T *c, const Map *Mc, const void *v,  \
-                       const Map *Mv, double *vn, const Map *Mvn, double *scratch)         \
+/* the correction of level l on the team, dir > 0 (decompose): vn = v[coarse] +            \
+ * Q(c), v of type T, the level's shape; dir < 0 (recompose): vn = v - Q(c with            \
+ * zeros at the coarse nodes), v of type double, the coarse level's shape.  vn             \
+ * has the coarse level's shape.  A is shared, mine this member's share.  Where            \
+ * a slab at node 0 is not finite (thomas_solve raises) the walk stops at l; 1             \
+ * when the walk is over. */                                                               \
+PASS int correct_##S(Team *t, const Level *L, i64 l, i64 dir, const T *c, const Map *Mc,   \
+                       const void *v, const Map *Mv, double *vn, const Map *Mvn, double *A, \
+                       double *mine)                                                       \
 {                                                                                          \
-    i64 P, K;                                                                              \
+    Split s;                                                                               \
     Map MI, MZ;                                                                            \
-    correct_sizes(L, &P, &K);                                                              \
+    split(L, t->rec[T_SIZE], &s);                                                          \
     plane_map(L, &MI, L->nd);                                                              \
-    const i64 Pc = plane_map(L, &MZ, L->a0 + 1);                                           \
     const i64 a0 = L->a0, nd = L->nd, m0 = L->n[a0], mc0 = L->nc[a0], ne0 = L->ne[a0];     \
-    const i64 in = inner_axis(L, -1), ni = in >= 0 ? L->nc[in] : 1;                        \
+    const i64 P = s.P, Pc = plane_map(L, &MZ, a0 + 1), nc = (P + s.C - 1) / s.C;           \
+    const i64 nk = (mc0 + s.K - 1) / s.K, in = inner_axis(L, -1), ni = in >= 0 ? L->nc[in] : 1; \
     const i64 vi = in >= 0 ? Mv->s[in] : 0, ni_ = in >= 0 ? Mvn->s[in] : 0;                \
     const i64 zi = in >= 0 ? MZ.s[in] : 0;                                                 \
     const double *bands = L->bands[a0];                                                    \
-    double *A = scratch, *ring = A + mc0 * P, *X[2], *W[2];                                \
-    X[0] = ring + 5 * P, X[1] = X[0] + K * P, W[0] = X[1] + K * P, W[1] = W[0] + K * P;    \
     const Map *m3[3] = {Mc, Mv, Mvn}, *mr[3] = {Mvn, &MZ, Mv};                             \
-    int finite = 1;                                                                        \
     Rows b;                                                                                \
     rows_init(&b, L, 0, a0, -1, -1, nd, 3, m3, 0);                                         \
-    do {                                                                                   \
-        const T *cb = c + b.off[0];                                                        \
+    /* pass A on columns lo..hi: stencil along a0 and forward sweep into A, back substitution */ \
+    ITEMS(t, item, s.nb * nc) {                                                            \
+        const i64 lo = item % nc * s.C, hi = lo + s.C < P ? lo + s.C : P;                  \
+        double *Ab = A + item / nc * mc0 * P;                                              \
         i64 held[5] = {-1, -1, -1, -1, -1};                                                \
         const double *slot[5] = {0};                                                       \
-        /* pass A: the stencil along a0 and the forward sweep, node by node */             \
+        rows_at(&b, item / nc);                                                            \
         for (i64 j = 0; j < mc0; j++) {                                                    \
             const i64 p = j < ne0 ? 2 * j : m0 - 1;                                        \
             const double *x[5] = {0};                                                      \
             double w[5];                                                                   \
             for (i64 k = 0; k < 5; k++) { /* fine nodes p-2..p+2, as the stencil reads */  \
                 const i64 q = p + k - 2;                                                   \
-                const int on = j < ne0 ? (k == 2 || (k < 2 && j >= 1) || (k == 3 && q < m0)\
+                const int on = j < ne0 ? (k == 2 || (k < 2 && j >= 1) || (k == 3 && q < m0) \
                                           || (k == 4 && j + 1 < ne0))                      \
                                        : k == 1 || k == 2;                                 \
                 if (!on)                                                                   \
                     continue;                                                              \
                 if (held[q % 5] != q)                                                      \
                     held[q % 5] = q,                                                       \
-                    slot[q % 5] = plane_##S(L, cb, Mc, &MI, q, dir < 0 && (q % 2 == 0      \
-                                            || q == m0 - 1), ring + (q % 5) * P);          \
-                x[k] = slot[q % 5];                                                        \
+                    slot[q % 5] = plane_##S(L, c + b.off[0], Mc, &MI, q, dir < 0 && (q % 2 == 0 \
+                                            || q == m0 - 1), mine + (q % 5) * P, lo, hi);  \
+                x[k] = slot[q % 5] + lo;                                                   \
             }                                                                              \
             for (i64 k = 0; k < 5; k++)                                                    \
                 w[k] = bands[k * mc0 + j];                                                 \
-            stencil_forward(A + j * P, j ? A + (j - 1) * P : 0, P, x, w,                   \
+            stencil_forward(Ab + j * P + lo, j ? Ab + (j - 1) * P + lo : 0, hi - lo, x, w, \
                             j ? L->lower[a0][j - 1] : 0.0, L->denom[a0][j]);               \
         }                                                                                  \
-        /* pass B: back substitution a block at a time, the other axes, the add */         \
-        const double *carry = 0;                                                           \
-        for (i64 j1 = mc0, nb = 0; j1 > 0; nb++) {                                         \
-            const i64 j0 = j1 > K ? j1 - K : 0;                                            \
-            double *buf = X[nb & 1];                                                       \
-            for (i64 j = j1 - 1; j >= j0; j--) {                                           \
-                double *z = buf + (j - j0) * P;                                            \
-                const double *a = A + j * P;                                               \
-                const double *nx = j + 1 < j1 ? z + P : carry, cj = L->cp[a0][j];          \
-                if (j == mc0 - 1)                                                          \
-                    for (i64 i = 0; i < P; i++)                                            \
-                        z[i] = a[i];                                                       \
-                else                                                                       \
-                    for (i64 i = 0; i < P; i++)                                            \
-                        z[i] = a[i] - nx[i] * cj;                                          \
-            }                                                                              \
-            if (j0 == 0)                                                                   \
-                for (i64 i = 0; i < P; i++)                                                \
-                    finite &= isfinite(buf[i]) != 0;                                       \
-            carry = buf;                                                                   \
-            i64 sh[MAXD], e = 0;                                                           \
-            sh[0] = j1 - j0;                                                               \
-            for (i64 d = a0 + 1; d < nd; d++)                                              \
-                sh[d - a0] = L->n[d];                                                      \
-            const double *z = buf;                                                         \
-            for (i64 d = a0 + 1; d < nd; d++) {                                            \
-                if (L->st[d] == 1)                                                         \
-                    continue;                                                              \
-                finite &= block_axis(L, d, z, W[e], nd - a0, sh, d - a0);                  \
-                z = W[e], e ^= 1;                                                          \
-            }                                                                              \
-            for (i64 j = j0; j < j1; j++) { /* the restrict-and-add */                     \
-                double *vp = vn + b.off[2] + place(Mvn, a0, j);                            \
-                const double *zp = z + (j - j0) * Pc;                                      \
-                Rows r;                                                                    \
-                rows_init(&r, L, a0 + 1, nd, -1, in, a0 + 1, 3, mr, dir > 0 ? 4 : 0);      \
-                if (dir > 0) {                                                             \
-                    const T *vv = (const T *)v + b.off[1] + place(Mv, a0, cpos(L, a0, j)); \
-                    do                                                                     \
-                        for (i64 i = 0; i < ni; i++)                                       \
-                            vp[r.off[0] + i * ni_] = (double)vv[r.off[2]                   \
-                                + (in >= 0 ? cpos(L, in, i) : 0) * vi]                     \
-                                + zp[r.off[1] + i * zi];                                   \
-                    while (rows_next(&r));                                                 \
-                } else {                                                                   \
-                    const double *vv = (const double *)v + b.off[1] + place(Mv, a0, j);    \
-                    do                                                                     \
-                        for (i64 i = 0; i < ni; i++)                                       \
-                            vp[r.off[0] + i * ni_] = vv[r.off[2] + i * vi]                 \
-                                                     - zp[r.off[1] + i * zi];              \
-                    while (rows_next(&r));                                                 \
-                }                                                                          \
-            }                                                                              \
-            j1 = j0;                                                                       \
+        for (i64 j = mc0 - 2; j >= 0; j--) {                                               \
+            double *z = Ab + j * P;                                                        \
+            const double cj = L->cp[a0][j];                                                \
+            for (i64 i = lo; i < hi; i++)                                                  \
+                z[i] = z[i] - z[i + P] * cj;                                               \
         }                                                                                  \
-    } while (rows_next(&b));                                                               \
-    return !finite;                                                                        \
+        for (i64 i = lo; i < hi; i++)                                                      \
+            if (!isfinite(Ab[i]))                                                          \
+                __atomic_store_n(t->rec + T_STATUS, l, __ATOMIC_RELAXED);                  \
+    }                                                                                      \
+    if (next_phase(t))                                                                     \
+        return 1;                                                                          \
+    /* pass B on coarse a0 nodes j0..j1: the other axes' stencil and solve, restrict-and-add */ \
+    ITEMS(t, item, s.nb * nk) {                                                            \
+        const i64 j0 = item % nk * s.K, j1 = j0 + s.K < mc0 ? j0 + s.K : mc0;              \
+        double *W[2] = {mine, mine + s.K * P};                                             \
+        const double *z = A + item / nk * mc0 * P + j0 * P;                                \
+        i64 sh[MAXD], e = 0;                                                               \
+        int finite = 1;                                                                    \
+        rows_at(&b, item / nk);                                                            \
+        sh[0] = j1 - j0;                                                                   \
+        for (i64 d = a0 + 1; d < nd; d++)                                                  \
+            sh[d - a0] = L->n[d];                                                          \
+        for (i64 d = a0 + 1; d < nd; d++) {                                                \
+            if (L->st[d] == 1)                                                             \
+                continue;                                                                  \
+            finite &= block_axis(L, d, z, W[e], nd - a0, sh, d - a0);                      \
+            z = W[e], e ^= 1;                                                              \
+        }                                                                                  \
+        if (!finite)                                                                       \
+            __atomic_store_n(t->rec + T_STATUS, l, __ATOMIC_RELAXED);                      \
+        for (i64 j = j0; j < j1; j++) { /* the restrict-and-add */                         \
+            double *vp = vn + b.off[2] + place(Mvn, a0, j);                                \
+            const double *zp = z + (j - j0) * Pc;                                          \
+            Rows r;                                                                        \
+            rows_init(&r, L, a0 + 1, nd, -1, in, a0 + 1, 3, mr, dir > 0 ? 4 : 0);          \
+            if (dir > 0) {                                                                 \
+                const T *vv = (const T *)v + b.off[1] + place(Mv, a0, cpos(L, a0, j));     \
+                do                                                                         \
+                    for (i64 i = 0; i < ni; i++)                                           \
+                        vp[r.off[0] + i * ni_] = (double)vv[r.off[2]                       \
+                            + (in >= 0 ? cpos(L, in, i) : 0) * vi]                         \
+                            + zp[r.off[1] + i * zi];                                       \
+                while (rows_next(&r));                                                     \
+            } else {                                                                       \
+                const double *vv = (const double *)v + b.off[1] + place(Mv, a0, j);        \
+                do                                                                         \
+                    for (i64 i = 0; i < ni; i++)                                           \
+                        vp[r.off[0] + i * ni_] = vv[r.off[2] + i * vi]                     \
+                                                 - zp[r.off[1] + i * zi];                  \
+                while (rows_next(&r));                                                     \
+            }                                                                              \
+        }                                                                                  \
+    }                                                                                      \
+    return next_phase(t);                                                                  \
 }                                                                                          \
                                                                                            \
 /* a level's nodes (shape) between the packed doubles p and a, map Ma: p <- a              \
  * when gather, else a <- p, rounded to T */                                               \
-PASS void level_copy_##S(const i64 *shape, i64 nd, double *p, T *a, const Map *Ma,       \
+PASS void level_copy_##S(const i64 *shape, i64 nd, double *p, T *a, const Map *Ma,         \
                            int gather)                                                     \
 {                                                                                          \
     Level sh = {.nd = nd};                                                                 \
@@ -752,75 +855,87 @@ PASS void level_copy_##S(const i64 *shape, i64 nd, double *p, T *a, const Map *M
     while (rows_next(&r));                                                                 \
 }                                                                                          \
                                                                                            \
-/* The walks return 0, the level whose correction met a non-finite slab (where            \
- * thomas_solve raises), or -1 for a table or work they refuse.  decompose x               \
- * (strides sx) into the C-order out, each level's coefficients where its nodes            \
- * are — through a double slot, rounded once, for float — and level 0's values             \
- * last; work: 2 slots (3 for float) and the scratch. */                                   \
+/* The walks return 0, the level whose correction met a non-finite slab (where             \
+ * thomas_solve raises), or -1 for a table, work or team they refuse; every                \
+ * member of the team gets the same.  decompose x (strides sx) into the C-order            \
+ * out, each level's coefficients where its nodes are — through a double slot,             \
+ * rounded once, for float — and level 0's values last; work: 2 slots (3 for               \
+ * float), the shared scratch and a share per member. */                                   \
 i64 decompose_##S(const i64 *tab, const double *ops, const T *x, const i64 *sx, T *out,    \
-                  double *work, i64 len)                                                   \
+                  double *work, i64 len, i64 *team)                                        \
 {                                                                                          \
     const i64 nd = tab[0], nl = tab[1], narrow = sizeof(T) != sizeof(double);              \
-    i64 slot, need = walk_sizes(tab, &slot);                                               \
-    if (need < 0 || len < need + (2 + narrow) * slot)                                      \
+    i64 slot, shared, share;                                                               \
+    Team t = {team, 0, __atomic_fetch_add(team + T_JOINED, 1, __ATOMIC_RELAXED)};          \
+    if (walk_sizes(tab, &slot, &shared, &share) < 0 || t.id >= team[T_SIZE]                \
+        || len < (2 + narrow) * slot + shared + team[T_SIZE] * share)                      \
         return -1;                                                                         \
-    double *s[3] = {work, work + slot, work + 2 * slot}, *scratch = work + (2 + narrow) * slot; \
-    double *v = 0, *c = narrow ? s[2] : (double *)(void *)out;                             \
+    double *s[3] = {work, work + slot, work + 2 * slot}, *A = work + (2 + narrow) * slot;  \
+    double *mine = A + shared + t.id * share, *v = 0, *c = narrow ? s[2] : (double *)(void *)out; \
     Map Mo, Mx, Mv, Mc, Mn, Mp;                                                            \
-    packed(&Mo, tab + 3, nd);                                                           \
+    packed(&Mo, tab + 3, nd);                                                              \
     level_map(&Mx, tab, nl, sx);                                                           \
     for (i64 l = nl; l >= 1; l--) { /* levels were checked by walk_sizes */                \
         const i64 *lv = RECORD(tab, l);                                                    \
         double *vn = s[(nl - l) % 2];                                                      \
         Level L;                                                                           \
-        int bad;                                                                           \
         level_init(&L, lv, ops, tab[2]);                                                   \
         level_map(&Mc, tab, l, Mo.s);                                                      \
         packed(&Mn, RECORD(tab, l - 1) + 1, nd);                                           \
         packed(&Mp, lv + 1, nd);                                                           \
-        if (l == nl) {                                                                     \
-            coefficients_##S(&L, x, &Mx, out, &Mc, scratch);                               \
-            bad = correct_##S(&L, 1, out, &Mc, x, &Mx, vn, &Mn, scratch);                  \
-        } else {                                                                           \
-            coefficients_f64(&L, v, &Mv, c, narrow ? &Mp : &Mc, scratch);                  \
-            bad = correct_f64(&L, 1, c, narrow ? &Mp : &Mc, v, &Mv, vn, &Mn, scratch);     \
+        if (l == nl)                                                                       \
+            coefficients_##S(&t, &L, x, &Mx, out, &Mc, mine);                              \
+        else                                                                               \
+            coefficients_f64(&t, &L, v, &Mv, c, narrow ? &Mp : &Mc, mine);                 \
+        if (next_phase(&t)                                                                 \
+            || (l == nl ? correct_##S(&t, &L, l, 1, out, &Mc, x, &Mx, vn, &Mn, A, mine)    \
+                        : correct_f64(&t, &L, l, 1, c, narrow ? &Mp : &Mc, v, &Mv, vn, &Mn, A, \
+                                      mine)))                                              \
+            return leave(&t);                                                              \
+        if (narrow && l < nl) {                                                            \
+            ITEMS(&t, i, 1)                                                                \
+                level_copy_##S(lv + 1, nd, c, out, &Mc, 0);                                \
+            next_phase(&t);                                                                \
         }                                                                                  \
-        if (bad)                                                                           \
-            return l;                                                                      \
-        if (narrow && l < nl)                                                              \
-            level_copy_##S(lv + 1, nd, c, out, &Mc, 0);                                    \
         v = vn, Mv = Mn;                                                                   \
     }                                                                                      \
     level_map(&Mc, tab, 0, Mo.s);                                                          \
-    level_copy_##S(RECORD(tab, 0) + 1, nd, v, out, &Mc, 0);                                \
-    return 0;                                                                              \
+    ITEMS(&t, i, 1)                                                                        \
+        level_copy_##S(RECORD(tab, 0) + 1, nd, v, out, &Mc, 0);                            \
+    next_phase(&t);                                                                        \
+    return leave(&t);                                                                      \
 }                                                                                          \
                                                                                            \
 /* recompose y (strides sy), each level read where its nodes are, into the C-order         \
- * out; work: 2 slots and the scratch. */                                                  \
+ * out; work: 2 slots, the shared scratch and a share per member. */                       \
 i64 recompose_##S(const i64 *tab, const double *ops, const T *y, const i64 *sy, T *out,    \
-                  double *work, i64 len)                                                   \
+                  double *work, i64 len, i64 *team)                                        \
 {                                                                                          \
     const i64 nd = tab[0], nl = tab[1];                                                    \
-    i64 slot, need = walk_sizes(tab, &slot);                                               \
-    if (need < 0 || len < need + 2 * slot)                                                 \
+    i64 slot, shared, share;                                                               \
+    Team t = {team, 0, __atomic_fetch_add(team + T_JOINED, 1, __ATOMIC_RELAXED)};          \
+    if (walk_sizes(tab, &slot, &shared, &share) < 0 || t.id >= team[T_SIZE]                \
+        || len < 2 * slot + shared + team[T_SIZE] * share)                                 \
         return -1;                                                                         \
-    double *vc = work, *v = work + slot, *scratch = work + 2 * slot;                       \
+    double *vc = work, *v = work + slot, *A = work + 2 * slot, *mine = A + shared + t.id * share; \
     Map Mc, Mv, Mo;                                                                        \
     level_map(&Mc, tab, 0, sy);                                                            \
-    level_copy_##S(RECORD(tab, 0) + 1, nd, v, (T *)y, &Mc, 1); /* read, never written */   \
+    ITEMS(&t, i, 1)                                                                        \
+        level_copy_##S(RECORD(tab, 0) + 1, nd, v, (T *)y, &Mc, 1); /* read, never written */ \
+    next_phase(&t);                                                                        \
     for (i64 l = 1; l <= nl; l++) {                                                        \
         const i64 *lv = RECORD(tab, l);                                                    \
         Level L;                                                                           \
         level_init(&L, lv, ops, tab[2]);                                                   \
         level_map(&Mc, tab, l, sy);                                                        \
         packed(&Mv, RECORD(tab, l - 1) + 1, nd);                                           \
-        if (correct_##S(&L, -1, y, &Mc, v, &Mv, vc, &Mv, scratch))                         \
-            return l;                                                                      \
+        if (correct_##S(&t, &L, l, -1, y, &Mc, v, &Mv, vc, &Mv, A, mine))                  \
+            return leave(&t);                                                              \
         packed(&Mo, lv + 1, nd);                                                           \
-        restore_##S(&L, y, &Mc, vc, &Mv, l == nl ? (void *)out : v, &Mo, l == nl, scratch);\
+        restore_##S(&t, &L, y, &Mc, vc, &Mv, l == nl ? (void *)out : v, &Mo, l == nl, mine); \
+        next_phase(&t);                                                                    \
     }                                                                                      \
-    return 0;                                                                              \
+    return leave(&t);                                                                      \
 }                                                                                          \
                                                                                            \
 /* np.round(x * inv).astype(int64); the cast is the platform's, as NumPy's is */           \

@@ -64,6 +64,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..parallel.executors import available_workers, get_executor, on_worker
+
 __all__ = [
     "VALID_POLICIES",
     "active",
@@ -88,6 +90,7 @@ VALID_POLICIES = ("reference", "native", "auto")
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILERS = ("cc", "gcc", "clang")
 _MAX_OUTER = 16  # native.c's MAXD
+_TEAM_MIN = 1 << 15  # fewer nodes split into too few items to pay for a helper
 
 _SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _F64 = np.dtype(np.float64)
@@ -234,8 +237,8 @@ def _build(cc: str, src: bytes, target: Path) -> None:
 _P, _N = ctypes.c_void_p, ctypes.c_int64
 _WALK = (_P, _P, _P, _N, ctypes.c_double)
 _PROTOTYPES = {
-    "walk_doubles": (_P, _N),
-    **{f"{w}_{s}": (_P, _P, _P, _P, _P, _P, _N) for w in ("decompose", "recompose")
+    "walk_doubles": (_P, _N, _N),
+    **{f"{w}_{s}": (_P, _P, _P, _P, _P, _P, _N, _P) for w in ("decompose", "recompose")
        for s in _SUFFIX.values()},
     **{f"quantize_{s}": (_P, _P, _P, _N) for s in _SUFFIX.values()},
     "dequantize": (_P, _P, _P, _N),
@@ -474,18 +477,30 @@ def refactor(x: np.ndarray, hier, inverse: bool = False) -> np.ndarray | None:
     """``decompose`` (``recompose`` when ``inverse``) of ``x`` in one C call that
     walks every level of ``hier``, into a new C-ordered array of ``x``'s dtype;
     ``None`` for the NumPy driver.  Raises ``thomas_solve``'s ``ValueError``
-    where the NumPy driver would, at the same level."""
+    where the NumPy driver would, at the same level.  Off the executors' pools a
+    field of ``_TEAM_MIN`` nodes or more is walked by this thread and
+    ``available_workers() - 1`` helpers making the same call on the shared thread
+    executor; those not started when the walk ends are cancelled."""
     suffix = _SUFFIX.get(x.dtype)
     lib = _library_for(x) if suffix and hier.L and hier.ndim <= _MAX_OUTER else None
     if lib is None:
         return None
     words, ops = hier.refactor_walk()
     slots = 3 if suffix == "f32" and not inverse else 2  # float32 coefficients go through a slot
-    need = hier._memoized(("walk_doubles", slots), lambda: lib.walk_doubles(words, slots))
+    members = 1 if x.size < _TEAM_MIN or on_worker() else available_workers()
+    need = hier._memoized(("walk_doubles", slots, members), lambda: lib.walk_doubles(words, slots, members))
     out, work = np.empty(x.shape, x.dtype), np.empty(max(need, 1))
-    status = getattr(lib, ("recompose_" if inverse else "decompose_") + suffix)(
-        words, ops.ctypes.data, x.ctypes.data, (_N * x.ndim)(*(s // x.itemsize for s in x.strides)),
-        out.ctypes.data, work.ctypes.data, need)
+    team = np.zeros(32, dtype=_I64)  # native.c's TEAM_WORDS
+    team[0] = members
+    walk = getattr(lib, ("recompose_" if inverse else "decompose_") + suffix)
+    args = (words, ops.ctypes.data, x.ctypes.data, (_N * x.ndim)(*(s // x.itemsize for s in x.strides)),
+            out.ctypes.data, work.ctypes.data, need, team.ctypes.data)
+    helpers = [get_executor("thread").submit(walk, *args) for _ in range(members - 1)]
+    try:
+        status = walk(*args)
+    finally:
+        for h in helpers:
+            h.cancel() or h.result()
     if status > 0:
         raise ValueError("array must not contain infs or NaNs")
     return out if status == 0 else None

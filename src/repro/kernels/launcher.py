@@ -184,15 +184,15 @@ def run_op(backend: str, op: str, *args):
 def measure_backend_times(op: str, shape: tuple[int, ...], dtype, repeats: int = 3) -> dict[str, float]:
     """Warm best-of-``repeats`` seconds of one op per available backend
     (operands from the op's ``make_inputs``; the untimed first run takes the
-    library load)."""
+    library load).  The backends take turns, one repeat each, so a spell of
+    the host's — a neighbour's load, a clock change — reaches them alike."""
     args = OP_SPECS[op].make_inputs(tuple(shape), np.dtype(dtype), np.random.default_rng(0xC0FFEE))
-    times: dict[str, float] = {}
-    for name in available_backends():
-        run_op(name, op, *args)
-        best = float("inf")
-        for _ in range(max(repeats, 1)):
+    names = available_backends()
+    times = dict.fromkeys(names, float("inf"))
+    for turn in range(max(repeats, 1) + 1):  # turn 0 is the untimed one
+        for name in names:
             t0 = time.perf_counter()
             run_op(name, op, *args)
-            best = min(best, time.perf_counter() - t0)
-        times[name] = best
+            if turn:
+                times[name] = min(times[name], time.perf_counter() - t0)
     return times

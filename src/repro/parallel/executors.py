@@ -35,6 +35,10 @@ Selection is explicit (pass an executor or a spec) or ambient:
 :func:`set_default_executor` and the ``REPRO_EXECUTOR`` environment
 variable.  Specs: ``serial``, ``thread[:N]`` (alias ``parallel``),
 ``process[:N]``, ``auto``.
+
+A field's refactoring walk recruits the shared ``thread`` pool's idle
+workers (``core.native``), except on a pool worker (:func:`on_worker`):
+a shard, an offloaded decode or a Fig. 9 rank runs alone.
 """
 
 from __future__ import annotations
@@ -59,6 +63,16 @@ __all__ = [
 ]
 
 _ENV_KNOB = "REPRO_EXECUTOR"
+_worker = threading.local()  # .on: set by the pools' initializers
+
+
+def _mark_worker() -> None:
+    _worker.on = True
+
+
+def on_worker() -> bool:
+    """Whether the calling thread runs the jobs of a pool built here."""
+    return getattr(_worker, "on", False)
 
 
 def available_workers() -> int:
@@ -123,6 +137,7 @@ class ThreadExecutor:
                     self._pool = concurrent.futures.ThreadPoolExecutor(
                         max_workers=self.max_workers,
                         thread_name_prefix="repro-encode",
+                        initializer=_mark_worker,
                     )
         return self._pool
 
@@ -180,7 +195,7 @@ class _KillMarked:
 
 
 def _exit_with_parent() -> None:
-    """Pool-worker initializer: die when the parent does.
+    """Pool-worker initializer: mark it (:func:`on_worker`); die when the parent does.
 
     A parent that is SIGKILLed runs no ``atexit`` hook and sends no
     shutdown message, and a pool worker blocks on its call queue for
@@ -191,6 +206,7 @@ def _exit_with_parent() -> None:
     import multiprocessing
     from multiprocessing.connection import wait
 
+    _mark_worker()
     sentinel = multiprocessing.parent_process().sentinel
     threading.Thread(
         target=lambda: (wait([sentinel]), os._exit(1)), daemon=True
@@ -378,6 +394,10 @@ _KINDS = {
     "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
+
+# a forked child has none of the cached pools' threads or workers: it builds its own
+os.register_at_fork(before=_instances_lock.acquire, after_in_parent=_instances_lock.release,
+                    after_in_child=lambda: (_instances.clear(), _instances_lock.release()))
 
 
 def set_default_executor(spec: str | None) -> None:

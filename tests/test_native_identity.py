@@ -30,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from repro.core.correction import subtract_correction
 from repro.core.decompose import decompose, recompose
 from repro.core.grid import hierarchy_for
 from repro.core.refactor import Refactorer
-from repro.parallel import get_executor
+from repro.parallel import ThreadExecutor, get_executor
 
 ROOT = Path(__file__).resolve().parents[1]
 D = importlib.import_module("repro.core.decompose")  # the package's ``decompose`` is the function
@@ -152,10 +153,11 @@ def test_backends_reject_non_finite_input_alike(case, poison):
     check_case(*case, poison=poison)
 
 
-@pytest.mark.parametrize("shape", [(128, 65, 65), (32, 65, 65), (5, 6), (3, 5, 6), (6,), (1,), (2,),
-                                   (3,), (4, 4), (2, 3, 1, 5), (6, 5, 4, 9), (1, 1, 9), (10, 1, 3),
-                                   (64, 2), (2, 17, 1)],
-                         ids=lambda s: "x".join(map(str, s)))
+FIXED_SHAPES = [(128, 65, 65), (32, 65, 65), (5, 6), (3, 5, 6), (6,), (1,), (2,), (3,), (4, 4),
+                (2, 3, 1, 5), (6, 5, 4, 9), (1, 1, 9), (10, 1, 3), (64, 2), (2, 17, 1)]
+
+
+@pytest.mark.parametrize("shape", FIXED_SHAPES, ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("dtype", ["f8", "f4"])
 def test_backends_agree_on_fixed_shapes(shape, dtype):
     for layout in LAYOUTS:
@@ -201,15 +203,19 @@ _ENTRIES = [f"{walk}_{suffix}" for walk in ("decompose", "recompose") for suffix
 
 def _spy_walks(monkeypatch) -> list:
     """Record where each walk ends: the NumPy driver's corrections by their
-    level, the C entries by their status (0, or the level they stopped at)."""
+    level, the C entries by their status (0, or the level they stopped at) —
+    the calls of this thread; a walk's helpers make the same C call on the
+    thread executor's workers, unrecorded."""
     seen: list = []
+    me = threading.get_ident()
     for name in ("restrict_and_correct", "subtract_correction"):
         monkeypatch.setattr(D, name, lambda v, c, hier, l, _fn=getattr(D, name):
                             seen.append(l) or _fn(v, c, hier, l))
     lib = native._library()
     for name in _ENTRIES:
         monkeypatch.setattr(lib, name, lambda *a, _fn=getattr(lib, name), _name=name:
-                            seen.append((_name, _fn(*a))) or seen[-1][1])
+                            _fn(*a) if threading.get_ident() != me
+                            else seen.append((_name, _fn(*a))) or seen[-1][1])
     return seen
 
 
@@ -270,16 +276,19 @@ def _poisoned(shape, dtype, plane, node, poison):
     return x
 
 
-@pytest.mark.parametrize("shape", [(17, 9), (16, 9, 6), (33,)], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("shape", [(17, 9), (16, 9, 6), (33,), (257, 129), (33, 33, 33)],
+                         ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("plane", ["first", "last"])
 @pytest.mark.parametrize("node", ["coarse", "detail"])
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
 @pytest.mark.parametrize("dtype", ["f8", "f4"])
-def test_non_finite_input_meets_the_same_fate(shape, plane, node, poison, dtype, monkeypatch):
+def test_non_finite_input_meets_the_same_fate(shape, plane, node, poison, dtype, monkeypatch,
+                                              teams_of_three):
     """``decompose`` raises thomas_solve's ``ValueError`` under both backends;
     ``recompose`` of a poisoned refactored array raises it or returns the
     same bits under both, depending on the level the node belongs to.  The C
-    walk stops at the level whose NumPy correction raises."""
+    walk stops at the level whose NumPy correction raises — on a team for the
+    fields of at least ``native._TEAM_MIN`` nodes."""
     hier = hierarchy_for(shape)
     x = _poisoned(shape, dtype, plane, node, poison)
     walks = _spy_walks(monkeypatch)
@@ -296,6 +305,104 @@ def test_non_finite_input_meets_the_same_fate(shape, plane, node, poison, dtype,
         (ref, ref_stop), (nat, nat_stop) = seen["reference", fn], seen["native", fn]
         assert ref_stop == nat_stop
         assert ref == nat if isinstance(ref, str) else same_bits(ref, nat)
+
+
+# ----------------------------------------------------------------------
+# the team: a walk shares its passes with the thread executor's idle workers
+
+#: fields of at least native._TEAM_MIN nodes: batches before the first coarsening
+#: axis, one axis, axes that stop coarsening, tail nodes, a short inner axis
+TEAM_SHAPES = [(257, 129), (2, 2, 9000), (40000,), (3, 200, 60), (200, 3, 60), (1025, 33),
+               (33, 1025), (9, 9, 9, 65)]
+
+
+@pytest.fixture
+def teams_of_three(monkeypatch):
+    """A walk on this thread recruits two helpers whatever the host's core
+    count: more members than the thread executor has workers here."""
+    monkeypatch.setattr(native, "available_workers", lambda: 3)
+
+
+@pytest.fixture
+def native_everywhere(monkeypatch):
+    """The C route process-wide: the lone walks run on pool workers, where
+    ``native.forced`` does not reach."""
+    monkeypatch.setattr(native, "_override", "native")
+
+
+def _lone(fn, *args):
+    """``fn(*args)`` on a worker of the thread executor, whose walks run alone."""
+    return get_executor("thread").map(lambda a: fn(*a), [args])[0]
+
+
+@pytest.mark.parametrize("shape", FIXED_SHAPES + TEAM_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+def test_shared_and_lone_walks_agree(shape, dtype, teams_of_three, native_everywhere):
+    """A walk on a team gives the bits of the same walk run alone on a pool
+    worker, in both directions, on every layout."""
+    hier = hierarchy_for(shape)
+    for layout in LAYOUTS:
+        x = laid_out(np.random.default_rng(len(shape)).standard_normal(shape), dtype, layout)
+        y = decompose(x, hier)
+        assert same_bits(y, _lone(decompose, x, hier))
+        assert same_bits(recompose(y, hier), _lone(recompose, y, hier))
+
+
+def test_a_walk_whose_helpers_never_start_completes_alone(teams_of_three, native_everywhere):
+    """With every worker of the pool busy, the helpers a walk submits wait in
+    the queue: the caller runs every item itself, cancels them and returns."""
+    shape = (129, 65, 65)
+    x = np.random.default_rng(3).standard_normal(shape)
+    hier = hierarchy_for(shape)
+    want = _lone(decompose, x, hier)
+    pool, gate, started = get_executor("thread"), threading.Event(), threading.Semaphore(0)
+    blockers = [pool.submit(lambda: started.release() or gate.wait(60)) for _ in range(pool.max_workers)]
+    try:
+        for _ in blockers:
+            assert started.acquire(timeout=30)
+        got = []
+        walker = threading.Thread(target=lambda: got.append(decompose(x, hier)))
+        walker.start()
+        walker.join(60)
+        assert not walker.is_alive(), "a walk waited for helpers that never started"
+    finally:
+        gate.set()
+    assert all(b.result(timeout=30) for b in blockers)
+    assert same_bits(got[0], want)
+
+
+def _helpers_submitted(x):
+    """In a process pool's worker: ``decompose(x)`` and how many jobs that
+    walk submitted to a thread executor, with two members a walk asked for."""
+    workers, submit = native.available_workers, ThreadExecutor.submit
+    calls = []
+    native.available_workers = lambda: 2
+    ThreadExecutor.submit = lambda self, *a: calls.append(a) or submit(self, *a)
+    try:
+        with native.forced("native"):
+            return decompose(x, hierarchy_for(x.shape)), len(calls)
+    finally:
+        native.available_workers, ThreadExecutor.submit = workers, submit
+
+
+def test_walks_on_pool_workers_run_alone(monkeypatch, native_everywhere):
+    """A walk submits its helpers only from a thread no pool runs: the shards
+    of a fan-out, the thread and the process executor's jobs, keep one walk
+    per worker and never wait on their own pool."""
+    x = np.random.default_rng(4).standard_normal((40, 33, 33))
+    hier = hierarchy_for(x.shape)
+    calls = []
+    monkeypatch.setattr(native, "available_workers", lambda: 2)
+    monkeypatch.setattr(ThreadExecutor, "submit", lambda self, *a, _submit=ThreadExecutor.submit:
+                        calls.append(a) or _submit(self, *a))
+    here = decompose(x, hier)
+    assert len(calls) == 1
+    for y in get_executor("thread:2").map(lambda a: decompose(a, hier), [x, x]):
+        assert same_bits(y, here)
+    assert len(calls) == 1  # ThreadExecutor.map does not go through submit
+    for y, submitted in get_executor("process:2").map(_helpers_submitted, [x, x]):
+        assert submitted == 0
+        assert same_bits(y, here)
 
 
 def test_more_outer_dimensions_than_the_library_iterates_take_numpy():

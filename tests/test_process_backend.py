@@ -90,6 +90,27 @@ def _worker_pid(_):
     return os.getpid()
 
 
+def test_a_forked_child_gets_a_thread_pool_of_its_own():
+    """The cached executors do not cross a fork: a child that maps on the
+    ``thread:2`` pool its parent used gets a pool with threads, not the
+    parent's, whose threads it does not have (it would wait for ever)."""
+    assert get_executor("thread:2").map(abs, [-1, -2, -3]) == [1, 2, 3]
+    pid = os.fork()
+    if pid == 0:  # the child: SIGALRM ends it if the map hangs
+        signal.alarm(20)
+        os._exit(0 if get_executor("thread:2").map(abs, [-1, -2, -3]) == [1, 2, 3] else 1)
+    for _ in range(3000):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        threading.Event().wait(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's map never returned")
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+
+
 class TestProcessPoolLifecycle:
     def test_prime_starts_every_worker(self):
         # prime() exists so the pool forks while the process is still
