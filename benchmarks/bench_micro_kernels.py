@@ -6,6 +6,10 @@ two shapes (129^3, 1025^2), then at 5^3, 17^3 and a (32, 65, 65)
 ``serve_sharded`` shard — where a call's fixed cost (policy, table and
 workspace, the ctypes call) is most of it — and every other op of the launcher's table
 (:mod:`repro.kernels.launcher`) on every backend available on this host,
+times one ``stream_huffman`` key group through ``encode_classes`` with its
+code-book chain (the ``huff_segment`` row: the whole segment encode — the
+histogram, the reuse guard, the book build and the codes — per step, where
+``huff_encode`` times the codes of a prebuilt book; recorded, not gated),
 asserts bit identity between backends on every row *and* byte identity
 of an end-to-end compressed container, measures what two threads make of
 four 129^3 frames on each backend (``ctypes`` calls drop the GIL; NumPy's
@@ -34,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -134,6 +139,56 @@ def sweep_op(op: str, shape: tuple[int, ...], repeats: int) -> dict:
             raise AssertionError(f"backend {name!r} diverges from reference on {op}")
     return _speedup({"op": op, "shape": list(shape), "dtype": "float64",
                      "backends": measure_backend_times(op, shape, np.float64, repeats)})
+
+
+def huffman_key_group(shape: tuple[int, ...], repeats: int) -> dict:
+    """One key group of the ``stream_huffman`` workload — float32 steps of a
+    drifting field under 1e-3 noise at ``tol`` 1e-5, ``key_interval`` 8 —
+    through ``encode_classes`` with its code-book chain, per backend: the
+    steps' ``encode_classes`` calls are recorded from a stream writer once and
+    replayed with a fresh chain per repeat; time per step, bit identity of
+    every payload and header."""
+    from repro.compress import mgard
+    from repro.io.stream import StepStreamWriter
+
+    base = multiscale(shape, seed=7)
+    base = (base - base.min()) / (base.max() - base.min())
+    drift = np.cos(np.pi * np.linspace(0.0, 1.0, shape[0])).reshape(-1, *[1] * (len(shape) - 1))
+    noise = np.random.default_rng(7)
+    calls = []
+    encode = mgard.encode_classes
+
+    def record(bins, sizes, **kw):
+        calls.append((np.array(bins), list(sizes), kw["refresh"], kw["context"]))
+        return encode(bins, sizes, **kw)
+
+    mgard.encode_classes = record
+    try:
+        with tempfile.TemporaryDirectory() as root:
+            writer = StepStreamWriter(Path(root) / "s", shape, tol=1e-5, backend="huffman",
+                                      key_interval=8)
+            for t in range(8):
+                frame = base + 0.02 * t * drift + 1e-3 * noise.standard_normal(shape)
+                writer.append(frame.astype(np.float32), time=float(t))
+    finally:
+        mgard.encode_classes = encode
+
+    def replay():
+        scratch = {}
+        return [encode(bins, sizes, backend="huffman", scratch=scratch, refresh=refresh,
+                       context=context) for bins, sizes, refresh, context in calls]
+
+    row = {"op": "huff_segment", "shape": list(shape), "dtype": "float32", "steps": len(calls),
+           "backends": {}}
+    outputs = {}
+    for backend in available_backends():
+        with native.forced(backend):
+            seconds, outputs[backend] = _best_of(replay, repeats)
+        row["backends"][backend] = seconds / len(calls)
+    for out in outputs.values():
+        if [(p, json.dumps(h)) for p, h in out] != [(p, json.dumps(h)) for p, h in outputs["reference"]]:
+            raise AssertionError("backends diverge on the huffman key group")
+    return _speedup(row)
 
 
 def thread_scaling(shape: tuple[int, ...], repeats: int) -> dict:
@@ -241,6 +296,7 @@ def main(argv=None) -> int:
     rows = [row for shape in DRIVER_SHAPES for row in sweep_driver(shape, args.repeats)]
     rows += [row for shape in FIXED_COST_SHAPES for row in sweep_driver(shape, 30 * args.repeats)]
     rows += [sweep_op(op, OP_SHAPES[op], args.repeats) for op in OP_SPECS if op in OP_SHAPES]
+    rows.append(huffman_key_group(OP_SHAPES["huff_encode"], args.repeats))
     scaling = thread_scaling(DRIVER_SHAPES[0], max(args.repeats // 2, 2))
     team = ([row for shape in TEAM_SHAPES for row in team_walks(shape, 3 * args.repeats)]
             if native.available() else [])

@@ -32,8 +32,8 @@ plane along the level's first coarsening axis, when `repro.core.native`
 has its library loaded (`REPRO_KERNEL_BACKEND = reference | native |
 auto`); the results are bit-identical.  The same
 library holds the entropy stage's integer loops — the decode walk
-(`huff_decode`), the segment encode's two passes (`huff_map`, then
-`huff_encode` once the reuse guard has passed) and the code-length merge
+(`huff_decode`), the segment encode — histogram, reuse guard, book build
+and codes in one call (`huff_segment`) — and the code-length merge
 (`huff_lengths`) — taken from inside `repro.compress.huffman_*`.
 """,
     "repro.parallel": """\

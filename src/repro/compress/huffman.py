@@ -13,9 +13,10 @@ parts:
   A book can be supplied (``code=``) instead of rebuilt from the data,
   which is how slowly-varying streams amortize entropy setup across time
   steps; its one serialized form is the packed :attr:`HuffmanCode.book`;
-* :mod:`.huffman_pack` — the encode's two passes: map and count symbols,
-  then pack; :func:`huffman_encode` reads a reuse guard off the
-  histogram in between;
+* :mod:`.huffman_pack` — the encode: one C call per segment under the
+  ``native`` kernel backend (histogram, reuse guard, book build, codes),
+  beside the NumPy bodies' two passes (map and count symbols, then pack;
+  the guard is read off the histogram in between);
 * :mod:`.huffman_unpack` — the decode: one cursor per sync block of
   :data:`_SYNC_BLOCK` symbols, whose offsets :func:`huffman_decode`
   reads from the segment.
@@ -25,15 +26,16 @@ when the caller ships a reference to a cached one), ⌈n/512⌉ − 1
 little-endian u64 sync offsets, the codes — and its header holds
 scalars only: ``n``, ``bits`` and ``book``, the book's byte count.
 
-Each of the stage's integer loops — the code-length merge, the encode's
-two passes, the decode walk — has one C entry, taken under the
-``native`` kernel backend (:mod:`repro.core.native`, the default where a
-compiler is), and one NumPy/Python body beside it, which runs otherwise
-and defines the bits: payload bytes, headers, books and decoded symbols
-are the same either way.  A segment is coded in one pass in each
-direction: the entropy stage's unit of parallel work is the class
-segment (:mod:`.lossless`), and code books and decode tables pickle as
-their packed book so a segment job can cross a process boundary.
+Each of the stage's integer loops — the code-length merge, a segment's
+whole encode (:func:`_encode`), the decode walk — has one C entry, taken
+under the ``native`` kernel backend (:mod:`repro.core.native`, the
+default where a compiler is), and NumPy/Python bodies beside it, which
+run otherwise and define the bits: payload bytes, headers, books and
+decoded symbols are the same either way.  A segment is coded in one
+pass in each direction: the entropy stage's unit of parallel work is
+the class segment (:mod:`.lossless`), and code books and decode tables
+pickle as their packed book so a segment job can cross a process
+boundary.
 
 The coder is exact: ``decode(encode(x)) == x`` for any int64 array.
 The per-element/per-bit reference coders it must agree with live in
@@ -44,8 +46,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import native
 from .huffman_book import HuffmanCode, _build_code
-from .huffman_pack import _SYNC_BLOCK, _map_slots, _pack_slots
+from .huffman_pack import _SYNC_BLOCK, _code_segment, _map_slots, _pack_slots
 from .huffman_unpack import _block_bounds, _decode_blocks, _payload_words, _tables_from_book
 
 __all__ = ["huffman_encode", "huffman_decode"]
@@ -60,7 +63,50 @@ def _segment(code: HuffmanCode | None, n: int, total_bits: int, sync, payload: b
 
 
 # what the encode path returns when a reuse guard rejects the book
-_GUARD_TRIPPED = (None, None, None)
+_GUARD_TRIPPED = (None, None, None, None)
+
+
+def _code_with(values, code: HuffmanCode, limit: float):
+    """The NumPy bodies' encode with ``code``: ``(code, payload, total_bits,
+    sync)``, or ``False`` where its bits pass ``limit`` or a value needs the
+    ESCAPE it lacks — decided from the mapping pass's histogram alone, so
+    nothing is packed for a book about to be replaced."""
+    slots, used = _map_slots(values, code)
+    n_esc = int(used[-1])
+    total_bits = int(used @ code._slot_lens) + 64 * n_esc
+    if (n_esc and code.esc_len is None) or total_bits > limit:
+        return False
+    payload, sync = _pack_slots(values, slots, code, total_bits)
+    return code, payload, total_bits, sync
+
+
+def _encode(values, code=None, guard=None, max_table=0, reserve_escape=False):
+    """``(book, payload, total_bits, sync)`` of a non-empty int64 segment.
+
+    Coded with ``code`` while the reuse ``guard`` holds (its bits stay
+    within ``max_bits_per_symbol`` per value and the book has every value
+    or an ESCAPE); else — or with no ``code`` — with the book
+    :func:`~.huffman_book._build_code` makes of the segment under
+    ``max_table`` / ``reserve_escape``, returned as ``book``.  A tripped
+    guard with no ``max_table`` returns :data:`_GUARD_TRIPPED`, and with no
+    guard either raises ``ValueError``.  Under the ``native`` kernel backend
+    it is one C call (:func:`~.huffman_pack._code_segment`), whose guard
+    reads the value histogram; the NumPy bodies read the mapping pass's slot
+    histogram — the same bit count — and define the bytes.
+    """
+    max_bps = (guard or {}).get("max_bits_per_symbol")
+    limit = np.inf if max_bps is None else max_bps * values.size + 1e-9
+    done = _code_segment(values, code, limit, max_table, reserve_escape) if native.active() else None
+    if done is None:
+        done = False if code is None else _code_with(values, code, limit)
+        if done is False and (max_table or code is None):
+            done = _code_with(values, _build_code(values, max_table, reserve_escape), np.inf)
+    if done is False:
+        if guard is None:
+            raise ValueError("value outside the code book and the book has no escape code; "
+                             "rebuild the book (or build it with reserve_escape=True)")
+        return _GUARD_TRIPPED
+    return done
 
 
 def _encode_payload(values, code, guard=None):
@@ -69,22 +115,9 @@ def _encode_payload(values, code, guard=None):
     The book-less core of :func:`huffman_encode` (same ``guard``), for
     callers that ship a reference to a cached book instead of the book.
     A tripped guard — or, under a guard, a new symbol the book has no
-    escape for — returns :data:`_GUARD_TRIPPED`.
+    escape for — returns ``(None, None, None)``.
     """
-    slots, used = _map_slots(values, code)
-    # decided from the mapping pass's histogram alone: nothing is packed
-    # for a book about to be replaced, or one that cannot code a value
-    n_esc = int(used[-1])
-    total_bits = int(used @ code._slot_lens) + 64 * n_esc
-    max_bps = (guard or {}).get("max_bits_per_symbol")
-    if (n_esc and code.esc_len is None) or (
-            max_bps is not None and total_bits > max_bps * values.size + 1e-9):
-        if guard is None:
-            raise ValueError("value outside the code book and the book has no escape code; "
-                             "rebuild the book (or build it with reserve_escape=True)")
-        return _GUARD_TRIPPED
-    payload, sync = _pack_slots(values, slots, code, total_bits)
-    return payload, total_bits, sync
+    return _encode(values, code, guard)[1:]
 
 
 def huffman_encode(
@@ -108,8 +141,8 @@ def huffman_encode(
         The book needs an escape code to cover symbols it has not seen.
     guard:
         Optional reuse guard ``{"max_bits_per_symbol": b}``.  Decided
-        from the symbol-mapping pass's slot histogram alone, *before*
-        anything is packed; when the would-be payload exceeds the bound
+        from the segment's histogram alone, *before* anything is
+        packed; when the would-be payload exceeds the bound
         (or the book lacks an escape for a new symbol) the call returns
         ``(None, None)`` so the caller can rebuild the book without
         having paid for a wasted encode.
@@ -117,9 +150,7 @@ def huffman_encode(
     values = np.ascontiguousarray(values, dtype=np.int64).ravel()
     if values.size == 0:
         return b"", {"n": 0, "bits": 0, "book": 0}
-    if code is None:
-        code = _build_code(values, max_table)
-    payload, total_bits, sync = _encode_payload(values, code, guard)
+    code, payload, total_bits, sync = _encode(values, code, guard, max_table if code is None else 0)
     if payload is None:
         return None, None
     return _segment(code, values.size, total_bits, sync, payload)

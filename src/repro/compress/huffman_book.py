@@ -11,12 +11,17 @@ also the tests' oracle — integer compares either way, so the same
 lengths.  Code assignment is canonical (sorted by (length, symbol)), so
 the decoder only needs the (symbol, length) pairs.
 
+The C segment encode (``native.huff_segment``) builds the same book from
+the same histogram — the same cut, merge and canonical order — and hands
+its arrays over as is (:meth:`HuffmanCode._assigned`).
+
 A book's one serialized form is :attr:`HuffmanCode.book`: a fixed head
 (first symbol, symbol count, ESCAPE length, gap width), the lengths as
-u8 and the symbol gaps at the narrowest unsigned width, zlib'd.  It is
-what a Huffman segment ships in front of its bitstream and what a book
-(and its decode tables) pickles as; :meth:`HuffmanCode.from_book`
-checks every field of foreign bytes before it believes one.
+u8 and the symbol gaps at the narrowest unsigned width, deflated at
+level 1 (:data:`_BOOK_LEVEL`).  It is what a Huffman segment ships in
+front of its bitstream and what a book (and its decode tables) pickles
+as; :meth:`HuffmanCode.from_book` checks every field of foreign bytes
+before it believes one.
 """
 
 from __future__ import annotations
@@ -137,6 +142,26 @@ class HuffmanCode:
         self._book: bytes | None = None
 
     @classmethod
+    def _assigned(cls, symbols, slot_lens, slot_codes) -> "HuffmanCode":
+        """The book whose slot lengths and canonical codes (ESCAPE's last,
+        length 0 where there is none) the C build assigned — which follows
+        :meth:`from_counts` and :func:`_canonical` step for step, so there is
+        nothing to check or recompute."""
+        code = cls.__new__(cls)
+        esc_len = int(slot_lens[-1]) or None
+        code.symbols, code._slot_lens, code._slot_codes = symbols, slot_lens, slot_codes
+        code.lengths, code.codes = slot_lens[:-1], slot_codes[:-1]
+        code.esc_len = esc_len
+        code.esc_code = None if esc_len is None else int(slot_codes[-1])
+        code._lut = code._book = None
+        return code
+
+    @functools.cached_property
+    def _canon(self):
+        """:func:`_canonical` of the slot lengths (the decode tables' operand)."""
+        return _canonical(self._slot_lens if self.esc_len is not None else self.lengths)
+
+    @classmethod
     def from_counts(cls, symbols, counts, esc_count: int = 0) -> "HuffmanCode":
         """Build the book of ascending ``symbols`` occurring ``counts`` times.
 
@@ -167,7 +192,7 @@ class HuffmanCode:
                             dtype=_BOOK_HEAD)
             self._book = zlib.compress(b"".join((
                 head.tobytes(), self.lengths.astype(np.uint8).tobytes(),
-                gaps.astype(f"<u{width}").tobytes())))
+                gaps.astype(f"<u{width}").tobytes())), _BOOK_LEVEL)
         return self._book
 
     @classmethod
@@ -197,6 +222,12 @@ class HuffmanCode:
     def __reduce__(self):
         return _code_from_book, (self.book,)
 
+
+# The deflate level of a packed book.  A book is rebuilt on every key step and
+# every drift, so its deflate is per-step work: on the stream_huffman steps
+# level 1 packs a 4 095-symbol book in a tenth of level 6's time for ~1/5 more
+# book bytes — 0.05 % of the stream.
+_BOOK_LEVEL = 1
 
 # the fixed head of a packed book: first symbol, symbol count, ESCAPE
 # length (0: none) and the byte width of the symbol gaps behind the lengths

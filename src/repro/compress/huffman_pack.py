@@ -1,15 +1,16 @@
-"""The Huffman encode side, in two passes over a segment.
+"""The Huffman encode side of a segment.
 
-Pass 1, :func:`_map_slots`, maps every value to its book slot and counts
-the slots; the reuse guard and the bit count are read off that
-histogram.  Pass 2, :func:`_pack_slots`, writes the codes, the 64 raw
-bits behind each ESCAPE and every :data:`_SYNC_BLOCK`-th bit offset.
-Each pass is one C loop (``huff_encode``) under the ``native`` kernel
-backend — pass 1 through the book's dense value table where
-:func:`_dense_lut` builds one; in NumPy otherwise, by one
-``searchsorted`` (:func:`_map_symbols`) and one bit-array pack, which
-define the bytes.  The entropy stage's parallel work unit is the class
-segment (:func:`repro.compress.lossless.encode_classes`).
+Under the ``native`` kernel backend a segment's whole encode is one C
+call, :func:`_code_segment` (``native.huff_segment``): the values'
+histogram, the reuse guard read off it, the book built from it where the
+guard trips, and one fused map-and-pack.  The NumPy bodies beside it
+define the bytes, in two passes: :func:`_map_slots` maps every value to
+its book slot by one ``searchsorted`` (:func:`_map_symbols`) and counts
+the slots — the guard and the bit count are read off that histogram —
+and :func:`_pack_slots` writes the codes, the 64 raw bits behind each
+ESCAPE and every :data:`_SYNC_BLOCK`-th bit offset by one bit-array
+pack.  The entropy stage's parallel work unit is the class segment
+(:func:`repro.compress.lossless.encode_classes`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import native
-from .huffman_book import _DENSE_SPAN_FACTOR, HuffmanCode
+from .huffman_book import _DENSE_SPAN_FACTOR, _RESERVE_ESCAPE_MIN_SYMS, HuffmanCode
 
 # The encoder records the bit offset of every _SYNC_BLOCK-th symbol in
 # the segment, after its book ("sync").  The offsets let the decoder run
@@ -48,26 +49,37 @@ def _map_symbols(values: np.ndarray, code: HuffmanCode) -> np.ndarray:
     return np.where(syms[pos] == values, pos, syms.size)
 
 
+def _code_segment(values: np.ndarray, code: HuffmanCode | None, limit: float, max_table: int,
+                  reserve_escape):
+    """A non-empty segment's whole encode in one C call: ``(code, payload,
+    total_bits, sync)`` with ``code`` while its bits stay within ``limit`` and
+    it has every value or an ESCAPE, else with the book ``max_table`` /
+    ``reserve_escape`` builds from the segment (returned first); ``False``
+    when that fails and ``max_table`` is 0, ``None`` for the NumPy bodies."""
+    book = None
+    if code is not None:  # the book's dense value table is the C mapping's operand only
+        book = code.symbols, code._slot_codes, code._slot_lens, _dense_lut(code, values.size)
+    reserve_from = (_RESERVE_ESCAPE_MIN_SYMS if reserve_escape == "auto"
+                    else 0 if reserve_escape else 2**62)
+    done = native.huff_segment(values, book, limit, max_table, reserve_from, _DENSE_SPAN_FACTOR,
+                               _SYNC_BLOCK)
+    if not done:
+        return done
+    built, payload, total_bits, sync = done
+    return code if built is None else HuffmanCode._assigned(*built), payload, total_bits, sync
+
+
 def _map_slots(values: np.ndarray, code: HuffmanCode):
-    """Pass 1: ``(slots, histogram)``, ESCAPE counted last — one C loop
-    where the kernel backend has it, :func:`_map_symbols` otherwise."""
-    if native.active():  # the dense table is the C loop's operand only
-        mapped = native.huff_map(values, code.symbols, _dense_lut(code, values.size))
-        if mapped is not None:
-            return mapped
+    """Pass 1 of the NumPy bodies: ``(slots, histogram)``, ESCAPE counted last."""
     slots = _map_symbols(values, code)
     return slots, np.bincount(slots, minlength=code.symbols.size + 1)
 
 
 def _pack_slots(values: np.ndarray, slots: np.ndarray, code: HuffmanCode, total_bits: int):
-    """Pass 2: ``(payload, sync)`` of mapped values whose codes add up to
-    ``total_bits`` — one C loop where the kernel backend has it, else
-    every code (and the raw bits behind an ESCAPE) spelled out as one row
-    of bits, the rows cut to their lengths and packed MSB first."""
-    packed = native.huff_encode(values, slots, code._slot_codes, code._slot_lens, total_bits,
-                                _SYNC_BLOCK)
-    if packed is not None:
-        return packed
+    """Pass 2 of the NumPy bodies: ``(payload, sync)`` of mapped values whose
+    codes add up to ``total_bits`` — every code (and the raw bits behind an
+    ESCAPE) spelled out as one row of bits, the rows cut to their lengths and
+    packed MSB first."""
     is_esc = slots == code.symbols.size
     lens = code._slot_lens[slots]
     esc = np.flatnonzero(is_esc)

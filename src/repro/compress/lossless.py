@@ -13,14 +13,16 @@ per-class segments are independent work units.  The entropy stage has
 one fan-out per direction — segments (and zlib sub-blocks) are the
 jobs — and the bytes out do not depend on the executor (see
 :mod:`repro.parallel.executors`).  The Huffman backend codes each
-segment in one pass, so it maps over segments.  The zlib backend
-deflates a class whose byte planes reach two fixed-size
-sub-blocks as independent sub-block streams (the header's per-segment
-``blocks`` list records their compressed extents), and both of its
-directions are one ``executor.map`` of :func:`_deflate` /
-:func:`zlib.decompress` over ndarray slices of one buffer — every
-class's byte planes back to back on encode, the whole payload on
-decode — so every job carries its own sub-block and nothing else.
+segment in one call (under the ``native`` kernel backend, one C call:
+histogram, reuse guard, book build and codes), so it maps over
+segments.  The zlib backend deflates a class whose byte planes reach
+two fixed-size sub-blocks as independent sub-block streams (the
+header's per-segment ``blocks`` list records their compressed extents),
+and both of its directions are one ``executor.map`` of
+:func:`_deflate` / :func:`zlib.decompress` over ndarray slices of one
+buffer — every class's byte planes back to back on encode, the whole
+payload on decode — so every job carries its own sub-block and nothing
+else.
 
 A Huffman segment is ``book | sync | bitstream`` (:mod:`.huffman`) and
 its header row holds scalars only: ``offset``, ``nbytes``, ``n``,
@@ -33,6 +35,8 @@ kept by the caller) and the Huffman backend reuses each class's code
 book across calls: exact reuse ships no book, only ``table_ref``; drift
 beyond a bits-per-symbol threshold, and ``refresh=True`` (key frames),
 rebuild the book and ship it in full under a new ``table_id``.  The
+guard and the rebuild are decided inside the segment's one encode call
+(:func:`~repro.compress.huffman._encode`), from its histogram.  The
 decoder caches each shipped book's decode tables under ``(class,
 table_id)`` in its own scratch.
 """
@@ -45,8 +49,7 @@ import zlib
 import numpy as np
 
 from ..parallel.executors import SerialExecutor
-from .huffman import _encode_payload, _segment, huffman_decode, huffman_encode
-from .huffman_book import _build_code
+from .huffman import _encode, _segment, huffman_decode, huffman_encode
 from .huffman_unpack import _tables_from_book
 
 __all__ = [
@@ -184,21 +187,15 @@ def _encode_segment_huffman(
         return huffman_encode(seg)
     books = _books(scratch)
     key = (context, class_idx)
-    entry = books.get(key)
-    if entry is not None and not refresh:
-        payload, bits, sync = _encode_payload(
-            seg,
-            entry["code"],
-            guard={"max_bits_per_symbol": _REBUILD_BPS_RATIO * entry["bps"]},
-        )
-        if payload is not None:
-            segment, hh = _segment(None, seg.size, bits, sync, payload)
-            hh["table_ref"] = entry["id"]
-            return segment, hh
-        # the stream drifted away from the cached book: fall through and
-        # rebuild (only the symbol-mapping probe was wasted)
-    code = _build_code(seg, 4096, reserve_escape="auto")
-    payload, bits, sync = _encode_payload(seg, code)
+    entry = None if refresh else books.get(key)
+    guard = None if entry is None else {"max_bits_per_symbol": _REBUILD_BPS_RATIO * entry["bps"]}
+    # one C call under the native kernel backend: the guard, a rebuild where
+    # the stream drifted away from the cached book, the codes
+    code, payload, bits, sync = _encode(seg, entry and entry["code"], guard, 4096, "auto")
+    if entry is not None and code is entry["code"]:
+        segment, hh = _segment(None, seg.size, bits, sync, payload)
+        hh["table_ref"] = entry["id"]
+        return segment, hh
     segment, hh = _segment(code, seg.size, bits, sync, payload)
     with _scratch_lock(scratch):
         new_id = _next_table_id(scratch, class_idx)

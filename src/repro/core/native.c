@@ -37,6 +37,11 @@
  * executors' fan-outs; ctypes drops the GIL, so the members are threads of
  * repro.parallel's thread executor, and every scratch comes from the caller
  * (one share per member).
+ *
+ * The entropy stage is one entry per direction and segment: huff_decode walks a
+ * segment's sync blocks, huff_segment is its whole encode — the histogram, the
+ * reuse guard read off it, the book built from it where the guard trips (the
+ * merge of huff_lengths, canonical codes), one map-and-pack.
  */
 #include <math.h>
 #include <sched.h>
@@ -1013,7 +1018,10 @@ CLASS_WALK(dequantize_add_f64, double, const i64, field[o] += (double)flat[k] * 
 
 /* ---------------------------------------------------------------------
  * The entropy stage (compress/huffman_*.py).  Integer loops only: the
- * results equal the NumPy bodies' because there is nothing to round.
+ * results equal the NumPy bodies' because there is nothing to round, and the
+ * book a segment builds is huffman_book._build_code's because it makes the
+ * same cut of the same histogram, breaks every tie the same way and merges
+ * with the same queue discipline.
  */
 
 enum { HUFF_OK = 0, HUFF_TRUNCATED = 1, HUFF_NO_MATCH = 2, HUFF_BAD_CHUNK = 3,
@@ -1114,75 +1122,23 @@ i64 huff_decode(const u64 *words, i64 total, i64 *pos, i64 nblocks, i64 block, i
 #endif
 
 /* The encode pass's bit writer: words[0..w) are complete, the fill (0..63)
- * bits of word w wait left-justified in acc, nothing goes to words[cap]. */
-typedef struct { u64 acc, *words; i64 fill, w, cap; } Bits;
+ * bits of word w wait left-justified in acc.  Its caller bounds w: a value
+ * costs at most two words. */
+typedef struct { u64 acc, *words; i64 fill, w; } Bits;
 
 /* append the low len (1..64) bits of code, which has no others set */
-INLINE int put(Bits *b, u64 code, i64 len)
+INLINE void put(Bits *b, u64 code, i64 len)
 {
     const i64 room = 64 - b->fill;
-    if (len < room) {
+    if (__builtin_expect(len < room, 1)) {
         b->acc |= code << (room - len);
         b->fill += len;
-        return 1;
+        return;
     }
     const i64 rest = len - room; /* 0..63 bits carried into the next word */
-    if (b->w >= b->cap)
-        return 0;
     b->words[b->w++] = BE64(b->acc | code >> rest);
     b->acc = rest ? code << (64 - rest) : 0;
     b->fill = rest;
-    return 1;
-}
-
-/* The Huffman encode of n values with a book of nsyms ascending symbols, in two
- * calls; slot nsyms is ESCAPE, where out-of-book values map.  Pass 1 (words ==
- * NULL): each value's slot — lut[value - syms[0]] when a dense table of lut_size
- * entries is given, else a jump-free binary search — into slots, and the slot
- * histogram into the nsyms + 1 zeroed counters of hist.  Pass 2: every slot's
- * code (codes / lens), and behind each ESCAPE the value's 64 raw bits, MSB-first
- * into the total bits of words; the bit offset of every block-th value into
- * sync.  A slot, length or total that does not add up is HUFF_BAD_CHUNK. */
-i64 huff_encode(const i64 *values, i64 n, int32_t *slots, const i64 *syms, i64 nsyms,
-                const i64 *lut, i64 lut_size, i64 *hist, const u64 *codes, const i64 *lens,
-                i64 total, i64 block, u64 *words, i64 *sync)
-{
-    for (i64 i = 0; !words && i < n; i++) {
-        const i64 v = values[i];
-        i64 s;
-        if (lut) {
-            const u64 d = (u64)v - (u64)syms[0]; /* below syms[0] wraps past lut_size */
-            if ((u64)(s = d < (u64)lut_size ? lut[d] : nsyms) > (u64)nsyms)
-                return HUFF_BAD_CHUNK;
-        } else {
-            const i64 *p = syms; /* the first symbol >= v */
-            for (i64 len = nsyms; len > 1; len -= len / 2)
-                p = p[len / 2] < v ? p + len / 2 : p;
-            s = (p - syms) + (*p < v);
-            s = s < nsyms && syms[s] == v ? s : nsyms;
-        }
-        slots[i] = (int32_t)s;
-        hist[s]++;
-    }
-    if (!words)
-        return HUFF_OK;
-    Bits b = {0, words, 0, 0, (total + 63) >> 6};
-    for (i64 b0 = 0; b0 < n; b0 += block) {
-        if (b0)
-            sync[b0 / block - 1] = 64 * b.w + b.fill;
-        for (i64 i = b0; i < b0 + block && i < n; i++) {
-            const i64 s = slots[i];
-            if ((u64)s > (u64)nsyms)
-                return HUFF_BAD_CHUNK;
-            const i64 len = lens[s];
-            if (len < 1 || len > 64 || !put(&b, codes[s], len)
-                || (s == nsyms && !put(&b, (u64)values[i], 64)))
-                return HUFF_BAD_CHUNK;
-        }
-    }
-    if (b.fill && b.w < b.cap) /* the last, partial word: where total says it is */
-        b.words[b.w] = BE64(b.acc);
-    return 64 * b.w + b.fill == total ? HUFF_OK : HUFF_BAD_CHUNK;
 }
 
 /* Huffman code lengths of n >= 2 ascending leaf weights by the two-queue merge:
@@ -1213,4 +1169,256 @@ i64 huff_lengths(const i64 *leaf, i64 n, i64 *depth, i64 *scratch)
     for (i = 0; i < n; i++)
         depth[i] = node[leaf_parent[i]] + 1;
     return HUFF_OK;
+}
+
+/* LSD radix sort of n keys, a byte at a time, skipping the bytes every key
+ * shares; tmp holds n more.  Equal keys keep their order. */
+static void radix_sort(u64 *keys, u64 *tmp, i64 n)
+{
+    u64 any = 0, all = ~(u64)0;
+    for (i64 i = 0; i < n; i++) {
+        any |= keys[i];
+        all &= keys[i];
+    }
+    u64 *src = keys, *dst = tmp;
+    for (int sh = 0; sh < 64; sh += 8) {
+        if (!(((any ^ all) >> sh) & 255))
+            continue;
+        i64 at[256] = {0};
+        for (i64 i = 0; i < n; i++)
+            at[(src[i] >> sh) & 255]++;
+        for (i64 d = 0, sum = 0; d < 256; d++) {
+            const i64 c = at[d];
+            at[d] = sum;
+            sum += c;
+        }
+        for (i64 i = 0; i < n; i++)
+            dst[at[(src[i] >> sh) & 255]++] = src[i];
+        u64 *const t = src;
+        src = dst;
+        dst = t;
+    }
+    for (i64 i = 0; src != keys && i < n; i++)
+        keys[i] = src[i];
+}
+
+/* the slot of v in a book of nsyms >= 1 ascending symbols: lut[v - syms[0]]
+ * when a dense table of lut_size entries is given, else a jump-free binary
+ * search; nsyms, ESCAPE, where the book has no such symbol */
+INLINE i64 slot_of(i64 v, const i64 *syms, i64 nsyms, const i64 *lut, i64 lut_size)
+{
+    if (lut) {
+        const u64 d = (u64)v - (u64)syms[0]; /* below syms[0] wraps past lut_size */
+        return d < (u64)lut_size ? lut[d] : nsyms;
+    }
+    const i64 *p = syms; /* the first symbol >= v */
+    for (i64 len = nsyms; len > 1; len -= len / 2)
+        p = p[len / 2] < v ? p + len / 2 : p;
+    const i64 s = (p - syms) + (*p < v);
+    return s < nsyms && syms[s] == v ? s : nsyms;
+}
+
+/* The book huffman_book._build_code makes of a histogram: its m distinct values
+ * ds (ascending) and counts dc.  Every value while they fit max_table slots
+ * beside an ESCAPE reserved from reserve_from distinct values on; else the
+ * max_table - 1 most frequent, a tie going to the smaller value, and an ESCAPE
+ * weighing what the rest occur.  Lengths by the merge over the leaves stably
+ * sorted by weight (ESCAPE the last leaf), codes canonical in (length, slot)
+ * order.  Writes the symbols, the slot lens and codes (ESCAPE's last, 0 where
+ * there is none) and each distinct value's slot into dslot; returns the symbol
+ * count, or -1 for a code longer than 62 bits (the NumPy body takes those).
+ * The book has at most kb <= max_table symbols; work holds 7 (kb + 1) words. */
+static i64 build_book(const i64 *ds, const i64 *dc, i64 m, i64 max_table, i64 kb,
+                      i64 reserve_from, i64 *work, i64 *syms, i64 *lens, u64 *codes, i64 *dslot)
+{
+    const i64 reserve = m >= reserve_from;
+    i64 keep = m, cut = 0, ties = 0, esc = reserve;
+    if (m > max_table - reserve) {
+        /* the keep-th largest count, a byte at a time (counts < 2^31) */
+        keep = ties = max_table - 1;
+        esc = 0;
+        for (i64 sh = 24, mask = 0; sh >= 0; sh -= 8) {
+            i64 at[256] = {0}, d = 255;
+            for (i64 k = 0; k < m; k++)
+                if ((dc[k] & mask) == cut)
+                    at[dc[k] >> sh & 255]++;
+            for (; at[d] < ties; d--)
+                ties -= at[d];
+            cut |= d << sh;
+            mask |= (i64)255 << sh;
+        } /* kept: every count above cut, and `ties` of those equal to it */
+    }
+    const i64 w1 = kb + 1;
+    i64 *leaf = work, *depth = work + w1, *merge = work + 2 * w1;
+    u64 *key = (u64 *)(work + 5 * w1);
+    i64 s = 0;
+    for (i64 k = 0; k < m; k++) {
+        if (keep == m || dc[k] > cut || (dc[k] == cut && ties-- > 0)) {
+            syms[s] = ds[k];
+            leaf[s] = dc[k];
+            dslot[k] = s++;
+        } else {
+            dslot[k] = keep;
+            esc += dc[k];
+        }
+    }
+    const i64 nl = s + (esc > 0);
+    leaf[s] = esc;
+    if (nl == 1) {
+        lens[0] = 1;
+    } else { /* weights < 2^31 beside leaf indices: distinct keys, a stable order */
+        for (i64 i = 0; i < nl; i++)
+            key[i] = (u64)leaf[i] << 32 | (u64)i;
+        radix_sort(key, key + w1, nl);
+        for (i64 i = 0; i < nl; i++)
+            leaf[i] = (i64)(key[i] >> 32);
+        huff_lengths(leaf, nl, depth, merge);
+        for (i64 i = 0; i < nl; i++)
+            lens[key[i] & 0xffffffffu] = depth[i];
+    }
+    lens[s] = esc ? lens[s] : 0;
+    i64 per[63] = {0};
+    u64 next[63];
+    for (i64 i = 0; i < nl; i++) {
+        if (lens[i] > 62)
+            return -1;
+        per[lens[i]]++;
+    }
+    for (i64 ln = 1, code = 0; ln < 63; ln++) {
+        code <<= 1;
+        next[ln] = (u64)code;
+        code += per[ln];
+    }
+    for (i64 i = 0; i < nl; i++)
+        codes[i] = next[lens[i]]++;
+    codes[s] = esc ? codes[s] : 0;
+    return s;
+}
+
+/* Pass 2 of huff_segment: each value's slot — tab[v - lo] where a value -> slot
+ * table is given, else slot_of — its code, and behind an ESCAPE the value's 64
+ * raw bits, MSB-first into words (2n + 1 of them: room for 128 bits a value);
+ * the bit offset of every block-th value into sync.  Returns the bits written. */
+INLINE i64 pack(const i64 *values, i64 n, i64 block, const i64 *tab, i64 lo, const i64 *syms,
+                i64 nsyms, const u64 *codes, const i64 *lens, const i64 *lut, i64 lut_size,
+                u64 *words, i64 *sync)
+{
+    Bits b = {0, words, 0, 0};
+    for (i64 b0 = 0; b0 < n; b0 += block) {
+        if (b0)
+            sync[b0 / block - 1] = 64 * b.w + b.fill;
+        for (i64 i = b0, end = b0 + block < n ? b0 + block : n; i < end; i++) {
+            const i64 v = values[i];
+            const i64 s = tab ? tab[(u64)v - (u64)lo] : slot_of(v, syms, nsyms, lut, lut_size);
+            put(&b, codes[s], lens[s]);
+            if (s == nsyms)
+                put(&b, (u64)v, 64);
+        }
+    }
+    if (b.fill) /* the last, partial word */
+        b.words[b.w] = BE64(b.acc);
+    return 64 * b.w + b.fill;
+}
+
+enum { HUFF_BUILT = 4, HUFF_TRIPPED = 5 };
+
+/* One Huffman segment's encode: the n >= 1 values, lo..hi, coded with a given
+ * book while its reuse guard holds, else with a book built from them — two
+ * passes over the values.  Pass 1 counts them, over [lo, hi] where that span is
+ * below span_factor * n, else by sorting a copy; the histogram's m distinct
+ * values then decide, in O(m): the given book's bits (nsyms ascending syms,
+ * codes / lens per slot, slot nsyms ESCAPE — length 0 where the book has none —,
+ * lut its dense value table or NULL) trip the guard above limit, or where a
+ * value needs the ESCAPE the book lacks; without a book, or tripped, a book is
+ * built (build_book) when max_table >= 2 allows it, into book: syms[kb],
+ * lens[kb + 1], codes[kb + 1], kb = min(max_table, n).  Pass 2 maps each value to its slot
+ * — through the histogram turned into a value -> slot table where it is dense —
+ * and packs (pack).  Returns HUFF_OK (the given book coded it), HUFF_BUILT,
+ * HUFF_TRIPPED (nothing written), or HUFF_BAD_CHUNK where a slot, length, total
+ * or the size of the scratch or of words (2n + 1) does not add up or a code
+ * would pass 62 bits; info[0]
+ * is the payload's bits, info[1] a built book's symbol count.  The scratch
+ * holds the count table (span + 1 words, or 2n to sort), 3 min(n, span + 1) for
+ * the histogram and 7 (kb + 1) more with a max_table. */
+i64 huff_segment(const i64 *values, i64 n, i64 lo, i64 hi, i64 block, i64 span_factor,
+                 const i64 *syms, i64 nsyms, const u64 *codes, const i64 *lens, const i64 *lut,
+                 i64 lut_size, double limit, i64 max_table, i64 reserve_from, i64 *scratch,
+                 i64 scratch_size, i64 *book, u64 *words, i64 nwords, i64 *sync, i64 *info)
+{
+    const u64 span = (u64)hi - (u64)lo; /* exact: hi >= lo */
+    const int dense = span < (u64)(span_factor * n);
+    const i64 ntab = dense ? (i64)span + 1 : 2 * n, most = ntab < n ? ntab : n;
+    const i64 kb = max_table < n ? max_table : n; /* a built book's symbols at most */
+    if (scratch_size < ntab + 3 * most + (max_table ? 7 * (kb + 1) : 0) || nwords < 2 * n + 1)
+        return HUFF_BAD_CHUNK;
+    i64 *const tab = scratch, *const ds = scratch + ntab, *const dc = ds + most,
+        *const dslot = dc + most;
+    i64 m = 0;
+    if (dense) {
+        for (i64 j = 0; j < ntab; j++)
+            tab[j] = 0;
+        for (i64 i = 0; i < n; i++) {
+            const u64 j = (u64)values[i] - (u64)lo;
+            if (j > span)
+                return HUFF_BAD_CHUNK;
+            tab[j]++;
+        }
+        for (i64 j = 0; j < ntab; j++)
+            if (tab[j]) {
+                ds[m] = (i64)((u64)lo + (u64)j);
+                dc[m++] = tab[j];
+            }
+    } else { /* v - lo keeps the order and spares the bytes above the span's */
+        u64 *const key = (u64 *)tab;
+        for (i64 i = 0; i < n; i++)
+            if ((key[i] = (u64)values[i] - (u64)lo) > span)
+                return HUFF_BAD_CHUNK;
+        radix_sort(key, key + n, n);
+        for (i64 i = 0, j; i < n; i = j) {
+            for (j = i + 1; j < n && key[j] == key[i];)
+                j++;
+            ds[m] = (i64)((u64)lo + key[i]);
+            dc[m++] = j - i;
+        }
+    }
+
+    i64 status = HUFF_OK, total = 0, esc = 0;
+    if (syms) { /* the reuse guard, off the histogram */
+        for (i64 k = 0; k < m; k++) {
+            const i64 s = dslot[k] = slot_of(ds[k], syms, nsyms, lut, lut_size);
+            if ((u64)s > (u64)nsyms || lens[s] > 64 || (s < nsyms && lens[s] < 1))
+                return HUFF_BAD_CHUNK; /* the pass below maps no value this did not */
+            total += dc[k] * lens[s];
+            esc += s == nsyms ? dc[k] : 0;
+        }
+        total += 64 * esc;
+        if ((esc && !lens[nsyms]) || (double)total > limit)
+            status = HUFF_TRIPPED;
+    }
+    if (!syms || status == HUFF_TRIPPED) {
+        if (max_table < 2)
+            return HUFF_TRIPPED;
+        i64 *const bsyms = book, *const blens = book + kb;
+        u64 *const bcodes = (u64 *)(blens + kb + 1);
+        if ((nsyms = build_book(ds, dc, m, max_table, kb, reserve_from, dslot + most, bsyms,
+                                blens, bcodes, dslot)) < 0)
+            return HUFF_BAD_CHUNK;
+        syms = bsyms, lens = blens, codes = bcodes, lut = NULL;
+        total = esc = 0;
+        for (i64 k = 0; k < m; k++) {
+            total += dc[k] * lens[dslot[k]];
+            esc += dslot[k] == nsyms ? dc[k] : 0;
+        }
+        total += 64 * esc;
+        info[1] = nsyms;
+        status = HUFF_BUILT;
+    }
+    info[0] = total;
+    if (!dense)
+        return pack(values, n, block, NULL, 0, syms, nsyms, codes, lens, lut, lut_size, words,
+                    sync) == total ? status : HUFF_BAD_CHUNK;
+    for (i64 k = 0; k < m; k++) /* the histogram becomes the value -> slot table */
+        tab[(u64)ds[k] - (u64)lo] = dslot[k];
+    return pack(values, n, block, tab, lo, syms, nsyms, codes, lens, lut, lut_size, words,
+                sync) == total ? status : HUFF_BAD_CHUNK;
 }

@@ -16,9 +16,10 @@ the C performs the same operations in the same order, with contraction off.
 
 Once those are fast the entropy stage is what is left, so its integer
 loops take the same route from inside :mod:`repro.compress`: the Huffman
-decode walk (:func:`huff_decode`), the segment encode — one C entry,
-called to map and count (:func:`huff_map`) and then to pack
-(:func:`huff_encode`) — and the code-length merge (:func:`huff_lengths`).
+decode walk (:func:`huff_decode`), a segment's whole encode — its
+histogram, the reuse guard read off it, a book built from it where the
+guard trips, and the codes, in one call (:func:`huff_segment`) — and the
+code-length merge (:func:`huff_lengths`).
 There is nothing to round in them, so equal results need no argument
 beyond equal loops; what they need is bounds, and every pointer handed
 over here is sized and range-checked first.
@@ -39,7 +40,8 @@ temporary name, is sealed with a digest of its own bytes (checked before
 ``dlopen``, which faults on a truncated file) and is published with
 ``os.replace``.  A freshly loaded library is checked against the NumPy
 bodies — decompositions and recompositions and the class walks on (5, 6)
-and (3, 5, 6) grids, its Huffman entries against an eleven-symbol stream —
+and (3, 5, 6) grids, its Huffman entries against an eleven-symbol stream
+and the NumPy body's books —
 before it is used.  Nothing here raises out of a leaf except the
 correction's ``ValueError`` on non-finite input, which the NumPy body
 raises too; every failure resolves to the NumPy bodies.
@@ -74,9 +76,8 @@ __all__ = [
     "dequantize",
     "forced",
     "huff_decode",
-    "huff_encode",
     "huff_lengths",
-    "huff_map",
+    "huff_segment",
     "kernel_backend_policy",
     "library_path",
     "quantize",
@@ -97,8 +98,8 @@ _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
 _U64 = np.dtype(np.uint64)
 
-#: :func:`huff_decode`'s status words (``native.c``'s ``HUFF_*``)
-HUFF_TRUNCATED, HUFF_NO_MATCH = 1, 2
+#: :func:`huff_decode`'s and :func:`huff_segment`'s status words (``native.c``'s ``HUFF_*``)
+HUFF_TRUNCATED, HUFF_NO_MATCH, HUFF_BUILT, HUFF_TRIPPED = 1, 2, 4, 5
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +247,8 @@ _PROTOTYPES = {
     "dequantize_scatter_f64": _WALK,
     "dequantize_add_f64": _WALK,
     "huff_decode": (_P, _N, _P, _N, _N, _N, _P, _N, _P, _P, _N, _P, _P, _P, _P, _P, _P, _N),
-    "huff_encode": (_P, _N, _P, _P, _N, _P, _N, _P, _P, _P, _N, _N, _P, _P),
+    "huff_segment": (_P, _N, _N, _N, _N, _N, _P, _N, _P, _P, _P, _N, ctypes.c_double, _N, _N,
+                     _P, _N, _P, _P, _N, _P, _P),
     "huff_lengths": (_P, _N, _P, _P),
 }
 
@@ -355,34 +357,68 @@ def _huffman_self_check() -> bool:
     """The three Huffman entries on the book of twenty Fibonacci weights — code
     lengths 1..19, the length-``L`` symbol ``L`` coded ``2**L - 2``, ESCAPE the
     second 19-bit code — against Python's integers: eleven symbols, two escaped,
-    mapped by table and by search, encoded and decoded in six blocks of two (four
-    abreast, one more, a short tail) behind a 4-bit prefix table (hits, misses
-    resolved by the first-code search, an escape found only there)."""
+    coded in six blocks of two through the dense table and by search, the guard
+    tripped by one bit and by a missing ESCAPE, and decoded four abreast, one
+    more and a short tail behind a 4-bit prefix table (hits, misses resolved by
+    the first-code search, an escape found only there); and the books the NumPy
+    body builds of them — counted densely and by sorting, cut with ties and
+    whole — with the bytes they code."""
     fib = [1, 1]
     while len(fib) < 20:
         fib.append(fib[-1] + fib[-2])
     if not np.array_equal(huff_lengths(np.array(fib)), [19, *range(19, 0, -1)]):
         return False
+
+    def packed(stream, book):
+        """``(stream as one integer, its bits, where each symbol starts)`` of
+        ``book``: symbol -> (code, length), ESCAPE under ``None``."""
+        at, bits, total = [], 0, 0
+        for v in stream:
+            at.append(total)
+            for c, ln in [book[v]] if v in book else [book[None], (v % 2**64, 64)]:
+                bits, total = bits << ln | c, total + ln
+        return bits, total, at
+
+    def payload(bits, total):
+        n_words = (total + 63) >> 6
+        return (bits << 64 * n_words - total).to_bytes(8 * n_words, "big")
+
     stream = [1, 19, -7, 4, 18, 2, 1, 1, 3, 2**62 + 1, 5]  # -7 and 2**62 + 1 escape
     values = np.array(stream, dtype=_I64)
     L = np.arange(1, 20)
     first = (np.uint64(1) << L.astype(_U64)) - np.uint64(2)
-    slots = [v - 1 if 1 <= v <= 19 else 19 for v in stream]  # symbol L in slot L - 1, ESCAPE 19
+    bits, total, at = packed(stream, {**{v: (2**v - 2, v) for v in range(1, 20)},
+                                      None: (2**19 - 1, 19)})
+    whole = payload(bits, total)
+    codes, lens = np.append(first, np.uint64(2**19 - 1)), np.append(L, 19)
     for lut in (np.arange(19), None):  # the dense table over 1..19, the binary search
-        mapped = huff_map(values, L, lut)
-        if mapped is None or [m.tolist() for m in mapped] != [slots, np.bincount(slots).tolist()]:
+        book = (L, codes, lens, lut)
+        coded = huff_segment(values, book, float(total), 0, 2**62, 4, 2)
+        if (not coded or coded[0] is not None
+                or [coded[1], coded[2], coded[3].tolist()]
+                != [whole[: (total + 7) >> 3], total, at[2::2]]
+                or huff_segment(values, book, total - 1.0, 0, 2**62, 4, 2) is not False
+                or huff_segment(values, (L, codes, np.append(L, 0), lut), np.inf, 0, 2**62, 4, 2)
+                is not False):
             return False
-    at, bits, total = [], 0, 0  # where each symbol starts; the stream as one integer
-    for v in stream:
-        at.append(total)
-        for c, ln in [(2**v - 2, v)] if 1 <= v <= 19 else [(2**19 - 1, 19), (v % 2**64, 64)]:
-            bits, total = bits << ln | c, total + ln
-    n_words = (total + 63) >> 6
-    whole = (bits << 64 * n_words - total).to_bytes(8 * n_words, "big")
-    encoded = huff_encode(values, mapped[0], np.append(first, np.uint64(2**19 - 1)),
-                          np.append(L, 19), total, 2)
-    if encoded is None or [encoded[0], encoded[1].tolist()] != [whole[: (total + 7) >> 3], at[2::2]]:
-        return False
+    # (symbols, slot lengths, slot codes) of huffman_book._build_code: the top
+    # three of eleven (1, then the two smallest of the count-1 ties) and an
+    # ESCAPE weighing 6; all nine symbols and no ESCAPE
+    cut = ([-7, 1, 2], [3, 2, 3, 1], [6, 2, 7, 0])
+    whole_book = ([-7, 1, 2, 3, 4, 5, 18, 19, 2**62 + 1], [4, 2, 4, 4, 4, 3, 3, 3, 3, 0],
+                  [12, 0, 13, 14, 15, 2, 3, 4, 5, 0])
+    for vals, max_table, want in ((stream, 4, cut), (stream[:-2], 4, cut),
+                                  (stream, 16, whole_book)):
+        got = huff_segment(np.array(vals, dtype=_I64), None, np.inf, max_table, 2**62, 4, 2)
+        syms, slot_lens, slot_codes = want
+        book = {s: (c, ln) for s, c, ln in zip(syms, slot_codes, slot_lens)}
+        book[None] = (slot_codes[-1], slot_lens[-1])
+        bits, total_b, at_b = packed(vals, book)
+        if (not got or got[0] is None
+                or [a.tolist() for a in got[0]] != [syms, slot_lens, slot_codes]
+                or [got[1], got[2], got[3].tolist()]
+                != [payload(bits, total_b)[: (total_b + 7) >> 3], total_b, at_b[2::2]]):
+            return False
     words = np.frombuffer(whole + bytes(8), dtype=">u8").astype(_U64)  # and the spill word
     count = np.array([1] * 18 + [2], dtype=_U64)
     search = (L, first, count, L - 1, ((first + count) << (64 - L).astype(_U64))[:-1])
@@ -619,50 +655,70 @@ def huff_decode(words, starts, block, rem, total, prefix, search, flat_syms, esc
     return status, out, pos
 
 
-def huff_map(values: np.ndarray, symbols: np.ndarray, lut: np.ndarray | None):
-    """Pass 1 of the C ``huff_encode``: each value's book slot, and their histogram.
+def huff_segment(values: np.ndarray, book, limit: float, max_table: int, reserve_from: int,
+                 span_factor: int, block: int):
+    """One Huffman segment's encode in one C call (``native.c``'s ``huff_segment``).
 
-    ``(int32 slots, histogram)`` in a book of the ascending ``symbols``
-    (slot ``symbols.size``, ESCAPE, for a value it has not), through
-    ``lut`` — its dense table over ``symbols[0]..symbols[-1]`` — when
-    given; ``None`` for the NumPy body."""
-    ok = (_flat(values, _I64) and _flat(symbols, _I64) and 0 < symbols.size < 2**31
-          and (lut is None or _flat(lut, _I64)
-               and lut.size == int(symbols[-1]) - int(symbols[0]) + 1))
-    lib = _library_for(values, symbols, *([] if lut is None else [lut])) if ok else None
-    if lib is None:
+    The non-empty int64 ``values`` are coded with ``book`` — ``(symbols,
+    slot_codes, slot_lens, lut)`` of a :class:`~repro.compress.huffman_book.HuffmanCode`,
+    ``lut`` its dense value table or ``None`` — unless their bits pass
+    ``limit`` or a value needs the ESCAPE it lacks; then, or with no ``book``,
+    with a book built from their histogram (the ``max_table`` cut, an ESCAPE
+    reserved from ``reserve_from`` distinct values) when ``max_table`` is
+    given.  The values' min and max (NumPy's) size the scratch: their span
+    is counted densely below ``span_factor`` times the values, else sorted.
+    Returns ``None`` for the NumPy bodies, ``False`` when the guard trips
+    and nothing may be built, else ``(built, payload, total, sync)``:
+    ``built`` the new book's ``(symbols, slot_lens, slot_codes)``, ``None``
+    when ``book`` coded the values."""
+    n = values.size
+    ok = (_flat(values, _I64) and 0 < n < 2**31 and block > 0 and span_factor >= 2
+          and (max_table == 0 or 2 <= max_table < 2**31))
+    operands = [values]
+    if book is not None:
+        symbols, codes, lens, lut = book
+        ok = ok and (_flat(symbols, _I64) and 0 < symbols.size < 2**31
+                     and _flat(codes, _U64) and _flat(lens, _I64)
+                     and codes.size == lens.size == symbols.size + 1
+                     and (lut is None or _flat(lut, _I64)
+                          and lut.size == int(symbols[-1]) - int(symbols[0]) + 1))
+        operands += [symbols, codes, lens] + ([] if lut is None else [lut])
+    lib = _library_for(*operands) if ok else None
+    if lib is None or book is None and not max_table:
         return None
-    slots = np.empty(values.size, dtype=np.int32)
-    hist = np.zeros(symbols.size + 1, dtype=_I64)
-    if lib.huff_encode(values.ctypes.data, values.size, slots.ctypes.data, symbols.ctypes.data,
-                       symbols.size, None if lut is None else lut.ctypes.data,
-                       0 if lut is None else lut.size, hist.ctypes.data, None, None, 0, 0, None,
-                       None):
+    if book is None:
+        symbols = codes = lens = lut = None
+    lo, hi = int(values.min()), int(values.max())
+    count = hi - lo + 1 if hi - lo < span_factor * n else 2 * n
+    n_sync = -(-n // block) - 1
+    kb = min(max_table, n)  # a built book's symbols at most
+    # one buffer: info[2], the built book (3 kb + 2), sync, then the scratch
+    at_sync = 3 * kb + 4
+    at_scratch = at_sync + n_sync
+    buf = np.empty(at_scratch + count + 3 * min(n, count) + (7 * (kb + 1) if max_table else 0),
+                   dtype=_I64)
+    words = np.empty(2 * n + 1, dtype=_U64)  # a value costs at most 64 + 64 bits
+    base = buf.ctypes.data
+    status = lib.huff_segment(
+        values.ctypes.data, n, lo, hi, block, span_factor,
+        *((None, 0, None, None) if book is None else
+          (symbols.ctypes.data, symbols.size, codes.ctypes.data, lens.ctypes.data)),
+        None if lut is None else lut.ctypes.data, 0 if lut is None else lut.size,
+        limit, max_table, reserve_from, base + 8 * at_scratch, buf.size - at_scratch, base + 16,
+        words.ctypes.data, words.size, base + 8 * at_sync, base)
+    if status == HUFF_TRIPPED:
+        return False
+    if status not in (0, HUFF_BUILT):
         return None
-    return slots, hist
-
-
-def huff_encode(values: np.ndarray, slots: np.ndarray, codes: np.ndarray, lens: np.ndarray,
-                total: int, block: int):
-    """Pass 2 of the C ``huff_encode``: the payload and sync offsets of mapped values.
-
-    ``(payload, sync)`` of the ``values`` whose :func:`huff_map` slots are
-    ``slots`` (``codes`` / ``lens`` per slot), ``total`` bits, a sync
-    offset every ``block`` values; ``None`` for the NumPy body — also
-    when a slot, length or the total does not add up."""
-    ok = (_flat(values, _I64) and _flat(slots, np.dtype(np.int32)) and slots.size == values.size
-          and _flat(codes, _U64) and _flat(lens, _I64) and 0 < codes.size == lens.size
-          and total > 0 and block > 0)
-    lib = _library_for(values, slots, codes, lens) if ok else None
-    if lib is None:
-        return None
-    words = np.empty((total + 63) >> 6, dtype=_U64)
-    sync = np.empty(max(-(-values.size // block) - 1, 0), dtype=_I64)
-    if lib.huff_encode(values.ctypes.data, values.size, slots.ctypes.data, None, codes.size - 1,
-                       None, 0, None, codes.ctypes.data, lens.ctypes.data, total, block,
-                       words.ctypes.data, sync.ctypes.data):
-        return None
-    return words.view(np.uint8)[: (total + 7) >> 3].tobytes(), sync
+    total, m = buf[:2].tolist()
+    payload = words.view(np.uint8)[: (total + 7) >> 3].tobytes()
+    sync = buf[at_sync:at_scratch].copy()
+    if status == 0:
+        return None, payload, total, sync
+    built = buf[2:at_sync]
+    return ((built[:m].copy(), built[kb : kb + m + 1].copy(),
+             built[2 * kb + 1 : 2 * kb + m + 2].view(_U64).copy()),
+            payload, total, sync)
 
 
 def huff_lengths(leaf: np.ndarray) -> np.ndarray | None:

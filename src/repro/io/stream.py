@@ -383,7 +383,9 @@ class StepStreamWriter:
 
     def _flush_manifest(self) -> None:
         faults.crash_point("stream.manifest.pre_flush")
-        payload = json.dumps(self._manifest_doc(), indent=1)
+        # compact: ``indent`` would force json's pure-Python encoder, and the
+        # whole manifest is rewritten on every commit
+        payload = json.dumps(self._manifest_doc(), separators=(",", ":"))
         _atomic_publish(
             self._manifest_path, payload.encode(), self.durability, "stream.manifest"
         )

@@ -8,10 +8,10 @@ C walk over every level each way), the quantizer's
 two passes, the de-quantizer added into a running sum of coefficients
 (``dequantize_add``, the stream writer's closed loop), the class split and
 assembly (``extract`` / ``assemble``), and the entropy
-stage's three integer entries (``huff_lengths`` /
-``huff_encode`` / ``huff_decode``: the code-length merge, the segment
-encode — map, guard, pack — and the sync-block decode walk of
-:mod:`repro.compress.huffman`).
+stage's three integer ops (``huff_lengths`` /
+``huff_encode`` / ``huff_decode``: the code-length merge, a segment's
+encode with a prebuilt book — histogram, guard, codes in one C call —
+and the sync-block decode walk of :mod:`repro.compress.huffman`).
 Each leaf holds its NumPy body and takes the C route of
 :mod:`repro.core.native` itself, so the two backends are the same
 function run under a forced policy (:func:`run_op`): ``reference`` (the

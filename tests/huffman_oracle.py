@@ -66,14 +66,14 @@ def book_bytes(lengths: dict) -> bytes:
     """The packed book of a lengths dict: first symbol (i64), symbol count
     (u32), ESCAPE length (u8, 0: none), gap width (u8), the lengths (u8
     each) and the gaps between ascending symbols at the narrowest of 1, 2,
-    4 or 8 bytes — all little-endian, zlib'd."""
+    4 or 8 bytes — all little-endian, deflated at level 1."""
     syms = sorted(s for s in lengths if s != ESCAPE)
     gaps = [b - a for a, b in zip(syms, syms[1:])]
     width = next(w for w in (1, 2, 4, 8) if all(g < 1 << 8 * w for g in gaps))
     raw = ((syms[0] if syms else 0).to_bytes(8, "little", signed=True)
            + len(syms).to_bytes(4, "little") + bytes([lengths.get(ESCAPE, 0), width])
            + bytes(lengths[s] for s in syms) + b"".join(g.to_bytes(width, "little") for g in gaps))
-    return zlib.compress(raw)
+    return zlib.compress(raw, 1)
 
 
 def lengths_from_book(book: bytes) -> dict:

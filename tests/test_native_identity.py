@@ -784,13 +784,14 @@ def _chain_steps(seed: int, kinds: list[str], moves: list[str]):
 def _check_chain(steps) -> set[str]:
     """Run one chain under both backends: identical segments, headers, cached
     decode books and decodes; every shipped book is the oracle's book of its
-    segment, every reference names the book its class shipped last.
+    segment, every reference names the book its class shipped last in the
+    step's context.  A step is ``(bins, sizes, refresh[, context])``.
     Returns the header forms seen."""
     def run():
         enc, dec, out = {}, {}, []
-        for bins, sizes, refresh in steps:
+        for bins, sizes, refresh, *context in steps:
             payload, header = encode_classes(bins, sizes, backend="huffman", scratch=enc,
-                                             refresh=refresh)
+                                             refresh=refresh, context=(context or ["default"])[0])
             flat, _ = decode_classes(payload, header, scratch=dec)
             np.testing.assert_array_equal(flat, bins)
             out.append((payload, json.dumps(header)))
@@ -799,9 +800,10 @@ def _check_chain(steps) -> set[str]:
     got = _per_backend(run)
     assert got["native"] == got["reference"]
     seen, book = set(), {}
-    for (bins, sizes, refresh), (payload, header) in zip(steps, got["native"][0]):
+    for (bins, sizes, refresh, *context), (payload, header) in zip(steps, got["native"][0]):
         for i, sh in enumerate(json.loads(header)["segments"]):
             seg = bins[sum(sizes[:i]):][: sizes[i]]
+            chain = (*context, i)
             if not sh["n"]:
                 seen.add("empty")
                 continue
@@ -809,12 +811,12 @@ def _check_chain(steps) -> set[str]:
                 assert "table_ref" not in sh
                 lengths = O.lengths_from_book(payload[sh["offset"] :][: sh["book"]])
                 assert lengths == O.book_lengths(seg, 4096, "auto")
-                seen.add("full" if refresh or i not in book else "rebuilt")
-                book[i] = sh["table_id"], lengths
+                seen.add("full" if refresh or chain not in book else "rebuilt")
+                book[chain] = sh["table_id"], lengths
             else:
-                assert sh["table_ref"] == book[i][0] and "table_id" not in sh
+                assert sh["table_ref"] == book[chain][0] and "table_id" not in sh
                 seen.add("ref")
-            if not set(book[i][1]).issuperset(seg.tolist()):
+            if not set(book[chain][1]).issuperset(seg.tolist()):
                 seen.add("escape")
     return seen
 
@@ -832,6 +834,148 @@ def test_a_chain_reaches_every_header_form():
     kinds = ["empty", "one", "narrow", "mid", "wide", "extreme"]
     seen = _check_chain(_chain_steps(3, kinds, ["key", "same", "drift", "alien", "jump", "key"]))
     assert seen == {"empty", "full", "ref", "rebuilt", "escape"}
+
+
+# ----------------------------------------------------------------------
+# the one-call segment encode (native.huff_segment) against the NumPy bodies
+
+
+def _skewed(n_syms: int, n: int, rng) -> np.ndarray:
+    """``n`` values over exactly ``n_syms`` symbols spaced by 7, the first ones
+    the most frequent (weights 1/k), shuffled."""
+    syms = np.arange(n_syms) * 7 - 200
+    p = 1.0 / np.arange(1, n_syms + 1)
+    drawn = rng.choice(syms, n - n_syms, p=p / p.sum())
+    return rng.permutation(np.concatenate((syms, drawn))).astype(np.int64)
+
+
+def _segment_shapes(rng) -> dict:
+    """One class per segment shape the entry must code as the NumPy bodies do."""
+    # 3 000 values seen three times and 3 000 seen twice: a 4 095 cut inside
+    # the count-2 ties, which go to the smaller values
+    ties = np.repeat(np.arange(6000) * 3 - 9000, np.where(np.arange(6000) % 2, 2, 3))
+    return {
+        "empty": np.empty(0, dtype=np.int64),
+        "one": np.full(900, -(2**62) - 3, dtype=np.int64),
+        "63": _skewed(63, 1500, rng),  # one symbol short of the reserved escape
+        "64": _skewed(64, 1500, rng),  # an escape reserved, never used
+        "cut": rng.permutation(ties),
+        "sparse": rng.choice(rng.integers(-(2**40), 2**40, 40), 700),  # span > 4 n: sorted
+        "extremes": rng.choice([-(2**63), 2**63 - 1, -(2**62), 2**62, 0, -1], 1100),
+    }
+
+
+@pytest.mark.parametrize("max_table", [2, 16, 4096])
+def test_segment_entry_codes_every_shape_as_the_numpy_bodies(max_table, rng):
+    """``huffman_encode`` (a book built from the segment) under both backends
+    and the scalar oracle: the same segment bytes and header."""
+    for name, vals in _segment_shapes(rng).items():
+        got = _per_backend(lambda: H.huffman_encode(vals, max_table))
+        assert got["native"] == got["reference"] == O.huffman_encode_scalar(vals, max_table), name
+
+
+def test_segment_entry_cuts_ties_toward_the_smaller_values(rng):
+    vals = _segment_shapes(rng)["cut"]
+    code = _per_backend(lambda: H._encode(vals, max_table=4096, reserve_escape="auto")[0])
+    assert np.array_equal(code["native"].symbols, code["reference"].symbols)
+    # every count-3 value (even k) and the 1 095 smallest count-2 ones (odd k < 2 190)
+    k = np.arange(6000)
+    want = 3 * k[(k % 2 == 0) | (k < 2 * 1095)] - 9000
+    assert np.array_equal(code["native"].symbols, want) and want.size == 4095
+    for field in ("_slot_lens", "_slot_codes"):
+        assert np.array_equal(getattr(code["native"], field), getattr(code["reference"], field))
+    assert code["native"].book == code["reference"].book
+
+
+def _guard_cases(rng):
+    """``(values, book, guard)`` of each way a cached book meets a segment."""
+    base = _skewed(70, 3000, rng)  # >= 64 symbols: its book reserves an escape
+    small = _skewed(20, 3000, rng)  # < 64: no escape
+    book, bare = (B.build_code(v, 4096, "auto") for v in (base, small))
+    bps = lambda v, b: H._encode(v, b)[2] / v.size  # noqa: E731
+    inverted = (base.max() + base.min() - base).astype(np.int64)  # the rare symbols now frequent
+    alien = small.copy()
+    alien[17] = 10**9
+    escaped = base.copy()
+    escaped[5] = 2**62
+    return {
+        "exact reuse": (base, book, bps(base, book)),
+        "bits trip": (inverted, book, bps(base, book)),
+        "within the guard": (inverted, book, 1.15 * bps(inverted, book)),
+        "escape within the guard": (escaped, book, 2 * bps(base, book)),
+        "new symbol, no escape": (alien, bare, 99.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["exact reuse", "bits trip", "within the guard",
+                                  "escape within the guard", "new symbol, no escape"])
+def test_segment_entry_decides_the_reuse_guard_as_the_numpy_bodies(case, rng):
+    """The guard read off the value histogram trips exactly where the slot
+    histogram's does; a trip rebuilds the book (the chain's call) or, with
+    nothing to rebuild, returns the tripped sentinel."""
+    vals, book, max_bps = _guard_cases(rng)[case]
+    guard = {"max_bits_per_symbol": max_bps}
+
+    def run():
+        chained = H._encode(vals, book, guard, 4096, "auto")
+        return (chained[0] is book, chained[1:3], chained[3].tolist(), chained[0].book,
+                H._encode(vals, book, guard)[1:3])
+
+    got = _per_backend(run)
+    assert got["native"] == got["reference"]
+    reused, _, _, _, alone = got["native"]
+    assert reused == (case in ("exact reuse", "within the guard", "escape within the guard"))
+    assert (alone == (None, None)) == (not reused)
+
+
+def test_segment_chain_in_key_and_delta_contexts(rng):
+    """Key and delta chains side by side on every segment shape: exact reuse,
+    bit trips, a symbol no escape-less book has — the same bytes, ids and
+    books under both backends, every shipped book the oracle's."""
+    shapes = list(_segment_shapes(rng).values())
+    skew = [_skewed(70, 2000, rng), _skewed(20, 2000, rng)]
+    key = shapes + skew
+    delta = [np.round(s / 3).astype(np.int64) for s in shapes] + skew
+    drift = [s.max() + s.min() - s if s.size else s for s in delta]  # inverted frequencies
+    alien = [s.copy() for s in delta]
+    for s in alien:
+        if s.size:
+            s[s.size // 2] = 2**61 + 7
+    sizes = [s.size for s in key]
+    steps = [(np.concatenate(key), sizes, True, "key"),
+             (np.concatenate(delta), sizes, True, "delta"),
+             (np.concatenate(delta), sizes, False, "delta"),
+             (np.concatenate(drift), sizes, False, "delta"),
+             (np.concatenate(key), sizes, False, "key"),
+             (np.concatenate(alien), sizes, False, "delta")]
+    seen = _check_chain(steps)
+    assert seen == {"empty", "full", "ref", "rebuilt", "escape"}
+
+
+def test_one_native_call_per_huffman_segment(rng, monkeypatch):
+    """Under ``native`` every non-empty segment of a chained step — reused,
+    rebuilt or keyed — is one ``huff_segment`` call, and none of the NumPy
+    bodies (the mapping probe, the pack, the book build) runs."""
+    calls = []
+    entry = native.huff_segment
+
+    def spy(values, *args):
+        calls.append(values.size)
+        return entry(values, *args)
+
+    monkeypatch.setattr(native, "huff_segment", spy)
+    for body in ("_map_slots", "_pack_slots", "_build_code"):
+        monkeypatch.setattr(H, body, lambda *a, body=body: pytest.fail(f"{body} ran"))
+    shapes = [s for s in _segment_shapes(rng).values() if s.size]
+    scratch = {}
+    with native.forced("native"):
+        inverted = [s.max() - s + s.min() if int(s.max()) - int(s.min()) < 2**62 else s
+                    for s in shapes]
+        for refresh, segs in [(True, shapes), (False, shapes), (False, inverted)]:
+            calls.clear()
+            encode_classes(np.concatenate(segs), [s.size for s in segs], backend="huffman",
+                           scratch=scratch, refresh=refresh, context="delta")
+            assert calls == [s.size for s in segs]
 
 
 _MUTATE = '''
